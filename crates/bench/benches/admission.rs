@@ -16,7 +16,10 @@
 //!   configured the gateway never calls `pre_admit` at all, so the
 //!   configured-off overhead is structurally zero.
 //!
-//! Results are recorded in `BENCH_admission.json` at the repo root.
+//! Results are recorded in `BENCH_admission.json` at the repo root. What
+//! these stages cost *inside the live event loop* — where the per-request
+//! bookkeeping around them is now tallied per wakeup — is the gated
+//! benchmark's `live.cached` workload (`benchmark/README.md`).
 
 use cluster::front::{CoalesceConfig, FrontConfig, FrontDoor, PreVerdict, PriorityConfig};
 use cluster::{ApiId, EntryAdmission};

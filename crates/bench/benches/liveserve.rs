@@ -1,8 +1,9 @@
 //! Live serving plane hot paths.
 //!
-//! `admission/…` and `parse/…` measure the two operations the gateway
-//! performs per request line before work is enqueued; their sum bounds
-//! per-request gateway overhead. `gateway/…` measures the full loopback
+//! `admission/…`, `parse/…` and `reply/…` measure the operations the
+//! gateway performs per request line (decode, admit, encode the reply);
+//! `metrics/…` the per-wakeup tally flush that replaced per-request
+//! counter increments. `gateway/…` measures the full loopback
 //! round trip — TCP read, parse, token bucket, worker burn, TCP write —
 //! by pipelining a batch of requests over one connection against a
 //! near-zero-cost topology. Results are recorded in `BENCH_live.json`
@@ -10,7 +11,9 @@
 
 use cluster::{ApiId, CallNode, EntryAdmission, Topology};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use liveserve::{gateway, LiveConfig, LiveServer};
+use liveserve::metrics::ApiTally;
+use liveserve::wire::{self, LineDecoder};
+use liveserve::{LiveConfig, LiveMetrics, LiveServer};
 use simnet::{SimDuration, SimTime};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -30,10 +33,56 @@ fn bench_admission(c: &mut Criterion) {
     });
 }
 
-/// Wire-protocol parse of one request line.
+/// Wire-protocol parse of one request line, alone and framed out of a
+/// pipelined segment by the decoder.
 fn bench_parse(c: &mut Criterion) {
     c.bench_function("parse/request-line", |b| {
-        b.iter(|| black_box(gateway::parse_request(black_box("REQ 123456789 3"))))
+        b.iter(|| black_box(wire::parse_request(black_box(b"REQ 123456789 3"))))
+    });
+    let segment = b"REQ 1234567890123 0 4242424242\n".repeat(256);
+    let (mut decoder, mut items) = (LineDecoder::new(), Vec::with_capacity(256));
+    c.bench_function("parse/decoder-feed-256-lines", |b| {
+        b.iter(|| {
+            items.clear();
+            decoder.feed(black_box(&segment), &mut items);
+            black_box(items.len())
+        })
+    });
+}
+
+/// Encoding one reply line into a connection's output buffer.
+fn bench_reply(c: &mut Criterion) {
+    let mut out = Vec::with_capacity(64);
+    c.bench_function("reply/encode-rej-line", |b| {
+        b.iter(|| {
+            out.clear();
+            wire::push_reply(&mut out, "REJ", black_box(1234567890123), b"limit");
+            black_box(out.len())
+        })
+    });
+}
+
+/// One wakeup's bookkeeping for 490 rejected requests: a tally flush
+/// against the per-request calls it replaced.
+fn bench_tally(c: &mut Criterion) {
+    let metrics = LiveMetrics::new(1, 1);
+    let mut tally = ApiTally::default();
+    c.bench_function("metrics/flush-tally-490-rejects", |b| {
+        b.iter(|| {
+            for _ in 0..490 {
+                tally.offered += 1;
+                tally.rejected += 1;
+            }
+            metrics.flush_tally(0, black_box(&mut tally));
+        })
+    });
+    c.bench_function("metrics/per-request-490-rejects", |b| {
+        b.iter(|| {
+            for _ in 0..490 {
+                metrics.on_offered(0);
+                metrics.on_rejected(0);
+            }
+        })
     });
 }
 
@@ -140,6 +189,8 @@ criterion_group!(
     benches,
     bench_admission,
     bench_parse,
+    bench_reply,
+    bench_tally,
     bench_gateway_roundtrip,
     bench_gateway_multiconn
 );

@@ -129,6 +129,26 @@ impl TraceCollector {
         }
     }
 
+    /// Record a batch of spans, oldest first: the same counts, learned
+    /// paths and raw-buffer contents as calling [`TraceCollector::record`]
+    /// on each in turn. Spans the batch itself would push out of the raw
+    /// buffer again are counted without ever being pushed.
+    pub fn record_batch(&mut self, spans: &[Span]) {
+        self.spans_recorded += spans.len() as u64;
+        for span in spans {
+            match span.verdict {
+                SpanVerdict::Admitted => {
+                    self.last_seen[span.api.idx()].insert(span.service, span.end);
+                }
+                SpanVerdict::RejectedAtEntry => self.rejected_recorded += 1,
+            }
+        }
+        let kept = &spans[spans.len().saturating_sub(self.keep_raw)..];
+        let evicted = (self.raw.len() + kept.len()).saturating_sub(self.keep_raw);
+        self.raw.drain(..evicted);
+        self.raw.extend(kept);
+    }
+
     /// The most recent raw spans (empty unless `with_raw_buffer`).
     pub fn raw_spans(&self) -> impl Iterator<Item = &Span> {
         self.raw.iter()
@@ -243,6 +263,42 @@ mod tests {
         assert_eq!(c.raw_spans().count(), 3);
         let last: Vec<u32> = c.raw_spans().map(|s| s.service.0).collect();
         assert_eq!(last, vec![7, 8, 9], "keeps the most recent spans");
+    }
+
+    #[test]
+    fn record_batch_equals_recording_one_by_one() {
+        // Batches shorter than, equal to and longer than the raw buffer,
+        // mixing verdicts, against a buffer that is empty, part full and
+        // full when each batch lands.
+        for keep in [0usize, 1, 5] {
+            let mut one = TraceCollector::new(2, SimDuration::from_secs(60)).with_raw_buffer(keep);
+            let mut batch = one.clone();
+            let mut next = 0u32;
+            for len in [0usize, 2, 3, 5, 9, 1] {
+                let spans: Vec<Span> = (0..len)
+                    .map(|_| {
+                        next += 1;
+                        let mut s = span(next % 2, next, u64::from(next));
+                        s.request = u64::from(next);
+                        if next.is_multiple_of(3) {
+                            s.verdict = SpanVerdict::RejectedAtEntry;
+                        }
+                        s
+                    })
+                    .collect();
+                spans.iter().for_each(|s| one.record(*s));
+                batch.record_batch(&spans);
+                assert_eq!(
+                    batch.raw_spans().collect::<Vec<_>>(),
+                    one.raw_spans().collect::<Vec<_>>(),
+                    "keep {keep}, batch of {len}"
+                );
+                assert_eq!(batch.spans_recorded(), one.spans_recorded());
+                assert_eq!(batch.rejected_recorded(), one.rejected_recorded());
+                let now = SimTime::from_secs(30);
+                assert_eq!(batch.learned_paths(now), one.learned_paths(now));
+            }
+        }
     }
 
     #[test]

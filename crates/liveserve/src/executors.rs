@@ -14,11 +14,12 @@
 //!
 //! ## Completion handoff
 //!
-//! Workers never touch sockets. A finished (or shed) job's response
-//! line goes back to the event loop that owns the connection through a
+//! Workers never touch sockets. A finished (or shed) job's outcome
+//! goes back to the event loop that owns the connection through a
 //! [`ReplySink`]: an unbounded completion queue plus that loop's
-//! [`Waker`]. The loop drains the queue on wakeup, appends each line to
-//! the owning connection's output buffer (connections are identified by
+//! [`Waker`]. The loop drains the queue on wakeup, encodes each reply
+//! line straight into the owning connection's output buffer with the
+//! [`crate::wire`] encoder (connections are identified by
 //! generation-tagged tokens, so a completion for a closed-and-reused
 //! slot is dropped, not misdelivered) and flushes once per wakeup —
 //! response syscalls are amortized across however many completions the
@@ -36,7 +37,7 @@ use crate::poller::Waker;
 use cluster::tracing::{Span, SpanVerdict};
 use cluster::types::{ApiId, ServiceId};
 use cluster::Topology;
-use simnet::SimDuration;
+use simnet::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -51,13 +52,16 @@ pub struct Stage {
     pub burn: Duration,
 }
 
-/// A response line travelling from a worker back to the event loop that
-/// owns the connection.
+/// A request's outcome travelling from a worker back to the event loop
+/// that owns the connection; the loop encodes the reply line.
 pub struct Completion {
     /// Generation-tagged connection token ([`ReplySink::token`]).
     pub token: u64,
-    /// The full response line, newline included.
-    pub line: String,
+    /// The request id the reply echoes.
+    pub id: u64,
+    /// `Some(end-to-end latency in µs)` answers `OK <id> <latency>`;
+    /// `None` answers `ERR <id>`.
+    pub served_micros: Option<u64>,
 }
 
 /// Route back to one connection on one event loop. Cloned into every
@@ -75,17 +79,17 @@ impl ReplySink {
         ReplySink { token, tx, waker }
     }
 
-    /// Queue a response line and wake the owning loop. Wakes coalesce in
-    /// the loop's eventfd, so a burst of completions costs one wakeup.
-    pub fn send(&self, line: String) {
-        if self
-            .tx
-            .send(Completion {
-                token: self.token,
-                line,
-            })
-            .is_ok()
-        {
+    /// Queue the request's outcome — `Some(end-to-end latency)` answers
+    /// `OK <id> <latency µs>`, `None` answers `ERR <id>` — and wake the
+    /// owning loop. Wakes coalesce in the loop's eventfd, so a burst of
+    /// completions costs one wakeup.
+    pub fn send(&self, id: u64, served: Option<Duration>) {
+        let completion = Completion {
+            token: self.token,
+            id,
+            served_micros: served.map(|latency| latency.as_micros() as u64),
+        };
+        if self.tx.send(completion).is_ok() {
             self.waker.wake();
         }
     }
@@ -111,6 +115,24 @@ pub struct Job {
     pub trace: Option<u64>,
     /// Completion route to the owning connection's event loop.
     pub reply: ReplySink,
+}
+
+impl Job {
+    /// One causal trace event, if this request opted into tracing.
+    fn trace_event(&self, metrics: &LiveMetrics, stage: &str, outcome: &str, at: f64, dur: f64) {
+        if let Some(trace) = self.trace {
+            metrics.record_trace(obs::TraceEvent {
+                trace,
+                request: self.id,
+                api: self.api as u32,
+                shard: 0,
+                stage: stage.into(),
+                outcome: outcome.into(),
+                at,
+                dur,
+            });
+        }
+    }
 }
 
 /// Immutable routing table shared by the gateway and every worker.
@@ -146,37 +168,31 @@ impl Routing {
                 };
                 metrics.on_dropped(svc);
                 metrics.on_failed(api);
-                if let Some(trace) = job.trace {
-                    metrics.record_trace(obs::TraceEvent {
-                        trace,
-                        request: job.id,
-                        api: api as u32,
-                        shard: 0,
-                        stage: "worker".into(),
-                        outcome: "error".into(),
-                        at: self.clock.now().as_secs_f64(),
-                        dur: 0.0,
-                    });
-                }
-                job.reply.send(format!("ERR {}\n", job.id));
+                let now = self.clock.now();
+                job.trace_event(metrics, "worker", "error", now.as_secs_f64(), 0.0);
+                job.reply.send(job.id, None);
                 // A failed leader clears its flight so followers fail
                 // fast instead of hanging on a leader that will never
                 // complete.
-                if let Some((api, key)) = job.flight {
-                    if let Some(adm) = self.admission.as_deref() {
-                        front::settle_flight(
-                            adm,
-                            metrics,
-                            self.slo,
-                            api,
-                            key,
-                            None,
-                            self.clock.now(),
-                        );
-                    }
-                }
+                self.settle(job.flight, metrics, None, now);
                 false
             }
+        }
+    }
+}
+
+impl Routing {
+    /// Settle the coalesced flight a finished job led, if it led one:
+    /// publish `payload` (or the failure) and answer the parked followers.
+    fn settle(
+        &self,
+        flight: Option<(u32, u64)>,
+        metrics: &LiveMetrics,
+        payload: Option<&str>,
+        now: SimTime,
+    ) {
+        if let (Some((api, key)), Some(adm)) = (flight, self.admission.as_deref()) {
+            front::settle_flight(adm, metrics, self.slo, api, key, payload, now);
         }
     }
 }
@@ -293,7 +309,7 @@ fn worker_loop(
             // admitted spans (exported via `/spans`).
             let end = routing.clock.now();
             let entry = routing.stages[job.api][0].service;
-            metrics.record_span(Span {
+            metrics.record_spans(&[Span {
                 request: job.id,
                 api: ApiId(job.api as u32),
                 service: ServiceId(entry as u32),
@@ -301,51 +317,19 @@ fn worker_loop(
                 start: end - SimDuration::from_nanos(latency.as_nanos() as u64),
                 end,
                 verdict: SpanVerdict::Admitted,
-            });
-            if let Some(trace) = job.trace {
-                // Two closing events per traced request: the worker span
-                // covering admission → completion, and the reply handoff.
-                // No extra clock reads — `end` and `latency` were needed
-                // above anyway.
-                let lat_secs = latency.as_secs_f64();
-                metrics.record_trace(obs::TraceEvent {
-                    trace,
-                    request: job.id,
-                    api: job.api as u32,
-                    shard: 0,
-                    stage: "worker".into(),
-                    outcome: "served".into(),
-                    at: end.as_secs_f64() - lat_secs,
-                    dur: lat_secs,
-                });
-                metrics.record_trace(obs::TraceEvent {
-                    trace,
-                    request: job.id,
-                    api: job.api as u32,
-                    shard: 0,
-                    stage: "reply".into(),
-                    outcome: "sent".into(),
-                    at: end.as_secs_f64(),
-                    dur: 0.0,
-                });
-            }
-            job.reply
-                .send(format!("OK {} {}\n", job.id, latency.as_micros()));
+            }]);
+            // Two closing events per traced request: the worker span
+            // covering admission → completion, and the reply handoff.
+            // No extra clock reads — `end` and `latency` were needed
+            // above anyway.
+            let (end_secs, lat_secs) = (end.as_secs_f64(), latency.as_secs_f64());
+            job.trace_event(metrics, "worker", "served", end_secs - lat_secs, lat_secs);
+            job.trace_event(metrics, "reply", "sent", end_secs, 0.0);
+            job.reply.send(job.id, Some(latency));
             // A completed leader publishes its payload to the response
             // cache and releases the followers parked on its flight.
-            if let Some((api, key)) = job.flight {
-                if let Some(adm) = routing.admission.as_deref() {
-                    front::settle_flight(
-                        adm,
-                        metrics,
-                        routing.slo,
-                        api,
-                        key,
-                        Some(&latency.as_micros().to_string()),
-                        end,
-                    );
-                }
-            }
+            let payload = job.flight.map(|_| latency.as_micros().to_string());
+            routing.settle(job.flight, metrics, payload.as_deref(), end);
         }
     }
 }
@@ -443,8 +427,7 @@ mod tests {
                 .recv_timeout(Duration::from_secs(2))
                 .expect("completion within 2s");
             assert_eq!(c.token, 0xAB00_0001, "completion carries the conn token");
-            assert!(c.line.starts_with("OK "), "unexpected reply {:?}", c.line);
-            assert!(c.line.ends_with('\n'));
+            assert!(c.served_micros.is_some(), "request {} answered ERR", c.id);
             oks += 1;
         }
         assert_eq!(oks, 8);
@@ -495,7 +478,7 @@ mod tests {
         assert!(accepted < 32, "bounded queue must shed some of the flood");
         let mut errs = 0;
         while let Ok(c) = rx.try_recv() {
-            if c.line.starts_with("ERR ") {
+            if c.served_micros.is_none() {
                 errs += 1;
             }
         }

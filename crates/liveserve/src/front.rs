@@ -109,7 +109,7 @@ pub fn settle_flight(
     now: SimTime,
 ) {
     let followers = {
-        let mut adm = admission.lock().expect("admission lock");
+        let mut adm = crate::relock(admission);
         let Some(front) = adm.front.as_mut() else {
             return;
         };
@@ -125,11 +125,10 @@ pub fn settle_flight(
         if payload.is_some() {
             let latency = f.accepted.elapsed();
             metrics.on_complete(api as usize, latency, slo);
-            f.reply
-                .send(format!("OK {} {}\n", f.id, latency.as_micros()));
+            f.reply.send(f.id, Some(latency));
         } else {
             metrics.on_failed(api as usize);
-            f.reply.send(format!("ERR {}\n", f.id));
+            f.reply.send(f.id, None);
         }
     }
 }

@@ -40,10 +40,14 @@
 //! 3. **admission** — one [`LiveAdmission`] lock admits the whole
 //!    batch through the full stage pipeline — coalescing, priority
 //!    gate, token bucket (the bucket costs ~7 ns/decision; the lock
-//!    and clock reads are amortized across the batch);
-//! 4. **response** — `REJ`/`ERR` lines and worker completions are
-//!    appended to per-connection output buffers and flushed with one
-//!    `write` per connection per wakeup, with partial-write carry.
+//!    and clock reads are amortized across the batch). So is the
+//!    bookkeeping: per-API tallies in loop-owned scratch land as one
+//!    `add(n)` per counter, reject spans as one batch under one lock,
+//!    reply lines are encoded straight into the output buffers;
+//! 4. **response** — the output buffers (this wakeup's replies, worker
+//!    completions) are flushed with one `write` per connection per
+//!    wakeup, with partial-write carry — after step 3's tallies, so a
+//!    client that has read its reply finds itself in `/metrics`.
 //!
 //! Workers hand completed jobs back to the owning loop through its
 //! completion queue + [`Waker`] (see [`crate::executors`]).
@@ -66,10 +70,12 @@ use crate::clock::WallClock;
 use crate::executors::{Completion, Job, ReplySink, Routing};
 use crate::front::LiveAdmission;
 use crate::http::{self, MetricsHttp};
-use crate::metrics::{FrontStage, LiveMetrics, LoopStage};
+use crate::metrics::{ApiTally, LiveMetrics, Stage};
 use crate::poller::{Interest, Poller, Waker};
-use crate::wire::{LineDecoder, WireItem};
+use crate::relock;
+use crate::wire::{self, LineDecoder, WireItem};
 use cluster::front::PreVerdict;
+use cluster::tracing::{Span, SpanVerdict};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -78,8 +84,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-pub use crate::wire::parse_request;
 
 /// Shared state every event loop needs. The shutdown flag is the same
 /// `Arc` the worker pool polls, so one store stops the world.
@@ -174,19 +178,20 @@ impl Conn {
         self.out.len() - self.out_start
     }
 
-    fn push_out(&mut self, bytes: &[u8]) {
+    /// The output buffer, for the reply encoder to append to.
+    fn out_buf(&mut self) -> &mut Vec<u8> {
         // Compact lazily: reclaim the written prefix once it dominates.
         if self.out_start > 4096 && self.out_start * 2 > self.out.len() {
             self.out.drain(..self.out_start);
             self.out_start = 0;
         }
-        self.out.extend_from_slice(bytes);
+        &mut self.out
     }
 }
 
 /// A parsed request waiting for the batched admission decision.
 struct PendingReq {
-    slot: usize,
+    /// The connection it arrived on (slot + generation).
     token: u64,
     id: u64,
     api: usize,
@@ -197,17 +202,16 @@ struct PendingReq {
 }
 
 /// The batched admission verdict for one pending request, computed
-/// under the single per-wakeup lock; all bookkeeping (metrics, spans,
+/// under the single per-wakeup lock; all bookkeeping (tallies, spans,
 /// output buffers) happens after the lock is released.
 enum Verdict {
     /// Answered inline from the single-flight cache.
     CacheHit(Arc<str>),
     /// Parked behind the in-flight leader; answered at flight settle.
     Parked,
-    /// Shed by the priority gate before the token bucket.
-    Shed,
-    /// Rejected by the entry token bucket.
-    RejectEntry,
+    /// Turned away: shed by the priority gate before the token bucket
+    /// (`shed`), or rejected by the entry token bucket itself.
+    Reject { shed: bool },
     /// Admitted into the worker pool; `flight` is set when this request
     /// leads a coalesced read.
     Submit { flight: Option<(u32, u64)> },
@@ -235,6 +239,11 @@ struct EventLoop {
     scratch: Vec<u8>,
     items: Vec<WireItem>,
     pending: Vec<PendingReq>,
+    /// Per-wakeup admission scratch, reused across wakeups: one verdict
+    /// per pending request, one tally per API, the batch's reject spans.
+    verdicts: Vec<Verdict>,
+    tallies: Vec<ApiTally>,
+    reject_spans: Vec<Span>,
     dirty: Vec<usize>,
     closing: Vec<usize>,
 }
@@ -294,6 +303,11 @@ pub fn start_event_loops(
             scratch: vec![0u8; READ_CHUNK],
             items: Vec::new(),
             pending: Vec::new(),
+            verdicts: Vec::new(),
+            tallies: (0..shared.routing.stages.len())
+                .map(|_| ApiTally::default())
+                .collect(),
+            reject_spans: Vec::new(),
             dirty: Vec::new(),
             closing: Vec::new(),
         });
@@ -323,14 +337,15 @@ impl EventLoop {
             {
                 break;
             }
-            // Per-stage batch profiling: one `Instant` pair per phase
-            // per wakeup, never per request. Idle wakeups (poll timeout,
+            // Per-stage batch profiling: one `Instant` per phase per
+            // wakeup, never per request. Idle wakeups (poll timeout,
             // nothing ready) record nothing, so the histograms measure
             // work, not waiting.
-            let busy = !events.is_empty();
-            let t0 = busy.then(Instant::now);
+            let mut lap = (!events.is_empty()).then(Instant::now);
             for ev in &events {
                 match ev.token {
+                    // The queues it announces are drained below, after
+                    // every event — the invariant `Waker::drain` needs.
                     TOK_WAKER => self.waker.drain(),
                     TOK_LISTENER => self.accept_burst(),
                     TOK_METRICS => self.accept_http_burst(),
@@ -340,35 +355,26 @@ impl EventLoop {
             self.adopt_injected();
             self.drain_completions();
             let had_pending = !self.pending.is_empty();
-            let t1 = if let Some(t0) = t0 {
-                let t1 = Instant::now();
-                self.shared
-                    .metrics
-                    .on_loop_stage(LoopStage::ReadParse, t1 - t0);
-                Some(t1)
-            } else {
-                had_pending.then(Instant::now)
-            };
+            self.lap(&mut lap, Stage::ReadParse, true);
             self.admit_pending();
             // Queue-full `ERR`s from submits land on the completion
             // queue synchronously — fold them into this wakeup's flush.
             self.drain_completions();
             let had_dirty = !self.dirty.is_empty();
-            let t2 = match (t1, had_pending) {
-                (Some(t1), true) => {
-                    let t2 = Instant::now();
-                    self.shared.metrics.on_loop_stage(LoopStage::Admit, t2 - t1);
-                    Some(t2)
-                }
-                (t1, _) => t1,
-            };
+            self.lap(&mut lap, Stage::Admit, had_pending);
             self.flush_dirty();
             self.do_close();
-            if let (Some(t2), true) = (t2, had_dirty) {
-                self.shared
-                    .metrics
-                    .on_loop_stage(LoopStage::Write, Instant::now() - t2);
-            }
+            self.lap(&mut lap, Stage::Write, had_dirty);
+        }
+    }
+
+    /// Close a batch phase that did work: record the time since the
+    /// previous lap under `stage` and start the next lap.
+    fn lap(&self, lap: &mut Option<Instant>, stage: Stage, worked: bool) {
+        if let (Some(since), true) = (*lap, worked) {
+            let now = Instant::now();
+            self.shared.metrics.on_stage(stage, now - since);
+            *lap = Some(now);
         }
     }
 
@@ -379,42 +385,27 @@ impl EventLoop {
     /// connections spread evenly across loops regardless of which loop
     /// won the race to accept.
     fn accept_burst(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let n = self.peers.len();
-                    let target = if n <= 1 {
-                        self.idx
-                    } else {
-                        self.rr.fetch_add(1, Ordering::Relaxed) % n
-                    };
-                    if target == self.idx {
-                        self.register(stream, ConnKind::Wire(LineDecoder::new()));
-                    } else {
-                        let peer = &self.peers[target];
-                        if peer.injector.send(stream).is_ok() {
-                            peer.waker.wake();
-                        }
-                    }
+        while let Some(stream) = accept_one(&self.listener) {
+            let n = self.peers.len();
+            let target = if n <= 1 {
+                self.idx
+            } else {
+                self.rr.fetch_add(1, Ordering::Relaxed) % n
+            };
+            if target == self.idx {
+                self.register(stream, ConnKind::Wire(LineDecoder::new()));
+            } else {
+                let peer = &self.peers[target];
+                if peer.injector.send(stream).is_ok() {
+                    peer.waker.wake();
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
             }
         }
     }
 
     fn accept_http_burst(&mut self) {
-        loop {
-            let Some(l) = self.metrics_listener.as_ref() else {
-                return;
-            };
-            match l.accept() {
-                Ok((stream, _)) => self.register(stream, ConnKind::Http(Vec::new())),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
+        while let Some(stream) = self.metrics_listener.as_ref().and_then(accept_one) {
+            self.register(stream, ConnKind::Http(Vec::new()));
         }
     }
 
@@ -526,7 +517,7 @@ impl EventLoop {
                     decoder.feed(&self.scratch[..n], &mut self.items);
                     let token = conn.token;
                     for item in self.items.drain(..) {
-                        match item {
+                        let refused = match item {
                             WireItem::Request {
                                 id,
                                 api,
@@ -534,23 +525,19 @@ impl EventLoop {
                                 trace,
                             } if api < num_apis => {
                                 self.pending.push(PendingReq {
-                                    slot,
                                     token,
                                     id,
                                     api,
                                     key,
                                     trace,
                                 });
+                                continue;
                             }
-                            WireItem::Request { id, .. } => {
-                                conn.push_out(format!("ERR {id}\n").as_bytes());
-                                newly_dirty = true;
-                            }
-                            WireItem::Malformed => {
-                                conn.push_out(b"ERR 0\n");
-                                newly_dirty = true;
-                            }
-                        }
+                            WireItem::Request { id, .. } => id, // no such API
+                            WireItem::Malformed => 0,
+                        };
+                        wire::push_reply(conn.out_buf(), "ERR", refused, b"");
+                        newly_dirty = true;
                     }
                     // Backpressure, stage 1: a peer that pipelines but
                     // does not read loses its read interest before its
@@ -594,20 +581,14 @@ impl EventLoop {
 
     // ---- completions ---------------------------------------------------
 
-    /// Append worker completions to their owning connections' output.
+    /// Encode worker completions into their owning connections' output.
     fn drain_completions(&mut self) {
         while let Ok(c) = self.comp_rx.try_recv() {
-            let slot = (c.token & u64::from(u32::MAX)) as usize;
-            let Some(conn) = self.conns.get_mut(slot).and_then(|s| s.as_mut()) else {
-                continue;
-            };
-            if conn.token != c.token {
-                continue; // connection died; slot may be someone else now
-            }
-            conn.push_out(c.line.as_bytes());
-            if !conn.dirty {
-                conn.dirty = true;
-                self.dirty.push(slot);
+            if let Some(out) = out_of(&mut self.conns, &mut self.dirty, c.token) {
+                match c.served_micros {
+                    Some(us) => wire::push_reply(out, "OK", c.id, wire::fmt_u64(&mut [0; 20], us)),
+                    None => wire::push_reply(out, "ERR", c.id, b""),
+                }
             }
         }
     }
@@ -615,29 +596,40 @@ impl EventLoop {
     // ---- batched admission --------------------------------------------
 
     /// One admission lock and one clock read for every request this
-    /// wakeup produced, then per-verdict bookkeeping.
+    /// wakeup produced, then per-verdict bookkeeping — itself per wakeup:
+    /// tallies, not counters, and one span batch.
     ///
     /// The lock scope runs the whole stage pipeline per request —
     /// coalescing lookup, priority gate, token bucket, and (for a
     /// leading read) flight registration — but *no* I/O or metric
     /// work: responses, spans and counters happen after release.
     fn admit_pending(&mut self) {
-        if self.pending.is_empty() {
+        // Disjoint borrows of the loop's fields: the scratch vectors are
+        // filled and emptied in place, wakeup after wakeup.
+        let EventLoop {
+            pending,
+            verdicts,
+            tallies,
+            reject_spans,
+            shared,
+            conns,
+            dirty,
+            comp_tx,
+            waker,
+            idx,
+            ..
+        } = self;
+        if pending.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.pending);
-        let metrics = Arc::clone(&self.shared.metrics);
-        let now = self.shared.clock.now();
-        for p in &pending {
-            metrics.on_offered(p.api);
-        }
-        let mut verdicts = Vec::with_capacity(pending.len());
+        let metrics = &shared.metrics;
+        let now = shared.clock.now();
         // Front-stage profiling samples the *first* request of the batch
         // only — a bounded number of extra clock reads per wakeup.
         let mut front_door_sample: Option<Duration> = None;
         let mut bucket_sample: Option<Duration> = None;
         {
-            let mut adm = self.shared.admission.lock().expect("admission lock");
+            let mut adm = relock(&shared.admission);
             let LiveAdmission { entry, front } = &mut *adm;
             for (i, p) in pending.iter().enumerate() {
                 let api = cluster::ApiId(p.api as u32);
@@ -656,14 +648,13 @@ impl EventLoop {
                             continue;
                         }
                         PreVerdict::Follower { .. } => {
-                            let reply =
-                                ReplySink::new(p.token, self.comp_tx.clone(), self.waker.clone());
+                            let reply = ReplySink::new(p.token, comp_tx.clone(), waker.clone());
                             front.park(api.0, p.key.expect("followers carry a key"), p.id, reply);
                             verdicts.push(Verdict::Parked);
                             continue;
                         }
                         PreVerdict::Shed { .. } => {
-                            verdicts.push(Verdict::Shed);
+                            verdicts.push(Verdict::Reject { shed: true });
                             continue;
                         }
                         PreVerdict::Proceed { lead } => lead,
@@ -690,43 +681,44 @@ impl EventLoop {
                     };
                     verdicts.push(Verdict::Submit { flight });
                 } else {
-                    verdicts.push(Verdict::RejectEntry);
+                    verdicts.push(Verdict::Reject { shed: false });
                 }
             }
         }
         if let Some(d) = front_door_sample {
-            metrics.on_front_stage(FrontStage::FrontDoor, d);
+            metrics.on_stage(Stage::FrontDoor, d);
         }
         if let Some(d) = bucket_sample {
-            metrics.on_front_stage(FrontStage::TokenBucket, d);
+            metrics.on_stage(Stage::TokenBucket, d);
         }
         let accepted = Instant::now();
-        let slo = self.shared.routing.slo;
         let at = now.as_secs_f64();
-        let shard = self.idx as u32;
+        let shard = *idx as u32;
         // Trace events cost nothing for untraced requests (one `Option`
         // check); a traced request takes one short mutex push per stage.
         let trace_ev = |p: &PendingReq, stage: &str, outcome: &str| {
-            p.trace.map(|id| obs::TraceEvent {
-                trace: id,
-                request: p.id,
-                api: p.api as u32,
-                shard,
-                stage: stage.into(),
-                outcome: outcome.into(),
-                at,
-                dur: 0.0,
-            })
+            if let Some(id) = p.trace {
+                metrics.record_trace(obs::TraceEvent {
+                    trace: id,
+                    request: p.id,
+                    api: p.api as u32,
+                    shard,
+                    stage: stage.into(),
+                    outcome: outcome.into(),
+                    at,
+                    dur: 0.0,
+                });
+            }
         };
-        for (p, verdict) in pending.iter().zip(&verdicts) {
+        for (p, verdict) in pending.iter().zip(verdicts.iter()) {
+            let tally = &mut tallies[p.api];
+            tally.offered += 1;
             match verdict {
                 Verdict::Submit { flight } => {
-                    metrics.on_admitted(p.api);
-                    if let Some(ev) = trace_ev(p, "token_bucket", "admitted") {
-                        metrics.record_trace(ev);
-                    }
-                    let reply = ReplySink::new(p.token, self.comp_tx.clone(), self.waker.clone());
-                    self.shared.routing.submit(
+                    tally.admitted += 1;
+                    trace_ev(p, "token_bucket", "admitted");
+                    let reply = ReplySink::new(p.token, comp_tx.clone(), waker.clone());
+                    shared.routing.submit(
                         Job {
                             id: p.id,
                             api: p.api,
@@ -737,82 +729,67 @@ impl EventLoop {
                             trace: p.trace,
                             reply,
                         },
-                        &metrics,
+                        metrics,
                     );
                 }
                 Verdict::CacheHit(payload) => {
                     // A cached read never touches the worker pool: it is
                     // admitted and completed in the same wakeup, with
                     // effectively zero service latency.
-                    metrics.on_admitted(p.api);
-                    metrics.on_complete_traced(p.api, Duration::ZERO, slo, p.trace);
-                    if let Some(ev) = trace_ev(p, "front_door", "cache_hit") {
-                        metrics.record_trace(ev);
+                    tally.admitted += 1;
+                    tally.cache_hits += 1;
+                    tally.hit_traces.extend(p.trace);
+                    trace_ev(p, "front_door", "cache_hit");
+                    trace_ev(p, "reply", "sent");
+                    if let Some(out) = out_of(conns, dirty, p.token) {
+                        wire::push_reply(out, "OK", p.id, payload.as_bytes());
                     }
-                    if let Some(ev) = trace_ev(p, "reply", "sent") {
-                        metrics.record_trace(ev);
-                    }
-                    self.push_to_conn(p.slot, p.token, &format!("OK {} {payload}\n", p.id));
                 }
                 Verdict::Parked => {
                     // Counted admitted now; completion metrics land when
                     // the leader's flight settles (`front::settle_flight`).
-                    metrics.on_admitted(p.api);
-                    if let Some(ev) = trace_ev(p, "front_door", "follower") {
-                        metrics.record_trace(ev);
-                    }
+                    tally.admitted += 1;
+                    trace_ev(p, "front_door", "follower");
                 }
-                Verdict::Shed | Verdict::RejectEntry => {
-                    metrics.on_rejected(p.api);
+                Verdict::Reject { shed } => {
+                    tally.rejected += 1;
                     // Zero-duration rejection marker at the API's entry
                     // service — the same span the simulator's gateway
                     // records, so the sim2real overlay can compare
                     // admission decisions span-for-span.
-                    if let Some(entry) = self.shared.routing.stages[p.api].first() {
-                        metrics.record_span(cluster::tracing::Span {
+                    if let Some(entry) = shared.routing.stages[p.api].first() {
+                        reject_spans.push(Span {
                             request: p.id,
                             api: cluster::ApiId(p.api as u32),
                             service: cluster::ServiceId(entry.service as u32),
                             parent: None,
                             start: now,
                             end: now,
-                            verdict: cluster::tracing::SpanVerdict::RejectedAtEntry,
+                            verdict: SpanVerdict::RejectedAtEntry,
                         });
                     }
-                    let class = if matches!(verdict, Verdict::Shed) {
+                    let class = if *shed {
+                        trace_ev(p, "priority_gate", "shed");
                         "shed"
                     } else {
+                        trace_ev(p, "token_bucket", "rejected");
                         "limit"
                     };
-                    let ev = if matches!(verdict, Verdict::Shed) {
-                        trace_ev(p, "priority_gate", "shed")
-                    } else {
-                        trace_ev(p, "token_bucket", "rejected")
-                    };
-                    if let Some(ev) = ev {
-                        metrics.record_trace(ev);
+                    if let Some(out) = out_of(conns, dirty, p.token) {
+                        wire::push_reply(out, "REJ", p.id, class.as_bytes());
                     }
-                    self.push_to_conn(p.slot, p.token, &format!("REJ {} {class}\n", p.id));
                 }
             }
         }
-        let mut pending = pending;
+        // Counters and spans land here, before `flush_dirty` writes this
+        // wakeup's replies: whoever has read a reply finds it counted.
+        for (api, tally) in tallies.iter_mut().enumerate() {
+            metrics.flush_tally(api, tally);
+        }
+        metrics.record_spans(reject_spans);
         pending.clear();
-        self.pending = pending;
-    }
-
-    /// Append a response line to a connection's output buffer if the
-    /// connection is still the one the token was minted for.
-    fn push_to_conn(&mut self, slot: usize, token: u64, line: &str) {
-        if let Some(conn) = self.conns.get_mut(slot).and_then(|s| s.as_mut()) {
-            if conn.token == token {
-                conn.push_out(line.as_bytes());
-                if !conn.dirty {
-                    conn.dirty = true;
-                    self.dirty.push(slot);
-                }
-            }
-        }
+        verdicts.clear();
+        reject_spans.clear();
     }
 
     // ---- write side ----------------------------------------------------
@@ -888,6 +865,37 @@ impl EventLoop {
             }
         }
     }
+}
+
+/// The next pending connection of a non-blocking listener, if any.
+fn accept_one(listener: &TcpListener) -> Option<TcpStream> {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => return Some(stream),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return None, // `WouldBlock`: the backlog is drained
+        }
+    }
+}
+
+/// The output buffer of the connection `token` was minted for, marked
+/// dirty for this wakeup's flush — `None` if that connection is gone
+/// (its slot may hold a newer one; a reply must never reach that).
+fn out_of<'c>(
+    conns: &'c mut [Option<Conn>],
+    dirty: &mut Vec<usize>,
+    token: u64,
+) -> Option<&'c mut Vec<u8>> {
+    let slot = (token & u64::from(u32::MAX)) as usize;
+    let conn = conns.get_mut(slot)?.as_mut()?;
+    if conn.token != token {
+        return None;
+    }
+    if !conn.dirty {
+        conn.dirty = true;
+        dirty.push(slot);
+    }
+    Some(conn.out_buf())
 }
 
 /// If the request head is complete (blank line seen), return the length

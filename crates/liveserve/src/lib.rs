@@ -11,9 +11,10 @@
 //!   gateway ([`cluster::EntryAdmission`], shared verbatim);
 //! * a **worker pool** ([`executors`]) emulating the application DAG
 //!   with genuine CPU burn and bounded per-service queues;
-//! * **wall-clock metric windows** ([`metrics`]) folding atomics and a
-//!   [`simnet::LatencyHistogram`] into the [`cluster::ClusterObservation`]
-//!   struct the controller already consumes;
+//! * **wall-clock metric windows** ([`metrics`]) read off the cumulative
+//!   `/metrics` counters and latency histogram as deltas, folded into
+//!   the [`cluster::ClusterObservation`] struct the controller already
+//!   consumes;
 //! * a **load generator** ([`loadgen`]) with closed-loop user pools and
 //!   open-loop surge arms.
 //!
@@ -46,8 +47,18 @@ use gateway::{EventLoops, GatewayShared, LoopConfig};
 use simnet::SimTime;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Lock `m`, taking the guard back from a thread that panicked while
+/// holding it. The locks this is used on (the admission bank, the span
+/// collector, the control thread's window mark) guard counters, buckets
+/// and maps whose every single update is complete on its own, so the
+/// worst a dead holder leaves behind is one request half-counted — and
+/// one dead worker or scrape must not take the gateway down with it.
+pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Live-plane tunables.
 #[derive(Clone, Copy, Debug)]
@@ -148,30 +159,6 @@ impl LiveRunResult {
         } else {
             vals.iter().sum::<f64>() / vals.len() as f64
         }
-    }
-
-    /// Mean goodput per API over the whole run.
-    pub fn mean_goodput_per_api(&self) -> Vec<(String, f64)> {
-        self.api_names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let m = self.mean_over(0.0, f64::INFINITY, |o| o.apis[i].goodput);
-                (name.clone(), m)
-            })
-            .collect()
-    }
-
-    /// Mean offered load per API over the whole run.
-    pub fn mean_offered_per_api(&self) -> Vec<(String, f64)> {
-        self.api_names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let m = self.mean_over(0.0, f64::INFINITY, |o| o.apis[i].offered);
-                (name.clone(), m)
-            })
-            .collect()
     }
 }
 
@@ -343,10 +330,7 @@ impl LiveServer {
 
     /// Current rate limit of one API (`f64::INFINITY` = unlimited).
     pub fn rate_limit(&self, api: usize) -> f64 {
-        self.shared
-            .admission
-            .lock()
-            .expect("admission lock")
+        relock(&self.shared.admission)
             .entry
             .rate_limit(ApiId(api as u32))
     }
@@ -359,7 +343,7 @@ impl LiveServer {
         let window = now.duration_since(self.window_start);
         self.window_start = now;
         let rate_limits: Vec<f64> = {
-            let admission = self.shared.admission.lock().expect("admission lock");
+            let admission = relock(&self.shared.admission);
             (0..admission.entry.num_apis())
                 .map(|i| admission.entry.rate_limit(ApiId(i as u32)))
                 .collect()
@@ -409,7 +393,7 @@ impl LiveServer {
         // simulator's tick: counters fold into the stats gauges, and
         // the priority threshold adapts on the queuing-delay signal.
         {
-            let mut admission = self.shared.admission.lock().expect("admission lock");
+            let mut admission = relock(&self.shared.admission);
             if let Some(front) = admission.front.as_mut() {
                 let overloaded = front.door.overloaded(&obs);
                 let _ = front.door.tick(overloaded);
@@ -427,7 +411,7 @@ impl LiveServer {
         if updates.is_empty() {
             return;
         }
-        let mut admission = self.shared.admission.lock().expect("admission lock");
+        let mut admission = relock(&self.shared.admission);
         let at = self.shared.clock.now();
         for u in updates {
             admission.entry.set_rate_limit(u.api, u.rate, at);
@@ -681,6 +665,38 @@ mod tests {
         assert_eq!(hits, 2, "two of three duplicates coalesced:\n{text}");
         let tick = server.tick(&mut NoControl);
         assert_eq!(tick.obs.apis[0].admitted, tick.obs.apis[0].offered);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_tracer_lock_does_not_stop_the_gateway_answering() {
+        let mut server = LiveServer::start(&tiny_topo(), LiveConfig::default()).expect("start");
+        server.push_limits(&[cluster::RateLimitUpdate::limit(ApiId(0), 0.0)]);
+        let mut conn = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+        let mut line = String::new();
+        conn.write_all(b"REQ 1 0\n").expect("send");
+        reader.read_line(&mut line).expect("reply");
+        assert_eq!(line, "REJ 1 limit\n");
+        // Every reject records a span under the tracer lock, and so
+        // does every tick (`compact_traces`) and every `/spans` scrape.
+        server.shared.metrics.poison_tracer();
+        line.clear();
+        conn.write_all(b"REQ 2 0\nREQ 3 0\n").expect("send");
+        reader.read_line(&mut line).expect("reply");
+        reader.read_line(&mut line).expect("reply");
+        assert_eq!(line, "REJ 2 limit\nREJ 3 limit\n");
+        let tick = server.tick(&mut NoControl);
+        assert!(tick.obs.apis[0].offered > 0.0);
+        assert_eq!(server.shared.metrics.spans_recorded(), 3);
+        let spans = http_get(server.metrics_addr(), "/spans");
+        assert_eq!(spans.lines().count(), 3, "{spans}");
+        // The worker path records its span under the same lock.
+        server.push_limits(&[cluster::RateLimitUpdate::unlimited(ApiId(0))]);
+        line.clear();
+        conn.write_all(b"REQ 4 0\n").expect("send");
+        reader.read_line(&mut line).expect("reply");
+        assert!(line.starts_with("OK 4 "), "got {line:?}");
         server.shutdown();
     }
 

@@ -7,7 +7,15 @@
 //! the simulator produces — so `core::{detector, clustering,
 //! rate_controller}` and the trained policy run unchanged against real
 //! threads and sockets.
+//!
+//! There is **one** set of per-API instruments: the cumulative counters
+//! and latency histogram `/metrics` exposes. A control window is the
+//! difference between their values now and at the previous window close
+//! (a mark only the control thread touches), so the recording path pays
+//! for each request once. The gateway goes one step further and records
+//! per wakeup, not per request: [`ApiTally`] / [`LiveMetrics::flush_tally`].
 
+use crate::relock;
 use cluster::observe::{ApiWindow, ClusterObservation, ServiceWindow};
 use cluster::resilience::ResilienceStats;
 use cluster::tracing::{Span, SpanVerdict, TraceCollector};
@@ -48,45 +56,53 @@ impl AppDescriptor {
     }
 }
 
-/// Per-API window accumulators (atomic on the hot path), plus cumulative
-/// registered instruments (never reset; `/metrics` scrapes read these).
+/// Per-API cumulative instruments: never reset, scraped by `/metrics`,
+/// and read as windows by [`LiveMetrics::observe`].
+#[derive(Default)]
 struct ApiCell {
-    offered: AtomicU64,
-    admitted: AtomicU64,
-    good: AtomicU64,
-    slo_violated: AtomicU64,
-    failed: AtomicU64,
-    latencies: Mutex<LatencyHistogram>,
-    cum_offered: obs::Counter,
-    cum_admitted: obs::Counter,
-    cum_rejected: obs::Counter,
-    cum_good: obs::Counter,
-    cum_slo_violated: obs::Counter,
-    cum_failed: obs::Counter,
-    cum_latency: obs::Histogram,
+    offered: obs::Counter,
+    admitted: obs::Counter,
+    rejected: obs::Counter,
+    good: obs::Counter,
+    slo_violated: obs::Counter,
+    failed: obs::Counter,
+    latency: obs::Histogram,
 }
 
-impl ApiCell {
-    fn new() -> Self {
-        ApiCell {
-            offered: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            good: AtomicU64::new(0),
-            slo_violated: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            latencies: Mutex::new(LatencyHistogram::new()),
-            cum_offered: obs::Counter::unregistered(),
-            cum_admitted: obs::Counter::unregistered(),
-            cum_rejected: obs::Counter::unregistered(),
-            cum_good: obs::Counter::unregistered(),
-            cum_slo_violated: obs::Counter::unregistered(),
-            cum_failed: obs::Counter::unregistered(),
-            cum_latency: obs::Histogram::unregistered(),
-        }
-    }
+/// One API's instrument values at the previous window close.
+#[derive(Default)]
+struct ApiMark {
+    offered: u64,
+    admitted: u64,
+    good: u64,
+    slo_violated: u64,
+    failed: u64,
+    latency: LatencyHistogram,
+}
+
+/// Advance `mark` to the counter's value; the events since are the window's.
+fn window_of(counter: &obs::Counter, mark: &mut u64) -> u64 {
+    let now = counter.get();
+    now.saturating_sub(std::mem::replace(mark, now))
+}
+
+/// One event-loop wakeup's bookkeeping for one API, tallied in
+/// loop-owned scratch and applied by [`LiveMetrics::flush_tally`] with
+/// one `add(n)` per counter instead of one `inc()` per request.
+#[derive(Default)]
+pub struct ApiTally {
+    pub offered: u64,
+    pub admitted: u64,
+    pub rejected: u64,
+    /// Of `admitted`: answered from the front-door cache, i.e. completed
+    /// in the same wakeup at zero service latency.
+    pub cache_hits: u64,
+    /// Trace ids of the traced requests among `cache_hits`.
+    pub hit_traces: Vec<u64>,
 }
 
 /// Per-service window accumulators.
+#[derive(Default)]
 struct ServiceCell {
     busy_ns: AtomicU64,
     started_calls: AtomicU64,
@@ -99,79 +115,39 @@ struct ServiceCell {
     depth_gauge: obs::Gauge,
 }
 
-impl ServiceCell {
-    fn new() -> Self {
-        ServiceCell {
-            busy_ns: AtomicU64::new(0),
-            started_calls: AtomicU64::new(0),
-            dropped_calls: AtomicU64::new(0),
-            queue_delay_ns: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            util_gauge: obs::Gauge::unregistered(),
-            depth_gauge: obs::Gauge::unregistered(),
-        }
-    }
-}
-
 /// Per-API SLO burn-rate gauges, refreshed by the control tick from the
 /// [`obs::SloMonitor`]'s signals.
+#[derive(Default)]
 struct SloCell {
     burn_fast: obs::Gauge,
     burn_slow: obs::Gauge,
     budget: obs::Gauge,
 }
 
-impl SloCell {
-    fn new() -> Self {
-        SloCell {
-            burn_fast: obs::Gauge::unregistered(),
-            burn_slow: obs::Gauge::unregistered(),
-            budget: obs::Gauge::unregistered(),
-        }
-    }
-}
-
-/// Per-stage event-loop profiling histograms. Each records one sample
-/// per *batch* (wakeup), not per request — the profiling budget is one
-/// `Instant` pair per batch phase.
-struct StageCells {
-    loop_read_parse: obs::Histogram,
-    loop_admit: obs::Histogram,
-    loop_write: obs::Histogram,
-    front_door: obs::Histogram,
-    token_bucket: obs::Histogram,
-}
-
-impl StageCells {
-    fn new() -> Self {
-        StageCells {
-            loop_read_parse: obs::Histogram::unregistered(),
-            loop_admit: obs::Histogram::unregistered(),
-            loop_write: obs::Histogram::unregistered(),
-            front_door: obs::Histogram::unregistered(),
-            token_bucket: obs::Histogram::unregistered(),
-        }
-    }
-}
-
-/// An event-loop batch phase, for [`LiveMetrics::on_loop_stage`].
+/// A profiled pipeline stage, for [`LiveMetrics::on_stage`]. The three
+/// event-loop phases record one sample per *batch* (wakeup) — the whole
+/// batch's wall time, one `Instant` per phase; the two admission stages
+/// are sampled on the first request of each batch only.
 #[derive(Clone, Copy, Debug)]
-pub enum LoopStage {
-    /// Socket drain + wire parse (per wakeup).
+pub enum Stage {
+    /// Socket drain + wire parse.
     ReadParse,
     /// Batched admission through the stage pipeline.
     Admit,
     /// Response flush across dirty connections.
     Write,
-}
-
-/// A front-door admission stage, for [`LiveMetrics::on_front_stage`].
-/// Sampled on the first request of each batch only.
-#[derive(Clone, Copy, Debug)]
-pub enum FrontStage {
     FrontDoor,
     TokenBucket,
 }
+
+/// `(family, stage label)` of each [`Stage`]'s histogram, in its order.
+const STAGE_SERIES: [(&str, &str); 5] = [
+    ("topfull_loop_stage_seconds", "read_parse"),
+    ("topfull_loop_stage_seconds", "admit"),
+    ("topfull_loop_stage_seconds", "write"),
+    ("topfull_front_stage_seconds", "front_door"),
+    ("topfull_front_stage_seconds", "token_bucket"),
+];
 
 /// Shared live metric state; cloned into every gateway and worker thread
 /// behind an `Arc`.
@@ -179,7 +155,11 @@ pub struct LiveMetrics {
     apis: Vec<ApiCell>,
     services: Vec<ServiceCell>,
     slo_cells: Vec<SloCell>,
-    stages: StageCells,
+    /// One histogram per [`Stage`], indexed by it.
+    stages: [obs::Histogram; 5],
+    /// Where the previous window closed; touched only by the control
+    /// thread ([`LiveMetrics::observe`]).
+    window_mark: Mutex<Vec<ApiMark>>,
     /// Live span sink: the same [`TraceCollector`] the simulator uses,
     /// fed wall-clock spans. Bounded raw buffer backs `/spans` export;
     /// `compact_traces` (called per control tick) bounds the learner.
@@ -193,10 +173,11 @@ pub struct LiveMetrics {
 impl LiveMetrics {
     pub fn new(num_apis: usize, num_services: usize) -> Self {
         LiveMetrics {
-            apis: (0..num_apis).map(|_| ApiCell::new()).collect(),
-            services: (0..num_services).map(|_| ServiceCell::new()).collect(),
-            slo_cells: (0..num_apis).map(|_| SloCell::new()).collect(),
-            stages: StageCells::new(),
+            apis: (0..num_apis).map(|_| ApiCell::default()).collect(),
+            services: (0..num_services).map(|_| ServiceCell::default()).collect(),
+            slo_cells: (0..num_apis).map(|_| SloCell::default()).collect(),
+            stages: Default::default(),
+            window_mark: Mutex::new((0..num_apis).map(|_| ApiMark::default()).collect()),
             tracer: Mutex::new(
                 TraceCollector::new(num_apis, SimDuration::from_secs(TRACE_WINDOW_SECS))
                     .with_raw_buffer(RAW_SPAN_BUFFER),
@@ -229,9 +210,9 @@ impl LiveMetrics {
         for (i, cell) in self.apis.iter().enumerate() {
             let api = desc.api_names[i].as_str();
             for (verdict, c) in [
-                ("offered", &cell.cum_offered),
-                ("admitted", &cell.cum_admitted),
-                ("rejected", &cell.cum_rejected),
+                ("offered", &cell.offered),
+                ("admitted", &cell.admitted),
+                ("rejected", &cell.rejected),
             ] {
                 reg.register_counter(
                     "topfull_gateway_requests_total",
@@ -240,9 +221,9 @@ impl LiveMetrics {
                 );
             }
             for (outcome, c) in [
-                ("good", &cell.cum_good),
-                ("slo_violated", &cell.cum_slo_violated),
-                ("failed", &cell.cum_failed),
+                ("good", &cell.good),
+                ("slo_violated", &cell.slo_violated),
+                ("failed", &cell.failed),
             ] {
                 reg.register_counter(
                     "topfull_request_outcomes_total",
@@ -253,7 +234,7 @@ impl LiveMetrics {
             reg.register_histogram(
                 "topfull_request_duration_seconds",
                 &join(&[("api", api)], extra),
-                &cell.cum_latency,
+                &cell.latency,
             );
         }
         for (i, cell) in self.slo_cells.iter().enumerate() {
@@ -276,26 +257,8 @@ impl LiveMetrics {
                 &cell.budget,
             );
         }
-        for (stage, h) in [
-            ("read_parse", &self.stages.loop_read_parse),
-            ("admit", &self.stages.loop_admit),
-            ("write", &self.stages.loop_write),
-        ] {
-            reg.register_histogram(
-                "topfull_loop_stage_seconds",
-                &join(&[("stage", stage)], extra),
-                h,
-            );
-        }
-        for (stage, h) in [
-            ("front_door", &self.stages.front_door),
-            ("token_bucket", &self.stages.token_bucket),
-        ] {
-            reg.register_histogram(
-                "topfull_front_stage_seconds",
-                &join(&[("stage", stage)], extra),
-                h,
-            );
+        for ((family, stage), h) in STAGE_SERIES.into_iter().zip(&self.stages) {
+            reg.register_histogram(family, &join(&[("stage", stage)], extra), h);
         }
         for (i, cell) in self.services.iter().enumerate() {
             let svc = desc.service_names[i].as_str();
@@ -315,28 +278,21 @@ impl LiveMetrics {
     // ---- hot-path recording -------------------------------------------
 
     pub fn on_offered(&self, api: usize) {
-        let cell = &self.apis[api];
-        cell.offered.fetch_add(1, Ordering::Relaxed);
-        cell.cum_offered.inc();
+        self.apis[api].offered.inc();
     }
 
     pub fn on_admitted(&self, api: usize) {
-        let cell = &self.apis[api];
-        cell.admitted.fetch_add(1, Ordering::Relaxed);
-        cell.cum_admitted.inc();
+        self.apis[api].admitted.inc();
     }
 
-    /// The entry token bucket turned the request away. Window-level
-    /// rejection is already implied by `offered - admitted`; this feeds
-    /// the cumulative exposition counter only.
+    /// The entry token bucket (or the priority gate) turned the request
+    /// away.
     pub fn on_rejected(&self, api: usize) {
-        self.apis[api].cum_rejected.inc();
+        self.apis[api].rejected.inc();
     }
 
     pub fn on_failed(&self, api: usize) {
-        let cell = &self.apis[api];
-        cell.failed.fetch_add(1, Ordering::Relaxed);
-        cell.cum_failed.inc();
+        self.apis[api].failed.inc();
     }
 
     /// A request completed end-to-end with the given latency.
@@ -357,38 +313,47 @@ impl LiveMetrics {
     ) {
         let cell = &self.apis[api];
         if latency <= slo {
-            cell.good.fetch_add(1, Ordering::Relaxed);
-            cell.cum_good.inc();
+            cell.good.inc();
         } else {
-            cell.slo_violated.fetch_add(1, Ordering::Relaxed);
-            cell.cum_slo_violated.inc();
+            cell.slo_violated.inc();
         }
         let d = SimDuration::from_nanos(latency.as_nanos() as u64);
-        cell.latencies.lock().expect("latency lock").record(d);
-        cell.cum_latency.record_with_exemplar(d, trace);
+        cell.latency.record_with_exemplar(d, trace);
+    }
+
+    /// Apply one wakeup's tally for `api` and zero it for the next. The
+    /// result is what the per-request calls above would have left: a
+    /// cache hit is an admission that completed at zero latency, which
+    /// is within any SLO.
+    pub fn flush_tally(&self, api: usize, tally: &mut ApiTally) {
+        if tally.offered == 0 {
+            return; // every tallied request was offered first
+        }
+        let cell = &self.apis[api];
+        cell.offered.add(tally.offered);
+        cell.admitted.add(tally.admitted);
+        cell.rejected.add(tally.rejected);
+        if tally.cache_hits > 0 {
+            cell.good.add(tally.cache_hits);
+            cell.latency
+                .record_n(SimDuration::ZERO, tally.cache_hits, &tally.hit_traces);
+        }
+        // Zeroed in place: `hit_traces` keeps its capacity.
+        (
+            tally.offered,
+            tally.admitted,
+            tally.rejected,
+            tally.cache_hits,
+        ) = (0, 0, 0, 0);
+        tally.hit_traces.clear();
     }
 
     // ---- per-stage profiling ------------------------------------------
 
-    /// One event-loop batch phase finished; `d` is the whole batch's
-    /// wall time for that phase.
-    pub fn on_loop_stage(&self, stage: LoopStage, d: Duration) {
-        let h = match stage {
-            LoopStage::ReadParse => &self.stages.loop_read_parse,
-            LoopStage::Admit => &self.stages.loop_admit,
-            LoopStage::Write => &self.stages.loop_write,
-        };
-        h.record(SimDuration::from_nanos(d.as_nanos() as u64));
-    }
-
-    /// One sampled front-door admission stage (first request of a
-    /// batch).
-    pub fn on_front_stage(&self, stage: FrontStage, d: Duration) {
-        let h = match stage {
-            FrontStage::FrontDoor => &self.stages.front_door,
-            FrontStage::TokenBucket => &self.stages.token_bucket,
-        };
-        h.record(SimDuration::from_nanos(d.as_nanos() as u64));
+    /// One profiled stage finished (a whole batch phase, or the sampled
+    /// first request's admission stage) after `d`.
+    pub fn on_stage(&self, stage: Stage, d: Duration) {
+        self.stages[stage as usize].record(SimDuration::from_nanos(d.as_nanos() as u64));
     }
 
     // ---- SLO burn signals ---------------------------------------------
@@ -425,24 +390,27 @@ impl LiveMetrics {
 
     // ---- live tracing --------------------------------------------------
 
-    /// Record one span (completed request or entry rejection).
-    pub fn record_span(&self, span: Span) {
-        self.tracer.lock().expect("tracer lock").record(span);
+    /// Record spans (completed requests, entry rejections), oldest
+    /// first, under one lock: a worker's one, an event loop's wakeupful.
+    pub fn record_spans(&self, spans: &[Span]) {
+        if !spans.is_empty() {
+            relock(&self.tracer).record_batch(spans);
+        }
     }
 
     /// Prune expired path-learner entries (called per control tick).
     pub fn compact_traces(&self, now: SimTime) {
-        self.tracer.lock().expect("tracer lock").compact(now);
+        relock(&self.tracer).compact(now);
     }
 
     /// Spans recorded so far (for tests/inspection).
     pub fn spans_recorded(&self) -> u64 {
-        self.tracer.lock().expect("tracer lock").spans_recorded()
+        relock(&self.tracer).spans_recorded()
     }
 
     /// The raw span buffer as JSONL, one object per span, oldest first.
     pub fn spans_jsonl(&self) -> String {
-        let tracer = self.tracer.lock().expect("tracer lock");
+        let tracer = relock(&self.tracer);
         let mut out = String::new();
         for s in tracer.raw_spans() {
             let parent = s.parent.map_or("null".to_string(), |p| p.0.to_string());
@@ -500,7 +468,10 @@ impl LiveMetrics {
 
     // ---- window close -------------------------------------------------
 
-    /// Fold and reset the current window into a [`ClusterObservation`].
+    /// Close the current window into a [`ClusterObservation`]: per-API
+    /// rates and latency quantiles are what the cumulative instruments
+    /// gained since the previous call. One caller at a time (the control
+    /// thread) — concurrent callers would split a window between them.
     ///
     /// `rate_limits` is the admission bank's current per-API limit
     /// mirror; `now`/`window` come from the server's [`WallClock`].
@@ -546,35 +517,32 @@ impl LiveMetrics {
                 }
             })
             .collect();
+        let mut marks = relock(&self.window_mark);
         let apis = self
             .apis
             .iter()
+            .zip(marks.iter_mut())
             .enumerate()
-            .map(|(i, cell)| {
-                let mut hist = cell.latencies.lock().expect("latency lock");
-                let (p50, p95, p99) = (
-                    hist.quantile(0.50),
-                    hist.quantile(0.95),
-                    hist.quantile(0.99),
-                );
-                hist.reset();
-                drop(hist);
+            .map(|(i, (cell, mark))| {
+                let hist = cell.latency.take_window(&mut mark.latency);
+                let per_sec = |counter, mark| window_of(counter, mark) as f64 / secs;
                 ApiWindow {
                     api: ApiId(i as u32),
                     name: desc.api_names[i].clone(),
                     business: desc.business[i],
-                    offered: cell.offered.swap(0, Ordering::Relaxed) as f64 / secs,
-                    admitted: cell.admitted.swap(0, Ordering::Relaxed) as f64 / secs,
-                    goodput: cell.good.swap(0, Ordering::Relaxed) as f64 / secs,
-                    slo_violated: cell.slo_violated.swap(0, Ordering::Relaxed) as f64 / secs,
-                    failed: cell.failed.swap(0, Ordering::Relaxed) as f64 / secs,
-                    p50,
-                    p95,
-                    p99,
+                    offered: per_sec(&cell.offered, &mut mark.offered),
+                    admitted: per_sec(&cell.admitted, &mut mark.admitted),
+                    goodput: per_sec(&cell.good, &mut mark.good),
+                    slo_violated: per_sec(&cell.slo_violated, &mut mark.slo_violated),
+                    failed: per_sec(&cell.failed, &mut mark.failed),
+                    p50: hist.quantile(0.50),
+                    p95: hist.quantile(0.95),
+                    p99: hist.quantile(0.99),
                     rate_limit: rate_limits[i],
                 }
             })
             .collect();
+        drop(marks);
         ClusterObservation {
             now,
             window,
@@ -592,6 +560,21 @@ impl LiveMetrics {
 mod tests {
     use super::*;
 
+    impl LiveMetrics {
+        /// A thread dies holding the span collector's lock.
+        pub(crate) fn poison_tracer(&self) {
+            std::thread::scope(|s| {
+                let died = s
+                    .spawn(|| {
+                        let _held = self.tracer.lock();
+                        panic!("span recorder dies holding the tracer lock");
+                    })
+                    .join();
+                assert!(died.is_err() && self.tracer.is_poisoned());
+            });
+        }
+    }
+
     fn desc() -> AppDescriptor {
         AppDescriptor {
             service_names: vec!["s0".into(), "s1".into()],
@@ -604,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn window_close_computes_rates_and_resets() {
+    fn window_close_computes_rates_and_starts_the_next_window() {
         let m = LiveMetrics::new(1, 2);
         for _ in 0..100 {
             m.on_offered(0);
@@ -648,7 +631,26 @@ mod tests {
         );
         assert_eq!(obs2.api(ApiId(0)).offered, 0.0);
         assert_eq!(obs2.service(ServiceId(0)).utilization, 0.0);
-        assert!(obs2.api(ApiId(0)).p99.is_none(), "histogram was reset");
+        assert!(
+            obs2.api(ApiId(0)).p99.is_none(),
+            "the first window's latencies are behind the mark"
+        );
+        // Third window: only what arrived since the second close.
+        m.on_offered(0);
+        m.on_complete(0, Duration::from_millis(20), Duration::from_millis(100));
+        let obs3 = m.observe(
+            &desc(),
+            SimTime::from_secs(4),
+            SimDuration::from_secs(1),
+            &[f64::INFINITY],
+        );
+        let a = obs3.api(ApiId(0));
+        assert_eq!((a.offered, a.goodput, a.slo_violated), (1.0, 1.0, 0.0));
+        let p99 = a.p99.expect("one latency in the window").as_millis_f64();
+        assert!(
+            (18.0..=22.0).contains(&p99),
+            "p99 {p99} ms, not the 500 ms of window one"
+        );
     }
 
     #[test]
@@ -669,8 +671,8 @@ mod tests {
         m.on_admitted(0);
         m.on_rejected(0);
         m.on_complete(0, Duration::from_millis(10), Duration::from_millis(100));
-        // Window close resets the window atomics but not the cumulative
-        // registered counters.
+        // A window close moves the control thread's mark; the registered
+        // instruments themselves are never reset.
         let _ = m.observe(&d, SimTime::from_secs(1), SimDuration::from_secs(1), &[1.0]);
         let text = reg.render_prometheus();
         assert!(
@@ -693,9 +695,86 @@ mod tests {
     }
 
     #[test]
+    fn a_flushed_tally_equals_the_per_request_calls() {
+        let slo = Duration::from_millis(100);
+        let (batched, single) = (LiveMetrics::new(2, 1), LiveMetrics::new(2, 1));
+        let (reg_b, reg_s) = (obs::Registry::new(), obs::Registry::new());
+        let d = AppDescriptor {
+            service_names: vec!["svc".into()],
+            replicas: vec![1],
+            api_names: vec!["a".into(), "b".into()],
+            business: vec![BusinessPriority(0); 2],
+            api_paths: vec![vec![ServiceId(0)]; 2],
+            slo: SimDuration::from_millis(100),
+        };
+        batched.register_into(&reg_b, &d);
+        single.register_into(&reg_s, &d);
+        // API 1, one wakeup: 7 offered = 3 rejected + 4 admitted, of
+        // which 2 were cache hits, one of them traced.
+        let mut tally = ApiTally {
+            offered: 7,
+            admitted: 4,
+            rejected: 3,
+            cache_hits: 2,
+            hit_traces: vec![41],
+        };
+        batched.flush_tally(1, &mut tally);
+        assert_eq!((tally.offered, tally.admitted, tally.rejected), (0, 0, 0));
+        assert!(tally.cache_hits == 0 && tally.hit_traces.is_empty());
+        batched.flush_tally(1, &mut tally); // an empty tally changes nothing
+        for _ in 0..7 {
+            single.on_offered(1);
+        }
+        for _ in 0..3 {
+            single.on_rejected(1);
+        }
+        for _ in 0..4 {
+            single.on_admitted(1);
+        }
+        single.on_complete_traced(1, Duration::ZERO, slo, Some(41));
+        single.on_complete_traced(1, Duration::ZERO, slo, None);
+        assert_eq!(reg_b.render_prometheus(), reg_s.render_prometheus());
+        let close = |m: &LiveMetrics| {
+            let o = m.observe(
+                &d,
+                SimTime::from_secs(1),
+                SimDuration::from_secs(1),
+                &[1.0; 2],
+            );
+            let a = o.api(ApiId(1)).clone();
+            (a.offered, a.admitted, a.goodput, a.p99)
+        };
+        assert_eq!(close(&batched), close(&single));
+        assert_eq!(close(&batched), (0.0, 0.0, 0.0, None));
+    }
+
+    #[test]
+    fn span_batches_and_a_poisoned_tracer() {
+        let m = LiveMetrics::new(1, 1);
+        let marker = |request| Span {
+            request,
+            api: ApiId(0),
+            service: ServiceId(0),
+            parent: None,
+            start: SimTime::from_millis(5),
+            end: SimTime::from_millis(5),
+            verdict: SpanVerdict::RejectedAtEntry,
+        };
+        m.record_spans(&[]);
+        m.record_spans(&[marker(1), marker(2)]);
+        assert_eq!(m.spans_recorded(), 2);
+        m.poison_tracer();
+        m.record_spans(&[marker(3)]);
+        m.record_spans(&[marker(4)]);
+        assert_eq!(m.spans_recorded(), 4);
+        assert_eq!(m.spans_jsonl().lines().count(), 4);
+        m.compact_traces(SimTime::from_secs(1));
+    }
+
+    #[test]
     fn spans_export_as_jsonl() {
         let m = LiveMetrics::new(1, 1);
-        m.record_span(Span {
+        m.record_spans(&[Span {
             request: 7,
             api: ApiId(0),
             service: ServiceId(0),
@@ -703,8 +782,8 @@ mod tests {
             start: SimTime::from_millis(100),
             end: SimTime::from_millis(150),
             verdict: SpanVerdict::Admitted,
-        });
-        m.record_span(Span {
+        }]);
+        m.record_spans(&[Span {
             request: 8,
             api: ApiId(0),
             service: ServiceId(0),
@@ -712,7 +791,7 @@ mod tests {
             start: SimTime::from_millis(160),
             end: SimTime::from_millis(160),
             verdict: SpanVerdict::RejectedAtEntry,
-        });
+        }]);
         let jsonl = m.spans_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         assert!(jsonl.contains("\"request\":7"), "{jsonl}");

@@ -15,9 +15,9 @@
 //!   for level-triggered [`Event`]s;
 //! * [`Waker`] — an eventfd registered like any other fd; any thread
 //!   (worker completions, shutdown) can [`Waker::wake`] the loop out of
-//!   `epoll_wait`, and the loop [`Waker::drain`]s it on wakeup. Writes
-//!   coalesce in the eventfd counter, so a burst of completions costs
-//!   one wakeup.
+//!   `epoll_wait`, and the loop [`Waker::drain`]s it on wakeup, then
+//!   drains the queues it announces. Writes coalesce in the eventfd
+//!   counter, so a burst of completions costs one wakeup.
 //!
 //! Level-triggered mode keeps the state machine simple: a connection
 //! with unread input or unflushed output keeps firing until the gateway
@@ -216,13 +216,23 @@ impl Waker {
     }
 
     /// Reset the counter so the level-triggered registration goes quiet.
-    /// The flag clears *before* the read, so a wake racing the drain
-    /// either lands in this drain or pays the write and re-arms the fd —
-    /// never goes silent.
+    ///
+    /// The eventfd is read *first* and the flag cleared after. While the
+    /// flag is up no `wake` writes, so nothing can land between the two
+    /// that this read would swallow: the flag never stays up over an
+    /// empty counter (the other order allowed exactly that, and every
+    /// later wake then skipped its write — completions waited for the
+    /// loop's poll timeout). A `wake` that finds the flag still up in
+    /// that gap writes nothing and is *not* re-signalled, hence the
+    /// invariant the owner must keep: **after every `drain`, drain the
+    /// queues this waker announces** (the completion and injection
+    /// queues in `gateway::EventLoop::run`). Whatever that wake
+    /// announced was enqueued before it, so that pass picks it up. The
+    /// `AcqRel` swap pairs with the one in `wake`.
     pub fn drain(&self) {
-        self.signaled.store(false, Ordering::Release);
         let mut buf = [0u8; 8];
         while matches!((&*self.file).read(&mut buf), Ok(n) if n > 0) {}
+        self.signaled.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -329,5 +339,65 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .expect("wait");
         assert!(events.is_empty(), "drained waker goes quiet");
+    }
+
+    /// A single producer announces items (`produced`, then `wake`, then
+    /// `woken`) at most a few ahead of the consumer, so nearly every
+    /// `drain` races the next `wake`. The consumer keeps the waker's
+    /// invariant — it reads the queue (here: `produced`) after every
+    /// drain. A wait that times out at 50 ms while a *fully issued* wake
+    /// announces an item the consumer has not seen is a lost wakeup;
+    /// a producer that is merely descheduled is not.
+    #[test]
+    fn racing_wakes_and_drains_never_lose_a_wakeup() {
+        use std::sync::atomic::AtomicU64;
+        const ITEMS: u64 = 1_000_000;
+        const LEAD: u64 = 4;
+        let waker = Waker::new().expect("waker");
+        let produced = Arc::new(AtomicU64::new(0));
+        let woken = Arc::new(AtomicU64::new(0));
+        let consumed = Arc::new(AtomicU64::new(0));
+        let producer = {
+            let (waker, produced, woken, consumed) = (
+                waker.clone(),
+                Arc::clone(&produced),
+                Arc::clone(&woken),
+                Arc::clone(&consumed),
+            );
+            std::thread::spawn(move || {
+                for i in 1..=ITEMS {
+                    while i > consumed.load(Ordering::Acquire) + LEAD {
+                        std::thread::yield_now();
+                    }
+                    produced.store(i, Ordering::Release);
+                    waker.wake();
+                    woken.store(i, Ordering::Release);
+                }
+            })
+        };
+        let mut poller = Poller::new().expect("poller");
+        waker.register(&poller, 1).expect("register");
+        let mut events = Vec::new();
+        let (mut seen, mut drains) = (0u64, 0u64);
+        while seen < ITEMS {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(50)))
+                .expect("wait");
+            if events.is_empty() {
+                let announced = woken.load(Ordering::Acquire);
+                assert!(
+                    announced <= seen,
+                    "lost wakeup: waited 50 ms with item {announced} announced, {seen} seen, \
+                     after {drains} drains"
+                );
+                continue;
+            }
+            waker.drain();
+            drains += 1;
+            seen = produced.load(Ordering::Acquire);
+            consumed.store(seen, Ordering::Release);
+        }
+        producer.join().expect("producer");
+        assert!(drains >= ITEMS / LEAD, "{drains} drains for {ITEMS} wakes");
     }
 }

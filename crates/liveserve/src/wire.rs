@@ -50,26 +50,158 @@ pub enum WireItem {
 /// * 5 tokens — key (or `-`) plus a trace id opting the request into
 ///   causal tracing;
 /// * 6+ tokens — rejected.
-pub fn parse_request(line: &str) -> Option<(u64, usize, Option<u64>, Option<u64>)> {
-    let mut parts = line.split_ascii_whitespace();
-    if parts.next()? != "REQ" {
+///
+/// Tokens are separated by ASCII whitespace; numbers are what
+/// `str::parse::<u64>` takes (decimal digits after an optional `+`,
+/// overflow rejected). One pass over the bytes: any byte outside that
+/// grammar — so any non-ASCII byte — fails its token, which is why no
+/// UTF-8 validation is needed.
+pub fn parse_request(line: &[u8]) -> Option<(u64, usize, Option<u64>, Option<u64>)> {
+    let mut f = Fields { line, at: 0 };
+    f.more()?;
+    if !f.word(b"REQ") {
         return None;
     }
-    let id = parts.next()?.parse().ok()?;
-    let api = parts.next()?.parse().ok()?;
-    let key = match parts.next() {
-        Some("-") => None,
-        Some(tok) => Some(tok.parse().ok()?),
-        None => return Some((id, api, None, None)),
-    };
-    let trace = match parts.next() {
-        Some(tok) => Some(tok.parse().ok()?),
-        None => None,
-    };
-    if parts.next().is_some() {
-        return None;
+    f.more()?;
+    let id = f.number()?;
+    f.more()?;
+    let api = usize::try_from(f.number()?).ok()?;
+    if f.more().is_none() {
+        return Some((id, api, None, None));
     }
-    Some((id, api, key, trace))
+    let key = if f.word(b"-") {
+        None
+    } else {
+        Some(f.number()?)
+    };
+    if f.more().is_none() {
+        return Some((id, api, key, None));
+    }
+    let trace = f.number()?;
+    match f.more() {
+        Some(()) => None, // a sixth token
+        None => Some((id, api, key, Some(trace))),
+    }
+}
+
+/// A cursor over one line. `more` moves it to the next token's first
+/// byte; `word` and `number` consume a token from there.
+struct Fields<'a> {
+    line: &'a [u8],
+    at: usize,
+}
+
+impl Fields<'_> {
+    fn token_ends(&self, at: usize) -> bool {
+        self.line.get(at).is_none_or(u8::is_ascii_whitespace)
+    }
+
+    /// Skip whitespace; `Some` if another token follows.
+    fn more(&mut self) -> Option<()> {
+        while self.line.get(self.at)?.is_ascii_whitespace() {
+            self.at += 1;
+        }
+        Some(())
+    }
+
+    /// Consume the token at the cursor if it is exactly `word`.
+    fn word(&mut self, word: &[u8]) -> bool {
+        let end = self.at + word.len();
+        let hit = self.line[self.at..].starts_with(word) && self.token_ends(end);
+        if hit {
+            self.at = end;
+        }
+        hit
+    }
+
+    /// Consume the token at the cursor as a `u64`.
+    fn number(&mut self) -> Option<u64> {
+        let start = self.at + usize::from(self.line[self.at] == b'+');
+        let (mut at, mut v) = (start, 0u64);
+        while let Some(d) = self.line.get(at).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+            at += 1;
+        }
+        if at == start || !self.token_ends(at) {
+            return None;
+        }
+        if at - start > 19 {
+            // Only 20+ digits can overflow: redo those with checks.
+            v = self.line[start..at].iter().try_fold(0u64, |v, b| {
+                v.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+            })?;
+        }
+        self.at = at;
+        Some(v)
+    }
+}
+
+/// `str::trim_end` over bytes: ASCII whitespace (vertical tab included)
+/// is stripped here; a line that then still ends in a non-ASCII byte
+/// takes the cold path through `str`, which also knows the Unicode
+/// spaces (NBSP, U+2028 …). `None` = that tail is not UTF-8, so the old
+/// whole-line validation would have refused the line.
+fn trim_line_end(mut line: &[u8]) -> Option<&[u8]> {
+    while let [rest @ .., b'\t'..=b'\r' | b' '] = line {
+        line = rest;
+    }
+    if line.last().is_some_and(|b| !b.is_ascii()) {
+        line = std::str::from_utf8(line).ok()?.trim_end().as_bytes();
+    }
+    Some(line)
+}
+
+// ---- reply encoding ----------------------------------------------------
+
+/// `v` in decimal, written into a stack buffer (no allocation).
+pub fn fmt_u64(buf: &mut [u8; 20], mut v: u64) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return &buf[at..];
+        }
+    }
+}
+
+/// Append the reply line `<verb> <id>[ <tail>]\n` to a connection's
+/// output buffer: `OK <id> <latency_us|payload>`, `REJ <id> limit|shed`,
+/// `ERR <id>` (empty tail).
+pub fn push_reply(out: &mut Vec<u8>, verb: &str, id: u64, tail: &[u8]) {
+    out.extend_from_slice(verb.as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(fmt_u64(&mut [0; 20], id));
+    if !tail.is_empty() {
+        out.push(b' ');
+        out.extend_from_slice(tail);
+    }
+    out.push(b'\n');
+}
+
+/// Offset of the first `\n`, eight bytes at a time (a request line is a
+/// few words long; the byte-wise search cost as much as parsing it).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const LOW: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in words.by_ref() {
+        // A byte of `w` is zero where the input byte is `\n`; the
+        // classic zero-byte test flags the lowest such byte exactly.
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ (LOW * u64::from(b'\n'));
+        let zero = w.wrapping_sub(LOW) & !w & HIGH;
+        if zero != 0 {
+            return Some(at + (zero.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n')?;
+    Some(at + tail)
 }
 
 /// Incremental line framer with oversized-line resynchronisation.
@@ -93,43 +225,31 @@ impl LineDecoder {
 
     /// Consume one TCP segment, appending framed items to `out`.
     pub fn feed(&mut self, mut bytes: &[u8], out: &mut Vec<WireItem>) {
-        while !bytes.is_empty() {
+        while let Some(nl) = find_newline(bytes) {
+            let line = &bytes[..nl];
             if self.discarding {
-                match bytes.iter().position(|&b| b == b'\n') {
-                    Some(nl) => {
-                        bytes = &bytes[nl + 1..];
-                        self.discarding = false;
-                    }
-                    None => return, // still inside the oversized line
-                }
-                continue;
+                self.discarding = false; // the oversized line ends here
+            } else if self.partial.is_empty() {
+                Self::emit(line, out);
+            } else {
+                self.partial.extend_from_slice(line);
+                Self::emit(&self.partial, out);
+                self.partial.clear();
             }
-            match bytes.iter().position(|&b| b == b'\n') {
-                Some(nl) => {
-                    let line = &bytes[..nl];
-                    if self.partial.is_empty() {
-                        Self::emit(line, out);
-                    } else {
-                        self.partial.extend_from_slice(line);
-                        let full = std::mem::take(&mut self.partial);
-                        Self::emit(&full, out);
-                    }
-                    bytes = &bytes[nl + 1..];
-                }
-                None => {
-                    if self.partial.len() + bytes.len() > MAX_LINE {
-                        // Oversized without a newline in sight: flag it
-                        // once, drop what we hoarded, skip to the next
-                        // newline whenever it shows up.
-                        out.push(WireItem::Malformed);
-                        self.partial.clear();
-                        self.discarding = true;
-                        return;
-                    }
-                    self.partial.extend_from_slice(bytes);
-                    return;
-                }
-            }
+            bytes = &bytes[nl + 1..];
+        }
+        if self.discarding {
+            return; // still inside the oversized line
+        }
+        if self.partial.len() + bytes.len() > MAX_LINE {
+            // Oversized without a newline in sight: flag it once, drop
+            // what we hoarded, skip to the next newline whenever it
+            // shows up.
+            out.push(WireItem::Malformed);
+            self.partial.clear();
+            self.discarding = true;
+        } else {
+            self.partial.extend_from_slice(bytes);
         }
     }
 
@@ -139,15 +259,14 @@ impl LineDecoder {
             out.push(WireItem::Malformed);
             return;
         }
-        let Ok(text) = std::str::from_utf8(line) else {
+        let Some(line) = trim_line_end(line) else {
             out.push(WireItem::Malformed);
             return;
         };
-        let text = text.trim_end();
-        if text.is_empty() {
+        if line.is_empty() {
             return; // blank lines are keep-alives, not errors
         }
-        match parse_request(text) {
+        match parse_request(line) {
             Some((id, api, key, trace)) => out.push(WireItem::Request {
                 id,
                 api,
@@ -162,6 +281,247 @@ impl LineDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `str`-based parser this module shipped before it parsed
+    /// bytes, kept verbatim as the oracle: UTF-8 validation, `trim_end`,
+    /// `split_ascii_whitespace`, `str::parse`.
+    fn classify_via_str(line: &[u8]) -> Option<WireItem> {
+        fn parse(line: &str) -> Option<(u64, usize, Option<u64>, Option<u64>)> {
+            let mut parts = line.split_ascii_whitespace();
+            if parts.next()? != "REQ" {
+                return None;
+            }
+            let id = parts.next()?.parse().ok()?;
+            let api = parts.next()?.parse().ok()?;
+            let key = match parts.next() {
+                Some("-") => None,
+                Some(tok) => Some(tok.parse().ok()?),
+                None => return Some((id, api, None, None)),
+            };
+            let trace = match parts.next() {
+                Some(tok) => Some(tok.parse().ok()?),
+                None => None,
+            };
+            if parts.next().is_some() {
+                return None;
+            }
+            Some((id, api, key, trace))
+        }
+        if line.len() > MAX_LINE {
+            return Some(WireItem::Malformed);
+        }
+        let Ok(text) = std::str::from_utf8(line) else {
+            return Some(WireItem::Malformed);
+        };
+        let text = text.trim_end();
+        if text.is_empty() {
+            return None;
+        }
+        Some(match parse(text) {
+            Some((id, api, key, trace)) => WireItem::Request {
+                id,
+                api,
+                key,
+                trace,
+            },
+            None => WireItem::Malformed,
+        })
+    }
+
+    fn classify(line: &[u8]) -> Option<WireItem> {
+        let mut out = Vec::new();
+        LineDecoder::emit(line, &mut out);
+        assert!(out.len() <= 1);
+        out.pop()
+    }
+
+    /// Tokens of the grammar and near misses of them; two in three are
+    /// plain numbers so that whole valid requests come up often.
+    const TOKENS: [&[u8]; 24] = [
+        b"0",
+        b"7",
+        b"42",
+        b"1234567890123",
+        b"3",
+        b"9",
+        b"65",
+        b"18446744073709551615",
+        b"0",
+        b"7",
+        b"42",
+        b"1234567890123",
+        b"3",
+        b"9",
+        b"65",
+        b"00000000000000000000012",
+        b"-",
+        b"-",
+        b"+9",
+        b"+",
+        b"-3",
+        b"18446744073709551616",
+        b"1e3",
+        b"REQ",
+    ];
+    /// Separators: mostly what `split_ascii_whitespace` splits on, then
+    /// what it does not (vertical tab, nothing, NBSP, U+2028, bad UTF-8).
+    const SEPS: [&[u8]; 16] = [
+        b" ",
+        b" ",
+        b" ",
+        b" ",
+        b" ",
+        b" ",
+        b"  ",
+        b"\t",
+        b"\r",
+        b"\x0c",
+        b" \r",
+        b"\x0b",
+        b"",
+        b"\xc2\xa0",
+        b"\xe2\x80\xa8",
+        b"\xff",
+    ];
+
+    fn line_of(picks: &[(u8, u8)]) -> Vec<u8> {
+        let mut line = Vec::new();
+        for (i, &(tok, sep)) in picks.iter().enumerate() {
+            match (i, tok % 8) {
+                (0, 1..) => line.extend_from_slice(b"REQ"),
+                (0, 0) => line.extend_from_slice(b"req"),
+                _ => line.extend_from_slice(TOKENS[tok as usize % TOKENS.len()]),
+            }
+            line.extend_from_slice(SEPS[sep as usize % SEPS.len()]);
+        }
+        line
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The byte parser classifies every line exactly as the `str`
+        /// parser did: near-miss request lines built from the grammar's
+        /// own fragments (signs, overflow, tabs, CR, Unicode spaces,
+        /// broken UTF-8) …
+        #[test]
+        fn byte_parser_matches_the_str_parser_on_near_requests(
+            picks in prop::collection::vec((any::<u8>(), any::<u8>()), 0..8),
+        ) {
+            let line = line_of(&picks);
+            prop_assert_eq!(classify(&line), classify_via_str(&line), "line {:?}", line);
+        }
+
+        /// … and arbitrary bytes, invalid UTF-8 included.
+        #[test]
+        fn byte_parser_matches_the_str_parser_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let line: Vec<u8> = bytes.into_iter().filter(|&b| b != b'\n').collect();
+            prop_assert_eq!(classify(&line), classify_via_str(&line), "line {:?}", line);
+        }
+
+        /// Whole streams, cut into arbitrary TCP segments: every complete
+        /// line is classified as the `str` parser classified it, in
+        /// order, whatever the cuts (lines here stay under `MAX_LINE`;
+        /// the oversized-line resync has its own tests below).
+        #[test]
+        fn segmented_streams_decode_line_by_line(
+            lines in prop::collection::vec(
+                prop::collection::vec((any::<u8>(), any::<u8>()), 0..8),
+                0..12,
+            ),
+            cuts in prop::collection::vec(1usize..40, 1..40),
+            unterminated in any::<bool>(),
+        ) {
+            let mut stream = Vec::new();
+            let mut want = Vec::new();
+            for picks in &lines {
+                let line = line_of(picks);
+                want.extend(classify_via_str(&line));
+                stream.extend_from_slice(&line);
+                stream.push(b'\n');
+            }
+            if unterminated {
+                stream.extend_from_slice(b"REQ 1 ");
+            }
+            let (mut dec, mut got, mut rest) = (LineDecoder::new(), Vec::new(), &stream[..]);
+            for cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (segment, tail) = rest.split_at((*cut).min(rest.len()));
+                dec.feed(segment, &mut got);
+                rest = tail;
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(dec.pending(), if unterminated { 6 } else { 0 });
+        }
+
+        /// The reply encoder writes what `format!` wrote.
+        #[test]
+        fn reply_encoder_matches_format(
+            id in any::<u64>(),
+            small in 0u64..1000,
+            micros in any::<u64>(),
+            payload in 0u64..1_000_000,
+        ) {
+            for id in [id, small, 0, u64::MAX] {
+                let payload = payload.to_string();
+                let mut out = b"carried over\n".to_vec();
+                push_reply(&mut out, "OK", id, payload.as_bytes());
+                push_reply(&mut out, "OK", id, fmt_u64(&mut [0; 20], micros));
+                push_reply(&mut out, "REJ", id, b"limit");
+                push_reply(&mut out, "REJ", id, b"shed");
+                push_reply(&mut out, "ERR", id, b"");
+                let want = format!(
+                    "carried over\nOK {id} {payload}\nOK {id} {micros}\nREJ {id} limit\nREJ {id} shed\nERR {id}\n"
+                );
+                prop_assert_eq!(String::from_utf8(out).unwrap(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn number_tokens_are_what_str_parse_takes() {
+        assert_eq!(
+            parse_request(b"REQ +7 +2 +9 +4"),
+            Some((7, 2, Some(9), Some(4)))
+        );
+        assert_eq!(
+            parse_request(b"REQ\t7\r2\x0c9"),
+            Some((7, 2, Some(9), None))
+        );
+        assert_eq!(
+            parse_request(b"REQ 18446744073709551615 0"),
+            Some((u64::MAX, 0, None, None))
+        );
+        assert_eq!(parse_request(b"REQ 18446744073709551616 0"), None);
+        assert_eq!(parse_request(b"REQ 007 0"), Some((7, 0, None, None)));
+        for bad in [
+            "REQ + 0",
+            "REQ -7 0",
+            "REQ 7 -0",
+            "REQ 7 0 --",
+            "REQ 7 0 9 -",
+            "REQ 7\x0b0",
+        ] {
+            assert_eq!(parse_request(bad.as_bytes()), None, "{bad:?}");
+        }
+        // Trailing whitespace is trimmed the way `str::trim_end` trims:
+        // vertical tab and Unicode spaces go, broken UTF-8 does not.
+        let ok = Some(WireItem::Request {
+            id: 7,
+            api: 0,
+            key: None,
+            trace: None,
+        });
+        assert_eq!(classify(b"REQ 7 0 \x0b\r"), ok);
+        assert_eq!(classify("REQ 7 0\u{a0}\u{2028} ".as_bytes()), ok);
+        assert_eq!(classify("\u{3000}".as_bytes()), None);
+        assert_eq!(classify(b"REQ 7 0 \xa0"), Some(WireItem::Malformed));
+    }
 
     fn decode_all(decoder: &mut LineDecoder, bytes: &[u8]) -> Vec<WireItem> {
         let mut out = Vec::new();
@@ -171,32 +531,35 @@ mod tests {
 
     #[test]
     fn request_lines_parse_strictly() {
-        assert_eq!(parse_request("REQ 7 2"), Some((7, 2, None, None)));
-        assert_eq!(parse_request("REQ 0 0"), Some((0, 0, None, None)));
-        assert_eq!(parse_request("REQ  12   1"), Some((12, 1, None, None)));
+        assert_eq!(parse_request(b"REQ 7 2"), Some((7, 2, None, None)));
+        assert_eq!(parse_request(b"REQ 0 0"), Some((0, 0, None, None)));
+        assert_eq!(parse_request(b"REQ  12   1"), Some((12, 1, None, None)));
         // Optional fourth token: a coalescing resource key.
-        assert_eq!(parse_request("REQ 7 2 9"), Some((7, 2, Some(9), None)));
-        assert_eq!(parse_request("REQ 7 2 0"), Some((7, 2, Some(0), None)));
-        assert_eq!(parse_request("GET 7 2"), None);
-        assert_eq!(parse_request("REQ 7"), None);
-        assert_eq!(parse_request("REQ 7 2 k"), None);
-        assert_eq!(parse_request("REQ x 2"), None);
-        assert_eq!(parse_request(""), None);
+        assert_eq!(parse_request(b"REQ 7 2 9"), Some((7, 2, Some(9), None)));
+        assert_eq!(parse_request(b"REQ 7 2 0"), Some((7, 2, Some(0), None)));
+        assert_eq!(parse_request(b"GET 7 2"), None);
+        assert_eq!(parse_request(b"REQ 7"), None);
+        assert_eq!(parse_request(b"REQ 7 2 k"), None);
+        assert_eq!(parse_request(b"REQ x 2"), None);
+        assert_eq!(parse_request(b""), None);
     }
 
     #[test]
     fn trace_token_extends_the_grammar_without_breaking_old_clients() {
         // 5 tokens: key + trace.
-        assert_eq!(parse_request("REQ 7 2 9 4"), Some((7, 2, Some(9), Some(4))));
+        assert_eq!(
+            parse_request(b"REQ 7 2 9 4"),
+            Some((7, 2, Some(9), Some(4)))
+        );
         // `-` is "no key", so traces work without coalescing.
-        assert_eq!(parse_request("REQ 7 2 - 4"), Some((7, 2, None, Some(4))));
-        assert_eq!(parse_request("REQ 7 2 -"), Some((7, 2, None, None)));
+        assert_eq!(parse_request(b"REQ 7 2 - 4"), Some((7, 2, None, Some(4))));
+        assert_eq!(parse_request(b"REQ 7 2 -"), Some((7, 2, None, None)));
         // Garbage in either optional slot is malformed, not ignored.
-        assert_eq!(parse_request("REQ 7 2 9 t"), None);
-        assert_eq!(parse_request("REQ 7 2 - t"), None);
+        assert_eq!(parse_request(b"REQ 7 2 9 t"), None);
+        assert_eq!(parse_request(b"REQ 7 2 - t"), None);
         // 6+ tokens stay rejected.
-        assert_eq!(parse_request("REQ 7 2 9 4 5"), None);
-        assert_eq!(parse_request("REQ 7 2 - 4 5"), None);
+        assert_eq!(parse_request(b"REQ 7 2 9 4 5"), None);
+        assert_eq!(parse_request(b"REQ 7 2 - 4 5"), None);
     }
 
     #[test]

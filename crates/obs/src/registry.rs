@@ -8,7 +8,7 @@
 
 use simnet::{LatencyHistogram, SimDuration};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Monotone event counter. Cloning shares the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -101,16 +101,54 @@ impl Default for Histogram {
     }
 }
 
+impl HistCell {
+    fn keep_exemplar(&mut self, d: SimDuration, trace: u64) {
+        if self.exemplars.len() >= EXEMPLAR_CAP {
+            self.exemplars.remove(0);
+        }
+        self.exemplars.push((d.as_nanos() as f64 / 1e9, trace));
+    }
+}
+
 impl Histogram {
     /// A live histogram not (yet) attached to any registry.
     pub fn unregistered() -> Self {
         Histogram::default()
     }
 
+    /// A recorder that panicked mid-update leaves at worst one sample
+    /// half-counted; every other thread keeps recording and scraping.
+    fn cell(&self) -> MutexGuard<'_, HistCell> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn record(&self, d: SimDuration) {
-        let mut cell = self.0.lock().expect("histogram lock");
+        let mut cell = self.cell();
         cell.hist.record(d);
         cell.sum_nanos += u128::from(d.as_nanos());
+    }
+
+    /// Record `n` samples of the same value under one lock; `traces` are
+    /// the trace ids of those among them that were traced, kept as
+    /// exemplars exactly as [`Histogram::record_with_exemplar`] would.
+    pub fn record_n(&self, d: SimDuration, n: u64, traces: &[u64]) {
+        let mut cell = self.cell();
+        cell.hist.record_n(d, n);
+        cell.sum_nanos += u128::from(d.as_nanos()) * u128::from(n);
+        for &id in traces {
+            cell.keep_exemplar(d, id);
+        }
+    }
+
+    /// The samples recorded since `mark` was last passed here, as a
+    /// histogram of their own; `mark` advances to now. With one caller
+    /// owning the mark, a cumulative histogram doubles as that caller's
+    /// window — no second histogram on the recording path.
+    pub fn take_window(&self, mark: &mut LatencyHistogram) -> LatencyHistogram {
+        let cell = self.cell();
+        let window = cell.hist.delta_since(mark);
+        mark.clone_from(&cell.hist);
+        window
     }
 
     /// Record a value observed while serving trace `trace`: the value
@@ -118,30 +156,27 @@ impl Histogram {
     /// is kept as an exemplar so `/metrics` can link the latency bucket
     /// back to a concrete request (`… # {trace_id="…"} value`).
     pub fn record_with_exemplar(&self, d: SimDuration, trace: Option<u64>) {
-        let mut cell = self.0.lock().expect("histogram lock");
+        let mut cell = self.cell();
         cell.hist.record(d);
         cell.sum_nanos += u128::from(d.as_nanos());
         if let Some(id) = trace {
-            if cell.exemplars.len() >= EXEMPLAR_CAP {
-                cell.exemplars.remove(0);
-            }
-            cell.exemplars.push((d.as_nanos() as f64 / 1e9, id));
+            cell.keep_exemplar(d, id);
         }
     }
 
     pub fn count(&self) -> u64 {
-        self.0.lock().expect("histogram lock").hist.count()
+        self.cell().hist.count()
     }
 
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        self.0.lock().expect("histogram lock").hist.quantile(q)
+        self.cell().hist.quantile(q)
     }
 
     /// `(cumulative le-bucket list in seconds, count, sum in seconds,
     /// recent exemplars)`.
     #[allow(clippy::type_complexity)]
     fn snapshot(&self) -> (Vec<(f64, u64)>, u64, f64, Vec<(f64, u64)>) {
-        let cell = self.0.lock().expect("histogram lock");
+        let cell = self.cell();
         let mut cum = 0u64;
         let buckets = cell
             .hist
@@ -536,6 +571,53 @@ mod tests {
             .find(|l| l.contains("trace_id=\"7\""))
             .unwrap_or_else(|| panic!("zero exemplar dropped: {text}"));
         assert!(line.starts_with("zero_seconds_bucket{le="), "{line}");
+    }
+
+    #[test]
+    fn record_n_matches_n_single_records() {
+        let (batched, single) = (Histogram::unregistered(), Histogram::unregistered());
+        let d = SimDuration::from_millis(4);
+        batched.record_n(d, 5, &[8, 9]);
+        batched.record_n(d, 0, &[]);
+        for trace in [None, Some(8), None, Some(9), None] {
+            single.record_with_exemplar(d, trace);
+        }
+        let r = Registry::new();
+        r.register_histogram("h_seconds", &[], &batched);
+        let batched_text = r.render_prometheus();
+        r.register_histogram("h_seconds", &[], &single);
+        assert_eq!(batched_text, r.render_prometheus());
+        assert!(
+            batched_text.contains("h_seconds_sum 0.02"),
+            "{batched_text}"
+        );
+    }
+
+    #[test]
+    fn take_window_yields_only_samples_since_the_mark() {
+        let h = Histogram::unregistered();
+        let mut mark = LatencyHistogram::new();
+        h.record(SimDuration::from_millis(900));
+        assert_eq!(h.take_window(&mut mark).count(), 1);
+        assert!(h.take_window(&mut mark).is_empty(), "mark advanced");
+        h.record_n(SimDuration::from_millis(10), 4, &[]);
+        let w = h.take_window(&mut mark);
+        assert_eq!(w.count(), 4);
+        assert!(w.quantile(0.99).unwrap() < SimDuration::from_millis(12));
+        assert_eq!(h.count(), 5, "the cumulative histogram is never reset");
+    }
+
+    #[test]
+    fn a_poisoned_histogram_keeps_recording_and_rendering() {
+        let h = Histogram::unregistered();
+        let held = h.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = held.0.lock().unwrap();
+            panic!("recorder dies holding the histogram lock");
+        })
+        .join();
+        h.record(SimDuration::from_millis(1));
+        assert_eq!(h.count(), 1);
     }
 
     #[test]

@@ -66,12 +66,21 @@ impl LatencyHistogram {
 
     /// Record one sample.
     pub fn record(&mut self, d: SimDuration) {
+        self.record_n(d, 1);
+    }
+
+    /// Record `n` samples of the same value (a no-op for `n == 0`).
+    #[inline]
+    pub fn record_n(&mut self, d: SimDuration, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = self.bucket_of(d);
         if b >= self.counts.len() {
             self.counts.resize(b + 1, 0);
         }
-        self.counts[b] += 1;
-        self.total += 1;
+        self.counts[b] += n;
+        self.total += n;
         self.max_seen = self.max_seen.max(d);
         self.min_seen = self.min_seen.min(d);
     }
@@ -150,6 +159,48 @@ impl LatencyHistogram {
         self.total += other.total;
         self.max_seen = self.max_seen.max(other.max_seen);
         self.min_seen = self.min_seen.min(other.min_seen);
+    }
+
+    /// The samples recorded since `mark`, an earlier copy of this
+    /// histogram — a cumulative histogram read as a window.
+    ///
+    /// Bucket counts (hence ranks) are exact. The window's own extremes
+    /// are not known, so they are bounded instead: by the edges of the
+    /// lowest and highest occupied delta bucket and by the cumulative
+    /// extremes. A quantile of the result therefore lands in the same
+    /// bucket as that of a histogram fed only the window's samples.
+    pub fn delta_since(&self, mark: &LatencyHistogram) -> LatencyHistogram {
+        assert!(
+            (self.ln_growth - mark.ln_growth).abs() < 1e-12,
+            "delta of histograms with different bucket growth"
+        );
+        let counts: Vec<u64> = self
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| c.saturating_sub(mark.counts.get(i).copied().unwrap_or(0)))
+            .collect();
+        let mut delta = LatencyHistogram {
+            total: counts.iter().sum(),
+            counts,
+            ln_growth: self.ln_growth,
+            max_seen: SimDuration::ZERO,
+            min_seen: SimDuration::from_nanos(u64::MAX),
+        };
+        let lowest = delta.counts.iter().position(|&c| c > 0);
+        let highest = delta.counts.iter().rposition(|&c| c > 0);
+        if let (Some(lo), Some(hi)) = (lowest, highest) {
+            // Bucket 0 also takes everything under its nominal floor.
+            let floor = if lo == 0 { 0.0 } else { self.bucket_floor(lo) };
+            delta.min_seen = self.min_seen.max(SimDuration::from_nanos(floor as u64));
+            // `.max(min_seen)`: float rounding may put a sample that sits
+            // exactly on a bucket edge one nanosecond past that edge.
+            delta.max_seen = self
+                .max_seen
+                .min(SimDuration::from_nanos(self.bucket_floor(hi + 1) as u64))
+                .max(delta.min_seen);
+        }
+        delta
     }
 
     /// Iterate occupied buckets as `(upper_edge_nanos, count)` pairs.
@@ -243,6 +294,50 @@ mod tests {
     }
 
     #[test]
+    fn record_n_equals_n_records() {
+        let (mut a, mut b) = (LatencyHistogram::new(), LatencyHistogram::new());
+        a.record_n(SimDuration::from_millis(3), 5);
+        a.record_n(SimDuration::from_millis(9), 0);
+        for _ in 0..5 {
+            b.record(SimDuration::from_millis(3));
+        }
+        assert_eq!(a.count(), 5);
+        assert_eq!(a.max(), b.max());
+        assert_eq!(a.min(), b.min());
+        assert_eq!(
+            a.buckets().collect::<Vec<_>>(),
+            b.buckets().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn delta_since_reads_a_cumulative_histogram_as_a_window() {
+        let mut cum = LatencyHistogram::new();
+        cum.record(SimDuration::from_millis(500));
+        let mark = cum.clone();
+        assert!(cum.delta_since(&mark).is_empty(), "nothing since the mark");
+        assert!(cum.delta_since(&mark).quantile(0.5).is_none());
+        cum.record_n(SimDuration::ZERO, 3);
+        let window = cum.delta_since(&mark);
+        assert_eq!(window.count(), 3);
+        // The 500 ms sample before the mark is not in the window; its
+        // zero-latency samples read as somewhere in bucket 0.
+        assert!(window.quantile(0.99).unwrap() <= SimDuration::from_nanos(1_100));
+        let mut zeros = LatencyHistogram::new();
+        zeros.record_n(SimDuration::ZERO, 3);
+        let since_start = zeros.delta_since(&LatencyHistogram::new());
+        assert_eq!(since_start.quantile(0.99), Some(SimDuration::ZERO));
+        let mark = cum.clone();
+        cum.record(SimDuration::from_millis(20));
+        let p50 = cum
+            .delta_since(&mark)
+            .quantile(0.5)
+            .unwrap()
+            .as_millis_f64();
+        assert!((p50 - 20.0).abs() / 20.0 < 0.11, "p50 {p50} ms");
+    }
+
+    #[test]
     fn buckets_enumerate_occupied_ranges() {
         let mut h = LatencyHistogram::new();
         h.record(SimDuration::from_millis(1));
@@ -318,6 +413,47 @@ mod proptests {
                 h.fraction_below(SimDuration::from_secs(10)) == 1.0,
                 "everything is below a huge limit"
             );
+        }
+
+        /// A cumulative histogram cut into windows at random points: each
+        /// window read as a delta against a mark has exactly the fresh
+        /// per-window histogram's count and bucket counts, and its
+        /// quantiles fall in the same bucket (one growth ratio; bucket 0
+        /// spans [0, 1.1 µs) so its bound is absolute).
+        #[test]
+        fn delta_windows_match_fresh_windows(
+            samples in prop::collection::vec(0u64..50_000_000, 1..300),
+            cuts in prop::collection::vec(any::<bool>(), 300),
+        ) {
+            let mut cum = LatencyHistogram::new();
+            let mut mark = cum.clone();
+            let mut fresh = LatencyHistogram::new();
+            for (i, &s) in samples.iter().enumerate() {
+                let d = SimDuration::from_nanos(s);
+                cum.record(d);
+                fresh.record(d);
+                if !cuts[i] && i + 1 < samples.len() {
+                    continue;
+                }
+                let window = cum.delta_since(&mark);
+                prop_assert_eq!(window.count(), fresh.count());
+                prop_assert_eq!(
+                    window.buckets().collect::<Vec<_>>(),
+                    fresh.buckets().collect::<Vec<_>>()
+                );
+                for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+                    let got = window.quantile(q).unwrap().as_nanos() as f64;
+                    let want = fresh.quantile(q).unwrap().as_nanos() as f64;
+                    let close = if want.max(got) <= 1_100.0 {
+                        true
+                    } else {
+                        got / want <= 1.1001 && want / got <= 1.1001
+                    };
+                    prop_assert!(close, "q={q}: delta {got} ns vs fresh {want} ns");
+                }
+                mark = cum.clone();
+                fresh.reset();
+            }
         }
 
         /// Merging histograms is equivalent to recording the union.

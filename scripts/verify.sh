@@ -12,6 +12,17 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
+# The gated benchmark (benchmark/, its own cargo workspace) in its quick
+# mode: <= 15 s, every correctness gate — byte-for-byte replies,
+# end-of-phase counter conservation, `admitted - cache hits = 0`, the
+# simulator's golden fingerprint, the replayed update vectors — and the
+# output schema, no timing bounds. It is built unmodified against this
+# checkout, so a change that breaks a public call the benchmark makes
+# fails here, not in the driver.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick \
+  > /tmp/topfull_benchmark_quick.json \
+  || { echo "benchmark --quick: a gate failed"; cat /tmp/topfull_benchmark_quick.json; exit 1; }
+
 # Live serving plane smoke: real TCP gateway + worker pool must serve a
 # short open-loop burst end to end (wall-clock, ~4s) while the telemetry
 # endpoint answers GET /metrics with valid Prometheus text exposition.
