@@ -1,21 +1,26 @@
 //! Engine event throughput and run-executor scaling.
 //!
-//! `engine/…` measures the raw discrete-event core: one overloaded
-//! Online Boutique run per iteration, so ns/iter ÷ events-per-run gives
-//! the per-event cost. `runner/…` measures the same 8-run sweep executed
-//! serially and through the worker pool; the ratio is the wall-clock
-//! speedup recorded in `BENCH_engine.json` at the repo root.
+//! `engine/…` measures the raw discrete-event core in the shape of the
+//! gated benchmark's `sim.boutique` workload (§6.1's 2600 closed-loop
+//! users on Online Boutique, no controller): one 10-simulated-second run
+//! per iteration, so ns/iter ÷ events-per-run gives the per-event cost.
+//! `runner/…` measures the same 8-run sweep executed serially and
+//! through the worker pool; the ratio is the wall-clock speedup. The
+//! numbers of record come from the benchmark itself (`cargo run
+//! --release --offline --manifest-path benchmark/Cargo.toml --
+//! --workload sim.boutique --seed 5 --seconds 20 --trace 0`); this bench
+//! re-measures the layer with `cargo bench` outside it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use topfull_bench::exec;
 use topfull_bench::runner::{default_workers, RunPlan};
 use topfull_bench::scenarios::{boutique_closed_loop, Roster};
 
-/// One 10-simulated-second overloaded boutique run (≈10⁵ events).
+/// One 10-simulated-second overloaded boutique run (≈2.5 × 10⁵ events).
 fn bench_event_throughput(c: &mut Criterion) {
-    c.bench_function("engine/boutique-600users-10s", |b| {
+    c.bench_function("engine/boutique-2600users-10s", |b| {
         b.iter(|| {
-            let (_, mut e) = boutique_closed_loop(black_box(600), 5);
+            let (_, mut e) = boutique_closed_loop(black_box(2600), 5);
             e.run_until(simnet::SimTime::from_secs(10));
             e.events_processed()
         })

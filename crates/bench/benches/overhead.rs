@@ -90,6 +90,29 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// One pop + one push at a standing depth of 4096 — the hold pattern
+/// of a running simulation, and the shape of the gated benchmark's
+/// `simnet.event.push_pop_ns` layer (firing times spread over the next
+/// simulated second), so the queue can be re-measured outside
+/// `benchmark/`.
+fn bench_event_queue_hold(c: &mut Criterion) {
+    use rand::Rng;
+    use simnet::{EventQueue, SimTime};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    for i in 0..4096u64 {
+        q.schedule(SimTime::from_nanos(rng.gen_range(0..1_000_000_000)), i);
+    }
+    c.bench_function("simnet/event-queue-hold-4096", |b| {
+        b.iter(|| {
+            let (at, e) = q.pop().expect("standing depth");
+            let next = at.as_nanos() + rng.gen_range(0..1_000_000_000u64);
+            q.schedule(SimTime::from_nanos(next), e);
+            e
+        })
+    });
+}
+
 /// One full TopFull control decision on a Train Ticket observation
 /// (clustering + state building + RL inferences + Algorithm 1).
 fn bench_full_control_cycle(c: &mut Criterion) {
@@ -120,6 +143,7 @@ criterion_group!(
     bench_rl_inference,
     bench_token_bucket,
     bench_event_queue,
+    bench_event_queue_hold,
     bench_full_control_cycle,
 );
 criterion_main!(benches);

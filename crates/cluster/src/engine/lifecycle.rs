@@ -10,33 +10,35 @@
 
 use super::planes::{CallCtx, LifecyclePoint, Verdict};
 use super::pods::{InFlight, QueuedCall};
-use super::{Engine, Ev, NodeRt, Parked, RequestRt};
+use super::requests::{Parked, ReqId, RequestRt};
+use super::{Engine, Ev};
 use crate::front::PreVerdict;
-use crate::topology::CallNode;
 use crate::tracing::{Span, SpanVerdict};
 use crate::types::{RequestMeta, RequestOutcome, ServiceId};
 use crate::workload::{Arrival, ResponseKind, UserRef};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use rand_distr::{Distribution, LogNormal};
+use rand_distr::Distribution;
 use simnet::{SimDuration, SimTime};
 
 impl Engine {
-    pub(super) fn schedule_arrivals(&mut self, now: SimTime, arrivals: Vec<Arrival>) {
-        for a in arrivals {
-            let at = a.at.max(now);
-            self.queue.schedule(at, Ev::Arrival(Arrival { at, ..a }));
-            if let Some(user) = a.user {
-                if let Some(t) = self.workload.client_timeout() {
-                    self.queue.schedule(at + t, Ev::ClientTimeout { user });
-                }
+    fn schedule_arrival(&mut self, now: SimTime, a: Arrival) {
+        let at = a.at.max(now);
+        self.queue.schedule(at, Ev::Arrival(Arrival { at, ..a }));
+        if let Some(user) = a.user {
+            if let Some(t) = self.workload.client_timeout() {
+                self.queue.schedule(at + t, Ev::ClientTimeout { user });
             }
         }
     }
 
     pub(super) fn on_workload_tick(&mut self, now: SimTime) {
-        let arrivals = self.workload.on_tick(now, &mut self.rng);
-        self.schedule_arrivals(now, arrivals);
+        let mut arrivals = std::mem::take(&mut self.tick_arrivals);
+        self.workload.on_tick(now, &mut self.rng, &mut arrivals);
+        for a in arrivals.drain(..) {
+            self.schedule_arrival(now, a);
+        }
+        self.tick_arrivals = arrivals;
         let next = now + self.workload.tick_interval();
         self.queue.schedule(next, Ev::WorkloadTick);
     }
@@ -73,10 +75,14 @@ impl Engine {
                 PreVerdict::Follower { leader } => {
                     self.metrics.api_accums[a.api.idx()].admitted += 1;
                     self.metrics.api_totals[a.api.idx()].admitted += 1;
-                    front.parked.entry(leader).or_default().push(Parked {
-                        user: a.user,
-                        arrival: now,
-                    });
+                    // A flight is settled the moment its leader leaves
+                    // the table, so an open flight's leader is live.
+                    if let Some(r) = self.requests.get_mut(ReqId::from_bits(leader)) {
+                        r.parked.push(Parked {
+                            user: a.user,
+                            arrival: now,
+                        });
+                    }
                     return;
                 }
                 PreVerdict::Shed { .. } => {
@@ -116,11 +122,11 @@ impl Engine {
         self.metrics.api_accums[a.api.idx()].admitted += 1;
         self.metrics.api_totals[a.api.idx()].admitted += 1;
 
-        // Materialize the request: sample an execution path, flatten it.
+        // Materialize the request: sample an execution path; the request
+        // shares that path's template and owns only its join counters.
         let spec = self.topo.api(a.api);
         let path_idx = sample_weighted(&spec.paths, &mut self.rng);
-        let mut nodes = Vec::with_capacity(spec.paths[path_idx].1.len());
-        flatten(&spec.paths[path_idx].1, None, &mut nodes);
+        let tmpl = self.api_templates[a.api.idx()] + path_idx as u32;
         let meta = RequestMeta {
             api: a.api,
             business: spec.business,
@@ -131,27 +137,41 @@ impl Engine {
             arrival: now,
             deadline: self.planes.resilience.deadline_budget.map(|b| now + b),
         };
-        let id = self.next_req_id;
-        self.next_req_id += 1;
-        self.requests.insert(
-            id,
-            RequestRt {
-                meta,
-                user: a.user,
-                nodes,
-            },
-        );
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        let pending = self
+            .requests
+            .pending_buffer(self.templates[tmpl as usize].len());
+        let id = self.requests.insert(RequestRt {
+            meta,
+            user: a.user,
+            serial,
+            tmpl,
+            pending,
+            flight_key: lead_key,
+            parked: Vec::new(),
+        });
         if self.planes.resilience.cancel_doomed {
             if let Some(u) = a.user {
-                self.user_reqs.insert((u.id, u.gen), id);
+                let i = u.id as usize;
+                if self.user_reqs.len() <= i {
+                    self.user_reqs.resize_with(i + 1, Vec::new);
+                }
+                self.user_reqs[i].push((u.gen, id));
             }
         }
         if let Some(key) = lead_key {
             let front = self.front.as_mut().expect("lead implies front door");
-            front.door.begin_flight(a.api, key, id);
-            front.flights.insert(id, (a.api, key));
+            front.door.begin_flight(a.api, key, id.to_bits());
         }
         self.dispatch_call(now, id, 0);
+    }
+
+    /// Forget (and return) the live root request of `user`'s generation.
+    fn untrack_user_request(&mut self, user: UserRef) -> Option<ReqId> {
+        let live = self.user_reqs.get_mut(user.id as usize)?;
+        let i = live.iter().position(|(gen, _)| *gen == user.gen)?;
+        Some(live.swap_remove(i).1)
     }
 
     /// Apply a [`Verdict::Fail`]: charge the dropped call and the edge
@@ -159,7 +179,7 @@ impl Engine {
     fn apply_fail(
         &mut self,
         now: SimTime,
-        req: u64,
+        req: ReqId,
         ctx: &CallCtx,
         outcome: RequestOutcome,
         drop_at_callee: bool,
@@ -180,17 +200,15 @@ impl Engine {
     /// on the caller side (deadline, circuit breaker, the downstream's
     /// advertised admission threshold, network faults) and, if admitted,
     /// deliver after one hop of latency.
-    pub(super) fn dispatch_call(&mut self, now: SimTime, req: u64, node: u32) {
-        let Some(r) = self.requests.get(&req) else {
+    pub(super) fn dispatch_call(&mut self, now: SimTime, req: ReqId, node: u32) {
+        let Some(r) = self.requests.get(req) else {
             return;
         };
-        let svc = r.nodes[node as usize].service;
-        let cost = r.nodes[node as usize].cost;
+        let tmpl = &self.templates[r.tmpl as usize];
+        let (svc, cost) = (tmpl.node(node).service, tmpl.node(node).cost);
         let ctx = CallCtx {
             meta: Some(r.meta),
-            caller: r.nodes[node as usize]
-                .parent
-                .map(|p| r.nodes[p as usize].service),
+            caller: tmpl.caller(node),
             callee: svc,
         };
         match self.planes.check(LifecyclePoint::Dispatch, &ctx, now) {
@@ -214,25 +232,23 @@ impl Engine {
         }
     }
 
-    fn record_edge_success(&mut self, now: SimTime, req: u64, node: u32, callee: ServiceId) {
+    fn record_edge_success(&mut self, now: SimTime, req: ReqId, node: u32, callee: ServiceId) {
         if self.planes.resilience.breakers.is_none() {
             return;
         }
         // The caller is the node's parent; unknowable once the request is
         // gone (wasted work), in which case nothing is recorded.
-        let Some(r) = self.requests.get(&req) else {
+        let Some(r) = self.requests.get(req) else {
             return;
         };
-        let caller = r.nodes[node as usize]
-            .parent
-            .map(|p| r.nodes[p as usize].service);
+        let caller = self.templates[r.tmpl as usize].caller(node);
         self.planes.resilience.on_edge_success(now, caller, callee);
     }
 
     pub(super) fn on_call_arrive(
         &mut self,
         now: SimTime,
-        req: u64,
+        req: ReqId,
         node: u32,
         svc_id: ServiceId,
         cost: SimDuration,
@@ -241,15 +257,11 @@ impl Engine {
         // call still arrives and consumes capacity (wasted work), but the
         // planes may recognize the dead request and drop the call at the
         // door, or reject it for an expired deadline.
-        let r = self.requests.get(&req);
+        let r = self.requests.get(req);
         let request_alive = r.is_some();
         let ctx = CallCtx {
             meta: r.map(|r| r.meta),
-            caller: r.and_then(|r| {
-                r.nodes[node as usize]
-                    .parent
-                    .map(|p| r.nodes[p as usize].service)
-            }),
+            caller: r.and_then(|r| self.templates[r.tmpl as usize].caller(node)),
             callee: svc_id,
         };
         match self.planes.check(LifecyclePoint::Arrival, &ctx, now) {
@@ -316,7 +328,7 @@ impl Engine {
                 return;
             };
             let ctx = CallCtx {
-                meta: self.requests.get(&call.req).map(|r| r.meta),
+                meta: self.requests.get(call.req).map(|r| r.meta),
                 caller: None,
                 callee: svc_id,
             };
@@ -361,13 +373,10 @@ impl Engine {
     }
 
     fn sample_jitter(&mut self) -> f64 {
-        let sigma = self.cfg.service_jitter;
-        if sigma <= 0.0 {
-            return 1.0;
+        match &self.jitter {
+            Some(ln) => ln.sample(&mut self.rng),
+            None => 1.0,
         }
-        // Mean-preserving log-normal: E[exp(N(-σ²/2, σ²))] = 1.
-        let ln = LogNormal::new(-sigma * sigma / 2.0, sigma).expect("valid lognormal");
-        ln.sample(&mut self.rng)
     }
 
     pub(super) fn on_pod_done(&mut self, now: SimTime, svc_id: ServiceId, pod: u32, epoch: u64) {
@@ -389,15 +398,12 @@ impl Engine {
         }
         // Emit the span to the tracing collector.
         if let Some(tracer) = self.tracer.as_mut() {
-            if let Some(r) = self.requests.get(&fl.req) {
-                let parent = r.nodes[fl.node as usize]
-                    .parent
-                    .map(|p| r.nodes[p as usize].service);
+            if let Some(r) = self.requests.get(fl.req) {
                 tracer.record(Span {
-                    request: fl.req,
+                    request: r.serial,
                     api: r.meta.api,
                     service: svc_id,
-                    parent,
+                    parent: self.templates[r.tmpl as usize].caller(fl.node),
                     start: fl.started,
                     end: now,
                     verdict: SpanVerdict::Admitted,
@@ -411,20 +417,22 @@ impl Engine {
     }
 
     /// A node finished its CPU work: dispatch its children, or complete.
-    fn on_node_processed(&mut self, now: SimTime, req: u64, node: u32) {
-        let Some(r) = self.requests.get_mut(&req) else {
+    fn on_node_processed(&mut self, now: SimTime, req: ReqId, node: u32) {
+        let Some(r) = self.requests.get_mut(req) else {
             return;
         };
-        let children = r.nodes[node as usize].children.clone();
-        if children.is_empty() {
+        let tmpl = r.tmpl as usize;
+        let fanout = self.templates[tmpl].children(node).len();
+        if fanout == 0 {
             self.on_node_complete(now, req, node);
         } else {
-            r.nodes[node as usize].pending = children.len() as u32;
-            for c in children {
-                self.dispatch_call(now, req, c);
+            r.pending[node as usize] = fanout as u32;
+            for i in 0..fanout {
+                let child = self.templates[tmpl].children(node)[i];
+                self.dispatch_call(now, req, child);
                 // A child dispatch can fail the whole request (admission
                 // rejection); stop dispatching the rest if so.
-                if !self.requests.contains_key(&req) {
+                if !self.requests.contains(req) {
                     return;
                 }
             }
@@ -432,17 +440,17 @@ impl Engine {
     }
 
     /// A node's subtree fully completed (processing + all children).
-    pub(super) fn on_node_complete(&mut self, now: SimTime, req: u64, node: u32) {
-        let Some(r) = self.requests.get_mut(&req) else {
+    pub(super) fn on_node_complete(&mut self, now: SimTime, req: ReqId, node: u32) {
+        let Some(r) = self.requests.get_mut(req) else {
             return;
         };
-        match r.nodes[node as usize].parent {
+        match self.templates[r.tmpl as usize].node(node).parent {
             None => self.complete_request(now, req),
             Some(parent) => {
-                let pn = &mut r.nodes[parent as usize];
-                debug_assert!(pn.pending > 0, "join underflow");
-                pn.pending -= 1;
-                if pn.pending == 0 {
+                let pending = &mut r.pending[parent as usize];
+                debug_assert!(*pending > 0, "join underflow");
+                *pending -= 1;
+                if *pending == 0 {
                     // The parent's response travels one hop back.
                     self.queue.schedule(
                         now + self.cfg.hop_latency,
@@ -453,12 +461,12 @@ impl Engine {
         }
     }
 
-    fn complete_request(&mut self, now: SimTime, req: u64) {
-        let Some(r) = self.requests.remove(&req) else {
+    fn complete_request(&mut self, now: SimTime, req: ReqId) {
+        let Some(r) = self.requests.remove(req) else {
             return;
         };
         if let Some(u) = r.user {
-            self.user_reqs.remove(&(u.id, u.gen));
+            self.untrack_user_request(u);
         }
         let api = r.meta.api;
         let latency = now.duration_since(r.meta.arrival);
@@ -474,41 +482,39 @@ impl Engine {
             ResponseKind::Late
         };
         self.notify_response(now, r.user, kind);
-        self.settle_flight(now, req, true);
+        self.settle_flight(now, r, true);
     }
 
-    pub(super) fn fail_request(&mut self, now: SimTime, req: u64, _outcome: RequestOutcome) {
-        let Some(r) = self.requests.remove(&req) else {
+    pub(super) fn fail_request(&mut self, now: SimTime, req: ReqId, _outcome: RequestOutcome) {
+        let Some(r) = self.requests.remove(req) else {
             return;
         };
         if let Some(u) = r.user {
-            self.user_reqs.remove(&(u.id, u.gen));
+            self.untrack_user_request(u);
         }
         let api = r.meta.api;
         self.metrics.api_accums[api.idx()].failed += 1;
         self.metrics.api_totals[api.idx()].failed += 1;
         self.notify_response(now, r.user, ResponseKind::Failed);
-        self.settle_flight(now, req, false);
+        self.settle_flight(now, r, false);
     }
 
-    /// If `req` led a coalescing flight, resolve it: fill (or clear)
-    /// the response cache and settle every parked follower — each with
-    /// its own arrival-to-now latency against the SLO on success, or a
-    /// failure on leader failure (followers get errors, never hangs).
-    fn settle_flight(&mut self, now: SimTime, req: u64, ok: bool) {
-        let Some(front) = self.front.as_mut() else {
+    /// If the just-retired `req` led a coalescing flight, resolve it:
+    /// fill (or clear) the response cache and settle every parked
+    /// follower — each with its own arrival-to-now latency against the
+    /// SLO on success, or a failure on leader failure (followers get
+    /// errors, never hangs).
+    fn settle_flight(&mut self, now: SimTime, req: RequestRt, ok: bool) {
+        let (Some(front), Some(key)) = (self.front.as_mut(), req.flight_key) else {
             return;
         };
-        let Some((api, key)) = front.flights.remove(&req) else {
-            return;
-        };
+        let api = req.meta.api;
         if ok {
             front.door.complete_flight(api, key, "ok".into(), now);
         } else {
             front.door.fail_flight(api, key);
         }
-        let parked = front.parked.remove(&req).unwrap_or_default();
-        for p in parked {
+        for p in req.parked {
             let kind = if ok {
                 let latency = now.duration_since(p.arrival);
                 let acc = &mut self.metrics.api_accums[api.idx()];
@@ -533,8 +539,9 @@ impl Engine {
 
     fn notify_response(&mut self, now: SimTime, user: Option<UserRef>, kind: ResponseKind) {
         if let Some(u) = user {
-            let follow = self.workload.on_response(u, kind, now, &mut self.rng);
-            self.schedule_arrivals(now, follow);
+            if let Some(next) = self.workload.on_response(u, kind, now, &mut self.rng) {
+                self.schedule_arrival(now, next);
+            }
         }
     }
 
@@ -543,40 +550,20 @@ impl Engine {
         // safe to fire unconditionally. Notifying first bumps the user's
         // generation, so the teardown's failure notification below is
         // recognized as stale and cannot resurrect the user.
-        let follow = self
-            .workload
-            .on_response(user, ResponseKind::Timeout, now, &mut self.rng);
-        self.schedule_arrivals(now, follow);
+        self.notify_response(now, Some(user), ResponseKind::Timeout);
         // With cancellation enabled, the abandoned request's in-flight
         // subtree is torn down instead of silently finishing: queued
         // calls get skipped at their pods, scheduled hops evaporate on
         // arrival. (In-flight CPU work still runs to completion — a
         // busy pod cannot be preempted mid-call.)
         if self.planes.resilience.cancel_doomed {
-            if let Some(req) = self.user_reqs.remove(&(user.id, user.gen)) {
-                if self.requests.contains_key(&req) {
+            if let Some(req) = self.untrack_user_request(user) {
+                if self.requests.contains(req) {
                     self.planes.resilience.on_client_cancelled();
                     self.fail_request(now, req, RequestOutcome::ClientTimeout);
                 }
             }
         }
-    }
-}
-
-/// Flatten a call tree into `NodeRt`s, parents before children.
-pub(super) fn flatten(node: &CallNode, parent: Option<u32>, out: &mut Vec<NodeRt>) {
-    let idx = out.len() as u32;
-    out.push(NodeRt {
-        service: node.service,
-        cost: node.cost,
-        parent,
-        children: Vec::with_capacity(node.children.len()),
-        pending: 0,
-    });
-    for c in &node.children {
-        let child_idx = out.len() as u32;
-        out[idx as usize].children.push(child_idx);
-        flatten(c, Some(idx), out);
     }
 }
 

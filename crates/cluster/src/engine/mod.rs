@@ -16,6 +16,7 @@
 //!   control surface, and the `run_until` event loop.
 //! * `lifecycle` — request arrival, dispatch, subtree fan-out, and
 //!   completion/teardown.
+//! * `requests` — the live-request slab and its stale-id rule.
 //! * `pods` — the [`Pod`]/[`ServiceRt`] runtime: crash loops, epochs,
 //!   scaling, and the VM pool.
 //! * `metrics` — per-window accumulators, window close, and observation
@@ -28,12 +29,18 @@
 //!
 //! The engine is single-threaded, draws randomness from one seeded RNG,
 //! and uses a FIFO-stable event queue — a run is a pure function of
-//! `(topology, config, workload, seed, control inputs)`.
+//! `(topology, config, workload, seed, control inputs)`. The queue pops
+//! in the unique `(time, schedule order)` order, so a run is fixed by
+//! *which events the handlers schedule, in which order, and which RNG
+//! draws they make* — how requests, call trees and events are stored
+//! (slab slots, shared templates, recycled buffers) is free to change
+//! without moving a bit of any result.
 
 mod lifecycle;
 mod metrics;
 mod planes;
 mod pods;
+mod requests;
 #[cfg(test)]
 mod tests;
 
@@ -47,7 +54,7 @@ use crate::front::{FrontConfig, FrontDoor};
 use crate::gateway::Gateway;
 use crate::observe::ClusterObservation;
 use crate::resilience::{EdgeBreakers, ResilienceConfig, ResilienceStats};
-use crate::topology::Topology;
+use crate::topology::{CallTemplate, Topology};
 use crate::tracing::TraceCollector;
 use crate::types::{ApiId, ServiceId};
 use crate::workload::{Arrival, UserRef, Workload};
@@ -55,8 +62,9 @@ use metrics::MetricsState;
 use planes::Planes;
 use pods::ServiceRt;
 use rand::rngs::SmallRng;
+use rand_distr::LogNormal;
+use requests::{ReqId, RequestTable};
 use simnet::{EventQueue, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -106,43 +114,16 @@ impl Default for EngineConfig {
     }
 }
 
-/// Flattened call-tree node of a live request.
-#[derive(Clone, Debug)]
-struct NodeRt {
-    service: ServiceId,
-    cost: SimDuration,
-    parent: Option<u32>,
-    children: Vec<u32>,
-    /// Children still running (counts down to completion).
-    pending: u32,
-}
-
-/// A live request.
-struct RequestRt {
-    meta: crate::types::RequestMeta,
-    user: Option<UserRef>,
-    nodes: Vec<NodeRt>,
-}
-
-/// A duplicate read parked on an in-flight leader's completion.
-struct Parked {
-    user: Option<UserRef>,
-    arrival: SimTime,
-}
-
-/// Front-door admission runtime: the shared [`FrontDoor`] stages plus
-/// the engine-side flight bookkeeping (who leads, who is parked) and a
+/// Front-door admission runtime: the shared [`FrontDoor`] stages plus a
 /// dedicated RNG fork so enabling the plane leaves the base simulation
-/// streams untouched.
+/// streams untouched. The engine-side flight bookkeeping (which key a
+/// request leads, who is parked on it) rides in the leader's request
+/// entry.
 struct FrontState {
     door: FrontDoor,
     rng: SmallRng,
     /// Per-API coalescing key space (0 = API not coalescable).
     key_space: Vec<u64>,
-    /// Parked followers per leader request id.
-    parked: HashMap<u64, Vec<Parked>>,
-    /// Open flights: leader request id → `(api, key)`.
-    flights: HashMap<u64, (ApiId, u64)>,
     /// Entry-limit rejection total at the last journaled window.
     rate_limited_base: u64,
 }
@@ -154,7 +135,7 @@ enum Ev {
     /// failed elsewhere in the tree — an in-flight RPC fan-out does not
     /// recall sub-requests that were already sent.
     CallArrive {
-        req: u64,
+        req: ReqId,
         node: u32,
         svc: ServiceId,
         cost: SimDuration,
@@ -165,7 +146,7 @@ enum Ev {
         epoch: u64,
     },
     NodeJoin {
-        req: u64,
+        req: ReqId,
         node: u32,
     },
     MetricsTick,
@@ -204,15 +185,26 @@ pub struct Engine {
     failures: Vec<FailureSpec>,
     /// Front-door admission plane (coalescing + priority), when enabled.
     front: Option<FrontState>,
-    requests: HashMap<u64, RequestRt>,
-    next_req_id: u64,
+    /// One flattened call tree per `(api, path)`, shared by every
+    /// request on that path; `api_templates[api] + path` indexes it.
+    templates: Vec<CallTemplate>,
+    api_templates: Vec<u32>,
+    requests: RequestTable,
+    /// Requests admitted so far; the next request's span id.
+    next_serial: u64,
     rng: SmallRng,
+    /// Mean-preserving service-time jitter, `None` when disabled.
+    jitter: Option<LogNormal>,
+    /// Scratch the workload's tick fills with arrivals.
+    tick_arrivals: Vec<Arrival>,
     /// Per-window and cumulative metric accumulators.
     metrics: MetricsState,
     tracer: Option<TraceCollector>,
-    /// Live root request per closed-loop `(user, generation)`, so a
-    /// firing client timeout can tear down the in-flight subtree.
-    user_reqs: HashMap<(u32, u64), u64>,
+    /// Live root requests per closed-loop user as `(generation, request)`,
+    /// so a firing client timeout can tear down the in-flight subtree.
+    /// Indexed by user id; a user re-activated while an abandoned
+    /// request is still in flight briefly holds two entries.
+    user_reqs: Vec<Vec<(u64, ReqId)>>,
     /// Services whose pods crashed at least once (for assertions in tests
     /// and experiment reporting).
     pub crash_events: u64,
@@ -249,6 +241,19 @@ impl Engine {
         let tracer = cfg.learn_paths.then(|| {
             TraceCollector::new(num_apis, cfg.trace_window).with_raw_buffer(cfg.trace_raw_buffer)
         });
+        let mut templates = Vec::new();
+        let api_templates = topo
+            .apis()
+            .map(|(_, spec)| {
+                let base = templates.len() as u32;
+                templates.extend(spec.paths.iter().map(|(_, root)| CallTemplate::new(root)));
+                base
+            })
+            .collect();
+        // Mean-preserving log-normal: E[exp(N(-σ²/2, σ²))] = 1.
+        let sigma = cfg.service_jitter;
+        let jitter = (sigma > 0.0)
+            .then(|| LogNormal::new(-sigma * sigma / 2.0, sigma).expect("valid lognormal"));
         let rng = simnet::rng::fork(cfg.seed, "engine");
         let seed_for_faults = cfg.seed;
         let mut queue = EventQueue::new();
@@ -270,12 +275,16 @@ impl Engine {
             vm_pool,
             failures: Vec::new(),
             front: None,
-            requests: HashMap::new(),
-            next_req_id: 0,
+            templates,
+            api_templates,
+            requests: RequestTable::default(),
+            next_serial: 0,
             rng,
+            jitter,
+            tick_arrivals: Vec::new(),
             metrics: MetricsState::new(num_apis, api_paths),
             tracer,
-            user_reqs: HashMap::new(),
+            user_reqs: Vec::new(),
             crash_events: 0,
             registry,
             journal: None,
@@ -340,8 +349,6 @@ impl Engine {
             door,
             rng: simnet::rng::fork(self.cfg.seed, "front"),
             key_space,
-            parked: HashMap::new(),
-            flights: HashMap::new(),
             rate_limited_base: 0,
         });
     }

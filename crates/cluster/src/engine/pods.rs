@@ -6,6 +6,7 @@
 //! everything that changes the pod population: crash-loop probes,
 //! injected pod kills, the HPA reconciliation, and VM-pool scheduling.
 
+use super::requests::ReqId;
 use super::{Engine, Ev};
 use crate::observe::ClusterObservation;
 use crate::types::{RequestOutcome, ServiceId};
@@ -16,7 +17,7 @@ use std::collections::VecDeque;
 /// still executed even if the owning request has already failed.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct QueuedCall {
-    pub(super) req: u64,
+    pub(super) req: ReqId,
     pub(super) node: u32,
     pub(super) cost: SimDuration,
     pub(super) enqueued: SimTime,
@@ -25,7 +26,7 @@ pub(super) struct QueuedCall {
 /// A call being processed by a pod.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct InFlight {
-    pub(super) req: u64,
+    pub(super) req: ReqId,
     pub(super) node: u32,
     pub(super) started: SimTime,
     pub(super) done_at: SimTime,
@@ -220,7 +221,7 @@ impl Engine {
         }
         let svc = &mut self.services[sid.idx()];
         let p = &mut svc.pods[pod];
-        let dropped: Vec<u64> = p.queue.drain(..).map(|c| c.req).collect();
+        let dropped: Vec<ReqId> = p.queue.drain(..).map(|c| c.req).collect();
         svc.dropped_calls += dropped.len() as u64;
         p.phase = PodPhase::Down;
         p.epoch += 1;

@@ -899,3 +899,160 @@ mod front {
         );
     }
 }
+
+mod request_table {
+    use crate::engine::{Engine, EngineConfig};
+    use crate::resilience::{DeadlineConfig, ResilienceConfig};
+    use crate::topology::{ApiSpec, CallNode, ServiceSpec, Topology};
+    use crate::types::{ApiId, ServiceId};
+    use crate::workload::{
+        Arrival, ClosedLoopWorkload, RateSchedule, ResponseKind, UserRef, Workload,
+    };
+    use rand::rngs::SmallRng;
+    use simnet::{SimDuration, SimTime};
+
+    fn us(x: u64) -> SimDuration {
+        SimDuration::from_micros(x)
+    }
+
+    /// Open-loop arrivals at fixed instants.
+    struct Script(Vec<Arrival>);
+
+    impl Workload for Script {
+        fn on_tick(&mut self, now: SimTime, _rng: &mut SmallRng, out: &mut Vec<Arrival>) {
+            let horizon = now + self.tick_interval();
+            out.extend(self.0.iter().filter(|a| a.at >= now && a.at < horizon));
+        }
+
+        fn on_response(
+            &mut self,
+            _user: UserRef,
+            _kind: ResponseKind,
+            _now: SimTime,
+            _rng: &mut SmallRng,
+        ) -> Option<Arrival> {
+            None
+        }
+    }
+
+    /// `root → [a → [c], d → [last, e]]`, every service one idle pod.
+    /// With 0.5 ms hops and no jitter a request admitted at `t` has, at
+    /// `t + 4.7 ms` when `last` and `e` are reached: `NodeJoin(a)`
+    /// pending for `t + 5.0 ms`, the call to `e` arriving in the same
+    /// instant as the one to `last` (scheduled right behind it), and
+    /// `e`'s `PodDone` due at `t + 9.7 ms`.
+    fn tree(svc: &[ServiceId; 5], last: ServiceId) -> CallNode {
+        let [root, a, c, d, e] = *svc;
+        CallNode::with_children(
+            root,
+            us(1000),
+            vec![
+                CallNode::with_children(a, us(1000), vec![CallNode::leaf(c, us(1000))]),
+                CallNode::with_children(
+                    d,
+                    us(2200),
+                    vec![CallNode::leaf(last, us(1000)), CallNode::leaf(e, us(5000))],
+                ),
+            ],
+        )
+    }
+
+    /// A request fails (queue overflow) with a join, a sibling call and —
+    /// once that call is served as wasted work — a pod completion still
+    /// addressed to it; the next request takes over its slab slot with
+    /// the same tree shape before any of them lands. The late events
+    /// must find the request gone: the join credited to the new tenant
+    /// would underflow its counters (a debug-build panic), and the
+    /// wasted completion would stand in for the tenant's own call to
+    /// `e`, still queued behind it, and finish the tenant 4.2 ms early.
+    #[test]
+    fn late_events_for_a_failed_request_miss_the_slot_s_next_tenant() {
+        let mut t = Topology::new("stale");
+        let svc = ["root", "a", "c", "d", "e"].map(|n| t.add_service(ServiceSpec::new(n, 1)));
+        let healthy = t.add_service(ServiceSpec::new("healthy", 1));
+        let mut full = ServiceSpec::new("full", 1);
+        full.queue_capacity = 0; // every call overflows
+        let full = t.add_service(full);
+        let doomed = t.add_api(ApiSpec::single("doomed", tree(&svc, full)));
+        let ok = t.add_api(ApiSpec::single("ok", tree(&svc, healthy)));
+        let arrive = |at_us, api| Arrival {
+            at: SimTime::ZERO + us(at_us),
+            api,
+            user: None,
+        };
+        // `doomed` fails at 4.7 ms; `ok` is admitted at 4.8 ms, ahead of
+        // the join (5.0 ms) and the wasted completion (9.7 ms, by when
+        // `ok` has fanned out below `d` and waits for `e`'s pod).
+        let w = Script(vec![arrive(0, doomed), arrive(4800, ok)]);
+        let mut e = Engine::new(
+            t,
+            EngineConfig {
+                service_jitter: 0.0,
+                ..EngineConfig::default()
+            },
+            Box::new(w),
+        );
+        e.run_until(SimTime::ZERO + us(4750));
+        assert_eq!(
+            e.api_totals(doomed).failed,
+            1,
+            "overflow failed the request"
+        );
+        assert_eq!(e.requests.len(), 0);
+        e.run_until(SimTime::ZERO + us(4900));
+        assert_eq!(e.requests.len(), 1, "the second request is live");
+        assert_eq!(e.requests.slots(), 1, "…in the slot the first one left");
+        e.run_until(SimTime::from_secs(1));
+        let tot = e.api_totals(ok);
+        assert_eq!(
+            (tot.good, tot.failed),
+            (1, 0),
+            "the tenant completes untouched"
+        );
+        assert_eq!(e.requests.len(), 0);
+        let obs = e.latest_observation().expect("one window closed");
+        // Exactly its own critical path: `e` reached at 9.5 ms, its pod
+        // free at 9.7 ms, 5 ms of work, two joins of one hop each.
+        let p50 = obs.apis[ok.idx()].p50.expect("one sample").as_millis_f64();
+        assert!((10.6..11.2).contains(&p50), "latency 10.9 ms, got {p50}");
+        // The call to `e` that outlived its request was still served —
+        // wasted work — next to the tenant's own.
+        assert_eq!(obs.services[svc[4].idx()].started_calls, 2);
+        assert_eq!(obs.services[healthy.idx()].started_calls, 1);
+    }
+
+    /// An overloaded closed loop with client-timeout teardown whose
+    /// population then drops to zero: once only the two periodic ticks
+    /// remain queued, no request and no user→request entry is left
+    /// behind, and the slab never grew past the peak concurrency.
+    #[test]
+    fn a_drained_run_leaves_the_request_table_empty() {
+        let mut t = Topology::new("drain");
+        let s = t.add_service(ServiceSpec::new("s", 1));
+        let api = t.add_api(ApiSpec::single("x", CallNode::leaf(s, us(20_000))));
+        let users = RateSchedule::steps(vec![(SimTime::ZERO, 80.0), (SimTime::from_secs(5), 0.0)]);
+        let w = ClosedLoopWorkload::new(vec![(api, 1.0)], users, SimDuration::from_millis(100))
+            .timeout(Some(SimDuration::from_secs(1)));
+        let mut e = Engine::new(t, EngineConfig::default(), Box::new(w));
+        e.set_resilience(ResilienceConfig {
+            deadlines: Some(DeadlineConfig::default()),
+            breakers: None,
+        });
+        e.run_until(SimTime::from_secs(4));
+        assert!(e.requests.len() > 0, "overloaded: requests in flight");
+        assert!(e.user_reqs.iter().any(|live| !live.is_empty()));
+        e.run_until(SimTime::from_secs(20));
+        assert_eq!(e.queue.len(), 2, "only the metrics and workload ticks");
+        assert_eq!(e.requests.len(), 0);
+        assert!(e.user_reqs.iter().all(Vec::is_empty));
+        let tot = e.api_totals(ApiId(0));
+        assert_eq!(tot.good + tot.slo_violated + tot.failed, tot.admitted);
+        assert!(e.resilience_totals().client_cancelled > 0);
+        assert!(
+            e.requests.slots() <= 80 && tot.admitted > 160,
+            "{} slots served {} requests",
+            e.requests.slots(),
+            tot.admitted
+        );
+    }
+}

@@ -60,7 +60,7 @@ pub use resilience::{
     RetryBudget, RetryBudgetConfig,
 };
 pub use sharded::{ShardFault, ShardSlicer};
-pub use topology::{ApiSpec, CallNode, ServiceSpec, Topology};
+pub use topology::{ApiSpec, CallNode, CallTemplate, ServiceSpec, Topology};
 pub use types::{ApiId, BusinessPriority, RequestMeta, ServiceId};
 pub use workload::{
     ClosedLoopWorkload, OpenLoopWorkload, RateSchedule, ResponseKind, RetryStormWorkload, Workload,

@@ -67,6 +67,88 @@ impl CallNode {
     }
 }
 
+/// One call of a [`CallTemplate`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TemplateNode {
+    pub service: ServiceId,
+    /// CPU time this call consumes on one pod of `service` (before jitter).
+    pub cost: SimDuration,
+    /// Index of the calling node; `None` at the root.
+    pub parent: Option<u32>,
+    /// This node's range in the template's child-index array.
+    children: (u32, u32),
+}
+
+/// A [`CallNode`] tree flattened once into an index-addressed table:
+/// nodes in visit order (parents before children, the root at 0), each
+/// with its parent and a contiguous slice of child indices in call
+/// order. A topology is immutable while an engine runs it, so every
+/// request on the same path shares one template and keeps only its own
+/// per-node join counters.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CallTemplate {
+    nodes: Vec<TemplateNode>,
+    /// Child indices of every node, grouped per parent.
+    child_idx: Vec<u32>,
+}
+
+impl CallTemplate {
+    /// Flatten the tree under `root`.
+    pub fn new(root: &CallNode) -> Self {
+        fn walk(n: &CallNode, parent: Option<u32>, t: &mut CallTemplate) -> u32 {
+            let idx = t.nodes.len() as u32;
+            t.nodes.push(TemplateNode {
+                service: n.service,
+                cost: n.cost,
+                parent,
+                children: (0, 0),
+            });
+            let kids: Vec<u32> = n.children.iter().map(|c| walk(c, Some(idx), t)).collect();
+            let start = t.child_idx.len() as u32;
+            t.child_idx.extend(kids);
+            t.nodes[idx as usize].children = (start, t.child_idx.len() as u32);
+            idx
+        }
+        let mut t = CallTemplate {
+            nodes: Vec::with_capacity(root.len()),
+            child_idx: Vec::new(),
+        };
+        walk(root, None, &mut t);
+        t
+    }
+
+    /// Number of calls in the tree.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Always false: a call tree has at least its root.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The call at index `i`.
+    #[inline]
+    pub fn node(&self, i: u32) -> &TemplateNode {
+        &self.nodes[i as usize]
+    }
+
+    /// Indices of the calls node `i` fans out to, in call order.
+    #[inline]
+    pub fn children(&self, i: u32) -> &[u32] {
+        let (start, end) = self.nodes[i as usize].children;
+        &self.child_idx[start as usize..end as usize]
+    }
+
+    /// Service of the node that calls node `i` (`None` at the root).
+    #[inline]
+    pub fn caller(&self, i: u32) -> Option<ServiceId> {
+        self.nodes[i as usize]
+            .parent
+            .map(|p| self.nodes[p as usize].service)
+    }
+}
+
 /// A service (microservice) definition.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSpec {

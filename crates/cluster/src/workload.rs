@@ -61,22 +61,24 @@ impl ResponseKind {
 /// [`Workload::tick_interval`]; ticks may emit arrivals (open loop
 /// generates a whole interval's worth; closed loop adjusts its user
 /// population). Responses and client timeouts call
-/// [`Workload::on_response`], which may emit follow-up arrivals.
+/// [`Workload::on_response`], which may emit the user's next request.
 pub trait Workload: Send {
-    /// Periodic driver; returns arrivals with `at` in
-    /// `[now, now + tick_interval)`.
-    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng) -> Vec<Arrival>;
+    /// Periodic driver; appends arrivals with `at` in
+    /// `[now, now + tick_interval)` to `out` (a caller-owned buffer, so
+    /// a tick allocates nothing once it has grown).
+    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng, out: &mut Vec<Arrival>);
 
     /// A response (or client timeout) for `user`'s request generation
-    /// arrived at `now`; returns any follow-up arrivals. `kind` lets
-    /// retry-aware clients distinguish failures from successes.
+    /// arrived at `now`; returns the user's follow-up arrival, if any —
+    /// a closed-loop user has at most one request outstanding. `kind`
+    /// lets retry-aware clients distinguish failures from successes.
     fn on_response(
         &mut self,
         user: UserRef,
         kind: ResponseKind,
         now: SimTime,
         rng: &mut SmallRng,
-    ) -> Vec<Arrival>;
+    ) -> Option<Arrival>;
 
     /// How often `on_tick` should run.
     fn tick_interval(&self) -> SimDuration {
@@ -190,8 +192,7 @@ impl OpenLoopWorkload {
 }
 
 impl Workload for OpenLoopWorkload {
-    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng) -> Vec<Arrival> {
-        let mut out = Vec::new();
+    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng, out: &mut Vec<Arrival>) {
         let horizon = now + self.tick;
         for (api, sched) in &self.schedules {
             let rate = sched.at(now);
@@ -212,7 +213,6 @@ impl Workload for OpenLoopWorkload {
                 });
             }
         }
-        out
     }
 
     fn on_response(
@@ -221,8 +221,8 @@ impl Workload for OpenLoopWorkload {
         _kind: ResponseKind,
         _now: SimTime,
         _rng: &mut SmallRng,
-    ) -> Vec<Arrival> {
-        Vec::new()
+    ) -> Option<Arrival> {
+        None
     }
 
     fn tick_interval(&self) -> SimDuration {
@@ -233,7 +233,6 @@ impl Workload for OpenLoopWorkload {
 /// State of one closed-loop user.
 #[derive(Clone, Debug)]
 struct UserState {
-    active: bool,
     gen: u64,
     /// True while waiting for a response/timeout.
     waiting: bool,
@@ -254,7 +253,11 @@ pub struct ClosedLoopWorkload {
     think: SimDuration,
     timeout: Option<SimDuration>,
     users_schedule: RateSchedule,
+    /// Every user ever created. Growth activates the lowest parked id
+    /// and shrinking parks the highest active one, so the active users
+    /// are always exactly the ids below `active`.
     users: Vec<UserState>,
+    active: usize,
 }
 
 impl ClosedLoopWorkload {
@@ -279,6 +282,7 @@ impl ClosedLoopWorkload {
             timeout: Some(SimDuration::from_secs(10)),
             users_schedule,
             users: Vec::new(),
+            active: 0,
         }
     }
 
@@ -295,7 +299,7 @@ impl ClosedLoopWorkload {
 
     /// Number of currently active users.
     pub fn active_users(&self) -> usize {
-        self.users.iter().filter(|u| u.active).count()
+        self.active
     }
 
     fn pick_api(&self, rng: &mut SmallRng) -> ApiId {
@@ -324,44 +328,28 @@ impl ClosedLoopWorkload {
 }
 
 impl Workload for ClosedLoopWorkload {
-    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng) -> Vec<Arrival> {
+    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng, out: &mut Vec<Arrival>) {
         let target = self.users_schedule.at(now).max(0.0) as usize;
-        let mut out = Vec::new();
         // Grow: activate new users, staggering their first request across
         // the tick so arrival bursts don't synchronize.
-        while self.users.iter().filter(|u| u.active).count() < target {
-            // Reactivate a parked user if any, else create one.
-            let id = match self.users.iter().position(|u| !u.active) {
-                Some(i) => i as u32,
-                None => {
-                    self.users.push(UserState {
-                        active: false,
-                        gen: 0,
-                        waiting: false,
-                        issued_at: SimTime::ZERO,
-                    });
-                    (self.users.len() - 1) as u32
-                }
-            };
-            self.users[id as usize].active = true;
+        while self.active < target {
+            // Reactivate the lowest parked user if any, else create one.
+            let id = self.active;
+            if id == self.users.len() {
+                self.users.push(UserState {
+                    gen: 0,
+                    waiting: false,
+                    issued_at: SimTime::ZERO,
+                });
+            }
+            self.active += 1;
             let jitter =
                 SimDuration::from_secs_f64(rng.gen::<f64>() * self.tick_interval().as_secs_f64());
-            out.push(self.issue(id, now + jitter, rng));
+            out.push(self.issue(id as u32, now + jitter, rng));
         }
-        // Shrink: park surplus users; in-flight requests are ignored on
-        // completion because the user is inactive.
-        let mut active: Vec<usize> = self
-            .users
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.active)
-            .map(|(i, _)| i)
-            .collect();
-        while active.len() > target {
-            let i = active.pop().expect("non-empty");
-            self.users[i].active = false;
-        }
-        out
+        // Shrink: park surplus users, highest id first; in-flight
+        // requests are ignored on completion because the user is parked.
+        self.active = self.active.min(target);
     }
 
     fn on_response(
@@ -370,17 +358,15 @@ impl Workload for ClosedLoopWorkload {
         _kind: ResponseKind,
         now: SimTime,
         rng: &mut SmallRng,
-    ) -> Vec<Arrival> {
-        let Some(u) = self.users.get(user.id as usize) else {
-            return Vec::new();
-        };
+    ) -> Option<Arrival> {
+        let u = self.users.get(user.id as usize)?;
         // Stale generation (already timed out) or parked user: ignore.
-        if !u.active || u.gen != user.gen || !u.waiting {
-            return Vec::new();
+        if user.id as usize >= self.active || u.gen != user.gen || !u.waiting {
+            return None;
         }
         let pace_at = (u.issued_at + self.think).max(now);
         self.users[user.id as usize].waiting = false;
-        vec![self.issue(user.id, pace_at, rng)]
+        Some(self.issue(user.id, pace_at, rng))
     }
 
     fn client_timeout(&self) -> Option<SimDuration> {
@@ -395,6 +381,13 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(42)
+    }
+
+    /// One workload tick, as the arrivals it emitted.
+    pub(super) fn tick(w: &mut impl Workload, now: SimTime, rng: &mut SmallRng) -> Vec<Arrival> {
+        let mut out = Vec::new();
+        w.on_tick(now, rng, &mut out);
+        out
     }
 
     #[test]
@@ -439,7 +432,7 @@ mod tests {
         let mut r = rng();
         let mut count = 0usize;
         for s in 0..50u64 {
-            let arrivals = w.on_tick(SimTime::from_secs(s), &mut r);
+            let arrivals = tick(&mut w, SimTime::from_secs(s), &mut r);
             for a in &arrivals {
                 assert!(a.at >= SimTime::from_secs(s));
                 assert!(a.at < SimTime::from_secs(s + 1));
@@ -457,24 +450,24 @@ mod tests {
     #[test]
     fn open_loop_zero_rate_emits_nothing() {
         let mut w = OpenLoopWorkload::constant(vec![(ApiId(0), 0.0)]);
-        assert!(w.on_tick(SimTime::ZERO, &mut rng()).is_empty());
+        assert!(tick(&mut w, SimTime::ZERO, &mut rng()).is_empty());
     }
 
     #[test]
     fn closed_loop_spawns_to_target() {
         let mut w = ClosedLoopWorkload::fixed(vec![(ApiId(0), 1.0)], 10, SimDuration::from_secs(1));
-        let arrivals = w.on_tick(SimTime::ZERO, &mut rng());
+        let arrivals = tick(&mut w, SimTime::ZERO, &mut rng());
         assert_eq!(arrivals.len(), 10);
         assert_eq!(w.active_users(), 10);
         // Second tick: everyone is in flight, no new arrivals.
-        assert!(w.on_tick(SimTime::from_secs(1), &mut rng()).is_empty());
+        assert!(tick(&mut w, SimTime::from_secs(1), &mut rng()).is_empty());
     }
 
     #[test]
     fn closed_loop_user_paces_to_think_time() {
         let mut w = ClosedLoopWorkload::fixed(vec![(ApiId(0), 1.0)], 1, SimDuration::from_secs(1));
         let mut r = rng();
-        let first = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let first = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let user = first.user.unwrap();
         // Fast response (100 ms): next request waits until think time.
         let next = w.on_response(
@@ -483,20 +476,20 @@ mod tests {
             first.at + SimDuration::from_millis(100),
             &mut r,
         );
-        assert_eq!(next.len(), 1);
-        assert_eq!(next[0].at, first.at + SimDuration::from_secs(1));
+        let next = next.expect("the user reissues");
+        assert_eq!(next.at, first.at + SimDuration::from_secs(1));
         // Slow response (3 s): next request issues immediately.
-        let user2 = next[0].user.unwrap();
-        let slow_done = next[0].at + SimDuration::from_secs(3);
+        let user2 = next.user.unwrap();
+        let slow_done = next.at + SimDuration::from_secs(3);
         let next2 = w.on_response(user2, ResponseKind::Late, slow_done, &mut r);
-        assert_eq!(next2[0].at, slow_done);
+        assert_eq!(next2.expect("the user reissues").at, slow_done);
     }
 
     #[test]
     fn closed_loop_ignores_stale_generation() {
         let mut w = ClosedLoopWorkload::fixed(vec![(ApiId(0), 1.0)], 1, SimDuration::from_secs(1));
         let mut r = rng();
-        let first = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let first = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let user = first.user.unwrap();
         let next = w.on_response(
             user,
@@ -504,11 +497,11 @@ mod tests {
             first.at + SimDuration::from_millis(10),
             &mut r,
         );
-        assert_eq!(next.len(), 1);
+        assert!(next.is_some());
         // The old generation responds again (e.g. timeout raced response).
         assert!(w
             .on_response(user, ResponseKind::Timeout, SimTime::from_secs(9), &mut r)
-            .is_empty());
+            .is_none());
     }
 
     #[test]
@@ -517,10 +510,36 @@ mod tests {
         let mut w =
             ClosedLoopWorkload::new(vec![(ApiId(0), 1.0)], sched, SimDuration::from_secs(1));
         let mut r = rng();
-        w.on_tick(SimTime::ZERO, &mut r);
+        tick(&mut w, SimTime::ZERO, &mut r);
         assert_eq!(w.active_users(), 5);
-        w.on_tick(SimTime::from_secs(10), &mut r);
+        tick(&mut w, SimTime::from_secs(10), &mut r);
         assert_eq!(w.active_users(), 2);
+    }
+
+    #[test]
+    fn closed_loop_regrows_from_the_lowest_parked_user() {
+        let at = SimTime::from_secs;
+        let sched = RateSchedule::steps(vec![(at(0), 4.0), (at(10), 2.0), (at(20), 3.0)]);
+        let mut w =
+            ClosedLoopWorkload::new(vec![(ApiId(0), 1.0)], sched, SimDuration::from_secs(1));
+        let mut r = rng();
+        let first = tick(&mut w, at(0), &mut r);
+        let ids: Vec<u32> = first.iter().map(|a| a.user.unwrap().id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3], "users are created in id order");
+        // Shrinking parks the highest ids: their responses are ignored.
+        assert!(tick(&mut w, at(10), &mut r).is_empty());
+        for parked in &first[2..] {
+            let u = parked.user.unwrap();
+            assert!(w
+                .on_response(u, ResponseKind::Success, at(11), &mut r)
+                .is_none());
+        }
+        // Growing back by one re-activates user 2 — not 3, not a new
+        // user — on its next generation.
+        let regrown = tick(&mut w, at(20), &mut r);
+        let users: Vec<UserRef> = regrown.iter().map(|a| a.user.unwrap()).collect();
+        assert_eq!(users, vec![UserRef { id: 2, gen: 2 }]);
+        assert_eq!(w.active_users(), 3);
     }
 
     #[test]
@@ -530,7 +549,7 @@ mod tests {
             1000,
             SimDuration::from_secs(1),
         );
-        let arrivals = w.on_tick(SimTime::ZERO, &mut rng());
+        let arrivals = tick(&mut w, SimTime::ZERO, &mut rng());
         let a0 = arrivals.iter().filter(|a| a.api == ApiId(0)).count();
         assert!(
             (850..=950).contains(&a0),
@@ -614,15 +633,15 @@ impl RetryStormWorkload {
 }
 
 impl Workload for RetryStormWorkload {
-    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng) -> Vec<Arrival> {
-        let arrivals = self.inner.on_tick(now, rng);
-        for a in &arrivals {
+    fn on_tick(&mut self, now: SimTime, rng: &mut SmallRng, out: &mut Vec<Arrival>) {
+        let first_new = out.len();
+        self.inner.on_tick(now, rng, out);
+        for a in &out[first_new..] {
             if let Some(u) = a.user {
                 self.ensure_budget(u.id);
                 self.budget[u.id as usize] = self.max_retries;
             }
         }
-        arrivals
     }
 
     fn on_response(
@@ -631,15 +650,12 @@ impl Workload for RetryStormWorkload {
         kind: ResponseKind,
         now: SimTime,
         rng: &mut SmallRng,
-    ) -> Vec<Arrival> {
+    ) -> Option<Arrival> {
         self.ensure_budget(user.id);
-        let mut follow = self.inner.on_response(user, kind, now, rng);
-        if follow.is_empty() {
-            // Stale generation or parked user: nothing was reissued, so
-            // no retry is charged (a late response racing the client
-            // timeout must not burn budget).
-            return follow;
-        }
+        // `None` is a stale generation or parked user: nothing was
+        // reissued, so no retry is charged (a late response racing the
+        // client timeout must not burn budget).
+        let mut follow = self.inner.on_response(user, kind, now, rng)?;
         if kind == ResponseKind::Success {
             if let Some(b) = self.adaptive.as_mut() {
                 b.on_success();
@@ -655,17 +671,15 @@ impl Workload for RetryStormWorkload {
                 self.retries_issued += 1;
                 // Reissue almost immediately: the inner workload's pacing
                 // is bypassed by shifting the issue time to `now + backoff`.
-                for a in follow.iter_mut() {
-                    a.at = now + self.retry_backoff;
-                }
-                return follow;
+                follow.at = now + self.retry_backoff;
+                return Some(follow);
             }
             self.retries_suppressed += 1;
         }
         // Success, per-op budget exhausted, or retry suppressed by the
         // adaptive budget: normal pacing, fresh per-op budget.
         self.budget[user.id as usize] = self.max_retries;
-        follow
+        Some(follow)
     }
 
     fn tick_interval(&self) -> SimDuration {
@@ -683,6 +697,7 @@ impl Workload for RetryStormWorkload {
 
 #[cfg(test)]
 mod retry_tests {
+    use super::tests::tick;
     use super::*;
     use rand::SeedableRng;
 
@@ -700,13 +715,12 @@ mod retry_tests {
             SimDuration::from_millis(10),
         );
         let mut r = rng();
-        let first = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let first = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let user = first.user.expect("closed loop");
         let fail_at = first.at + SimDuration::from_millis(5);
         let retry = w.on_response(user, ResponseKind::Failed, fail_at, &mut r);
-        assert_eq!(retry.len(), 1);
         assert_eq!(
-            retry[0].at,
+            retry.expect("the user retries").at,
             fail_at + SimDuration::from_millis(10),
             "retry fires after the short backoff, not the think time"
         );
@@ -723,17 +737,18 @@ mod retry_tests {
             SimDuration::from_millis(1),
         );
         let mut r = rng();
-        let mut arrival = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let mut arrival = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let mut t = arrival.at;
         let mut pattern = Vec::new();
         for _ in 0..6 {
             t += SimDuration::from_millis(5);
             let user = arrival.user.expect("closed loop");
-            let follow = w.on_response(user, ResponseKind::Failed, t, &mut r);
-            assert_eq!(follow.len(), 1, "user always reissues eventually");
-            let fast = follow[0].at.duration_since(t) < SimDuration::from_millis(100);
+            let follow = w
+                .on_response(user, ResponseKind::Failed, t, &mut r)
+                .expect("user always reissues eventually");
+            let fast = follow.at.duration_since(t) < SimDuration::from_millis(100);
             pattern.push(fast);
-            arrival = follow[0];
+            arrival = follow;
         }
         // Two fast retries, then the operation gives up and paces; the
         // next operation gets a fresh budget — the cycle repeats.
@@ -751,13 +766,17 @@ mod retry_tests {
             SimDuration::from_millis(1),
         );
         let mut r = rng();
-        let a0 = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let a0 = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let t1 = a0.at + SimDuration::from_millis(5);
-        let a1 = w.on_response(a0.user.expect("user"), ResponseKind::Failed, t1, &mut r)[0];
+        let a1 = w
+            .on_response(a0.user.expect("user"), ResponseKind::Failed, t1, &mut r)
+            .expect("retry");
         assert_eq!(w.retries_issued(), 1);
         // Success → pacing resumes and budget refills.
         let t2 = a1.at + SimDuration::from_millis(5);
-        let a2 = w.on_response(a1.user.expect("user"), ResponseKind::Success, t2, &mut r)[0];
+        let a2 = w
+            .on_response(a1.user.expect("user"), ResponseKind::Success, t2, &mut r)
+            .expect("next request");
         let t3 = a2.at + SimDuration::from_millis(5);
         let _ = w.on_response(a2.user.expect("user"), ResponseKind::Failed, t3, &mut r);
         assert_eq!(w.retries_issued(), 2, "budget was refilled by the success");
@@ -778,14 +797,14 @@ mod retry_tests {
             retry_cost: 1.0,
         });
         let mut r = rng();
-        let mut arrival = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let mut arrival = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let mut t = arrival.at;
         for _ in 0..5 {
             t += SimDuration::from_millis(5);
             let user = arrival.user.expect("closed loop");
-            let follow = w.on_response(user, ResponseKind::Failed, t, &mut r);
-            assert_eq!(follow.len(), 1, "suppression still paces, never parks");
-            arrival = follow[0];
+            arrival = w
+                .on_response(user, ResponseKind::Failed, t, &mut r)
+                .expect("suppression still paces, never parks");
         }
         // The shared bucket held 2 tokens and nothing refilled it: only
         // 2 of the 5 failures became retries.
@@ -809,11 +828,12 @@ mod retry_tests {
             retry_cost: 1.0,
         });
         let mut r = rng();
-        let mut arrival = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let mut arrival = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let mut t = arrival.at;
         let mut respond = |w: &mut RetryStormWorkload, a: Arrival, kind| {
             t += SimDuration::from_millis(5);
-            w.on_response(a.user.expect("user"), kind, t, &mut r)[0]
+            w.on_response(a.user.expect("user"), kind, t, &mut r)
+                .expect("the user reissues")
         };
         // Drain the single token, then get suppressed.
         arrival = respond(&mut w, arrival, ResponseKind::Failed);
@@ -836,19 +856,19 @@ mod retry_tests {
             SimDuration::from_millis(1),
         );
         let mut r = rng();
-        let first = w.on_tick(SimTime::ZERO, &mut r)[0];
+        let first = tick(&mut w, SimTime::ZERO, &mut r)[0];
         let user = first.user.expect("closed loop");
         // The client timeout fires: the user reissues (new generation).
         let t1 = first.at + SimDuration::from_secs(10);
         let follow = w.on_response(user, ResponseKind::Timeout, t1, &mut r);
-        assert_eq!(follow.len(), 1);
+        assert!(follow.is_some());
         let issued = w.retries_issued();
         // The abandoned request's late Failed response arrives afterwards
         // with the stale generation: ignored, and no retry charged.
         let t2 = t1 + SimDuration::from_millis(5);
         assert!(w
             .on_response(user, ResponseKind::Failed, t2, &mut r)
-            .is_empty());
+            .is_none());
         assert_eq!(
             w.retries_issued(),
             issued,

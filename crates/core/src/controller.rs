@@ -6,7 +6,7 @@
 //! 2. **Cluster** the involved APIs into independent sub-problems
 //!    (Equation 2); re-clustering is implicit because clustering runs
 //!    from scratch on the current overloaded set.
-//! 3. **Per cluster, in parallel**: pick the target microservice — "we
+//! 3. **Per cluster, independently**: pick the target microservice — "we
 //!    iteratively choose the overloaded microservice utilized by the
 //!    fewest APIs" — gather its candidate APIs, form the RL state
 //!    (Σgoodput/Σlimit, max tail latency), and get a multiplicative step
@@ -215,9 +215,9 @@ pub struct TopFull {
     headroom_ticks: Vec<u32>,
     /// Last interval's decisions, for inspection.
     pub last_decisions: Vec<ClusterDecision>,
-    /// Decision journal (attached by the harness). All writes happen on
-    /// the control thread, so journaling never perturbs the parallel
-    /// decision batch or the determinism contract.
+    /// Decision journal (attached by the harness). All writes happen
+    /// after the decision batch, in cluster order, so journaling never
+    /// perturbs the decisions or the determinism contract.
     journal: Option<Arc<obs::Journal>>,
     /// Previous detector set, to journal enter/clear transitions only.
     prev_overloaded: Vec<ServiceId>,
@@ -591,9 +591,10 @@ impl Controller for TopFull {
 
         self.journal_clusters(obs, &clusters);
 
-        // Per-cluster target selection + decision; decisions run in
-        // parallel (the point of clustering, §4.2), results merged in
-        // cluster order for determinism.
+        // Per-cluster target selection + decision. The sub-problems are
+        // independent (the point of clustering, §4.2) — no decision
+        // reads another's result — and each is a few microseconds of
+        // policy forward pass, so they run inline, in cluster order.
         //
         // Within a cluster, overloaded services are processed in
         // fewest-API-first order (§4.1's target priority). Each target
@@ -643,29 +644,9 @@ impl Controller for TopFull {
         let controller = Arc::clone(&self.cfg.rate_controller);
         // Strike counter before the decision batch; re-read after all
         // decisions (cluster + recovery) so strike transitions are
-        // journaled here, on the control thread, regardless of which
-        // parallel worker actually triggered them.
+        // journaled once per tick, whichever decision triggered them.
         let strikes_before = controller.fallback_state().map_or(0, |(s, _, _)| s);
-        let actions: Vec<f64> = if states.len() > 1 {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = states
-                    .iter()
-                    .map(|s| {
-                        let c = &controller;
-                        scope.spawn(move |_| c.decide(*s))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // A panicked decision worker yields a no-op step, not
-                    // a poisoned control loop.
-                    .map(|h| h.join().unwrap_or(0.0))
-                    .collect()
-            })
-            .unwrap_or_else(|_| vec![0.0; states.len()])
-        } else {
-            states.iter().map(|s| controller.decide(*s)).collect()
-        };
+        let actions: Vec<f64> = states.iter().map(|s| controller.decide(*s)).collect();
 
         // Collapse backoff: the rate controller owns the step's
         // *direction*, but when the candidate set's admission has fully

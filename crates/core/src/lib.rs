@@ -3,8 +3,8 @@
 //! The paper's contribution: an entry-point overload controller for
 //! microservices that maximizes SLO-goodput by (1) adaptive API-wise load
 //! control aware of each API's full execution path, (2) clustering APIs
-//! that share overloaded microservices into independent sub-problems
-//! controlled in parallel, and (3) an RL-based rate controller that sizes
+//! that share overloaded microservices into independent sub-problems,
+//! each decided on its own, and (3) an RL-based rate controller that sizes
 //! multiplicative rate steps from end-to-end metrics.
 //!
 //! * [`detector`] — overload detection from per-service utilization.

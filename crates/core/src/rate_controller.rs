@@ -27,8 +27,9 @@ pub struct RateState {
     pub total_limit: f64,
 }
 
-/// A step-size policy. Must be `Send + Sync`: clusters are controlled in
-/// parallel.
+/// A step-size policy. Must be `Send + Sync`: one `Arc`'d policy is
+/// shared by every controller built from a `TopFullConfig` clone, and
+/// those run on the run executor's worker threads.
 pub trait RateController: Send + Sync {
     /// Multiplicative step in `[-0.5, 0.5]` applied per Algorithm 1.
     fn decide(&self, s: RateState) -> f64;
