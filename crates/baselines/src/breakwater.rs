@@ -176,7 +176,6 @@ mod tests {
             api_paths: vec![],
             slo: SimDuration::from_secs(1),
             resilience: Default::default(),
-            slo_burn: Vec::new(),
         }
     }
 

@@ -10,11 +10,13 @@
 
 use crate::report::{f1, Report};
 use apps::OnlineBoutique;
-use cluster::{Engine, EngineConfig, Harness, OpenLoopWorkload, RateSchedule, Topology};
+use cluster::{
+    ControlLoop, Engine, EngineConfig, Harness, OpenLoopWorkload, RateSchedule, Topology,
+};
 use liveserve::{LiveConfig, LiveServer, LoadGen, OpenLoopArm, ShardedLive, ShardedLiveConfig};
 use simnet::SimTime;
 use std::time::Duration;
-use topfull::{ShardedConfig, ShardedHarness, TopFull, TopFullConfig};
+use topfull::{Sharded, ShardedConfig, TopFull, TopFullConfig};
 
 /// Simulated scenario length (virtual seconds).
 const SIM_SECS: u64 = 120;
@@ -49,6 +51,15 @@ struct Arm {
 }
 
 impl Arm {
+    /// getproduct's goodput out of a finished run on either plane.
+    fn of(label: String, horizon_secs: u64, r: &cluster::RunResult, api: usize) -> Arm {
+        Arm {
+            label,
+            horizon_secs: horizon_secs as f64,
+            goodput: r.goodput_series(cluster::ApiId(api as u32)),
+        }
+    }
+
     fn mean_goodput(&self, from: f64, to: f64) -> f64 {
         let xs: Vec<f64> = self
             .goodput
@@ -82,41 +93,35 @@ fn sim_workload(topo: &Topology, api: usize) -> Engine {
 fn sim_single(topo: &Topology, api: usize) -> Arm {
     let mut h = Harness::new(sim_workload(topo, api), controller());
     h.run_for_secs(SIM_SECS);
-    Arm {
-        label: "sim 1-gateway".into(),
-        horizon_secs: SIM_SECS as f64,
-        goodput: h.result().goodput_series(cluster::ApiId(api as u32)),
-    }
+    Arm::of("sim 1-gateway".into(), SIM_SECS, h.result(), api)
 }
 
 fn sim_sharded(topo: &Topology, api: usize) -> (Arm, Vec<obs::JournalEntry>, String) {
     let cfg = ShardedConfig::uniform(SHARDS);
-    let mut h =
-        ShardedHarness::new(sim_workload(topo, api), controller(), cfg).expect("valid config");
+    let plane = Sharded::sim(sim_workload(topo, api), cfg).expect("valid config");
+    let mut h = Harness::new(plane, controller());
     h.run_for_secs(SIM_SECS);
-    let plane = h.plane_stats();
+    let plane = h.engine.plane_stats();
     let detail = format!(
         "sim 3-shard plane: merges={} strike-outs={} redistributions={}",
         plane.merges, plane.strike_outs, plane.redistributions
     );
     let journal = h.journal().snapshot();
-    (
-        Arm {
-            label: format!("sim {SHARDS}-shard"),
-            horizon_secs: SIM_SECS as f64,
-            goodput: h.result().goodput_series(cluster::ApiId(api as u32)),
-        },
-        journal,
-        detail,
-    )
+    let arm = Arm::of(format!("sim {SHARDS}-shard"), SIM_SECS, h.result(), api);
+    (arm, journal, detail)
 }
 
-fn live_rate_steps() -> Vec<(f64, f64)> {
+/// The surge as one open-loop arm, compressed to the live horizon.
+fn live_arms(api: usize) -> Vec<OpenLoopArm> {
     let scale = LIVE_SECS as f64 / SIM_SECS as f64;
-    schedule(SIM_SECS)
-        .iter()
-        .map(|&(t, v)| (t * scale, v))
-        .collect()
+    vec![OpenLoopArm {
+        api,
+        rate_steps: schedule(SIM_SECS)
+            .iter()
+            .map(|&(t, v)| (t * scale, v))
+            .collect(),
+        key_space: 0,
+    }]
 }
 
 fn live_cfg() -> LiveConfig {
@@ -131,50 +136,37 @@ fn live_cfg() -> LiveConfig {
 fn live_single(topo: &Topology, api: usize) -> Result<Arm, String> {
     let mut server =
         LiveServer::start(topo, live_cfg()).map_err(|e| format!("live server: {e}"))?;
-    let arms = vec![OpenLoopArm {
-        api,
-        rate_steps: live_rate_steps(),
-        key_space: 0,
-    }];
-    let gen =
-        LoadGen::start(server.addr(), None, arms).map_err(|e| format!("load generator: {e}"))?;
-    let mut ctrl = controller();
-    let result = server.run(ctrl.as_mut(), Duration::from_secs(LIVE_SECS));
+    let gen = LoadGen::start(server.addr(), None, live_arms(api))
+        .map_err(|e| format!("load generator: {e}"))?;
+    let result = liveserve::run(
+        &mut ControlLoop::new(controller()),
+        &mut server,
+        live_cfg().control_interval,
+        Duration::from_secs(LIVE_SECS),
+    );
     gen.stop();
     server.shutdown();
-    Ok(Arm {
-        label: "live 1-gateway".into(),
-        horizon_secs: LIVE_SECS as f64,
-        goodput: result.goodput_series(api),
-    })
+    Ok(Arm::of("live 1-gateway".into(), LIVE_SECS, &result, api))
 }
 
 fn live_sharded(topo: &Topology, api: usize) -> Result<(Arm, String), String> {
     let cfg = ShardedLiveConfig::new(SHARDS, live_cfg());
-    let arms = vec![OpenLoopArm {
-        api,
-        rate_steps: live_rate_steps(),
-        key_space: 0,
-    }];
-    let mut fleet =
-        ShardedLive::start(topo, cfg, None, arms).map_err(|e| format!("sharded fleet: {e}"))?;
-    let mut ctrl = controller();
-    let result = fleet.run(ctrl.as_mut(), Duration::from_secs(LIVE_SECS));
-    let sharded = fleet.shutdown();
+    let mut fleet = ShardedLive::start(topo, cfg, None, live_arms(api))
+        .map_err(|e| format!("sharded fleet: {e}"))?;
+    let result = liveserve::run(
+        &mut ControlLoop::new(controller()),
+        &mut fleet,
+        live_cfg().control_interval,
+        Duration::from_secs(LIVE_SECS),
+    );
+    let plane = fleet.plane_stats();
+    fleet.into_set().shutdown();
     let detail = format!(
         "live 3-shard plane: merges={} strike-outs={} redistributions={}",
-        sharded.plane_stats.merges,
-        sharded.plane_stats.strike_outs,
-        sharded.plane_stats.redistributions
+        plane.merges, plane.strike_outs, plane.redistributions
     );
-    Ok((
-        Arm {
-            label: format!("live {SHARDS}-shard"),
-            horizon_secs: LIVE_SECS as f64,
-            goodput: result.goodput_series(api),
-        },
-        detail,
-    ))
+    let arm = Arm::of(format!("live {SHARDS}-shard"), LIVE_SECS, &result, api);
+    Ok((arm, detail))
 }
 
 pub fn run() {

@@ -74,6 +74,16 @@ struct Arm {
 }
 
 impl Arm {
+    /// getproduct's series out of a finished run on either plane.
+    fn of(label: &'static str, horizon_secs: u64, r: &cluster::RunResult, api: usize) -> Arm {
+        Arm {
+            label,
+            horizon_secs: horizon_secs as f64,
+            goodput: r.goodput_series(cluster::ApiId(api as u32)),
+            p99: r.series(|s| s.p99[api]),
+        }
+    }
+
     fn mean_goodput(&self, from: f64, to: f64) -> f64 {
         let xs: Vec<f64> = self
             .goodput
@@ -116,17 +126,7 @@ fn sim_arm(topo: Topology, api: usize) -> Arm {
     let (ctrl, _) = controller();
     let mut h = Harness::new(engine, ctrl);
     h.run_for_secs(SIM_SECS);
-    let r = h.result();
-    Arm {
-        label: "sim",
-        horizon_secs: SIM_SECS as f64,
-        goodput: r.goodput_series(cluster::ApiId(api as u32)),
-        p99: r
-            .samples
-            .iter()
-            .map(|s| (s.at.as_secs_f64(), s.p99[api]))
-            .collect(),
-    }
+    Arm::of("sim", SIM_SECS, h.result(), api)
 }
 
 fn live_arm(topo: &Topology, api: usize) -> Result<Arm, String> {
@@ -149,16 +149,16 @@ fn live_arm(topo: &Topology, api: usize) -> Result<Arm, String> {
     };
     let gen = LoadGen::start(server.addr(), None, vec![arm])
         .map_err(|e| format!("load generator: {e}"))?;
-    let (mut ctrl, _) = controller();
-    let result = server.run(ctrl.as_mut(), Duration::from_secs(LIVE_SECS));
+    let mut ctl = cluster::ControlLoop::new(controller().0);
+    let result = liveserve::run(
+        &mut ctl,
+        &mut server,
+        cfg.control_interval,
+        Duration::from_secs(LIVE_SECS),
+    );
     gen.stop();
     server.shutdown();
-    Ok(Arm {
-        label: "live",
-        horizon_secs: LIVE_SECS as f64,
-        goodput: result.goodput_series(api),
-        p99: result.p99_series(api),
-    })
+    Ok(Arm::of("live", LIVE_SECS, &result, api))
 }
 
 pub fn run() {

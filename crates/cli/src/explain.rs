@@ -4,7 +4,7 @@
 //! Accepts either a run artifact (`topfull-sim run -o run.json`, a
 //! `topfull live` outcome, or a bench report) — any JSON object with a
 //! top-level `"journal"` array — or a raw JSONL journal as written by
-//! [`obs::Journal::to_jsonl`]. The timeline names every overload
+//! [`obs::to_jsonl`]. The timeline names every overload
 //! detection instant, re-clustering, per-API rate action (with the
 //! state inputs that drove it), §4.1 increase block, headroom release,
 //! and MIMD-fallback strike, followed by a run summary.

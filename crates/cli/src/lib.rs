@@ -275,13 +275,12 @@ pub fn validate_scenario(sc: &Scenario) -> Result<CheckSummary, String> {
 pub fn run_scenario(sc: &Scenario) -> Result<ScenarioOutcome, String> {
     preflight(sc)?;
     let built = build_scenario(sc)?;
-    match &sc.sharding {
-        Some(spec) => {
-            let cfg = build::sharded_config(spec)?;
-            report::execute_sharded(sc, built, cfg)
-        }
-        None => Ok(report::execute(sc, built)),
-    }
+    let shards = sc
+        .sharding
+        .as_ref()
+        .map(build::sharded_config)
+        .transpose()?;
+    report::execute(sc, built, shards)
 }
 
 #[cfg(test)]

@@ -14,14 +14,11 @@
 //! no live equivalent and are rejected loudly.
 
 use crate::build::{build_topology, topfull_config};
-use crate::report::ScenarioOutcome;
-use crate::schema::{
-    ControllerSpec, LiveSpec, Scenario, ShardFaultJson, ShardingSpec, WorkloadSpec,
-};
-use cluster::{Controller, NoControl, ResilienceStats, Topology};
+use crate::report::{self, ScenarioOutcome};
+use crate::schema::{ControllerSpec, LiveSpec, Scenario, ShardingSpec, WorkloadSpec};
+use cluster::{ControlLoop, Controller, NoControl, ShardFault, Topology};
 use liveserve::{
-    ClosedLoopSpec, LiveConfig, LiveRunResult, LiveServer, LoadGen, OpenLoopArm, ShardedLive,
-    ShardedLiveConfig,
+    ClosedLoopSpec, LiveConfig, LiveServer, LoadGen, OpenLoopArm, ShardedLive, ShardedLiveConfig,
 };
 use std::time::Duration;
 use topfull::TopFull;
@@ -106,53 +103,10 @@ fn build_load(
     }
 }
 
-/// Summarize a live run into the simulator's outcome shape. Steady
-/// state starts where the simulator's would, compressed by the same
-/// factor as the workload schedule.
-fn live_outcome(
-    sc: &Scenario,
-    duration_secs: u64,
-    scale: f64,
-    result: &LiveRunResult,
-    journal: &obs::Journal,
-) -> ScenarioOutcome {
-    let from = sc.report.measure_from_secs as f64 * scale;
-    let mean_from =
-        |f: &dyn Fn(&cluster::ClusterObservation) -> f64| result.mean_over(from, f64::INFINITY, f);
-    let goodput_per_api = result
-        .api_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), mean_from(&|o| o.apis[i].goodput)))
-        .collect();
-    let offered_per_api = result
-        .api_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), mean_from(&|o| o.apis[i].offered)))
-        .collect();
-    ScenarioOutcome {
-        name: sc.name.clone(),
-        duration_secs,
-        total_goodput: mean_from(&|o| o.apis.iter().map(|a| a.goodput).sum()),
-        goodput_per_api,
-        offered_per_api,
-        crash_events: 0,
-        resilience: ResilienceStats::default(),
-        timeline: result.total_goodput_series(),
-        // Wall-clock latency percentiles live behind `/metrics`; the
-        // outcome's p99 series is a simulator-only field.
-        p99_timeline: Vec::new(),
-        journal: journal.snapshot(),
-        shard_plane: None,
-        shard_guards: None,
-        live_rejects: None,
-        traces: Vec::new(),
-    }
-}
-
 /// Run a scenario against the live plane for `duration_secs` of wall
-/// clock, returning the same outcome shape as the simulator.
+/// clock, returning the same outcome shape as the simulator. With a
+/// `sharding` block the plane is N real gateways under the one logical
+/// controller; either way the same [`ControlLoop`] drives it.
 pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, String> {
     if duration_secs == 0 {
         return Err("live duration must be at least 1 second".into());
@@ -161,9 +115,10 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
         return Err("scenario duration_secs must be positive".into());
     }
     let topo = build_topology(&sc.app)?;
-    let mut controller = build_live_controller(sc)?;
-    let journal = obs::Journal::shared();
-    controller.attach_journal(std::sync::Arc::clone(&journal));
+    let mut ctl = ControlLoop::new(build_live_controller(sc)?);
+    if let Some(slo) = &sc.slo {
+        ctl.set_slo_config(slo.to_config());
+    }
     let scale = duration_secs as f64 / sc.duration_secs as f64;
     let (mut closed, mut arms) = build_load(&topo, &sc.workload, scale)?;
     let live = sc.live.clone().unwrap_or_default();
@@ -185,82 +140,68 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
             a.key_space = key_spaces.get(a.api).copied().unwrap_or(0);
         }
     }
-    if let Some(spec) = &sc.sharding {
-        return run_live_sharded(
-            sc,
-            spec,
-            duration_secs,
-            scale,
-            &topo,
-            controller,
-            journal,
-            cfg,
-            closed,
-            arms,
-        );
-    }
-    let mut server =
-        LiveServer::start(&topo, cfg).map_err(|e| format!("cannot start live server: {e}"))?;
-    server.attach_journal(std::sync::Arc::clone(&journal));
-    if let Some(slo) = &sc.slo {
-        server.set_slo_config(slo.to_config());
-    }
-    let gen = LoadGen::start(server.addr(), closed, arms)
-        .map_err(|e| format!("cannot start load generator: {e}"))?;
-    let result = server.run(controller.as_mut(), Duration::from_secs(duration_secs));
-    let rejects = (gen.rejects().limit(), gen.rejects().shed());
-    gen.stop();
-    let traces = server.traces();
-    server.shutdown();
-    let mut out = live_outcome(sc, duration_secs, scale, &result, &journal);
-    out.live_rejects = Some(rejects);
-    out.traces = traces;
+    let (interval, duration) = (cfg.control_interval, Duration::from_secs(duration_secs));
+    let api_names: Vec<String> = topo.apis().map(|(_, a)| a.name.clone()).collect();
+    // Steady state starts where the simulator's would, compressed by the
+    // same factor as the workload schedule.
+    let steady = (sc.report.measure_from_secs as f64 * scale, f64::INFINITY);
+    let outcome = |result: &cluster::RunResult, ctl: &ControlLoop| {
+        report::outcome(sc, duration_secs, result, ctl.journal(), &api_names, steady)
+    };
+    let Some(spec) = &sc.sharding else {
+        let mut server =
+            LiveServer::start(&topo, cfg).map_err(|e| format!("cannot start live server: {e}"))?;
+        let gen = LoadGen::start(server.addr(), closed, arms)
+            .map_err(|e| format!("cannot start load generator: {e}"))?;
+        let result = liveserve::run(&mut ctl, &mut server, interval, duration);
+        let mut out = outcome(&result, &ctl);
+        out.live_rejects = Some((gen.rejects().limit(), gen.rejects().shed()));
+        gen.stop();
+        out.traces = server.traces();
+        server.shutdown();
+        return Ok(out);
+    };
+    let mut fleet = ShardedLive::start(&topo, sharded_live_config(spec, scale, cfg)?, closed, arms)
+        .map_err(|e| format!("cannot start sharded live fleet: {e}"))?;
+    fleet.attach_journal(std::sync::Arc::clone(ctl.journal()));
+    let result = liveserve::run(&mut ctl, &mut fleet, interval, duration);
+    let mut out = outcome(&result, &ctl);
+    out.shard_plane = Some(fleet.plane_stats());
+    out.shard_guards = Some(fleet.guard_stats());
+    out.traces = fleet.set().traces();
+    fleet.into_set().shutdown();
     Ok(out)
 }
 
-/// Translate the scenario's shard spec into a live fleet config. Fault
-/// times are scenario seconds, compressed by the same factor as the
-/// workload schedule.
+/// Translate the scenario's shard spec into a live fleet config — the
+/// simulator's validated shard config, with fault times (scenario
+/// seconds) compressed by the same factor as the workload schedule.
 fn sharded_live_config(
     spec: &ShardingSpec,
     scale: f64,
     base: LiveConfig,
 ) -> Result<ShardedLiveConfig, String> {
-    if spec.shards == 0 {
-        return Err("sharding.shards must be at least 1".into());
-    }
+    let sim = crate::build::sharded_config(spec)?;
     let mut cfg = ShardedLiveConfig::new(spec.shards, base);
-    cfg.plane = topfull::ShardPlaneConfig {
-        min_quantum: spec.min_quantum,
-        strike_out: spec.strike_out,
-        reentry_ticks: spec.reentry_ticks,
-        limit_ttl: spec.limit_ttl,
-        ..Default::default()
-    };
-    for f in &spec.faults {
+    cfg.plane = sim.plane;
+    let secs = |t: simnet::SimTime| t.as_secs_f64() * scale;
+    for f in sim.faults {
         match f {
-            ShardFaultJson::Kill { shard, at_secs } => {
-                if *shard >= spec.shards {
-                    return Err(format!(
-                        "shard fault targets shard {shard} but only {} exist",
-                        spec.shards
-                    ));
-                }
-                if cfg.kill.is_some() {
+            ShardFault::Kill { shard, at } => {
+                if cfg.kill.replace((shard, secs(at))).is_some() {
                     return Err("live mode supports at most one shard kill per run".into());
                 }
-                cfg.kill = Some((*shard, *at_secs as f64 * scale));
             }
-            ShardFaultJson::ControllerLoss {
-                from_secs,
-                until_secs,
-            } => {
-                if cfg.controller_loss.is_some() {
+            ShardFault::ControllerLoss { from, until } => {
+                if cfg
+                    .controller_loss
+                    .replace((secs(from), secs(until)))
+                    .is_some()
+                {
                     return Err("live mode supports one controller-loss window per run".into());
                 }
-                cfg.controller_loss = Some((*from_secs as f64 * scale, *until_secs as f64 * scale));
             }
-            ShardFaultJson::Dropout { shard, .. } => {
+            ShardFault::Dropout { shard, .. } => {
                 return Err(format!(
                     "the dropout fault (shard {shard}) models a telemetry partition and \
                      is simulator-only; live mode supports kill and controller_loss"
@@ -269,38 +210,6 @@ fn sharded_live_config(
         }
     }
     Ok(cfg)
-}
-
-/// Run the scenario against N real gateways under one logical
-/// controller (the live half of the sharded control plane).
-#[allow(clippy::too_many_arguments)]
-fn run_live_sharded(
-    sc: &Scenario,
-    spec: &ShardingSpec,
-    duration_secs: u64,
-    scale: f64,
-    topo: &Topology,
-    mut controller: Box<dyn Controller>,
-    journal: std::sync::Arc<obs::Journal>,
-    base: LiveConfig,
-    closed: Option<ClosedLoopSpec>,
-    arms: Vec<OpenLoopArm>,
-) -> Result<ScenarioOutcome, String> {
-    let cfg = sharded_live_config(spec, scale, base)?;
-    let mut fleet = ShardedLive::start(topo, cfg, closed, arms)
-        .map_err(|e| format!("cannot start sharded live fleet: {e}"))?;
-    fleet.attach_journal(std::sync::Arc::clone(&journal));
-    if let Some(slo) = &sc.slo {
-        fleet.set_slo_config(slo.to_config());
-    }
-    let result = fleet.run(controller.as_mut(), Duration::from_secs(duration_secs));
-    let traces = fleet.traces();
-    let sharded = fleet.shutdown();
-    let mut out = live_outcome(sc, duration_secs, scale, &result, &journal);
-    out.shard_plane = Some(sharded.plane_stats);
-    out.shard_guards = Some(sharded.guard_stats);
-    out.traces = traces;
-    Ok(out)
 }
 
 fn live_config(live: &LiveSpec, slo_ms: u64) -> LiveConfig {
@@ -321,6 +230,7 @@ fn live_config(live: &LiveSpec, slo_ms: u64) -> LiveConfig {
 mod tests {
     use super::*;
     use crate::parse_scenario;
+    use crate::schema::ShardFaultJson;
 
     fn tiny_live_scenario(workload: &str, controller: &str) -> Scenario {
         let json = format!(

@@ -2,7 +2,7 @@
 
 use crate::build::BuiltScenario;
 use crate::schema::Scenario;
-use cluster::{ApiId, Harness, ResilienceStats, WatchdogConfig};
+use cluster::{ApiId, Harness, ResilienceStats, SimPlane, WatchdogConfig};
 use serde::Serialize;
 
 /// The measured outcome of a scenario run.
@@ -21,9 +21,8 @@ pub struct ScenarioOutcome {
     pub resilience: ResilienceStats,
     /// `(t, total goodput)` timeline.
     pub timeline: Vec<(f64, f64)>,
-    /// `(t, worst per-API p99 seconds)` timeline (simulator runs only;
-    /// empty for live runs). The scenario fuzzer's sustained-breach
-    /// objective reads this.
+    /// `(t, worst per-API p99 seconds)` timeline. The scenario fuzzer's
+    /// sustained-breach objective reads this.
     pub p99_timeline: Vec<(f64, f64)>,
     /// Controller decision journal, in decision order. Feed to
     /// `topfull explain` to render the timeline.
@@ -41,97 +40,17 @@ pub struct ScenarioOutcome {
     pub traces: Vec<obs::TraceEvent>,
 }
 
-/// Per-API steady-state means out of a [`cluster::RunResult`].
-#[allow(clippy::type_complexity)]
-fn summarize(
-    r: &cluster::RunResult,
-    api_names: &[String],
-    from: f64,
-    to: f64,
-) -> (Vec<(String, f64)>, Vec<(String, f64)>, f64) {
-    let goodput_per_api: Vec<(String, f64)> = api_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), r.mean_goodput_api(ApiId(i as u32), from, to)))
-        .collect();
-    let offered_per_api: Vec<(String, f64)> = api_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| {
-            let xs: Vec<f64> = r
-                .samples
-                .iter()
-                .filter(|s| s.at.as_secs_f64() >= from)
-                .map(|s| s.offered[i])
-                .collect();
-            (n.clone(), simnet::stats::mean(&xs))
-        })
-        .collect();
-    (
-        goodput_per_api,
-        offered_per_api,
-        r.mean_total_goodput(from, to),
-    )
-}
-
-/// `(t, max-over-APIs p99)` series out of the harness samples.
-fn p99_series(r: &cluster::RunResult) -> Vec<(f64, f64)> {
-    r.samples
-        .iter()
-        .map(|s| {
-            let worst = s.p99.iter().copied().fold(0.0, f64::max);
-            (s.at.as_secs_f64(), worst)
-        })
-        .collect()
-}
-
-/// Run a built scenario to completion and collect the outcome.
-pub fn execute(sc: &Scenario, built: BuiltScenario) -> ScenarioOutcome {
-    let BuiltScenario {
-        engine,
-        controller,
-        api_names,
-        hardened,
-    } = built;
-    let mut h = if hardened {
-        Harness::with_watchdog(engine, controller, WatchdogConfig::default())
-    } else {
-        Harness::new(engine, controller)
-    };
-    if let Some(slo) = &sc.slo {
-        h.set_slo_config(slo.to_config());
-    }
-    h.run_for_secs(sc.duration_secs);
-    let from = sc.report.measure_from_secs as f64;
-    let to = sc.duration_secs as f64;
-    let r = h.result();
-    let (goodput_per_api, offered_per_api, total_goodput) = summarize(r, &api_names, from, to);
-    ScenarioOutcome {
-        name: sc.name.clone(),
-        duration_secs: sc.duration_secs,
-        total_goodput,
-        goodput_per_api,
-        offered_per_api,
-        crash_events: h.engine.crash_events,
-        resilience: h.engine.resilience_totals(),
-        timeline: r.total_goodput_series(),
-        p99_timeline: p99_series(r),
-        journal: h.journal().snapshot(),
-        shard_plane: None,
-        shard_guards: None,
-        live_rejects: None,
-        traces: Vec::new(),
-    }
-}
-
-/// Run a built scenario under the sharded control plane: the engine's
-/// controller-facing observation is sliced into N virtual gateway
-/// shards, one logical controller runs on the weighted merge, and the
-/// resulting limits are split back per shard (see `topfull::shard`).
-pub fn execute_sharded(
+/// Run a built scenario to completion and collect the outcome. With
+/// `shards`, the engine sits behind N virtual gateway shards: its
+/// controller-facing observation is sliced per shard, one logical
+/// controller runs on the weighted merge, and the resulting limits are
+/// split back per shard (see `topfull::shard`). `crate::preflight` has
+/// already refused sharding × hardened: the shard plane carries its own
+/// degradation ladder in place of the watchdog.
+pub(crate) fn execute(
     sc: &Scenario,
     built: BuiltScenario,
-    cfg: topfull::ShardedConfig,
+    shards: Option<topfull::ShardedConfig>,
 ) -> Result<ScenarioOutcome, String> {
     let BuiltScenario {
         engine,
@@ -139,39 +58,73 @@ pub fn execute_sharded(
         api_names,
         hardened,
     } = built;
-    if hardened {
-        return Err(
-            "sharding and hardened are mutually exclusive: the shard plane carries its \
-             own degradation ladder (limit TTL + local MIMD fallback) in place of the \
-             watchdog"
-                .into(),
-        );
-    }
-    let mut h = topfull::ShardedHarness::new(engine, controller, cfg)?;
+    let Some(cfg) = shards else {
+        let mut h = if hardened {
+            Harness::with_watchdog(engine, controller, WatchdogConfig::default())
+        } else {
+            Harness::new(engine, controller)
+        };
+        return Ok(run(sc, &mut h, &api_names));
+    };
+    let mut h = Harness::new(topfull::Sharded::sim(engine, cfg)?, controller);
+    let mut out = run(sc, &mut h, &api_names);
+    out.shard_plane = Some(h.engine.plane_stats());
+    out.shard_guards = Some(h.engine.guard_stats());
+    Ok(out)
+}
+
+/// Drive `h` for the scenario's duration and summarize its timeline.
+fn run<P: SimPlane>(sc: &Scenario, h: &mut Harness<P>, api_names: &[String]) -> ScenarioOutcome {
     if let Some(slo) = &sc.slo {
         h.set_slo_config(slo.to_config());
     }
     h.run_for_secs(sc.duration_secs);
     let from = sc.report.measure_from_secs as f64;
     let to = sc.duration_secs as f64;
-    let r = h.result();
-    let (goodput_per_api, offered_per_api, total_goodput) = summarize(r, &api_names, from, to);
-    Ok(ScenarioOutcome {
+    let mut out = outcome(
+        sc,
+        sc.duration_secs,
+        h.result(),
+        h.journal(),
+        api_names,
+        (from, to),
+    );
+    let engine = h.engine.engine();
+    out.crash_events = engine.crash_events;
+    out.resilience = engine.resilience_totals();
+    out
+}
+
+/// Summarize a finished run's timeline — simulated or live — with steady
+/// state taken over `[from, to]` seconds.
+pub(crate) fn outcome(
+    sc: &Scenario,
+    duration_secs: u64,
+    r: &cluster::RunResult,
+    journal: &obs::Journal,
+    api_names: &[String],
+    (from, to): (f64, f64),
+) -> ScenarioOutcome {
+    let per_api = |mean: &dyn Fn(usize) -> f64| -> Vec<(String, f64)> {
+        let named = api_names.iter().enumerate();
+        named.map(|(i, n)| (n.clone(), mean(i))).collect()
+    };
+    ScenarioOutcome {
         name: sc.name.clone(),
-        duration_secs: sc.duration_secs,
-        total_goodput,
-        goodput_per_api,
-        offered_per_api,
-        crash_events: h.engine.crash_events,
-        resilience: h.engine.resilience_totals(),
+        duration_secs,
+        total_goodput: r.mean_total_goodput(from, to),
+        goodput_per_api: per_api(&|i| r.mean_goodput_api(ApiId(i as u32), from, to)),
+        offered_per_api: per_api(&|i| r.mean_over(from, f64::INFINITY, |s| s.offered[i])),
+        crash_events: 0,
+        resilience: ResilienceStats::default(),
         timeline: r.total_goodput_series(),
-        p99_timeline: p99_series(r),
-        journal: h.journal().snapshot(),
-        shard_plane: Some(h.plane_stats()),
-        shard_guards: Some(h.guard_stats()),
+        p99_timeline: r.series(|s| s.p99.iter().copied().fold(0.0, f64::max)),
+        journal: journal.snapshot(),
+        shard_plane: None,
+        shard_guards: None,
         live_rejects: None,
         traces: Vec::new(),
-    })
+    }
 }
 
 /// Run the same scenario under a roster of controllers and tabulate.

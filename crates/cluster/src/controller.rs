@@ -88,7 +88,6 @@ mod tests {
             api_paths: vec![],
             slo: simnet::SimDuration::from_secs(1),
             resilience: Default::default(),
-            slo_burn: Vec::new(),
         };
         assert!(NoControl.control(&obs).is_empty());
         assert_eq!(NoControl.name(), "no-control");

@@ -275,7 +275,6 @@ impl Engine {
             api_paths,
             slo: self.cfg.slo,
             resilience,
-            slo_burn: Vec::new(),
         }
     }
 }

@@ -17,13 +17,13 @@
 //! * `lifecycle` — request arrival, dispatch, subtree fan-out, and
 //!   completion/teardown.
 //! * `requests` — the live-request slab and its stale-id rule.
-//! * `pods` — the [`Pod`]/[`ServiceRt`] runtime: crash loops, epochs,
+//! * `pods` — the `Pod`/`ServiceRt` runtime: crash loops, epochs,
 //!   scaling, and the VM pool.
 //! * `metrics` — per-window accumulators, window close, and observation
 //!   building.
-//! * `planes` — the uniform [`planes::Plane`] hook through which
-//!   admission, resilience, and fault injection observe and veto the
-//!   request lifecycle.
+//! * `planes` — the uniform request-lifecycle hook (`planes::Plane`, not
+//!   the control loop's [`crate::Plane`]) through which admission,
+//!   resilience, and fault injection observe and veto a request.
 //!
 //! ## Determinism
 //!

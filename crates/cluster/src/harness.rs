@@ -1,11 +1,12 @@
 //! Run loop coupling an [`Engine`] with an entry-point [`Controller`].
 //!
 //! TopFull's control loop is: observe the cluster once per second, decide,
-//! and move per-API rate limits at the gateway (§5). The [`Harness`] runs
-//! that loop over simulated time and records the per-interval series every
-//! experiment in the paper plots — per-API goodput, latencies, rate
-//! limits, pod counts and vCPU usage.
+//! and move per-API rate limits at the gateway (§5). The [`Harness`] steps
+//! that loop ([`ControlLoop`]) over simulated time and records the
+//! per-interval series every experiment in the paper plots — per-API
+//! goodput, latencies, rate limits, pod counts and vCPU usage.
 
+use crate::control_loop::{ControlLoop, Plane, WatchdogConfig, WatchdogStats};
 use crate::controller::Controller;
 use crate::engine::Engine;
 use crate::observe::ClusterObservation;
@@ -36,8 +37,15 @@ pub struct TickSample {
     pub resilience: ResilienceStats,
 }
 
-/// Result of a harness run: the full per-interval timeline plus the
-/// control system's decision journal.
+impl TickSample {
+    fn goodput_of(&self, api: ApiId) -> f64 {
+        self.goodput.get(api.idx()).copied().unwrap_or(0.0)
+    }
+}
+
+/// Result of a control-loop run — simulated ([`Harness`]) or live
+/// (`liveserve::run`): the full per-interval timeline plus the control
+/// system's decision journal.
 #[derive(Clone, Debug, Default)]
 pub struct RunResult {
     pub samples: Vec<TickSample>,
@@ -49,55 +57,58 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Append one interval's sample, read off the window `obs`.
+    pub fn record(&mut self, obs: &ClusterObservation, vcpus: f64) {
+        self.num_apis = obs.apis.len();
+        self.samples.push(TickSample {
+            at: obs.now,
+            goodput: obs.apis.iter().map(|a| a.goodput).collect(),
+            offered: obs.apis.iter().map(|a| a.offered).collect(),
+            rate_limit: obs.apis.iter().map(|a| a.rate_limit).collect(),
+            p99: obs
+                .apis
+                .iter()
+                .map(|a| a.p99.map(SimDuration::as_secs_f64).unwrap_or(0.0))
+                .collect(),
+            pods: obs.services.iter().map(|s| s.alive_pods).sum(),
+            vcpus,
+            resilience: obs.resilience,
+        });
+    }
+
+    /// Mean of `f` over the samples in an inclusive time range (seconds).
+    pub fn mean_over(&self, from_s: f64, to_s: f64, f: impl Fn(&TickSample) -> f64) -> f64 {
+        let in_range = |s: &&TickSample| (from_s..=to_s).contains(&s.at.as_secs_f64());
+        let xs: Vec<f64> = self.samples.iter().filter(in_range).map(f).collect();
+        stats::mean(&xs)
+    }
+
+    /// `f` per sample as a `(seconds, value)` timeline.
+    pub fn series(&self, f: impl Fn(&TickSample) -> f64) -> Vec<(f64, f64)> {
+        let point = |s: &TickSample| (s.at.as_secs_f64(), f(s));
+        self.samples.iter().map(point).collect()
+    }
+
     /// Mean goodput of one API over an inclusive time range (seconds).
     /// An `ApiId` outside this run's topology reads as 0 rps.
     pub fn mean_goodput_api(&self, api: ApiId, from_s: f64, to_s: f64) -> f64 {
-        let xs: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| {
-                let t = s.at.as_secs_f64();
-                t >= from_s && t <= to_s
-            })
-            .map(|s| s.goodput.get(api.idx()).copied().unwrap_or(0.0))
-            .collect();
-        stats::mean(&xs)
+        self.mean_over(from_s, to_s, |s| s.goodput_of(api))
     }
 
     /// Mean total goodput over an inclusive time range (seconds).
     pub fn mean_total_goodput(&self, from_s: f64, to_s: f64) -> f64 {
-        let xs: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| {
-                let t = s.at.as_secs_f64();
-                t >= from_s && t <= to_s
-            })
-            .map(|s| s.goodput.iter().sum())
-            .collect();
-        stats::mean(&xs)
+        self.mean_over(from_s, to_s, |s| s.goodput.iter().sum())
     }
 
     /// Per-API goodput timeline as `(seconds, rps)` pairs. An `ApiId`
     /// outside this run's topology reads as 0 rps.
     pub fn goodput_series(&self, api: ApiId) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|s| {
-                (
-                    s.at.as_secs_f64(),
-                    s.goodput.get(api.idx()).copied().unwrap_or(0.0),
-                )
-            })
-            .collect()
+        self.series(|s| s.goodput_of(api))
     }
 
     /// Total goodput timeline as `(seconds, rps)` pairs.
     pub fn total_goodput_series(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|s| (s.at.as_secs_f64(), s.goodput.iter().sum()))
-            .collect()
+        self.series(|s| s.goodput.iter().sum())
     }
 
     /// Resilience counters summed over the whole run.
@@ -110,317 +121,119 @@ impl RunResult {
     }
 }
 
-/// Watchdog tuning for the hardened harness loop
-/// ([`Harness::with_watchdog`]).
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// An observation older than this counts as dark (stale telemetry).
-    pub max_obs_age: SimDuration,
-    /// Consecutive dark ticks before the watchdog engages.
-    pub dark_after: u32,
-    /// Ticks to hold rate limits frozen once engaged, before decaying.
-    pub freeze_ticks: u32,
-    /// Per-tick multiplicative decay applied to finite limits after the
-    /// freeze expires (gently sheds load while blind).
-    pub decay: f64,
-    /// Limits never decay below this rate (requests/s).
-    pub floor: f64,
-    /// Maximum per-tick growth factor of any limit while re-entering
-    /// control after an outage (smooth ramp instead of a step).
-    pub reentry_growth: f64,
-    /// Ticks the re-entry ramp lasts.
-    pub reentry_ticks: u32,
+/// A simulated [`Plane`] the [`Harness`] can drive: the [`Engine`]
+/// itself, or a plane stacked in front of one (`topfull::shard`'s
+/// virtual gateway shards). The harness advances the engine's clock and
+/// reads ground truth off it whatever sits in front.
+pub trait SimPlane: Plane {
+    fn engine(&self) -> &Engine;
+    fn engine_mut(&mut self) -> &mut Engine;
+    /// Route every layer's decision-journal entries to `journal`.
+    fn set_journal(&mut self, journal: Arc<obs::Journal>);
 }
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            max_obs_age: SimDuration::from_secs(3),
-            dark_after: 2,
-            freeze_ticks: 5,
-            decay: 0.98,
-            floor: 1.0,
-            reentry_growth: 1.25,
-            reentry_ticks: 5,
-        }
+impl SimPlane for Engine {
+    fn engine(&self) -> &Engine {
+        self
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine {
+        self
+    }
+
+    fn set_journal(&mut self, journal: Arc<obs::Journal>) {
+        Engine::set_journal(self, journal);
     }
 }
 
-/// What the watchdog did over a run (for tests and experiment reports).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WatchdogStats {
-    /// Control ticks skipped because the control plane was stalled.
-    pub stalled_ticks: u64,
-    /// Ticks spent with limits frozen (observations dark).
-    pub frozen_ticks: u64,
-    /// Ticks spent decaying limits (still dark past the freeze window).
-    pub decayed_ticks: u64,
-    /// Times control was re-entered after an outage.
-    pub reentries: u64,
-}
-
-struct Watchdog {
-    cfg: WatchdogConfig,
-    dark_streak: u32,
-    reentry_left: u32,
-    stats: WatchdogStats,
-}
-
-impl Watchdog {
-    fn engaged(&self) -> bool {
-        self.dark_streak >= self.cfg.dark_after
-    }
-}
-
-/// Couples an engine and a controller at the control cadence.
-pub struct Harness {
-    pub engine: Engine,
-    controller: Box<dyn Controller>,
+/// Couples a simulated plane and a [`ControlLoop`] at the control
+/// cadence and records the timeline.
+pub struct Harness<P: SimPlane = Engine> {
+    /// The plane under control — for the plain harness, the engine.
+    pub engine: P,
+    ctl: ControlLoop<'static>,
     result: RunResult,
     next_tick: SimTime,
-    watchdog: Option<Watchdog>,
-    journal: Arc<obs::Journal>,
-    slo: obs::SloMonitor,
 }
 
 impl Harness {
-    /// Wrap `engine`, controlled by `controller`. A shared decision
-    /// journal is created and attached to both: the controller records
-    /// its verdicts, the engine its per-window plane aggregates.
-    pub fn new(mut engine: Engine, mut controller: Box<dyn Controller>) -> Self {
-        let num_apis = engine.topology().num_apis();
-        let interval = engine.config().control_interval;
-        let journal = obs::Journal::shared();
-        engine.set_journal(Arc::clone(&journal));
-        controller.attach_journal(Arc::clone(&journal));
-        Harness {
-            engine,
-            controller,
-            result: RunResult {
-                samples: Vec::new(),
-                num_apis,
-                journal: Vec::new(),
-            },
-            next_tick: SimTime::ZERO + interval,
-            watchdog: None,
-            journal,
-            slo: obs::SloMonitor::new(obs::SloConfig::default()),
-        }
-    }
-
-    /// The shared decision journal.
-    pub fn journal(&self) -> &Arc<obs::Journal> {
-        &self.journal
-    }
-
-    /// Replace the SLO burn-rate monitor's objective/windows. Resets any
-    /// accumulated burn history, so call before the run starts.
-    pub fn set_slo_config(&mut self, cfg: obs::SloConfig) {
-        self.slo = obs::SloMonitor::new(cfg);
-    }
-
-    /// The current error budget remaining per API, in `[0, 1]` (1 when
-    /// the monitor has seen no traffic for an API yet).
-    pub fn slo_monitor(&self) -> &obs::SloMonitor {
-        &self.slo
-    }
-
-    /// The hardened loop: like [`Harness::new`], plus a watchdog that
-    /// (a) skips control ticks while the control plane is stalled,
-    /// (b) freezes rate limits when observations go dark (stale, or all
-    /// utilizations unreadable), then gently decays them toward a floor,
-    /// and (c) ramps limit growth when control re-enters, instead of
-    /// letting the controller's stale internal state step limits up
-    /// abruptly.
+    /// [`Harness::new`] with the hardened loop's watchdog
+    /// ([`ControlLoop::with_watchdog`]).
     pub fn with_watchdog(
         engine: Engine,
         controller: Box<dyn Controller>,
         cfg: WatchdogConfig,
     ) -> Self {
         let mut h = Harness::new(engine, controller);
-        h.watchdog = Some(Watchdog {
-            cfg,
-            dark_streak: 0,
-            reentry_left: 0,
-            stats: WatchdogStats::default(),
-        });
+        h.ctl = h.ctl.with_watchdog(cfg);
         h
+    }
+}
+
+impl<P: SimPlane> Harness<P> {
+    /// Wrap `plane` — an [`Engine`], or one behind gateway shards
+    /// (`Harness::new(Sharded::sim(engine, cfg)?, controller)`) —
+    /// controlled by `controller`. A shared decision journal is created
+    /// and attached to both: the controller records its verdicts, the
+    /// engine its per-window plane aggregates.
+    pub fn new(mut plane: P, controller: Box<dyn Controller>) -> Self {
+        let ctl = ControlLoop::new(controller);
+        plane.set_journal(Arc::clone(ctl.journal()));
+        let engine = plane.engine();
+        Harness {
+            result: RunResult {
+                samples: Vec::new(),
+                num_apis: engine.topology().num_apis(),
+                journal: Vec::new(),
+            },
+            next_tick: SimTime::ZERO + engine.config().control_interval,
+            engine: plane,
+            ctl,
+        }
+    }
+
+    /// The shared decision journal.
+    pub fn journal(&self) -> &Arc<obs::Journal> {
+        self.ctl.journal()
+    }
+
+    /// Replace the SLO burn-rate monitor's objective/windows. Resets any
+    /// accumulated burn history, so call before the run starts.
+    pub fn set_slo_config(&mut self, cfg: obs::SloConfig) {
+        self.ctl.set_slo_config(cfg);
+    }
+
+    /// The current error budget remaining per API, in `[0, 1]` (1 when
+    /// the monitor has seen no traffic for an API yet).
+    pub fn slo_monitor(&self) -> &obs::SloMonitor {
+        self.ctl.slo_monitor()
     }
 
     /// What the watchdog did so far (zeroes when none is attached).
     pub fn watchdog_stats(&self) -> WatchdogStats {
-        self.watchdog.as_ref().map(|w| w.stats).unwrap_or_default()
+        self.ctl.watchdog_stats()
     }
 
-    /// Run until `t`, ticking the controller at every control interval.
+    /// Run until `t`, ticking the control loop at every control interval.
     pub fn run_until(&mut self, t: SimTime) {
-        let interval = self.engine.config().control_interval;
+        let interval = self.engine.engine().config().control_interval;
         while self.next_tick <= t {
-            self.engine.run_until(self.next_tick);
+            self.engine.engine_mut().run_until(self.next_tick);
             // Measurement records ground truth; the controller sees the
             // (possibly fault-distorted) observability-pipeline view.
-            if let Some(truth) = self.engine.latest_true_observation().cloned() {
-                self.record(&truth);
+            let engine = self.engine.engine();
+            if let Some(truth) = engine.latest_true_observation() {
+                self.result.record(truth, engine.vcpus_used());
             }
-            if let Some(mut obs) = self.engine.latest_observation().cloned() {
-                self.observe_slo(&mut obs);
-                self.control_tick(&obs);
-            }
+            self.ctl.tick(&mut self.engine);
             self.next_tick += interval;
         }
-        self.engine.run_until(t);
-    }
-
-    /// Feed this window into the SLO burn-rate monitor, attach the
-    /// resulting per-API signals to the observation the controller will
-    /// see, and journal every severity transition. Runs on the control
-    /// thread only, so journal order is deterministic across worker
-    /// counts. Rejected (never-admitted) requests are neither good nor
-    /// bad: shedding spends no error budget.
-    fn observe_slo(&mut self, obs: &mut ClusterObservation) {
-        let w = obs.window.as_secs_f64();
-        let samples: Vec<obs::ApiSloSample> = obs
-            .apis
-            .iter()
-            .map(|a| obs::ApiSloSample {
-                good: a.goodput * w,
-                bad: (a.slo_violated + a.failed) * w,
-            })
-            .collect();
-        let tick = self.slo.observe(obs.now.as_secs_f64(), &samples);
-        for tr in &tick.transitions {
-            let name = obs
-                .apis
-                .get(tr.api as usize)
-                .map(|a| a.name.clone())
-                .unwrap_or_else(|| format!("api{}", tr.api));
-            self.journal.record(obs::JournalEntry::SloBurn {
-                t: obs.now.as_secs_f64(),
-                api: tr.api,
-                api_name: name,
-                from: tr.from.as_str().into(),
-                to: tr.to.as_str().into(),
-                fast_burn: tr.fast_burn,
-                slow_burn: tr.slow_burn,
-                budget_remaining: tr.budget_remaining,
-            });
-        }
-        obs.slo_burn = tick.signals;
-    }
-
-    /// One control decision, routed through the watchdog when attached.
-    fn control_tick(&mut self, obs: &ClusterObservation) {
-        let Some(mut wd) = self.watchdog.take() else {
-            // A stalled control plane stalls every controller, watchdog
-            // or not — the fault models the loop itself being down.
-            if self.engine.control_stalled() {
-                return;
-            }
-            let updates = self.controller.control(obs);
-            for u in updates {
-                self.engine.set_rate_limit(u.api, u.rate);
-            }
-            return;
-        };
-        let stalled = self.engine.control_stalled();
-        if stalled {
-            // The control plane missed this tick entirely; limits stay
-            // exactly where they are.
-            wd.stats.stalled_ticks += 1;
-            self.watchdog = Some(wd);
-            return;
-        }
-        let dark = self.next_tick.duration_since(obs.now) > wd.cfg.max_obs_age
-            || obs.services.iter().all(|s| !s.utilization.is_finite());
-        if dark {
-            wd.dark_streak = wd.dark_streak.saturating_add(1);
-            if wd.dark_streak == wd.cfg.dark_after {
-                self.journal.record(obs::JournalEntry::Watchdog {
-                    t: obs.now.as_secs_f64(),
-                    event: "engaged: observations dark, limits frozen".into(),
-                });
-            }
-            if wd.engaged() {
-                if wd.dark_streak - wd.cfg.dark_after < wd.cfg.freeze_ticks {
-                    wd.stats.frozen_ticks += 1;
-                } else {
-                    // Still blind past the freeze window: decay finite
-                    // limits toward the floor — load gently sheds instead
-                    // of running open-loop on the last pre-outage limits.
-                    if wd.dark_streak - wd.cfg.dark_after == wd.cfg.freeze_ticks {
-                        self.journal.record(obs::JournalEntry::Watchdog {
-                            t: obs.now.as_secs_f64(),
-                            event: "decaying: still dark past freeze window".into(),
-                        });
-                    }
-                    wd.stats.decayed_ticks += 1;
-                    for i in 0..self.result.num_apis {
-                        let api = ApiId(i as u32);
-                        let l = self.engine.rate_limit(api);
-                        if l.is_finite() {
-                            let next = (l * wd.cfg.decay).max(wd.cfg.floor);
-                            self.engine.set_rate_limit(api, next);
-                        }
-                    }
-                }
-                self.watchdog = Some(wd);
-                return;
-            }
-            // Not yet engaged: fall through — one flaky tick is the
-            // hardened controller's problem, not the watchdog's.
-        } else {
-            if wd.engaged() {
-                wd.stats.reentries += 1;
-                wd.reentry_left = wd.cfg.reentry_ticks;
-                self.journal.record(obs::JournalEntry::Watchdog {
-                    t: obs.now.as_secs_f64(),
-                    event: "reentry: observations recovered, ramping limits".into(),
-                });
-            }
-            wd.dark_streak = 0;
-        }
-        let updates = self.controller.control(obs);
-        for u in updates {
-            let mut rate = u.rate;
-            if wd.reentry_left > 0 {
-                let cur = self.engine.rate_limit(u.api);
-                if cur.is_finite() {
-                    // Ramp: no limit may grow faster than the configured
-                    // factor per tick right after an outage.
-                    rate = rate.min(cur * wd.cfg.reentry_growth);
-                }
-            }
-            self.engine.set_rate_limit(u.api, rate);
-        }
-        wd.reentry_left = wd.reentry_left.saturating_sub(1);
-        self.watchdog = Some(wd);
+        self.engine.engine_mut().run_until(t);
     }
 
     /// Convenience: run for `secs` of simulated time from the start.
     pub fn run_for_secs(&mut self, secs: u64) {
         self.run_until(SimTime::from_secs(secs));
-    }
-
-    fn record(&mut self, obs: &ClusterObservation) {
-        let goodput: Vec<f64> = obs.apis.iter().map(|a| a.goodput).collect();
-        let offered: Vec<f64> = obs.apis.iter().map(|a| a.offered).collect();
-        let rate_limit: Vec<f64> = obs.apis.iter().map(|a| a.rate_limit).collect();
-        let p99: Vec<f64> = obs
-            .apis
-            .iter()
-            .map(|a| a.p99.map(SimDuration::as_secs_f64).unwrap_or(0.0))
-            .collect();
-        let pods: u32 = obs.services.iter().map(|s| s.alive_pods).sum();
-        self.result.samples.push(TickSample {
-            at: obs.now,
-            goodput,
-            offered,
-            rate_limit,
-            p99,
-            pods,
-            vcpus: self.engine.vcpus_used(),
-            resilience: obs.resilience,
-        });
     }
 
     /// The timeline recorded so far.
@@ -431,13 +244,13 @@ impl Harness {
     /// Consume the harness, returning the timeline with the decision
     /// journal embedded.
     pub fn into_result(mut self) -> RunResult {
-        self.result.journal = self.journal.snapshot();
+        self.result.journal = self.ctl.journal().snapshot();
         self.result
     }
 
     /// Name of the attached controller.
     pub fn controller_name(&self) -> &str {
-        self.controller.name()
+        self.ctl.controller_name()
     }
 }
 

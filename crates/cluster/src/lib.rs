@@ -28,11 +28,14 @@
 //!   per-API goodput/latency percentiles ([`observe`]), mirroring the
 //!   paper's cAdvisor + Istio tracing collector.
 //!
-//! The [`engine::Engine`] ties these together; [`harness`] runs an engine
-//! against a [`controller::Controller`] at the control cadence.
+//! The [`engine::Engine`] ties these together; [`control_loop`] is the one
+//! Observe → Decide → Act loop that steps a [`controller::Controller`]
+//! over a plane, and [`harness`] runs it over an engine at the control
+//! cadence.
 
 pub mod admission;
 pub mod autoscaler;
+pub mod control_loop;
 pub mod controller;
 pub mod engine;
 pub mod entry_admission;
@@ -49,11 +52,12 @@ pub mod tracing;
 pub mod types;
 pub mod workload;
 
+pub use control_loop::{Contact, ControlLoop, Observed, Plane, WatchdogConfig, WatchdogStats};
 pub use controller::{Controller, NoControl, RateLimitUpdate};
 pub use engine::{Engine, EngineConfig};
 pub use entry_admission::EntryAdmission;
 pub use faults::FaultSpec;
-pub use harness::{Harness, RunResult, WatchdogConfig, WatchdogStats};
+pub use harness::{Harness, RunResult, SimPlane};
 pub use observe::{ApiWindow, ClusterObservation, ServiceWindow};
 pub use resilience::{
     BreakerConfig, BreakerState, DeadlineConfig, EdgeBreakers, ResilienceConfig, ResilienceStats,

@@ -90,13 +90,6 @@ pub struct ClusterObservation {
     /// activity). All-zero unless [`crate::resilience`] is enabled.
     #[serde(default)]
     pub resilience: ResilienceStats,
-    /// Per-API SLO burn-rate signals (fast/slow window pairs, severity,
-    /// budget remaining), one per API in `ApiId` order. Filled by the
-    /// harness/live observe tick *after* the engine builds the window —
-    /// the engine itself leaves it empty. Read-only for controllers,
-    /// fuzz objectives, and the future autoscaler (DESIGN.md §18).
-    #[serde(default)]
-    pub slo_burn: Vec<obs::SloBurnSignal>,
 }
 
 impl ClusterObservation {
@@ -163,7 +156,6 @@ mod tests {
             api_paths: vec![vec![ServiceId(0), ServiceId(1)], vec![ServiceId(2)]],
             slo: SimDuration::from_secs(1),
             resilience: ResilienceStats::default(),
-            slo_burn: Vec::new(),
         }
     }
 

@@ -327,7 +327,6 @@ mod tests {
             api_paths: vec![vec![ServiceId(0)]],
             slo: SimDuration::from_millis(100),
             resilience: ResilienceStats::default(),
-            slo_burn: Vec::new(),
         }
     }
 

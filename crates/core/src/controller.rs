@@ -78,7 +78,7 @@ pub struct TopFullConfig {
     /// for 23 s with zero goodput. Collapse is unambiguous evidence the
     /// limit is far above capacity, so the cut is deepened to at least
     /// this much — but only until the target's limit has shrunk to
-    /// [`COLLAPSE_FLOOR_FRAC`] of its value when the collapse was first
+    /// `COLLAPSE_FLOOR_FRAC` of its value when the collapse was first
     /// seen (the episode budget); past that the normal step law
     /// resumes. `0.0` disables the escalation (ablation).
     pub collapse_backoff: f64,
@@ -989,7 +989,6 @@ mod tests {
             api_paths: paths,
             slo: SimDuration::from_secs(1),
             resilience: Default::default(),
-            slo_burn: Vec::new(),
         }
     }
 
@@ -1698,7 +1697,6 @@ mod refinement_flag_tests {
                 api_paths: vec![vec![ServiceId(0)], vec![ServiceId(0)]],
                 slo: SimDuration::from_secs(1),
                 resilience: Default::default(),
-                slo_burn: Vec::new(),
             }
         };
         // Refined behaviour: the busy API is cut.
@@ -1756,7 +1754,6 @@ mod refinement_flag_tests {
             api_paths: vec![vec![ServiceId(0)], vec![ServiceId(0)]],
             slo: SimDuration::from_secs(1),
             resilience: Default::default(),
-            slo_burn: Vec::new(),
         };
         let raise = |fair: bool| {
             let mut tf = TopFull::new(TopFullConfig {

@@ -62,5 +62,5 @@ pub use rate_controller::{
 };
 pub use shard::{
     merge_observations, split_limit, GuardStats, ShardLocalGuard, ShardPlane, ShardPlaneConfig,
-    ShardPlaneStats, ShardedConfig, ShardedHarness,
+    ShardPlaneStats, ShardSet, ShardWindow, Sharded, ShardedConfig, SimShards,
 };

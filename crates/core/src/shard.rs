@@ -25,18 +25,22 @@
 //!   fallback. The guard never fails open (an unlimited API gets a
 //!   finite blind cap) and never fails closed (quotas are floored).
 //!
+//! * **The plane adapter** ([`Sharded`]) — the pieces above assembled
+//!   into one sharded control step behind [`cluster::Plane`], over the
+//!   simulator's virtual shards or real gateways alike.
+//!
 //! Every aggregation-set change, redistribution, ramp and fallback
 //! transition is journaled, so a chaos run is explainable with
 //! `topfull explain`.
 
+mod sharded;
+
+pub use sharded::{ShardSet, ShardWindow, Sharded, ShardedConfig, SimShards};
+
 use crate::rate_controller::{MimdController, RateController, RateState, SafeRateController};
-use cluster::controller::Controller;
-use cluster::harness::TickSample;
 use cluster::observe::ClusterObservation;
-use cluster::sharded::{ShardFault, ShardSlicer};
 use cluster::types::ApiId;
-use cluster::{Engine, RunResult};
-use simnet::{SimDuration, SimTime};
+use simnet::SimDuration;
 use std::sync::Arc;
 
 /// Tuning for the shard plane (splitter, membership, local fallback).
@@ -378,7 +382,7 @@ impl ShardPlane {
     pub fn observe(
         &mut self,
         t: f64,
-        reports: &[Option<ClusterObservation>],
+        reports: &[Option<&ClusterObservation>],
     ) -> Option<ClusterObservation> {
         assert_eq!(reports.len(), self.slots.len(), "one report slot per shard");
         for (i, r) in reports.iter().enumerate() {
@@ -387,7 +391,7 @@ impl ShardPlane {
                 None => self.note_miss(t, i),
             }
         }
-        let present: Vec<&ClusterObservation> = reports.iter().flatten().collect();
+        let present: Vec<&ClusterObservation> = reports.iter().flatten().copied().collect();
         if present.is_empty() {
             return None;
         }
@@ -691,301 +695,13 @@ impl ShardLocalGuard {
     }
 }
 
-/// Static configuration of a sharded simulation run.
-pub struct ShardedConfig {
-    pub shards: usize,
-    /// Client-affinity weights (`None` = uniform).
-    pub weights: Option<Vec<f64>>,
-    pub plane: ShardPlaneConfig,
-    pub faults: Vec<ShardFault>,
-}
-
-impl ShardedConfig {
-    pub fn uniform(shards: usize) -> Self {
-        ShardedConfig {
-            shards,
-            weights: None,
-            plane: ShardPlaneConfig::default(),
-            faults: Vec::new(),
-        }
-    }
-}
-
-/// Couples one [`Engine`] (ground truth) with N virtual gateway shards
-/// and one logical controller: slice → report → aggregate → control →
-/// split → push, with membership failover and shard-local degradation.
-/// The mirror of [`cluster::Harness`] for the sharded plane.
-pub struct ShardedHarness {
-    pub engine: Engine,
-    controller: Box<dyn Controller>,
-    slicer: ShardSlicer,
-    plane: ShardPlane,
-    guards: Vec<ShardLocalGuard>,
-    /// Per-shard per-API quotas (`INFINITY` = unlimited).
-    quotas: Vec<Vec<f64>>,
-    /// The controller's logical global limit per API.
-    globals: Vec<f64>,
-    /// Last enforced engine-level limit per API (avoid redundant sets).
-    enforced: Vec<f64>,
-    result: RunResult,
-    next_tick: SimTime,
-    journal: Arc<obs::Journal>,
-    /// SLO burn-rate monitor fed from the *merged* (partition-aware)
-    /// view — alerting sees what the controller sees.
-    slo: obs::SloMonitor,
-    /// Controller ticks lost to controller-loss windows or stalls.
-    pub lost_ticks: u64,
-}
-
-impl ShardedHarness {
-    pub fn new(
-        mut engine: Engine,
-        mut controller: Box<dyn Controller>,
-        cfg: ShardedConfig,
-    ) -> Result<Self, String> {
-        let slicer = ShardSlicer::new(cfg.shards, cfg.weights.clone())?.with_faults(cfg.faults);
-        let num_apis = engine.topology().num_apis();
-        let interval = engine.config().control_interval;
-        let journal = obs::Journal::shared();
-        engine.set_journal(Arc::clone(&journal));
-        controller.attach_journal(Arc::clone(&journal));
-        let mut plane = ShardPlane::new(cfg.shards, cfg.plane);
-        plane.attach_journal(Arc::clone(&journal));
-        let guards = (0..cfg.shards)
-            .map(|s| {
-                let mut g = ShardLocalGuard::new(s as u32, cfg.plane);
-                g.attach_journal(Arc::clone(&journal));
-                g
-            })
-            .collect();
-        Ok(ShardedHarness {
-            engine,
-            controller,
-            slicer,
-            plane,
-            guards,
-            quotas: vec![vec![f64::INFINITY; num_apis]; cfg.shards],
-            globals: vec![f64::INFINITY; num_apis],
-            enforced: vec![f64::INFINITY; num_apis],
-            result: RunResult {
-                samples: Vec::new(),
-                num_apis,
-                journal: Vec::new(),
-            },
-            next_tick: SimTime::ZERO + interval,
-            journal,
-            slo: obs::SloMonitor::new(obs::SloConfig::default()),
-            lost_ticks: 0,
-        })
-    }
-
-    /// Replace the SLO burn-rate monitor's objective/windows. Resets any
-    /// accumulated burn history, so call before the run starts.
-    pub fn set_slo_config(&mut self, cfg: obs::SloConfig) {
-        self.slo = obs::SloMonitor::new(cfg);
-    }
-
-    pub fn journal(&self) -> &Arc<obs::Journal> {
-        &self.journal
-    }
-
-    pub fn plane_stats(&self) -> ShardPlaneStats {
-        self.plane.stats()
-    }
-
-    /// Guard stats summed over shards.
-    pub fn guard_stats(&self) -> GuardStats {
-        let mut total = GuardStats::default();
-        for g in &self.guards {
-            total.held_ticks += g.stats().held_ticks;
-            total.fallback_ticks += g.stats().fallback_ticks;
-            total.resyncs += g.stats().resyncs;
-        }
-        total
-    }
-
-    /// This shard's current per-API quotas.
-    pub fn quotas(&self, shard: usize) -> &[f64] {
-        &self.quotas[shard]
-    }
-
-    pub fn run_for_secs(&mut self, secs: u64) {
-        self.run_until(SimTime::from_secs(secs));
-    }
-
-    pub fn run_until(&mut self, t: SimTime) {
-        let interval = self.engine.config().control_interval;
-        while self.next_tick <= t {
-            self.engine.run_until(self.next_tick);
-            if let Some(truth) = self.engine.latest_true_observation().cloned() {
-                self.record(&truth);
-            }
-            if let Some(o) = self.engine.latest_observation().cloned() {
-                self.control_tick(&o);
-            }
-            self.next_tick += interval;
-        }
-        self.engine.run_until(t);
-    }
-
-    fn control_tick(&mut self, o: &ClusterObservation) {
-        let now = self.next_tick;
-        let t = o.now.as_secs_f64();
-        let serving = self.slicer.serving(now);
-        let reporting_mask = self.slicer.reporting(now);
-        let mut locals = self.slicer.slice(o, now);
-        // Each shard's local view carries its own quota as the applied
-        // rate limit — that is what its gateway enforces.
-        for (s, lo) in locals.iter_mut().enumerate() {
-            if let Some(lo) = lo {
-                for (a, w) in lo.apis.iter_mut().enumerate() {
-                    w.rate_limit = self.quotas[s][a];
-                }
-            }
-        }
-
-        let lost = self.slicer.controller_lost(now) || self.engine.control_stalled();
-        let mut pushed = vec![false; self.slicer.shards()];
-        if lost {
-            self.lost_ticks += 1;
-        } else {
-            let reports: Vec<Option<ClusterObservation>> = locals
-                .iter()
-                .zip(&reporting_mask)
-                .map(|(lo, rep)| if *rep { lo.clone() } else { None })
-                .collect();
-            if let Some(mut merged) = self.plane.observe(t, &reports) {
-                // Burn-rate alerting runs on the merged view, on the
-                // control thread, so journal order is deterministic
-                // across worker counts.
-                let w = merged.window.as_secs_f64();
-                let samples: Vec<obs::ApiSloSample> = merged
-                    .apis
-                    .iter()
-                    .map(|a| obs::ApiSloSample {
-                        good: a.goodput * w,
-                        bad: (a.slo_violated + a.failed) * w,
-                    })
-                    .collect();
-                let slo_tick = self.slo.observe(t, &samples);
-                for tr in &slo_tick.transitions {
-                    let name = merged
-                        .apis
-                        .get(tr.api as usize)
-                        .map(|a| a.name.clone())
-                        .unwrap_or_else(|| format!("api{}", tr.api));
-                    self.journal.record(obs::JournalEntry::SloBurn {
-                        t,
-                        api: tr.api,
-                        api_name: name,
-                        from: tr.from.as_str().into(),
-                        to: tr.to.as_str().into(),
-                        fast_burn: tr.fast_burn,
-                        slow_burn: tr.slow_burn,
-                        budget_remaining: tr.budget_remaining,
-                    });
-                }
-                merged.slo_burn = slo_tick.signals;
-                let updates = self.controller.control(&merged);
-                let mut touched = vec![false; self.globals.len()];
-                for u in updates {
-                    if u.api.idx() < self.globals.len() {
-                        self.globals[u.api.idx()] = u.rate;
-                        touched[u.api.idx()] = true;
-                    }
-                }
-                // A membership change or an active ramp re-splits every
-                // API, not just the ones the controller moved this tick:
-                // a dead shard's quota must leave the enforced total
-                // even in steady state.
-                let resplit_all = self.plane.membership_changed() || self.plane.any_ramping();
-                let globals = self.globals.clone();
-                for (a, global) in globals.iter().enumerate() {
-                    if !(touched[a] || resplit_all) {
-                        continue;
-                    }
-                    let q = self.plane.split(t, ApiId(a as u32), *global);
-                    let live = self.plane.live();
-                    for s in 0..q.len() {
-                        if live[s] {
-                            self.quotas[s][a] = q[s];
-                        }
-                    }
-                }
-                // Every reporting shard heard from the controller this
-                // tick (fresh limits or a heartbeat).
-                for (s, rep) in reporting_mask.iter().enumerate() {
-                    if *rep {
-                        pushed[s] = true;
-                        self.guards[s].on_push(t);
-                    }
-                }
-                self.plane.end_tick(t);
-            }
-        }
-        // Shards serving without controller contact run their local
-        // degradation ladder (hold → MIMD fallback).
-        for s in 0..self.slicer.shards() {
-            if serving[s] && !pushed[s] {
-                if let Some(lo) = &locals[s] {
-                    self.guards[s].tick(t, lo, &mut self.quotas[s]);
-                }
-            }
-        }
-        // Actuate: the engine's single gateway enforces the sum of the
-        // serving shards' quotas (the virtual-shard model's invariant).
-        for a in 0..self.globals.len() {
-            let mut sum = 0.0;
-            for (s, up) in serving.iter().enumerate() {
-                if *up {
-                    sum += self.quotas[s][a];
-                }
-            }
-            if sum != self.enforced[a] {
-                self.engine.set_rate_limit(ApiId(a as u32), sum);
-                self.enforced[a] = sum;
-            }
-        }
-    }
-
-    fn record(&mut self, o: &ClusterObservation) {
-        let goodput: Vec<f64> = o.apis.iter().map(|a| a.goodput).collect();
-        let offered: Vec<f64> = o.apis.iter().map(|a| a.offered).collect();
-        let rate_limit: Vec<f64> = o.apis.iter().map(|a| a.rate_limit).collect();
-        let p99: Vec<f64> = o
-            .apis
-            .iter()
-            .map(|a| a.p99.map(SimDuration::as_secs_f64).unwrap_or(0.0))
-            .collect();
-        let pods: u32 = o.services.iter().map(|s| s.alive_pods).sum();
-        self.result.samples.push(TickSample {
-            at: o.now,
-            goodput,
-            offered,
-            rate_limit,
-            p99,
-            pods,
-            vcpus: self.engine.vcpus_used(),
-            resilience: o.resilience,
-        });
-    }
-
-    pub fn result(&self) -> &RunResult {
-        &self.result
-    }
-
-    pub fn into_result(mut self) -> RunResult {
-        self.result.journal = self.journal.snapshot();
-        self.result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cluster::types::{BusinessPriority, ServiceId};
+    use simnet::SimTime;
 
-    fn view(goodput: f64, offered: f64, pods: u32, util: f64) -> ClusterObservation {
+    pub(super) fn view(goodput: f64, offered: f64, pods: u32, util: f64) -> ClusterObservation {
         ClusterObservation {
             now: SimTime::from_secs(10),
             window: SimDuration::from_secs(1),
@@ -1017,7 +733,6 @@ mod tests {
             api_paths: vec![vec![ServiceId(0)]],
             slo: SimDuration::from_millis(100),
             resilience: cluster::ResilienceStats::default(),
-            slo_burn: Vec::new(),
         }
     }
 
@@ -1096,13 +811,13 @@ mod tests {
         plane.attach_journal(Arc::clone(&j));
         let v = view(50.0, 100.0, 2, 0.6);
         // Tick 1: both report.
-        plane.observe(1.0, &[Some(v.clone()), Some(v.clone())]);
+        plane.observe(1.0, &[Some(&v), Some(&v)]);
         plane.end_tick(1.0);
         // Shard 1 goes dark for two ticks → struck out.
-        plane.observe(2.0, &[Some(v.clone()), None]);
+        plane.observe(2.0, &[Some(&v), None]);
         plane.end_tick(2.0);
         assert_eq!(plane.live(), vec![true, true]);
-        plane.observe(3.0, &[Some(v.clone()), None]);
+        plane.observe(3.0, &[Some(&v), None]);
         assert_eq!(plane.live(), vec![true, false]);
         assert!(plane.membership_changed());
         let q = plane.split(3.0, ApiId(0), 100.0);
@@ -1110,7 +825,7 @@ mod tests {
         assert!((q[0] - 100.0).abs() < 1e-9, "survivor absorbs the quota");
         plane.end_tick(3.0);
         // Shard 1 returns → ramped re-entry at the min-quantum.
-        plane.observe(4.0, &[Some(v.clone()), Some(v.clone())]);
+        plane.observe(4.0, &[Some(&v), Some(&v)]);
         let q = plane.split(4.0, ApiId(0), 100.0);
         assert!(
             q[1] <= cfg.min_quantum + 1e-9,
@@ -1119,7 +834,7 @@ mod tests {
         assert!((q.iter().sum::<f64>() - 100.0).abs() < 1e-9);
         plane.end_tick(4.0);
         // Ramp cap grows each tick.
-        plane.observe(5.0, &[Some(v.clone()), Some(v)]);
+        plane.observe(5.0, &[Some(&v), Some(&v)]);
         let q2 = plane.split(5.0, ApiId(0), 100.0);
         assert!(q2[1] > q[1], "cap ramps up: {q:?} -> {q2:?}");
         let st = plane.stats();

@@ -9,7 +9,7 @@
 //!   still costs one lock per wakeup (DESIGN.md §16);
 //! * follower routes — a parked duplicate read must be answered later,
 //!   from a worker thread, so each follower keeps its
-//!   [`ReplySink`](crate::executors::ReplySink) until the leader's
+//!   [`ReplySink`] until the leader's
 //!   flight settles;
 //! * a deterministic server-side user level hashed from the request id
 //!   (clients don't authenticate; the hash gives the priority gate a

@@ -18,10 +18,13 @@
 //! * a **load generator** ([`loadgen`]) with closed-loop user pools and
 //!   open-loop surge arms.
 //!
-//! The controller runs on the thread that calls [`LiveServer::run`]
-//! (the [`cluster::Controller`] trait is deliberately not `Send`), on a
-//! real timer tick. Nothing in `core` or the policy knows whether its
-//! observations came from virtual or wall-clock time.
+//! The controller runs on the thread that calls [`run`] (the
+//! [`cluster::Controller`] trait is deliberately not `Send`), on a real
+//! timer tick, inside the same [`cluster::ControlLoop`] the simulator's
+//! harness steps: a [`LiveServer`] — or a fleet of them behind
+//! [`topfull::Sharded`] — is just another [`cluster::Plane`]. Nothing in
+//! `core` or the policy knows whether its observations came from virtual
+//! or wall-clock time.
 
 pub mod clock;
 pub mod executors;
@@ -37,10 +40,13 @@ pub mod wire;
 pub use clock::WallClock;
 pub use loadgen::{ClosedLoopSpec, LoadGen, OpenLoopArm, RejectCounts};
 pub use metrics::{AppDescriptor, LiveMetrics};
-pub use shardrun::{ShardedLive, ShardedLiveConfig, ShardedLiveResult};
+pub use shardrun::{ShardedLive, ShardedLiveConfig};
 
 use cluster::observe::ClusterObservation;
-use cluster::{ApiId, Controller, EntryAdmission, RateLimitUpdate, Topology};
+use cluster::{
+    ApiId, Contact, ControlLoop, Controller, EntryAdmission, Observed, Plane, RateLimitUpdate,
+    RunResult, Topology,
+};
 use executors::WorkerPool;
 use front::{LiveAdmission, LiveFront};
 use gateway::{EventLoops, GatewayShared, LoopConfig};
@@ -107,59 +113,9 @@ impl Default for LiveConfig {
 
 /// One control tick's worth of observed state.
 pub struct LiveTick {
-    /// Wall-clock seconds since server start at window close.
-    pub t_secs: f64,
+    /// The closed window; `obs.now` is wall-clock time since server
+    /// start.
     pub obs: ClusterObservation,
-}
-
-/// A completed live run.
-pub struct LiveRunResult {
-    pub ticks: Vec<LiveTick>,
-    pub api_names: Vec<String>,
-}
-
-impl LiveRunResult {
-    /// `(t, total goodput rps)` per tick.
-    pub fn total_goodput_series(&self) -> Vec<(f64, f64)> {
-        self.ticks
-            .iter()
-            .map(|t| (t.t_secs, t.obs.apis.iter().map(|a| a.goodput).sum()))
-            .collect()
-    }
-
-    /// `(t, goodput rps)` per tick for one API.
-    pub fn goodput_series(&self, api: usize) -> Vec<(f64, f64)> {
-        self.ticks
-            .iter()
-            .map(|t| (t.t_secs, t.obs.apis[api].goodput))
-            .collect()
-    }
-
-    /// `(t, p99 seconds)` per tick for one API (0.0 when no samples).
-    pub fn p99_series(&self, api: usize) -> Vec<(f64, f64)> {
-        self.ticks
-            .iter()
-            .map(|t| {
-                let p99 = t.obs.apis[api].p99.map_or(0.0, |d| d.as_secs_f64());
-                (t.t_secs, p99)
-            })
-            .collect()
-    }
-
-    /// Mean per-tick value of `f` over ticks with `t_secs` in `[from, to)`.
-    pub fn mean_over(&self, from: f64, to: f64, f: impl Fn(&ClusterObservation) -> f64) -> f64 {
-        let vals: Vec<f64> = self
-            .ticks
-            .iter()
-            .filter(|t| t.t_secs >= from && t.t_secs < to)
-            .map(|t| f(&t.obs))
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
 }
 
 /// Bind the metrics exposition listener. A busy `port` is retried with
@@ -204,9 +160,6 @@ pub struct LiveServer {
     pool: Option<WorkerPool>,
     loops: Option<EventLoops>,
     window_start: SimTime,
-    control_interval: Duration,
-    slo: obs::SloMonitor,
-    journal: Arc<obs::Journal>,
 }
 
 /// Resolve `event_loops = 0` (auto) to one loop per available core,
@@ -282,29 +235,7 @@ impl LiveServer {
             pool: Some(pool),
             loops: Some(loops),
             window_start: SimTime::ZERO,
-            control_interval: cfg.control_interval,
-            slo: obs::SloMonitor::new(obs::SloConfig::default()),
-            journal: obs::Journal::shared(),
         })
-    }
-
-    /// Replace the burn-rate monitor's objective/thresholds. Resets the
-    /// window history; call before driving traffic.
-    pub fn set_slo_config(&mut self, cfg: obs::SloConfig) {
-        self.slo = obs::SloMonitor::new(cfg);
-    }
-
-    /// The server's event journal (SLO burn transitions land here, on
-    /// the control thread, for `topfull explain`).
-    pub fn journal(&self) -> &Arc<obs::Journal> {
-        &self.journal
-    }
-
-    /// Route SLO burn transitions into an external journal — typically
-    /// the one the controller's decisions already land in, so `topfull
-    /// explain` renders one interleaved timeline.
-    pub fn attach_journal(&mut self, journal: Arc<obs::Journal>) {
-        self.journal = journal;
     }
 
     /// Snapshot of the gateway's causal trace log (every stage event of
@@ -336,8 +267,9 @@ impl LiveServer {
     }
 
     /// Close the current metric window and return the observation,
-    /// without running a controller. The sharded runner uses this to
-    /// collect per-shard reports before one logical controller step.
+    /// without running a controller: the gateway's half of a control
+    /// tick ([`Plane::observe`]). Also bounds the path learner's trace
+    /// buffer and closes the front door's window.
     pub fn observe_tick(&mut self) -> LiveTick {
         let now = self.shared.clock.now();
         let window = now.duration_since(self.window_start);
@@ -348,45 +280,10 @@ impl LiveServer {
                 .map(|i| admission.entry.rate_limit(ApiId(i as u32)))
                 .collect()
         };
-        let mut obs = self
+        let obs = self
             .shared
             .metrics
             .observe(&self.desc, now, window, &rate_limits);
-        // SLO burn-rate pass on the control thread (same placement as
-        // the simulator's harness): rates -> counts via the window
-        // width, transitions journaled, signals attached to the
-        // observation and mirrored to the exposition gauges.
-        {
-            let w = obs.window.as_secs_f64();
-            let samples: Vec<obs::ApiSloSample> = obs
-                .apis
-                .iter()
-                .map(|a| obs::ApiSloSample {
-                    good: a.goodput * w,
-                    bad: (a.slo_violated + a.failed) * w,
-                })
-                .collect();
-            let slo_tick = self.slo.observe(obs.now.as_secs_f64(), &samples);
-            for tr in &slo_tick.transitions {
-                let name = obs
-                    .apis
-                    .get(tr.api as usize)
-                    .map(|a| a.name.clone())
-                    .unwrap_or_else(|| format!("api{}", tr.api));
-                self.journal.record(obs::JournalEntry::SloBurn {
-                    t: obs.now.as_secs_f64(),
-                    api: tr.api,
-                    api_name: name,
-                    from: tr.from.as_str().into(),
-                    to: tr.to.as_str().into(),
-                    fast_burn: tr.fast_burn,
-                    slow_burn: tr.slow_burn,
-                    budget_remaining: tr.budget_remaining,
-                });
-            }
-            self.shared.metrics.set_slo_signals(&slo_tick.signals);
-            obs.slo_burn = slo_tick.signals;
-        }
         // Bound the live path learner exactly like the simulator's tick.
         self.shared.metrics.compact_traces(now);
         // Close the front door's window on the same cadence as the
@@ -399,10 +296,7 @@ impl LiveServer {
                 let _ = front.door.tick(overloaded);
             }
         }
-        LiveTick {
-            t_secs: now.as_secs_f64(),
-            obs,
-        }
+        LiveTick { obs }
     }
 
     /// Apply rate-limit updates to the admission bank, effective for
@@ -418,40 +312,21 @@ impl LiveServer {
         }
     }
 
-    /// Close the current metric window, run one controller step, and
-    /// apply the resulting rate-limit updates to the admission bank.
+    /// One control tick with a borrowed controller, through a throwaway
+    /// [`ControlLoop`]: close the window, step `controller`, apply its
+    /// updates. Nothing carries over between calls — no burn-rate
+    /// history, no journal — so a real run keeps one loop and calls
+    /// [`run`]; this is for callers that only need the window closed and
+    /// a decision applied.
     ///
     /// Mirrors the simulator's harness ordering exactly: the observation
     /// carries the limits that were in force *during* the window, and
     /// updates take effect for the next one.
     pub fn tick(&mut self, controller: &mut dyn Controller) -> LiveTick {
-        let tick = self.observe_tick();
-        let updates = controller.control(&tick.obs);
-        self.push_limits(&updates);
-        tick
-    }
-
-    /// Drive the control loop for `duration` on the calling thread,
-    /// ticking every `control_interval`.
-    pub fn run(&mut self, controller: &mut dyn Controller, duration: Duration) -> LiveRunResult {
-        let started = Instant::now();
-        let mut next = started + self.control_interval;
-        let mut ticks = Vec::new();
-        loop {
-            let now = Instant::now();
-            if now < next {
-                std::thread::sleep(next - now);
-            }
-            next += self.control_interval;
-            ticks.push(self.tick(controller));
-            if started.elapsed() >= duration {
-                break;
-            }
-        }
-        LiveRunResult {
-            ticks,
-            api_names: self.desc.api_names.clone(),
-        }
+        let obs = ControlLoop::lent(controller)
+            .tick(self)
+            .expect("a live server closes a window on every tick");
+        LiveTick { obs }
     }
 
     /// Stop accepting, stop the workers, and join everything. Event
@@ -479,6 +354,60 @@ impl LiveServer {
         }
         // `self` drops here; detached threads observe the flag and die.
     }
+}
+
+/// The live gateway as a plane: observing closes the wall-clock metric
+/// window, applying moves the admission bank's limits.
+impl Plane for LiveServer {
+    fn observe(&mut self) -> Option<Observed> {
+        let view = self.observe_tick().obs;
+        Some(Observed {
+            now: view.now,
+            view,
+            contact: Contact::Up,
+        })
+    }
+
+    fn rate_limit(&self, api: ApiId) -> f64 {
+        LiveServer::rate_limit(self, api.idx())
+    }
+
+    fn apply(&mut self, updates: Option<&[RateLimitUpdate]>) {
+        self.push_limits(updates.unwrap_or_default());
+    }
+
+    fn slo_signals(&mut self, signals: &[obs::SloBurnSignal]) {
+        self.shared.metrics.set_slo_signals(signals);
+    }
+}
+
+/// Drive `ctl` over a live `plane` for `duration` on the calling thread,
+/// one tick per `interval` of wall clock — the live counterpart of
+/// `cluster::Harness::run_until`, recording the same timeline.
+pub fn run(
+    ctl: &mut ControlLoop,
+    plane: &mut dyn Plane,
+    interval: Duration,
+    duration: Duration,
+) -> RunResult {
+    let started = Instant::now();
+    let mut next = started + interval;
+    let mut result = RunResult::default();
+    loop {
+        let now = Instant::now();
+        if now < next {
+            std::thread::sleep(next - now);
+        }
+        next += interval;
+        if let Some(obs) = ctl.tick(plane) {
+            // No vCPU accounting on the live plane.
+            result.record(&obs, 0.0);
+        }
+        if started.elapsed() >= duration {
+            break;
+        }
+    }
+    result
 }
 
 #[cfg(test)]

@@ -551,7 +551,6 @@ impl LiveMetrics {
             api_paths: desc.api_paths.clone(),
             slo: desc.slo,
             resilience: ResilienceStats::default(),
-            slo_burn: Vec::new(),
         }
     }
 }

@@ -1,13 +1,12 @@
 //! shardrun — N real gateways, one logical TopFull controller.
 //!
-//! The live analogue of `topfull::ShardedHarness`: every shard is a full
-//! [`LiveServer`] (own TCP gateway, worker pool and metric windows), and
-//! one controller runs against the *merged* observation each tick. The
-//! same shard plane as the simulator —
-//! [`topfull::ShardPlane`] for membership/aggregation/quota splits and
-//! [`topfull::ShardLocalGuard`] for controller-loss degradation — sits
-//! between the servers and the controller, so failover behaviour is
-//! byte-identical in kind between sim and live.
+//! Every shard is a full [`LiveServer`] (own TCP gateway, worker pool
+//! and metric windows). [`ShardedLive`] is the set of them — a
+//! [`topfull::ShardSet`] — and [`ShardedLive::start`] hands it back
+//! behind [`topfull::Sharded`], the same adapter the simulator's virtual
+//! shards sit behind: one [`cluster::ControlLoop`] runs against the
+//! *merged* observation each tick, and membership, quota splits and
+//! controller-loss degradation are one implementation on both planes.
 //!
 //! Chaos hooks:
 //!
@@ -23,15 +22,12 @@
 //!   into the bounded MIMD fallback. Never fail-open.
 
 use crate::loadgen::{value_at, ClosedLoopSpec, LoadGen, OpenLoopArm};
-use crate::{LiveConfig, LiveRunResult, LiveServer, LiveTick};
-use cluster::observe::ClusterObservation;
-use cluster::{ApiId, Controller, RateLimitUpdate, Topology};
+use crate::{LiveConfig, LiveServer};
+use cluster::{ApiId, RateLimitUpdate, Topology};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use topfull::{
-    merge_observations, GuardStats, ShardLocalGuard, ShardPlane, ShardPlaneConfig, ShardPlaneStats,
-};
+use std::time::Instant;
+use topfull::{ShardPlaneConfig, ShardSet, ShardWindow, Sharded};
 
 /// Configuration of a sharded live run.
 #[derive(Clone)]
@@ -62,34 +58,19 @@ impl ShardedLiveConfig {
     }
 }
 
-/// Outcome of a sharded live run.
-pub struct ShardedLiveResult {
-    /// Merged-observation tick series (the logical controller's view).
-    pub result: LiveRunResult,
-    pub plane_stats: ShardPlaneStats,
-    /// Summed over shards.
-    pub guard_stats: GuardStats,
-    /// Which shard was killed, if any.
-    pub killed: Option<usize>,
-}
-
-/// N live gateway shards under one logical controller.
+/// N live gateway shards and the clients that load them: the live
+/// [`ShardSet`].
 pub struct ShardedLive {
     cfg: ShardedLiveConfig,
     servers: Vec<Option<LiveServer>>,
     gens: Vec<Option<LoadGen>>,
-    plane: ShardPlane,
-    guards: Vec<ShardLocalGuard>,
-    /// Per-shard per-API entry quotas currently in force.
-    quotas: Vec<Vec<f64>>,
-    /// Last controller-pushed global per-API limits.
-    globals: Vec<f64>,
-    num_apis: usize,
-    api_names: Vec<String>,
     /// Total (unsplit) workload, kept for failover re-splits.
     closed: Option<ClosedLoopSpec>,
     arms: Vec<OpenLoopArm>,
     killed: Option<usize>,
+    /// Fleet start: the zero of kill / controller-loss times and of the
+    /// load generators' schedules.
+    started: Instant,
 }
 
 /// Scale every value of a step schedule by `k` (times stay put).
@@ -111,15 +92,16 @@ fn shift_steps(steps: &[(f64, f64)], dt: f64) -> Vec<(f64, f64)> {
 }
 
 impl ShardedLive {
-    /// Start all shards and their load generators. The `closed` spec
-    /// and `arms` describe the TOTAL offered load; each of the N shards
-    /// receives a `1/N` share (client-side affinity).
+    /// Start all shards and their load generators, and return the fleet
+    /// as one control plane. The `closed` spec and `arms` describe the
+    /// TOTAL offered load; each of the N shards receives a `1/N` share
+    /// (client-side affinity).
     pub fn start(
         topo: &Topology,
         cfg: ShardedLiveConfig,
         closed: Option<ClosedLoopSpec>,
         arms: Vec<OpenLoopArm>,
-    ) -> std::io::Result<Self> {
+    ) -> std::io::Result<Sharded<Self>> {
         assert!(cfg.shards > 0, "at least one shard");
         let mut servers = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
@@ -137,52 +119,24 @@ impl ShardedLive {
             let srv = srv.as_ref().expect("just started");
             srv.shared.metrics.register_into_sharded(&reg, &srv.desc, s);
         }
-        let num_apis = topo.num_apis();
-        let api_names = servers[0].as_ref().expect("shard 0").desc.api_names.clone();
+        let started = Instant::now();
         let share = 1.0 / cfg.shards as f64;
         let mut gens = Vec::with_capacity(cfg.shards);
         for srv in &servers {
             let addr = srv.as_ref().expect("just started").addr();
             gens.push(Some(start_gen(addr, &closed, &arms, share, 0.0)?));
         }
-        let plane = ShardPlane::new(cfg.shards, cfg.plane);
-        let guards = (0..cfg.shards)
-            .map(|s| ShardLocalGuard::new(s as u32, cfg.plane))
-            .collect();
-        Ok(ShardedLive {
-            quotas: vec![vec![f64::INFINITY; num_apis]; cfg.shards],
-            globals: vec![f64::INFINITY; num_apis],
-            plane,
-            guards,
+        let (shards, plane) = (cfg.shards, cfg.plane);
+        let set = ShardedLive {
             servers,
             gens,
-            num_apis,
-            api_names,
             closed,
             arms,
             killed: None,
+            started,
             cfg,
-        })
-    }
-
-    /// Route membership/aggregation/split/fallback events — and every
-    /// shard's SLO burn transitions — to `journal`.
-    pub fn attach_journal(&mut self, journal: Arc<obs::Journal>) {
-        self.plane.attach_journal(Arc::clone(&journal));
-        for g in &mut self.guards {
-            g.attach_journal(Arc::clone(&journal));
-        }
-        for srv in self.servers.iter_mut().flatten() {
-            srv.attach_journal(Arc::clone(&journal));
-        }
-    }
-
-    /// Replace every shard's burn-rate monitor config (each shard
-    /// watches its own traffic slice).
-    pub fn set_slo_config(&mut self, cfg: obs::SloConfig) {
-        for srv in self.servers.iter_mut().flatten() {
-            srv.set_slo_config(cfg);
-        }
+        };
+        Ok(Sharded::new(set, shards, topo.num_apis(), plane))
     }
 
     /// Trace events from every living shard's trace log, shard order.
@@ -240,135 +194,13 @@ impl ShardedLive {
         }
     }
 
-    /// One logical control tick over all shards; returns the merged
-    /// observation (`None` when no shard reported).
-    fn control_tick(&mut self, t: f64, controller: &mut dyn Controller) -> Option<LiveTick> {
-        let views: Vec<Option<ClusterObservation>> = self
-            .servers
-            .iter_mut()
-            .map(|s| s.as_mut().map(|srv| srv.observe_tick().obs))
-            .collect();
-        let lost = self
-            .cfg
-            .controller_loss
-            .is_some_and(|(from, until)| t >= from && t < until);
-        if !lost {
-            if let Some(merged) = self.plane.observe(t, &views) {
-                let updates = controller.control(&merged);
-                let mut touched: Vec<ApiId> = Vec::new();
-                for u in &updates {
-                    self.globals[u.api.idx()] = u.rate;
-                    touched.push(u.api);
-                }
-                if self.plane.membership_changed() || self.plane.any_ramping() {
-                    touched = (0..self.num_apis).map(|i| ApiId(i as u32)).collect();
-                }
-                for api in touched {
-                    let split = self.plane.split(t, api, self.globals[api.idx()]);
-                    for (s, q) in split.iter().enumerate() {
-                        self.quotas[s][api.idx()] = *q;
-                    }
-                }
-                for s in 0..self.cfg.shards {
-                    let Some(srv) = self.servers[s].as_mut() else {
-                        continue;
-                    };
-                    let ups: Vec<RateLimitUpdate> = (0..self.num_apis)
-                        .map(|i| RateLimitUpdate {
-                            api: ApiId(i as u32),
-                            rate: self.quotas[s][i],
-                        })
-                        .collect();
-                    srv.push_limits(&ups);
-                    self.guards[s].on_push(t);
-                }
-                self.plane.end_tick(t);
-            }
-        } else {
-            // Controller unreachable: each surviving shard degrades on
-            // its own observation slice — hold, then bounded MIMD.
-            for (s, slot) in views.iter().enumerate() {
-                let (Some(srv), Some(view)) = (self.servers[s].as_mut(), slot.as_ref()) else {
-                    continue;
-                };
-                if self.guards[s].tick(t, view, &mut self.quotas[s]) {
-                    let ups: Vec<RateLimitUpdate> = (0..self.num_apis)
-                        .map(|i| RateLimitUpdate {
-                            api: ApiId(i as u32),
-                            rate: self.quotas[s][i],
-                        })
-                        .collect();
-                    srv.push_limits(&ups);
-                }
-            }
-        }
-        let present: Vec<&ClusterObservation> = views.iter().flatten().collect();
-        if present.is_empty() {
-            return None;
-        }
-        Some(LiveTick {
-            t_secs: t,
-            obs: merge_observations(&present),
-        })
-    }
-
-    /// Drive the sharded control loop for `duration` on the calling
-    /// thread, ticking every `control_interval`.
-    pub fn run(&mut self, controller: &mut dyn Controller, duration: Duration) -> LiveRunResult {
-        let started = Instant::now();
-        let interval = self.cfg.live.control_interval;
-        let mut next = started + interval;
-        let mut ticks = Vec::new();
-        loop {
-            let now = Instant::now();
-            if now < next {
-                std::thread::sleep(next - now);
-            }
-            next += interval;
-            let t = started.elapsed().as_secs_f64();
-            if let Some((shard, at)) = self.cfg.kill {
-                if self.killed.is_none() && t >= at {
-                    self.kill_shard(shard, t);
-                }
-            }
-            if let Some(tick) = self.control_tick(t, controller) {
-                ticks.push(tick);
-            }
-            if started.elapsed() >= duration {
-                break;
-            }
-        }
-        LiveRunResult {
-            ticks,
-            api_names: self.api_names.clone(),
-        }
-    }
-
-    pub fn plane_stats(&self) -> ShardPlaneStats {
-        self.plane.stats()
-    }
-
-    /// Guard activity summed over shards.
-    pub fn guard_stats(&self) -> GuardStats {
-        let mut total = GuardStats::default();
-        for g in &self.guards {
-            let s = g.stats();
-            total.held_ticks += s.held_ticks;
-            total.fallback_ticks += s.fallback_ticks;
-            total.resyncs += s.resyncs;
-        }
-        total
-    }
-
     /// Which shard was killed, if any.
     pub fn killed(&self) -> Option<usize> {
         self.killed
     }
 
     /// Stop every load generator, drain and shut down surviving shards.
-    pub fn shutdown(mut self) -> ShardedLiveResult {
-        let plane_stats = self.plane_stats();
-        let guard_stats = self.guard_stats();
+    pub fn shutdown(mut self) {
         for g in &mut self.gens {
             if let Some(g) = g.take() {
                 g.stop();
@@ -379,14 +211,53 @@ impl ShardedLive {
                 s.shutdown();
             }
         }
-        ShardedLiveResult {
-            result: LiveRunResult {
-                ticks: Vec::new(),
-                api_names: self.api_names.clone(),
-            },
-            plane_stats,
-            guard_stats,
-            killed: self.killed,
+    }
+}
+
+impl ShardSet for ShardedLive {
+    fn observe(&mut self, _quotas: &[Vec<f64>]) -> Option<ShardWindow> {
+        let t = self.started.elapsed().as_secs_f64();
+        if let Some((shard, at)) = self.cfg.kill {
+            if self.killed.is_none() && t >= at {
+                self.kill_shard(shard, t);
+            }
+        }
+        // A live gateway's window already carries the limits it enforced.
+        let locals: Vec<_> = self
+            .servers
+            .iter_mut()
+            .map(|s| s.as_mut().map(|srv| srv.observe_tick().obs))
+            .collect();
+        Some(ShardWindow {
+            t,
+            reporting: locals.iter().map(Option::is_some).collect(),
+            locals,
+            controller_lost: self
+                .cfg
+                .controller_loss
+                .is_some_and(|(from, until)| t >= from && t < until),
+        })
+    }
+
+    fn enforce(&mut self, quotas: &[Vec<f64>]) {
+        for (srv, quotas) in self.servers.iter_mut().zip(quotas) {
+            let Some(srv) = srv else {
+                continue;
+            };
+            let ups: Vec<RateLimitUpdate> = quotas
+                .iter()
+                .enumerate()
+                .map(|(i, rate)| RateLimitUpdate::limit(ApiId(i as u32), *rate))
+                .collect();
+            srv.push_limits(&ups);
+        }
+    }
+
+    /// Fleet burn is exported once, on shard 0's `/metrics` — the
+    /// endpoint that already aggregates every shard's series.
+    fn slo_signals(&mut self, signals: &[obs::SloBurnSignal]) {
+        if let Some(srv) = &self.servers[0] {
+            srv.shared.metrics.set_slo_signals(signals);
         }
     }
 }
@@ -420,8 +291,10 @@ fn start_gen(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{ApiSpec, CallNode, NoControl, ServiceSpec};
+    use cluster::observe::ClusterObservation;
+    use cluster::{ApiSpec, CallNode, ControlLoop, Controller, NoControl, ServiceSpec};
     use simnet::SimDuration;
+    use std::time::Duration;
 
     fn tiny_topo() -> Topology {
         let mut t = Topology::default();
@@ -462,16 +335,18 @@ mod tests {
             rate_steps: vec![(0.0, 300.0)],
             key_space: 0,
         }];
-        let journal = Arc::new(obs::Journal::new());
+        let interval = cfg.live.control_interval;
         let mut live = ShardedLive::start(&tiny_topo(), cfg, None, arms).expect("start");
+        let mut ctl = ControlLoop::new(Box::new(NoControl));
+        let journal = Arc::clone(ctl.journal());
         live.attach_journal(Arc::clone(&journal));
-        let result = live.run(&mut NoControl, Duration::from_secs(1));
-        assert!(!result.ticks.is_empty());
-        assert_eq!(live.killed(), Some(1));
+        let result = crate::run(&mut ctl, &mut live, interval, Duration::from_secs(1));
+        assert!(!result.samples.is_empty());
+        assert_eq!(live.set().killed(), Some(1));
         // The kill was a real teardown: the dead shard has no address,
         // the survivors still answer.
-        assert!(live.shard_addr(1).is_none());
-        assert!(live.shard_addr(0).is_some() && live.shard_addr(2).is_some());
+        assert!(live.set().shard_addr(1).is_none());
+        assert!(live.set().shard_addr(0).is_some() && live.set().shard_addr(2).is_some());
         // The plane noticed the kill and struck the shard out.
         assert!(
             live.plane_stats().strike_outs >= 1,
@@ -483,36 +358,33 @@ mod tests {
         // Schedule re-anchor: after failover the survivors' generators
         // carry the dead shard's share, so merged offered load and
         // goodput keep flowing on ticks well past the kill instant.
-        let late: Vec<_> = result.ticks.iter().filter(|t| t.t_secs > 0.6).collect();
+        let late: Vec<_> = result
+            .samples
+            .iter()
+            .filter(|s| s.at.as_secs_f64() > 0.6)
+            .collect();
         assert!(!late.is_empty(), "run produced post-kill ticks");
-        let late_offered: f64 = late
-            .iter()
-            .map(|t| t.obs.apis.iter().map(|a| a.offered).sum::<f64>())
-            .sum();
-        let late_goodput: f64 = late
-            .iter()
-            .map(|t| t.obs.apis.iter().map(|a| a.goodput).sum::<f64>())
-            .sum();
+        let late_offered: f64 = late.iter().map(|s| s.offered.iter().sum::<f64>()).sum();
+        let late_goodput: f64 = late.iter().map(|s| s.goodput.iter().sum::<f64>()).sum();
         assert!(late_offered > 0.0, "survivors keep receiving traffic");
         assert!(late_goodput > 0.0, "survivors keep completing requests");
         // Clean drain: shutting the survivors down joins their event
         // loops and worker pools without hanging or panicking.
-        let out = live.shutdown();
-        assert_eq!(out.killed, Some(1));
+        live.into_set().shutdown();
     }
 
     #[test]
     fn sharded_registry_carries_shard_labels() {
         let cfg = ShardedLiveConfig::new(2, LiveConfig::default());
         let live = ShardedLive::start(&tiny_topo(), cfg, None, Vec::new()).expect("start");
-        let text = live.servers[0]
+        let text = live.set().servers[0]
             .as_ref()
             .expect("shard 0")
             .registry()
             .render_prometheus();
         assert!(text.contains("shard=\"0\""), "{text}");
         assert!(text.contains("shard=\"1\""), "{text}");
-        live.shutdown();
+        live.into_set().shutdown();
     }
 
     #[test]
@@ -531,6 +403,7 @@ mod tests {
             rate_steps: vec![(0.0, 200.0)],
             key_space: 0,
         }];
+        let interval = cfg.live.control_interval;
         let mut live = ShardedLive::start(&tiny_topo(), cfg, None, arms).expect("start");
         // A controller that pushes a finite limit before the loss window.
         struct Fixed;
@@ -542,17 +415,23 @@ mod tests {
                 }]
             }
         }
-        live.run(&mut Fixed, Duration::from_secs(1));
+        let mut ctl = ControlLoop::new(Box::new(Fixed));
+        let result = crate::run(&mut ctl, &mut live, interval, Duration::from_secs(1));
+        // Ticks inside the loss window still land on the timeline.
+        assert!(
+            result.samples.iter().any(|s| s.at.as_secs_f64() > 0.3),
+            "lost ticks recorded"
+        );
         let gs = live.guard_stats();
         assert!(gs.held_ticks > 0, "guards held: {gs:?}");
         assert!(gs.fallback_ticks > 0, "guards fell back: {gs:?}");
-        // Never fail-open or fail-closed while blind.
-        for s in 0..2 {
-            for &q in &live.quotas[s] {
-                assert!(q.is_finite(), "blind quota must be finite");
-                assert!(q > 0.0, "blind quota must admit something");
-            }
+        // Never fail-open or fail-closed while blind: read the limits
+        // the gateways actually enforce.
+        for srv in live.set().servers.iter().flatten() {
+            let q = srv.rate_limit(0);
+            assert!(q.is_finite(), "blind quota must be finite");
+            assert!(q > 0.0, "blind quota must admit something");
         }
-        live.shutdown();
+        live.into_set().shutdown();
     }
 }

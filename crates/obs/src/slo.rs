@@ -16,11 +16,10 @@
 //! The monitor is fed one [`ApiSloSample`] batch per control tick (sim
 //! ticks or wall clock — it only sees `(t, good, bad)`), keeps a
 //! time-pruned ring per API, and reports a [`SloBurnSignal`] per API
-//! plus a [`SloTransition`] whenever an API's severity changes. Callers
-//! journal transitions as `JournalEntry::SloBurn` and export the
-//! signals as `/metrics` gauges; the harness also attaches them to
-//! `ClusterObservation` so controller arms and fuzz objectives can
-//! consume them (DESIGN.md §18).
+//! plus a [`SloTransition`] whenever an API's severity changes. The
+//! control loop — its one caller — journals transitions as
+//! `JournalEntry::SloBurn` and hands the signals to the plane it runs
+//! over, which exports them as `/metrics` gauges (DESIGN.md §18, §19).
 //!
 //! Determinism: the monitor is a pure fold over its inputs — no clocks,
 //! no randomness — so for a fixed run it transitions identically at any

@@ -11,6 +11,10 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# A deleted or renamed type leaves dangling [`links`] behind in the
+# crates the control loop runs through; rustdoc is what notices.
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
+  cargo doc --no-deps -q -p cluster -p topfull -p liveserve -p topfull-cli
 
 # The gated benchmark (benchmark/, its own cargo workspace) in its quick
 # mode: <= 15 s, every correctness gate — byte-for-byte replies,
@@ -181,6 +185,17 @@ fp4=$(./target/release/topfull explain /tmp/topfull_shard_w4.json --fingerprint)
 [ -n "$fp1" ] && [ "$fp1" = "$fp4" ] \
   || { echo "fingerprint smoke: journal diverged across workers ($fp1 vs $fp4)"; exit 1; }
 
+# ...and identically to the journal recorded in
+# scripts/journal_fingerprints.txt: a control-loop refactor that reorders
+# one entry fails here, not in a reviewer's eyeballs.
+pinned_fingerprint() { # $1 = run name, $2 = fingerprint just computed
+  local want
+  want=$(awk -v run="$1" '$1 == run { print $2 }' scripts/journal_fingerprints.txt)
+  [ -n "$want" ] && [ "${2%% *}" = "$want" ] \
+    || { echo "journal fingerprint of $1 moved: recorded ${want:-nothing}, got ${2%% *}"; exit 1; }
+}
+pinned_fingerprint scenarios/sharded_surge.json "$fp1"
+
 # Admission-journal determinism: the front-door scenario (coalescing
 # verdict windows + priority-threshold moves in the journal) must
 # fingerprint identically across worker counts too.
@@ -192,6 +207,7 @@ afp1=$(./target/release/topfull explain /tmp/topfull_adm_w1.json --fingerprint)
 afp4=$(./target/release/topfull explain /tmp/topfull_adm_w4.json --fingerprint)
 [ -n "$afp1" ] && [ "$afp1" = "$afp4" ] \
   || { echo "admission fingerprint smoke: journal diverged across workers ($afp1 vs $afp4)"; exit 1; }
+pinned_fingerprint scenarios/read_flash_crowd.json "$afp1"
 ./target/release/topfull explain /tmp/topfull_adm_w1.json | grep -q 'frontdoor' \
   || { echo "admission fingerprint smoke: no front-door windows in journal"; exit 1; }
 
@@ -264,5 +280,9 @@ cells=$(grep -c '"journal_fingerprint"' /tmp/topfull_matrix_w1.json)
   || { echo "matrix smoke: expected 12 cells, got $cells"; exit 1; }
 grep -q '"cells": 12' /tmp/topfull_matrix_w1.json \
   || { echo "matrix smoke: cell count missing from report"; exit 1; }
+while read -r cell fp; do
+  pinned_fingerprint "scenarios/matrix/overload_arms.json#$cell" "$fp"
+done < <(awk -F'"' '/"id":/ { id = $4 } /"journal_fingerprint":/ { print id, $4 }' \
+  /tmp/topfull_matrix_w1.json)
 
 echo "tier-1 verify: OK"

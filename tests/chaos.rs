@@ -255,7 +255,7 @@ fn watchdog_freezes_then_decays_during_blackout() {
 #[test]
 fn shard_kill_mid_surge_recovers_to_two_shard_steady_state() {
     use topfull_suite::cluster::ShardFault;
-    use topfull_suite::topfull::{ShardedConfig, ShardedHarness};
+    use topfull_suite::topfull::{Sharded, ShardedConfig};
 
     let surged = |seed: u64| {
         let ob = OnlineBoutique::build();
@@ -282,8 +282,9 @@ fn shard_kill_mid_surge_recovers_to_two_shard_steady_state() {
     let mean_total = |r: &RunResult, from: f64, to: f64| r.mean_total_goodput(from, to);
 
     // Reference: a healthy 2-shard fleet under the same surge.
-    let mut two = ShardedHarness::new(surged(21), topfull(), ShardedConfig::uniform(2))
-        .expect("valid config");
+    let sharded =
+        |engine, cfg| Harness::new(Sharded::sim(engine, cfg).expect("valid config"), topfull());
+    let mut two = sharded(surged(21), ShardedConfig::uniform(2));
     two.run_for_secs(120);
 
     // Chaos arm: 3 shards, shard 1 SIGKILLed at t=60, mid-surge.
@@ -293,10 +294,10 @@ fn shard_kill_mid_surge_recovers_to_two_shard_steady_state() {
         at: SimTime::from_secs(60),
     }];
     let strike_out = cfg.plane.strike_out;
-    let mut three = ShardedHarness::new(surged(21), topfull(), cfg).expect("valid config");
+    let mut three = sharded(surged(21), cfg);
     three.run_for_secs(120);
 
-    let stats = three.plane_stats();
+    let stats = three.engine.plane_stats();
     assert!(stats.strike_outs >= 1, "killed shard never struck out");
     assert_eq!(stats.reentries, 0, "a killed shard cannot return");
     assert!(stats.redistributions >= 1, "quota never redistributed");

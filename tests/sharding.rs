@@ -10,7 +10,9 @@ use topfull_suite::cluster::{
     Engine, EngineConfig, Harness, OpenLoopWorkload, RateSchedule, ShardFault,
 };
 use topfull_suite::simnet::SimTime;
-use topfull_suite::topfull::{split_limit, ShardedConfig, ShardedHarness, TopFull, TopFullConfig};
+use topfull_suite::topfull::{
+    split_limit, Sharded, ShardedConfig, SimShards, TopFull, TopFullConfig,
+};
 
 const MIN_QUANTUM: f64 = 1.0;
 
@@ -39,6 +41,12 @@ fn surge_engine(seed: u64) -> Engine {
 
 fn controller() -> Box<dyn topfull_suite::cluster::Controller> {
     Box::new(TopFull::new(TopFullConfig::default().with_mimd()))
+}
+
+/// The surged engine behind `cfg`'s virtual gateway shards.
+fn sharded(seed: u64, cfg: ShardedConfig) -> Harness<Sharded<SimShards>> {
+    let plane = Sharded::sim(surge_engine(seed), cfg).expect("valid config");
+    Harness::new(plane, controller())
 }
 
 fn mean_goodput(samples: &[topfull_suite::cluster::harness::TickSample], from: f64) -> f64 {
@@ -139,8 +147,7 @@ proptest! {
 fn healthy_sharded_plane_matches_single_gateway() {
     let mut single = Harness::new(surge_engine(7), controller());
     single.run_for_secs(90);
-    let mut sharded = ShardedHarness::new(surge_engine(7), controller(), ShardedConfig::uniform(3))
-        .expect("valid config");
+    let mut sharded = sharded(7, ShardedConfig::uniform(3));
     sharded.run_for_secs(90);
     let (a, b) = (
         mean_goodput(&single.result().samples, 45.0),
@@ -150,7 +157,7 @@ fn healthy_sharded_plane_matches_single_gateway() {
         (a - b).abs() / a.max(1.0) < 0.05,
         "3-shard goodput {b:.1} strays from single-gateway {a:.1}"
     );
-    let stats = sharded.plane_stats();
+    let stats = sharded.engine.plane_stats();
     assert!(stats.merges > 0, "controller ran on merged observations");
     assert_eq!(stats.strike_outs, 0, "no failover on a healthy fleet");
 }
@@ -166,9 +173,9 @@ fn dropout_strikes_out_and_reenters_with_ramp() {
         from: SimTime::from_secs(30),
         until: SimTime::from_secs(60),
     }];
-    let mut h = ShardedHarness::new(surge_engine(11), controller(), cfg).expect("valid config");
+    let mut h = sharded(11, cfg);
     h.run_for_secs(100);
-    let stats = h.plane_stats();
+    let stats = h.engine.plane_stats();
     assert!(stats.strike_outs >= 1, "shard 1 must strike out: {stats:?}");
     assert!(stats.reentries >= 1, "shard 1 must re-enter: {stats:?}");
     assert!(
@@ -209,9 +216,9 @@ fn controller_loss_degrades_without_failing_open_or_closed() {
         until: SimTime::from_secs(70),
     }];
     let ttl = cfg.plane.limit_ttl;
-    let mut h = ShardedHarness::new(surge_engine(13), controller(), cfg).expect("valid config");
+    let mut h = sharded(13, cfg);
     h.run_for_secs(100);
-    let guards = h.guard_stats();
+    let guards = h.engine.guard_stats();
     assert!(guards.held_ticks > 0, "limits must be held inside the TTL");
     assert!(
         guards.fallback_ticks > 0,
@@ -221,7 +228,10 @@ fn controller_loss_degrades_without_failing_open_or_closed() {
         guards.resyncs >= 3,
         "all shards resync on return: {guards:?}"
     );
-    assert!(h.lost_ticks > 0, "loss window must cost controller ticks");
+    assert!(
+        h.engine.lost_ticks() > 0,
+        "loss window must cost controller ticks"
+    );
     // Once every shard is past its TTL (limit_ttl ticks into the
     // window), the enforced limits are the fallback's: finite, bounded
     // away from zero (>= 3 live shards x min-quantum).
@@ -257,8 +267,7 @@ fn sharded_journal_fingerprint_is_worker_count_invariant() {
             from: SimTime::from_secs(20),
             until: SimTime::from_secs(35),
         }];
-        let mut h =
-            ShardedHarness::new(surge_engine(seed), controller(), cfg).expect("valid config");
+        let mut h = sharded(seed, cfg);
         h.run_for_secs(50);
         obs::journal_fingerprint(&obs::to_jsonl(&h.journal().snapshot()))
     };
