@@ -100,9 +100,9 @@ impl<'a, T: Send> RunPlan<'a, T> {
             self.jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..self.workers.min(n) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     // Work-stealing by atomic index: scheduling order is
                     // irrelevant to the output because results land in
                     // their submission slot.
@@ -119,8 +119,7 @@ impl<'a, T: Send> RunPlan<'a, T> {
                     *slots[i].lock().expect("result slot poisoned") = Some(out);
                 });
             }
-        })
-        .expect("runner scope");
+        });
         slots
             .into_iter()
             .map(|m| {

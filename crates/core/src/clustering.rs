@@ -120,6 +120,27 @@ pub fn cluster_apis(api_paths: &[Vec<ServiceId>], overloaded: &[ServiceId]) -> V
     out
 }
 
+/// The §6.2 "w/o cluster" ablation: every involved API and every
+/// overloaded service as one monolithic sub-problem (none when no API
+/// is involved).
+pub(crate) fn monolithic_cluster(
+    api_paths: &[Vec<ServiceId>],
+    overloaded: &[ServiceId],
+) -> Vec<Cluster> {
+    let mut apis: Vec<ApiId> = cluster_apis(api_paths, overloaded)
+        .into_iter()
+        .flat_map(|c| c.apis)
+        .collect();
+    if apis.is_empty() {
+        return Vec::new();
+    }
+    apis.sort();
+    vec![Cluster {
+        apis,
+        overloaded: overloaded.to_vec(),
+    }]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +215,24 @@ mod tests {
             }
         }
         assert_eq!(clusters.len(), 3);
+    }
+
+    #[test]
+    fn monolithic_cluster_is_every_involved_api_in_one_problem() {
+        // Two disjoint overloads (two clusters under Equation 2) plus an
+        // uninvolved API.
+        let paths = vec![sid(&[0]), sid(&[1]), sid(&[2])];
+        let over = sid(&[0, 1]);
+        assert_eq!(cluster_apis(&paths, &over).len(), 2);
+        assert_eq!(
+            monolithic_cluster(&paths, &over),
+            vec![Cluster {
+                apis: vec![ApiId(0), ApiId(1)],
+                overloaded: over,
+            }]
+        );
+        assert!(monolithic_cluster(&paths, &[]).is_empty());
+        assert!(monolithic_cluster(&paths, &sid(&[9])).is_empty());
     }
 
     #[test]

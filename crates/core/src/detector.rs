@@ -53,9 +53,16 @@ pub struct OverloadDetector {
     /// How stale a last-good utilization sample may be and still stand in
     /// for a missing one.
     pub max_sample_age: SimDuration,
-    currently_overloaded: Vec<bool>,
-    last_good: Vec<f64>,
-    last_good_at: Vec<Option<SimTime>>,
+    /// Per-service state, indexed by `ServiceId`; grows to whatever the
+    /// observations mention.
+    services: Vec<ServiceState>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct ServiceState {
+    overloaded: bool,
+    /// Last finite utilization sample and when it was taken.
+    last_good: Option<(SimTime, f64)>,
 }
 
 impl OverloadDetector {
@@ -78,16 +85,8 @@ impl OverloadDetector {
             enter,
             exit,
             max_sample_age: SimDuration::from_secs(5),
-            currently_overloaded: vec![false; num_services],
-            last_good: vec![0.0; num_services],
-            last_good_at: vec![None; num_services],
+            services: vec![ServiceState::default(); num_services],
         })
-    }
-
-    /// Override the staleness bound on last-good utilization samples.
-    pub fn with_max_sample_age(mut self, age: SimDuration) -> Self {
-        self.max_sample_age = age;
-        self
     }
 
     /// Update from an observation; returns the overloaded set, ascending.
@@ -95,29 +94,32 @@ impl OverloadDetector {
         let mut out = Vec::new();
         for w in &obs.services {
             let i = w.service.idx();
+            if i >= self.services.len() {
+                self.services.resize(i + 1, ServiceState::default());
+            }
+            let state = &mut self.services[i];
             let util = if w.utilization.is_finite() {
-                self.last_good[i] = w.utilization;
-                self.last_good_at[i] = Some(obs.now);
+                state.last_good = Some((obs.now, w.utilization));
                 Some(w.utilization)
             } else {
                 // Degraded sample: fall back to the last good value if it
                 // is fresh enough, else the state is unknown.
-                self.last_good_at[i]
-                    .filter(|t| obs.now.duration_since(*t) <= self.max_sample_age)
-                    .map(|_| self.last_good[i])
+                state
+                    .last_good
+                    .filter(|(t, _)| obs.now.duration_since(*t) <= self.max_sample_age)
+                    .map(|(_, u)| u)
             };
-            let flag = &mut self.currently_overloaded[i];
             // Unknown (`None`) is not healthy: hold the flag as-is.
             if let Some(u) = util {
-                if *flag {
+                if state.overloaded {
                     if u < self.exit {
-                        *flag = false;
+                        state.overloaded = false;
                     }
                 } else if u > self.enter {
-                    *flag = true;
+                    state.overloaded = true;
                 }
             }
-            if *flag {
+            if state.overloaded {
                 out.push(w.service);
             }
         }
@@ -126,7 +128,7 @@ impl OverloadDetector {
 
     /// Whether a service is currently flagged.
     pub fn is_overloaded(&self, svc: ServiceId) -> bool {
-        self.currently_overloaded[svc.idx()]
+        self.services.get(svc.idx()).is_some_and(|s| s.overloaded)
     }
 }
 
@@ -223,6 +225,20 @@ mod tests {
         // state is unknown — flags hold (0 stays flagged, 1 stays clear).
         let got = d.detect(&obs_at(SimTime::from_secs(60), &[f64::NAN, f64::NAN]));
         assert_eq!(got, vec![ServiceId(0)]);
+    }
+
+    #[test]
+    fn detector_grows_with_the_observation() {
+        // Sized from a 1-service view, then shown three services (a
+        // topology that gained services, a shard view that filled in).
+        let mut d = OverloadDetector::new(1);
+        assert_eq!(d.detect(&obs(&[0.9])), vec![ServiceId(0)]);
+        assert_eq!(
+            d.detect(&obs(&[0.9, 0.2, 0.95])),
+            vec![ServiceId(0), ServiceId(2)]
+        );
+        assert!(d.is_overloaded(ServiceId(2)));
+        assert!(!d.is_overloaded(ServiceId(7)), "unseen is not overloaded");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! * [`rate_controller`] — the pluggable step-size policy: the RL policy
 //!   (default), the MIMD ablation of §6.2, and the Breakwater-style AIMD
 //!   of §6.3's TopFull(BW).
-//! * [`controller`] — the end-to-end control loop (Algorithm 1, target
-//!   selection, recovery controllers, business priorities), implementing
-//!   [`cluster::Controller`] so it plugs into the simulator harness.
+//! * [`controller`] — the end-to-end control loop as one pipeline,
+//!   detect → cluster → select → decide → apply → journal, a file per
+//!   paper section (`select.rs` §4.1, `decide.rs` §4.3, `apply.rs`
+//!   Algorithm 1, `episode.rs` the collapse backoff, `journal.rs`),
+//!   implementing [`cluster::Controller`] so it plugs into either plane.
 //!
 //! ## Quick start
 //!

@@ -27,6 +27,16 @@ pub struct RateState {
     pub total_limit: f64,
 }
 
+impl RateState {
+    /// Whether any field is non-finite: telemetry dropped out somewhere
+    /// under the candidate set, so the state is a guess.
+    pub fn is_degraded(&self) -> bool {
+        !(self.goodput_ratio.is_finite()
+            && self.latency_ratio.is_finite()
+            && self.total_limit.is_finite())
+    }
+}
+
 /// A step-size policy. Must be `Send + Sync`: one `Arc`'d policy is
 /// shared by every controller built from a `TopFullConfig` clone, and
 /// those run on the run executor's worker threads.
@@ -233,10 +243,7 @@ impl SafeRateController {
 
 impl RateController for SafeRateController {
     fn decide(&self, s: RateState) -> f64 {
-        let degraded = !s.goodput_ratio.is_finite()
-            || !s.latency_ratio.is_finite()
-            || !s.total_limit.is_finite();
-        let action = if degraded || self.tripped() {
+        let action = if s.is_degraded() || self.tripped() {
             self.fallback.decide(Self::sanitize(s))
         } else {
             let a = self.primary.decide(s);

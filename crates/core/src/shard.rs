@@ -37,6 +37,7 @@ mod sharded;
 
 pub use sharded::{ShardSet, ShardWindow, Sharded, ShardedConfig, SimShards};
 
+use crate::controller::jf;
 use crate::rate_controller::{MimdController, RateController, RateState, SafeRateController};
 use cluster::observe::ClusterObservation;
 use cluster::types::ApiId;
@@ -95,15 +96,6 @@ pub struct ShardPlaneStats {
     pub redistributions: u64,
     /// Observation merges handed to the controller.
     pub merges: u64,
-}
-
-/// Sanitize a float for the JSON journal: non-finite encodes as `-1`.
-fn jf(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        -1.0
-    }
 }
 
 /// Split `global` (requests/s; `INFINITY` = unlimited) across shards

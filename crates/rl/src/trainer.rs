@@ -162,13 +162,13 @@ impl Trainer {
             let per_worker: Vec<usize> = (0..workers)
                 .map(|w| n / workers + usize::from(w < n % workers))
                 .collect();
-            let episodes: Vec<Episode> = crossbeam::thread::scope(|scope| {
+            let episodes: Vec<Episode> = std::thread::scope(|scope| {
                 let handles: Vec<_> = per_worker
                     .iter()
                     .enumerate()
                     .map(|(w, &count)| {
                         let make_env = &make_env;
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut env = make_env();
                             let mut rng = SmallRng::seed_from_u64(
                                 derive_seed(seed, "rollout") ^ (iter << 8) ^ w as u64,
@@ -183,8 +183,7 @@ impl Trainer {
                     .into_iter()
                     .flat_map(|h| h.join().expect("rollout worker"))
                     .collect()
-            })
-            .expect("rollout scope");
+            });
 
             last_stats = self.ppo.update(&episodes, &mut update_rng);
             episodes_run += n;

@@ -211,6 +211,16 @@ pinned_fingerprint scenarios/read_flash_crowd.json "$afp1"
 ./target/release/topfull explain /tmp/topfull_adm_w1.json | grep -q 'frontdoor' \
   || { echo "admission fingerprint smoke: no front-door windows in journal"; exit 1; }
 
+# The controller paths the runs above never reach: a recovery-probe
+# collapse escalation (fuzz 2-10), RateBlocked / Release / empty-group
+# reasons (boutique surge), the hardened loop under stall + watchdog
+# (gray failure).
+for s in scenarios/found/fuzz_2_10_breach.json scenarios/boutique_surge_topfull.json \
+  scenarios/gray_failure_chaos.json; do
+  ./target/release/topfull-sim run "$s" --json > /tmp/topfull_pin.json
+  pinned_fingerprint "$s" "$(./target/release/topfull explain /tmp/topfull_pin.json --fingerprint)"
+done
+
 # Decision-journal smoke: `topfull explain` must render the journal
 # embedded in a committed experiment artifact.
 ./target/release/topfull explain artifacts/results/multishard.json \
