@@ -735,6 +735,39 @@ mod lifecycle_tests {
     }
 
     #[test]
+    fn closed_loop_queue_is_mostly_parked_client_timeouts() {
+        // The population `simnet::event`'s far tier exists for: a healthy
+        // closed loop answers in milliseconds, yet each request's 10 s
+        // client timeout stays queued until it fires as a no-op — ten
+        // per user at one request a second — while only the events of
+        // the next few milliseconds need ordering. If timeouts ever
+        // become cancellable the first bound fails: the wheel has lost
+        // its reason.
+        let users = 400;
+        let mut topo = Topology::new("parked");
+        let s = topo.add_service(ServiceSpec::new("s", 4));
+        let api = topo.add_api(ApiSpec::single("a", CallNode::leaf(s, ms(2))));
+        let w = ClosedLoopWorkload::fixed(vec![(api, 1.0)], users, SimDuration::from_secs(1));
+        let mut e = Engine::new(topo, EngineConfig::default(), Box::new(w));
+        // Sampled every simulated millisecond once the first timeouts
+        // have come due and the population is steady.
+        let (mut fewest_pending, mut deepest_near) = (usize::MAX, 0);
+        for at_ms in 12_000..30_000 {
+            e.run_until(SimTime::from_millis(at_ms));
+            fewest_pending = fewest_pending.min(e.queue.len());
+            deepest_near = deepest_near.max(e.queue.near_len());
+        }
+        assert!(
+            fewest_pending >= 8 * users as usize,
+            "{fewest_pending} pending events for {users} users"
+        );
+        assert!(
+            deepest_near * 50 <= fewest_pending,
+            "near tier {deepest_near} deep with {fewest_pending} events pending"
+        );
+    }
+
+    #[test]
     fn learned_and_static_paths_agree_for_non_branching_apis() {
         let mut topo = Topology::new("agree");
         let f = topo.add_service(ServiceSpec::new("f", 2));

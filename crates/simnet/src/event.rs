@@ -8,25 +8,48 @@
 //!
 //! ## Layout
 //!
-//! The priority queue is a 4-ary min-heap of 24-byte [`Key`]s; the event
-//! payloads never move — each is parked in a slab slot the key points at
-//! until it pops. A sift therefore copies keys only, whatever `E` weighs,
-//! and a push/pop pair allocates nothing once the slab has grown to the
-//! queue's working depth.
+//! Two tiers over one order. The *near* tier is a 4-ary min-heap of
+//! 24-byte [`Key`]s holding only what fires before a moving *horizon*;
+//! everything later is parked in the *far* tier, a timing wheel of
+//! fixed-width buckets plus one overflow list for keys past the wheel's
+//! span. A pop takes the heap's root and, only when the heap is empty,
+//! drains the next bucket into it. Closed-loop users arm a 10 s timeout
+//! per request, so tens of thousands of pending keys are seconds away:
+//! parked, each costs a list push and a push/pop on a small heap instead
+//! of sitting in every other event's sift.
+//!
+//! Payloads never move — each waits in a slab slot until it pops — and
+//! neither tier allocates per event: a bucket is an intrusive list
+//! threaded through a per-slot `(at, seq, next)` array beside the slab,
+//! one `u32` head per bucket (per-bucket vectors never give their peak
+//! capacity back; the links cost what the deep heap's keys did).
 //!
 //! Every key carries a fresh sequence number, so `(at, seq)` is a *unique
-//! total order* over everything ever scheduled: the pop sequence is fully
-//! determined by the schedule calls, not by the heap's shape or arity.
-//! Any correct priority queue over that order produces the same run —
-//! which is what lets the queue's internals change under a simulation
-//! without moving a single event (the proptest below holds this
-//! implementation to the `BinaryHeap` it replaced).
+//! total order* over everything ever scheduled: the pop sequence is fixed
+//! by the schedule calls — not by the heap's shape or arity, nor by the
+//! bucket width, which only decides *when* a key enters the heap (an
+//! earlier bucket's keys all fire before a later one's; inside the heap
+//! `(at, seq)` decides). Any correct priority queue over that order
+//! produces the same run, which is what lets the internals change under
+//! a simulation without moving a single event (the proptest below holds
+//! this implementation to the `BinaryHeap` it replaced).
 
 use crate::time::SimTime;
 
 /// Children per heap node: a 4-ary heap is half as deep as a binary one,
 /// and a node's four children are 96 contiguous bytes.
 const ARITY: usize = 4;
+
+/// The wheel: `BUCKETS` buckets `1 << SHIFT` ns (≈ 16.8 ms) wide. Its
+/// span, `BUCKETS << SHIFT` ≈ 17.2 s, must cover the delay the engine
+/// schedules in bulk — the closed loop's 10 s default client timeout —
+/// or those keys detour through overflow. Not delicate: widths 2^18–2^24
+/// ns at this span ran the 2600-user Boutique within 8 %; widest, least RAM.
+const SHIFT: u32 = 24;
+const BUCKETS: u64 = 1 << 10;
+
+/// List terminator: never a slot number (see [`EventQueue::schedule`]).
+const NIL: u32 = u32::MAX;
 
 /// Heap entry: when the event fires, its FIFO tie-break, and the slab
 /// slot holding its payload.
@@ -51,6 +74,11 @@ impl Key {
     }
 }
 
+/// The wheel bucket `at` falls in, numbered from the epoch.
+fn bucket(at: SimTime) -> u64 {
+    at.as_nanos() >> SHIFT
+}
+
 /// A time-ordered queue of simulation events with a built-in clock.
 ///
 /// The queue tracks `now`, the timestamp of the most recently popped event.
@@ -58,9 +86,23 @@ impl Key {
 /// builds; in release builds the event is clamped to `now` to keep the
 /// clock monotonic.
 pub struct EventQueue<E> {
-    /// 4-ary min-heap over `(at, seq)`.
+    /// Near tier: 4-ary min-heap over `(at, seq)` of every pending key
+    /// whose bucket is below `horizon`.
     heap: Vec<Key>,
-    /// Payload slab: `Some` exactly for the slots a heap key points at.
+    /// First bucket not yet drained into the heap; only ever grows.
+    horizon: u64,
+    /// Far tier, the next `BUCKETS` buckets: list head of `b` at `b % BUCKETS`.
+    wheel: Box<[u32]>,
+    /// Head of the list of keys that were past the wheel's span when
+    /// filed. Each sits at or past `horizon` until a wrap re-files it.
+    overflow: u32,
+    /// Keys on the wheel's lists / on the overflow list.
+    in_wheel: usize,
+    in_overflow: usize,
+    /// Per slab slot `(at, seq, next)`, written when the slot's key is
+    /// parked in the far tier: its order, and the next slot on its list.
+    links: Vec<(SimTime, u64, u32)>,
+    /// Payload slab: `Some` exactly for the slots a pending key names.
     slots: Vec<Option<E>>,
     /// Vacant slab slots, reused last-freed-first.
     free: Vec<u32>,
@@ -80,6 +122,12 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
+            horizon: 0,
+            wheel: vec![NIL; BUCKETS as usize].into_boxed_slice(),
+            overflow: NIL,
+            in_wheel: 0,
+            in_overflow: 0,
+            links: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             now: SimTime::ZERO,
@@ -95,12 +143,17 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
+    }
+
+    /// Events in the near tier, the depth a sift pays for (tests pin it).
+    pub fn near_len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Total number of events popped so far (simulation progress counter).
@@ -126,13 +179,82 @@ impl<E> EventQueue<E> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+                let slot = u32::try_from(self.slots.len()).unwrap_or(NIL);
+                assert!(slot != NIL, "fewer than 2^32 - 1 pending events");
                 self.slots.push(Some(event));
+                self.links.push((at, seq, NIL));
                 slot
             }
         };
-        // Sift up: walk the hole from the new leaf towards the root.
-        let key = Key { at, seq, slot };
+        // Behind the horizon its bucket is already drained into the heap.
+        if bucket(at) < self.horizon {
+            self.push_heap(Key { at, seq, slot });
+        } else {
+            self.park(at, seq, slot);
+        }
+    }
+
+    /// File a key at or past the horizon in the far tier: on its
+    /// bucket's list if the wheel's span reaches it, else on overflow.
+    fn park(&mut self, at: SimTime, seq: u64, slot: u32) {
+        let head = if bucket(at) - self.horizon < BUCKETS {
+            self.in_wheel += 1;
+            &mut self.wheel[(bucket(at) % BUCKETS) as usize]
+        } else {
+            self.in_overflow += 1;
+            &mut self.overflow
+        };
+        self.links[slot as usize] = (at, seq, *head);
+        *head = slot;
+    }
+
+    /// Re-park the overflow list: onto the wheel where its span now reaches.
+    fn refile(&mut self) {
+        let mut slot = std::mem::replace(&mut self.overflow, NIL);
+        self.in_overflow = 0;
+        while slot != NIL {
+            let (at, seq, next) = self.links[slot as usize];
+            self.park(at, seq, slot);
+            slot = next;
+        }
+    }
+
+    /// Drain the horizon's bucket into the heap and step past it.
+    /// Callers guarantee the heap is empty and the far tier is not.
+    fn advance(&mut self) {
+        if self.in_wheel == 0 {
+            // Empty wheel: jump straight to the overflow's earliest bucket.
+            let (mut slot, mut earliest) = (self.overflow, u64::MAX);
+            while slot != NIL {
+                let (at, _, next) = self.links[slot as usize];
+                (slot, earliest) = (next, earliest.min(bucket(at)));
+            }
+            self.horizon = earliest;
+            self.refile();
+        }
+        let head = &mut self.wheel[(self.horizon % BUCKETS) as usize];
+        let mut slot = std::mem::replace(head, NIL);
+        self.horizon += 1;
+        // List order is arbitrary; the heap restores `(at, seq)`.
+        while slot != NIL {
+            let (at, seq, next) = self.links[slot as usize];
+            self.push_heap(Key { at, seq, slot });
+            self.in_wheel -= 1;
+            slot = next;
+        }
+        if self.horizon.is_multiple_of(BUCKETS) {
+            // The wheel wrapped. No overflow key is overdue: each was a
+            // full span ahead when filed, and a wrap comes once per span.
+            self.refile();
+        }
+        // A pending key is on exactly one tier, the heap's all due first.
+        let far = self.in_wheel + self.in_overflow;
+        debug_assert_eq!(self.len(), self.heap.len() + far);
+        debug_assert!(self.heap.iter().all(|k| bucket(k.at) < self.horizon));
+    }
+
+    /// Sift `key` up from a new leaf towards the root.
+    fn push_heap(&mut self, key: Key) {
         let mut i = self.heap.len();
         self.heap.push(key);
         while i > 0 {
@@ -146,14 +268,9 @@ impl<E> EventQueue<E> {
         self.heap[i] = key;
     }
 
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.at)
-    }
-
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let root = *self.heap.first()?;
+    /// Pop the heap's root — the earliest pending event, since every far
+    /// key fires at or after the horizon — and advance the clock to it.
+    fn pop_root(&mut self, root: Key) -> (SimTime, E) {
         let last = self.heap.pop().expect("non-empty: has a root");
         let n = self.heap.len();
         if n > 0 {
@@ -188,12 +305,17 @@ impl<E> EventQueue<E> {
         }
         let event = self.slots[root.slot as usize]
             .take()
-            .expect("a heap key always points at a parked payload");
+            .expect("a pending key always names a parked payload");
         self.free.push(root.slot);
         debug_assert!(root.at >= self.now, "clock went backwards");
         self.now = root.at;
         self.popped += 1;
-        Some((root.at, event))
+        (root.at, event)
+    }
+
+    /// Pop the earliest event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::MAX)
     }
 
     /// Pop the earliest event only if it fires at or before `limit`.
@@ -202,9 +324,16 @@ impl<E> EventQueue<E> {
     /// when the next event is beyond the limit. This is the primitive for
     /// running a simulation up to a horizon.
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= limit => self.pop(),
-            _ => None,
+        loop {
+            if let Some(&root) = self.heap.first() {
+                return (root.at <= limit).then(|| self.pop_root(root));
+            }
+            // Whatever is left fires at or after the horizon: stop when
+            // that is past `limit`, else pull the next bucket in.
+            if self.is_empty() || self.horizon > bucket(limit) {
+                return None;
+            }
+            self.advance();
         }
     }
 }
@@ -284,6 +413,31 @@ mod tests {
         q.schedule(SimTime::from_secs(2), ());
         q.pop();
         q.schedule(SimTime::from_secs(1), ());
+    }
+
+    impl<E> EventQueue<E> {
+        /// Timestamp of the next event without popping it: the heap's
+        /// root, else the earliest key on the first occupied bucket or
+        /// the overflow list (whose keys wait for a wrap even once the
+        /// wheel's span has reached them).
+        fn peek_time(&self) -> Option<SimTime> {
+            if let Some(root) = self.heap.first() {
+                return Some(root.at);
+            }
+            let times = |mut slot: u32| {
+                std::iter::from_fn(move || {
+                    let (at, _, next) = *self.links.get(slot as usize)?;
+                    slot = next;
+                    Some(at)
+                })
+            };
+            let bucket = (self.horizon..self.horizon + BUCKETS)
+                .map(|b| self.wheel[(b % BUCKETS) as usize])
+                .find(|&head| head != NIL);
+            times(bucket.unwrap_or(NIL))
+                .chain(times(self.overflow))
+                .min()
+        }
     }
 
     /// The `BinaryHeap` of whole `(at, seq, event)` entries this queue
@@ -368,24 +522,88 @@ mod tests {
         }
     }
 
+    /// Equal-timestamp events that reach the heap by three routes —
+    /// overflow re-filed at a wrap, a wheel bucket, straight in behind
+    /// the horizon — still pop in the order they were scheduled.
+    #[test]
+    fn equal_times_pop_fifo_across_all_three_routes() {
+        let mut q = EventQueue::new();
+        let start = |b: u64| SimTime::from_nanos(b << SHIFT);
+        // One wheel turn and five buckets out: past the span from the epoch.
+        let t = start(BUCKETS + 5) + SimDuration::from_nanos(7);
+        for id in 0..3 {
+            q.schedule(t, id);
+        }
+        assert_eq!((q.in_overflow, q.in_wheel), (3, 0), "route 1: overflow");
+        // Step the horizon to bucket 11; now the span reaches `t`.
+        q.schedule(start(10), 100);
+        assert_eq!(q.pop(), Some((start(10), 100)));
+        for id in 3..6 {
+            q.schedule(t, id);
+        }
+        assert_eq!((q.in_overflow, q.in_wheel), (3, 3), "route 2: a bucket");
+        // An earlier event in `t`'s own bucket walks the horizon across
+        // the wrap (re-filing 0..3 behind 3..6 on the bucket's list, so
+        // list order is neither FIFO nor time order) and drains it.
+        q.schedule(start(BUCKETS + 5), 101);
+        assert_eq!(q.pop(), Some((start(BUCKETS + 5), 101)));
+        assert_eq!((q.in_overflow, q.in_wheel, q.near_len()), (0, 0, 6));
+        for id in 6..9 {
+            q.schedule(t, id);
+        }
+        assert_eq!(q.near_len(), 9, "route 3: behind the horizon, direct");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, (0..9).map(|id| (t, id)).collect::<Vec<_>>());
+    }
+
     use proptest::prelude::*;
+
+    /// One timestamp of the mixture the oracle proptest draws from,
+    /// placed relative to the queue's clock and horizon so that every
+    /// filing route and both edges of every tier come up.
+    fn mixed_time<E>(q: &EventQueue<E>, kind: u8, v: u64) -> SimTime {
+        let width = 1u64 << SHIFT;
+        let span = BUCKETS << SHIFT;
+        let now = q.now().as_nanos();
+        let edge = |base: u64| base.saturating_add(span - 1 + v % 3);
+        // Where bucket `b` starts; the clock can sit at `SimTime::MAX`.
+        let start = |b: u64| u64::try_from(u128::from(b) << SHIFT).unwrap_or(u64::MAX);
+        SimTime::from_nanos(match kind {
+            // Dense collisions, soon all behind the clock…
+            0 => v,
+            // …and just ahead of it (behind the horizon after a drain).
+            1 => now.saturating_add(v % 3),
+            2 => now.saturating_add(v),
+            // `k · 2^SHIFT − 1 / + 0 / + 1` over the next few buckets.
+            3 => (start(bucket(q.now()) + 1 + v / 3 % 4) - 1).saturating_add(v % 3),
+            // Inside an otherwise empty stretch of the wheel.
+            4 => now.saturating_add(width * (3 + v) + v),
+            // The last bucket of the span, and the first past it.
+            5 => edge(now),
+            6 => edge(start(q.horizon)),
+            // Far overflow, several wheel turns out.
+            7 => now.saturating_add(span * (2 + v % 5) + v),
+            _ => u64::MAX - v % 2,
+        })
+    }
 
     proptest! {
         /// Any interleaving of schedule / pop / pop_until — timestamps
-        /// drawn from a range narrow enough that most collide, some of
-        /// them behind the clock — pops exactly what the `BinaryHeap`
-        /// oracle pops, and leaves the same clock, length and counter.
+        /// and limits from [`mixed_time`]: colliding, behind the clock,
+        /// astride bucket edges and the wheel's span, in overflow, at
+        /// `SimTime::MAX` — pops exactly what the `BinaryHeap` oracle
+        /// pops, and leaves the same clock, length and counter.
         #[test]
         fn matches_the_binary_heap_oracle(
-            ops in prop::collection::vec((0u8..4, 0u64..40), 1..400),
+            ops in prop::collection::vec((0u8..4, 0u8..9, 0u64..40), 1..400),
         ) {
             let mut q = EventQueue::new();
             let mut want = oracle::HeapQueue::new();
             let mut popped = 0u64;
-            for (id, (op, t)) in ops.into_iter().enumerate() {
-                let t = SimTime::from_nanos(t);
+            for (id, (op, kind, v)) in ops.into_iter().enumerate() {
+                let t = mixed_time(&q, kind, v);
                 match op {
-                    // Twice as many pushes as pops, so the heap gets deep.
+                    // Twice as many pushes as pops, so the tiers fill.
                     0 | 1 => {
                         // A time behind the clock is clamped to `now` in
                         // release builds and a debug-build panic, so debug

@@ -4,10 +4,10 @@
 //!
 //! * [`time`] — a virtual clock ([`SimTime`], [`SimDuration`]) with
 //!   nanosecond resolution.
-//! * [`event`] — [`event::EventQueue`], a key-only 4-ary heap over a
-//!   payload slab with stable FIFO tie-breaking: `(time, schedule order)`
-//!   is a unique total order, so simulations are reproducible given a
-//!   seed.
+//! * [`event`] — [`event::EventQueue`], a key-only 4-ary heap for what is
+//!   due soon over a timing wheel for what is not, payloads in a slab,
+//!   with stable FIFO tie-breaking: `(time, schedule order)` is a unique
+//!   total order, so simulations are reproducible given a seed.
 //! * [`histogram`] — log-bucketed latency histograms with bounded relative
 //!   quantile error, used for end-to-end percentile latencies.
 //! * [`token_bucket`] — the token-bucket rate limiter used by the entry

@@ -1,0 +1,110 @@
+#!/usr/bin/env bash
+# Where one gated benchmark workload spends its CPU time, symbol by
+# symbol — for hosts with no perf/gdb/valgrind. An LD_PRELOAD sampler
+# (built here with `cc`, into /tmp) takes the interrupted program counter
+# on every SIGPROF tick of a 1 kHz CPU-time timer and dumps them at exit;
+# `nm -n` over the benchmark binary turns them into symbols. Flat
+# profile only (no stacks): a symbol's share is its *self* time plus
+# whatever the compiler inlined into it.
+#
+#   scripts/profile.sh <workload> [seed] [seconds]    # e.g. sim.boutique 41 10
+#
+# Builds benchmark/ the way BENCHMARK.json does (so, like any build of
+# it, it can rewrite the tracked benchmark/Cargo.lock — restore that
+# before committing) and edits nothing. To profile another commit, run
+# that checkout's copy of this script (or copy this one into it).
+# Not part of verify.sh.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+workload=${1:?usage: scripts/profile.sh <workload> [seed] [seconds]}
+seed=${2:-41}
+seconds=${3:-10}
+tmp=$(mktemp -d /tmp/topfull_profile.XXXXXX)
+trap 'rm -rf "$tmp"' EXIT
+
+cat > "$tmp/sampler.c" <<'EOF'
+#define _GNU_SOURCE
+#include <link.h>
+#include <signal.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <sys/time.h>
+#include <ucontext.h>
+
+#define MAX_SAMPLES (1ul << 22)
+static unsigned long *pcs, taken;
+
+static void on_tick(int sig, siginfo_t *info, void *ctx) {
+  ucontext_t *uc = ctx;
+  unsigned long i = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
+  (void)sig, (void)info;
+  if (i < MAX_SAMPLES)
+#if defined(__x86_64__)
+    pcs[i] = uc->uc_mcontext.gregs[REG_RIP];
+#elif defined(__aarch64__)
+    pcs[i] = uc->uc_mcontext.pc;
+#else
+#error "teach the sampler where this architecture keeps the interrupted pc"
+#endif
+}
+
+/* The first object dl_iterate_phdr reports is the executable; its
+ * dlpi_addr is the load bias `nm` addresses are relative to. */
+static int exe_bias(struct dl_phdr_info *info, size_t size, void *out) {
+  (void)size;
+  *(unsigned long *)out = info->dlpi_addr;
+  return 1;
+}
+
+__attribute__((constructor)) static void start(void) {
+  struct sigaction sa = {0};
+  struct itimerval tick = {{0, 1000}, {0, 1000}};
+  pcs = calloc(MAX_SAMPLES, sizeof *pcs);
+  sa.sa_sigaction = on_tick;
+  sa.sa_flags = SA_SIGINFO | SA_RESTART;
+  sigaction(SIGPROF, &sa, NULL);
+  setitimer(ITIMER_PROF, &tick, NULL);
+}
+
+__attribute__((destructor)) static void stop(void) {
+  struct itimerval off = {{0, 0}, {0, 0}};
+  unsigned long bias = 0, i, n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
+  FILE *out = fopen(getenv("TOPFULL_PROFILE_OUT"), "w");
+  setitimer(ITIMER_PROF, &off, NULL);
+  if (!out) return;
+  dl_iterate_phdr(exe_bias, &bias);
+  for (i = 0; i < n; i++) fprintf(out, "%lx\n", pcs[i] - bias);
+  fclose(out);
+}
+EOF
+cc -O2 -shared -fPIC -o "$tmp/sampler.so" "$tmp/sampler.c"
+
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+bin=benchmark/target/release/topfull-benchmark
+TOPFULL_PROFILE_OUT="$tmp/pcs" LD_PRELOAD="$tmp/sampler.so" \
+  "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+  | tail -n 1 > "$tmp/result.json"
+
+# Text symbols in address order, the per-instantiation `::h<hash>` suffix
+# dropped so a generic function's copies add up; a pc past the binary's
+# last symbol (libc, vdso) is counted as outside it.
+nm -n -C --defined-only "$bin" \
+  | awk '$2 ~ /^[tTwW]$/ { addr = $1; $1 = $2 = ""; sub(/^ +/, ""); sub(/::h[0-9a-f]{16}$/, "")
+                           print addr, $0 }' > "$tmp/symbols"
+last=$(nm -n --defined-only "$bin" | tail -n 1 | cut -d' ' -f1)
+total=$(wc -l < "$tmp/pcs")
+awk -v last="$last" -v total="$total" '
+  function hex(s,    i, v) { v = 0; s = tolower(s)
+    for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+    return v }
+  FNR == NR { at[++n] = hex($1); $1 = ""; sub(/^ /, ""); name[n] = $0; next }
+  { pc = hex($1)
+    if (n == 0 || pc < at[1] || pc >= hex(last)) { hits["[outside the binary: libc, vdso]"]++; next }
+    lo = 1; hi = n
+    while (lo < hi) { mid = int((lo + hi + 1) / 2); if (at[mid] <= pc) lo = mid; else hi = mid - 1 }
+    hits[name[lo]]++ }
+  END { for (s in hits) printf "%6.2f %%  %7d  %s\n", 100 * hits[s] / total, hits[s], s }
+' "$tmp/symbols" "$tmp/pcs" | sort -rn | head -n 30
+echo "($total samples of CPU time — a 1 kHz timer at the kernel's tick resolution;" \
+  "$workload seed $seed, $seconds s)"
+cat "$tmp/result.json"

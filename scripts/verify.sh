@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 # topfull-sim) and every smoke below would run stale code.
 cargo build --release --workspace
 cargo test -q --workspace
+# Debug tests never run `EventQueue::schedule`'s release-only clamp (a
+# time behind the clock becomes `now` — and files behind the horizon);
+# the oracle proptest applies it itself under debug assertions.
+cargo test -q --release -p simnet
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # A deleted or renamed type leaves dangling [`links`] behind in the
