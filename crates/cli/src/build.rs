@@ -248,6 +248,15 @@ pub fn topfull_config(
             let path = &rl[3..];
             let policy = PolicyValue::load(std::path::Path::new(path))
                 .map_err(|e| format!("cannot load RL policy '{path}': {e}"))?;
+            // `load` vouches for the file's shape; that it is a policy
+            // over §4.3's state is this caller's requirement.
+            if policy.pi.dims[0] != rl::STATE_DIM {
+                return Err(format!(
+                    "RL policy '{path}' takes {} inputs; TopFull's state has {}",
+                    policy.pi.dims[0],
+                    rl::STATE_DIM
+                ));
+            }
             cfg.with_rl(policy)
         }
         other => {
@@ -617,6 +626,47 @@ mod tests {
         }"#;
         let sc = crate::parse_scenario(json).expect("parse");
         assert!(build_scenario(&sc).is_err());
+    }
+
+    #[test]
+    fn a_malformed_policy_file_fails_the_build_not_the_control_thread() {
+        let dir = std::env::temp_dir().join("topfull-cli-malformed-policy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("policy.json");
+        let rate_controller = format!("rl:{}", path.display());
+        let committed = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../artifacts/models/base.json"
+        );
+        let good = PolicyValue::load(std::path::Path::new(committed)).expect("base.json loads");
+        good.save(&path).unwrap();
+        // Hardened on purpose: a panic inside `decide` is not a strike,
+        // so the wrapper could not have absorbed any of these.
+        topfull_config(&rate_controller, true, true).expect("a well-formed policy loads");
+
+        let mut truncated = good.clone();
+        truncated.pi.params.truncate(100);
+        let linear = rl::nn::Mlp {
+            dims: vec![3, 1],
+            params: vec![0.0; 4],
+        };
+        let three_inputs = PolicyValue {
+            pi: linear.clone(),
+            log_std: -1.6,
+            vf: linear,
+        };
+        for (policy, names) in [
+            (truncated, "need 4417 params, found 100"),
+            (three_inputs, "takes 3 inputs; TopFull's state has 2"),
+        ] {
+            policy.save(&path).unwrap();
+            let err = match topfull_config(&rate_controller, true, true) {
+                Err(e) => e,
+                Ok(_) => panic!("must not load: {names}"),
+            };
+            assert!(err.contains(names), "{names}: got '{err}'");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

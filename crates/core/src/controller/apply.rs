@@ -7,71 +7,68 @@
 //! (§4.1's rate-increase rule). A limit that has stayed comfortably
 //! above the offered load is removed entirely.
 
-use super::{Decision, Subject, TopFull, UNLIMITED};
+use super::{flagged, Decision, Subject, TopFull, UNLIMITED};
 use cluster::observe::ClusterObservation;
-use cluster::types::{ApiId, ServiceId};
+use cluster::types::ApiId;
 use cluster::RateLimitUpdate;
-use std::collections::HashSet;
 
-/// The highest (`increase`) or lowest business-priority subset of
-/// `candidates`, all ties included.
-fn priority_targets(obs: &ClusterObservation, candidates: &[ApiId], increase: bool) -> Vec<ApiId> {
+/// Narrow `pool` to its highest (`increase`) or lowest
+/// business-priority members, all ties included.
+fn retain_priority_targets(obs: &ClusterObservation, pool: &mut Vec<ApiId>, increase: bool) {
     let key = |a: &ApiId| obs.api(*a).business;
     let best = if increase {
-        candidates.iter().map(key).min()
+        pool.iter().map(key).min()
     } else {
-        candidates.iter().map(key).max()
+        pool.iter().map(key).max()
     };
-    let tied = candidates.iter().copied().filter(|a| Some(key(a)) == best);
-    tied.collect()
+    pool.retain(|a| Some(key(a)) == best);
 }
 
 impl TopFull {
-    /// Pick the decision's recipients and move their limits. `hot` are
+    /// Pick the decision's recipients and move their limits. `hot` flags
     /// the services currently above the detector's enter threshold.
     pub(super) fn apply(
         &mut self,
         obs: &ClusterObservation,
-        hot: &HashSet<ServiceId>,
+        hot: &[bool],
         d: &mut Decision,
         updates: &mut Vec<RateLimitUpdate>,
     ) {
-        d.applied_to = match d.subject {
+        // The recipients are the candidates, narrowed in place.
+        let mut pool = d.candidates.clone();
+        match d.subject {
             Subject::Target(target) if d.action >= 0.0 => {
                 // §4.1 rate-increase rule: only candidates whose path
                 // has no hot service other than the target.
-                let mut eligible: Vec<ApiId> = Vec::new();
-                for a in d.candidates.iter().copied() {
+                pool.retain(|a| {
                     let path = &obs.api_paths[a.idx()];
-                    match path.iter().find(|s| **s != target && hot.contains(s)) {
-                        None => eligible.push(a),
-                        Some(blocker) => d.blocked.push((a, *blocker)),
+                    let blocker = path.iter().find(|s| **s != target && flagged(hot, s.idx()));
+                    if let Some(s) = blocker {
+                        d.blocked.push((*a, *s));
                     }
-                }
-                priority_targets(obs, &eligible, true)
+                    blocker.is_none()
+                });
+                retain_priority_targets(obs, &mut pool, true);
             }
-            // Rate-limiting an API that carries no load — or one already
-            // cut to the floor — cannot relieve the target; cut among
-            // the candidates still contributing traffic (DESIGN.md §5,
-            // refinement 2). The ablation flag reverts to verbatim
-            // Algorithm 1.
-            Subject::Target(_) if self.cfg.restrict_cuts_to_contributing => {
-                let contributing: Vec<ApiId> = d
-                    .candidates
-                    .iter()
-                    .copied()
-                    .filter(|a| {
+            Subject::Target(_) => {
+                // Rate-limiting an API that carries no load — or one
+                // already cut to the floor — cannot relieve the target;
+                // cut among the candidates still contributing traffic
+                // (DESIGN.md §5, refinement 2). The ablation flag reverts
+                // to verbatim Algorithm 1.
+                if self.cfg.restrict_cuts_to_contributing {
+                    pool.retain(|a| {
                         let carries_load = obs.api(*a).admitted > 0.5 || obs.api(*a).offered > 0.5;
                         carries_load && self.apis[a.idx()].limit > self.cfg.min_rate
-                    })
-                    .collect();
-                priority_targets(obs, &contributing, false)
+                    });
+                }
+                retain_priority_targets(obs, &mut pool, false);
             }
-            Subject::Target(_) => priority_targets(obs, &d.candidates, false),
             // A probe's path is free of hot services and its one API is
             // the whole pool, whichever way the step points.
-            Subject::Probe(api) => vec![api],
-        };
+            Subject::Probe(_) => {}
+        }
+        d.applied_to = pool;
         self.apply_group_action(obs, &d.applied_to, d.action, updates);
     }
 
@@ -99,7 +96,10 @@ impl TopFull {
         }
         let action = action.clamp(-0.5, 0.5);
         let (floor, ceil) = (self.cfg.min_rate, self.cfg.max_rate);
-        let mut group: Vec<(ApiId, f64)> = Vec::with_capacity(apis.len());
+        // First pass: who takes part, and their total, which drives the
+        // step size. Every participant leaves it with a finite limit, so
+        // the second pass knows the ones skipped here by theirs.
+        let (mut total, mut members) = (0.0, 0usize);
         for &api in apis {
             let slot = &mut self.apis[api.idx()];
             if !slot.limit.is_finite() {
@@ -118,12 +118,16 @@ impl TopFull {
                 };
                 slot.init_tick = Some(self.ticks);
             }
-            group.push((api, slot.limit));
+            total += slot.limit;
+            members += 1;
         }
-        // The group total drives the step size.
-        let total: f64 = group.iter().map(|(_, base)| base).sum();
-        let share = action * total / group.len() as f64;
-        for (api, base) in group {
+        let share = action * total / members as f64;
+        for &api in apis {
+            let slot = &mut self.apis[api.idx()];
+            let base = slot.limit;
+            if !base.is_finite() {
+                continue;
+            }
             let next = if action >= 0.0 && self.cfg.fair_group_steps {
                 // Equal absolute gains across the group.
                 base + share
@@ -132,7 +136,6 @@ impl TopFull {
                 base * (1.0 + action)
             }
             .clamp(floor, ceil);
-            let slot = &mut self.apis[api.idx()];
             slot.limit = next;
             slot.headroom_ticks = 0;
             updates.push(RateLimitUpdate::limit(api, next));

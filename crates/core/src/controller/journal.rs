@@ -11,6 +11,7 @@ use crate::clustering::Cluster;
 use cluster::observe::ClusterObservation;
 use cluster::types::{ApiId, ServiceId};
 use obs::JournalEntry;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// The attached journal plus what the previous tick looked like, so
@@ -32,17 +33,31 @@ pub(crate) fn jf(v: f64) -> f64 {
     }
 }
 
-/// Comma-joined API indices (`"0,2"`).
-fn api_list(apis: &[ApiId]) -> String {
-    let ids: Vec<String> = apis.iter().map(|a| a.0.to_string()).collect();
-    ids.join(",")
+/// Append comma-joined API indices (`"0,2"`).
+fn push_api_list(out: &mut String, apis: &[ApiId]) {
+    for (i, a) in apis.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}", a.0);
+    }
+}
+
+/// Append a service's name, or `"svc <id>"` for one the observation
+/// does not carry.
+fn push_service_name(out: &mut String, obs: &ClusterObservation, s: ServiceId) {
+    match obs.services.get(s.idx()) {
+        Some(w) => out.push_str(&w.name),
+        None => {
+            let _ = write!(out, "svc {}", s.0);
+        }
+    }
 }
 
 fn service_name(obs: &ClusterObservation, s: ServiceId) -> String {
-    obs.services
-        .get(s.idx())
-        .map(|w| w.name.clone())
-        .unwrap_or_else(|| format!("svc {}", s.0))
+    let mut name = String::new();
+    push_service_name(&mut name, obs, s);
+    name
 }
 
 impl Journaler {
@@ -84,11 +99,17 @@ impl Journaler {
         }
         self.prev_partition = clusters.iter().map(|c| c.apis.clone()).collect();
         if let Some(j) = &self.sink {
-            let groups: Vec<String> = self.prev_partition.iter().map(|g| api_list(g)).collect();
+            let mut assignment = String::new();
+            for (i, group) in self.prev_partition.iter().enumerate() {
+                if i > 0 {
+                    assignment.push('|');
+                }
+                push_api_list(&mut assignment, group);
+            }
             j.record(JournalEntry::Recluster {
                 t: obs.now.as_secs_f64(),
                 clusters: clusters.len() as u32,
-                assignment: groups.join("|"),
+                assignment,
             });
         }
     }
@@ -101,25 +122,32 @@ impl Journaler {
         let rc = &cfg.rate_controller;
         let t = obs.now.as_secs_f64();
         for (api, blocker) in &d.blocked {
+            const BLOCKED: &str = "rate-increase blocked: path contains overloaded ";
+            // Room for the usual service name without a second allocation.
+            let mut reason = String::with_capacity(BLOCKED.len() + 32);
+            reason.push_str(BLOCKED);
+            push_service_name(&mut reason, obs, *blocker);
             j.record(JournalEntry::RateBlocked {
                 t,
                 api: api.0,
-                reason: format!(
-                    "rate-increase blocked: path contains overloaded {}",
-                    service_name(obs, *blocker)
-                ),
+                reason,
             });
         }
         let (prefix, target, target_name) = match d.subject {
             Subject::Target(s) => ("", s.0, service_name(obs, s)),
             Subject::Probe(a) => ("recovery probe: ", a.0, obs.api(a).name.clone()),
         };
+        // Sized for the usual reason, `"<name> action +0.123"`; the
+        // clauses below are the exception and may grow it.
         let (name, action) = (rc.name(), d.action);
-        let mut reason = if action.is_finite() {
-            format!("{prefix}{name} action {action:+.3}")
+        let mut reason = String::with_capacity(prefix.len() + name.len() + 14);
+        reason.push_str(prefix);
+        reason.push_str(name);
+        if action.is_finite() {
+            let _ = write!(reason, " action {action:+.3}");
         } else {
-            format!("{prefix}{name} action non-finite; step dropped")
-        };
+            reason.push_str(" action non-finite; step dropped");
+        }
         if d.escalated {
             reason.push_str("; collapse backoff: admission collapsed, cut deepened");
         }
@@ -137,11 +165,14 @@ impl Journaler {
                 "; no contributing API to cut"
             });
         }
+        // Up to three digits and a comma per API.
+        let mut apis = String::with_capacity(4 * d.applied_to.len());
+        push_api_list(&mut apis, &d.applied_to);
         j.record(JournalEntry::RateAction {
             t,
             target,
             target_name,
-            apis: api_list(&d.applied_to),
+            apis,
             action: jf(action),
             goodput_ratio: jf(d.state.goodput_ratio),
             latency_ratio: jf(d.state.latency_ratio),

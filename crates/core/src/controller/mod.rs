@@ -41,9 +41,7 @@ pub(crate) use journal::jf;
 use crate::clustering::{cluster_apis, monolithic_cluster};
 use crate::detector::OverloadDetector;
 use cluster::observe::ClusterObservation;
-use cluster::types::ServiceId;
 use cluster::{Controller, RateLimitUpdate};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Everything the controller remembers about one API's rate limit.
@@ -82,7 +80,16 @@ pub struct TopFull {
     /// recovery probes by API. Also the targets' collapse-episode memory
     /// (`decide.rs`).
     last_decisions: Vec<Decision>,
+    /// Scratch of [`Controller::control`], kept between ticks for its
+    /// capacity: the services above the detector's enter threshold.
+    hot: Vec<bool>,
     journal: journal::Journaler,
+}
+
+/// Membership in a set of dense ids kept as a table of flags. An id
+/// past the table is absent, as it would be from a `HashSet`.
+fn flagged(set: &[bool], idx: usize) -> bool {
+    set.get(idx).is_some_and(|f| *f)
 }
 
 impl TopFull {
@@ -101,6 +108,7 @@ impl TopFull {
             apis: Vec::new(),
             ticks: 0,
             last_decisions: Vec::new(),
+            hot: Vec::new(),
             journal: journal::Journaler::default(),
         }
     }
@@ -144,13 +152,20 @@ impl Controller for TopFull {
         // whole application below capacity. The threshold is that of the
         // detector in use, which is not `cfg.overload_enter` when that
         // pair was rejected.
-        let hot: HashSet<ServiceId> = obs
-            .services
-            .iter()
-            .filter(|s| s.utilization > self.detector.enter)
-            .map(|s| s.service)
-            .collect();
-        let mut updates = Vec::new();
+        let mut hot = std::mem::take(&mut self.hot);
+        hot.clear();
+        hot.resize(obs.services.len(), false);
+        for s in &obs.services {
+            if s.utilization > self.detector.enter {
+                let i = s.service.idx();
+                if i >= hot.len() {
+                    hot.resize(i + 1, false);
+                }
+                hot[i] = true;
+            }
+        }
+        // A target's step lands on some of its candidates, once each.
+        let mut updates = Vec::with_capacity(decisions.iter().map(|d| d.candidates.len()).sum());
         for d in &mut decisions {
             self.apply(obs, &hot, d, &mut updates);
             self.journal.decision(obs, &self.cfg, d);
@@ -171,6 +186,7 @@ impl Controller for TopFull {
         }
         self.journal.strikes(obs, strikes_before, &self.cfg);
         self.last_decisions = decisions;
+        self.hot = hot;
         updates
     }
 

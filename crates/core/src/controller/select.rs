@@ -2,11 +2,10 @@
 //! interval, over which candidate APIs — and which rate-limited APIs get
 //! a recovery probe.
 
-use super::{ApiLimit, Decision, TopFullConfig};
+use super::{flagged, ApiLimit, Decision, TopFullConfig};
 use crate::clustering::Cluster;
 use cluster::observe::ClusterObservation;
 use cluster::types::{ApiId, ServiceId};
-use std::collections::HashSet;
 
 /// Targets in decision order, each with the candidate APIs it claims.
 ///
@@ -23,31 +22,38 @@ pub(super) fn targets(
     obs: &ClusterObservation,
     clusters: &[Cluster],
 ) -> Vec<(ServiceId, Vec<ApiId>)> {
-    let mut out: Vec<(ServiceId, Vec<ApiId>)> = Vec::new();
+    // An idle tick builds no tables.
+    if clusters.is_empty() {
+        return Vec::new();
+    }
+    // At most one target per overloaded service.
+    let mut out: Vec<(ServiceId, Vec<ApiId>)> =
+        Vec::with_capacity(clusters.iter().map(|c| c.overloaded.len()).sum());
+    // Clusters share no API, so one table of claims serves them all.
+    let mut claimed = vec![false; obs.api_paths.len()];
+    let mut order: Vec<(usize, ServiceId)> = Vec::new();
     for c in clusters {
         // An overloaded service belongs to exactly one cluster, so its
         // users are counted once per tick, not once per comparison.
-        let mut order: Vec<(usize, ServiceId)> = c
-            .overloaded
-            .iter()
-            .map(|s| {
-                let users = obs.api_paths.iter().filter(|p| p.contains(s)).count();
-                (users, *s)
-            })
-            .collect();
+        order.clear();
+        order.extend(c.overloaded.iter().map(|s| {
+            let users = obs.api_paths.iter().filter(|p| p.contains(s)).count();
+            (users, *s)
+        }));
         order.sort_unstable();
-        let mut claimed: HashSet<ApiId> = HashSet::new();
-        for (_, target) in order {
+        for &(_, target) in &order {
             let candidates: Vec<ApiId> = c
                 .apis
                 .iter()
                 .copied()
-                .filter(|a| !claimed.contains(a) && obs.api_paths[a.idx()].contains(&target))
+                .filter(|a| !claimed[a.idx()] && obs.api_paths[a.idx()].contains(&target))
                 .collect();
             if candidates.is_empty() {
                 continue;
             }
-            claimed.extend(&candidates);
+            for a in &candidates {
+                claimed[a.idx()] = true;
+            }
             out.push((target, candidates));
             if cfg.single_target_per_cluster {
                 break;
@@ -70,18 +76,25 @@ pub(super) fn targets(
 pub(super) fn probes(
     apis: &[ApiLimit],
     obs: &ClusterObservation,
-    hot: &HashSet<ServiceId>,
+    hot: &[bool],
     decided: &[Decision],
 ) -> Vec<ApiId> {
-    let acted_on: HashSet<ApiId> = decided
-        .iter()
-        .flat_map(|d| d.applied_to.iter().copied())
-        .collect();
-    (0..obs.apis.len())
-        .filter(|&i| apis[i].limit.is_finite() && !obs.api_paths[i].iter().any(|s| hot.contains(s)))
+    let mut due: Vec<ApiId> = (0..obs.apis.len())
+        .filter(|&i| apis[i].limit.is_finite())
+        .filter(|&i| !obs.api_paths[i].iter().any(|s| flagged(hot, s.idx())))
         .map(|i| ApiId(i as u32))
-        .filter(|api| !acted_on.contains(api))
-        .collect()
+        .collect();
+    // Usually nothing is limited, and then no table is built either.
+    if !due.is_empty() {
+        let mut acted_on = vec![false; obs.apis.len()];
+        for api in decided.iter().flat_map(|d| &d.applied_to) {
+            if let Some(flag) = acted_on.get_mut(api.idx()) {
+                *flag = true;
+            }
+        }
+        due.retain(|api| !acted_on[api.idx()]);
+    }
+    due
 }
 
 #[cfg(test)]

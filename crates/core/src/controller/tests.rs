@@ -3,7 +3,7 @@
 
 use super::*;
 use cluster::observe::{ApiWindow, ServiceWindow};
-use cluster::types::{ApiId, BusinessPriority};
+use cluster::types::{ApiId, BusinessPriority, ServiceId};
 use simnet::{SimDuration, SimTime};
 
 /// Hand-built observation: utilization per service, per-API
@@ -120,6 +120,31 @@ fn probes_follow_targets_in_last_decisions() {
     );
     assert_eq!(tf.last_decisions[1].candidates, vec![ApiId(1)]);
     assert_eq!(tf.last_decisions[1].applied_to, vec![ApiId(1)]);
+}
+
+#[test]
+fn a_path_through_a_service_the_observation_lacks_is_not_hot() {
+    // Two services observed; the paths also name ids 7 and 4 000 000,
+    // which no `ServiceWindow` carries. They are absent from the table
+    // of hot services as they were from the hash set: no veto of API0's
+    // raise, no probe of API1 withheld, no index out of range.
+    let mut tf = TopFull::new(TopFullConfig::default().with_mimd_steps(0.05, 0.2));
+    tf.preset_limits(&[100.0, 100.0]);
+    let limited = (200.0, 100.0, 100.0, 100, 0, 100.0);
+    let o = obs(
+        &[0.95, 0.3],
+        &[limited, limited],
+        vec![sid(&[0, 7, 4_000_000]), sid(&[4_000_000, 7])],
+    );
+    let ups = tf.control(&o);
+    let subjects: Vec<Subject> = tf.last_decisions.iter().map(|d| d.subject).collect();
+    assert_eq!(
+        subjects,
+        vec![Subject::Target(ServiceId(0)), Subject::Probe(ApiId(1))]
+    );
+    assert!(tf.last_decisions.iter().all(|d| d.blocked.is_empty()));
+    let raised: Vec<(ApiId, f64)> = ups.iter().map(|u| (u.api, u.rate)).collect();
+    assert_eq!(raised, vec![(ApiId(0), 120.0), (ApiId(1), 120.0)]);
 }
 
 #[test]

@@ -99,11 +99,35 @@ impl PolicyValue {
         std::fs::write(path, json)
     }
 
-    /// Load from JSON.
+    /// Load from JSON. A file that parses but describes nets
+    /// [`Mlp::forward`] would index out of range on, or anything other
+    /// than one action mean and one value over the same state, is
+    /// `InvalidData` here — not a panic on the control thread at the
+    /// first decision.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+        let model: PolicyValue = serde_json::from_str(&json).map_err(|e| invalid(e.to_string()))?;
+        model.check_shape().map_err(invalid)?;
+        Ok(model)
+    }
+
+    fn check_shape(&self) -> Result<(), String> {
+        for (name, net) in [("pi", &self.pi), ("vf", &self.vf)] {
+            net.check_shape().map_err(|e| format!("{name}: {e}"))?;
+            let outputs = net.dims[net.dims.len() - 1];
+            if outputs != 1 {
+                return Err(format!("{name}: {outputs} outputs, want 1"));
+            }
+        }
+        let (pi_in, vf_in) = (self.pi.dims[0], self.vf.dims[0]);
+        if pi_in != vf_in {
+            return Err(format!("pi takes {pi_in} inputs, vf {vf_in}"));
+        }
+        if !self.log_std.is_finite() {
+            return Err(format!("log_std {} is not finite", self.log_std));
+        }
+        Ok(())
     }
 }
 
@@ -209,6 +233,77 @@ mod tests {
         let dv = (p.value(&[0.2, 0.4]) - q.value(&[0.2, 0.4])).abs();
         assert!(da < 1e-12, "action drift {da}");
         assert!(dv < 1e-12, "value drift {dv}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn committed_models_load() {
+        for name in ["base", "transfer_ob", "transfer_tt"] {
+            let path = format!(
+                "{}/../../artifacts/models/{name}.json",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let p = PolicyValue::load(std::path::Path::new(&path))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(p.pi.dims[0], crate::STATE_DIM, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_malformed_model_file_is_a_load_error_naming_the_fault() {
+        let dir = std::env::temp_dir().join("topfull-rl-malformed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("policy.json");
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut cases: Vec<(String, &str)> = Vec::new();
+        let mut case = |edit: &dyn Fn(&mut PolicyValue), names: &'static str| {
+            let mut p = pv();
+            edit(&mut p);
+            cases.push((serde_json::to_string(&p).unwrap(), names));
+        };
+        case(
+            &|p| p.pi.params.truncate(4416),
+            "pi: dims [2, 64, 64, 1] need 4417 params, found 4416",
+        );
+        case(
+            &|p| p.vf.params.push(0.0),
+            "vf: dims [2, 64, 64, 1] need 4417",
+        );
+        case(
+            &|p| p.vf.dims = vec![2],
+            "vf: dims [2]: need two or more widths",
+        );
+        case(
+            &|p| p.pi.dims = vec![],
+            "pi: dims []: need two or more widths",
+        );
+        case(
+            &|p| p.pi.dims[1] = 0,
+            "pi: dims [2, 0, 64, 1]: need two or more widths, none 0",
+        );
+        case(
+            &|p| p.pi.dims = vec![usize::MAX, usize::MAX, 1],
+            "need 18446744073709551615 params",
+        );
+        let wide = Mlp::new(&[2, 4, 3], &mut rng);
+        case(&|p| p.pi = wide.clone(), "pi: 3 outputs, want 1");
+        let other_state = Mlp::new(&[3, 4, 1], &mut rng);
+        case(&|p| p.vf = other_state.clone(), "pi takes 2 inputs, vf 3");
+        let good = serde_json::to_string(&pv()).unwrap();
+        assert!(
+            good.contains("\"log_std\":-1.6"),
+            "the next edit found nothing"
+        );
+        cases.push((
+            good.replace("\"log_std\":-1.6", "\"log_std\":1e999"),
+            "log_std inf is not finite",
+        ));
+        for (json, names) in cases {
+            std::fs::write(&path, json).unwrap();
+            let err = PolicyValue::load(&path).expect_err(names);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{names}");
+            assert!(err.to_string().contains(names), "{names}: got '{err}'");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

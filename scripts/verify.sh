@@ -11,8 +11,10 @@ cargo build --release --workspace
 cargo test -q --workspace
 # Debug tests never run `EventQueue::schedule`'s release-only clamp (a
 # time behind the clock becomes `now` — and files behind the horizon);
-# the oracle proptest applies it itself under debug assertions.
-cargo test -q --release -p simnet
+# the oracle proptest applies it itself under debug assertions. And only
+# the optimised build unrolls and vectorises `rl::nn`'s kernel and the
+# id-indexed clustering, so their bit-equality oracles run here too.
+cargo test -q --release -p simnet -p rl -p topfull
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # A deleted or renamed type leaves dangling [`links`] behind in the
