@@ -51,11 +51,16 @@ fn bench_coalesce_lookup(c: &mut Criterion) {
     ));
     fd.begin_flight(api, 7, 1);
     fd.complete_flight(api, 7, Arc::from("42"), now);
+    // The verdict borrows the door: look at it, do not return it.
     c.bench_function("front/coalesce-lookup-hit", |b| {
-        b.iter(|| black_box(fd.pre_admit(api, Some(7), 0, 0, now)))
+        b.iter(|| {
+            black_box(fd.pre_admit(api, Some(7), 0, 0, now));
+        })
     });
     c.bench_function("front/coalesce-lookup-miss", |b| {
-        b.iter(|| black_box(fd.pre_admit(api, Some(8), 0, 0, now)))
+        b.iter(|| {
+            black_box(fd.pre_admit(api, Some(8), 0, 0, now));
+        })
     });
 }
 
@@ -71,7 +76,7 @@ fn bench_priority_check(c: &mut Criterion) {
     c.bench_function("front/priority-check", |b| {
         b.iter(|| {
             user = user.wrapping_add(1) & 127;
-            black_box(fd.pre_admit(ApiId(0), None, 1, user, now))
+            black_box(fd.pre_admit(ApiId(0), None, 1, user, now));
         })
     });
 }

@@ -148,7 +148,7 @@ fn run_coalesce() {
         "coalesced {hits} duplicate reads (cache {} + in-flight {}), hit rate {:.3}",
         stats.cache_hits.get(),
         stats.follower_hits.get(),
-        stats.hit_rate.get()
+        hits as f64 / (hits + stats.misses.get()) as f64
     ));
     r.series("goodput: no coalescing", base_series);
     r.series("goodput: coalescing", co_series);

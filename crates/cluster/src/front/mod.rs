@@ -67,9 +67,10 @@ pub struct FrontConfig {
 
 /// Verdict for one arriving request, before the token bucket.
 #[derive(Clone, Debug)]
-pub enum PreVerdict {
-    /// Served from the response cache; no token consumed.
-    CacheHit(Arc<str>),
+pub enum PreVerdict<'a> {
+    /// Served from the response cache; no token consumed. The payload is
+    /// lent by the door: copy it out before the next call.
+    CacheHit(&'a str),
     /// Parked on the identical in-flight request tagged `leader`.
     Follower { leader: u64 },
     /// Shed by the priority gate at composite `level`.
@@ -91,7 +92,10 @@ pub struct FrontStats {
     pub misses: Counter,
     /// Requests shed by the priority gate, per business tier.
     pub shed: Vec<Counter>,
-    /// Coalescing hit rate over all coalescable lookups so far.
+    /// Coalescing hit rate over all coalescable lookups so far, as of
+    /// the last [`FrontDoor::tick`]: the counters above are current after
+    /// every lookup, the ratio is refreshed at the cadence of every other
+    /// gauge on `/metrics`.
     pub hit_rate: Gauge,
     /// Current priority-admission threshold (level space units).
     pub threshold: Gauge,
@@ -228,23 +232,19 @@ impl FrontDoor {
         business: u8,
         user: u8,
         now: SimTime,
-    ) -> PreVerdict {
+    ) -> PreVerdict<'_> {
+        let lead = key.is_some() && self.cache.is_some();
         if let (Some(cache), Some(k)) = (self.cache.as_mut(), key) {
             match cache.lookup(api, k, now) {
                 Lookup::Hit(payload) => {
                     self.stats.cache_hits.inc();
-                    self.update_hit_rate();
                     return PreVerdict::CacheHit(payload);
                 }
                 Lookup::Follower { leader } => {
                     self.stats.follower_hits.inc();
-                    self.update_hit_rate();
                     return PreVerdict::Follower { leader };
                 }
-                Lookup::Miss => {
-                    self.stats.misses.inc();
-                    self.update_hit_rate();
-                }
+                Lookup::Miss => self.stats.misses.inc(),
             }
         }
         if let Some(gate) = self.gate.as_mut() {
@@ -255,9 +255,7 @@ impl FrontDoor {
                 return PreVerdict::Shed { level };
             }
         }
-        PreVerdict::Proceed {
-            lead: key.is_some() && self.cache.is_some(),
-        }
+        PreVerdict::Proceed { lead }
     }
 
     /// Register `leader` as the single flight for `(api, key)`; call
@@ -307,15 +305,13 @@ impl FrontDoor {
             shed: snap.3 - self.base.3,
         };
         self.base = snap;
-        FrontTick { window, threshold }
-    }
-
-    fn update_hit_rate(&self) {
-        let hits = self.stats.cache_hits.get() + self.stats.follower_hits.get();
-        let total = hits + self.stats.misses.get();
-        if total > 0 {
-            self.stats.hit_rate.set(hits as f64 / total as f64);
+        let hits = snap.0 + snap.1;
+        if hits + snap.2 > 0 {
+            self.stats
+                .hit_rate
+                .set(hits as f64 / (hits + snap.2) as f64);
         }
+        FrontTick { window, threshold }
     }
 }
 
@@ -353,7 +349,7 @@ mod tests {
         // Completion → cache hit with the leader's payload.
         d.complete_flight(ApiId(0), 5, "resp".into(), now);
         match d.pre_admit(ApiId(0), Some(5), 0, 2, now) {
-            PreVerdict::CacheHit(p) => assert_eq!(&*p, "resp"),
+            PreVerdict::CacheHit(p) => assert_eq!(p, "resp"),
             other => panic!("expected cache hit, got {other:?}"),
         }
         // Non-coalescable request with the gate open → plain proceed.
@@ -434,6 +430,10 @@ mod tests {
         d.begin_flight(ApiId(0), 1, 1);
         d.complete_flight(ApiId(0), 1, "x".into(), now);
         d.pre_admit(ApiId(0), Some(1), 0, 0, now);
+        // The counters are current; the gauge is read at the tick.
+        assert_eq!(d.stats().cache_hits.get() + d.stats().misses.get(), 2);
+        assert_eq!(d.stats().hit_rate.get(), 0.0);
+        d.tick(false);
         assert!((d.stats().hit_rate.get() - 0.5).abs() < 1e-12);
     }
 
@@ -486,7 +486,7 @@ mod tests {
                 match d.pre_admit(api, Some(key), 0, 0, now) {
                     PreVerdict::CacheHit(p) => {
                         let want = oracle.get(&(api.0, key)).expect("hit implies a write");
-                        assert_eq!(&*p, want.as_str(), "round {round} step {step}");
+                        assert_eq!(p, want.as_str(), "round {round} step {step}");
                     }
                     PreVerdict::Follower { leader } => {
                         let (la, lk, _) = &leaders[&leader];

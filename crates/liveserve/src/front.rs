@@ -70,8 +70,12 @@ impl LiveFront {
     /// Deterministic user level from the request id (FNV-1a over the id
     /// bytes, folded into the gate's user axis). Server-side: clients
     /// don't carry identity, and hashing the id spreads levels
-    /// uniformly the way the simulator's per-request sample does.
+    /// uniformly the way the simulator's per-request sample does. Only
+    /// the priority gate reads a level, so without one nothing is hashed.
     pub fn user_level(&self, id: u64) -> u8 {
+        if self.door.priority_threshold().is_none() {
+            return 0;
+        }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in id.to_le_bytes() {
             h ^= u64::from(b);
@@ -172,5 +176,50 @@ mod tests {
             "hash covers the user axis, got {} of {levels}",
             seen.len()
         );
+    }
+
+    /// The level is the same function of the id it always was — the
+    /// constants below were read off the parent commit: a few ids' levels,
+    /// and an FNV-1a fold of the shed/proceed verdicts of ids `0..4096` at
+    /// business tier 7 while overloaded ticks walk the gate down (1 177
+    /// of them shed) — but only a gate makes the door hash for it.
+    #[test]
+    fn levels_are_hashed_only_for_a_gate_and_then_as_before() {
+        let ids = [0, 1, 7, 64, 1_234_567_890_123, (1 << 62) | 1, u64::MAX];
+        let coalesce = Some(cluster::front::CoalesceConfig::default());
+        let mut gated = LiveFront::new(
+            FrontConfig {
+                coalesce,
+                priority: Some(PriorityConfig::default()),
+            },
+            &topo(),
+        );
+        assert_eq!(
+            ids.map(|id| gated.user_level(id)),
+            [50, 41, 23, 116, 107, 41, 11]
+        );
+        let (mut h, mut shed) = (0xcbf2_9ce4_8422_2325u64, 0);
+        for id in 0..4096u64 {
+            if id % 256 == 255 {
+                gated.door.tick(true);
+            }
+            let user = gated.user_level(id);
+            let pre = gated
+                .door
+                .pre_admit(ApiId(0), None, 7, user, SimTime::from_secs(1));
+            let is_shed = matches!(pre, cluster::front::PreVerdict::Shed { .. });
+            shed += u64::from(is_shed);
+            h = (h ^ u64::from(is_shed)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!((h, shed), (0x931e_a6bf_487b_b7c8, 1177));
+
+        let ungated = LiveFront::new(
+            FrontConfig {
+                coalesce,
+                priority: None,
+            },
+            &topo(),
+        );
+        assert_eq!(ids.map(|id| ungated.user_level(id)), [0; 7]);
     }
 }

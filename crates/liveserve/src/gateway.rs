@@ -35,15 +35,23 @@
 //!
 //! 1. **read** — drain readable sockets in 64 KiB chunks (bounded per
 //!    connection per wakeup; level-triggered epoll re-arms leftovers);
-//! 2. **wire-parse** — the [`LineDecoder`] frames requests across
-//!    arbitrary segment boundaries and resyncs past oversized garbage;
+//! 2. **wire-parse** — the [`LineDecoder`] takes canonical lines where
+//!    they lie in the read buffer (its in-place tier: eight-byte loads
+//!    fenced by the segment, not the line) and declines everything else,
+//!    whole, to the general path, which frames requests across
+//!    arbitrary segment boundaries and resyncs past oversized garbage
+//!    (see [`crate::wire`]: one grammar, two speeds);
 //! 3. **admission** — one [`LiveAdmission`] lock admits the whole
 //!    batch through the full stage pipeline — coalescing, priority
 //!    gate, token bucket (the bucket costs ~7 ns/decision; the lock
-//!    and clock reads are amortized across the batch). So is the
-//!    bookkeeping: per-API tallies in loop-owned scratch land as one
-//!    `add(n)` per counter, reject spans as one batch under one lock,
-//!    reply lines are encoded straight into the output buffers;
+//!    and clock reads are amortized across the batch). A cache hit's
+//!    payload is lent by the door and copied once, under the lock, into
+//!    loop-owned scratch (no `Arc` traffic per hit); a user level is
+//!    hashed only when a priority gate exists to read it. The
+//!    bookkeeping is per wakeup too: per-API tallies in loop-owned
+//!    scratch land as one `add(n)` per counter, reject spans as one
+//!    batch under one lock, reply lines are encoded straight into the
+//!    output buffers;
 //! 4. **response** — the output buffers (this wakeup's replies, worker
 //!    completions) are flushed with one `write` per connection per
 //!    wakeup, with partial-write carry — after step 3's tallies, so a
@@ -78,6 +86,7 @@ use cluster::front::PreVerdict;
 use cluster::tracing::{Span, SpanVerdict};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -205,8 +214,9 @@ struct PendingReq {
 /// under the single per-wakeup lock; all bookkeeping (tallies, spans,
 /// output buffers) happens after the lock is released.
 enum Verdict {
-    /// Answered inline from the single-flight cache.
-    CacheHit(Arc<str>),
+    /// Answered inline from the single-flight cache; the payload is
+    /// these bytes of the loop's `hit_payloads` scratch.
+    CacheHit(Range<usize>),
     /// Parked behind the in-flight leader; answered at flight settle.
     Parked,
     /// Turned away: shed by the priority gate before the token bucket
@@ -244,6 +254,9 @@ struct EventLoop {
     verdicts: Vec<Verdict>,
     tallies: Vec<ApiTally>,
     reject_spans: Vec<Span>,
+    /// The wakeup's cache-hit payloads end to end, copied out of the
+    /// front door while the admission lock is held.
+    hit_payloads: Vec<u8>,
     dirty: Vec<usize>,
     closing: Vec<usize>,
 }
@@ -308,6 +321,7 @@ pub fn start_event_loops(
                 .map(|_| ApiTally::default())
                 .collect(),
             reject_spans: Vec::new(),
+            hit_payloads: Vec::new(),
             dirty: Vec::new(),
             closing: Vec::new(),
         });
@@ -611,6 +625,7 @@ impl EventLoop {
             verdicts,
             tallies,
             reject_spans,
+            hit_payloads,
             shared,
             conns,
             dirty,
@@ -644,7 +659,9 @@ impl EventLoop {
                     }
                     match pre {
                         PreVerdict::CacheHit(payload) => {
-                            verdicts.push(Verdict::CacheHit(payload));
+                            let start = hit_payloads.len();
+                            hit_payloads.extend_from_slice(payload.as_bytes());
+                            verdicts.push(Verdict::CacheHit(start..hit_payloads.len()));
                             continue;
                         }
                         PreVerdict::Follower { .. } => {
@@ -742,7 +759,7 @@ impl EventLoop {
                     trace_ev(p, "front_door", "cache_hit");
                     trace_ev(p, "reply", "sent");
                     if let Some(out) = out_of(conns, dirty, p.token) {
-                        wire::push_reply(out, "OK", p.id, payload.as_bytes());
+                        wire::push_reply(out, "OK", p.id, &hit_payloads[payload.clone()]);
                     }
                 }
                 Verdict::Parked => {
@@ -790,6 +807,7 @@ impl EventLoop {
         pending.clear();
         verdicts.clear();
         reject_spans.clear();
+        hit_payloads.clear();
     }
 
     // ---- write side ----------------------------------------------------

@@ -179,7 +179,7 @@ impl LoadGen {
 pub const TRACE_SAMPLE: u64 = 64;
 
 /// Render one `REQ` line, attaching a trace id on sampled requests.
-fn format_req(id: u64, api: usize, key: Option<u64>) -> String {
+pub(crate) fn format_req(id: u64, api: usize, key: Option<u64>) -> String {
     let traced = id.is_multiple_of(TRACE_SAMPLE);
     match (key, traced) {
         (Some(k), true) => format!("REQ {id} {api} {k} {id}\n"),

@@ -18,6 +18,32 @@
 //! The decoder is pure state over bytes, which is what makes the
 //! byte-at-a-time and fragmentation tests below possible without a
 //! socket in sight.
+//!
+//! ## One grammar, two speeds
+//!
+//! [`parse_request`] behind the framer (`find_newline` → `emit`) is the
+//! single authority on the grammar and the only code that emits
+//! [`WireItem::Malformed`]. In front of it sits an **in-place tier**
+//! (`canonical`): while the decoder is at a line start it recognises the
+//! *canonical* line — exactly `REQ <id> <api>[ <key>|-[ <trace>]]`,
+//! single spaces, bare digits (at most 19, so nothing can overflow),
+//! ended by `\n` or `\r\n`; every line `loadgen` sends — where it lies in
+//! the segment, without framing it first. Its contract is **decline
+//! whole**: it either yields the `Request` the general path would have
+//! yielded for those bytes, or consumes nothing and says nothing, and the
+//! line goes through the framer as before. Other whitespace, a `+`, 20
+//! digits, a non-ASCII byte, a line that straddles two reads, garbage:
+//! all declined, none judged.
+//!
+//! The tier is fast because it is not fenced by the *line*. A cursor
+//! over a line slice must walk a token's tail bytewise; the tier reads
+//! each token eight bytes at a time straight out of the segment, past the
+//! token's own end (those bytes are the next token or the next line, and
+//! they are there), classifies the digits with one SWAR test and folds up
+//! to eight of them with three multiplies. The only fence is the
+//! segment's end: a load that would cross it declines rather than reads
+//! past, so the last line of a read whose final token sits within eight
+//! bytes of that end takes the general path.
 
 /// Longest acceptable request line (bytes, excluding the newline). A
 /// maximal legitimate line — `REQ <u64> <usize>` — is under 48 bytes;
@@ -156,17 +182,44 @@ fn trim_line_end(mut line: &[u8]) -> Option<&[u8]> {
 
 // ---- reply encoding ----------------------------------------------------
 
-/// `v` in decimal, written into a stack buffer (no allocation).
-pub fn fmt_u64(buf: &mut [u8; 20], mut v: u64) -> &[u8] {
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            return &buf[at..];
-        }
+/// `00` to `99` as ASCII, side by side.
+const PAIRS: [u8; 200] = {
+    let mut pairs = [b'0'; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] += (i / 10) as u8;
+        pairs[2 * i + 1] += (i % 10) as u8;
+        i += 1;
     }
+    pairs
+};
+
+/// `v` in decimal, written into a stack buffer (no allocation). Four
+/// digits a step — one division by 10 000, two table pairs — then the
+/// one to four that lead.
+pub fn fmt_u64(buf: &mut [u8; 20], mut v: u64) -> &[u8] {
+    let pair = |i: u64| &PAIRS[2 * i as usize..][..2];
+    let mut at = buf.len();
+    while v >= 10_000 {
+        let four = v % 10_000;
+        v /= 10_000;
+        at -= 4;
+        buf[at..at + 2].copy_from_slice(pair(four / 100));
+        buf[at + 2..at + 4].copy_from_slice(pair(four % 100));
+    }
+    if v >= 100 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(pair(v % 100));
+        v /= 100;
+    }
+    if v >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(pair(v));
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    &buf[at..]
 }
 
 /// Append the reply line `<verb> <id>[ <tail>]\n` to a connection's
@@ -204,6 +257,102 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
     Some(at + tail)
 }
 
+// ---- the in-place tier -------------------------------------------------
+
+/// `10^n` for the `n` digits one eight-byte load can hold.
+const POW10: [u64; 9] = [
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+];
+
+/// The bare decimal token — 1 to 19 digits, so it cannot overflow — at
+/// `seg[start..]`: its value and the offset of the byte after it, which
+/// exists. Reads eight bytes at a time, past the token's end; `None` (a
+/// decline, never a verdict) if a load would cross the segment's end.
+fn digits(seg: &[u8], start: usize) -> Option<(u64, usize)> {
+    let (n, v) = chunk(seg, start)?;
+    if n < 8 {
+        return (n > 0).then_some((v, start + n));
+    }
+    let (n, low) = chunk(seg, start + 8)?;
+    let v = v * POW10[n] + low;
+    if n < 8 {
+        return Some((v, start + 8 + n));
+    }
+    let (n, low) = chunk(seg, start + 16)?;
+    if n > 3 {
+        return None; // 20 digits can overflow: the general path's to judge
+    }
+    Some((v * POW10[n] + low, start + 16 + n))
+}
+
+/// The digits at the head of the eight bytes at `seg[at..]`: how many
+/// there are and their value. `None` if the load would cross the
+/// segment's end.
+fn chunk(seg: &[u8], at: usize) -> Option<(usize, u64)> {
+    const ZEROS: u64 = u64::from_ne_bytes([b'0'; 8]);
+    const LOW7: u64 = u64::from_ne_bytes([0x7f; 8]);
+    const ABOVE_9: u64 = u64::from_ne_bytes([0x7f - 9; 8]);
+    let word = seg.get(at..at + 8)?.try_into().expect("8 bytes");
+    // A byte of `w` is 0..=9 where the input byte is a digit. Adding 0x76
+    // to its low seven bits carries into the high bit for any other
+    // value (and never into the next byte); or-ing `w` back flags the
+    // bytes whose high bit was set to begin with.
+    let w = u64::from_le_bytes(word) ^ ZEROS;
+    let other = (((w & LOW7) + ABOVE_9) | w) & !LOW7;
+    let n = (other.trailing_zeros() / 8) as usize;
+    // The `n` digits go to the top of the word, zeros (leading zeros)
+    // below them, in two half shifts: none of the 64 bits survives
+    // `n == 0`, which one shift by 64 cannot say. Then bytes fold to
+    // pairs, pairs to fours, fours to the value; no lane can carry into
+    // its neighbour.
+    let half = 32 - 4 * n as u32;
+    let mut d = (w << half) << half;
+    d = (d * 10 + (d >> 8)) & 0x00ff_00ff_00ff_00ff;
+    d = (d * 100 + (d >> 16)) & 0x0000_ffff_0000_ffff;
+    d = (d * 10_000 + (d >> 32)) & 0xffff_ffff;
+    Some((n, d))
+}
+
+/// The canonical line at the head of `seg`, if that is what lies there:
+/// the request and the line's length, terminator included. Makes no
+/// decision except "decline" (see the module docs).
+fn canonical(seg: &[u8]) -> Option<(WireItem, usize)> {
+    if !seg.starts_with(b"REQ ") {
+        return None;
+    }
+    let (id, at) = digits(seg, 4)?;
+    if seg[at] != b' ' {
+        return None;
+    }
+    let (api, mut at) = digits(seg, at + 1)?;
+    let (mut key, mut trace) = (None, None);
+    if seg[at] == b' ' {
+        if seg.get(at + 1) == Some(&b'-') {
+            at += 2;
+        } else {
+            let (k, end) = digits(seg, at + 1)?;
+            (key, at) = (Some(k), end);
+        }
+        if seg.get(at) == Some(&b' ') {
+            let (t, end) = digits(seg, at + 1)?;
+            (trace, at) = (Some(t), end);
+        }
+    }
+    let len = match seg.get(at..)? {
+        [b'\n', ..] => at + 1,
+        [b'\r', b'\n', ..] => at + 2,
+        _ => return None,
+    };
+    let api = usize::try_from(api).ok()?;
+    let request = WireItem::Request {
+        id,
+        api,
+        key,
+        trace,
+    };
+    Some((request, len))
+}
+
 /// Incremental line framer with oversized-line resynchronisation.
 #[derive(Default)]
 pub struct LineDecoder {
@@ -225,7 +374,7 @@ impl LineDecoder {
 
     /// Consume one TCP segment, appending framed items to `out`.
     pub fn feed(&mut self, mut bytes: &[u8], out: &mut Vec<WireItem>) {
-        while let Some(nl) = find_newline(bytes) {
+        while let Some(nl) = self.next_newline(&mut bytes, out) {
             let line = &bytes[..nl];
             if self.discarding {
                 self.discarding = false; // the oversized line ends here
@@ -251,6 +400,19 @@ impl LineDecoder {
         } else {
             self.partial.extend_from_slice(bytes);
         }
+    }
+
+    /// The newline ending the next line the framer must judge. At a line
+    /// start, the canonical lines ahead of it are taken in place first.
+    fn next_newline(&self, bytes: &mut &[u8], out: &mut Vec<WireItem>) -> Option<usize> {
+        while self.partial.is_empty() && !self.discarding {
+            let Some((request, len)) = canonical(bytes) else {
+                break;
+            };
+            out.push(request);
+            *bytes = &bytes[len..];
+        }
+        find_newline(bytes)
     }
 
     /// Classify one complete line (newline excluded).
@@ -336,9 +498,13 @@ mod tests {
         out.pop()
     }
 
-    /// Tokens of the grammar and near misses of them; two in three are
-    /// plain numbers so that whole valid requests come up often.
-    const TOKENS: [&[u8]; 24] = [
+    /// Tokens of the grammar and near misses of them; most are plain
+    /// numbers so that whole valid requests come up often. The last
+    /// twelve sit on the in-place tier's edges: a full eight-byte load and
+    /// one digit more, two loads and one more, the 19 digits it takes and
+    /// the 20 it declines (in range, all zeros, overflowing), a loadgen
+    /// open-loop id (`1 << 62 | 1`).
+    const TOKENS: [&[u8]; 36] = [
         b"0",
         b"7",
         b"42",
@@ -363,6 +529,18 @@ mod tests {
         b"18446744073709551616",
         b"1e3",
         b"REQ",
+        b"12345678",
+        b"123456789",
+        b"1234567890123456",
+        b"12345678901234567",
+        b"1234567890123456789",
+        b"12345678901234567890",
+        b"4611686018427387905",
+        b"0000000000000000000",
+        b"00000000000000000000",
+        b"0000000000000000007",
+        b"00000000000000000007",
+        b"99999999999999999999",
     ];
     /// Separators: mostly what `split_ascii_whitespace` splits on, then
     /// what it does not (vertical tab, nothing, NBSP, U+2028, bad UTF-8).
@@ -396,6 +574,39 @@ mod tests {
             line.extend_from_slice(SEPS[sep as usize % SEPS.len()]);
         }
         line
+    }
+
+    /// `line_of` as a canonical client would have spaced it — single
+    /// spaces, nothing after the last token — except that one separator
+    /// in eight is still any of `SEPS`: the lines the in-place tier takes
+    /// and their nearest misses. `crlf` ends it `\r\n`-style.
+    fn tidy_line_of(picks: &[(u8, u8)], crlf: bool) -> Vec<u8> {
+        let last = picks.len().saturating_sub(1);
+        let tidied: Vec<(u8, u8)> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(tok, sep))| match (sep < 224, i == last) {
+                (true, false) => (tok, 0), // SEPS[0], one space
+                (true, true) => (tok, 12), // SEPS[12], nothing
+                (false, _) => (tok, sep),
+            })
+            .collect();
+        let mut line = line_of(&tidied);
+        line.extend_from_slice(if crlf { b"\r" } else { b"" });
+        line
+    }
+
+    /// Feed `stream` in segments ending at each of `ends` (and at its end).
+    fn feed_cut_at(stream: &[u8], ends: &[usize]) -> (Vec<WireItem>, usize) {
+        let (mut dec, mut got, mut from) = (LineDecoder::new(), Vec::new(), 0);
+        for &end in ends.iter().chain([&stream.len()]) {
+            let end = end.min(stream.len());
+            if end > from {
+                dec.feed(&stream[from..end], &mut got);
+                from = end;
+            }
+        }
+        (got, dec.pending())
     }
 
     proptest! {
@@ -459,6 +670,68 @@ mod tests {
             prop_assert_eq!(dec.pending(), if unterminated { 6 } else { 0 });
         }
 
+        /// The in-place tier, alone: whatever follows the line in the
+        /// segment — nothing, a few bytes, the next line — it either
+        /// declines or yields exactly what the `str` parser yields for
+        /// the line, and the line's exact length.
+        #[test]
+        fn in_place_tier_agrees_with_the_str_parser_or_declines(
+            picks in prop::collection::vec((any::<u8>(), any::<u8>()), 0..8),
+            crlf in any::<bool>(),
+            slack in 0usize..12,
+        ) {
+            let line = tidy_line_of(&picks, crlf);
+            let mut seg = line.clone();
+            seg.push(b'\n');
+            seg.extend_from_slice(&b"REQ 8 1 - 5\n"[..slack]);
+            if let Some((request, len)) = canonical(&seg) {
+                prop_assert_eq!(Some(request), classify_via_str(&line), "line {:?}", line);
+                prop_assert_eq!(len, line.len() + 1);
+            }
+        }
+
+        /// Streams of mostly canonical lines through `feed`, cut where
+        /// the tier is most exposed: a byte at a time, in one write, at
+        /// random, and so that some line's last token ends 0–8 bytes
+        /// before a segment does (where an eight-byte load must decline
+        /// rather than read past). Same items as the `str` parser, in
+        /// order, every time.
+        #[test]
+        fn tidy_streams_decode_the_same_however_they_are_cut(
+            lines in prop::collection::vec(
+                (prop::collection::vec((any::<u8>(), any::<u8>()), 0..8), any::<bool>()),
+                0..12,
+            ),
+            cuts in prop::collection::vec(1usize..40, 1..40),
+            tails in prop::collection::vec((any::<usize>(), 0usize..10), 1..6),
+        ) {
+            let (mut stream, mut want, mut newlines) = (Vec::new(), Vec::new(), Vec::new());
+            for (picks, crlf) in &lines {
+                let line = tidy_line_of(picks, *crlf);
+                want.extend(classify_via_str(&line));
+                stream.extend_from_slice(&line);
+                newlines.push(stream.len());
+                stream.push(b'\n');
+            }
+            let bytewise: Vec<usize> = (1..stream.len()).collect();
+            let random: Vec<usize> = cuts
+                .iter()
+                .scan(0, |at, cut| {
+                    *at += cut;
+                    Some(*at)
+                })
+                .collect();
+            let mut near_tail: Vec<usize> = tails
+                .iter()
+                .filter(|_| !newlines.is_empty())
+                .map(|&(line, past)| (newlines[line % newlines.len()] + past).saturating_sub(1))
+                .collect();
+            near_tail.sort_unstable();
+            for ends in [&bytewise, &Vec::new(), &random, &near_tail] {
+                prop_assert_eq!(feed_cut_at(&stream, ends), (want.clone(), 0), "cut at {:?}", ends);
+            }
+        }
+
         /// The reply encoder writes what `format!` wrote.
         #[test]
         fn reply_encoder_matches_format(
@@ -480,6 +753,75 @@ mod tests {
                 );
                 prop_assert_eq!(String::from_utf8(out).unwrap(), want);
             }
+        }
+    }
+
+    #[test]
+    fn every_line_the_generators_send_is_taken_in_place() {
+        let open_loop = (1 << 62) | (3 << 40); // loadgen's open-loop ids: 19 digits
+        let ids = [
+            1,
+            63,
+            64,
+            128,
+            1_234_567_890_123,
+            open_loop | 1,
+            open_loop | 64,
+        ];
+        let keys = [
+            None,
+            Some(0),
+            Some(7),
+            Some(u64::from(u32::MAX)),
+            Some(open_loop),
+        ];
+        for (id, api, key) in ids
+            .into_iter()
+            .flat_map(|id| [0, 2, 17].map(|api| (id, api)))
+            .flat_map(|(id, api)| keys.map(|key| (id, api, key)))
+        {
+            // `format_req` is also the benchmark generator's four shapes:
+            // keyed or keyless, every 64th id carrying itself as a trace.
+            let line = crate::loadgen::format_req(id, api, key);
+            let trace = id
+                .is_multiple_of(crate::loadgen::TRACE_SAMPLE)
+                .then_some(id);
+            let want = WireItem::Request {
+                id,
+                api,
+                key,
+                trace,
+            };
+            for ending in ["\n", "\r\n"] {
+                let mut seg = line.trim_end().to_owned() + ending;
+                let len = seg.len();
+                seg.push_str("REQ 1 0\n"); // the next line: room for the loads
+                assert_eq!(canonical(seg.as_bytes()), Some((want, len)), "{seg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_digit_test_knows_every_byte_at_every_lane() {
+        for lane in 0..8 {
+            for byte in 0..=u8::MAX {
+                let mut word = *b"12345678";
+                word[lane] = byte;
+                let n = word.iter().take_while(|b| b.is_ascii_digit()).count();
+                let value = word[..n]
+                    .iter()
+                    .fold(0, |v, b| 10 * v + u64::from(b - b'0'));
+                assert_eq!(chunk(&word, 0), Some((n, value)), "{word:?}");
+            }
+        }
+        assert_eq!(chunk(b"1234567", 0), None, "a load past the end declines");
+    }
+
+    #[test]
+    fn fmt_u64_is_exact_at_every_power_of_ten() {
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        for v in powers.flat_map(|p| [p - 1, p]).chain([u64::MAX]) {
+            assert_eq!(fmt_u64(&mut [0; 20], v), v.to_string().as_bytes());
         }
     }
 

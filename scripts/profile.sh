@@ -10,6 +10,13 @@
 # stacks): a symbol's share is its *self* time plus whatever the
 # compiler inlined into it.
 #
+# The handler also records which thread it interrupted (its name, by
+# `prctl(PR_GET_NAME)`: a plain syscall), and the report is one table
+# per thread under a table of thread totals. On the live workloads
+# that is what tells the server's `send`/`recv` (`live-loop-0`) from the
+# generator's, and the harness's own reference sort (both on the main
+# thread, named after the binary) from the program under test.
+#
 # Read a caller's and its callee's shares together. A sample lands on
 # the instruction that is *retiring*, so a caller's long dependency
 # chain can finish inside the callee and be billed to it: on
@@ -35,29 +42,35 @@ trap 'rm -rf "$tmp"' EXIT
 cat > "$tmp/sampler.c" <<'EOF'
 #define _GNU_SOURCE
 #include <dlfcn.h>
+#include <errno.h>
 #include <link.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/prctl.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
 #define MAX_SAMPLES (1ul << 22)
 static unsigned long *pcs, taken;
+static char (*threads)[16]; /* PR_GET_NAME fills at most 16 bytes */
 
 static void on_tick(int sig, siginfo_t *info, void *ctx) {
   ucontext_t *uc = ctx;
   unsigned long i = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
+  int interrupted_errno = errno;
   (void)sig, (void)info;
-  if (i < MAX_SAMPLES)
+  if (i >= MAX_SAMPLES) return;
 #if defined(__x86_64__)
-    pcs[i] = uc->uc_mcontext.gregs[REG_RIP];
+  pcs[i] = uc->uc_mcontext.gregs[REG_RIP];
 #elif defined(__aarch64__)
-    pcs[i] = uc->uc_mcontext.pc;
+  pcs[i] = uc->uc_mcontext.pc;
 #else
 #error "teach the sampler where this architecture keeps the interrupted pc"
 #endif
+  prctl(PR_GET_NAME, threads[i]);
+  errno = interrupted_errno;
 }
 
 /* The first object dl_iterate_phdr reports is the executable; its
@@ -72,6 +85,7 @@ __attribute__((constructor)) static void start(void) {
   struct sigaction sa = {0};
   struct itimerval tick = {{0, 1000}, {0, 1000}};
   pcs = calloc(MAX_SAMPLES, sizeof *pcs);
+  threads = calloc(MAX_SAMPLES, sizeof *threads);
   sa.sa_sigaction = on_tick;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigaction(SIGPROF, &sa, NULL);
@@ -85,14 +99,20 @@ __attribute__((destructor)) static void stop(void) {
   setitimer(ITIMER_PROF, &off, NULL);
   if (!out) return;
   dl_iterate_phdr(exe_bias, &bias);
-  /* One line per sample: the pc as `nm` would number it, then where
-   * the dynamic linker says it is, for the pcs `nm` cannot place. */
+  /* One line per sample: the pc as `nm` would number it, the thread it
+   * interrupted (one word), then where the dynamic linker says the pc
+   * is, for the pcs `nm` cannot place. */
   for (i = 0; i < n; i++) {
     Dl_info at = {0};
     const char *lib = "?", *slash;
+    char *c;
     if (dladdr((void *)pcs[i], &at) && at.dli_fname)
       lib = (slash = strrchr(at.dli_fname, '/')) ? slash + 1 : at.dli_fname;
-    fprintf(out, "%lx %s:%s\n", pcs[i] - bias, lib, at.dli_sname ? at.dli_sname : "?");
+    threads[i][15] = 0;
+    for (c = threads[i]; *c; c++)
+      if (*c == ' ') *c = '_';
+    fprintf(out, "%lx %s %s:%s\n", pcs[i] - bias, threads[i][0] ? threads[i] : "?", lib,
+            at.dli_sname ? at.dli_sname : "?");
   }
   fclose(out);
 }
@@ -114,18 +134,33 @@ nm -n -C --defined-only "$bin" \
                            print addr, $0 }' > "$tmp/symbols"
 last=$(nm -n --defined-only "$bin" | tail -n 1 | cut -d' ' -f1)
 total=$(wc -l < "$tmp/pcs")
-awk -v last="$last" -v total="$total" '
+# One row per (thread, symbol): thread, samples, symbol, tab-separated.
+awk -v last="$last" '
   function hex(s,    i, v) { v = 0; s = tolower(s)
     for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
     return v }
   FNR == NR { at[++n] = hex($1); $1 = ""; sub(/^ /, ""); name[n] = $0; next }
-  { pc = hex($1)
-    if (n == 0 || pc < at[1] || pc >= hex(last)) { hits[$2]++; next }
+  { pc = hex($1); thread = $2
+    if (n == 0 || pc < at[1] || pc >= hex(last)) { hits[thread "\t" $3]++; next }
     lo = 1; hi = n
     while (lo < hi) { mid = int((lo + hi + 1) / 2); if (at[mid] <= pc) lo = mid; else hi = mid - 1 }
-    hits[name[lo]]++ }
-  END { for (s in hits) printf "%6.2f %%  %7d  %s\n", 100 * hits[s] / total, hits[s], s }
-' "$tmp/symbols" "$tmp/pcs" | sort -rn | head -n 30
+    hits[thread "\t" name[lo]]++ }
+  END { for (row in hits) { split(row, k, "\t"); printf "%s\t%d\t%s\n", k[1], hits[row], k[2] } }
+' "$tmp/symbols" "$tmp/pcs" > "$tmp/rows"
+share() { # stdin: samples <tab> label
+  awk -F'\t' -v total="$total" '{ printf "%6.2f %%  %7d  %s\n", 100 * $1 / total, $1, $2 }'
+}
+echo "threads (share of all $total samples):"
+awk -F'\t' '{ t[$1] += $2 } END { for (k in t) printf "%d\t%s\n", t[k], k }' "$tmp/rows" \
+  | sort -rn | tee "$tmp/threads" | share
+# A table per thread, busiest first; every share is of all samples, so
+# rows add up to the thread's line above and compare across threads.
+while IFS=$'\t' read -r samples thread; do
+  echo
+  echo "$thread ($samples samples):"
+  awk -F'\t' -v thread="$thread" '$1 == thread { printf "%d\t%s\n", $2, $3 }' "$tmp/rows" \
+    | sort -rn | awk 'NR <= 20' | share
+done < "$tmp/threads"
 echo "($total samples of CPU time — a 1 kHz timer at the kernel's tick resolution;" \
   "$workload seed $seed, $seconds s)"
 cat "$tmp/result.json"

@@ -14,7 +14,12 @@ cargo test -q --workspace
 # the oracle proptest applies it itself under debug assertions. And only
 # the optimised build unrolls and vectorises `rl::nn`'s kernel and the
 # id-indexed clustering, so their bit-equality oracles run here too.
+# Likewise liveserve's in-place line tier and fmt_u64 (eight-byte loads
+# at segment edges, SWAR lanes, a 20-digit overflow that debug traps and
+# release would wrap) and the front door's keyed hash: their oracles must
+# hold with overflow checks off, the way they ship.
 cargo test -q --release -p simnet -p rl -p topfull
+cargo test -q --release -p liveserve -p cluster --lib -- wire:: front::
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # A deleted or renamed type leaves dangling [`links`] behind in the
