@@ -9,7 +9,7 @@
 //! fail is decided by the planes.
 
 use super::planes::{CallCtx, LifecyclePoint, Verdict};
-use super::pods::{InFlight, QueuedCall};
+use super::pods::{shortest_queue, InFlight, QueuedCall};
 use super::requests::{Parked, ReqId, RequestRt};
 use super::{Engine, Ev};
 use crate::front::PreVerdict;
@@ -213,7 +213,10 @@ impl Engine {
         };
         match self.planes.check(LifecyclePoint::Dispatch, &ctx, now) {
             Verdict::Proceed { extra } => {
-                self.queue.schedule(
+                // Born sorted while `extra` is zero. A fault-plane delay
+                // moves the lane's tail ahead, and the hops scheduled
+                // behind it are declined and take the heap.
+                self.queue.schedule_fifo(
                     now + self.cfg.hop_latency + extra,
                     Ev::CallArrive {
                         req,
@@ -278,15 +281,7 @@ impl Engine {
         }
         let spec_q = self.topo.service(svc_id).queue_capacity as usize;
         let svc = &mut self.services[svc_id.idx()];
-        // Shortest-queue dispatch across ready pods.
-        let pod_idx = svc
-            .pods
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_ready())
-            .min_by_key(|(i, p)| (p.load(), *i))
-            .map(|(i, _)| i);
-        let Some(pi) = pod_idx else {
+        let Some(pi) = shortest_queue(&svc.pods) else {
             // No pod alive: the request fails here.
             svc.dropped_calls += 1;
             if request_alive {
@@ -452,7 +447,7 @@ impl Engine {
                 *pending -= 1;
                 if *pending == 0 {
                     // The parent's response travels one hop back.
-                    self.queue.schedule(
+                    self.queue.schedule_fifo(
                         now + self.cfg.hop_latency,
                         Ev::NodeJoin { req, node: parent },
                     );

@@ -34,7 +34,13 @@
 //! *which events the handlers schedule, in which order, and which RNG
 //! draws they make* — how requests, call trees and events are stored
 //! (slab slots, shared templates, recycled buffers) is free to change
-//! without moving a bit of any result.
+//! without moving a bit of any result. That covers the two hops in
+//! `lifecycle` — a call out, a join back, each `hop_latency` ahead of the
+//! clock — which go through [`EventQueue::schedule_fifo`]: the hint that
+//! they are born in pop order takes the same sequence number `schedule`
+//! would and is declined whenever it is false (the hops scheduled behind
+//! a fault-plane delay), so it chooses where an event waits, never when
+//! it fires.
 
 mod lifecycle;
 mod metrics;

@@ -84,6 +84,22 @@ impl Pod {
     }
 }
 
+/// Shortest-queue dispatch: the first ready pod with the least load. An
+/// idle pod cannot be beaten, so the search ends there.
+pub(super) fn shortest_queue(pods: &[Pod]) -> Option<usize> {
+    let mut pick: Option<(usize, usize)> = None;
+    for (i, p) in pods.iter().enumerate().filter(|(_, p)| p.is_ready()) {
+        let load = p.load();
+        if pick.is_none_or(|(least, _)| load < least) {
+            pick = Some((load, i));
+            if load == 0 {
+                break;
+            }
+        }
+    }
+    pick.map(|(_, i)| i)
+}
+
 /// Per-service runtime state.
 pub(super) struct ServiceRt {
     pub(super) pods: Vec<Pod>,

@@ -647,8 +647,9 @@ mod tracing_tests {
 mod lifecycle_tests {
     use crate::autoscaler::HpaConfig;
     use crate::engine::{Engine, EngineConfig};
+    use crate::faults::FaultSpec;
     use crate::topology::{ApiSpec, CallNode, ServiceSpec, Topology};
-    use crate::types::ApiId;
+    use crate::types::{ApiId, ServiceId};
     use crate::workload::{ClosedLoopWorkload, OpenLoopWorkload, RateSchedule};
     use simnet::{SimDuration, SimTime};
 
@@ -767,6 +768,78 @@ mod lifecycle_tests {
         );
     }
 
+    /// A front end fanning out to two back ends under 400 closed-loop
+    /// users thinking 100 ms: ≈ 3 600 requests/s of five hops each.
+    fn fan_out_loop() -> (Engine, ApiId, ServiceId) {
+        let mut topo = Topology::new("hops");
+        let f = topo.add_service(ServiceSpec::new("f", 8));
+        let b = topo.add_service(ServiceSpec::new("b", 8));
+        let c = topo.add_service(ServiceSpec::new("c", 8));
+        let kids = vec![CallNode::leaf(b, ms(2)), CallNode::leaf(c, ms(2))];
+        let api = topo.add_api(ApiSpec::single(
+            "a",
+            CallNode::with_children(f, ms(1), kids),
+        ));
+        let w = ClosedLoopWorkload::fixed(vec![(api, 1.0)], 400, ms(100));
+        (
+            Engine::new(topo, EngineConfig::default(), Box::new(w)),
+            api,
+            b,
+        )
+    }
+
+    #[test]
+    fn hop_events_ride_the_lane_undeclined() {
+        // The population `simnet::event`'s lane exists for: every call
+        // and every join travels `hop_latency`, one constant, so hop
+        // events are scheduled in the order they fire and none needs a
+        // sift. If the hop ever becomes per-edge or jittered the second
+        // assert fails: the lane has lost its reason.
+        let (mut e, api, _) = fan_out_loop();
+        let (first_ms, samples) = (2_000, 4_000);
+        let mut occupied = 0;
+        for at_ms in first_ms..first_ms + samples {
+            e.run_until(SimTime::from_millis(at_ms));
+            occupied += u64::from(e.queue.lane_len() > 0);
+        }
+        assert!(
+            occupied * 10 >= samples * 9,
+            "lane held a hop in {occupied} of {samples} samples"
+        );
+        assert_eq!(
+            e.queue.declined_hints(),
+            0,
+            "no fault plan: every hop sorted"
+        );
+        assert!(e.api_totals(api).good > 10_000);
+    }
+
+    #[test]
+    fn delayed_hops_are_declined_and_requests_still_conserve() {
+        // Calls into `b` gain 20 ms and push the lane's tail ahead of the
+        // clock; every other hop scheduled meanwhile is behind it, falls
+        // through to `schedule`, and nothing is lost or reordered.
+        let (mut e, api, b) = fan_out_loop();
+        e.inject_faults(vec![FaultSpec::NetworkDegrade {
+            from: SimTime::from_secs(1),
+            until: SimTime::from_secs(3),
+            service: Some(b),
+            extra_latency: ms(20),
+            loss: 0.0,
+        }]);
+        e.run_until(SimTime::from_secs(5));
+        assert!(
+            e.queue.declined_hints() > 1_000,
+            "hops behind a delayed tail"
+        );
+        let t = e.api_totals(api);
+        assert_eq!(t.offered, t.admitted + t.rejected_entry + t.rejected_shed);
+        assert!(t.good > 10_000, "the loop kept running: {t:?}");
+        // In flight at the end: admitted, not yet answered; at most one a user.
+        let answered = t.good + t.slo_violated + t.failed;
+        assert!(t.admitted - answered <= 400, "{t:?}");
+    }
+
     #[test]
     fn learned_and_static_paths_agree_for_non_branching_apis() {
         let mut topo = Topology::new("agree");
@@ -792,6 +865,68 @@ mod lifecycle_tests {
         let mut want = static_paths[api.idx()].clone();
         want.sort();
         assert_eq!(learned, want);
+    }
+}
+
+mod pod_pick {
+    use crate::engine::pods::{shortest_queue, InFlight, Pod, PodPhase, QueuedCall};
+    use crate::engine::requests::ReqId;
+    use proptest::prelude::*;
+    use simnet::{SimDuration, SimTime};
+
+    /// The iterator chain `shortest_queue` replaced: the `(load, index)`
+    /// minimum over ready pods, every pod visited.
+    fn min_by_load_then_index(pods: &[Pod]) -> Option<usize> {
+        pods.iter()
+            .enumerate()
+            .filter(|(_, p)| p.is_ready())
+            .min_by_key(|(i, p)| (p.load(), *i))
+            .map(|(i, _)| i)
+    }
+
+    fn pod(phase: u8, queued: usize, busy: bool) -> Pod {
+        let (req, node, at) = (ReqId::from_bits(0), 0, SimTime::ZERO);
+        let mut p = Pod::fresh();
+        p.phase = match phase {
+            0 => PodPhase::Ready,
+            1 => PodPhase::Down,
+            _ => PodPhase::Removed,
+        };
+        p.queue.extend((0..queued).map(|_| QueuedCall {
+            req,
+            node,
+            cost: SimDuration::ZERO,
+            enqueued: at,
+        }));
+        p.busy = busy.then_some(InFlight {
+            req,
+            node,
+            started: at,
+            done_at: at,
+        });
+        p
+    }
+
+    #[test]
+    fn no_ready_pod_and_all_equal_loads() {
+        assert_eq!(shortest_queue(&[]), None);
+        assert_eq!(shortest_queue(&[pod(1, 0, false), pod(2, 0, false)]), None);
+        let level = [pod(1, 0, false), pod(0, 2, true), pod(0, 3, false)];
+        assert_eq!(shortest_queue(&level), Some(1), "first of the equals");
+    }
+
+    proptest! {
+        #[test]
+        fn matches_the_min_by_key_chain(
+            // Three pods in five ready, loads 0–3 so ties and idle pods are common.
+            spec in prop::collection::vec((0u8..5, 0usize..3, any::<bool>()), 0..12),
+        ) {
+            let pods: Vec<Pod> = spec
+                .into_iter()
+                .map(|(phase, queued, busy)| pod(phase.saturating_sub(2), queued, busy))
+                .collect();
+            prop_assert_eq!(shortest_queue(&pods), min_by_load_then_index(&pods));
+        }
     }
 }
 

@@ -8,33 +8,47 @@
 //!
 //! ## Layout
 //!
-//! Two tiers over one order. The *near* tier is a 4-ary min-heap of
+//! Three tiers over one order. The *near* tier is a 4-ary min-heap of
 //! 24-byte [`Key`]s holding only what fires before a moving *horizon*;
 //! everything later is parked in the *far* tier, a timing wheel of
 //! fixed-width buckets plus one overflow list for keys past the wheel's
-//! span. A pop takes the heap's root and, only when the heap is empty,
-//! drains the next bucket into it. Closed-loop users arm a 10 s timeout
-//! per request, so tens of thousands of pending keys are seconds away:
-//! parked, each costs a list push and a push/pop on a small heap instead
-//! of sitting in every other event's sift.
+//! span. Closed-loop users arm a 10 s timeout per request, so tens of
+//! thousands of pending keys are seconds away: parked, each costs a list
+//! push and a push/pop on a small heap instead of sitting in every other
+//! event's sift. The third tier is the *lane*, a FIFO for events that are
+//! born in pop order: a caller that schedules at `now` plus a constant
+//! (the engine's network hop, half of all its events) offers each event
+//! to [`EventQueue::schedule_fifo`], which appends it iff it fires no
+//! earlier than the lane's tail and otherwise hands it to
+//! [`EventQueue::schedule`]. A pop takes whichever of the lane's front
+//! and the heap's root fires first and, only when the heap is empty and
+//! the lane's front is not already behind the horizon, drains the next
+//! bucket first.
 //!
-//! Payloads never move — each waits in a slab slot until it pops — and
-//! neither tier allocates per event: a bucket is an intrusive list
-//! threaded through a per-slot `(at, seq, next)` array beside the slab,
-//! one `u32` head per bucket (per-bucket vectors never give their peak
-//! capacity back; the links cost what the deep heap's keys did).
+//! Heap and wheel payloads never move — each waits in a slab slot until
+//! it pops — and neither tier allocates per event: a bucket is an
+//! intrusive list threaded through a per-slot `(at, seq, next)` array
+//! beside the slab, one `u32` head per bucket (per-bucket vectors never
+//! give their peak capacity back; the links cost what the deep heap's
+//! keys did). The lane carries its payload inline instead: an entry is
+//! written once at the back and read once at the front, so a slab slot
+//! would only add a store, a `take` and two free-list moves to every hop.
 //!
 //! Every key carries a fresh sequence number, so `(at, seq)` is a *unique
 //! total order* over everything ever scheduled: the pop sequence is fixed
 //! by the schedule calls — not by the heap's shape or arity, nor by the
 //! bucket width, which only decides *when* a key enters the heap (an
 //! earlier bucket's keys all fire before a later one's; inside the heap
-//! `(at, seq)` decides). Any correct priority queue over that order
-//! produces the same run, which is what lets the internals change under
-//! a simulation without moving a single event (the proptest below holds
-//! this implementation to the `BinaryHeap` it replaced).
+//! `(at, seq)` decides), nor by which events were offered to the lane: it
+//! takes the same `seq` as `schedule` would and holds a sorted run of
+//! that order, so the hint changes where an event waits and never when
+//! it pops. Any correct priority queue over that order produces the same
+//! run, which is what lets the internals change under a simulation
+//! without moving a single event (the proptest below holds this
+//! implementation to the `BinaryHeap` it replaced).
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Children per heap node: a 4-ary heap is half as deep as a binary one,
 /// and a node's four children are 96 contiguous bytes.
@@ -106,6 +120,10 @@ pub struct EventQueue<E> {
     slots: Vec<Option<E>>,
     /// Vacant slab slots, reused last-freed-first.
     free: Vec<u32>,
+    /// The lane: `(at, seq, payload)` in strictly increasing `(at, seq)`.
+    lane: VecDeque<(SimTime, u64, E)>,
+    /// Hints [`Self::schedule_fifo`] turned down.
+    declined: u64,
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -130,6 +148,8 @@ impl<E> EventQueue<E> {
             links: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            lane: VecDeque::new(),
+            declined: 0,
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
@@ -143,7 +163,7 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slots.len() - self.free.len() + self.lane.len()
     }
 
     /// True when no events are pending.
@@ -154,6 +174,17 @@ impl<E> EventQueue<E> {
     /// Events in the near tier, the depth a sift pays for (tests pin it).
     pub fn near_len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Events waiting in the lane.
+    pub fn lane_len(&self) -> usize {
+        self.lane.len()
+    }
+
+    /// [`Self::schedule_fifo`] calls that fell through to
+    /// [`Self::schedule`]: the caller's events were not born sorted.
+    pub fn declined_hints(&self) -> u64 {
+        self.declined
     }
 
     /// Total number of events popped so far (simulation progress counter).
@@ -192,6 +223,22 @@ impl<E> EventQueue<E> {
         } else {
             self.park(at, seq, slot);
         }
+    }
+
+    /// [`Self::schedule`], with the hint that `at` is no earlier than any
+    /// time this method was given before — true of a caller that always
+    /// adds the same delay to the clock. An event that keeps the promise
+    /// waits in the lane, where a pop costs no sift; one that breaks it
+    /// (or lies behind the clock) is scheduled the ordinary way, so the
+    /// pop order is that of `schedule` whatever the caller passes.
+    pub fn schedule_fifo(&mut self, at: SimTime, event: E) {
+        let tail = self.lane.back().map_or(self.now, |&(tail, ..)| tail);
+        if at < tail {
+            self.declined += 1;
+            return self.schedule(at, event);
+        }
+        self.lane.push_back((at, self.seq, event));
+        self.seq += 1;
     }
 
     /// File a key at or past the horizon in the far tier: on its
@@ -249,7 +296,7 @@ impl<E> EventQueue<E> {
         }
         // A pending key is on exactly one tier, the heap's all due first.
         let far = self.in_wheel + self.in_overflow;
-        debug_assert_eq!(self.len(), self.heap.len() + far);
+        debug_assert_eq!(self.len(), self.heap.len() + far + self.lane.len());
         debug_assert!(self.heap.iter().all(|k| bucket(k.at) < self.horizon));
     }
 
@@ -268,8 +315,9 @@ impl<E> EventQueue<E> {
         self.heap[i] = key;
     }
 
-    /// Pop the heap's root — the earliest pending event, since every far
-    /// key fires at or after the horizon — and advance the clock to it.
+    /// Pop the heap's root — the earliest pending event outside the lane,
+    /// since every far key fires at or after the horizon — and advance
+    /// the clock to it.
     fn pop_root(&mut self, root: Key) -> (SimTime, E) {
         let last = self.heap.pop().expect("non-empty: has a root");
         let n = self.heap.len();
@@ -307,10 +355,15 @@ impl<E> EventQueue<E> {
             .take()
             .expect("a pending key always names a parked payload");
         self.free.push(root.slot);
-        debug_assert!(root.at >= self.now, "clock went backwards");
-        self.now = root.at;
+        self.fire(root.at, event)
+    }
+
+    /// Advance the clock to a popped event.
+    fn fire(&mut self, at: SimTime, event: E) -> (SimTime, E) {
+        debug_assert!(at >= self.now, "clock went backwards");
+        self.now = at;
         self.popped += 1;
-        (root.at, event)
+        (at, event)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -325,12 +378,29 @@ impl<E> EventQueue<E> {
     /// running a simulation up to a horizon.
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         loop {
-            if let Some(&root) = self.heap.first() {
+            let root = self.heap.first().copied();
+            let far = self.in_wheel + self.in_overflow;
+            if let Some(&(at, seq, _)) = self.lane.front() {
+                // The lane's front is next if it beats the root or, with
+                // no root, if no far key can fire before it.
+                let front = Key { at, seq, slot: NIL };
+                let next = match root {
+                    Some(root) => front.before(&root),
+                    None => bucket(at) < self.horizon || far == 0,
+                };
+                if next {
+                    return (at <= limit).then(|| {
+                        let (at, _, event) = self.lane.pop_front().expect("has a front");
+                        self.fire(at, event)
+                    });
+                }
+            }
+            if let Some(root) = root {
                 return (root.at <= limit).then(|| self.pop_root(root));
             }
             // Whatever is left fires at or after the horizon: stop when
             // that is past `limit`, else pull the next bucket in.
-            if self.is_empty() || self.horizon > bucket(limit) {
+            if far == 0 || self.horizon > bucket(limit) {
                 return None;
             }
             self.advance();
@@ -416,13 +486,15 @@ mod tests {
     }
 
     impl<E> EventQueue<E> {
-        /// Timestamp of the next event without popping it: the heap's
-        /// root, else the earliest key on the first occupied bucket or
-        /// the overflow list (whose keys wait for a wrap even once the
-        /// wheel's span has reached them).
+        /// Timestamp of the next event without popping it: the earlier
+        /// of the lane's front and the heap's root or, with no root, the
+        /// earliest key on the first occupied bucket or the overflow list
+        /// (whose keys wait for a wrap even once the wheel's span has
+        /// reached them).
         fn peek_time(&self) -> Option<SimTime> {
+            let front = self.lane.front().map(|&(at, ..)| at);
             if let Some(root) = self.heap.first() {
-                return Some(root.at);
+                return Some(front.map_or(root.at, |at| at.min(root.at)));
             }
             let times = |mut slot: u32| {
                 std::iter::from_fn(move || {
@@ -436,6 +508,7 @@ mod tests {
                 .find(|&head| head != NIL);
             times(bucket.unwrap_or(NIL))
                 .chain(times(self.overflow))
+                .chain(front)
                 .min()
         }
     }
@@ -522,11 +595,11 @@ mod tests {
         }
     }
 
-    /// Equal-timestamp events that reach the heap by three routes —
-    /// overflow re-filed at a wrap, a wheel bucket, straight in behind
-    /// the horizon — still pop in the order they were scheduled.
+    /// Equal-timestamp events that wait by four routes — overflow
+    /// re-filed at a wrap, a wheel bucket, straight into the heap behind
+    /// the horizon, the lane — still pop in the order they were scheduled.
     #[test]
-    fn equal_times_pop_fifo_across_all_three_routes() {
+    fn equal_times_pop_fifo_across_all_four_routes() {
         let mut q = EventQueue::new();
         let start = |b: u64| SimTime::from_nanos(b << SHIFT);
         // One wheel turn and five buckets out: past the span from the epoch.
@@ -552,8 +625,45 @@ mod tests {
             q.schedule(t, id);
         }
         assert_eq!(q.near_len(), 9, "route 3: behind the horizon, direct");
+        for id in 9..12 {
+            q.schedule_fifo(t, id);
+        }
+        assert_eq!((q.lane_len(), q.near_len()), (3, 9), "route 4: the lane");
+        // Heap keys on both sides of the lane's: `seq` breaks the tie.
+        for id in 12..15 {
+            q.schedule(t, id);
+        }
+        assert_eq!((q.lane_len(), q.near_len(), q.len()), (3, 12, 15));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, (0..9).map(|id| (t, id)).collect::<Vec<_>>());
+        assert_eq!(order, (0..15).map(|id| (t, id)).collect::<Vec<_>>());
+    }
+
+    /// The lane on its own, and against the far tier: it counts in `len`,
+    /// honours `pop_until`'s limit, declines a time behind its tail, and
+    /// waits for a wheel bucket that may hold something earlier.
+    #[test]
+    fn lane_alone_and_past_undrained_wheel_buckets() {
+        let mut q = EventQueue::new();
+        let start = |b: u64| SimTime::from_nanos(b << SHIFT);
+        q.schedule_fifo(start(3), "a");
+        q.schedule_fifo(start(5), "c");
+        assert_eq!((q.len(), q.lane_len(), q.near_len()), (2, 2, 0));
+        assert!(!q.is_empty());
+        assert_eq!(q.pop_until(start(2)), None, "the front is past the limit");
+        assert_eq!((q.now(), q.len()), (SimTime::ZERO, 2));
+        assert_eq!(q.pop_until(start(3)), Some((start(3), "a")));
+        assert_eq!((q.len(), q.events_processed()), (1, 1));
+        // Behind the tail: declined, parked on the wheel like any `schedule`.
+        q.schedule_fifo(start(4), "b");
+        assert_eq!((q.declined_hints(), q.lane_len(), q.in_wheel), (1, 1, 1));
+        assert_eq!(q.len(), 2);
+        // "c" leads the lane, but bucket 4 is not drained yet.
+        assert_eq!(q.pop_until(start(3)), None);
+        assert_eq!(q.pop(), Some((start(4), "b")));
+        assert_eq!(q.pop_until(start(4)), None);
+        assert_eq!(q.pop(), Some((start(5), "c")));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     use proptest::prelude::*;
@@ -588,11 +698,13 @@ mod tests {
     }
 
     proptest! {
-        /// Any interleaving of schedule / pop / pop_until — timestamps
-        /// and limits from [`mixed_time`]: colliding, behind the clock,
-        /// astride bucket edges and the wheel's span, in overflow, at
-        /// `SimTime::MAX` — pops exactly what the `BinaryHeap` oracle
-        /// pops, and leaves the same clock, length and counter.
+        /// Any interleaving of schedule / schedule_fifo / pop / pop_until
+        /// — timestamps and limits from [`mixed_time`]: colliding, behind
+        /// the clock, astride bucket edges and the wheel's span, in
+        /// overflow, at `SimTime::MAX`, and for the hint behind the
+        /// lane's tail as often as not — pops exactly what the
+        /// `BinaryHeap` oracle pops, and leaves the same clock, length
+        /// and counter.
         #[test]
         fn matches_the_binary_heap_oracle(
             ops in prop::collection::vec((0u8..4, 0u8..9, 0u64..40), 1..400),
@@ -603,13 +715,18 @@ mod tests {
             for (id, (op, kind, v)) in ops.into_iter().enumerate() {
                 let t = mixed_time(&q, kind, v);
                 match op {
-                    // Twice as many pushes as pops, so the tiers fill.
+                    // Twice as many pushes as pops, so the tiers fill;
+                    // half of them hinted, whatever the time.
                     0 | 1 => {
                         // A time behind the clock is clamped to `now` in
                         // release builds and a debug-build panic, so debug
                         // builds apply the clamp before the call.
                         let at = if cfg!(debug_assertions) { t.max(q.now()) } else { t };
-                        q.schedule(at, id);
+                        if op == 0 {
+                            q.schedule(at, id);
+                        } else {
+                            q.schedule_fifo(at, id);
+                        }
                         want.schedule(at, id);
                     }
                     2 => {

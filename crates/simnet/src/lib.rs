@@ -6,17 +6,16 @@
 //!   nanosecond resolution.
 //! * [`event`] — [`event::EventQueue`], a key-only 4-ary heap for what is
 //!   due soon over a timing wheel for what is not, payloads in a slab,
-//!   with stable FIFO tie-breaking: `(time, schedule order)` is a unique
-//!   total order, so simulations are reproducible given a seed.
+//!   beside a FIFO lane for events scheduled in pop order, with stable
+//!   FIFO tie-breaking: `(time, schedule order)` is a unique total
+//!   order, so simulations are reproducible given a seed.
 //! * [`histogram`] — log-bucketed latency histograms with bounded relative
 //!   quantile error, used for end-to-end percentile latencies.
 //! * [`token_bucket`] — the token-bucket rate limiter used by the entry
 //!   gateway (the paper's rate limiter is a Go token bucket; §5).
-//! * [`window`] — per-interval counters and rate meters for goodput
-//!   accounting.
 //! * [`rng`] — seeded RNG forking so every component draws from an
 //!   independent, reproducible stream.
-//! * [`stats`] — small numeric helpers (means, percentiles of samples).
+//! * [`stats`] — mean, standard deviation and exact quantiles of samples.
 //!
 //! Everything here is pure computation over a virtual clock: no wall-clock
 //! time, no threads, no I/O. Simulations built on `simnet` are functions of
@@ -28,10 +27,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod token_bucket;
-pub mod window;
 
 pub use event::EventQueue;
 pub use histogram::LatencyHistogram;
 pub use time::{SimDuration, SimTime};
 pub use token_bucket::TokenBucket;
-pub use window::RateMeter;

@@ -1,8 +1,8 @@
 //! Small numeric helpers over sample slices.
 //!
-//! The experiment harness reports means, percentiles and simple summaries
-//! of per-second series (goodput timelines, latency series). These are
-//! exact computations over in-memory samples, unlike the streaming
+//! The experiment harness reports means and percentiles of per-second
+//! series (goodput timelines, latency series). These are exact
+//! computations over in-memory samples, unlike the streaming
 //! [`crate::histogram::LatencyHistogram`].
 
 /// Arithmetic mean; 0 for an empty slice.
@@ -35,44 +35,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     Some(v[rank - 1])
 }
 
-/// Minimum; `None` when empty.
-pub fn min(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::min)
-}
-
-/// Maximum; `None` when empty.
-pub fn max(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::max)
-}
-
-/// Summary of a sample series.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    pub count: usize,
-    pub mean: f64,
-    pub std_dev: f64,
-    pub min: f64,
-    pub p50: f64,
-    pub p95: f64,
-    pub max: f64,
-}
-
-/// Compute a [`Summary`]; `None` when empty.
-pub fn summarize(xs: &[f64]) -> Option<Summary> {
-    if xs.is_empty() {
-        return None;
-    }
-    Some(Summary {
-        count: xs.len(),
-        mean: mean(xs),
-        std_dev: std_dev(xs),
-        min: min(xs).unwrap(),
-        p50: quantile(xs, 0.5).unwrap(),
-        p95: quantile(xs, 0.95).unwrap(),
-        max: max(xs).unwrap(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +51,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(std_dev(&[]), 0.0);
         assert!(quantile(&[], 0.5).is_none());
-        assert!(summarize(&[]).is_none());
     }
 
     #[test]
@@ -106,16 +67,5 @@ mod tests {
         let xs = [3.0, 1.0, 2.0];
         let _ = quantile(&xs, 0.5);
         assert_eq!(xs, [3.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn summary_fields_consistent() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let s = summarize(&xs).unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.p50, 2.0);
-        assert!((s.mean - 2.5).abs() < 1e-12);
     }
 }

@@ -25,15 +25,36 @@
 # 2.5× without removing one `tanh` call.
 #
 #   scripts/profile.sh <workload> [seed] [seconds]    # e.g. sim.boutique 41 10
+#   scripts/profile.sh --lines <workload> [seed] [seconds]
 #
 # Builds benchmark/ the way BENCHMARK.json does (so, like any build of
 # it, it can rewrite the tracked benchmark/Cargo.lock — restore that
 # before committing) and edits nothing. To profile another commit, run
 # that checkout's copy of this script (or copy this one into it).
 # Not part of verify.sh.
+#
+# `--lines` answers the question the symbol table cannot: *which line*
+# of a 300-line handler the compiler inlined six callees into. It builds
+# benchmark/ a second time with line tables (`debug = line-tables-only`,
+# same optimisation) into target/profile-lines — benchmark/target keeps
+# the binary the gates time, and benchmark/Cargo.lock is put back as it
+# was — resolves every sampled pc with `addr2line -i` into its chain of
+# inlined frames, and bills the sample to the innermost frame whose
+# source is under this repository: a `VecDeque::push_back` or
+# `Iterator::fold` from the standard library is charged to the line of
+# ours that called it. Prints the top files, then the top `file:line`
+# rows with the function each is in; all threads together. A pc with no
+# frame of ours is a row of its own: the function it is in when the
+# binary's line tables know one (an out-of-line `fold`, the harness's
+# `quicksort`), else the sampler's `library:symbol` (libm, libc).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=${1:?usage: scripts/profile.sh <workload> [seed] [seconds]}
+lines=
+if [ "${1:-}" = --lines ]; then
+  lines=1
+  shift
+fi
+workload=${1:?usage: scripts/profile.sh [--lines] <workload> [seed] [seconds]}
 seed=${2:-41}
 seconds=${3:-10}
 tmp=$(mktemp -d /tmp/topfull_profile.XXXXXX)
@@ -119,11 +140,61 @@ __attribute__((destructor)) static void stop(void) {
 EOF
 cc -O2 -shared -fPIC -o "$tmp/sampler.so" "$tmp/sampler.c" -ldl
 
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-bin=benchmark/target/release/topfull-benchmark
+if [ -n "$lines" ]; then
+  cp benchmark/Cargo.lock "$tmp/Cargo.lock"
+  trap 'cp "$tmp/Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
+  CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml --target-dir target/profile-lines
+  bin=target/profile-lines/release/topfull-benchmark
+else
+  cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+  bin=benchmark/target/release/topfull-benchmark
+fi
 TOPFULL_PROFILE_OUT="$tmp/pcs" LD_PRELOAD="$tmp/sampler.so" \
   "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
   | tail -n 1 > "$tmp/result.json"
+
+total=$(wc -l < "$tmp/pcs")
+share() { # stdin: samples <tab> label
+  awk -F'\t' -v total="$total" '{ printf "%6.2f %%  %7d  %s\n", 100 * $1 / total, $1, $2 }'
+}
+footer() {
+  echo "($total samples of CPU time — a 1 kHz timer at the kernel's tick resolution;" \
+    "$workload seed $seed, $seconds s)"
+  cat "$tmp/result.json"
+}
+
+if [ -n "$lines" ]; then
+  # Per distinct pc: `0x<pc>`, then (function, file:line) pairs from the
+  # innermost inlined frame outwards.
+  cut -d' ' -f1 "$tmp/pcs" | sort -u | sed 's/^/0x/' \
+    | addr2line -a -i -f -C -e "$bin" > "$tmp/frames"
+  # Rows `F <tab> samples <tab> file` and `L <tab> samples <tab> file:line  function`.
+  awk -v root="$PWD/" '
+    FNR == NR { hits[$1]++; outside[$1] = $3; next }
+    /^0x[0-9a-f]+$/ { pc = $0; sub(/^0x0*/, "", pc); function_next = 1; next }
+    function_next { fn = $0; sub(/::h[0-9a-f]{16}$/, "", fn); function_next = 0; next }
+    { function_next = 1
+      if (fn != "??") outermost[pc] = fn
+      if (!(pc in line) && index($0, root) == 1) {
+        line[pc] = substr($0, length(root) + 1); sub(/ \(discriminator [0-9]+\)$/, "", line[pc])
+        inside[pc] = fn } }
+    END { for (pc in hits) {
+        if (pc in line) { file = line[pc]; sub(/:[0-9?]+$/, "", file); row = line[pc] "  " inside[pc] }
+        else if (pc in outermost) { file = "(not ours, in the binary)"; row = outermost[pc] }
+        else file = row = outside[pc]
+        files[file] += hits[pc]; rows[row] += hits[pc] }
+      for (f in files) printf "F\t%d\t%s\n", files[f], f
+      for (r in rows) printf "L\t%d\t%s\n", rows[r], r }
+  ' "$tmp/pcs" "$tmp/frames" > "$tmp/rows"
+  echo "files (share of all $total samples, billed to the innermost frame under $PWD):"
+  grep '^F' "$tmp/rows" | cut -f2- | sort -rn | awk 'NR <= 15' | share
+  echo
+  echo "lines:"
+  grep '^L' "$tmp/rows" | cut -f2- | sort -rn | awk 'NR <= 40' | share
+  footer
+  exit
+fi
 
 # Text symbols in address order, the per-instantiation `::h<hash>` suffix
 # dropped so a generic function's copies add up; a pc outside the
@@ -133,7 +204,6 @@ nm -n -C --defined-only "$bin" \
   | awk '$2 ~ /^[tTwW]$/ { addr = $1; $1 = $2 = ""; sub(/^ +/, ""); sub(/::h[0-9a-f]{16}$/, "")
                            print addr, $0 }' > "$tmp/symbols"
 last=$(nm -n --defined-only "$bin" | tail -n 1 | cut -d' ' -f1)
-total=$(wc -l < "$tmp/pcs")
 # One row per (thread, symbol): thread, samples, symbol, tab-separated.
 awk -v last="$last" '
   function hex(s,    i, v) { v = 0; s = tolower(s)
@@ -147,9 +217,6 @@ awk -v last="$last" '
     hits[thread "\t" name[lo]]++ }
   END { for (row in hits) { split(row, k, "\t"); printf "%s\t%d\t%s\n", k[1], hits[row], k[2] } }
 ' "$tmp/symbols" "$tmp/pcs" > "$tmp/rows"
-share() { # stdin: samples <tab> label
-  awk -F'\t' -v total="$total" '{ printf "%6.2f %%  %7d  %s\n", 100 * $1 / total, $1, $2 }'
-}
 echo "threads (share of all $total samples):"
 awk -F'\t' '{ t[$1] += $2 } END { for (k in t) printf "%d\t%s\n", t[k], k }' "$tmp/rows" \
   | sort -rn | tee "$tmp/threads" | share
@@ -161,6 +228,4 @@ while IFS=$'\t' read -r samples thread; do
   awk -F'\t' -v thread="$thread" '$1 == thread { printf "%d\t%s\n", $2, $3 }' "$tmp/rows" \
     | sort -rn | awk 'NR <= 20' | share
 done < "$tmp/threads"
-echo "($total samples of CPU time — a 1 kHz timer at the kernel's tick resolution;" \
-  "$workload seed $seed, $seconds s)"
-cat "$tmp/result.json"
+footer

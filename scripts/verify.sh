@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# ROADMAP's "net LoC should trend down", as a ratchet: the non-test
+# lines under crates/*/src may not exceed scripts/loc_budget.txt. A PR
+# that needs more raises the number in its own diff, where a reviewer
+# sees it; a PR that deletes lowers it to its new total.
+loc=$(scripts/loc.sh | awk '$1 == "crates/*/src" { print $2 }')
+budget=$(cat scripts/loc_budget.txt)
+[ "$loc" -le "$budget" ] \
+  || { echo "loc ratchet: crates/*/src has $loc non-test lines, scripts/loc_budget.txt allows $budget"; exit 1; }
+
 # --workspace matters: the repo root is itself a package, so a bare
 # `cargo build` would skip dependency crates' binaries (topfull,
 # topfull-sim) and every smoke below would run stale code.
