@@ -6,6 +6,11 @@
 //! with 1 000 independent clusters. These benches measure the same
 //! operations in this implementation (convert: cycles ≈ seconds × clock;
 //! EXPERIMENTS.md records the comparison at 2.8 GHz).
+//!
+//! Everything else a request or a tick pays is a row of the gated
+//! benchmark's `--trace 1` layer table (`benchmark/README.md`), not a
+//! bench here — except the front door's priority gate, which no gated
+//! workload turns on: `front/priority-check` below is its only price.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -113,6 +118,26 @@ fn bench_event_queue_hold(c: &mut Criterion) {
     });
 }
 
+/// The front door's stage 2 (DESIGN.md §17): level computation +
+/// threshold compare + per-level admitted histogram update, cycling
+/// through users like real traffic — what every non-coalesced request
+/// pays before the token bucket when the priority gate is on.
+fn bench_priority_check(c: &mut Criterion) {
+    use cluster::front::{FrontConfig, FrontDoor, PriorityConfig};
+    let mut fd = FrontDoor::new(FrontConfig {
+        coalesce: None,
+        priority: Some(PriorityConfig::default()),
+    });
+    let now = simnet::SimTime::ZERO;
+    let mut user: u8 = 0;
+    c.bench_function("front/priority-check", |b| {
+        b.iter(|| {
+            user = user.wrapping_add(1) & 127;
+            black_box(fd.pre_admit(cluster::ApiId(0), None, 1, user, now));
+        })
+    });
+}
+
 /// One full TopFull control decision on a Train Ticket observation
 /// (clustering + state building + RL inferences + Algorithm 1).
 fn bench_full_control_cycle(c: &mut Criterion) {
@@ -144,6 +169,7 @@ criterion_group!(
     bench_token_bucket,
     bench_event_queue,
     bench_event_queue_hold,
+    bench_priority_check,
     bench_full_control_cycle,
 );
 criterion_main!(benches);

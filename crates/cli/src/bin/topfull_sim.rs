@@ -8,9 +8,13 @@
 //! topfull-sim check scenario.json          # validate without running
 //! ```
 //!
-//! `check` (and `run --check`) performs the full scenario → engine
-//! build plus the cross-spec composition rules (controller × sharding ×
-//! hardened), so a scenario that checks clean cannot fail at startup.
+//! `check` (and `run --check`) speaks for the simulator: it applies the
+//! cross-spec composition rules (admission × sharding × controller ×
+//! hardened — the same `preflight` that `topfull live` runs first) and
+//! performs the full scenario → engine build, so a scenario that checks
+//! clean cannot fail at `topfull-sim run`'s startup. `topfull live`
+//! additionally refuses what has no live equivalent (a per-service
+//! controller, the `retry_storm` workload, the `dropout` shard fault).
 
 use topfull_cli::{parse_scenario, render_report, run_scenario, validate_scenario, Scenario};
 

@@ -2,7 +2,7 @@
 
 use crate::schema::{
     AdmissionSpec, AppSpec, AutoscalerSpec, CallSpec, ControllerSpec, FaultSpecJson,
-    ResilienceSpec, Scenario, ShardFaultJson, ShardingSpec, WorkloadSpec,
+    ResilienceSpec, RetryBudgetSpecJson, Scenario, ShardFaultJson, ShardingSpec, WorkloadSpec,
 };
 use apps::{AlibabaDemo, OnlineBoutique, TrainTicket};
 use baselines::{Breakwater, BreakwaterConfig, Dagor, DagorConfig, Wisp, WispConfig};
@@ -27,8 +27,8 @@ pub struct BuiltScenario {
     pub hardened: bool,
 }
 
-/// Resolve an API name to its id.
-fn api_id(topo: &Topology, name: &str) -> Result<ApiId, String> {
+/// Resolve an API name to its id (both planes name APIs this way).
+pub(crate) fn api_id(topo: &Topology, name: &str) -> Result<ApiId, String> {
     topo.api_by_name(name)
         .ok_or_else(|| format!("unknown API '{name}'"))
 }
@@ -168,18 +168,23 @@ fn build_workload(
                 SimDuration::from_millis(*retry_backoff_ms),
             );
             if let Some(b) = retry_budget {
-                w = w.with_retry_budget(RetryBudgetConfig {
-                    max_tokens: b.max_tokens,
-                    token_ratio: b.token_ratio,
-                    retry_cost: b.retry_cost,
-                });
+                w = w.with_retry_budget(retry_budget_config(b));
             }
             Ok(Box::new(w))
         }
     }
 }
 
-fn resolve_weights(
+fn retry_budget_config(b: &RetryBudgetSpecJson) -> RetryBudgetConfig {
+    RetryBudgetConfig {
+        max_tokens: b.max_tokens,
+        token_ratio: b.token_ratio,
+        retry_cost: b.retry_cost,
+    }
+}
+
+/// A closed-loop population's `api_weights`, names resolved.
+pub(crate) fn resolve_weights(
     topo: &Topology,
     weights: &[(String, f64)],
 ) -> Result<Vec<(ApiId, f64)>, String> {
@@ -197,36 +202,45 @@ fn build_controller(
     engine: &mut Engine,
 ) -> Result<Box<dyn Controller>, String> {
     let n = engine.topology().num_services();
-    Ok(match spec {
-        ControllerSpec::None => Box::new(NoControl),
+    match spec {
         ControllerSpec::Dagor { alpha } => {
-            engine.set_admission(Box::new(Dagor::new(
-                n,
-                DagorConfig {
-                    alpha: *alpha,
-                    ..DagorConfig::default()
-                },
-            )));
-            Box::new(NoControl)
+            let cfg = DagorConfig {
+                alpha: *alpha,
+                ..DagorConfig::default()
+            };
+            engine.set_admission(Box::new(Dagor::new(n, cfg)));
         }
         ControllerSpec::Breakwater => {
             engine.set_admission(Box::new(Breakwater::new(n, BreakwaterConfig::default())));
-            Box::new(NoControl)
         }
         ControllerSpec::Wisp => {
             let wisp = Wisp::new(engine.topology(), WispConfig::default());
             engine.set_admission(Box::new(wisp));
-            Box::new(NoControl)
         }
+        ControllerSpec::None | ControllerSpec::Topfull { .. } => {}
+    }
+    // A per-service scheme admits inside the engine; nothing runs at the entry.
+    Ok(entry_controller(spec)?.unwrap_or_else(|| Box::new(NoControl)))
+}
+
+/// The controller that sets entry rate limits — the only kind that can
+/// drive a gateway, simulated, sharded or live. `None` for the
+/// per-service schemes (dagor / breakwater / wisp).
+pub(crate) fn entry_controller(
+    spec: &ControllerSpec,
+) -> Result<Option<Box<dyn Controller>>, String> {
+    Ok(match spec {
+        ControllerSpec::None => Some(Box::new(NoControl)),
         ControllerSpec::Topfull {
             rate_controller,
             clustering,
             hardened,
-        } => Box::new(TopFull::new(topfull_config(
+        } => Some(Box::new(TopFull::new(topfull_config(
             rate_controller,
             *clustering,
             *hardened,
-        )?)),
+        )?))),
+        _ => None,
     })
 }
 
@@ -291,18 +305,7 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
     let mut engine = Engine::new(topo, cfg, workload);
     if let Some(res) = &sc.resilience {
         if res.deadlines.is_some() || res.breakers.is_some() {
-            engine.set_resilience(ResilienceConfig {
-                deadlines: res.deadlines.as_ref().map(|d| DeadlineConfig {
-                    budget: d.budget_ms.map(SimDuration::from_millis),
-                    cancel_doomed: d.cancel_doomed,
-                }),
-                breakers: res.breakers.as_ref().map(|b| BreakerConfig {
-                    failure_threshold: b.failure_threshold,
-                    min_calls: b.min_calls,
-                    open_for: SimDuration::from_millis(b.open_for_ms),
-                    half_open_probes: b.half_open_probes,
-                }),
-            });
+            engine.set_resilience(resilience_config(res));
         }
     }
     if let Some(auto) = &sc.autoscaler {
@@ -315,11 +318,7 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
                 vcpus_per_pod: 1.0,
             });
         }
-        engine.enable_hpa(HpaConfig {
-            target_utilization: auto.target_utilization,
-            sync_period: SimDuration::from_secs(auto.sync_period_secs),
-            ..HpaConfig::default()
-        });
+        engine.enable_hpa(hpa_config(auto));
     }
     if !sc.failures.is_empty() {
         let mut specs = Vec::with_capacity(sc.failures.len());
@@ -355,6 +354,29 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
         api_names,
         hardened,
     })
+}
+
+fn resilience_config(res: &ResilienceSpec) -> ResilienceConfig {
+    ResilienceConfig {
+        deadlines: res.deadlines.as_ref().map(|d| DeadlineConfig {
+            budget: d.budget_ms.map(SimDuration::from_millis),
+            cancel_doomed: d.cancel_doomed,
+        }),
+        breakers: res.breakers.as_ref().map(|b| BreakerConfig {
+            failure_threshold: b.failure_threshold,
+            min_calls: b.min_calls,
+            open_for: SimDuration::from_millis(b.open_for_ms),
+            half_open_probes: b.half_open_probes,
+        }),
+    }
+}
+
+fn hpa_config(auto: &AutoscalerSpec) -> HpaConfig {
+    HpaConfig {
+        target_utilization: auto.target_utilization,
+        sync_period: SimDuration::from_secs(auto.sync_period_secs),
+        ..HpaConfig::default()
+    }
 }
 
 /// Admission spec → front-door config plus per-API coalescing key
@@ -764,6 +786,78 @@ mod tests {
             Ok(_) => panic!("empty admission block must be rejected"),
         };
         assert!(err.contains("both stages are disabled"), "{err}");
+    }
+
+    /// The schema states each block's defaults for the file format; the
+    /// library states them for callers in Rust. `{}` lowered must be the
+    /// library's `Default`, field for field (`Debug` prints every field).
+    #[test]
+    fn an_empty_block_lowers_to_the_library_default() {
+        fn same(block: &str, lowered: &dyn std::fmt::Debug, library: &dyn std::fmt::Debug) {
+            assert_eq!(format!("{lowered:?}"), format!("{library:?}"), "{block}");
+        }
+        let sc = crate::parse_scenario(
+            r#"{
+                "app": {"type": "builtin", "name": "online-boutique"},
+                "workload": {"type": "open_loop", "rates": []},
+                "resilience": {"breakers": {}, "retry_budget": {}, "deadlines": {}},
+                "admission": {"priority": {}, "coalesce": {"apis": ["getproduct"]}},
+                "slo": {}, "live": {}, "sharding": {"shards": 2}, "autoscaler": {}
+            }"#,
+        )
+        .expect("every block accepts {}");
+        let res = sc.resilience.as_ref().expect("resilience");
+        let lowered = resilience_config(res);
+        same(
+            "breakers",
+            &lowered.breakers,
+            &Some(BreakerConfig::default()),
+        );
+        same(
+            "deadlines",
+            &lowered.deadlines,
+            &Some(DeadlineConfig::default()),
+        );
+        same(
+            "retry_budget",
+            &retry_budget_config(res.retry_budget.as_ref().expect("budget")),
+            &RetryBudgetConfig::default(),
+        );
+        let topo = build_topology(&sc.app).expect("boutique");
+        let (front, _) = front_door_config(&topo, sc.admission.as_ref().expect("admission"))
+            .expect("front door lowers");
+        same(
+            "priority",
+            &front.priority,
+            &Some(cluster::front::PriorityConfig::default()),
+        );
+        same(
+            "coalesce",
+            &front.coalesce,
+            &Some(cluster::front::CoalesceConfig::default()),
+        );
+        same(
+            "slo",
+            &sc.slo.as_ref().expect("slo").to_config(),
+            &obs::SloConfig::default(),
+        );
+        same(
+            "live",
+            &crate::live::live_config(sc.live.as_ref().expect("live"), sc.slo_ms),
+            &liveserve::LiveConfig::default(),
+        );
+        same(
+            "sharding",
+            &sharded_config(sc.sharding.as_ref().expect("sharding"))
+                .expect("shards lower")
+                .plane,
+            &topfull::ShardPlaneConfig::default(),
+        );
+        same(
+            "autoscaler",
+            &hpa_config(sc.autoscaler.as_ref().expect("autoscaler")),
+            &HpaConfig::default(),
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 pub mod build;
 pub mod explain;
-pub mod keys;
 pub mod live;
 pub mod report;
 pub mod schema;
@@ -24,194 +23,17 @@ pub use report::{render_report, ScenarioOutcome};
 pub use schema::Scenario;
 pub use trace::trace_source;
 
-/// Top-level keys the scenario schema accepts. Kept in sync with
-/// [`schema::Scenario`]'s fields; `parse_scenario` rejects anything
-/// else so typos fail loudly instead of being silently ignored.
-const TOP_LEVEL_KEYS: &[&str] = &[
-    "name",
-    "seed",
-    "duration_secs",
-    "slo_ms",
-    "app",
-    "workload",
-    "controller",
-    "autoscaler",
-    "failures",
-    "faults",
-    "resilience",
-    "live",
-    "sharding",
-    "admission",
-    "slo",
-    "report",
-];
-
-const SLO_KEYS: &[&str] = &[
-    "objective",
-    "fast_windows_secs",
-    "slow_windows_secs",
-    "page_burn",
-    "ticket_burn",
-];
-
-const ADMISSION_KEYS: &[&str] = &["coalesce", "priority"];
-const COALESCE_KEYS: &[&str] = &["apis", "key_space", "cache_capacity", "cache_ttl_ms"];
-const PRIORITY_KEYS: &[&str] = &[
-    "business_tiers",
-    "user_levels",
-    "alpha",
-    "beta",
-    "queuing_delay_ms",
-];
-
-const LIVE_KEYS: &[&str] = &[
-    "cpu_scale",
-    "control_interval_ms",
-    "gateway_burst_secs",
-    "port",
-    "metrics_port",
-    "event_loops",
-    "max_conn_output",
-];
-
-const SHARDING_KEYS: &[&str] = &[
-    "shards",
-    "weights",
-    "min_quantum",
-    "strike_out",
-    "reentry_ticks",
-    "limit_ttl",
-    "faults",
-];
-
-const RESILIENCE_KEYS: &[&str] = &["deadlines", "retry_budget", "breakers"];
-const DEADLINE_KEYS: &[&str] = &["budget_ms", "cancel_doomed"];
-const RETRY_BUDGET_KEYS: &[&str] = &["max_tokens", "token_ratio", "retry_cost"];
-const BREAKER_KEYS: &[&str] = &[
-    "failure_threshold",
-    "min_calls",
-    "open_for_ms",
-    "half_open_probes",
-];
-
-const REPORT_KEYS: &[&str] = &["measure_from_secs", "timeline"];
-const AUTOSCALER_KEYS: &[&str] = &[
-    "target_utilization",
-    "sync_period_secs",
-    "pod_startup_secs",
-    "vm_pool",
-];
-const VM_POOL_KEYS: &[&str] = &["vcpus_per_vm", "initial_vms", "max_vms", "vm_startup_secs"];
-
-/// Per-variant key sets for the `faults` array (tagged by `kind`).
-/// Public because the workflow engine (crates/scenario) embeds fault
-/// schedules and key-checks them with the same table.
-pub const FAULT_VARIANTS: &[(&str, &[&str])] = &[
-    ("pod_kill", &["at_secs", "service", "pods"]),
-    (
-        "slow_pods",
-        &["from_secs", "until_secs", "service", "factor"],
-    ),
-    (
-        "network_degrade",
-        &[
-            "from_secs",
-            "until_secs",
-            "service",
-            "extra_latency_ms",
-            "loss",
-        ],
-    ),
-    ("telemetry_dropout", &["from_secs", "until_secs", "service"]),
-    (
-        "telemetry_staleness",
-        &["from_secs", "until_secs", "by_secs"],
-    ),
-    ("telemetry_noise", &["from_secs", "until_secs", "sigma"]),
-    ("controller_stall", &["from_secs", "until_secs"]),
-];
-
-/// Per-variant key sets for `sharding.faults` (tagged by `kind`).
-const SHARD_FAULT_VARIANTS: &[(&str, &[&str])] = &[
-    ("dropout", &["shard", "from_secs", "until_secs"]),
-    ("kill", &["shard", "at_secs"]),
-    ("controller_loss", &["from_secs", "until_secs"]),
-];
-
-/// Reject unknown keys — top-level and inside the nested `live`,
-/// `sharding`, `faults`, `resilience`, `report` and `autoscaler`
-/// blocks — with a "did you mean" suggestion.
-fn check_scenario_keys(value: &serde_json::JsonValue) -> Result<(), String> {
-    let serde::Value::Object(_) = value else {
-        return Err("invalid scenario: top level must be a JSON object".into());
-    };
-    keys::check_keys("scenario", "", value, TOP_LEVEL_KEYS)?;
-    if let Some(v) = value.get("live") {
-        keys::check_keys("scenario", "live", v, LIVE_KEYS)?;
-    }
-    if let Some(v) = value.get("report") {
-        keys::check_keys("scenario", "report", v, REPORT_KEYS)?;
-    }
-    if let Some(v) = value.get("slo") {
-        keys::check_keys("scenario", "slo", v, SLO_KEYS)?;
-    }
-    if let Some(v) = value.get("autoscaler") {
-        keys::check_keys("scenario", "autoscaler", v, AUTOSCALER_KEYS)?;
-        if let Some(vp) = v.get("vm_pool") {
-            keys::check_keys("scenario", "autoscaler.vm_pool", vp, VM_POOL_KEYS)?;
-        }
-    }
-    if let Some(v) = value.get("sharding") {
-        keys::check_keys("scenario", "sharding", v, SHARDING_KEYS)?;
-        if let Some(f) = v.get("faults") {
-            keys::check_tagged_items(
-                "scenario",
-                "sharding.faults",
-                f,
-                "kind",
-                SHARD_FAULT_VARIANTS,
-            )?;
-        }
-    }
-    if let Some(v) = value.get("admission") {
-        keys::check_keys("scenario", "admission", v, ADMISSION_KEYS)?;
-        for (block, allowed) in [("coalesce", COALESCE_KEYS), ("priority", PRIORITY_KEYS)] {
-            if let Some(sub) = v.get(block) {
-                keys::check_keys("scenario", &format!("admission.{block}"), sub, allowed)?;
-            }
-        }
-    }
-    if let Some(v) = value.get("faults") {
-        keys::check_tagged_items("scenario", "faults", v, "kind", FAULT_VARIANTS)?;
-    }
-    if let Some(v) = value.get("resilience") {
-        keys::check_keys("scenario", "resilience", v, RESILIENCE_KEYS)?;
-        for (block, allowed) in [
-            ("deadlines", DEADLINE_KEYS),
-            ("retry_budget", RETRY_BUDGET_KEYS),
-            ("breakers", BREAKER_KEYS),
-        ] {
-            if let Some(sub) = v.get(block) {
-                keys::check_keys("scenario", &format!("resilience.{block}"), sub, allowed)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Parse a scenario from JSON text. Unknown keys — top-level or inside
-/// the nested config blocks — are an error (with a "did you mean"
-/// hint), not a silent no-op.
+/// Parse a scenario from JSON text. The [`schema`] types deny unknown
+/// fields, so a misspelt key at any depth is an error naming its path
+/// and the nearest valid key, not a run with the default.
 pub fn parse_scenario(json: &str) -> Result<Scenario, String> {
-    let value: serde_json::JsonValue =
-        serde_json::from_str(json).map_err(|e| format!("invalid scenario: {e}"))?;
-    check_scenario_keys(&value)?;
     serde_json::from_str(json).map_err(|e| format!("invalid scenario: {e}"))
 }
 
-/// Cross-spec composition rules checked before any run (and by
-/// `topfull-sim check`): which controllers compose with sharding.
-fn preflight(sc: &Scenario) -> Result<(), String> {
+/// Cross-spec composition rules, checked before anything is built on
+/// either plane ([`run_scenario`], [`validate_scenario`], [`run_live`]):
+/// what composes with sharding.
+pub(crate) fn preflight(sc: &Scenario) -> Result<(), String> {
     if sc.admission.is_some() && sc.sharding.is_some() {
         return Err(
             "admission (front-door coalescing/priority) and sharding don't compose yet: \
@@ -257,8 +79,10 @@ pub struct CheckSummary {
 /// Validate a scenario without running it: composition rules, the full
 /// scenario → engine build (topology, workload, controller, faults),
 /// and — when sharded — the shard-plane config. This is everything
-/// `run_scenario` does short of executing, so a scenario that checks
-/// clean cannot fail at startup.
+/// [`run_scenario`] does short of executing, so a scenario that checks
+/// clean cannot fail at the *simulator's* startup. [`run_live`] shares
+/// `preflight` and the lowering, then refuses what has no live
+/// equivalent — that half is checked only by running it.
 pub fn validate_scenario(sc: &Scenario) -> Result<CheckSummary, String> {
     preflight(sc)?;
     let built = build_scenario(sc)?;
@@ -295,9 +119,12 @@ mod tests {
             "shardng": {"shards": 3}
         }"#;
         let err = parse_scenario(json).expect_err("typo must be rejected");
-        assert!(err.contains("unknown top-level key 'shardng'"), "{err}");
+        assert!(
+            err.starts_with("invalid scenario: unknown key 'shardng'"),
+            "{err}"
+        );
         assert!(err.contains("did you mean 'sharding'?"), "{err}");
-        assert!(err.contains("valid keys:"), "{err}");
+        assert!(err.contains("valid keys: name, seed, "), "{err}");
     }
 
     #[test]
@@ -308,7 +135,8 @@ mod tests {
             "zzqx": 1
         }"#;
         let err = parse_scenario(json).expect_err("unknown key must be rejected");
-        assert!(err.contains("unknown top-level key 'zzqx'"), "{err}");
+        assert!(err.contains("unknown key 'zzqx'"), "{err}");
+        assert!(err.contains("valid keys: name, seed, "), "{err}");
         assert!(!err.contains("did you mean"), "{err}");
     }
 
@@ -320,10 +148,7 @@ mod tests {
             "sharding": {"shards": 3, "striek_out": 5}
         }"#;
         let err = parse_scenario(json).expect_err("nested typo must be rejected");
-        assert!(
-            err.contains("unknown key 'striek_out' in 'sharding'"),
-            "{err}"
-        );
+        assert!(err.contains("sharding: unknown key 'striek_out'"), "{err}");
         assert!(err.contains("did you mean 'strike_out'?"), "{err}");
     }
 
@@ -335,7 +160,7 @@ mod tests {
             "live": {"control_intervl_ms": 100}
         }"#;
         let err = parse_scenario(json).expect_err("live typo must be rejected");
-        assert!(err.contains("in 'live'"), "{err}");
+        assert!(err.contains(" live: unknown key"), "{err}");
         assert!(err.contains("did you mean 'control_interval_ms'?"), "{err}");
 
         let json = r#"{
@@ -344,7 +169,7 @@ mod tests {
             "resilience": {"breakers": {"failure_treshold": 0.4}}
         }"#;
         let err = parse_scenario(json).expect_err("breaker typo must be rejected");
-        assert!(err.contains("in 'resilience.breakers'"), "{err}");
+        assert!(err.contains(" resilience.breakers: unknown key"), "{err}");
         assert!(err.contains("did you mean 'failure_threshold'?"), "{err}");
     }
 
@@ -360,7 +185,7 @@ mod tests {
             ]
         }"#;
         let err = parse_scenario(json).expect_err("fault typo must be rejected");
-        assert!(err.contains("'faults[1] (network_degrade)'"), "{err}");
+        assert!(err.contains(" faults[1] (network_degrade): "), "{err}");
         assert!(err.contains("did you mean 'loss'?"), "{err}");
     }
 
@@ -372,7 +197,7 @@ mod tests {
             "sharding": {"shards": 3, "faults": [{"kind": "kill", "shard": 1, "at_sec": 30}]}
         }"#;
         let err = parse_scenario(json).expect_err("shard fault typo must be rejected");
-        assert!(err.contains("'sharding.faults[0] (kill)'"), "{err}");
+        assert!(err.contains(" sharding.faults[0] (kill): "), "{err}");
         assert!(err.contains("did you mean 'at_secs'?"), "{err}");
     }
 
@@ -432,7 +257,7 @@ mod tests {
             "admission": {"coalesce": {"apis": ["getproduct"], "cache_tl_ms": 100}}
         }"#;
         let err = parse_scenario(json).expect_err("admission typo must be rejected");
-        assert!(err.contains("in 'admission.coalesce'"), "{err}");
+        assert!(err.contains(" admission.coalesce: unknown key"), "{err}");
         assert!(err.contains("did you mean 'cache_ttl_ms'?"), "{err}");
 
         let mut sc = Scenario::example();

@@ -3,56 +3,29 @@
 //! Takes the *same* scenario file the simulator runs and serves it for
 //! real: the topology becomes a CPU-burning worker pool behind a
 //! loopback TCP gateway ([`liveserve`]), the workload becomes socket
-//! clients, and the controller — built by the exact code path the
-//! simulator uses ([`crate::build::topfull_config`]) — runs on a
-//! wall-clock tick. Workload step times are compressed by
-//! `live_duration / scenario.duration_secs`, so a 120-second simulated
-//! scenario replays its shape in, say, a 24-second live run.
-//!
-//! Live mode controls **entry admission only**; per-service admission
-//! baselines (DAGOR, Breakwater, WISP) and the retry-storm workload have
-//! no live equivalent and are rejected loudly.
+//! clients, and the controller runs on a wall-clock tick. The front half
+//! is the simulator's own — `crate::preflight`, then [`crate::build`]'s
+//! topology, entry controller, API-name resolution, front-door and shard
+//! lowering. What is live's alone is here: workload step times are
+//! compressed by `live_duration / scenario.duration_secs` (a 120-second
+//! scenario replays its shape in, say, a 24-second live run), the host
+//! knobs become a [`LiveConfig`], and what has no live equivalent is
+//! refused loudly — live mode controls **entry admission only**, so the
+//! per-service baselines (DAGOR, Breakwater, WISP), the retry-storm
+//! workload and the telemetry-dropout shard fault are simulator-only.
 
-use crate::build::{build_topology, topfull_config};
+use crate::build::{api_id, build_topology, entry_controller, front_door_config, resolve_weights};
 use crate::report::{self, ScenarioOutcome};
-use crate::schema::{ControllerSpec, LiveSpec, Scenario, ShardingSpec, WorkloadSpec};
-use cluster::{ControlLoop, Controller, NoControl, ShardFault, Topology};
+use crate::schema::{LiveSpec, Scenario, ShardingSpec, WorkloadSpec};
+use cluster::{ControlLoop, ShardFault, Topology};
 use liveserve::{
     ClosedLoopSpec, LiveConfig, LiveServer, LoadGen, OpenLoopArm, ShardedLive, ShardedLiveConfig,
 };
 use std::time::Duration;
-use topfull::TopFull;
-
-/// Build the live controller for a scenario. Only entry-level
-/// controllers can drive the live gateway.
-fn build_live_controller(sc: &Scenario) -> Result<Box<dyn Controller>, String> {
-    match &sc.controller {
-        ControllerSpec::None => Ok(Box::new(NoControl)),
-        ControllerSpec::Topfull {
-            rate_controller,
-            clustering,
-            hardened,
-        } => Ok(Box::new(TopFull::new(topfull_config(
-            rate_controller,
-            *clustering,
-            *hardened,
-        )?))),
-        other => Err(format!(
-            "live mode drives entry admission only; per-service admission \
-             controller {other:?} has no live equivalent (use topfull or none)"
-        )),
-    }
-}
 
 /// Compress a `(from_secs, value)` schedule by `scale`.
 fn scale_steps(steps: &[(u64, f64)], scale: f64) -> Vec<(f64, f64)> {
     steps.iter().map(|&(t, v)| (t as f64 * scale, v)).collect()
-}
-
-fn api_index(topo: &Topology, name: &str) -> Result<usize, String> {
-    topo.api_by_name(name)
-        .map(|id| id.idx())
-        .ok_or_else(|| format!("unknown API '{name}'"))
 }
 
 /// Translate the scenario workload into live clients.
@@ -66,7 +39,7 @@ fn build_load(
             let mut arms = Vec::with_capacity(rates.len());
             for r in rates {
                 arms.push(OpenLoopArm {
-                    api: api_index(topo, &r.api)?,
+                    api: api_id(topo, &r.api)?.idx(),
                     rate_steps: scale_steps(&r.steps, scale),
                     key_space: 0,
                 });
@@ -78,18 +51,12 @@ fn build_load(
             think_ms,
             api_weights,
         } => {
-            let mut weights = Vec::with_capacity(api_weights.len());
-            for (name, w) in api_weights {
-                weights.push((api_index(topo, name)?, *w));
-            }
-            if weights.is_empty() {
-                return Err("api_weights must not be empty".into());
-            }
+            let weights = resolve_weights(topo, api_weights)?;
             Ok((
                 Some(ClosedLoopSpec {
                     users_steps: scale_steps(users_steps, scale),
                     think: Duration::from_millis(*think_ms),
-                    api_weights: weights,
+                    api_weights: weights.into_iter().map(|(id, w)| (id.idx(), w)).collect(),
                     key_spaces: Vec::new(),
                 }),
                 Vec::new(),
@@ -114,8 +81,16 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
     if sc.duration_secs == 0 {
         return Err("scenario duration_secs must be positive".into());
     }
+    crate::preflight(sc)?;
     let topo = build_topology(&sc.app)?;
-    let mut ctl = ControlLoop::new(build_live_controller(sc)?);
+    let controller = entry_controller(&sc.controller)?.ok_or_else(|| {
+        format!(
+            "live mode drives entry admission only; per-service admission \
+             controller {:?} has no live equivalent (use topfull or none)",
+            sc.controller
+        )
+    })?;
+    let mut ctl = ControlLoop::new(controller);
     if let Some(slo) = &sc.slo {
         ctl.set_slo_config(slo.to_config());
     }
@@ -124,12 +99,7 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
     let live = sc.live.clone().unwrap_or_default();
     let mut cfg = live_config(&live, sc.slo_ms);
     if let Some(adm) = &sc.admission {
-        if sc.sharding.is_some() {
-            return Err(
-                "admission (front-door coalescing/priority) and sharding don't compose yet".into(),
-            );
-        }
-        let (front, key_spaces) = crate::build::front_door_config(&topo, adm)?;
+        let (front, key_spaces) = front_door_config(&topo, adm)?;
         cfg.front = Some(front);
         // Keyed traffic: each client draws keys from the scenario's
         // per-API key space so duplicate reads actually collide.
@@ -142,11 +112,8 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
     }
     let (interval, duration) = (cfg.control_interval, Duration::from_secs(duration_secs));
     let api_names: Vec<String> = topo.apis().map(|(_, a)| a.name.clone()).collect();
-    // Steady state starts where the simulator's would, compressed by the
-    // same factor as the workload schedule.
-    let steady = (sc.report.measure_from_secs as f64 * scale, f64::INFINITY);
     let outcome = |result: &cluster::RunResult, ctl: &ControlLoop| {
-        report::outcome(sc, duration_secs, result, ctl.journal(), &api_names, steady)
+        report::outcome(sc, Some(duration_secs), result, ctl.journal(), &api_names)
     };
     let Some(spec) = &sc.sharding else {
         let mut server =
@@ -212,7 +179,7 @@ fn sharded_live_config(
     Ok(cfg)
 }
 
-fn live_config(live: &LiveSpec, slo_ms: u64) -> LiveConfig {
+pub(crate) fn live_config(live: &LiveSpec, slo_ms: u64) -> LiveConfig {
     LiveConfig {
         slo: Duration::from_millis(slo_ms),
         control_interval: Duration::from_millis(live.control_interval_ms.max(10)),
@@ -328,6 +295,22 @@ mod tests {
             "two shards of 100µs work should serve >50 rps, got {}",
             out.total_goodput
         );
+    }
+
+    /// `topfull live` ran this to completion while `topfull-sim check`
+    /// refused it: `run_live` never called `preflight`.
+    #[test]
+    fn sharding_with_the_hardened_loop_is_refused_by_preflight() {
+        let mut sc = tiny_live_scenario(
+            r#"{"type": "open_loop", "rates": [{"api": "ping", "steps": [[0, 50.0]]}]}"#,
+            r#"{"type": "topfull", "rate_controller": "mimd", "hardened": true}"#,
+        );
+        sc.sharding = Some(ShardingSpec {
+            shards: 2,
+            ..Default::default()
+        });
+        let err = run_live(&sc, 1).expect_err("hardened + sharding is ambiguous live too");
+        assert_eq!(Err(err), crate::preflight(&sc));
     }
 
     #[test]

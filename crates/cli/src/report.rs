@@ -9,7 +9,12 @@ use serde::Serialize;
 #[derive(Debug, Serialize)]
 pub struct ScenarioOutcome {
     pub name: String,
+    /// Seconds run: simulated, or wall-clock when `live`.
     pub duration_secs: u64,
+    /// Served on the live plane (`topfull live`), not simulated.
+    pub live: bool,
+    /// Where the steady-state window opened, on the run's own clock.
+    pub steady_from_secs: f64,
     /// Per-API steady-state mean goodput (rps), in API order.
     pub goodput_per_api: Vec<(String, f64)>,
     pub total_goodput: f64,
@@ -79,32 +84,33 @@ fn run<P: SimPlane>(sc: &Scenario, h: &mut Harness<P>, api_names: &[String]) -> 
         h.set_slo_config(slo.to_config());
     }
     h.run_for_secs(sc.duration_secs);
-    let from = sc.report.measure_from_secs as f64;
-    let to = sc.duration_secs as f64;
-    let mut out = outcome(
-        sc,
-        sc.duration_secs,
-        h.result(),
-        h.journal(),
-        api_names,
-        (from, to),
-    );
+    let mut out = outcome(sc, None, h.result(), h.journal(), api_names);
     let engine = h.engine.engine();
     out.crash_events = engine.crash_events;
     out.resilience = engine.resilience_totals();
     out
 }
 
-/// Summarize a finished run's timeline — simulated or live — with steady
-/// state taken over `[from, to]` seconds.
+/// Summarize a finished run's timeline. A simulation takes steady state
+/// over `[measure_from_secs, duration_secs]` of virtual time. A live run
+/// of `live_secs` wall-clock seconds replayed the schedule compressed by
+/// `live_secs / duration_secs`, so its window opens where the
+/// simulator's would, compressed by the same factor, and stays open.
 pub(crate) fn outcome(
     sc: &Scenario,
-    duration_secs: u64,
+    live_secs: Option<u64>,
     r: &cluster::RunResult,
     journal: &obs::Journal,
     api_names: &[String],
-    (from, to): (f64, f64),
 ) -> ScenarioOutcome {
+    let measure_from = sc.report.measure_from_secs as f64;
+    let (duration_secs, from, to) = match live_secs {
+        None => (sc.duration_secs, measure_from, sc.duration_secs as f64),
+        Some(secs) => {
+            let scale = secs as f64 / sc.duration_secs as f64;
+            (secs, measure_from * scale, f64::INFINITY)
+        }
+    };
     let per_api = |mean: &dyn Fn(usize) -> f64| -> Vec<(String, f64)> {
         let named = api_names.iter().enumerate();
         named.map(|(i, n)| (n.clone(), mean(i))).collect()
@@ -112,6 +118,8 @@ pub(crate) fn outcome(
     ScenarioOutcome {
         name: sc.name.clone(),
         duration_secs,
+        live: live_secs.is_some(),
+        steady_from_secs: from,
         total_goodput: r.mean_total_goodput(from, to),
         goodput_per_api: per_api(&|i| r.mean_goodput_api(ApiId(i as u32), from, to)),
         offered_per_api: per_api(&|i| r.mean_over(from, f64::INFINITY, |s| s.offered[i])),
@@ -194,12 +202,10 @@ best: {best} at {top:.1} rps"
 pub fn render_report(sc: &Scenario, out: &ScenarioOutcome) -> String {
     use std::fmt::Write;
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "scenario: {} ({}s simulated)",
-        out.name, out.duration_secs
-    );
-    let _ = writeln!(s, "steady state from t={}s:", sc.report.measure_from_secs);
+    let clock = if out.live { "live" } else { "simulated" };
+    let _ = writeln!(s, "scenario: {} ({}s {clock})", out.name, out.duration_secs);
+    let from = (out.steady_from_secs * 100.0).round() / 100.0;
+    let _ = writeln!(s, "steady state from t={from}s:");
     let _ = writeln!(s, "{:<24} {:>12} {:>12}", "api", "offered", "goodput");
     for ((name, good), (_, offered)) in out.goodput_per_api.iter().zip(&out.offered_per_api) {
         if *offered < 0.01 && *good < 0.01 {
@@ -276,6 +282,22 @@ mod tests {
         let text = render_report(&sc, &out);
         assert!(text.contains("scenario: two-tier-overload"));
         assert!(text.contains("timeline"), "example asks for a timeline");
+    }
+
+    #[test]
+    fn a_compressed_live_run_reports_its_own_clock_and_window() {
+        let mut sc = Scenario::example();
+        sc.duration_secs = 20;
+        sc.report.measure_from_secs = 10;
+        let (result, journal) = (cluster::RunResult::default(), obs::Journal::new());
+        let live = outcome(&sc, Some(2), &result, &journal, &[]);
+        let text = render_report(&sc, &live);
+        assert!(text.contains("(2s live)"), "{text}");
+        assert!(text.contains("steady state from t=1s:"), "{text}");
+        let sim = outcome(&sc, None, &result, &journal, &[]);
+        let text = render_report(&sc, &sim);
+        assert!(text.contains("(20s simulated)"), "{text}");
+        assert!(text.contains("steady state from t=10s:"), "{text}");
     }
 
     #[test]

@@ -1,13 +1,20 @@
 //! Scenario file format (JSON, serde).
 //!
-//! Every field has a sensible default so minimal scenarios stay minimal;
-//! [`Scenario::example`] emits a fully-populated, commented-by-name
-//! example for `topfull-sim example`.
+//! These types are the only statement of the format: a key exists
+//! because a field does, and every type here is
+//! `#[serde(deny_unknown_fields)]`, so a misspelt key at any depth is a
+//! parse error naming its path and the nearest valid key — never a run
+//! with the default. A block whose keys are all optional is
+//! `#[serde(default)]` and states its defaults once, in its `Default`;
+//! a block with a required key carries per-field `default = "fn"`.
+//! Minimal scenarios stay minimal; [`Scenario::example`] emits a
+//! populated one for `topfull-sim example`.
 
 use serde::{Deserialize, Serialize};
 
 /// Top-level scenario.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// Display name.
     #[serde(default = "default_name")]
@@ -72,7 +79,7 @@ fn default_slo_ms() -> u64 {
 
 /// Application definition.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[serde(tag = "type", rename_all = "snake_case", deny_unknown_fields)]
 pub enum AppSpec {
     /// A built-in benchmark topology.
     Builtin {
@@ -91,6 +98,7 @@ pub enum AppSpec {
 
 /// One service.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServiceSpec {
     pub name: String,
     pub replicas: u32,
@@ -104,6 +112,7 @@ pub struct ServiceSpec {
 
 /// One external API.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ApiSpec {
     pub name: String,
     /// Lower = more important.
@@ -114,6 +123,7 @@ pub struct ApiSpec {
 }
 
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PathSpec {
     #[serde(default = "default_weight")]
     pub weight: f64,
@@ -126,6 +136,7 @@ fn default_weight() -> f64 {
 
 /// A call-tree node: process `cost_ms` at `service`, then call children.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CallSpec {
     pub service: String,
     pub cost_ms: f64,
@@ -135,7 +146,7 @@ pub struct CallSpec {
 
 /// Workload definition.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[serde(tag = "type", rename_all = "snake_case", deny_unknown_fields)]
 pub enum WorkloadSpec {
     /// Poisson arrivals with per-API stepwise rate schedules.
     OpenLoop { rates: Vec<RateSpec> },
@@ -172,6 +183,7 @@ fn default_backoff_ms() -> u64 {
 
 /// Per-API stepwise rate schedule: `(from_secs, rps)`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RateSpec {
     pub api: String,
     pub steps: Vec<(u64, f64)>,
@@ -179,7 +191,7 @@ pub struct RateSpec {
 
 /// Overload controller selection.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[serde(tag = "type", rename_all = "snake_case", deny_unknown_fields)]
 pub enum ControllerSpec {
     /// No overload control.
     #[default]
@@ -219,25 +231,27 @@ fn default_alpha() -> f64 {
 
 /// HPA + optional VM pool.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct AutoscalerSpec {
-    #[serde(default = "default_target_util")]
     pub target_utilization: f64,
-    #[serde(default = "default_sync")]
     pub sync_period_secs: u64,
-    #[serde(default)]
     pub pod_startup_secs: Option<u64>,
-    #[serde(default)]
     pub vm_pool: Option<VmPoolSpec>,
 }
 
-fn default_target_util() -> f64 {
-    0.7
-}
-fn default_sync() -> u64 {
-    15
+impl Default for AutoscalerSpec {
+    fn default() -> Self {
+        AutoscalerSpec {
+            target_utilization: 0.7,
+            sync_period_secs: 15,
+            pod_startup_secs: None,
+            vm_pool: None,
+        }
+    }
 }
 
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct VmPoolSpec {
     pub vcpus_per_vm: u32,
     pub initial_vms: u32,
@@ -247,6 +261,7 @@ pub struct VmPoolSpec {
 
 /// Kill `pods` pods of `service` at `at_secs`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FailureSpec {
     pub at_secs: u64,
     pub service: String,
@@ -256,7 +271,7 @@ pub struct FailureSpec {
 /// One scheduled gray-failure fault (JSON form of
 /// [`cluster::FaultSpec`]; windows are `[from_secs, until_secs)`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum FaultSpecJson {
     /// Kill `pods` pods of `service` at `at_secs` (same effect as an
     /// entry in `failures`, schedulable alongside the gray faults).
@@ -312,76 +327,75 @@ pub enum FaultSpecJson {
 /// budgets, per-edge circuit breakers). All three parts are optional and
 /// independent.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ResilienceSpec {
     /// Deadline propagation + doomed-work cancellation.
-    #[serde(default)]
     pub deadlines: Option<DeadlineSpecJson>,
     /// Client-side adaptive retry budget (requires the `retry_storm`
     /// workload, which owns the retrying clients).
-    #[serde(default)]
     pub retry_budget: Option<RetryBudgetSpecJson>,
     /// Per-downstream-edge circuit breakers.
-    #[serde(default)]
     pub breakers: Option<BreakerSpecJson>,
 }
 
 /// Deadline policy (JSON form of [`cluster::DeadlineConfig`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct DeadlineSpecJson {
     /// Per-request budget in ms; omitted = client timeout, else the SLO.
-    #[serde(default)]
     pub budget_ms: Option<u64>,
     /// Skip queued work for cancelled requests and tear down the
     /// in-flight subtree when the client timeout fires.
-    #[serde(default = "default_true")]
     pub cancel_doomed: bool,
+}
+
+impl Default for DeadlineSpecJson {
+    fn default() -> Self {
+        DeadlineSpecJson {
+            budget_ms: None,
+            cancel_doomed: true,
+        }
+    }
 }
 
 /// Retry budget tuning (JSON form of [`cluster::RetryBudgetConfig`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct RetryBudgetSpecJson {
-    #[serde(default = "default_budget_tokens")]
     pub max_tokens: f64,
-    #[serde(default = "default_token_ratio")]
     pub token_ratio: f64,
-    #[serde(default = "default_retry_cost")]
     pub retry_cost: f64,
 }
 
-fn default_budget_tokens() -> f64 {
-    100.0
-}
-fn default_token_ratio() -> f64 {
-    0.1
-}
-fn default_retry_cost() -> f64 {
-    1.0
+impl Default for RetryBudgetSpecJson {
+    fn default() -> Self {
+        RetryBudgetSpecJson {
+            max_tokens: 100.0,
+            token_ratio: 0.1,
+            retry_cost: 1.0,
+        }
+    }
 }
 
 /// Circuit-breaker tuning (JSON form of [`cluster::BreakerConfig`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct BreakerSpecJson {
-    #[serde(default = "default_failure_threshold")]
     pub failure_threshold: f64,
-    #[serde(default = "default_min_calls")]
     pub min_calls: u32,
-    #[serde(default = "default_open_for_ms")]
     pub open_for_ms: u64,
-    #[serde(default = "default_half_open_probes")]
     pub half_open_probes: u32,
 }
 
-fn default_failure_threshold() -> f64 {
-    0.5
-}
-fn default_min_calls() -> u32 {
-    20
-}
-fn default_open_for_ms() -> u64 {
-    2000
-}
-fn default_half_open_probes() -> u32 {
-    5
+impl Default for BreakerSpecJson {
+    fn default() -> Self {
+        BreakerSpecJson {
+            failure_threshold: 0.5,
+            min_calls: 20,
+            open_for_ms: 2000,
+            half_open_probes: 5,
+        }
+    }
 }
 
 /// Live-plane (`topfull live`) tuning. The simulated scenario's
@@ -389,56 +403,37 @@ fn default_half_open_probes() -> u32 {
 /// these knobs only exist because wall-clock capacity depends on the
 /// host.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct LiveSpec {
     /// Multiplier on every call's CPU cost; live capacity scales as
     /// `1 / cpu_scale`, letting one host emulate a larger cluster.
-    #[serde(default = "default_cpu_scale")]
     pub cpu_scale: f64,
     /// Controller tick period in milliseconds.
-    #[serde(default = "default_control_interval_ms")]
     pub control_interval_ms: u64,
     /// Gateway token-bucket burst window, in seconds of the current rate.
-    #[serde(default = "default_burst_secs")]
     pub gateway_burst_secs: f64,
     /// Loopback TCP port; 0 = ephemeral.
-    #[serde(default)]
     pub port: u16,
     /// Loopback TCP port of the HTTP exposition endpoint
     /// (`GET /metrics`, `GET /spans`); 0 = ephemeral.
-    #[serde(default)]
     pub metrics_port: u16,
     /// Gateway event loops; 0 = one per core (capped at 8).
-    #[serde(default)]
     pub event_loops: usize,
     /// Per-connection pending-output cap in bytes; a peer that stops
     /// reading its replies is paused, then dropped past this.
-    #[serde(default = "default_max_conn_output")]
     pub max_conn_output: usize,
-}
-
-fn default_cpu_scale() -> f64 {
-    1.0
-}
-fn default_control_interval_ms() -> u64 {
-    200
-}
-fn default_burst_secs() -> f64 {
-    0.05
-}
-fn default_max_conn_output() -> usize {
-    1 << 20
 }
 
 impl Default for LiveSpec {
     fn default() -> Self {
         LiveSpec {
-            cpu_scale: default_cpu_scale(),
-            control_interval_ms: default_control_interval_ms(),
-            gateway_burst_secs: default_burst_secs(),
+            cpu_scale: 1.0,
+            control_interval_ms: 200,
+            gateway_burst_secs: 0.05,
             port: 0,
             metrics_port: 0,
             event_loops: 0,
-            max_conn_output: default_max_conn_output(),
+            max_conn_output: 1 << 20,
         }
     }
 }
@@ -448,6 +443,7 @@ impl Default for LiveSpec {
 /// observed arrival share. Applies to both the simulator (virtual
 /// shards over one engine) and `topfull live` (N real gateways).
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ShardingSpec {
     /// Number of gateway shards (≥ 1).
     pub shards: usize,
@@ -504,7 +500,7 @@ fn default_limit_ttl() -> u32 {
 /// One scheduled shard-plane fault (JSON form of
 /// [`cluster::ShardFault`]; windows are `[from_secs, until_secs)`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum ShardFaultJson {
     /// Telemetry partition: the shard keeps serving but its reports and
     /// the controller's pushes don't get through (simulator only).
@@ -525,20 +521,20 @@ pub enum ShardFaultJson {
 /// independent; they run before the TopFull token bucket in both the
 /// simulator and the live gateway.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct AdmissionSpec {
     /// Single-flight coalescing of identical in-flight reads, backed by
     /// a bounded TTL'd response cache.
-    #[serde(default)]
     pub coalesce: Option<CoalesceSpec>,
     /// DAGOR-style (business, user) priority gate with an adaptive
     /// threshold driven by queuing-delay feedback.
-    #[serde(default)]
     pub priority: Option<PrioritySpec>,
 }
 
 /// Coalescing stage tuning (JSON form of [`cluster::front`]'s
 /// `CoalesceConfig` plus the per-API key spaces).
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CoalesceSpec {
     /// Names of the APIs whose requests are coalescable (reads).
     pub apis: Vec<String>,
@@ -568,95 +564,58 @@ fn default_cache_ttl_ms() -> u64 {
 /// Priority-gate tuning (JSON form of [`cluster::front`]'s
 /// `PriorityConfig`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct PrioritySpec {
     /// Business tiers (level = business * user_levels + user).
-    #[serde(default = "default_business_tiers")]
     pub business_tiers: u8,
     /// User sub-levels within each business tier.
-    #[serde(default = "default_user_levels")]
     pub user_levels: u8,
     /// Target shed fraction under overload (DAGOR's alpha).
-    #[serde(default = "default_alpha")]
     pub alpha: f64,
     /// Recovery fraction per non-overloaded window (DAGOR's beta).
-    #[serde(default = "default_beta")]
     pub beta: f64,
     /// Mean queuing delay above which a window counts as overloaded.
-    #[serde(default = "default_queuing_delay_ms")]
     pub queuing_delay_ms: u64,
-}
-
-fn default_business_tiers() -> u8 {
-    8
-}
-fn default_user_levels() -> u8 {
-    128
-}
-fn default_beta() -> f64 {
-    0.01
-}
-fn default_queuing_delay_ms() -> u64 {
-    20
 }
 
 impl Default for PrioritySpec {
     fn default() -> Self {
         PrioritySpec {
-            business_tiers: default_business_tiers(),
-            user_levels: default_user_levels(),
-            alpha: default_alpha(),
-            beta: default_beta(),
-            queuing_delay_ms: default_queuing_delay_ms(),
+            business_tiers: 8,
+            user_levels: 128,
+            alpha: 0.05,
+            beta: 0.01,
+            queuing_delay_ms: 20,
         }
     }
 }
 
 /// SLO burn-rate monitor tuning (JSON form of [`obs::SloConfig`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct SloSpec {
     /// Fraction of requests that must be good, e.g. `0.999` tolerates
     /// 0.1% bad before the error budget is exhausted.
-    #[serde(default = "default_objective")]
     pub objective: f64,
     /// Fast `(short, long)` alert window pair in seconds; paging
     /// requires both to burn past `page_burn`.
-    #[serde(default = "default_fast_windows")]
     pub fast_windows_secs: (f64, f64),
     /// Slow `(short, long)` window pair in seconds (ticket severity).
-    #[serde(default = "default_slow_windows")]
     pub slow_windows_secs: (f64, f64),
     /// Burn-rate multiple that pages on the fast pair.
-    #[serde(default = "default_page_burn")]
     pub page_burn: f64,
     /// Burn-rate multiple that tickets on the slow pair.
-    #[serde(default = "default_ticket_burn")]
     pub ticket_burn: f64,
-}
-
-fn default_objective() -> f64 {
-    0.999
-}
-fn default_fast_windows() -> (f64, f64) {
-    (5.0, 60.0)
-}
-fn default_slow_windows() -> (f64, f64) {
-    (30.0, 360.0)
-}
-fn default_page_burn() -> f64 {
-    14.4
-}
-fn default_ticket_burn() -> f64 {
-    6.0
 }
 
 impl Default for SloSpec {
     fn default() -> Self {
         SloSpec {
-            objective: default_objective(),
-            fast_windows_secs: default_fast_windows(),
-            slow_windows_secs: default_slow_windows(),
-            page_burn: default_page_burn(),
-            ticket_burn: default_ticket_burn(),
+            objective: 0.999,
+            fast_windows_secs: (5.0, 60.0),
+            slow_windows_secs: (30.0, 360.0),
+            page_burn: 14.4,
+            ticket_burn: 6.0,
         }
     }
 }
@@ -676,23 +635,18 @@ impl SloSpec {
 
 /// Output options.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ReportSpec {
     /// Steady-state window start (seconds).
-    #[serde(default = "default_measure_from")]
     pub measure_from_secs: u64,
     /// Print a per-second total-goodput timeline.
-    #[serde(default)]
     pub timeline: bool,
-}
-
-fn default_measure_from() -> u64 {
-    30
 }
 
 impl Default for ReportSpec {
     fn default() -> Self {
         ReportSpec {
-            measure_from_secs: default_measure_from(),
+            measure_from_secs: 30,
             timeline: false,
         }
     }

@@ -7,16 +7,17 @@
 //! journal fingerprint per cell, so two matrix runs (or the same run at
 //! different `TOPFULL_WORKERS`) can be diffed for determinism.
 
-use crate::workflow::{self, TrackSpec, WorkflowSpec};
+use crate::workflow::{TrackSpec, WorkflowSpec};
 use serde::{Deserialize, Serialize};
 use topfull_bench::runner::RunPlan;
+use topfull_cli::run_scenario;
 use topfull_cli::schema::{
     AppSpec, ControllerSpec, FaultSpecJson, ResilienceSpec, Scenario, ShardingSpec,
 };
-use topfull_cli::{keys, run_scenario};
 
 /// A named workload: one set of per-API phase tracks.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WorkloadDef {
     pub name: String,
     pub tracks: Vec<TrackSpec>,
@@ -24,6 +25,7 @@ pub struct WorkloadDef {
 
 /// A named fault schedule.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlanDef {
     pub name: String,
     #[serde(default)]
@@ -32,6 +34,7 @@ pub struct FaultPlanDef {
 
 /// A named controller arm.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ArmDef {
     pub name: String,
     #[serde(default)]
@@ -40,19 +43,20 @@ pub struct ArmDef {
 
 /// The matrix: shared app/SLO/seed plus the three axes.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MatrixSpec {
     #[serde(default = "default_name")]
     pub name: String,
-    #[serde(default = "default_seed")]
+    #[serde(default = "crate::workflow::default_seed")]
     pub seed: u64,
-    #[serde(default = "default_slo_ms")]
+    #[serde(default = "crate::workflow::default_slo_ms")]
     pub slo_ms: u64,
     pub app: AppSpec,
     #[serde(default)]
     pub resilience: Option<ResilienceSpec>,
     #[serde(default)]
     pub sharding: Option<ShardingSpec>,
-    #[serde(default = "default_measure_from")]
+    #[serde(default = "crate::workflow::default_measure_from")]
     pub measure_from_secs: u64,
     pub workloads: Vec<WorkloadDef>,
     /// Defaults to a single fault-free plan named `clean`.
@@ -63,15 +67,6 @@ pub struct MatrixSpec {
 
 fn default_name() -> String {
     "matrix".into()
-}
-fn default_seed() -> u64 {
-    1
-}
-fn default_slo_ms() -> u64 {
-    1000
-}
-fn default_measure_from() -> u64 {
-    30
 }
 
 /// One expanded cell: its id (`workload/fault_plan/arm`) and workflow.
@@ -301,58 +296,9 @@ fn best_arms(report: &MatrixReport) -> Vec<(String, String, f64)> {
     out
 }
 
-const MATRIX_KEYS: &[&str] = &[
-    "name",
-    "seed",
-    "slo_ms",
-    "app",
-    "resilience",
-    "sharding",
-    "measure_from_secs",
-    "workloads",
-    "fault_plans",
-    "arms",
-];
-const WORKLOAD_KEYS: &[&str] = &["name", "tracks"];
-const FAULT_PLAN_KEYS: &[&str] = &["name", "faults"];
-const ARM_KEYS: &[&str] = &["name", "controller"];
-
-/// Parse a matrix spec from JSON text, rejecting unknown keys at every
-/// level with a "did you mean" hint.
+/// Parse a matrix spec from JSON text; unknown keys are errors at every
+/// depth, as for [`crate::parse_workflow`].
 pub fn parse_matrix(json: &str) -> Result<MatrixSpec, String> {
-    let value: serde_json::JsonValue =
-        serde_json::from_str(json).map_err(|e| format!("invalid matrix: {e}"))?;
-    let serde::Value::Object(_) = value else {
-        return Err("invalid matrix: top level must be a JSON object".into());
-    };
-    keys::check_keys("matrix", "", &value, MATRIX_KEYS)?;
-    if let Some(serde::Value::Array(ws)) = value.get("workloads") {
-        for (i, w) in ws.iter().enumerate() {
-            keys::check_keys("matrix", &format!("workloads[{i}]"), w, WORKLOAD_KEYS)?;
-            if let Some(tracks) = w.get("tracks") {
-                workflow::check_tracks_keys("matrix", &format!("workloads[{i}].tracks"), tracks)?;
-            }
-        }
-    }
-    if let Some(serde::Value::Array(fps)) = value.get("fault_plans") {
-        for (i, fp) in fps.iter().enumerate() {
-            keys::check_keys("matrix", &format!("fault_plans[{i}]"), fp, FAULT_PLAN_KEYS)?;
-            if let Some(f) = fp.get("faults") {
-                keys::check_tagged_items(
-                    "matrix",
-                    &format!("fault_plans[{i}].faults"),
-                    f,
-                    "kind",
-                    topfull_cli::FAULT_VARIANTS,
-                )?;
-            }
-        }
-    }
-    if let Some(serde::Value::Array(arms)) = value.get("arms") {
-        for (i, a) in arms.iter().enumerate() {
-            keys::check_keys("matrix", &format!("arms[{i}]"), a, ARM_KEYS)?;
-        }
-    }
     serde_json::from_str(json).map_err(|e| format!("invalid matrix: {e}"))
 }
 
@@ -465,7 +411,7 @@ mod tests {
             "arms": [{"nmae": "none"}]
         }"#;
         let err = parse_matrix(json).expect_err("arm typo rejected");
-        assert!(err.contains("'arms[0]'"), "{err}");
+        assert!(err.contains(" arms[0]: unknown key 'nmae'"), "{err}");
         assert!(err.contains("did you mean 'name'?"), "{err}");
     }
 

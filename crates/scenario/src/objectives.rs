@@ -264,6 +264,8 @@ mod tests {
         ScenarioOutcome {
             name: "t".into(),
             duration_secs: 120,
+            live: false,
+            steady_from_secs: 30.0,
             goodput_per_api: vec![],
             total_goodput: goodput,
             offered_per_api: vec![],

@@ -10,7 +10,6 @@
 //! reproducible.
 
 use serde::{Deserialize, Serialize};
-use topfull_cli::keys;
 use topfull_cli::schema::{
     AppSpec, ControllerSpec, FaultSpecJson, RateSpec, ReportSpec, ResilienceSpec, Scenario,
     ShardingSpec, WorkloadSpec,
@@ -25,7 +24,7 @@ pub const SAMPLE_SECS: u64 = 2;
 /// One workload phase. Phases play back to back on the scenario clock;
 /// `duration_secs` is the phase length, rates are requests/second.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum PhaseSpec {
     /// Hold `rate` for the whole phase.
     Plateau { duration_secs: u64, rate: f64 },
@@ -206,6 +205,7 @@ impl PhaseSpec {
 
 /// One API's phase sequence.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TrackSpec {
     pub api: String,
     pub phases: Vec<PhaseSpec>,
@@ -264,6 +264,7 @@ impl TrackSpec {
 /// A declarative workflow: per-API phase tracks × a fault schedule × a
 /// controller arm, over an app topology.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WorkflowSpec {
     #[serde(default = "default_name")]
     pub name: String,
@@ -288,13 +289,13 @@ pub struct WorkflowSpec {
 fn default_name() -> String {
     "workflow".into()
 }
-fn default_seed() -> u64 {
+pub(crate) fn default_seed() -> u64 {
     1
 }
-fn default_slo_ms() -> u64 {
+pub(crate) fn default_slo_ms() -> u64 {
     1000
 }
-fn default_measure_from() -> u64 {
+pub(crate) fn default_measure_from() -> u64 {
     30
 }
 
@@ -415,87 +416,10 @@ impl WorkflowSpec {
     }
 }
 
-const WORKFLOW_KEYS: &[&str] = &[
-    "name",
-    "seed",
-    "slo_ms",
-    "app",
-    "tracks",
-    "controller",
-    "faults",
-    "resilience",
-    "sharding",
-    "measure_from_secs",
-];
-const TRACK_KEYS: &[&str] = &["api", "phases"];
-const PHASE_VARIANTS: &[(&str, &[&str])] = &[
-    ("plateau", &["duration_secs", "rate"]),
-    ("ramp", &["duration_secs", "from", "to"]),
-    (
-        "flash_crowd",
-        &[
-            "duration_secs",
-            "base",
-            "peak",
-            "burst_from_secs",
-            "burst_until_secs",
-        ],
-    ),
-    (
-        "diurnal",
-        &["duration_secs", "base", "amplitude", "period_secs"],
-    ),
-    (
-        "oscillate",
-        &["duration_secs", "low", "high", "period_secs"],
-    ),
-];
-
-/// Key-check a `tracks` array value (shared with matrix workload defs,
-/// which nest tracks under a different path — `prefix` names it).
-pub(crate) fn check_tracks_keys(
-    doc: &str,
-    prefix: &str,
-    value: &serde_json::JsonValue,
-) -> Result<(), String> {
-    if let serde::Value::Array(tracks) = value {
-        for (i, tr) in tracks.iter().enumerate() {
-            keys::check_keys(doc, &format!("{prefix}[{i}]"), tr, TRACK_KEYS)?;
-            if let Some(phases) = tr.get("phases") {
-                keys::check_tagged_items(
-                    doc,
-                    &format!("{prefix}[{i}].phases"),
-                    phases,
-                    "kind",
-                    PHASE_VARIANTS,
-                )?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Key-check a raw workflow value (top level, tracks, phases, faults).
-pub(crate) fn check_workflow_keys(doc: &str, value: &serde_json::JsonValue) -> Result<(), String> {
-    keys::check_keys(doc, "", value, WORKFLOW_KEYS)?;
-    if let Some(tracks) = value.get("tracks") {
-        check_tracks_keys(doc, "tracks", tracks)?;
-    }
-    if let Some(faults) = value.get("faults") {
-        keys::check_tagged_items(doc, "faults", faults, "kind", topfull_cli::FAULT_VARIANTS)?;
-    }
-    Ok(())
-}
-
-/// Parse a workflow spec from JSON text, rejecting unknown keys at
-/// every level with a "did you mean" hint.
+/// Parse a workflow spec from JSON text. Every type in it denies
+/// unknown fields, so a misspelt key at any depth is an error naming its
+/// path (`tracks[0].phases[1] (plateau)`) and the nearest valid key.
 pub fn parse_workflow(json: &str) -> Result<WorkflowSpec, String> {
-    let value: serde_json::JsonValue =
-        serde_json::from_str(json).map_err(|e| format!("invalid workflow: {e}"))?;
-    let serde::Value::Object(_) = value else {
-        return Err("invalid workflow: top level must be a JSON object".into());
-    };
-    check_workflow_keys("workflow", &value)?;
     serde_json::from_str(json).map_err(|e| format!("invalid workflow: {e}"))
 }
 
@@ -667,7 +591,7 @@ mod tests {
             ]}]
         }"#;
         let err = parse_workflow(json).expect_err("phase typo rejected");
-        assert!(err.contains("'tracks[0].phases[0] (plateau)'"), "{err}");
+        assert!(err.contains(" tracks[0].phases[0] (plateau): "), "{err}");
         assert!(err.contains("did you mean 'rate'?"), "{err}");
     }
 

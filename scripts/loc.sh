@@ -4,8 +4,10 @@
 # except files named `tests.rs`; a file is cut at its first
 # `#[cfg(test)]` + `mod tests` pair; blank lines and `//` comment lines
 # (docs included) are dropped. Prints one line per crate, the
-# `crates/*/src` total, and `shims/` under the same rule plus its raw
-# line count (all files) so deleting a shim crate shows in full.
+# `crates/*/src` total, `shims/` under the same rule plus its raw
+# line count (all files) so deleting a shim crate shows in full, and
+# their sum — the shims are this repository's code too, so a function
+# moved from a crate into one is counted as a move, not a deletion.
 #
 #   scripts/loc.sh            # this checkout
 #   scripts/loc.sh <dir>      # another checkout, e.g. a parent clone
@@ -28,5 +30,7 @@ for c in crates/*/; do
 done
 printf '%-20s %6d\n' 'crates/*/src' "$total"
 raw=$(find shims -type f -print0 | xargs -0 cat | wc -l)
-printf '%-20s %6d  (%d raw lines, %d crates)\n' 'shims/' "$(code_lines shims)" "$raw" \
+shims=$(code_lines shims)
+printf '%-20s %6d  (%d raw lines, %d crates)\n' 'shims/' "$shims" "$raw" \
   "$(find shims -mindepth 1 -maxdepth 1 -type d | wc -l)"
+printf '%-20s %6d\n' 'crates/*/src+shims/' "$((total + shims))"

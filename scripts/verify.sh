@@ -5,13 +5,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # ROADMAP's "net LoC should trend down", as a ratchet: the non-test
-# lines under crates/*/src may not exceed scripts/loc_budget.txt. A PR
-# that needs more raises the number in its own diff, where a reviewer
-# sees it; a PR that deletes lowers it to its new total.
-loc=$(scripts/loc.sh | awk '$1 == "crates/*/src" { print $2 }')
-budget=$(cat scripts/loc_budget.txt)
-[ "$loc" -le "$budget" ] \
-  || { echo "loc ratchet: crates/*/src has $loc non-test lines, scripts/loc_budget.txt allows $budget"; exit 1; }
+# lines under crates/*/src may not exceed the first line of
+# scripts/loc_budget.txt, nor crates/*/src plus shims/ the second — code
+# moved into a shim is still this repository's. A PR that needs more
+# raises a number in its own diff, where a reviewer sees it; a PR that
+# deletes lowers them to its new totals.
+counts=$(scripts/loc.sh)
+line=0
+for row in 'crates/*/src' 'crates/*/src+shims/'; do
+  line=$((line + 1))
+  loc=$(awk -v row="$row" '$1 == row { print $2 }' <<<"$counts")
+  budget=$(sed -n "${line}p" scripts/loc_budget.txt)
+  [ -n "$loc" ] && [ -n "$budget" ] && [ "$loc" -le "$budget" ] \
+    || { echo "loc ratchet: $row has ${loc:-?} non-test lines, line $line of scripts/loc_budget.txt allows ${budget:-nothing}"; exit 1; }
+done
 
 # --workspace matters: the repo root is itself a package, so a bare
 # `cargo build` would skip dependency crates' binaries (topfull,
@@ -281,6 +288,21 @@ for f in scenarios/matrix/*.json; do
   ./target/release/topfull matrix "$f" --check > /dev/null \
     || { echo "matrix check failed: $f"; exit 1; }
 done
+# ...and the negative half: one committed copy per document type with a
+# single misspelt key, nested where the old hand-kept key tables never
+# looked. Each must exit 1 and say which key was meant.
+rejects_typo() { # $1 = document, $2... = the subcommand that checks it
+  local doc=$1 err
+  shift
+  if err=$("$@" "$doc" --check 2>&1 > /dev/null); then
+    echo "corpus dry-run: $doc has a misspelt key and was accepted"; exit 1
+  fi
+  grep -q 'did you mean' <<<"$err" \
+    || { echo "corpus dry-run: $doc rejected without a hint: $err"; exit 1; }
+}
+rejects_typo scenarios/invalid/controller_typo.json ./target/release/topfull-sim check
+rejects_typo scenarios/invalid/sharding_typo.workflow.json ./target/release/topfull workflow
+rejects_typo scenarios/invalid/arm_typo.matrix.json ./target/release/topfull matrix
 
 # Fuzz smoke: a fixed seed must be byte-for-byte reproducible, and the
 # shipped controller must survive it with no objective tripped (the

@@ -7,7 +7,13 @@
 //! here) generate `to_value` / `from_value` bodies supporting the
 //! attribute forms this workspace actually uses: `#[serde(default)]`,
 //! `#[serde(default = "path")]`, and container-level
-//! `#[serde(tag = "...", rename_all = "snake_case")]`.
+//! `#[serde(tag = "...", rename_all = "snake_case")]`,
+//! `#[serde(deny_unknown_fields)]` (an unknown key is an
+//! [`Error::unknown_field`]: nearest valid key within edit distance 3,
+//! then the valid-key list) and `#[serde(default)]` (absent fields come
+//! from the type's `Default`). An error names where it happened:
+//! `sharding.faults[0] (kill): ...` — fields joined by `.`, `Vec`
+//! elements as `[i]`, the variant of a tagged enum in parentheses.
 //!
 //! Behavioral parity notes (matching serde_json where the workspace can
 //! observe it): non-finite floats serialize to `null`; newtype structs
@@ -41,23 +47,56 @@ impl Value {
     }
 }
 
-/// Deserialization error: a message plus breadcrumb context.
+/// Deserialization error: a message plus the path it happened at.
 #[derive(Clone, Debug)]
 pub struct Error {
+    /// `a.b[2] (variant)`, built outward by [`Error::in_field`],
+    /// [`Error::in_index`] and [`Error::in_variant`]; empty at the root.
+    path: String,
     msg: String,
+}
+
+/// Levenshtein edit distance, for the "did you mean" hint.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.iter().enumerate() {
+        let mut row = vec![i + 1];
+        for (j, cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            row.push(sub.min(prev[j + 1] + 1).min(row[j] + 1));
+        }
+        prev = row;
+    }
+    prev[b.len()]
 }
 
 impl Error {
     pub fn custom(msg: impl std::fmt::Display) -> Self {
         Error {
+            path: String::new(),
             msg: msg.to_string(),
         }
     }
 
     pub fn missing_field(key: &str) -> Self {
-        Error {
-            msg: format!("missing field `{key}`"),
-        }
+        Error::custom(format!("missing field `{key}`"))
+    }
+
+    /// A key the type does not declare: names the nearest declared key
+    /// when one is within edit distance 3, then lists them all. A typo
+    /// that ran with the default would be the worst failure a config
+    /// file can have.
+    pub fn unknown_field(found: &str, expected: &[&str]) -> Self {
+        let hint = expected
+            .iter()
+            .min_by_key(|k| edit_distance(found, k))
+            .filter(|k| edit_distance(found, k) <= 3)
+            .map_or(String::new(), |k| format!(" — did you mean '{k}'?"));
+        Error::custom(format!(
+            "unknown key '{found}'{hint}\nvalid keys: {}",
+            expected.join(", ")
+        ))
     }
 
     pub fn expected(what: &str, got: &Value) -> Self {
@@ -70,22 +109,42 @@ impl Error {
             Value::Array(_) => "array",
             Value::Object(_) => "object",
         };
-        Error {
-            msg: format!("expected {what}, found {kind}"),
-        }
+        Error::custom(format!("expected {what}, found {kind}"))
+    }
+
+    /// Put `segment` in front of the path; a field under it joins by `.`.
+    fn under(mut self, segment: impl std::fmt::Display) -> Self {
+        let dot = if self.path.is_empty() || self.path.starts_with(['[', ' ']) {
+            ""
+        } else {
+            "."
+        };
+        self.path = format!("{segment}{dot}{}", self.path);
+        self
     }
 
     /// Add field context to an inner error.
     pub fn in_field(self, key: &str) -> Self {
-        Error {
-            msg: format!("{}: {}", key, self.msg),
-        }
+        self.under(key)
+    }
+
+    /// Add element context to an error from inside a `Vec`.
+    pub fn in_index(self, i: usize) -> Self {
+        self.under(format_args!("[{i}]"))
+    }
+
+    /// Name the variant of the tagged enum whose object the error is in.
+    pub fn in_variant(self, variant: &str) -> Self {
+        self.under(format_args!(" ({variant})"))
     }
 }
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.msg)
+        match self.path.trim_start() {
+            "" => f.write_str(&self.msg),
+            path => write!(f, "{path}: {}", self.msg),
+        }
     }
 }
 
@@ -144,6 +203,19 @@ where
             None => Ok(default()),
         },
         other => Err(Error::expected("object", other)),
+    }
+}
+
+/// `#[serde(deny_unknown_fields)]`: the first key of the object `v` that
+/// is not in `expected` is an error. A non-object passes — the field
+/// lookups that follow report the shape.
+pub fn deny_unknown_fields(v: &Value, expected: &[&str]) -> Result<(), Error> {
+    let Value::Object(fields) = v else {
+        return Ok(());
+    };
+    match fields.iter().find(|(k, _)| !expected.contains(&k.as_str())) {
+        Some((k, _)) => Err(Error::unknown_field(k, expected)),
+        None => Ok(()),
     }
 }
 
@@ -277,7 +349,10 @@ impl<T: Serialize> Serialize for Vec<T> {
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
-            Value::Array(xs) => xs.iter().map(T::from_value).collect(),
+            Value::Array(xs) => {
+                let item = |(i, x)| T::from_value(x).map_err(|e| e.in_index(i));
+                xs.iter().enumerate().map(item).collect()
+            }
             other => Err(Error::expected("array", other)),
         }
     }

@@ -4,11 +4,16 @@
 //!
 //! Supported shapes — exactly what this workspace derives on:
 //! - named-field structs, with `#[serde(default)]` and
-//!   `#[serde(default = "path")]` field attributes;
+//!   `#[serde(default = "path")]` field attributes, and the same two at
+//!   container level (absent fields come from that one value — the
+//!   type's `Default`, or `path()`);
 //! - tuple structs (newtypes serialize transparently);
 //! - enums with unit / newtype / tuple / struct variants, externally
 //!   tagged by default or internally tagged via container-level
-//!   `#[serde(tag = "...", rename_all = "snake_case")]`.
+//!   `#[serde(tag = "...", rename_all = "snake_case")]`;
+//! - container-level `#[serde(deny_unknown_fields)]` on a named-field
+//!   struct or an internally tagged enum (each variant accepts the tag
+//!   plus its own fields): any other key is `serde::Error::unknown_field`.
 //!
 //! Generics, lifetimes, and other serde attributes are intentionally
 //! unsupported and produce a compile error rather than wrong code.
@@ -42,6 +47,11 @@ struct Item {
     tag: Option<String>,
     /// Container `#[serde(rename_all = "snake_case")]`.
     snake: bool,
+    /// Container `#[serde(deny_unknown_fields)]`.
+    deny: bool,
+    /// Container `#[serde(default [= "path"])]`: the fn whose value
+    /// supplies absent fields.
+    default: Option<String>,
 }
 
 enum Data {
@@ -77,6 +87,7 @@ struct SerdeAttrs {
     default: Option<String>,
     tag: Option<String>,
     snake: bool,
+    deny: bool,
 }
 
 fn strip_quotes(lit: &str) -> String {
@@ -105,6 +116,7 @@ fn parse_serde_attr(stream: TokenStream, attrs: &mut SerdeAttrs) {
             }
             ("default", Some(path)) => attrs.default = Some(path),
             ("tag", Some(t)) => attrs.tag = Some(t),
+            ("deny_unknown_fields", None) => attrs.deny = true,
             ("rename_all", Some(style)) => {
                 assert_eq!(
                     style, "snake_case",
@@ -311,11 +323,22 @@ fn parse_item(input: TokenStream) -> Item {
         }
         other => panic!("unsupported item body for `{name}`: {other:?}"),
     };
+    let named = matches!(data, Data::NamedStruct(_));
+    assert!(
+        !attrs.deny || named || (attrs.tag.is_some() && matches!(data, Data::Enum(_))),
+        "deny_unknown_fields on `{name}`: only named structs and tagged enums"
+    );
+    assert!(
+        attrs.default.is_none() || named,
+        "container default on `{name}`: only named structs"
+    );
     Item {
         name,
         data,
         tag: attrs.tag,
         snake: attrs.snake,
+        deny: attrs.deny,
+        default: attrs.default,
     }
 }
 
@@ -457,11 +480,20 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-fn de_named_fields(fields: &[Field], src: &str) -> String {
+/// `field: <lookup>,` lines. With `container_default` the generated code
+/// has the container's default value in `__d`, and a field without its
+/// own default attribute moves out of it.
+fn de_named_fields(fields: &[Field], src: &str, container_default: bool) -> String {
     let mut out = String::new();
     for f in fields {
         let expr = match &f.default {
             Some(path) => format!("serde::de_field_or({src}, \"{n}\", {path})?", n = f.name),
+            None if container_default => {
+                format!(
+                    "serde::de_field_or({src}, \"{n}\", || __d.{n})?",
+                    n = f.name
+                )
+            }
             None => format!("serde::de_field({src}, \"{n}\")?", n = f.name),
         };
         out.push_str(&format!("{n}: {expr},\n", n = f.name));
@@ -469,11 +501,38 @@ fn de_named_fields(fields: &[Field], src: &str) -> String {
     out
 }
 
+impl Item {
+    /// The `deny_unknown_fields` statement for an object holding `fields`
+    /// (plus the tag, inside `variant` of a tagged enum); empty when the
+    /// container does not deny.
+    fn deny_check(&self, fields: &[Field], variant: Option<&str>) -> String {
+        if !self.deny {
+            return String::new();
+        }
+        let keys = self.tag.iter().chain(fields.iter().map(|f| &f.name));
+        let keys: Vec<String> = keys.map(|k| format!("\"{k}\"")).collect();
+        let named = variant.map_or(String::new(), |v| {
+            format!(".map_err(|__e| __e.in_variant(\"{v}\"))")
+        });
+        format!(
+            "serde::deny_unknown_fields(__v, &[{}]){named}?;\n",
+            keys.join(", ")
+        )
+    }
+}
+
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.data {
         Data::NamedStruct(fields) => {
-            format!("Ok({name} {{\n{}}})", de_named_fields(fields, "__v"))
+            let default = item.default.as_ref().map_or(String::new(), |path| {
+                format!("let __d: {name} = {path}();\n")
+            });
+            format!(
+                "{}{default}Ok({name} {{\n{}}})",
+                item.deny_check(fields, None),
+                de_named_fields(fields, "__v", item.default.is_some())
+            )
         }
         Data::TupleStruct(1) => {
             format!("Ok({name}(serde::Deserialize::from_value(__v)?))")
@@ -499,15 +558,17 @@ fn gen_deserialize(item: &Item) -> String {
                     match &v.kind {
                         VariantKind::Unit => {
                             arms.push_str(&format!(
-                                "\"{vname}\" => Ok({name}::{v}),\n",
+                                "\"{vname}\" => {{ {deny}Ok({name}::{v}) }}\n",
+                                deny = item.deny_check(&[], Some(&vname)),
                                 v = v.name
                             ));
                         }
                         VariantKind::Struct(fields) => {
                             arms.push_str(&format!(
-                                "\"{vname}\" => Ok({name}::{v} {{\n{fields}}}),\n",
+                                "\"{vname}\" => {{ {deny}Ok({name}::{v} {{\n{fields}}}) }}\n",
+                                deny = item.deny_check(fields, Some(&vname)),
                                 v = v.name,
-                                fields = de_named_fields(fields, "__v")
+                                fields = de_named_fields(fields, "__v", false)
                             ));
                         }
                         VariantKind::Tuple(_) => panic!(
@@ -582,7 +643,7 @@ fn gen_deserialize(item: &Item) -> String {
                             VariantKind::Struct(fields) => arms.push_str(&format!(
                                 "\"{vname}\" => return Ok({name}::{v} {{\n{fields}}}),\n",
                                 v = v.name,
-                                fields = de_named_fields(fields, "__inner")
+                                fields = de_named_fields(fields, "__inner", false)
                             )),
                             VariantKind::Unit => unreachable!(),
                         }
@@ -603,7 +664,7 @@ fn gen_deserialize(item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl serde::Deserialize for {name} {{\n\
-             fn from_value(__v: &serde::Value) -> Result<Self, serde::Error> {{\n{body}\n}}\n\
+             fn from_value(__v: &serde::Value) -> ::std::result::Result<Self, serde::Error> {{\n{body}\n}}\n\
          }}\n"
     )
 }

@@ -429,4 +429,145 @@ mod tests {
     fn nan_serializes_as_null() {
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
     }
+
+    // The derive's two container attributes, exercised from text the way
+    // the document parsers use them.
+
+    #[derive(Debug, PartialEq, Deserialize)]
+    #[serde(default, deny_unknown_fields)]
+    struct Knobs {
+        threshold: f64,
+        min_calls: u32,
+        label: String,
+    }
+
+    impl Default for Knobs {
+        fn default() -> Self {
+            Knobs {
+                threshold: 0.5,
+                min_calls: 20,
+                label: "stock".into(),
+            }
+        }
+    }
+
+    #[derive(Debug, PartialEq, Deserialize)]
+    #[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
+    enum Fault {
+        Kill {
+            shard: usize,
+            at_secs: u64,
+        },
+        ControllerLoss {
+            from_secs: u64,
+            #[serde(default)]
+            until_secs: u64,
+        },
+        Heal,
+    }
+
+    #[derive(Debug, Deserialize)]
+    #[serde(deny_unknown_fields)]
+    struct Plan {
+        shards: usize,
+        #[serde(default)]
+        knobs: Option<Knobs>,
+        #[serde(default)]
+        faults: Vec<Fault>,
+    }
+
+    #[test]
+    fn container_default_fills_what_a_partial_object_leaves_out() {
+        let k: Knobs = from_str(r#"{"min_calls": 3}"#).unwrap();
+        let stock = Knobs::default();
+        assert_eq!((k.threshold, k.min_calls), (stock.threshold, 3));
+        assert_eq!(k.label, stock.label);
+        assert_eq!(from_str::<Knobs>("{}").unwrap(), stock);
+        // A present field of the wrong type is still an error.
+        let e = from_str::<Knobs>(r#"{"min_calls": "3"}"#).unwrap_err();
+        assert_eq!(e.to_string(), "min_calls: expected integer, found string");
+    }
+
+    #[test]
+    fn an_unknown_field_names_the_nearest_key_and_lists_them_all() {
+        let e = from_str::<Knobs>(r#"{"treshold": 0.1}"#).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "unknown key 'treshold' — did you mean 'threshold'?\n\
+             valid keys: threshold, min_calls, label"
+        );
+        // Nothing within edit distance 3: the list, no guess.
+        let e = from_str::<Knobs>(r#"{"zzqxw": 1}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(e.starts_with("unknown key 'zzqxw'\nvalid keys: "), "{e}");
+        // A required field is still required.
+        let e = from_str::<Plan>(r#"{"shard": 2}"#).unwrap_err().to_string();
+        assert!(e.contains("did you mean 'shards'?"), "{e}");
+        let e = from_str::<Plan>("{}").unwrap_err().to_string();
+        assert_eq!(e, "missing field `shards`");
+    }
+
+    #[test]
+    fn a_tagged_variant_accepts_its_tag_and_its_own_fields_only() {
+        let ok: Fault = from_str(r#"{"kind": "kill", "shard": 1, "at_secs": 9}"#).unwrap();
+        assert_eq!(
+            ok,
+            Fault::Kill {
+                shard: 1,
+                at_secs: 9
+            }
+        );
+        assert_eq!(
+            from_str::<Fault>(r#"{"kind": "heal"}"#).unwrap(),
+            Fault::Heal
+        );
+        // `from_secs` is a key of the enum, but not of this variant.
+        for (doc, found) in [
+            (
+                r#"{"kind": "kill", "shard": 1, "at_secs": 9, "from_secs": 1}"#,
+                "from_secs",
+            ),
+            (r#"{"kind": "heal", "shard": 1}"#, "shard"),
+        ] {
+            let e = from_str::<Fault>(doc).unwrap_err().to_string();
+            assert!(e.contains(&format!("unknown key '{found}'")), "{e}");
+        }
+        let e = from_str::<Fault>(r#"{"kind": "controller_loss", "from_sec": 1}"#)
+            .unwrap_err()
+            .to_string();
+        assert!(e.starts_with("(controller_loss): unknown key"), "{e}");
+        assert!(
+            e.ends_with("valid keys: kind, from_secs, until_secs"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn a_nested_error_carries_field_index_and_variant() {
+        let doc = r#"{"shards": 2, "faults": [
+            {"kind": "controller_loss", "from_secs": 1},
+            {"kind": "kill", "shard": 1, "at_sec": 9}]}"#;
+        let e = from_str::<Plan>(doc).unwrap_err().to_string();
+        assert!(
+            e.starts_with("faults[1] (kill): unknown key 'at_sec' — did you mean 'at_secs'?"),
+            "{e}"
+        );
+        let e = from_str::<Plan>(r#"{"shards": 2, "knobs": {"labl": "x"}}"#).unwrap_err();
+        assert!(
+            e.to_string().starts_with("knobs: unknown key 'labl'"),
+            "{e}"
+        );
+        let e =
+            from_str::<Vec<Plan>>(r#"[{"shards": 1}, {"shards": 1, "faults": [{}]}]"#).unwrap_err();
+        assert_eq!(e.to_string(), "[1].faults[0]: missing field `kind`");
+    }
+
+    #[test]
+    fn null_is_still_an_absent_optional_block() {
+        let p: Plan = from_str(r#"{"shards": 2, "knobs": null}"#).unwrap();
+        assert_eq!((p.shards, p.knobs, p.faults.len()), (2, None, 0));
+        let p: Plan = from_str(r#"{"shards": 2, "knobs": {}}"#).unwrap();
+        assert_eq!(p.knobs, Some(Knobs::default()));
+    }
 }
