@@ -238,13 +238,6 @@ impl OnlineBoutique {
             self.emptycart,
         ]
     }
-
-    /// Approximate serving capacity of a service in requests/s for a call
-    /// of `cost` CPU-milliseconds, for experiment calibration.
-    pub fn capacity_rps(&self, svc: ServiceId, cost_ms: f64) -> f64 {
-        let spec = self.topology.service(svc);
-        f64::from(spec.replicas) * spec.pod_speed * 1000.0 / cost_ms
-    }
 }
 
 impl Default for OnlineBoutique {
@@ -292,9 +285,14 @@ mod tests {
     #[test]
     fn recommendation_and_checkout_are_bottlenecks() {
         let ob = OnlineBoutique::build();
-        let rec = ob.capacity_rps(ob.recommendation, 4.0);
-        let chk = ob.capacity_rps(ob.checkout, 5.0);
-        let front = ob.capacity_rps(ob.frontend, 1.0);
+        // Serving capacity in requests/s for a call of `cost_ms` CPU-ms.
+        let capacity_rps = |svc, cost_ms: f64| {
+            let spec = ob.topology.service(svc);
+            f64::from(spec.replicas) * spec.pod_speed * 1000.0 / cost_ms
+        };
+        let rec = capacity_rps(ob.recommendation, 4.0);
+        let chk = capacity_rps(ob.checkout, 5.0);
+        let front = capacity_rps(ob.frontend, 1.0);
         assert!(rec < 600.0, "recommendation cap {rec}");
         assert!(chk < 600.0, "checkout cap {chk}");
         assert!(front > 4000.0, "frontend cap {front}");

@@ -27,3 +27,71 @@ pub mod wisp;
 pub use breakwater::{Breakwater, BreakwaterConfig};
 pub use dagor::{Dagor, DagorConfig};
 pub use wisp::{Wisp, WispConfig};
+
+/// A per-service scheme as a roster or a scenario file names one.
+#[derive(Clone, Copy, Debug)]
+pub enum Scheme {
+    /// DAGOR with multiplicative decrease `alpha`.
+    Dagor {
+        alpha: f64,
+    },
+    Breakwater,
+    Wisp,
+}
+
+impl Scheme {
+    /// Build the scheme for `engine`'s topology and hook it into every
+    /// service's admission. Nothing then runs at the entry.
+    pub fn install(self, engine: &mut cluster::Engine) {
+        let n = engine.topology().num_services();
+        engine.set_admission(match self {
+            Scheme::Dagor { alpha } => {
+                let cfg = DagorConfig {
+                    alpha,
+                    ..DagorConfig::default()
+                };
+                Box::new(Dagor::new(n, cfg))
+            }
+            Scheme::Breakwater => Box::new(Breakwater::new(n, BreakwaterConfig::default())),
+            Scheme::Wisp => Box::new(Wisp::new(engine.topology(), WispConfig::default())),
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cluster::{Engine, EngineConfig, OpenLoopWorkload};
+    use simnet::SimTime;
+
+    /// Each scheme, installed, takes part: under a load far past
+    /// capacity the run ends differently from one with no admission
+    /// hook.
+    #[test]
+    fn every_scheme_installs_and_sheds_at_services() {
+        let shed = |scheme: Option<Scheme>| {
+            let ob = apps::OnlineBoutique::build();
+            let load = OpenLoopWorkload::constant(vec![(ob.getproduct, 3000.0)]);
+            let mut engine = Engine::new(ob.topology, EngineConfig::default(), Box::new(load));
+            if let Some(scheme) = scheme {
+                scheme.install(&mut engine);
+            }
+            engine.run_until(SimTime::from_secs(8));
+            engine.api_totals(ob.getproduct)
+        };
+        assert!(shed(None).offered > 0);
+        for scheme in [
+            Scheme::Dagor { alpha: 0.05 },
+            Scheme::Breakwater,
+            Scheme::Wisp,
+        ] {
+            let with = shed(Some(scheme));
+            let without = shed(None);
+            assert_ne!(
+                (with.good, with.failed),
+                (without.good, without.failed),
+                "{scheme:?} changed nothing"
+            );
+        }
+    }
+}

@@ -8,33 +8,49 @@
 
 use topfull_bench::experiments as ex;
 use topfull_bench::models;
+use topfull_bench::report::Report;
 
-const EXPERIMENTS: &[(&str, fn())] = &[
-    ("table1", ex::table1::run),
-    ("admission", ex::admission::run),
-    ("fig4", ex::fig04::run),
-    ("fig8", ex::fig08::run),
-    ("fig9", ex::fig09::run),
-    ("fig10", ex::fig10::run),
-    ("fig11", ex::fig11::run),
-    ("fig12", ex::fig12::run),
-    ("fig13", ex::fig13::run),
-    ("fig14", ex::fig14::run),
-    ("fig15", ex::fig15::run),
-    ("fig16", ex::fig16::run),
-    ("fig17", ex::fig17::run),
-    ("fig18", ex::fig18::run),
-    ("fig19", ex::fig19::run),
-    ("retry-storm", ex::retry_storm::run),
-    ("metastable", ex::metastable::run),
-    ("refinements", ex::refinements::run),
-    ("trace-analysis", ex::trace_analysis::run),
-    ("training-cost", ex::training_cost::run),
-    ("chaos", ex::chaos::run),
-    ("sim2real", ex::sim2real::run),
-    ("multishard", ex::multishard::run),
-    ("slo", ex::slo::run),
+/// One report of an experiment, run to completion.
+type Run = fn() -> Report;
+
+/// Each experiment by name: the reports it produces, in order.
+const EXPERIMENTS: &[(&str, &[Run])] = &[
+    ("table1", &[ex::table1::run]),
+    (
+        "admission",
+        &[ex::admission::coalesce, ex::admission::hybrid],
+    ),
+    ("fig4", &[ex::fig04::run]),
+    ("fig8", &[ex::fig08::run]),
+    ("fig9", &[ex::fig09::run]),
+    ("fig10", &[ex::fig10::run]),
+    ("fig11", &[ex::fig11::run]),
+    ("fig12", &[ex::fig12::run]),
+    ("fig13", &[ex::fig13::run]),
+    ("fig14", &[ex::fig14::run]),
+    ("fig15", &[ex::fig15::run]),
+    ("fig16", &[ex::fig16::run]),
+    ("fig17", &[ex::fig17::run]),
+    ("fig18", &[ex::fig18::run]),
+    ("fig19", &[ex::fig19::run]),
+    ("retry-storm", &[ex::retry_storm::run]),
+    ("metastable", &[ex::metastable::run]),
+    ("refinements", &[ex::refinements::run]),
+    ("trace-analysis", &[ex::trace_analysis::run]),
+    ("training-cost", &[ex::training_cost::run]),
+    ("chaos", &[ex::chaos::run]),
+    ("sim2real", &[ex::sim2real::run]),
+    ("multishard", &[ex::multishard::run]),
+    ("slo", &[ex::slo::run]),
 ];
+
+/// Run one experiment; every report is printed and persisted as it
+/// completes.
+fn run(reports: &[Run]) {
+    for report in reports {
+        report().finish();
+    }
+}
 
 fn usage() -> ! {
     eprintln!("usage: figures <experiment>… | all | train");
@@ -53,9 +69,9 @@ fn main() {
     for arg in &args {
         match arg.as_str() {
             "all" => {
-                for (name, f) in EXPERIMENTS {
+                for (name, reports) in EXPERIMENTS {
                     eprintln!("\n>>> running {name}");
-                    f();
+                    run(reports);
                 }
             }
             "train" => {
@@ -66,7 +82,7 @@ fn main() {
                 eprintln!("models trained and cached under artifacts/models/");
             }
             name => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-                Some((_, f)) => f(),
+                Some((_, reports)) => run(reports),
                 None => usage(),
             },
         }

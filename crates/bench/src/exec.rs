@@ -1,16 +1,20 @@
-//! Shared experiment execution built on the [`crate::runner`] pool.
+//! Running arms: the only code that turns a `(Roster, Engine)` pair into
+//! a finished run, and the figure body most of §6 shares.
 //!
-//! Every figure used to hand-roll the same loop: build a topology, pick
-//! a controller arm, wrap the pair in a [`Harness`], run it for a fixed
-//! horizon, and pull numbers out of the result. These helpers fold that
-//! boilerplate into one place and route the independent runs through a
-//! [`RunPlan`], so sweeps execute in parallel while the reported rows
-//! keep their submission order (and therefore their bytes) at any
-//! worker count.
+//! An arm is a label, a [`Roster`] entry and the [`Recipe`] it runs
+//! over. [`run_arms`] fans arms out through a [`RunPlan`] — each builds
+//! its engine inside its worker — and hands back one [`ArmOutcome`] per
+//! arm in submission order, so a report's bytes do not depend on the
+//! worker count. [`Figure`] is the shape the paper's evaluation repeats:
+//! a roster over one recipe, mean goodput per API and in total over a
+//! window, ratios between named arms, optional timelines.
 
+use crate::report::{f1, ratio, Report};
 use crate::runner::RunPlan;
-use crate::scenarios::Roster;
-use cluster::{Engine, Harness, ResilienceStats, RunResult, WatchdogStats};
+use crate::scenarios::{Recipe, Roster};
+use cluster::engine::ApiTotals;
+use cluster::front::FrontStats;
+use cluster::{ApiId, Engine, ResilienceStats, RunResult, WatchdogStats};
 
 /// Everything an experiment may need from one finished run, captured
 /// before the harness (and its non-`Send` engine) is dropped inside the
@@ -29,70 +33,182 @@ pub struct ArmOutcome {
     pub resilience: ResilienceStats,
     /// Watchdog activity (zeroes when no watchdog was attached).
     pub watchdog: WatchdogStats,
+    /// Whole-run request counters per API, indexed by `ApiId`.
+    pub api_totals: Vec<ApiTotals>,
+    /// Front-door instruments, when the recipe installed a front door.
+    pub front: Option<FrontStats>,
 }
 
-/// Run an already-built harness for `secs` and capture the outcome.
-pub fn finish(label: &str, mut h: Harness, secs: u64) -> ArmOutcome {
+/// One arm: install `roster` over `engine`, run `secs`, capture.
+pub fn run_arm(label: &str, roster: Roster, engine: Engine, secs: u64) -> ArmOutcome {
+    let mut h = roster.into_harness(engine);
     h.run_for_secs(secs);
+    let apis = h.engine.topology().apis();
     ArmOutcome {
         label: label.to_string(),
         events_processed: h.engine.events_processed(),
         crash_events: h.engine.crash_events,
         resilience: h.engine.resilience_totals(),
         watchdog: h.watchdog_stats(),
+        api_totals: apis.map(|(id, _)| h.engine.api_totals(id)).collect(),
+        front: h.engine.front_stats().cloned(),
         result: h.into_result(),
     }
 }
 
-/// One arm: install `roster` over `engine`, run `secs`, capture.
-pub fn run_arm(label: &str, roster: Roster, engine: Engine, secs: u64) -> ArmOutcome {
-    finish(label, roster.into_harness(engine), secs)
-}
-
-/// Fan a set of `(label, roster)` arms over the worker pool, each arm
-/// building its engine from `mk` *inside* its worker (engines are not
-/// `Send`). Results come back in arm order. Fetch any RL policies the
+/// Run every `(label, roster, recipe)` arm for `secs` over the worker
+/// pool; outcomes come back in arm order. Fetch any RL policies the
 /// rosters need before calling this — training must not race.
-pub fn run_arms(
-    arms: Vec<(&'static str, Roster)>,
-    mk: impl Fn() -> Engine + Sync,
+pub fn run_arms<L: Into<String>>(
+    arms: impl IntoIterator<Item = (L, Roster, Recipe)>,
     secs: u64,
 ) -> Vec<ArmOutcome> {
-    let mk = &mk;
-    let mut plan = RunPlan::new();
-    for (label, roster) in arms {
-        plan.submit(move || run_arm(label, roster, mk(), secs));
+    run_arms_on(RunPlan::new(), arms, secs)
+}
+
+/// [`run_arms`] on a caller-sized plan (tests pin the worker count).
+pub(crate) fn run_arms_on<L: Into<String>>(
+    mut plan: RunPlan<'_, ArmOutcome>,
+    arms: impl IntoIterator<Item = (L, Roster, Recipe)>,
+    secs: u64,
+) -> Vec<ArmOutcome> {
+    for (label, roster, recipe) in arms {
+        let label = label.into();
+        plan.submit(move || run_arm(&label, roster, recipe.engine(), secs));
     }
     plan.run()
+}
+
+/// Which goodput a column, a ratio or a timeline reads.
+#[derive(Clone, Copy)]
+pub enum Of {
+    Api(ApiId),
+    Total,
+}
+
+impl Of {
+    /// Mean over the inclusive window `[from, to]` (seconds).
+    pub fn mean(self, r: &RunResult, (from, to): (f64, f64)) -> f64 {
+        match self {
+            Of::Api(api) => r.mean_goodput_api(api, from, to),
+            Of::Total => r.mean_total_goodput(from, to),
+        }
+    }
+
+    /// The `(seconds, rps)` timeline.
+    pub fn series(self, r: &RunResult) -> Vec<(f64, f64)> {
+        match self {
+            Of::Api(api) => r.goodput_series(api),
+            Of::Total => r.total_goodput_series(),
+        }
+    }
+}
+
+/// The outcome labelled `label`; a figure naming an arm it did not
+/// submit is a bug in the figure.
+pub fn arm<'a>(runs: &'a [ArmOutcome], label: &str) -> &'a ArmOutcome {
+    let found = runs.iter().find(|o| o.label == label);
+    found.unwrap_or_else(|| panic!("no arm labelled '{label}'"))
+}
+
+/// What a [`Figure::extra`] column prints of one arm.
+pub type Text = fn(&ArmOutcome) -> String;
+
+/// A comparison row: mean `of` under arm `num` over that under `den`.
+pub struct Ratio {
+    pub label: &'static str,
+    /// What the paper reports for it.
+    pub paper: &'static str,
+    pub num: &'static str,
+    pub den: &'static str,
+    pub of: Of,
+}
+
+/// An experiment as values: a recipe, its arms and a window, and what
+/// to print of them.
+pub struct Figure {
+    pub recipe: Recipe,
+    pub arms: Vec<(&'static str, Roster)>,
+    /// Simulated seconds each arm runs.
+    pub secs: u64,
+    /// Goodput means are taken over `[from, to]` simulated seconds.
+    pub window: (f64, f64),
+    /// The table: its name, the header of its arm column, and one
+    /// mean-goodput column per `(header, of)`.
+    pub table: (&'static str, &'static str, Vec<(&'static str, Of)>),
+    /// Further per-arm columns `(header, text)` that are not a goodput mean.
+    pub extra: Vec<(&'static str, Text)>,
+    pub ratios: Vec<Ratio>,
+    /// Timelines `(series name, arm, of)`.
+    pub timelines: Vec<(&'static str, &'static str, Of)>,
+}
+
+impl Figure {
+    /// Run the arms and write table, ratios and timelines into `r`;
+    /// the outcomes come back for whatever else the figure reports.
+    pub fn run(self, r: &mut Report) -> Vec<ArmOutcome> {
+        self.run_on(RunPlan::new(), r)
+    }
+
+    /// [`Figure::run`] on a caller-sized plan (tests pin the worker count).
+    pub(crate) fn run_on(self, plan: RunPlan<'_, ArmOutcome>, r: &mut Report) -> Vec<ArmOutcome> {
+        let recipe = &self.recipe;
+        let arms = self.arms.into_iter();
+        let runs = run_arms_on(plan, arms.map(|(l, ro)| (l, ro, recipe.clone())), self.secs);
+        let (name, arm_header, columns) = self.table;
+        let mut headers = vec![arm_header];
+        headers.extend(columns.iter().map(|(h, _)| *h));
+        headers.extend(self.extra.iter().map(|(h, _)| *h));
+        let row = |o: &ArmOutcome| {
+            let mut row = vec![o.label.clone()];
+            row.extend(
+                columns
+                    .iter()
+                    .map(|(_, of)| f1(of.mean(&o.result, self.window))),
+            );
+            row.extend(self.extra.iter().map(|(_, text)| text(o)));
+            row
+        };
+        r.table(name, &headers, runs.iter().map(row).collect());
+        for q in self.ratios {
+            let mean = |l| q.of.mean(&arm(&runs, l).result, self.window);
+            r.compare(q.label, q.paper, ratio(mean(q.num), mean(q.den)), "");
+        }
+        for (name, label, of) in self.timelines {
+            r.series(name, of.series(&arm(&runs, label).result));
+        }
+        runs
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig08;
     use crate::scenarios::boutique_closed_loop;
+    use cluster::RateSchedule;
 
     fn fingerprint(o: &ArmOutcome) -> Vec<u64> {
-        o.result
-            .samples
-            .iter()
-            .flat_map(|s| s.goodput.iter().map(|g| g.to_bits()))
-            .collect()
+        let goodput = |s: &cluster::harness::TickSample| s.goodput.clone();
+        let bits = o.result.samples.iter().flat_map(goodput);
+        bits.map(f64::to_bits).collect()
     }
 
     #[test]
     fn run_arms_matches_serial_execution() {
+        let recipe = crate::scenarios::boutique_users(RateSchedule::constant(400.0), 7);
         let arms = || {
-            vec![
+            [
                 ("no-control", Roster::None),
                 ("topfull-mimd", Roster::TopFullMimd),
                 ("dagor", Roster::Dagor { alpha: 0.05 }),
             ]
+            .map(|(label, roster)| (label, roster, recipe.clone()))
         };
-        let mk = || boutique_closed_loop(400, 7).1;
-        let parallel = run_arms(arms(), mk, 15);
+        let parallel = run_arms_on(RunPlan::new().with_workers(4), arms(), 15);
         let serial: Vec<ArmOutcome> = arms()
             .into_iter()
-            .map(|(label, roster)| run_arm(label, roster, mk(), 15))
+            .map(|(label, roster, recipe)| run_arm(label, roster, recipe.engine(), 15))
             .collect();
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
@@ -108,5 +224,44 @@ mod tests {
         assert_eq!(o.label, "none");
         assert_eq!(o.result.samples.len(), 5);
         assert_eq!(o.watchdog, WatchdogStats::default());
+        assert_eq!(o.api_totals.len(), 5);
+        assert!(o.api_totals.iter().all(|t| t.offered > 0));
+        assert!(o.front.is_none(), "no front door installed");
+    }
+
+    /// Fig. 8's arm list through the shared figure body on a 10-second
+    /// horizon: the report's bytes do not depend on the worker count.
+    #[test]
+    fn figure_report_is_identical_across_worker_counts() {
+        let policy = crate::models::load("transfer_ob").expect("committed model");
+        let json = |workers: usize| {
+            let figure = Figure {
+                secs: 10,
+                window: (3.0, 10.0),
+                ..fig08::figure(policy.clone())
+            };
+            let mut r = Report::new("fig08", "worker-count invariance");
+            let runs = figure.run_on(RunPlan::new().with_workers(workers), &mut r);
+            assert_eq!(runs.len(), 5);
+            assert_eq!(r.tables[0].rows.len(), 5);
+            assert_eq!(r.tables[0].columns.len(), 7);
+            assert_eq!(r.comparisons.len(), 4);
+            serde_json::to_string_pretty(&r).expect("json")
+        };
+        let serial = json(1);
+        assert!(serial.contains("\"topfull\""), "{serial}");
+        assert_eq!(serial, json(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "no arm labelled 'dagor'")]
+    fn naming_an_arm_that_did_not_run_is_a_bug() {
+        let runs = [run_arm(
+            "none",
+            Roster::None,
+            boutique_closed_loop(10, 1).1,
+            1,
+        )];
+        arm(&runs, "dagor");
     }
 }

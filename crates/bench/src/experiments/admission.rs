@@ -14,22 +14,21 @@
 //!   stage alone. The hybrid arm's journal carries every
 //!   priority-threshold move (`topfull explain` renders them).
 
+use crate::exec::{self, Of};
 use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
+use crate::scenarios::{Recipe, Roster};
 use cluster::front::{CoalesceConfig, FrontConfig, PriorityConfig};
 use cluster::types::BusinessPriority;
-use cluster::{
-    ApiId, ApiSpec, CallNode, Engine, OpenLoopWorkload, RateSchedule, ServiceSpec, Topology,
-};
+use cluster::{ApiId, ApiSpec, CallNode, RateSchedule, ServiceSpec, Topology};
 use simnet::{SimDuration, SimTime};
 
 const RUN_SECS: u64 = 60;
 const SURGE_AT: u64 = 10;
-const MEASURE_FROM: f64 = 30.0;
+const WINDOW: (f64, f64) = (30.0, RUN_SECS as f64);
 
 /// The read-flash-crowd app: a cheap frontend fanning into a single
 /// slow catalog replica (~100 rps capacity), surged to 1200 rps.
-fn read_engine(seed: u64) -> (Engine, ApiId) {
+pub fn read_recipe(seed: u64) -> (Recipe, ApiId) {
     let mut t = Topology::default();
     let fe = t.add_service(ServiceSpec::new("frontend", 2).queue_capacity(256));
     let cat = t.add_service(ServiceSpec::new("catalog", 1).queue_capacity(256));
@@ -41,19 +40,16 @@ fn read_engine(seed: u64) -> (Engine, ApiId) {
             vec![CallNode::leaf(cat, SimDuration::from_millis(10))],
         ),
     ));
-    let w = OpenLoopWorkload::new(vec![(
-        read,
-        RateSchedule::steps(vec![
-            (SimTime::ZERO, 60.0),
-            (SimTime::from_secs(SURGE_AT), 1200.0),
-        ]),
-    )]);
-    (Engine::new(t, engine_config(seed), Box::new(w)), read)
+    let surge = RateSchedule::steps(vec![
+        (SimTime::ZERO, 60.0),
+        (SimTime::from_secs(SURGE_AT), 1200.0),
+    ]);
+    (Recipe::open_loop(&t, vec![(read, surge)], seed), read)
 }
 
 /// The mixed-priority app: checkout (business 0) and browse (business
 /// 1) share one backend; the flash crowd is almost entirely browse.
-fn mixed_engine(seed: u64) -> (Engine, ApiId, ApiId) {
+pub fn mixed_recipe(seed: u64) -> (Recipe, ApiId, ApiId) {
     let mut t = Topology::default();
     let fe = t.add_service(ServiceSpec::new("frontend", 2).queue_capacity(256));
     let be = t.add_service(ServiceSpec::new("backend", 1).queue_capacity(256));
@@ -70,7 +66,7 @@ fn mixed_engine(seed: u64) -> (Engine, ApiId, ApiId) {
     };
     let checkout = t.add_api(api("checkout", 0));
     let browse = t.add_api(api("browse", 1));
-    let w = OpenLoopWorkload::new(vec![
+    let rates = vec![
         (checkout, RateSchedule::steps(vec![(SimTime::ZERO, 50.0)])),
         (
             browse,
@@ -79,12 +75,13 @@ fn mixed_engine(seed: u64) -> (Engine, ApiId, ApiId) {
                 (SimTime::from_secs(SURGE_AT), 900.0),
             ]),
         ),
-    ]);
-    (
-        Engine::new(t, engine_config(seed), Box::new(w)),
-        checkout,
-        browse,
-    )
+    ];
+    (Recipe::open_loop(&t, rates, seed), checkout, browse)
+}
+
+/// `recipe` behind a front door; `key_space` as `Engine::set_front_door`.
+fn behind(recipe: Recipe, front: FrontConfig, key_space: Vec<u64>) -> Recipe {
+    recipe.then(move |engine| engine.set_front_door(front, key_space.clone()))
 }
 
 fn coalesce_front() -> FrontConfig {
@@ -106,114 +103,91 @@ fn priority_front() -> FrontConfig {
 
 /// Flash-crowd coalescing: goodput with the single-flight stage on
 /// must be ≥2× the no-coalescing arm.
-fn run_coalesce() {
+pub fn coalesce() -> Report {
     let mut r = Report::new(
         "admission_coalesce",
         "Read flash crowd: single-flight coalescing vs plain TopFull",
     );
-    let (engine, read) = read_engine(11);
-    let mut h = Roster::TopFullMimd.into_harness(engine);
-    h.run_for_secs(RUN_SECS);
-    let base = h
-        .result()
-        .mean_goodput_api(read, MEASURE_FROM, RUN_SECS as f64);
-    let base_series = h.result().goodput_series(read);
-
-    let (mut engine, read) = read_engine(11);
-    engine.set_front_door(coalesce_front(), vec![16]);
-    let mut h = Roster::TopFullMimd.into_harness(engine);
-    h.run_for_secs(RUN_SECS);
-    let co = h
-        .result()
-        .mean_goodput_api(read, MEASURE_FROM, RUN_SECS as f64);
-    let co_series = h.result().goodput_series(read);
-    let stats = h.engine.front_stats().expect("front door installed");
-    let hits = stats.cache_hits.get() + stats.follower_hits.get();
-
+    let (plain, read) = read_recipe(11);
+    let coalescing = behind(plain.clone(), coalesce_front(), vec![16]);
+    let arms = [
+        ("topfull (no coalescing)", Roster::TopFullMimd, plain),
+        ("topfull + coalescing", Roster::TopFullMimd, coalescing),
+    ];
+    let mut runs = exec::run_arms(arms, RUN_SECS);
+    let goodput: Vec<f64> = runs
+        .iter()
+        .map(|o| Of::Api(read).mean(&o.result, WINDOW))
+        .collect();
     r.table(
         "steady-state goodput (rps) under a 1200 rps read surge, key space 16",
         &["arm", "goodput"],
-        vec![
-            vec!["topfull (no coalescing)".into(), f1(base)],
-            vec!["topfull + coalescing".into(), f1(co)],
-        ],
+        (runs.iter().zip(&goodput))
+            .map(|(o, g)| vec![o.label.clone(), f1(*g)])
+            .collect(),
     );
     r.compare(
         "coalescing / no-coalescing effective goodput",
         ">=2x",
-        ratio(co, base),
+        ratio(goodput[1], goodput[0]),
         "",
     );
+    r.series(
+        "goodput: no coalescing",
+        Of::Api(read).series(&runs[0].result),
+    );
+    r.series("goodput: coalescing", Of::Api(read).series(&runs[1].result));
+    let co = runs.pop().expect("two arms");
+    let stats = co.front.expect("front door installed");
+    let hits = stats.cache_hits.get() + stats.follower_hits.get();
     r.note(format!(
         "coalesced {hits} duplicate reads (cache {} + in-flight {}), hit rate {:.3}",
         stats.cache_hits.get(),
         stats.follower_hits.get(),
         hits as f64 / (hits + stats.misses.get()) as f64
     ));
-    r.series("goodput: no coalescing", base_series);
-    r.series("goodput: coalescing", co_series);
-    r.journal(h.journal().snapshot());
-    r.finish();
-}
-
-/// One hybrid-figure arm; returns (checkout, browse) steady goodputs,
-/// the browse priority-shed count, and the run journal.
-fn mixed_arm(
-    front: Option<FrontConfig>,
-    roster: Roster,
-    seed: u64,
-) -> ((f64, f64), u64, Vec<obs::JournalEntry>) {
-    let (mut engine, checkout, browse) = mixed_engine(seed);
-    if let Some(cfg) = front {
-        engine.set_front_door(cfg, Vec::new());
-    }
-    let mut h = roster.into_harness(engine);
-    h.run_for_secs(RUN_SECS);
-    let to = RUN_SECS as f64;
-    let goodputs = (
-        h.result().mean_goodput_api(checkout, MEASURE_FROM, to),
-        h.result().mean_goodput_api(browse, MEASURE_FROM, to),
-    );
-    let shed = h.engine.api_totals(browse).rejected_shed;
-    (goodputs, shed, h.journal().snapshot())
+    r.journal(co.result.journal);
+    r
 }
 
 /// TopFull+DAGOR hybrid vs each stage alone on the mixed-priority
 /// surge: the hybrid must hold checkout at its offered 50 rps.
-fn run_hybrid() {
+pub fn hybrid() -> Report {
     let mut r = Report::new(
         "admission_hybrid",
         "Mixed-priority surge: TopFull+DAGOR hybrid vs either stage alone",
     );
-    let ((tf_co, tf_br), _, _) = mixed_arm(None, Roster::TopFullMimd, 7);
-    let ((dg_co, dg_br), dg_shed, _) = mixed_arm(Some(priority_front()), Roster::None, 7);
-    let ((hy_co, hy_br), hy_shed, journal) =
-        mixed_arm(Some(priority_front()), Roster::TopFullMimd, 7);
+    let (plain, checkout, browse) = mixed_recipe(7);
+    let gated = behind(plain.clone(), priority_front(), Vec::new());
+    let arms = [
+        ("topfull-only", Roster::TopFullMimd, plain),
+        ("dagor-only", Roster::None, gated.clone()),
+        ("topfull+dagor", Roster::TopFullMimd, gated),
+    ];
+    let mut runs = exec::run_arms(arms, RUN_SECS);
+    // Per arm: steady (checkout, browse) goodputs and browse's
+    // priority-shed count.
+    let row = |o: &exec::ArmOutcome| {
+        vec![
+            o.label.clone(),
+            f1(Of::Api(checkout).mean(&o.result, WINDOW)),
+            f1(Of::Api(browse).mean(&o.result, WINDOW)),
+            o.api_totals[browse.idx()].rejected_shed.to_string(),
+        ]
+    };
     r.table(
         "steady-state goodput (rps); checkout offered 50, browse surged to 900",
         &["arm", "checkout", "browse", "browse priority-sheds"],
-        vec![
-            vec!["topfull-only".into(), f1(tf_co), f1(tf_br), "0".into()],
-            vec![
-                "dagor-only".into(),
-                f1(dg_co),
-                f1(dg_br),
-                dg_shed.to_string(),
-            ],
-            vec![
-                "topfull+dagor".into(),
-                f1(hy_co),
-                f1(hy_br),
-                hy_shed.to_string(),
-            ],
-        ],
+        runs.iter().map(row).collect(),
     );
+    let held = |l| Of::Api(checkout).mean(&exec::arm(&runs, l).result, WINDOW);
     r.compare(
         "hybrid / topfull-only checkout goodput",
         ">=1x",
-        ratio(hy_co, tf_co),
+        ratio(held("topfull+dagor"), held("topfull-only")),
         "",
     );
+    let journal = runs.pop().expect("three arms").result.journal;
     let moves = journal
         .iter()
         .filter(|e| matches!(e, obs::JournalEntry::PriorityThreshold { .. }))
@@ -223,10 +197,5 @@ fn run_hybrid() {
          (render with `topfull explain artifacts/results/admission_hybrid.json`)"
     ));
     r.journal(journal);
-    r.finish();
-}
-
-pub fn run() {
-    run_coalesce();
-    run_hybrid();
+    r
 }

@@ -10,12 +10,13 @@
 //! the faults clear; the *unhardened* stack — the paper-faithful loop —
 //! is the baseline showing what the robustness layer buys.
 
+use crate::exec::{self, ArmOutcome, Of};
 use crate::report::{f1, ratio, Report};
-use crate::scenarios::engine_config;
+use crate::scenarios::{Recipe, Roster};
 use apps::OnlineBoutique;
-use cluster::{Engine, FaultSpec, Harness, OpenLoopWorkload, RateSchedule, WatchdogConfig};
+use cluster::{FaultSpec, RateSchedule};
 use simnet::{SimDuration, SimTime};
-use topfull::{TopFull, TopFullConfig};
+use topfull::TopFullConfig;
 
 const RUN_SECS: u64 = 240;
 /// Faults are active inside [40, 130); measurement windows around them.
@@ -24,7 +25,7 @@ const DURING_FAULT: (f64, f64) = (45.0, 130.0);
 const POST_FAULT: (f64, f64) = (200.0, 240.0);
 
 /// The chaos schedule: overlapping gray failures (see module docs).
-pub fn fault_schedule(ob: &OnlineBoutique) -> Vec<FaultSpec> {
+fn fault_schedule(ob: &OnlineBoutique) -> Vec<FaultSpec> {
     vec![
         FaultSpec::SlowPods {
             from: SimTime::from_secs(40),
@@ -56,7 +57,7 @@ pub fn fault_schedule(ob: &OnlineBoutique) -> Vec<FaultSpec> {
 
 /// Steady workload kept just under the boutique's crash-loop line so the
 /// faults — not the baseline — create the overload.
-fn engine(seed: u64) -> (OnlineBoutique, Engine) {
+pub fn recipe(seed: u64) -> Recipe {
     let ob = OnlineBoutique::build();
     let rates = vec![
         (
@@ -69,100 +70,66 @@ fn engine(seed: u64) -> (OnlineBoutique, Engine) {
         (ob.getcart, RateSchedule::constant(100.0)),
         (ob.postcheckout, RateSchedule::constant(60.0)),
     ];
-    let w = OpenLoopWorkload::new(rates);
-    let mut engine = Engine::new(ob.topology.clone(), engine_config(seed), Box::new(w));
-    engine.inject_faults(fault_schedule(&ob));
-    (ob, engine)
+    let faults = fault_schedule(&ob);
+    Recipe::open_loop(&ob.topology, rates, seed)
+        .then(move |engine| engine.inject_faults(faults.clone()))
 }
 
-/// (pre, during, post) goodput plus the timeline and watchdog stats.
-struct ChaosOutcome {
-    pre: f64,
-    during: f64,
-    post: f64,
-    series: Vec<(f64, f64)>,
-    stalled: u64,
-    frozen: u64,
-    decayed: u64,
-    journal: Vec<obs::JournalEntry>,
-}
-
-fn run_one(hardened: bool, seed: u64) -> ChaosOutcome {
-    let (_, eng) = engine(seed);
-    let mut cfg = TopFullConfig::default().with_mimd();
-    if hardened {
-        cfg = cfg.hardened().with_rate_bounds(1.0, 10_000.0);
-    }
-    let tf = Box::new(TopFull::new(cfg));
-    let mut h = if hardened {
-        Harness::with_watchdog(eng, tf, WatchdogConfig::default())
-    } else {
-        Harness::new(eng, tf)
-    };
-    h.run_for_secs(RUN_SECS);
-    let stats = h.watchdog_stats();
-    let r = h.result();
-    ChaosOutcome {
-        pre: r.mean_total_goodput(PRE_FAULT.0, PRE_FAULT.1),
-        during: r.mean_total_goodput(DURING_FAULT.0, DURING_FAULT.1),
-        post: r.mean_total_goodput(POST_FAULT.0, POST_FAULT.1),
-        series: r.total_goodput_series(),
-        stalled: stats.stalled_ticks,
-        frozen: stats.frozen_ticks,
-        decayed: stats.decayed_ticks,
-        journal: h.journal().snapshot(),
-    }
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "chaos",
         "Gray-failure chaos: hardened vs unhardened control loop",
     );
-    let mut runs = crate::runner::run_over(vec![false, true], |hardened| run_one(hardened, 11));
+    // The paper-faithful loop against the safe-fallback rate controller
+    // under the harness watchdog.
+    let mimd = TopFullConfig::default().with_mimd();
+    let hardened = mimd.clone().hardened().with_rate_bounds(1.0, 10_000.0);
+    let recipe = recipe(11);
+    let arms = [
+        ("unhardened", Roster::Config(mimd), recipe.clone()),
+        ("hardened", Roster::Watchdog(hardened), recipe),
+    ];
+    let mut runs = exec::run_arms(arms, RUN_SECS);
     let hard = runs.pop().expect("two runs");
     let plain = runs.pop().expect("two runs");
-    r.series("unhardened", plain.series);
-    r.series("hardened", hard.series);
+    let mean = |o: &ArmOutcome, window| Of::Total.mean(&o.result, window);
+    let during = |o| mean(o, DURING_FAULT);
+    let recovery = |o| mean(o, POST_FAULT) / mean(o, PRE_FAULT).max(1e-9);
+    r.series("unhardened", Of::Total.series(&plain.result));
+    r.series("hardened", Of::Total.series(&hard.result));
+    let row = |stack: &str, o| {
+        vec![
+            stack.to_string(),
+            f1(mean(o, PRE_FAULT)),
+            f1(mean(o, DURING_FAULT)),
+            f1(mean(o, POST_FAULT)),
+            f1(recovery(o)),
+        ]
+    };
     r.table(
         "total goodput (rps) around the fault window",
         &["stack", "pre-fault", "during", "post-fault", "post/pre"],
-        vec![
-            vec![
-                "unhardened".into(),
-                f1(plain.pre),
-                f1(plain.during),
-                f1(plain.post),
-                f1(plain.post / plain.pre.max(1e-9)),
-            ],
-            vec![
-                "hardened".into(),
-                f1(hard.pre),
-                f1(hard.during),
-                f1(hard.post),
-                f1(hard.post / hard.pre.max(1e-9)),
-            ],
-        ],
+        vec![row("unhardened", &plain), row("hardened", &hard)],
     );
     r.table(
         "hardened watchdog activity (control ticks)",
         &["stalled", "frozen", "decayed"],
         vec![vec![
-            hard.stalled.to_string(),
-            hard.frozen.to_string(),
-            hard.decayed.to_string(),
+            hard.watchdog.stalled_ticks.to_string(),
+            hard.watchdog.frozen_ticks.to_string(),
+            hard.watchdog.decayed_ticks.to_string(),
         ]],
     );
     r.compare(
         "hardened post-fault recovery",
         "≥0.9 of pre-fault",
-        f1(hard.post / hard.pre.max(1e-9)),
+        f1(recovery(&hard)),
         "",
     );
     r.compare(
         "unhardened post-fault recovery",
         "reported",
-        f1(plain.post / plain.pre.max(1e-9)),
+        f1(recovery(&plain)),
         "",
     );
     r.note(format!(
@@ -170,13 +137,13 @@ pub fn run() {
          watchdog freezes then decays limits while telemetry is dark, \
          trading fault-window throughput for finite bounded limits, a \
          stall-proof loop, and a ramped re-entry",
-        f1(hard.during),
-        f1(plain.during),
-        ratio(hard.during, plain.during),
+        f1(during(&hard)),
+        f1(during(&plain)),
+        ratio(during(&hard), during(&plain)),
     ));
     // The hardened arm's decision journal: every detector transition,
     // re-clustering, rate action, fallback strike and watchdog event —
     // `topfull explain artifacts/results/chaos.json` renders it.
-    r.journal(hard.journal);
-    r.finish();
+    r.journal(hard.result.journal);
+    r
 }

@@ -7,110 +7,89 @@
 //! business priorities here ("we regarded all APIs as having the same
 //! business priority"), so every controller runs with uniform priorities.
 
+use crate::exec::{Figure, Of, Ratio};
 use crate::models;
-use crate::report::{f1, ratio, Report};
-use crate::scenarios::Roster;
+use crate::report::Report;
+use crate::scenarios::{boutique_users, Recipe, Roster};
 use apps::OnlineBoutique;
-use cluster::types::BusinessPriority;
-use cluster::{ClosedLoopWorkload, Engine};
-use simnet::SimDuration;
+use cluster::RateSchedule;
+use rl::policy::PolicyValue;
 
 pub const USERS: u32 = 2600;
-const RUN_SECS: u64 = 120;
-const MEASURE_FROM: f64 = 30.0;
+pub const RUN_SECS: u64 = 120;
+pub const MEASURE_FROM: f64 = 30.0;
 
-/// Build the Fig. 8 engine: uniform priorities, closed-loop users.
-pub fn engine(users: u32, seed: u64) -> (OnlineBoutique, Engine) {
-    let mut ob = OnlineBoutique::build();
-    for api in ob.apis() {
-        ob.topology.api_mut(api).business = BusinessPriority(0);
+/// `users` closed-loop users at uniform business priorities.
+pub fn recipe(users: u32, seed: u64) -> Recipe {
+    boutique_users(RateSchedule::constant(f64::from(users)), seed).uniform_priorities()
+}
+
+/// Fig. 8 as values; `policy` drives the TopFull arm.
+pub fn figure(policy: PolicyValue) -> Figure {
+    let ob = OnlineBoutique::build();
+    Figure {
+        recipe: recipe(USERS, 42),
+        arms: vec![
+            ("no-control", Roster::None),
+            ("breakwater", Roster::Breakwater),
+            ("wisp", Roster::Wisp),
+            ("dagor", Roster::Dagor { alpha: 0.05 }),
+            ("topfull", Roster::TopFull(policy)),
+        ],
+        secs: RUN_SECS,
+        window: (MEASURE_FROM, RUN_SECS as f64),
+        table: (
+            "avg goodput (rps) per API and total",
+            "controller",
+            vec![
+                ("api1 postcheckout", Of::Api(ob.postcheckout)),
+                ("api2 getproduct", Of::Api(ob.getproduct)),
+                ("api3 getcart", Of::Api(ob.getcart)),
+                ("api4 postcart", Of::Api(ob.postcart)),
+                ("api5 emptycart", Of::Api(ob.emptycart)),
+                ("total", Of::Total),
+            ],
+        ),
+        extra: vec![],
+        ratios: vec![
+            Ratio {
+                label: "TopFull / DAGOR total goodput",
+                paper: "1.82x",
+                num: "topfull",
+                den: "dagor",
+                of: Of::Total,
+            },
+            Ratio {
+                label: "TopFull / Breakwater total goodput",
+                paper: "2.26x",
+                num: "topfull",
+                den: "breakwater",
+                of: Of::Total,
+            },
+            Ratio {
+                label: "TopFull / no-control total goodput",
+                paper: ">1x",
+                num: "topfull",
+                den: "no-control",
+                of: Of::Total,
+            },
+            Ratio {
+                label: "TopFull / WISP total goodput (extension; WISP not in paper eval)",
+                paper: ">1x expected (§7 analysis)",
+                num: "topfull",
+                den: "wisp",
+                of: Of::Total,
+            },
+        ],
+        timelines: vec![],
     }
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    let w = ClosedLoopWorkload::fixed(weights, users, SimDuration::from_secs(1));
-    let engine = Engine::new(
-        ob.topology.clone(),
-        crate::scenarios::engine_config(seed),
-        Box::new(w),
-    );
-    (ob, engine)
 }
 
-/// Run one roster entry; returns (per-API mean goodput, total).
-pub fn run_one(roster: Roster, users: u32, seed: u64) -> (Vec<f64>, f64) {
-    let (ob, eng) = engine(users, seed);
-    let mut h = roster.into_harness(eng);
-    h.run_for_secs(RUN_SECS);
-    let r = h.result();
-    let per_api: Vec<f64> = ob
-        .apis()
-        .iter()
-        .map(|a| r.mean_goodput_api(*a, MEASURE_FROM, RUN_SECS as f64))
-        .collect();
-    let total = r.mean_total_goodput(MEASURE_FROM, RUN_SECS as f64);
-    (per_api, total)
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "fig08",
         "Goodput under overload (Online Boutique, 2600 users)",
     );
-    let policy = models::policy_for("online-boutique");
-    let rosters = vec![
-        Roster::None,
-        Roster::Breakwater,
-        Roster::Wisp,
-        Roster::Dagor { alpha: 0.05 },
-        Roster::TopFull(policy),
-    ];
-    let mut rows = Vec::new();
-    let mut totals = std::collections::HashMap::new();
-    for roster in rosters {
-        let label = roster.label();
-        let (per_api, total) = run_one(roster, USERS, 42);
-        totals.insert(label, total);
-        let mut row = vec![label.to_string()];
-        row.extend(per_api.iter().map(|g| f1(*g)));
-        row.push(f1(total));
-        rows.push(row);
-    }
-    r.table(
-        "avg goodput (rps) per API and total",
-        &[
-            "controller",
-            "api1 postcheckout",
-            "api2 getproduct",
-            "api3 getcart",
-            "api4 postcart",
-            "api5 emptycart",
-            "total",
-        ],
-        rows,
-    );
-    let tf = totals["topfull"];
-    r.compare(
-        "TopFull / DAGOR total goodput",
-        "1.82x",
-        ratio(tf, totals["dagor"]),
-        "",
-    );
-    r.compare(
-        "TopFull / Breakwater total goodput",
-        "2.26x",
-        ratio(tf, totals["breakwater"]),
-        "",
-    );
-    r.compare(
-        "TopFull / no-control total goodput",
-        ">1x",
-        ratio(tf, totals["no-control"]),
-        "",
-    );
-    r.compare(
-        "TopFull / WISP total goodput (extension; WISP not in paper eval)",
-        ">1x expected (§7 analysis)",
-        ratio(tf, totals["wisp"]),
-        "",
-    );
-    r.finish();
+    figure(models::policy_for("online-boutique")).run(&mut r);
+    r
 }

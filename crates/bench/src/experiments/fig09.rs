@@ -6,6 +6,7 @@
 //! further performance degradation when user demands increase" — the
 //! multi-tier `(1-p)^k` effect analyzed in §6.1.
 
+use crate::exec;
 use crate::experiments::fig08;
 use crate::models;
 use crate::report::{f1, Report};
@@ -13,26 +14,30 @@ use crate::scenarios::Roster;
 use simnet::stats;
 
 const USER_SWEEP: [u32; 5] = [1500, 2000, 2600, 3200, 4000];
+const ARMS: [&str; 3] = ["breakwater", "dagor", "topfull"];
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new("fig09", "Goodput vs user demand (Online Boutique)");
     let policy = models::policy_for("online-boutique");
-    let mut rows = Vec::new();
-    let mut by_controller: std::collections::HashMap<&str, Vec<f64>> =
-        std::collections::HashMap::new();
-    for users in USER_SWEEP {
-        let rosters = vec![
+    let arms = USER_SWEEP.iter().flat_map(|&users| {
+        let rosters = [
             Roster::Breakwater,
             Roster::Dagor { alpha: 0.05 },
             Roster::TopFull(policy.clone()),
         ];
+        rosters.map(|roster| (roster.label(), roster, fig08::recipe(users, 42)))
+    });
+    let totals: Vec<f64> = exec::run_arms(arms, fig08::RUN_SECS)
+        .iter()
+        .map(|o| {
+            o.result
+                .mean_total_goodput(fig08::MEASURE_FROM, fig08::RUN_SECS as f64)
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for (users, per_arm) in USER_SWEEP.iter().zip(totals.chunks(ARMS.len())) {
         let mut row = vec![users.to_string()];
-        for roster in rosters {
-            let label = roster.label();
-            let (_, total) = fig08::run_one(roster, users, 42);
-            by_controller.entry(label).or_default().push(total);
-            row.push(f1(total));
-        }
+        row.extend(per_arm.iter().map(|t| f1(*t)));
         rows.push(row);
     }
     r.table(
@@ -42,17 +47,14 @@ pub fn run() {
     );
     // Consistency = relative spread across the sweep; the paper's claim
     // is that TopFull/DAGOR stay flat while Breakwater degrades.
-    for (label, totals) in [
-        ("breakwater", &by_controller["breakwater"]),
-        ("dagor", &by_controller["dagor"]),
-        ("topfull", &by_controller["topfull"]),
-    ] {
-        let spread = if stats::mean(totals) > 0.0 {
-            stats::std_dev(totals) / stats::mean(totals)
+    for (i, label) in ARMS.iter().enumerate() {
+        let totals: Vec<f64> = totals.iter().skip(i).step_by(ARMS.len()).copied().collect();
+        let spread = if stats::mean(&totals) > 0.0 {
+            stats::std_dev(&totals) / stats::mean(&totals)
         } else {
             0.0
         };
-        let paper = match label {
+        let paper = match *label {
             "breakwater" => "degrades with demand",
             _ => "consistent",
         };
@@ -63,11 +65,10 @@ pub fn run() {
             "",
         );
     }
-    let bw = &by_controller["breakwater"];
     r.note(format!(
         "breakwater goodput from {} to {} rps across the sweep (paper: decreasing)",
-        f1(bw[0]),
-        f1(*bw.last().expect("non-empty"))
+        f1(totals[0]),
+        f1(totals[totals.len() - ARMS.len()])
     ));
-    r.finish();
+    r
 }

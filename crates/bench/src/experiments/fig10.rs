@@ -11,105 +11,70 @@
 use crate::exec;
 use crate::models;
 use crate::report::{f1, Report};
-use crate::runner::RunPlan;
-use crate::scenarios::{alibaba_surged, Roster};
-use apps::{OnlineBoutique, TrainTicket};
-use cluster::{ClosedLoopWorkload, Engine, OpenLoopWorkload};
-use simnet::SimDuration;
+use crate::scenarios::{alibaba_open_loop, boutique_users, trainticket_constant, Roster};
+use cluster::RateSchedule;
 
 const RUN_SECS: u64 = 120;
 const MEASURE_FROM: f64 = 30.0;
 
-fn boutique_engine(seed: u64) -> Engine {
-    let ob = OnlineBoutique::build();
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    let w = ClosedLoopWorkload::fixed(weights, 2600, SimDuration::from_secs(1));
-    Engine::new(
-        ob.topology.clone(),
-        crate::scenarios::engine_config(seed),
-        Box::new(w),
-    )
-}
-
-fn trainticket_engine(seed: u64) -> Engine {
-    let tt = TrainTicket::build();
-    // Overload the six measured APIs.
-    let rates: Vec<(cluster::ApiId, f64)> = tt.apis().iter().map(|a| (*a, 1100.0)).collect();
-    let w = OpenLoopWorkload::constant(rates);
-    Engine::new(
-        tt.topology.clone(),
-        crate::scenarios::engine_config(seed),
-        Box::new(w),
-    )
-}
-
-fn alibaba_engine(seed: u64) -> Engine {
-    alibaba_surged(2.0, seed).1
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new("fig10", "Component-wise breakdown (3 applications)");
-    type AppRow = (&'static str, fn(u64) -> Engine, &'static str);
-    let apps: [AppRow; 3] = [
-        ("trace-demo", alibaba_engine, "base"),
-        ("train-ticket", trainticket_engine, "train-ticket"),
-        ("online-boutique", boutique_engine, "online-boutique"),
-    ];
-    // Paper-reported degradations for the comparison rows.
-    let paper_mimd = [
-        ("trace-demo", 11.1),
-        ("train-ticket", 18.4),
-        ("online-boutique", 34.4),
-    ];
-    let paper_noclu = [
-        ("trace-demo", 18.7),
-        ("train-ticket", 22.5),
-        ("online-boutique", 2.6),
+    // (app, its overload recipe, policy key, paper's loss with MIMD,
+    // paper's loss without clustering). Train Ticket overloads its six
+    // measured APIs; the boutique runs Fig. 8's 2600 users.
+    let apps = [
+        (
+            "trace-demo",
+            alibaba_open_loop(2.0, 1010).1,
+            "base",
+            11.1,
+            18.7,
+        ),
+        (
+            "train-ticket",
+            trainticket_constant(1100.0, 1010),
+            "train-ticket",
+            18.4,
+            22.5,
+        ),
+        (
+            "online-boutique",
+            boutique_users(RateSchedule::constant(2600.0), 1010),
+            "online-boutique",
+            34.4,
+            2.6,
+        ),
     ];
     // Train/fetch each app's policy before the fan-out, then submit all
     // app × variant runs through one plan.
-    let mut plan = RunPlan::new();
-    for (_, mk, policy_key) in apps {
+    let mut arms = Vec::new();
+    for (_, recipe, policy_key, _, _) in &apps {
         let policy = models::policy_for(policy_key);
-        let variants = vec![
+        for v in [
             Roster::None,
             Roster::Dagor { alpha: 0.05 },
             Roster::TopFullMimd,
             Roster::TopFullNoCluster(policy.clone()),
             Roster::TopFull(policy),
-        ];
-        for v in variants {
-            let label = v.label();
-            plan.submit(move || {
-                let o = exec::run_arm(label, v, mk(1010), RUN_SECS);
-                (
-                    label,
-                    o.result.mean_total_goodput(MEASURE_FROM, RUN_SECS as f64),
-                    o.result.journal,
-                )
-            });
+        ] {
+            arms.push((v.label(), v, recipe.clone()));
         }
     }
-    let mut measured = plan.run();
+    let mut runs = exec::run_arms(arms, RUN_SECS);
     let mut rows = Vec::new();
-    let mut journal = Vec::new();
-    for (chunk, (app, _, _)) in measured.chunks_mut(5).zip(apps) {
-        let by: std::collections::HashMap<&str, f64> =
-            chunk.iter().map(|(l, g, _)| (*l, *g)).collect();
-        // Keep the trace-demo MIMD arm's decision journal as the
-        // artifact's explainable example (`topfull explain …/fig10.json`).
-        if app == "trace-demo" {
-            if let Some((_, _, j)) = chunk.iter_mut().find(|(l, _, _)| *l == "topfull-mimd") {
-                journal = std::mem::take(j);
-            }
-        }
-        let tf = by["topfull"];
+    for (chunk, (app, _, _, p_m, p_c)) in runs.chunks_mut(5).zip(apps) {
+        let by = |l: &str| {
+            exec::arm(chunk, l)
+                .result
+                .mean_total_goodput(MEASURE_FROM, RUN_SECS as f64)
+        };
+        let tf = by("topfull");
         rows.push(vec![
             app.to_string(),
-            f1(by["no-control"]),
-            f1(by["dagor"]),
-            f1(by["topfull-mimd"]),
-            f1(by["topfull-no-cluster"]),
+            f1(by("no-control")),
+            f1(by("dagor")),
+            f1(by("topfull-mimd")),
+            f1(by("topfull-no-cluster")),
             f1(tf),
         ]);
         let deg = |x: f64| {
@@ -119,24 +84,24 @@ pub fn run() {
                 "n/a".to_string()
             }
         };
-        let p_m = paper_mimd.iter().find(|(a, _)| *a == app).expect("known").1;
-        let p_c = paper_noclu
-            .iter()
-            .find(|(a, _)| *a == app)
-            .expect("known")
-            .1;
         r.compare(
             format!("{app}: goodput loss with MIMD instead of RL"),
             format!("{p_m}%"),
-            deg(by["topfull-mimd"]),
+            deg(by("topfull-mimd")),
             "",
         );
         r.compare(
             format!("{app}: goodput loss without clustering"),
             format!("{p_c}%"),
-            deg(by["topfull-no-cluster"]),
+            deg(by("topfull-no-cluster")),
             "",
         );
+        // Keep the trace-demo MIMD arm's decision journal as the
+        // artifact's explainable example (`topfull explain …/fig10.json`).
+        if app == "trace-demo" {
+            let mimd = chunk.iter_mut().find(|o| o.label == "topfull-mimd");
+            r.journal(std::mem::take(&mut mimd.expect("ran").result.journal));
+        }
     }
     r.table(
         "avg total goodput (rps)",
@@ -150,6 +115,5 @@ pub fn run() {
         ],
         rows,
     );
-    r.journal(journal);
-    r.finish();
+    r
 }

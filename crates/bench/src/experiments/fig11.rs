@@ -7,95 +7,73 @@
 //! 1.58x more requests for API 1 …, 7.55x more for API 2 …, \[and\] 22.45x
 //! more [for API 4]."
 
+use crate::exec::{arm, Figure, Of};
 use crate::models;
-use crate::report::{f1, ratio, Report};
-use crate::scenarios::{boutique_open_loop, Roster};
+use crate::report::{ratio, Report};
+use crate::scenarios::{Recipe, Roster};
+use apps::OnlineBoutique;
 use cluster::RateSchedule;
 
 const RUN_SECS: u64 = 120;
 const MEASURE_FROM: f64 = 40.0;
 
-/// Overload APIs 1–4 simultaneously with explicit business priorities
-/// API1 > API2 > API3 > API4 (the paper assigns them for this
-/// experiment). Returns per-API mean goodput.
-fn run_one(roster: Roster, seed: u64) -> [f64; 4] {
-    let (mut ob, _) = boutique_open_loop(|_| vec![], seed);
-    for (i, api) in [ob.postcheckout, ob.getproduct, ob.getcart, ob.postcart]
-        .into_iter()
-        .enumerate()
-    {
-        ob.topology.api_mut(api).business = cluster::types::BusinessPriority(i as u8);
-    }
-    let engine = {
-        let rates = vec![
-            (ob.postcheckout, RateSchedule::constant(900.0)),
-            (ob.getproduct, RateSchedule::constant(700.0)),
-            (ob.getcart, RateSchedule::constant(700.0)),
-            (ob.postcart, RateSchedule::constant(700.0)),
-        ];
-        cluster::Engine::new(
-            ob.topology.clone(),
-            crate::scenarios::engine_config(seed),
-            Box::new(cluster::OpenLoopWorkload::new(rates)),
-        )
-    };
-    let apis = [ob.postcheckout, ob.getproduct, ob.getcart, ob.postcart];
-    let mut h = roster.into_harness(engine);
-    h.run_for_secs(RUN_SECS);
-    let r = h.result();
-    apis.map(|a| r.mean_goodput_api(a, MEASURE_FROM, RUN_SECS as f64))
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "fig11",
         "Per-API goodput with business priorities (DAGOR vs TopFull)",
     );
     let policy = models::policy_for("online-boutique");
-    let mut runs = crate::runner::run_over(
-        vec![Roster::Dagor { alpha: 0.05 }, Roster::TopFull(policy)],
-        |roster| run_one(roster, 11),
-    );
-    let tf = runs.pop().expect("two runs");
-    let dagor = runs.pop().expect("two runs");
-    r.table(
-        "avg goodput (rps); API1 highest priority",
-        &["controller", "api1", "api2", "api3", "api4"],
-        vec![
-            vec![
-                "dagor".into(),
-                f1(dagor[0]),
-                f1(dagor[1]),
-                f1(dagor[2]),
-                f1(dagor[3]),
-            ],
-            vec!["topfull".into(), f1(tf[0]), f1(tf[1]), f1(tf[2]), f1(tf[3])],
+    let ob = OnlineBoutique::build();
+    // Overload APIs 1–4 simultaneously with explicit business
+    // priorities API1 > API2 > API3 > API4 (the paper assigns them for
+    // this experiment).
+    let ranked = [ob.postcheckout, ob.getproduct, ob.getcart, ob.postcart];
+    let rates = [900.0, 700.0, 700.0, 700.0].map(RateSchedule::constant);
+    let offered = ranked.into_iter().zip(rates).collect();
+    let api = |i: usize| Of::Api(ranked[i]);
+    let window = (MEASURE_FROM, RUN_SECS as f64);
+    let runs = Figure {
+        recipe: Recipe::open_loop(&ob.topology, offered, 11).priorities(&ranked),
+        arms: vec![
+            ("dagor", Roster::Dagor { alpha: 0.05 }),
+            ("topfull", Roster::TopFull(policy)),
         ],
-    );
-    let avg_tf: f64 = tf.iter().sum::<f64>() / 4.0;
-    let avg_dg: f64 = dagor.iter().sum::<f64>() / 4.0;
+        secs: RUN_SECS,
+        window,
+        table: (
+            "avg goodput (rps); API1 highest priority",
+            "controller",
+            vec![
+                ("api1", api(0)),
+                ("api2", api(1)),
+                ("api3", api(2)),
+                ("api4", api(3)),
+            ],
+        ),
+        extra: vec![],
+        ratios: vec![],
+        timelines: vec![],
+    }
+    .run(&mut r);
+    let means = |l| ranked.map(|a| Of::Api(a).mean(&arm(&runs, l).result, window));
+    let (tf, dagor) = (means("topfull"), means("dagor"));
+    let avg = |m: [f64; 4]| m.iter().sum::<f64>() / 4.0;
     r.compare(
         "TopFull / DAGOR average goodput",
         "2.60x",
-        ratio(avg_tf, avg_dg),
+        ratio(avg(tf), avg(dagor)),
         "",
     );
-    r.compare(
-        "API 1 (highest priority)",
-        "1.58x",
-        ratio(tf[0], dagor[0]),
-        "",
-    );
-    r.compare("API 2", "7.55x", ratio(tf[1], dagor[1]), "");
-    r.compare(
-        "API 4 (lowest priority)",
-        "22.45x",
-        ratio(tf[3], dagor[3]),
-        "",
-    );
+    for (label, paper, i) in [
+        ("API 1 (highest priority)", "1.58x", 0),
+        ("API 2", "7.55x", 1),
+        ("API 4 (lowest priority)", "22.45x", 3),
+    ] {
+        r.compare(label, paper, ratio(tf[i], dagor[i]), "");
+    }
     r.note(
         "shape to hold: DAGOR starves low-priority APIs almost completely; \
          TopFull keeps them alive while preserving high-priority goodput",
     );
-    r.finish();
+    r
 }

@@ -8,60 +8,66 @@
 //! microservice, API 1 is rate-limited. In response, TopFull re-increases
 //! the rate-limit of API 2 to fully utilize the Product microservice."
 
+use crate::exec::{arm, Figure, Of};
 use crate::experiments::fig04;
 use crate::models;
 use crate::report::{f1, Report};
 use crate::scenarios::Roster;
-use simnet::stats;
+use apps::OnlineBoutique;
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "fig12",
         "Goodput timeline of API 1 (Post Checkout) and API 2 (Get Product)",
     );
     let policy = models::policy_for("online-boutique");
-    // The same overload scenario as Fig. 4 — both APIs share
-    // Recommendation and ProductCatalog, Post Checkout additionally owns
-    // Checkout.
-    let ((gp_d, pc_d), gp_series_d, pc_series_d) =
-        fig04::run_one(Roster::Dagor { alpha: 0.05 }, 12, true);
-    let ((gp_t, pc_t), gp_series_t, pc_series_t) =
-        fig04::run_one(Roster::TopFull(policy), 12, true);
-    r.series("topfull api1 postcheckout", pc_series_t.clone());
-    r.series("topfull api2 getproduct", gp_series_t.clone());
-    r.series("dagor api1 postcheckout", pc_series_d);
-    r.series("dagor api2 getproduct", gp_series_d);
-    r.table(
-        "avg goodput (rps)",
-        &["controller", "api1 postcheckout", "api2 getproduct"],
-        vec![
-            vec!["dagor".into(), f1(pc_d), f1(gp_d)],
-            vec!["topfull".into(), f1(pc_t), f1(gp_t)],
+    let ob = OnlineBoutique::build();
+    let (gp, pc) = (Of::Api(ob.getproduct), Of::Api(ob.postcheckout));
+    let runs = Figure {
+        // The same overload scenario as Fig. 4 — both APIs share
+        // Recommendation and ProductCatalog, Post Checkout additionally
+        // owns Checkout — with API 1 ranked above API 2.
+        recipe: fig04::recipe(&ob, 12).priorities(&[ob.postcheckout, ob.getproduct]),
+        arms: vec![
+            ("dagor", Roster::Dagor { alpha: 0.05 }),
+            ("topfull", Roster::TopFull(policy)),
         ],
-    );
+        secs: fig04::RUN_SECS,
+        window: (fig04::MEASURE_FROM, fig04::RUN_SECS as f64),
+        table: (
+            "avg goodput (rps)",
+            "controller",
+            vec![("api1 postcheckout", pc), ("api2 getproduct", gp)],
+        ),
+        extra: vec![],
+        ratios: vec![],
+        timelines: vec![
+            ("topfull api1 postcheckout", "topfull", pc),
+            ("topfull api2 getproduct", "topfull", gp),
+            ("dagor api1 postcheckout", "dagor", pc),
+            ("dagor api2 getproduct", "dagor", gp),
+        ],
+    }
+    .run(&mut r);
     // The paper's qualitative claim: under TopFull, API 2 recovers while
-    // API 1 is held by the Checkout bottleneck — both stay non-zero.
-    let late_gp: Vec<f64> = gp_series_t
-        .iter()
-        .filter(|(t, _)| *t > 60.0)
-        .map(|(_, v)| *v)
-        .collect();
-    let late_pc: Vec<f64> = pc_series_t
-        .iter()
-        .filter(|(t, _)| *t > 60.0)
-        .map(|(_, v)| *v)
-        .collect();
+    // API 1 is held by the Checkout bottleneck — both stay non-zero
+    // late in the run (every sample after t = 60 s).
+    let late = |of: Of| {
+        let series = of.series(&arm(&runs, "topfull").result);
+        let after = series.iter().filter(|(t, _)| *t > 60.0);
+        simnet::stats::mean(&after.map(|(_, v)| *v).collect::<Vec<f64>>())
+    };
     r.compare(
         "TopFull late-run Get Product goodput",
         "recovers (nonzero)",
-        f1(stats::mean(&late_gp)),
+        f1(late(gp)),
         "rps",
     );
     r.compare(
         "TopFull late-run Post Checkout goodput",
         "held at Checkout capacity",
-        f1(stats::mean(&late_pc)),
+        f1(late(pc)),
         "rps",
     );
-    r.finish();
+    r
 }

@@ -7,9 +7,11 @@
 //! comparison of the convergence speed is provided in Table 2":
 //! DAGOR(0.05) = 27 s, DAGOR(0.1) = 19 s, DAGOR(0.5) = ∞, TopFull = 5 s.
 
+use crate::exec;
 use crate::models;
 use crate::report::Report;
-use crate::scenarios::{boutique_open_loop, Roster};
+use crate::scenarios::{Recipe, Roster};
+use apps::OnlineBoutique;
 use cluster::RateSchedule;
 use simnet::stats;
 use simnet::SimTime;
@@ -47,44 +49,33 @@ fn convergence_secs(series: &[(f64, f64)]) -> Option<f64> {
     None
 }
 
-fn run_one(roster: Roster, seed: u64) -> Vec<(f64, f64)> {
-    // Post Checkout only: 120 rps baseline stepping to 1000 rps — far
-    // past the checkout service's ≈400 rps capacity.
-    let (ob, engine) = boutique_open_loop(
-        |ob| {
-            vec![(
-                ob.postcheckout,
-                RateSchedule::steps(vec![
-                    (SimTime::ZERO, 120.0),
-                    (SimTime::from_secs(SURGE_AT), 1000.0),
-                ]),
-            )]
-        },
-        seed,
-    );
-    let api = ob.postcheckout;
-    let mut h = roster.into_harness(engine);
-    h.run_for_secs(RUN_SECS);
-    h.result().goodput_series(api)
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "fig13_table2",
         "Adaptation speed after overload (Fig. 13, Table 2)",
     );
     let policy = models::policy_for("online-boutique");
-    let cases: Vec<(&str, Roster, &str)> = vec![
+    let ob = OnlineBoutique::build();
+    // Post Checkout only: 120 rps baseline stepping to 1000 rps — far
+    // past the checkout service's ≈400 rps capacity.
+    let step = RateSchedule::steps(vec![
+        (SimTime::ZERO, 120.0),
+        (SimTime::from_secs(SURGE_AT), 1000.0),
+    ]);
+    let recipe = Recipe::open_loop(&ob.topology, vec![(ob.postcheckout, step)], 100);
+    let cases = [
         ("DAGOR (0.05)", Roster::Dagor { alpha: 0.05 }, "27 s"),
         ("DAGOR (0.1)", Roster::Dagor { alpha: 0.1 }, "19 s"),
         ("DAGOR (0.5)", Roster::Dagor { alpha: 0.5 }, "inf"),
         ("TopFull (RL)", Roster::TopFull(policy), "5 s"),
     ];
-    let runs = crate::runner::run_over(cases, |(label, roster, paper)| {
-        (label, paper, run_one(roster, 100))
-    });
+    let arms = cases
+        .clone()
+        .map(|(label, roster, _)| (label, roster, recipe.clone()));
+    let runs = exec::run_arms(arms, RUN_SECS);
     let mut measured = Vec::new();
-    for (label, paper, series) in runs {
+    for (o, (label, _, paper)) in runs.iter().zip(cases) {
+        let series = o.result.goodput_series(ob.postcheckout);
         let conv = convergence_secs(&series);
         let shown = conv.map_or("inf".to_string(), |c| format!("{c:.0} s"));
         r.compare(format!("convergence: {label}"), paper, &shown, "");
@@ -104,5 +95,5 @@ pub fn run() {
             d005 / tf.max(1.0)
         ));
     }
-    r.finish();
+    r
 }

@@ -7,118 +7,94 @@
 //! number of vCPUs. TopFull also serves 1.75x … compared to the
 //! TopFull(BW)."
 
+use crate::exec::{Figure, Of, Ratio};
 use crate::models;
-use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
+use crate::report::Report;
+use crate::scenarios::{Recipe, Roster};
 use apps::TrainTicket;
-use cluster::autoscaler::{HpaConfig, VmPoolConfig};
-use cluster::{Engine, OpenLoopWorkload, RateSchedule};
-use simnet::{SimDuration, SimTime};
+use cluster::{ApiId, RateSchedule};
+use rl::policy::PolicyValue;
+use simnet::SimTime;
 
-const RUN_SECS: u64 = 240;
-const SURGE_AT: u64 = 20;
-const SURGE_END: u64 = 200;
-pub const MEASURE_FROM: f64 = SURGE_AT as f64;
-pub const MEASURE_TO: f64 = SURGE_END as f64;
+pub const RUN_SECS: u64 = 240;
+pub const SURGE_AT: u64 = 20;
+pub const SURGE_END: u64 = 200;
+/// Means are taken over the surge.
+pub const WINDOW: (f64, f64) = (SURGE_AT as f64, SURGE_END as f64);
 
-/// Train Ticket engine with HPA and a 4× surge on all six APIs.
-pub fn engine(seed: u64) -> (TrainTicket, Engine) {
+/// Train Ticket with HPA and a surge on all six APIs.
+pub fn recipe(seed: u64) -> Recipe {
     let tt = TrainTicket::build();
-    let rates: Vec<(cluster::ApiId, RateSchedule)> = tt
-        .apis()
-        .iter()
-        .map(|a| {
-            (
-                *a,
-                RateSchedule::surge(
-                    120.0,
-                    1400.0,
-                    SimTime::from_secs(SURGE_AT),
-                    SimTime::from_secs(SURGE_END),
-                ),
-            )
-        })
-        .collect();
-    let w = OpenLoopWorkload::new(rates);
-    let mut cfg = engine_config(seed);
-    // Scheduling + image pull at scale: new pods take 30 s.
-    cfg.pod_startup = SimDuration::from_secs(30);
-    let mut engine = Engine::new(tt.topology.clone(), cfg, Box::new(w));
-    // A finite node pool: scaling beyond the two initial VMs waits for
+    let surge = RateSchedule::surge(
+        120.0,
+        1400.0,
+        SimTime::from_secs(SURGE_AT),
+        SimTime::from_secs(SURGE_END),
+    );
+    let rates = tt.apis().iter().map(|a| (*a, surge.clone())).collect();
+    // Scheduling + image pull at scale: new pods take 30 s. A finite
+    // node pool: scaling beyond the three initial VMs waits 40 s for
     // cluster-autoscaler provisioning (the timescale gap of §1).
-    engine.set_vm_pool(VmPoolConfig {
-        vcpus_per_vm: 48,
-        initial_vms: 3,
-        max_vms: 10,
-        vm_startup: SimDuration::from_secs(40),
-        vcpus_per_pod: 1.0,
-    });
-    engine.enable_hpa(HpaConfig::default());
-    (tt, engine)
+    Recipe::open_loop(&tt.topology, rates, seed)
+        .pod_startup(30)
+        .autoscaled(3, 40)
 }
 
-/// Returns per-API mean goodput during the surge and the total timeline.
-pub fn run_one(roster: Roster, seed: u64) -> (Vec<f64>, f64, Vec<(f64, f64)>) {
-    let (tt, eng) = engine(seed);
-    let mut h = roster.into_harness(eng);
-    h.run_for_secs(RUN_SECS);
-    let r = h.result();
-    let per_api: Vec<f64> = tt
-        .apis()
-        .iter()
-        .map(|a| r.mean_goodput_api(*a, MEASURE_FROM, MEASURE_TO))
+/// Figs. 14 and 15 as values: `recipe` under the autoscaler alone, with
+/// TopFull(BW) and with TopFull — goodput per API and in total over the
+/// surge, each arm's total timeline, and the two ratios the paper
+/// reports (`paper`: TopFull over the autoscaler, over TopFull(BW)).
+pub fn figure(
+    recipe: Recipe,
+    apis: &[ApiId],
+    policy: PolicyValue,
+    paper: [&'static str; 2],
+) -> Figure {
+    let names = ["api1", "api2", "api3", "api4", "api5", "api6"];
+    let mut columns: Vec<_> = names
+        .into_iter()
+        .zip(apis.iter().map(|a| Of::Api(*a)))
         .collect();
-    let total = r.mean_total_goodput(MEASURE_FROM, MEASURE_TO);
-    (per_api, total, r.total_goodput_series())
+    columns.push(("total", Of::Total));
+    let arms = vec![
+        ("autoscaler-solo", Roster::None),
+        ("topfull-bw", Roster::TopFullBw),
+        ("topfull", Roster::TopFull(policy)),
+    ];
+    Figure {
+        recipe,
+        timelines: arms.iter().map(|(l, _)| (*l, *l, Of::Total)).collect(),
+        arms,
+        secs: RUN_SECS,
+        window: WINDOW,
+        table: ("avg goodput (rps) during surge", "controller", columns),
+        extra: vec![],
+        ratios: vec![
+            Ratio {
+                label: "TopFull / autoscaler-solo",
+                paper: paper[0],
+                num: "topfull",
+                den: "autoscaler-solo",
+                of: Of::Total,
+            },
+            Ratio {
+                label: "TopFull / TopFull(BW)",
+                paper: paper[1],
+                num: "topfull",
+                den: "topfull-bw",
+                of: Of::Total,
+            },
+        ],
+    }
 }
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "fig14",
         "Train Ticket: performance under traffic surge (with HPA)",
     );
     let policy = models::policy_for("train-ticket");
-    let cases = vec![
-        ("autoscaler-solo", Roster::None),
-        ("topfull-bw", Roster::TopFullBw),
-        ("topfull", Roster::TopFull(policy)),
-    ];
-    let runs = crate::runner::run_over(cases, |(label, roster)| (label, run_one(roster, 14)));
-    let mut rows = Vec::new();
-    let mut totals = std::collections::HashMap::new();
-    for (label, (per_api, total, series)) in runs {
-        totals.insert(label, total);
-        let mut row = vec![label.to_string()];
-        row.extend(per_api.iter().map(|g| f1(*g)));
-        row.push(f1(total));
-        rows.push(row);
-        r.series(label, series);
-    }
-    r.table(
-        "avg goodput (rps) during surge",
-        &[
-            "controller",
-            "api1",
-            "api2",
-            "api3",
-            "api4",
-            "api5",
-            "api6",
-            "total",
-        ],
-        rows,
-    );
-    r.compare(
-        "TopFull / autoscaler-solo",
-        "1.38x",
-        ratio(totals["topfull"], totals["autoscaler-solo"]),
-        "",
-    );
-    r.compare(
-        "TopFull / TopFull(BW)",
-        "1.75x",
-        ratio(totals["topfull"], totals["topfull-bw"]),
-        "",
-    );
-    r.finish();
+    let apis = TrainTicket::build().apis();
+    figure(recipe(14), &apis, policy, ["1.38x", "1.75x"]).run(&mut r);
+    r
 }

@@ -9,121 +9,45 @@
 //! pods, they kept failing until enough pods are allocated at once."
 //! The crash-loop model reproduces that cascade.
 
+use crate::exec::arm;
+use crate::experiments::fig14::{self, SURGE_AT, SURGE_END};
 use crate::models;
-use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
+use crate::report::Report;
+use crate::scenarios::boutique_users;
 use apps::OnlineBoutique;
-use cluster::autoscaler::{HpaConfig, VmPoolConfig};
-use cluster::{ClosedLoopWorkload, Engine, RateSchedule};
-use simnet::{SimDuration, SimTime};
+use cluster::RateSchedule;
+use simnet::SimTime;
 
-const RUN_SECS: u64 = 240;
-const SURGE_AT: u64 = 20;
-const SURGE_END: u64 = 200;
-
-/// Online Boutique engine with HPA and a user surge that crash-loops
-/// Recommendation without overload control.
-pub fn engine(seed: u64) -> (OnlineBoutique, Engine) {
-    let ob = OnlineBoutique::build();
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
+pub fn run() -> Report {
+    let mut r = Report::new(
+        "fig15",
+        "Online Boutique: performance under traffic surge (with HPA)",
+    );
+    let policy = models::policy_for("online-boutique");
+    // Fig. 14's experiment on the boutique: a user surge that
+    // crash-loops Recommendation without overload control, under the
+    // HPA on one initial VM.
     let users = RateSchedule::surge(
         400.0,
         8000.0,
         SimTime::from_secs(SURGE_AT),
         SimTime::from_secs(SURGE_END),
     );
-    let w = ClosedLoopWorkload::new(weights, users, SimDuration::from_secs(1));
-    let mut cfg = engine_config(seed);
-    cfg.pod_startup = SimDuration::from_secs(30);
-    let mut engine = Engine::new(ob.topology.clone(), cfg, Box::new(w));
-    engine.set_vm_pool(VmPoolConfig {
-        vcpus_per_vm: 48,
-        initial_vms: 1,
-        max_vms: 10,
-        vm_startup: SimDuration::from_secs(40),
-        vcpus_per_pod: 1.0,
-    });
-    engine.enable_hpa(HpaConfig::default());
-    (ob, engine)
-}
-
-/// Returns per-API mean goodput during the surge, the total, the total
-/// timeline, and the number of pod crash events.
-pub fn run_one(roster: Roster, seed: u64) -> (Vec<f64>, f64, Vec<(f64, f64)>, u64) {
-    let (ob, eng) = engine(seed);
-    let mut h = roster.into_harness(eng);
-    h.run_for_secs(RUN_SECS);
-    let crashes = h.engine.crash_events;
-    let r = h.result();
-    let per_api: Vec<f64> = ob
-        .apis()
-        .iter()
-        .map(|a| r.mean_goodput_api(*a, SURGE_AT as f64, SURGE_END as f64))
-        .collect();
-    let total = r.mean_total_goodput(SURGE_AT as f64, SURGE_END as f64);
-    (per_api, total, r.total_goodput_series(), crashes)
-}
-
-pub fn run() {
-    let mut r = Report::new(
-        "fig15",
-        "Online Boutique: performance under traffic surge (with HPA)",
-    );
-    let policy = models::policy_for("online-boutique");
-    let cases = vec![
-        ("autoscaler-solo", Roster::None),
-        ("topfull-bw", Roster::TopFullBw),
-        ("topfull", Roster::TopFull(policy)),
-    ];
-    let runs = crate::runner::run_over(cases, |(label, roster)| (label, run_one(roster, 15)));
-    let mut rows = Vec::new();
-    let mut totals = std::collections::HashMap::new();
-    let mut crash_counts = std::collections::HashMap::new();
-    for (label, (per_api, total, series, crashes)) in runs {
-        totals.insert(label, total);
-        crash_counts.insert(label, crashes);
-        let mut row = vec![label.to_string()];
-        row.extend(per_api.iter().map(|g| f1(*g)));
-        row.push(f1(total));
-        rows.push(row);
-        r.series(label, series);
-    }
-    r.table(
-        "avg goodput (rps) during surge",
-        &[
-            "controller",
-            "api1",
-            "api2",
-            "api3",
-            "api4",
-            "api5",
-            "total",
-        ],
-        rows,
-    );
-    r.compare(
-        "TopFull / autoscaler-solo",
-        "3.91x",
-        ratio(totals["topfull"], totals["autoscaler-solo"]),
-        "",
-    );
-    r.compare(
-        "TopFull / TopFull(BW)",
-        "1.19x",
-        ratio(totals["topfull"], totals["topfull-bw"]),
-        "",
-    );
+    let recipe = boutique_users(users, 15).pod_startup(30).autoscaled(1, 40);
+    let apis = OnlineBoutique::build().apis();
+    let runs = fig14::figure(recipe, &apis, policy, ["3.91x", "1.19x"]).run(&mut r);
+    let crashes = |l| format!("{} crash events", arm(&runs, l).crash_events);
     r.compare(
         "Recommendation crash-loop without control",
         "pods kept failing",
-        format!("{} crash events", crash_counts["autoscaler-solo"]),
+        crashes("autoscaler-solo"),
         "",
     );
     r.compare(
         "crash events under TopFull",
         "none/minimal",
-        format!("{} crash events", crash_counts["topfull"]),
+        crashes("topfull"),
         "",
     );
-    r.finish();
+    r
 }

@@ -12,61 +12,36 @@
 //! One vCPU = one pod in the simulator, so "allocated vCPUs" is the
 //! total pod count pre-provisioned across the app's critical services.
 
+use crate::exec;
 use crate::models;
 use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
+use crate::scenarios::{boutique_users, Recipe, Roster};
 use apps::{OnlineBoutique, TrainTicket};
-use cluster::{ClosedLoopWorkload, Engine, OpenLoopWorkload, RateSchedule};
-use simnet::{SimDuration, SimTime};
+use cluster::RateSchedule;
+use rl::policy::PolicyValue;
+use simnet::SimTime;
 
 const RUN_SECS: u64 = 180;
 const SPIKE_AT: u64 = 20;
 const SPIKE_END: u64 = 140; // two-minute spike
+const SEED: u64 = 16;
 
-/// Train Ticket engine with `vcpus` pods split across its critical
-/// services (travel, ticketinfo, basic, station, seat).
-fn tt_engine(vcpus: u32, seed: u64) -> Engine {
-    let mut tt = TrainTicket::build();
-    let critical = [tt.travel, tt.ticketinfo, tt.basic, tt.station, tt.seat];
-    let share = (vcpus / critical.len() as u32).max(1);
-    let mut left = vcpus;
-    for (i, svc) in critical.iter().enumerate() {
-        let n = if i + 1 == critical.len() {
-            left.max(1)
-        } else {
-            share
-                .min(left.saturating_sub((critical.len() - 1 - i) as u32))
-                .max(1)
-        };
-        left = left.saturating_sub(n);
-        tt.topology.service_mut(*svc).replicas = n;
-    }
-    let rates: Vec<(cluster::ApiId, RateSchedule)> = tt
-        .apis()
-        .iter()
-        .map(|a| {
-            (
-                *a,
-                RateSchedule::surge(
-                    80.0,
-                    450.0,
-                    SimTime::from_secs(SPIKE_AT),
-                    SimTime::from_secs(SPIKE_END),
-                ),
-            )
-        })
-        .collect();
-    Engine::new(
-        tt.topology.clone(),
-        engine_config(seed),
-        Box::new(OpenLoopWorkload::new(rates)),
-    )
+fn spike(base: f64, peak: f64) -> RateSchedule {
+    let (from, until) = (SimTime::from_secs(SPIKE_AT), SimTime::from_secs(SPIKE_END));
+    RateSchedule::surge(base, peak, from, until)
 }
 
-/// Online Boutique engine with `vcpus` pods split across its critical
-/// services (recommendation, checkout, productcatalog, cart, frontend).
-fn ob_engine(vcpus: u32, seed: u64) -> Engine {
-    let mut ob = OnlineBoutique::build();
+/// Train Ticket with `vcpus` pods split across its critical services.
+pub fn tt_recipe(vcpus: u32) -> Recipe {
+    let tt = TrainTicket::build();
+    let critical = [tt.travel, tt.ticketinfo, tt.basic, tt.station, tt.seat];
+    let rates = tt.apis().iter().map(|a| (*a, spike(80.0, 450.0))).collect();
+    Recipe::open_loop(&tt.topology, rates, SEED).provisioned(&critical, vcpus)
+}
+
+/// Online Boutique with `vcpus` pods split across its critical services.
+pub fn ob_recipe(vcpus: u32) -> Recipe {
+    let ob = OnlineBoutique::build();
     let critical = [
         ob.recommendation,
         ob.checkout,
@@ -74,58 +49,25 @@ fn ob_engine(vcpus: u32, seed: u64) -> Engine {
         ob.cart,
         ob.frontend,
     ];
-    let share = (vcpus / critical.len() as u32).max(1);
-    let mut left = vcpus;
-    for (i, svc) in critical.iter().enumerate() {
-        let n = if i + 1 == critical.len() {
-            left.max(1)
-        } else {
-            share
-                .min(left.saturating_sub((critical.len() - 1 - i) as u32))
-                .max(1)
-        };
-        left = left.saturating_sub(n);
-        ob.topology.service_mut(*svc).replicas = n;
-    }
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    let users = RateSchedule::surge(
-        300.0,
-        3000.0,
-        SimTime::from_secs(SPIKE_AT),
-        SimTime::from_secs(SPIKE_END),
-    );
-    let w = ClosedLoopWorkload::new(weights, users, SimDuration::from_secs(1));
-    Engine::new(ob.topology.clone(), engine_config(seed), Box::new(w))
+    boutique_users(spike(300.0, 3000.0), SEED).provisioned(&critical, vcpus)
 }
 
-fn measure(roster: Roster, engine: Engine) -> f64 {
-    let mut h = roster.into_harness(engine);
-    h.run_for_secs(RUN_SECS);
-    h.result()
-        .mean_total_goodput(SPIKE_AT as f64, SPIKE_END as f64)
-}
-
-/// `(vcpu, without, with)` sweep rows for one app. Both arms of every
-/// allocation point run through the worker pool; the paired results are
-/// reassembled in vCPU order.
-fn sweep(
-    mk: impl Fn(u32, u64) -> Engine + Sync,
-    vcpus: &[u32],
-    policy: rl::policy::PolicyValue,
-    seed: u64,
-) -> Vec<(u32, f64, f64)> {
-    let mk = &mk;
-    let mut plan = crate::runner::RunPlan::new();
-    for &v in vcpus {
-        plan.submit(move || measure(Roster::None, mk(v, seed)));
-        let p = policy.clone();
-        plan.submit(move || measure(Roster::TopFull(p), mk(v, seed)));
-    }
-    let out = plan.run();
-    vcpus
-        .iter()
-        .zip(out.chunks(2))
-        .map(|(&v, pair)| (v, pair[0], pair[1]))
+/// `(vcpus, without, with)` goodput rows for one app. Both arms of
+/// every allocation point run through the worker pool; the paired
+/// results are reassembled in vCPU order.
+fn sweep(mk: fn(u32) -> Recipe, vcpus: &[u32], policy: PolicyValue) -> Vec<(u32, f64, f64)> {
+    let pair = |&v: &u32| {
+        [Roster::None, Roster::TopFull(policy.clone())]
+            .map(|roster| (roster.label(), roster, mk(v)))
+    };
+    let runs = exec::run_arms(vcpus.iter().flat_map(pair), RUN_SECS);
+    let goodput = |o: &exec::ArmOutcome| {
+        o.result
+            .mean_total_goodput(SPIKE_AT as f64, SPIKE_END as f64)
+    };
+    let pairs = vcpus.iter().zip(runs.chunks(2));
+    pairs
+        .map(|(&v, p)| (v, goodput(&p[0]), goodput(&p[1])))
         .collect()
 }
 
@@ -142,15 +84,15 @@ fn saving(rows: &[(u32, f64, f64)]) -> Option<f64> {
     None
 }
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "fig16",
         "Average goodput vs pre-allocated vCPUs under spikes",
     );
     let tt_policy = models::policy_for("train-ticket");
     let ob_policy = models::policy_for("online-boutique");
-    let tt_rows = sweep(tt_engine, &[5, 10, 15, 20, 30, 40], tt_policy, 16);
-    let ob_rows = sweep(ob_engine, &[10, 15, 25, 35, 50], ob_policy, 16);
+    let tt_rows = sweep(tt_recipe, &[5, 10, 15, 20, 30, 40], tt_policy);
+    let ob_rows = sweep(ob_recipe, &[10, 15, 25, 35, 50], ob_policy);
     for (name, rows) in [("train-ticket", &tt_rows), ("online-boutique", &ob_rows)] {
         r.table(
             &format!("{name}: goodput vs allocated vCPUs"),
@@ -176,21 +118,18 @@ pub fn run() {
         format!("{} (at {} vCPUs)", ratio(ob_low.2, ob_low.1), ob_low.0),
         "",
     );
-    if let Some(s) = saving(&tt_rows) {
-        r.compare(
-            "Train Ticket vCPU saving at equal goodput",
-            "up to 50%",
-            format!("{:.0}%", s * 100.0),
-            "",
-        );
+    for (app, rows, paper) in [
+        ("Train Ticket", &tt_rows, "up to 50%"),
+        ("Online Boutique", &ob_rows, "up to 57%"),
+    ] {
+        if let Some(s) = saving(rows) {
+            r.compare(
+                format!("{app} vCPU saving at equal goodput"),
+                paper,
+                format!("{:.0}%", s * 100.0),
+                "",
+            );
+        }
     }
-    if let Some(s) = saving(&ob_rows) {
-        r.compare(
-            "Online Boutique vCPU saving at equal goodput",
-            "up to 57%",
-            format!("{:.0}%", s * 100.0),
-            "",
-        );
-    }
-    r.finish();
+    r
 }

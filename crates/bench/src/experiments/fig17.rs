@@ -10,51 +10,55 @@
 //! during a traffic surge, which is a 1.13x higher value compared to the
 //! autoscaler standalone which serves 829 rps."
 
+use crate::exec::{Figure, Of, Ratio};
 use crate::experiments::fig14;
 use crate::models;
-use crate::report::{f1, ratio, Report};
+use crate::report::Report;
 use crate::scenarios::Roster;
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new("fig17", "RL models under traffic surge (Train Ticket)");
-    let cases = vec![
-        ("autoscaler-solo", Roster::None),
-        ("base-model", Roster::TopFull(models::base_model())),
-        ("transfer-ob", Roster::TopFull(models::transfer_ob())),
-        ("transfer-tt", Roster::TopFull(models::transfer_tt())),
-    ];
-    let runs = crate::runner::run_over(cases, |(label, roster)| {
-        let (_, total, _) = fig14::run_one(roster, 17);
-        (label, total)
-    });
-    let mut totals = std::collections::HashMap::new();
-    let mut rows = Vec::new();
-    for (label, total) in runs {
-        totals.insert(label, total);
-        rows.push(vec![label.to_string(), f1(total)]);
+    Figure {
+        recipe: fig14::recipe(17),
+        arms: vec![
+            ("autoscaler-solo", Roster::None),
+            ("base-model", Roster::TopFull(models::base_model())),
+            ("transfer-ob", Roster::TopFull(models::transfer_ob())),
+            ("transfer-tt", Roster::TopFull(models::transfer_tt())),
+        ],
+        secs: fig14::RUN_SECS,
+        window: fig14::WINDOW,
+        table: (
+            "avg goodput (rps) during surge",
+            "model",
+            vec![("goodput", Of::Total)],
+        ),
+        extra: vec![],
+        ratios: vec![
+            Ratio {
+                label: "base model / autoscaler-solo",
+                paper: "1.13x (939 vs 829 rps)",
+                num: "base-model",
+                den: "autoscaler-solo",
+                of: Of::Total,
+            },
+            Ratio {
+                label: "Transfer-TT / base model",
+                paper: "1.08-1.09x",
+                num: "transfer-tt",
+                den: "base-model",
+                of: Of::Total,
+            },
+            Ratio {
+                label: "Transfer-OB / base model (cross-app transfer)",
+                paper: "≈1.08x (both transferred models gain)",
+                num: "transfer-ob",
+                den: "base-model",
+                of: Of::Total,
+            },
+        ],
+        timelines: vec![],
     }
-    r.table(
-        "avg goodput (rps) during surge",
-        &["model", "goodput"],
-        rows,
-    );
-    r.compare(
-        "base model / autoscaler-solo",
-        "1.13x (939 vs 829 rps)",
-        ratio(totals["base-model"], totals["autoscaler-solo"]),
-        "",
-    );
-    r.compare(
-        "Transfer-TT / base model",
-        "1.08-1.09x",
-        ratio(totals["transfer-tt"], totals["base-model"]),
-        "",
-    );
-    r.compare(
-        "Transfer-OB / base model (cross-app transfer)",
-        "≈1.08x (both transferred models gain)",
-        ratio(totals["transfer-ob"], totals["base-model"]),
-        "",
-    );
-    r.finish();
+    .run(&mut r);
+    r
 }

@@ -8,21 +8,23 @@
 //! control on APIs that pass ts-station microservice, guaranteeing
 //! goodput that can be achieved with 10 ts-station pods."
 
+use crate::exec::{arm, Figure, Of};
 use crate::models;
 use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
+use crate::scenarios::{constant, Recipe, Roster};
 use apps::TrainTicket;
 use cluster::failure::FailureSpec;
-use cluster::{Engine, OpenLoopWorkload};
-use simnet::{SimDuration, SimTime};
+use simnet::SimTime;
 
 const RUN_SECS: u64 = 220;
 const KILL_AT: u64 = 50;
 /// Replacement pods take this long to come back (models image pull +
 /// scheduling at scale; the degraded window of the paper's Figure 18).
 const POD_STARTUP: u64 = 90;
+/// The failure window the figure measures.
+const WINDOW: (f64, f64) = ((KILL_AT + 10) as f64, (KILL_AT + POD_STARTUP) as f64);
 
-fn engine(seed: u64) -> (TrainTicket, Engine) {
+pub fn recipe(seed: u64) -> Recipe {
     let mut tt = TrainTicket::build();
     // The paper's deployment runs ts-station at 35 pods and the workload
     // keeps it near capacity, so losing 25 pods is a 70% capacity cut.
@@ -30,68 +32,61 @@ fn engine(seed: u64) -> (TrainTicket, Engine) {
     // workload, matching that regime.
     tt.topology.service_mut(tt.station).replicas = 35;
     tt.topology.service_mut(tt.station).pod_speed = 0.1;
-    let rates: Vec<(cluster::ApiId, f64)> = tt.apis().iter().map(|a| (*a, 600.0)).collect();
-    let w = OpenLoopWorkload::constant(rates);
-    let mut cfg = engine_config(seed);
-    cfg.pod_startup = SimDuration::from_secs(POD_STARTUP);
-    let mut engine = Engine::new(tt.topology.clone(), cfg, Box::new(w));
-    engine.inject_failures(vec![FailureSpec {
+    let kill = FailureSpec {
         at: SimTime::from_secs(KILL_AT),
         service: tt.station,
         pods: 25,
-    }]);
-    (tt, engine)
+    };
+    Recipe::open_loop(&tt.topology, constant(&tt.apis(), 600.0), seed)
+        .pod_startup(POD_STARTUP)
+        .then(move |engine| engine.inject_failures(vec![kill]))
 }
 
-/// Returns (goodput during failure window, timeline).
-fn run_one(roster: Roster, seed: u64) -> (f64, Vec<(f64, f64)>) {
-    let (_, eng) = engine(seed);
-    let mut h = roster.into_harness(eng);
-    h.run_for_secs(RUN_SECS);
-    let r = h.result();
-    let failure_window =
-        r.mean_total_goodput((KILL_AT + 10) as f64, (KILL_AT + POD_STARTUP) as f64);
-    (failure_window, r.total_goodput_series())
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "fig18",
         "Adaptation toward temporary pod failures (ts-station)",
     );
     let policy = models::policy_for("train-ticket");
-    let mut runs = crate::runner::run_over(vec![Roster::None, Roster::TopFull(policy)], |roster| {
-        run_one(roster, 18)
-    });
-    let (tf_fail, tf_series) = runs.pop().expect("two runs");
-    let (none_fail, none_series) = runs.pop().expect("two runs");
-    r.series("no topfull", none_series);
-    r.series("topfull", tf_series);
-    r.table(
-        "goodput during the failure window (rps)",
-        &["controller", "goodput"],
-        vec![
-            vec!["no-topfull".into(), f1(none_fail)],
-            vec!["topfull".into(), f1(tf_fail)],
+    let runs = Figure {
+        recipe: recipe(18),
+        arms: vec![
+            ("no-topfull", Roster::None),
+            ("topfull", Roster::TopFull(policy)),
         ],
-    );
+        secs: RUN_SECS,
+        window: WINDOW,
+        table: (
+            "goodput during the failure window (rps)",
+            "controller",
+            vec![("goodput", Of::Total)],
+        ),
+        extra: vec![],
+        ratios: vec![],
+        timelines: vec![
+            ("no topfull", "no-topfull", Of::Total),
+            ("topfull", "topfull", Of::Total),
+        ],
+    }
+    .run(&mut r);
+    let during = |l| Of::Total.mean(&arm(&runs, l).result, WINDOW);
     r.compare(
         "without TopFull during failures",
         "almost zero goodput",
-        f1(none_fail),
+        f1(during("no-topfull")),
         "rps",
     );
     r.compare(
         "TopFull during failures",
         "≈10/35 of pre-failure capacity",
-        f1(tf_fail),
+        f1(during("topfull")),
         "rps",
     );
     r.compare(
         "TopFull / no-TopFull during failures",
         ">>1x",
-        ratio(tf_fail, none_fail),
+        ratio(during("topfull"), during("no-topfull")),
         "",
     );
-    r.finish();
+    r
 }

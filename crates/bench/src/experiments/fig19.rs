@@ -6,63 +6,46 @@
 //! reduced. Also, the sensitivity test shows that TopFull still shows up
 //! to 1.52x higher average goodput compared to autoscaler standalone."
 
+use crate::exec;
 use crate::models;
 use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
-use cluster::autoscaler::{HpaConfig, VmPoolConfig};
-use cluster::{ClosedLoopWorkload, Engine, RateSchedule};
-use simnet::{SimDuration, SimTime};
+use crate::scenarios::{boutique_users, Roster};
+use cluster::RateSchedule;
+use simnet::SimTime;
 
 const RUN_SECS: u64 = 220;
 const SURGE_AT: u64 = 20;
 const SURGE_END: u64 = 180; // the paper's surge "lasted 160 seconds"
 
-fn engine(vm_startup_secs: u64, seed: u64) -> Engine {
-    let ob = apps::OnlineBoutique::build();
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
+pub fn run() -> Report {
+    let mut r = Report::new(
+        "fig19",
+        "Average goodput vs VM startup time (Online Boutique)",
+    );
+    let policy = models::policy_for("online-boutique");
     let users = RateSchedule::surge(
         400.0,
         4000.0,
         SimTime::from_secs(SURGE_AT),
         SimTime::from_secs(SURGE_END),
     );
-    let w = ClosedLoopWorkload::new(weights, users, SimDuration::from_secs(1));
-    let mut cfg = engine_config(seed);
-    cfg.pod_startup = SimDuration::from_secs(20);
-    let mut engine = Engine::new(ob.topology.clone(), cfg, Box::new(w));
-    // A tight VM pool so scaling must wait for new VMs.
-    engine.set_vm_pool(VmPoolConfig {
-        vcpus_per_vm: 48,
-        initial_vms: 1,
-        max_vms: 10,
-        vm_startup: SimDuration::from_secs(vm_startup_secs),
-        vcpus_per_pod: 1.0,
-    });
-    engine.enable_hpa(HpaConfig::default());
-    engine
-}
-
-fn measure(roster: Roster, vm_startup: u64, seed: u64) -> f64 {
-    let mut h = roster.into_harness(engine(vm_startup, seed));
-    h.run_for_secs(RUN_SECS);
-    h.result()
-        .mean_total_goodput(SURGE_AT as f64, SURGE_END as f64)
-}
-
-pub fn run() {
-    let mut r = Report::new(
-        "fig19",
-        "Average goodput vs VM startup time (Online Boutique)",
-    );
-    let policy = models::policy_for("online-boutique");
     let startups = [20u64, 40, 60];
-    let mut plan = crate::runner::RunPlan::new();
-    for &startup in &startups {
-        plan.submit(move || measure(Roster::None, startup, 19));
-        let p = policy.clone();
-        plan.submit(move || measure(Roster::TopFull(p), startup, 19));
-    }
-    let out = plan.run();
+    let arms = startups.iter().flat_map(|&startup| {
+        // A tight VM pool (one initial VM) so scaling must wait for new
+        // VMs, `startup` seconds each.
+        let recipe = boutique_users(users.clone(), 19)
+            .pod_startup(20)
+            .autoscaled(1, startup);
+        [Roster::None, Roster::TopFull(policy.clone())]
+            .map(|roster| (roster.label(), roster, recipe.clone()))
+    });
+    let out: Vec<f64> = exec::run_arms(arms, RUN_SECS)
+        .iter()
+        .map(|o| {
+            o.result
+                .mean_total_goodput(SURGE_AT as f64, SURGE_END as f64)
+        })
+        .collect();
     let mut rows = Vec::new();
     let mut best_gain: f64 = 0.0;
     let mut solo_by_startup = Vec::new();
@@ -95,5 +78,5 @@ pub fn run() {
         if monotone { "yes" } else { "no" },
         "",
     );
-    r.finish();
+    r
 }

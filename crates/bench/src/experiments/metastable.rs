@@ -19,92 +19,64 @@
 //! * the doomed-work-cancelled and retries-suppressed counters are
 //!   nonzero, i.e. the mechanisms actually engaged.
 
+use crate::exec;
 use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
+use crate::scenarios::{Recipe, Roster};
 use apps::OnlineBoutique;
-use cluster::{
-    DeadlineConfig, Engine, ResilienceConfig, ResilienceStats, RetryBudgetConfig,
-    RetryStormWorkload,
-};
-use simnet::SimDuration;
+use cluster::{DeadlineConfig, ResilienceConfig};
 
 const RUN_SECS: u64 = 150;
 const MEASURE_FROM: f64 = 30.0;
 const USERS: u32 = 2600;
 const SEED: u64 = 23;
 
-/// Client retry policy arm.
-#[derive(Clone, Copy)]
-enum RetryArm {
-    None,
-    Unbounded,
-    Budgeted,
-}
+/// Client retry policies, `(label, (max retries, budgeted))` — see
+/// `Recipe::retry_storm`. "Unbounded" within a client timeout: far more
+/// attempts than any request could ever need.
+const RETRY_ARMS: [(&str, (u32, bool)); 3] = [
+    ("no-retry", (0, false)),
+    ("unbounded", (100, false)),
+    ("budgeted", (100, true)),
+];
 
-impl RetryArm {
-    fn label(self) -> &'static str {
-        match self {
-            RetryArm::None => "no-retry",
-            RetryArm::Unbounded => "unbounded",
-            RetryArm::Budgeted => "budgeted",
-        }
-    }
-}
-
-fn engine(arm: RetryArm, deadlines: bool) -> Engine {
+pub fn recipe(retries: (u32, bool), deadlines: bool) -> Recipe {
     let ob = OnlineBoutique::build();
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    let max_retries = match arm {
-        RetryArm::None => 0,
-        // "Unbounded" within a client timeout: far more attempts than
-        // any request could ever need.
-        RetryArm::Unbounded | RetryArm::Budgeted => 100,
-    };
-    let mut w = RetryStormWorkload::new(
-        weights,
-        USERS,
-        SimDuration::from_secs(1),
-        max_retries,
-        SimDuration::from_millis(50),
-    );
-    if matches!(arm, RetryArm::Budgeted) {
-        w = w.with_retry_budget(RetryBudgetConfig::default());
+    let recipe = Recipe::retry_storm(&ob.topology, &ob.apis(), USERS, retries, SEED);
+    if !deadlines {
+        return recipe;
     }
-    let mut e = Engine::new(ob.topology.clone(), engine_config(SEED), Box::new(w));
-    if deadlines {
-        e.set_resilience(ResilienceConfig {
+    recipe.then(|engine| {
+        engine.set_resilience(ResilienceConfig {
             deadlines: Some(DeadlineConfig::default()),
             breakers: None,
-        });
-    }
-    e
+        })
+    })
 }
 
-/// One run: steady-state goodput + the resilience counters.
-fn run_one(roster: Roster, arm: RetryArm, deadlines: bool) -> (f64, ResilienceStats) {
-    let mut h = roster.into_harness(engine(arm, deadlines));
-    h.run_for_secs(RUN_SECS);
-    let goodput = h.result().mean_total_goodput(MEASURE_FROM, RUN_SECS as f64);
-    (goodput, h.engine.resilience_totals())
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "metastable",
         "Extension: retry-storm metastability vs budgeted retries + deadlines",
     );
     for roster in [Roster::TopFullMimd, Roster::Dagor { alpha: 0.05 }] {
         let ctrl = roster.label();
-        let mut arms = Vec::new();
-        for arm in [RetryArm::None, RetryArm::Unbounded, RetryArm::Budgeted] {
+        let mut grid = Vec::new();
+        for (label, retries) in RETRY_ARMS {
             for deadlines in [false, true] {
-                arms.push((arm, deadlines));
+                grid.push((label, retries, deadlines));
             }
         }
-        let results: Vec<_> = crate::runner::run_over(arms, |(arm, deadlines)| {
-            let (good, stats) = run_one(roster.clone(), arm, deadlines);
-            (arm.label(), deadlines, good, stats)
+        let arms = grid.iter().map(|&(label, retries, deadlines)| {
+            (label, roster.clone(), recipe(retries, deadlines))
         });
+        let runs = exec::run_arms(arms, RUN_SECS);
+        // Per arm: steady-state goodput + the resilience counters.
+        let results: Vec<_> = (runs.iter().zip(&grid))
+            .map(|(o, (label, _, deadlines))| {
+                let good = o.result.mean_total_goodput(MEASURE_FROM, RUN_SECS as f64);
+                (*label, *deadlines, good, o.resilience)
+            })
+            .collect();
         let mut rows = Vec::new();
         for (label, deadlines, good, stats) in &results {
             rows.push(vec![
@@ -161,5 +133,5 @@ pub fn run() {
          bucket) while deadline cancellation stops abandoned work from \
          re-consuming the capacity the controller just protected",
     );
-    r.finish();
+    r
 }

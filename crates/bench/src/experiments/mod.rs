@@ -1,5 +1,6 @@
-//! One module per paper table/figure. Each exposes `run()` which prints
-//! and persists a [`crate::report::Report`].
+//! One module per paper table/figure. Each exposes `run()`, which
+//! returns the finished [`crate::report::Report`]; the `figures` binary
+//! prints and persists it ([`crate::report::Report::finish`]).
 
 pub mod admission;
 pub mod chaos;
@@ -25,3 +26,4 @@ pub mod slo;
 pub mod table1;
 pub mod trace_analysis;
 pub mod training_cost;
+pub mod two_plane;

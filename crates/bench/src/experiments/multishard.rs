@@ -8,191 +8,72 @@
 //! single-gateway twins within noise while the journal shows the extra
 //! aggregation/split machinery at work.
 
+use crate::experiments::two_plane::{self, Arm, BASE_RPS, SIM_SECS, SURGE_RPS};
 use crate::report::{f1, Report};
+use crate::scenarios::Roster;
 use apps::OnlineBoutique;
-use cluster::{
-    ControlLoop, Engine, EngineConfig, Harness, OpenLoopWorkload, RateSchedule, Topology,
-};
-use liveserve::{LiveConfig, LiveServer, LoadGen, OpenLoopArm, ShardedLive, ShardedLiveConfig};
-use simnet::SimTime;
-use std::time::Duration;
-use topfull::{Sharded, ShardedConfig, TopFull, TopFullConfig};
+use liveserve::{ShardedLive, ShardedLiveConfig};
+use topfull::{ShardPlaneStats, Sharded, ShardedConfig};
 
-/// Simulated scenario length (virtual seconds).
-const SIM_SECS: u64 = 120;
 /// Live replay length (wall-clock seconds).
 const LIVE_SECS: u64 = 36;
-/// Baseline getproduct rate — under capacity on both planes.
-const BASE_RPS: f64 = 150.0;
-/// Surge rate: ~3× the recommendation-service capacity.
-const SURGE_RPS: f64 = 1500.0;
 /// Shard count for the sharded arms.
 const SHARDS: usize = 3;
 
-fn controller() -> Box<dyn cluster::Controller> {
-    Box::new(TopFull::new(TopFullConfig::default().with_mimd()))
+fn detail(plane: &str, stats: ShardPlaneStats) -> String {
+    format!(
+        "{plane} 3-shard plane: merges={} strike-outs={} redistributions={}",
+        stats.merges, stats.strike_outs, stats.redistributions
+    )
 }
 
-/// `(t, rps)` surge schedule over a horizon of `secs`.
-fn schedule(secs: u64) -> [(f64, f64); 3] {
-    let t = secs as f64;
-    [
-        (0.0, BASE_RPS),
-        (t / 3.0, SURGE_RPS),
-        (2.0 * t / 3.0, BASE_RPS),
-    ]
-}
-
-struct Arm {
-    label: String,
-    horizon_secs: f64,
-    /// getproduct `(t, goodput)`.
-    goodput: Vec<(f64, f64)>,
-}
-
-impl Arm {
-    /// getproduct's goodput out of a finished run on either plane.
-    fn of(label: String, horizon_secs: u64, r: &cluster::RunResult, api: usize) -> Arm {
-        Arm {
-            label,
-            horizon_secs: horizon_secs as f64,
-            goodput: r.goodput_series(cluster::ApiId(api as u32)),
-        }
-    }
-
-    fn mean_goodput(&self, from: f64, to: f64) -> f64 {
-        let xs: Vec<f64> = self
-            .goodput
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        simnet::stats::mean(&xs)
-    }
-
-    fn normalized(&self) -> Vec<(f64, f64)> {
-        self.goodput
-            .iter()
-            .map(|(t, v)| (t / self.horizon_secs, *v))
-            .collect()
-    }
-}
-
-fn sim_workload(topo: &Topology, api: usize) -> Engine {
-    let steps = schedule(SIM_SECS)
-        .iter()
-        .map(|&(t, v)| (SimTime::from_nanos((t * 1e9) as u64), v))
-        .collect();
-    let workload = Box::new(OpenLoopWorkload::new(vec![(
-        cluster::ApiId(api as u32),
-        RateSchedule::steps(steps),
-    )]));
-    Engine::new(topo.clone(), EngineConfig::default(), workload)
-}
-
-fn sim_single(topo: &Topology, api: usize) -> Arm {
-    let mut h = Harness::new(sim_workload(topo, api), controller());
-    h.run_for_secs(SIM_SECS);
-    Arm::of("sim 1-gateway".into(), SIM_SECS, h.result(), api)
-}
-
-fn sim_sharded(topo: &Topology, api: usize) -> (Arm, Vec<obs::JournalEntry>, String) {
-    let cfg = ShardedConfig::uniform(SHARDS);
-    let plane = Sharded::sim(sim_workload(topo, api), cfg).expect("valid config");
-    let mut h = Harness::new(plane, controller());
-    h.run_for_secs(SIM_SECS);
-    let plane = h.engine.plane_stats();
-    let detail = format!(
-        "sim 3-shard plane: merges={} strike-outs={} redistributions={}",
-        plane.merges, plane.strike_outs, plane.redistributions
-    );
-    let journal = h.journal().snapshot();
-    let arm = Arm::of(format!("sim {SHARDS}-shard"), SIM_SECS, h.result(), api);
-    (arm, journal, detail)
-}
-
-/// The surge as one open-loop arm, compressed to the live horizon.
-fn live_arms(api: usize) -> Vec<OpenLoopArm> {
-    let scale = LIVE_SECS as f64 / SIM_SECS as f64;
-    vec![OpenLoopArm {
-        api,
-        rate_steps: schedule(SIM_SECS)
-            .iter()
-            .map(|&(t, v)| (t * scale, v))
-            .collect(),
-        key_space: 0,
-    }]
-}
-
-fn live_cfg() -> LiveConfig {
-    LiveConfig {
-        slo: Duration::from_secs(1),
-        control_interval: Duration::from_millis(250),
-        cpu_scale: 1.0,
-        ..LiveConfig::default()
-    }
-}
-
-fn live_single(topo: &Topology, api: usize) -> Result<Arm, String> {
-    let mut server =
-        LiveServer::start(topo, live_cfg()).map_err(|e| format!("live server: {e}"))?;
-    let gen = LoadGen::start(server.addr(), None, live_arms(api))
-        .map_err(|e| format!("load generator: {e}"))?;
-    let result = liveserve::run(
-        &mut ControlLoop::new(controller()),
-        &mut server,
-        live_cfg().control_interval,
-        Duration::from_secs(LIVE_SECS),
-    );
-    gen.stop();
-    server.shutdown();
-    Ok(Arm::of("live 1-gateway".into(), LIVE_SECS, &result, api))
-}
-
-fn live_sharded(topo: &Topology, api: usize) -> Result<(Arm, String), String> {
-    let cfg = ShardedLiveConfig::new(SHARDS, live_cfg());
-    let mut fleet = ShardedLive::start(topo, cfg, None, live_arms(api))
+fn live_sharded(ob: &OnlineBoutique) -> Result<(Arm, String), String> {
+    let cfg = ShardedLiveConfig::new(SHARDS, two_plane::live_config());
+    let load = two_plane::live_load(ob, LIVE_SECS);
+    let mut fleet = ShardedLive::start(&ob.topology, cfg, None, load)
         .map_err(|e| format!("sharded fleet: {e}"))?;
-    let result = liveserve::run(
-        &mut ControlLoop::new(controller()),
-        &mut fleet,
-        live_cfg().control_interval,
-        Duration::from_secs(LIVE_SECS),
-    );
-    let plane = fleet.plane_stats();
+    let result = two_plane::run_live(&mut fleet, Roster::TopFullMimd, LIVE_SECS);
+    let detail = detail("live", fleet.plane_stats());
     fleet.into_set().shutdown();
-    let detail = format!(
-        "live 3-shard plane: merges={} strike-outs={} redistributions={}",
-        plane.merges, plane.strike_outs, plane.redistributions
-    );
-    let arm = Arm::of(format!("live {SHARDS}-shard"), LIVE_SECS, &result, api);
-    Ok((arm, detail))
+    let label = format!("live {SHARDS}-shard");
+    Ok((Arm::of(label, LIVE_SECS, &result, ob.getproduct), detail))
 }
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "multishard",
         "Sharded control plane: 3 gateway shards vs 1, simulator and live",
     );
     let ob = OnlineBoutique::build();
-    let api = ob.getproduct.idx();
+    let api = ob.getproduct;
     r.note(format!(
         "topfull-mimd; getproduct open-loop surge {BASE_RPS}→{SURGE_RPS}→{BASE_RPS} rps; \
          sim horizon {SIM_SECS}s virtual, live horizon {LIVE_SECS}s wall clock; sharded arms \
          run {SHARDS} gateways whose observations merge into one logical controller"
     ));
 
-    let single = sim_single(&ob.topology, api);
-    let (sharded, journal, sim_detail) = sim_sharded(&ob.topology, api);
-    r.note(sim_detail);
-    r.journal(journal);
+    let recipe = two_plane::recipe(&ob);
+    let single = two_plane::run_sim(recipe.engine(), Roster::TopFullMimd);
+    let plane =
+        Sharded::sim(recipe.engine(), ShardedConfig::uniform(SHARDS)).expect("valid config");
+    let sharded = two_plane::run_sim(plane, Roster::TopFullMimd);
+    r.note(detail("sim", sharded.engine.plane_stats()));
+    r.journal(sharded.journal().snapshot());
 
-    let mut arms = vec![single, sharded];
-    match live_single(&ob.topology, api) {
+    let mut arms = vec![
+        Arm::of("sim 1-gateway", SIM_SECS, single.result(), api),
+        Arm::of(
+            format!("sim {SHARDS}-shard"),
+            SIM_SECS,
+            sharded.result(),
+            api,
+        ),
+    ];
+    match two_plane::live_single("live 1-gateway", &ob, Roster::TopFullMimd, LIVE_SECS) {
         Ok(a) => arms.push(a),
         Err(e) => r.note(format!("live 1-gateway arm failed: {e}")),
     }
-    match live_sharded(&ob.topology, api) {
+    match live_sharded(&ob) {
         Ok((a, detail)) => {
             r.note(detail);
             arms.push(a);
@@ -204,7 +85,7 @@ pub fn run() {
     for arm in &arms {
         r.series(
             &format!("{} getproduct goodput (rps vs normalized t)", arm.label),
-            arm.normalized(),
+            arm.normalized(&arm.goodput),
         );
         let h = arm.horizon_secs;
         rows.push(vec![
@@ -242,5 +123,5 @@ pub fn run() {
          (and a real multi-host fleet) would not see. Compare pre/post steady state and control \
          shape; the sim arms isolate the control-plane question and overlay exactly.",
     );
-    r.finish();
+    r
 }

@@ -16,82 +16,17 @@
 //! Each row disables exactly one refinement on the Train Ticket and
 //! Online Boutique overload scenarios and reports the goodput cost.
 
+use crate::exec::{self, Of};
 use crate::models;
 use crate::report::{f1, Report};
-use apps::{OnlineBoutique, TrainTicket};
-use cluster::{ClosedLoopWorkload, Engine, Harness, OpenLoopWorkload};
+use crate::scenarios::{boutique_users, constant, trainticket_constant, Recipe, Roster};
+use apps::OnlineBoutique;
+use cluster::RateSchedule;
 use rl::policy::PolicyValue;
-use simnet::SimDuration;
-use topfull::{TopFull, TopFullConfig};
+use topfull::TopFullConfig;
 
 const RUN_SECS: u64 = 120;
 const MEASURE_FROM: f64 = 30.0;
-
-fn trainticket_engine(seed: u64) -> Engine {
-    let tt = TrainTicket::build();
-    let rates: Vec<(cluster::ApiId, f64)> = tt.apis().iter().map(|a| (*a, 1100.0)).collect();
-    Engine::new(
-        tt.topology.clone(),
-        crate::scenarios::engine_config(seed),
-        Box::new(OpenLoopWorkload::constant(rates)),
-    )
-}
-
-fn boutique_engine(seed: u64) -> Engine {
-    let ob = OnlineBoutique::build();
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    let w = ClosedLoopWorkload::fixed(weights, 2600, SimDuration::from_secs(1));
-    Engine::new(
-        ob.topology.clone(),
-        crate::scenarios::engine_config(seed),
-        Box::new(w),
-    )
-}
-
-/// Getproduct surges alone while idle lower-priority APIs share its
-/// Recommendation bottleneck: verbatim Algorithm 1 keeps "cutting" the
-/// idle getcart and never touches the offender — the scenario
-/// refinement 2 exists for. Returns the surging API's goodput.
-fn idle_lowprio_offender_goodput(cfg: TopFullConfig, seed: u64) -> f64 {
-    let mut ob = OnlineBoutique::build();
-    for (i, api) in ob.apis().into_iter().enumerate() {
-        ob.topology.api_mut(api).business = cluster::types::BusinessPriority(i as u8);
-    }
-    let rates = vec![(ob.getproduct, 1200.0)];
-    let engine = Engine::new(
-        ob.topology.clone(),
-        crate::scenarios::engine_config(seed),
-        Box::new(OpenLoopWorkload::constant(rates)),
-    );
-    let mut h = Harness::new(engine, Box::new(TopFull::new(cfg)));
-    h.run_for_secs(RUN_SECS);
-    h.result()
-        .mean_goodput_api(ob.getproduct, MEASURE_FROM, RUN_SECS as f64)
-}
-
-/// Two equal-priority APIs with 3:1 offered skew on the shared
-/// Recommendation bottleneck: the scenario refinement 3 (fair group
-/// steps) exists for. Returns `(minority goodput, majority/minority)`.
-fn skewed_pair_split(cfg: TopFullConfig, seed: u64) -> (f64, f64) {
-    let ob = OnlineBoutique::build();
-    let rates = vec![(ob.getproduct, 900.0), (ob.getcart, 300.0)];
-    let engine = Engine::new(
-        ob.topology.clone(),
-        crate::scenarios::engine_config(seed),
-        Box::new(OpenLoopWorkload::constant(rates)),
-    );
-    let mut h = Harness::new(engine, Box::new(TopFull::new(cfg)));
-    h.run_for_secs(300);
-    let gp = h.result().mean_goodput_api(ob.getproduct, 200.0, 300.0);
-    let gc = h.result().mean_goodput_api(ob.getcart, 200.0, 300.0);
-    (gc.min(gp), gp.max(gc) / gp.min(gc).max(1.0))
-}
-
-fn measure(engine: Engine, cfg: TopFullConfig) -> f64 {
-    let mut h = Harness::new(engine, Box::new(TopFull::new(cfg)));
-    h.run_for_secs(RUN_SECS);
-    h.result().mean_total_goodput(MEASURE_FROM, RUN_SECS as f64)
-}
 
 fn variants(policy: &PolicyValue) -> Vec<(&'static str, TopFullConfig)> {
     let base = || TopFullConfig::default().with_rl(policy.clone());
@@ -121,31 +56,58 @@ fn variants(policy: &PolicyValue) -> Vec<(&'static str, TopFullConfig)> {
     ]
 }
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "refinements",
         "Extension: ablating the DESIGN.md §5 controller refinements",
     );
-    type AppRow = (&'static str, fn(u64) -> Engine, &'static str);
-    let apps: Vec<AppRow> = vec![
-        ("train-ticket", trainticket_engine, "train-ticket"),
-        ("online-boutique", boutique_engine, "online-boutique"),
+    // Fig. 10's Train Ticket and Online Boutique overloads.
+    let apps = [
+        ("train-ticket", trainticket_constant(1100.0, 2020)),
+        (
+            "online-boutique",
+            boutique_users(RateSchedule::constant(2600.0), 2020),
+        ),
     ];
+    let mut arms = Vec::new();
+    for (app, recipe) in &apps {
+        for (label, cfg) in variants(&models::policy_for(app)) {
+            arms.push((label, Roster::Config(cfg), recipe.clone()));
+        }
+    }
+
+    // Focused mechanism demos: each disabled refinement against the
+    // scenario shape it exists for.
+    let ob = OnlineBoutique::build();
+    let base = TopFullConfig::default().with_rl(models::policy_for("online-boutique"));
+    // Getproduct surges alone while idle lower-priority APIs share its
+    // Recommendation bottleneck: verbatim Algorithm 1 keeps "cutting" the
+    // idle getcart and never touches the offender — the scenario
+    // refinement 2 exists for. The table reports the surging API's goodput.
+    let offender = Recipe::open_loop(&ob.topology, constant(&[ob.getproduct], 1200.0), 2021)
+        .priorities(&ob.apis());
+    let verbatim = TopFullConfig {
+        restrict_cuts_to_contributing: false,
+        ..base.clone()
+    };
+    let refined = "contributing-only cuts (default)";
+    arms.push((refined, Roster::Config(base.clone()), offender.clone()));
+    arms.push(("verbatim Algorithm 1", Roster::Config(verbatim), offender));
+    let runs = exec::run_arms(arms, RUN_SECS);
+    let (grid, offender_runs) = runs.split_at(4 * apps.len());
+    let window = (MEASURE_FROM, RUN_SECS as f64);
+
     let mut rows = Vec::new();
-    for (app, mk, policy_key) in apps {
-        let policy = models::policy_for(policy_key);
-        let mut baseline = 0.0;
-        for (i, (label, cfg)) in variants(&policy).into_iter().enumerate() {
-            let goodput = measure(mk(2020), cfg);
-            if i == 0 {
-                baseline = goodput;
-            }
+    for (chunk, (app, _)) in grid.chunks(4).zip(&apps) {
+        let baseline = Of::Total.mean(&chunk[0].result, window);
+        for o in chunk {
+            let goodput = Of::Total.mean(&o.result, window);
             let delta = if baseline > 0.0 {
                 format!("{:+.1}%", (goodput / baseline - 1.0) * 100.0)
             } else {
                 "n/a".into()
             };
-            rows.push(vec![app.to_string(), label.to_string(), f1(goodput), delta]);
+            rows.push(vec![app.to_string(), o.label.clone(), f1(goodput), delta]);
         }
     }
     r.table(
@@ -153,51 +115,54 @@ pub fn run() {
         &["app", "variant", "goodput", "vs default"],
         rows,
     );
-
-    // Focused mechanism demos: each disabled refinement against the
-    // scenario shape it exists for.
-    let policy = models::policy_for("online-boutique");
-    let base = TopFullConfig::default().with_rl(policy.clone());
-    let verbatim = TopFullConfig {
-        restrict_cuts_to_contributing: false,
-        ..base.clone()
+    let offender_row = |o: &exec::ArmOutcome| {
+        let goodput = Of::Api(ob.getproduct).mean(&o.result, window);
+        vec![o.label.clone(), f1(goodput)]
     };
-    let refined_g = idle_lowprio_offender_goodput(base.clone(), 2021);
-    let verbatim_g = idle_lowprio_offender_goodput(verbatim, 2021);
     r.table(
         "refinement 2: surging API goodput when idle low-priority APIs share its bottleneck",
         &["variant", "offender goodput (rps)"],
-        vec![
-            vec!["contributing-only cuts (default)".into(), f1(refined_g)],
-            vec!["verbatim Algorithm 1".into(), f1(verbatim_g)],
-        ],
+        offender_runs.iter().map(offender_row).collect(),
     );
+
+    // Two equal-priority APIs with 3:1 offered skew on the shared
+    // Recommendation bottleneck: the scenario refinement 3 (fair group
+    // steps) exists for. Measured over the last 100 of 300 s.
+    let rates = vec![
+        (ob.getproduct, RateSchedule::constant(900.0)),
+        (ob.getcart, RateSchedule::constant(300.0)),
+    ];
+    let skewed = Recipe::open_loop(&ob.topology, rates, 2022);
     let unfair = TopFullConfig {
         fair_group_steps: false,
         ..base.clone()
     };
-    let (fair_min, fair_ratio) = skewed_pair_split(base, 2022);
-    let (unfair_min, unfair_ratio) = skewed_pair_split(unfair, 2022);
+    let splits = exec::run_arms(
+        [
+            (
+                "Chiu-Jain group steps (default)",
+                Roster::Config(base),
+                skewed.clone(),
+            ),
+            ("multiplicative both ways", Roster::Config(unfair), skewed),
+        ],
+        300,
+    );
+    let split_row = |o: &exec::ArmOutcome| {
+        let gp = o.result.mean_goodput_api(ob.getproduct, 200.0, 300.0);
+        let gc = o.result.mean_goodput_api(ob.getcart, 200.0, 300.0);
+        let ratio = gp.max(gc) / gp.min(gc).max(1.0);
+        vec![o.label.clone(), f1(gc.min(gp)), format!("{ratio:.2}x")]
+    };
     r.table(
         "refinement 3: equal-priority split under 3:1 offered skew (shared bottleneck)",
         &["variant", "minority API goodput (rps)", "majority/minority"],
-        vec![
-            vec![
-                "Chiu-Jain group steps (default)".into(),
-                f1(fair_min),
-                format!("{fair_ratio:.2}x"),
-            ],
-            vec![
-                "multiplicative both ways".into(),
-                f1(unfair_min),
-                format!("{unfair_ratio:.2}x"),
-            ],
-        ],
+        splits.iter().map(split_row).collect(),
     );
     r.note(
         "no paper counterpart: these are the engineering choices this \
          reproduction had to make where the paper's prose is ambiguous \
          (see DESIGN.md §5); negative deltas justify the defaults",
     );
-    r.finish();
+    r
 }

@@ -9,83 +9,60 @@
 //! rejecting excess load *before* it costs anything, keeping latency low
 //! so fewer requests fail in the first place.
 
+use crate::exec::{ArmOutcome, Figure, Of, Ratio};
 use crate::models;
-use crate::report::{f1, ratio, Report};
-use crate::scenarios::{engine_config, Roster};
+use crate::report::Report;
+use crate::scenarios::{Recipe, Roster};
 use apps::OnlineBoutique;
-use cluster::{Engine, RetryStormWorkload};
-use simnet::SimDuration;
 
 const RUN_SECS: u64 = 150;
 const MEASURE_FROM: f64 = 30.0;
 const USERS: u32 = 2600;
 
-fn engine(seed: u64) -> (OnlineBoutique, Engine) {
-    let ob = OnlineBoutique::build();
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    // Misbehaving clients: 3 near-immediate retries per failed call.
-    let w = RetryStormWorkload::new(
-        weights,
-        USERS,
-        SimDuration::from_secs(1),
-        3,
-        SimDuration::from_millis(50),
-    );
-    let engine = Engine::new(ob.topology.clone(), engine_config(seed), Box::new(w));
-    (ob, engine)
+/// Offered amplification: mean offered rate vs the nominal user rate.
+fn amplification(o: &ArmOutcome) -> String {
+    let offered = |s: &cluster::harness::TickSample| s.offered.iter().sum();
+    let mean = o.result.mean_over(MEASURE_FROM, RUN_SECS as f64, offered);
+    format!("{:.2}x", mean / f64::from(USERS))
 }
 
-fn run_one(roster: Roster, seed: u64) -> (f64, f64) {
-    let (_, eng) = engine(seed);
-    let mut h = roster.into_harness(eng);
-    h.run_for_secs(RUN_SECS);
-    let goodput = h.result().mean_total_goodput(MEASURE_FROM, RUN_SECS as f64);
-    // Offered amplification: mean offered rate vs the nominal user rate.
-    let offered: f64 = {
-        let xs: Vec<f64> = h
-            .result()
-            .samples
-            .iter()
-            .filter(|s| s.at.as_secs_f64() >= MEASURE_FROM)
-            .map(|s| s.offered.iter().sum())
-            .collect();
-        simnet::stats::mean(&xs)
-    };
-    (goodput, offered / f64::from(USERS))
-}
-
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "retry_storm",
         "Extension: retry storm by misbehaving clients (§1 motivation)",
     );
     let policy = models::policy_for("online-boutique");
-    let (none_good, none_amp) = run_one(Roster::None, 23);
-    let (dagor_good, dagor_amp) = run_one(Roster::Dagor { alpha: 0.05 }, 23);
-    let (tf_good, tf_amp) = run_one(Roster::TopFull(policy), 23);
-    r.table(
-        "goodput and offered-load amplification under retries",
-        &["controller", "goodput (rps)", "offered ÷ nominal"],
-        vec![
-            vec![
-                "no-control".into(),
-                f1(none_good),
-                format!("{none_amp:.2}x"),
-            ],
-            vec!["dagor".into(), f1(dagor_good), format!("{dagor_amp:.2}x")],
-            vec!["topfull".into(), f1(tf_good), format!("{tf_amp:.2}x")],
+    let ob = OnlineBoutique::build();
+    Figure {
+        // Misbehaving clients: 3 near-immediate retries per failed call.
+        recipe: Recipe::retry_storm(&ob.topology, &ob.apis(), USERS, (3, false), 23),
+        arms: vec![
+            ("no-control", Roster::None),
+            ("dagor", Roster::Dagor { alpha: 0.05 }),
+            ("topfull", Roster::TopFull(policy)),
         ],
-    );
-    r.compare(
-        "TopFull / no-control goodput under retry storm",
-        ">1x (extension; no paper value)",
-        ratio(tf_good, none_good),
-        "",
-    );
+        secs: RUN_SECS,
+        window: (MEASURE_FROM, RUN_SECS as f64),
+        table: (
+            "goodput and offered-load amplification under retries",
+            "controller",
+            vec![("goodput (rps)", Of::Total)],
+        ),
+        extra: vec![("offered ÷ nominal", amplification)],
+        ratios: vec![Ratio {
+            label: "TopFull / no-control goodput under retry storm",
+            paper: ">1x (extension; no paper value)",
+            num: "topfull",
+            den: "no-control",
+            of: Of::Total,
+        }],
+        timelines: vec![],
+    }
+    .run(&mut r);
     r.note(
         "per-service shedding feeds the storm: every request DAGOR drops \
          is retried up to 3 times, re-consuming upstream capacity; \
          entry-point rejection is amplification-neutral",
     );
-    r.finish();
+    r
 }

@@ -25,10 +25,12 @@
 //!   the paper-default 0.05 step cannot clamp inside the window.
 
 use crate::report::{f1, ratio, Report};
-use crate::scenarios::boutique_open_loop;
-use cluster::{Controller, Harness, NoControl, RateSchedule};
+use crate::runner::RunPlan;
+use crate::scenarios::{constant, Recipe, Roster};
+use apps::OnlineBoutique;
+use cluster::RateSchedule;
 use simnet::SimTime;
-use topfull::{TopFull, TopFullConfig};
+use topfull::TopFullConfig;
 
 const RUN_SECS: u64 = 40;
 const BASELINE_RPS: f64 = 120.0;
@@ -55,56 +57,29 @@ struct ArmRun {
     crowd_goodput: f64,
 }
 
-/// The two arms: no control, and TopFull with fast MIMD steps.
-#[derive(Clone, Copy)]
-enum Arm {
-    Uncontrolled,
-    TopFullFast,
+/// The two-wave flash crowd on Get Product over a steady background.
+pub fn recipe(ob: &OnlineBoutique) -> Recipe {
+    let waves = RateSchedule::steps(vec![
+        (SimTime::ZERO, BASELINE_RPS),
+        (SimTime::from_secs(PRECURSOR_AT), PRECURSOR_RPS),
+        (SimTime::from_secs(PRECURSOR_END), BASELINE_RPS),
+        (SimTime::from_secs(CROWD_AT), CROWD_RPS),
+    ]);
+    let mut rates = vec![
+        (ob.getproduct, waves),
+        (ob.postcheckout, RateSchedule::constant(BASELINE_RPS)),
+    ];
+    rates.extend(constant(&[ob.getcart, ob.postcart, ob.emptycart], 200.0));
+    Recipe::open_loop(&ob.topology, rates, SEED)
 }
 
-impl Arm {
-    fn label(self) -> &'static str {
-        match self {
-            Arm::Uncontrolled => "no-control",
-            Arm::TopFullFast => "topfull-mimd(0.5)",
-        }
-    }
-
-    fn controller(self) -> Box<dyn Controller> {
-        match self {
-            Arm::Uncontrolled => Box::new(NoControl),
-            Arm::TopFullFast => Box::new(TopFull::new(
-                TopFullConfig::default().with_mimd_steps(0.5, 0.2),
-            )),
-        }
-    }
-}
-
-fn run_one(arm: Arm) -> ArmRun {
-    let (ob, engine) = boutique_open_loop(
-        |ob| {
-            vec![
-                (
-                    ob.getproduct,
-                    RateSchedule::steps(vec![
-                        (SimTime::ZERO, BASELINE_RPS),
-                        (SimTime::from_secs(PRECURSOR_AT), PRECURSOR_RPS),
-                        (SimTime::from_secs(PRECURSOR_END), BASELINE_RPS),
-                        (SimTime::from_secs(CROWD_AT), CROWD_RPS),
-                    ]),
-                ),
-                (ob.postcheckout, RateSchedule::constant(BASELINE_RPS)),
-                (ob.getcart, RateSchedule::constant(200.0)),
-                (ob.postcart, RateSchedule::constant(200.0)),
-                (ob.emptycart, RateSchedule::constant(200.0)),
-            ]
-        },
-        SEED,
-    );
+/// One arm, stepped tick by tick so the burn-rate series can be probed
+/// as it evolves (the harness feeds the monitor at each control tick) —
+/// the one run in this crate `exec` cannot make.
+fn burn_probe(roster: Roster) -> ArmRun {
+    let ob = OnlineBoutique::build();
     let gp = ob.getproduct;
-    let mut h = Harness::new(engine, arm.controller());
-    // Tick-by-tick so the burn-rate series can be probed as it evolves
-    // (the harness feeds the monitor at each control tick).
+    let mut h = roster.into_harness(recipe(&ob).engine());
     let mut fast_burn = Vec::new();
     for t in 1..=RUN_SECS {
         h.run_until(SimTime::from_secs(t));
@@ -129,17 +104,13 @@ fn run_one(arm: Arm) -> ArmRun {
     }
 }
 
-/// First page-severity `SloBurn` journal time, if any.
-fn first_page(journal: &[obs::JournalEntry]) -> Option<f64> {
-    journal
-        .iter()
-        .filter_map(|e| match e {
-            obs::JournalEntry::SloBurn { t, to, .. } if to == "page" => Some(*t),
-            _ => None,
-        })
-        .fold(None, |acc: Option<f64>, t| {
-            Some(acc.map_or(t, |a| a.min(t)))
-        })
+/// Times of the page-severity `SloBurn` journal entries.
+fn page_times(journal: &[obs::JournalEntry]) -> Vec<f64> {
+    let page = |e: &obs::JournalEntry| match e {
+        obs::JournalEntry::SloBurn { t, to, .. } if to == "page" => Some(*t),
+        _ => None,
+    };
+    journal.iter().filter_map(page).collect()
 }
 
 /// First tick after which goodput stays below `threshold` through the
@@ -156,14 +127,22 @@ fn sustained_collapse(series: &[(f64, f64)], threshold: f64) -> Option<f64> {
     collapse
 }
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "slo",
         "Extension: burn-rate page leads flash-crowd goodput collapse",
     );
-    let mut results = crate::runner::run_over([Arm::Uncontrolled, Arm::TopFullFast], |arm| {
-        (arm.label(), run_one(arm))
-    });
+    // No control, and TopFull with fast MIMD steps (see the module docs).
+    let fast = TopFullConfig::default().with_mimd_steps(0.5, 0.2);
+    let arms = [
+        ("no-control", Roster::None),
+        ("topfull-mimd(0.5)", Roster::Config(fast)),
+    ];
+    let mut plan = RunPlan::new();
+    for (label, roster) in arms {
+        plan.submit(move || (label, burn_probe(roster)));
+    }
+    let mut results = plan.run();
     let topfull = results.pop().expect("topfull arm");
     let uncontrolled = results.pop().expect("no-control arm");
 
@@ -178,7 +157,9 @@ pub fn run() {
         simnet::stats::mean(&pre)
     };
     let threshold = COLLAPSE_FRACTION * baseline;
-    let page_t = first_page(&uncontrolled.1.journal);
+    let page_t = page_times(&uncontrolled.1.journal)
+        .into_iter()
+        .reduce(f64::min);
     let collapse_t = sustained_collapse(&uncontrolled.1.goodput, threshold);
     let lead = match (page_t, collapse_t) {
         (Some(p), Some(c)) => c - p,
@@ -213,18 +194,13 @@ pub fn run() {
         "",
     );
 
-    let pages = |j: &[obs::JournalEntry]| {
-        j.iter()
-            .filter(|e| matches!(e, obs::JournalEntry::SloBurn { to, .. } if to == "page"))
-            .count()
-    };
     let mut rows = Vec::new();
     for (label, arm) in [(uncontrolled.0, &uncontrolled.1), (topfull.0, &topfull.1)] {
         rows.push(vec![
             label.into(),
             f1(arm.crowd_goodput),
             format!("{:.3}", arm.budget_remaining),
-            pages(&arm.journal).to_string(),
+            page_times(&arm.journal).len().to_string(),
         ]);
     }
     r.table(
@@ -259,5 +235,5 @@ pub fn run() {
     // figure is about; `topfull explain artifacts/results/slo.json`
     // renders them interleaved with the plane's window aggregates.
     r.journal(uncontrolled.1.journal);
-    r.finish();
+    r
 }

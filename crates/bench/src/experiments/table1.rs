@@ -3,7 +3,7 @@
 use crate::report::Report;
 use rl::ppo::PpoConfig;
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new("table1", "RL training parameters (paper Table 1)");
     let c = PpoConfig::default();
     r.compare("Steps in episode", 50, c.steps_per_episode, "");
@@ -22,5 +22,5 @@ pub fn run() {
          with PpoConfig::fast() (learning rate 3e-4) to converge in CPU-minutes \
          instead of GPU-hours — see EXPERIMENTS.md.",
     );
-    r.finish();
+    r
 }

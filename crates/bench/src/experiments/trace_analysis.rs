@@ -12,11 +12,10 @@
 //!   sub-problem containing 1.19 constraints on average."
 
 use crate::report::{f1, Report};
-use crate::scenarios::engine_config;
+use crate::scenarios::{constant, Recipe};
 use apps::trace::{SyntheticTrace, OVERLOAD_THRESHOLD};
 use apps::OnlineBoutique;
 use cluster::types::ServiceId;
-use cluster::{Engine, OpenLoopWorkload};
 use simnet::SimTime;
 use topfull::cluster_apis;
 
@@ -26,8 +25,7 @@ fn overloads_per_single_api_surge() -> f64 {
     let ob = OnlineBoutique::build();
     let mut counts = Vec::new();
     for api in ob.apis() {
-        let w = OpenLoopWorkload::constant(vec![(api, 4000.0)]);
-        let mut engine = Engine::new(ob.topology.clone(), engine_config(2), Box::new(w));
+        let mut engine = Recipe::open_loop(&ob.topology, constant(&[api], 4000.0), 2).engine();
         engine.run_until(SimTime::from_secs(30));
         let obs = engine.latest_observation().expect("ran 30s");
         counts.push(obs.overloaded_services(OVERLOAD_THRESHOLD).len() as f64);
@@ -35,7 +33,7 @@ fn overloads_per_single_api_surge() -> f64 {
     simnet::stats::mean(&counts)
 }
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new("trace_analysis", "Alibaba-trace analyses (§2, §6.4)");
     let tr = SyntheticTrace::generate(1);
     let over = tr.overloaded(OVERLOAD_THRESHOLD);
@@ -91,5 +89,5 @@ pub fn run() {
         f1(avg_over),
         "",
     );
-    r.finish();
+    r
 }

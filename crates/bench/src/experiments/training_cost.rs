@@ -23,7 +23,7 @@ const EPISODES_SPECIALIZE: f64 = 800.0;
 const STEPS_PER_EPISODE: f64 = 50.0;
 const AZURE_RATE_PER_HOUR: f64 = 8.1; // 3 × D48ds_v5
 
-pub fn run() {
+pub fn run() -> Report {
     let mut r = Report::new(
         "training_cost",
         "Training cost and transfer-learning benefit (§6.4)",
@@ -99,5 +99,5 @@ pub fn run() {
         crate::models::BASE_EPISODES,
         crate::models::SPECIALIZE_EPISODES,
     ));
-    r.finish();
+    r
 }

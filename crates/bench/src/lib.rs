@@ -6,19 +6,22 @@
 //! * [`models`] — the Sim2Real training pipeline producing the base
 //!   (graph-simulator) policy and the Transfer-TT / Transfer-OB
 //!   specialized policies, cached as JSON under `artifacts/models/`.
-//! * [`scenarios`] — engine/workload builders for the three benchmark
-//!   applications and the controller roster (TopFull, TopFull ablations,
-//!   DAGOR, Breakwater, no-control, HPA combinations).
+//! * [`scenarios`] — the only place an experiment engine or a controller
+//!   arm is built: a `Recipe` (an application under a load, plus the
+//!   modifiers the figures share) and the `Roster` (TopFull, its
+//!   ablations and explicit configs, DAGOR, Breakwater, WISP, none).
 //! * [`report`] — uniform "paper vs measured" result rows and JSON dumps
 //!   under `artifacts/results/`.
 //! * [`runner`] — the parallel run executor: independent `(app, arm,
 //!   seed)` runs fan out over a worker pool (`TOPFULL_WORKERS` overrides
 //!   the size, `=1` forces serial) with byte-identical artifacts at any
 //!   worker count.
-//! * [`exec`] — shared roster-sweep helpers built on the runner, so each
-//!   experiment submits arms instead of hand-rolling harness loops.
-//! * [`experiments`] — one module per figure/table; the `figures` binary
-//!   dispatches to them.
+//! * [`exec`] — what each experiment uses to run: arms of `(label,
+//!   roster, recipe)` go in, `ArmOutcome`s come out, always through the
+//!   runner; `Figure` is the table/ratios/timelines body most of §6
+//!   shares.
+//! * [`experiments`] — one module per figure/table, each returning its
+//!   `Report`; the `figures` binary dispatches to them and finishes it.
 //!
 //! Run everything with `cargo run --release -p topfull-bench --bin
 //! figures -- all`, or a single experiment with e.g. `-- fig8`.

@@ -92,36 +92,27 @@ pub fn base_model() -> PolicyValue {
     m
 }
 
-/// Transfer-TT: the base policy specialized on Train Ticket.
-pub fn transfer_tt() -> PolicyValue {
-    if let Some(m) = load("transfer_tt") {
+/// The base policy specialized on `topo`, cached under `name`.
+fn transfer(name: &str, app: &str, topo: fn() -> cluster::Topology, seed: u64) -> PolicyValue {
+    if let Some(m) = load(name) {
         return m;
     }
-    eprintln!("specializing on Train Ticket ({SPECIALIZE_EPISODES} episodes)…");
-    let m = specialize(
-        base_model(),
-        TrainTicket::build().topology,
-        SPECIALIZE_EPISODES,
-        2000,
-    );
-    store("transfer_tt", &m);
+    eprintln!("specializing on {app} ({SPECIALIZE_EPISODES} episodes)…");
+    let m = specialize(base_model(), topo(), SPECIALIZE_EPISODES, seed);
+    store(name, &m);
     m
+}
+
+/// Transfer-TT: the base policy specialized on Train Ticket.
+pub fn transfer_tt() -> PolicyValue {
+    let topo = || TrainTicket::build().topology;
+    transfer("transfer_tt", "Train Ticket", topo, 2000)
 }
 
 /// Transfer-OB: the base policy specialized on Online Boutique.
 pub fn transfer_ob() -> PolicyValue {
-    if let Some(m) = load("transfer_ob") {
-        return m;
-    }
-    eprintln!("specializing on Online Boutique ({SPECIALIZE_EPISODES} episodes)…");
-    let m = specialize(
-        base_model(),
-        OnlineBoutique::build().topology,
-        SPECIALIZE_EPISODES,
-        3000,
-    );
-    store("transfer_ob", &m);
-    m
+    let topo = || OnlineBoutique::build().topology;
+    transfer("transfer_ob", "Online Boutique", topo, 3000)
 }
 
 /// The default policy experiments use for "TopFull" rows: Transfer-OB

@@ -131,24 +131,6 @@ impl<'a, T: Send> RunPlan<'a, T> {
     }
 }
 
-/// Fan a closure over `items`, returning one result per item in order.
-/// Convenience for the common "same measurement, N configurations"
-/// sweep.
-pub fn run_over<I, T, F>(items: I, f: F) -> Vec<T>
-where
-    I: IntoIterator,
-    I::Item: Send,
-    T: Send,
-    F: Fn(I::Item) -> T + Sync,
-{
-    let f = &f;
-    let mut plan = RunPlan::new();
-    for item in items {
-        plan.submit(move || f(item));
-    }
-    plan.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,12 +165,6 @@ mod tests {
             plan.run()
         };
         assert_eq!(work(1), work(4));
-    }
-
-    #[test]
-    fn run_over_maps_in_order() {
-        let out = run_over(0..10u32, |x| x + 1);
-        assert_eq!(out, (1..=10u32).collect::<Vec<_>>());
     }
 
     #[test]

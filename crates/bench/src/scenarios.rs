@@ -1,13 +1,20 @@
-//! Scenario and controller builders shared by the experiments.
+//! The two things every experiment is made of, each built in one place:
+//! a [`Recipe`] — an application under a load, with the engine
+//! modifiers the paper's figures share — and a [`Roster`] entry, the
+//! controller arm run over it. `crate::exec` turns the pair into a run.
 
 use apps::{AlibabaDemo, OnlineBoutique, TrainTicket};
-use baselines::{Breakwater, BreakwaterConfig, Dagor, DagorConfig, Wisp, WispConfig};
+use baselines::Scheme;
+use cluster::autoscaler::{HpaConfig, VmPoolConfig};
+use cluster::types::BusinessPriority;
 use cluster::{
-    ClosedLoopWorkload, Controller, Engine, EngineConfig, Harness, NoControl, OpenLoopWorkload,
-    RateSchedule, Topology, Workload,
+    ApiId, ClosedLoopWorkload, Controller, Engine, EngineConfig, Harness, NoControl,
+    OpenLoopWorkload, RateSchedule, RetryBudgetConfig, RetryStormWorkload, ServiceId, Topology,
+    WatchdogConfig, Workload,
 };
 use rl::policy::PolicyValue;
 use simnet::SimDuration;
+use std::sync::Arc;
 use topfull::{TopFull, TopFullConfig};
 
 /// The controller roster used across experiments.
@@ -29,6 +36,10 @@ pub enum Roster {
     TopFullNoCluster(PolicyValue),
     /// TopFull with Breakwater's control law (TopFull(BW), §6.3).
     TopFullBw,
+    /// TopFull exactly as configured (refinement ablations, step sweeps).
+    Config(TopFullConfig),
+    /// TopFull as configured, under the harness watchdog (hardened loop).
+    Watchdog(TopFullConfig),
 }
 
 impl Roster {
@@ -43,151 +54,358 @@ impl Roster {
             Roster::TopFullMimd => "topfull-mimd",
             Roster::TopFullNoCluster(_) => "topfull-no-cluster",
             Roster::TopFullBw => "topfull-bw",
+            Roster::Config(_) => "topfull-config",
+            Roster::Watchdog(_) => "topfull-watchdog",
         }
+    }
+
+    /// The entry-point controller of this arm — all a gateway plane,
+    /// sharded or live, can carry. Panics on the arms that are more than
+    /// that (the per-service schemes act inside an engine, the watchdog
+    /// around a harness): only [`Roster::into_harness`] builds those.
+    pub fn controller(self) -> Box<dyn Controller> {
+        let base = TopFullConfig::default();
+        let cfg = match self {
+            Roster::None => return Box::new(NoControl),
+            Roster::TopFull(policy) => base.with_rl(policy),
+            Roster::TopFullMimd => base.with_mimd(),
+            Roster::TopFullNoCluster(policy) => base.with_rl(policy).without_clustering(),
+            Roster::TopFullBw => base.with_bw(),
+            Roster::Config(cfg) => cfg,
+            Roster::Dagor { .. } | Roster::Breakwater | Roster::Wisp | Roster::Watchdog(_) => {
+                panic!("'{}' is no entry controller: into_harness", self.label())
+            }
+        };
+        Box::new(TopFull::new(cfg))
     }
 
     /// Install this roster entry into an engine + harness pair.
     pub fn into_harness(self, mut engine: Engine) -> Harness {
-        let n = engine.topology().num_services();
-        let controller: Box<dyn Controller> = match self {
-            Roster::None => Box::new(NoControl),
-            Roster::Dagor { alpha } => {
-                engine.set_admission(Box::new(Dagor::new(
-                    n,
-                    DagorConfig {
-                        alpha,
-                        ..DagorConfig::default()
-                    },
-                )));
-                Box::new(NoControl)
+        let scheme = match self {
+            Roster::Dagor { alpha } => Scheme::Dagor { alpha },
+            Roster::Breakwater => Scheme::Breakwater,
+            Roster::Wisp => Scheme::Wisp,
+            Roster::Watchdog(cfg) => {
+                let entry = Roster::Config(cfg).controller();
+                return Harness::with_watchdog(engine, entry, WatchdogConfig::default());
             }
-            Roster::Breakwater => {
-                engine.set_admission(Box::new(Breakwater::new(n, BreakwaterConfig::default())));
-                Box::new(NoControl)
-            }
-            Roster::Wisp => {
-                let wisp = Wisp::new(engine.topology(), WispConfig::default());
-                engine.set_admission(Box::new(wisp));
-                Box::new(NoControl)
-            }
-            Roster::TopFull(policy) => {
-                Box::new(TopFull::new(TopFullConfig::default().with_rl(policy)))
-            }
-            Roster::TopFullMimd => Box::new(TopFull::new(TopFullConfig::default().with_mimd())),
-            Roster::TopFullNoCluster(policy) => Box::new(TopFull::new(
-                TopFullConfig::default()
-                    .with_rl(policy)
-                    .without_clustering(),
-            )),
-            Roster::TopFullBw => Box::new(TopFull::new(TopFullConfig::default().with_bw())),
+            entry => return Harness::new(engine, entry.controller()),
         };
-        Harness::new(engine, controller)
+        scheme.install(&mut engine);
+        Harness::new(engine, Box::new(NoControl))
     }
 }
 
-/// Default engine config for experiments (1 s SLO, 1 s control cadence).
-pub fn engine_config(seed: u64) -> EngineConfig {
-    EngineConfig {
-        seed,
-        ..EngineConfig::default()
+type Hook = Arc<dyn Fn(&mut Engine) + Send + Sync>;
+
+/// What an experiment runs over: a topology, the load offered to it and
+/// the engine modifiers at least two figures share. Cheap to clone and
+/// `Send`, so each arm builds its own engine inside its worker (engines
+/// are not `Send`).
+#[derive(Clone)]
+pub struct Recipe {
+    /// Cloned from the caller's, who makes one-off changes (replica
+    /// counts, pod speeds) before handing it over.
+    topology: Topology,
+    workload: Arc<dyn Fn() -> Box<dyn Workload> + Send + Sync>,
+    /// 1 s SLO, 1 s control cadence.
+    cfg: EngineConfig,
+    /// Applied in order to each built engine.
+    then: Vec<Hook>,
+}
+
+/// Every API in `apis` at a constant `rps`.
+pub fn constant(apis: &[ApiId], rps: f64) -> Vec<(ApiId, RateSchedule)> {
+    let at = |a: &ApiId| (*a, RateSchedule::constant(rps));
+    apis.iter().map(at).collect()
+}
+
+/// Closed-loop users pick among `apis` evenly, one request a second.
+fn evenly(apis: &[ApiId]) -> Vec<(ApiId, f64)> {
+    apis.iter().map(|a| (*a, 1.0)).collect()
+}
+const THINK: SimDuration = SimDuration::from_secs(1);
+
+impl Recipe {
+    fn new(
+        topology: &Topology,
+        seed: u64,
+        workload: impl Fn() -> Box<dyn Workload> + Send + Sync + 'static,
+    ) -> Recipe {
+        Recipe {
+            topology: topology.clone(),
+            workload: Arc::new(workload),
+            cfg: EngineConfig {
+                seed,
+                ..EngineConfig::default()
+            },
+            then: Vec::new(),
+        }
+    }
+
+    /// Closed-loop Locust-style users over `apis`; `users` is the
+    /// population over time (§6.1: "2600 Locust users invoking 1 request
+    /// per second").
+    pub fn users(topology: &Topology, apis: &[ApiId], users: RateSchedule, seed: u64) -> Recipe {
+        let weights = evenly(apis);
+        Recipe::new(topology, seed, move || {
+            Box::new(ClosedLoopWorkload::new(
+                weights.clone(),
+                users.clone(),
+                THINK,
+            ))
+        })
+    }
+
+    /// Open-loop Poisson arrivals at per-API rate schedules.
+    pub fn open_loop(topology: &Topology, rates: Vec<(ApiId, RateSchedule)>, seed: u64) -> Recipe {
+        Recipe::new(topology, seed, move || {
+            Box::new(OpenLoopWorkload::new(rates.clone()))
+        })
+    }
+
+    /// `users` misbehaving closed-loop clients over `apis`, each
+    /// re-issuing a failed call after 50 ms up to `max_retries` times —
+    /// `budgeted`: within a shared adaptive (gRPC-style) retry budget.
+    pub fn retry_storm(
+        topology: &Topology,
+        apis: &[ApiId],
+        users: u32,
+        (max_retries, budgeted): (u32, bool),
+        seed: u64,
+    ) -> Recipe {
+        let weights = evenly(apis);
+        let backoff = SimDuration::from_millis(50);
+        Recipe::new(topology, seed, move || {
+            let w = RetryStormWorkload::new(weights.clone(), users, THINK, max_retries, backoff);
+            if budgeted {
+                Box::new(w.with_retry_budget(RetryBudgetConfig::default()))
+            } else {
+                Box::new(w)
+            }
+        })
+    }
+
+    /// Every API at the same business priority (Breakwater carries none).
+    pub fn uniform_priorities(mut self) -> Recipe {
+        let all: Vec<ApiId> = self.topology.apis().map(|(id, _)| id).collect();
+        for api in all {
+            self.topology.api_mut(api).business = BusinessPriority(0);
+        }
+        self
+    }
+
+    /// Distinct business priorities, `high_to_low[0]` the most important.
+    pub fn priorities(mut self, high_to_low: &[ApiId]) -> Recipe {
+        for (api, p) in high_to_low.iter().zip(0u8..) {
+            self.topology.api_mut(*api).business = BusinessPriority(p);
+        }
+        self
+    }
+
+    /// The HPA over a finite pool of 48-vCPU VMs: `initial_vms` ready,
+    /// up to 10, each further one `vm_startup` seconds away (the
+    /// cluster-autoscaler timescale gap of §1).
+    pub fn autoscaled(self, initial_vms: u32, vm_startup: u64) -> Recipe {
+        self.then(move |engine| {
+            engine.set_vm_pool(VmPoolConfig {
+                vcpus_per_vm: 48,
+                initial_vms,
+                max_vms: 10,
+                vm_startup: SimDuration::from_secs(vm_startup),
+                vcpus_per_pod: 1.0,
+            });
+            engine.enable_hpa(HpaConfig::default());
+        })
+    }
+
+    /// New pods take `secs` to come up (scheduling + image pull).
+    pub fn pod_startup(mut self, secs: u64) -> Recipe {
+        self.cfg.pod_startup = SimDuration::from_secs(secs);
+        self
+    }
+
+    /// Fig. 16's pre-provisioning: split `vcpus` pods (one vCPU each)
+    /// over the `critical` services — an even share apiece, the
+    /// remainder to the last, never fewer than one.
+    pub fn provisioned(mut self, critical: &[ServiceId], vcpus: u32) -> Recipe {
+        let share = (vcpus / critical.len() as u32).max(1);
+        let mut left = vcpus;
+        for (i, svc) in critical.iter().enumerate() {
+            let after = (critical.len() - 1 - i) as u32;
+            let n = if after == 0 {
+                left.max(1)
+            } else {
+                share.min(left.saturating_sub(after)).max(1)
+            };
+            left = left.saturating_sub(n);
+            self.topology.service_mut(*svc).replicas = n;
+        }
+        self
+    }
+
+    /// A finishing touch on each built engine — a figure's own (a
+    /// failure schedule, a fault plan, a front door).
+    pub fn then(mut self, f: impl Fn(&mut Engine) + Send + Sync + 'static) -> Recipe {
+        self.then.push(Arc::new(f));
+        self
+    }
+
+    /// Build the engine.
+    pub fn engine(&self) -> Engine {
+        let mut engine = Engine::new(self.topology.clone(), self.cfg.clone(), (self.workload)());
+        for f in &self.then {
+            f(&mut engine);
+        }
+        engine
     }
 }
 
-/// Online Boutique with a closed-loop Locust-style population split
-/// uniformly across the five APIs (§6.1: "2600 Locust users invoking 1
-/// request per second").
+/// Online Boutique under `users` closed-loop users over its five APIs.
+pub fn boutique_users(users: RateSchedule, seed: u64) -> Recipe {
+    let ob = OnlineBoutique::build();
+    Recipe::users(&ob.topology, &ob.apis(), users, seed)
+}
+
+/// Online Boutique with a fixed closed-loop population (Figs. 8–10).
 pub fn boutique_closed_loop(users: u32, seed: u64) -> (OnlineBoutique, Engine) {
     let ob = OnlineBoutique::build();
-    let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    let w = ClosedLoopWorkload::fixed(weights, users, SimDuration::from_secs(1));
-    let engine = Engine::new(ob.topology.clone(), engine_config(seed), Box::new(w));
+    let users = RateSchedule::constant(f64::from(users));
+    let engine = Recipe::users(&ob.topology, &ob.apis(), users, seed).engine();
     (ob, engine)
 }
 
-/// Online Boutique with per-API open-loop schedules.
-pub fn boutique_open_loop(
-    rates: impl Fn(&OnlineBoutique) -> Vec<(cluster::ApiId, RateSchedule)>,
-    seed: u64,
-) -> (OnlineBoutique, Engine) {
-    let ob = OnlineBoutique::build();
-    let w = OpenLoopWorkload::new(rates(&ob));
-    let engine = Engine::new(ob.topology.clone(), engine_config(seed), Box::new(w));
-    (ob, engine)
-}
-
-/// Train Ticket with per-API open-loop schedules.
-pub fn trainticket_open_loop(
-    rates: impl Fn(&TrainTicket) -> Vec<(cluster::ApiId, RateSchedule)>,
-    seed: u64,
-) -> (TrainTicket, Engine) {
+/// Train Ticket with its six measured APIs each offered `rps` open-loop.
+pub fn trainticket_constant(rps: f64, seed: u64) -> Recipe {
     let tt = TrainTicket::build();
-    let w = OpenLoopWorkload::new(rates(&tt));
-    let engine = Engine::new(tt.topology.clone(), engine_config(seed), Box::new(w));
-    (tt, engine)
+    Recipe::open_loop(&tt.topology, constant(&tt.apis(), rps), seed)
 }
 
-/// The Alibaba real-trace demo with a surge overloading its hot services.
-pub fn alibaba_surged(surge: f64, seed: u64) -> (AlibabaDemo, Engine) {
+/// The Alibaba real-trace demo, every API offered `120 × surge` rps —
+/// enough at `surge ≥ 1.5` to overload its hot services.
+pub fn alibaba_open_loop(surge: f64, seed: u64) -> (AlibabaDemo, Recipe) {
     let demo = AlibabaDemo::build(7);
-    // Offered load per API proportional to its hot anchor's capacity.
-    let rates: Vec<(cluster::ApiId, f64)> = demo.apis.iter().map(|a| (*a, 120.0 * surge)).collect();
-    let w = OpenLoopWorkload::constant(rates);
-    let engine = Engine::new(demo.topology.clone(), engine_config(seed), Box::new(w));
-    (demo, engine)
+    let recipe = Recipe::open_loop(&demo.topology, constant(&demo.apis, 120.0 * surge), seed);
+    (demo, recipe)
 }
 
-/// Build an engine for an arbitrary topology with constant open-loop
-/// rates on every API.
-pub fn uniform_open_loop(topo: Topology, rate_per_api: f64, seed: u64) -> Engine {
-    let rates: Vec<(cluster::ApiId, f64)> = topo.apis().map(|(id, _)| (id, rate_per_api)).collect();
-    let w: Box<dyn Workload> = Box::new(OpenLoopWorkload::constant(rates));
-    Engine::new(topo, engine_config(seed), w)
+/// [`alibaba_open_loop`], built.
+pub fn alibaba_surged(surge: f64, seed: u64) -> (AlibabaDemo, Engine) {
+    let (demo, recipe) = alibaba_open_loop(surge, seed);
+    let engine = recipe.engine();
+    (demo, engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments as ex;
+    use simnet::SimTime;
 
-    #[test]
-    fn roster_labels_are_distinct() {
-        let policy = rl::policy::PolicyValue::new(
+    fn policy(seed: u64) -> PolicyValue {
+        PolicyValue::new(
             2,
-            &mut <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(1),
-        );
-        let rosters = [
+            &mut <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed),
+        )
+    }
+
+    fn every_roster() -> Vec<Roster> {
+        let mimd = TopFullConfig::default().with_mimd();
+        vec![
             Roster::None,
             Roster::Dagor { alpha: 0.05 },
             Roster::Breakwater,
             Roster::Wisp,
-            Roster::TopFull(policy.clone()),
+            Roster::TopFull(policy(1)),
             Roster::TopFullMimd,
-            Roster::TopFullNoCluster(policy),
+            Roster::TopFullNoCluster(policy(1)),
             Roster::TopFullBw,
-        ];
+            Roster::Config(mimd.clone().with_mimd_steps(0.5, 0.2)),
+            Roster::Watchdog(mimd.hardened().with_rate_bounds(1.0, 10_000.0)),
+        ]
+    }
+
+    #[test]
+    fn roster_labels_are_distinct() {
+        let rosters = every_roster();
         let labels: std::collections::HashSet<&str> = rosters.iter().map(Roster::label).collect();
         assert_eq!(labels.len(), rosters.len(), "labels must be unique");
     }
 
     #[test]
+    #[should_panic(expected = "'dagor' is no entry controller")]
+    fn a_per_service_arm_has_no_gateway_controller() {
+        Roster::Dagor { alpha: 0.05 }.controller();
+    }
+
+    /// Every recipe constructor and modifier, on each application, and
+    /// every recipe a figure defines: a panicking builder or a misnamed
+    /// API shows here, not an hour into `figures all`.
+    fn every_recipe() -> Vec<(&'static str, Recipe)> {
+        let ob = OnlineBoutique::build();
+        let tt = TrainTicket::build();
+        let (from, until) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        let surge = RateSchedule::surge(50.0, 400.0, from, until);
+        let step = RateSchedule::steps(vec![(SimTime::ZERO, 20.0), (from, 300.0)]);
+        let tt_surge = tt.apis().iter().map(|a| (*a, surge.clone())).collect();
+        let ranked = [ob.postcheckout, ob.getproduct, ob.getcart, ob.postcart];
+        vec![
+            ("users", boutique_users(RateSchedule::constant(50.0), 1)),
+            ("users surging", boutique_users(surge.clone(), 1)),
+            (
+                "users uniform",
+                boutique_users(surge.clone(), 1).uniform_priorities(),
+            ),
+            (
+                "users autoscaled",
+                boutique_users(surge.clone(), 1)
+                    .pod_startup(2)
+                    .autoscaled(1, 2),
+            ),
+            ("tt constant", trainticket_constant(100.0, 1)),
+            (
+                "tt surge autoscaled",
+                Recipe::open_loop(&tt.topology, tt_surge, 1)
+                    .pod_startup(2)
+                    .autoscaled(3, 2),
+            ),
+            ("alibaba", alibaba_open_loop(1.5, 1).1),
+            (
+                "steps ranked",
+                Recipe::open_loop(&ob.topology, vec![(ob.getproduct, step)], 1).priorities(&ranked),
+            ),
+            (
+                "retry storm",
+                Recipe::retry_storm(&ob.topology, &ob.apis(), 50, (3, false), 1),
+            ),
+            (
+                "retry storm budgeted",
+                Recipe::retry_storm(&ob.topology, &ob.apis(), 50, (100, true), 1),
+            ),
+            ("fig04", ex::fig04::recipe(&ob, 1)),
+            ("fig08", ex::fig08::recipe(100, 1)),
+            ("fig14", ex::fig14::recipe(1)),
+            ("fig16 tt", ex::fig16::tt_recipe(5)),
+            ("fig16 ob", ex::fig16::ob_recipe(10)),
+            ("fig18", ex::fig18::recipe(1)),
+            ("chaos", ex::chaos::recipe(1)),
+            ("slo", ex::slo::recipe(&ob)),
+            ("metastable", ex::metastable::recipe((100, true), true)),
+            ("admission read", ex::admission::read_recipe(1).0),
+            ("admission mixed", ex::admission::mixed_recipe(1).0),
+            ("two-plane", ex::two_plane::recipe(&ob)),
+        ]
+    }
+
+    #[test]
     fn every_roster_builds_a_harness() {
-        let policy = rl::policy::PolicyValue::new(
-            2,
-            &mut <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(2),
-        );
-        for roster in [
-            Roster::None,
-            Roster::Dagor { alpha: 0.05 },
-            Roster::Breakwater,
-            Roster::Wisp,
-            Roster::TopFull(policy.clone()),
-            Roster::TopFullMimd,
-            Roster::TopFullNoCluster(policy),
-            Roster::TopFullBw,
-        ] {
-            let (_, engine) = boutique_closed_loop(10, 1);
-            let mut h = roster.into_harness(engine);
-            h.run_for_secs(3);
-            assert_eq!(h.result().samples.len(), 3);
+        for (name, recipe) in every_recipe() {
+            for roster in every_roster() {
+                let label = roster.label();
+                let mut h = roster.into_harness(recipe.engine());
+                h.run_for_secs(3);
+                assert_eq!(h.result().samples.len(), 3, "{name} under {label}");
+            }
         }
     }
 
@@ -196,15 +414,39 @@ mod tests {
         let (ob, e) = boutique_closed_loop(100, 1);
         assert_eq!(e.topology().num_services(), 11);
         assert_eq!(ob.apis().len(), 5);
-        let (tt, e) =
-            trainticket_open_loop(|tt| vec![(tt.query_order, RateSchedule::constant(10.0))], 1);
+        let e = trainticket_constant(10.0, 1).engine();
         assert_eq!(e.topology().num_services(), 41);
-        assert_eq!(tt.apis().len(), 6);
+        // fig14 zips six column names against these.
+        assert_eq!(TrainTicket::build().apis().len(), 6);
         let (demo, e) = alibaba_surged(1.0, 1);
         assert_eq!(e.topology().num_services(), 127);
         assert_eq!(demo.apis.len(), 25);
-        let topo = apps::OnlineBoutique::build().topology;
-        let e = uniform_open_loop(topo, 10.0, 1);
-        assert_eq!(e.topology().num_apis(), 5);
+    }
+
+    #[test]
+    fn modifiers_edit_the_topology_and_the_engine() {
+        let ob = OnlineBoutique::build();
+        let ranked = [ob.emptycart, ob.getcart];
+        let r = boutique_users(RateSchedule::constant(10.0), 1).priorities(&ranked);
+        assert_eq!(r.topology.api(ob.emptycart).business, BusinessPriority(0));
+        assert_eq!(r.topology.api(ob.getcart).business, BusinessPriority(1));
+        let r = r.uniform_priorities();
+        assert!(r
+            .topology
+            .apis()
+            .all(|(_, a)| a.business == BusinessPriority(0)));
+        // 7 vCPUs over three services: 2, 2 and the remaining 3; one
+        // vCPU still gives every service a pod.
+        let critical = [ob.cart, ob.checkout, ob.frontend];
+        let replicas = |r: &Recipe| critical.map(|s| r.topology.service(s).replicas);
+        assert_eq!(replicas(&r.clone().provisioned(&critical, 7)), [2, 2, 3]);
+        assert_eq!(replicas(&r.clone().provisioned(&critical, 1)), [1, 1, 1]);
+        // Hooks run on every engine built, in the order they were added.
+        let r = r
+            .pod_startup(7)
+            .then(|e| e.crash_events += 1)
+            .then(|e| e.crash_events *= 10);
+        assert_eq!(r.engine().crash_events, 10);
+        assert_eq!(r.engine().config().pod_startup, SimDuration::from_secs(7));
     }
 }

@@ -5,7 +5,7 @@ use crate::schema::{
     ResilienceSpec, RetryBudgetSpecJson, Scenario, ShardFaultJson, ShardingSpec, WorkloadSpec,
 };
 use apps::{AlibabaDemo, OnlineBoutique, TrainTicket};
-use baselines::{Breakwater, BreakwaterConfig, Dagor, DagorConfig, Wisp, WispConfig};
+use baselines::Scheme;
 use cluster::autoscaler::{HpaConfig, VmPoolConfig};
 use cluster::types::BusinessPriority;
 use cluster::{
@@ -201,22 +201,10 @@ fn build_controller(
     spec: &ControllerSpec,
     engine: &mut Engine,
 ) -> Result<Box<dyn Controller>, String> {
-    let n = engine.topology().num_services();
     match spec {
-        ControllerSpec::Dagor { alpha } => {
-            let cfg = DagorConfig {
-                alpha: *alpha,
-                ..DagorConfig::default()
-            };
-            engine.set_admission(Box::new(Dagor::new(n, cfg)));
-        }
-        ControllerSpec::Breakwater => {
-            engine.set_admission(Box::new(Breakwater::new(n, BreakwaterConfig::default())));
-        }
-        ControllerSpec::Wisp => {
-            let wisp = Wisp::new(engine.topology(), WispConfig::default());
-            engine.set_admission(Box::new(wisp));
-        }
+        ControllerSpec::Dagor { alpha } => Scheme::Dagor { alpha: *alpha }.install(engine),
+        ControllerSpec::Breakwater => Scheme::Breakwater.install(engine),
+        ControllerSpec::Wisp => Scheme::Wisp.install(engine),
         ControllerSpec::None | ControllerSpec::Topfull { .. } => {}
     }
     // A per-service scheme admits inside the engine; nothing runs at the entry.

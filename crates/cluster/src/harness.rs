@@ -110,15 +110,6 @@ impl RunResult {
     pub fn total_goodput_series(&self) -> Vec<(f64, f64)> {
         self.series(|s| s.goodput.iter().sum())
     }
-
-    /// Resilience counters summed over the whole run.
-    pub fn total_resilience(&self) -> ResilienceStats {
-        let mut total = ResilienceStats::default();
-        for s in &self.samples {
-            total.add(&s.resilience);
-        }
-        total
-    }
 }
 
 /// A simulated [`Plane`] the [`Harness`] can drive: the [`Engine`]

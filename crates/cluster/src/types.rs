@@ -103,27 +103,6 @@ pub enum RequestOutcome {
     BreakerOpen(ServiceId),
 }
 
-impl RequestOutcome {
-    /// True only for responses that count toward goodput.
-    pub fn is_good(self) -> bool {
-        matches!(self, RequestOutcome::Good)
-    }
-
-    /// True when the request failed *inside* the cluster after being
-    /// admitted at entry (it consumed upstream resources — wasted work).
-    pub fn failed_in_cluster(self) -> bool {
-        matches!(
-            self,
-            RequestOutcome::RejectedAtService(_)
-                | RequestOutcome::QueueOverflow(_)
-                | RequestOutcome::PodCrashed(_)
-                | RequestOutcome::NetworkLost(_)
-                | RequestOutcome::DeadlineExpired(_)
-                | RequestOutcome::BreakerOpen(_)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,18 +118,6 @@ mod tests {
     fn business_priority_orders_low_first() {
         assert!(BusinessPriority::HIGHEST < BusinessPriority(1));
         assert!(BusinessPriority(3) > BusinessPriority(2));
-    }
-
-    #[test]
-    fn outcome_classification() {
-        assert!(RequestOutcome::Good.is_good());
-        assert!(!RequestOutcome::SloViolated.is_good());
-        assert!(RequestOutcome::QueueOverflow(ServiceId(0)).failed_in_cluster());
-        assert!(RequestOutcome::DeadlineExpired(ServiceId(1)).failed_in_cluster());
-        assert!(RequestOutcome::BreakerOpen(ServiceId(1)).failed_in_cluster());
-        assert!(!RequestOutcome::RejectedAtEntry.failed_in_cluster());
-        assert!(!RequestOutcome::ClientTimeout.failed_in_cluster());
-        assert!(!RequestOutcome::Good.failed_in_cluster());
     }
 
     #[test]

@@ -156,11 +156,6 @@ impl ShardedLive {
             .metrics_addr()
     }
 
-    /// Gateway address of one shard (`None` once killed).
-    pub fn shard_addr(&self, shard: usize) -> Option<SocketAddr> {
-        self.servers[shard].as_ref().map(|s| s.addr())
-    }
-
     /// Kill `shard` abruptly and fail its traffic over to survivors.
     fn kill_shard(&mut self, shard: usize, t: f64) {
         let Some(server) = self.servers[shard].take() else {
@@ -343,10 +338,11 @@ mod tests {
         let result = crate::run(&mut ctl, &mut live, interval, Duration::from_secs(1));
         assert!(!result.samples.is_empty());
         assert_eq!(live.set().killed(), Some(1));
-        // The kill was a real teardown: the dead shard has no address,
-        // the survivors still answer.
-        assert!(live.set().shard_addr(1).is_none());
-        assert!(live.set().shard_addr(0).is_some() && live.set().shard_addr(2).is_some());
+        // The kill was a real teardown: the dead shard's server is gone,
+        // the survivors' still stand.
+        let servers = &live.set().servers;
+        assert!(servers[1].is_none());
+        assert!(servers[0].is_some() && servers[2].is_some());
         // The plane noticed the kill and struck the shard out.
         assert!(
             live.plane_stats().strike_outs >= 1,

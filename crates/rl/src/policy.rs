@@ -76,18 +76,6 @@ impl PolicyValue {
         self.vf.forward(state)[0]
     }
 
-    /// Analytic KL divergence `KL(old ‖ new)` between two Gaussians with
-    /// means at `state` under each policy.
-    pub fn kl_from(&self, old: &PolicyValue, state: &[f64]) -> f64 {
-        let m_old = old.pi.forward(state)[0];
-        let m_new = self.pi.forward(state)[0];
-        let s_old = old.log_std.exp();
-        let s_new = self.log_std.exp();
-        (self.log_std - old.log_std)
-            + (s_old * s_old + (m_old - m_new).powi(2)) / (2.0 * s_new * s_new)
-            - 0.5
-    }
-
     /// Policy entropy (state-independent for a global std).
     pub fn entropy(&self) -> f64 {
         0.5 * (LN_2PI + 1.0) + self.log_std
@@ -192,24 +180,6 @@ mod tests {
             x += step;
         }
         assert!((total - 1.0).abs() < 0.01, "density sums to {total}");
-    }
-
-    #[test]
-    fn kl_of_identical_policies_is_zero() {
-        let p = pv();
-        let kl = p.kl_from(&p, &[0.1, 0.9]);
-        assert!(kl.abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_grows_with_mean_shift() {
-        let p = pv();
-        let mut q = p.clone();
-        // Nudge the output bias of the mean net.
-        let n = q.pi.params.len();
-        q.pi.params[n - 1] += 0.5;
-        let kl = q.kl_from(&p, &[0.1, 0.9]);
-        assert!(kl > 0.0);
     }
 
     #[test]

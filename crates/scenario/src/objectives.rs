@@ -61,17 +61,6 @@ impl Objective {
             Objective::BudgetBurn => "burn",
         }
     }
-
-    pub fn from_slug(s: &str) -> Option<Self> {
-        match s {
-            "collapse" => Some(Objective::GoodputCollapse),
-            "reconvergence" => Some(Objective::ReconvergenceFailure),
-            "breach" => Some(Objective::SustainedBreach),
-            "ringing" => Some(Objective::Ringing),
-            "burn" => Some(Objective::BudgetBurn),
-            _ => None,
-        }
-    }
 }
 
 /// One tripped objective, with the numbers that tripped it.
@@ -397,7 +386,6 @@ mod tests {
         ticketed.journal.push(burn("ticket"));
         let v = evaluate(&wf(), &ticketed, &oracle);
         assert!(!trips(&v, Objective::BudgetBurn), "{v:?}");
-        assert_eq!(Objective::from_slug("burn"), Some(Objective::BudgetBurn));
         assert_eq!(Objective::BudgetBurn.slug(), "burn");
     }
 

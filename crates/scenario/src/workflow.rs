@@ -309,11 +309,6 @@ impl WorkflowSpec {
             .unwrap_or(0)
     }
 
-    /// Total offered rate across tracks at absolute time `t`.
-    pub fn offered_at(&self, t: f64) -> f64 {
-        self.tracks.iter().map(|tr| tr.rate_at(t)).sum()
-    }
-
     /// The time after which the input stops changing: the last rate
     /// step and the last fault window have both passed. `None` when the
     /// workflow contains a permanent disturbance (pod kills don't
@@ -509,27 +504,6 @@ mod tests {
             rates[0].steps,
             vec![(0, 20.0), (10, 200.0), (20, 20.0), (30, 200.0)]
         );
-    }
-
-    #[test]
-    fn offered_at_matches_the_compiled_curve() {
-        let w = wf(vec![
-            PhaseSpec::Plateau {
-                duration_secs: 10,
-                rate: 40.0,
-            },
-            PhaseSpec::Oscillate {
-                duration_secs: 20,
-                low: 10.0,
-                high: 90.0,
-                period_secs: 10,
-            },
-        ]);
-        assert_eq!(w.offered_at(5.0), 40.0);
-        assert_eq!(w.offered_at(12.0), 10.0);
-        assert_eq!(w.offered_at(17.0), 90.0);
-        // Past the end: the closing rate holds.
-        assert_eq!(w.offered_at(100.0), w.offered_at(29.9));
     }
 
     #[test]

@@ -130,19 +130,6 @@ impl LatencyHistogram {
         Some(self.max_seen)
     }
 
-    /// Fraction of samples at or below `limit` (0 when empty).
-    ///
-    /// Used for "how many responses met the SLO" style queries; resolution
-    /// is one bucket.
-    pub fn fraction_below(&self, limit: SimDuration) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let b = self.bucket_of(limit);
-        let below: u64 = self.counts.iter().take(b + 1).sum();
-        below as f64 / self.total as f64
-    }
-
     /// Merge another histogram into this one. Both must have been created
     /// with the same relative error.
     pub fn merge(&mut self, other: &LatencyHistogram) {
@@ -235,7 +222,6 @@ mod tests {
         assert!(h.quantile(0.5).is_none());
         assert!(h.max().is_none());
         assert_eq!(h.count(), 0);
-        assert_eq!(h.fraction_below(SimDuration::from_secs(1)), 0.0);
     }
 
     #[test]
@@ -260,16 +246,6 @@ mod tests {
             let rel = (got - want_ms).abs() / want_ms;
             assert!(rel < 0.06, "q={q}: got {got}ms want {want_ms}ms rel={rel}");
         }
-    }
-
-    #[test]
-    fn fraction_below_tracks_slo() {
-        let mut h = LatencyHistogram::new();
-        for ms in [100u64, 200, 300, 1500, 2000] {
-            h.record(SimDuration::from_millis(ms));
-        }
-        let f = h.fraction_below(SimDuration::from_secs(1));
-        assert!((f - 0.6).abs() < 0.01, "3 of 5 under the 1s SLO, got {f}");
     }
 
     #[test]
@@ -390,29 +366,6 @@ mod proptests {
                 prev = est;
             }
             prop_assert_eq!(h.count(), samples.len() as u64);
-        }
-
-        /// `fraction_below` is monotone in the limit and hits 0/1 at the
-        /// extremes (within one bucket of resolution).
-        #[test]
-        fn fraction_below_is_monotone(
-            samples in prop::collection::vec(1_000u64..1_000_000, 1..100),
-        ) {
-            let mut h = LatencyHistogram::new();
-            for &s in &samples {
-                h.record(SimDuration::from_nanos(s));
-            }
-            let mut prev = -1.0;
-            for limit in [1u64, 10_000, 100_000, 500_000, 10_000_000] {
-                let f = h.fraction_below(SimDuration::from_nanos(limit));
-                prop_assert!((0.0..=1.0).contains(&f));
-                prop_assert!(f >= prev);
-                prev = f;
-            }
-            prop_assert!(
-                h.fraction_below(SimDuration::from_secs(10)) == 1.0,
-                "everything is below a huge limit"
-            );
         }
 
         /// A cumulative histogram cut into windows at random points: each

@@ -31,11 +31,6 @@ pub fn fork(root: u64, label: &str) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(root, label))
 }
 
-/// Fork an independent RNG stream for the `i`-th instance of a component.
-pub fn fork_indexed(root: u64, label: &str, i: u64) -> SmallRng {
-    SmallRng::seed_from_u64(splitmix64(derive_seed(root, label) ^ i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,13 +60,6 @@ mod tests {
     fn different_roots_different_streams() {
         let a: u64 = fork(1, "svc").gen();
         let b: u64 = fork(2, "svc").gen();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn indexed_forks_are_distinct() {
-        let a: u64 = fork_indexed(7, "pod", 0).gen();
-        let b: u64 = fork_indexed(7, "pod", 1).gen();
         assert_ne!(a, b);
     }
 

@@ -51,13 +51,6 @@ impl TokenBucket {
         self.burst
     }
 
-    /// Change the refill rate, first crediting tokens accrued at the old
-    /// rate. Stored tokens above the (unchanged) burst cap are kept capped.
-    pub fn set_rate(&mut self, rate: f64, now: SimTime) {
-        self.refill(now);
-        self.rate = rate.max(0.0);
-    }
-
     /// Change both rate and burst (non-negative, like [`TokenBucket::new`]).
     pub fn set_rate_and_burst(&mut self, rate: f64, burst: f64, now: SimTime) {
         self.refill(now);
@@ -148,24 +141,6 @@ mod tests {
         assert!(
             (f64::from(admitted) - expected).abs() <= 1.0,
             "admitted {admitted}, expected ≈{expected}"
-        );
-    }
-
-    #[test]
-    fn set_rate_credits_elapsed_time_first() {
-        let t0 = SimTime::ZERO;
-        let mut b = TokenBucket::new(10.0, 20.0, t0);
-        while b.try_admit(t0) {}
-        let t1 = t0 + SimDuration::from_secs(1); // earns 10 at old rate
-        b.set_rate(0.0, t1);
-        assert!(
-            (b.available(t1) - 10.0).abs() < 1e-9,
-            "old-rate tokens kept"
-        );
-        let t2 = t1 + SimDuration::from_secs(5);
-        assert!(
-            (b.available(t2) - 10.0).abs() < 1e-9,
-            "zero rate earns none"
         );
     }
 
