@@ -68,6 +68,25 @@ impl Default for BreakwaterConfig {
     }
 }
 
+impl BreakwaterConfig {
+    /// One interval of the delay law, its only statement (WISP's local
+    /// rates take the same step): at or under the target delay the rate
+    /// grows by `additive_step`; over it, it shrinks by `beta` times the
+    /// overload level `(d - d_t) / d`, in (0, 1) — never to less than a
+    /// tenth in one step — and `min_rate` floors the result.
+    pub(crate) fn step(&self, rate: f64, delay: SimDuration) -> f64 {
+        let rate = if delay <= self.target_delay {
+            rate + self.additive_step
+        } else {
+            let d = delay.as_secs_f64();
+            let dt = self.target_delay.as_secs_f64();
+            let severity = ((d - dt) / d).clamp(0.0, 1.0);
+            rate * (1.0 - self.beta * severity).max(0.1)
+        };
+        rate.max(self.min_rate)
+    }
+}
+
 /// Breakwater admission across all services.
 pub struct Breakwater {
     cfg: BreakwaterConfig,
@@ -114,18 +133,8 @@ impl AdmissionControl for Breakwater {
         }
         for w in &obs.services {
             let i = w.service.idx();
-            let delay = w.mean_queuing_delay;
-            let rate = &mut self.rates[i];
-            if delay <= self.cfg.target_delay {
-                *rate += self.cfg.additive_step;
-            } else {
-                // Overload level = (d - d_t) / d, in (0, 1).
-                let d = delay.as_secs_f64();
-                let dt = self.cfg.target_delay.as_secs_f64();
-                let severity = ((d - dt) / d).clamp(0.0, 1.0);
-                *rate *= (1.0 - self.cfg.beta * severity).max(0.1);
-            }
-            *rate = rate.max(self.cfg.min_rate);
+            let rate = self.cfg.step(self.rates[i], w.mean_queuing_delay);
+            self.rates[i] = rate;
             // The per-client credit floor: the server cannot issue less.
             let issued = rate.max(self.cfg.min_credit_rate_per_client * clients[i]);
             self.buckets[i].set_rate_and_burst(issued, (issued * 0.05).max(1.0), obs.now);
@@ -142,6 +151,7 @@ mod tests {
     use super::*;
     use cluster::observe::{ApiWindow, ServiceWindow};
     use cluster::types::{ApiId, BusinessPriority};
+    use proptest::prelude::*;
 
     fn meta() -> RequestMeta {
         RequestMeta {
@@ -297,5 +307,42 @@ mod tests {
             b.on_interval(&obs(s, &[300, 1]));
         }
         assert!(b.rate(ServiceId(0)) < b.rate(ServiceId(1)));
+    }
+
+    proptest! {
+        /// `BreakwaterConfig::step` against the arithmetic `on_interval`
+        /// spelt out in place before it (kept here verbatim), over random
+        /// delays from none to 100× the target, on it and a microsecond
+        /// either side: the same rate, bit for bit, every interval.
+        #[test]
+        fn step_matches_the_inline_arithmetic(
+            delays_us in prop::collection::vec(0u64..2_000_000, 1..300),
+            near_target in prop::collection::vec(19_999u64..=20_001, 0..8),
+        ) {
+            let cfg = BreakwaterConfig::default();
+            let mut b = Breakwater::new(1, cfg);
+            let mut inline = cfg.initial_rate;
+            for (s, us) in delays_us.iter().chain(&near_target).enumerate() {
+                let mut o = obs(s as u64 + 1, &[0]);
+                let delay = SimDuration::from_micros(*us);
+                o.services[0].mean_queuing_delay = delay;
+                b.on_interval(&o);
+                let rate = &mut inline;
+                if delay <= cfg.target_delay {
+                    *rate += cfg.additive_step;
+                } else {
+                    let d = delay.as_secs_f64();
+                    let dt = cfg.target_delay.as_secs_f64();
+                    let severity = ((d - dt) / d).clamp(0.0, 1.0);
+                    *rate *= (1.0 - cfg.beta * severity).max(0.1);
+                }
+                *rate = rate.max(cfg.min_rate);
+                prop_assert_eq!(
+                    b.rate(ServiceId(0)).to_bits(),
+                    inline.to_bits(),
+                    "interval {}: delay {} us", s, us
+                );
+            }
+        }
     }
 }

@@ -14,7 +14,9 @@
 //! admission threshold over levels and, critically, a **histogram of the
 //! levels it saw last second** — WeChat adjusts the threshold so that a
 //! *fraction of the observed load* is shed (α, default 5%) or re-admitted
-//! (β, default 1%), not by a fixed number of levels. The engine consults
+//! (β, default 1%), not by a fixed number of levels. That law is stated
+//! once, in [`cluster::front::priority`] (the front door runs one gate of
+//! it at the entry); here it runs once per service. The engine consults
 //! the downstream threshold at dispatch time, which models the
 //! piggybacked early rejection exactly.
 //!
@@ -24,140 +26,53 @@
 //! upstream capacity, and low-priority APIs are shed everywhere at once.
 
 use cluster::admission::AdmissionControl;
+use cluster::front::priority::{PriorityConfig, PriorityGate};
 use cluster::observe::ClusterObservation;
 use cluster::types::{RequestMeta, ServiceId};
-use simnet::{SimDuration, SimTime};
+use simnet::SimTime;
 
-/// Levels per business priority tier (user priorities 0..=127).
-pub const USER_LEVELS: u32 = 128;
-
-/// DAGOR tuning parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DagorConfig {
-    /// Queueing delay above which a service considers itself overloaded
-    /// (WeChat uses ~20 ms of average queuing time).
-    pub queuing_delay_threshold: SimDuration,
-    /// Fraction of last-second load shed when overloaded (paper/Fig. 13:
-    /// "static decisions of 0.05 multiplicative decreases").
-    pub alpha: f64,
-    /// Fraction of load re-admitted when healthy (paper: 0.01).
-    pub beta: f64,
-    /// Number of business tiers (level space is tiers × 128).
-    pub business_tiers: u32,
-}
-
-impl Default for DagorConfig {
-    fn default() -> Self {
-        DagorConfig {
-            queuing_delay_threshold: SimDuration::from_millis(20),
-            alpha: 0.05,
-            beta: 0.01,
-            business_tiers: 8,
-        }
-    }
-}
-
-/// Per-service DAGOR state.
-#[derive(Clone, Debug)]
-struct SvcState {
-    /// Admit levels strictly below this threshold.
-    threshold: u32,
-    /// Histogram of levels seen (admitted + rejected) last second.
-    seen: Vec<u32>,
-    /// Of which admitted.
-    admitted: Vec<u32>,
-}
-
-/// DAGOR admission controller over all services.
-#[derive(Clone, Debug)]
+/// DAGOR admission controller over all services: one [`PriorityGate`]
+/// each — the threshold, the two histograms and the α/β adaptation law
+/// are the gate's — adapting on that service's own queuing delay.
 pub struct Dagor {
-    cfg: DagorConfig,
-    levels: u32,
-    services: Vec<SvcState>,
+    user_levels: u32,
+    services: Vec<PriorityGate>,
 }
 
 impl Dagor {
     /// DAGOR for `num_services` services, initially admitting everything.
-    pub fn new(num_services: usize, cfg: DagorConfig) -> Self {
-        let levels = cfg.business_tiers * USER_LEVELS;
+    pub fn new(num_services: usize, cfg: PriorityConfig) -> Self {
         Dagor {
-            cfg,
-            levels,
-            services: (0..num_services)
-                .map(|_| SvcState {
-                    threshold: levels,
-                    seen: vec![0; levels as usize],
-                    admitted: vec![0; levels as usize],
-                })
-                .collect(),
+            user_levels: cfg.user_levels,
+            services: (0..num_services).map(|_| PriorityGate::new(cfg)).collect(),
         }
     }
 
     /// Composite priority level of a request (lower = more important).
-    pub fn level(meta: &RequestMeta) -> u32 {
-        u32::from(meta.business.0) * USER_LEVELS + u32::from(meta.user)
+    /// Unlike the front door's per-component clamp, a business tier past
+    /// the configured ones is not folded into the last tier: the gate
+    /// clamps the composite, so all of it lands on the single lowest
+    /// level.
+    pub fn level(&self, meta: &RequestMeta) -> u32 {
+        u32::from(meta.business.0) * self.user_levels + u32::from(meta.user)
     }
 
     /// Current admission threshold of a service (for tests/inspection).
     pub fn threshold(&self, svc: ServiceId) -> u32 {
-        self.services[svc.idx()].threshold
+        self.services[svc.idx()].threshold()
     }
 }
 
 impl AdmissionControl for Dagor {
     fn admit(&mut self, service: ServiceId, meta: &RequestMeta, _now: SimTime) -> bool {
-        let level = Self::level(meta).min(self.levels - 1);
-        let st = &mut self.services[service.idx()];
-        st.seen[level as usize] += 1;
-        let ok = level < st.threshold;
-        if ok {
-            st.admitted[level as usize] += 1;
-        }
-        ok
+        let level = self.level(meta);
+        self.services[service.idx()].admit(level)
     }
 
     fn on_interval(&mut self, obs: &ClusterObservation) {
         for w in &obs.services {
-            let st = &mut self.services[w.service.idx()];
-            let overloaded = w.mean_queuing_delay > self.cfg.queuing_delay_threshold;
-            let admitted_total: u64 = st.admitted.iter().map(|c| u64::from(*c)).sum();
-            if overloaded {
-                // Shed the top α fraction of last second's admitted load:
-                // walk levels ascending until (1-α) of it is covered.
-                if admitted_total > 0 {
-                    let keep = (admitted_total as f64 * (1.0 - self.cfg.alpha)) as u64;
-                    let mut acc = 0u64;
-                    let mut new_th = 0u32;
-                    for (lvl, c) in st.admitted.iter().enumerate() {
-                        if acc >= keep {
-                            break;
-                        }
-                        acc += u64::from(*c);
-                        new_th = lvl as u32 + 1;
-                    }
-                    // Always make progress by at least one level.
-                    st.threshold = new_th.min(st.threshold.saturating_sub(1));
-                } else {
-                    st.threshold = st.threshold.saturating_sub(1);
-                }
-            } else if st.threshold < self.levels {
-                // Re-admit ≈β of the load: extend the threshold upward
-                // until the rejected histogram would add β more requests
-                // (at least one level so recovery always proceeds).
-                let extra_target = ((admitted_total as f64 * self.cfg.beta) as u64).max(1);
-                let mut acc = 0u64;
-                let mut th = st.threshold;
-                while th < self.levels {
-                    acc += u64::from(st.seen[th as usize]);
-                    th += 1;
-                    if acc >= extra_target {
-                        break;
-                    }
-                }
-                st.threshold = th;
-            }
-            st.seen.iter_mut().for_each(|c| *c = 0);
-            st.admitted.iter_mut().for_each(|c| *c = 0);
+            let gate = &mut self.services[w.service.idx()];
+            gate.adapt(w.mean_queuing_delay > gate.queuing_delay_threshold());
         }
     }
 
@@ -171,7 +86,9 @@ mod tests {
     use super::*;
     use cluster::observe::{ApiWindow, ServiceWindow};
     use cluster::types::{ApiId, BusinessPriority};
+    use proptest::prelude::*;
     use rand::Rng;
+    use simnet::SimDuration;
 
     fn meta(business: u8, user: u8) -> RequestMeta {
         RequestMeta {
@@ -222,19 +139,20 @@ mod tests {
 
     #[test]
     fn level_orders_business_before_user() {
-        assert!(Dagor::level(&meta(0, 127)) < Dagor::level(&meta(1, 0)));
-        assert!(Dagor::level(&meta(1, 10)) < Dagor::level(&meta(1, 11)));
+        let d = Dagor::new(1, PriorityConfig::default());
+        assert!(d.level(&meta(0, 127)) < d.level(&meta(1, 0)));
+        assert!(d.level(&meta(1, 10)) < d.level(&meta(1, 11)));
     }
 
     #[test]
     fn admits_everything_initially() {
-        let mut d = Dagor::new(2, DagorConfig::default());
+        let mut d = Dagor::new(2, PriorityConfig::default());
         assert!(d.admit(ServiceId(0), &meta(7, 127), SimTime::ZERO));
     }
 
     #[test]
     fn sheds_alpha_fraction_of_observed_load() {
-        let mut d = Dagor::new(1, DagorConfig::default());
+        let mut d = Dagor::new(1, PriorityConfig::default());
         let mut rng = simnet::rng::fork(1, "t");
         let svc = ServiceId(0);
         // One overloaded interval with 10k single-tier requests: the
@@ -257,7 +175,7 @@ mod tests {
     #[test]
     fn repeated_overload_converges_to_load_fraction() {
         // 20 overloaded seconds at α=0.05 → ≈0.95^20 ≈ 36% admitted.
-        let mut d = Dagor::new(1, DagorConfig::default());
+        let mut d = Dagor::new(1, PriorityConfig::default());
         let mut rng = simnet::rng::fork(2, "t");
         let svc = ServiceId(0);
         let mut last = 0.0;
@@ -274,7 +192,7 @@ mod tests {
 
     #[test]
     fn recovery_readmits_beta_fraction() {
-        let mut d = Dagor::new(1, DagorConfig::default());
+        let mut d = Dagor::new(1, PriorityConfig::default());
         let mut rng = simnet::rng::fork(3, "t");
         let svc = ServiceId(0);
         for _ in 0..20 {
@@ -295,7 +213,7 @@ mod tests {
 
     #[test]
     fn sheds_low_business_priority_first() {
-        let mut d = Dagor::new(1, DagorConfig::default());
+        let mut d = Dagor::new(1, PriorityConfig::default());
         let mut rng = simnet::rng::fork(4, "t");
         let svc = ServiceId(0);
         // Two tiers offering equally; sustained overload. Each interval
@@ -317,7 +235,7 @@ mod tests {
 
     #[test]
     fn thresholds_are_per_service() {
-        let mut d = Dagor::new(2, DagorConfig::default());
+        let mut d = Dagor::new(2, PriorityConfig::default());
         let mut rng = simnet::rng::fork(5, "t");
         for _ in 0..10 {
             offer(&mut d, ServiceId(0), 0, 1_000, &mut rng);
@@ -329,7 +247,7 @@ mod tests {
 
     #[test]
     fn admission_is_monotone_in_priority() {
-        let mut d = Dagor::new(1, DagorConfig::default());
+        let mut d = Dagor::new(1, PriorityConfig::default());
         let mut rng = simnet::rng::fork(6, "t");
         for _ in 0..15 {
             offer(&mut d, ServiceId(0), 3, 3_000, &mut rng);
@@ -343,6 +261,142 @@ mod tests {
                 "admission must be monotone in priority"
             );
             last_admitted = admitted;
+        }
+    }
+
+    /// `Dagor` as it stood before it became one `PriorityGate` per
+    /// service — its own histograms and its own copy of the α/β walk,
+    /// verbatim — kept as the reference the proptest below compares with.
+    struct OwnWalk {
+        cfg: PriorityConfig,
+        levels: u32,
+        services: Vec<SvcState>,
+    }
+
+    struct SvcState {
+        threshold: u32,
+        seen: Vec<u32>,
+        admitted: Vec<u32>,
+    }
+
+    impl OwnWalk {
+        fn new(num_services: usize, cfg: PriorityConfig) -> Self {
+            let levels = cfg.business_tiers * 128;
+            OwnWalk {
+                cfg,
+                levels,
+                services: (0..num_services)
+                    .map(|_| SvcState {
+                        threshold: levels,
+                        seen: vec![0; levels as usize],
+                        admitted: vec![0; levels as usize],
+                    })
+                    .collect(),
+            }
+        }
+
+        fn admit(&mut self, service: ServiceId, meta: &RequestMeta) -> bool {
+            let level =
+                (u32::from(meta.business.0) * 128 + u32::from(meta.user)).min(self.levels - 1);
+            let st = &mut self.services[service.idx()];
+            st.seen[level as usize] += 1;
+            let ok = level < st.threshold;
+            if ok {
+                st.admitted[level as usize] += 1;
+            }
+            ok
+        }
+
+        fn on_interval(&mut self, obs: &ClusterObservation) {
+            for w in &obs.services {
+                let st = &mut self.services[w.service.idx()];
+                let overloaded = w.mean_queuing_delay > self.cfg.queuing_delay_threshold;
+                let admitted_total: u64 = st.admitted.iter().map(|c| u64::from(*c)).sum();
+                if overloaded {
+                    if admitted_total > 0 {
+                        let keep = (admitted_total as f64 * (1.0 - self.cfg.alpha)) as u64;
+                        let mut acc = 0u64;
+                        let mut new_th = 0u32;
+                        for (lvl, c) in st.admitted.iter().enumerate() {
+                            if acc >= keep {
+                                break;
+                            }
+                            acc += u64::from(*c);
+                            new_th = lvl as u32 + 1;
+                        }
+                        st.threshold = new_th.min(st.threshold.saturating_sub(1));
+                    } else {
+                        st.threshold = st.threshold.saturating_sub(1);
+                    }
+                } else if st.threshold < self.levels {
+                    let extra_target = ((admitted_total as f64 * self.cfg.beta) as u64).max(1);
+                    let mut acc = 0u64;
+                    let mut th = st.threshold;
+                    while th < self.levels {
+                        acc += u64::from(st.seen[th as usize]);
+                        th += 1;
+                        if acc >= extra_target {
+                            break;
+                        }
+                    }
+                    st.threshold = th;
+                }
+                st.seen.iter_mut().for_each(|c| *c = 0);
+                st.admitted.iter_mut().for_each(|c| *c = 0);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random programs over two services — business tiers past the
+        /// configured ones and user bytes past 127 included, delays on
+        /// both sides of (and on) the 20 ms threshold — admit the same
+        /// requests and hold the same thresholds after every interval as
+        /// the walk `Dagor` used to carry itself.
+        #[test]
+        fn one_gate_per_service_matches_the_own_walk(
+            business_tiers in 1u32..=8,
+            alpha in 0.0f64..0.6,
+            beta in 0.0f64..0.3,
+            program in prop::collection::vec(
+                (
+                    prop::collection::vec((0u32..2, 0u8..12, any::<u8>()), 0..300),
+                    0u64..45,
+                    0u64..45,
+                ),
+                1..40,
+            ),
+        ) {
+            let cfg = PriorityConfig {
+                business_tiers,
+                alpha,
+                beta,
+                ..PriorityConfig::default()
+            };
+            let mut new = Dagor::new(2, cfg);
+            let mut old = OwnWalk::new(2, cfg);
+            for (i, (requests, d0, d1)) in program.iter().enumerate() {
+                for (svc, business, user) in requests {
+                    let (svc, meta) = (ServiceId(*svc), meta(*business, *user));
+                    prop_assert_eq!(
+                        new.admit(svc, &meta, SimTime::ZERO),
+                        old.admit(svc, &meta),
+                        "interval {}: admit of ({}, {}) at {:?}", i, business, user, svc
+                    );
+                }
+                let obs = obs_with_delay(&[*d0, *d1]);
+                new.on_interval(&obs);
+                old.on_interval(&obs);
+                for svc in [ServiceId(0), ServiceId(1)] {
+                    prop_assert_eq!(
+                        new.threshold(svc),
+                        old.services[svc.idx()].threshold,
+                        "interval {}: threshold of {:?}", i, svc
+                    );
+                }
+            }
         }
     }
 }

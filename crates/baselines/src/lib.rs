@@ -1,21 +1,26 @@
 //! # baselines — comparator overload controllers
 //!
-//! Re-implementations of the two systems the paper benchmarks against
-//! (§5 "Baseline implementation and parameters"), acting at the same
-//! point they act in the paper: *inside* the application, per service,
-//! via the engine's [`cluster::admission::AdmissionControl`] hook.
+//! Re-implementations of the systems the paper benchmarks against (§5
+//! "Baseline implementation and parameters") or discusses (§7), acting
+//! at the same point they act in the paper: *inside* the application,
+//! per service, via the engine's [`cluster::admission::AdmissionControl`]
+//! hook. Each control law is written once:
 //!
 //! * [`dagor`] — WeChat's DAGOR: per-service admission thresholds over
 //!   (business, user) priority pairs, adjusted each second from local
 //!   queueing delay, with thresholds propagated upstream so callers drop
-//!   doomed sub-requests early.
+//!   doomed sub-requests early. The threshold law is
+//!   [`cluster::front::priority`]'s gate, one per service, tuned by the
+//!   same [`PriorityConfig`] as the front door's.
 //! * [`breakwater`] — Breakwater: per-server credit pools (modeled as a
 //!   rate) grown additively while the local delay is under target and
 //!   shrunk multiplicatively with overload severity, enforced with a
-//!   token bucket on the server's incoming calls.
-//! * [`wisp`] — WISP: per-service AIMD rate limits propagated toward the
-//!   entry via a-priori call-graph weights. Discussed (not evaluated) in
-//!   the paper's §7; implemented here as an extension comparator.
+//!   token bucket on the server's incoming calls. The delay law and its
+//!   defaults are [`BreakwaterConfig`]'s.
+//! * [`wisp`] — WISP: per-service rates under Breakwater's delay law,
+//!   propagated toward the entry via a-priori call-graph weights.
+//!   Discussed (not evaluated) in the paper's §7; implemented here as an
+//!   extension comparator.
 //!
 //! The "no overload control" baseline is [`cluster::NoControl`] (entry)
 //! plus no admission hook (services admit everything).
@@ -25,8 +30,9 @@ pub mod dagor;
 pub mod wisp;
 
 pub use breakwater::{Breakwater, BreakwaterConfig};
-pub use dagor::{Dagor, DagorConfig};
-pub use wisp::{Wisp, WispConfig};
+pub use cluster::front::PriorityConfig;
+pub use dagor::Dagor;
+pub use wisp::Wisp;
 
 /// A per-service scheme as a roster or a scenario file names one.
 #[derive(Clone, Copy, Debug)]
@@ -46,14 +52,14 @@ impl Scheme {
         let n = engine.topology().num_services();
         engine.set_admission(match self {
             Scheme::Dagor { alpha } => {
-                let cfg = DagorConfig {
+                let cfg = PriorityConfig {
                     alpha,
-                    ..DagorConfig::default()
+                    ..PriorityConfig::default()
                 };
                 Box::new(Dagor::new(n, cfg))
             }
             Scheme::Breakwater => Box::new(Breakwater::new(n, BreakwaterConfig::default())),
-            Scheme::Wisp => Box::new(Wisp::new(engine.topology(), WispConfig::default())),
+            Scheme::Wisp => Box::new(Wisp::new(engine.topology())),
         });
     }
 }

@@ -23,42 +23,20 @@
 //! exists as an *extension* comparator (see the `retry-storm` and fig. 8
 //! extension rows in EXPERIMENTS.md).
 
+use crate::breakwater::BreakwaterConfig;
 use cluster::admission::AdmissionControl;
 use cluster::observe::ClusterObservation;
 use cluster::types::{RequestMeta, ServiceId};
 use cluster::Topology;
-use simnet::{SimDuration, SimTime, TokenBucket};
+use simnet::{SimTime, TokenBucket};
 use std::collections::HashMap;
-
-/// WISP tuning parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct WispConfig {
-    /// Local queueing-delay target.
-    pub target_delay: SimDuration,
-    /// Additive rate growth per interval (requests/s).
-    pub additive_step: f64,
-    /// Multiplicative decrease factor under overload.
-    pub beta: f64,
-    /// Initial per-service rate (requests/s).
-    pub initial_rate: f64,
-    pub min_rate: f64,
-}
-
-impl Default for WispConfig {
-    fn default() -> Self {
-        WispConfig {
-            target_delay: SimDuration::from_millis(20),
-            additive_step: 40.0,
-            beta: 0.4,
-            initial_rate: 5_000.0,
-            min_rate: 10.0,
-        }
-    }
-}
 
 /// WISP admission across all services.
 pub struct Wisp {
-    cfg: WispConfig,
+    /// The local delay law and its start rate: Breakwater's, at its
+    /// defaults (the per-client credit floor is Breakwater's issuance
+    /// and plays no part here).
+    law: BreakwaterConfig,
     /// Local AIMD rates.
     rates: Vec<f64>,
     /// Effective (bottleneck-propagated) rates.
@@ -72,7 +50,8 @@ pub struct Wisp {
 impl Wisp {
     /// Build WISP for a topology (the call-graph weights come from the
     /// execution paths, which WISP assumes known a priori).
-    pub fn new(topo: &Topology, cfg: WispConfig) -> Self {
+    pub fn new(topo: &Topology) -> Self {
+        let law = BreakwaterConfig::default();
         let n = topo.num_services();
         // Count parent→child call edges over all paths, weighted by
         // branch weight, normalized per parent visit.
@@ -102,13 +81,13 @@ impl Wisp {
             c.sort_by_key(|(s, _)| *s);
         }
         Wisp {
-            rates: vec![cfg.initial_rate; n],
-            effective: vec![cfg.initial_rate; n],
+            rates: vec![law.initial_rate; n],
+            effective: vec![law.initial_rate; n],
             buckets: (0..n)
-                .map(|_| TokenBucket::new(cfg.initial_rate, cfg.initial_rate * 0.05, SimTime::ZERO))
+                .map(|_| TokenBucket::new(law.initial_rate, law.initial_rate * 0.05, SimTime::ZERO))
                 .collect(),
             children,
-            cfg,
+            law,
         }
     }
 
@@ -154,19 +133,10 @@ impl AdmissionControl for Wisp {
     }
 
     fn on_interval(&mut self, obs: &ClusterObservation) {
-        // Local AIMD on queueing delay (as in Breakwater's law).
+        // Local AIMD on queueing delay: Breakwater's law.
         for w in &obs.services {
             let i = w.service.idx();
-            let delay = w.mean_queuing_delay;
-            if delay <= self.cfg.target_delay {
-                self.rates[i] += self.cfg.additive_step;
-            } else {
-                let d = delay.as_secs_f64();
-                let dt = self.cfg.target_delay.as_secs_f64();
-                let severity = ((d - dt) / d).clamp(0.0, 1.0);
-                self.rates[i] *= (1.0 - self.cfg.beta * severity).max(0.1);
-            }
-            self.rates[i] = self.rates[i].max(self.cfg.min_rate);
+            self.rates[i] = self.law.step(self.rates[i], w.mean_queuing_delay);
         }
         // Push bottleneck limits toward the entry.
         self.propagate();
@@ -186,6 +156,8 @@ mod tests {
     use super::*;
     use cluster::observe::{ApiWindow, ServiceWindow};
     use cluster::{ApiSpec, CallNode, ServiceSpec};
+    use proptest::prelude::*;
+    use simnet::SimDuration;
 
     fn chain_topo() -> (Topology, ServiceId, ServiceId, ServiceId) {
         // front → mid → back, one call each.
@@ -237,7 +209,7 @@ mod tests {
     #[test]
     fn weights_derive_from_paths() {
         let (t, front, mid, back) = chain_topo();
-        let w = Wisp::new(&t, WispConfig::default());
+        let w = Wisp::new(&t);
         assert_eq!(w.children[front.idx()], vec![(mid, 1.0)]);
         assert_eq!(w.children[mid.idx()], vec![(back, 1.0)]);
         assert!(w.children[back.idx()].is_empty());
@@ -246,7 +218,7 @@ mod tests {
     #[test]
     fn bottleneck_propagates_to_entry() {
         let (t, front, _mid, back) = chain_topo();
-        let mut w = Wisp::new(&t, WispConfig::default());
+        let mut w = Wisp::new(&t);
         // Only the back service is overloaded.
         for _ in 0..10 {
             w.on_interval(&obs(&[1, 1, 200]));
@@ -283,7 +255,7 @@ mod tests {
                 (0.7, CallNode::leaf(front, SimDuration::from_millis(1))),
             ],
         ));
-        let mut w = Wisp::new(&t, WispConfig::default());
+        let mut w = Wisp::new(&t);
         for _ in 0..10 {
             w.on_interval(&obs(&[1, 300]));
         }
@@ -299,7 +271,7 @@ mod tests {
     #[test]
     fn healthy_services_recover_additively() {
         let (t, front, _, _) = chain_topo();
-        let mut w = Wisp::new(&t, WispConfig::default());
+        let mut w = Wisp::new(&t);
         for _ in 0..20 {
             w.on_interval(&obs(&[1, 1, 300]));
         }
@@ -313,7 +285,7 @@ mod tests {
     #[test]
     fn admission_enforces_effective_rate() {
         let (t, front, _, back) = chain_topo();
-        let mut w = Wisp::new(&t, WispConfig::default());
+        let mut w = Wisp::new(&t);
         for _ in 0..30 {
             w.on_interval(&obs(&[1, 1, 500]));
         }
@@ -339,5 +311,50 @@ mod tests {
             "bucket ≈ effective rate: {admitted_rate} vs {rate}"
         );
         let _ = back;
+    }
+
+    proptest! {
+        /// WISP's local rates against the AIMD it carried inline, with
+        /// the five defaults `WispConfig` restated (both verbatim here):
+        /// over random per-service delays the three local rates agree
+        /// bit for bit every interval, so sharing Breakwater's law moved
+        /// nothing.
+        #[test]
+        fn local_rates_match_the_inline_arithmetic(
+            delays_us in prop::collection::vec(
+                (0u64..2_000_000, 0u64..60_000, 19_999u64..=20_001),
+                1..200,
+            ),
+        ) {
+            let (target_delay, additive_step, beta, initial_rate, min_rate) =
+                (SimDuration::from_millis(20), 40.0, 0.4, 5_000.0, 10.0);
+            let (t, ..) = chain_topo();
+            let mut w = Wisp::new(&t);
+            let mut rates = [initial_rate; 3];
+            for (s, (a, b, c)) in delays_us.iter().enumerate() {
+                let mut o = obs(&[0, 0, 0]);
+                for (i, us) in [a, b, c].into_iter().enumerate() {
+                    let delay = SimDuration::from_micros(*us);
+                    o.services[i].mean_queuing_delay = delay;
+                    if delay <= target_delay {
+                        rates[i] += additive_step;
+                    } else {
+                        let d = delay.as_secs_f64();
+                        let dt = target_delay.as_secs_f64();
+                        let severity = ((d - dt) / d).clamp(0.0, 1.0);
+                        rates[i] *= (1.0 - beta * severity).max(0.1);
+                    }
+                    rates[i] = rates[i].max(min_rate);
+                }
+                w.on_interval(&o);
+                for (i, rate) in rates.iter().enumerate() {
+                    prop_assert_eq!(
+                        w.local_rate(ServiceId(i as u32)).to_bits(),
+                        rate.to_bits(),
+                        "interval {}: service {}", s, i
+                    );
+                }
+            }
+        }
     }
 }

@@ -98,7 +98,7 @@ impl Engine {
                 }
             }
         }
-        if !self.gateway.try_admit(a.api, now) {
+        if !self.entry.try_admit(a.api, now) {
             self.metrics.api_totals[a.api.idx()].rejected_entry += 1;
             // Tracing backends see rejections too: a zero-duration span
             // at the API's entry service carrying the admission verdict,

@@ -251,7 +251,7 @@ impl Engine {
                 p50: acc.latencies.quantile(0.50),
                 p95: acc.latencies.quantile(0.95),
                 p99: acc.latencies.quantile(0.99),
-                rate_limit: self.gateway.rate_limit(aid),
+                rate_limit: self.entry.rate_limit(aid),
             });
             acc.reset();
         }

@@ -54,10 +54,10 @@ pub use metrics::ApiTotals;
 
 use crate::admission::AdmissionControl;
 use crate::autoscaler::{Hpa, HpaConfig, VmPool, VmPoolConfig};
+use crate::entry_admission::EntryAdmission;
 use crate::failure::{CrashLoopConfig, FailureSpec};
 use crate::faults::FaultSpec;
 use crate::front::{FrontConfig, FrontDoor};
-use crate::gateway::Gateway;
 use crate::observe::ClusterObservation;
 use crate::resilience::{EdgeBreakers, ResilienceConfig, ResilienceStats};
 use crate::topology::{CallTemplate, Topology};
@@ -182,7 +182,8 @@ pub struct Engine {
     /// Clock floor: `run_until` advances this beyond the last event.
     now_floor: SimTime,
     services: Vec<ServiceRt>,
-    gateway: Gateway,
+    /// The entry limiter bank, one token bucket per API (§5).
+    entry: EntryAdmission,
     workload: Box<dyn Workload>,
     /// Admission, resilience, and fault-injection hooks (see `planes`).
     planes: Planes,
@@ -269,7 +270,7 @@ impl Engine {
         let registry = obs::Registry::new();
         planes.register_into(&registry);
         Engine {
-            gateway: Gateway::new(num_apis, cfg.gateway_burst_secs),
+            entry: EntryAdmission::new(num_apis, cfg.gateway_burst_secs),
             topo,
             cfg,
             queue,
@@ -443,12 +444,12 @@ impl Engine {
     /// Set the entry rate limit for `api` (requests/s; infinity = none).
     pub fn set_rate_limit(&mut self, api: ApiId, rate: f64) {
         let now = self.now();
-        self.gateway.set_rate_limit(api, rate, now);
+        self.entry.set_rate_limit(api, rate, now);
     }
 
     /// Current entry rate limit for `api`.
     pub fn rate_limit(&self, api: ApiId) -> f64 {
-        self.gateway.rate_limit(api)
+        self.entry.rate_limit(api)
     }
 
     /// Ready pods of a service.

@@ -1,13 +1,17 @@
-//! Per-API token-bucket admission — the one implementation shared by the
-//! simulated entry gateway ([`crate::gateway::Gateway`]) and the live
-//! serving plane's TCP gateway (`liveserve`).
+//! Entry admission: per-API token-bucket rate limiting, the paper's one
+//! actuation point.
 //!
-//! The paper's actuation point is a rate limiter "attached at the entry"
-//! (§5); for the Sim2Real story to hold, the simulator and the real
-//! gateway must make *identical* admit/deny decisions for identical
-//! rate-limit programs and timestamps. Factoring the limiter bank here
-//! makes drift impossible: both planes call the same code, and the parity
-//! test below replays one admit/deny sequence through both front ends.
+//! "The rate limiter is attached at the entry and performs load control
+//! according to the given rate limit thresholds" (§5). Each external API
+//! has its own token bucket; the controller moves the bucket rates, and
+//! every arriving request either takes a token or is rejected at the door
+//! (costing the cluster nothing — the whole point of top-down control).
+//!
+//! For the Sim2Real story to hold, the simulator and the real gateway
+//! must make *identical* admit/deny decisions for identical rate-limit
+//! programs and timestamps. Both hold this bank and nothing in front of
+//! it — [`Engine`](crate::engine::Engine) as its `entry`, `liveserve`
+//! behind its admission lock — so there is no second front end to drift.
 //!
 //! Time is a [`SimTime`]. The simulator passes virtual time; the live
 //! gateway maps wall-clock nanoseconds since server start through
@@ -95,6 +99,77 @@ impl EntryAdmission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::SimDuration;
+
+    #[test]
+    fn unlimited_by_default() {
+        let mut a = EntryAdmission::new(2, 0.05);
+        assert!(a.rate_limit(ApiId(0)).is_infinite());
+        for i in 0..10_000 {
+            assert!(a.try_admit(ApiId(0), SimTime::from_nanos(i)));
+        }
+    }
+
+    #[test]
+    fn limit_caps_admitted_rate() {
+        let mut a = EntryAdmission::new(1, 0.05);
+        a.set_rate_limit(ApiId(0), 100.0, SimTime::ZERO);
+        let mut admitted = 0;
+        // Offer 1000 rps for 2 s.
+        for ms in 0..2000u64 {
+            if a.try_admit(ApiId(0), SimTime::from_millis(ms)) {
+                admitted += 1;
+            }
+        }
+        assert!(
+            (195..=215).contains(&admitted),
+            "expected ≈200 admits at 100 rps over 2 s, got {admitted}"
+        );
+    }
+
+    #[test]
+    fn removing_limit_restores_unlimited() {
+        let mut a = EntryAdmission::new(1, 0.05);
+        a.set_rate_limit(ApiId(0), 1.0, SimTime::ZERO);
+        assert!(a.try_admit(ApiId(0), SimTime::ZERO));
+        assert!(!a.try_admit(ApiId(0), SimTime::ZERO));
+        a.set_rate_limit(ApiId(0), f64::INFINITY, SimTime::ZERO);
+        assert!(a.rate_limit(ApiId(0)).is_infinite());
+        assert!(a.try_admit(ApiId(0), SimTime::ZERO));
+    }
+
+    #[test]
+    fn zero_rate_admits_nothing_at_all() {
+        let mut a = EntryAdmission::new(1, 0.05);
+        a.set_rate_limit(ApiId(0), 0.0, SimTime::ZERO);
+        // No burst token leaks through a "zero" limit: not even the
+        // first request is admitted, ever.
+        assert!(!a.try_admit(ApiId(0), SimTime::ZERO));
+        let later = SimTime::ZERO + SimDuration::from_secs(100);
+        assert!(!a.try_admit(ApiId(0), later));
+        // Restoring a positive rate brings back at least one burst token.
+        a.set_rate_limit(ApiId(0), 1.0, later);
+        assert!(a.try_admit(ApiId(0), later + SimDuration::from_secs(1)));
+    }
+
+    #[test]
+    fn tiny_positive_rate_still_keeps_one_burst_token() {
+        let mut a = EntryAdmission::new(1, 0.05);
+        a.set_rate_limit(ApiId(0), 0.01, SimTime::ZERO);
+        // Positive rates keep the ≥1-token depth clamp so they can
+        // always eventually admit.
+        assert!(a.try_admit(ApiId(0), SimTime::ZERO));
+        assert!(!a.try_admit(ApiId(0), SimTime::ZERO));
+    }
+
+    #[test]
+    fn per_api_limits_are_independent() {
+        let mut a = EntryAdmission::new(2, 0.05);
+        a.set_rate_limit(ApiId(0), 0.0, SimTime::ZERO);
+        assert!(!a.try_admit(ApiId(0), SimTime::ZERO));
+        assert!(!a.try_admit(ApiId(0), SimTime::from_secs(1)));
+        assert!(a.try_admit(ApiId(1), SimTime::from_secs(1)));
+    }
 
     #[test]
     fn burst_secs_is_clamped() {

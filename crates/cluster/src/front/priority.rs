@@ -1,33 +1,40 @@
-//! DAGOR-style priority admission at the front door.
+//! DAGOR's priority-threshold gate: the one statement of WeChat's
+//! adaptation law.
 //!
-//! One gate guards the whole entry point (WeChat's per-service variant
-//! lives in `baselines::dagor`; this is the *composable stage* in front
-//! of TopFull's token bucket). Each request carries a composite level
-//! `business · user_levels + user` (lower = more important) and the
-//! gate admits levels strictly below an adaptive threshold. The
-//! adaptation law is WeChat's: when overloaded, move the threshold so
-//! the top α fraction of last window's *admitted* load is shed (always
-//! progressing by at least one level); when healthy, extend it upward
-//! through the *seen* histogram until ≈β of the load would be
-//! re-admitted. The overload signal itself is external — both the
-//! simulator and the live gateway derive it from the same
+//! A request carries a composite level `business · user_levels + user`
+//! (lower = more important) and a gate admits levels strictly below an
+//! adaptive threshold. The adaptation law is WeChat's: when overloaded,
+//! move the threshold so the top α fraction of last window's *admitted*
+//! load is shed (always progressing by at least one level); when
+//! healthy, extend it upward through the *seen* histogram until ≈β of
+//! the load would be re-admitted. The overload signal itself is
+//! external: a caller compares the queuing delay it watches with
+//! [`PriorityGate::queuing_delay_threshold`].
+//!
+//! Two callers. At the front door one gate guards the whole entry point,
+//! the *composable stage* ahead of TopFull's token bucket; the simulator
+//! and the live gateway both derive its signal from the same
 //! [`ClusterObservation`](crate::observe::ClusterObservation) queuing-
 //! delay telemetry, which is what keeps the two planes bit-compatible.
+//! And `baselines::Dagor`, the paper's comparator, is one gate per
+//! service, each adapting on its own service's delay.
 
 use simnet::SimDuration;
 
-/// Priority-gate tuning. Defaults mirror `baselines::dagor`.
+/// Priority-gate tuning; `baselines::Dagor` takes the same struct.
 #[derive(Clone, Copy, Debug)]
 pub struct PriorityConfig {
     /// Number of business tiers; levels span `tiers × user_levels`.
     pub business_tiers: u32,
     /// User sub-levels per business tier.
     pub user_levels: u32,
-    /// Fraction of last-window admitted load shed per overloaded tick.
+    /// Fraction of last-window admitted load shed per overloaded tick
+    /// (paper, Fig. 13: "static decisions of 0.05 multiplicative
+    /// decreases").
     pub alpha: f64,
-    /// Fraction of load re-admitted per healthy tick.
+    /// Fraction of load re-admitted per healthy tick (paper: 0.01).
     pub beta: f64,
-    /// Mean queuing delay above which the entry point counts as
+    /// Mean queuing delay above which the guarded point counts as
     /// overloaded (WeChat uses ~20 ms).
     pub queuing_delay_threshold: SimDuration,
 }

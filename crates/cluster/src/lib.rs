@@ -15,7 +15,11 @@
 //!   time. Work already done upstream of a downstream drop is wasted,
 //!   which is the starvation mechanism of the paper's Figure 1.
 //! * **Entry gateway** — per-API token-bucket rate limiting, the actuation
-//!   point of TopFull ([`gateway`]).
+//!   point of TopFull ([`entry_admission`]), shared with the live plane.
+//! * **Front door** — an optional coalescing cache and DAGOR's
+//!   priority-threshold gate ahead of the token bucket ([`front`]); the
+//!   gate is the one statement of DAGOR's law, which `baselines::Dagor`
+//!   runs once per service.
 //! * **Per-service admission hooks** — the actuation point of DAGOR and
 //!   Breakwater ([`admission`]).
 //! * **Autoscaling** — an HPA replica law plus a VM-pool cluster
@@ -42,7 +46,6 @@ pub mod entry_admission;
 pub mod failure;
 pub mod faults;
 pub mod front;
-pub mod gateway;
 pub mod harness;
 pub mod observe;
 pub mod resilience;

@@ -111,13 +111,6 @@ impl Default for LiveConfig {
     }
 }
 
-/// One control tick's worth of observed state.
-pub struct LiveTick {
-    /// The closed window; `obs.now` is wall-clock time since server
-    /// start.
-    pub obs: ClusterObservation,
-}
-
 /// Bind the metrics exposition listener. A busy `port` is retried with
 /// bounded backoff (another shard or a stale listener may still hold
 /// it), then falls back to an ephemeral port — a gateway that serves
@@ -266,11 +259,12 @@ impl LiveServer {
             .rate_limit(ApiId(api as u32))
     }
 
-    /// Close the current metric window and return the observation,
-    /// without running a controller: the gateway's half of a control
-    /// tick ([`Plane::observe`]). Also bounds the path learner's trace
-    /// buffer and closes the front door's window.
-    pub fn observe_tick(&mut self) -> LiveTick {
+    /// Close the current metric window and return the observation
+    /// (`now` is wall-clock time since server start), without running a
+    /// controller: the gateway's half of a control tick
+    /// ([`Plane::observe`]). Also bounds the path learner's trace buffer
+    /// and closes the front door's window.
+    pub fn observe_tick(&mut self) -> ClusterObservation {
         let now = self.shared.clock.now();
         let window = now.duration_since(self.window_start);
         self.window_start = now;
@@ -296,7 +290,7 @@ impl LiveServer {
                 let _ = front.door.tick(overloaded);
             }
         }
-        LiveTick { obs }
+        obs
     }
 
     /// Apply rate-limit updates to the admission bank, effective for
@@ -322,11 +316,10 @@ impl LiveServer {
     /// Mirrors the simulator's harness ordering exactly: the observation
     /// carries the limits that were in force *during* the window, and
     /// updates take effect for the next one.
-    pub fn tick(&mut self, controller: &mut dyn Controller) -> LiveTick {
-        let obs = ControlLoop::lent(controller)
+    pub fn tick(&mut self, controller: &mut dyn Controller) -> ClusterObservation {
+        ControlLoop::lent(controller)
             .tick(self)
-            .expect("a live server closes a window on every tick");
-        LiveTick { obs }
+            .expect("a live server closes a window on every tick")
     }
 
     /// Stop accepting, stop the workers, and join everything. Event
@@ -360,7 +353,7 @@ impl LiveServer {
 /// window, applying moves the admission bank's limits.
 impl Plane for LiveServer {
     fn observe(&mut self) -> Option<Observed> {
-        let view = self.observe_tick().obs;
+        let view = self.observe_tick();
         Some(Observed {
             now: view.now,
             view,
@@ -448,8 +441,8 @@ mod tests {
         }
         verdicts.sort();
         assert_eq!(verdicts, ["ERR", "ERR", "OK"], "verdicts {verdicts:?}");
-        let tick = server.tick(&mut NoControl);
-        assert_eq!(tick.obs.apis[0].name, "ping");
+        let obs = server.tick(&mut NoControl);
+        assert_eq!(obs.apis[0].name, "ping");
         server.shutdown();
     }
 
@@ -592,8 +585,8 @@ mod tests {
             .map(|l| l.split_whitespace().last().unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(hits, 2, "two of three duplicates coalesced:\n{text}");
-        let tick = server.tick(&mut NoControl);
-        assert_eq!(tick.obs.apis[0].admitted, tick.obs.apis[0].offered);
+        let obs = server.tick(&mut NoControl);
+        assert_eq!(obs.apis[0].admitted, obs.apis[0].offered);
         server.shutdown();
     }
 
@@ -615,8 +608,8 @@ mod tests {
         reader.read_line(&mut line).expect("reply");
         reader.read_line(&mut line).expect("reply");
         assert_eq!(line, "REJ 2 limit\nREJ 3 limit\n");
-        let tick = server.tick(&mut NoControl);
-        assert!(tick.obs.apis[0].offered > 0.0);
+        let obs = server.tick(&mut NoControl);
+        assert!(obs.apis[0].offered > 0.0);
         assert_eq!(server.shared.metrics.spans_recorded(), 3);
         let spans = http_get(server.metrics_addr(), "/spans");
         assert_eq!(spans.lines().count(), 3, "{spans}");
@@ -648,9 +641,9 @@ mod tests {
         let mut line = String::new();
         BufReader::new(conn).read_line(&mut line).expect("reply");
         assert_eq!(line, "REJ 7 limit\n");
-        let tick = server.tick(&mut NoControl);
-        assert!(tick.obs.apis[0].offered > 0.0);
-        assert_eq!(tick.obs.apis[0].admitted, 0.0);
+        let obs = server.tick(&mut NoControl);
+        assert!(obs.apis[0].offered > 0.0);
+        assert_eq!(obs.apis[0].admitted, 0.0);
         server.shutdown();
     }
 }

@@ -221,7 +221,7 @@ impl ShardSet for ShardedLive {
         let locals: Vec<_> = self
             .servers
             .iter_mut()
-            .map(|s| s.as_mut().map(|srv| srv.observe_tick().obs))
+            .map(|s| s.as_mut().map(|srv| srv.observe_tick()))
             .collect();
         Some(ShardWindow {
             t,

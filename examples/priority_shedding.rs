@@ -7,7 +7,7 @@
 //! ```
 
 use topfull_suite::apps::OnlineBoutique;
-use topfull_suite::baselines::{Dagor, DagorConfig};
+use topfull_suite::baselines::{Dagor, PriorityConfig};
 use topfull_suite::cluster::{Engine, EngineConfig, Harness, NoControl, OpenLoopWorkload};
 use topfull_suite::topfull::{TopFull, TopFullConfig};
 
@@ -59,7 +59,7 @@ fn main() {
     let (ob, mut e) = engine(11);
     e.set_admission(Box::new(Dagor::new(
         e.topology().num_services(),
-        DagorConfig::default(),
+        PriorityConfig::default(),
     )));
     let mut dagor = Harness::new(e, Box::new(NoControl));
     dagor.run_for_secs(120);

@@ -4,7 +4,7 @@
 //! the suite stays fast.
 
 use topfull_suite::apps::{OnlineBoutique, TrainTicket};
-use topfull_suite::baselines::{Breakwater, BreakwaterConfig, Dagor, DagorConfig};
+use topfull_suite::baselines::{Breakwater, BreakwaterConfig, Dagor, PriorityConfig};
 use topfull_suite::cluster::{
     ApiSpec, CallNode, Engine, EngineConfig, Harness, NoControl, OpenLoopWorkload, ServiceSpec,
     Topology,
@@ -75,7 +75,7 @@ fn topfull_beats_dagor_on_the_starvation_scenario() {
         let w = OpenLoopWorkload::constant(vec![(api1, 3000.0), (api2, 3000.0)]);
         let mut engine = Engine::new(topo, config(4), Box::new(w));
         let controller: Box<dyn topfull_suite::cluster::Controller> = if dagor {
-            engine.set_admission(Box::new(Dagor::new(2, DagorConfig::default())));
+            engine.set_admission(Box::new(Dagor::new(2, PriorityConfig::default())));
             Box::new(NoControl)
         } else {
             Box::new(TopFull::new(TopFullConfig::default().with_mimd()))
