@@ -11,7 +11,7 @@
 use super::planes::{CallCtx, LifecyclePoint, Verdict};
 use super::pods::{shortest_queue, InFlight, QueuedCall};
 use super::requests::{Parked, ReqId, RequestRt};
-use super::{Engine, Ev};
+use super::{Engine, Ev, ARRIVAL_LANE, HOP_LANE, TIMEOUT_LANE};
 use crate::front::PreVerdict;
 use crate::tracing::{Span, SpanVerdict};
 use crate::types::{RequestMeta, RequestOutcome, ServiceId};
@@ -24,11 +24,19 @@ use simnet::{SimDuration, SimTime};
 impl Engine {
     fn schedule_arrival(&mut self, now: SimTime, a: Arrival) {
         let at = a.at.max(now);
-        self.queue.schedule(at, Ev::Arrival(Arrival { at, ..a }));
-        if let Some(user) = a.user {
-            if let Some(t) = self.workload.client_timeout() {
-                self.queue.schedule(at + t, Ev::ClientTimeout { user });
-            }
+        let ev = Ev::Arrival {
+            api: a.api,
+            user: a.user,
+        };
+        let Some(user) = a.user else {
+            return self.queue.schedule(at, ev);
+        };
+        // A closed loop's next request is paced about one think time out,
+        // so its arrival and timeout are born nearly sorted.
+        self.queue.schedule_fifo(ARRIVAL_LANE, at, ev);
+        if let Some(t) = self.workload.client_timeout() {
+            let timeout = Ev::ClientTimeout { user };
+            self.queue.schedule_fifo(TIMEOUT_LANE, at + t, timeout);
         }
     }
 
@@ -214,9 +222,10 @@ impl Engine {
         match self.planes.check(LifecyclePoint::Dispatch, &ctx, now) {
             Verdict::Proceed { extra } => {
                 // Born sorted while `extra` is zero. A fault-plane delay
-                // moves the lane's tail ahead, and the hops scheduled
-                // behind it are declined and take the heap.
+                // moves the lane's tail ahead; the hops scheduled behind
+                // it are inserted while within reach, then declined.
                 self.queue.schedule_fifo(
+                    HOP_LANE,
                     now + self.cfg.hop_latency + extra,
                     Ev::CallArrive {
                         req,
@@ -448,6 +457,7 @@ impl Engine {
                 if *pending == 0 {
                     // The parent's response travels one hop back.
                     self.queue.schedule_fifo(
+                        HOP_LANE,
                         now + self.cfg.hop_latency,
                         Ev::NodeJoin { req, node: parent },
                     );

@@ -34,13 +34,17 @@
 //! *which events the handlers schedule, in which order, and which RNG
 //! draws they make* — how requests, call trees and events are stored
 //! (slab slots, shared templates, recycled buffers) is free to change
-//! without moving a bit of any result. That covers the two hops in
-//! `lifecycle` — a call out, a join back, each `hop_latency` ahead of the
-//! clock — which go through [`EventQueue::schedule_fifo`]: the hint that
-//! they are born in pop order takes the same sequence number `schedule`
-//! would and is declined whenever it is false (the hops scheduled behind
-//! a fault-plane delay), so it chooses where an event waits, never when
-//! it fires.
+//! without moving a bit of any result. That covers the three users of
+//! [`EventQueue::schedule_fifo`]'s lanes: the two hops in `lifecycle` — a
+//! call out, a join back, each `hop_latency` ahead of the clock — on the
+//! hop lane; closed-loop arrivals (`user.is_some()`), paced from their
+//! user's last issue time, on the arrival lane; and their client timeouts
+//! on the timeout lane. An open loop's arrivals, drawn a tick ahead per
+//! API, keep `schedule`. The hint that events are born (nearly) in pop
+//! order takes the same sequence number `schedule` would and is declined
+//! whenever an event's place is too far behind its lane's tail (the hops
+//! scheduled behind a fault-plane delay, a population's staggered first
+//! requests), so it chooses where an event waits, never when it fires.
 
 mod lifecycle;
 mod metrics;
@@ -134,8 +138,20 @@ struct FrontState {
     rate_limited_base: u64,
 }
 
+/// The event queue's lanes (see "Determinism" above).
+const HOP_LANE: usize = 0;
+const ARRIVAL_LANE: usize = 1;
+const TIMEOUT_LANE: usize = 2;
+
+// Every lane entry carries an `Ev` inline: a wider variant widens them all.
+const _: () = assert!(std::mem::size_of::<Ev>() == 32);
+
 enum Ev {
-    Arrival(Arrival),
+    /// A request reaches the gateway at the event's own time.
+    Arrival {
+        api: ApiId,
+        user: Option<UserRef>,
+    },
     /// A call travelling to `svc`. Service and cost are embedded so the
     /// call still executes (as wasted work) when its request has already
     /// failed elsewhere in the tree — an in-flight RPC fan-out does not
@@ -487,7 +503,7 @@ impl Engine {
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Arrival(a) => self.on_arrival(now, a),
+            Ev::Arrival { api, user } => self.on_arrival(now, Arrival { at: now, api, user }),
             Ev::CallArrive {
                 req,
                 node,

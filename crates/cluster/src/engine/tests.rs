@@ -646,7 +646,7 @@ mod tracing_tests {
 
 mod lifecycle_tests {
     use crate::autoscaler::HpaConfig;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::engine::{Engine, EngineConfig, ARRIVAL_LANE, HOP_LANE, TIMEOUT_LANE};
     use crate::faults::FaultSpec;
     use crate::topology::{ApiSpec, CallNode, ServiceSpec, Topology};
     use crate::types::{ApiId, ServiceId};
@@ -737,13 +737,14 @@ mod lifecycle_tests {
 
     #[test]
     fn closed_loop_queue_is_mostly_parked_client_timeouts() {
-        // The population `simnet::event`'s far tier exists for: a healthy
-        // closed loop answers in milliseconds, yet each request's 10 s
-        // client timeout stays queued until it fires as a no-op — ten
-        // per user at one request a second — while only the events of
-        // the next few milliseconds need ordering. If timeouts ever
-        // become cancellable the first bound fails: the wheel has lost
-        // its reason.
+        // The population `simnet::event`'s timeout lane exists for (and
+        // the far tier, which parks the timeouts the lane declines): a
+        // healthy closed loop answers in milliseconds, yet each
+        // request's 10 s client timeout stays queued until it fires as a
+        // no-op — ten per user at one request a second — while only the
+        // events of the next few milliseconds need ordering. If timeouts
+        // ever become cancellable the first bound fails: the lane has
+        // lost its reason.
         let users = 400;
         let mut topo = Topology::new("parked");
         let s = topo.add_service(ServiceSpec::new("s", 4));
@@ -800,18 +801,63 @@ mod lifecycle_tests {
         let mut occupied = 0;
         for at_ms in first_ms..first_ms + samples {
             e.run_until(SimTime::from_millis(at_ms));
-            occupied += u64::from(e.queue.lane_len() > 0);
+            occupied += u64::from(e.queue.lane_len(HOP_LANE) > 0);
         }
         assert!(
             occupied * 10 >= samples * 9,
             "lane held a hop in {occupied} of {samples} samples"
         );
         assert_eq!(
-            e.queue.declined_hints(),
+            e.queue.declined_hints(HOP_LANE),
             0,
             "no fault plan: every hop sorted"
         );
         assert!(e.api_totals(api).good > 10_000);
+    }
+
+    #[test]
+    fn closed_loop_arrivals_and_timeouts_ride_their_lanes() {
+        // A user's next request is paced one think time after its last
+        // was issued, so arrivals are scheduled in nearly the order they
+        // fire — out of it only by how response times differ — and their
+        // timeouts a constant later. Past the ramp (whose staggered first
+        // requests are not sorted) all but a few take their lanes. If
+        // pacing ever stops being from the issue time, this fails.
+        let (mut e, api, _) = fan_out_loop();
+        let lanes = [ARRIVAL_LANE, TIMEOUT_LANE];
+        e.run_until(SimTime::from_secs(2));
+        let offered = e.api_totals(api).offered;
+        let declined = lanes.map(|lane| e.queue.declined_hints(lane));
+        e.run_until(SimTime::from_secs(12));
+        let offered = e.api_totals(api).offered - offered;
+        assert!(offered > 30_000, "{offered}");
+        for (lane, before) in lanes.into_iter().zip(declined) {
+            let declined = e.queue.declined_hints(lane) - before;
+            assert!(
+                declined * 100 <= 3 * offered,
+                "lane {lane}: {declined} of ≈ {offered} hints declined"
+            );
+        }
+        assert!(
+            e.queue.lane_len(TIMEOUT_LANE) > 30_000,
+            "ten seconds of timeouts wait there"
+        );
+        // An open loop's arrivals, drawn per API, keep `schedule`.
+        let mut topo = Topology::new("open");
+        let s = topo.add_service(ServiceSpec::new("s", 8));
+        let api = topo.add_api(ApiSpec::single("a", CallNode::leaf(s, ms(1))));
+        let w = OpenLoopWorkload::constant(vec![(api, 2_000.0)]);
+        let mut e = Engine::new(topo, EngineConfig::default(), Box::new(w));
+        for at_ms in (0..3_000).step_by(10) {
+            e.run_until(SimTime::from_millis(at_ms));
+            for lane in lanes {
+                assert_eq!(
+                    (e.queue.lane_len(lane), e.queue.declined_hints(lane)),
+                    (0, 0)
+                );
+            }
+        }
+        assert!(e.api_totals(api).good > 5_000);
     }
 
     #[test]
@@ -829,7 +875,7 @@ mod lifecycle_tests {
         }]);
         e.run_until(SimTime::from_secs(5));
         assert!(
-            e.queue.declined_hints() > 1_000,
+            e.queue.declined_hints(HOP_LANE) > 1_000,
             "hops behind a delayed tail"
         );
         let t = e.api_totals(api);

@@ -12,40 +12,49 @@
 //! 24-byte [`Key`]s holding only what fires before a moving *horizon*;
 //! everything later is parked in the *far* tier, a timing wheel of
 //! fixed-width buckets plus one overflow list for keys past the wheel's
-//! span. Closed-loop users arm a 10 s timeout per request, so tens of
-//! thousands of pending keys are seconds away: parked, each costs a list
-//! push and a push/pop on a small heap instead of sitting in every other
-//! event's sift. The third tier is the *lane*, a FIFO for events that are
-//! born in pop order: a caller that schedules at `now` plus a constant
-//! (the engine's network hop, half of all its events) offers each event
-//! to [`EventQueue::schedule_fifo`], which appends it iff it fires no
-//! earlier than the lane's tail and otherwise hands it to
-//! [`EventQueue::schedule`]. A pop takes whichever of the lane's front
-//! and the heap's root fires first and, only when the heap is empty and
-//! the lane's front is not already behind the horizon, drains the next
-//! bucket first.
+//! span: parked, a key seconds away costs a list push and a push/pop on
+//! a small heap instead of sitting in every other event's sift. The
+//! third tier is [`LANES`] sorted *lanes*, one per caller whose events
+//! are born in, or nearly in, pop order — the engine's network hops (at
+//! `now` plus a constant: sorted), closed-loop arrivals (one think time
+//! after the user's last request was issued) and their 10 s client
+//! timeouts (a constant later still): nearly sorted, a response that
+//! came back sooner than another's schedules behind it. Each event is
+//! offered to [`EventQueue::schedule_fifo`] with its lane, which appends
+//! it at or past the lane's tail, inserts it at its `(at, seq)` place a
+//! few entries behind, and hands it to [`EventQueue::schedule`] when its
+//! place is more than `SCAN` entries back — an O(1) test against the
+//! entry `SCAN` from the back, so a caller far out of order (a lane's
+//! tail pushed ahead by a fault-plane delay, a population's staggered
+//! first requests) pays a compare, not a scan. A pop takes the earliest
+//! of the lanes' fronts and the heap's root and, only when the heap is
+//! empty and that front is not already behind the horizon, drains the
+//! next bucket first.
 //!
 //! Heap and wheel payloads never move — each waits in a slab slot until
 //! it pops — and neither tier allocates per event: a bucket is an
 //! intrusive list threaded through a per-slot `(at, seq, next)` array
 //! beside the slab, one `u32` head per bucket (per-bucket vectors never
 //! give their peak capacity back; the links cost what the deep heap's
-//! keys did). The lane carries its payload inline instead: an entry is
-//! written once at the back and read once at the front, so a slab slot
+//! keys did). A lane carries its payload inline instead: an entry is
+//! written once near the back and read once at the front, so a slab slot
 //! would only add a store, a `take` and two free-list moves to every hop.
+//! Inline, the payload's size is every entry's: the engine pins its
+//! event type at 32 bytes, an entry at 48.
 //!
 //! Every key carries a fresh sequence number, so `(at, seq)` is a *unique
 //! total order* over everything ever scheduled: the pop sequence is fixed
 //! by the schedule calls — not by the heap's shape or arity, nor by the
 //! bucket width, which only decides *when* a key enters the heap (an
 //! earlier bucket's keys all fire before a later one's; inside the heap
-//! `(at, seq)` decides), nor by which events were offered to the lane: it
-//! takes the same `seq` as `schedule` would and holds a sorted run of
-//! that order, so the hint changes where an event waits and never when
-//! it pops. Any correct priority queue over that order produces the same
-//! run, which is what lets the internals change under a simulation
-//! without moving a single event (the proptest below holds this
-//! implementation to the `BinaryHeap` it replaced).
+//! `(at, seq)` decides), nor by which events were offered to which lane:
+//! an offer takes the same `seq` as `schedule` would — the newest, so an
+//! insert goes behind every entry of its instant — and each lane holds a
+//! sorted run of that order, so the hint changes where an event waits
+//! and never when it pops. Any correct priority queue over that order
+//! produces the same run, which is what lets the internals change under
+//! a simulation without moving a single event (the proptest below holds
+//! this implementation to the `BinaryHeap` it replaced).
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -64,6 +73,14 @@ const BUCKETS: u64 = 1 << 10;
 
 /// List terminator: never a slot number (see [`EventQueue::schedule`]).
 const NIL: u32 = u32::MAX;
+
+/// Lanes beside the heap, one per caller whose events are born in (or
+/// near) pop order; [`EventQueue::schedule_fifo`] names one by index.
+pub const LANES: usize = 3;
+
+/// How far behind its lane's tail a hint may land and still be
+/// inserted: the back-scan to its place is at most this many entries.
+const SCAN: usize = 64;
 
 /// Heap entry: when the event fires, its FIFO tie-break, and the slab
 /// slot holding its payload.
@@ -120,10 +137,10 @@ pub struct EventQueue<E> {
     slots: Vec<Option<E>>,
     /// Vacant slab slots, reused last-freed-first.
     free: Vec<u32>,
-    /// The lane: `(at, seq, payload)` in strictly increasing `(at, seq)`.
-    lane: VecDeque<(SimTime, u64, E)>,
-    /// Hints [`Self::schedule_fifo`] turned down.
-    declined: u64,
+    /// The lanes: each `(at, seq, payload)` in strictly increasing `(at, seq)`.
+    lanes: [VecDeque<(SimTime, u64, E)>; LANES],
+    /// Per lane, the hints [`Self::schedule_fifo`] turned down.
+    declined: [u64; LANES],
     now: SimTime,
     seq: u64,
     popped: u64,
@@ -148,8 +165,8 @@ impl<E> EventQueue<E> {
             links: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            lane: VecDeque::new(),
-            declined: 0,
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            declined: [0; LANES],
             now: SimTime::ZERO,
             seq: 0,
             popped: 0,
@@ -163,7 +180,7 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len() + self.lane.len()
+        self.slots.len() - self.free.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True when no events are pending.
@@ -176,15 +193,15 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
-    /// Events waiting in the lane.
-    pub fn lane_len(&self) -> usize {
-        self.lane.len()
+    /// Events waiting in `lane`.
+    pub fn lane_len(&self, lane: usize) -> usize {
+        self.lanes[lane].len()
     }
 
-    /// [`Self::schedule_fifo`] calls that fell through to
-    /// [`Self::schedule`]: the caller's events were not born sorted.
-    pub fn declined_hints(&self) -> u64 {
-        self.declined
+    /// [`Self::schedule_fifo`] calls on `lane` that fell through to
+    /// [`Self::schedule`]: events born too far out of order for it.
+    pub fn declined_hints(&self, lane: usize) -> u64 {
+        self.declined[lane]
     }
 
     /// Total number of events popped so far (simulation progress counter).
@@ -225,19 +242,37 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// [`Self::schedule`], with the hint that `at` is no earlier than any
-    /// time this method was given before — true of a caller that always
-    /// adds the same delay to the clock. An event that keeps the promise
-    /// waits in the lane, where a pop costs no sift; one that breaks it
-    /// (or lies behind the clock) is scheduled the ordinary way, so the
-    /// pop order is that of `schedule` whatever the caller passes.
-    pub fn schedule_fifo(&mut self, at: SimTime, event: E) {
-        let tail = self.lane.back().map_or(self.now, |&(tail, ..)| tail);
-        if at < tail {
-            self.declined += 1;
-            return self.schedule(at, event);
+    /// [`Self::schedule`], with the hint that `at` is no earlier — or not
+    /// much earlier — than any time this method was given for `lane`
+    /// before: true of a caller that always adds the same delay to the
+    /// clock, nearly true of one that adds a delay drawn from a narrow
+    /// range. An event at or past the lane's tail is appended; one a few
+    /// entries behind it is inserted at its `(at, seq)` place, found by a
+    /// back-scan that the floor test bounds at `SCAN` entries; any other
+    /// (or one behind the clock) is scheduled the ordinary way. Either
+    /// way it takes the `seq` that `schedule` would, so the pop order is
+    /// that of `schedule` whatever the caller passes. Panics if `lane` is
+    /// not below [`LANES`].
+    pub fn schedule_fifo(&mut self, lane: usize, at: SimTime, event: E) {
+        let q = &mut self.lanes[lane];
+        let entry = (at, self.seq, event);
+        if q.back().is_some_and(|&(tail, ..)| at >= tail) {
+            q.push_back(entry);
+        } else {
+            // Its place is within `SCAN` of the back iff the entry `SCAN`
+            // further in fires no later (a short lane: iff it is due).
+            let floor = q.len().checked_sub(SCAN + 1).map_or(self.now, |i| q[i].0);
+            if at < floor {
+                self.declined[lane] += 1;
+                return self.schedule(at, entry.2);
+            }
+            // Behind every entry due no later: its `seq` is the newest.
+            let mut i = q.len();
+            while i > 0 && q[i - 1].0 > at {
+                i -= 1;
+            }
+            q.insert(i, entry);
         }
-        self.lane.push_back((at, self.seq, event));
         self.seq += 1;
     }
 
@@ -296,7 +331,8 @@ impl<E> EventQueue<E> {
         }
         // A pending key is on exactly one tier, the heap's all due first.
         let far = self.in_wheel + self.in_overflow;
-        debug_assert_eq!(self.len(), self.heap.len() + far + self.lane.len());
+        let lanes: usize = self.lanes.iter().map(VecDeque::len).sum();
+        debug_assert_eq!(self.len(), self.heap.len() + far + lanes);
         debug_assert!(self.heap.iter().all(|k| bucket(k.at) < self.horizon));
     }
 
@@ -315,7 +351,7 @@ impl<E> EventQueue<E> {
         self.heap[i] = key;
     }
 
-    /// Pop the heap's root — the earliest pending event outside the lane,
+    /// Pop the heap's root — the earliest pending event outside the lanes,
     /// since every far key fires at or after the horizon — and advance
     /// the clock to it.
     fn pop_root(&mut self, root: Key) -> (SimTime, E) {
@@ -380,17 +416,31 @@ impl<E> EventQueue<E> {
         loop {
             let root = self.heap.first().copied();
             let far = self.in_wheel + self.in_overflow;
-            if let Some(&(at, seq, _)) = self.lane.front() {
-                // The lane's front is next if it beats the root or, with
-                // no root, if no far key can fire before it.
-                let front = Key { at, seq, slot: NIL };
+            // The earliest lane front, its `slot` naming the lane.
+            let mut first: Option<Key> = None;
+            for (lane, q) in self.lanes.iter().enumerate() {
+                if let Some(&(at, seq, _)) = q.front() {
+                    let front = Key {
+                        at,
+                        seq,
+                        slot: lane as u32,
+                    };
+                    if first.is_none_or(|first| front.before(&first)) {
+                        first = Some(front);
+                    }
+                }
+            }
+            if let Some(front) = first {
+                // It is next if it beats the root or, with no root, if no
+                // far key can fire before it.
                 let next = match root {
                     Some(root) => front.before(&root),
-                    None => bucket(at) < self.horizon || far == 0,
+                    None => bucket(front.at) < self.horizon || far == 0,
                 };
                 if next {
-                    return (at <= limit).then(|| {
-                        let (at, _, event) = self.lane.pop_front().expect("has a front");
+                    return (front.at <= limit).then(|| {
+                        let q = &mut self.lanes[front.slot as usize];
+                        let (at, _, event) = q.pop_front().expect("has a front");
                         self.fire(at, event)
                     });
                 }
@@ -487,12 +537,12 @@ mod tests {
 
     impl<E> EventQueue<E> {
         /// Timestamp of the next event without popping it: the earlier
-        /// of the lane's front and the heap's root or, with no root, the
+        /// of the lanes' fronts and the heap's root or, with no root, the
         /// earliest key on the first occupied bucket or the overflow list
         /// (whose keys wait for a wrap even once the wheel's span has
         /// reached them).
         fn peek_time(&self) -> Option<SimTime> {
-            let front = self.lane.front().map(|&(at, ..)| at);
+            let front = self.lanes.iter().filter_map(|q| Some(q.front()?.0)).min();
             if let Some(root) = self.heap.first() {
                 return Some(front.map_or(root.at, |at| at.min(root.at)));
             }
@@ -626,58 +676,122 @@ mod tests {
         }
         assert_eq!(q.near_len(), 9, "route 3: behind the horizon, direct");
         for id in 9..12 {
-            q.schedule_fifo(t, id);
+            q.schedule_fifo(0, t, id);
         }
-        assert_eq!((q.lane_len(), q.near_len()), (3, 9), "route 4: the lane");
+        assert_eq!((q.lane_len(0), q.near_len()), (3, 9), "route 4: a lane");
         // Heap keys on both sides of the lane's: `seq` breaks the tie.
         for id in 12..15 {
             q.schedule(t, id);
         }
-        assert_eq!((q.lane_len(), q.near_len(), q.len()), (3, 12, 15));
+        assert_eq!((q.lane_len(0), q.near_len(), q.len()), (3, 12, 15));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, (0..15).map(|id| (t, id)).collect::<Vec<_>>());
     }
 
-    /// The lane on its own, and against the far tier: it counts in `len`,
-    /// honours `pop_until`'s limit, declines a time behind its tail, and
-    /// waits for a wheel bucket that may hold something earlier.
+    /// A lane on its own, and against the far tier: it counts in `len`,
+    /// honours `pop_until`'s limit, takes a time behind its tail but
+    /// within reach at its place instead of declining it, and waits for
+    /// a wheel bucket that may hold something earlier.
     #[test]
     fn lane_alone_and_past_undrained_wheel_buckets() {
         let mut q = EventQueue::new();
         let start = |b: u64| SimTime::from_nanos(b << SHIFT);
-        q.schedule_fifo(start(3), "a");
-        q.schedule_fifo(start(5), "c");
-        assert_eq!((q.len(), q.lane_len(), q.near_len()), (2, 2, 0));
+        q.schedule_fifo(1, start(3), "a");
+        q.schedule_fifo(1, start(6), "d");
+        assert_eq!((q.len(), q.lane_len(1), q.near_len()), (2, 2, 0));
         assert!(!q.is_empty());
         assert_eq!(q.pop_until(start(2)), None, "the front is past the limit");
         assert_eq!((q.now(), q.len()), (SimTime::ZERO, 2));
         assert_eq!(q.pop_until(start(3)), Some((start(3), "a")));
         assert_eq!((q.len(), q.events_processed()), (1, 1));
-        // Behind the tail: declined, parked on the wheel like any `schedule`.
-        q.schedule_fifo(start(4), "b");
-        assert_eq!((q.declined_hints(), q.lane_len(), q.in_wheel), (1, 1, 1));
-        assert_eq!(q.len(), 2);
+        // Behind the tail, within reach: inserted ahead of "d".
+        q.schedule_fifo(1, start(5), "c");
+        assert_eq!((q.declined_hints(1), q.lane_len(1), q.in_wheel), (0, 2, 0));
+        q.schedule(start(4), "b");
+        assert_eq!((q.len(), q.in_wheel), (3, 1));
         // "c" leads the lane, but bucket 4 is not drained yet.
         assert_eq!(q.pop_until(start(3)), None);
         assert_eq!(q.pop(), Some((start(4), "b")));
         assert_eq!(q.pop_until(start(4)), None);
         assert_eq!(q.pop(), Some((start(5), "c")));
+        assert_eq!(q.pop(), Some((start(6), "d")));
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    /// The floor test's edge: with `SCAN + 1` entries in a lane, a hint
+    /// at its front's time is `SCAN` entries from the back and inserted
+    /// (behind that front, being scheduled later); one a nanosecond
+    /// earlier would be `SCAN + 1` back and is declined.
+    #[test]
+    fn a_hint_is_inserted_iff_its_place_is_at_most_scan_from_the_back() {
+        let mut q = EventQueue::new();
+        let t = |i: usize| SimTime::from_nanos(10 + i as u64);
+        for i in 0..=SCAN {
+            q.schedule_fifo(2, t(i), i);
+        }
+        q.schedule_fifo(2, t(0) - SimDuration::from_nanos(1), 1000);
+        assert_eq!((q.declined_hints(2), q.lane_len(2)), (1, SCAN + 1));
+        q.schedule_fifo(2, t(0), 1001);
+        assert_eq!((q.declined_hints(2), q.lane_len(2)), (1, SCAN + 2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, id)| id).collect();
+        let want: Vec<_> = [1000, 0, 1001].into_iter().chain(1..=SCAN).collect();
+        assert_eq!(order, want);
+    }
+
+    /// A hint inserted behind its lane's tail at an instant other keys
+    /// share pops after every one of them scheduled before it and ahead
+    /// of every one scheduled after — wherever they wait: on the wheel
+    /// or in the heap, in its own lane or another one, lower or higher.
+    #[test]
+    fn an_inserted_hint_keeps_its_seq_among_equal_times() {
+        let start = |b: u64| SimTime::from_nanos(b << SHIFT);
+        let t = start(5) + SimDuration::from_nanos(7);
+        for in_heap in [false, true] {
+            let mut q = EventQueue::new();
+            if in_heap {
+                // Drain `t`'s bucket, so that `schedule(t)` goes straight
+                // to the heap.
+                q.schedule(start(5), "drain");
+                assert_eq!(q.pop(), Some((start(5), "drain")));
+            }
+            let later = t + SimDuration::from_nanos(1);
+            q.schedule_fifo(2, later, "a");
+            q.schedule_fifo(0, t, "b");
+            q.schedule_fifo(0, later, "c");
+            q.schedule(t, "d");
+            q.schedule_fifo(1, t, "e");
+            q.schedule(t, "f");
+            // Behind lane 0's tail "c", after "b"; behind lane 2's "a".
+            q.schedule_fifo(0, t, "g");
+            q.schedule_fifo(2, t, "h");
+            assert_eq!((q.lane_len(0), q.lane_len(1), q.lane_len(2)), (3, 1, 2));
+            assert_eq!(if in_heap { q.near_len() } else { q.in_wheel }, 2);
+            assert_eq!((0..LANES).map(|l| q.declined_hints(l)).sum::<u64>(), 0);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(
+                order,
+                ["b", "d", "e", "f", "g", "h", "a", "c"],
+                "heap: {in_heap}"
+            );
+        }
     }
 
     use proptest::prelude::*;
 
     /// One timestamp of the mixture the oracle proptest draws from,
-    /// placed relative to the queue's clock and horizon so that every
-    /// filing route and both edges of every tier come up.
-    fn mixed_time<E>(q: &EventQueue<E>, kind: u8, v: u64) -> SimTime {
+    /// placed relative to the queue's clock, its horizon and `lane`'s
+    /// entries so that every filing route and both edges of every tier
+    /// come up.
+    fn mixed_time<E>(q: &EventQueue<E>, lane: usize, kind: u8, v: u64) -> SimTime {
         let width = 1u64 << SHIFT;
         let span = BUCKETS << SHIFT;
         let now = q.now().as_nanos();
         let edge = |base: u64| base.saturating_add(span - 1 + v % 3);
         // Where bucket `b` starts; the clock can sit at `SimTime::MAX`.
         let start = |b: u64| u64::try_from(u128::from(b) << SHIFT).unwrap_or(u64::MAX);
+        // The time of the lane's entry `back` from its tail (0 = the tail).
+        let behind = |back: usize| q.lanes[lane].iter().rev().nth(back).map(|e| e.0.as_nanos());
         SimTime::from_nanos(match kind {
             // Dense collisions, soon all behind the clock…
             0 => v,
@@ -693,7 +807,12 @@ mod tests {
             6 => edge(start(q.horizon)),
             // Far overflow, several wheel turns out.
             7 => now.saturating_add(span * (2 + v % 5) + v),
-            _ => u64::MAX - v % 2,
+            8 => u64::MAX - v % 2,
+            // A few entries behind the lane's tail, on or just past one
+            // (a hint lands mid-lane)…
+            9 => behind(1 + v as usize % 8).map_or(now, |at| at.saturating_add(v % 2)),
+            // …and just before an entry more than `SCAN` back (declined).
+            _ => behind(SCAN + 1 + v as usize % 4).map_or(now, |at| at.saturating_sub(1)),
         })
     }
 
@@ -701,35 +820,35 @@ mod tests {
         /// Any interleaving of schedule / schedule_fifo / pop / pop_until
         /// — timestamps and limits from [`mixed_time`]: colliding, behind
         /// the clock, astride bucket edges and the wheel's span, in
-        /// overflow, at `SimTime::MAX`, and for the hint behind the
-        /// lane's tail as often as not — pops exactly what the
-        /// `BinaryHeap` oracle pops, and leaves the same clock, length
-        /// and counter.
+        /// overflow, at `SimTime::MAX`, and for a hint on a drawn lane:
+        /// past its tail, a few entries behind it, more than `SCAN`
+        /// behind it — pops exactly what the `BinaryHeap` oracle pops,
+        /// and leaves the same clock, length and counter.
         #[test]
         fn matches_the_binary_heap_oracle(
-            ops in prop::collection::vec((0u8..4, 0u8..9, 0u64..40), 1..400),
+            ops in prop::collection::vec((0u8..8, 0..LANES, 0u8..11, 0u64..40), 1..1000),
         ) {
             let mut q = EventQueue::new();
             let mut want = oracle::HeapQueue::new();
             let mut popped = 0u64;
-            for (id, (op, kind, v)) in ops.into_iter().enumerate() {
-                let t = mixed_time(&q, kind, v);
+            for (id, (op, lane, kind, v)) in ops.into_iter().enumerate() {
+                let t = mixed_time(&q, lane, kind, v);
                 match op {
-                    // Twice as many pushes as pops, so the tiers fill;
-                    // half of them hinted, whatever the time.
-                    0 | 1 => {
+                    // Three pushes to a pop, so the tiers fill and a lane
+                    // outgrows `SCAN`; two in three hinted, whatever the time.
+                    0..=5 => {
                         // A time behind the clock is clamped to `now` in
                         // release builds and a debug-build panic, so debug
                         // builds apply the clamp before the call.
                         let at = if cfg!(debug_assertions) { t.max(q.now()) } else { t };
-                        if op == 0 {
+                        if op < 2 {
                             q.schedule(at, id);
                         } else {
-                            q.schedule_fifo(at, id);
+                            q.schedule_fifo(lane, at, id);
                         }
                         want.schedule(at, id);
                     }
-                    2 => {
+                    6 => {
                         let got = q.pop();
                         popped += u64::from(got.is_some());
                         prop_assert_eq!(got, want.pop());

@@ -6,7 +6,7 @@
 //!   nanosecond resolution.
 //! * [`event`] — [`event::EventQueue`], a key-only 4-ary heap for what is
 //!   due soon over a timing wheel for what is not, payloads in a slab,
-//!   beside a FIFO lane for events scheduled in pop order, with stable
+//!   beside sorted lanes for events scheduled (nearly) in pop order, with stable
 //!   FIFO tie-breaking: `(time, schedule order)` is a unique total
 //!   order, so simulations are reproducible given a seed.
 //! * [`histogram`] — log-bucketed latency histograms with bounded relative

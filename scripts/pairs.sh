@@ -1,0 +1,117 @@
+#!/usr/bin/env bash
+# The house rule for a performance claim as one command: alternating
+# parent/change pairs of one gated benchmark workload, summarised the
+# way artifacts/perf/PR-*.md tables are.
+#
+#   scripts/pairs.sh <parent-checkout> <workload> [pairs] [first-seed]
+#   scripts/pairs.sh ../parent sim.boutique            # 10 pairs, seeds 251-260
+#   RUN_SECONDS=8 scripts/pairs.sh ../parent control.alibaba 4 201
+#
+# Builds benchmark/ in the parent checkout (a `git clone` of the parent
+# commit) and in this one, the way BENCHMARK.json does, then puts each
+# tree's benchmark/Cargo.lock back as it found it (a build may rewrite
+# the tracked lock). Pair i uses seed first-seed + i and runs the parent
+# first when i is even, the change first when odd; each run lasts
+# BENCHMARK.json's run_seconds unless RUN_SECONDS says otherwise.
+#
+# Prints one row per end-to-end metric — each side's median [q1, q3],
+# the change's Δ from the parent's median, the pairs the change wins
+# (reads better, by the metric's direction in BENCHMARK.json; ties count
+# for neither) and the parent's inter-quartile distance over its median,
+# the spread a claimed gain must clear — then the pairs one by one for
+# the first metric. Exits 1 if any run was not `correct` or counted a
+# failure. Not part of verify.sh: 2 × pairs × run_seconds of wall time.
+set -euo pipefail
+[ $# -ge 2 ] && [ $# -le 4 ] \
+  || { echo "usage: $0 <parent-checkout> <workload> [pairs] [first-seed]" >&2; exit 2; }
+here=$(cd "$(dirname "$0")/.." && pwd)
+parent=$(cd "$1" && pwd)
+workload=$2
+pairs=${3:-10}
+seed0=${4:-251}
+seconds=${RUN_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$here/BENCHMARK.json")}
+# `name better` for each end-to-end metric.
+directions=$(awk -F'"' '/"end_to_end"/ { e = 1 } /"per_layer"/ { e = 0 }
+  e && $2 == "name" { n = $4 } e && $2 == "better" { print n, $4 }' "$here/BENCHMARK.json")
+
+tmp=$(mktemp -d /tmp/topfull_pairs.XXXXXX)
+cp "$parent/benchmark/Cargo.lock" "$tmp/parent.lock"
+cp "$here/benchmark/Cargo.lock" "$tmp/change.lock"
+trap 'cp "$tmp/parent.lock" "$parent/benchmark/Cargo.lock"
+  cp "$tmp/change.lock" "$here/benchmark/Cargo.lock"; rm -rf "$tmp"' EXIT
+for side in parent change; do
+  tree=$parent
+  [ $side = change ] && tree=$here
+  (cd "$tree" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+  cp "$tree/benchmark/target/release/topfull-benchmark" "$tmp/$side"
+done
+
+# One line per run and metric: `side pair seed metric value`, plus a
+# `correct` / `failed` pseudo-metric per run.
+run() { # $1 = side, $2 = pair
+  local tree=$parent seed=$((seed0 + $2)) line
+  [ "$1" = change ] && tree=$here
+  line=$(cd "$tree" && "$tmp/$1" --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 | tail -n 1) || true
+  grep -o '"[a-z0-9_]*":{"value":[^,}]*' <<<"$line" \
+    | sed 's/"\([a-z0-9_]*\)":{"value":\(.*\)/\1 \2/' \
+    | while read -r metric value; do echo "$1 $2 $seed $metric $value"; done
+  echo "$1 $2 $seed correct $(grep -c '"correct":true' <<<"$line")"
+  echo "$1 $2 $seed failed $(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$line")"
+}
+for ((i = 0; i < pairs; i++)); do
+  if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+  for side in $order; do run "$side" "$i" >> "$tmp/runs"; done
+  echo "pair $((i + 1))/$pairs done" >&2
+done
+
+echo "### \`$workload\` — $pairs alternating pairs, ${seconds} s, seeds $seed0–$((seed0 + pairs - 1))"
+echo
+awk -v pairs="$pairs" -v dirs="$directions" '
+  function sort(a, n,   i, j, v) {
+    for (i = 2; i <= n; i++) {
+      v = a[i]
+      for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]
+      a[j + 1] = v
+    }
+  }
+  # Linear interpolation between order statistics of a sorted a[1..n].
+  function q(a, n, p,   pos, lo) {
+    pos = 1 + (n - 1) * p
+    lo = int(pos)
+    return lo >= n ? a[n] : a[lo] + (a[lo + 1] - a[lo]) * (pos - lo)
+  }
+  function cell(a, n) { return sprintf("%.6g [%.6g, %.6g]", q(a, n, 0.5), q(a, n, 0.25), q(a, n, 0.75)) }
+  BEGIN {
+    nd = split(dirs, d, /[ \n]/)
+    for (i = 1; i < nd; i += 2) { better[d[i]] = d[i + 1]; order[++nm] = d[i] }
+  }
+  { v[$1, $2, $4] = $5 + 0; seed[$2] = $3 }
+  $4 == "correct" && $5 != 1 { bad++ }
+  $4 == "failed" && $5 != 0 { bad++ }
+  END {
+    print "| metric | parent | change | Δ | wins | parent IQR / median |"
+    print "|---|---|---|---|---|---|"
+    for (m = 1; m <= nm; m++) {
+      name = order[m]
+      if (!(("parent", 0, name) in v)) continue
+      wins = 0
+      for (i = 0; i < pairs; i++) {
+        p[i + 1] = v["parent", i, name]; c[i + 1] = v["change", i, name]
+        if (better[name] == "higher" ? c[i + 1] > p[i + 1] : c[i + 1] < p[i + 1]) wins++
+      }
+      sort(p, pairs); sort(c, pairs)
+      mp = q(p, pairs, 0.5)
+      printf "| `%s` | %s | %s | %+.1f %% | %d/%d | %.1f %% |\n", name, cell(p, pairs),
+        cell(c, pairs), 100 * (q(c, pairs, 0.5) / mp - 1), wins, pairs,
+        100 * (q(p, pairs, 0.75) - q(p, pairs, 0.25)) / mp
+    }
+    name = order[1]
+    printf "\n| pair | seed | parent `%s` | change | change / parent |\n", name
+    print "|---|---|---|---|---|"
+    for (i = 0; i < pairs; i++)
+      printf "| %d | %d | %.6g | %.6g | %.3f× |\n", i, seed[i], v["parent", i, name], v["change", i, name],
+        v["change", i, name] / v["parent", i, name]
+    printf "\n%d runs, %d not correct or with failures\n", 2 * pairs, bad
+    exit (bad > 0)
+  }' "$tmp/runs"

@@ -161,13 +161,17 @@ fn write_value(v: &Value, out: &mut String, pretty: Option<usize>, level: usize)
 // Parser
 // ---------------------------------------------------------------------
 
+/// Scans `bytes` and slices `src` — the same text, already known to be
+/// UTF-8 — between ASCII delimiters, which are always char boundaries.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -289,10 +293,7 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::parse("invalid utf-8", start))?,
-            );
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -369,8 +370,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::parse("invalid number", start))?;
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -399,6 +399,8 @@ mod tests {
         assert_eq!(from_str::<f64>("1.5e2").unwrap(), 150.0);
         assert_eq!(from_str::<f64>("3").unwrap(), 3.0);
         assert_eq!(from_str::<String>(r#""aA\n""#).unwrap(), "aA\n");
+        // Multi-byte runs on both sides of an escape are sliced whole.
+        assert_eq!(from_str::<String>(r#""é—é✓\"ü""#).unwrap(), "é—é✓\"ü");
         assert_eq!(from_str::<Option<u8>>("null").unwrap(), None);
     }
 
