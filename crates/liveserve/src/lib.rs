@@ -262,8 +262,7 @@ impl LiveServer {
     /// Close the current metric window and return the observation
     /// (`now` is wall-clock time since server start), without running a
     /// controller: the gateway's half of a control tick
-    /// ([`Plane::observe`]). Also bounds the path learner's trace buffer
-    /// and closes the front door's window.
+    /// ([`Plane::observe`]). Also closes the front door's window.
     pub fn observe_tick(&mut self) -> ClusterObservation {
         let now = self.shared.clock.now();
         let window = now.duration_since(self.window_start);
@@ -278,8 +277,6 @@ impl LiveServer {
             .shared
             .metrics
             .observe(&self.desc, now, window, &rate_limits);
-        // Bound the live path learner exactly like the simulator's tick.
-        self.shared.metrics.compact_traces(now);
         // Close the front door's window on the same cadence as the
         // simulator's tick: counters fold into the stats gauges, and
         // the priority threshold adapts on the queuing-delay signal.
@@ -601,7 +598,7 @@ mod tests {
         reader.read_line(&mut line).expect("reply");
         assert_eq!(line, "REJ 1 limit\n");
         // Every reject records a span under the tracer lock, and so
-        // does every tick (`compact_traces`) and every `/spans` scrape.
+        // does every `/spans` scrape.
         server.shared.metrics.poison_tracer();
         line.clear();
         conn.write_all(b"REQ 2 0\nREQ 3 0\n").expect("send");

@@ -18,18 +18,17 @@
 use crate::relock;
 use cluster::observe::{ApiWindow, ClusterObservation, ServiceWindow};
 use cluster::resilience::ResilienceStats;
-use cluster::tracing::{Span, SpanVerdict, TraceCollector};
+use cluster::tracing::{Span, SpanVerdict};
 use cluster::types::{ApiId, BusinessPriority, ServiceId};
 use cluster::Topology;
 use simnet::{LatencyHistogram, SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// Raw spans retained for `/spans` export.
 const RAW_SPAN_BUFFER: usize = 2048;
-/// Path-learner retention window for the live tracer.
-const TRACE_WINDOW_SECS: u64 = 60;
 
 /// Static facts about the served application, captured once at startup.
 pub struct AppDescriptor {
@@ -160,10 +159,11 @@ pub struct LiveMetrics {
     /// Where the previous window closed; touched only by the control
     /// thread ([`LiveMetrics::observe`]).
     window_mark: Mutex<Vec<ApiMark>>,
-    /// Live span sink: the same [`TraceCollector`] the simulator uses,
-    /// fed wall-clock spans. Bounded raw buffer backs `/spans` export;
-    /// `compact_traces` (called per control tick) bounds the learner.
-    tracer: Mutex<TraceCollector>,
+    /// Live span sink: the spans ever recorded and the most recent
+    /// [`RAW_SPAN_BUFFER`] of them, which `/spans` exports. The control
+    /// loop reads the topology's paths (`AppDescriptor::api_paths`), so
+    /// nothing learns paths from these.
+    tracer: Mutex<(u64, VecDeque<Span>)>,
     /// Causal request traces: bounded ring of per-stage events for
     /// requests that opted in via the wire line's trace token. Served by
     /// `GET /trace[/<id>]`.
@@ -178,10 +178,7 @@ impl LiveMetrics {
             slo_cells: (0..num_apis).map(|_| SloCell::default()).collect(),
             stages: Default::default(),
             window_mark: Mutex::new((0..num_apis).map(|_| ApiMark::default()).collect()),
-            tracer: Mutex::new(
-                TraceCollector::new(num_apis, SimDuration::from_secs(TRACE_WINDOW_SECS))
-                    .with_raw_buffer(RAW_SPAN_BUFFER),
-            ),
+            tracer: Mutex::default(),
             traces: obs::TraceLog::new(),
         }
     }
@@ -392,27 +389,29 @@ impl LiveMetrics {
 
     /// Record spans (completed requests, entry rejections), oldest
     /// first, under one lock: a worker's one, an event loop's wakeupful.
+    /// Spans the batch itself would push out of the buffer again are
+    /// counted without ever being pushed.
     pub fn record_spans(&self, spans: &[Span]) {
-        if !spans.is_empty() {
-            relock(&self.tracer).record_batch(spans);
+        if spans.is_empty() {
+            return;
         }
-    }
-
-    /// Prune expired path-learner entries (called per control tick).
-    pub fn compact_traces(&self, now: SimTime) {
-        relock(&self.tracer).compact(now);
+        let (recorded, raw) = &mut *relock(&self.tracer);
+        *recorded += spans.len() as u64;
+        let kept = &spans[spans.len().saturating_sub(RAW_SPAN_BUFFER)..];
+        raw.drain(..(raw.len() + kept.len()).saturating_sub(RAW_SPAN_BUFFER));
+        raw.extend(kept);
     }
 
     /// Spans recorded so far (for tests/inspection).
     pub fn spans_recorded(&self) -> u64 {
-        relock(&self.tracer).spans_recorded()
+        relock(&self.tracer).0
     }
 
     /// The raw span buffer as JSONL, one object per span, oldest first.
     pub fn spans_jsonl(&self) -> String {
         let tracer = relock(&self.tracer);
         let mut out = String::new();
-        for s in tracer.raw_spans() {
+        for s in &tracer.1 {
             let parent = s.parent.map_or("null".to_string(), |p| p.0.to_string());
             let verdict = match s.verdict {
                 SpanVerdict::Admitted => "admitted",
@@ -767,7 +766,6 @@ mod tests {
         m.record_spans(&[marker(4)]);
         assert_eq!(m.spans_recorded(), 4);
         assert_eq!(m.spans_jsonl().lines().count(), 4);
-        m.compact_traces(SimTime::from_secs(1));
     }
 
     #[test]
@@ -800,7 +798,34 @@ mod tests {
             "{jsonl}"
         );
         assert_eq!(m.spans_recorded(), 2);
-        m.compact_traces(SimTime::from_secs(120));
+    }
+
+    #[test]
+    fn the_span_ring_keeps_the_newest_spans_in_order() {
+        let m = LiveMetrics::new(1, 1);
+        let span = |request| Span {
+            request,
+            api: ApiId(0),
+            service: ServiceId(0),
+            parent: None,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+            verdict: SpanVerdict::Admitted,
+        };
+        // A batch longer than the ring, then short ones that evict.
+        m.record_spans(&(0..3000).map(span).collect::<Vec<_>>());
+        m.record_spans(&[span(3000)]);
+        m.record_spans(&(3001..3010).map(span).collect::<Vec<_>>());
+        assert_eq!(m.spans_recorded(), 3010);
+        let ids: Vec<u64> = m
+            .spans_jsonl()
+            .lines()
+            .map(|l| l[11..l.find(',').unwrap()].parse().unwrap())
+            .collect();
+        assert_eq!(
+            ids,
+            (3010 - RAW_SPAN_BUFFER as u64..3010).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -1,0 +1,197 @@
+#!/usr/bin/env bash
+# The determinism ledger's one tool. scripts/goldens.txt holds every
+# value the determinism contract pins, one `name value` row each; this
+# script computes every row in one pass and compares:
+#
+#   scripts/goldens.sh --check      # list every moved row; exit 1 if any
+#   scripts/goldens.sh --record     # write the moved rows into the ledger
+#   scripts/goldens.sh --self-test  # prove the comparator on a scratch ledger
+#
+# --check prints one `name old → new` line per row that moved, per ledger
+# row nothing computed (`name old → (none)`) and per computed row the
+# ledger lacks (`name (none) → new`), and one `name disagrees: …` line per
+# row two runs computed differently (a journal at 1 and at 4 workers).
+# --record applies those same lines to the ledger in place, keeping its
+# comments and order; a row it adds goes after the row computed before it.
+# It refuses while a run failed or two runs disagree. The `engine.*` and
+# `policy.*` rows are computed by tests/determinism.rs and
+# tests/policy_bits.rs, which read the ledger themselves and fail with the
+# same lines. TOPFULL_WORKERS sets the figures' worker count as it always
+# does. Run outputs are kept under target/goldens/.
+set -uo pipefail
+cd "$(dirname "$0")/.."
+LEDGER=scripts/goldens.txt
+OUT=target/goldens
+
+# Every scenario whose decision journal is pinned: the paths the control
+# loop takes under sharding, the front door, a recovery-probe collapse
+# escalation (fuzz 2-10), RateBlocked / Release / empty-group reasons
+# (boutique surge) and the hardened loop under stall + watchdog (gray
+# failure). The matrix's 12 cells are rows too, so a cell more or fewer is a
+# missing or an orphan row, and so is its whole report.
+SCENARIOS=(sharded_surge read_flash_crowd found/fuzz_2_10_breach
+  boutique_surge_topfull gray_failure_chaos)
+MATRIX=overload_arms
+# The deterministic `figures` experiments. `sim2real` and `multishard`
+# (wall-clock live arms) and `training-cost` (a timing) are left out.
+EXPERIMENTS=(table1 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
+  fig17 fig18 fig19 retry-storm metastable refinements trace-analysis chaos
+  slo admission)
+
+hash() { sha256sum | cut -c1-16; } # of stdin
+failed=0
+note() { echo "goldens: $*" >&2; failed=1; }
+
+# compute <rows-file>: write one `name value` line per computed row.
+compute() {
+  local rows=$1 w s f fp panics
+  mkdir -p "$OUT"
+  : > "$rows"
+  row() { echo "$1 $2" >> "$rows"; }
+  cargo build --release --workspace -q || { note "cargo build failed"; return; }
+
+  # A test that fails on a moved row is not a failed run; any other
+  # failure (a panic before the rows, a build error) is.
+  if ! cargo test -q --no-fail-fast --test determinism --test policy_bits -- --nocapture \
+    > "$OUT/tests.log" 2>&1; then
+    panics=$(grep -c 'panicked at' "$OUT/tests.log")
+    [ "$panics" -gt 0 ] && [ "$panics" -eq "$(grep -c '^rows of scripts/goldens.txt moved' "$OUT/tests.log")" ] \
+      || note "a golden test failed, see $OUT/tests.log"
+  fi
+  grep -oE 'golden [a-z0-9_.]+ 0x[0-9a-f]{16}' "$OUT/tests.log" | cut -d' ' -f2- \
+    | sort -s -k1,1 >> "$rows"
+
+  # Each journal at 1 and at 4 workers: the two must agree.
+  for w in 1 4; do
+    for s in "${SCENARIOS[@]}"; do
+      f=$OUT/${s//\//_}.w$w.json
+      if TOPFULL_WORKERS=$w target/release/topfull-sim run "scenarios/$s.json" --json > "$f" \
+        && fp=$(target/release/topfull explain "$f" --fingerprint); then
+        row "journal.$s" "${fp%% *}"
+      else
+        note "scenarios/$s.json did not run at $w workers"
+      fi
+    done
+    f=$OUT/$MATRIX.w$w.json
+    target/release/topfull matrix "scenarios/matrix/$MATRIX.json" --workers $w --json > "$f" \
+      || note "scenarios/matrix/$MATRIX.json did not run at $w workers"
+    awk -F'"' -v m="journal.matrix/$MATRIX" '/"id":/ { id = $4 }
+      /"journal_fingerprint":/ { print m "#" id, $4 }' "$f" >> "$rows"
+    row "matrix.$MATRIX" "$(hash < "$f")"
+  done
+
+  row benchmark/golden.json "$(hash < benchmark/golden.json)"
+
+  # Each file the experiments say they saved, and the report text less
+  # those `(saved <path>)` lines, which name the checkout.
+  target/release/figures "${EXPERIMENTS[@]}" > "$OUT/figures.stdout" \
+    || note "figures failed"
+  for f in $(sed -n 's|^(saved .*/\(.*\.json\))$|\1|p' "$OUT/figures.stdout"); do
+    row "figures.$f" "$(hash < "artifacts/results/$f")"
+  done
+  row figures.stdout "$(grep -v '^(saved ' "$OUT/figures.stdout" | hash)"
+}
+
+# compare <ledger> <rows>: print every moved, orphan, missing or
+# disagreeing row; exit 1 if there is one.
+compare() {
+  awk 'NR == FNR {
+         if (!($1 in got)) { got[$1] = $2; order[++n] = $1 }
+         else if (got[$1] != $2) { print $1 " disagrees: " got[$1] " ≠ " $2; bad = 1 }
+         next
+       }
+       /^#/ || NF == 0 { next }
+       $1 in seen { print $1 " is in the ledger twice"; bad = 1; next }
+       { seen[$1] = 1 }
+       !($1 in got) { print $1 " " $2 " → (none)"; bad = 1; next }
+       got[$1] != $2 { print $1 " " $2 " → " got[$1]; bad = 1 }
+       END {
+         for (i = 1; i <= n; i++)
+           if (!(order[i] in seen)) { print order[i] " (none) → " got[order[i]]; bad = 1 }
+         exit bad
+       }' "$2" "$1"
+}
+
+# record <ledger> <rows>: apply compare's lines to the ledger in place.
+record() {
+  local moved
+  moved=$(compare "$1" "$2") && { echo "goldens: nothing moved"; return 0; }
+  if grep -qv ' → ' <<<"$moved"; then
+    echo "$moved"
+    echo "goldens: nothing recorded while a row is computed twice or listed twice" >&2
+    return 1
+  fi
+  awk 'FILENAME == ARGV[1] { old[$1] = $2; new[$1] = $4; next }
+       FILENAME == ARGV[2] {
+         if ($1 in placed) next
+         placed[$1] = 1
+         if (old[$1] == "(none)") after[anchor] = after[anchor] $1 " " $2 "\n"
+         else anchor = $1
+         next
+       }
+       /^#/ || NF == 0 { print; next }
+       ($1 in new) && new[$1] == "(none)" { next }
+       { print $1 " " ($1 in new ? new[$1] : $2)
+         if ($1 in after) { printf "%s", after[$1]; delete after[$1] } }
+       END { for (a in after) printf "%s", after[a] }' \
+    <(echo "$moved") "$2" "$1" > "$1.new" && mv "$1.new" "$1"
+  echo "$moved"
+}
+
+# A scratch ledger with the first and last rows perturbed, a row deleted
+# from between two rows and an orphan appended, against the real ledger's
+# rows as the computed ones: compare must name exactly those four and exit
+# 1, and record must give back the real ledger byte for byte.
+self_test() {
+  local dir want got
+  dir=$(mktemp -d)
+  trap "rm -rf $dir" EXIT
+  grep -v '^#' "$LEDGER" | grep . > "$dir/rows"
+  awk 'NR == 1 { print $1, "0x0" } END { print $1, "0x1" }' "$dir/rows" > "$dir/perturbed"
+  awk 'NR > 2 && NF && !/^#/ && prev != "" && prev !~ /^#/ { print $1, $2; exit } { prev = $0 }' \
+    "$LEDGER" > "$dir/gone"
+  awk -v gone="$(cut -d' ' -f1 "$dir/gone")" '
+       FILENAME == ARGV[1] { bad[$1] = $2; next }
+       $1 == gone { next }
+       $1 in bad { print $1, bad[$1]; next }
+       { print }
+       END { print "selftest.orphan 0x2" }' "$dir/perturbed" "$LEDGER" > "$dir/ledger"
+  want=$( (
+    while read -r name value; do
+      echo "$name $value → $(awk -v n="$name" '$1 == n { print $2 }' "$dir/rows")"
+    done < "$dir/perturbed"
+    echo "selftest.orphan 0x2 → (none)"
+    awk '{ print $1 " (none) → " $2 }' "$dir/gone"
+  ) | sort)
+  got=$(compare "$dir/ledger" "$dir/rows") \
+    && { echo "goldens.sh self-test: compare found nothing on a perturbed ledger"; exit 1; }
+  [ "$(sort <<<"$got")" = "$want" ] \
+    || { printf 'goldens.sh self-test: compare said\n%s\nexpected\n%s\n' "$got" "$want"; exit 1; }
+  record "$dir/ledger" "$dir/rows" > /dev/null
+  cmp -s "$dir/ledger" "$LEDGER" \
+    || { echo "goldens.sh self-test: record did not restore the ledger"; diff "$LEDGER" "$dir/ledger"; exit 1; }
+  echo "goldens.sh self-test: OK"
+}
+
+case "${1:-}" in
+  --self-test) self_test ;;
+  --check | --record)
+    compute "$OUT/rows"
+    rows=$(cut -d' ' -f1 "$OUT/rows" | sort -u | wc -l)
+    if [ "$1" = --check ]; then
+      if moved=$(compare "$LEDGER" "$OUT/rows"); then
+        [ $failed -eq 0 ] && echo "goldens: $rows rows, none moved" && exit 0
+      else
+        echo "$moved"
+        echo "goldens: $(grep -c . <<<"$moved") of $rows rows differ; scripts/goldens.sh --record writes them"
+      fi
+      exit 1
+    fi
+    [ $failed -eq 0 ] || { echo "goldens: a run failed; nothing recorded" >&2; exit 1; }
+    record "$LEDGER" "$OUT/rows"
+    ;;
+  *)
+    echo "usage: $0 --check | --record | --self-test" >&2
+    exit 2
+    ;;
+esac

@@ -204,52 +204,15 @@ grep -q 'struck out' /tmp/topfull_live_shards.json \
 grep -Eq '"strike_outs": *1' /tmp/topfull_live_shards.json \
   || { echo "shard smoke: plane stats missing the strike-out"; exit 1; }
 
-# Journal-fingerprint determinism: the same sharded scenario must
-# journal identically no matter how many experiment workers surround it.
-TOPFULL_WORKERS=1 ./target/release/topfull-sim run scenarios/sharded_surge.json --json \
-  > /tmp/topfull_shard_w1.json
-TOPFULL_WORKERS=4 ./target/release/topfull-sim run scenarios/sharded_surge.json --json \
-  > /tmp/topfull_shard_w4.json
-fp1=$(./target/release/topfull explain /tmp/topfull_shard_w1.json --fingerprint)
-fp4=$(./target/release/topfull explain /tmp/topfull_shard_w4.json --fingerprint)
-[ -n "$fp1" ] && [ "$fp1" = "$fp4" ] \
-  || { echo "fingerprint smoke: journal diverged across workers ($fp1 vs $fp4)"; exit 1; }
-
-# ...and identically to the journal recorded in
-# scripts/journal_fingerprints.txt: a control-loop refactor that reorders
-# one entry fails here, not in a reviewer's eyeballs.
-pinned_fingerprint() { # $1 = run name, $2 = fingerprint just computed
-  local want
-  want=$(awk -v run="$1" '$1 == run { print $2 }' scripts/journal_fingerprints.txt)
-  [ -n "$want" ] && [ "${2%% *}" = "$want" ] \
-    || { echo "journal fingerprint of $1 moved: recorded ${want:-nothing}, got ${2%% *}"; exit 1; }
-}
-pinned_fingerprint scenarios/sharded_surge.json "$fp1"
-
-# Admission-journal determinism: the front-door scenario (coalescing
-# verdict windows + priority-threshold moves in the journal) must
-# fingerprint identically across worker counts too.
-TOPFULL_WORKERS=1 ./target/release/topfull-sim run scenarios/read_flash_crowd.json --json \
-  > /tmp/topfull_adm_w1.json
-TOPFULL_WORKERS=4 ./target/release/topfull-sim run scenarios/read_flash_crowd.json --json \
-  > /tmp/topfull_adm_w4.json
-afp1=$(./target/release/topfull explain /tmp/topfull_adm_w1.json --fingerprint)
-afp4=$(./target/release/topfull explain /tmp/topfull_adm_w4.json --fingerprint)
-[ -n "$afp1" ] && [ "$afp1" = "$afp4" ] \
-  || { echo "admission fingerprint smoke: journal diverged across workers ($afp1 vs $afp4)"; exit 1; }
-pinned_fingerprint scenarios/read_flash_crowd.json "$afp1"
-./target/release/topfull explain /tmp/topfull_adm_w1.json | grep -q 'frontdoor' \
-  || { echo "admission fingerprint smoke: no front-door windows in journal"; exit 1; }
-
-# The controller paths the runs above never reach: a recovery-probe
-# collapse escalation (fuzz 2-10), RateBlocked / Release / empty-group
-# reasons (boutique surge), the hardened loop under stall + watchdog
-# (gray failure).
-for s in scenarios/found/fuzz_2_10_breach.json scenarios/boutique_surge_topfull.json \
-  scenarios/gray_failure_chaos.json; do
-  ./target/release/topfull-sim run "$s" --json > /tmp/topfull_pin.json
-  pinned_fingerprint "$s" "$(./target/release/topfull explain /tmp/topfull_pin.json --fingerprint)"
-done
+# The determinism ledger: every golden — the engine fingerprint, the
+# policy bits, the decision journals (each at 1 and at 4 workers, and the
+# matrix's 12 cells), benchmark/golden.json and every deterministic
+# `figures` output — recomputed and compared with scripts/goldens.txt,
+# every moved row listed. Its comparator proves itself first.
+scripts/goldens.sh --self-test
+scripts/goldens.sh --check
+./target/release/topfull explain target/goldens/read_flash_crowd.w1.json | grep -q 'frontdoor' \
+  || { echo "admission journal smoke: no front-door windows in read_flash_crowd's journal"; exit 1; }
 
 # Decision-journal smoke: `topfull explain` must render the journal
 # embedded in a committed experiment artifact.
@@ -320,24 +283,5 @@ rm -rf /tmp/topfull_fuzz_a /tmp/topfull_fuzz_b
   || { echo "fuzz smoke: fuzzer tripped an objective on the shipped controller"; exit 1; }
 cmp -s /tmp/topfull_fuzz_a.json /tmp/topfull_fuzz_b.json \
   || { echo "fuzz smoke: same seed produced different reports"; exit 1; }
-
-# Matrix smoke: the committed arm matrix must expand to all 12 cells
-# (2 workloads x 2 fault plans x 3 arms) and report identically no
-# matter how many workers execute it.
-./target/release/topfull matrix scenarios/matrix/overload_arms.json --workers 1 --json \
-  > /tmp/topfull_matrix_w1.json
-./target/release/topfull matrix scenarios/matrix/overload_arms.json --workers 4 --json \
-  > /tmp/topfull_matrix_w4.json
-cmp -s /tmp/topfull_matrix_w1.json /tmp/topfull_matrix_w4.json \
-  || { echo "matrix smoke: report depends on worker count"; exit 1; }
-cells=$(grep -c '"journal_fingerprint"' /tmp/topfull_matrix_w1.json)
-[ "$cells" -eq 12 ] \
-  || { echo "matrix smoke: expected 12 cells, got $cells"; exit 1; }
-grep -q '"cells": 12' /tmp/topfull_matrix_w1.json \
-  || { echo "matrix smoke: cell count missing from report"; exit 1; }
-while read -r cell fp; do
-  pinned_fingerprint "scenarios/matrix/overload_arms.json#$cell" "$fp"
-done < <(awk -F'"' '/"id":/ { id = $4 } /"journal_fingerprint":/ { print id, $4 }' \
-  /tmp/topfull_matrix_w1.json)
 
 echo "tier-1 verify: OK"

@@ -4,24 +4,23 @@
 //! The simulation is specified to be a pure function of `(topology,
 //! config, workload, seed)`: same inputs, same event sequence, same
 //! artifacts — on any machine, at any worker count. This test pins that
-//! contract to a recorded constant: an FNV-1a hash over each run's
-//! processed-event count, its per-API goodput series, and its resilience
-//! totals. If the engine refactor (or any future change) perturbs even
-//! one event, the fingerprint moves and the constant must be
-//! re-recorded **deliberately**, with the behavioral change explained in
-//! the commit.
+//! contract to the `engine.determinism` row of `scripts/goldens.txt`: an
+//! FNV-1a hash over each run's processed-event count, its per-API goodput
+//! series, and its resilience totals. If any change perturbs even one
+//! event, the fingerprint moves and the row must be re-recorded
+//! **deliberately** (`scripts/goldens.sh --record`), with the behavioral
+//! change explained in the commit.
 //!
 //! The parallel test runs the identical plan on four workers and must
 //! reproduce the serial fingerprint bit-for-bit — the run executor is
 //! not allowed to reorder, drop, or perturb anything.
 
+mod common;
+
+use common::{assert_rows, fnv1a, FNV_OFFSET};
 use topfull_bench::exec::{self, ArmOutcome};
 use topfull_bench::runner::RunPlan;
 use topfull_bench::scenarios::{boutique_closed_loop, Roster};
-
-/// Recorded fingerprint of [`plan_arms`] under [`fingerprint`]. Update
-/// only for an intentional behavioral change.
-const GOLDEN: u64 = 0xef5a_adab_332d_da25;
 
 const RUN_SECS: u64 = 30;
 
@@ -50,17 +49,8 @@ fn plan_arms(workers: usize) -> Vec<ArmOutcome> {
     plan.run()
 }
 
-/// FNV-1a (64-bit). Deliberately not `DefaultHasher`, whose output may
-/// change between Rust releases.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 fn fingerprint(outcomes: &[ArmOutcome]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for o in outcomes {
         fnv1a(&mut h, o.label.as_bytes());
         fnv1a(&mut h, &o.events_processed.to_le_bytes());
@@ -90,23 +80,12 @@ fn fingerprint(outcomes: &[ArmOutcome]) -> u64 {
 
 #[test]
 fn serial_run_matches_golden_fingerprint() {
-    let got = fingerprint(&plan_arms(1));
-    assert_eq!(
-        got, GOLDEN,
-        "serial fingerprint drifted: got {got:#018x}, recorded {GOLDEN:#018x} — \
-         the engine's behavior changed; re-record only if intentional"
-    );
+    assert_rows(&[("engine.determinism", fingerprint(&plan_arms(1)))]);
 }
 
 #[test]
 fn parallel_run_matches_golden_fingerprint() {
-    let got = fingerprint(&plan_arms(4));
-    assert_eq!(
-        got, GOLDEN,
-        "parallel fingerprint diverged from the recorded serial one: \
-         got {got:#018x}, recorded {GOLDEN:#018x} — the run executor \
-         perturbed a run"
-    );
+    assert_rows(&[("engine.determinism", fingerprint(&plan_arms(4)))]);
 }
 
 /// The decision journal is part of the determinism contract: the JSONL

@@ -7,22 +7,16 @@
 //! nothing would for `base` and `transfer_tt`. Each committed model is
 //! folded over a grid of §4.3 states into one FNV-1a constant, and a
 //! short fixed-seed training run (rollouts, backprop, Adam) must
-//! serialise to the same bytes. Re-record only in a PR whose title says
-//! the policy's bits move.
+//! serialise to the same bytes: the `policy.*` rows of
+//! `scripts/goldens.txt`. Re-record only in a PR whose title says the
+//! policy's bits move.
 
+mod common;
+
+use common::{assert_rows, fnv1a, FNV_OFFSET};
 use rl::graph_env::GraphEnv;
 use rl::{PolicyValue, PpoConfig, Trainer, TrainerConfig};
 use topfull::{RateController, RateState, RlRateController};
-
-/// FNV-1a (64-bit), as in `tests/determinism.rs`.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Every action over goodput ratio 0…2 (steps of 1/32) × latency ratio
 /// 0…5 (steps of 1/16) — 5 265 states — then the out-of-range and
@@ -52,25 +46,21 @@ fn action_bits(policy: PolicyValue) -> u64 {
 
 #[test]
 fn committed_models_decide_the_recorded_bits() {
-    const WANT: [(&str, u64); 3] = [
-        ("base", 0xacde_ed6f_12f1_ba98),
-        ("transfer_ob", 0x91d2_3f40_451f_5473),
-        ("transfer_tt", 0x359f_aa9b_0189_ecdc),
-    ];
-    let got = WANT.map(|(name, _)| {
+    let rows = [
+        ("policy.base", "base"),
+        ("policy.transfer_ob", "transfer_ob"),
+        ("policy.transfer_tt", "transfer_tt"),
+    ]
+    .map(|(row, name)| {
         let policy = topfull_bench::models::load(name)
             .unwrap_or_else(|| panic!("artifacts/models/{name}.json must load"));
-        (name, action_bits(policy))
+        (row, action_bits(policy))
     });
-    assert_eq!(
-        got, WANT,
-        "action bits drifted (left: got, right: recorded): {got:#018x?}"
-    );
+    assert_rows(&rows);
 }
 
 #[test]
 fn a_fixed_seed_training_run_serialises_to_the_recorded_bytes() {
-    const WANT: u64 = 0xeee4_aea3_8ec4_e451;
     let mut trainer = Trainer::new(TrainerConfig {
         ppo: PpoConfig {
             train_batch_size: 200,
@@ -87,8 +77,5 @@ fn a_fixed_seed_training_run_serialises_to_the_recorded_bytes() {
     let json = serde_json::to_string(&report.final_model).expect("models serialise");
     let mut got = FNV_OFFSET;
     fnv1a(&mut got, json.as_bytes());
-    assert_eq!(
-        got, WANT,
-        "trained model drifted: got {got:#018x}, recorded {WANT:#018x}"
-    );
+    assert_rows(&[("policy.train_seed31", got)]);
 }
