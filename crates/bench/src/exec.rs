@@ -10,10 +10,10 @@
 //! window, ratios between named arms, optional timelines.
 
 use crate::report::{f1, ratio, Report};
-use crate::runner::RunPlan;
 use crate::scenarios::{Recipe, Roster};
 use cluster::engine::ApiTotals;
 use cluster::front::FrontStats;
+use cluster::runner::RunPlan;
 use cluster::{ApiId, Engine, ResilienceStats, RunResult, WatchdogStats};
 
 /// Everything an experiment may need from one finished run, captured

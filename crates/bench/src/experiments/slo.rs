@@ -25,9 +25,9 @@
 //!   the paper-default 0.05 step cannot clamp inside the window.
 
 use crate::report::{f1, ratio, Report};
-use crate::runner::RunPlan;
 use crate::scenarios::{constant, Recipe, Roster};
 use apps::OnlineBoutique;
+use cluster::runner::RunPlan;
 use cluster::RateSchedule;
 use simnet::SimTime;
 use topfull::TopFullConfig;

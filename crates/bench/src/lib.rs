@@ -12,14 +12,12 @@
 //!   ablations and explicit configs, DAGOR, Breakwater, WISP, none).
 //! * [`report`] — uniform "paper vs measured" result rows and JSON dumps
 //!   under `artifacts/results/`.
-//! * [`runner`] — the parallel run executor: independent `(app, arm,
-//!   seed)` runs fan out over a worker pool (`TOPFULL_WORKERS` overrides
-//!   the size, `=1` forces serial) with byte-identical artifacts at any
-//!   worker count.
 //! * [`exec`] — what each experiment uses to run: arms of `(label,
-//!   roster, recipe)` go in, `ArmOutcome`s come out, always through the
-//!   runner; `Figure` is the table/ratios/timelines body most of §6
-//!   shares.
+//!   roster, recipe)` go in, `ArmOutcome`s come out, always through
+//!   `cluster::runner`'s worker pool (`TOPFULL_WORKERS` overrides the
+//!   size, `=1` forces serial) with byte-identical artifacts at any
+//!   worker count; `Figure` is the table/ratios/timelines body most of
+//!   §6 shares.
 //! * [`experiments`] — one module per figure/table, each returning its
 //!   `Report`; the `figures` binary dispatches to them and finishes it.
 //!
@@ -30,7 +28,6 @@ pub mod exec;
 pub mod experiments;
 pub mod models;
 pub mod report;
-pub mod runner;
 pub mod scenarios;
 
 /// Repository-relative artifacts directory (models, results).

@@ -45,10 +45,10 @@ fn trainer_config(episodes: usize, seed: u64) -> TrainerConfig {
         episodes,
         checkpoint_every: 50,
         validation_episodes: 12,
-        // Deliberately NOT `runner::worker_count()`: rollout seeding
+        // Deliberately NOT `cluster::runner::worker_count()`: rollout seeding
         // depends on the worker count, so honoring TOPFULL_WORKERS here
         // would change the models the pipeline produces and caches.
-        workers: crate::runner::default_workers(),
+        workers: cluster::runner::default_workers(),
         seed,
     }
 }

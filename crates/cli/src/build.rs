@@ -55,7 +55,7 @@ fn build_call(topo: &Topology, spec: &CallSpec) -> Result<CallNode, String> {
 /// Build the topology for an app spec. Shared by the simulator path and
 /// the live plane (`crate::live`), which serves the identical topology
 /// over TCP.
-pub fn build_topology(app: &AppSpec) -> Result<Topology, String> {
+pub(crate) fn build_topology(app: &AppSpec) -> Result<Topology, String> {
     match app {
         AppSpec::Builtin {
             name,
@@ -234,7 +234,7 @@ pub(crate) fn entry_controller(
 
 /// TopFull configuration from scenario knobs. Shared by the simulator
 /// path and the live plane — identical config, virtual or wall clock.
-pub fn topfull_config(
+fn topfull_config(
     rate_controller: &str,
     clustering: bool,
     hardened: bool,
@@ -370,7 +370,7 @@ fn hpa_config(auto: &AutoscalerSpec) -> HpaConfig {
 /// Admission spec → front-door config plus per-API coalescing key
 /// spaces (0 = not coalescable). Shared by the simulator path and the
 /// live plane, which runs the identical stage pipeline per gateway.
-pub fn front_door_config(
+pub(crate) fn front_door_config(
     topo: &Topology,
     spec: &AdmissionSpec,
 ) -> Result<(cluster::front::FrontConfig, Vec<u64>), String> {
@@ -416,7 +416,7 @@ pub fn front_door_config(
 
 /// Sharding spec → core sharded-plane config (shared by the simulator
 /// path and, minus simulator-only faults, the live plane).
-pub fn sharded_config(spec: &ShardingSpec) -> Result<topfull::ShardedConfig, String> {
+pub(crate) fn sharded_config(spec: &ShardingSpec) -> Result<topfull::ShardedConfig, String> {
     if spec.shards == 0 {
         return Err("sharding.shards must be at least 1".into());
     }

@@ -1,9 +1,10 @@
 //! `topfull explain` — render a controller decision journal as a
 //! human-readable timeline.
 //!
-//! Accepts either a run artifact (`topfull-sim run -o run.json`, a
-//! `topfull live` outcome, or a bench report) — any JSON object with a
-//! top-level `"journal"` array — or a raw JSONL journal as written by
+//! Accepts either a run artifact
+//! (`topfull run <scenario.json> --json > run.json`, a `topfull live`
+//! outcome, or a bench report) — any JSON object with a top-level
+//! `"journal"` array — or a raw JSONL journal as written by
 //! [`obs::to_jsonl`]. The timeline names every overload
 //! detection instant, re-clustering, per-API rate action (with the
 //! state inputs that drove it), §4.1 increase block, headroom release,
@@ -22,7 +23,7 @@ pub fn explain_file(path: &str) -> Result<String, String> {
 }
 
 /// Parse journal entries out of either supported input shape.
-pub fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
+fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
     if text.trim().is_empty() {
         return Err(
             "empty journal: the input has no content — expected a run artifact \
@@ -96,7 +97,7 @@ pub fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
 
 /// Render the decision timeline plus a summary. Pure function of the
 /// entries, so the output is as deterministic as the journal itself.
-pub fn render_timeline(entries: &[JournalEntry]) -> String {
+fn render_timeline(entries: &[JournalEntry]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "controller decision journal — {} entries", entries.len());
     if entries.is_empty() {

@@ -1,23 +1,42 @@
-//! # topfull-cli — JSON scenario runner
+//! # topfull-cli — the `topfull` command line
 //!
 //! Lets operators exercise the TopFull stack without writing Rust: a
 //! scenario file describes an application topology (or names a built-in
 //! benchmark), a workload, a controller, and optional autoscaling /
-//! failure injection; `topfull-sim run scenario.json` executes it and
-//! prints per-API goodput, latency and an optional timeline.
+//! failure injection; `topfull run scenario.json` executes it on the
+//! simulator and prints per-API goodput, latency and an optional
+//! timeline, and `topfull live` serves it on a real TCP gateway.
 //!
 //! See [`schema`] for the file format, [`build`] for the
 //! scenario → engine translation, and [`report`] for the output.
+//!
+//! Above one scenario at a time sits the adversarial scenario engine:
+//!
+//! - [`workflow`] — reusable phases (plateau, ramp, flash crowd,
+//!   diurnal, oscillating) composed into per-API tracks and compiled to
+//!   the plain [`Scenario`] schema, so every plane runs them unchanged.
+//! - [`matrix`] — workloads × fault plans × controller arms, executed
+//!   through `cluster::runner`'s worker pool with a journal fingerprint
+//!   per cell.
+//! - [`objectives`] — what counts as a controller weakness, always
+//!   against a no-controller oracle run of the same workflow.
+//! - [`fuzz`] — the seeded mutation loop over workflow genomes.
+//! - [`shrink`] — greedy reduction of a tripping genome to a minimal
+//!   reproducer.
 
 pub mod build;
 pub mod explain;
+pub mod fuzz;
 pub mod live;
+pub mod matrix;
+pub mod objectives;
 pub mod report;
 pub mod schema;
+pub mod shrink;
 pub mod trace;
+pub mod workflow;
 
 pub use build::build_scenario;
-pub use explain::explain_file;
 pub use live::run_live;
 pub use report::{render_report, ScenarioOutcome};
 pub use schema::Scenario;

@@ -297,7 +297,7 @@ mod tests {
         );
     }
 
-    /// `topfull live` ran this to completion while `topfull-sim check`
+    /// `topfull live` ran this to completion while `topfull check`
     /// refused it: `run_live` never called `preflight`.
     #[test]
     fn sharding_with_the_hardened_loop_is_refused_by_preflight() {

@@ -167,7 +167,7 @@ pub fn compare(sc: &Scenario) -> Result<String, String> {
     // Controller variants are independent runs of the same scenario:
     // fan them out over the experiment worker pool, consuming outcomes
     // in roster order so the table is identical at any worker count.
-    let mut plan = topfull_bench::runner::RunPlan::new();
+    let mut plan = cluster::runner::RunPlan::new();
     for (label, ctrl) in rosters {
         plan.submit(move || {
             let mut variant = sc.clone();

@@ -8,7 +8,7 @@
 //! `#[serde(default)]` and states its defaults once, in its `Default`;
 //! a block with a required key carries per-field `default = "fn"`.
 //! Minimal scenarios stay minimal; [`Scenario::example`] emits a
-//! populated one for `topfull-sim example`.
+//! populated one for `topfull example`.
 
 use serde::{Deserialize, Serialize};
 
@@ -622,7 +622,7 @@ impl Default for SloSpec {
 
 impl SloSpec {
     /// Translate into the monitor's config.
-    pub fn to_config(&self) -> obs::SloConfig {
+    pub(crate) fn to_config(&self) -> obs::SloConfig {
         obs::SloConfig {
             objective: self.objective,
             fast_windows: self.fast_windows_secs,
@@ -653,7 +653,7 @@ impl Default for ReportSpec {
 }
 
 impl Scenario {
-    /// A fully-populated example scenario (for `topfull-sim example`).
+    /// A fully-populated example scenario (for `topfull example`).
     pub fn example() -> Scenario {
         Scenario {
             name: "two-tier-overload".into(),

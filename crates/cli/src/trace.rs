@@ -36,7 +36,7 @@ fn load_events(arg: &str) -> Result<Vec<TraceEvent>, String> {
 }
 
 /// Parse trace events out of either supported text shape.
-pub fn parse_events(text: &str) -> Result<Vec<TraceEvent>, String> {
+fn parse_events(text: &str) -> Result<Vec<TraceEvent>, String> {
     if text.trim().is_empty() {
         return Err(
             "no trace events: the input is empty (expected a run artifact with a \

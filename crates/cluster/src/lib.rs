@@ -35,7 +35,8 @@
 //! The [`engine::Engine`] ties these together; [`control_loop`] is the one
 //! Observe → Decide → Act loop that steps a [`controller::Controller`]
 //! over a plane, and [`harness`] runs it over an engine at the control
-//! cadence.
+//! cadence. [`runner`] fans independent runs out over a worker pool,
+//! results in submission order.
 
 pub mod admission;
 pub mod autoscaler;
@@ -49,6 +50,7 @@ pub mod front;
 pub mod harness;
 pub mod observe;
 pub mod resilience;
+pub mod runner;
 pub mod sharded;
 pub mod topology;
 pub mod tracing;

@@ -65,7 +65,7 @@ compute() {
   for w in 1 4; do
     for s in "${SCENARIOS[@]}"; do
       f=$OUT/${s//\//_}.w$w.json
-      if TOPFULL_WORKERS=$w target/release/topfull-sim run "scenarios/$s.json" --json > "$f" \
+      if TOPFULL_WORKERS=$w target/release/topfull run "scenarios/$s.json" --json > "$f" \
         && fp=$(target/release/topfull explain "$f" --fingerprint); then
         row "journal.$s" "${fp%% *}"
       else

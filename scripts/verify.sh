@@ -24,8 +24,8 @@ for row in 'crates/*/src' 'crates/*/src+shims/'; do
 done
 
 # --workspace matters: the repo root is itself a package, so a bare
-# `cargo build` would skip dependency crates' binaries (topfull,
-# topfull-sim) and every smoke below would run stale code.
+# `cargo build` would skip a dependency crate's binary (topfull) and
+# every smoke below would run stale code.
 cargo build --release --workspace
 cargo test -q --workspace
 # Debug tests never run `EventQueue::schedule`'s release-only clamp (a
@@ -243,7 +243,7 @@ scripts/goldens.sh --check
 # specs cell by cell.
 for f in scenarios/*.json scenarios/found/*.json; do
   case "$f" in *.workflow.json) continue ;; esac
-  ./target/release/topfull-sim check "$f" > /dev/null \
+  ./target/release/topfull check "$f" > /dev/null \
     || { echo "scenario check failed: $f"; exit 1; }
 done
 for f in scenarios/workflows/*.workflow.json scenarios/found/*.workflow.json; do
@@ -266,7 +266,7 @@ rejects_typo() { # $1 = document, $2... = the subcommand that checks it
   grep -q 'did you mean' <<<"$err" \
     || { echo "corpus dry-run: $doc rejected without a hint: $err"; exit 1; }
 }
-rejects_typo scenarios/invalid/controller_typo.json ./target/release/topfull-sim check
+rejects_typo scenarios/invalid/controller_typo.json ./target/release/topfull check
 rejects_typo scenarios/invalid/sharding_typo.workflow.json ./target/release/topfull workflow
 rejects_typo scenarios/invalid/arm_typo.matrix.json ./target/release/topfull matrix
 

@@ -12,7 +12,8 @@
 //! * [`topfull`] — the paper's contribution: adaptive top-down overload
 //!   control.
 //! * [`baselines`] — DAGOR, Breakwater and no-control comparators.
-//! * [`topfull_cli`] — the `topfull-sim` JSON scenario runner.
+//! * [`topfull_cli`] — the `topfull` binary's library: JSON scenarios,
+//!   workflows, matrices and the fuzzer, on the simulator or live.
 
 pub use apps;
 pub use baselines;

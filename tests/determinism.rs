@@ -17,9 +17,9 @@
 
 mod common;
 
+use cluster::runner::RunPlan;
 use common::{assert_rows, fnv1a, FNV_OFFSET};
 use topfull_bench::exec::{self, ArmOutcome};
-use topfull_bench::runner::RunPlan;
 use topfull_bench::scenarios::{boutique_closed_loop, Roster};
 
 const RUN_SECS: u64 = 30;

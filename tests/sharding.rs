@@ -272,7 +272,7 @@ fn sharded_journal_fingerprint_is_worker_count_invariant() {
         obs::journal_fingerprint(&obs::to_jsonl(&h.journal().snapshot()))
     };
     let fingerprints = |workers: usize| -> Vec<u64> {
-        let mut plan = topfull_bench::runner::RunPlan::new().with_workers(workers);
+        let mut plan = cluster::runner::RunPlan::new().with_workers(workers);
         for seed in [3u64, 5, 7] {
             plan.submit(move || run_one(seed));
         }
