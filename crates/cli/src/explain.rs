@@ -22,77 +22,104 @@ pub fn explain_file(path: &str) -> Result<String, String> {
     Ok(render_timeline(&entries))
 }
 
-/// Parse journal entries out of either supported input shape.
-fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
+/// How a command names what [`parse_items`] reads, for its errors.
+pub(crate) struct Items {
+    /// The run artifact's top-level array: `journal`, `traces`.
+    pub field: &'static str,
+    /// One element, as a line error names it: `journal entry`.
+    pub item: &'static str,
+    /// The error for blank input.
+    pub empty: &'static str,
+    /// The error for JSONL that holds no element.
+    pub none: &'static str,
+    /// The error for a JSON object that neither carries `field` nor is
+    /// one element; `None` reads it line by line instead.
+    pub no_field: Option<&'static str>,
+}
+
+/// What `explain` reads: a run artifact's `journal`, or its JSONL.
+const JOURNAL: Items = Items {
+    field: "journal",
+    item: "journal entry",
+    empty: "empty journal: the input has no content — expected a run artifact \
+            with a \"journal\" array, or JSONL of journal entries (was the file \
+            truncated before anything was written?)",
+    none: "no journal entries found (expected a JSON object with a \"journal\" \
+           array, or JSONL of journal entries)",
+    no_field: None,
+};
+
+/// Read the elements of a run artifact's `what.field` array, or of a
+/// JSONL stream of them — the one reader behind `explain` and `trace`.
+pub(crate) fn parse_items<T: Deserialize>(text: &str, what: &Items) -> Result<Vec<T>, String> {
+    let Items { field, item, .. } = what;
     if text.trim().is_empty() {
-        return Err(
-            "empty journal: the input has no content — expected a run artifact \
-             with a \"journal\" array, or JSONL of journal entries (was the file \
-             truncated before anything was written?)"
-                .into(),
-        );
+        return Err(what.empty.into());
     }
     // A run artifact is one JSON document; try that reading first.
     match serde_json::from_str::<serde_json::JsonValue>(text) {
         Ok(doc) => {
-            if let Some(journal) = doc.get("journal") {
-                return match journal {
-                    serde::Value::Array(items) => items
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| {
-                            JournalEntry::from_value(v).map_err(|e| format!("journal[{i}]: {e}"))
-                        })
-                        .collect(),
-                    _ => Err("\"journal\" field is not an array".into()),
+            if let Some(items) = doc.get(field) {
+                let serde::Value::Array(items) = items else {
+                    return Err(format!("\"{field}\" field is not an array"));
                 };
+                return items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| T::from_value(v).map_err(|e| format!("{field}[{i}]: {e}")))
+                    .collect();
             }
-            // A single journal entry on its own is a one-line JSONL file;
-            // fall through to line-by-line parsing below.
+            if let Ok(one) = T::from_value(&doc) {
+                return Ok(vec![one]); // a lone element
+            }
+            if let (Some(err), serde::Value::Object(_)) = (what.no_field, &doc) {
+                return Err(err.into());
+            }
+            // Otherwise the line reader below names the failure.
         }
         Err(e) => {
             // A document that opens like a run artifact but doesn't
             // parse was almost certainly cut off mid-write. Say so,
             // with where the text ends, instead of limping into the
             // JSONL path and blaming "line 1".
-            let trimmed = text.trim_start();
-            if trimmed.starts_with('{') && text.contains("\"journal\"") {
+            if text.trim_start().starts_with('{') && text.contains(&format!("\"{field}\"")) {
                 let last = text.lines().count().max(1);
                 return Err(format!(
                     "run artifact is not valid JSON (parse fails near line {last}): {e}\n\
                      the file looks truncated mid-write — regenerate it, or pass the \
-                     journal JSONL directly"
+                     {field} JSONL directly"
                 ));
             }
         }
     }
-    let mut entries = Vec::new();
+    let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let entry = serde_json::from_str::<JournalEntry>(line).map_err(|e| {
+        let one = serde_json::from_str::<T>(line).map_err(|e| {
             if line.starts_with('{') && !line.ends_with('}') {
                 format!(
-                    "line {}: journal entry is truncated (no closing '}}') — the \
+                    "line {}: {item} is truncated (no closing '}}') — the \
                      file was likely cut off mid-write",
                     lineno + 1
                 )
             } else {
-                format!("line {}: not a journal entry: {e}", lineno + 1)
+                format!("line {}: not a {item}: {e}", lineno + 1)
             }
         })?;
-        entries.push(entry);
+        out.push(one);
     }
-    if entries.is_empty() {
-        return Err(
-            "no journal entries found (expected a JSON object with a \"journal\" \
-             array, or JSONL of journal entries)"
-                .into(),
-        );
+    if out.is_empty() {
+        return Err(what.none.into());
     }
-    Ok(entries)
+    Ok(out)
+}
+
+/// Parse journal entries out of either supported input shape.
+fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
+    parse_items(text, &JOURNAL)
 }
 
 /// Render the decision timeline plus a summary. Pure function of the

@@ -415,7 +415,7 @@ pub struct LiveSpec {
     /// Loopback TCP port; 0 = ephemeral.
     pub port: u16,
     /// Loopback TCP port of the HTTP exposition endpoint
-    /// (`GET /metrics`, `GET /spans`); 0 = ephemeral.
+    /// (`GET /metrics`, `GET /trace`); 0 = ephemeral.
     pub metrics_port: u16,
     /// Gateway event loops; 0 = one per core (capped at 8).
     pub event_loops: usize,

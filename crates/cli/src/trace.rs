@@ -14,6 +14,7 @@
 //! a bar per pipeline stage, so an operator can see *where* a request
 //! spent its latency — or which stage shed it.
 
+use crate::explain::{parse_items, Items};
 use obs::TraceEvent;
 
 /// Load events from `arg` (file path or `http://` URL), keep only
@@ -35,62 +36,23 @@ fn load_events(arg: &str) -> Result<Vec<TraceEvent>, String> {
     parse_events(&text)
 }
 
+/// What `trace` reads: a live run artifact's `traces`, or their JSONL.
+const TRACES: Items = Items {
+    field: "traces",
+    item: "trace event",
+    empty: "no trace events: the input is empty (expected a run artifact with a \
+            \"traces\" array, or JSONL of trace events)",
+    none: "no trace events found",
+    no_field: Some(
+        "no \"traces\" array in this run artifact — only live runs carry \
+         traces (the simulator has no wire to sample trace ids from); \
+         rerun with `topfull live … --json`",
+    ),
+};
+
 /// Parse trace events out of either supported text shape.
 fn parse_events(text: &str) -> Result<Vec<TraceEvent>, String> {
-    if text.trim().is_empty() {
-        return Err(
-            "no trace events: the input is empty (expected a run artifact with a \
-             \"traces\" array, or JSONL of trace events)"
-                .into(),
-        );
-    }
-    // A run artifact is one JSON document; try that reading first.
-    if let Ok(doc) = serde_json::from_str::<serde_json::JsonValue>(text) {
-        if let Some(traces) = doc.get("traces") {
-            let serde::Value::Array(items) = traces else {
-                return Err("\"traces\" field is not an array".into());
-            };
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    serde_json::to_string(v)
-                        .map_err(|e| format!("traces[{i}]: {e}"))
-                        .and_then(|s| {
-                            serde_json::from_str::<TraceEvent>(&s)
-                                .map_err(|e| format!("traces[{i}]: not a trace event: {e}"))
-                        })
-                })
-                .collect();
-        }
-        if let serde::Value::Object(_) = doc {
-            if doc.get("trace").is_none() {
-                return Err(
-                    "no \"traces\" array in this run artifact — only live runs carry \
-                     traces (the simulator has no wire to sample trace ids from); \
-                     rerun with `topfull live … --json`"
-                        .into(),
-                );
-            }
-            // A lone trace event parses as an object too; fall through
-            // to the JSONL reader.
-        }
-    }
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        out.push(
-            serde_json::from_str::<TraceEvent>(line)
-                .map_err(|e| format!("line {}: not a trace event: {e}", lineno + 1))?,
-        );
-    }
-    if out.is_empty() {
-        return Err("no trace events found".into());
-    }
-    Ok(out)
+    parse_items(text, &TRACES)
 }
 
 /// One-shot `GET` against a live gateway's exposition endpoint. A bare

@@ -99,8 +99,6 @@ pub struct EngineConfig {
     /// tracing collector (paths *learned* from spans, §4.1/§5) instead of
     /// the static topology union.
     pub learn_paths: bool,
-    /// Span retention window for learned paths.
-    pub trace_window: SimDuration,
     /// Raw spans to retain in the collector for inspection (0 = none);
     /// only meaningful with `learn_paths`.
     pub trace_raw_buffer: usize,
@@ -118,7 +116,6 @@ impl Default for EngineConfig {
             pod_startup: SimDuration::from_secs(10),
             crash: CrashLoopConfig::default(),
             learn_paths: false,
-            trace_window: SimDuration::from_secs(60),
             trace_raw_buffer: 0,
         }
     }
@@ -137,6 +134,10 @@ struct FrontState {
     /// Entry-limit rejection total at the last journaled window.
     rate_limited_base: u64,
 }
+
+/// How long a service stays on a learned path without fresh spans
+/// (`learn_paths`).
+const TRACE_WINDOW: SimDuration = SimDuration::from_secs(60);
 
 /// The event queue's lanes (see "Determinism" above).
 const HOP_LANE: usize = 0;
@@ -262,7 +263,7 @@ impl Engine {
         let num_apis = topo.num_apis();
         let api_paths = topo.api_service_map();
         let tracer = cfg.learn_paths.then(|| {
-            TraceCollector::new(num_apis, cfg.trace_window).with_raw_buffer(cfg.trace_raw_buffer)
+            TraceCollector::new(num_apis, TRACE_WINDOW).with_raw_buffer(cfg.trace_raw_buffer)
         });
         let mut templates = Vec::new();
         let api_templates = topo

@@ -15,19 +15,16 @@
 //! Learned paths handle branching APIs the way §4.2 prescribes: once
 //! traffic has exercised a branch, its services join the API's path set
 //! and stay there while traces keep arriving; paths through retired
-//! branches age out after [`TraceCollector::window`].
+//! branches age out after the collector's retention window.
 
 use crate::types::{ApiId, ServiceId};
 use simnet::{SimDuration, SimTime};
 use std::collections::HashMap;
 
-/// What the entry gateway decided about the request a span belongs to.
-///
-/// Live and simulated traces both carry this, so the two planes'
-/// admission behavior can be compared span-for-span (the sim2real
-/// overlay): an `Admitted` span is real work on a service; a
-/// `RejectedAtEntry` span is a zero-duration marker at the API's entry
-/// service recording that the token bucket turned the request away.
+/// What the entry gateway decided about the request a span belongs to:
+/// an `Admitted` span is real work on a service; a `RejectedAtEntry`
+/// span is a zero-duration marker at the API's entry service recording
+/// that the token bucket turned the request away.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpanVerdict {
     /// The request passed the entry rate limiter; the span is real work.
@@ -66,9 +63,7 @@ pub struct TraceCollector {
     last_seen: Vec<HashMap<ServiceId, SimTime>>,
     /// How long a service stays on a path without fresh spans.
     window: SimDuration,
-    /// Spans recorded (for reporting).
-    spans_recorded: u64,
-    /// Of those, spans carrying [`SpanVerdict::RejectedAtEntry`].
+    /// Spans recorded with [`SpanVerdict::RejectedAtEntry`].
     rejected_recorded: u64,
     /// Optional bounded buffer of raw spans for inspection/debugging.
     keep_raw: usize,
@@ -82,7 +77,6 @@ impl TraceCollector {
         TraceCollector {
             last_seen: vec![HashMap::new(); num_apis],
             window,
-            spans_recorded: 0,
             rejected_recorded: 0,
             keep_raw: 0,
             raw: std::collections::VecDeque::new(),
@@ -95,16 +89,6 @@ impl TraceCollector {
         self
     }
 
-    /// The retention window.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Total spans recorded.
-    pub fn spans_recorded(&self) -> u64 {
-        self.spans_recorded
-    }
-
     /// Spans recorded with [`SpanVerdict::RejectedAtEntry`].
     pub fn rejected_recorded(&self) -> u64 {
         self.rejected_recorded
@@ -114,7 +98,6 @@ impl TraceCollector {
     /// kept in the raw buffer, but do not teach the path learner: a
     /// request that never entered the cluster exercised no services.
     pub fn record(&mut self, span: Span) {
-        self.spans_recorded += 1;
         match span.verdict {
             SpanVerdict::Admitted => {
                 self.last_seen[span.api.idx()].insert(span.service, span.end);
@@ -127,26 +110,6 @@ impl TraceCollector {
             }
             self.raw.push_back(span);
         }
-    }
-
-    /// Record a batch of spans, oldest first: the same counts, learned
-    /// paths and raw-buffer contents as calling [`TraceCollector::record`]
-    /// on each in turn. Spans the batch itself would push out of the raw
-    /// buffer again are counted without ever being pushed.
-    pub fn record_batch(&mut self, spans: &[Span]) {
-        self.spans_recorded += spans.len() as u64;
-        for span in spans {
-            match span.verdict {
-                SpanVerdict::Admitted => {
-                    self.last_seen[span.api.idx()].insert(span.service, span.end);
-                }
-                SpanVerdict::RejectedAtEntry => self.rejected_recorded += 1,
-            }
-        }
-        let kept = &spans[spans.len().saturating_sub(self.keep_raw)..];
-        let evicted = (self.raw.len() + kept.len()).saturating_sub(self.keep_raw);
-        self.raw.drain(..evicted);
-        self.raw.extend(kept);
     }
 
     /// The most recent raw spans (empty unless `with_raw_buffer`).
@@ -181,14 +144,6 @@ impl TraceCollector {
             m.retain(|_, seen| *seen >= horizon);
         }
     }
-
-    /// Live `(api, service)` entries in the path learner — the
-    /// collector's only unbounded-in-principle state. With `compact`
-    /// called every window close this stays bounded by
-    /// `num_apis × num_services` regardless of run length.
-    pub fn tracked_entries(&self) -> usize {
-        self.last_seen.iter().map(|m| m.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +176,6 @@ mod tests {
             c.learned_path(ApiId(1), SimTime::from_secs(5)),
             vec![ServiceId(2)]
         );
-        assert_eq!(c.spans_recorded(), 3);
     }
 
     #[test]
@@ -266,42 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn record_batch_equals_recording_one_by_one() {
-        // Batches shorter than, equal to and longer than the raw buffer,
-        // mixing verdicts, against a buffer that is empty, part full and
-        // full when each batch lands.
-        for keep in [0usize, 1, 5] {
-            let mut one = TraceCollector::new(2, SimDuration::from_secs(60)).with_raw_buffer(keep);
-            let mut batch = one.clone();
-            let mut next = 0u32;
-            for len in [0usize, 2, 3, 5, 9, 1] {
-                let spans: Vec<Span> = (0..len)
-                    .map(|_| {
-                        next += 1;
-                        let mut s = span(next % 2, next, u64::from(next));
-                        s.request = u64::from(next);
-                        if next.is_multiple_of(3) {
-                            s.verdict = SpanVerdict::RejectedAtEntry;
-                        }
-                        s
-                    })
-                    .collect();
-                spans.iter().for_each(|s| one.record(*s));
-                batch.record_batch(&spans);
-                assert_eq!(
-                    batch.raw_spans().collect::<Vec<_>>(),
-                    one.raw_spans().collect::<Vec<_>>(),
-                    "keep {keep}, batch of {len}"
-                );
-                assert_eq!(batch.spans_recorded(), one.spans_recorded());
-                assert_eq!(batch.rejected_recorded(), one.rejected_recorded());
-                let now = SimTime::from_secs(30);
-                assert_eq!(batch.learned_paths(now), one.learned_paths(now));
-            }
-        }
-    }
-
-    #[test]
     fn compaction_bounds_memory_over_long_runs() {
         // Simulated hours of traffic rotating through a large service id
         // space: without compaction the learner would accumulate one
@@ -328,7 +246,8 @@ mod tests {
             if tick % 60 == 0 {
                 c.compact(now);
             }
-            peak = peak.max(c.tracked_entries());
+            // The learner's only unbounded-in-principle state.
+            peak = peak.max(c.last_seen.iter().map(HashMap::len).sum());
         }
         // 4 APIs × (60 s window + 60 s compact cadence slack) entries.
         assert!(
@@ -336,7 +255,6 @@ mod tests {
             "tracked entries stay bounded by the window, peak {peak}"
         );
         assert!(c.raw_spans().count() <= 16);
-        assert_eq!(c.spans_recorded(), 4 * 6 * 60 * 60);
     }
 
     #[test]
@@ -355,7 +273,6 @@ mod tests {
             c.learned_path(ApiId(0), SimTime::from_secs(2)).is_empty(),
             "a rejected request exercised no services"
         );
-        assert_eq!(c.spans_recorded(), 1);
         assert_eq!(c.rejected_recorded(), 1);
         // Raw buffer still keeps it for inspection.
         assert_eq!(c.raw_spans().count(), 1);

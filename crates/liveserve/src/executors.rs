@@ -34,10 +34,8 @@ use crate::clock::WallClock;
 use crate::front::{self, LiveAdmission};
 use crate::metrics::LiveMetrics;
 use crate::poller::Waker;
-use cluster::tracing::{Span, SpanVerdict};
-use cluster::types::{ApiId, ServiceId};
 use cluster::Topology;
-use simnet::{SimDuration, SimTime};
+use simnet::SimTime;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -117,24 +115,6 @@ pub struct Job {
     pub reply: ReplySink,
 }
 
-impl Job {
-    /// One causal trace event, if this request opted into tracing.
-    fn trace_event(&self, metrics: &LiveMetrics, stage: &str, outcome: &str, at: f64, dur: f64) {
-        if let Some(trace) = self.trace {
-            metrics.record_trace(obs::TraceEvent {
-                trace,
-                request: self.id,
-                api: self.api as u32,
-                shard: 0,
-                stage: stage.into(),
-                outcome: outcome.into(),
-                at,
-                dur,
-            });
-        }
-    }
-}
-
 /// Immutable routing table shared by the gateway and every worker.
 pub struct Routing {
     /// Per-API linear stage lists.
@@ -142,7 +122,7 @@ pub struct Routing {
     /// Per-service bounded work queues.
     pub queues: Vec<SyncSender<Job>>,
     pub slo: Duration,
-    /// The server's clock, for span timestamps.
+    /// The server's clock, for trace timestamps and flight settles.
     pub clock: WallClock,
     /// The gateway's admission bank, for settling coalesced flights
     /// from worker threads. `None` when no front door is configured.
@@ -169,7 +149,8 @@ impl Routing {
                 metrics.on_dropped(svc);
                 metrics.on_failed(api);
                 let now = self.clock.now();
-                job.trace_event(metrics, "worker", "error", now.as_secs_f64(), 0.0);
+                let at = (now.as_secs_f64(), 0.0);
+                metrics.record_trace(job.trace, job.id, api, "worker", "error", at);
                 job.reply.send(job.id, None);
                 // A failed leader clears its flight so followers fail
                 // fast instead of hanging on a leader that will never
@@ -304,27 +285,13 @@ fn worker_loop(
         } else {
             let latency = job.accepted.elapsed();
             metrics.on_complete_traced(job.api, latency, routing.slo, job.trace);
-            // One end-to-end span per completed request, anchored at the
-            // API's entry service — the live analogue of the simulator's
-            // admitted spans (exported via `/spans`).
-            let end = routing.clock.now();
-            let entry = routing.stages[job.api][0].service;
-            metrics.record_spans(&[Span {
-                request: job.id,
-                api: ApiId(job.api as u32),
-                service: ServiceId(entry as u32),
-                parent: None,
-                start: end - SimDuration::from_nanos(latency.as_nanos() as u64),
-                end,
-                verdict: SpanVerdict::Admitted,
-            }]);
             // Two closing events per traced request: the worker span
             // covering admission → completion, and the reply handoff.
-            // No extra clock reads — `end` and `latency` were needed
-            // above anyway.
+            let end = routing.clock.now();
             let (end_secs, lat_secs) = (end.as_secs_f64(), latency.as_secs_f64());
-            job.trace_event(metrics, "worker", "served", end_secs - lat_secs, lat_secs);
-            job.trace_event(metrics, "reply", "sent", end_secs, 0.0);
+            let served = (end_secs - lat_secs, lat_secs);
+            metrics.record_trace(job.trace, job.id, job.api, "worker", "served", served);
+            metrics.record_trace(job.trace, job.id, job.api, "reply", "sent", (end_secs, 0.0));
             job.reply.send(job.id, Some(latency));
             // A completed leader publishes its payload to the response
             // cache and releases the followers parked on its flight.

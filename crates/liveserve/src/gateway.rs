@@ -49,9 +49,9 @@
 //!    loop-owned scratch (no `Arc` traffic per hit); a user level is
 //!    hashed only when a priority gate exists to read it. The
 //!    bookkeeping is per wakeup too: per-API tallies in loop-owned
-//!    scratch land as one `add(n)` per counter, reject spans as one
-//!    batch under one lock, reply lines are encoded straight into the
-//!    output buffers;
+//!    scratch land as one `add(n)` per counter, and reply lines are
+//!    encoded straight into the output buffers — no lock but the
+//!    admission bank's is taken on the way;
 //! 4. **response** — the output buffers (this wakeup's replies, worker
 //!    completions) are flushed with one `write` per connection per
 //!    wakeup, with partial-write carry — after step 3's tallies, so a
@@ -71,7 +71,7 @@
 //! generation-tagged, so a completion addressed to a closed (and
 //! possibly reused) slot is dropped, never misdelivered.
 //!
-//! The `/metrics`+`/spans` HTTP listener rides loop 0's poller as just
+//! The `/metrics`+`/trace` HTTP listener rides loop 0's poller as just
 //! another connection kind — the dedicated exposition thread is gone.
 
 use crate::clock::WallClock;
@@ -83,7 +83,6 @@ use crate::poller::{Interest, Poller, Waker};
 use crate::relock;
 use crate::wire::{self, LineDecoder, WireItem};
 use cluster::front::PreVerdict;
-use cluster::tracing::{Span, SpanVerdict};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
@@ -160,7 +159,7 @@ impl EventLoops {
 enum ConnKind {
     /// The `REQ`/`OK`/`REJ`/`ERR` request protocol.
     Wire(LineDecoder),
-    /// One-shot HTTP exposition (`/metrics`, `/spans`); buffers the
+    /// One-shot HTTP exposition (`/metrics`, `/trace`); buffers the
     /// request head until blank line, answers, closes.
     Http(Vec<u8>),
 }
@@ -211,7 +210,7 @@ struct PendingReq {
 }
 
 /// The batched admission verdict for one pending request, computed
-/// under the single per-wakeup lock; all bookkeeping (tallies, spans,
+/// under the single per-wakeup lock; all bookkeeping (tallies, traces,
 /// output buffers) happens after the lock is released.
 enum Verdict {
     /// Answered inline from the single-flight cache; the payload is
@@ -250,10 +249,9 @@ struct EventLoop {
     items: Vec<WireItem>,
     pending: Vec<PendingReq>,
     /// Per-wakeup admission scratch, reused across wakeups: one verdict
-    /// per pending request, one tally per API, the batch's reject spans.
+    /// per pending request, one tally per API.
     verdicts: Vec<Verdict>,
     tallies: Vec<ApiTally>,
-    reject_spans: Vec<Span>,
     /// The wakeup's cache-hit payloads end to end, copied out of the
     /// front door while the admission lock is held.
     hit_payloads: Vec<u8>,
@@ -320,7 +318,6 @@ pub fn start_event_loops(
             tallies: (0..shared.routing.stages.len())
                 .map(|_| ApiTally::default())
                 .collect(),
-            reject_spans: Vec::new(),
             hit_payloads: Vec::new(),
             dirty: Vec::new(),
             closing: Vec::new(),
@@ -611,12 +608,12 @@ impl EventLoop {
 
     /// One admission lock and one clock read for every request this
     /// wakeup produced, then per-verdict bookkeeping — itself per wakeup:
-    /// tallies, not counters, and one span batch.
+    /// tallies, not counters.
     ///
     /// The lock scope runs the whole stage pipeline per request —
     /// coalescing lookup, priority gate, token bucket, and (for a
     /// leading read) flight registration — but *no* I/O or metric
-    /// work: responses, spans and counters happen after release.
+    /// work: responses, traces and counters happen after release.
     fn admit_pending(&mut self) {
         // Disjoint borrows of the loop's fields: the scratch vectors are
         // filled and emptied in place, wakeup after wakeup.
@@ -624,14 +621,12 @@ impl EventLoop {
             pending,
             verdicts,
             tallies,
-            reject_spans,
             hit_payloads,
             shared,
             conns,
             dirty,
             comp_tx,
             waker,
-            idx,
             ..
         } = self;
         if pending.is_empty() {
@@ -710,22 +705,8 @@ impl EventLoop {
         }
         let accepted = Instant::now();
         let at = now.as_secs_f64();
-        let shard = *idx as u32;
-        // Trace events cost nothing for untraced requests (one `Option`
-        // check); a traced request takes one short mutex push per stage.
         let trace_ev = |p: &PendingReq, stage: &str, outcome: &str| {
-            if let Some(id) = p.trace {
-                metrics.record_trace(obs::TraceEvent {
-                    trace: id,
-                    request: p.id,
-                    api: p.api as u32,
-                    shard,
-                    stage: stage.into(),
-                    outcome: outcome.into(),
-                    at,
-                    dur: 0.0,
-                });
-            }
+            metrics.record_trace(p.trace, p.id, p.api, stage, outcome, (at, 0.0));
         };
         for (p, verdict) in pending.iter().zip(verdicts.iter()) {
             let tally = &mut tallies[p.api];
@@ -770,21 +751,6 @@ impl EventLoop {
                 }
                 Verdict::Reject { shed } => {
                     tally.rejected += 1;
-                    // Zero-duration rejection marker at the API's entry
-                    // service — the same span the simulator's gateway
-                    // records, so the sim2real overlay can compare
-                    // admission decisions span-for-span.
-                    if let Some(entry) = shared.routing.stages[p.api].first() {
-                        reject_spans.push(Span {
-                            request: p.id,
-                            api: cluster::ApiId(p.api as u32),
-                            service: cluster::ServiceId(entry.service as u32),
-                            parent: None,
-                            start: now,
-                            end: now,
-                            verdict: SpanVerdict::RejectedAtEntry,
-                        });
-                    }
                     let class = if *shed {
                         trace_ev(p, "priority_gate", "shed");
                         "shed"
@@ -798,15 +764,13 @@ impl EventLoop {
                 }
             }
         }
-        // Counters and spans land here, before `flush_dirty` writes this
-        // wakeup's replies: whoever has read a reply finds it counted.
+        // Counters land here, before `flush_dirty` writes this wakeup's
+        // replies: whoever has read a reply finds it counted.
         for (api, tally) in tallies.iter_mut().enumerate() {
             metrics.flush_tally(api, tally);
         }
-        metrics.record_spans(reject_spans);
         pending.clear();
         verdicts.clear();
-        reject_spans.clear();
         hit_payloads.clear();
     }
 
@@ -940,7 +904,7 @@ mod tests {
             http_head_complete(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"),
             Some(22)
         );
-        assert_eq!(http_head_complete(b"GET /spans HTTP/1.0\n\n"), Some(19));
+        assert_eq!(http_head_complete(b"GET /trace HTTP/1.0\n\n"), Some(19));
         assert_eq!(http_head_complete(b""), None);
     }
 }

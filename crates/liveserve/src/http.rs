@@ -7,17 +7,14 @@
 //! * `GET /metrics` — Prometheus text exposition format 0.0.4 rendered
 //!   from the server's [`obs::Registry`] (latency buckets carry
 //!   OpenMetrics exemplars linking to trace ids);
-//! * `GET /spans` — the live [`TraceCollector`] raw span buffer as
-//!   JSONL (`application/x-ndjson`);
-//! * `GET /trace` — the causal [`obs::TraceLog`] event buffer as JSONL;
+//! * `GET /trace` — the causal [`obs::TraceLog`] event buffer as JSONL
+//!   (`application/x-ndjson`), the live plane's one trace;
 //! * `GET /trace/<id>` — only the events of one trace id.
 //!
 //! Anything else answers 404. Requests are parsed from the request line
 //! only; headers are buffered until the blank line and ignored. This is
 //! an operator/debug surface, not a general web server — no keep-alive,
 //! no TLS, loopback binding only.
-//!
-//! [`TraceCollector`]: cluster::tracing::TraceCollector
 
 use crate::metrics::LiveMetrics;
 use std::sync::Arc;
@@ -45,11 +42,6 @@ pub fn route(request_line: &str, shared: &MetricsHttp) -> (&'static str, &'stati
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             shared.registry.render_prometheus(),
-        ),
-        "/spans" => (
-            "200 OK",
-            "application/x-ndjson; charset=utf-8",
-            shared.metrics.spans_jsonl(),
         ),
         "/trace" => (
             "200 OK",
@@ -104,14 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn routes_metrics_spans_and_404() {
+    fn routes_metrics_and_404() {
         let s = shared();
         let (status, ctype, body) = route("GET /metrics HTTP/1.1\r\n", &s);
         assert_eq!(status, "200 OK");
         assert!(ctype.starts_with("text/plain; version=0.0.4"));
         assert!(body.contains("t_total 3"), "{body}");
-        let (status, _, _) = route("GET /spans HTTP/1.1\r\n", &s);
-        assert_eq!(status, "200 OK");
         let (status, _, _) = route("GET /nope HTTP/1.1\r\n", &s);
         assert_eq!(status, "404 Not Found");
         let (status, _, _) = route("POST /metrics HTTP/1.1\r\n", &s);
@@ -121,17 +111,12 @@ mod tests {
     #[test]
     fn trace_routes_filter_by_id() {
         let s = shared();
-        for trace in [7u64, 9] {
-            s.metrics.record_trace(obs::TraceEvent {
-                trace,
-                request: trace * 10,
-                api: 0,
-                shard: 0,
-                stage: "front_door".into(),
-                outcome: "admitted".into(),
-                at: 1.0,
-                dur: 0.0,
-            });
+        // An untraced request (`None`) records nothing.
+        for trace in [Some(7u64), None, Some(9)] {
+            let request = trace.unwrap_or(8) * 10;
+            let at = (1.0, 0.0);
+            s.metrics
+                .record_trace(trace, request, 0, "front_door", "admitted", at);
         }
         let (status, ctype, body) = route("GET /trace HTTP/1.1\r\n", &s);
         assert_eq!(status, "200 OK");

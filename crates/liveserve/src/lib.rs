@@ -57,9 +57,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lock `m`, taking the guard back from a thread that panicked while
-/// holding it. The locks this is used on (the admission bank, the span
-/// collector, the control thread's window mark) guard counters, buckets
-/// and maps whose every single update is complete on its own, so the
+/// holding it. The locks this is used on (the admission bank and the
+/// control thread's window mark) guard counters, buckets and maps whose every single update is complete on its own, so the
 /// worst a dead holder leaves behind is one request half-counted — and
 /// one dead worker or scrape must not take the gateway down with it.
 pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -82,7 +81,7 @@ pub struct LiveConfig {
     /// TCP port on 127.0.0.1; `0` picks an ephemeral port.
     pub port: u16,
     /// TCP port of the HTTP exposition endpoint (`GET /metrics`,
-    /// `GET /spans`) on 127.0.0.1; `0` picks an ephemeral port.
+    /// `GET /trace`) on 127.0.0.1; `0` picks an ephemeral port.
     pub metrics_port: u16,
     /// Number of gateway event loops; `0` = one per core (capped at 8).
     pub event_loops: usize,
@@ -242,7 +241,7 @@ impl LiveServer {
         self.addr
     }
 
-    /// Address of the HTTP exposition endpoint (`/metrics`, `/spans`).
+    /// Address of the HTTP exposition endpoint (`/metrics`, `/trace`).
     pub fn metrics_addr(&self) -> SocketAddr {
         self.metrics_addr
     }
@@ -474,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_endpoint_serves_prometheus_text_and_spans() {
+    fn metrics_endpoint_serves_prometheus_text() {
         let mut server = LiveServer::start(&tiny_topo(), LiveConfig::default()).expect("start");
         let mut conn = TcpStream::connect(server.addr()).expect("connect");
         conn.write_all(b"REQ 1 0\n").expect("send");
@@ -496,8 +495,6 @@ mod tests {
             text.contains("topfull_request_duration_seconds_count{api=\"ping\"} 1"),
             "{text}"
         );
-        let spans = http_get(server.metrics_addr(), "/spans");
-        assert!(spans.contains("\"verdict\":\"admitted\""), "{spans}");
         server.shutdown();
     }
 
@@ -539,6 +536,40 @@ mod tests {
             text.contains("# TYPE topfull_loop_stage_seconds histogram"),
             "{text}"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_trace_keeps_one_shard_across_event_loops() {
+        // Connections are dealt to the two loops round-robin, so one
+        // traced request is admitted by loop 1; the loop that admits
+        // and the worker that serves must stamp the same shard.
+        let cfg = LiveConfig {
+            event_loops: 2,
+            ..LiveConfig::default()
+        };
+        let server = LiveServer::start(&tiny_topo(), cfg).expect("start");
+        let mut conns = Vec::new();
+        for trace in [11u64, 12] {
+            let mut conn = TcpStream::connect(server.addr()).expect("connect");
+            conn.write_all(format!("REQ {trace} 0 - {trace}\n").as_bytes())
+                .expect("send");
+            let mut line = String::new();
+            BufReader::new(conn.try_clone().expect("clone"))
+                .read_line(&mut line)
+                .expect("reply");
+            assert!(line.starts_with(&format!("OK {trace} ")), "got {line:?}");
+            conns.push(conn);
+        }
+        let events = server.traces();
+        for trace in [11, 12] {
+            let shards: Vec<u32> = events
+                .iter()
+                .filter(|e| e.trace == trace)
+                .map(|e| e.shard)
+                .collect();
+            assert_eq!(shards, [0, 0, 0], "trace {trace}: admit, serve, reply");
+        }
         server.shutdown();
     }
 
@@ -588,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_tracer_lock_does_not_stop_the_gateway_answering() {
+    fn a_poisoned_admission_lock_does_not_stop_the_gateway_answering() {
         let mut server = LiveServer::start(&tiny_topo(), LiveConfig::default()).expect("start");
         server.push_limits(&[cluster::RateLimitUpdate::limit(ApiId(0), 0.0)]);
         let mut conn = TcpStream::connect(server.addr()).expect("connect");
@@ -597,9 +628,16 @@ mod tests {
         conn.write_all(b"REQ 1 0\n").expect("send");
         reader.read_line(&mut line).expect("reply");
         assert_eq!(line, "REJ 1 limit\n");
-        // Every reject records a span under the tracer lock, and so
-        // does every `/spans` scrape.
-        server.shared.metrics.poison_tracer();
+        // A thread dies holding the admission bank's lock, which every
+        // refusing wakeup takes, and so do the control thread's window
+        // close and limit push and a worker settling a flight.
+        let admission = Arc::clone(&server.shared.admission);
+        let died = std::thread::spawn(move || {
+            let _held = admission.lock();
+            panic!("an admission holder dies holding the lock");
+        })
+        .join();
+        assert!(died.is_err() && server.shared.admission.is_poisoned());
         line.clear();
         conn.write_all(b"REQ 2 0\nREQ 3 0\n").expect("send");
         reader.read_line(&mut line).expect("reply");
@@ -607,10 +645,7 @@ mod tests {
         assert_eq!(line, "REJ 2 limit\nREJ 3 limit\n");
         let obs = server.tick(&mut NoControl);
         assert!(obs.apis[0].offered > 0.0);
-        assert_eq!(server.shared.metrics.spans_recorded(), 3);
-        let spans = http_get(server.metrics_addr(), "/spans");
-        assert_eq!(spans.lines().count(), 3, "{spans}");
-        // The worker path records its span under the same lock.
+        assert_eq!(obs.apis[0].admitted, 0.0);
         server.push_limits(&[cluster::RateLimitUpdate::unlimited(ApiId(0))]);
         line.clear();
         conn.write_all(b"REQ 4 0\n").expect("send");

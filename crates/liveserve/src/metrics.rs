@@ -18,17 +18,12 @@
 use crate::relock;
 use cluster::observe::{ApiWindow, ClusterObservation, ServiceWindow};
 use cluster::resilience::ResilienceStats;
-use cluster::tracing::{Span, SpanVerdict};
 use cluster::types::{ApiId, BusinessPriority, ServiceId};
 use cluster::Topology;
 use simnet::{LatencyHistogram, SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Raw spans retained for `/spans` export.
-const RAW_SPAN_BUFFER: usize = 2048;
 
 /// Static facts about the served application, captured once at startup.
 pub struct AppDescriptor {
@@ -159,14 +154,9 @@ pub struct LiveMetrics {
     /// Where the previous window closed; touched only by the control
     /// thread ([`LiveMetrics::observe`]).
     window_mark: Mutex<Vec<ApiMark>>,
-    /// Live span sink: the spans ever recorded and the most recent
-    /// [`RAW_SPAN_BUFFER`] of them, which `/spans` exports. The control
-    /// loop reads the topology's paths (`AppDescriptor::api_paths`), so
-    /// nothing learns paths from these.
-    tracer: Mutex<(u64, VecDeque<Span>)>,
     /// Causal request traces: bounded ring of per-stage events for
     /// requests that opted in via the wire line's trace token. Served by
-    /// `GET /trace[/<id>]`.
+    /// `GET /trace[/<id>]`; the live plane's only trace.
     traces: obs::TraceLog,
 }
 
@@ -178,7 +168,6 @@ impl LiveMetrics {
             slo_cells: (0..num_apis).map(|_| SloCell::default()).collect(),
             stages: Default::default(),
             window_mark: Mutex::new((0..num_apis).map(|_| ApiMark::default()).collect()),
-            tracer: Mutex::default(),
             traces: obs::TraceLog::new(),
         }
     }
@@ -370,9 +359,31 @@ impl LiveMetrics {
 
     // ---- causal request traces ----------------------------------------
 
-    /// Record one causal trace event (traced requests only).
-    pub fn record_trace(&self, ev: obs::TraceEvent) {
-        self.traces.push(ev);
+    /// Record one stage of a request: nothing for an untraced one (one
+    /// `Option` check), one short mutex push for a traced one. A server
+    /// stamps every event shard 0; [`crate::ShardedLive::traces`] labels
+    /// each server's events with its index.
+    pub fn record_trace(
+        &self,
+        trace: Option<u64>,
+        request: u64,
+        api: usize,
+        stage: &str,
+        outcome: &str,
+        (at, dur): (f64, f64),
+    ) {
+        if let Some(trace) = trace {
+            self.traces.push(obs::TraceEvent {
+                trace,
+                request,
+                api: api as u32,
+                shard: 0,
+                stage: stage.into(),
+                outcome: outcome.into(),
+                at,
+                dur,
+            });
+        }
     }
 
     /// The bounded causal trace log.
@@ -383,52 +394,6 @@ impl LiveMetrics {
     /// The `/trace` endpoint body: JSONL, optionally filtered by id.
     pub fn traces_jsonl(&self, filter: Option<u64>) -> String {
         self.traces.to_jsonl(filter)
-    }
-
-    // ---- live tracing --------------------------------------------------
-
-    /// Record spans (completed requests, entry rejections), oldest
-    /// first, under one lock: a worker's one, an event loop's wakeupful.
-    /// Spans the batch itself would push out of the buffer again are
-    /// counted without ever being pushed.
-    pub fn record_spans(&self, spans: &[Span]) {
-        if spans.is_empty() {
-            return;
-        }
-        let (recorded, raw) = &mut *relock(&self.tracer);
-        *recorded += spans.len() as u64;
-        let kept = &spans[spans.len().saturating_sub(RAW_SPAN_BUFFER)..];
-        raw.drain(..(raw.len() + kept.len()).saturating_sub(RAW_SPAN_BUFFER));
-        raw.extend(kept);
-    }
-
-    /// Spans recorded so far (for tests/inspection).
-    pub fn spans_recorded(&self) -> u64 {
-        relock(&self.tracer).0
-    }
-
-    /// The raw span buffer as JSONL, one object per span, oldest first.
-    pub fn spans_jsonl(&self) -> String {
-        let tracer = relock(&self.tracer);
-        let mut out = String::new();
-        for s in &tracer.1 {
-            let parent = s.parent.map_or("null".to_string(), |p| p.0.to_string());
-            let verdict = match s.verdict {
-                SpanVerdict::Admitted => "admitted",
-                SpanVerdict::RejectedAtEntry => "rejected_at_entry",
-            };
-            out.push_str(&format!(
-                "{{\"request\":{},\"api\":{},\"service\":{},\"parent\":{},\"start\":{},\"end\":{},\"verdict\":\"{}\"}}\n",
-                s.request,
-                s.api.0,
-                s.service.0,
-                parent,
-                s.start.as_secs_f64(),
-                s.end.as_secs_f64(),
-                verdict
-            ));
-        }
-        out
     }
 
     /// A call started processing after waiting `queued` in the queue.
@@ -557,21 +522,6 @@ impl LiveMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl LiveMetrics {
-        /// A thread dies holding the span collector's lock.
-        pub(crate) fn poison_tracer(&self) {
-            std::thread::scope(|s| {
-                let died = s
-                    .spawn(|| {
-                        let _held = self.tracer.lock();
-                        panic!("span recorder dies holding the tracer lock");
-                    })
-                    .join();
-                assert!(died.is_err() && self.tracer.is_poisoned());
-            });
-        }
-    }
 
     fn desc() -> AppDescriptor {
         AppDescriptor {
@@ -744,88 +694,6 @@ mod tests {
         };
         assert_eq!(close(&batched), close(&single));
         assert_eq!(close(&batched), (0.0, 0.0, 0.0, None));
-    }
-
-    #[test]
-    fn span_batches_and_a_poisoned_tracer() {
-        let m = LiveMetrics::new(1, 1);
-        let marker = |request| Span {
-            request,
-            api: ApiId(0),
-            service: ServiceId(0),
-            parent: None,
-            start: SimTime::from_millis(5),
-            end: SimTime::from_millis(5),
-            verdict: SpanVerdict::RejectedAtEntry,
-        };
-        m.record_spans(&[]);
-        m.record_spans(&[marker(1), marker(2)]);
-        assert_eq!(m.spans_recorded(), 2);
-        m.poison_tracer();
-        m.record_spans(&[marker(3)]);
-        m.record_spans(&[marker(4)]);
-        assert_eq!(m.spans_recorded(), 4);
-        assert_eq!(m.spans_jsonl().lines().count(), 4);
-    }
-
-    #[test]
-    fn spans_export_as_jsonl() {
-        let m = LiveMetrics::new(1, 1);
-        m.record_spans(&[Span {
-            request: 7,
-            api: ApiId(0),
-            service: ServiceId(0),
-            parent: None,
-            start: SimTime::from_millis(100),
-            end: SimTime::from_millis(150),
-            verdict: SpanVerdict::Admitted,
-        }]);
-        m.record_spans(&[Span {
-            request: 8,
-            api: ApiId(0),
-            service: ServiceId(0),
-            parent: None,
-            start: SimTime::from_millis(160),
-            end: SimTime::from_millis(160),
-            verdict: SpanVerdict::RejectedAtEntry,
-        }]);
-        let jsonl = m.spans_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains("\"request\":7"), "{jsonl}");
-        assert!(jsonl.contains("\"verdict\":\"admitted\""), "{jsonl}");
-        assert!(
-            jsonl.contains("\"verdict\":\"rejected_at_entry\""),
-            "{jsonl}"
-        );
-        assert_eq!(m.spans_recorded(), 2);
-    }
-
-    #[test]
-    fn the_span_ring_keeps_the_newest_spans_in_order() {
-        let m = LiveMetrics::new(1, 1);
-        let span = |request| Span {
-            request,
-            api: ApiId(0),
-            service: ServiceId(0),
-            parent: None,
-            start: SimTime::ZERO,
-            end: SimTime::ZERO,
-            verdict: SpanVerdict::Admitted,
-        };
-        // A batch longer than the ring, then short ones that evict.
-        m.record_spans(&(0..3000).map(span).collect::<Vec<_>>());
-        m.record_spans(&[span(3000)]);
-        m.record_spans(&(3001..3010).map(span).collect::<Vec<_>>());
-        assert_eq!(m.spans_recorded(), 3010);
-        let ids: Vec<u64> = m
-            .spans_jsonl()
-            .lines()
-            .map(|l| l[11..l.find(',').unwrap()].parse().unwrap())
-            .collect();
-        assert_eq!(
-            ids,
-            (3010 - RAW_SPAN_BUFFER as u64..3010).collect::<Vec<_>>()
-        );
     }
 
     #[test]

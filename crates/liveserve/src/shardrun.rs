@@ -139,13 +139,18 @@ impl ShardedLive {
         Ok(Sharded::new(set, shards, topo.num_apis(), plane))
     }
 
-    /// Trace events from every living shard's trace log, shard order.
+    /// Trace events from every living shard's trace log, shard order,
+    /// each labelled with its shard: every shard's generator mints the
+    /// same trace ids, so `(shard, trace)` is what names one request.
     pub fn traces(&self) -> Vec<obs::TraceEvent> {
-        self.servers
-            .iter()
-            .flatten()
-            .flat_map(|s| s.traces())
-            .collect()
+        let mut out = Vec::new();
+        for (shard, server) in self.servers.iter().enumerate() {
+            for mut ev in server.iter().flat_map(LiveServer::traces) {
+                ev.shard = shard as u32;
+                out.push(ev);
+            }
+        }
+        out
     }
 
     /// Shard 0's exposition endpoint (all shards' series, `shard` label).
@@ -380,6 +385,24 @@ mod tests {
             .render_prometheus();
         assert!(text.contains("shard=\"0\""), "{text}");
         assert!(text.contains("shard=\"1\""), "{text}");
+        live.into_set().shutdown();
+    }
+
+    #[test]
+    fn sharded_traces_carry_their_servers_index() {
+        use std::io::{BufRead, BufReader, Write};
+        let cfg = ShardedLiveConfig::new(2, LiveConfig::default());
+        let live = ShardedLive::start(&tiny_topo(), cfg, None, Vec::new()).expect("start");
+        // The same trace id on both shards, as their generators mint it.
+        for server in live.set().servers.iter().flatten() {
+            let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect");
+            conn.write_all(b"REQ 7 0 - 7\n").expect("send");
+            let mut line = String::new();
+            BufReader::new(conn).read_line(&mut line).expect("reply");
+            assert!(line.starts_with("OK 7 "), "got {line:?}");
+        }
+        let shards: Vec<u32> = live.set().traces().iter().map(|e| e.shard).collect();
+        assert_eq!(shards, [0, 0, 0, 1, 1, 1]);
         live.into_set().shutdown();
     }
 

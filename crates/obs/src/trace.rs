@@ -32,7 +32,9 @@ pub struct TraceEvent {
     pub request: u64,
     /// API index.
     pub api: u32,
-    /// Gateway shard that handled the request (0 when unsharded).
+    /// Gateway shard that handled the request (0 when unsharded). Every
+    /// shard's clients mint the same ids: `(shard, trace)` names one
+    /// request.
     pub shard: u32,
     /// Pipeline stage: `front_door`, `priority_gate`, `token_bucket`,
     /// `worker`, `reply`.
@@ -44,25 +46,6 @@ pub struct TraceEvent {
     pub at: f64,
     /// Seconds the stage took (0 for instantaneous verdicts).
     pub dur: f64,
-}
-
-impl TraceEvent {
-    /// One deterministic JSON object (field order fixed; used for the
-    /// `/trace` endpoint and run artifacts).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"trace\":{},\"request\":{},\"api\":{},\"shard\":{},\"stage\":\"{}\",\
-             \"outcome\":\"{}\",\"at\":{:.9},\"dur\":{:.9}}}",
-            self.trace,
-            self.request,
-            self.api,
-            self.shard,
-            self.stage,
-            self.outcome,
-            self.at,
-            self.dur
-        )
-    }
 }
 
 /// Default bound on retained events.
@@ -146,13 +129,14 @@ impl TraceLog {
             .collect()
     }
 
-    /// JSONL rendering, one event per line (the `/trace` endpoint body).
+    /// JSONL rendering, one event per line in field order (the `/trace`
+    /// endpoint body).
     pub fn to_jsonl(&self, filter: Option<u64>) -> String {
         let st = self.state.lock().expect("trace lock");
         let mut out = String::new();
         for e in st.events.iter() {
             if filter.is_none() || filter == Some(e.trace) {
-                out.push_str(&e.to_json());
+                out.push_str(&serde_json::to_string(e).expect("trace events serialize"));
                 out.push('\n');
             }
         }
@@ -162,7 +146,7 @@ impl TraceLog {
 
 /// Render the events of one or more traces as a per-request waterfall.
 /// Events must already be filtered/ordered as desired; the renderer
-/// groups by trace id in first-seen order.
+/// groups by `(shard, trace)` in first-seen order.
 pub fn render_waterfall(events: &[TraceEvent]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -170,15 +154,18 @@ pub fn render_waterfall(events: &[TraceEvent]) -> String {
         out.push_str("no trace events\n");
         return out;
     }
-    let mut ids: Vec<u64> = Vec::new();
+    let mut ids: Vec<(u32, u64)> = Vec::new();
     for e in events {
-        if !ids.contains(&e.trace) {
-            ids.push(e.trace);
+        if !ids.contains(&(e.shard, e.trace)) {
+            ids.push((e.shard, e.trace));
         }
     }
     const BAR: usize = 40;
-    for id in ids {
-        let evs: Vec<&TraceEvent> = events.iter().filter(|e| e.trace == id).collect();
+    for (shard, id) in ids {
+        let evs: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| (e.shard, e.trace) == (shard, id))
+            .collect();
         let t0 = evs.iter().map(|e| e.at).fold(f64::INFINITY, f64::min);
         let t1 = evs
             .iter()
@@ -187,10 +174,9 @@ pub fn render_waterfall(events: &[TraceEvent]) -> String {
         let span = (t1 - t0).max(1e-9);
         let _ = writeln!(
             out,
-            "trace {id} — request {} api {} shard {} ({:.3} ms end to end)",
+            "trace {id} — request {} api {} shard {shard} ({:.3} ms end to end)",
             evs[0].request,
             evs[0].api,
-            evs[0].shard,
             span * 1e3
         );
         for e in &evs {
@@ -252,11 +238,11 @@ mod tests {
         log.push(ev(7, "token_bucket", "admitted", 0.5, 0.0));
         log.push(ev(9, "worker", "served", 0.6, 0.002));
         let all = log.to_jsonl(None);
-        assert_eq!(all.lines().count(), 2);
-        for line in all.lines() {
-            let v: serde::Value = serde_json::from_str(line).expect("valid json");
-            assert!(v.get("trace").is_some() && v.get("stage").is_some());
-        }
+        let back: Vec<TraceEvent> = all
+            .lines()
+            .map(|line| serde_json::from_str(line).expect("valid json"))
+            .collect();
+        assert_eq!(back, log.snapshot());
         let only7 = log.to_jsonl(Some(7));
         assert_eq!(only7.lines().count(), 1);
         assert!(only7.contains("\"trace\":7"));
@@ -277,6 +263,19 @@ mod tests {
         let rp = text.find("reply").expect("reply row");
         assert!(fd < wk && wk < rp, "rows in causal order:\n{text}");
         assert!(text.contains("█"), "bars render");
+    }
+
+    #[test]
+    fn one_trace_id_on_two_shards_renders_two_blocks() {
+        let mut other = ev(3, "token_bucket", "admitted", 0.0, 0.0);
+        other.shard = 1;
+        let events = [ev(3, "token_bucket", "admitted", 0.0, 0.0), other];
+        let text = render_waterfall(&events);
+        assert_eq!(text.matches("trace 3 ").count(), 2, "{text}");
+        assert!(
+            text.contains("shard 0") && text.contains("shard 1"),
+            "{text}"
+        );
     }
 
     #[test]

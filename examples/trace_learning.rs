@@ -68,12 +68,7 @@ fn main() {
             .iter()
             .map(|svc| names[svc.0 as usize])
             .collect();
-        let spans = h
-            .engine
-            .trace_collector()
-            .expect("tracing enabled")
-            .spans_recorded();
-        println!("  t={s:>2}s  spans={spans:>6}  learned path: {path:?}");
+        println!("  t={s:>2}s  learned path: {path:?}");
     }
     let final_path = h.engine.latest_observation().expect("ran").api_paths[0].len();
     println!("\nall {final_path} services on the (branching) path were discovered from traffic;");

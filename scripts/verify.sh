@@ -42,9 +42,10 @@ cargo test -q --release -p liveserve -p cluster --lib -- wire:: front::
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # A deleted or renamed type leaves dangling [`links`] behind in the
-# crates the control loop runs through; rustdoc is what notices.
+# crates the control loop and its telemetry run through; rustdoc is what
+# notices.
 RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
-  cargo doc --no-deps -q -p cluster -p topfull -p liveserve -p topfull-cli
+  cargo doc --no-deps -q -p cluster -p topfull -p liveserve -p topfull-cli -p obs
 
 # The gated benchmark (benchmark/, its own cargo workspace) in its quick
 # mode: <= 15 s, every correctness gate — byte-for-byte replies,
