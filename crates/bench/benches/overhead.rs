@@ -55,13 +55,18 @@ fn bench_clustering_trace(c: &mut Criterion) {
     });
 }
 
-/// A single RL inference (the paper's 2.33 × 10⁶-cycle number).
+/// A single RL inference (the paper's 2.33 × 10⁶-cycle number), the
+/// call the controller makes per decision.
 fn bench_rl_inference(c: &mut Criterion) {
+    use topfull::RateController;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-    let policy = rl::policy::PolicyValue::new(2, &mut rng);
-    c.bench_function("rl/inference", |b| {
-        b.iter(|| policy.act_deterministic(black_box(&[0.93, 1.2])))
-    });
+    let rl = topfull::RlRateController::new(rl::policy::PolicyValue::new(2, &mut rng));
+    let state = topfull::RateState {
+        goodput_ratio: 0.93,
+        latency_ratio: 1.2,
+        total_limit: 1000.0,
+    };
+    c.bench_function("rl/inference", |b| b.iter(|| rl.decide(black_box(state))));
 }
 
 /// Token-bucket admission (per-request gateway cost).

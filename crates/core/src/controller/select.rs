@@ -31,15 +31,24 @@ pub(super) fn targets(
         Vec::with_capacity(clusters.iter().map(|c| c.overloaded.len()).sum());
     // Clusters share no API, so one table of claims serves them all.
     let mut claimed = vec![false; obs.api_paths.len()];
+    // Every overloaded service's user count, in one pass over the paths:
+    // `(last API counted, APIs)` per service id, so a path that lists a
+    // service twice counts its API once, as `contains` would.
+    let span = clusters.iter().flat_map(|c| &c.overloaded);
+    let span = span.map(|s| s.idx() + 1).max().unwrap_or(0);
+    let mut users = vec![(usize::MAX, 0usize); span];
+    for (api, path) in obs.api_paths.iter().enumerate() {
+        for s in path {
+            match users.get_mut(s.idx()) {
+                Some((last, n)) if *last != api => (*last, *n) = (api, *n + 1),
+                _ => {}
+            }
+        }
+    }
     let mut order: Vec<(usize, ServiceId)> = Vec::new();
     for c in clusters {
-        // An overloaded service belongs to exactly one cluster, so its
-        // users are counted once per tick, not once per comparison.
         order.clear();
-        order.extend(c.overloaded.iter().map(|s| {
-            let users = obs.api_paths.iter().filter(|p| p.contains(s)).count();
-            (users, *s)
-        }));
+        order.extend(c.overloaded.iter().map(|s| (users[s.idx()].1, *s)));
         order.sort_unstable();
         for &(_, target) in &order {
             let candidates: Vec<ApiId> = c
@@ -126,6 +135,43 @@ mod tests {
             vec![Subject::Target(ServiceId(1)), Subject::Target(ServiceId(0))],
             "both overloaded services acted on, fewest-API service first"
         );
+    }
+
+    fn targets_of(paths: Vec<Vec<ServiceId>>, cluster: Cluster) -> Vec<(ServiceId, Vec<ApiId>)> {
+        let o = obs(&[0.95; 3], &vec![HOT_API; paths.len()], paths);
+        targets(&TopFullConfig::default(), &o, &[cluster])
+    }
+
+    #[test]
+    fn a_path_that_lists_a_service_twice_counts_one_user() {
+        // Service 1 has one user (API0, through it twice), service 0
+        // two; counted twice, service 1 would tie and lose on its id.
+        let got = targets_of(
+            vec![sid(&[1, 0, 1]), sid(&[0])],
+            Cluster {
+                apis: vec![ApiId(0), ApiId(1)],
+                overloaded: sid(&[0, 1]),
+            },
+        );
+        assert_eq!(
+            got,
+            vec![
+                (ServiceId(1), vec![ApiId(0)]),
+                (ServiceId(0), vec![ApiId(1)])
+            ]
+        );
+    }
+
+    #[test]
+    fn an_overloaded_service_on_no_path_is_no_target() {
+        let got = targets_of(
+            vec![sid(&[0, 1])],
+            Cluster {
+                apis: vec![ApiId(0)],
+                overloaded: sid(&[0, 2]),
+            },
+        );
+        assert_eq!(got, vec![(ServiceId(0), vec![ApiId(0)])]);
     }
 
     #[test]

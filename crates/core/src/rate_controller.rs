@@ -13,7 +13,8 @@
 //!   at the entry (additive increase under the delay target,
 //!   multiplicative decrease proportional to overload severity).
 
-use rl::policy::PolicyValue;
+use rl::nn::FrozenMlp;
+use rl::policy::{deterministic_action, PolicyValue};
 
 /// End-to-end state of the candidate API set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,23 +57,39 @@ pub trait RateController: Send + Sync {
     }
 }
 
-/// The RL policy (deterministic at inference).
+/// The RL policy (deterministic at inference), served from a
+/// column-major copy of its actor net: the same bits as
+/// [`PolicyValue::act_deterministic`], at a vector kernel's speed.
 pub struct RlRateController {
-    pub policy: PolicyValue,
+    actor: FrozenMlp,
 }
 
 impl RlRateController {
+    /// Freeze `policy`'s actor; the value net is never served. Panics
+    /// if the actor does not take the two-field rate state, so a wrong
+    /// net fails where it is built, not at the first decision.
     pub fn new(policy: PolicyValue) -> Self {
-        RlRateController { policy }
+        let inputs = policy.pi.dims[0];
+        assert!(
+            inputs == rl::STATE_DIM,
+            "RL policy takes {inputs} inputs, the rate state has {}",
+            rl::STATE_DIM
+        );
+        RlRateController {
+            actor: FrozenMlp::new(&policy.pi),
+        }
     }
 }
 
 impl RateController for RlRateController {
     fn decide(&self, s: RateState) -> f64 {
-        self.policy.act_deterministic(&[
+        let state = [
             s.goodput_ratio.clamp(0.0, 2.0),
             s.latency_ratio.clamp(0.0, 5.0),
-        ])
+        ];
+        let mut mean = [0.0];
+        self.actor.forward_into(&state, &mut mean);
+        deterministic_action(mean[0])
     }
 
     fn name(&self) -> &str {
@@ -327,6 +344,12 @@ mod tests {
             let a = c.decide(s);
             assert!((-0.5..=0.5).contains(&a), "action {a} out of range");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "RL policy takes 3 inputs, the rate state has 2")]
+    fn a_policy_over_the_wrong_state_is_refused_when_built() {
+        RlRateController::new(PolicyValue::new(3, &mut SmallRng::seed_from_u64(1)));
     }
 
     #[test]

@@ -12,26 +12,36 @@
 //!
 //! # The forward kernel
 //!
-//! Both forward passes — [`Mlp::forward`] for inference, which keeps
-//! nothing, and [`Mlp::forward_tape`] for training — compute a layer as
-//! `out = W·prev + b` in one private kernel, `layer`, which then applies
-//! `f64::tanh` in a pass over the finished sums. A 64-wide row is 64
-//! floating-point adds each waiting for the one before (≈ 4 cycles
-//! apiece), and the controller makes one forward pass per decision, ten
-//! a tick on the 127-service demo, so the kernel advances eight rows
-//! side by side: eight independent chains in flight instead of one.
+//! A layer is `out = W·prev + b`, then — on a hidden layer — `f64::tanh`
+//! in a pass over the finished sums. It is computed over two layouts:
 //!
-//! That is a reordering *across* rows only. Each output is still
+//! * **Row-major**, [`Mlp`]'s own: [`Mlp::forward`] and
+//!   [`Mlp::forward_tape`] (training) share the private kernel `layer`.
+//!   A 64-wide row is 64 floating-point adds each waiting for the one
+//!   before (≈ 4 cycles apiece), so the kernel advances eight rows side
+//!   by side: eight independent chains in flight instead of one. Their
+//!   weights sit in eight different rows, so no two sums' operands are
+//!   adjacent in memory and the kernel runs at about one multiply-add a
+//!   cycle.
+//! * **Column-major**, [`FrozenMlp`]'s: the inference-only copy the rate
+//!   controller serves, one forward pass per decision, 10.2 a tick on
+//!   the 127-service demo. Input `i`'s weights to sixteen consecutive
+//!   outputs are contiguous, so `acc[k] += col[k] · x[i]` over a block
+//!   of sixteen sums is a run of packed multiplies and adds on baseline
+//!   x86-64 SSE2, and the pass allocates nothing for the 64-wide nets.
+//!
+//! Both are reorderings *across* outputs only. Each output is still
 //! `((b + w₀x₀) + w₁x₁) + …`, its own products added to its own bias in
-//! index order, so every sum goes through the same sequence of roundings
-//! as in a one-row-at-a-time loop and the result is the same to the bit
-//! — which the trained models' decisions, every golden fingerprint and
-//! the training runs' reproducibility all rest on. Splitting one row's
-//! sum into partial sums (pairwise, or lanes of a vector register) or
-//! adding the bias last would be faster still and is not done:
-//! floating-point addition is not associative, the roundings would
-//! differ, and every recorded policy output would move. The oracle
-//! proptest in this file pins the equality, in `--release` as well.
+//! index order: a vector lane holds one output's sum, never a share of
+//! one. So every sum goes through the same sequence of roundings as in a
+//! one-row-at-a-time loop and the result is the same to the bit — which
+//! the trained models' decisions, every golden fingerprint and the
+//! training runs' reproducibility all rest on. Splitting one output's
+//! sum into partial sums (pairwise, or lanes of a vector register),
+//! adding the bias last or fusing a multiply-add would be faster still
+//! and is not done: the roundings would differ, and every recorded
+//! policy output would move. The oracle proptest in this file pins the
+//! equality for both layouts, in `--release` as well.
 
 use rand::rngs::SmallRng;
 use rand_distr::{Distribution, Normal};
@@ -107,20 +117,38 @@ impl Mlp {
         })
     }
 
-    /// Forward pass without a tape (inference): two scratch buffers
-    /// ping-pong between the layers and nothing is kept for backprop.
+    /// Forward pass without a tape (inference).
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.dims[self.dims.len() - 1]];
+        self.forward_with(layer, x, &mut y);
+        y
+    }
+
+    /// Forward pass into `y`, `kernel` computing each layer over this
+    /// net's weight layout: two scratch buffers ping-pong between the
+    /// layers, on the stack up to `STACK_WIDTH` wide, and nothing is kept
+    /// for backprop.
+    fn forward_with<K>(&self, kernel: K, x: &[f64], y: &mut [f64])
+    where
+        K: Fn(&[f64], &[f64], &[f64], &mut [f64], bool),
+    {
         assert_eq!(x.len(), self.dims[0], "input dim mismatch");
         let n_layers = self.dims.len() - 1;
         let width = self.dims[1..].iter().copied().max().unwrap_or(0);
-        let mut scratch = vec![0.0; 2 * width];
-        let (mut cur, mut next) = scratch.split_at_mut(width);
+        let (mut stack, mut heap) = ([0.0; 2 * STACK_WIDTH], Vec::new());
+        let scratch = if width <= STACK_WIDTH {
+            &mut stack[..]
+        } else {
+            heap.resize(2 * width, 0.0);
+            &mut heap[..]
+        };
+        let (mut cur, mut next) = scratch.split_at_mut(scratch.len() / 2);
         for (l, (nin, nout, w, b)) in self.layers().enumerate() {
             let prev = if l == 0 { x } else { &cur[..nin] };
-            layer(w, b, prev, &mut next[..nout], l + 1 < n_layers);
+            kernel(w, b, prev, &mut next[..nout], l + 1 < n_layers);
             std::mem::swap(&mut cur, &mut next);
         }
-        cur[..self.dims[n_layers]].to_vec()
+        y.copy_from_slice(&cur[..self.dims[n_layers]]);
     }
 
     /// Forward pass returning the output and the backprop tape.
@@ -223,6 +251,72 @@ fn rows<const R: usize>(w: &[f64], b: &[f64], prev: &[f64], out: &mut [f64]) {
     out[..R].copy_from_slice(&acc);
 }
 
+/// Layer widths up to which a forward pass without a tape keeps its
+/// scratch on the stack: the committed policies are 64 wide.
+const STACK_WIDTH: usize = 64;
+
+/// Outputs [`cols`] advances together: sixteen sums are eight SSE2
+/// registers, and the committed 64-wide layers are four such blocks.
+const COLS: usize = 16;
+
+/// An inference-only copy of an [`Mlp`], its weights stored column-major
+/// for the vectorised kernel (module docs). Built once from the trained
+/// net; its outputs equal [`Mlp::forward`]'s to the bit. The inner net
+/// has the source's `dims`, and per layer the weights as columns
+/// (`wt[i·nout + o] = w[o·nin + i]`), then the biases.
+#[derive(Debug)]
+pub struct FrozenMlp(Mlp);
+
+impl FrozenMlp {
+    /// `net` with each layer's weights transposed into columns.
+    pub fn new(net: &Mlp) -> Self {
+        let mut params = Vec::with_capacity(net.params.len());
+        for (nin, nout, w, b) in net.layers() {
+            params.extend((0..nin * nout).map(|j| w[(j % nout) * nin + j / nout]));
+            params.extend_from_slice(b);
+        }
+        let dims = net.dims.clone();
+        FrozenMlp(Mlp { dims, params })
+    }
+
+    /// The net's outputs at `x`, written to `y`; allocates nothing for
+    /// nets up to `STACK_WIDTH` wide.
+    pub fn forward_into(&self, x: &[f64], y: &mut [f64]) {
+        self.0.forward_with(col_layer, x, y);
+    }
+}
+
+/// [`layer`] over column-major weights: `out.len()` columns of
+/// `prev.len()` inputs each.
+fn col_layer(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64], hidden: bool) {
+    let nout = out.len();
+    let blocked = nout - nout % COLS;
+    for o in (0..blocked).step_by(COLS) {
+        cols::<COLS>(&wt[o..], nout, &b[o..], prev, &mut out[o..]);
+    }
+    for o in blocked..nout {
+        cols::<1>(&wt[o..], nout, &b[o..], prev, &mut out[o..]);
+    }
+    if hidden {
+        out.iter_mut().for_each(|s| *s = s.tanh());
+    }
+}
+
+/// `K` consecutive outputs, the first at `wt[0]` in a column of stride
+/// `nout`: `K` independent sums, each started from its bias and advanced
+/// through `prev` in index order.
+#[inline(always)]
+fn cols<const K: usize>(wt: &[f64], nout: usize, b: &[f64], prev: &[f64], out: &mut [f64]) {
+    let mut acc: [f64; K] = std::array::from_fn(|k| b[k]);
+    for (i, x) in prev.iter().enumerate() {
+        let col = &wt[i * nout..][..K];
+        for k in 0..K {
+            acc[k] += col[k] * x;
+        }
+    }
+    out[..K].copy_from_slice(&acc);
+}
+
 /// Adam optimizer over a flat parameter vector.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Adam {
@@ -312,7 +406,8 @@ mod tests {
         act
     }
 
-    /// Widths astride the block size, plus one above any fixed buffer.
+    /// Widths astride both block sizes (8 rows, 16 columns) and the
+    /// stack scratch, plus one above any fixed buffer.
     const WIDTHS: [usize; 9] = [1, 2, 7, 8, 9, 63, 64, 65, 130];
     const EDGES: [f64; 8] = [
         0.0,
@@ -326,11 +421,11 @@ mod tests {
     ];
 
     proptest! {
-        /// `forward` and `forward_tape` against the scalar loop, by
-        /// bits, over 1–4 layers of [`WIDTHS`] with params and inputs
-        /// that are mostly ordinary and sometimes [`EDGES`]. Runs in
-        /// `--release` too (`scripts/verify.sh`): only the optimised
-        /// build vectorises.
+        /// `forward`, `forward_tape` and the frozen copy's
+        /// `forward_into` against the scalar loop, by bits, over 1–4
+        /// layers of [`WIDTHS`] with params and inputs that are mostly
+        /// ordinary and sometimes [`EDGES`]. Runs in `--release` too
+        /// (`scripts/verify.sh`): only the optimised build vectorises.
         #[test]
         fn kernel_matches_the_scalar_loop_bit_for_bit(
             widths in prop::collection::vec(0usize..WIDTHS.len(), 2..=5),
@@ -351,7 +446,9 @@ mod tests {
             let x: Vec<f64> = (0..dims[0]).map(|_| value()).collect();
             let net = Mlp { dims, params };
             let want = scalar_forward(&net, &x);
-            for got in [net.forward(&x), net.forward_tape(&x).0] {
+            let mut frozen = vec![0.0; want.len()];
+            FrozenMlp::new(&net).forward_into(&x, &mut frozen);
+            for got in [net.forward(&x), net.forward_tape(&x).0, frozen] {
                 prop_assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {
                     prop_assert!(

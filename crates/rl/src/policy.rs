@@ -40,12 +40,7 @@ impl PolicyValue {
     /// yields the neutral action 0.0 — `clamp` alone would pass NaN
     /// through to the rate limiter.
     pub fn act_deterministic(&self, state: &[f64]) -> f64 {
-        let mean = self.pi.forward(state)[0];
-        if mean.is_finite() {
-            mean.clamp(ACTION_LOW, ACTION_HIGH)
-        } else {
-            0.0
-        }
+        deterministic_action(self.pi.forward(state)[0])
     }
 
     /// Sample an action; returns `(raw_sample, clipped_action, log_prob)`.
@@ -116,6 +111,16 @@ impl PolicyValue {
             return Err(format!("log_std {} is not finite", self.log_std));
         }
         Ok(())
+    }
+}
+
+/// [`PolicyValue::act_deterministic`]'s action for the actor's `mean`,
+/// for a caller serving the actor some other way.
+pub fn deterministic_action(mean: f64) -> f64 {
+    if mean.is_finite() {
+        mean.clamp(ACTION_LOW, ACTION_HIGH)
+    } else {
+        0.0
     }
 }
 

@@ -36,8 +36,12 @@ cargo test -q --workspace
 # Likewise liveserve's in-place line tier and fmt_u64 (eight-byte loads
 # at segment edges, SWAR lanes, a 20-digit overflow that debug traps and
 # release would wrap) and the front door's keyed hash: their oracles must
-# hold with overflow checks off, the way they ship.
+# hold with overflow checks off, the way they ship. The goldens ledger
+# computes the policy.* rows in a debug build, while every served
+# decision runs optimised code: policy_bits holds the controller to the
+# policy's bits in the build that serves.
 cargo test -q --release -p simnet -p rl -p topfull
+cargo test -q --release --test policy_bits
 cargo test -q --release -p liveserve -p cluster --lib -- wire:: front::
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check

@@ -20,16 +20,30 @@ use topfull::{RateController, RateState, RlRateController};
 
 /// Every action over goodput ratio 0…2 (steps of 1/32) × latency ratio
 /// 0…5 (steps of 1/16) — 5 265 states — then the out-of-range and
-/// non-finite corners as the controller clamps them.
+/// non-finite corners as the controller clamps them. On the grid the
+/// controller, which serves a frozen copy of the actor, must decide the
+/// same bits as the policy itself; verify.sh runs this file in
+/// `--release` too, the build that serves.
 fn action_bits(policy: PolicyValue) -> u64 {
+    let rc = RlRateController::new(policy.clone());
     let mut h = FNV_OFFSET;
     for g in 0..=64 {
         for l in 0..=80 {
-            let a = policy.act_deterministic(&[f64::from(g) / 32.0, f64::from(l) / 16.0]);
+            let (goodput_ratio, latency_ratio) = (f64::from(g) / 32.0, f64::from(l) / 16.0);
+            let a = policy.act_deterministic(&[goodput_ratio, latency_ratio]);
+            let served = rc.decide(RateState {
+                goodput_ratio,
+                latency_ratio,
+                total_limit: 100.0,
+            });
+            assert_eq!(
+                served.to_bits(),
+                a.to_bits(),
+                "state ({goodput_ratio}, {latency_ratio}): served {served:e}, policy {a:e}"
+            );
             fnv1a(&mut h, &a.to_bits().to_le_bytes());
         }
     }
-    let rc = RlRateController::new(policy);
     let edge = [-1.0, -0.0, 2.5, 7.0, f64::INFINITY, f64::NAN];
     for goodput_ratio in edge {
         for latency_ratio in edge {

@@ -51,11 +51,13 @@ static GLOBAL: Counting = Counting;
 /// Control ticks recorded, as in `benchmark/src/control.rs`.
 const TRACE_TICKS: u64 = 128;
 
-/// Allocations one replayed tick may make, journal attached: the 105.8
-/// the PR that added this test reached (its parent made 239.9), plus
-/// 10 %. About 10 decisions a tick, each two allocations in the policy's
-/// forward pass and three `String`s in its journal entry, is half of it.
-const BUDGET_PER_TICK: f64 = 116.0;
+/// Allocations one replayed tick may make, journal attached: the 86.6
+/// measured once the policy was served from a frozen actor that
+/// allocates nothing, plus 10 % (the count was 239.9 before this test,
+/// then 105.9). What a tick still allocates: per decision (10.2 a tick),
+/// three `String`s in its journal entry, its candidate APIs and its
+/// recipients; per tick, the clustering's tables and the selection's.
+const BUDGET_PER_TICK: f64 = 95.0;
 
 struct Recorder {
     inner: TopFull,
