@@ -31,14 +31,14 @@ pub fn run() -> Report {
 
     // Measure graph-simulator episode throughput (env + policy inference).
     let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-    let policy = PolicyValue::new(2, &mut rng);
+    let actor = PolicyValue::new(2, &mut rng).actor();
     let mut env = GraphEnv::new();
     let n = 2_000usize;
     let start = std::time::Instant::now();
     for _ in 0..n {
         let mut s = env.reset(&mut rng);
         loop {
-            let a = policy.act_deterministic(&s);
+            let a = actor.act_deterministic(&s);
             let res = env.step(a, &mut rng);
             s = res.state;
             if res.done {

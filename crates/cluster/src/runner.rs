@@ -17,9 +17,10 @@
 //! parallel runs fingerprint identically.
 //!
 //! The worker pool defaults to `min(available_parallelism, 8)`
-//! ([`default_workers`], also used by the RL trainer) and is overridden
-//! by the `TOPFULL_WORKERS` environment variable ([`worker_count`]).
-//! Training deliberately ignores `TOPFULL_WORKERS`: rollout seeding
+//! ([`default_workers`]) and is overridden by the `TOPFULL_WORKERS`
+//! environment variable ([`worker_count`]). The RL trainer runs its
+//! rollouts through a plan too, but at its configured worker count
+//! ([`RunPlan::with_workers`]), never the override: rollout seeding
 //! depends on the worker index, so changing the trainer's pool would
 //! change the models it produces.
 
@@ -31,9 +32,9 @@ pub const WORKERS_ENV: &str = "TOPFULL_WORKERS";
 
 /// The environment-independent default worker count:
 /// `min(available_parallelism, 8)`, falling back to 4 when parallelism
-/// cannot be queried. The RL trainer uses this directly (its rollout
-/// seeding depends on the worker count, so it must not follow the env
-/// override).
+/// cannot be queried. `figures train` sizes the RL trainer with this
+/// directly (its rollout seeding depends on the worker count, so it must
+/// not follow the env override).
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get().min(8))

@@ -13,8 +13,7 @@
 //!   at the entry (additive increase under the delay target,
 //!   multiplicative decrease proportional to overload severity).
 
-use rl::nn::FrozenMlp;
-use rl::policy::{deterministic_action, PolicyValue};
+use rl::policy::{Actor, PolicyValue};
 
 /// End-to-end state of the candidate API set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,11 +56,11 @@ pub trait RateController: Send + Sync {
     }
 }
 
-/// The RL policy (deterministic at inference), served from a
-/// column-major copy of its actor net: the same bits as
-/// [`PolicyValue::act_deterministic`], at a vector kernel's speed.
+/// The RL policy (deterministic at inference), served from its frozen
+/// actor through the same [`Actor::act_deterministic`] that training
+/// validates with.
 pub struct RlRateController {
-    actor: FrozenMlp,
+    actor: Actor,
 }
 
 impl RlRateController {
@@ -76,7 +75,7 @@ impl RlRateController {
             rl::STATE_DIM
         );
         RlRateController {
-            actor: FrozenMlp::new(&policy.pi),
+            actor: policy.actor(),
         }
     }
 }
@@ -87,9 +86,7 @@ impl RateController for RlRateController {
             s.goodput_ratio.clamp(0.0, 2.0),
             s.latency_ratio.clamp(0.0, 5.0),
         ];
-        let mut mean = [0.0];
-        self.actor.forward_into(&state, &mut mean);
-        deterministic_action(mean[0])
+        self.actor.act_deterministic(&state)
     }
 
     fn name(&self) -> &str {

@@ -7,8 +7,10 @@
 //! `ΔGoodput − ρ·max(0, latency − SLO)`. The offline environment has no
 //! RL framework, so this crate implements the whole stack:
 //!
-//! * [`nn`] — flat-parameter MLPs with manual backprop and [`nn::Adam`].
-//! * [`policy`] — diagonal-Gaussian policy + value function.
+//! * [`nn`] — flat-parameter MLPs with manual backprop and [`nn::Adam`],
+//!   evaluated by one column-major forward kernel ([`nn::FrozenMlp`]).
+//! * [`policy`] — diagonal-Gaussian policy + value function, and the
+//!   actor's frozen serving form ([`policy::Actor`]).
 //! * [`ppo`] — clipped-surrogate PPO with RLlib-style adaptive KL penalty
 //!   and GAE; hyper-parameters default to the paper's Table 1.
 //! * [`mod@env`] — the environment abstraction.
@@ -20,11 +22,8 @@
 //! * [`trainer`] — episode collection (parallel, deterministic),
 //!   checkpointing, validation-based model selection, and the two-stage
 //!   Sim2Real pipeline.
-//! * [`diagnostics`] — action-surface sampling and qualitative audits of
-//!   trained policies.
 
 pub mod cluster_env;
-pub mod diagnostics;
 pub mod env;
 pub mod graph_env;
 pub mod nn;

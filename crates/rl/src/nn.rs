@@ -13,24 +13,20 @@
 //! # The forward kernel
 //!
 //! A layer is `out = W·prev + b`, then — on a hidden layer — `f64::tanh`
-//! in a pass over the finished sums. It is computed over two layouts:
+//! in a pass over the finished sums. Every forward pass in the workspace
+//! runs one kernel over one layout, [`FrozenMlp`]'s column-major copy of
+//! an [`Mlp`]: the rate controller's decisions (10.2 a tick on the
+//! 127-service demo), training rollouts and validation, value
+//! bootstraps, PPO's old-mean and KL passes, and the training tape.
+//! Input `i`'s weights to sixteen consecutive outputs are contiguous, so
+//! `acc[k] += col[k] · x[i]` over a block of sixteen sums is a run of
+//! packed multiplies and adds on baseline x86-64 SSE2, and a pass
+//! without a tape allocates nothing for the 64-wide nets. [`Mlp`]'s own
+//! row-major layout is storage only — initialisation, the optimizer, the
+//! model JSON and [`Mlp::backward`] read it, no forward pass does — so a
+//! trainer freezes its nets again after every optimizer step.
 //!
-//! * **Row-major**, [`Mlp`]'s own: [`Mlp::forward`] and
-//!   [`Mlp::forward_tape`] (training) share the private kernel `layer`.
-//!   A 64-wide row is 64 floating-point adds each waiting for the one
-//!   before (≈ 4 cycles apiece), so the kernel advances eight rows side
-//!   by side: eight independent chains in flight instead of one. Their
-//!   weights sit in eight different rows, so no two sums' operands are
-//!   adjacent in memory and the kernel runs at about one multiply-add a
-//!   cycle.
-//! * **Column-major**, [`FrozenMlp`]'s: the inference-only copy the rate
-//!   controller serves, one forward pass per decision, 10.2 a tick on
-//!   the 127-service demo. Input `i`'s weights to sixteen consecutive
-//!   outputs are contiguous, so `acc[k] += col[k] · x[i]` over a block
-//!   of sixteen sums is a run of packed multiplies and adds on baseline
-//!   x86-64 SSE2, and the pass allocates nothing for the 64-wide nets.
-//!
-//! Both are reorderings *across* outputs only. Each output is still
+//! The kernel reorders work *across* outputs only. Each output is still
 //! `((b + w₀x₀) + w₁x₁) + …`, its own products added to its own bias in
 //! index order: a vector lane holds one output's sum, never a share of
 //! one. So every sum goes through the same sequence of roundings as in a
@@ -41,14 +37,16 @@
 //! adding the bias last or fusing a multiply-add would be faster still
 //! and is not done: the roundings would differ, and every recorded
 //! policy output would move. The oracle proptest in this file pins the
-//! equality for both layouts, in `--release` as well.
+//! equality, the tape's every activation included, in `--release` as
+//! well.
 
 use rand::rngs::SmallRng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
 /// A multi-layer perceptron with tanh hidden activations and a linear
-/// output layer, parameters stored flat.
+/// output layer, parameters stored flat. Evaluated through a
+/// [`FrozenMlp`] (module docs).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Mlp {
     /// Layer widths, input first: e.g. `[2, 64, 64, 1]`.
@@ -92,7 +90,7 @@ impl Mlp {
     }
 
     /// Whether `params` is the shape `dims` says: what a deserialised
-    /// net must pass before [`Mlp::forward`] indexes by it.
+    /// net must pass before [`FrozenMlp`] indexes by it.
     pub(crate) fn check_shape(&self) -> Result<(), String> {
         let (dims, found) = (&self.dims, self.params.len());
         if dims.len() < 2 || dims.contains(&0) {
@@ -117,58 +115,10 @@ impl Mlp {
         })
     }
 
-    /// Forward pass without a tape (inference).
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.dims[self.dims.len() - 1]];
-        self.forward_with(layer, x, &mut y);
-        y
-    }
-
-    /// Forward pass into `y`, `kernel` computing each layer over this
-    /// net's weight layout: two scratch buffers ping-pong between the
-    /// layers, on the stack up to `STACK_WIDTH` wide, and nothing is kept
-    /// for backprop.
-    fn forward_with<K>(&self, kernel: K, x: &[f64], y: &mut [f64])
-    where
-        K: Fn(&[f64], &[f64], &[f64], &mut [f64], bool),
-    {
-        assert_eq!(x.len(), self.dims[0], "input dim mismatch");
-        let n_layers = self.dims.len() - 1;
-        let width = self.dims[1..].iter().copied().max().unwrap_or(0);
-        let (mut stack, mut heap) = ([0.0; 2 * STACK_WIDTH], Vec::new());
-        let scratch = if width <= STACK_WIDTH {
-            &mut stack[..]
-        } else {
-            heap.resize(2 * width, 0.0);
-            &mut heap[..]
-        };
-        let (mut cur, mut next) = scratch.split_at_mut(scratch.len() / 2);
-        for (l, (nin, nout, w, b)) in self.layers().enumerate() {
-            let prev = if l == 0 { x } else { &cur[..nin] };
-            kernel(w, b, prev, &mut next[..nout], l + 1 < n_layers);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        y.copy_from_slice(&cur[..self.dims[n_layers]]);
-    }
-
-    /// Forward pass returning the output and the backprop tape.
-    pub fn forward_tape(&self, x: &[f64]) -> (Vec<f64>, Tape) {
-        assert_eq!(x.len(), self.dims[0], "input dim mismatch");
-        let n_layers = self.dims.len() - 1;
-        let mut act = Vec::with_capacity(n_layers + 1);
-        act.push(x.to_vec());
-        for (l, (_, nout, w, b)) in self.layers().enumerate() {
-            let mut out = vec![0.0; nout];
-            layer(w, b, &act[l], &mut out, l + 1 < n_layers);
-            act.push(out);
-        }
-        let out = act.last().expect("output").clone();
-        (out, Tape { act })
-    }
-
-    /// Backprop `d_out` (∂loss/∂output) through the tape; accumulates
-    /// parameter gradients into `grad` (same length as `params`) and
-    /// returns ∂loss/∂input.
+    /// Backprop `d_out` (∂loss/∂output) through a tape that
+    /// [`FrozenMlp::forward_tape`] recorded on this net's current
+    /// weights; accumulates parameter gradients into `grad` (same length
+    /// as `params`) and returns ∂loss/∂input.
     pub fn backward(&self, tape: &Tape, d_out: &[f64], grad: &mut [f64]) -> Vec<f64> {
         assert_eq!(grad.len(), self.params.len());
         let n_layers = self.dims.len() - 1;
@@ -212,45 +162,6 @@ impl Mlp {
     }
 }
 
-/// Output rows [`layer`] accumulates side by side. Measured on the
-/// 2→64→64→1 policy, per forward pass (of which the 128 `tanh` calls are
-/// ≈ 1.3 µs throughout): 1 row 3.2 µs, 2 rows 3.0, 4 rows 2.7, 8 rows
-/// 2.5, 16 rows 2.5. Eight sums and their operands still fit x86-64's
-/// sixteen vector registers; sixteen do not, and buy nothing.
-const ROWS: usize = 8;
-
-/// One layer: `out = W·prev + b` for a row-major `out.len() × prev.len()`
-/// matrix, then — on a `hidden` layer; the output is linear — `tanh` in
-/// a pass over the finished sums.
-fn layer(w: &[f64], b: &[f64], prev: &[f64], out: &mut [f64], hidden: bool) {
-    let nin = prev.len();
-    let blocked = out.len() - out.len() % ROWS;
-    for o in (0..blocked).step_by(ROWS) {
-        rows::<ROWS>(&w[o * nin..], &b[o..], prev, &mut out[o..]);
-    }
-    for o in blocked..out.len() {
-        rows::<1>(&w[o * nin..], &b[o..], prev, &mut out[o..]);
-    }
-    if hidden {
-        out.iter_mut().for_each(|s| *s = s.tanh());
-    }
-}
-
-/// The first `R` rows of `w`: `R` independent sums, each started from
-/// its bias and advanced through `prev` in index order.
-#[inline(always)]
-fn rows<const R: usize>(w: &[f64], b: &[f64], prev: &[f64], out: &mut [f64]) {
-    let nin = prev.len();
-    let row: [&[f64]; R] = std::array::from_fn(|r| &w[r * nin..(r + 1) * nin]);
-    let mut acc: [f64; R] = std::array::from_fn(|r| b[r]);
-    for (i, x) in prev.iter().enumerate() {
-        for r in 0..R {
-            acc[r] += row[r][i] * x;
-        }
-    }
-    out[..R].copy_from_slice(&acc);
-}
-
 /// Layer widths up to which a forward pass without a tape keeps its
 /// scratch on the stack: the committed policies are 64 wide.
 const STACK_WIDTH: usize = 64;
@@ -259,11 +170,12 @@ const STACK_WIDTH: usize = 64;
 /// registers, and the committed 64-wide layers are four such blocks.
 const COLS: usize = 16;
 
-/// An inference-only copy of an [`Mlp`], its weights stored column-major
-/// for the vectorised kernel (module docs). Built once from the trained
-/// net; its outputs equal [`Mlp::forward`]'s to the bit. The inner net
-/// has the source's `dims`, and per layer the weights as columns
-/// (`wt[i·nout + o] = w[o·nin + i]`), then the biases.
+/// An [`Mlp`] as every forward pass evaluates it: its weights stored
+/// column-major for the vectorised kernel (module docs). Built from the
+/// net, again after each change to its weights; the outputs are the
+/// one-row-at-a-time loop's to the bit. The inner net has the source's
+/// `dims`, and per layer the weights as columns (`wt[i·nout + o] =
+/// w[o·nin + i]`), then the biases.
 #[derive(Debug)]
 pub struct FrozenMlp(Mlp);
 
@@ -279,15 +191,51 @@ impl FrozenMlp {
         FrozenMlp(Mlp { dims, params })
     }
 
-    /// The net's outputs at `x`, written to `y`; allocates nothing for
-    /// nets up to `STACK_WIDTH` wide.
+    /// The net's outputs at `x`, written to `y`: two scratch buffers
+    /// ping-pong between the layers, on the stack up to `STACK_WIDTH`
+    /// wide, so the committed nets allocate nothing.
     pub fn forward_into(&self, x: &[f64], y: &mut [f64]) {
-        self.0.forward_with(col_layer, x, y);
+        let net = &self.0;
+        assert_eq!(x.len(), net.dims[0], "input dim mismatch");
+        let n_layers = net.dims.len() - 1;
+        let width = net.dims[1..].iter().copied().max().unwrap_or(0);
+        let (mut stack, mut heap) = ([0.0; 2 * STACK_WIDTH], Vec::new());
+        let scratch = if width <= STACK_WIDTH {
+            &mut stack[..]
+        } else {
+            heap.resize(2 * width, 0.0);
+            &mut heap[..]
+        };
+        let (mut cur, mut next) = scratch.split_at_mut(scratch.len() / 2);
+        for (l, (nin, nout, wt, b)) in net.layers().enumerate() {
+            let prev = if l == 0 { x } else { &cur[..nin] };
+            col_layer(wt, b, prev, &mut next[..nout], l + 1 < n_layers);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        y.copy_from_slice(&cur[..net.dims[n_layers]]);
+    }
+
+    /// Forward pass returning the output and the tape the source net's
+    /// [`Mlp::backward`] reads: every layer's activations, input first.
+    pub fn forward_tape(&self, x: &[f64]) -> (Vec<f64>, Tape) {
+        let net = &self.0;
+        assert_eq!(x.len(), net.dims[0], "input dim mismatch");
+        let n_layers = net.dims.len() - 1;
+        let mut act = Vec::with_capacity(n_layers + 1);
+        act.push(x.to_vec());
+        for (l, (_, nout, wt, b)) in net.layers().enumerate() {
+            let mut out = vec![0.0; nout];
+            col_layer(wt, b, &act[l], &mut out, l + 1 < n_layers);
+            act.push(out);
+        }
+        let out = act.last().expect("output").clone();
+        (out, Tape { act })
     }
 }
 
-/// [`layer`] over column-major weights: `out.len()` columns of
-/// `prev.len()` inputs each.
+/// One layer: `out = W·prev + b` for `out.len()` columns of
+/// `prev.len()` inputs each, then — on a `hidden` layer; the output is
+/// linear — `tanh` in a pass over the finished sums.
 fn col_layer(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64], hidden: bool) {
     let nout = out.len();
     let blocked = nout - nout % COLS;
@@ -382,16 +330,26 @@ mod tests {
         SmallRng::seed_from_u64(3)
     }
 
-    /// The loop [`layer`] replaced — one output at a time, one serial
-    /// sum each — kept as the oracle the kernel must match bit for bit.
-    fn scalar_forward(net: &Mlp, x: &[f64]) -> Vec<f64> {
+    /// `net`'s outputs at `x`, through a fresh frozen copy.
+    fn forward(net: &Mlp, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; net.dims[net.dims.len() - 1]];
+        FrozenMlp::new(net).forward_into(x, &mut y);
+        y
+    }
+
+    /// The loop the kernel replaced — one output at a time, one serial
+    /// sum each, over the row-major weights — kept as the oracle the
+    /// kernel must match bit for bit. Returns every layer's activations,
+    /// input first, as a tape records them.
+    fn scalar_forward(net: &Mlp, x: &[f64]) -> Vec<Vec<f64>> {
         let n_layers = net.dims.len() - 1;
-        let (mut act, mut off) = (x.to_vec(), 0);
+        let (mut acts, mut off) = (vec![x.to_vec()], 0);
         for l in 0..n_layers {
             let (nin, nout) = (net.dims[l], net.dims[l + 1]);
             let w = &net.params[off..off + nin * nout];
             let b = &net.params[off + nin * nout..off + nin * nout + nout];
             off += nin * nout + nout;
+            let act = &acts[l];
             let mut out = vec![0.0; nout];
             for o in 0..nout {
                 let mut s = b[o];
@@ -401,13 +359,13 @@ mod tests {
                 }
                 out[o] = if l + 1 < n_layers { s.tanh() } else { s };
             }
-            act = out;
+            acts.push(out);
         }
-        act
+        acts
     }
 
-    /// Widths astride both block sizes (8 rows, 16 columns) and the
-    /// stack scratch, plus one above any fixed buffer.
+    /// Widths astride the 16-column block and the stack scratch, plus
+    /// one above any fixed buffer.
     const WIDTHS: [usize; 9] = [1, 2, 7, 8, 9, 63, 64, 65, 130];
     const EDGES: [f64; 8] = [
         0.0,
@@ -421,11 +379,12 @@ mod tests {
     ];
 
     proptest! {
-        /// `forward`, `forward_tape` and the frozen copy's
-        /// `forward_into` against the scalar loop, by bits, over 1–4
-        /// layers of [`WIDTHS`] with params and inputs that are mostly
-        /// ordinary and sometimes [`EDGES`]. Runs in `--release` too
-        /// (`scripts/verify.sh`): only the optimised build vectorises.
+        /// The frozen copy's `forward_into` and `forward_tape` — its
+        /// output and every activation it records — against the scalar
+        /// loop, by bits, over 1–4 layers of [`WIDTHS`] with params and
+        /// inputs that are mostly ordinary and sometimes [`EDGES`]. Runs
+        /// in `--release` too (`scripts/verify.sh`): only the optimised
+        /// build vectorises.
         #[test]
         fn kernel_matches_the_scalar_loop_bit_for_bit(
             widths in prop::collection::vec(0usize..WIDTHS.len(), 2..=5),
@@ -446,14 +405,18 @@ mod tests {
             let x: Vec<f64> = (0..dims[0]).map(|_| value()).collect();
             let net = Mlp { dims, params };
             let want = scalar_forward(&net, &x);
-            let mut frozen = vec![0.0; want.len()];
-            FrozenMlp::new(&net).forward_into(&x, &mut frozen);
-            for got in [net.forward(&x), net.forward_tape(&x).0, frozen] {
+            let (out, tape) = FrozenMlp::new(&net).forward_tape(&x);
+            let mut got = tape.act;
+            got.push(out);
+            got.push(forward(&net, &x));
+            let layers = want.len();
+            for (l, got) in got.iter().enumerate() {
+                let want = &want[l.min(layers - 1)];
                 prop_assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
+                for (g, w) in got.iter().zip(want) {
                     prop_assert!(
                         g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                        "dims {:?}: got {g:e}, scalar loop {w:e}", net.dims
+                        "dims {:?}, pass {l}: got {g:e}, scalar loop {w:e}", net.dims
                     );
                 }
             }
@@ -471,8 +434,8 @@ mod tests {
     #[test]
     fn forward_shapes_and_determinism() {
         let net = Mlp::new(&[2, 8, 3], &mut rng());
-        let y1 = net.forward(&[0.5, -0.2]);
-        let y2 = net.forward(&[0.5, -0.2]);
+        let y1 = forward(&net, &[0.5, -0.2]);
+        let y2 = forward(&net, &[0.5, -0.2]);
         assert_eq!(y1.len(), 3);
         assert_eq!(y1, y2);
     }
@@ -482,7 +445,7 @@ mod tests {
         // Loss = sum(outputs); check dL/dθ numerically.
         let mut net = Mlp::new(&[3, 5, 4, 2], &mut rng());
         let x = [0.3, -0.7, 1.1];
-        let (_, tape) = net.forward_tape(&x);
+        let (_, tape) = FrozenMlp::new(&net).forward_tape(&x);
         let mut grad = vec![0.0; net.params.len()];
         net.backward(&tape, &[1.0, 1.0], &mut grad);
         let eps = 1e-6;
@@ -490,9 +453,9 @@ mod tests {
         for &pi in &[0usize, 7, 20, 33, 41, net.params.len() - 1] {
             let orig = net.params[pi];
             net.params[pi] = orig + eps;
-            let up: f64 = net.forward(&x).iter().sum();
+            let up: f64 = forward(&net, &x).iter().sum();
             net.params[pi] = orig - eps;
-            let dn: f64 = net.forward(&x).iter().sum();
+            let dn: f64 = forward(&net, &x).iter().sum();
             net.params[pi] = orig;
             let numeric = (up - dn) / (2.0 * eps);
             assert!(
@@ -506,17 +469,18 @@ mod tests {
     #[test]
     fn input_gradient_matches_finite_differences() {
         let net = Mlp::new(&[2, 6, 1], &mut rng());
+        let frozen = FrozenMlp::new(&net);
         let x = [0.4, -0.9];
-        let (_, tape) = net.forward_tape(&x);
+        let (_, tape) = frozen.forward_tape(&x);
         let mut grad = vec![0.0; net.params.len()];
         let d_in = net.backward(&tape, &[1.0], &mut grad);
         let eps = 1e-6;
         for i in 0..2 {
             let mut xp = x;
             xp[i] += eps;
-            let up = net.forward(&xp)[0];
+            let up = frozen.forward_tape(&xp).0[0];
             xp[i] -= 2.0 * eps;
-            let dn = net.forward(&xp)[0];
+            let dn = frozen.forward_tape(&xp).0[0];
             let numeric = (up - dn) / (2.0 * eps);
             assert!(
                 (numeric - d_in[i]).abs() < 1e-5,
@@ -539,9 +503,10 @@ mod tests {
             })
             .collect();
         for _ in 0..400 {
+            let frozen = FrozenMlp::new(&net);
             let mut grad = vec![0.0; net.params.len()];
             for (x, y) in &data {
-                let (out, tape) = net.forward_tape(x);
+                let (out, tape) = frozen.forward_tape(x);
                 let err = out[0] - y;
                 net.backward(&tape, &[2.0 * err / data.len() as f64], &mut grad);
             }
@@ -549,7 +514,7 @@ mod tests {
         }
         let mse: f64 = data
             .iter()
-            .map(|(x, y)| (net.forward(x)[0] - y).powi(2))
+            .map(|(x, y)| (forward(&net, x)[0] - y).powi(2))
             .sum::<f64>()
             / data.len() as f64;
         assert!(mse < 1e-3, "Adam should fit the line, mse={mse}");
@@ -562,9 +527,10 @@ mod tests {
         let mut opt = Adam::new(0.01, net.params.len());
         let xs: Vec<f64> = (0..41).map(|i| -1.0 + i as f64 / 20.0).collect();
         for _ in 0..2000 {
+            let frozen = FrozenMlp::new(&net);
             let mut grad = vec![0.0; net.params.len()];
             for &x in &xs {
-                let (out, tape) = net.forward_tape(&[x]);
+                let (out, tape) = frozen.forward_tape(&[x]);
                 let err = out[0] - x * x;
                 net.backward(&tape, &[2.0 * err / xs.len() as f64], &mut grad);
             }
@@ -572,7 +538,7 @@ mod tests {
         }
         let worst = xs
             .iter()
-            .map(|&x| (net.forward(&[x])[0] - x * x).abs())
+            .map(|&x| (forward(&net, &[x])[0] - x * x).abs())
             .fold(0.0, f64::max);
         assert!(worst < 0.08, "x² fit worst-case error {worst}");
     }
@@ -595,6 +561,6 @@ mod tests {
         let net = Mlp::new(&[2, 4, 1], &mut rng());
         let json = serde_json::to_string(&net).unwrap();
         let back: Mlp = serde_json::from_str(&json).unwrap();
-        assert_eq!(net.forward(&[0.2, 0.8]), back.forward(&[0.2, 0.8]));
+        assert_eq!(forward(&net, &[0.2, 0.8]), forward(&back, &[0.2, 0.8]));
     }
 }

@@ -7,7 +7,7 @@
 //! log-probabilities are computed on the unclipped sample, matching
 //! RLlib's space-clipping behaviour.
 
-use crate::nn::Mlp;
+use crate::nn::{FrozenMlp, Mlp};
 use crate::{ACTION_HIGH, ACTION_LOW};
 use rand::rngs::SmallRng;
 use rand_distr::{Distribution, Normal};
@@ -15,7 +15,9 @@ use serde::{Deserialize, Serialize};
 
 const LN_2PI: f64 = 1.837_877_066_409_345_5;
 
-/// Actor-critic parameters: policy mean net, log-std, and value net.
+/// Actor-critic parameters: policy mean net, log-std, and value net —
+/// the training and storage form. Served and sampled through
+/// [`PolicyValue::actor`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PolicyValue {
     pub pi: Mlp,
@@ -35,45 +37,18 @@ impl PolicyValue {
         }
     }
 
-    /// Deterministic action (the mean), clipped to the action space. A
-    /// non-finite mean (diverged or corrupted weights, NaN in the state)
-    /// yields the neutral action 0.0 — `clamp` alone would pass NaN
-    /// through to the rate limiter.
-    pub fn act_deterministic(&self, state: &[f64]) -> f64 {
-        deterministic_action(self.pi.forward(state)[0])
+    /// The actor as it is served and sampled, frozen at the current
+    /// weights: freeze again after they change.
+    pub fn actor(&self) -> Actor {
+        Actor {
+            net: FrozenMlp::new(&self.pi),
+            log_std: self.log_std,
+        }
     }
 
-    /// Sample an action; returns `(raw_sample, clipped_action, log_prob)`.
-    ///
-    /// `raw_sample` feeds the PPO update; `clipped_action` is what the
-    /// environment executes.
-    pub fn act_stochastic(&self, state: &[f64], rng: &mut SmallRng) -> (f64, f64, f64) {
-        let mean = self.pi.forward(state)[0];
-        let std = self.log_std.exp();
-        let raw = Normal::new(mean, std).expect("valid normal").sample(rng);
-        let logp = self.log_prob_given_mean(mean, raw);
-        (raw, raw.clamp(ACTION_LOW, ACTION_HIGH), logp)
-    }
-
-    /// Log-probability of `raw` under the current policy at `state`.
-    pub fn log_prob(&self, state: &[f64], raw: f64) -> f64 {
-        self.log_prob_given_mean(self.pi.forward(state)[0], raw)
-    }
-
-    fn log_prob_given_mean(&self, mean: f64, raw: f64) -> f64 {
-        let std = self.log_std.exp();
-        let z = (raw - mean) / std;
-        -0.5 * z * z - self.log_std - 0.5 * LN_2PI
-    }
-
-    /// State value estimate.
-    pub fn value(&self, state: &[f64]) -> f64 {
-        self.vf.forward(state)[0]
-    }
-
-    /// Policy entropy (state-independent for a global std).
-    pub fn entropy(&self) -> f64 {
-        0.5 * (LN_2PI + 1.0) + self.log_std
+    /// The critic, frozen at the current weights.
+    pub(crate) fn critic(&self) -> Critic {
+        Critic(FrozenMlp::new(&self.vf))
     }
 
     /// Save as JSON.
@@ -82,9 +57,9 @@ impl PolicyValue {
         std::fs::write(path, json)
     }
 
-    /// Load from JSON. A file that parses but describes nets
-    /// [`Mlp::forward`] would index out of range on, or anything other
-    /// than one action mean and one value over the same state, is
+    /// Load from JSON. A file that parses but describes nets a
+    /// [`FrozenMlp`] would index out of range on, or anything other than
+    /// one action mean and one value over the same state, is
     /// `InvalidData` here — not a panic on the control thread at the
     /// first decision.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
@@ -114,13 +89,60 @@ impl PolicyValue {
     }
 }
 
-/// [`PolicyValue::act_deterministic`]'s action for the actor's `mean`,
-/// for a caller serving the actor some other way.
-pub fn deterministic_action(mean: f64) -> f64 {
-    if mean.is_finite() {
-        mean.clamp(ACTION_LOW, ACTION_HIGH)
-    } else {
-        0.0
+/// A [`PolicyValue`]'s actor frozen for serving (its net column-major,
+/// `rl::nn`'s one forward kernel): what the rate controller decides
+/// through, rollouts sample and validation scores.
+#[derive(Debug)]
+pub struct Actor {
+    net: FrozenMlp,
+    log_std: f64,
+}
+
+impl Actor {
+    /// The action Gaussian's mean at `state`.
+    pub(crate) fn mean(&self, state: &[f64]) -> f64 {
+        let mut mean = [0.0];
+        self.net.forward_into(state, &mut mean);
+        mean[0]
+    }
+
+    /// Deterministic action (the mean), clipped to the action space. A
+    /// non-finite mean (diverged or corrupted weights, NaN in the state)
+    /// yields the neutral action 0.0 — `clamp` alone would pass NaN
+    /// through to the rate limiter.
+    pub fn act_deterministic(&self, state: &[f64]) -> f64 {
+        let mean = self.mean(state);
+        if mean.is_finite() {
+            mean.clamp(ACTION_LOW, ACTION_HIGH)
+        } else {
+            0.0
+        }
+    }
+
+    /// Sample an action; returns `(raw_sample, clipped_action, log_prob)`.
+    ///
+    /// `raw_sample` feeds the PPO update; `clipped_action` is what the
+    /// environment executes.
+    pub fn act_stochastic(&self, state: &[f64], rng: &mut SmallRng) -> (f64, f64, f64) {
+        let mean = self.mean(state);
+        let std = self.log_std.exp();
+        let raw = Normal::new(mean, std).expect("valid normal").sample(rng);
+        let z = (raw - mean) / std;
+        let logp = -0.5 * z * z - self.log_std - 0.5 * LN_2PI;
+        (raw, raw.clamp(ACTION_LOW, ACTION_HIGH), logp)
+    }
+}
+
+/// A [`PolicyValue`]'s critic frozen for value estimates.
+#[derive(Debug)]
+pub(crate) struct Critic(FrozenMlp);
+
+impl Critic {
+    /// State value estimate.
+    pub(crate) fn value(&self, state: &[f64]) -> f64 {
+        let mut value = [0.0];
+        self.0.forward_into(state, &mut value);
+        value[0]
     }
 }
 
@@ -135,13 +157,13 @@ mod tests {
 
     #[test]
     fn non_finite_state_yields_neutral_action() {
-        let p = pv();
+        let actor = pv().actor();
         for s in [
             [f64::NAN, 0.5],
             [0.5, f64::INFINITY],
             [f64::NEG_INFINITY, f64::NAN],
         ] {
-            let a = p.act_deterministic(&s);
+            let a = actor.act_deterministic(&s);
             assert!(a.is_finite(), "action must stay finite, got {a}");
             assert!((ACTION_LOW..=ACTION_HIGH).contains(&a));
         }
@@ -149,19 +171,19 @@ mod tests {
 
     #[test]
     fn deterministic_action_is_in_bounds() {
-        let p = pv();
+        let actor = pv().actor();
         for s in [[-5.0, 5.0], [0.0, 0.0], [100.0, -100.0]] {
-            let a = p.act_deterministic(&s);
+            let a = actor.act_deterministic(&s);
             assert!((ACTION_LOW..=ACTION_HIGH).contains(&a));
         }
     }
 
     #[test]
     fn stochastic_actions_explore() {
-        let p = pv();
+        let actor = pv().actor();
         let mut rng = SmallRng::seed_from_u64(9);
         let actions: Vec<f64> = (0..100)
-            .map(|_| p.act_stochastic(&[0.5, 0.5], &mut rng).1)
+            .map(|_| actor.act_stochastic(&[0.5, 0.5], &mut rng).1)
             .collect();
         let mean = actions.iter().sum::<f64>() / actions.len() as f64;
         let var = actions.iter().map(|a| (a - mean).powi(2)).sum::<f64>() / 100.0;
@@ -172,27 +194,19 @@ mod tests {
     }
 
     #[test]
-    fn log_prob_integrates_to_one_ish() {
-        // Riemann-sum the density over a wide interval ≈ 1.
+    fn a_sample_carries_its_gaussian_log_density() {
         let p = pv();
+        let actor = p.actor();
         let s = [0.3, 0.7];
-        let mean = p.pi.forward(&s)[0];
-        let step = 0.001;
-        let mut total = 0.0;
-        let mut x = mean - 3.0;
-        while x < mean + 3.0 {
-            total += p.log_prob(&s, x).exp() * step;
-            x += step;
+        let mean = actor.mean(&s);
+        let std = p.log_std.exp();
+        let mut rng = SmallRng::seed_from_u64(4);
+        for _ in 0..100 {
+            let (raw, _, logp) = actor.act_stochastic(&s, &mut rng);
+            let z = (raw - mean) / std;
+            let pdf = (-0.5 * z * z).exp() / (std * std::f64::consts::TAU.sqrt());
+            assert!((logp.exp() - pdf).abs() < 1e-12 * pdf.max(1.0), "at {raw}");
         }
-        assert!((total - 1.0).abs() < 0.01, "density sums to {total}");
-    }
-
-    #[test]
-    fn entropy_tracks_log_std() {
-        let mut p = pv();
-        let e1 = p.entropy();
-        p.log_std += 1.0;
-        assert!((p.entropy() - e1 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -204,8 +218,9 @@ mod tests {
         p.save(&path).unwrap();
         let q = PolicyValue::load(&path).unwrap();
         // JSON float round-trips can differ in the last ulp.
-        let da = (p.act_deterministic(&[0.2, 0.4]) - q.act_deterministic(&[0.2, 0.4])).abs();
-        let dv = (p.value(&[0.2, 0.4]) - q.value(&[0.2, 0.4])).abs();
+        let s = [0.2, 0.4];
+        let da = (p.actor().act_deterministic(&s) - q.actor().act_deterministic(&s)).abs();
+        let dv = (p.critic().value(&s) - q.critic().value(&s)).abs();
         assert!(da < 1e-12, "action drift {da}");
         assert!(dv < 1e-12, "value drift {dv}");
         std::fs::remove_file(&path).ok();

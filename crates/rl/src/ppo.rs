@@ -14,7 +14,7 @@
 //! | minibatch size | 128 |
 //! | PPO clip | 0.3 |
 
-use crate::nn::{clip_grad_norm, Adam};
+use crate::nn::{clip_grad_norm, Adam, FrozenMlp};
 use crate::policy::PolicyValue;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -168,19 +168,20 @@ impl Ppo {
     /// One training update over a batch of episodes.
     pub fn update(&mut self, episodes: &[Episode], rng: &mut SmallRng) -> UpdateStats {
         // Flatten with GAE.
+        let (actor_old, critic) = (self.model.actor(), self.model.critic());
         let mut samples = Vec::new();
         for ep in episodes {
             if ep.is_empty() {
                 continue;
             }
-            let values: Vec<f64> = ep.states.iter().map(|s| self.model.value(s)).collect();
+            let values: Vec<f64> = ep.states.iter().map(|s| critic.value(s)).collect();
             let (adv, ret) = self.gae(ep, &values);
             for t in 0..ep.len() {
                 samples.push(Sample {
                     state: ep.states[t],
                     raw: ep.raw_actions[t],
                     logp_old: ep.log_probs[t],
-                    mean_old: 0.0, // filled below (old-policy mean)
+                    mean_old: actor_old.mean(&ep.states[t]),
                     advantage: adv[t],
                     ret: ret[t],
                 });
@@ -188,10 +189,6 @@ impl Ppo {
         }
         if samples.is_empty() {
             return UpdateStats::default();
-        }
-        // Old-policy means for the KL term, captured before any SGD step.
-        for s in samples.iter_mut() {
-            s.mean_old = self.model.pi.forward(&s.state)[0];
         }
         let log_std_old = self.model.log_std;
         // Advantage normalization.
@@ -217,10 +214,13 @@ impl Ppo {
                 let mut g_logstd = 0.0;
                 let mut g_vf = vec![0.0; self.model.vf.params.len()];
                 let std_new = self.model.log_std.exp();
+                // The tapes read the weights the previous step left.
+                let pi = FrozenMlp::new(&self.model.pi);
+                let vf = FrozenMlp::new(&self.model.vf);
                 for &i in chunk {
                     let s = &samples[i];
                     // Policy forward (with tape for backprop).
-                    let (out, tape) = self.model.pi.forward_tape(&s.state);
+                    let (out, tape) = pi.forward_tape(&s.state);
                     let mean = out[0];
                     let z = (s.raw - mean) / std_new;
                     let logp = -0.5 * z * z - self.model.log_std - 0.918_938_533_204_672_7;
@@ -245,7 +245,7 @@ impl Ppo {
                     self.model.pi.backward(&tape, &[d_mean / n], &mut g_pi);
                     stats.policy_loss += -surr1.min(surr2) / n;
                     // Value function.
-                    let (vout, vtape) = self.model.vf.forward_tape(&s.state);
+                    let (vout, vtape) = vf.forward_tape(&s.state);
                     let verr = vout[0] - s.ret;
                     stats.value_loss += 0.5 * verr * verr / n;
                     self.model
@@ -264,9 +264,10 @@ impl Ppo {
         // Measure the realized KL and adapt the coefficient (RLlib rule).
         let std_new = self.model.log_std.exp();
         let s_old = log_std_old.exp();
+        let actor = self.model.actor();
         let mut kl = 0.0;
         for s in &samples {
-            let m_new = self.model.pi.forward(&s.state)[0];
+            let m_new = actor.mean(&s.state);
             let dm = s.mean_old - m_new;
             kl += (self.model.log_std - log_std_old)
                 + (s_old * s_old + dm * dm) / (2.0 * std_new * std_new)
@@ -293,6 +294,7 @@ impl Ppo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Actor;
     use rand::{Rng, SeedableRng};
 
     fn rng(seed: u64) -> SmallRng {
@@ -338,9 +340,9 @@ mod tests {
 
     /// A 1-step bandit: reward = −(action − 0.3)². PPO should move the
     /// policy mean toward 0.3.
-    fn bandit_episode(model: &PolicyValue, rng: &mut SmallRng) -> Episode {
+    fn bandit_episode(actor: &Actor, rng: &mut SmallRng) -> Episode {
         let state = [rng.gen::<f64>(), rng.gen::<f64>()];
-        let (raw, a, logp) = model.act_stochastic(&state, rng);
+        let (raw, a, logp) = actor.act_stochastic(&state, rng);
         let reward = -(a - 0.3).powi(2);
         Episode {
             states: vec![state],
@@ -366,15 +368,14 @@ mod tests {
             },
         );
         for _ in 0..60 {
-            let eps: Vec<Episode> = (0..256)
-                .map(|_| bandit_episode(&ppo.model, &mut r))
-                .collect();
+            let actor = ppo.model.actor();
+            let eps: Vec<Episode> = (0..256).map(|_| bandit_episode(&actor, &mut r)).collect();
             ppo.update(&eps, &mut r);
         }
         // The deterministic action should now be near 0.3 everywhere.
-        let mut worst: f64 = 0.0;
+        let (actor, mut worst) = (ppo.model.actor(), 0.0_f64);
         for s in [[0.1, 0.1], [0.5, 0.9], [0.9, 0.2]] {
-            let a = ppo.model.act_deterministic(&s);
+            let a = actor.act_deterministic(&s);
             worst = worst.max((a - 0.3).abs());
         }
         assert!(worst < 0.12, "bandit optimum 0.3, worst deviation {worst}");
@@ -396,10 +397,11 @@ mod tests {
             },
         );
         for _ in 0..40 {
+            let actor = ppo.model.actor();
             let eps: Vec<Episode> = (0..64)
                 .map(|_| {
                     let state = [r.gen::<f64>(), r.gen::<f64>()];
-                    let (raw, _, logp) = ppo.model.act_stochastic(&state, &mut r);
+                    let (raw, _, logp) = actor.act_stochastic(&state, &mut r);
                     Episode {
                         states: vec![state],
                         raw_actions: vec![raw],
@@ -411,7 +413,7 @@ mod tests {
                 .collect();
             ppo.update(&eps, &mut r);
         }
-        let v = ppo.model.value(&[0.5, 0.5]);
+        let v = ppo.model.critic().value(&[0.5, 0.5]);
         assert!((v - 1.0).abs() < 0.2, "value ≈1, got {v}");
     }
 
@@ -432,9 +434,8 @@ mod tests {
         );
         let c0 = ppo.kl_coeff();
         for _ in 0..5 {
-            let eps: Vec<Episode> = (0..64)
-                .map(|_| bandit_episode(&ppo.model, &mut r))
-                .collect();
+            let actor = ppo.model.actor();
+            let eps: Vec<Episode> = (0..64).map(|_| bandit_episode(&actor, &mut r)).collect();
             ppo.update(&eps, &mut r);
         }
         assert!(ppo.kl_coeff() > c0, "KL coeff should rise under big steps");
@@ -456,12 +457,11 @@ mod tests {
             let model = PolicyValue::new(2, &mut r);
             let mut ppo = Ppo::new(model, PpoConfig::fast());
             for _ in 0..3 {
-                let eps: Vec<Episode> = (0..32)
-                    .map(|_| bandit_episode(&ppo.model, &mut r))
-                    .collect();
+                let actor = ppo.model.actor();
+                let eps: Vec<Episode> = (0..32).map(|_| bandit_episode(&actor, &mut r)).collect();
                 ppo.update(&eps, &mut r);
             }
-            ppo.model.act_deterministic(&[0.4, 0.6])
+            ppo.model.actor().act_deterministic(&[0.4, 0.6])
         };
         assert_eq!(run(), run());
     }

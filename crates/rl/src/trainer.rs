@@ -9,13 +9,16 @@
 //! [`crate::cluster_env::ClusterEnv`] (the paper's "target real-world
 //! application", here the detailed cluster simulator).
 //!
-//! Collection is parallel (one worker per environment replica, fixed
-//! per-worker seeds, merged in worker order) so training is deterministic
-//! for a given seed and worker count.
+//! Collection is parallel (one [`RunPlan`] job per environment replica,
+//! fixed per-worker seeds, merged in worker order) so training is
+//! deterministic for a given seed and worker count. Rollouts and
+//! validation run the model frozen once per iteration or checkpoint
+//! ([`PolicyValue::actor`]).
 
 use crate::env::RlEnv;
-use crate::policy::PolicyValue;
-use crate::ppo::{Episode, Ppo, PpoConfig, UpdateStats};
+use crate::policy::{Actor, Critic, PolicyValue};
+use crate::ppo::{Episode, Ppo, PpoConfig};
+use cluster::runner::RunPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use simnet::rng::derive_seed;
@@ -65,7 +68,7 @@ pub struct TrainReport {
 /// Episode runner shared by training and validation.
 fn run_episode<E: RlEnv>(
     env: &mut E,
-    model: &PolicyValue,
+    (actor, critic): (&Actor, &Critic),
     rng: &mut SmallRng,
     deterministic: bool,
 ) -> Episode {
@@ -74,10 +77,10 @@ fn run_episode<E: RlEnv>(
     loop {
         ep.states.push(state);
         let (raw, action, logp) = if deterministic {
-            let a = model.act_deterministic(&state);
+            let a = actor.act_deterministic(&state);
             (a, a, 0.0)
         } else {
-            model.act_stochastic(&state, rng)
+            actor.act_stochastic(&state, rng)
         };
         let res = env.step(action, rng);
         ep.raw_actions.push(raw);
@@ -85,7 +88,7 @@ fn run_episode<E: RlEnv>(
         ep.rewards.push(res.reward);
         state = res.state;
         if res.done {
-            ep.bootstrap_value = model.value(&state);
+            ep.bootstrap_value = critic.value(&state);
             break;
         }
     }
@@ -99,11 +102,12 @@ pub fn validate<E: RlEnv>(
     episodes: usize,
     seed: u64,
 ) -> f64 {
+    let (actor, critic) = (model.actor(), model.critic());
     let mut total = 0.0;
     for i in 0..episodes {
         let mut env = make_env();
         let mut rng = SmallRng::seed_from_u64(derive_seed(seed, "validate") ^ i as u64);
-        total += run_episode(&mut env, model, &mut rng, true).total_reward();
+        total += run_episode(&mut env, (&actor, &critic), &mut rng, true).total_reward();
     }
     total / episodes.max(1) as f64
 }
@@ -150,42 +154,29 @@ impl Trainer {
         let mut best_val = f64::NEG_INFINITY;
         let mut update_rng = SmallRng::seed_from_u64(derive_seed(self.config.seed, "sgd"));
         let mut iter = 0u64;
-        #[allow(unused_assignments)]
-        let mut last_stats = UpdateStats::default();
 
         while episodes_run < self.config.episodes {
             let n = eps_per_iter.min(self.config.episodes - episodes_run).max(1);
-            // Split n episodes across workers; merge in worker order so
-            // results are independent of scheduling.
-            let model = &self.ppo.model;
-            let seed = self.config.seed;
-            let per_worker: Vec<usize> = (0..workers)
-                .map(|w| n / workers + usize::from(w < n % workers))
-                .collect();
-            let episodes: Vec<Episode> = std::thread::scope(|scope| {
-                let handles: Vec<_> = per_worker
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &count)| {
-                        let make_env = &make_env;
-                        scope.spawn(move || {
-                            let mut env = make_env();
-                            let mut rng = SmallRng::seed_from_u64(
-                                derive_seed(seed, "rollout") ^ (iter << 8) ^ w as u64,
-                            );
-                            (0..count)
-                                .map(|_| run_episode(&mut env, model, &mut rng, false))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("rollout worker"))
-                    .collect()
-            });
+            // Split n episodes across workers; the plan merges them in
+            // worker order, so results are independent of scheduling.
+            let frozen = (&self.ppo.model.actor(), &self.ppo.model.critic());
+            let (seed, make_env) = (self.config.seed, &make_env);
+            let mut plan = RunPlan::new().with_workers(workers);
+            for w in 0..workers {
+                let count = n / workers + usize::from(w < n % workers);
+                plan.submit(move || {
+                    let mut env = make_env();
+                    let mut rng = SmallRng::seed_from_u64(
+                        derive_seed(seed, "rollout") ^ (iter << 8) ^ w as u64,
+                    );
+                    (0..count)
+                        .map(|_| run_episode(&mut env, frozen, &mut rng, false))
+                        .collect::<Vec<_>>()
+                });
+            }
+            let episodes: Vec<Episode> = plan.run().into_iter().flatten().collect();
 
-            last_stats = self.ppo.update(&episodes, &mut update_rng);
+            let stats = self.ppo.update(&episodes, &mut update_rng);
             episodes_run += n;
             since_checkpoint += n;
             iter += 1;
@@ -200,7 +191,7 @@ impl Trainer {
                     self.config.validation_episodes,
                     self.config.seed,
                 );
-                history.push((episodes_run, last_stats.mean_reward_per_episode, val));
+                history.push((episodes_run, stats.mean_reward_per_episode, val));
                 if val > best_val {
                     best_val = val;
                     best_model = self.ppo.model.clone();
@@ -301,7 +292,7 @@ mod tests {
                 seed: 21,
             });
             let r = t.train(|| Toy { t: 0, s: [0.0; 2] });
-            r.final_model.act_deterministic(&[0.3, 0.3])
+            r.final_model.actor().act_deterministic(&[0.3, 0.3])
         };
         assert_eq!(run(), run());
     }
@@ -331,8 +322,9 @@ mod tests {
     fn transfer_starts_from_given_model() {
         let mut rng = SmallRng::seed_from_u64(1);
         let model = PolicyValue::new(2, &mut rng);
-        let marker = model.act_deterministic(&[0.9, 0.1]);
+        let marker = model.actor().act_deterministic(&[0.9, 0.1]);
         let trainer = Trainer::from_model(TrainerConfig::default(), model);
-        assert_eq!(trainer.ppo.model.act_deterministic(&[0.9, 0.1]), marker);
+        let actor = trainer.ppo.model.actor();
+        assert_eq!(actor.act_deterministic(&[0.9, 0.1]), marker);
     }
 }

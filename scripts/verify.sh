@@ -4,6 +4,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Where tier-1's time goes: `section NAME` ends the running section and
+# starts the next, and on exit — a pass or the first failure — a table
+# of each section's wall time and the total prints.
+marks=()
+section() { marks+=("$EPOCHREALTIME $*"); }
+print_sections() {
+  local status=$?
+  marks+=("$EPOCHREALTIME end")
+  printf '%s\n' "${marks[@]}" | awk -v status="$status" '
+    NR == 1 { t0 = $1 }
+    NR > 1 { printf "%8.1f s  %s\n", $1 - t, name }
+    { t = $1; $1 = ""; name = substr($0, 2) }
+    END { printf "%8.1f s  total (exit %d)\n", t - t0, status }'
+}
+trap print_sections EXIT
+
+section loc ratchet
+
 # ROADMAP's "net LoC should trend down", as a ratchet: the non-test
 # lines under crates/*/src may not exceed the first line of
 # scripts/loc_budget.txt, nor crates/*/src plus shims/ the second — code
@@ -26,7 +44,9 @@ done
 # --workspace matters: the repo root is itself a package, so a bare
 # `cargo build` would skip a dependency crate's binary (topfull) and
 # every smoke below would run stale code.
+section release build
 cargo build --release --workspace
+section debug tests
 cargo test -q --workspace
 # Debug tests never run `EventQueue::schedule`'s release-only clamp (a
 # time behind the clock becomes `now` — and files behind the horizon);
@@ -40,14 +60,18 @@ cargo test -q --workspace
 # computes the policy.* rows in a debug build, while every served
 # decision runs optimised code: policy_bits holds the controller to the
 # policy's bits in the build that serves.
+section release oracles
 cargo test -q --release -p simnet -p rl -p topfull
 cargo test -q --release --test policy_bits
 cargo test -q --release -p liveserve -p cluster --lib -- wire:: front::
+section clippy
 cargo clippy --workspace --all-targets -- -D warnings
+section fmt
 cargo fmt --check
 # A deleted or renamed type leaves dangling [`links`] behind in the
 # crates the control loop and its telemetry run through; rustdoc is what
 # notices.
+section rustdoc links
 RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
   cargo doc --no-deps -q -p cluster -p topfull -p liveserve -p topfull-cli -p obs
 
@@ -58,6 +82,7 @@ RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
 # output schema, no timing bounds. It is built unmodified against this
 # checkout, so a change that breaks a public call the benchmark makes
 # fails here, not in the driver.
+section benchmark --quick
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick \
   > /tmp/topfull_benchmark_quick.json \
   || { echo "benchmark --quick: a gate failed"; cat /tmp/topfull_benchmark_quick.json; exit 1; }
@@ -65,6 +90,7 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 # Live serving plane smoke: real TCP gateway + worker pool must serve a
 # short open-loop burst end to end (wall-clock, ~4s) while the telemetry
 # endpoint answers GET /metrics with valid Prometheus text exposition.
+section live smokes
 ./target/release/topfull live scenarios/live_smoke.json --duration 4 --json \
   > /tmp/topfull_live_smoke.json &
 live_pid=$!
@@ -189,6 +215,7 @@ grep -q '^# TYPE topfull_loop_stage_seconds histogram' <<<"$m2" \
 # controller, shard 1 SIGKILLed mid-run. The fleet must drain cleanly
 # (exit 0), journal the strike-out, and redistribute the dead shard's
 # quota to the survivors.
+section sharded live smoke
 ./target/release/topfull live scenarios/live_shards_smoke.json \
   --duration 4 --kill-shard 1@2 --json > /tmp/topfull_live_shards.json &
 shards_pid=$!
@@ -214,11 +241,13 @@ grep -Eq '"strike_outs": *1' /tmp/topfull_live_shards.json \
 # matrix's 12 cells), benchmark/golden.json and every deterministic
 # `figures` output — recomputed and compared with scripts/goldens.txt,
 # every moved row listed. Its comparator proves itself first.
+section goldens ledger
 scripts/goldens.sh --self-test
 scripts/goldens.sh --check
 ./target/release/topfull explain target/goldens/read_flash_crowd.w1.json | grep -q 'frontdoor' \
   || { echo "admission journal smoke: no front-door windows in read_flash_crowd's journal"; exit 1; }
 
+section artifact smokes
 # Decision-journal smoke: `topfull explain` must render the journal
 # embedded in a committed experiment artifact.
 ./target/release/topfull explain artifacts/results/multishard.json \
@@ -246,6 +275,7 @@ scripts/goldens.sh --check
 # validate without running — plain scenarios through the simulator's
 # check mode, workflow genomes through the workflow compiler, matrix
 # specs cell by cell.
+section scenario corpus
 for f in scenarios/*.json scenarios/found/*.json; do
   case "$f" in *.workflow.json) continue ;; esac
   ./target/release/topfull check "$f" > /dev/null \
@@ -279,6 +309,7 @@ rejects_typo scenarios/invalid/arm_typo.matrix.json ./target/release/topfull mat
 # shipped controller must survive it with no objective tripped (the
 # found-and-fixed corpus in scenarios/found/ is pinned by regression
 # tests instead). Exit 3 would mean the fuzzer found a new weakness.
+section fuzz smoke
 rm -rf /tmp/topfull_fuzz_a /tmp/topfull_fuzz_b
 ./target/release/topfull fuzz --seed 1 --iters 12 --out /tmp/topfull_fuzz_a --json \
   > /tmp/topfull_fuzz_a.json \
