@@ -39,7 +39,36 @@ fn push_api_list(out: &mut String, apis: &[ApiId]) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}", a.0);
+        push_digits(out, a.0, 1);
+    }
+}
+
+/// Append `n` in decimal, zero-padded to at least `width` digits.
+fn push_digits(out: &mut String, mut n: u32, width: usize) {
+    let (mut buf, mut i) = ([b'0'; 10], 10);
+    while n > 0 || 10 - i < width {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.extend(buf[i..].iter().map(|&d| d as char));
+}
+
+/// Append `v` exactly as `{v:+.3}` renders it. `core::fmt` rounds the
+/// exact binary value half to even, through a slow path for some values
+/// (±0.5 among them); scaled by 1000 below 2³¹, the product is within
+/// 2⁻²³ of exact, so away from a tie rounding it to the nearest integer
+/// picks the same digits. Near a tie `core::fmt` decides.
+fn push_action(out: &mut String, v: f64) {
+    let scaled = v.abs() * 1000.0;
+    if scaled < 2_147_483_648.0 && (scaled.fract() - 0.5).abs() > 1e-6 {
+        let n = scaled.round() as u32;
+        out.push(if v.is_sign_negative() { '-' } else { '+' });
+        push_digits(out, n / 1000, 1);
+        out.push('.');
+        push_digits(out, n % 1000, 3);
+    } else {
+        let _ = write!(out, "{v:+.3}");
     }
 }
 
@@ -144,7 +173,8 @@ impl Journaler {
         reason.push_str(prefix);
         reason.push_str(name);
         if action.is_finite() {
-            let _ = write!(reason, " action {action:+.3}");
+            reason.push_str(" action ");
+            push_action(&mut reason, action);
         } else {
             reason.push_str(" action non-finite; step dropped");
         }
@@ -218,6 +248,64 @@ mod tests {
     use super::*;
     use crate::rate_controller::{RateController, RateState, SafeRateController};
     use cluster::Controller;
+    use proptest::prelude::*;
+
+    fn rendered(v: f64) -> String {
+        let mut out = String::new();
+        push_action(&mut out, v);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// [`push_action`] against `format!("{v:+.3}")`, byte for byte,
+        /// at either sign: magnitudes from 1e-10 to 1e10 (the integer
+        /// path ends near 2.1e6), exact ties (an odd multiple of 1/16 is
+        /// an odd number of half-thousandths: 0.0625, 0.1875, 0.3125, …)
+        /// and values a few ulps either side of one.
+        #[test]
+        fn push_action_renders_like_format(
+            mantissa in 1.0f64..10.0,
+            exp in -10i32..10,
+            odd in 0u32..40_000,
+            ulps in -3i64..=3,
+            kind in 0u8..3,
+            negative in any::<bool>(),
+        ) {
+            let tie = f64::from(2 * odd + 1) / 16.0;
+            let v = match kind {
+                0 => mantissa * 10f64.powi(exp),
+                1 => tie,
+                _ => f64::from_bits(tie.to_bits().wrapping_add_signed(ulps)),
+            };
+            let v = if negative { -v } else { v };
+            prop_assert_eq!(rendered(v), format!("{v:+.3}"));
+        }
+    }
+
+    #[test]
+    fn push_action_renders_the_edges_like_format() {
+        let ties = [0.0625, 0.1875, 0.3125, 2_097_151.937_5];
+        let edges = [0.5, -0.5, 0.0, -0.0, -1e-9, 1e-9, 0.0005, 2_147_483.647];
+        let far = [
+            2_147_483.648,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        for v in ties.into_iter().chain(edges).chain(far) {
+            for v in [v, -v] {
+                assert_eq!(rendered(v), format!("{v:+.3}"), "{v:e}");
+            }
+        }
+        assert_eq!(rendered(-1e-9), "-0.000");
+        assert_eq!(rendered(0.0625), "+0.062", "half to even");
+        let mut list = String::new();
+        push_api_list(&mut list, &[ApiId(0), ApiId(12), ApiId(u32::MAX)]);
+        assert_eq!(list, "0,12,4294967295");
+    }
 
     fn journaled(cfg: TopFullConfig) -> (TopFull, Arc<obs::Journal>) {
         let mut tf = TopFull::new(cfg);

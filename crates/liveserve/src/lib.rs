@@ -26,6 +26,8 @@
 //! `core` or the policy knows whether its observations came from virtual
 //! or wall-clock time.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod clock;
 pub mod executors;
 pub mod front;

@@ -112,8 +112,11 @@ pub struct Poller {
 
 impl Poller {
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: a plain syscall on an integer flag; no memory passes.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller {
+            // SAFETY: `cvt` passed a descriptor the call above just
+            // opened, and nothing else owns it.
             ep: unsafe { OwnedFd::from_raw_fd(fd) },
             buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
         })
@@ -124,6 +127,8 @@ impl Poller {
             events: interest.mask(),
             data: token,
         };
+        // SAFETY: `ev` is a live `struct epoll_event` the kernel reads
+        // only during the call; `self.ep` is open while `self` lives.
         cvt(unsafe { epoll_ctl(self.ep.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
@@ -138,6 +143,8 @@ impl Poller {
 
     pub fn remove(&self, fd: RawFd) -> io::Result<()> {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`; `DEL` ignores `ev`, which kernels before
+        // 2.6.9 still required to be non-null.
         cvt(unsafe { epoll_ctl(self.ep.as_raw_fd(), EPOLL_CTL_DEL, fd, &mut ev) })?;
         Ok(())
     }
@@ -147,6 +154,9 @@ impl Poller {
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
         let ms = timeout.map_or(-1i32, |d| d.as_millis().min(i32::MAX as u128) as i32);
+        // SAFETY: the kernel writes at most `buf.len()` events into
+        // `buf`, which owns that many initialised `EpollEvent`s; the loop
+        // below reads only the first `n`, the ones it filled.
         let n = unsafe {
             epoll_wait(
                 self.ep.as_raw_fd(),
@@ -193,7 +203,10 @@ pub struct Waker {
 
 impl Waker {
     pub fn new() -> io::Result<Waker> {
+        // SAFETY: a plain syscall on integer arguments; no memory passes.
         let fd = cvt(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
+        // SAFETY: `cvt` passed a descriptor the call above just opened,
+        // and nothing else owns it.
         let owned = unsafe { OwnedFd::from_raw_fd(fd) };
         Ok(Waker {
             file: Arc::new(File::from(owned)),

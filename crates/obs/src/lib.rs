@@ -33,4 +33,4 @@ pub mod trace;
 pub use journal::{journal_fingerprint, to_jsonl, Journal, JournalEntry};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use slo::{ApiSloSample, SloBurnSignal, SloConfig, SloMonitor, SloSeverity, SloTick};
-pub use trace::{render_waterfall, TraceCtx, TraceEvent, TraceLog};
+pub use trace::{render_waterfall, TraceEvent, TraceLog};

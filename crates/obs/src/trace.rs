@@ -2,26 +2,21 @@
 //! served a request, and when.
 //!
 //! A client opts a request into tracing by appending a trace id to the
-//! wire line (`REQ <id> <api> [key|-] [trace]`). The gateway threads
-//! that [`TraceCtx`] through the front-door stage, the priority gate,
-//! the token bucket, the worker pool, and the reply write; each stage
-//! appends one [`TraceEvent`] to a bounded [`TraceLog`]. Events carry
-//! wall/sim seconds since process start plus a duration, so `topfull
-//! trace` can render a per-request waterfall, and the completion
-//! histogram links its latency buckets back to sampled trace ids via
-//! exemplars (`registry::Histogram::record_with_exemplar`).
+//! wire line (`REQ <id> <api> [key|-] [trace]`). The id rides the
+//! decoded request and its job as a plain `Option<u64>`, and the gateway
+//! and the worker pool append one [`TraceEvent`] per stage the request
+//! passes — front door, priority gate, token bucket, worker, reply — to
+//! a bounded [`TraceLog`]. Events carry wall/sim seconds since process
+//! start plus a duration, so `topfull trace` can render a per-request
+//! waterfall, and the completion histogram links its latency buckets
+//! back to sampled trace ids via exemplars
+//! (`registry::Histogram::record_with_exemplar`).
 //!
 //! Tracing is sampling-based by design: untraced requests pay zero cost
 //! (one `Option` check), traced ones one short mutex push per stage.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-
-/// The per-request trace context carried through the pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceCtx {
-    pub id: u64,
-}
 
 /// One stage's record for one traced request.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -23,6 +23,8 @@
 //!   checkpointing, validation-based model selection, and the two-stage
 //!   Sim2Real pipeline.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cluster_env;
 pub mod env;
 pub mod graph_env;

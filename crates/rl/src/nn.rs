@@ -18,27 +18,38 @@
 //! an [`Mlp`]: the rate controller's decisions (10.2 a tick on the
 //! 127-service demo), training rollouts and validation, value
 //! bootstraps, PPO's old-mean and KL passes, and the training tape.
-//! Input `i`'s weights to sixteen consecutive outputs are contiguous, so
-//! `acc[k] += col[k] · x[i]` over a block of sixteen sums is a run of
-//! packed multiplies and adds on baseline x86-64 SSE2, and a pass
-//! without a tape allocates nothing for the 64-wide nets. [`Mlp`]'s own
-//! row-major layout is storage only — initialisation, the optimizer, the
-//! model JSON and [`Mlp::backward`] read it, no forward pass does — so a
-//! trainer freezes its nets again after every optimizer step.
+//! Input `i`'s weights to consecutive outputs are contiguous, so
+//! `acc[k] += col[k] · x[i]` over a block of sums is a run of packed
+//! multiplies and adds, and a pass without a tape allocates nothing for
+//! the 64-wide nets. [`Mlp`]'s own row-major layout is storage only —
+//! initialisation, the optimizer, the model JSON and [`Mlp::backward`]
+//! read it, no forward pass does — so a trainer freezes its nets again
+//! after every optimizer step.
 //!
-//! The kernel reorders work *across* outputs only. Each output is still
-//! `((b + w₀x₀) + w₁x₁) + …`, its own products added to its own bias in
-//! index order: a vector lane holds one output's sum, never a share of
-//! one. So every sum goes through the same sequence of roundings as in a
-//! one-row-at-a-time loop and the result is the same to the bit — which
-//! the trained models' decisions, every golden fingerprint and the
-//! training runs' reproducibility all rest on. Splitting one output's
-//! sum into partial sums (pairwise, or lanes of a vector register),
-//! adding the bias last or fusing a multiply-add would be faster still
-//! and is not done: the roundings would differ, and every recorded
-//! policy output would move. The oracle proptest in this file pins the
-//! equality, the tape's every activation included, in `--release` as
-//! well.
+//! The kernel runs at the host's vector width. One generic block sum is
+//! compiled three times: sixteen outputs a block on baseline x86-64
+//! SSE2 (eight xmm accumulators; the only tier off x86-64), thirty-two
+//! under AVX (eight ymm), and sixty-four under AVX-512F — a committed
+//! layer's every sum in eight zmm registers. Each layer takes the widest
+//! tier `is_x86_feature_detected!` reports, so the default build runs it
+//! with no build flag, and that call is the crate's one `unsafe`.
+//!
+//! No tier moves a bit. The kernel reorders work *across* outputs only.
+//! Each output is still `((b + w₀x₀) + w₁x₁) + …`, its own products added
+//! to its own bias in index order: a vector lane holds one output's sum,
+//! never a share of one, at any width. So every sum goes through the
+//! same sequence of roundings as in a one-row-at-a-time loop and the
+//! result is the same to the bit — which the trained models' decisions,
+//! every golden fingerprint and the training runs' reproducibility all
+//! rest on. Splitting one output's sum into partial sums (pairwise, or
+//! lanes of a vector register), adding the bias last or fusing a
+//! multiply-add would be faster still and is not done: the roundings
+//! would differ, and every recorded policy output would move. AVX-512F
+//! has fused multiply-adds, but Rust never contracts `a * b + c` into
+//! one, so the zmm tier issues a multiply and an add as SSE2 does. The
+//! oracle proptest in this file pins the equality on every tier the
+//! host runs, each called directly, and through dispatch, the tape's
+//! every activation included, in `--release` as well.
 
 use rand::rngs::SmallRng;
 use rand_distr::{Distribution, Normal};
@@ -166,8 +177,9 @@ impl Mlp {
 /// scratch on the stack: the committed policies are 64 wide.
 const STACK_WIDTH: usize = 64;
 
-/// Outputs [`cols`] advances together: sixteen sums are eight SSE2
-/// registers, and the committed 64-wide layers are four such blocks.
+/// Outputs the baseline tier's [`cols`] advances together: sixteen sums
+/// are eight SSE2 registers, and the committed 64-wide layers are four
+/// such blocks. The wider tiers hold a layer in fewer, wider blocks.
 const COLS: usize = 16;
 
 /// An [`Mlp`] as every forward pass evaluates it: its weights stored
@@ -233,20 +245,71 @@ impl FrozenMlp {
     }
 }
 
-/// One layer: `out = W·prev + b` for `out.len()` columns of
-/// `prev.len()` inputs each, then — on a `hidden` layer; the output is
-/// linear — `tanh` in a pass over the finished sums.
+/// One layer: its sums on the widest tier this host runs, then — on a
+/// `hidden` layer; the output is linear — `tanh` in a pass over them.
 fn col_layer(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64], hidden: bool) {
+    let widest = TIERS.iter().take_while(|(runs, _)| !runs()).count();
+    tier_sums(widest, wt, b, prev, out);
+    if hidden {
+        out.iter_mut().for_each(|s| *s = s.tanh());
+    }
+}
+
+/// One layer's sums, `out = W·prev + b`, over the column-major weights.
+///
+/// # Safety
+///
+/// The host has every target feature the function is compiled with;
+/// past that, a tier is safe code.
+type Sums = unsafe fn(&[f64], &[f64], &[f64], &mut [f64]);
+
+/// The kernel's tiers, widest first: [`blocks`] at one width compiled
+/// for one instruction set, beside the runtime test that the host has
+/// it. The last, baseline x86-64 (or any other target), runs everywhere.
+#[cfg(target_arch = "x86_64")]
+const TIERS: [(fn() -> bool, Sums); 3] = [
+    (|| is_x86_feature_detected!("avx512f"), avx512f),
+    (|| is_x86_feature_detected!("avx"), avx),
+    (|| true, blocks::<COLS>),
+];
+#[cfg(not(target_arch = "x86_64"))]
+const TIERS: [(fn() -> bool, Sums); 1] = [(|| true, blocks::<COLS>)];
+
+/// A committed 64-wide layer's sums in eight zmm registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512f(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64]) {
+    blocks::<64>(wt, b, prev, out);
+}
+
+/// Thirty-two sums in eight ymm registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn avx(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64]) {
+    blocks::<32>(wt, b, prev, out);
+}
+
+/// A layer's sums on `TIERS[tier]`; panics if this host lacks the tier.
+fn tier_sums(tier: usize, wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64]) {
+    let (runs, sums) = TIERS[tier];
+    assert!(runs(), "kernel tier {tier}: not on this host");
+    // SAFETY: `runs` detected every target feature `sums` is compiled
+    // with, the one condition a `Sums` sets its caller.
+    unsafe { sums(wt, b, prev, out) }
+}
+
+/// `out.len()` columns of `prev.len()` inputs each: blocks of `K`
+/// outputs, then the rest one at a time. Inlined into every tier, so each
+/// copy is compiled for its tier's instruction set.
+#[inline(always)]
+fn blocks<const K: usize>(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64]) {
     let nout = out.len();
-    let blocked = nout - nout % COLS;
-    for o in (0..blocked).step_by(COLS) {
-        cols::<COLS>(&wt[o..], nout, &b[o..], prev, &mut out[o..]);
+    let blocked = nout - nout % K;
+    for o in (0..blocked).step_by(K) {
+        cols::<K>(&wt[o..], nout, &b[o..], prev, &mut out[o..]);
     }
     for o in blocked..nout {
         cols::<1>(&wt[o..], nout, &b[o..], prev, &mut out[o..]);
-    }
-    if hidden {
-        out.iter_mut().for_each(|s| *s = s.tanh());
     }
 }
 
@@ -364,9 +427,26 @@ mod tests {
         acts
     }
 
-    /// Widths astride the 16-column block and the stack scratch, plus
-    /// one above any fixed buffer.
-    const WIDTHS: [usize; 9] = [1, 2, 7, 8, 9, 63, 64, 65, 130];
+    /// `forward`'s activations with every layer's sums on `TIERS[tier]`.
+    fn tier_forward(net: &Mlp, x: &[f64], tier: usize) -> Vec<Vec<f64>> {
+        let frozen = FrozenMlp::new(net);
+        let n_layers = net.dims.len() - 1;
+        let mut acts = vec![x.to_vec()];
+        for (l, (_, nout, wt, b)) in frozen.0.layers().enumerate() {
+            let mut out = vec![0.0; nout];
+            tier_sums(tier, wt, b, &acts[l], &mut out);
+            if l + 1 < n_layers {
+                out.iter_mut().for_each(|s| *s = s.tanh());
+            }
+            acts.push(out);
+        }
+        acts
+    }
+
+    /// Widths astride each tier's block (16, 32 and 64 outputs) and the
+    /// stack scratch (64): below a block only the one-at-a-time tail
+    /// runs, and 127–129 run it after whole blocks on every tier.
+    const WIDTHS: [usize; 14] = [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129];
     const EDGES: [f64; 8] = [
         0.0,
         -0.0,
@@ -380,11 +460,12 @@ mod tests {
 
     proptest! {
         /// The frozen copy's `forward_into` and `forward_tape` — its
-        /// output and every activation it records — against the scalar
-        /// loop, by bits, over 1–4 layers of [`WIDTHS`] with params and
-        /// inputs that are mostly ordinary and sometimes [`EDGES`]. Runs
-        /// in `--release` too (`scripts/verify.sh`): only the optimised
-        /// build vectorises.
+        /// output and every activation it records — and a pass on each
+        /// kernel tier this host runs, called directly rather than
+        /// through dispatch, against the scalar loop, by bits, over 1–4
+        /// layers of [`WIDTHS`] with params and inputs that are mostly
+        /// ordinary and sometimes [`EDGES`]. Runs in `--release` too
+        /// (`scripts/verify.sh`): only the optimised build vectorises.
         #[test]
         fn kernel_matches_the_scalar_loop_bit_for_bit(
             widths in prop::collection::vec(0usize..WIDTHS.len(), 2..=5),
@@ -406,18 +487,25 @@ mod tests {
             let net = Mlp { dims, params };
             let want = scalar_forward(&net, &x);
             let (out, tape) = FrozenMlp::new(&net).forward_tape(&x);
-            let mut got = tape.act;
-            got.push(out);
-            got.push(forward(&net, &x));
-            let layers = want.len();
-            for (l, got) in got.iter().enumerate() {
-                let want = &want[l.min(layers - 1)];
-                prop_assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(want) {
-                    prop_assert!(
-                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                        "dims {:?}, pass {l}: got {g:e}, scalar loop {w:e}", net.dims
-                    );
+            let mut passes = vec![("tape".to_string(), tape.act)];
+            passes.push(("tape output".into(), vec![out]));
+            passes.push(("forward_into".into(), vec![forward(&net, &x)]));
+            for tier in (0..TIERS.len()).filter(|t| TIERS[*t].0()) {
+                passes.push((format!("tier {tier}"), tier_forward(&net, &x, tier)));
+            }
+            for (pass, acts) in &passes {
+                // A pass of one vector is the output layer alone.
+                let skip = if acts.len() == 1 { want.len() - 1 } else { 0 };
+                prop_assert_eq!(acts.len() + skip, want.len());
+                for (l, (got, want)) in acts.iter().zip(&want[skip..]).enumerate() {
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(want) {
+                        prop_assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "dims {:?}, {pass} layer {}: got {g:e}, scalar loop {w:e}",
+                            net.dims, l + skip
+                        );
+                    }
                 }
             }
         }

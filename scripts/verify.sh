@@ -52,7 +52,9 @@ cargo test -q --workspace
 # time behind the clock becomes `now` — and files behind the horizon);
 # the oracle proptest applies it itself under debug assertions. And only
 # the optimised build unrolls and vectorises `rl::nn`'s kernel and the
-# id-indexed clustering, so their bit-equality oracles run here too.
+# id-indexed clustering, so their bit-equality oracles run here too; the
+# kernel's holds each tier this host runs (SSE2, AVX, AVX-512F, picked
+# at runtime) by calling it directly, not only the one dispatch picks.
 # Likewise liveserve's in-place line tier and fmt_u64 (eight-byte loads
 # at segment edges, SWAR lanes, a 20-digit overflow that debug traps and
 # release would wrap) and the front door's keyed hash: their oracles must
