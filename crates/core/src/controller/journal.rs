@@ -39,19 +39,13 @@ fn push_api_list(out: &mut String, apis: &[ApiId]) {
         if i > 0 {
             out.push(',');
         }
-        push_digits(out, a.0, 1);
+        push_u64(out, a.0.into());
     }
 }
 
-/// Append `n` in decimal, zero-padded to at least `width` digits.
-fn push_digits(out: &mut String, mut n: u32, width: usize) {
-    let (mut buf, mut i) = ([b'0'; 10], 10);
-    while n > 0 || 10 - i < width {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-    }
-    out.extend(buf[i..].iter().map(|&d| d as char));
+/// Append `n` in decimal.
+fn push_u64(out: &mut String, n: u64) {
+    out.extend(obs::fmt_u64(&mut [0; 20], n).iter().map(|&d| char::from(d)));
 }
 
 /// Append `v` exactly as `{v:+.3}` renders it. `core::fmt` rounds the
@@ -62,11 +56,18 @@ fn push_digits(out: &mut String, mut n: u32, width: usize) {
 fn push_action(out: &mut String, v: f64) {
     let scaled = v.abs() * 1000.0;
     if scaled < 2_147_483_648.0 && (scaled.fract() - 0.5).abs() > 1e-6 {
-        let n = scaled.round() as u32;
+        let n = scaled.round() as u64;
         out.push(if v.is_sign_negative() { '-' } else { '+' });
-        push_digits(out, n / 1000, 1);
+        push_u64(out, n / 1000);
         out.push('.');
-        push_digits(out, n % 1000, 3);
+        let frac = n % 1000;
+        if frac < 100 {
+            out.push('0');
+        }
+        if frac < 10 {
+            out.push('0');
+        }
+        push_u64(out, frac);
     } else {
         let _ = write!(out, "{v:+.3}");
     }

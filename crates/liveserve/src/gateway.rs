@@ -597,7 +597,7 @@ impl EventLoop {
         while let Ok(c) = self.comp_rx.try_recv() {
             if let Some(out) = out_of(&mut self.conns, &mut self.dirty, c.token) {
                 match c.served_micros {
-                    Some(us) => wire::push_reply(out, "OK", c.id, wire::fmt_u64(&mut [0; 20], us)),
+                    Some(us) => wire::push_reply(out, "OK", c.id, obs::fmt_u64(&mut [0; 20], us)),
                     None => wire::push_reply(out, "ERR", c.id, b""),
                 }
             }

@@ -25,11 +25,13 @@
 //! (`_seconds`, `_nanoseconds`), and per-API/per-service instruments
 //! carry `api="…"` / `service="…"` labels.
 
+pub mod decimal;
 pub mod journal;
 pub mod registry;
 pub mod slo;
 pub mod trace;
 
+pub use decimal::fmt_u64;
 pub use journal::{journal_fingerprint, to_jsonl, Journal, JournalEntry};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use slo::{ApiSloSample, SloBurnSignal, SloConfig, SloMonitor, SloSeverity, SloTick};

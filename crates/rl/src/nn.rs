@@ -27,12 +27,13 @@
 //! after every optimizer step.
 //!
 //! The kernel runs at the host's vector width. One generic block sum is
-//! compiled three times: sixteen outputs a block on baseline x86-64
-//! SSE2 (eight xmm accumulators; the only tier off x86-64), thirty-two
-//! under AVX (eight ymm), and sixty-four under AVX-512F — a committed
-//! layer's every sum in eight zmm registers. Each layer takes the widest
-//! tier `is_x86_feature_detected!` reports, so the default build runs it
-//! with no build flag, and that call is the crate's one `unsafe`.
+//! compiled twice: sixteen outputs a block on baseline x86-64 SSE2
+//! (eight xmm accumulators; the only tier off x86-64), and thirty-two
+//! under AVX (eight ymm), a committed 64-wide layer in two blocks. Each
+//! layer takes the widest tier `is_x86_feature_detected!` reports, so
+//! the default build runs it with no build flag, and that call is the
+//! crate's one `unsafe`. A 64-wide tier under AVX-512F timed the control
+//! tick within noise of this one and was not kept.
 //!
 //! No tier moves a bit. The kernel reorders work *across* outputs only.
 //! Each output is still `((b + w₀x₀) + w₁x₁) + …`, its own products added
@@ -44,12 +45,12 @@
 //! rest on. Splitting one output's sum into partial sums (pairwise, or
 //! lanes of a vector register), adding the bias last or fusing a
 //! multiply-add would be faster still and is not done: the roundings
-//! would differ, and every recorded policy output would move. AVX-512F
-//! has fused multiply-adds, but Rust never contracts `a * b + c` into
-//! one, so the zmm tier issues a multiply and an add as SSE2 does. The
-//! oracle proptest in this file pins the equality on every tier the
-//! host runs, each called directly, and through dispatch, the tape's
-//! every activation included, in `--release` as well.
+//! would differ, and every recorded policy output would move. Rust never
+//! contracts `a * b + c` into a fused multiply-add, so no tier emits
+//! one, whatever the host has. The oracle proptest in this file pins the
+//! equality on every tier the host runs, each called directly, and
+//! through dispatch, the tape's every activation included, in
+//! `--release` as well.
 
 use rand::rngs::SmallRng;
 use rand_distr::{Distribution, Normal};
@@ -179,7 +180,7 @@ const STACK_WIDTH: usize = 64;
 
 /// Outputs the baseline tier's [`cols`] advances together: sixteen sums
 /// are eight SSE2 registers, and the committed 64-wide layers are four
-/// such blocks. The wider tiers hold a layer in fewer, wider blocks.
+/// such blocks. The AVX tier holds one in two blocks of thirty-two.
 const COLS: usize = 16;
 
 /// An [`Mlp`] as every forward pass evaluates it: its weights stored
@@ -267,20 +268,12 @@ type Sums = unsafe fn(&[f64], &[f64], &[f64], &mut [f64]);
 /// for one instruction set, beside the runtime test that the host has
 /// it. The last, baseline x86-64 (or any other target), runs everywhere.
 #[cfg(target_arch = "x86_64")]
-const TIERS: [(fn() -> bool, Sums); 3] = [
-    (|| is_x86_feature_detected!("avx512f"), avx512f),
+const TIERS: [(fn() -> bool, Sums); 2] = [
     (|| is_x86_feature_detected!("avx"), avx),
     (|| true, blocks::<COLS>),
 ];
 #[cfg(not(target_arch = "x86_64"))]
 const TIERS: [(fn() -> bool, Sums); 1] = [(|| true, blocks::<COLS>)];
-
-/// A committed 64-wide layer's sums in eight zmm registers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn avx512f(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64]) {
-    blocks::<64>(wt, b, prev, out);
-}
 
 /// Thirty-two sums in eight ymm registers.
 #[cfg(target_arch = "x86_64")]
@@ -443,7 +436,7 @@ mod tests {
         acts
     }
 
-    /// Widths astride each tier's block (16, 32 and 64 outputs) and the
+    /// Widths astride each tier's block (16 and 32 outputs) and the
     /// stack scratch (64): below a block only the one-at-a-time tail
     /// runs, and 127–129 run it after whole blocks on every tier.
     const WIDTHS: [usize; 14] = [1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129];

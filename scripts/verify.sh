@@ -53,9 +53,9 @@ cargo test -q --workspace
 # the oracle proptest applies it itself under debug assertions. And only
 # the optimised build unrolls and vectorises `rl::nn`'s kernel and the
 # id-indexed clustering, so their bit-equality oracles run here too; the
-# kernel's holds each tier this host runs (SSE2, AVX, AVX-512F, picked
-# at runtime) by calling it directly, not only the one dispatch picks.
-# Likewise liveserve's in-place line tier and fmt_u64 (eight-byte loads
+# kernel's holds each tier this host runs (SSE2, AVX, picked at
+# runtime) by calling it directly, not only the one dispatch picks.
+# Likewise liveserve's in-place line tier and obs::fmt_u64 (eight-byte loads
 # at segment edges, SWAR lanes, a 20-digit overflow that debug traps and
 # release would wrap) and the front door's keyed hash: their oracles must
 # hold with overflow checks off, the way they ship. The goldens ledger
@@ -65,7 +65,7 @@ cargo test -q --workspace
 section release oracles
 cargo test -q --release -p simnet -p rl -p topfull
 cargo test -q --release --test policy_bits
-cargo test -q --release -p liveserve -p cluster --lib -- wire:: front::
+cargo test -q --release -p liveserve -p cluster -p obs --lib -- wire:: front:: decimal::
 section clippy
 cargo clippy --workspace --all-targets -- -D warnings
 section fmt
