@@ -74,3 +74,14 @@ pub use types::{ApiId, BusinessPriority, RequestMeta, ServiceId};
 pub use workload::{
     ClosedLoopWorkload, OpenLoopWorkload, RateSchedule, ResponseKind, RetryStormWorkload, Workload,
 };
+
+#[cfg(test)]
+mod tests {
+    /// The workspace's dev profile optimises this crate; it must still
+    /// trap on overflow, exactly when debug assertions are on.
+    #[test]
+    fn overflow_traps_exactly_when_debug_assertions_are_on() {
+        let trapped = std::panic::catch_unwind(|| u8::MAX + std::hint::black_box(1)).is_err();
+        assert_eq!(trapped, cfg!(debug_assertions));
+    }
+}

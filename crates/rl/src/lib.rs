@@ -45,3 +45,14 @@ pub const ACTION_LOW: f64 = -0.5;
 pub const ACTION_HIGH: f64 = 0.5;
 /// State dimensionality: goodput/limit ratio and normalized tail latency.
 pub const STATE_DIM: usize = 2;
+
+#[cfg(test)]
+mod tests {
+    /// The workspace's dev profile optimises this crate; it must still
+    /// trap on overflow, exactly when debug assertions are on.
+    #[test]
+    fn overflow_traps_exactly_when_debug_assertions_are_on() {
+        let trapped = std::panic::catch_unwind(|| u8::MAX + std::hint::black_box(1)).is_err();
+        assert_eq!(trapped, cfg!(debug_assertions));
+    }
+}

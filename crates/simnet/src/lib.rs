@@ -32,3 +32,14 @@ pub use event::EventQueue;
 pub use histogram::LatencyHistogram;
 pub use time::{SimDuration, SimTime};
 pub use token_bucket::TokenBucket;
+
+#[cfg(test)]
+mod tests {
+    /// The workspace's dev profile optimises this crate; it must still
+    /// trap on overflow, exactly when debug assertions are on.
+    #[test]
+    fn overflow_traps_exactly_when_debug_assertions_are_on() {
+        let trapped = std::panic::catch_unwind(|| u8::MAX + std::hint::black_box(1)).is_err();
+        assert_eq!(trapped, cfg!(debug_assertions));
+    }
+}

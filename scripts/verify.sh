@@ -50,18 +50,21 @@ section debug tests
 cargo test -q --workspace
 # Debug tests never run `EventQueue::schedule`'s release-only clamp (a
 # time behind the clock becomes `now` — and files behind the horizon);
-# the oracle proptest applies it itself under debug assertions. And only
-# the optimised build unrolls and vectorises `rl::nn`'s kernel and the
-# id-indexed clustering, so their bit-equality oracles run here too; the
-# kernel's holds each tier this host runs (SSE2, AVX, picked at
+# the oracle proptest applies it itself under debug assertions. And
+# `rl::nn`'s kernel and the id-indexed clustering ship as opt-level 3
+# code, unrolled and vectorised, so their bit-equality oracles run here
+# too; the kernel's holds each tier this host runs (SSE2, AVX, picked at
 # runtime) by calling it directly, not only the one dispatch picks.
 # Likewise liveserve's in-place line tier and obs::fmt_u64 (eight-byte loads
 # at segment edges, SWAR lanes, a 20-digit overflow that debug traps and
 # release would wrap) and the front door's keyed hash: their oracles must
-# hold with overflow checks off, the way they ship. The goldens ledger
-# computes the policy.* rows in a debug build, while every served
-# decision runs optimised code: policy_bits holds the controller to the
-# policy's bits in the build that serves.
+# hold with overflow checks off, the way they ship. The dev profile
+# optimises rl, simnet and cluster (Cargo.toml) but keeps their debug
+# assertions and overflow checks, so this step is still the only one that
+# runs them the way the code ships. The goldens ledger computes the
+# policy.* rows in a dev build (assertions and overflow checks on), while
+# every served decision runs release code: policy_bits holds the
+# controller to the policy's bits in the build that serves.
 section release oracles
 cargo test -q --release -p simnet -p rl -p topfull
 cargo test -q --release --test policy_bits
@@ -84,7 +87,13 @@ RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
 # output schema, no timing bounds. It is built unmodified against this
 # checkout, so a change that breaks a public call the benchmark makes
 # fails here, not in the driver.
+# An unlocked build may rewrite the tracked benchmark/Cargo.lock; tier-1
+# puts it back on exit, as scripts/pairs.sh does, so a run leaves the
+# tree as it found it.
 section benchmark --quick
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'print_sections; cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --quick \
   > /tmp/topfull_benchmark_quick.json \
   || { echo "benchmark --quick: a gate failed"; cat /tmp/topfull_benchmark_quick.json; exit 1; }

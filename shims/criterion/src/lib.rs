@@ -1,7 +1,6 @@
 //! Offline shim for the subset of `criterion` this workspace uses.
 //!
-//! Provides `Criterion::bench_function`, `Criterion::benchmark_group`,
-//! `Bencher::iter`, `black_box`,
+//! Provides `Criterion::bench_function`, `Bencher::iter`, `black_box`
 //! and the `criterion_group!` / `criterion_main!` macros. Instead of
 //! criterion's statistical machinery it runs a short calibrated loop and
 //! prints mean ns/iter — enough for the repo's relative overhead
@@ -55,41 +54,6 @@ impl Criterion {
         println!("bench: {name:<40} {ns:>12.1} ns/iter ({total_iters} iters)");
         self
     }
-
-    /// Group benchmarks under a common name prefix (criterion's
-    /// `BenchmarkGroup`, minus the statistical configuration — the
-    /// shim's calibrated loop ignores sample-size hints).
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            c: self,
-            prefix: name.to_string(),
-        }
-    }
-}
-
-/// A named group of benchmarks; results print as `group/name`.
-pub struct BenchmarkGroup<'a> {
-    c: &'a mut Criterion,
-    prefix: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Accepted for source compatibility; the shim's fixed measuring
-    /// window makes sample counts moot.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{name}", self.prefix);
-        self.c.bench_function(&full, f);
-        self
-    }
-
-    pub fn finish(self) {}
 }
 
 pub struct Bencher {

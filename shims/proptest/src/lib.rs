@@ -69,22 +69,6 @@ pub trait Strategy {
     }
 }
 
-impl<S: Strategy + ?Sized> Strategy for &S {
-    type Value = S::Value;
-
-    fn sample(&self, rng: &mut TestRng) -> Self::Value {
-        (**self).sample(rng)
-    }
-}
-
-impl<S: Strategy + ?Sized> Strategy for Box<S> {
-    type Value = S::Value;
-
-    fn sample(&self, rng: &mut TestRng) -> Self::Value {
-        (**self).sample(rng)
-    }
-}
-
 /// Output of [`Strategy::prop_map`].
 pub struct Map<S, F> {
     inner: S,
@@ -100,18 +84,6 @@ where
 
     fn sample(&self, rng: &mut TestRng) -> O {
         (self.f)(self.inner.sample(rng))
-    }
-}
-
-/// Always yields a clone of the given value.
-#[derive(Clone, Debug)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-
-    fn sample(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
     }
 }
 
@@ -132,7 +104,7 @@ macro_rules! impl_range_strategy {
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_range_strategy!(u8, u32, u64, usize, i32, i64, f64);
 
 /// `any::<T>()`: the type's natural full-range strategy.
 pub fn any<T: Arbitrary>() -> AnyStrategy<T> {
@@ -164,7 +136,7 @@ macro_rules! impl_arbitrary_std {
     )*};
 }
 
-impl_arbitrary_std!(bool, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_arbitrary_std!(bool, u8, u64, usize);
 
 macro_rules! impl_tuple_strategy {
     ($(($($n:tt $s:ident),+))*) => {$(
@@ -213,12 +185,6 @@ impl From<std::ops::RangeInclusive<usize>> for SizeRange {
             lo: *r.start(),
             hi: *r.end(),
         }
-    }
-}
-
-impl From<std::ops::Range<i32>> for SizeRange {
-    fn from(r: std::ops::Range<i32>) -> Self {
-        SizeRange::from(r.start as usize..r.end as usize)
     }
 }
 
@@ -296,8 +262,7 @@ pub mod collection {
 /// `proptest::prelude`-style glob import surface.
 pub mod prelude {
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{any, prop, prop_assert, prop_assert_eq, prop_assert_ne, proptest};
-    pub use crate::{Just, Strategy};
+    pub use crate::{any, prop, prop_assert, prop_assert_eq, proptest, Strategy};
 }
 
 /// The `prop::` namespace (`prop::collection::vec(...)` etc.).
@@ -315,12 +280,6 @@ macro_rules! prop_assert {
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr) => { assert_eq!($a, $b); };
     ($a:expr, $b:expr, $($fmt:tt)*) => { assert_eq!($a, $b, $($fmt)*); };
-}
-
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => { assert_ne!($a, $b); };
-    ($a:expr, $b:expr, $($fmt:tt)*) => { assert_ne!($a, $b, $($fmt)*); };
 }
 
 /// The `proptest!` block: an optional `#![proptest_config(...)]` inner

@@ -5,21 +5,6 @@ use crate::{unit_f64, RngCore};
 /// Types that can produce samples of `T` from raw randomness.
 pub trait Distribution<T> {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
-
-    /// Iterator of samples, consuming the RNG (mirrors upstream).
-    fn sample_iter<R>(self, rng: R) -> DistIter<Self, R, T>
-    where
-        R: RngCore,
-        Self: Sized,
-    {
-        DistIter::new(self, rng)
-    }
-}
-
-impl<T, D: Distribution<T> + ?Sized> Distribution<T> for &D {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T {
-        (**self).sample(rng)
-    }
 }
 
 /// The "natural" uniform distribution: full range for integers,
@@ -38,27 +23,12 @@ macro_rules! impl_standard_int {
     )*};
 }
 
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Distribution<u128> for Standard {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u128 {
-        (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64())
-    }
-}
+impl_standard_int!(u8, u32, u64, usize);
 
 impl Distribution<f64> for Standard {
     #[inline]
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         unit_f64(rng)
-    }
-}
-
-impl Distribution<f32> for Standard {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f32 {
-        // 24 mantissa bits → uniform in [0, 1).
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 

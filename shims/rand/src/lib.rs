@@ -18,10 +18,6 @@ pub use distributions::{Distribution, Standard};
 /// Low-level uniform bit source.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Sampling conveniences over any [`RngCore`].
@@ -112,27 +108,22 @@ macro_rules! impl_int_range {
     )*};
 }
 
-impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int_range!(u8, u32, u64, usize, i32, i64);
 
-macro_rules! impl_float_range {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for std::ops::Range<$t> {
-            fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "empty gen_range");
-                self.start + (self.end - self.start) * unit_f64(rng) as $t
-            }
-        }
-        impl SampleRange<$t> for std::ops::RangeInclusive<$t> {
-            fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty gen_range");
-                lo + (hi - lo) * unit_f64(rng) as $t
-            }
-        }
-    )*};
+impl SampleRange<f64> for std::ops::Range<f64> {
+    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
+        assert!(self.start < self.end, "empty gen_range");
+        self.start + (self.end - self.start) * unit_f64(rng)
+    }
 }
 
-impl_float_range!(f32, f64);
+impl SampleRange<f64> for std::ops::RangeInclusive<f64> {
+    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
+        let (lo, hi) = (*self.start(), *self.end());
+        assert!(lo <= hi, "empty gen_range");
+        lo + (hi - lo) * unit_f64(rng)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -13,14 +13,6 @@ pub enum Error {
     BadParam,
 }
 
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid distribution parameter")
-    }
-}
-
-impl std::error::Error for Error {}
-
 #[inline]
 fn unit_open_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     // Uniform in (0, 1]: avoids ln(0) in Box–Muller / inverse-CDF.

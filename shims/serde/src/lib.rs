@@ -252,33 +252,28 @@ macro_rules! impl_serde_int {
     )*};
 }
 
-impl_serde_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_serde_int!(u8, u16, u32, u64, usize, i64);
 
-macro_rules! impl_serde_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                // serde_json renders non-finite floats as null.
-                if self.is_finite() {
-                    Value::Float(f64::from(*self))
-                } else {
-                    Value::Null
-                }
-            }
+impl Serialize for f64 {
+    fn to_value(&self) -> Value {
+        // serde_json renders non-finite floats as null.
+        if self.is_finite() {
+            Value::Float(*self)
+        } else {
+            Value::Null
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    other => Err(Error::expected("number", other)),
-                }
-            }
-        }
-    )*};
+    }
 }
 
-impl_serde_float!(f32, f64);
+impl Deserialize for f64 {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::Float(f) => Ok(*f),
+            Value::Int(i) => Ok(*i as f64),
+            other => Err(Error::expected("number", other)),
+        }
+    }
+}
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
@@ -307,18 +302,6 @@ impl Deserialize for String {
             Value::Str(s) => Ok(s.clone()),
             other => Err(Error::expected("string", other)),
         }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
     }
 }
 
@@ -358,39 +341,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(xs) => xs.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
         Value::Array(vec![self.0.to_value(), self.1.to_value()])
@@ -408,29 +358,6 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     }
 }
 
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(xs) if xs.len() == 3 => Ok((
-                A::from_value(&xs[0])?,
-                B::from_value(&xs[1])?,
-                C::from_value(&xs[2])?,
-            )),
-            other => Err(Error::expected("3-element array", other)),
-        }
-    }
-}
-
 impl<A: Serialize, B: Serialize, C: Serialize, D: Serialize> Serialize for (A, B, C, D) {
     fn to_value(&self) -> Value {
         Value::Array(vec![
@@ -439,20 +366,6 @@ impl<A: Serialize, B: Serialize, C: Serialize, D: Serialize> Serialize for (A, B
             self.2.to_value(),
             self.3.to_value(),
         ])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize, D: Deserialize> Deserialize for (A, B, C, D) {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(xs) if xs.len() == 4 => Ok((
-                A::from_value(&xs[0])?,
-                B::from_value(&xs[1])?,
-                C::from_value(&xs[2])?,
-                D::from_value(&xs[3])?,
-            )),
-            other => Err(Error::expected("4-element array", other)),
-        }
     }
 }
 
