@@ -13,7 +13,7 @@ use crate::models;
 use crate::report::{f1, ratio, Report};
 use crate::scenarios::{constant, Recipe, Roster};
 use apps::TrainTicket;
-use cluster::failure::FailureSpec;
+use cluster::FaultSpec;
 use simnet::SimTime;
 
 const RUN_SECS: u64 = 220;
@@ -32,14 +32,14 @@ pub fn recipe(seed: u64) -> Recipe {
     // workload, matching that regime.
     tt.topology.service_mut(tt.station).replicas = 35;
     tt.topology.service_mut(tt.station).pod_speed = 0.1;
-    let kill = FailureSpec {
+    let kill = FaultSpec::PodKill {
         at: SimTime::from_secs(KILL_AT),
         service: tt.station,
         pods: 25,
     };
     Recipe::open_loop(&tt.topology, constant(&tt.apis(), 600.0), seed)
         .pod_startup(POD_STARTUP)
-        .then(move |engine| engine.inject_failures(vec![kill]))
+        .then(move |engine| engine.inject_faults(vec![kill]))
 }
 
 pub fn run() -> Report {

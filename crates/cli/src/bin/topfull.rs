@@ -127,7 +127,10 @@ fn cmd_live(args: &[String], path: &str) {
     // The flags fold into the scenario's sharding spec, creating one
     // (with defaults) if the file had none.
     if shards.is_some() || kill.is_some() {
-        let spec = sc.sharding.get_or_insert_with(ShardingSpec::default);
+        let spec = sc.sharding.get_or_insert_with(|| ShardingSpec {
+            shards: 1,
+            ..ShardingSpec::default()
+        });
         spec.shards = shards.unwrap_or(spec.shards);
         spec.faults.extend(kill);
     }
@@ -171,9 +174,10 @@ fn cmd_matrix(args: &[String], path: &str) {
 }
 
 fn cmd_fuzz(args: &[String]) {
+    let defaults = fuzz::FuzzConfig::default();
     let cfg = fuzz::FuzzConfig {
-        seed: flag_value(args, "--seed").unwrap_or(1),
-        iters: flag_value(args, "--iters").unwrap_or(40),
+        seed: flag_value(args, "--seed").unwrap_or(defaults.seed),
+        iters: flag_value(args, "--iters").unwrap_or(defaults.iters),
         // Not `flag_value`: a trailing `--out` with no directory has
         // always meant the default one, not a usage error.
         out_dir: Some(
@@ -184,7 +188,7 @@ fn cmd_fuzz(args: &[String]) {
         ),
         base: flag_value::<String>(args, "--base")
             .map(|path| parse_workflow(&read_file(&path)).unwrap_or_else(|e| invalid(&path, e))),
-        ..fuzz::FuzzConfig::default()
+        ..defaults
     };
     let report = fuzz::run_fuzz(&cfg).unwrap_or_else(|e| fail(e));
     emit(args, &report, fuzz::render_fuzz);

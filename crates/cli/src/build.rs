@@ -1,17 +1,22 @@
 //! Scenario → engine/controller translation.
+//!
+//! Each tuning block's omitted keys are filled here (the `live` block's
+//! in [`crate::live`]) from the library type's `Default`; the schema
+//! states no default of its own.
 
 use crate::schema::{
     AdmissionSpec, AppSpec, AutoscalerSpec, CallSpec, ControllerSpec, FaultSpecJson,
-    ResilienceSpec, RetryBudgetSpecJson, Scenario, ShardFaultJson, ShardingSpec, WorkloadSpec,
+    ResilienceSpec, Scenario, ShardFaultJson, ShardingSpec, WorkloadSpec,
 };
 use apps::{AlibabaDemo, OnlineBoutique, TrainTicket};
 use baselines::Scheme;
 use cluster::autoscaler::{HpaConfig, VmPoolConfig};
+use cluster::front::{CoalesceConfig, PriorityConfig};
 use cluster::types::BusinessPriority;
 use cluster::{
     ApiId, BreakerConfig, CallNode, ClosedLoopWorkload, Controller, DeadlineConfig, Engine,
-    EngineConfig, NoControl, OpenLoopWorkload, RateSchedule, ResilienceConfig, RetryBudgetConfig,
-    RetryStormWorkload, ServiceId, Topology, Workload,
+    EngineConfig, NoControl, OpenLoopWorkload, RateSchedule, ResilienceConfig, RetryStormWorkload,
+    ServiceId, Topology, Workload,
 };
 use rl::policy::PolicyValue;
 use simnet::{SimDuration, SimTime};
@@ -168,18 +173,10 @@ fn build_workload(
                 SimDuration::from_millis(*retry_backoff_ms),
             );
             if let Some(b) = retry_budget {
-                w = w.with_retry_budget(retry_budget_config(b));
+                w = w.with_retry_budget(*b);
             }
             Ok(Box::new(w))
         }
-    }
-}
-
-fn retry_budget_config(b: &RetryBudgetSpecJson) -> RetryBudgetConfig {
-    RetryBudgetConfig {
-        max_tokens: b.max_tokens,
-        token_ratio: b.token_ratio,
-        retry_cost: b.retry_cost,
     }
 }
 
@@ -308,18 +305,6 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
         }
         engine.enable_hpa(hpa_config(auto));
     }
-    if !sc.failures.is_empty() {
-        let mut specs = Vec::with_capacity(sc.failures.len());
-        for f in &sc.failures {
-            let svc = service_id(engine.topology(), &f.service)?;
-            specs.push(cluster::failure::FailureSpec {
-                at: SimTime::from_secs(f.at_secs),
-                service: svc,
-                pods: f.pods,
-            });
-        }
-        engine.inject_failures(specs);
-    }
     if !sc.faults.is_empty() {
         let mut specs = Vec::with_capacity(sc.faults.len());
         for f in &sc.faults {
@@ -346,24 +331,35 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
 
 fn resilience_config(res: &ResilienceSpec) -> ResilienceConfig {
     ResilienceConfig {
-        deadlines: res.deadlines.as_ref().map(|d| DeadlineConfig {
-            budget: d.budget_ms.map(SimDuration::from_millis),
-            cancel_doomed: d.cancel_doomed,
+        deadlines: res.deadlines.as_ref().map(|d| {
+            let base = DeadlineConfig::default();
+            DeadlineConfig {
+                budget: d.budget_ms.map(SimDuration::from_millis).or(base.budget),
+                cancel_doomed: d.cancel_doomed.unwrap_or(base.cancel_doomed),
+            }
         }),
-        breakers: res.breakers.as_ref().map(|b| BreakerConfig {
-            failure_threshold: b.failure_threshold,
-            min_calls: b.min_calls,
-            open_for: SimDuration::from_millis(b.open_for_ms),
-            half_open_probes: b.half_open_probes,
+        breakers: res.breakers.as_ref().map(|b| {
+            let base = BreakerConfig::default();
+            BreakerConfig {
+                failure_threshold: b.failure_threshold.unwrap_or(base.failure_threshold),
+                min_calls: b.min_calls.unwrap_or(base.min_calls),
+                open_for: b
+                    .open_for_ms
+                    .map_or(base.open_for, SimDuration::from_millis),
+                half_open_probes: b.half_open_probes.unwrap_or(base.half_open_probes),
+            }
         }),
     }
 }
 
 fn hpa_config(auto: &AutoscalerSpec) -> HpaConfig {
+    let base = HpaConfig::default();
     HpaConfig {
-        target_utilization: auto.target_utilization,
-        sync_period: SimDuration::from_secs(auto.sync_period_secs),
-        ..HpaConfig::default()
+        target_utilization: auto.target_utilization.unwrap_or(base.target_utilization),
+        sync_period: auto
+            .sync_period_secs
+            .map_or(base.sync_period, SimDuration::from_secs),
+        ..base
     }
 }
 
@@ -387,23 +383,31 @@ pub(crate) fn front_door_config(
             let id = api_id(topo, name)?;
             key_space[id.0 as usize] = co.key_space;
         }
-        cfg.coalesce = Some(cluster::front::CoalesceConfig {
-            cache_capacity: co.cache_capacity,
-            cache_ttl: SimDuration::from_millis(co.cache_ttl_ms),
+        let base = CoalesceConfig::default();
+        cfg.coalesce = Some(CoalesceConfig {
+            cache_capacity: co.cache_capacity.unwrap_or(base.cache_capacity),
+            cache_ttl: co
+                .cache_ttl_ms
+                .map_or(base.cache_ttl, SimDuration::from_millis),
         });
     }
     if let Some(pr) = &spec.priority {
-        if pr.business_tiers == 0 || pr.user_levels == 0 {
+        let base = PriorityConfig::default();
+        let business_tiers = pr.business_tiers.map_or(base.business_tiers, u32::from);
+        let user_levels = pr.user_levels.map_or(base.user_levels, u32::from);
+        if business_tiers == 0 || user_levels == 0 {
             return Err(
                 "admission.priority.business_tiers and user_levels must be at least 1".into(),
             );
         }
-        cfg.priority = Some(cluster::front::PriorityConfig {
-            business_tiers: pr.business_tiers as u32,
-            user_levels: pr.user_levels as u32,
-            alpha: pr.alpha,
-            beta: pr.beta,
-            queuing_delay_threshold: SimDuration::from_millis(pr.queuing_delay_ms),
+        cfg.priority = Some(PriorityConfig {
+            business_tiers,
+            user_levels,
+            alpha: pr.alpha.unwrap_or(base.alpha),
+            beta: pr.beta.unwrap_or(base.beta),
+            queuing_delay_threshold: pr
+                .queuing_delay_ms
+                .map_or(base.queuing_delay_threshold, SimDuration::from_millis),
         });
     }
     if cfg.coalesce.is_none() && cfg.priority.is_none() {
@@ -420,12 +424,13 @@ pub(crate) fn sharded_config(spec: &ShardingSpec) -> Result<topfull::ShardedConf
     if spec.shards == 0 {
         return Err("sharding.shards must be at least 1".into());
     }
+    let base = topfull::ShardPlaneConfig::default();
     let plane = topfull::ShardPlaneConfig {
-        min_quantum: spec.min_quantum,
-        strike_out: spec.strike_out,
-        reentry_ticks: spec.reentry_ticks,
-        limit_ttl: spec.limit_ttl,
-        ..topfull::ShardPlaneConfig::default()
+        min_quantum: spec.min_quantum.unwrap_or(base.min_quantum),
+        strike_out: spec.strike_out.unwrap_or(base.strike_out),
+        reentry_ticks: spec.reentry_ticks.unwrap_or(base.reentry_ticks),
+        limit_ttl: spec.limit_ttl.unwrap_or(base.limit_ttl),
+        ..base
     };
     let mut faults = Vec::with_capacity(spec.faults.len());
     for f in &spec.faults {
@@ -776,14 +781,11 @@ mod tests {
         assert!(err.contains("both stages are disabled"), "{err}");
     }
 
-    /// The schema states each block's defaults for the file format; the
-    /// library states them for callers in Rust. `{}` lowered must be the
-    /// library's `Default`, field for field (`Debug` prints every field).
+    /// Each tuning block with only its required keys lowers to the
+    /// library's `Default`, field for field (`Debug` prints every field):
+    /// the schema states no default of its own.
     #[test]
-    fn an_empty_block_lowers_to_the_library_default() {
-        fn same(block: &str, lowered: &dyn std::fmt::Debug, library: &dyn std::fmt::Debug) {
-            assert_eq!(format!("{lowered:?}"), format!("{library:?}"), "{block}");
-        }
+    fn a_block_with_its_optional_keys_omitted_lowers_to_the_library_default() {
         let sc = crate::parse_scenario(
             r#"{
                 "app": {"type": "builtin", "name": "online-boutique"},
@@ -793,70 +795,76 @@ mod tests {
                 "slo": {}, "live": {}, "sharding": {"shards": 2}, "autoscaler": {}
             }"#,
         )
-        .expect("every block accepts {}");
-        let res = sc.resilience.as_ref().expect("resilience");
-        let lowered = resilience_config(res);
-        same(
-            "breakers",
-            &lowered.breakers,
-            &Some(BreakerConfig::default()),
-        );
-        same(
-            "deadlines",
-            &lowered.deadlines,
-            &Some(DeadlineConfig::default()),
-        );
-        same(
-            "retry_budget",
-            &retry_budget_config(res.retry_budget.as_ref().expect("budget")),
-            &RetryBudgetConfig::default(),
-        );
+        .expect("every block accepts its required keys alone");
+        let res = resilience_config(sc.resilience.as_ref().expect("resilience"));
         let topo = build_topology(&sc.app).expect("boutique");
         let (front, _) = front_door_config(&topo, sc.admission.as_ref().expect("admission"))
             .expect("front door lowers");
-        same(
-            "priority",
-            &front.priority,
-            &Some(cluster::front::PriorityConfig::default()),
-        );
-        same(
-            "coalesce",
-            &front.coalesce,
-            &Some(cluster::front::CoalesceConfig::default()),
-        );
-        same(
-            "slo",
-            &sc.slo.as_ref().expect("slo").to_config(),
-            &obs::SloConfig::default(),
-        );
-        same(
-            "live",
-            &crate::live::live_config(sc.live.as_ref().expect("live"), sc.slo_ms),
-            &liveserve::LiveConfig::default(),
-        );
-        same(
-            "sharding",
-            &sharded_config(sc.sharding.as_ref().expect("sharding"))
-                .expect("shards lower")
-                .plane,
-            &topfull::ShardPlaneConfig::default(),
-        );
-        same(
-            "autoscaler",
-            &hpa_config(sc.autoscaler.as_ref().expect("autoscaler")),
-            &HpaConfig::default(),
-        );
+        let live = crate::live::live_config(sc.live.as_ref().expect("live"), sc.slo_ms)
+            .expect("live lowers");
+        let plane = sharded_config(sc.sharding.as_ref().expect("sharding"))
+            .expect("shards lower")
+            .plane;
+        let hpa = hpa_config(sc.autoscaler.as_ref().expect("autoscaler"));
+        let retry_budget = sc.resilience.as_ref().and_then(|r| r.retry_budget);
+        let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        for (block, lowered, library) in [
+            ("autoscaler", debug(&hpa), debug(&HpaConfig::default())),
+            (
+                "resilience.deadlines",
+                debug(&res.deadlines),
+                debug(&Some(DeadlineConfig::default())),
+            ),
+            (
+                "resilience.retry_budget",
+                debug(&retry_budget),
+                debug(&Some(cluster::RetryBudgetConfig::default())),
+            ),
+            (
+                "resilience.breakers",
+                debug(&res.breakers),
+                debug(&Some(BreakerConfig::default())),
+            ),
+            (
+                "live",
+                debug(&live),
+                debug(&liveserve::LiveConfig::default()),
+            ),
+            (
+                "sharding",
+                debug(&plane),
+                debug(&topfull::ShardPlaneConfig::default()),
+            ),
+            (
+                "admission.coalesce",
+                debug(&front.coalesce),
+                debug(&Some(CoalesceConfig::default())),
+            ),
+            (
+                "admission.priority",
+                debug(&front.priority),
+                debug(&Some(PriorityConfig::default())),
+            ),
+            (
+                "slo",
+                debug(&sc.slo),
+                debug(&Some(obs::SloConfig::default())),
+            ),
+        ] {
+            assert_eq!(lowered, library, "{block}");
+        }
     }
 
     #[test]
-    fn failures_resolve_service_names() {
+    fn pod_kills_resolve_service_names() {
         let json = r#"{
             "app": {"type": "builtin", "name": "train-ticket"},
             "workload": {"type": "open_loop", "rates": []},
-            "failures": [{"at_secs": 10, "service": "ts-station-service", "pods": 2}]
+            "faults": [{"kind": "pod_kill", "at_secs": 10, "service": "ts-station-service",
+                        "pods": 2}]
         }"#;
         let sc = crate::parse_scenario(json).expect("parse");
-        build_scenario(&sc).expect("valid failure spec");
+        build_scenario(&sc).expect("valid pod kill");
         let bad = json.replace("ts-station-service", "ts-nope");
         let sc = crate::parse_scenario(&bad).expect("parse");
         assert!(build_scenario(&sc).is_err());

@@ -41,7 +41,7 @@ pub struct FuzzConfig {
 impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
-            seed: 1,
+            seed: crate::schema::default_seed(),
             iters: 40,
             out_dir: None,
             base: None,
@@ -119,8 +119,8 @@ pub fn render_fuzz(r: &FuzzReport) -> String {
 pub fn base_workflow() -> WorkflowSpec {
     WorkflowSpec {
         name: "fuzz-base".into(),
-        seed: 1,
-        slo_ms: 1000,
+        seed: crate::schema::default_seed(),
+        slo_ms: crate::schema::default_slo_ms(),
         app: Scenario::example().app,
         tracks: vec![TrackSpec {
             api: "get".into(),

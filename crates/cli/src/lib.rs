@@ -97,16 +97,19 @@ pub struct CheckSummary {
 
 /// Validate a scenario without running it: composition rules, the full
 /// scenario → engine build (topology, workload, controller, faults),
-/// and — when sharded — the shard-plane config. This is everything
-/// [`run_scenario`] does short of executing, so a scenario that checks
-/// clean cannot fail at the *simulator's* startup. [`run_live`] shares
-/// `preflight` and the lowering, then refuses what has no live
-/// equivalent — that half is checked only by running it.
+/// and — when present — the shard-plane and live configs. This is
+/// everything [`run_scenario`] does short of executing, so a scenario
+/// that checks clean cannot fail at the *simulator's* startup.
+/// [`run_live`] shares `preflight` and the lowering, then refuses what
+/// has no live equivalent — that half is checked only by running it.
 pub fn validate_scenario(sc: &Scenario) -> Result<CheckSummary, String> {
     preflight(sc)?;
     let built = build_scenario(sc)?;
     if let Some(spec) = &sc.sharding {
         build::sharded_config(spec)?;
+    }
+    if let Some(live) = &sc.live {
+        live::live_config(live, sc.slo_ms)?;
     }
     Ok(CheckSummary {
         services: built.engine.topology().num_services(),
@@ -148,15 +151,27 @@ mod tests {
 
     #[test]
     fn unrelated_unknown_key_lists_valid_keys_without_a_guess() {
-        let json = r#"{
-            "app": {"type": "builtin", "name": "online-boutique"},
-            "workload": {"type": "open_loop", "rates": []},
-            "zzqx": 1
-        }"#;
-        let err = parse_scenario(json).expect_err("unknown key must be rejected");
-        assert!(err.contains("unknown key 'zzqx'"), "{err}");
-        assert!(err.contains("valid keys: name, seed, "), "{err}");
-        assert!(!err.contains("did you mean"), "{err}");
+        // `failures` was the second spelling of a pod kill; a
+        // `pod_kill` entry in `faults` is the one that is left.
+        for (key, value) in [
+            ("zzqx", "1"),
+            (
+                "failures",
+                r#"[{"at_secs": 50, "service": "cartservice", "pods": 1}]"#,
+            ),
+        ] {
+            let json = format!(
+                r#"{{
+                    "app": {{"type": "builtin", "name": "online-boutique"}},
+                    "workload": {{"type": "open_loop", "rates": []}},
+                    "{key}": {value}
+                }}"#
+            );
+            let err = parse_scenario(&json).expect_err("unknown key must be rejected");
+            assert!(err.contains(&format!("unknown key '{key}'")), "{err}");
+            assert!(err.contains("valid keys: name, seed, "), "{err}");
+            assert!(!err.contains("did you mean"), "{err}");
+        }
     }
 
     #[test]

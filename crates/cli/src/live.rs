@@ -82,6 +82,7 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
         return Err("scenario duration_secs must be positive".into());
     }
     crate::preflight(sc)?;
+    let mut cfg = live_config(&sc.live.clone().unwrap_or_default(), sc.slo_ms)?;
     let topo = build_topology(&sc.app)?;
     let controller = entry_controller(&sc.controller)?.ok_or_else(|| {
         format!(
@@ -91,13 +92,11 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
         )
     })?;
     let mut ctl = ControlLoop::new(controller);
-    if let Some(slo) = &sc.slo {
-        ctl.set_slo_config(slo.to_config());
+    if let Some(slo) = sc.slo {
+        ctl.set_slo_config(slo);
     }
     let scale = duration_secs as f64 / sc.duration_secs as f64;
     let (mut closed, mut arms) = build_load(&topo, &sc.workload, scale)?;
-    let live = sc.live.clone().unwrap_or_default();
-    let mut cfg = live_config(&live, sc.slo_ms);
     if let Some(adm) = &sc.admission {
         let (front, key_spaces) = front_door_config(&topo, adm)?;
         cfg.front = Some(front);
@@ -179,18 +178,40 @@ fn sharded_live_config(
     Ok(cfg)
 }
 
-pub(crate) fn live_config(live: &LiveSpec, slo_ms: u64) -> LiveConfig {
-    LiveConfig {
-        slo: Duration::from_millis(slo_ms),
-        control_interval: Duration::from_millis(live.control_interval_ms.max(10)),
-        cpu_scale: live.cpu_scale,
-        gateway_burst_secs: live.gateway_burst_secs,
-        port: live.port,
-        metrics_port: live.metrics_port,
-        event_loops: live.event_loops,
-        max_conn_output: live.max_conn_output,
-        front: None,
+/// The `live` block lowered, each omitted key from `LiveConfig::default()`.
+/// A `cpu_scale` that is not a positive number (every burn zero: a
+/// gateway of unbounded capacity, or a panic building the stages) and a
+/// non-finite `gateway_burst_secs` (buckets of infinite tokens) are
+/// refused here, before anything binds a socket.
+pub(crate) fn live_config(live: &LiveSpec, slo_ms: u64) -> Result<LiveConfig, String> {
+    let base = LiveConfig::default();
+    let cpu_scale = live.cpu_scale.unwrap_or(base.cpu_scale);
+    if !(cpu_scale.is_finite() && cpu_scale > 0.0) {
+        return Err(format!(
+            "live.cpu_scale must be a finite number above 0, got {cpu_scale}"
+        ));
     }
+    let gateway_burst_secs = live.gateway_burst_secs.unwrap_or(base.gateway_burst_secs);
+    if !gateway_burst_secs.is_finite() {
+        return Err(format!(
+            "live.gateway_burst_secs must be finite, got {gateway_burst_secs}"
+        ));
+    }
+    Ok(LiveConfig {
+        slo: Duration::from_millis(slo_ms),
+        control_interval: live
+            .control_interval_ms
+            .map_or(base.control_interval, |ms| {
+                Duration::from_millis(ms.max(10))
+            }),
+        cpu_scale,
+        gateway_burst_secs,
+        port: live.port.unwrap_or(base.port),
+        metrics_port: live.metrics_port.unwrap_or(base.metrics_port),
+        event_loops: live.event_loops.unwrap_or(base.event_loops),
+        max_conn_output: live.max_conn_output.unwrap_or(base.max_conn_output),
+        front: None,
+    })
 }
 
 #[cfg(test)]
@@ -330,6 +351,34 @@ mod tests {
         });
         let err = run_live(&sc, 1).expect_err("dropout must be rejected live");
         assert!(err.contains("simulator-only"), "{err}");
+    }
+
+    #[test]
+    fn an_unusable_cpu_scale_or_burst_is_refused_before_binding() {
+        for (block, key) in [
+            (r#"{"cpu_scale": 0}"#, "live.cpu_scale"),
+            (r#"{"cpu_scale": -1}"#, "live.cpu_scale"),
+            (r#"{"cpu_scale": 1e999}"#, "live.cpu_scale"),
+            (
+                r#"{"gateway_burst_secs": 1e999}"#,
+                "live.gateway_burst_secs",
+            ),
+        ] {
+            let mut sc = tiny_live_scenario(
+                r#"{"type": "open_loop", "rates": [{"api": "ping", "steps": [[0, 50.0]]}]}"#,
+                r#"{"type": "none"}"#,
+            );
+            // The gateway's port is taken: an error naming the key, not
+            // a bind failure, proves the check ran first.
+            let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let mut live: LiveSpec = serde_json::from_str(block).expect("parse");
+            live.port = Some(taken.local_addr().expect("addr").port());
+            sc.live = Some(live);
+            let err = run_live(&sc, 1).expect_err(block);
+            assert!(err.starts_with(key), "{block}: {err}");
+            let err = crate::validate_scenario(&sc).expect_err(block);
+            assert!(err.starts_with(key), "{block}: {err}");
+        }
     }
 
     #[test]

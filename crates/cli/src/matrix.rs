@@ -47,16 +47,16 @@ pub struct ArmDef {
 pub struct MatrixSpec {
     #[serde(default = "default_name")]
     pub name: String,
-    #[serde(default = "crate::workflow::default_seed")]
+    #[serde(default = "crate::schema::default_seed")]
     pub seed: u64,
-    #[serde(default = "crate::workflow::default_slo_ms")]
+    #[serde(default = "crate::schema::default_slo_ms")]
     pub slo_ms: u64,
     pub app: AppSpec,
     #[serde(default)]
     pub resilience: Option<ResilienceSpec>,
     #[serde(default)]
     pub sharding: Option<ShardingSpec>,
-    #[serde(default = "crate::workflow::default_measure_from")]
+    #[serde(default = "crate::schema::default_measure_from")]
     pub measure_from_secs: u64,
     pub workloads: Vec<WorkloadDef>,
     /// Defaults to a single fault-free plan named `clean`.

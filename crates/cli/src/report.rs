@@ -80,8 +80,8 @@ pub(crate) fn execute(
 
 /// Drive `h` for the scenario's duration and summarize its timeline.
 fn run<P: SimPlane>(sc: &Scenario, h: &mut Harness<P>, api_names: &[String]) -> ScenarioOutcome {
-    if let Some(slo) = &sc.slo {
-        h.set_slo_config(slo.to_config());
+    if let Some(slo) = sc.slo {
+        h.set_slo_config(slo);
     }
     h.run_for_secs(sc.duration_secs);
     let mut out = outcome(sc, None, h.result(), h.journal(), api_names);

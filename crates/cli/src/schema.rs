@@ -4,12 +4,15 @@
 //! because a field does, and every type here is
 //! `#[serde(deny_unknown_fields)]`, so a misspelt key at any depth is a
 //! parse error naming its path and the nearest valid key — never a run
-//! with the default. A block whose keys are all optional is
-//! `#[serde(default)]` and states its defaults once, in its `Default`;
-//! a block with a required key carries per-field `default = "fn"`.
+//! with the default. A block that tunes a library type states no
+//! defaults of its own: where keys and units match, the library type is
+//! the block (`cluster::RetryBudgetConfig`, `obs::SloConfig`); where they
+//! differ, the block's keys are `Option`s and the one lowering in
+//! [`crate::build`] fills each omitted key from the library `Default`.
 //! Minimal scenarios stay minimal; [`Scenario::example`] emits a
 //! populated one for `topfull example`.
 
+use cluster::EngineConfig;
 use serde::{Deserialize, Serialize};
 
 /// Top-level scenario.
@@ -25,7 +28,8 @@ pub struct Scenario {
     /// Simulated duration in seconds.
     #[serde(default = "default_duration")]
     pub duration_secs: u64,
-    /// Latency SLO in milliseconds (default 1000, the paper's).
+    /// Latency SLO in milliseconds (default: the engine's, the paper's
+    /// 1 s).
     #[serde(default = "default_slo_ms")]
     pub slo_ms: u64,
     /// The application: inline services+apis, or a named benchmark.
@@ -35,10 +39,8 @@ pub struct Scenario {
     pub controller: ControllerSpec,
     #[serde(default)]
     pub autoscaler: Option<AutoscalerSpec>,
-    #[serde(default)]
-    pub failures: Vec<FailureSpec>,
-    /// Gray-failure fault schedule (slow pods, lossy links, degraded
-    /// telemetry, controller stalls).
+    /// Fault schedule: pod kills and gray failures (slow pods, lossy
+    /// links, degraded telemetry, controller stalls).
     #[serde(default)]
     pub faults: Vec<FaultSpecJson>,
     /// Request-plane resilience: deadlines, retry budgets, breakers.
@@ -59,7 +61,7 @@ pub struct Scenario {
     /// runs (with Google-SRE defaults when omitted); this block adjusts
     /// the objective and alert thresholds.
     #[serde(default)]
-    pub slo: Option<SloSpec>,
+    pub slo: Option<obs::SloConfig>,
     #[serde(default)]
     pub report: ReportSpec,
 }
@@ -67,14 +69,18 @@ pub struct Scenario {
 fn default_name() -> String {
     "scenario".into()
 }
-fn default_seed() -> u64 {
-    1
-}
 fn default_duration() -> u64 {
     120
 }
-fn default_slo_ms() -> u64 {
-    1000
+// One default each for the scenario, workflow and matrix formats.
+pub(crate) fn default_seed() -> u64 {
+    EngineConfig::default().seed
+}
+pub(crate) fn default_slo_ms() -> u64 {
+    EngineConfig::default().slo.as_nanos() / 1_000_000
+}
+pub(crate) fn default_measure_from() -> u64 {
+    30
 }
 
 /// Application definition.
@@ -226,28 +232,19 @@ fn default_true() -> bool {
     true
 }
 fn default_alpha() -> f64 {
-    0.05
+    cluster::front::PriorityConfig::default().alpha
 }
 
-/// HPA + optional VM pool.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// HPA + optional VM pool: JSON form of [`cluster::autoscaler::HpaConfig`];
+/// an omitted key takes `HpaConfig::default()` (`EngineConfig::default()`
+/// for `pod_startup_secs`).
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct AutoscalerSpec {
-    pub target_utilization: f64,
-    pub sync_period_secs: u64,
+    pub target_utilization: Option<f64>,
+    pub sync_period_secs: Option<u64>,
     pub pod_startup_secs: Option<u64>,
     pub vm_pool: Option<VmPoolSpec>,
-}
-
-impl Default for AutoscalerSpec {
-    fn default() -> Self {
-        AutoscalerSpec {
-            target_utilization: 0.7,
-            sync_period_secs: 15,
-            pod_startup_secs: None,
-            vm_pool: None,
-        }
-    }
 }
 
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -259,22 +256,13 @@ pub struct VmPoolSpec {
     pub vm_startup_secs: u64,
 }
 
-/// Kill `pods` pods of `service` at `at_secs`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct FailureSpec {
-    pub at_secs: u64,
-    pub service: String,
-    pub pods: u32,
-}
-
 /// One scheduled gray-failure fault (JSON form of
 /// [`cluster::FaultSpec`]; windows are `[from_secs, until_secs)`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum FaultSpecJson {
-    /// Kill `pods` pods of `service` at `at_secs` (same effect as an
-    /// entry in `failures`, schedulable alongside the gray faults).
+    /// Kill `pods` ready pods of `service` at `at_secs`; replacements
+    /// become ready after the pod startup delay (the Fig. 18 mechanism).
     PodKill {
         at_secs: u64,
         service: String,
@@ -333,168 +321,88 @@ pub struct ResilienceSpec {
     pub deadlines: Option<DeadlineSpecJson>,
     /// Client-side adaptive retry budget (requires the `retry_storm`
     /// workload, which owns the retrying clients).
-    pub retry_budget: Option<RetryBudgetSpecJson>,
+    pub retry_budget: Option<cluster::RetryBudgetConfig>,
     /// Per-downstream-edge circuit breakers.
     pub breakers: Option<BreakerSpecJson>,
 }
 
-/// Deadline policy (JSON form of [`cluster::DeadlineConfig`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Deadline policy: JSON form of [`cluster::DeadlineConfig`]; an omitted
+/// key takes `DeadlineConfig::default()`.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct DeadlineSpecJson {
     /// Per-request budget in ms; omitted = client timeout, else the SLO.
     pub budget_ms: Option<u64>,
     /// Skip queued work for cancelled requests and tear down the
     /// in-flight subtree when the client timeout fires.
-    pub cancel_doomed: bool,
+    pub cancel_doomed: Option<bool>,
 }
 
-impl Default for DeadlineSpecJson {
-    fn default() -> Self {
-        DeadlineSpecJson {
-            budget_ms: None,
-            cancel_doomed: true,
-        }
-    }
-}
-
-/// Retry budget tuning (JSON form of [`cluster::RetryBudgetConfig`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(default, deny_unknown_fields)]
-pub struct RetryBudgetSpecJson {
-    pub max_tokens: f64,
-    pub token_ratio: f64,
-    pub retry_cost: f64,
-}
-
-impl Default for RetryBudgetSpecJson {
-    fn default() -> Self {
-        RetryBudgetSpecJson {
-            max_tokens: 100.0,
-            token_ratio: 0.1,
-            retry_cost: 1.0,
-        }
-    }
-}
-
-/// Circuit-breaker tuning (JSON form of [`cluster::BreakerConfig`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Circuit-breaker tuning: JSON form of [`cluster::BreakerConfig`]; an
+/// omitted key takes `BreakerConfig::default()`.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct BreakerSpecJson {
-    pub failure_threshold: f64,
-    pub min_calls: u32,
-    pub open_for_ms: u64,
-    pub half_open_probes: u32,
+    pub failure_threshold: Option<f64>,
+    pub min_calls: Option<u32>,
+    pub open_for_ms: Option<u64>,
+    pub half_open_probes: Option<u32>,
 }
 
-impl Default for BreakerSpecJson {
-    fn default() -> Self {
-        BreakerSpecJson {
-            failure_threshold: 0.5,
-            min_calls: 20,
-            open_for_ms: 2000,
-            half_open_probes: 5,
-        }
-    }
-}
-
-/// Live-plane (`topfull live`) tuning. The simulated scenario's
-/// topology, workload shape, controller and SLO carry over unchanged;
-/// these knobs only exist because wall-clock capacity depends on the
-/// host.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Live-plane (`topfull live`) tuning: JSON form of
+/// [`liveserve::LiveConfig`]; an omitted key takes `LiveConfig::default()`.
+/// The simulated scenario's topology, workload shape, controller and SLO
+/// carry over unchanged; these knobs only exist because wall-clock
+/// capacity depends on the host.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct LiveSpec {
     /// Multiplier on every call's CPU cost; live capacity scales as
     /// `1 / cpu_scale`, letting one host emulate a larger cluster.
-    pub cpu_scale: f64,
-    /// Controller tick period in milliseconds.
-    pub control_interval_ms: u64,
+    pub cpu_scale: Option<f64>,
+    /// Controller tick period in milliseconds (at least 10).
+    pub control_interval_ms: Option<u64>,
     /// Gateway token-bucket burst window, in seconds of the current rate.
-    pub gateway_burst_secs: f64,
+    pub gateway_burst_secs: Option<f64>,
     /// Loopback TCP port; 0 = ephemeral.
-    pub port: u16,
+    pub port: Option<u16>,
     /// Loopback TCP port of the HTTP exposition endpoint
     /// (`GET /metrics`, `GET /trace`); 0 = ephemeral.
-    pub metrics_port: u16,
+    pub metrics_port: Option<u16>,
     /// Gateway event loops; 0 = one per core (capped at 8).
-    pub event_loops: usize,
+    pub event_loops: Option<usize>,
     /// Per-connection pending-output cap in bytes; a peer that stops
     /// reading its replies is paused, then dropped past this.
-    pub max_conn_output: usize,
-}
-
-impl Default for LiveSpec {
-    fn default() -> Self {
-        LiveSpec {
-            cpu_scale: 1.0,
-            control_interval_ms: 200,
-            gateway_burst_secs: 0.05,
-            port: 0,
-            metrics_port: 0,
-            event_loops: 0,
-            max_conn_output: 1 << 20,
-        }
-    }
+    pub max_conn_output: Option<usize>,
 }
 
 /// Sharded control plane: N gateway shards feed one logical TopFull
 /// controller; the aggregated limits are split back per shard by
 /// observed arrival share. Applies to both the simulator (virtual
-/// shards over one engine) and `topfull live` (N real gateways).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// shards over one engine) and `topfull live` (N real gateways). JSON
+/// form of `topfull::ShardedConfig`; an omitted tuning key takes
+/// `ShardPlaneConfig::default()`.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ShardingSpec {
     /// Number of gateway shards (≥ 1).
     pub shards: usize,
     /// Client-affinity weights, one per shard (uniform when omitted).
     /// Simulator only; live shards always split uniformly.
-    #[serde(default)]
     pub weights: Option<Vec<f64>>,
     /// Minimum per-shard quota (rps) so cold shards can still probe.
-    #[serde(default = "default_min_quantum")]
-    pub min_quantum: f64,
+    pub min_quantum: Option<f64>,
     /// Consecutive missed reports before a shard is declared dead and
     /// its quota redistributed.
-    #[serde(default = "default_strike_out")]
-    pub strike_out: u32,
+    pub strike_out: Option<u32>,
     /// Ticks of ramped re-entry after a dead shard returns.
-    #[serde(default = "default_reentry_ticks")]
-    pub reentry_ticks: u32,
+    pub reentry_ticks: Option<u32>,
     /// Ticks a shard holds last-good limits without controller contact
     /// before decaying into its local MIMD fallback.
-    #[serde(default = "default_limit_ttl")]
-    pub limit_ttl: u32,
+    pub limit_ttl: Option<u32>,
     /// Scheduled shard-plane faults.
     #[serde(default)]
     pub faults: Vec<ShardFaultJson>,
-}
-
-impl Default for ShardingSpec {
-    fn default() -> Self {
-        ShardingSpec {
-            shards: 1,
-            weights: None,
-            min_quantum: default_min_quantum(),
-            strike_out: default_strike_out(),
-            reentry_ticks: default_reentry_ticks(),
-            limit_ttl: default_limit_ttl(),
-            faults: vec![],
-        }
-    }
-}
-
-fn default_min_quantum() -> f64 {
-    1.0
-}
-fn default_strike_out() -> u32 {
-    3
-}
-fn default_reentry_ticks() -> u32 {
-    5
-}
-fn default_limit_ttl() -> u32 {
-    5
 }
 
 /// One scheduled shard-plane fault (JSON form of
@@ -531,8 +439,9 @@ pub struct AdmissionSpec {
     pub priority: Option<PrioritySpec>,
 }
 
-/// Coalescing stage tuning (JSON form of [`cluster::front`]'s
-/// `CoalesceConfig` plus the per-API key spaces).
+/// Coalescing stage tuning: JSON form of [`cluster::front`]'s
+/// `CoalesceConfig` plus the per-API key spaces; an omitted cache key
+/// takes `CoalesceConfig::default()`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct CoalesceSpec {
@@ -544,93 +453,30 @@ pub struct CoalesceSpec {
     pub key_space: u64,
     /// Response-cache capacity in entries; 0 disables caching but keeps
     /// single-flight leader election.
-    #[serde(default = "default_cache_capacity")]
-    pub cache_capacity: usize,
+    pub cache_capacity: Option<usize>,
     /// Response-cache entry TTL in milliseconds.
-    #[serde(default = "default_cache_ttl_ms")]
-    pub cache_ttl_ms: u64,
+    pub cache_ttl_ms: Option<u64>,
 }
 
 fn default_key_space() -> u64 {
     64
 }
-fn default_cache_capacity() -> usize {
-    1024
-}
-fn default_cache_ttl_ms() -> u64 {
-    500
-}
 
-/// Priority-gate tuning (JSON form of [`cluster::front`]'s
-/// `PriorityConfig`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Priority-gate tuning: JSON form of [`cluster::front`]'s
+/// `PriorityConfig`; an omitted key takes `PriorityConfig::default()`.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct PrioritySpec {
     /// Business tiers (level = business * user_levels + user).
-    pub business_tiers: u8,
+    pub business_tiers: Option<u8>,
     /// User sub-levels within each business tier.
-    pub user_levels: u8,
+    pub user_levels: Option<u8>,
     /// Target shed fraction under overload (DAGOR's alpha).
-    pub alpha: f64,
+    pub alpha: Option<f64>,
     /// Recovery fraction per non-overloaded window (DAGOR's beta).
-    pub beta: f64,
+    pub beta: Option<f64>,
     /// Mean queuing delay above which a window counts as overloaded.
-    pub queuing_delay_ms: u64,
-}
-
-impl Default for PrioritySpec {
-    fn default() -> Self {
-        PrioritySpec {
-            business_tiers: 8,
-            user_levels: 128,
-            alpha: 0.05,
-            beta: 0.01,
-            queuing_delay_ms: 20,
-        }
-    }
-}
-
-/// SLO burn-rate monitor tuning (JSON form of [`obs::SloConfig`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(default, deny_unknown_fields)]
-pub struct SloSpec {
-    /// Fraction of requests that must be good, e.g. `0.999` tolerates
-    /// 0.1% bad before the error budget is exhausted.
-    pub objective: f64,
-    /// Fast `(short, long)` alert window pair in seconds; paging
-    /// requires both to burn past `page_burn`.
-    pub fast_windows_secs: (f64, f64),
-    /// Slow `(short, long)` window pair in seconds (ticket severity).
-    pub slow_windows_secs: (f64, f64),
-    /// Burn-rate multiple that pages on the fast pair.
-    pub page_burn: f64,
-    /// Burn-rate multiple that tickets on the slow pair.
-    pub ticket_burn: f64,
-}
-
-impl Default for SloSpec {
-    fn default() -> Self {
-        SloSpec {
-            objective: 0.999,
-            fast_windows_secs: (5.0, 60.0),
-            slow_windows_secs: (30.0, 360.0),
-            page_burn: 14.4,
-            ticket_burn: 6.0,
-        }
-    }
-}
-
-impl SloSpec {
-    /// Translate into the monitor's config.
-    pub(crate) fn to_config(&self) -> obs::SloConfig {
-        obs::SloConfig {
-            objective: self.objective,
-            fast_windows: self.fast_windows_secs,
-            slow_windows: self.slow_windows_secs,
-            page_burn: self.page_burn,
-            ticket_burn: self.ticket_burn,
-        }
-    }
+    pub queuing_delay_ms: Option<u64>,
 }
 
 /// Output options.
@@ -646,7 +492,7 @@ pub struct ReportSpec {
 impl Default for ReportSpec {
     fn default() -> Self {
         ReportSpec {
-            measure_from_secs: 30,
+            measure_from_secs: default_measure_from(),
             timeline: false,
         }
     }
@@ -706,19 +552,18 @@ impl Scenario {
                 hardened: false,
             },
             autoscaler: None,
-            failures: vec![],
             faults: vec![],
             resilience: Some(ResilienceSpec {
                 deadlines: Some(DeadlineSpecJson {
                     budget_ms: None,
-                    cancel_doomed: true,
+                    cancel_doomed: Some(true),
                 }),
                 retry_budget: None,
                 breakers: Some(BreakerSpecJson {
-                    failure_threshold: 0.5,
-                    min_calls: 20,
-                    open_for_ms: 2000,
-                    half_open_probes: 5,
+                    failure_threshold: Some(0.5),
+                    min_calls: Some(20),
+                    open_for_ms: Some(2000),
+                    half_open_probes: Some(5),
                 }),
             }),
             live: None,
@@ -765,7 +610,7 @@ mod tests {
         assert_eq!(sc.seed, 1);
         assert_eq!(sc.duration_secs, 120);
         assert!(matches!(sc.controller, ControllerSpec::None));
-        assert!(sc.failures.is_empty());
+        assert!(sc.faults.is_empty());
     }
 
     #[test]
@@ -796,25 +641,23 @@ mod tests {
         let co = spec.coalesce.expect("coalesce");
         assert_eq!(co.apis, vec!["get".to_string()]);
         assert_eq!(co.key_space, 64);
-        assert_eq!(co.cache_capacity, 1024);
-        assert_eq!(co.cache_ttl_ms, 500);
+        assert_eq!(co.cache_capacity, None);
         let pr = spec.priority.expect("priority");
-        assert_eq!(pr.alpha, 0.1);
-        assert_eq!(pr.business_tiers, 8);
-        assert_eq!(pr.user_levels, 128);
-        assert_eq!(pr.queuing_delay_ms, 20);
+        assert_eq!(pr.alpha, Some(0.1));
+        assert_eq!(pr.business_tiers, None);
     }
 
     #[test]
-    fn slo_spec_parses_with_sre_defaults() {
-        let spec: SloSpec = serde_json::from_str(r#"{"objective": 0.99}"#).expect("slo parse");
-        assert_eq!(spec.objective, 0.99);
-        assert_eq!(spec.fast_windows_secs, (5.0, 60.0));
-        assert_eq!(spec.slow_windows_secs, (30.0, 360.0));
-        assert_eq!(spec.page_burn, 14.4);
-        assert_eq!(spec.ticket_burn, 6.0);
-        let cfg = spec.to_config();
-        assert_eq!(cfg.objective, 0.99);
+    fn slo_block_parses_with_sre_defaults() {
+        let cfg: obs::SloConfig =
+            serde_json::from_str(r#"{"objective": 0.99}"#).expect("slo parse");
+        assert_eq!(
+            cfg,
+            obs::SloConfig {
+                objective: 0.99,
+                ..obs::SloConfig::default()
+            }
+        );
         assert!((cfg.budget() - 0.01).abs() < 1e-12);
     }
 

@@ -251,9 +251,9 @@ impl TrackSpec {
 pub struct WorkflowSpec {
     #[serde(default = "default_name")]
     pub name: String,
-    #[serde(default = "default_seed")]
+    #[serde(default = "crate::schema::default_seed")]
     pub seed: u64,
-    #[serde(default = "default_slo_ms")]
+    #[serde(default = "crate::schema::default_slo_ms")]
     pub slo_ms: u64,
     pub app: AppSpec,
     pub tracks: Vec<TrackSpec>,
@@ -265,21 +265,12 @@ pub struct WorkflowSpec {
     pub resilience: Option<ResilienceSpec>,
     #[serde(default)]
     pub sharding: Option<ShardingSpec>,
-    #[serde(default = "default_measure_from")]
+    #[serde(default = "crate::schema::default_measure_from")]
     pub measure_from_secs: u64,
 }
 
 fn default_name() -> String {
     "workflow".into()
-}
-pub(crate) fn default_seed() -> u64 {
-    1
-}
-pub(crate) fn default_slo_ms() -> u64 {
-    1000
-}
-pub(crate) fn default_measure_from() -> u64 {
-    30
 }
 
 impl WorkflowSpec {
@@ -376,7 +367,6 @@ impl WorkflowSpec {
             },
             controller: self.controller.clone(),
             autoscaler: None,
-            failures: vec![],
             faults: self.faults.clone(),
             resilience: self.resilience.clone(),
             live: None,

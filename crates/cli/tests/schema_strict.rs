@@ -200,18 +200,18 @@ fn full_resilience() -> ResilienceSpec {
     ResilienceSpec {
         deadlines: Some(DeadlineSpecJson {
             budget_ms: Some(800),
-            cancel_doomed: true,
+            cancel_doomed: Some(true),
         }),
-        retry_budget: Some(RetryBudgetSpecJson {
+        retry_budget: Some(cluster::RetryBudgetConfig {
             max_tokens: 50.0,
             token_ratio: 0.2,
             retry_cost: 1.0,
         }),
         breakers: Some(BreakerSpecJson {
-            failure_threshold: 0.4,
-            min_calls: 10,
-            open_for_ms: 1000,
-            half_open_probes: 3,
+            failure_threshold: Some(0.4),
+            min_calls: Some(10),
+            open_for_ms: Some(1000),
+            half_open_probes: Some(3),
         }),
     }
 }
@@ -220,10 +220,10 @@ fn full_sharding() -> ShardingSpec {
     ShardingSpec {
         shards: 3,
         weights: Some(vec![0.5, 0.3, 0.2]),
-        min_quantum: 1.0,
-        strike_out: 3,
-        reentry_ticks: 5,
-        limit_ttl: 5,
+        min_quantum: Some(1.0),
+        strike_out: Some(3),
+        reentry_ticks: Some(5),
+        limit_ttl: Some(5),
         faults: vec![
             ShardFaultJson::Dropout {
                 shard: 0,
@@ -267,8 +267,8 @@ fn full_scenario() -> Scenario {
         },
         controller: topfull_arm(),
         autoscaler: Some(AutoscalerSpec {
-            target_utilization: 0.6,
-            sync_period_secs: 10,
+            target_utilization: Some(0.6),
+            sync_period_secs: Some(10),
             pod_startup_secs: Some(5),
             vm_pool: Some(VmPoolSpec {
                 vcpus_per_vm: 4,
@@ -277,39 +277,34 @@ fn full_scenario() -> Scenario {
                 vm_startup_secs: 30,
             }),
         }),
-        failures: vec![FailureSpec {
-            at_secs: 10,
-            service: "backend".into(),
-            pods: 1,
-        }],
         faults: every_fault(),
         resilience: Some(full_resilience()),
         live: Some(LiveSpec {
-            cpu_scale: 2.0,
-            control_interval_ms: 100,
-            gateway_burst_secs: 0.1,
-            port: 19001,
-            metrics_port: 19002,
-            event_loops: 1,
-            max_conn_output: 4096,
+            cpu_scale: Some(2.0),
+            control_interval_ms: Some(100),
+            gateway_burst_secs: Some(0.1),
+            port: Some(19001),
+            metrics_port: Some(19002),
+            event_loops: Some(1),
+            max_conn_output: Some(4096),
         }),
         sharding: Some(full_sharding()),
         admission: Some(AdmissionSpec {
             coalesce: Some(CoalesceSpec {
                 apis: vec!["get".into()],
                 key_space: 32,
-                cache_capacity: 128,
-                cache_ttl_ms: 250,
+                cache_capacity: Some(128),
+                cache_ttl_ms: Some(250),
             }),
             priority: Some(PrioritySpec {
-                business_tiers: 4,
-                user_levels: 16,
-                alpha: 0.1,
-                beta: 0.02,
-                queuing_delay_ms: 10,
+                business_tiers: Some(4),
+                user_levels: Some(16),
+                alpha: Some(0.1),
+                beta: Some(0.02),
+                queuing_delay_ms: Some(10),
             }),
         }),
-        slo: Some(SloSpec {
+        slo: Some(obs::SloConfig {
             objective: 0.99,
             fast_windows_secs: (5.0, 60.0),
             slow_windows_secs: (30.0, 360.0),

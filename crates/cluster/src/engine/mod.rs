@@ -59,7 +59,7 @@ pub use metrics::ApiTotals;
 use crate::admission::AdmissionControl;
 use crate::autoscaler::{Hpa, HpaConfig, VmPool, VmPoolConfig};
 use crate::entry_admission::EntryAdmission;
-use crate::failure::{CrashLoopConfig, FailureSpec};
+use crate::failure::CrashLoopConfig;
 use crate::faults::FaultSpec;
 use crate::front::{FrontConfig, FrontDoor};
 use crate::observe::ClusterObservation;
@@ -206,7 +206,9 @@ pub struct Engine {
     planes: Planes,
     hpa: Option<Hpa>,
     vm_pool: VmPool,
-    failures: Vec<FailureSpec>,
+    /// Scheduled pod kills, `(service, pods)`, indexed by
+    /// `Ev::InjectFailure`.
+    kills: Vec<(ServiceId, u32)>,
     /// Front-door admission plane (coalescing + priority), when enabled.
     front: Option<FrontState>,
     /// One flattened call tree per `(api, path)`, shared by every
@@ -297,7 +299,7 @@ impl Engine {
             planes,
             hpa: None,
             vm_pool,
-            failures: Vec::new(),
+            kills: Vec::new(),
             front: None,
             templates,
             api_templates,
@@ -402,24 +404,16 @@ impl Engine {
         self.vm_pool = pool;
     }
 
-    /// Schedule pod-kill failures.
-    pub fn inject_failures(&mut self, specs: Vec<FailureSpec>) {
-        for spec in specs {
-            let idx = self.failures.len();
-            self.failures.push(spec);
-            self.queue
-                .schedule(spec.at.max(self.now()), Ev::InjectFailure(idx));
-        }
-    }
-
-    /// Install a schedule of [`FaultSpec`]s (the gray-failure fault
-    /// plane). Pod kills route through the existing failure path; all
-    /// other faults are evaluated per event from their own RNG fork, so
-    /// the base simulation streams are unperturbed.
+    /// Install a schedule of [`FaultSpec`]s. Pod kills are events on the
+    /// queue; all other faults (the gray-failure fault plane) are
+    /// evaluated per event from their own RNG fork, so the base
+    /// simulation streams are unperturbed.
     pub fn inject_faults(&mut self, specs: Vec<FaultSpec>) {
-        let kills = self.planes.faults.add(specs);
-        if !kills.is_empty() {
-            self.inject_failures(kills);
+        for (at, service, pods) in self.planes.faults.add(specs) {
+            self.kills.push((service, pods));
+            let idx = self.kills.len() - 1;
+            self.queue
+                .schedule(at.max(self.now()), Ev::InjectFailure(idx));
         }
     }
 

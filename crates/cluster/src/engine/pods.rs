@@ -373,13 +373,12 @@ impl Engine {
     }
 
     pub(super) fn on_inject_failure(&mut self, now: SimTime, idx: usize) {
-        let spec = self.failures[idx];
-        let sid = spec.service;
-        // Kill up to `spec.pods` ready pods (k8s will recreate them to
+        let (sid, pods) = self.kills[idx];
+        // Kill up to `pods` ready pods (k8s will recreate them to
         // maintain the desired count, after pod startup).
         let mut killed = 0;
         for pi in 0..self.services[sid.idx()].pods.len() {
-            if killed == spec.pods {
+            if killed == pods {
                 break;
             }
             if self.services[sid.idx()].pods[pi].is_ready() {

@@ -4,7 +4,7 @@ mod core {
     use crate::autoscaler::{HpaConfig, VmPoolConfig};
     use crate::engine::lifecycle::sample_weighted;
     use crate::engine::{Engine, EngineConfig};
-    use crate::failure::FailureSpec;
+    use crate::faults::FaultSpec;
     use crate::resilience::{BreakerConfig, DeadlineConfig, ResilienceConfig, ResilienceStats};
     use crate::topology::{ApiSpec, CallNode, ServiceSpec, Topology};
     use crate::types::{ApiId, ServiceId};
@@ -201,7 +201,7 @@ mod core {
             },
             Box::new(w),
         );
-        e.inject_failures(vec![FailureSpec {
+        e.inject_faults(vec![FaultSpec::PodKill {
             at: SimTime::from_secs(10),
             service: s,
             pods: 7,

@@ -5,9 +5,9 @@
 //! * **Injected pod kills** (Fig. 18): "We delete 25 pods among 35 pods of
 //!   ts-station microservice at time 50s. Then, Kubernetes automatically
 //!   starts scaling 25 pods to maintain the number of 35 healthy pods."
-//!   A [`FailureSpec`] schedules exactly that: pods die instantly, losing
-//!   queued and in-flight work, and replacements become ready after the
-//!   pod startup delay.
+//!   A [`FaultSpec::PodKill`](crate::FaultSpec::PodKill) schedules exactly
+//!   that: pods die instantly, losing queued and in-flight work, and
+//!   replacements become ready after the pod startup delay.
 //! * **Overload crash-loops** (§6.3): "Recommendation microservice's pods
 //!   completely failed at the initial traffic surge… they kept failing
 //!   until enough pods are allocated at once. … such pod failures can
@@ -16,18 +16,8 @@
 //!   saturated for `probes_to_crash` consecutive probe intervals crashes
 //!   (dropping its backlog) and restarts after `restart_delay`.
 
-use crate::types::ServiceId;
 use serde::{Deserialize, Serialize};
-use simnet::{SimDuration, SimTime};
-
-/// Kill `pods` pods of `service` at time `at`; replacements are recreated
-/// after the engine's pod startup delay.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FailureSpec {
-    pub at: SimTime,
-    pub service: ServiceId,
-    pub pods: u32,
-}
+use simnet::SimDuration;
 
 /// How a crashed pod's restart delay grows across consecutive crashes.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -99,17 +89,6 @@ impl Default for CrashLoopConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn failure_spec_is_plain_data() {
-        let f = FailureSpec {
-            at: SimTime::from_secs(50),
-            service: ServiceId(3),
-            pods: 25,
-        };
-        assert_eq!(f.pods, 25);
-        assert_eq!(f, f.clone());
-    }
 
     #[test]
     fn crash_loop_defaults_are_sane() {

@@ -15,7 +15,6 @@
 //! keeps running on its true state, which is exactly what makes gray
 //! failures dangerous — the controller is flying on bad instruments.
 
-use crate::failure::FailureSpec;
 use crate::observe::ClusterObservation;
 use crate::types::ServiceId;
 use rand::rngs::SmallRng;
@@ -171,14 +170,14 @@ impl FaultPlane {
         &self.counters
     }
 
-    /// Install faults. Pod kills are returned as [`FailureSpec`]s for the
-    /// engine to schedule through its existing kill path; everything else
-    /// is evaluated by query.
-    pub fn add(&mut self, specs: Vec<FaultSpec>) -> Vec<FailureSpec> {
+    /// Install faults. Pod kills are returned as `(at, service, pods)` for
+    /// the engine to schedule on its event queue; everything else is
+    /// evaluated by query.
+    pub fn add(&mut self, specs: Vec<FaultSpec>) -> Vec<(SimTime, ServiceId, u32)> {
         let mut kills = Vec::new();
         for spec in specs {
             if let FaultSpec::PodKill { at, service, pods } = spec {
-                kills.push(FailureSpec { at, service, pods });
+                kills.push((at, service, pods));
             } else {
                 self.has_telemetry |= spec.is_telemetry();
                 self.has_net |= matches!(spec, FaultSpec::NetworkDegrade { .. });
@@ -380,15 +379,14 @@ mod tests {
     }
 
     #[test]
-    fn pod_kills_convert_to_failure_specs() {
+    fn pod_kills_are_handed_back_to_the_engine() {
         let mut p = FaultPlane::new(rng::fork(1, "faults"));
         let kills = p.add(vec![FaultSpec::PodKill {
             at: t(30),
             service: ServiceId(2),
             pods: 5,
         }]);
-        assert_eq!(kills.len(), 1);
-        assert_eq!(kills[0].pods, 5);
+        assert_eq!(kills, vec![(t(30), ServiceId(2), 5)]);
         assert!(p.specs().is_empty());
     }
 

@@ -62,7 +62,9 @@ impl Default for DeadlineConfig {
 /// `token_ratio`, the bucket caps at `max_tokens`. When the bucket
 /// cannot cover a retry, the retry is suppressed — under sustained
 /// failure the deposit stream dries up and the storm self-extinguishes.
+/// This is also the scenario file's `resilience.retry_budget` block.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct RetryBudgetConfig {
     /// Bucket capacity (also the initial fill).
     pub max_tokens: f64,

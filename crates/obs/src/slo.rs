@@ -28,16 +28,18 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// SLO objective + burn-rate alerting policy for every API.
+/// SLO objective + burn-rate alerting policy for every API. This is
+/// also the scenario file's `slo` block.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct SloConfig {
     /// Fraction of requests that must be good (in-SLO successes), e.g.
     /// `0.999` tolerates 0.1% bad before the budget is exhausted.
     pub objective: f64,
     /// Fast `(short, long)` window pair, seconds. Page severity.
-    pub fast_windows: (f64, f64),
+    pub fast_windows_secs: (f64, f64),
     /// Slow `(short, long)` window pair, seconds. Ticket severity.
-    pub slow_windows: (f64, f64),
+    pub slow_windows_secs: (f64, f64),
     /// Burn-rate threshold for the fast pair (Google SRE: 14.4 spends
     /// ~2% of a 30-day budget per hour).
     pub page_burn: f64,
@@ -49,8 +51,8 @@ impl Default for SloConfig {
     fn default() -> Self {
         SloConfig {
             objective: 0.999,
-            fast_windows: (5.0, 60.0),
-            slow_windows: (30.0, 360.0),
+            fast_windows_secs: (5.0, 60.0),
+            slow_windows_secs: (30.0, 360.0),
             page_burn: 14.4,
             ticket_burn: 6.0,
         }
@@ -198,9 +200,9 @@ impl SloMonitor {
         self.ensure_sized(samples.len());
         let longest = self
             .cfg
-            .fast_windows
+            .fast_windows_secs
             .1
-            .max(self.cfg.slow_windows.1)
+            .max(self.cfg.slow_windows_secs.1)
             .max(1.0);
         let mut out = SloTick::default();
         for (i, s) in samples.iter().enumerate() {
@@ -213,10 +215,10 @@ impl SloMonitor {
                 st.total_good += s.good.max(0.0);
                 st.total_bad += s.bad.max(0.0);
             }
-            let fast = self.burn(i, t, self.cfg.fast_windows.0);
-            let fast_long = self.burn(i, t, self.cfg.fast_windows.1);
-            let slow = self.burn(i, t, self.cfg.slow_windows.0);
-            let slow_long = self.burn(i, t, self.cfg.slow_windows.1);
+            let fast = self.burn(i, t, self.cfg.fast_windows_secs.0);
+            let fast_long = self.burn(i, t, self.cfg.fast_windows_secs.1);
+            let slow = self.burn(i, t, self.cfg.slow_windows_secs.0);
+            let slow_long = self.burn(i, t, self.cfg.slow_windows_secs.1);
             let severity = if fast > self.cfg.page_burn && fast_long > self.cfg.page_burn {
                 SloSeverity::Page
             } else if slow > self.cfg.ticket_burn && slow_long > self.cfg.ticket_burn {
@@ -269,10 +271,10 @@ impl SloMonitor {
         };
         Some(SloBurnSignal {
             api: api as u32,
-            fast_burn: self.burn(api, now, self.cfg.fast_windows.0),
-            fast_burn_long: self.burn(api, now, self.cfg.fast_windows.1),
-            slow_burn: self.burn(api, now, self.cfg.slow_windows.0),
-            slow_burn_long: self.burn(api, now, self.cfg.slow_windows.1),
+            fast_burn: self.burn(api, now, self.cfg.fast_windows_secs.0),
+            fast_burn_long: self.burn(api, now, self.cfg.fast_windows_secs.1),
+            slow_burn: self.burn(api, now, self.cfg.slow_windows_secs.0),
+            slow_burn_long: self.burn(api, now, self.cfg.slow_windows_secs.1),
             budget_remaining,
             severity: st.severity,
         })

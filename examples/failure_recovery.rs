@@ -8,9 +8,8 @@
 //! ```
 
 use topfull_suite::apps::TrainTicket;
-use topfull_suite::cluster::failure::FailureSpec;
 use topfull_suite::cluster::{
-    Controller, Engine, EngineConfig, Harness, NoControl, OpenLoopWorkload,
+    Controller, Engine, EngineConfig, FaultSpec, Harness, NoControl, OpenLoopWorkload,
 };
 use topfull_suite::simnet::{SimDuration, SimTime};
 use topfull_suite::topfull::{TopFull, TopFullConfig};
@@ -33,7 +32,7 @@ fn engine(seed: u64) -> Engine {
         },
         Box::new(OpenLoopWorkload::constant(rates)),
     );
-    e.inject_failures(vec![FailureSpec {
+    e.inject_faults(vec![FaultSpec::PodKill {
         at: SimTime::from_secs(50),
         service: tt.station,
         pods: 25,

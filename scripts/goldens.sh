@@ -26,11 +26,12 @@ OUT=target/goldens
 # Every scenario whose decision journal is pinned: the paths the control
 # loop takes under sharding, the front door, a recovery-probe collapse
 # escalation (fuzz 2-10), RateBlocked / Release / empty-group reasons
-# (boutique surge) and the hardened loop under stall + watchdog (gray
+# (boutique surge), the hardened loop under stall + watchdog (gray
+# failure) and a pod kill from the fault schedule (train-ticket station
 # failure). The matrix's 12 cells are rows too, so a cell more or fewer is a
 # missing or an orphan row, and so is its whole report.
 SCENARIOS=(sharded_surge read_flash_crowd found/fuzz_2_10_breach
-  boutique_surge_topfull gray_failure_chaos)
+  boutique_surge_topfull gray_failure_chaos trainticket_station_failure)
 MATRIX=overload_arms
 # The deterministic `figures` experiments. `sim2real` and `multishard`
 # (wall-clock live arms) and `training-cost` (a timing) are left out.

@@ -151,7 +151,7 @@ fn hpa_plus_topfull_survives_boutique_surge() {
 
 #[test]
 fn pod_failures_recover_under_topfull() {
-    use topfull_suite::cluster::failure::FailureSpec;
+    use topfull_suite::cluster::FaultSpec;
     let mut tt = TrainTicket::build();
     // 20 slow pods ≈ near-capacity for this workload, so losing 15 is a
     // real 75% capacity cut (mirrors the Fig. 18 deployment shape).
@@ -161,7 +161,7 @@ fn pod_failures_recover_under_topfull() {
         tt.apis().iter().map(|a| (*a, 300.0)).collect();
     let w = OpenLoopWorkload::constant(rates);
     let mut engine = Engine::new(tt.topology.clone(), config(7), Box::new(w));
-    engine.inject_failures(vec![FailureSpec {
+    engine.inject_faults(vec![FaultSpec::PodKill {
         at: SimTime::from_secs(30),
         service: tt.station,
         pods: 15,
