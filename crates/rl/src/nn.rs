@@ -12,8 +12,8 @@
 //!
 //! # The forward kernel
 //!
-//! A layer is `out = W·prev + b`, then — on a hidden layer — `f64::tanh`
-//! in a pass over the finished sums. Every forward pass in the workspace
+//! A layer is `out = W·prev + b`, then — on a hidden layer — `tanh` in
+//! a pass over the finished sums. Every forward pass in the workspace
 //! runs one kernel over one layout, [`FrozenMlp`]'s column-major copy of
 //! an [`Mlp`]: the rate controller's decisions (10.2 a tick on the
 //! 127-service demo), training rollouts and validation, value
@@ -31,9 +31,21 @@
 //! (eight xmm accumulators; the only tier off x86-64), and thirty-two
 //! under AVX (eight ymm), a committed 64-wide layer in two blocks. Each
 //! layer takes the widest tier `is_x86_feature_detected!` reports, so
-//! the default build runs it with no build flag, and that call is the
-//! crate's one `unsafe`. A 64-wide tier under AVX-512F timed the control
-//! tick within noise of this one and was not kept.
+//! the default build runs it with no build flag. A 64-wide tier under
+//! AVX-512F timed the control tick within noise of this one and was not
+//! kept.
+//!
+//! The `tanh` pass has a vector tier too. With AVX2 and FMA, four sums
+//! at a time go through `tanh4`: glibc 2.36's `tanh` transcribed, for
+//! |x| below ≈ 0.52, with the `expm1` it calls — the FMA build glibc's
+//! IFUNC picks on such a host — reduced to the two branches that range
+//! reaches. That is 99.9 % of the committed policy's pre-activations on
+//! the 127-service demo; a lane outside it (or NaN), and a tail shorter
+//! than four, get libm's `f64::tanh`. The lanes run only once they have
+//! given libm's bits on a probe set, checked at the first pass of the
+//! process, so a libm of another build or version keeps every pass on
+//! libm. Calling a tier (sums or `tanh`) is the crate's `unsafe`, each
+//! call behind the feature test that makes it sound.
 //!
 //! No tier moves a bit. The kernel reorders work *across* outputs only.
 //! Each output is still `((b + w₀x₀) + w₁x₁) + …`, its own products added
@@ -46,15 +58,23 @@
 //! lanes of a vector register), adding the bias last or fusing a
 //! multiply-add would be faster still and is not done: the roundings
 //! would differ, and every recorded policy output would move. Rust never
-//! contracts `a * b + c` into a fused multiply-add, so no tier emits
-//! one, whatever the host has. The oracle proptest in this file pins the
-//! equality on every tier the host runs, each called directly, and
-//! through dispatch, the tape's every activation included, in
-//! `--release` as well.
+//! contracts `a * b + c` into a fused multiply-add, so no sum tier emits
+//! one, whatever the host has. `tanh4` is the one place that does,
+//! through explicit intrinsics, and only where glibc's FMA `expm1`
+//! itself fused (its disassembly shows which): there a fused operation
+//! is what matches libm's bits, and each other operation stays rounded
+//! on its own, in the source's order. The oracle proptest in this file
+//! pins the equality on every tier the host runs, each called directly,
+//! and through dispatch, the tape's every activation included, in
+//! `--release` as well; `tanh_lanes_match_libm_bit_for_bit` holds the
+//! lanes to libm on millions of inputs and every branch limit.
 
 use rand::rngs::SmallRng;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+use std::sync::OnceLock;
 
 /// A multi-layer perceptron with tanh hidden activations and a linear
 /// output layer, parameters stored flat. Evaluated through a
@@ -247,14 +267,167 @@ impl FrozenMlp {
 }
 
 /// One layer: its sums on the widest tier this host runs, then — on a
-/// `hidden` layer; the output is linear — `tanh` in a pass over them.
+/// `hidden` layer; the output is linear — `tanh` in a pass over them,
+/// in lanes once they have agreed with this host's libm.
 fn col_layer(wt: &[f64], b: &[f64], prev: &[f64], out: &mut [f64], hidden: bool) {
+    static LANES_AGREE: OnceLock<bool> = OnceLock::new();
     let widest = TIERS.iter().take_while(|(runs, _)| !runs()).count();
     tier_sums(widest, wt, b, prev, out);
     if hidden {
-        out.iter_mut().for_each(|s| *s = s.tanh());
+        tanh_pass(*LANES_AGREE.get_or_init(|| lanes_agree(f64::tanh)), out);
     }
 }
+
+/// `tanh` over `out`: on `tanh4`'s lanes if `lanes` and the host runs
+/// them, else libm's `f64::tanh` one value at a time.
+fn tanh_pass(lanes: bool, out: &mut [f64]) {
+    if lanes && lanes_run() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `lanes_run` detected AVX2 and FMA, the features
+        // `tanh4_pass` is compiled with.
+        return unsafe { tanh4_pass(out) };
+    }
+    out.iter_mut().for_each(|s| *s = s.tanh());
+}
+
+/// Whether this host has what `tanh4` is compiled for: AVX2 and FMA,
+/// as glibc's own choice of its FMA `expm1` asks.
+fn lanes_run() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Inputs on which the lanes must give `reference`'s bits before any
+/// pass uses them: both zeros, the tiny branch, k = 0 and k = −1 on
+/// both sides of their limits and inside them, and fallback lanes (the
+/// limit itself, ∞, NaN).
+const PROBES: [f64; 16] = [
+    0.0,
+    -0.0,
+    -f64::from_bits(TINY - 1),
+    f64::from_bits(TINY),
+    0.0625,
+    -f64::from_bits(K0_LIMIT - 1),
+    f64::from_bits(K0_LIMIT),
+    -0.3,
+    0.4,
+    -f64::from_bits(LANE_LIMIT - 1),
+    f64::from_bits(LANE_LIMIT),
+    -0.75,
+    3.0,
+    f64::INFINITY,
+    f64::NAN,
+    -1e-300,
+];
+
+/// Whether the host runs the lanes and they give `reference`'s bits on
+/// every probe. `col_layer` asks once per process with libm's `tanh`:
+/// a libm of another build or version than `tanh4`'s transcription
+/// leaves every pass on libm.
+fn lanes_agree(reference: impl Fn(f64) -> f64) -> bool {
+    let mut got = PROBES;
+    tanh_pass(true, &mut got);
+    let same = |(g, x): (&f64, &f64)| g.to_bits() == reference(*x).to_bits();
+    lanes_run() && got.iter().zip(&PROBES).all(same)
+}
+
+/// `tanh` over `out` four values at a time on `tanh4`, the tail on
+/// libm.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn tanh4_pass(out: &mut [f64]) {
+    let mut groups = out.chunks_exact_mut(4);
+    for g in &mut groups {
+        g.copy_from_slice(&tanh4([g[0], g[1], g[2], g[3]]));
+    }
+    groups
+        .into_remainder()
+        .iter_mut()
+        .for_each(|s| *s = s.tanh());
+}
+
+/// glibc 2.36's `tanh` of four values, bit for bit, computed in one
+/// ymm register where |x| < `LANE_LIMIT`; a lane past it (or NaN) gets
+/// libm's `f64::tanh`.
+///
+/// In that range `tanh(x)` is `z = −t/(t + 2)` with `t = expm1(−2|x|)`
+/// and x's sign put back, or `x·(1 + x)` below 2⁻⁵⁵; and `expm1` — the
+/// `__expm1_fma` that glibc's IFUNC picks on an AVX2 + FMA host — takes
+/// two of its branches: k = 0 below `K0_LIMIT`, else the k = −1
+/// reduction by ln 2. Each operation is the source's, in its order and
+/// rounding: a multiply-add the FMA build fused is one fused operation
+/// here (`fmadd`/`fmsub`/`fnmadd`), every other one is rounded on its
+/// own, the k = −1 reduction included.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn tanh4(lanes: [f64; 4]) -> [f64; 4] {
+    const LN2_HI: f64 = f64::from_bits(0x3fe62e42_fee00000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea39ef_35793c76);
+    const Q: [f64; 6] = [
+        1.0,
+        f64::from_bits(0xbfa11111_111110f4),
+        f64::from_bits(0x3f5a01a0_19fe5585),
+        f64::from_bits(0xbf14ce19_9eaadbb7),
+        f64::from_bits(0x3ed0cfca_86e65239),
+        f64::from_bits(0xbe8afdb7_6e09c32d),
+    ];
+    let f = |v: f64| _mm256_set1_pd(v);
+    let bits = |b: u64| f(f64::from_bits(b));
+    let x = _mm256_setr_pd(lanes[0], lanes[1], lanes[2], lanes[3]);
+    let sign = _mm256_and_pd(x, f(-0.0));
+    let a = _mm256_andnot_pd(f(-0.0), x);
+    // expm1's argument, and its reduction for k = −1: hi = y + ln2_hi,
+    // lo = −ln2_lo, y' = hi − lo, c = (hi − y') − lo.
+    let y = _mm256_mul_pd(a, f(-2.0));
+    let (hi, lo) = (_mm256_add_pd(y, f(LN2_HI)), f(-LN2_LO));
+    let r = _mm256_sub_pd(hi, lo);
+    let c = _mm256_sub_pd(_mm256_sub_pd(hi, r), lo);
+    let k0 = _mm256_cmp_pd::<_CMP_LT_OQ>(a, bits(K0_LIMIT));
+    let x1 = _mm256_blendv_pd(r, y, k0);
+    // The primary range's polynomial, shared by both branches.
+    let hfx = _mm256_mul_pd(f(0.5), x1);
+    let hxs = _mm256_mul_pd(x1, hfx);
+    let r1 = _mm256_fmadd_pd(hxs, f(Q[1]), f(Q[0]));
+    let h2 = _mm256_mul_pd(hxs, hxs);
+    let r2 = _mm256_fmadd_pd(hxs, f(Q[3]), f(Q[2]));
+    let h4 = _mm256_mul_pd(h2, h2);
+    let r3 = _mm256_fmadd_pd(hxs, f(Q[5]), f(Q[4]));
+    let r1 = _mm256_fmadd_pd(h4, r3, _mm256_fmadd_pd(h2, r2, r1));
+    let t = _mm256_fnmadd_pd(r1, hfx, f(3.0));
+    let e = _mm256_div_pd(_mm256_sub_pd(r1, t), _mm256_fnmadd_pd(x1, t, f(6.0)));
+    let e = _mm256_mul_pd(hxs, e);
+    // expm1's two finishes: x − (x·e − hxs) at k = 0, and at k = −1
+    // e = (x·(e − c) − c) − hxs, then 0.5·(x − e) − 0.5.
+    let at_k0 = _mm256_sub_pd(x1, _mm256_fmsub_pd(x1, e, hxs));
+    let e = _mm256_sub_pd(_mm256_fmsub_pd(_mm256_sub_pd(e, c), x1, c), hxs);
+    let at_k1 = _mm256_fmadd_pd(_mm256_sub_pd(x1, e), f(0.5), f(-0.5));
+    let t = _mm256_blendv_pd(at_k1, at_k0, k0);
+    let z = _mm256_div_pd(_mm256_xor_pd(t, f(-0.0)), _mm256_add_pd(t, f(2.0)));
+    let z = _mm256_xor_pd(z, sign);
+    let tiny = _mm256_cmp_pd::<_CMP_LT_OQ>(a, bits(TINY));
+    let z = _mm256_blendv_pd(z, _mm256_mul_pd(x, _mm256_add_pd(f(1.0), x)), tiny);
+    let inside = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a, bits(LANE_LIMIT)));
+    let (lo, hi) = (_mm256_castpd256_pd128(z), _mm256_extractf128_pd::<1>(z));
+    let high = |h: __m128d| _mm_cvtsd_f64(_mm_unpackhi_pd(h, h));
+    let mut z = [_mm_cvtsd_f64(lo), high(lo), _mm_cvtsd_f64(hi), high(hi)];
+    if inside != 0b1111 {
+        for i in (0..4).filter(|i| inside >> i & 1 == 0) {
+            z[i] = lanes[i].tanh();
+        }
+    }
+    z
+}
+
+/// |x| below which `tanh(x)` is `x·(1 + x)`: 2⁻⁵⁵, as bits.
+const TINY: u64 = 0x3c800000_00000000;
+/// |x| below which `expm1(−2|x|)` takes glibc's k = 0 branch (|2x| ≤
+/// ln 2 / 2 by the high word).
+const K0_LIMIT: u64 = 0x3fc62e43_00000000;
+/// |x| below which the lanes compute `tanh` themselves (|2x| < 1.5 ln 2
+/// by the high word, where glibc's k = −1 reduction ends).
+const LANE_LIMIT: u64 = 0x3fe0a2b2_00000000;
 
 /// One layer's sums, `out = W·prev + b`, over the column-major weights.
 ///
@@ -420,8 +593,9 @@ mod tests {
         acts
     }
 
-    /// `forward`'s activations with every layer's sums on `TIERS[tier]`.
-    fn tier_forward(net: &Mlp, x: &[f64], tier: usize) -> Vec<Vec<f64>> {
+    /// `forward`'s activations with every layer's sums on `TIERS[tier]`
+    /// and its `tanh` on the lanes or on libm.
+    fn tier_forward(net: &Mlp, x: &[f64], tier: usize, lanes: bool) -> Vec<Vec<f64>> {
         let frozen = FrozenMlp::new(net);
         let n_layers = net.dims.len() - 1;
         let mut acts = vec![x.to_vec()];
@@ -429,7 +603,7 @@ mod tests {
             let mut out = vec![0.0; nout];
             tier_sums(tier, wt, b, &acts[l], &mut out);
             if l + 1 < n_layers {
-                out.iter_mut().for_each(|s| *s = s.tanh());
+                tanh_pass(lanes, &mut out);
             }
             acts.push(out);
         }
@@ -484,7 +658,10 @@ mod tests {
             passes.push(("tape output".into(), vec![out]));
             passes.push(("forward_into".into(), vec![forward(&net, &x)]));
             for tier in (0..TIERS.len()).filter(|t| TIERS[*t].0()) {
-                passes.push((format!("tier {tier}"), tier_forward(&net, &x, tier)));
+                for lanes in [false, true].into_iter().filter(|l| !l || lanes_run()) {
+                    let acts = tier_forward(&net, &x, tier, lanes);
+                    passes.push((format!("tier {tier}, tanh lanes {lanes}"), acts));
+                }
             }
             for (pass, acts) in &passes {
                 // A pass of one vector is the output layer alone.
@@ -501,6 +678,108 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Asserts that the lanes give libm's `tanh` of every `x`, by bits:
+    /// whole groups of four, so no input falls to the pass's libm tail.
+    fn assert_lanes_match_libm(what: &str, xs: &[f64]) {
+        assert_eq!(xs.len() % 4, 0, "{what}: a tail would run on libm");
+        let mut got = xs.to_vec();
+        tanh_pass(true, &mut got);
+        for (x, g) in xs.iter().zip(&got) {
+            let want = x.tanh();
+            assert!(
+                g.to_bits() == want.to_bits(),
+                "{what}: tanh({x:e}) = {g:e}, libm {want:e}"
+            );
+        }
+    }
+
+    /// `tanh4` against libm's `tanh`, by bits: each branch limit ± 0–8
+    /// ulps on both signs, magnitudes log-uniform over 2⁻⁶⁰–2⁶, [`EDGES`],
+    /// inputs a search found to tell a rarely visible fusion apart,
+    /// groups of four that mix lane and fallback inputs in every
+    /// pattern, and 2²² seeded inputs inside the lanes' range. Runs in
+    /// `--release` too (`scripts/verify.sh`), where the passes are the
+    /// ones the controller serves.
+    #[test]
+    fn tanh_lanes_match_libm_bit_for_bit() {
+        if !lanes_run() {
+            eprintln!("no AVX2 + FMA on this host: every pass is libm's");
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(35);
+        let mut limits = Vec::new();
+        for limit in [TINY, K0_LIMIT, LANE_LIMIT] {
+            for bits in (0..=8).flat_map(|u| [limit - u, limit + u]) {
+                limits.extend([f64::from_bits(bits), -f64::from_bits(bits)]);
+            }
+        }
+        assert_lanes_match_libm("branch limits", &limits);
+        let log_uniform: Vec<f64> = (0..1 << 16)
+            .map(|_| 2f64.powf(rng.gen_range(-60.0..6.0)) * [1.0, -1.0][rng.gen_range(0..2usize)])
+            .collect();
+        assert_lanes_match_libm("log-uniform", &log_uniform);
+        assert_lanes_match_libm("EDGES", &EDGES);
+        // Where unfusing `r1`'s inner multiply-add moves the result, at
+        // k = 0 and k = −1: about one input in 4·10⁸ tells them apart.
+        let witnesses = [
+            0x3fc3f238_b3ec9e0f,
+            0xbfdeb4ae_e9c2f971,
+            0x3fc0d982_9ee12d2a,
+            0xbfc964d9_c34ddb2d,
+        ];
+        assert_lanes_match_libm("witnesses", &witnesses.map(f64::from_bits));
+        let fallback = [0.75, -3.0, f64::NAN, f64::NEG_INFINITY];
+        for pattern in 0..16 {
+            let group: Vec<f64> = (0..4)
+                .map(|i| match pattern >> i & 1 {
+                    1 => rng.gen_range(-0.5..0.5),
+                    _ => fallback[(pattern + i) % 4],
+                })
+                .collect();
+            assert_lanes_match_libm(&format!("mixed group {pattern:04b}"), &group);
+        }
+        let limit = f64::from_bits(LANE_LIMIT);
+        let sweep: Vec<f64> = (0..1 << 22).map(|_| rng.gen_range(-limit..limit)).collect();
+        assert_lanes_match_libm("sweep", &sweep);
+    }
+
+    /// The probe check: a reference one bit off on any one probe fails
+    /// it, and a pass told so is libm's loop; on this host libm's own
+    /// `tanh` passes it; and the probes reach every branch of the lanes.
+    #[test]
+    fn a_probe_that_disagrees_keeps_every_pass_on_libm() {
+        let xs: Vec<f64> = (0..37).map(|i| i as f64 / 40.0 - 0.45).collect();
+        for probe in PROBES {
+            let one_bit_off = |x: f64| match x.to_bits() == probe.to_bits() {
+                true => f64::from_bits(x.tanh().to_bits() ^ 1),
+                false => x.tanh(),
+            };
+            assert!(!lanes_agree(one_bit_off), "probe {probe:e}");
+            let mut got = xs.clone();
+            tanh_pass(lanes_agree(one_bit_off), &mut got);
+            for (x, g) in xs.iter().zip(&got) {
+                assert_eq!(g.to_bits(), x.tanh().to_bits(), "tanh({x:e})");
+            }
+        }
+        assert_eq!(lanes_agree(f64::tanh), lanes_run(), "this host's libm");
+        let branch = |x: &f64| match x.abs().to_bits() {
+            b if b < TINY => "tiny",
+            b if b < K0_LIMIT => "k = 0",
+            b if b < LANE_LIMIT => "k = -1",
+            _ => "fallback",
+        };
+        let reached: Vec<&str> = PROBES.iter().map(branch).collect();
+        for want in ["tiny", "k = 0", "k = -1", "fallback"] {
+            assert!(reached.contains(&want), "no probe reaches {want}");
+        }
+        for zero in [0.0, -0.0f64] {
+            assert!(
+                PROBES.iter().any(|x| x.to_bits() == zero.to_bits()),
+                "no {zero:?}"
+            );
         }
     }
 

@@ -19,8 +19,12 @@
 # (reads better, by the metric's direction in BENCHMARK.json; ties count
 # for neither) and the parent's inter-quartile distance over its median,
 # the spread a claimed gain must clear — then the pairs one by one for
-# the first metric. Exits 1 if any run was not `correct` or counted a
-# failure. Not part of verify.sh: 2 × pairs × run_seconds of wall time.
+# the first metric. Then the placement table: every function symbol
+# whose `nm -S` size differs between the two binaries, or that only one
+# of them has, largest move first — so a 2–7 % move on a workload whose
+# code the change did not touch can be read against the code that did
+# move. Exits 1 if any run was not `correct` or counted a failure. Not
+# part of verify.sh: 2 × pairs × run_seconds of wall time.
 set -euo pipefail
 [ $# -ge 2 ] && [ $# -le 4 ] \
   || { echo "usage: $0 <parent-checkout> <workload> [pairs] [first-seed]" >&2; exit 2; }
@@ -65,6 +69,7 @@ for ((i = 0; i < pairs; i++)); do
   echo "pair $((i + 1))/$pairs done" >&2
 done
 
+status=0
 echo "### \`$workload\` — $pairs alternating pairs, ${seconds} s, seeds $seed0–$((seed0 + pairs - 1))"
 echo
 awk -v pairs="$pairs" -v dirs="$directions" '
@@ -114,4 +119,39 @@ awk -v pairs="$pairs" -v dirs="$directions" '
         v["change", i, name] / v["parent", i, name]
     printf "\n%d runs, %d not correct or with failures\n", 2 * pairs, bad
     exit (bad > 0)
-  }' "$tmp/runs"
+  }' "$tmp/runs" || status=$?
+
+# `size name` per function symbol of one binary, the per-instantiation
+# `::h<hash>` suffix dropped and a generic function's copies added up.
+sizes() {
+  nm -S -C -t d --defined-only "$tmp/$1" | awk '
+    $3 ~ /^[tTwW]$/ { size = $2 + 0; $1 = $2 = $3 = ""; sub(/^ +/, ""); sub(/::h[0-9a-f]{16}$/, "")
+                      bytes[$0] += size }
+    END { for (name in bytes) printf "%d\t%s\n", bytes[name], name }'
+}
+sizes parent > "$tmp/parent.syms"
+sizes change > "$tmp/change.syms"
+echo
+echo "Placement: function symbols whose \`nm -S\` size differs, largest move first (bytes)"
+echo
+echo "| symbol | parent | change | Δ |"
+echo "|---|---|---|---|"
+awk -F'\t' '
+  function row(n, was, is, delta) {
+    printf "%d\t| `%s` | %s | %s | %+d |\n", delta < 0 ? -delta : delta, n, was, is, delta
+  }
+  FNR == NR { p[$2] = $1; next }
+  { c[$2] = $1 }
+  END {
+    for (n in p) { ptext += p[n]; if (!(n in c)) row(n, p[n], "—", -p[n]) }
+    for (n in c) {
+      ctext += c[n]
+      if (!(n in p)) row(n, "—", c[n], c[n])
+      else if (p[n] != c[n]) row(n, p[n], c[n], c[n] - p[n])
+    }
+    printf "all function symbols: %d → %d bytes (%+d)\n", ptext, ctext, ctext - ptext > "/dev/stderr"
+  }' "$tmp/parent.syms" "$tmp/change.syms" 2> "$tmp/text" \
+  | sort -t$'\t' -k1,1nr | awk 'NR <= 30' | cut -f2-
+echo
+cat "$tmp/text"
+exit "$status"

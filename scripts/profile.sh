@@ -27,9 +27,10 @@
 #   scripts/profile.sh <workload> [seed] [seconds]    # e.g. sim.boutique 41 10
 #   scripts/profile.sh --lines <workload> [seed] [seconds]
 #
-# Builds benchmark/ the way BENCHMARK.json does (so, like any build of
-# it, it can rewrite the tracked benchmark/Cargo.lock — restore that
-# before committing) and edits nothing. To profile another commit, run
+# Builds benchmark/ the way BENCHMARK.json does and edits nothing: a
+# build may rewrite the tracked benchmark/Cargo.lock, so the lock is
+# copied aside first and put back on exit, in both modes, the way
+# pairs.sh and verify.sh do it. To profile another commit, run
 # that checkout's copy of this script (or copy this one into it).
 # Not part of verify.sh.
 #
@@ -37,8 +38,7 @@
 # of a 300-line handler the compiler inlined six callees into. It builds
 # benchmark/ a second time with line tables (`debug = line-tables-only`,
 # same optimisation) into target/profile-lines — benchmark/target keeps
-# the binary the gates time, and benchmark/Cargo.lock is put back as it
-# was — resolves every sampled pc with `addr2line -i` into its chain of
+# the binary the gates time — resolves every sampled pc with `addr2line -i` into its chain of
 # inlined frames, and bills the sample to the innermost frame whose
 # source is under this repository: a `VecDeque::push_back` or
 # `Iterator::fold` from the standard library is charged to the line of
@@ -58,7 +58,8 @@ workload=${1:?usage: scripts/profile.sh [--lines] <workload> [seed] [seconds]}
 seed=${2:-41}
 seconds=${3:-10}
 tmp=$(mktemp -d /tmp/topfull_profile.XXXXXX)
-trap 'rm -rf "$tmp"' EXIT
+cp benchmark/Cargo.lock "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
 
 cat > "$tmp/sampler.c" <<'EOF'
 #define _GNU_SOURCE
@@ -141,8 +142,6 @@ EOF
 cc -O2 -shared -fPIC -o "$tmp/sampler.so" "$tmp/sampler.c" -ldl
 
 if [ -n "$lines" ]; then
-  cp benchmark/Cargo.lock "$tmp/Cargo.lock"
-  trap 'cp "$tmp/Cargo.lock" benchmark/Cargo.lock; rm -rf "$tmp"' EXIT
   CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release --offline --quiet \
     --manifest-path benchmark/Cargo.toml --target-dir target/profile-lines
   bin=target/profile-lines/release/topfull-benchmark

@@ -54,7 +54,8 @@ cargo test -q --workspace
 # `rl::nn`'s kernel and the id-indexed clustering ship as opt-level 3
 # code, unrolled and vectorised, so their bit-equality oracles run here
 # too; the kernel's holds each tier this host runs (SSE2, AVX, picked at
-# runtime) by calling it directly, not only the one dispatch picks.
+# runtime) by calling it directly, not only the one dispatch picks, and
+# its AVX2 + FMA `tanh` lanes to libm's bits.
 # Likewise liveserve's in-place line tier and obs::fmt_u64 (eight-byte loads
 # at segment edges, SWAR lanes, a 20-digit overflow that debug traps and
 # release would wrap) and the front door's keyed hash: their oracles must
