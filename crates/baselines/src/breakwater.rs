@@ -26,7 +26,7 @@
 //! one credit, so with `n` clients the server cannot issue fewer than
 //! `n × (1/credit_lifetime)` requests/s of credit no matter how small
 //! its pool. We model this floor with
-//! [`BreakwaterConfig::min_credit_rate_per_client`], estimating the
+//! [`MIN_CREDIT_RATE_PER_CLIENT`], estimating the
 //! clients contacting a service from the offered rate of the APIs whose
 //! paths cross it (1 request/s per Locust user).
 
@@ -35,61 +35,40 @@ use cluster::observe::ClusterObservation;
 use cluster::types::{RequestMeta, ServiceId};
 use simnet::{SimDuration, SimTime, TokenBucket};
 
-/// Breakwater tuning parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakwaterConfig {
-    /// Target queueing delay (Breakwater's `d_t`).
-    pub target_delay: SimDuration,
-    /// Additive credit growth per interval, in requests/s.
-    pub additive_step: f64,
-    /// Sensitivity of the multiplicative decrease to overload severity
-    /// (Breakwater's β).
-    pub beta: f64,
-    /// Initial per-service admitted rate (requests/s).
-    pub initial_rate: f64,
-    /// Floor on the admitted rate so recovery is always possible.
-    pub min_rate: f64,
-    /// Credit floor per connected client, in requests/s (one credit per
-    /// client, refreshed every ~3 s ⇒ ≈0.3). Set to 0 to disable the
-    /// many-client weakness.
-    pub min_credit_rate_per_client: f64,
-}
+/// Target queueing delay (Breakwater's `d_t`).
+const TARGET_DELAY: SimDuration = SimDuration::from_millis(20);
+/// Additive credit growth per interval, in requests/s.
+const ADDITIVE_STEP: f64 = 40.0;
+/// Sensitivity of the multiplicative decrease to overload severity
+/// (Breakwater's β).
+const BETA: f64 = 0.4;
+/// Initial per-service admitted rate (requests/s).
+pub(crate) const INITIAL_RATE: f64 = 5_000.0;
+/// Floor on the admitted rate so recovery is always possible.
+const MIN_RATE: f64 = 10.0;
+/// Credit floor per connected client, in requests/s (one credit per
+/// client, refreshed every ~3 s ⇒ ≈0.3).
+pub const MIN_CREDIT_RATE_PER_CLIENT: f64 = 0.3;
 
-impl Default for BreakwaterConfig {
-    fn default() -> Self {
-        BreakwaterConfig {
-            target_delay: SimDuration::from_millis(20),
-            additive_step: 40.0,
-            beta: 0.4,
-            initial_rate: 5_000.0,
-            min_rate: 10.0,
-            min_credit_rate_per_client: 0.3,
-        }
-    }
-}
-
-impl BreakwaterConfig {
-    /// One interval of the delay law, its only statement (WISP's local
-    /// rates take the same step): at or under the target delay the rate
-    /// grows by `additive_step`; over it, it shrinks by `beta` times the
-    /// overload level `(d - d_t) / d`, in (0, 1) — never to less than a
-    /// tenth in one step — and `min_rate` floors the result.
-    pub(crate) fn step(&self, rate: f64, delay: SimDuration) -> f64 {
-        let rate = if delay <= self.target_delay {
-            rate + self.additive_step
-        } else {
-            let d = delay.as_secs_f64();
-            let dt = self.target_delay.as_secs_f64();
-            let severity = ((d - dt) / d).clamp(0.0, 1.0);
-            rate * (1.0 - self.beta * severity).max(0.1)
-        };
-        rate.max(self.min_rate)
-    }
+/// One interval of the delay law, its only statement (WISP's local
+/// rates take the same step): at or under `TARGET_DELAY` the rate grows
+/// by `ADDITIVE_STEP`; over it, it shrinks by `BETA` times the overload
+/// level `(d - d_t) / d`, in (0, 1) — never to less than a tenth in one
+/// step — and `MIN_RATE` floors the result.
+pub fn step(rate: f64, delay: SimDuration) -> f64 {
+    let rate = if delay <= TARGET_DELAY {
+        rate + ADDITIVE_STEP
+    } else {
+        let d = delay.as_secs_f64();
+        let dt = TARGET_DELAY.as_secs_f64();
+        let severity = ((d - dt) / d).clamp(0.0, 1.0);
+        rate * (1.0 - BETA * severity).max(0.1)
+    };
+    rate.max(MIN_RATE)
 }
 
 /// Breakwater admission across all services.
 pub struct Breakwater {
-    cfg: BreakwaterConfig,
     /// Per-service admitted rate (the distributed credit pool).
     rates: Vec<f64>,
     /// Per-service enforcement buckets.
@@ -98,13 +77,12 @@ pub struct Breakwater {
 
 impl Breakwater {
     /// Breakwater for `num_services` services.
-    pub fn new(num_services: usize, cfg: BreakwaterConfig) -> Self {
+    pub fn new(num_services: usize) -> Self {
         Breakwater {
-            rates: vec![cfg.initial_rate; num_services],
+            rates: vec![INITIAL_RATE; num_services],
             buckets: (0..num_services)
-                .map(|_| TokenBucket::new(cfg.initial_rate, cfg.initial_rate * 0.05, SimTime::ZERO))
+                .map(|_| TokenBucket::new(INITIAL_RATE, INITIAL_RATE * 0.05, SimTime::ZERO))
                 .collect(),
-            cfg,
         }
     }
 
@@ -133,10 +111,10 @@ impl AdmissionControl for Breakwater {
         }
         for w in &obs.services {
             let i = w.service.idx();
-            let rate = self.cfg.step(self.rates[i], w.mean_queuing_delay);
+            let rate = step(self.rates[i], w.mean_queuing_delay);
             self.rates[i] = rate;
             // The per-client credit floor: the server cannot issue less.
-            let issued = rate.max(self.cfg.min_credit_rate_per_client * clients[i]);
+            let issued = rate.max(MIN_CREDIT_RATE_PER_CLIENT * clients[i]);
             self.buckets[i].set_rate_and_burst(issued, (issued * 0.05).max(1.0), obs.now);
         }
     }
@@ -191,7 +169,7 @@ mod tests {
 
     #[test]
     fn decreases_multiplicatively_under_overload() {
-        let mut b = Breakwater::new(1, BreakwaterConfig::default());
+        let mut b = Breakwater::new(1);
         let r0 = b.rate(ServiceId(0));
         b.on_interval(&obs(1, &[100]));
         let r1 = b.rate(ServiceId(0));
@@ -200,8 +178,8 @@ mod tests {
 
     #[test]
     fn decrease_scales_with_severity() {
-        let mut mild = Breakwater::new(1, BreakwaterConfig::default());
-        let mut severe = Breakwater::new(1, BreakwaterConfig::default());
+        let mut mild = Breakwater::new(1);
+        let mut severe = Breakwater::new(1);
         mild.on_interval(&obs(1, &[25]));
         severe.on_interval(&obs(1, &[500]));
         assert!(severe.rate(ServiceId(0)) < mild.rate(ServiceId(0)));
@@ -209,7 +187,7 @@ mod tests {
 
     #[test]
     fn increases_additively_when_healthy() {
-        let mut b = Breakwater::new(1, BreakwaterConfig::default());
+        let mut b = Breakwater::new(1);
         // Crash the rate first.
         for s in 1..=20 {
             b.on_interval(&obs(s, &[200]));
@@ -219,25 +197,24 @@ mod tests {
             b.on_interval(&obs(s, &[1]));
         }
         let grown = b.rate(ServiceId(0));
-        let cfg = BreakwaterConfig::default();
         assert!(
-            (grown - (low + 10.0 * cfg.additive_step)).abs() < 1e-6,
+            (grown - (low + 10.0 * ADDITIVE_STEP)).abs() < 1e-6,
             "AI growth: {low} → {grown}"
         );
     }
 
     #[test]
     fn rate_never_falls_below_floor() {
-        let mut b = Breakwater::new(1, BreakwaterConfig::default());
+        let mut b = Breakwater::new(1);
         for s in 1..=200 {
             b.on_interval(&obs(s, &[1_000]));
         }
-        assert!(b.rate(ServiceId(0)) >= BreakwaterConfig::default().min_rate);
+        assert!(b.rate(ServiceId(0)) >= MIN_RATE);
     }
 
     #[test]
     fn bucket_enforces_the_rate() {
-        let mut b = Breakwater::new(1, BreakwaterConfig::default());
+        let mut b = Breakwater::new(1);
         for s in 1..=30 {
             b.on_interval(&obs(s, &[200]));
         }
@@ -262,7 +239,7 @@ mod tests {
     #[test]
     fn credit_floor_grows_with_client_count() {
         // Even with a crushed AIMD rate, many clients force issuance.
-        let mut b = Breakwater::new(1, BreakwaterConfig::default());
+        let mut b = Breakwater::new(1);
         let mut o = obs(1, &[500]);
         o.api_paths = vec![vec![ServiceId(0)]];
         o.apis = vec![ApiWindow {
@@ -302,7 +279,7 @@ mod tests {
 
     #[test]
     fn services_are_independent() {
-        let mut b = Breakwater::new(2, BreakwaterConfig::default());
+        let mut b = Breakwater::new(2);
         for s in 1..=10 {
             b.on_interval(&obs(s, &[300, 1]));
         }
@@ -310,7 +287,7 @@ mod tests {
     }
 
     proptest! {
-        /// `BreakwaterConfig::step` against the arithmetic `on_interval`
+        /// [`step`] against the arithmetic `on_interval`
         /// spelt out in place before it (kept here verbatim), over random
         /// delays from none to 100× the target, on it and a microsecond
         /// either side: the same rate, bit for bit, every interval.
@@ -319,24 +296,23 @@ mod tests {
             delays_us in prop::collection::vec(0u64..2_000_000, 1..300),
             near_target in prop::collection::vec(19_999u64..=20_001, 0..8),
         ) {
-            let cfg = BreakwaterConfig::default();
-            let mut b = Breakwater::new(1, cfg);
-            let mut inline = cfg.initial_rate;
+            let mut b = Breakwater::new(1);
+            let mut inline = INITIAL_RATE;
             for (s, us) in delays_us.iter().chain(&near_target).enumerate() {
                 let mut o = obs(s as u64 + 1, &[0]);
                 let delay = SimDuration::from_micros(*us);
                 o.services[0].mean_queuing_delay = delay;
                 b.on_interval(&o);
                 let rate = &mut inline;
-                if delay <= cfg.target_delay {
-                    *rate += cfg.additive_step;
+                if delay <= TARGET_DELAY {
+                    *rate += ADDITIVE_STEP;
                 } else {
                     let d = delay.as_secs_f64();
-                    let dt = cfg.target_delay.as_secs_f64();
+                    let dt = TARGET_DELAY.as_secs_f64();
                     let severity = ((d - dt) / d).clamp(0.0, 1.0);
-                    *rate *= (1.0 - cfg.beta * severity).max(0.1);
+                    *rate *= (1.0 - BETA * severity).max(0.1);
                 }
-                *rate = rate.max(cfg.min_rate);
+                *rate = rate.max(MIN_RATE);
                 prop_assert_eq!(
                     b.rate(ServiceId(0)).to_bits(),
                     inline.to_bits(),

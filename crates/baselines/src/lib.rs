@@ -15,8 +15,8 @@
 //! * [`breakwater`] — Breakwater: per-server credit pools (modeled as a
 //!   rate) grown additively while the local delay is under target and
 //!   shrunk multiplicatively with overload severity, enforced with a
-//!   token bucket on the server's incoming calls. The delay law and its
-//!   defaults are [`BreakwaterConfig`]'s.
+//!   token bucket on the server's incoming calls. The delay law, with
+//!   its constants, is [`breakwater::step`].
 //! * [`wisp`] — WISP: per-service rates under Breakwater's delay law,
 //!   propagated toward the entry via a-priori call-graph weights.
 //!   Discussed (not evaluated) in the paper's §7; implemented here as an
@@ -29,7 +29,7 @@ pub mod breakwater;
 pub mod dagor;
 pub mod wisp;
 
-pub use breakwater::{Breakwater, BreakwaterConfig};
+pub use breakwater::Breakwater;
 pub use cluster::front::PriorityConfig;
 pub use dagor::Dagor;
 pub use wisp::Wisp;
@@ -58,7 +58,7 @@ impl Scheme {
                 };
                 Box::new(Dagor::new(n, cfg))
             }
-            Scheme::Breakwater => Box::new(Breakwater::new(n, BreakwaterConfig::default())),
+            Scheme::Breakwater => Box::new(Breakwater::new(n)),
             Scheme::Wisp => Box::new(Wisp::new(engine.topology())),
         });
     }

@@ -23,7 +23,7 @@
 //! exists as an *extension* comparator (see the `retry-storm` and fig. 8
 //! extension rows in EXPERIMENTS.md).
 
-use crate::breakwater::BreakwaterConfig;
+use crate::breakwater::{self, INITIAL_RATE};
 use cluster::admission::AdmissionControl;
 use cluster::observe::ClusterObservation;
 use cluster::types::{RequestMeta, ServiceId};
@@ -33,11 +33,9 @@ use std::collections::HashMap;
 
 /// WISP admission across all services.
 pub struct Wisp {
-    /// The local delay law and its start rate: Breakwater's, at its
-    /// defaults (the per-client credit floor is Breakwater's issuance
-    /// and plays no part here).
-    law: BreakwaterConfig,
-    /// Local AIMD rates.
+    /// Local AIMD rates, under Breakwater's delay law from its start
+    /// rate (the per-client credit floor is Breakwater's issuance and
+    /// plays no part here).
     rates: Vec<f64>,
     /// Effective (bottleneck-propagated) rates.
     effective: Vec<f64>,
@@ -51,7 +49,6 @@ impl Wisp {
     /// Build WISP for a topology (the call-graph weights come from the
     /// execution paths, which WISP assumes known a priori).
     pub fn new(topo: &Topology) -> Self {
-        let law = BreakwaterConfig::default();
         let n = topo.num_services();
         // Count parent→child call edges over all paths, weighted by
         // branch weight, normalized per parent visit.
@@ -81,13 +78,12 @@ impl Wisp {
             c.sort_by_key(|(s, _)| *s);
         }
         Wisp {
-            rates: vec![law.initial_rate; n],
-            effective: vec![law.initial_rate; n],
+            rates: vec![INITIAL_RATE; n],
+            effective: vec![INITIAL_RATE; n],
             buckets: (0..n)
-                .map(|_| TokenBucket::new(law.initial_rate, law.initial_rate * 0.05, SimTime::ZERO))
+                .map(|_| TokenBucket::new(INITIAL_RATE, INITIAL_RATE * 0.05, SimTime::ZERO))
                 .collect(),
             children,
-            law,
         }
     }
 
@@ -136,7 +132,7 @@ impl AdmissionControl for Wisp {
         // Local AIMD on queueing delay: Breakwater's law.
         for w in &obs.services {
             let i = w.service.idx();
-            self.rates[i] = self.law.step(self.rates[i], w.mean_queuing_delay);
+            self.rates[i] = breakwater::step(self.rates[i], w.mean_queuing_delay);
         }
         // Push bottleneck limits toward the entry.
         self.propagate();

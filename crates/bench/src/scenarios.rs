@@ -10,7 +10,7 @@ use cluster::types::BusinessPriority;
 use cluster::{
     ApiId, ClosedLoopWorkload, Controller, Engine, EngineConfig, Harness, NoControl,
     OpenLoopWorkload, RateSchedule, RetryBudgetConfig, RetryStormWorkload, ServiceId, Topology,
-    WatchdogConfig, Workload,
+    Workload,
 };
 use rl::policy::PolicyValue;
 use simnet::SimDuration;
@@ -87,7 +87,7 @@ impl Roster {
             Roster::Wisp => Scheme::Wisp,
             Roster::Watchdog(cfg) => {
                 let entry = Roster::Config(cfg).controller();
-                return Harness::with_watchdog(engine, entry, WatchdogConfig::default());
+                return Harness::with_watchdog(engine, entry);
             }
             entry => return Harness::new(engine, entry.controller()),
         };
@@ -213,7 +213,6 @@ impl Recipe {
                 initial_vms,
                 max_vms: 10,
                 vm_startup: SimDuration::from_secs(vm_startup),
-                vcpus_per_pod: 1.0,
             });
             engine.enable_hpa(HpaConfig::default());
         })

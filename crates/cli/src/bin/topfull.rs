@@ -188,7 +188,6 @@ fn cmd_fuzz(args: &[String]) {
         ),
         base: flag_value::<String>(args, "--base")
             .map(|path| parse_workflow(&read_file(&path)).unwrap_or_else(|e| invalid(&path, e))),
-        ..defaults
     };
     let report = fuzz::run_fuzz(&cfg).unwrap_or_else(|e| fail(e));
     emit(args, &report, fuzz::render_fuzz);

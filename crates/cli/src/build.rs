@@ -300,7 +300,6 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
                 initial_vms: pool.initial_vms,
                 max_vms: pool.max_vms,
                 vm_startup: SimDuration::from_secs(pool.vm_startup_secs),
-                vcpus_per_pod: 1.0,
             });
         }
         engine.enable_hpa(hpa_config(auto));
@@ -359,7 +358,6 @@ fn hpa_config(auto: &AutoscalerSpec) -> HpaConfig {
         sync_period: auto
             .sync_period_secs
             .map_or(base.sync_period, SimDuration::from_secs),
-        ..base
     }
 }
 
@@ -430,7 +428,6 @@ pub(crate) fn sharded_config(spec: &ShardingSpec) -> Result<topfull::ShardedConf
         strike_out: spec.strike_out.unwrap_or(base.strike_out),
         reentry_ticks: spec.reentry_ticks.unwrap_or(base.reentry_ticks),
         limit_ttl: spec.limit_ttl.unwrap_or(base.limit_ttl),
-        ..base
     };
     let mut faults = Vec::with_capacity(spec.faults.len());
     for f in &spec.faults {

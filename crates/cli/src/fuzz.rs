@@ -34,8 +34,6 @@ pub struct FuzzConfig {
     pub out_dir: Option<PathBuf>,
     /// Starting genome; `None` = the built-in two-tier base.
     pub base: Option<WorkflowSpec>,
-    /// Simulator-pair evaluations the shrinker may spend per finding.
-    pub max_shrink_evals: u32,
 }
 
 impl Default for FuzzConfig {
@@ -45,7 +43,6 @@ impl Default for FuzzConfig {
             iters: 40,
             out_dir: None,
             base: None,
-            max_shrink_evals: 60,
         }
     }
 }
@@ -53,6 +50,9 @@ impl Default for FuzzConfig {
 /// Cap on the live corpus; mutated genomes replace random slots beyond
 /// this, keeping the pool diverse without unbounded growth.
 const CORPUS_CAP: usize = 16;
+
+/// Simulator-pair evaluations the shrinker may spend per finding.
+const MAX_SHRINK_EVALS: u32 = 60;
 
 /// One confirmed, shrunk weakness.
 #[derive(Clone, Debug, Serialize)]
@@ -414,7 +414,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
             found.push(v.objective);
             let objective = v.objective;
             let mut shrink_evals = 0u32;
-            let shrunk = shrink::shrink(&genome, cfg.max_shrink_evals, &mut |cand| {
+            let shrunk = shrink::shrink(&genome, MAX_SHRINK_EVALS, &mut |cand| {
                 shrink_evals += 1;
                 match violations_for(cand) {
                     Ok((vs, _)) => objectives::trips(&vs, objective),

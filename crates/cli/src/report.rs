@@ -2,7 +2,7 @@
 
 use crate::build::BuiltScenario;
 use crate::schema::Scenario;
-use cluster::{ApiId, Harness, ResilienceStats, SimPlane, WatchdogConfig};
+use cluster::{ApiId, Harness, ResilienceStats, SimPlane};
 use serde::Serialize;
 
 /// The measured outcome of a scenario run.
@@ -65,7 +65,7 @@ pub(crate) fn execute(
     } = built;
     let Some(cfg) = shards else {
         let mut h = if hardened {
-            Harness::with_watchdog(engine, controller, WatchdogConfig::default())
+            Harness::with_watchdog(engine, controller)
         } else {
             Harness::new(engine, controller)
         };

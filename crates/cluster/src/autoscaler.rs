@@ -22,25 +22,23 @@ pub struct HpaConfig {
     pub target_utilization: f64,
     /// How often the control loop runs (k8s default 15 s).
     pub sync_period: SimDuration,
-    /// Scale-down stabilization: use the *maximum* desired count proposed
-    /// within this window (k8s default 300 s; shorter here so experiments
-    /// of a few minutes exercise it).
-    pub stabilization: SimDuration,
-    /// Per-service replica ceiling.
-    pub max_replicas: u32,
-    /// Tolerance band around the target within which no action is taken
-    /// (k8s default 0.1).
-    pub tolerance: f64,
 }
+
+/// Scale-down stabilization: use the *maximum* desired count proposed
+/// within this window (k8s default 300 s; shorter here so experiments of
+/// a few minutes exercise it).
+pub(crate) const STABILIZATION: SimDuration = SimDuration::from_secs(60);
+/// Per-service replica ceiling.
+const MAX_REPLICAS: u32 = 1000;
+/// Tolerance band around the target within which no action is taken
+/// (the k8s default).
+const TOLERANCE: f64 = 0.1;
 
 impl Default for HpaConfig {
     fn default() -> Self {
         HpaConfig {
             target_utilization: 0.7,
             sync_period: SimDuration::from_secs(15),
-            stabilization: SimDuration::from_secs(60),
-            max_replicas: 1000,
-            tolerance: 0.1,
         }
     }
 }
@@ -95,23 +93,23 @@ impl Hpa {
         assert_eq!(per_service.len(), self.states.len());
         self.last_sync = now;
         self.first_sync_done = true;
-        let cfg = self.config.clone();
+        let target = self.config.target_utilization;
         let mut out = Vec::new();
         for (i, &(util, current)) in per_service.iter().enumerate() {
             let st = &mut self.states[i];
             let current = current.max(1);
-            let ratio = util / cfg.target_utilization;
+            let ratio = util / target;
             // Tolerance band: no action when close to target.
-            let raw = if (ratio - 1.0).abs() <= cfg.tolerance {
+            let raw = if (ratio - 1.0).abs() <= TOLERANCE {
                 current
             } else {
                 (f64::from(current) * ratio).ceil() as u32
             };
-            let raw = raw.clamp(st.min_replicas, cfg.max_replicas);
+            let raw = raw.clamp(st.min_replicas, MAX_REPLICAS);
             // Record the proposal, prune old ones, and apply scale-down
             // stabilization: desired = max proposal in the window.
             st.proposals.push((now, raw));
-            let horizon = now - cfg.stabilization;
+            let horizon = now - STABILIZATION;
             st.proposals.retain(|(t, _)| *t >= horizon);
             let desired = if raw < current {
                 st.proposals
@@ -119,7 +117,7 @@ impl Hpa {
                     .map(|(_, d)| *d)
                     .max()
                     .unwrap_or(raw)
-                    .min(cfg.max_replicas)
+                    .min(MAX_REPLICAS)
             } else {
                 raw
             };
@@ -143,9 +141,10 @@ pub struct VmPoolConfig {
     /// Time from provisioning request to the VM's vCPUs being usable
     /// (swept 20/40/60 s in Fig. 19).
     pub vm_startup: SimDuration,
-    /// vCPUs one pod occupies.
-    pub vcpus_per_pod: f64,
 }
+
+/// vCPUs one pod occupies.
+const VCPUS_PER_POD: f64 = 1.0;
 
 impl Default for VmPoolConfig {
     fn default() -> Self {
@@ -154,7 +153,6 @@ impl Default for VmPoolConfig {
             initial_vms: 2,
             max_vms: 10,
             vm_startup: SimDuration::from_secs(40),
-            vcpus_per_pod: 1.0,
         }
     }
 }
@@ -195,7 +193,7 @@ impl VmPool {
 
     /// Try to allocate one pod's vCPUs; false when the pool is exhausted.
     pub fn try_allocate_pod(&mut self) -> bool {
-        let need = self.config.vcpus_per_pod;
+        let need = VCPUS_PER_POD;
         if self.vcpus_used + need <= self.capacity() + 1e-9 {
             self.vcpus_used += need;
             true
@@ -206,14 +204,14 @@ impl VmPool {
 
     /// Release one pod's vCPUs.
     pub fn release_pod(&mut self) {
-        self.vcpus_used = (self.vcpus_used - self.config.vcpus_per_pod).max(0.0);
+        self.vcpus_used = (self.vcpus_used - VCPUS_PER_POD).max(0.0);
     }
 
     /// Request capacity for `pending_pods` more pods: returns how many new
     /// VMs to start provisioning now (the caller schedules their arrival
     /// after `config.vm_startup`).
     pub fn provision_for(&mut self, pending_pods: u32) -> u32 {
-        let need_vcpus = self.vcpus_used + f64::from(pending_pods) * self.config.vcpus_per_pod;
+        let need_vcpus = self.vcpus_used + f64::from(pending_pods) * VCPUS_PER_POD;
         let have = self.capacity() + f64::from(self.vms_provisioning * self.config.vcpus_per_vm);
         let deficit = need_vcpus - have;
         if deficit <= 0.0 {
@@ -246,9 +244,6 @@ mod tests {
             HpaConfig {
                 target_utilization: 0.5,
                 sync_period: SimDuration::from_secs(15),
-                stabilization: SimDuration::from_secs(60),
-                max_replicas: 100,
-                tolerance: 0.1,
             },
             vec![2, 2],
         )
@@ -265,10 +260,13 @@ mod tests {
     #[test]
     fn hpa_tolerance_band_holds() {
         let mut h = hpa2();
-        // 0.52/0.5 = 1.04 → within 10% tolerance → no change.
+        // 0.54/0.5 = 1.08 → within 10% tolerance → no change.
         assert!(h
-            .sync(SimTime::from_secs(15), &[(0.52, 4), (0.45, 2)])
+            .sync(SimTime::from_secs(15), &[(0.54, 4), (0.45, 2)])
             .is_empty());
+        // 0.56/0.5 = 1.12 → outside it → ceil(4 × 1.12) = 5.
+        let ups = h.sync(SimTime::from_secs(30), &[(0.56, 4), (0.5, 2)]);
+        assert_eq!(ups, vec![(ServiceId(0), 5)]);
     }
 
     #[test]
@@ -289,19 +287,13 @@ mod tests {
 
     #[test]
     fn hpa_respects_min_and_max() {
-        let mut h = Hpa::new(
-            HpaConfig {
-                max_replicas: 6,
-                ..HpaConfig::default()
-            },
-            vec![3],
-        );
+        let mut h = Hpa::new(HpaConfig::default(), vec![3]);
         // Utilization 0 → raw desire would be min; floor at 3.
         let ups = h.sync(SimTime::from_secs(300), &[(0.0, 3)]);
         assert!(ups.is_empty());
-        // Explosive overload → capped at 6.
-        let ups = h.sync(SimTime::from_secs(600), &[(1.0, 5)]);
-        assert_eq!(ups, vec![(ServiceId(0), 6)]);
+        // Explosive overload → capped at the ceiling.
+        let ups = h.sync(SimTime::from_secs(600), &[(1.0, MAX_REPLICAS - 1)]);
+        assert_eq!(ups, vec![(ServiceId(0), MAX_REPLICAS)]);
     }
 
     #[test]
@@ -320,7 +312,6 @@ mod tests {
             initial_vms: 1,
             max_vms: 2,
             vm_startup: SimDuration::from_secs(40),
-            vcpus_per_pod: 1.0,
         });
         for _ in 0..4 {
             assert!(p.try_allocate_pod());
@@ -337,7 +328,6 @@ mod tests {
             initial_vms: 1,
             max_vms: 3,
             vm_startup: SimDuration::from_secs(40),
-            vcpus_per_pod: 1.0,
         });
         for _ in 0..4 {
             assert!(p.try_allocate_pod());

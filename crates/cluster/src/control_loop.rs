@@ -102,41 +102,23 @@ impl Plane for Engine {
     }
 }
 
-/// Watchdog tuning for the hardened loop
-/// ([`ControlLoop::with_watchdog`]).
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// An observation older than this counts as dark (stale telemetry).
-    pub max_obs_age: SimDuration,
-    /// Consecutive dark ticks before the watchdog engages.
-    pub dark_after: u32,
-    /// Ticks to hold rate limits frozen once engaged, before decaying.
-    pub freeze_ticks: u32,
-    /// Per-tick multiplicative decay applied to finite limits after the
-    /// freeze expires (gently sheds load while blind).
-    pub decay: f64,
-    /// Limits never decay below this rate (requests/s).
-    pub floor: f64,
-    /// Maximum per-tick growth factor of any limit while re-entering
-    /// control after an outage (smooth ramp instead of a step).
-    pub reentry_growth: f64,
-    /// Ticks the re-entry ramp lasts.
-    pub reentry_ticks: u32,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            max_obs_age: SimDuration::from_secs(3),
-            dark_after: 2,
-            freeze_ticks: 5,
-            decay: 0.98,
-            floor: 1.0,
-            reentry_growth: 1.25,
-            reentry_ticks: 5,
-        }
-    }
-}
+/// The hardened loop's watchdog ([`ControlLoop::with_watchdog`]): an
+/// observation older than this counts as dark (stale telemetry).
+const MAX_OBS_AGE: SimDuration = SimDuration::from_secs(3);
+/// Consecutive dark ticks before the watchdog engages.
+const DARK_AFTER: u32 = 2;
+/// Ticks to hold rate limits frozen once engaged, before decaying.
+pub const FREEZE_TICKS: u32 = 5;
+/// Per-tick multiplicative decay applied to finite limits after the
+/// freeze expires (gently sheds load while blind).
+const DECAY: f64 = 0.98;
+/// Limits never decay below this rate (requests/s).
+const FLOOR: f64 = 1.0;
+/// Maximum per-tick growth factor of any limit while re-entering
+/// control after an outage (smooth ramp instead of a step).
+const REENTRY_GROWTH: f64 = 1.25;
+/// Ticks the re-entry ramp lasts.
+const REENTRY_TICKS: u32 = 5;
 
 /// What the watchdog did over a run (for tests and experiment reports).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -151,8 +133,8 @@ pub struct WatchdogStats {
     pub reentries: u64,
 }
 
+#[derive(Default)]
 struct Watchdog {
-    cfg: WatchdogConfig,
     dark_streak: u32,
     reentry_left: u32,
     stats: WatchdogStats,
@@ -160,18 +142,19 @@ struct Watchdog {
 
 /// The watchdog's verdict on one tick.
 enum Gate {
-    /// Control runs; `ramp` caps per-tick limit growth while re-entering.
-    Open { ramp: Option<f64> },
+    /// Control runs; `ramp` caps per-tick limit growth at
+    /// [`REENTRY_GROWTH`] while re-entering.
+    Open { ramp: bool },
     /// Dark and engaged, inside the freeze window: limits stay put.
     Frozen,
-    /// Dark past the freeze window: finite limits shrink by `factor`
-    /// per tick, never below `floor`.
-    Decay { factor: f64, floor: f64 },
+    /// Dark past the freeze window: finite limits shrink by [`DECAY`]
+    /// per tick, never below [`FLOOR`].
+    Decay,
 }
 
 impl Watchdog {
     fn engaged(&self) -> bool {
-        self.dark_streak >= self.cfg.dark_after
+        self.dark_streak >= DARK_AFTER
     }
 
     /// Advance the dark/light state machine on this window and journal
@@ -183,19 +166,19 @@ impl Watchdog {
                 event: event.into(),
             });
         };
-        let dark = now.duration_since(view.now) > self.cfg.max_obs_age
+        let dark = now.duration_since(view.now) > MAX_OBS_AGE
             || view.services.iter().all(|s| !s.utilization.is_finite());
         if !dark {
             if self.engaged() {
                 self.stats.reentries += 1;
-                self.reentry_left = self.cfg.reentry_ticks;
+                self.reentry_left = REENTRY_TICKS;
                 note("reentry: observations recovered, ramping limits");
             }
             self.dark_streak = 0;
             return self.open();
         }
         self.dark_streak = self.dark_streak.saturating_add(1);
-        if self.dark_streak == self.cfg.dark_after {
+        if self.dark_streak == DARK_AFTER {
             note("engaged: observations dark, limits frozen");
         }
         if !self.engaged() {
@@ -203,23 +186,20 @@ impl Watchdog {
             // the watchdog's.
             return self.open();
         }
-        let past_engage = self.dark_streak - self.cfg.dark_after;
-        if past_engage < self.cfg.freeze_ticks {
+        let past_engage = self.dark_streak - DARK_AFTER;
+        if past_engage < FREEZE_TICKS {
             self.stats.frozen_ticks += 1;
             return Gate::Frozen;
         }
-        if past_engage == self.cfg.freeze_ticks {
+        if past_engage == FREEZE_TICKS {
             note("decaying: still dark past freeze window");
         }
         self.stats.decayed_ticks += 1;
-        Gate::Decay {
-            factor: self.cfg.decay,
-            floor: self.cfg.floor,
-        }
+        Gate::Decay
     }
 
     fn open(&mut self) -> Gate {
-        let ramp = (self.reentry_left > 0).then_some(self.cfg.reentry_growth);
+        let ramp = self.reentry_left > 0;
         self.reentry_left = self.reentry_left.saturating_sub(1);
         Gate::Open { ramp }
     }
@@ -292,13 +272,8 @@ impl<'c> ControlLoop<'c> {
     /// running on the last pre-outage limits — and (c) ramps limit
     /// growth when control re-enters, instead of letting the
     /// controller's stale internal state step limits up abruptly.
-    pub fn with_watchdog(mut self, cfg: WatchdogConfig) -> Self {
-        self.watchdog = Some(Watchdog {
-            cfg,
-            dark_streak: 0,
-            reentry_left: 0,
-            stats: WatchdogStats::default(),
-        });
+    pub fn with_watchdog(mut self) -> Self {
+        self.watchdog = Some(Watchdog::default());
         self
     }
 
@@ -365,27 +340,27 @@ impl<'c> ControlLoop<'c> {
     ) -> Option<Vec<RateLimitUpdate>> {
         let gate = match &mut self.watchdog {
             Some(wd) => wd.gate(view, now, &self.journal),
-            None => Gate::Open { ramp: None },
+            None => Gate::Open { ramp: false },
         };
         match gate {
             Gate::Frozen => None,
-            Gate::Decay { factor, floor } => Some(
+            Gate::Decay => Some(
                 (0..view.apis.len() as u32)
                     .map(ApiId)
                     .filter_map(|api| {
                         let l = plane.rate_limit(api);
                         l.is_finite()
-                            .then(|| RateLimitUpdate::limit(api, (l * factor).max(floor)))
+                            .then(|| RateLimitUpdate::limit(api, (l * DECAY).max(FLOOR)))
                     })
                     .collect(),
             ),
             Gate::Open { ramp } => {
                 let mut updates = self.controller.control(view);
-                if let Some(growth) = ramp {
-                    // No limit may grow faster than `growth` per tick
-                    // right after an outage. A second update for the
-                    // same API ramps from the first, as if the two were
-                    // applied one at a time.
+                if ramp {
+                    // No limit may grow faster than `REENTRY_GROWTH`
+                    // per tick right after an outage. A second update
+                    // for the same API ramps from the first, as if the
+                    // two were applied one at a time.
                     for i in 0..updates.len() {
                         let api = updates[i].api;
                         let cur = updates[..i]
@@ -394,7 +369,7 @@ impl<'c> ControlLoop<'c> {
                             .find(|p| p.api == api)
                             .map_or_else(|| plane.rate_limit(api), |p| p.rate);
                         if cur.is_finite() {
-                            updates[i].rate = updates[i].rate.min(cur * growth);
+                            updates[i].rate = updates[i].rate.min(cur * REENTRY_GROWTH);
                         }
                     }
                 }
@@ -587,7 +562,7 @@ mod tests {
         let mut lost = window(2, 0, 0.5, 0.0);
         lost.contact = Contact::Lost;
         let mut plane = FakePlane::new(&log, vec![stalled, lost]);
-        let mut ctl = ControlLoop::new(wants(40.0, &log)).with_watchdog(WatchdogConfig::default());
+        let mut ctl = ControlLoop::new(wants(40.0, &log)).with_watchdog();
         assert!(ctl.tick(&mut plane).is_some());
         assert_eq!(*log.borrow(), ["observe", "slo x1", "apply none"]);
         assert_eq!(ctl.watchdog_stats().stalled_ticks, 1);
@@ -620,33 +595,28 @@ mod tests {
 
     #[test]
     fn watchdog_freezes_decays_and_ramps_only_through_the_plane() {
-        let cfg = WatchdogConfig {
-            dark_after: 1,
-            freeze_ticks: 1,
-            decay: 0.5,
-            floor: 30.0,
-            reentry_growth: 2.0,
-            reentry_ticks: 2,
-            ..WatchdogConfig::default()
-        };
         let log = Log::default();
         let dark = |t| window(t, 0, f64::NAN, 0.0);
-        let windows = vec![
-            window(1, 0, 0.5, 0.0), // control: limit 100
-            dark(2),                // engages, frozen
-            dark(3),                // decays 100 → 50
-            window(4, 4, 0.5, 0.0), // stale is dark too: 50 → floor 30
-            window(5, 0, 0.5, 0.0), // re-entry: 1000 ramps to 60
-            window(6, 0, 0.5, 0.0), // 120
-            window(7, 0, 0.5, 0.0), // ramp over: 1000
-        ];
+        let lit = |t| window(t, 0, 0.5, 0.0);
+        let mut windows = vec![lit(1), dark(2)];
+        windows.extend((3..=8).map(dark));
+        windows.push(window(9, 4, 0.5, 0.0)); // stale is dark too
+        windows.extend((10..=15).map(lit));
         let mut plane = FakePlane::new(&log, windows);
-        let mut ctl = ControlLoop::new(wants(100.0, &log)).with_watchdog(cfg);
+        // 1.04 decays twice: once above the floor, once onto it.
+        let mut ctl = ControlLoop::new(wants(1.04, &log)).with_watchdog();
         ctl.tick(&mut plane);
-        assert_eq!(plane.limit, 100.0);
+        // One dark tick short of engaging still reaches the controller.
+        ctl.tick(&mut plane);
+        assert_eq!(plane.limit, 1.04);
         ctl.controller = Held::Owned(wants(1000.0, &log));
+        let frozen = [1.04; FREEZE_TICKS as usize];
+        // ×0.98 a tick onto a floor of 1 rps.
+        let decayed = [1.04 * 0.98, 1.0];
+        // Re-entry ramps by 1.25 a tick for five ticks, then lets go.
+        let ramp = [1.25, 1.5625, 1.953125, 2.44140625, 3.0517578125, 1000.0];
         let mut limits = Vec::new();
-        for _ in 2..=7 {
+        for _ in 3..=15 {
             log.borrow_mut().clear();
             ctl.tick(&mut plane);
             limits.push(plane.limit);
@@ -654,14 +624,15 @@ mod tests {
             let controlled = calls.iter().any(|c| c == "control");
             let applied = calls.last().expect("every tick ends in apply");
             assert!(applied.starts_with("apply"), "{calls:?}");
-            // Dark ticks never consult the controller.
-            assert_eq!(controlled, limits.len() >= 4, "{calls:?}");
+            // Engaged dark ticks never consult the controller.
+            let dark_ticks = frozen.len() + decayed.len();
+            assert_eq!(controlled, limits.len() > dark_ticks, "{calls:?}");
         }
-        assert_eq!(limits, [100.0, 50.0, 30.0, 60.0, 120.0, 1000.0]);
+        assert_eq!(limits, [&frozen[..], &decayed, &ramp].concat());
         let stats = ctl.watchdog_stats();
         assert_eq!(
             (stats.frozen_ticks, stats.decayed_ticks, stats.reentries),
-            (1, 2, 1)
+            (u64::from(FREEZE_TICKS), 2, 1)
         );
         let events: Vec<String> = ctl
             .journal()

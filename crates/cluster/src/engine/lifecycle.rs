@@ -11,7 +11,7 @@
 use super::planes::{CallCtx, LifecyclePoint, Verdict};
 use super::pods::{shortest_queue, InFlight, QueuedCall};
 use super::requests::{Parked, ReqId, RequestRt};
-use super::{Engine, Ev, ARRIVAL_LANE, HOP_LANE, TIMEOUT_LANE};
+use super::{Engine, Ev, ARRIVAL_LANE, HOP_LANE, HOP_LATENCY, TIMEOUT_LANE};
 use crate::front::PreVerdict;
 use crate::tracing::{Span, SpanVerdict};
 use crate::types::{RequestMeta, RequestOutcome, ServiceId};
@@ -226,7 +226,7 @@ impl Engine {
                 // it are inserted while within reach, then declined.
                 self.queue.schedule_fifo(
                     HOP_LANE,
-                    now + self.cfg.hop_latency + extra,
+                    now + HOP_LATENCY + extra,
                     Ev::CallArrive {
                         req,
                         node,
@@ -458,7 +458,7 @@ impl Engine {
                     // The parent's response travels one hop back.
                     self.queue.schedule_fifo(
                         HOP_LANE,
-                        now + self.cfg.hop_latency,
+                        now + HOP_LATENCY,
                         Ev::NodeJoin { req, node: parent },
                     );
                 }

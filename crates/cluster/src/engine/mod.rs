@@ -36,7 +36,7 @@
 //! (slab slots, shared templates, recycled buffers) is free to change
 //! without moving a bit of any result. That covers the three users of
 //! [`EventQueue::schedule_fifo`]'s lanes: the two hops in `lifecycle` — a
-//! call out, a join back, each `hop_latency` ahead of the clock — on the
+//! call out, a join back, each `HOP_LATENCY` ahead of the clock — on the
 //! hop lane; closed-loop arrivals (`user.is_some()`), paced from their
 //! user's last issue time, on the arrival lane; and their client timeouts
 //! on the timeout lane. An open loop's arrivals, drawn a tick ahead per
@@ -59,7 +59,6 @@ pub use metrics::ApiTotals;
 use crate::admission::AdmissionControl;
 use crate::autoscaler::{Hpa, HpaConfig, VmPool, VmPoolConfig};
 use crate::entry_admission::EntryAdmission;
-use crate::failure::CrashLoopConfig;
 use crate::faults::FaultSpec;
 use crate::front::{FrontConfig, FrontDoor};
 use crate::observe::ClusterObservation;
@@ -85,16 +84,12 @@ pub struct EngineConfig {
     pub slo: SimDuration,
     /// Observation / control window (paper: 1 s).
     pub control_interval: SimDuration,
-    /// One-way network latency per hop.
-    pub hop_latency: SimDuration,
     /// Log-normal sigma of service-time jitter (0 disables).
     pub service_jitter: f64,
     /// Gateway token-bucket depth in seconds of rate.
     pub gateway_burst_secs: f64,
     /// Time for a new pod to become ready once vCPUs are available.
     pub pod_startup: SimDuration,
-    /// Crash-loop model for `crash_on_overload` services.
-    pub crash: CrashLoopConfig,
     /// When true, the observation's `api_paths` come from the distributed
     /// tracing collector (paths *learned* from spans, §4.1/§5) instead of
     /// the static topology union.
@@ -110,11 +105,9 @@ impl Default for EngineConfig {
             seed: 1,
             slo: SimDuration::from_secs(1),
             control_interval: SimDuration::from_secs(1),
-            hop_latency: SimDuration::from_micros(500),
             service_jitter: 0.1,
             gateway_burst_secs: 0.05,
             pod_startup: SimDuration::from_secs(10),
-            crash: CrashLoopConfig::default(),
             learn_paths: false,
             trace_raw_buffer: 0,
         }
@@ -138,6 +131,9 @@ struct FrontState {
 /// How long a service stays on a learned path without fresh spans
 /// (`learn_paths`).
 const TRACE_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// One-way network latency per hop, every hop's.
+const HOP_LATENCY: SimDuration = SimDuration::from_micros(500);
 
 /// The event queue's lanes (see "Determinism" above).
 const HOP_LANE: usize = 0;
@@ -250,7 +246,6 @@ impl Engine {
             initial_vms: 1,
             max_vms: 1,
             vm_startup: SimDuration::from_secs(40),
-            vcpus_per_pod: 1.0,
         });
         let services: Vec<ServiceRt> = topo
             .services()

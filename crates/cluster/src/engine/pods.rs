@@ -8,6 +8,7 @@
 
 use super::requests::ReqId;
 use super::{Engine, Ev};
+use crate::failure::{restart_delay, PROBES_TO_CRASH, SATURATION_FRACTION};
 use crate::observe::ClusterObservation;
 use crate::types::{RequestOutcome, ServiceId};
 use simnet::{SimDuration, SimTime};
@@ -181,14 +182,13 @@ impl Engine {
     }
 
     pub(super) fn run_probes(&mut self, now: SimTime) {
-        let crash = self.cfg.crash;
         for i in 0..self.services.len() {
             let sid = ServiceId(i as u32);
             if !self.topo.service(sid).crash_on_overload {
                 continue;
             }
             let cap = self.topo.service(sid).queue_capacity as f64;
-            let threshold = (cap * crash.saturation_fraction) as usize;
+            let threshold = (cap * SATURATION_FRACTION) as usize;
             for pi in 0..self.services[i].pods.len() {
                 let pod = &mut self.services[i].pods[pi];
                 if !pod.is_ready() {
@@ -203,12 +203,9 @@ impl Engine {
                     }
                     pod.saturated_probes = 0;
                 }
-                if pod.saturated_probes >= crash.probes_to_crash {
-                    // This crash is number `crash_count + 1`; the backoff
-                    // policy (fixed, or capped exponential) sets the delay.
-                    let backoff = crash
-                        .backoff
-                        .delay(crash.restart_delay, pod.crash_count + 1);
+                if pod.saturated_probes >= PROBES_TO_CRASH {
+                    // This crash is number `crash_count + 1`.
+                    let backoff = restart_delay(pod.crash_count.saturating_add(1));
                     self.crash_pod(now, sid, pi, backoff);
                 }
             }

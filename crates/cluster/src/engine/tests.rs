@@ -242,11 +242,7 @@ mod core {
             },
             Box::new(w),
         );
-        e.enable_hpa(HpaConfig {
-            sync_period: SimDuration::from_secs(15),
-            target_utilization: 0.7,
-            ..HpaConfig::default()
-        });
+        e.enable_hpa(HpaConfig::default());
         e.run_until(SimTime::from_secs(120));
         assert!(
             e.ready_pods(s) >= 4,
@@ -280,7 +276,6 @@ mod core {
             initial_vms: 1,
             max_vms: 3,
             vm_startup: SimDuration::from_secs(30),
-            vcpus_per_pod: 1.0,
         });
         e.enable_hpa(HpaConfig::default());
         e.run_until(SimTime::from_secs(25));
@@ -650,7 +645,7 @@ mod tracing_tests {
 }
 
 mod lifecycle_tests {
-    use crate::autoscaler::HpaConfig;
+    use crate::autoscaler::{HpaConfig, STABILIZATION};
     use crate::engine::{Engine, EngineConfig, ARRIVAL_LANE, HOP_LANE, TIMEOUT_LANE};
     use crate::faults::FaultSpec;
     use crate::topology::{ApiSpec, CallNode, ServiceSpec, Topology};
@@ -681,10 +676,9 @@ mod lifecycle_tests {
             },
             Box::new(w),
         );
-        e.enable_hpa(HpaConfig {
-            stabilization: SimDuration::from_secs(30),
-            ..HpaConfig::default()
-        });
+        // Scale-down waits out the 60 s stabilization window.
+        assert_eq!(STABILIZATION, SimDuration::from_secs(60));
+        e.enable_hpa(HpaConfig::default());
         e.run_until(SimTime::from_secs(55));
         let peak = e.ready_pods(s);
         assert!(peak >= 4, "scaled up under load, pods={peak}");
@@ -797,7 +791,7 @@ mod lifecycle_tests {
     #[test]
     fn hop_events_ride_the_lane_undeclined() {
         // The population `simnet::event`'s lane exists for: every call
-        // and every join travels `hop_latency`, one constant, so hop
+        // and every join travels `HOP_LATENCY`, one constant, so hop
         // events are scheduled in the order they fire and none needs a
         // sift. If the hop ever becomes per-edge or jittered the second
         // assert fails: the lane has lost its reason.

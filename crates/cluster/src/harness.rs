@@ -6,7 +6,7 @@
 //! per-interval series every experiment in the paper plots — per-API
 //! goodput, latencies, rate limits, pod counts and vCPU usage.
 
-use crate::control_loop::{ControlLoop, Plane, WatchdogConfig, WatchdogStats};
+use crate::control_loop::{ControlLoop, Plane, WatchdogStats};
 use crate::controller::Controller;
 use crate::engine::Engine;
 use crate::observe::ClusterObservation;
@@ -150,13 +150,9 @@ pub struct Harness<P: SimPlane = Engine> {
 impl Harness {
     /// [`Harness::new`] with the hardened loop's watchdog
     /// ([`ControlLoop::with_watchdog`]).
-    pub fn with_watchdog(
-        engine: Engine,
-        controller: Box<dyn Controller>,
-        cfg: WatchdogConfig,
-    ) -> Self {
+    pub fn with_watchdog(engine: Engine, controller: Box<dyn Controller>) -> Self {
         let mut h = Harness::new(engine, controller);
-        h.ctl = h.ctl.with_watchdog(cfg);
+        h.ctl = h.ctl.with_watchdog();
         h
     }
 }

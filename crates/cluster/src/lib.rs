@@ -57,7 +57,7 @@ pub mod tracing;
 pub mod types;
 pub mod workload;
 
-pub use control_loop::{Contact, ControlLoop, Observed, Plane, WatchdogConfig, WatchdogStats};
+pub use control_loop::{Contact, ControlLoop, Observed, Plane, WatchdogStats};
 pub use controller::{Controller, NoControl, RateLimitUpdate};
 pub use engine::{Engine, EngineConfig};
 pub use entry_admission::EntryAdmission;

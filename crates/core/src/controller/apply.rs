@@ -226,17 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn increase_rule_reads_the_detector_in_use_not_a_bad_config_pair() {
-        // `overload_enter = NaN` is rejected by the detector, which falls
-        // back to the paper's 0.8/0.75 — and "hot" must mean the same
-        // 0.8, or nothing ever is and API0 is raised through hot svc 1.
-        let mut tf = TopFull::new(
-            TopFullConfig {
-                overload_enter: f64::NAN,
-                ..TopFullConfig::default()
-            }
-            .with_mimd_steps(0.05, 0.2),
-        );
+    fn an_increase_vetoed_by_a_hot_service_is_journaled() {
+        // "Hot" is the detector's 0.8: API0 is not raised through hot
+        // svc 1, and the veto is recorded.
+        let mut tf = TopFull::new(TopFullConfig::default().with_mimd_steps(0.05, 0.2));
         let journal = obs::Journal::shared();
         tf.attach_journal(std::sync::Arc::clone(&journal));
         tf.preset_limits(&[100.0, 100.0]);

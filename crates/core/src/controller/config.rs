@@ -1,5 +1,5 @@
-//! [`TopFullConfig`]: thresholds, rate bounds, the three refinement
-//! ablations and the step policy.
+//! [`TopFullConfig`]: rate bounds, the three refinement ablations and
+//! the step policy.
 
 use crate::rate_controller::{
     BwRateController, MimdController, RateController, RlRateController, SafeRateController,
@@ -10,10 +10,6 @@ use std::sync::Arc;
 /// TopFull configuration.
 #[derive(Clone)]
 pub struct TopFullConfig {
-    /// Utilization threshold entering the overloaded set (paper: 0.8).
-    pub overload_enter: f64,
-    /// Hysteresis exit threshold.
-    pub overload_exit: f64,
     /// Disable for the §6.2 "w/o cluster" ablation: all involved APIs and
     /// overloaded services form a single sub-problem handled serially.
     pub clustering_enabled: bool,
@@ -61,8 +57,6 @@ pub struct TopFullConfig {
 impl Default for TopFullConfig {
     fn default() -> Self {
         TopFullConfig {
-            overload_enter: 0.8,
-            overload_exit: 0.75,
             clustering_enabled: true,
             min_rate: 1.0,
             max_rate: f64::INFINITY,
@@ -98,7 +92,7 @@ impl TopFullConfig {
 
     /// Use the Breakwater-style AIMD controller (TopFull(BW), §6.3).
     pub fn with_bw(mut self) -> Self {
-        self.rate_controller = Arc::new(BwRateController::default());
+        self.rate_controller = Arc::new(BwRateController);
         self
     }
 

@@ -39,7 +39,7 @@ pub use decide::{Decision, Subject};
 pub(crate) use journal::jf;
 
 use crate::clustering::{cluster_apis, monolithic_cluster};
-use crate::detector::OverloadDetector;
+use crate::detector::{OverloadDetector, OVERLOAD_ENTER};
 use cluster::observe::ClusterObservation;
 use cluster::{Controller, RateLimitUpdate};
 use std::sync::Arc;
@@ -95,16 +95,13 @@ fn flagged(set: &[bool], idx: usize) -> bool {
 impl TopFull {
     pub fn new(cfg: TopFullConfig) -> Self {
         // Malformed fields must not take the control loop down: the
-        // rate bounds are sanitized once, here, and a rejected threshold
-        // pair falls back to the paper's. The detector sizes itself to
-        // the observations it is shown.
+        // rate bounds are sanitized once, here. The detector sizes itself
+        // to the observations it is shown.
         let (min_rate, max_rate) = (cfg.min_rate, cfg.max_rate);
         let cfg = cfg.with_rate_bounds(min_rate, max_rate);
-        let detector = OverloadDetector::with_thresholds(0, cfg.overload_enter, cfg.overload_exit)
-            .unwrap_or_else(|_| OverloadDetector::new(0));
         TopFull {
             cfg,
-            detector,
+            detector: OverloadDetector::new(0),
             apis: Vec::new(),
             ticks: 0,
             last_decisions: Vec::new(),
@@ -149,14 +146,12 @@ impl Controller for TopFull {
         // hysteresis set: a service cooling through the 0.75–0.8 band
         // still anchors its cluster, but must not veto recovery of every
         // API crossing it — otherwise near-threshold services freeze the
-        // whole application below capacity. The threshold is that of the
-        // detector in use, which is not `cfg.overload_enter` when that
-        // pair was rejected.
+        // whole application below capacity.
         let mut hot = std::mem::take(&mut self.hot);
         hot.clear();
         hot.resize(obs.services.len(), false);
         for s in &obs.services {
-            if s.utilization > self.detector.enter {
+            if s.utilization > OVERLOAD_ENTER {
                 let i = s.service.idx();
                 if i >= hot.len() {
                     hot.resize(i + 1, false);

@@ -10,49 +10,27 @@
 //! The detector also tolerates degraded telemetry: a non-finite
 //! utilization sample (NaN from a metrics dropout, say) is replaced by the
 //! service's last good value as long as that value is younger than
-//! [`OverloadDetector::max_sample_age`]. Past that age the service's
-//! state is *unknown*, which is treated as not-newly-overloaded: the flag
-//! is held where it was, so a blinded detector neither flags healthy
-//! services nor releases pressure on services that were overloaded when
-//! the lights went out.
+//! [`MAX_SAMPLE_AGE`]. Past that age the service's state is *unknown*,
+//! which is treated as not-newly-overloaded: the flag is held where it
+//! was, so a blinded detector neither flags healthy services nor
+//! releases pressure on services that were overloaded when the lights
+//! went out.
 
 use cluster::observe::ClusterObservation;
 use cluster::types::ServiceId;
 use simnet::{SimDuration, SimTime};
-use std::fmt;
 
-/// Rejected detector configuration (see
-/// [`OverloadDetector::with_thresholds`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct InvalidThresholds {
-    /// The offending enter threshold.
-    pub enter: f64,
-    /// The offending exit threshold.
-    pub exit: f64,
-}
-
-impl fmt::Display for InvalidThresholds {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "hysteresis requires finite exit ≤ enter, got enter={} exit={}",
-            self.enter, self.exit
-        )
-    }
-}
-
-impl std::error::Error for InvalidThresholds {}
+/// Enter the overloaded set above this utilization (§4.2: 0.8 CPU).
+pub const OVERLOAD_ENTER: f64 = 0.8;
+/// Leave the overloaded set below this utilization.
+pub const OVERLOAD_EXIT: f64 = 0.75;
+/// How stale a last-good utilization sample may be and still stand in
+/// for a missing one.
+pub const MAX_SAMPLE_AGE: SimDuration = SimDuration::from_secs(5);
 
 /// Utilization-threshold overload detector with hysteresis.
 #[derive(Clone, Debug)]
 pub struct OverloadDetector {
-    /// Enter the overloaded set above this utilization.
-    pub enter: f64,
-    /// Leave the overloaded set below this utilization.
-    pub exit: f64,
-    /// How stale a last-good utilization sample may be and still stand in
-    /// for a missing one.
-    pub max_sample_age: SimDuration,
     /// Per-service state, indexed by `ServiceId`; grows to whatever the
     /// observations mention.
     services: Vec<ServiceState>,
@@ -68,25 +46,9 @@ struct ServiceState {
 impl OverloadDetector {
     /// Detector with the paper's 0.8 threshold (exit at 0.75).
     pub fn new(num_services: usize) -> Self {
-        Self::with_thresholds(num_services, 0.8, 0.75).expect("default thresholds are valid")
-    }
-
-    /// Detector with explicit enter/exit thresholds. Both must be finite
-    /// with `exit ≤ enter`, otherwise the configuration is rejected.
-    pub fn with_thresholds(
-        num_services: usize,
-        enter: f64,
-        exit: f64,
-    ) -> Result<Self, InvalidThresholds> {
-        if !enter.is_finite() || !exit.is_finite() || exit > enter {
-            return Err(InvalidThresholds { enter, exit });
-        }
-        Ok(OverloadDetector {
-            enter,
-            exit,
-            max_sample_age: SimDuration::from_secs(5),
+        OverloadDetector {
             services: vec![ServiceState::default(); num_services],
-        })
+        }
     }
 
     /// Update from an observation; returns the overloaded set, ascending.
@@ -106,16 +68,16 @@ impl OverloadDetector {
                 // is fresh enough, else the state is unknown.
                 state
                     .last_good
-                    .filter(|(t, _)| obs.now.duration_since(*t) <= self.max_sample_age)
+                    .filter(|(t, _)| obs.now.duration_since(*t) <= MAX_SAMPLE_AGE)
                     .map(|(_, u)| u)
             };
             // Unknown (`None`) is not healthy: hold the flag as-is.
             if let Some(u) = util {
                 if state.overloaded {
-                    if u < self.exit {
+                    if u < OVERLOAD_EXIT {
                         state.overloaded = false;
                     }
-                } else if u > self.enter {
+                } else if u > OVERLOAD_ENTER {
                     state.overloaded = true;
                 }
             }
@@ -185,15 +147,6 @@ mod tests {
         assert!(d.detect(&obs(&[0.7])).is_empty());
         // Back between thresholds: stays clear.
         assert!(d.detect(&obs(&[0.77])).is_empty());
-    }
-
-    #[test]
-    fn invalid_thresholds_are_rejected() {
-        assert!(OverloadDetector::with_thresholds(1, 0.5, 0.9).is_err());
-        assert!(OverloadDetector::with_thresholds(1, f64::NAN, 0.5).is_err());
-        assert!(OverloadDetector::with_thresholds(1, 0.8, f64::NEG_INFINITY).is_err());
-        let err = OverloadDetector::with_thresholds(1, 0.5, 0.9).unwrap_err();
-        assert!(err.to_string().contains("exit ≤ enter"));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod shard;
 
 pub use clustering::{cluster_apis, Cluster};
 pub use controller::{TopFull, TopFullConfig};
-pub use detector::{InvalidThresholds, OverloadDetector};
+pub use detector::OverloadDetector;
 pub use rate_controller::{
     BwRateController, MimdController, RateController, RateState, RlRateController,
     SafeRateController,

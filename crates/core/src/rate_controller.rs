@@ -137,36 +137,25 @@ impl RateController for MimdController {
 /// additive increase while the latency signal is under target,
 /// multiplicative decrease proportional to overload severity (§6.3).
 #[derive(Clone, Copy, Debug)]
-pub struct BwRateController {
-    /// Additive step (requests/s) while healthy.
-    pub additive: f64,
-    /// Severity sensitivity of the decrease.
-    pub beta: f64,
-    /// Latency target as a fraction of the SLO.
-    pub target_ratio: f64,
-}
+pub struct BwRateController;
 
-impl Default for BwRateController {
-    fn default() -> Self {
-        BwRateController {
-            additive: 50.0,
-            beta: 0.4,
-            target_ratio: 0.8,
-        }
-    }
-}
+/// [`BwRateController`]'s additive step (requests/s) while healthy.
+const BW_ADDITIVE: f64 = 50.0;
+/// [`BwRateController`]'s severity sensitivity of the decrease.
+const BW_BETA: f64 = 0.4;
+/// [`BwRateController`]'s latency target as a fraction of the SLO.
+const BW_TARGET_RATIO: f64 = 0.8;
 
 impl RateController for BwRateController {
     fn decide(&self, s: RateState) -> f64 {
-        if s.latency_ratio <= self.target_ratio {
+        if s.latency_ratio <= BW_TARGET_RATIO {
             if s.total_limit <= 0.0 {
                 return 0.5;
             }
-            (self.additive / s.total_limit).min(0.5)
+            (BW_ADDITIVE / s.total_limit).min(0.5)
         } else {
-            let severity =
-                ((s.latency_ratio - self.target_ratio) / s.latency_ratio).clamp(0.0, 1.0);
-            -(self.beta * severity).min(0.5)
+            let severity = ((s.latency_ratio - BW_TARGET_RATIO) / s.latency_ratio).clamp(0.0, 1.0);
+            -(BW_BETA * severity).min(0.5)
         }
     }
 
@@ -315,7 +304,7 @@ mod tests {
 
     #[test]
     fn bw_additive_is_rate_relative() {
-        let c = BwRateController::default();
+        let c = BwRateController;
         // +50 rps on a 500 rps limit = +0.1 multiplicative.
         let a = c.decide(st(1.0, 0.5, 500.0));
         assert!((a - 0.1).abs() < 1e-12);
@@ -326,7 +315,7 @@ mod tests {
 
     #[test]
     fn bw_decrease_scales_with_severity() {
-        let c = BwRateController::default();
+        let c = BwRateController;
         let mild = c.decide(st(0.5, 1.0, 500.0));
         let severe = c.decide(st(0.5, 4.0, 500.0));
         assert!(mild < 0.0 && severe < mild, "mild {mild}, severe {severe}");
@@ -352,7 +341,7 @@ mod tests {
     #[test]
     fn controllers_have_names() {
         assert_eq!(MimdController::paper_default().name(), "mimd");
-        assert_eq!(BwRateController::default().name(), "breakwater-style");
+        assert_eq!(BwRateController.name(), "breakwater-style");
     }
 
     /// A controller that replays a fixed script of (possibly hostile)

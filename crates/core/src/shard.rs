@@ -53,34 +53,31 @@ pub struct ShardPlaneConfig {
     /// Consecutive missed reports before a shard is struck out and its
     /// quota redistributed.
     pub strike_out: u32,
-    /// Per-tick growth factor of a re-entering shard's quota cap.
-    pub reentry_growth: f64,
     /// Ticks the re-entry ramp lasts.
     pub reentry_ticks: u32,
     /// Ticks a shard holds last-good limits without a controller push
     /// before degrading to the local MIMD fallback.
     pub limit_ttl: u32,
-    /// EWMA smoothing of per-shard arrival share.
-    pub arrival_alpha: f64,
-    /// Cumulative growth cap of any quota while a shard is blind
-    /// (controller unreachable): never fail-open.
-    pub blind_cap: f64,
-    /// Headroom factor used to synthesize a finite blind cap for an
-    /// API that was unlimited when the controller vanished.
-    pub blind_headroom: f64,
 }
+
+/// Per-tick growth factor of a re-entering shard's quota cap.
+pub const REENTRY_GROWTH: f64 = 1.25;
+/// EWMA smoothing of per-shard arrival share.
+const ARRIVAL_ALPHA: f64 = 0.3;
+/// Cumulative growth cap of any quota while a shard is blind
+/// (controller unreachable): never fail-open.
+pub const BLIND_CAP: f64 = 1.5;
+/// Headroom factor used to synthesize a finite blind cap for an API
+/// that was unlimited when the controller vanished.
+pub const BLIND_HEADROOM: f64 = 1.2;
 
 impl Default for ShardPlaneConfig {
     fn default() -> Self {
         ShardPlaneConfig {
             min_quantum: 1.0,
             strike_out: 3,
-            reentry_growth: 1.25,
             reentry_ticks: 5,
             limit_ttl: 5,
-            arrival_alpha: 0.3,
-            blind_cap: 1.5,
-            blind_headroom: 1.2,
         }
     }
 }
@@ -409,14 +406,13 @@ impl ShardPlane {
         if slot.arrivals.len() != o.apis.len() {
             slot.arrivals = o.apis.iter().map(|a| a.offered.max(0.0)).collect();
         } else {
-            let a = self.cfg.arrival_alpha.clamp(0.0, 1.0);
             for (e, w) in slot.arrivals.iter_mut().zip(&o.apis) {
                 let x = if w.offered.is_finite() {
                     w.offered.max(0.0)
                 } else {
                     *e
                 };
-                *e = a * x + (1.0 - a) * *e;
+                *e = ARRIVAL_ALPHA * x + (1.0 - ARRIVAL_ALPHA) * *e;
             }
         }
         if was_dead {
@@ -526,7 +522,7 @@ impl ShardPlane {
                     });
                 } else {
                     self.slots[i].state = Membership::Reentering(left - 1);
-                    self.slots[i].quota_cap *= self.cfg.reentry_growth.max(1.0);
+                    self.slots[i].quota_cap *= REENTRY_GROWTH;
                 }
             }
         }
@@ -633,7 +629,7 @@ impl ShardLocalGuard {
         if !self.in_fallback {
             self.in_fallback = true;
             // Snapshot the blind ceilings: a finite quota may grow at
-            // most `blind_cap`× while the controller is away, and an
+            // most `BLIND_CAP`× while the controller is away, and an
             // unlimited API gets a finite cap from observed admits.
             self.ceilings = quotas
                 .iter()
@@ -644,9 +640,9 @@ impl ShardLocalGuard {
                     } else {
                         let admitted = local.apis.get(i).map(|a| a.admitted).unwrap_or(0.0);
                         let admitted = if admitted.is_finite() { admitted } else { 0.0 };
-                        (admitted * self.cfg.blind_headroom).max(self.cfg.min_quantum)
+                        (admitted * BLIND_HEADROOM).max(self.cfg.min_quantum)
                     };
-                    base * self.cfg.blind_cap.max(1.0)
+                    base * BLIND_CAP
                 })
                 .collect();
             self.record(obs::JournalEntry::ShardFallback {
@@ -671,7 +667,7 @@ impl ShardLocalGuard {
             let cur = if q.is_finite() {
                 *q
             } else {
-                ceiling / self.cfg.blind_cap.max(1.0)
+                ceiling / BLIND_CAP
             };
             let state = RateState {
                 goodput_ratio: (api.goodput / cur.max(1e-9)).clamp(0.0, 2.0),
@@ -858,7 +854,7 @@ mod tests {
             assert!(quotas[0].is_finite(), "never fail-open");
             assert!(quotas[0] >= cfg.min_quantum, "never zero-admit");
             assert!(
-                quotas[0] <= 60.0 * cfg.blind_cap + 1e-9,
+                quotas[0] <= 60.0 * BLIND_CAP + 1e-9,
                 "blind growth capped: {}",
                 quotas[0]
             );

@@ -9,7 +9,7 @@
 //! ## Layout
 //!
 //! Three tiers over one order. The *near* tier is a 4-ary min-heap of
-//! 24-byte [`Key`]s holding only what fires before a moving *horizon*;
+//! 24-byte `Key`s holding only what fires before a moving *horizon*;
 //! everything later is parked in the *far* tier, a timing wheel of
 //! fixed-width buckets plus one overflow list for keys past the wheel's
 //! span: parked, a key seconds away costs a list push and a push/pop on

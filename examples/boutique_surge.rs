@@ -50,7 +50,6 @@ fn engine(seed: u64) -> (OnlineBoutique, Engine) {
         initial_vms: 1,
         max_vms: 10,
         vm_startup: SimDuration::from_secs(40),
-        vcpus_per_pod: 1.0,
     });
     e.enable_hpa(HpaConfig::default());
     (ob, e)

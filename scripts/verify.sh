@@ -74,12 +74,12 @@ section clippy
 cargo clippy --workspace --all-targets -- -D warnings
 section fmt
 cargo fmt --check
-# A deleted or renamed type leaves dangling [`links`] behind in the
-# crates the control loop and its telemetry run through; rustdoc is what
-# notices.
+# A deleted or renamed type leaves dangling [`links`] behind, and a
+# public doc that links a private item links nothing a reader can open;
+# rustdoc is what notices, over every library in the workspace.
 section rustdoc links
-RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" \
-  cargo doc --no-deps -q -p cluster -p topfull -p liveserve -p topfull-cli -p obs
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links -D rustdoc::private-intra-doc-links" \
+  cargo doc --workspace --lib --no-deps -q
 
 # The gated benchmark (benchmark/, its own cargo workspace) in its quick
 # mode: <= 15 s, every correctness gate — byte-for-byte replies,

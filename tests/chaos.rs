@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use topfull_suite::apps::OnlineBoutique;
+use topfull_suite::cluster::control_loop::FREEZE_TICKS;
 use topfull_suite::cluster::{
     Engine, EngineConfig, FaultSpec, Harness, OpenLoopWorkload, RateSchedule, RunResult,
-    WatchdogConfig,
 };
 use topfull_suite::simnet::{SimDuration, SimTime};
 use topfull_suite::topfull::{RateController, RateState, TopFull, TopFullConfig};
@@ -104,11 +104,7 @@ fn run_hardened(seed: u64) -> (RunResult, topfull_suite::cluster::WatchdogStats)
         .with_mimd()
         .with_rate_bounds(FLOOR, CEIL)
         .hardened();
-    let mut h = Harness::with_watchdog(
-        chaos_engine(seed),
-        Box::new(TopFull::new(cfg)),
-        WatchdogConfig::default(),
-    );
+    let mut h = Harness::with_watchdog(chaos_engine(seed), Box::new(TopFull::new(cfg)));
     h.run_for_secs(240);
     let stats = h.watchdog_stats();
     (h.into_result(), stats)
@@ -196,11 +192,7 @@ fn hardened_loop_contains_rogue_rate_controller() {
     let cfg = TopFullConfig::default()
         .with_rate_controller(safe.clone())
         .with_rate_bounds(FLOOR, CEIL);
-    let mut h = Harness::with_watchdog(
-        chaos_engine(7),
-        Box::new(TopFull::new(cfg)),
-        WatchdogConfig::default(),
-    );
+    let mut h = Harness::with_watchdog(chaos_engine(7), Box::new(TopFull::new(cfg)));
     h.run_for_secs(120);
     assert_limits_bounded(h.result());
     assert!(
@@ -231,15 +223,10 @@ fn watchdog_freezes_then_decays_during_blackout() {
     let cfg = TopFullConfig::default()
         .with_mimd()
         .with_rate_bounds(FLOOR, CEIL);
-    let mut h = Harness::with_watchdog(
-        engine,
-        Box::new(TopFull::new(cfg)),
-        WatchdogConfig::default(),
-    );
+    let mut h = Harness::with_watchdog(engine, Box::new(TopFull::new(cfg)));
     h.run_for_secs(90);
     let stats = h.watchdog_stats();
-    let wd = WatchdogConfig::default();
-    assert_eq!(stats.frozen_ticks as u32, wd.freeze_ticks);
+    assert_eq!(stats.frozen_ticks, u64::from(FREEZE_TICKS));
     assert!(
         stats.decayed_ticks > 0,
         "a 30 s blackout must outlast the freeze window"

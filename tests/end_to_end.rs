@@ -4,7 +4,7 @@
 //! the suite stays fast.
 
 use topfull_suite::apps::{OnlineBoutique, TrainTicket};
-use topfull_suite::baselines::{Breakwater, BreakwaterConfig, Dagor, PriorityConfig};
+use topfull_suite::baselines::{Breakwater, Dagor, PriorityConfig};
 use topfull_suite::cluster::{
     ApiSpec, CallNode, Engine, EngineConfig, Harness, NoControl, OpenLoopWorkload, ServiceSpec,
     Topology,
@@ -101,10 +101,7 @@ fn no_control_collapses_under_overload_but_breakwater_survives() {
         let w = OpenLoopWorkload::constant(rates);
         let mut engine = Engine::new(ob.topology.clone(), config(5), Box::new(w));
         if breakwater {
-            engine.set_admission(Box::new(Breakwater::new(
-                engine.topology().num_services(),
-                BreakwaterConfig::default(),
-            )));
+            engine.set_admission(Box::new(Breakwater::new(engine.topology().num_services())));
         }
         let mut h = Harness::new(engine, Box::new(NoControl));
         h.run_for_secs(90);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use topfull_suite::cluster::types::{ApiId, ServiceId};
 use topfull_suite::cluster::{
     ApiSpec, CallNode, Engine, EngineConfig, FaultSpec, Harness, OpenLoopWorkload, ServiceSpec,
-    Topology, WatchdogConfig,
+    Topology,
 };
 use topfull_suite::simnet::{SimDuration, SimTime};
 use topfull_suite::topfull::{
@@ -290,11 +290,7 @@ proptest! {
                 ScriptedRateController { script, cursor: AtomicUsize::new(0) },
             ))))
             .with_rate_bounds(FLOOR, CEIL);
-        let mut h = Harness::with_watchdog(
-            engine,
-            Box::new(TopFull::new(cfg)),
-            WatchdogConfig::default(),
-        );
+        let mut h = Harness::with_watchdog(engine, Box::new(TopFull::new(cfg)));
         h.run_for_secs(40);
 
         for s in &h.result().samples {
