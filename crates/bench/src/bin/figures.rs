@@ -39,8 +39,6 @@ const EXPERIMENTS: &[(&str, &[Run])] = &[
     ("trace-analysis", &[ex::trace_analysis::run]),
     ("training-cost", &[ex::training_cost::run]),
     ("chaos", &[ex::chaos::run]),
-    ("sim2real", &[ex::sim2real::run]),
-    ("multishard", &[ex::multishard::run]),
     ("slo", &[ex::slo::run]),
 ];
 

@@ -18,12 +18,9 @@ pub mod fig17;
 pub mod fig18;
 pub mod fig19;
 pub mod metastable;
-pub mod multishard;
 pub mod refinements;
 pub mod retry_storm;
-pub mod sim2real;
 pub mod slo;
 pub mod table1;
 pub mod trace_analysis;
 pub mod training_cost;
-pub mod two_plane;

@@ -59,11 +59,11 @@ impl Roster {
         }
     }
 
-    /// The entry-point controller of this arm — all a gateway plane,
-    /// sharded or live, can carry. Panics on the arms that are more than
-    /// that (the per-service schemes act inside an engine, the watchdog
-    /// around a harness): only [`Roster::into_harness`] builds those.
-    pub fn controller(self) -> Box<dyn Controller> {
+    /// The entry-point controller of this arm. Panics on the arms that
+    /// are more than that (the per-service schemes act inside an engine,
+    /// the watchdog around a harness): only [`Roster::into_harness`]
+    /// builds those.
+    fn controller(self) -> Box<dyn Controller> {
         let base = TopFullConfig::default();
         let cfg = match self {
             Roster::None => return Box::new(NoControl),
@@ -392,7 +392,6 @@ mod tests {
             ("metastable", ex::metastable::recipe((100, true), true)),
             ("admission read", ex::admission::read_recipe(1).0),
             ("admission mixed", ex::admission::mixed_recipe(1).0),
-            ("two-plane", ex::two_plane::recipe(&ob)),
         ]
     }
 

@@ -85,6 +85,37 @@ fn load(path: &str) -> Scenario {
     topfull_cli::parse_scenario(&read_file(path)).unwrap_or_else(|e| fail(e))
 }
 
+/// The flags each subcommand names, as `(switches, flags that take a
+/// value)`; `None` for an unknown subcommand.
+fn flags(cmd: &str) -> Option<(&[&str], &[&str])> {
+    Some(match cmd {
+        "run" => (&["--json"], &[]),
+        "check" | "compare" | "example" => (&[], &[]),
+        "live" => (&["--json"], &["--duration", "--shards", "--kill-shard"]),
+        "explain" => (&["--fingerprint"], &[]),
+        "trace" => (&[], &["--id"]),
+        "workflow" => (&["--check", "--emit"], &[]),
+        "matrix" => (&["--json", "--check"], &["--workers"]),
+        "fuzz" => (&["--json"], &["--seed", "--iters", "--base", "--out"]),
+        _ => return None,
+    })
+}
+
+/// A usage error unless every argument in `rest` is a flag `cmd` names.
+/// A value flag consumes the argument after it; a trailing one is left
+/// to the subcommand (`flag_value` rejects it, `fuzz --out` defaults).
+fn check_flags(cmd: &str, rest: &[String]) {
+    let (switches, values) = flags(cmd).unwrap_or_else(|| usage());
+    let mut rest = rest.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg) {
+            rest.next();
+        } else if !switches.contains(&arg) {
+            usage();
+        }
+    }
+}
+
 fn has(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
@@ -198,14 +229,18 @@ fn cmd_fuzz(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("example") => return println!("{}", pretty(&Scenario::example())),
-        Some("fuzz") => return cmd_fuzz(&args),
+    let cmd = args.first().map_or("", String::as_str);
+    // Every subcommand but these two takes a document (or a URL) first.
+    let takes_document = !matches!(cmd, "example" | "fuzz");
+    let rest = args.get(1 + usize::from(takes_document)..);
+    check_flags(cmd, rest.unwrap_or_else(|| usage()));
+    match cmd {
+        "example" => return println!("{}", pretty(&Scenario::example())),
+        "fuzz" => return cmd_fuzz(&args),
         _ => {}
     }
-    // Every other subcommand takes a document (or a URL) first.
-    let path = args.get(1).unwrap_or_else(|| usage()).as_str();
-    match args[0].as_str() {
+    let path = args[1].as_str();
+    match cmd {
         "run" => {
             let sc = load(path);
             let out = topfull_cli::run_scenario(&sc).unwrap_or_else(|e| fail(e));

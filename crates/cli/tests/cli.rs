@@ -1,6 +1,7 @@
-//! The `topfull` binary's argument handling: usage errors exit 2, a
-//! document that does not check exits 1 with its hint, and `example`
-//! prints a scenario that checks clean.
+//! The `topfull` binary's argument handling: usage errors (an unknown
+//! subcommand or flag, a malformed value) exit 2, a document that does
+//! not check exits 1 with its hint, and `example` prints a scenario that
+//! checks clean.
 
 use std::process::{Command, Output};
 
@@ -43,6 +44,24 @@ fn malformed_live_shard_flags_are_usage_errors() {
         let mut args = vec!["live", "scenarios/live_smoke.json", "--duration", "1"];
         args.extend(flags);
         let out = topfull(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).starts_with("usage:"), "{args:?}");
+    }
+}
+
+#[test]
+fn an_argument_the_subcommand_does_not_name_is_a_usage_error() {
+    for args in [
+        &["explain", "artifacts/results/slo.json", "--fingerprnt"][..],
+        &["check", "scenarios/read_flash_crowd.json", "--jsn"],
+        &[
+            "run",
+            "scenarios/boutique_surge_topfull.json",
+            "--duration",
+            "0",
+        ],
+    ] {
+        let out = topfull(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).starts_with("usage:"), "{args:?}");
     }

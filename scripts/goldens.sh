@@ -33,8 +33,8 @@ OUT=target/goldens
 SCENARIOS=(sharded_surge read_flash_crowd found/fuzz_2_10_breach
   boutique_surge_topfull gray_failure_chaos trainticket_station_failure)
 MATRIX=overload_arms
-# The deterministic `figures` experiments. `sim2real` and `multishard`
-# (wall-clock live arms) and `training-cost` (a timing) are left out.
+# The deterministic `figures` experiments; `training-cost` (a timing) is
+# left out.
 EXPERIMENTS=(table1 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
   fig17 fig18 fig19 retry-storm metastable refinements trace-analysis chaos
   slo admission)

@@ -260,11 +260,12 @@ scripts/goldens.sh --check
   || { echo "admission journal smoke: no front-door windows in read_flash_crowd's journal"; exit 1; }
 
 section artifact smokes
-# Decision-journal smoke: `topfull explain` must render the journal
-# embedded in a committed experiment artifact.
-./target/release/topfull explain artifacts/results/multishard.json \
-  | grep -q 'rate actions:' \
-  || { echo "explain smoke: no rate actions in multishard journal"; exit 1; }
+# Decision-journal smoke: `topfull explain` must render a non-zero count
+# of rate actions from the journal embedded in the `figures chaos`
+# artifact, which the ledger section above just regenerated and pinned.
+./target/release/topfull explain artifacts/results/chaos.json \
+  | grep -Eq 'rate actions: [1-9]' \
+  || { echo "explain smoke: no rate actions in the chaos figure journal"; exit 1; }
 
 # Trace + burn-journal smoke on committed artifacts: `topfull trace`
 # must render the checked-in live-run trace sample as a waterfall, and
@@ -304,18 +305,18 @@ done
 # ...and the negative half: one committed copy per document type with a
 # single misspelt key, nested where the old hand-kept key tables never
 # looked. Each must exit 1 and say which key was meant.
-rejects_typo() { # $1 = document, $2... = the subcommand that checks it
-  local doc=$1 err
-  shift
-  if err=$("$@" "$doc" --check 2>&1 > /dev/null); then
+rejects_typo() { # $1 = document, $2 = the subcommand that checks it, $3... = its flags
+  local doc=$1 cmd=$2 err
+  shift 2
+  if err=$(./target/release/topfull "$cmd" "$doc" "$@" 2>&1 > /dev/null); then
     echo "corpus dry-run: $doc has a misspelt key and was accepted"; exit 1
   fi
   grep -q 'did you mean' <<<"$err" \
     || { echo "corpus dry-run: $doc rejected without a hint: $err"; exit 1; }
 }
-rejects_typo scenarios/invalid/controller_typo.json ./target/release/topfull check
-rejects_typo scenarios/invalid/sharding_typo.workflow.json ./target/release/topfull workflow
-rejects_typo scenarios/invalid/arm_typo.matrix.json ./target/release/topfull matrix
+rejects_typo scenarios/invalid/controller_typo.json check
+rejects_typo scenarios/invalid/sharding_typo.workflow.json workflow --check
+rejects_typo scenarios/invalid/arm_typo.matrix.json matrix --check
 
 # Fuzz smoke: a fixed seed must be byte-for-byte reproducible, and the
 # shipped controller must survive it with no objective tripped (the

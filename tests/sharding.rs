@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use topfull_suite::apps::OnlineBoutique;
+use topfull_suite::cluster::harness::TickSample;
 use topfull_suite::cluster::{
     Engine, EngineConfig, Harness, OpenLoopWorkload, RateSchedule, ShardFault,
 };
@@ -49,7 +50,7 @@ fn sharded(seed: u64, cfg: ShardedConfig) -> Harness<Sharded<SimShards>> {
     Harness::new(plane, controller())
 }
 
-fn mean_goodput(samples: &[topfull_suite::cluster::harness::TickSample], from: f64) -> f64 {
+fn mean_goodput(samples: &[TickSample], from: f64) -> f64 {
     let xs: Vec<f64> = samples
         .iter()
         .filter(|s| s.at.as_secs_f64() >= from)
@@ -145,21 +146,29 @@ proptest! {
 
 #[test]
 fn healthy_sharded_plane_matches_single_gateway() {
-    let mut single = Harness::new(surge_engine(7), controller());
-    single.run_for_secs(90);
-    let mut sharded = sharded(7, ShardedConfig::uniform(3));
-    sharded.run_for_secs(90);
-    let (a, b) = (
-        mean_goodput(&single.result().samples, 45.0),
-        mean_goodput(&sharded.result().samples, 45.0),
-    );
-    assert!(
-        (a - b).abs() / a.max(1.0) < 0.05,
-        "3-shard goodput {b:.1} strays from single-gateway {a:.1}"
-    );
-    let stats = sharded.engine.plane_stats();
-    assert!(stats.merges > 0, "controller ran on merged observations");
-    assert_eq!(stats.strike_outs, 0, "no failover on a healthy fleet");
+    let bits = |s: &TickSample| s.goodput.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+    for seed in [7, 1, 2, 3] {
+        let mut single = Harness::new(surge_engine(seed), controller());
+        single.run_for_secs(90);
+        let mut sharded = sharded(seed, ShardedConfig::uniform(3));
+        sharded.run_for_secs(90);
+        // The two planes' goodput overlays exactly, tick for tick and
+        // API for API.
+        let (one, three) = (&single.result().samples, &sharded.result().samples);
+        assert_eq!((one.len(), three.len()), (90, 90));
+        for (t, (a, b)) in one.iter().zip(three).enumerate() {
+            assert_eq!(
+                bits(a),
+                bits(b),
+                "seed {seed}, tick {t}: goodput {:?} on 1 gateway, {:?} on 3 shards",
+                a.goodput,
+                b.goodput
+            );
+        }
+        let stats = sharded.engine.plane_stats();
+        assert!(stats.merges > 0, "controller ran on merged observations");
+        assert_eq!(stats.strike_outs, 0, "no failover on a healthy fleet");
+    }
 }
 
 // ---------------------------------------------------------------------
