@@ -20,8 +20,8 @@
 //! APIs), preserving the weaknesses the paper analyzes.
 //!
 //! WISP is discussed but not evaluated in the paper; this implementation
-//! exists as an *extension* comparator (see the `retry-storm` and fig. 8
-//! extension rows in EXPERIMENTS.md).
+//! exists as an *extension* comparator (see the fig. 8 extension row in
+//! EXPERIMENTS.md).
 
 use crate::breakwater::{self, INITIAL_RATE};
 use cluster::admission::AdmissionControl;

@@ -10,45 +10,30 @@ use topfull_bench::experiments as ex;
 use topfull_bench::models;
 use topfull_bench::report::Report;
 
-/// One report of an experiment, run to completion.
+/// An experiment, run to completion.
 type Run = fn() -> Report;
 
-/// Each experiment by name: the reports it produces, in order.
-const EXPERIMENTS: &[(&str, &[Run])] = &[
-    ("table1", &[ex::table1::run]),
-    (
-        "admission",
-        &[ex::admission::coalesce, ex::admission::hybrid],
-    ),
-    ("fig4", &[ex::fig04::run]),
-    ("fig8", &[ex::fig08::run]),
-    ("fig9", &[ex::fig09::run]),
-    ("fig10", &[ex::fig10::run]),
-    ("fig11", &[ex::fig11::run]),
-    ("fig12", &[ex::fig12::run]),
-    ("fig13", &[ex::fig13::run]),
-    ("fig14", &[ex::fig14::run]),
-    ("fig15", &[ex::fig15::run]),
-    ("fig16", &[ex::fig16::run]),
-    ("fig17", &[ex::fig17::run]),
-    ("fig18", &[ex::fig18::run]),
-    ("fig19", &[ex::fig19::run]),
-    ("retry-storm", &[ex::retry_storm::run]),
-    ("metastable", &[ex::metastable::run]),
-    ("refinements", &[ex::refinements::run]),
-    ("trace-analysis", &[ex::trace_analysis::run]),
-    ("training-cost", &[ex::training_cost::run]),
-    ("chaos", &[ex::chaos::run]),
-    ("slo", &[ex::slo::run]),
+/// Each experiment by name.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("table1", ex::table1::run),
+    ("fig4", ex::fig04::run),
+    ("fig8", ex::fig08::run),
+    ("fig9", ex::fig09::run),
+    ("fig10", ex::fig10::run),
+    ("fig11", ex::fig11::run),
+    ("fig12", ex::fig12::run),
+    ("fig13", ex::fig13::run),
+    ("fig14", ex::fig14::run),
+    ("fig15", ex::fig15::run),
+    ("fig16", ex::fig16::run),
+    ("fig17", ex::fig17::run),
+    ("fig18", ex::fig18::run),
+    ("fig19", ex::fig19::run),
+    ("refinements", ex::refinements::run),
+    ("trace-analysis", ex::trace_analysis::run),
+    ("training-cost", ex::training_cost::run),
+    ("slo", ex::slo::run),
 ];
-
-/// Run one experiment; every report is printed and persisted as it
-/// completes.
-fn run(reports: &[Run]) {
-    for report in reports {
-        report().finish();
-    }
-}
 
 fn usage() -> ! {
     eprintln!("usage: figures <experiment>… | all | train");
@@ -67,9 +52,9 @@ fn main() {
     for arg in &args {
         match arg.as_str() {
             "all" => {
-                for (name, reports) in EXPERIMENTS {
+                for (name, report) in EXPERIMENTS {
                     eprintln!("\n>>> running {name}");
-                    run(reports);
+                    report().finish();
                 }
             }
             "train" => {
@@ -80,7 +65,7 @@ fn main() {
                 eprintln!("models trained and cached under artifacts/models/");
             }
             name => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-                Some((_, reports)) => run(reports),
+                Some((_, report)) => report().finish(),
                 None => usage(),
             },
         }

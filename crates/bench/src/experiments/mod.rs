@@ -2,8 +2,6 @@
 //! returns the finished [`crate::report::Report`]; the `figures` binary
 //! prints and persists it ([`crate::report::Report::finish`]).
 
-pub mod admission;
-pub mod chaos;
 pub mod fig04;
 pub mod fig08;
 pub mod fig09;
@@ -17,9 +15,7 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod fig19;
-pub mod metastable;
 pub mod refinements;
-pub mod retry_storm;
 pub mod slo;
 pub mod table1;
 pub mod trace_analysis;

@@ -9,8 +9,7 @@ use cluster::autoscaler::{HpaConfig, VmPoolConfig};
 use cluster::types::BusinessPriority;
 use cluster::{
     ApiId, ClosedLoopWorkload, Controller, Engine, EngineConfig, Harness, NoControl,
-    OpenLoopWorkload, RateSchedule, RetryBudgetConfig, RetryStormWorkload, ServiceId, Topology,
-    Workload,
+    OpenLoopWorkload, RateSchedule, ServiceId, Topology, Workload,
 };
 use rl::policy::PolicyValue;
 use simnet::SimDuration;
@@ -38,8 +37,6 @@ pub enum Roster {
     TopFullBw,
     /// TopFull exactly as configured (refinement ablations, step sweeps).
     Config(TopFullConfig),
-    /// TopFull as configured, under the harness watchdog (hardened loop).
-    Watchdog(TopFullConfig),
 }
 
 impl Roster {
@@ -55,13 +52,11 @@ impl Roster {
             Roster::TopFullNoCluster(_) => "topfull-no-cluster",
             Roster::TopFullBw => "topfull-bw",
             Roster::Config(_) => "topfull-config",
-            Roster::Watchdog(_) => "topfull-watchdog",
         }
     }
 
-    /// The entry-point controller of this arm. Panics on the arms that
-    /// are more than that (the per-service schemes act inside an engine,
-    /// the watchdog around a harness): only [`Roster::into_harness`]
+    /// The entry-point controller of this arm. Panics on the per-service
+    /// schemes, which act inside an engine: only [`Roster::into_harness`]
     /// builds those.
     fn controller(self) -> Box<dyn Controller> {
         let base = TopFullConfig::default();
@@ -72,7 +67,7 @@ impl Roster {
             Roster::TopFullNoCluster(policy) => base.with_rl(policy).without_clustering(),
             Roster::TopFullBw => base.with_bw(),
             Roster::Config(cfg) => cfg,
-            Roster::Dagor { .. } | Roster::Breakwater | Roster::Wisp | Roster::Watchdog(_) => {
+            Roster::Dagor { .. } | Roster::Breakwater | Roster::Wisp => {
                 panic!("'{}' is no entry controller: into_harness", self.label())
             }
         };
@@ -85,10 +80,6 @@ impl Roster {
             Roster::Dagor { alpha } => Scheme::Dagor { alpha },
             Roster::Breakwater => Scheme::Breakwater,
             Roster::Wisp => Scheme::Wisp,
-            Roster::Watchdog(cfg) => {
-                let entry = Roster::Config(cfg).controller();
-                return Harness::with_watchdog(engine, entry);
-            }
             entry => return Harness::new(engine, entry.controller()),
         };
         scheme.install(&mut engine);
@@ -164,28 +155,6 @@ impl Recipe {
         })
     }
 
-    /// `users` misbehaving closed-loop clients over `apis`, each
-    /// re-issuing a failed call after 50 ms up to `max_retries` times —
-    /// `budgeted`: within a shared adaptive (gRPC-style) retry budget.
-    pub fn retry_storm(
-        topology: &Topology,
-        apis: &[ApiId],
-        users: u32,
-        (max_retries, budgeted): (u32, bool),
-        seed: u64,
-    ) -> Recipe {
-        let weights = evenly(apis);
-        let backoff = SimDuration::from_millis(50);
-        Recipe::new(topology, seed, move || {
-            let w = RetryStormWorkload::new(weights.clone(), users, THINK, max_retries, backoff);
-            if budgeted {
-                Box::new(w.with_retry_budget(RetryBudgetConfig::default()))
-            } else {
-                Box::new(w)
-            }
-        })
-    }
-
     /// Every API at the same business priority (Breakwater carries none).
     pub fn uniform_priorities(mut self) -> Recipe {
         let all: Vec<ApiId> = self.topology.apis().map(|(id, _)| id).collect();
@@ -244,7 +213,7 @@ impl Recipe {
     }
 
     /// A finishing touch on each built engine — a figure's own (a
-    /// failure schedule, a fault plan, a front door).
+    /// failure schedule).
     pub fn then(mut self, f: impl Fn(&mut Engine) + Send + Sync + 'static) -> Recipe {
         self.then.push(Arc::new(f));
         self
@@ -309,7 +278,6 @@ mod tests {
     }
 
     fn every_roster() -> Vec<Roster> {
-        let mimd = TopFullConfig::default().with_mimd();
         vec![
             Roster::None,
             Roster::Dagor { alpha: 0.05 },
@@ -319,8 +287,11 @@ mod tests {
             Roster::TopFullMimd,
             Roster::TopFullNoCluster(policy(1)),
             Roster::TopFullBw,
-            Roster::Config(mimd.clone().with_mimd_steps(0.5, 0.2)),
-            Roster::Watchdog(mimd.hardened().with_rate_bounds(1.0, 10_000.0)),
+            Roster::Config(
+                TopFullConfig::default()
+                    .with_mimd()
+                    .with_mimd_steps(0.5, 0.2),
+            ),
         ]
     }
 
@@ -373,25 +344,13 @@ mod tests {
                 "steps ranked",
                 Recipe::open_loop(&ob.topology, vec![(ob.getproduct, step)], 1).priorities(&ranked),
             ),
-            (
-                "retry storm",
-                Recipe::retry_storm(&ob.topology, &ob.apis(), 50, (3, false), 1),
-            ),
-            (
-                "retry storm budgeted",
-                Recipe::retry_storm(&ob.topology, &ob.apis(), 50, (100, true), 1),
-            ),
             ("fig04", ex::fig04::recipe(&ob, 1)),
             ("fig08", ex::fig08::recipe(100, 1)),
             ("fig14", ex::fig14::recipe(1)),
             ("fig16 tt", ex::fig16::tt_recipe(5)),
             ("fig16 ob", ex::fig16::ob_recipe(10)),
             ("fig18", ex::fig18::recipe(1)),
-            ("chaos", ex::chaos::recipe(1)),
             ("slo", ex::slo::recipe(&ob)),
-            ("metastable", ex::metastable::recipe((100, true), true)),
-            ("admission read", ex::admission::read_recipe(1).0),
-            ("admission mixed", ex::admission::mixed_recipe(1).0),
         ]
     }
 

@@ -21,7 +21,8 @@
 //! scenario → engine build, so a scenario that checks clean cannot fail
 //! at `run`'s startup. `live` additionally refuses what has no live
 //! equivalent (a per-service controller, the `retry_storm` workload, the
-//! `dropout` shard fault).
+//! `faults`, `autoscaler` and `resilience` blocks, `sharding.weights`,
+//! the `dropout` shard fault).
 //!
 //! `live` serves the scenario's topology as a real multi-threaded TCP
 //! gateway plus CPU-burning worker pool on 127.0.0.1 and drives the

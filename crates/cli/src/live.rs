@@ -10,13 +10,16 @@
 //! compressed by `live_duration / scenario.duration_secs` (a 120-second
 //! scenario replays its shape in, say, a 24-second live run), the host
 //! knobs become a [`LiveConfig`], and what has no live equivalent is
-//! refused loudly — live mode controls **entry admission only**, so the
-//! per-service baselines (DAGOR, Breakwater, WISP), the retry-storm
-//! workload and the telemetry-dropout shard fault are simulator-only.
+//! refused loudly, by its key, before any socket binds — live mode
+//! controls **entry admission only**, so the per-service baselines
+//! (DAGOR, Breakwater, WISP), the retry-storm workload, the `faults`,
+//! `autoscaler` and `resilience` blocks, `sharding.weights` and the
+//! telemetry-dropout shard fault are simulator-only. A hardened
+//! controller runs under the same watchdog as on the simulator.
 
 use crate::build::{api_id, build_topology, entry_controller, front_door_config, resolve_weights};
 use crate::report::{self, ScenarioOutcome};
-use crate::schema::{LiveSpec, Scenario, ShardingSpec, WorkloadSpec};
+use crate::schema::{ControllerSpec, LiveSpec, Scenario, ShardingSpec, WorkloadSpec};
 use cluster::{ControlLoop, ShardFault, Topology};
 use liveserve::{
     ClosedLoopSpec, LiveConfig, LiveServer, LoadGen, OpenLoopArm, ShardedLive, ShardedLiveConfig,
@@ -82,19 +85,10 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
         return Err("scenario duration_secs must be positive".into());
     }
     crate::preflight(sc)?;
+    refuse_simulator_only(sc)?;
     let mut cfg = live_config(&sc.live.clone().unwrap_or_default(), sc.slo_ms)?;
     let topo = build_topology(&sc.app)?;
-    let controller = entry_controller(&sc.controller)?.ok_or_else(|| {
-        format!(
-            "live mode drives entry admission only; per-service admission \
-             controller {:?} has no live equivalent (use topfull or none)",
-            sc.controller
-        )
-    })?;
-    let mut ctl = ControlLoop::new(controller);
-    if let Some(slo) = sc.slo {
-        ctl.set_slo_config(slo);
-    }
+    let mut ctl = control_loop(sc)?;
     let scale = duration_secs as f64 / sc.duration_secs as f64;
     let (mut closed, mut arms) = build_load(&topo, &sc.workload, scale)?;
     if let Some(adm) = &sc.admission {
@@ -137,6 +131,48 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
     out.traces = fleet.set().traces();
     fleet.into_set().shutdown();
     Ok(out)
+}
+
+/// Refuse, by its key, a block only the simulator runs, rather than
+/// serving the scenario without it.
+fn refuse_simulator_only(sc: &Scenario) -> Result<(), String> {
+    let weighted = sc.sharding.as_ref().is_some_and(|s| s.weights.is_some());
+    let blocks = [
+        ("faults", !sc.faults.is_empty()),
+        ("autoscaler", sc.autoscaler.is_some()),
+        ("resilience", sc.resilience.is_some()),
+        ("sharding.weights", weighted),
+    ];
+    match blocks.into_iter().find(|(_, set)| *set) {
+        Some((key, _)) => Err(format!(
+            "{key} has no live equivalent (simulator only); remove it to run live"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The loop that drives the live plane: the scenario's entry controller
+/// and SLO monitor, under the watchdog when the controller is hardened —
+/// what the simulator's harness runs.
+fn control_loop(sc: &Scenario) -> Result<ControlLoop<'static>, String> {
+    let controller = entry_controller(&sc.controller)?.ok_or_else(|| {
+        format!(
+            "live mode drives entry admission only; per-service admission \
+             controller {:?} has no live equivalent (use topfull or none)",
+            sc.controller
+        )
+    })?;
+    let mut ctl = ControlLoop::new(controller);
+    if matches!(
+        sc.controller,
+        ControllerSpec::Topfull { hardened: true, .. }
+    ) {
+        ctl = ctl.with_watchdog();
+    }
+    if let Some(slo) = sc.slo {
+        ctl.set_slo_config(slo);
+    }
+    Ok(ctl)
 }
 
 /// Translate the scenario's shard spec into a live fleet config — the
@@ -296,6 +332,67 @@ mod tests {
         );
         let err = run_live(&sc, 1).expect_err("unknown API must be rejected");
         assert!(err.contains("nope"), "{err}");
+
+        // Each simulator-only block is refused by its key, before the
+        // gateway's port (taken here) is bound.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        for key in ["faults", "autoscaler", "resilience", "sharding.weights"] {
+            let mut sc = tiny_live_scenario(
+                r#"{"type": "open_loop", "rates": [{"api": "ping", "steps": [[0, 50.0]]}]}"#,
+                r#"{"type": "none"}"#,
+            );
+            match key {
+                "faults" => {
+                    let stall =
+                        r#"[{"kind": "controller_stall", "from_secs": 0, "until_secs": 1}]"#;
+                    sc.faults = serde_json::from_str(stall).expect("fault");
+                }
+                "autoscaler" => sc.autoscaler = Some(Default::default()),
+                "resilience" => sc.resilience = Some(Default::default()),
+                _ => {
+                    sc.sharding = Some(ShardingSpec {
+                        shards: 2,
+                        weights: Some(vec![1.0, 3.0]),
+                        ..Default::default()
+                    })
+                }
+            }
+            sc.live.as_mut().expect("live block").port =
+                Some(taken.local_addr().expect("addr").port());
+            let err = run_live(&sc, 1).expect_err(key);
+            assert!(err.starts_with(&format!("{key} has no live")), "{err}");
+        }
+    }
+
+    /// A hardened document runs under the watchdog live too: ticked over
+    /// a telemetry blackout, the loop `run_live` drives freezes limits.
+    #[test]
+    fn a_hardened_controller_gets_the_watchdog() {
+        for (hardened, frozen) in [(true, true), (false, false)] {
+            let mut sc = tiny_live_scenario(
+                r#"{"type": "open_loop", "rates": [{"api": "ping", "steps": [[0, 50.0]]}]}"#,
+                &format!(
+                    r#"{{"type": "topfull", "rate_controller": "mimd", "hardened": {hardened}}}"#
+                ),
+            );
+            let mut ctl = control_loop(&sc).expect("an entry controller");
+            sc.faults = vec![crate::schema::FaultSpecJson::TelemetryDropout {
+                from_secs: 0,
+                until_secs: 10,
+                service: None,
+            }];
+            let mut engine = crate::build_scenario(&sc).expect("builds").engine;
+            for t in 1..=6 {
+                engine.run_until(simnet::SimTime::from_secs(t));
+                ctl.tick(&mut engine);
+            }
+            let stats = ctl.watchdog_stats();
+            assert_eq!(
+                stats.frozen_ticks > 0,
+                frozen,
+                "hardened: {hardened}, {stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -24,20 +24,22 @@ LEDGER=scripts/goldens.txt
 OUT=target/goldens
 
 # Every scenario whose decision journal is pinned: the paths the control
-# loop takes under sharding, the front door, a recovery-probe collapse
-# escalation (fuzz 2-10), RateBlocked / Release / empty-group reasons
-# (boutique surge), the hardened loop under stall + watchdog (gray
-# failure) and a pod kill from the fault schedule (train-ticket station
-# failure). The matrix's 12 cells are rows too, so a cell more or fewer is a
-# missing or an orphan row, and so is its whole report.
-SCENARIOS=(sharded_surge read_flash_crowd found/fuzz_2_10_breach
-  boutique_surge_topfull gray_failure_chaos trainticket_station_failure)
+# loop takes under sharding, the front door's coalescing and its priority
+# gate (priority hybrid), a recovery-probe collapse escalation (fuzz
+# 2-10), RateBlocked / Release / empty-group reasons (boutique surge), the
+# hardened loop under stall + watchdog (gray failure), a pod kill from the
+# fault schedule (train-ticket station failure) and the retry storm under
+# DAGOR, unbounded and budgeted. The matrix's 12 cells are rows too, so a
+# cell more or fewer is a missing or an orphan row, and so is its whole
+# report.
+SCENARIOS=(sharded_surge read_flash_crowd priority_hybrid found/fuzz_2_10_breach
+  boutique_surge_topfull gray_failure_chaos trainticket_station_failure
+  retry_storm_dagor retry_storm_dagor_budgeted)
 MATRIX=overload_arms
 # The deterministic `figures` experiments; `training-cost` (a timing) is
 # left out.
 EXPERIMENTS=(table1 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-  fig17 fig18 fig19 retry-storm metastable refinements trace-analysis chaos
-  slo admission)
+  fig17 fig18 fig19 refinements trace-analysis slo)
 
 hash() { sha256sum | cut -c1-16; } # of stdin
 failed=0

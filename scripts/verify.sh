@@ -261,11 +261,11 @@ scripts/goldens.sh --check
 
 section artifact smokes
 # Decision-journal smoke: `topfull explain` must render a non-zero count
-# of rate actions from the journal embedded in the `figures chaos`
-# artifact, which the ledger section above just regenerated and pinned.
-./target/release/topfull explain artifacts/results/chaos.json \
+# of rate actions from gray_failure_chaos's run, which the ledger section
+# above just regenerated and pinned.
+./target/release/topfull explain target/goldens/gray_failure_chaos.w1.json \
   | grep -Eq 'rate actions: [1-9]' \
-  || { echo "explain smoke: no rate actions in the chaos figure journal"; exit 1; }
+  || { echo "explain smoke: no rate actions in gray_failure_chaos's journal"; exit 1; }
 
 # Trace + burn-journal smoke on committed artifacts: `topfull trace`
 # must render the checked-in live-run trace sample as a waterfall, and

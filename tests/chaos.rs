@@ -12,7 +12,7 @@ use topfull_suite::cluster::control_loop::FREEZE_TICKS;
 use topfull_suite::cluster::{
     Engine, EngineConfig, FaultSpec, Harness, OpenLoopWorkload, RateSchedule, RunResult,
 };
-use topfull_suite::simnet::{SimDuration, SimTime};
+use topfull_suite::simnet::SimTime;
 use topfull_suite::topfull::{RateController, RateState, TopFull, TopFullConfig};
 
 fn config(seed: u64) -> EngineConfig {
@@ -23,53 +23,19 @@ fn config(seed: u64) -> EngineConfig {
 }
 
 /// Online Boutique under steady load with the full gray-failure
-/// schedule: brownout, dropout, noise, stall, staleness.
+/// schedule — brownout, dropout, noise, stall, staleness — as
+/// `scenarios/gray_failure_chaos.json` states it, at `seed`.
 fn chaos_engine(seed: u64) -> Engine {
-    let ob = OnlineBoutique::build();
-    let rates = vec![
-        (
-            ob.getproduct,
-            RateSchedule::steps(vec![
-                (SimTime::ZERO, 150.0),
-                (SimTime::from_secs(15), 300.0),
-            ]),
-        ),
-        (ob.getcart, RateSchedule::constant(100.0)),
-        (ob.postcheckout, RateSchedule::constant(60.0)),
-    ];
-    let mut engine = Engine::new(
-        ob.topology.clone(),
-        config(seed),
-        Box::new(OpenLoopWorkload::new(rates)),
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/gray_failure_chaos.json"
     );
-    engine.inject_faults(vec![
-        FaultSpec::SlowPods {
-            from: SimTime::from_secs(40),
-            until: SimTime::from_secs(70),
-            service: ob.productcatalog,
-            factor: 8.0,
-        },
-        FaultSpec::TelemetryDropout {
-            from: SimTime::from_secs(60),
-            until: SimTime::from_secs(90),
-            service: None,
-        },
-        FaultSpec::TelemetryNoise {
-            from: SimTime::from_secs(90),
-            until: SimTime::from_secs(110),
-            sigma: 0.5,
-        },
-        FaultSpec::ControllerStall {
-            from: SimTime::from_secs(100),
-            until: SimTime::from_secs(112),
-        },
-        FaultSpec::TelemetryStaleness {
-            from: SimTime::from_secs(115),
-            until: SimTime::from_secs(130),
-            by: SimDuration::from_secs(10),
-        },
-    ]);
-    engine
+    let json = std::fs::read_to_string(path).expect("committed scenario");
+    let mut sc = topfull_suite::topfull_cli::parse_scenario(&json).expect("parses");
+    sc.seed = seed;
+    topfull_suite::topfull_cli::build_scenario(&sc)
+        .expect("builds")
+        .engine
 }
 
 const FLOOR: f64 = 1.0;

@@ -18,8 +18,8 @@
 mod common;
 
 use cluster::runner::RunPlan;
+use cluster::{ResilienceStats, RunResult};
 use common::{assert_rows, fnv1a, FNV_OFFSET};
-use topfull_bench::exec::{self, ArmOutcome};
 use topfull_bench::scenarios::{boutique_closed_loop, Roster};
 
 const RUN_SECS: u64 = 30;
@@ -35,7 +35,28 @@ fn mk_engine() -> cluster::Engine {
     e
 }
 
-fn plan_arms(workers: usize) -> Vec<ArmOutcome> {
+/// What the fingerprint reads of one finished arm.
+struct Outcome {
+    label: &'static str,
+    result: RunResult,
+    events_processed: u64,
+    crash_events: u64,
+    resilience: ResilienceStats,
+}
+
+fn run_arm(label: &'static str, roster: Roster) -> Outcome {
+    let mut h = roster.into_harness(mk_engine());
+    h.run_for_secs(RUN_SECS);
+    Outcome {
+        label,
+        events_processed: h.engine.events_processed(),
+        crash_events: h.engine.crash_events,
+        resilience: h.engine.resilience_totals(),
+        result: h.into_result(),
+    }
+}
+
+fn plan_arms(workers: usize) -> Vec<Outcome> {
     let arms = vec![
         ("no-control", Roster::None),
         ("dagor", Roster::Dagor { alpha: 0.05 }),
@@ -44,12 +65,12 @@ fn plan_arms(workers: usize) -> Vec<ArmOutcome> {
     ];
     let mut plan = RunPlan::new().with_workers(workers);
     for (label, roster) in arms {
-        plan.submit(move || exec::run_arm(label, roster, mk_engine(), RUN_SECS));
+        plan.submit(move || run_arm(label, roster));
     }
     plan.run()
 }
 
-fn fingerprint(outcomes: &[ArmOutcome]) -> u64 {
+fn fingerprint(outcomes: &[Outcome]) -> u64 {
     let mut h = FNV_OFFSET;
     for o in outcomes {
         fnv1a(&mut h, o.label.as_bytes());

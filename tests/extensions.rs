@@ -1,0 +1,239 @@
+//! The repository's extension experiments as scenario documents plus
+//! claims: retry storm, metastable retry storm, front-door coalescing,
+//! TopFull+DAGOR hybrid admission and gray-failure chaos. None is a
+//! paper figure — TopFull's §6 has no retry-storm, gray-failure or
+//! front-door experiment. Every arm is a committed document under
+//! `scenarios/`, or that document with one field changed, run through
+//! `topfull_cli::run_scenario` exactly as `topfull run` runs it. Each
+//! test prints its arms' numbers, which EXPERIMENTS.md cites:
+//!
+//! ```text
+//! cargo test --release --test extensions -- --nocapture --test-threads 1
+//! ```
+
+use topfull_suite::cluster::runner::RunPlan;
+use topfull_suite::cluster::RetryBudgetConfig;
+use topfull_suite::topfull_cli::schema::{ControllerSpec, DeadlineSpecJson, ResilienceSpec};
+use topfull_suite::topfull_cli::schema::{Scenario, WorkloadSpec};
+use topfull_suite::topfull_cli::{parse_scenario, run_scenario, ScenarioOutcome};
+
+/// `scenarios/<name>.json`, parsed.
+fn doc(name: &str) -> Scenario {
+    let path = format!("{}/scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    parse_scenario(&json).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// `sc` with one edit applied (the way `topfull compare` derives its
+/// controller variants).
+fn variant(sc: &Scenario, edit: impl FnOnce(&mut Scenario)) -> Scenario {
+    let mut v = sc.clone();
+    edit(&mut v);
+    v
+}
+
+/// Run every arm over the worker pool; outcomes come back in arm order.
+fn run_arms<const N: usize>(arms: [Scenario; N]) -> [ScenarioOutcome; N] {
+    let mut plan = RunPlan::new();
+    for sc in arms {
+        plan.submit(move || run_scenario(&sc).unwrap_or_else(|e| panic!("{}: {e}", sc.name)));
+    }
+    plan.run().try_into().expect("one outcome per arm")
+}
+
+fn topfull(rate_controller: &str) -> ControllerSpec {
+    ControllerSpec::Topfull {
+        rate_controller: rate_controller.into(),
+        clustering: true,
+        hardened: false,
+    }
+}
+
+fn set_max_retries(sc: &mut Scenario, retries: u32) {
+    match &mut sc.workload {
+        WorkloadSpec::RetryStorm { max_retries, .. } => *max_retries = retries,
+        _ => panic!("{} is not a retry storm", sc.name),
+    }
+}
+
+/// Steady goodput of one API.
+fn api_goodput(o: &ScenarioOutcome, api: &str) -> f64 {
+    let found = o.goodput_per_api.iter().find(|(n, _)| n == api);
+    found.unwrap_or_else(|| panic!("no API '{api}'")).1
+}
+
+/// Mean total goodput over the inclusive window `[from, to]` seconds.
+fn window_mean(o: &ScenarioOutcome, from: f64, to: f64) -> f64 {
+    let xs: Vec<f64> = (o.timeline.iter())
+        .filter(|(t, _)| (from..=to).contains(t))
+        .map(|(_, g)| *g)
+        .collect();
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// 2600 closed-loop users whose failures retry up to 3 times after
+/// 50 ms (§1's "retry storm by misbehaving clients"): TopFull's entry
+/// rejection is amplification-neutral, so it beats no control.
+#[test]
+fn retry_storm_topfull_beats_no_control() {
+    let storm = variant(&doc("retry_storm_dagor"), |sc| set_max_retries(sc, 3));
+    let [none, dagor, topfull] = run_arms([
+        variant(&storm, |sc| sc.controller = ControllerSpec::None),
+        storm.clone(),
+        variant(&storm, |sc| {
+            sc.controller = topfull("rl:artifacts/models/transfer_ob.json");
+        }),
+    ]);
+    println!("retry storm: retry_storm_dagor.json, max_retries 3 — goodput (rps)");
+    for (arm, o) in [
+        ("no-control", &none),
+        ("dagor", &dagor),
+        ("topfull", &topfull),
+    ] {
+        println!("  {arm:<11} {:>7.1}", o.total_goodput);
+    }
+    let ratio = topfull.total_goodput / none.total_goodput;
+    println!("  topfull / no-control {ratio:.2}x");
+    assert!(
+        ratio > 1.0,
+        "TopFull does not beat no control under the storm"
+    );
+}
+
+/// The retry storm at its worst (up to 100 retries) under TopFull-MIMD
+/// and under DAGOR: unbounded retries collapse goodput below the
+/// no-retry baseline, and a client retry budget plus deadline
+/// propagation with doomed-work cancellation restore at least 90 % of
+/// it, with both mechanisms visibly engaged.
+#[test]
+fn budgeted_retries_with_deadlines_defuse_the_metastable_storm() {
+    let storm = doc("retry_storm_dagor");
+    let hardened = ResilienceSpec {
+        deadlines: Some(DeadlineSpecJson::default()),
+        retry_budget: Some(RetryBudgetConfig::default()),
+        breakers: None,
+    };
+    for (stack, controller) in [
+        ("topfull-mimd", topfull("mimd")),
+        ("dagor", storm.controller.clone()),
+    ] {
+        let unbounded = variant(&storm, |sc| sc.controller = controller);
+        let [baseline, unbounded, budgeted] = run_arms([
+            variant(&unbounded, |sc| set_max_retries(sc, 0)),
+            unbounded.clone(),
+            variant(&unbounded, |sc| sc.resilience = Some(hardened.clone())),
+        ]);
+        let base = baseline.total_goodput;
+        println!("metastable storm: retry_storm_dagor.json under {stack} — goodput (rps)");
+        println!("  no-retry              {base:>7.1}");
+        for (arm, o) in [("unbounded", &unbounded), ("budgeted+deadlines", &budgeted)] {
+            let g = o.total_goodput;
+            println!("  {arm:<21} {g:>7.1}  ({:.2}x no-retry)", g / base);
+        }
+        let r = &budgeted.resilience;
+        println!(
+            "  budgeted+deadlines: {} retries suppressed, {} doomed calls cancelled",
+            r.retries_suppressed, r.doomed_cancelled
+        );
+        assert!(
+            unbounded.total_goodput < base,
+            "{stack}: unbounded retries did not collapse goodput"
+        );
+        assert!(
+            budgeted.total_goodput >= 0.9 * base,
+            "{stack}: budgeted retries + deadlines held under 90 % of no-retry"
+        );
+        assert!(
+            r.retries_suppressed > 0,
+            "{stack}: the budget never engaged"
+        );
+        assert!(
+            r.doomed_cancelled > 0,
+            "{stack}: nothing doomed was cancelled"
+        );
+    }
+}
+
+/// A read flash crowd over 16 hot keys: single-flight coalescing plus
+/// the TTL cache at least double the goodput TopFull gets without it.
+#[test]
+fn coalescing_at_least_doubles_flash_crowd_goodput() {
+    let crowd = doc("read_flash_crowd");
+    let [plain, coalescing] = run_arms([variant(&crowd, |sc| sc.admission = None), crowd.clone()]);
+    println!("read flash crowd: read_flash_crowd.json — goodput (rps)");
+    println!("  no coalescing  {:>7.1}", plain.total_goodput);
+    println!("  coalescing     {:>7.1}", coalescing.total_goodput);
+    let ratio = coalescing.total_goodput / plain.total_goodput;
+    println!("  coalescing / no coalescing {ratio:.1}x");
+    assert!(ratio >= 2.0, "coalescing gained only {ratio:.2}x");
+}
+
+/// A mixed-priority surge into one backend: the DAGOR-style priority
+/// gate in front of TopFull's token buckets holds checkout at least as
+/// well as TopFull alone, and the hybrid's journal carries the gate's
+/// threshold moves.
+#[test]
+fn priority_gate_and_topfull_together_hold_checkout() {
+    let hybrid = doc("priority_hybrid");
+    let [topfull_only, dagor_only, both] = run_arms([
+        variant(&hybrid, |sc| sc.admission = None),
+        variant(&hybrid, |sc| sc.controller = ControllerSpec::None),
+        hybrid.clone(),
+    ]);
+    println!("priority hybrid: priority_hybrid.json — goodput (rps)");
+    println!("  {:<14} {:>8} {:>8}", "arm", "checkout", "browse");
+    for (arm, o) in [
+        ("topfull-only", &topfull_only),
+        ("dagor-only", &dagor_only),
+        ("topfull+dagor", &both),
+    ] {
+        let (checkout, browse) = (api_goodput(o, "checkout"), api_goodput(o, "browse"));
+        println!("  {arm:<14} {checkout:>8.1} {browse:>8.1}");
+    }
+    let moves = (both.journal.iter())
+        .filter(|e| matches!(e, obs::JournalEntry::PriorityThreshold { .. }))
+        .count();
+    println!("  topfull+dagor journaled {moves} priority-threshold moves");
+    assert!(
+        api_goodput(&both, "checkout") >= api_goodput(&topfull_only, "checkout"),
+        "the hybrid held checkout worse than TopFull alone"
+    );
+    assert!(moves >= 1, "the priority gate never moved its threshold");
+}
+
+/// The gray-failure schedule (faults inside t = 40–130 s) with and
+/// without the hardened loop. `tests/chaos.rs` holds the hardened
+/// loop's recovery and watchdog activity adversarially; this prints
+/// both arms around the fault window and checks the document's own
+/// hardened run recovers and journals its watchdog.
+#[test]
+fn gray_failure_arms_around_the_fault_window() {
+    let chaos = doc("gray_failure_chaos");
+    let [plain, hardened] = run_arms([
+        variant(&chaos, |sc| {
+            let ControllerSpec::Topfull { hardened, .. } = &mut sc.controller else {
+                panic!("gray_failure_chaos.json runs TopFull");
+            };
+            *hardened = false;
+        }),
+        chaos.clone(),
+    ]);
+    println!("gray-failure chaos: gray_failure_chaos.json — total goodput (rps)");
+    println!(
+        "  {:<11} {:>9} {:>8} {:>10} {:>9}",
+        "stack", "pre-fault", "during", "post-fault", "post/pre"
+    );
+    for (arm, o) in [("unhardened", &plain), ("hardened", &hardened)] {
+        let pre = window_mean(o, 20.0, 40.0);
+        let during = window_mean(o, 45.0, 130.0);
+        let post = window_mean(o, 200.0, 240.0);
+        let ratio = post / pre;
+        println!("  {arm:<11} {pre:>9.1} {during:>8.1} {post:>10.1} {ratio:>9.2}");
+    }
+    let recovery = window_mean(&hardened, 200.0, 240.0) / window_mean(&hardened, 20.0, 40.0);
+    assert!(recovery >= 0.9, "hardened run recovered only {recovery:.2}");
+    assert!(
+        (hardened.journal.iter()).any(|e| matches!(e, obs::JournalEntry::Watchdog { .. })),
+        "the hardened document ran without its watchdog"
+    );
+}
