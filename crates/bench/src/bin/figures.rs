@@ -32,7 +32,6 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("refinements", ex::refinements::run),
     ("trace-analysis", ex::trace_analysis::run),
     ("training-cost", ex::training_cost::run),
-    ("slo", ex::slo::run),
 ];
 
 fn usage() -> ! {

@@ -16,7 +16,6 @@ pub mod fig17;
 pub mod fig18;
 pub mod fig19;
 pub mod refinements;
-pub mod slo;
 pub mod table1;
 pub mod trace_analysis;
 pub mod training_cost;

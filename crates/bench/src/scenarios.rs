@@ -289,8 +289,7 @@ mod tests {
             Roster::TopFullBw,
             Roster::Config(
                 TopFullConfig::default()
-                    .with_mimd()
-                    .with_mimd_steps(0.5, 0.2),
+                    .with_rate_controller(Arc::new(topfull::MimdController::with_steps(0.5, 0.2))),
             ),
         ]
     }
@@ -350,7 +349,6 @@ mod tests {
             ("fig16 tt", ex::fig16::tt_recipe(5)),
             ("fig16 ob", ex::fig16::ob_recipe(10)),
             ("fig18", ex::fig18::recipe(1)),
-            ("slo", ex::slo::recipe(&ob)),
         ]
     }
 

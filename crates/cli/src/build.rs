@@ -130,12 +130,8 @@ fn build_workload(
             let mut schedules = Vec::with_capacity(rates.len());
             for r in rates {
                 let api = api_id(topo, &r.api)?;
-                let steps = r
-                    .steps
-                    .iter()
-                    .map(|(s, v)| (SimTime::from_secs(*s), *v))
-                    .collect();
-                schedules.push((api, RateSchedule::steps(steps)));
+                let key = format!("workload.rates[{}].steps", r.api);
+                schedules.push((api, schedule(&key, &r.steps)?));
             }
             Ok(Box::new(OpenLoopWorkload::new(schedules)))
         }
@@ -145,15 +141,9 @@ fn build_workload(
             api_weights,
         } => {
             let weights = resolve_weights(topo, api_weights)?;
-            let sched = RateSchedule::steps(
-                users_steps
-                    .iter()
-                    .map(|(s, u)| (SimTime::from_secs(*s), *u))
-                    .collect(),
-            );
             Ok(Box::new(ClosedLoopWorkload::new(
                 weights,
-                sched,
+                schedule("workload.users_steps", users_steps)?,
                 SimDuration::from_millis(*think_ms),
             )))
         }
@@ -178,6 +168,20 @@ fn build_workload(
             Ok(Box::new(w))
         }
     }
+}
+
+/// `(from_secs, value)` steps as a schedule. A rate or a user count
+/// must be a finite number ≥ 0: infinity panics the arrival sampler or
+/// allocates without bound, and a negative value silently offers
+/// nothing.
+fn schedule(key: &str, steps: &[(u64, f64)]) -> Result<RateSchedule, String> {
+    if let Some((t, v)) = steps.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0)) {
+        return Err(format!(
+            "{key} must be finite and at least 0, got {v} at {t} s"
+        ));
+    }
+    let steps = steps.iter().map(|&(t, v)| (SimTime::from_secs(t), v));
+    Ok(RateSchedule::steps(steps.collect()))
 }
 
 /// A closed-loop population's `api_weights`, names resolved.
@@ -608,6 +612,37 @@ mod tests {
         }"#;
         let sc = crate::parse_scenario(json).expect("parse");
         assert!(build_scenario(&sc).is_err());
+    }
+
+    #[test]
+    fn an_unusable_rate_or_user_count_is_refused_by_key() {
+        let open = |v: &str| {
+            format!(
+                r#"{{"type": "open_loop", "rates": [{{"api": "getcart", "steps": [[0, {v}]]}}]}}"#
+            )
+        };
+        let closed = |v: &str| {
+            format!(
+                r#"{{"type": "closed_loop", "users_steps": [[0, {v}]],
+                    "api_weights": [["getcart", 1.0]]}}"#
+            )
+        };
+        for (workload, key) in [
+            (open("1e999"), "workload.rates[getcart].steps"),
+            (open("-5"), "workload.rates[getcart].steps"),
+            (closed("1e999"), "workload.users_steps"),
+            (closed("-5"), "workload.users_steps"),
+        ] {
+            let json = format!(
+                r#"{{"app": {{"type": "builtin", "name": "online-boutique"}},
+                    "workload": {workload}}}"#
+            );
+            let sc = crate::parse_scenario(&json).expect("parse");
+            // Built, never run: an infinite population would allocate
+            // without bound.
+            let err = crate::validate_scenario(&sc).expect_err(&workload);
+            assert!(err.contains(key), "{workload}: {err}");
+        }
     }
 
     #[test]

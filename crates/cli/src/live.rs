@@ -154,7 +154,7 @@ fn refuse_simulator_only(sc: &Scenario) -> Result<(), String> {
 /// The loop that drives the live plane: the scenario's entry controller
 /// and SLO monitor, under the watchdog when the controller is hardened —
 /// what the simulator's harness runs.
-fn control_loop(sc: &Scenario) -> Result<ControlLoop<'static>, String> {
+fn control_loop(sc: &Scenario) -> Result<ControlLoop, String> {
     let controller = entry_controller(&sc.controller)?.ok_or_else(|| {
         format!(
             "live mode drives entry admission only; per-service admission \

@@ -52,7 +52,7 @@ fn malformed_live_shard_flags_are_usage_errors() {
 #[test]
 fn an_argument_the_subcommand_does_not_name_is_a_usage_error() {
     for args in [
-        &["explain", "artifacts/results/slo.json", "--fingerprnt"][..],
+        &["explain", "run.json", "--fingerprnt"][..],
         &["check", "scenarios/read_flash_crowd.json", "--jsn"],
         &[
             "run",

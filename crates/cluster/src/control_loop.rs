@@ -205,56 +205,20 @@ impl Watchdog {
     }
 }
 
-/// The loop's controller: its own, or one lent for a few ticks.
-enum Held<'c> {
-    Owned(Box<dyn Controller + 'c>),
-    Lent(&'c mut dyn Controller),
-}
-
-impl<'c> std::ops::Deref for Held<'c> {
-    type Target = dyn Controller + 'c;
-
-    fn deref(&self) -> &Self::Target {
-        match self {
-            Held::Owned(c) => &**c,
-            Held::Lent(c) => &**c,
-        }
-    }
-}
-
-impl std::ops::DerefMut for Held<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        match self {
-            Held::Owned(c) => &mut **c,
-            Held::Lent(c) => &mut **c,
-        }
-    }
-}
-
 /// The control loop: holds the controller, the SLO burn-rate monitor,
 /// the decision journal and the optional watchdog, and steps them over
-/// whatever [`Plane`] it is handed. Long-lived loops own their
-/// controller and are `ControlLoop<'static>`.
-pub struct ControlLoop<'c> {
-    controller: Held<'c>,
+/// whatever [`Plane`] it is handed.
+pub struct ControlLoop {
+    controller: Box<dyn Controller>,
     slo: obs::SloMonitor,
     journal: Arc<obs::Journal>,
     watchdog: Option<Watchdog>,
 }
 
-impl<'c> ControlLoop<'c> {
+impl ControlLoop {
     /// A loop around `controller`, with a fresh shared decision journal
     /// the controller records its verdicts into.
-    pub fn new(controller: Box<dyn Controller + 'c>) -> Self {
-        Self::holding(Held::Owned(controller))
-    }
-
-    /// [`ControlLoop::new`] around a controller the caller keeps.
-    pub fn lent(controller: &'c mut dyn Controller) -> Self {
-        Self::holding(Held::Lent(controller))
-    }
-
-    fn holding(mut controller: Held<'c>) -> Self {
+    pub fn new(mut controller: Box<dyn Controller>) -> Self {
         let journal = obs::Journal::shared();
         controller.attach_journal(Arc::clone(&journal));
         ControlLoop {
@@ -286,11 +250,6 @@ impl<'c> ControlLoop<'c> {
     /// accumulated burn history, so call before the run starts.
     pub fn set_slo_config(&mut self, cfg: obs::SloConfig) {
         self.slo = obs::SloMonitor::new(cfg);
-    }
-
-    /// The burn-rate monitor (per-API error budget remaining, signals).
-    pub fn slo_monitor(&self) -> &obs::SloMonitor {
-        &self.slo
     }
 
     /// What the watchdog did so far (zeroes when none is attached).
@@ -609,7 +568,7 @@ mod tests {
         // One dark tick short of engaging still reaches the controller.
         ctl.tick(&mut plane);
         assert_eq!(plane.limit, 1.04);
-        ctl.controller = Held::Owned(wants(1000.0, &log));
+        ctl.controller = wants(1000.0, &log);
         let frozen = [1.04; FREEZE_TICKS as usize];
         // ×0.98 a tick onto a floor of 1 rps.
         let decayed = [1.04 * 0.98, 1.0];

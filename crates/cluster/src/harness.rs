@@ -142,7 +142,7 @@ impl SimPlane for Engine {
 pub struct Harness<P: SimPlane = Engine> {
     /// The plane under control — for the plain harness, the engine.
     pub engine: P,
-    ctl: ControlLoop<'static>,
+    ctl: ControlLoop,
     result: RunResult,
     next_tick: SimTime,
 }
@@ -188,12 +188,6 @@ impl<P: SimPlane> Harness<P> {
     /// accumulated burn history, so call before the run starts.
     pub fn set_slo_config(&mut self, cfg: obs::SloConfig) {
         self.ctl.set_slo_config(cfg);
-    }
-
-    /// The current error budget remaining per API, in `[0, 1]` (1 when
-    /// the monitor has seen no traffic for an API yet).
-    pub fn slo_monitor(&self) -> &obs::SloMonitor {
-        self.ctl.slo_monitor()
     }
 
     /// What the watchdog did so far (zeroes when none is attached).

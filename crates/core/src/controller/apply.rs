@@ -167,10 +167,12 @@ mod tests {
     use super::super::tests::{obs, sid};
     use super::super::TopFullConfig;
     use super::*;
+    use crate::MimdController;
     use cluster::Controller;
     use cluster::{ApiSpec, CallNode, Engine, EngineConfig, Harness, OpenLoopWorkload};
     use cluster::{ServiceSpec, Topology};
     use simnet::{SimDuration, SimTime};
+    use std::sync::Arc;
 
     const HOT: (f64, f64, f64, u64, u8, f64) = (200.0, 200.0, 50.0, 2000, 0, f64::INFINITY);
 
@@ -207,7 +209,10 @@ mod tests {
 
     #[test]
     fn increase_requires_overload_free_path_beyond_target() {
-        let mut tf = TopFull::new(TopFullConfig::default().with_mimd_steps(0.05, 0.2));
+        let mut tf = TopFull::new(
+            TopFullConfig::default()
+                .with_rate_controller(Arc::new(MimdController::with_steps(0.05, 0.2))),
+        );
         tf.preset_limits(&[100.0, 100.0]);
         let ups = tf.control(&two_hot_services());
         // Cluster contains both APIs (share service 1). First target =
@@ -229,7 +234,10 @@ mod tests {
     fn an_increase_vetoed_by_a_hot_service_is_journaled() {
         // "Hot" is the detector's 0.8: API0 is not raised through hot
         // svc 1, and the veto is recorded.
-        let mut tf = TopFull::new(TopFullConfig::default().with_mimd_steps(0.05, 0.2));
+        let mut tf = TopFull::new(
+            TopFullConfig::default()
+                .with_rate_controller(Arc::new(MimdController::with_steps(0.05, 0.2))),
+        );
         let journal = obs::Journal::shared();
         tf.attach_journal(std::sync::Arc::clone(&journal));
         tf.preset_limits(&[100.0, 100.0]);

@@ -84,12 +84,6 @@ impl TopFullConfig {
         self
     }
 
-    /// Use custom MIMD steps (Fig. 13 sweep).
-    pub fn with_mimd_steps(mut self, decrease: f64, increase: f64) -> Self {
-        self.rate_controller = Arc::new(MimdController::with_steps(decrease, increase));
-        self
-    }
-
     /// Use the Breakwater-style AIMD controller (TopFull(BW), §6.3).
     pub fn with_bw(mut self) -> Self {
         self.rate_controller = Arc::new(BwRateController);

@@ -247,7 +247,7 @@ mod tests {
     use super::super::tests::{obs, sid};
     use super::super::TopFull;
     use super::*;
-    use crate::rate_controller::{RateController, RateState, SafeRateController};
+    use crate::rate_controller::{MimdController, RateController, RateState, SafeRateController};
     use cluster::Controller;
     use proptest::prelude::*;
 
@@ -367,7 +367,10 @@ mod tests {
     #[test]
     fn journal_records_increase_blocks_and_releases() {
         // Same topology as increase_requires_overload_free_path_beyond_target.
-        let (mut tf, journal) = journaled(TopFullConfig::default().with_mimd_steps(0.05, 0.2));
+        let (mut tf, journal) = journaled(
+            TopFullConfig::default()
+                .with_rate_controller(Arc::new(MimdController::with_steps(0.05, 0.2))),
+        );
         tf.preset_limits(&[100.0, 100.0]);
         let o = obs(
             &[0.5, 0.95, 0.95],

@@ -2,6 +2,7 @@
 //! of the pipeline as a whole.
 
 use super::*;
+use crate::MimdController;
 use cluster::observe::{ApiWindow, ServiceWindow};
 use cluster::types::{ApiId, BusinessPriority, ServiceId};
 use simnet::{SimDuration, SimTime};
@@ -128,7 +129,10 @@ fn a_path_through_a_service_the_observation_lacks_is_not_hot() {
     // which no `ServiceWindow` carries. They are absent from the table
     // of hot services as they were from the hash set: no veto of API0's
     // raise, no probe of API1 withheld, no index out of range.
-    let mut tf = TopFull::new(TopFullConfig::default().with_mimd_steps(0.05, 0.2));
+    let mut tf = TopFull::new(
+        TopFullConfig::default()
+            .with_rate_controller(Arc::new(MimdController::with_steps(0.05, 0.2))),
+    );
     tf.preset_limits(&[100.0, 100.0]);
     let limited = (200.0, 100.0, 100.0, 100, 0, 100.0);
     let o = obs(

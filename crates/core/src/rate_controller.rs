@@ -7,8 +7,7 @@
 //!
 //! * [`RlRateController`] — the trained PPO policy (TopFull proper).
 //! * [`MimdController`] — the §6.2 ablation: a fixed 0.05 multiplicative
-//!   decrease past the SLO, a fixed 0.01 increase otherwise. Also
-//!   parameterizes the DAGOR-style static stepping of Fig. 13 / Table 2.
+//!   decrease past the SLO, a fixed 0.01 increase otherwise.
 //! * [`BwRateController`] — §6.3's TopFull(BW): Breakwater's control law
 //!   at the entry (additive increase under the delay target,
 //!   multiplicative decrease proportional to overload severity).
@@ -113,7 +112,8 @@ impl MimdController {
         }
     }
 
-    /// Custom steps, for the Fig. 13 step-size sweep.
+    /// Custom steps (tests; no paper figure sweeps them — Fig. 13
+    /// sweeps DAGOR's α).
     pub fn with_steps(decrease: f64, increase: f64) -> Self {
         MimdController { decrease, increase }
     }

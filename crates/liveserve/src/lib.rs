@@ -304,20 +304,19 @@ impl LiveServer {
         }
     }
 
-    /// One control tick with a borrowed controller, through a throwaway
-    /// [`ControlLoop`]: close the window, step `controller`, apply its
-    /// updates. Nothing carries over between calls — no burn-rate
-    /// history, no journal — so a real run keeps one loop and calls
-    /// [`run`]; this is for callers that only need the window closed and
-    /// a decision applied.
+    /// One bare control tick with a borrowed controller: close the
+    /// window, step `controller`, apply its updates. No burn-rate
+    /// monitor, journal or watchdog runs, so a real run keeps one
+    /// [`ControlLoop`] and calls [`run`]; this is for callers that only
+    /// need the window closed and a decision applied.
     ///
     /// Mirrors the simulator's harness ordering exactly: the observation
     /// carries the limits that were in force *during* the window, and
     /// updates take effect for the next one.
     pub fn tick(&mut self, controller: &mut dyn Controller) -> ClusterObservation {
-        ControlLoop::lent(controller)
-            .tick(self)
-            .expect("a live server closes a window on every tick")
+        let obs = self.observe_tick();
+        self.push_limits(&controller.control(&obs));
+        obs
     }
 
     /// Stop accepting, stop the workers, and join everything. Event

@@ -256,29 +256,6 @@ impl SloMonitor {
         }
         out
     }
-
-    /// Recompute one API's current signal from the retained window ring
-    /// without ingesting a sample — a read-only probe for experiment
-    /// instrumentation and dashboards. `None` until the API has been
-    /// observed at least once.
-    pub fn signal(&self, api: usize, now: f64) -> Option<SloBurnSignal> {
-        let st = self.apis.get(api)?;
-        let total = st.total_good + st.total_bad;
-        let budget_remaining = if total > 0.0 {
-            1.0 - (st.total_bad / total) / self.cfg.budget()
-        } else {
-            1.0
-        };
-        Some(SloBurnSignal {
-            api: api as u32,
-            fast_burn: self.burn(api, now, self.cfg.fast_windows_secs.0),
-            fast_burn_long: self.burn(api, now, self.cfg.fast_windows_secs.1),
-            slow_burn: self.burn(api, now, self.cfg.slow_windows_secs.0),
-            slow_burn_long: self.burn(api, now, self.cfg.slow_windows_secs.1),
-            budget_remaining,
-            severity: st.severity,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -390,18 +367,6 @@ mod tests {
         assert_eq!(s.fast_burn_long, 0.0);
         // …but the 6 m slow-long window still remembers the burn.
         assert!(s.slow_burn_long > 0.0);
-    }
-
-    #[test]
-    fn signal_probe_matches_observe_and_never_mutates() {
-        let mut m = SloMonitor::new(cfg());
-        assert!(m.signal(0, 0.0).is_none(), "unseen API has no signal");
-        let tick = feed(&mut m, 0.0, 30, 100.0, 0.3);
-        let probed = m.signal(0, 30.0).expect("observed API");
-        assert_eq!(probed, tick.signals[0]);
-        // Probing again (even at a later time) must not change state.
-        let _ = m.signal(0, 90.0);
-        assert_eq!(m.signal(0, 30.0).expect("still there"), tick.signals[0]);
     }
 
     #[test]

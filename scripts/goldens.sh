@@ -28,18 +28,20 @@ OUT=target/goldens
 # gate (priority hybrid), a recovery-probe collapse escalation (fuzz
 # 2-10), RateBlocked / Release / empty-group reasons (boutique surge), the
 # hardened loop under stall + watchdog (gray failure), a pod kill from the
-# fault schedule (train-ticket station failure) and the retry storm under
-# DAGOR, unbounded and budgeted. The matrix's 12 cells are rows too, so a
+# fault schedule (train-ticket station failure), the retry storm under
+# DAGOR, unbounded and budgeted, and the burn-rate monitor's ok → page →
+# ticket ladder with no controller (SLO burn lead; verify.sh's explain
+# smokes read its run). The matrix's 12 cells are rows too, so a
 # cell more or fewer is a missing or an orphan row, and so is its whole
 # report.
 SCENARIOS=(sharded_surge read_flash_crowd priority_hybrid found/fuzz_2_10_breach
   boutique_surge_topfull gray_failure_chaos trainticket_station_failure
-  retry_storm_dagor retry_storm_dagor_budgeted)
+  retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead)
 MATRIX=overload_arms
 # The deterministic `figures` experiments; `training-cost` (a timing) is
 # left out.
 EXPERIMENTS=(table1 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-  fig17 fig18 fig19 refinements trace-analysis slo)
+  fig17 fig18 fig19 refinements trace-analysis)
 
 hash() { sha256sum | cut -c1-16; } # of stdin
 failed=0

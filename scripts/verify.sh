@@ -267,22 +267,22 @@ section artifact smokes
   | grep -Eq 'rate actions: [1-9]' \
   || { echo "explain smoke: no rate actions in gray_failure_chaos's journal"; exit 1; }
 
-# Trace + burn-journal smoke on committed artifacts: `topfull trace`
-# must render the checked-in live-run trace sample as a waterfall, and
-# `topfull explain` must interleave the `figures slo` artifact's
-# SloBurn escalations.
+# Trace + burn-journal smoke: `topfull trace` must render the
+# checked-in live-run trace sample as a waterfall, and `topfull explain`
+# must interleave the SloBurn escalations of slo_burn_lead's run, which
+# the ledger section above just regenerated and pinned.
 ./target/release/topfull trace artifacts/traces/sample.jsonl \
   | grep -q 'worker' \
   || { echo "trace smoke: committed sample renders no worker stage"; exit 1; }
 ./target/release/topfull trace artifacts/traces/sample.jsonl --id 9990003 \
   | grep -q 'trace 9990003' \
   || { echo "trace smoke: --id filter lost the requested trace"; exit 1; }
-./target/release/topfull explain artifacts/results/slo.json \
+./target/release/topfull explain target/goldens/slo_burn_lead.w1.json \
   | grep -q 'slo-burn' \
-  || { echo "explain smoke: no slo-burn entries in the slo figure journal"; exit 1; }
-./target/release/topfull explain artifacts/results/slo.json \
+  || { echo "explain smoke: no slo-burn entries in slo_burn_lead's journal"; exit 1; }
+./target/release/topfull explain target/goldens/slo_burn_lead.w1.json \
   | grep -q 'page escalation' \
-  || { echo "explain smoke: slo journal summary missing page escalations"; exit 1; }
+  || { echo "explain smoke: slo_burn_lead's journal summary missing page escalations"; exit 1; }
 
 # Scenario corpus dry-run: every committed scenario artifact must
 # validate without running — plain scenarios through the simulator's

@@ -1,8 +1,9 @@
 //! The repository's extension experiments as scenario documents plus
 //! claims: retry storm, metastable retry storm, front-door coalescing,
-//! TopFull+DAGOR hybrid admission and gray-failure chaos. None is a
-//! paper figure — TopFull's §6 has no retry-storm, gray-failure or
-//! front-door experiment. Every arm is a committed document under
+//! TopFull+DAGOR hybrid admission, gray-failure chaos and the SLO
+//! burn-rate page as a leading indicator. None is a paper figure —
+//! TopFull's §6 has no retry-storm, gray-failure, front-door or
+//! error-budget experiment. Every arm is a committed document under
 //! `scenarios/`, or that document with one field changed, run through
 //! `topfull_cli::run_scenario` exactly as `topfull run` runs it. Each
 //! test prints its arms' numbers, which EXPERIMENTS.md cites:
@@ -235,5 +236,87 @@ fn gray_failure_arms_around_the_fault_window() {
     assert!(
         (hardened.journal.iter()).any(|e| matches!(e, obs::JournalEntry::Watchdog { .. })),
         "the hardened document ran without its watchdog"
+    );
+}
+
+/// Times of the page-severity `SloBurn` journal entries, any API.
+fn page_times(o: &ScenarioOutcome) -> Vec<f64> {
+    let page = |e: &obs::JournalEntry| match e {
+        obs::JournalEntry::SloBurn { t, to, .. } if to == "page" => Some(*t),
+        _ => None,
+    };
+    o.journal.iter().filter_map(page).collect()
+}
+
+/// The first second from which total goodput stays below `threshold`
+/// to the end of the run (a dip that recovers is no collapse).
+fn sustained_collapse(o: &ScenarioOutcome, threshold: f64) -> Option<f64> {
+    let mut collapse = None;
+    for &(t, g) in &o.timeline {
+        if g < threshold {
+            collapse.get_or_insert(t);
+        } else {
+            collapse = None;
+        }
+    }
+    collapse
+}
+
+/// A two-wave flash crowd on Get Product: a 4 s precursor at 700 rps
+/// against the recommendation bottleneck's ≈500 rps, too brief to trip
+/// the 6-probe crash loop, then 2600 rps from t = 25 s. Uncontrolled,
+/// the precursor's queue-overflow failures spend error budget while
+/// served goodput holds, so the burn-rate monitor pages long before the
+/// crowd crash-loops the bottleneck and goodput collapses. The RL
+/// policy sheds at the entry (a rejected request spends no budget), so
+/// nothing crash-loops and nothing pages. The paper-default MIMD step
+/// (0.05) cannot clamp a 5× overshoot before the crash loop fires.
+#[test]
+fn the_burn_rate_page_leads_the_flash_crowd_collapse() {
+    let crowd = doc("slo_burn_lead");
+    let [none, rl, mimd] = run_arms([
+        crowd.clone(),
+        variant(&crowd, |sc| {
+            sc.controller = topfull("rl:artifacts/models/transfer_ob.json");
+        }),
+        variant(&crowd, |sc| sc.controller = topfull("mimd")),
+    ]);
+    println!("slo burn lead: slo_burn_lead.json — getproduct goodput from t=28 s");
+    println!(
+        "  {:<6} {:>10} {:>11} {:>6} {:>10}",
+        "arm", "goodput", "crash-loops", "pages", "first page"
+    );
+    for (arm, o) in [("none", &none), ("rl", &rl), ("mimd", &mimd)] {
+        let pages = page_times(o);
+        let first = pages
+            .first()
+            .map_or("never".into(), |t| format!("{t:.0} s"));
+        println!(
+            "  {arm:<6} {:>10.1} {:>11} {:>6} {first:>10}",
+            api_goodput(o, "getproduct"),
+            o.crash_events,
+            pages.len()
+        );
+    }
+    let threshold = 0.6 * window_mean(&none, 3.0, 10.0);
+    let page = page_times(&none).first().copied();
+    let collapse = sustained_collapse(&none, threshold);
+    let (Some(page), Some(collapse)) = (page, collapse) else {
+        panic!("uncontrolled: page {page:?}, collapse {collapse:?}");
+    };
+    println!("  none: total goodput below {threshold:.0} rps from {collapse} s on");
+    assert!(
+        collapse - page >= 2.0,
+        "the page ({page} s) does not lead the collapse ({collapse} s) by 2 ticks"
+    );
+    assert!(
+        api_goodput(&rl, "getproduct") > api_goodput(&none, "getproduct"),
+        "the RL policy held less crowd-phase goodput than no control"
+    );
+    assert_eq!(rl.crash_events, 0, "the RL arm crash-looped the bottleneck");
+    assert!(page_times(&rl).is_empty(), "the RL arm paged");
+    assert!(
+        mimd.crash_events > 0,
+        "the paper-default MIMD step clamped the crowd in time"
     );
 }
