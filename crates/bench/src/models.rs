@@ -45,10 +45,6 @@ fn trainer_config(episodes: usize, seed: u64) -> TrainerConfig {
         episodes,
         checkpoint_every: 50,
         validation_episodes: 12,
-        // Deliberately NOT `cluster::runner::worker_count()`: rollout seeding
-        // depends on the worker count, so honoring TOPFULL_WORKERS here
-        // would change the models the pipeline produces and caches.
-        workers: cluster::runner::default_workers(),
         seed,
     }
 }

@@ -16,13 +16,11 @@
 //! serial execution path for debugging; the tests assert serial and
 //! parallel runs fingerprint identically.
 //!
-//! The worker pool defaults to `min(available_parallelism, 8)`
-//! ([`default_workers`]) and is overridden by the `TOPFULL_WORKERS`
-//! environment variable ([`worker_count`]). The RL trainer runs its
-//! rollouts through a plan too, but at its configured worker count
-//! ([`RunPlan::with_workers`]), never the override: rollout seeding
-//! depends on the worker index, so changing the trainer's pool would
-//! change the models it produces.
+//! The worker pool defaults to `min(available_parallelism, 8)` and is
+//! overridden by the `TOPFULL_WORKERS` environment variable
+//! ([`worker_count`]). The RL trainer runs its rollout and validation
+//! episodes through a plan too, one job and one seed stream per episode,
+//! so its models are byte-identical at any worker count as well.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -32,17 +30,16 @@ pub const WORKERS_ENV: &str = "TOPFULL_WORKERS";
 
 /// The environment-independent default worker count:
 /// `min(available_parallelism, 8)`, falling back to 4 when parallelism
-/// cannot be queried. `figures train` sizes the RL trainer with this
-/// directly (its rollout seeding depends on the worker count, so it must
-/// not follow the env override).
-pub fn default_workers() -> usize {
+/// cannot be queried.
+fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get().min(8))
         .unwrap_or(4)
 }
 
-/// The worker count for experiment runs: [`default_workers`] unless
-/// `TOPFULL_WORKERS` is set to a positive integer (`1` forces serial).
+/// The worker count for experiment runs and training: the default
+/// (`min(available_parallelism, 8)`) unless `TOPFULL_WORKERS` is set to
+/// a positive integer (`1` forces serial).
 pub fn worker_count() -> usize {
     match std::env::var(WORKERS_ENV)
         .ok()

@@ -59,6 +59,8 @@ pub struct ClusterEnv {
     step_count: usize,
     now: SimTime,
     episode_seed: u64,
+    /// The engine's SLO (s), which the state and the reward divide by.
+    slo: f64,
 }
 
 impl ClusterEnv {
@@ -75,6 +77,7 @@ impl ClusterEnv {
             step_count: 0,
             now: SimTime::ZERO,
             episode_seed: 0,
+            slo: 1.0,
         }
     }
 
@@ -88,46 +91,30 @@ impl ClusterEnv {
         }
     }
 
-    fn observe(&mut self) -> [f64; 2] {
-        let engine = self.engine.as_mut().expect("reset first");
-        let Some(obs) = engine.latest_observation() else {
-            return [0.0, 0.0];
-        };
-        let goodput = obs.total_goodput();
-        let slo = obs.slo.as_secs_f64();
-        let lat = obs
-            .apis
-            .iter()
-            .map(|a| a.tail_latency().as_secs_f64())
-            .fold(0.0, f64::max);
+    /// Total goodput and the worst API's tail latency (s) in the latest
+    /// observation; zeros before the first.
+    fn measure(&self) -> (f64, f64) {
+        let engine = self.engine.as_ref().expect("reset first");
+        engine.latest_observation().map_or((0.0, 0.0), |obs| {
+            let lat = obs.apis.iter().map(|a| a.tail_latency().as_secs_f64());
+            (obs.total_goodput(), lat.fold(0.0, f64::max))
+        })
+    }
+
+    /// The §4.3 state at `goodput` and tail latency `lat`.
+    fn state(&self, goodput: f64, lat: f64) -> [f64; 2] {
         let ratio = if self.limit > 0.0 {
             (goodput / self.limit).clamp(0.0, 2.0)
         } else {
             0.0
         };
-        [ratio, (lat / slo).clamp(0.0, 5.0)]
-    }
-
-    fn goodput_and_latency(&self) -> (f64, f64) {
-        let engine = self.engine.as_ref().expect("reset first");
-        match engine.latest_observation() {
-            Some(obs) => {
-                let lat = obs
-                    .apis
-                    .iter()
-                    .map(|a| a.tail_latency().as_secs_f64())
-                    .fold(0.0, f64::max);
-                (obs.total_goodput(), lat)
-            }
-            None => (0.0, 0.0),
-        }
+        [ratio, (lat / self.slo).clamp(0.0, 5.0)]
     }
 }
 
 impl RlEnv for ClusterEnv {
     fn reset(&mut self, rng: &mut SmallRng) -> [f64; 2] {
         self.episode_seed = rng.gen();
-        let n_apis = self.topo.num_apis();
         // Randomized overload workload: each API offers base × surge.
         let rates: Vec<(cluster::ApiId, f64)> = self
             .topo
@@ -158,12 +145,12 @@ impl RlEnv for ClusterEnv {
         self.step_count = 0;
         self.now = SimTime::from_secs(self.cfg.warmup_secs);
         engine.run_until(self.now);
+        self.slo = engine.config().slo.as_secs_f64();
         self.engine = Some(engine);
         self.apply_limit();
-        let _ = n_apis;
-        let (g, _) = self.goodput_and_latency();
-        self.prev_goodput = g;
-        self.observe()
+        let (goodput, lat) = self.measure();
+        self.prev_goodput = goodput;
+        self.state(goodput, lat)
     }
 
     fn step(&mut self, action: f64, _rng: &mut SmallRng) -> StepResult {
@@ -188,13 +175,12 @@ impl RlEnv for ClusterEnv {
             .as_mut()
             .expect("reset first")
             .run_until(self.now);
-        let (good, lat) = self.goodput_and_latency();
-        let slo = 1.0;
+        let (good, lat) = self.measure();
         let reward = (good - self.prev_goodput) / self.scale
-            - self.cfg.rho * ((lat - slo).max(0.0) / slo).min(5.0);
+            - self.cfg.rho * ((lat - self.slo).max(0.0) / self.slo).min(5.0);
         self.prev_goodput = good;
         StepResult {
-            state: self.observe(),
+            state: self.state(good, lat),
             reward,
             done: self.step_count >= self.horizon(),
         }

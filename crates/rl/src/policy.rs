@@ -127,10 +127,17 @@ impl Actor {
         let mean = self.mean(state);
         let std = self.log_std.exp();
         let raw = Normal::new(mean, std).expect("valid normal").sample(rng);
-        let z = (raw - mean) / std;
-        let logp = -0.5 * z * z - self.log_std - 0.5 * LN_2PI;
+        let logp = log_density(raw, mean, self.log_std);
         (raw, raw.clamp(ACTION_LOW, ACTION_HIGH), logp)
     }
+}
+
+/// `ln N(raw; mean, e^log_std)`: the one Gaussian log-density, which a
+/// rollout records and the PPO update recomputes, so that at unchanged
+/// weights every PPO ratio is exactly 1.
+pub(crate) fn log_density(raw: f64, mean: f64, log_std: f64) -> f64 {
+    let z = (raw - mean) / log_std.exp();
+    -0.5 * z * z - log_std - 0.5 * LN_2PI
 }
 
 /// A [`PolicyValue`]'s critic frozen for value estimates.

@@ -15,7 +15,7 @@
 //! | PPO clip | 0.3 |
 
 use crate::nn::{clip_grad_norm, Adam, FrozenMlp};
-use crate::policy::PolicyValue;
+use crate::policy::{log_density, PolicyValue};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -223,7 +223,7 @@ impl Ppo {
                     let (out, tape) = pi.forward_tape(&s.state);
                     let mean = out[0];
                     let z = (s.raw - mean) / std_new;
-                    let logp = -0.5 * z * z - self.model.log_std - 0.918_938_533_204_672_7;
+                    let logp = log_density(s.raw, mean, self.model.log_std);
                     let ratio = (logp - s.logp_old).exp();
                     let surr1 = ratio * s.advantage;
                     let surr2 = ratio.clamp(1.0 - clip, 1.0 + clip) * s.advantage;
@@ -439,6 +439,23 @@ mod tests {
             ppo.update(&eps, &mut r);
         }
         assert!(ppo.kl_coeff() > c0, "KL coeff should rise under big steps");
+    }
+
+    #[test]
+    fn at_unchanged_weights_every_ppo_ratio_is_exactly_one() {
+        // A rollout records `logp_old` through the served forward pass;
+        // `Ppo::update` recomputes it through `forward_tape`.
+        let mut r = rng(10);
+        let model = PolicyValue::new(2, &mut r);
+        let (actor, pi) = (model.actor(), FrozenMlp::new(&model.pi));
+        for _ in 0..1000 {
+            let state = [r.gen_range(0.0..2.0), r.gen_range(0.0..5.0)];
+            let (raw, _, logp_old) = actor.act_stochastic(&state, &mut r);
+            let (out, _) = pi.forward_tape(&state);
+            let logp = log_density(raw, out[0], model.log_std);
+            assert_eq!(logp.to_bits(), logp_old.to_bits(), "at {state:?}, {raw}");
+            assert_eq!((logp - logp_old).exp(), 1.0);
+        }
     }
 
     #[test]

@@ -9,16 +9,17 @@
 //! [`crate::cluster_env::ClusterEnv`] (the paper's "target real-world
 //! application", here the detailed cluster simulator).
 //!
-//! Collection is parallel (one [`RunPlan`] job per environment replica,
-//! fixed per-worker seeds, merged in worker order) so training is
-//! deterministic for a given seed and worker count. Rollouts and
-//! validation run the model frozen once per iteration or checkpoint
-//! ([`PolicyValue::actor`]).
+//! Collection is parallel: every episode is one [`RunPlan`] job on a
+//! fresh environment with its own seed stream, and the plan returns the
+//! episodes in submission order, so training is deterministic for a
+//! given seed and the worker count (`TOPFULL_WORKERS`) sets only its
+//! speed. Rollouts and validation run the model frozen once per
+//! iteration or checkpoint ([`PolicyValue::actor`]).
 
 use crate::env::RlEnv;
 use crate::policy::{Actor, Critic, PolicyValue};
 use crate::ppo::{Episode, Ppo, PpoConfig};
-use cluster::runner::RunPlan;
+use cluster::runner::{worker_count, RunPlan};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use simnet::rng::derive_seed;
@@ -34,8 +35,6 @@ pub struct TrainerConfig {
     pub checkpoint_every: usize,
     /// Validation episodes per checkpoint (fixed seeds).
     pub validation_episodes: usize,
-    /// Parallel rollout workers.
-    pub workers: usize,
     pub seed: u64,
 }
 
@@ -46,7 +45,6 @@ impl Default for TrainerConfig {
             episodes: 1000,
             checkpoint_every: 50,
             validation_episodes: 16,
-            workers: 4,
             seed: 0,
         }
     }
@@ -95,20 +93,41 @@ fn run_episode<E: RlEnv>(
     ep
 }
 
-/// Mean total reward of deterministic episodes on fixed seeds.
-pub fn validate<E: RlEnv>(
+/// One episode per seed, each on a fresh environment sampling its own
+/// stream, run as the jobs of one plan on `workers` threads: the episodes
+/// come back in seed order, whatever `workers` is.
+fn run_episodes<E: RlEnv>(
+    make_env: &(impl Fn() -> E + Sync),
+    model: &PolicyValue,
+    seeds: impl Iterator<Item = u64>,
+    deterministic: bool,
+    workers: usize,
+) -> Vec<Episode> {
+    let (actor, critic) = (model.actor(), model.critic());
+    let mut plan = RunPlan::new().with_workers(workers);
+    for seed in seeds {
+        let frozen = (&actor, &critic);
+        plan.submit(move || {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            run_episode(&mut make_env(), frozen, &mut rng, deterministic)
+        });
+    }
+    plan.run()
+}
+
+/// Mean total reward of deterministic episodes on fixed seeds, summed in
+/// episode order.
+fn validate<E: RlEnv>(
     make_env: &(impl Fn() -> E + Sync),
     model: &PolicyValue,
     episodes: usize,
     seed: u64,
+    workers: usize,
 ) -> f64 {
-    let (actor, critic) = (model.actor(), model.critic());
-    let mut total = 0.0;
-    for i in 0..episodes {
-        let mut env = make_env();
-        let mut rng = SmallRng::seed_from_u64(derive_seed(seed, "validate") ^ i as u64);
-        total += run_episode(&mut env, (&actor, &critic), &mut rng, true).total_reward();
-    }
+    let base = derive_seed(seed, "validate");
+    let seeds = (0..episodes as u64).map(|i| base ^ i);
+    let runs = run_episodes(make_env, model, seeds, true, workers);
+    let total = runs.iter().fold(0.0, |total, ep| total + ep.total_reward());
     total / episodes.max(1) as f64
 }
 
@@ -137,44 +156,35 @@ impl Trainer {
         }
     }
 
-    /// Train on environments built by `make_env` (one per worker), with
+    /// Train on environments built by `make_env` (one per episode), with
     /// periodic validation on fresh instances.
-    pub fn train<E, F>(&mut self, make_env: F) -> TrainReport
-    where
-        E: RlEnv + Send,
-        F: Fn() -> E + Sync,
-    {
+    pub fn train<E: RlEnv>(&mut self, make_env: impl Fn() -> E + Sync) -> TrainReport {
+        self.train_on(&make_env, worker_count())
+    }
+
+    /// [`Trainer::train`] on `workers` threads, which set only its speed.
+    fn train_on<E: RlEnv>(
+        &mut self,
+        make_env: &(impl Fn() -> E + Sync),
+        workers: usize,
+    ) -> TrainReport {
         let eps_per_iter =
             (self.config.ppo.train_batch_size / self.config.ppo.steps_per_episode).max(1);
-        let workers = self.config.workers.max(1);
         let mut episodes_run = 0usize;
         let mut since_checkpoint = 0usize;
         let mut history = Vec::new();
         let mut best_model = self.ppo.model.clone();
         let mut best_val = f64::NEG_INFINITY;
         let mut update_rng = SmallRng::seed_from_u64(derive_seed(self.config.seed, "sgd"));
+        let rollout = derive_seed(self.config.seed, "rollout");
         let mut iter = 0u64;
 
         while episodes_run < self.config.episodes {
             let n = eps_per_iter.min(self.config.episodes - episodes_run).max(1);
-            // Split n episodes across workers; the plan merges them in
-            // worker order, so results are independent of scheduling.
-            let frozen = (&self.ppo.model.actor(), &self.ppo.model.critic());
-            let (seed, make_env) = (self.config.seed, &make_env);
-            let mut plan = RunPlan::new().with_workers(workers);
-            for w in 0..workers {
-                let count = n / workers + usize::from(w < n % workers);
-                plan.submit(move || {
-                    let mut env = make_env();
-                    let mut rng = SmallRng::seed_from_u64(
-                        derive_seed(seed, "rollout") ^ (iter << 8) ^ w as u64,
-                    );
-                    (0..count)
-                        .map(|_| run_episode(&mut env, frozen, &mut rng, false))
-                        .collect::<Vec<_>>()
-                });
-            }
-            let episodes: Vec<Episode> = plan.run().into_iter().flatten().collect();
+            // Episode j of iteration i samples stream (i, j), which no
+            // other episode shares (an iteration has far fewer than 2^32).
+            let seeds = (0..n as u64).map(|j| rollout ^ (iter << 32) ^ j);
+            let episodes = run_episodes(make_env, &self.ppo.model, seeds, false, workers);
 
             let stats = self.ppo.update(&episodes, &mut update_rng);
             episodes_run += n;
@@ -186,10 +196,11 @@ impl Trainer {
             {
                 since_checkpoint = 0;
                 let val = validate(
-                    &make_env,
+                    make_env,
                     &self.ppo.model,
                     self.config.validation_episodes,
                     self.config.seed,
+                    workers,
                 );
                 history.push((episodes_run, stats.mean_reward_per_episode, val));
                 if val > best_val {
@@ -261,10 +272,9 @@ mod tests {
             episodes: 600,
             checkpoint_every: 100,
             validation_episodes: 8,
-            workers: 2,
             seed: 11,
         });
-        let before = validate(&|| Toy { t: 0, s: [0.0; 2] }, &trainer.ppo.model, 8, 11);
+        let before = validate(&|| Toy { t: 0, s: [0.0; 2] }, &trainer.ppo.model, 8, 11, 2);
         let report = trainer.train(|| Toy { t: 0, s: [0.0; 2] });
         assert!(
             report.best_validation_reward > before,
@@ -276,46 +286,33 @@ mod tests {
     }
 
     #[test]
-    fn training_is_deterministic() {
-        let run = || {
-            let mut t = Trainer::new(TrainerConfig {
+    fn training_is_a_function_of_its_seed_at_any_worker_count() {
+        // A short pre-training run on the graph simulator: each worker
+        // count must serialise to the same model and finite scores.
+        let run = |workers| {
+            let mut trainer = Trainer::new(TrainerConfig {
                 ppo: PpoConfig {
-                    train_batch_size: 100,
-                    steps_per_episode: 10,
-                    sgd_iters: 2,
+                    train_batch_size: 200,
+                    sgd_iters: 3,
                     ..PpoConfig::fast()
                 },
-                episodes: 100,
-                checkpoint_every: 50,
+                episodes: 12,
+                checkpoint_every: 6,
                 validation_episodes: 4,
-                workers: 3,
-                seed: 21,
+                seed: 31,
             });
-            let r = t.train(|| Toy { t: 0, s: [0.0; 2] });
-            r.final_model.actor().act_deterministic(&[0.3, 0.3])
+            let report = trainer.train_on(&GraphEnv::new, workers);
+            assert!(report.best_validation_reward.is_finite());
+            assert_eq!(report.episodes_run, 12);
+            serde_json::to_string(&report.final_model).expect("models serialise")
         };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn trainer_runs_on_graph_env() {
-        // Smoke test: a short pre-training run completes and yields
-        // finite validation scores.
-        let mut trainer = Trainer::new(TrainerConfig {
-            ppo: PpoConfig {
-                train_batch_size: 200,
-                sgd_iters: 3,
-                ..PpoConfig::fast()
-            },
-            episodes: 12,
-            checkpoint_every: 6,
-            validation_episodes: 4,
-            workers: 2,
-            seed: 31,
-        });
-        let report = trainer.train(GraphEnv::new);
-        assert!(report.best_validation_reward.is_finite());
-        assert_eq!(report.episodes_run, 12);
+        let serial = run(1);
+        for workers in [2, 3] {
+            assert!(
+                run(workers) == serial,
+                "{workers} workers train another model"
+            );
+        }
     }
 
     #[test]

@@ -82,7 +82,6 @@ fn main() {
                 episodes: 4000,
                 checkpoint_every: 200,
                 validation_episodes: 12,
-                workers: 8,
                 seed: 42,
             });
             let report = trainer.train(GraphEnv::new);

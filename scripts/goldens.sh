@@ -10,14 +10,17 @@
 # --check prints one `name old → new` line per row that moved, per ledger
 # row nothing computed (`name old → (none)`) and per computed row the
 # ledger lacks (`name (none) → new`), and one `name disagrees: …` line per
-# row two runs computed differently (a journal at 1 and at 4 workers).
+# row two runs computed differently (a journal, the engine row or a
+# policy.* row at 1 and at 4 workers).
 # --record applies those same lines to the ledger in place, keeping its
 # comments and order; a row it adds goes after the row computed before it.
 # It refuses while a run failed or two runs disagree. The `engine.*` and
 # `policy.*` rows are computed by tests/determinism.rs and
 # tests/policy_bits.rs, which read the ledger themselves and fail with the
-# same lines. TOPFULL_WORKERS sets the figures' worker count as it always
-# does. Run outputs are kept under target/goldens/.
+# same lines; both run at TOPFULL_WORKERS=1 and =4, since training (the
+# policy.* rows) follows that variable like every other run plan.
+# TOPFULL_WORKERS sets the figures' worker count as it always does. Run
+# outputs are kept under target/goldens/.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 LEDGER=scripts/goldens.txt
@@ -55,16 +58,20 @@ compute() {
   row() { echo "$1 $2" >> "$rows"; }
   cargo build --release --workspace -q || { note "cargo build failed"; return; }
 
+  # The tests' rows at 1 and at 4 workers: the two must agree, so a
+  # policy.* row shows that training does not depend on the worker count.
   # A test that fails on a moved row is not a failed run; any other
   # failure (a panic before the rows, a build error) is.
-  if ! cargo test -q --no-fail-fast --test determinism --test policy_bits -- --nocapture \
-    > "$OUT/tests.log" 2>&1; then
-    panics=$(grep -c 'panicked at' "$OUT/tests.log")
-    [ "$panics" -gt 0 ] && [ "$panics" -eq "$(grep -c '^rows of scripts/goldens.txt moved' "$OUT/tests.log")" ] \
-      || note "a golden test failed, see $OUT/tests.log"
-  fi
-  grep -oE 'golden [a-z0-9_.]+ 0x[0-9a-f]{16}' "$OUT/tests.log" | cut -d' ' -f2- \
-    | sort -s -k1,1 >> "$rows"
+  for w in 1 4; do
+    f=$OUT/tests.w$w.log
+    if ! TOPFULL_WORKERS=$w cargo test -q --no-fail-fast --test determinism --test policy_bits \
+      -- --nocapture > "$f" 2>&1; then
+      panics=$(grep -c 'panicked at' "$f")
+      [ "$panics" -gt 0 ] && [ "$panics" -eq "$(grep -c '^rows of scripts/goldens.txt moved' "$f")" ] \
+        || note "a golden test failed at $w workers, see $f"
+    fi
+    grep -oE 'golden [a-z0-9_.]+ 0x[0-9a-f]{16}' "$f" | cut -d' ' -f2- | sort -s -k1,1 >> "$rows"
+  done
 
   # Each journal at 1 and at 4 workers: the two must agree.
   for w in 1 4; do

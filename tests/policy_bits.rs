@@ -6,9 +6,10 @@
 //! this file only `benchmark/golden.json` (`transfer_ob` on Boutique)
 //! would notice `rl::nn`'s forward pass rounding differently — and
 //! nothing would for `base` and `transfer_tt`. Each committed model is
-//! folded over a grid of §4.3 states into one FNV-1a constant, and a
-//! short fixed-seed training run (rollouts, backprop, Adam) must
-//! serialise to the same bytes: the `policy.*` rows of
+//! folded over a grid of §4.3 states into one FNV-1a constant, and two
+//! short fixed-seed training runs (rollouts, backprop, Adam), one per
+//! Sim2Real stage, must serialise to the same bytes at any worker count:
+//! the `policy.*` rows of
 //! `scripts/goldens.txt`. Re-record only in a PR whose title says the
 //! policy's bits move. Beside the bits, every committed model must pass
 //! the §4.3 audit: the qualitative shape a safe rate controller has.
@@ -17,8 +18,9 @@ mod common;
 
 use common::{assert_rows, fnv1a, FNV_OFFSET};
 use rand::SeedableRng;
+use rl::cluster_env::{ClusterEnv, ClusterEnvConfig};
 use rl::graph_env::GraphEnv;
-use rl::{PolicyValue, PpoConfig, Trainer, TrainerConfig};
+use rl::{PolicyValue, PpoConfig, RlEnv, Trainer, TrainerConfig};
 use topfull::{RateController, RateState, RlRateController};
 
 const MODELS: [&str; 3] = ["base", "transfer_ob", "transfer_tt"];
@@ -106,25 +108,50 @@ fn committed_models_decide_the_recorded_bits() {
     assert_rows(&rows);
 }
 
-#[test]
-fn a_fixed_seed_training_run_serialises_to_the_recorded_bytes() {
-    let mut trainer = Trainer::new(TrainerConfig {
+/// The short fixed-seed budget both training rows use, at `seed` 31.
+fn short_run(
+    episodes: usize,
+    checkpoint_every: usize,
+    validation_episodes: usize,
+) -> TrainerConfig {
+    TrainerConfig {
         ppo: PpoConfig {
             train_batch_size: 200,
             sgd_iters: 3,
             ..PpoConfig::fast()
         },
-        episodes: 12,
-        checkpoint_every: 6,
-        validation_episodes: 4,
-        workers: 2,
+        episodes,
+        checkpoint_every,
+        validation_episodes,
         seed: 31,
-    });
-    let report = trainer.train(GraphEnv::new);
+    }
+}
+
+/// FNV-1a of the serialised final model of `trainer` trained on
+/// `make_env`.
+fn final_model_bits<E: RlEnv>(mut trainer: Trainer, make_env: impl Fn() -> E + Sync) -> u64 {
+    let report = trainer.train(make_env);
     let json = serde_json::to_string(&report.final_model).expect("models serialise");
-    let mut got = FNV_OFFSET;
-    fnv1a(&mut got, json.as_bytes());
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, json.as_bytes());
+    h
+}
+
+#[test]
+fn a_fixed_seed_training_run_serialises_to_the_recorded_bytes() {
+    let got = final_model_bits(Trainer::new(short_run(12, 6, 4)), GraphEnv::new);
     assert_rows(&[("policy.train_seed31", got)]);
+}
+
+/// Stage 2 (§4.3): the committed base model specialized on the cluster
+/// simulator over Online Boutique.
+#[test]
+fn a_fixed_seed_specialization_serialises_to_the_recorded_bytes() {
+    let trainer = Trainer::from_model(short_run(4, 4, 2), committed("base"));
+    let topo = apps::OnlineBoutique::build().topology;
+    let cfg = ClusterEnvConfig::default();
+    let got = final_model_bits(trainer, || ClusterEnv::new(topo.clone(), cfg.clone()));
+    assert_rows(&[("policy.specialize_seed31", got)]);
 }
 
 #[test]
@@ -151,7 +178,6 @@ fn trained_policy_passes_the_audit() {
         episodes: 2000,
         checkpoint_every: 200,
         validation_episodes: 8,
-        workers: 4,
         seed: 77,
     });
     let report = trainer.train(GraphEnv::new);
