@@ -17,8 +17,6 @@ type Run = fn() -> Report;
 const EXPERIMENTS: &[(&str, Run)] = &[
     ("table1", ex::table1::run),
     ("fig4", ex::fig04::run),
-    ("fig8", ex::fig08::run),
-    ("fig9", ex::fig09::run),
     ("fig10", ex::fig10::run),
     ("fig11", ex::fig11::run),
     ("fig12", ex::fig12::run),

@@ -92,9 +92,6 @@ pub fn arm<'a>(runs: &'a [ArmOutcome], label: &str) -> &'a ArmOutcome {
     found.unwrap_or_else(|| panic!("no arm labelled '{label}'"))
 }
 
-/// What a [`Figure::extra`] column prints of one arm.
-pub type Text = fn(&ArmOutcome) -> String;
-
 /// A comparison row: mean `of` under arm `num` over that under `den`.
 pub struct Ratio {
     pub label: &'static str,
@@ -117,8 +114,6 @@ pub struct Figure {
     /// The table: its name, the header of its arm column, and one
     /// mean-goodput column per `(header, of)`.
     pub table: (&'static str, &'static str, Vec<(&'static str, Of)>),
-    /// Further per-arm columns `(header, text)` that are not a goodput mean.
-    pub extra: Vec<(&'static str, Text)>,
     pub ratios: Vec<Ratio>,
     /// Timelines `(series name, arm, of)`.
     pub timelines: Vec<(&'static str, &'static str, Of)>,
@@ -139,16 +134,11 @@ impl Figure {
         let (name, arm_header, columns) = self.table;
         let mut headers = vec![arm_header];
         headers.extend(columns.iter().map(|(h, _)| *h));
-        headers.extend(self.extra.iter().map(|(h, _)| *h));
         let row = |o: &ArmOutcome| {
-            let mut row = vec![o.label.clone()];
-            row.extend(
-                columns
-                    .iter()
-                    .map(|(_, of)| f1(of.mean(&o.result, self.window))),
-            );
-            row.extend(self.extra.iter().map(|(_, text)| text(o)));
-            row
+            let means = columns
+                .iter()
+                .map(|(_, of)| f1(of.mean(&o.result, self.window)));
+            std::iter::once(o.label.clone()).chain(means).collect()
         };
         r.table(name, &headers, runs.iter().map(row).collect());
         for q in self.ratios {
@@ -165,13 +155,12 @@ impl Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::fig08;
+    use crate::experiments::fig04;
     use crate::scenarios::boutique_closed_loop;
     use cluster::RateSchedule;
 
     fn fingerprint(o: &ArmOutcome) -> Vec<u64> {
-        let goodput = |s: &cluster::harness::TickSample| s.goodput.clone();
-        let bits = o.result.samples.iter().flat_map(goodput);
+        let bits = o.result.samples.iter().flat_map(|s| s.goodput.clone());
         bits.map(f64::to_bits).collect()
     }
 
@@ -208,8 +197,9 @@ mod tests {
         assert!(o.result.samples.iter().all(|s| s.offered.len() == 5));
     }
 
-    /// Fig. 8's arm list through the shared figure body on a 10-second
-    /// horizon: the report's bytes do not depend on the worker count.
+    /// Fig. 4's DAGOR and TopFull arms through the shared figure body on
+    /// a 10-second horizon: the report's bytes do not depend on the
+    /// worker count.
     #[test]
     fn figure_report_is_identical_across_worker_counts() {
         let policy = crate::models::load("transfer_ob").expect("committed model");
@@ -217,14 +207,15 @@ mod tests {
             let figure = Figure {
                 secs: 10,
                 window: (3.0, 10.0),
-                ..fig08::figure(policy.clone())
+                ..fig04::figure(policy.clone())
             };
-            let mut r = Report::new("fig08", "worker-count invariance");
+            let mut r = Report::new("fig04", "worker-count invariance");
             let runs = figure.run_on(RunPlan::new().with_workers(workers), &mut r);
-            assert_eq!(runs.len(), 5);
-            assert_eq!(r.tables[0].rows.len(), 5);
-            assert_eq!(r.tables[0].columns.len(), 7);
-            assert_eq!(r.comparisons.len(), 4);
+            assert_eq!(runs.len(), 2);
+            assert_eq!(r.tables[0].rows.len(), 2);
+            assert_eq!(r.tables[0].columns.len(), 3);
+            assert_eq!(r.comparisons.len(), 2);
+            assert_eq!(r.series.len(), 4);
             serde_json::to_string_pretty(&r).expect("json")
         };
         let serial = json(1);

@@ -39,7 +39,6 @@ pub fn run() -> Report {
             "controller",
             vec![("api1 postcheckout", pc), ("api2 getproduct", gp)],
         ),
-        extra: vec![],
         ratios: vec![],
         timelines: vec![
             ("topfull api1 postcheckout", "topfull", pc),

@@ -68,7 +68,6 @@ pub fn figure(
         secs: RUN_SECS,
         window: WINDOW,
         table: ("avg goodput (rps) during surge", "controller", columns),
-        extra: vec![],
         ratios: vec![
             Ratio {
                 label: "TopFull / autoscaler-solo",

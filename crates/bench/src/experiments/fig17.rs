@@ -33,7 +33,6 @@ pub fn run() -> Report {
             "model",
             vec![("goodput", Of::Total)],
         ),
-        extra: vec![],
         ratios: vec![
             Ratio {
                 label: "base model / autoscaler-solo",

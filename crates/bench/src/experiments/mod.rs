@@ -3,8 +3,6 @@
 //! prints and persists it ([`crate::report::Report::finish`]).
 
 pub mod fig04;
-pub mod fig08;
-pub mod fig09;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

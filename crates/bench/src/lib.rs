@@ -1,6 +1,7 @@
 //! # topfull-bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§6).
+//! Regenerates the tables and figures of the paper's evaluation (§6)
+//! that are not yet scenario documents.
 //! Shared infrastructure lives here:
 //!
 //! * [`models`] — the Sim2Real training pipeline producing the base
@@ -9,7 +10,7 @@
 //! * [`scenarios`] — the only place an experiment engine or a controller
 //!   arm is built: a `Recipe` (an application under a load, plus the
 //!   modifiers the figures share) and the `Roster` (TopFull, its
-//!   ablations and explicit configs, DAGOR, Breakwater, WISP, none).
+//!   ablations and explicit configs, DAGOR, Breakwater, none).
 //! * [`report`] — uniform "paper vs measured" result rows and JSON dumps
 //!   under `artifacts/results/`.
 //! * [`exec`] — what each experiment uses to run: arms of `(label,
@@ -22,7 +23,10 @@
 //!   `Report`; the `figures` binary dispatches to them and finishes it.
 //!
 //! Run everything with `cargo run --release -p topfull-bench --bin
-//! figures -- all`, or a single experiment with e.g. `-- fig8`.
+//! figures -- all`, or a single experiment with e.g. `-- fig10`. Figs. 8
+//! and 9 are not `figures`: they are `scenarios/paper/fig08.json` and
+//! its variants, run and asserted by `cargo test --release --test paper
+//! -- --nocapture`.
 
 pub mod exec;
 pub mod experiments;

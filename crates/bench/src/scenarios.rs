@@ -25,8 +25,6 @@ pub enum Roster {
     Dagor { alpha: f64 },
     /// Breakwater per-service credit control.
     Breakwater,
-    /// WISP upward-propagated rate limits (§7; extension comparator).
-    Wisp,
     /// TopFull with the RL policy.
     TopFull(PolicyValue),
     /// TopFull ablation: MIMD steps instead of RL (§6.2).
@@ -46,7 +44,6 @@ impl Roster {
             Roster::None => "no-control",
             Roster::Dagor { .. } => "dagor",
             Roster::Breakwater => "breakwater",
-            Roster::Wisp => "wisp",
             Roster::TopFull(_) => "topfull",
             Roster::TopFullMimd => "topfull-mimd",
             Roster::TopFullNoCluster(_) => "topfull-no-cluster",
@@ -67,7 +64,7 @@ impl Roster {
             Roster::TopFullNoCluster(policy) => base.with_rl(policy).without_clustering(),
             Roster::TopFullBw => base.with_bw(),
             Roster::Config(cfg) => cfg,
-            Roster::Dagor { .. } | Roster::Breakwater | Roster::Wisp => {
+            Roster::Dagor { .. } | Roster::Breakwater => {
                 panic!("'{}' is no entry controller: into_harness", self.label())
             }
         };
@@ -79,7 +76,6 @@ impl Roster {
         let scheme = match self {
             Roster::Dagor { alpha } => Scheme::Dagor { alpha },
             Roster::Breakwater => Scheme::Breakwater,
-            Roster::Wisp => Scheme::Wisp,
             entry => return Harness::new(engine, entry.controller()),
         };
         scheme.install(&mut engine);
@@ -155,15 +151,6 @@ impl Recipe {
         })
     }
 
-    /// Every API at the same business priority (Breakwater carries none).
-    pub fn uniform_priorities(mut self) -> Recipe {
-        let all: Vec<ApiId> = self.topology.apis().map(|(id, _)| id).collect();
-        for api in all {
-            self.topology.api_mut(api).business = BusinessPriority(0);
-        }
-        self
-    }
-
     /// Distinct business priorities, `high_to_low[0]` the most important.
     pub fn priorities(mut self, high_to_low: &[ApiId]) -> Recipe {
         for (api, p) in high_to_low.iter().zip(0u8..) {
@@ -235,7 +222,7 @@ pub fn boutique_users(users: RateSchedule, seed: u64) -> Recipe {
     Recipe::users(&ob.topology, &ob.apis(), users, seed)
 }
 
-/// Online Boutique with a fixed closed-loop population (Figs. 8–10).
+/// Online Boutique with a fixed closed-loop population, built.
 pub fn boutique_closed_loop(users: u32, seed: u64) -> (OnlineBoutique, Engine) {
     let ob = OnlineBoutique::build();
     let users = RateSchedule::constant(f64::from(users));
@@ -282,7 +269,6 @@ mod tests {
             Roster::None,
             Roster::Dagor { alpha: 0.05 },
             Roster::Breakwater,
-            Roster::Wisp,
             Roster::TopFull(policy(1)),
             Roster::TopFullMimd,
             Roster::TopFullNoCluster(policy(1)),
@@ -322,10 +308,6 @@ mod tests {
             ("users", boutique_users(RateSchedule::constant(50.0), 1)),
             ("users surging", boutique_users(surge.clone(), 1)),
             (
-                "users uniform",
-                boutique_users(surge.clone(), 1).uniform_priorities(),
-            ),
-            (
                 "users autoscaled",
                 boutique_users(surge.clone(), 1)
                     .pod_startup(2)
@@ -344,7 +326,6 @@ mod tests {
                 Recipe::open_loop(&ob.topology, vec![(ob.getproduct, step)], 1).priorities(&ranked),
             ),
             ("fig04", ex::fig04::recipe(&ob, 1)),
-            ("fig08", ex::fig08::recipe(100, 1)),
             ("fig14", ex::fig14::recipe(1)),
             ("fig16 tt", ex::fig16::tt_recipe(5)),
             ("fig16 ob", ex::fig16::ob_recipe(10)),
@@ -385,11 +366,6 @@ mod tests {
         let r = boutique_users(RateSchedule::constant(10.0), 1).priorities(&ranked);
         assert_eq!(r.topology.api(ob.emptycart).business, BusinessPriority(0));
         assert_eq!(r.topology.api(ob.getcart).business, BusinessPriority(1));
-        let r = r.uniform_priorities();
-        assert!(r
-            .topology
-            .apis()
-            .all(|(_, a)| a.business == BusinessPriority(0)));
         // 7 vCPUs over three services: 2, 2 and the remaining 3; one
         // vCPU still gives every service a pod.
         let critical = [ob.cart, ob.checkout, ob.frontend];

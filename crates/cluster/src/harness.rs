@@ -48,7 +48,11 @@ impl TickSample {
 /// system's decision journal.
 #[derive(Clone, Debug, Default)]
 pub struct RunResult {
-    pub samples: Vec<TickSample>,
+    /// One sample per control interval. Boxed, so that growing the
+    /// timeline copies a pointer per tick rather than the sample: a long
+    /// run's resident memory then rises with the ticks it records, not
+    /// in jumps at each doubling of the timeline's capacity.
+    pub samples: Vec<Box<TickSample>>,
     pub num_apis: usize,
     /// Decision journal entries recorded over the run (detector
     /// transitions, re-clusterings, rate actions, watchdog events, plane
@@ -60,7 +64,7 @@ impl RunResult {
     /// Append one interval's sample, read off the window `obs`.
     pub fn record(&mut self, obs: &ClusterObservation, vcpus: f64) {
         self.num_apis = obs.apis.len();
-        self.samples.push(TickSample {
+        self.samples.push(Box::new(TickSample {
             at: obs.now,
             goodput: obs.apis.iter().map(|a| a.goodput).collect(),
             offered: obs.apis.iter().map(|a| a.offered).collect(),
@@ -73,20 +77,21 @@ impl RunResult {
             pods: obs.services.iter().map(|s| s.alive_pods).sum(),
             vcpus,
             resilience: obs.resilience,
-        });
+        }));
     }
 
     /// Mean of `f` over the samples in an inclusive time range (seconds).
     pub fn mean_over(&self, from_s: f64, to_s: f64, f: impl Fn(&TickSample) -> f64) -> f64 {
         let in_range = |s: &&TickSample| (from_s..=to_s).contains(&s.at.as_secs_f64());
-        let xs: Vec<f64> = self.samples.iter().filter(in_range).map(f).collect();
+        let ticks = self.samples.iter().map(Box::as_ref);
+        let xs: Vec<f64> = ticks.filter(in_range).map(f).collect();
         stats::mean(&xs)
     }
 
     /// `f` per sample as a `(seconds, value)` timeline.
     pub fn series(&self, f: impl Fn(&TickSample) -> f64) -> Vec<(f64, f64)> {
         let point = |s: &TickSample| (s.at.as_secs_f64(), f(s));
-        self.samples.iter().map(point).collect()
+        self.samples.iter().map(Box::as_ref).map(point).collect()
     }
 
     /// Mean goodput of one API over an inclusive time range (seconds).
@@ -169,9 +174,8 @@ impl<P: SimPlane> Harness<P> {
         let engine = plane.engine();
         Harness {
             result: RunResult {
-                samples: Vec::new(),
                 num_apis: engine.topology().num_apis(),
-                journal: Vec::new(),
+                ..RunResult::default()
             },
             next_tick: SimTime::ZERO + engine.config().control_interval,
             engine: plane,

@@ -14,15 +14,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation; 0 for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Exact `q`-quantile (nearest-rank) of the samples; `None` when empty.
 pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     if xs.is_empty() {
@@ -40,16 +31,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_dev() {
+    fn mean_of_samples() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_slices_are_safe() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
         assert!(quantile(&[], 0.5).is_none());
     }
 

@@ -10,8 +10,8 @@
 # --check prints one `name old → new` line per row that moved, per ledger
 # row nothing computed (`name old → (none)`) and per computed row the
 # ledger lacks (`name (none) → new`), and one `name disagrees: …` line per
-# row two runs computed differently (a journal, the engine row or a
-# policy.* row at 1 and at 4 workers).
+# row two runs computed differently (a journal, a compare table, the
+# engine row or a policy.* row at 1 and at 4 workers).
 # --record applies those same lines to the ledger in place, keeping its
 # comments and order; a row it adds goes after the row computed before it.
 # It refuses while a run failed or two runs disagree. The `engine.*` and
@@ -34,17 +34,22 @@ OUT=target/goldens
 # fault schedule (train-ticket station failure), the retry storm under
 # DAGOR, unbounded and budgeted, and the burn-rate monitor's ok → page →
 # ticket ladder with no controller (SLO burn lead; verify.sh's explain
-# smokes read its run). The matrix's 12 cells are rows too, so a
-# cell more or fewer is a missing or an orphan row, and so is its whole
-# report.
+# smokes read its run), and Fig. 8's TopFull arm (paper/fig08). The
+# matrix's 12 cells are rows too, so a cell more or fewer is a missing or
+# an orphan row, and so is its whole report.
 SCENARIOS=(sharded_surge read_flash_crowd priority_hybrid found/fuzz_2_10_breach
   boutique_surge_topfull gray_failure_chaos trainticket_station_failure
-  retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead)
+  retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead paper/fig08)
+# Every scenario whose `topfull compare` table is pinned. Fig. 8's runs
+# none, DAGOR, Breakwater, WISP and TopFull-MIMD, so WISP is bit-pinned
+# here and nowhere else. tests/paper.rs asserts Fig. 9's other 12 arms
+# (the document at four more populations) but pins none of their bits.
+COMPARE=(paper/fig08)
 MATRIX=overload_arms
 # The deterministic `figures` experiments; `training-cost` (a timing) is
 # left out.
-EXPERIMENTS=(table1 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-  fig17 fig18 fig19 refinements trace-analysis)
+EXPERIMENTS=(table1 fig4 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18
+  fig19 refinements trace-analysis)
 
 hash() { sha256sum | cut -c1-16; } # of stdin
 failed=0
@@ -73,7 +78,8 @@ compute() {
     grep -oE 'golden [a-z0-9_.]+ 0x[0-9a-f]{16}' "$f" | cut -d' ' -f2- | sort -s -k1,1 >> "$rows"
   done
 
-  # Each journal at 1 and at 4 workers: the two must agree.
+  # Each journal and compare table at 1 and at 4 workers: the two must
+  # agree.
   for w in 1 4; do
     for s in "${SCENARIOS[@]}"; do
       f=$OUT/${s//\//_}.w$w.json
@@ -82,6 +88,14 @@ compute() {
         row "journal.$s" "${fp%% *}"
       else
         note "scenarios/$s.json did not run at $w workers"
+      fi
+    done
+    for s in "${COMPARE[@]}"; do
+      f=$OUT/${s//\//_}.compare.w$w.txt
+      if TOPFULL_WORKERS=$w target/release/topfull compare "scenarios/$s.json" > "$f"; then
+        row "compare.$s" "$(hash < "$f")"
+      else
+        note "scenarios/$s.json did not compare at $w workers"
       fi
     done
     f=$OUT/$MATRIX.w$w.json

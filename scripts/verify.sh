@@ -289,7 +289,7 @@ section artifact smokes
 # check mode, workflow genomes through the workflow compiler, matrix
 # specs cell by cell.
 section scenario corpus
-for f in scenarios/*.json scenarios/found/*.json; do
+for f in scenarios/*.json scenarios/paper/*.json scenarios/found/*.json; do
   case "$f" in *.workflow.json) continue ;; esac
   ./target/release/topfull check "$f" > /dev/null \
     || { echo "scenario check failed: $f"; exit 1; }

@@ -12,35 +12,13 @@
 //! cargo test --release --test extensions -- --nocapture --test-threads 1
 //! ```
 
-use topfull_suite::cluster::runner::RunPlan;
+mod arms;
+
+use arms::{api_goodput, doc, run_arms, variant};
 use topfull_suite::cluster::RetryBudgetConfig;
 use topfull_suite::topfull_cli::schema::{ControllerSpec, DeadlineSpecJson, ResilienceSpec};
 use topfull_suite::topfull_cli::schema::{Scenario, WorkloadSpec};
-use topfull_suite::topfull_cli::{parse_scenario, run_scenario, ScenarioOutcome};
-
-/// `scenarios/<name>.json`, parsed.
-fn doc(name: &str) -> Scenario {
-    let path = format!("{}/scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    parse_scenario(&json).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-/// `sc` with one edit applied (the way `topfull compare` derives its
-/// controller variants).
-fn variant(sc: &Scenario, edit: impl FnOnce(&mut Scenario)) -> Scenario {
-    let mut v = sc.clone();
-    edit(&mut v);
-    v
-}
-
-/// Run every arm over the worker pool; outcomes come back in arm order.
-fn run_arms<const N: usize>(arms: [Scenario; N]) -> [ScenarioOutcome; N] {
-    let mut plan = RunPlan::new();
-    for sc in arms {
-        plan.submit(move || run_scenario(&sc).unwrap_or_else(|e| panic!("{}: {e}", sc.name)));
-    }
-    plan.run().try_into().expect("one outcome per arm")
-}
+use topfull_suite::topfull_cli::ScenarioOutcome;
 
 fn topfull(rate_controller: &str) -> ControllerSpec {
     ControllerSpec::Topfull {
@@ -55,12 +33,6 @@ fn set_max_retries(sc: &mut Scenario, retries: u32) {
         WorkloadSpec::RetryStorm { max_retries, .. } => *max_retries = retries,
         _ => panic!("{} is not a retry storm", sc.name),
     }
-}
-
-/// Steady goodput of one API.
-fn api_goodput(o: &ScenarioOutcome, api: &str) -> f64 {
-    let found = o.goodput_per_api.iter().find(|(n, _)| n == api);
-    found.unwrap_or_else(|| panic!("no API '{api}'")).1
 }
 
 /// Mean total goodput over the inclusive window `[from, to]` seconds.

@@ -50,7 +50,7 @@ fn sharded(seed: u64, cfg: ShardedConfig) -> Harness<Sharded<SimShards>> {
     Harness::new(plane, controller())
 }
 
-fn mean_goodput(samples: &[TickSample], from: f64) -> f64 {
+fn mean_goodput(samples: &[Box<TickSample>], from: f64) -> f64 {
     let xs: Vec<f64> = samples
         .iter()
         .filter(|s| s.at.as_secs_f64() >= from)
