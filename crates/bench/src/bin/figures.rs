@@ -21,12 +21,8 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("fig11", ex::fig11::run),
     ("fig12", ex::fig12::run),
     ("fig13", ex::fig13::run),
-    ("fig14", ex::fig14::run),
-    ("fig15", ex::fig15::run),
     ("fig16", ex::fig16::run),
-    ("fig17", ex::fig17::run),
     ("fig18", ex::fig18::run),
-    ("fig19", ex::fig19::run),
     ("refinements", ex::refinements::run),
     ("trace-analysis", ex::trace_analysis::run),
     ("training-cost", ex::training_cost::run),

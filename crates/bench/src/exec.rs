@@ -22,8 +22,6 @@ pub struct ArmOutcome {
     pub label: String,
     /// The full per-interval timeline.
     pub result: RunResult,
-    /// Pod crash-loop events over the run.
-    pub crash_events: u64,
 }
 
 /// One arm: install `roster` over `engine`, run `secs`, capture.
@@ -32,7 +30,6 @@ pub fn run_arm(label: &str, roster: Roster, engine: Engine, secs: u64) -> ArmOut
     h.run_for_secs(secs);
     ArmOutcome {
         label: label.to_string(),
-        crash_events: h.engine.crash_events,
         result: h.into_result(),
     }
 }
@@ -184,7 +181,6 @@ mod tests {
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.label, s.label);
             assert_eq!(fingerprint(p), fingerprint(s), "arm {}", p.label);
-            assert_eq!(p.crash_events, s.crash_events, "arm {}", p.label);
         }
     }
 
@@ -193,7 +189,6 @@ mod tests {
         let o = run_arm("none", Roster::None, boutique_closed_loop(100, 3).1, 5);
         assert_eq!(o.label, "none");
         assert_eq!(o.result.samples.len(), 5);
-        assert_eq!(o.crash_events, 0, "100 users crash no pod");
         assert!(o.result.samples.iter().all(|s| s.offered.len() == 5));
     }
 

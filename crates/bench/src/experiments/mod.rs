@@ -7,12 +7,8 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
-pub mod fig14;
-pub mod fig15;
 pub mod fig16;
-pub mod fig17;
 pub mod fig18;
-pub mod fig19;
 pub mod refinements;
 pub mod table1;
 pub mod trace_analysis;

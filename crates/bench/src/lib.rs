@@ -23,10 +23,10 @@
 //!   `Report`; the `figures` binary dispatches to them and finishes it.
 //!
 //! Run everything with `cargo run --release -p topfull-bench --bin
-//! figures -- all`, or a single experiment with e.g. `-- fig10`. Figs. 8
-//! and 9 are not `figures`: they are `scenarios/paper/fig08.json` and
-//! its variants, run and asserted by `cargo test --release --test paper
-//! -- --nocapture`.
+//! figures -- all`, or a single experiment with e.g. `-- fig10`. Figs. 8,
+//! 9, 14, 15, 17 and 19 are not `figures`: they are documents under
+//! `scenarios/paper/` and their variants, run and asserted by `cargo test
+//! --release --test paper -- --nocapture`.
 
 pub mod exec;
 pub mod experiments;

@@ -5,7 +5,6 @@
 
 use apps::{AlibabaDemo, OnlineBoutique, TrainTicket};
 use baselines::Scheme;
-use cluster::autoscaler::{HpaConfig, VmPoolConfig};
 use cluster::types::BusinessPriority;
 use cluster::{
     ApiId, ClosedLoopWorkload, Controller, Engine, EngineConfig, Harness, NoControl,
@@ -31,8 +30,6 @@ pub enum Roster {
     TopFullMimd,
     /// TopFull ablation: clustering disabled (§6.2).
     TopFullNoCluster(PolicyValue),
-    /// TopFull with Breakwater's control law (TopFull(BW), §6.3).
-    TopFullBw,
     /// TopFull exactly as configured (refinement ablations, step sweeps).
     Config(TopFullConfig),
 }
@@ -47,7 +44,6 @@ impl Roster {
             Roster::TopFull(_) => "topfull",
             Roster::TopFullMimd => "topfull-mimd",
             Roster::TopFullNoCluster(_) => "topfull-no-cluster",
-            Roster::TopFullBw => "topfull-bw",
             Roster::Config(_) => "topfull-config",
         }
     }
@@ -62,7 +58,6 @@ impl Roster {
             Roster::TopFull(policy) => base.with_rl(policy),
             Roster::TopFullMimd => base.with_mimd(),
             Roster::TopFullNoCluster(policy) => base.with_rl(policy).without_clustering(),
-            Roster::TopFullBw => base.with_bw(),
             Roster::Config(cfg) => cfg,
             Roster::Dagor { .. } | Roster::Breakwater => {
                 panic!("'{}' is no entry controller: into_harness", self.label())
@@ -86,7 +81,7 @@ impl Roster {
 type Hook = Arc<dyn Fn(&mut Engine) + Send + Sync>;
 
 /// What an experiment runs over: a topology, the load offered to it and
-/// the engine modifiers at least two figures share. Cheap to clone and
+/// the engine modifiers the figures apply. Cheap to clone and
 /// `Send`, so each arm builds its own engine inside its worker (engines
 /// are not `Send`).
 #[derive(Clone)]
@@ -157,21 +152,6 @@ impl Recipe {
             self.topology.api_mut(*api).business = BusinessPriority(p);
         }
         self
-    }
-
-    /// The HPA over a finite pool of 48-vCPU VMs: `initial_vms` ready,
-    /// up to 10, each further one `vm_startup` seconds away (the
-    /// cluster-autoscaler timescale gap of §1).
-    pub fn autoscaled(self, initial_vms: u32, vm_startup: u64) -> Recipe {
-        self.then(move |engine| {
-            engine.set_vm_pool(VmPoolConfig {
-                vcpus_per_vm: 48,
-                initial_vms,
-                max_vms: 10,
-                vm_startup: SimDuration::from_secs(vm_startup),
-            });
-            engine.enable_hpa(HpaConfig::default());
-        })
     }
 
     /// New pods take `secs` to come up (scheduling + image pull).
@@ -272,7 +252,6 @@ mod tests {
             Roster::TopFull(policy(1)),
             Roster::TopFullMimd,
             Roster::TopFullNoCluster(policy(1)),
-            Roster::TopFullBw,
             Roster::Config(
                 TopFullConfig::default()
                     .with_rate_controller(Arc::new(topfull::MimdController::with_steps(0.5, 0.2))),
@@ -298,35 +277,20 @@ mod tests {
     /// API shows here, not an hour into `figures all`.
     fn every_recipe() -> Vec<(&'static str, Recipe)> {
         let ob = OnlineBoutique::build();
-        let tt = TrainTicket::build();
         let (from, until) = (SimTime::from_secs(1), SimTime::from_secs(2));
         let surge = RateSchedule::surge(50.0, 400.0, from, until);
         let step = RateSchedule::steps(vec![(SimTime::ZERO, 20.0), (from, 300.0)]);
-        let tt_surge = tt.apis().iter().map(|a| (*a, surge.clone())).collect();
         let ranked = [ob.postcheckout, ob.getproduct, ob.getcart, ob.postcart];
         vec![
             ("users", boutique_users(RateSchedule::constant(50.0), 1)),
-            ("users surging", boutique_users(surge.clone(), 1)),
-            (
-                "users autoscaled",
-                boutique_users(surge.clone(), 1)
-                    .pod_startup(2)
-                    .autoscaled(1, 2),
-            ),
+            ("users surging", boutique_users(surge, 1)),
             ("tt constant", trainticket_constant(100.0, 1)),
-            (
-                "tt surge autoscaled",
-                Recipe::open_loop(&tt.topology, tt_surge, 1)
-                    .pod_startup(2)
-                    .autoscaled(3, 2),
-            ),
             ("alibaba", alibaba_open_loop(1.5, 1).1),
             (
                 "steps ranked",
                 Recipe::open_loop(&ob.topology, vec![(ob.getproduct, step)], 1).priorities(&ranked),
             ),
             ("fig04", ex::fig04::recipe(&ob, 1)),
-            ("fig14", ex::fig14::recipe(1)),
             ("fig16 tt", ex::fig16::tt_recipe(5)),
             ("fig16 ob", ex::fig16::ob_recipe(10)),
             ("fig18", ex::fig18::recipe(1)),
@@ -352,8 +316,6 @@ mod tests {
         assert_eq!(ob.apis().len(), 5);
         let e = trainticket_constant(10.0, 1).engine();
         assert_eq!(e.topology().num_services(), 41);
-        // fig14 zips six column names against these.
-        assert_eq!(TrainTicket::build().apis().len(), 6);
         let (demo, e) = alibaba_surged(1.0, 1);
         assert_eq!(e.topology().num_services(), 127);
         assert_eq!(demo.apis.len(), 25);

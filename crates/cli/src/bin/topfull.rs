@@ -4,7 +4,7 @@
 //! ```text
 //! topfull run <scenario.json> [--json]       # execute a scenario
 //! topfull check <scenario.json>              # validate without running
-//! topfull compare <scenario.json>            # same scenario, every controller
+//! topfull compare <scenario.json>            # same scenario, a fixed roster + its own
 //! topfull example                            # print a documented example
 //! topfull live <scenario.json> --duration <secs> [--json]
 //! topfull explain <run.json|journal.jsonl>

@@ -135,7 +135,8 @@ pub(crate) fn outcome(
     }
 }
 
-/// Run the same scenario under a roster of controllers and tabulate.
+/// Run the same scenario under a roster of controllers and under its
+/// own (the `document` row), and tabulate.
 pub fn compare(sc: &Scenario) -> Result<String, String> {
     use crate::schema::ControllerSpec;
     use std::fmt::Write;
@@ -152,6 +153,7 @@ pub fn compare(sc: &Scenario) -> Result<String, String> {
                 hardened: false,
             },
         ),
+        ("document", sc.controller.clone()),
     ];
     let mut out = String::new();
     let _ = writeln!(

@@ -83,3 +83,40 @@ fn the_example_scenario_checks_clean() {
         topfull_cli::parse_scenario(&String::from_utf8_lossy(&out.stdout)).expect("example parses");
     topfull_cli::validate_scenario(&sc).expect("example validates");
 }
+
+/// `compare` runs the document's own controller beside its fixed roster:
+/// Fig. 8's document (TopFull with the RL policy), cut to 30 s, has a
+/// `document` row that is `run`'s total, and it is not the MIMD row.
+#[test]
+fn compare_tabulates_the_documents_own_controller() {
+    let fig08 = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/paper/fig08.json"
+    ))
+    .expect("the committed document");
+    let cut = fig08.replace("\"duration_secs\": 120", "\"duration_secs\": 30");
+    assert_ne!(cut, fig08, "fig08.json no longer runs 120 s");
+    let path = std::env::temp_dir().join(format!("topfull_compare_{}.json", std::process::id()));
+    std::fs::write(&path, cut).expect("a temporary document");
+    let doc = path.to_str().expect("a UTF-8 path");
+    let (compare, run) = (topfull(&["compare", doc]), topfull(&["run", doc]));
+    std::fs::remove_file(&path).ok();
+    assert_eq!(compare.status.code(), Some(0), "{}", stderr(&compare));
+    assert_eq!(run.status.code(), Some(0), "{}", stderr(&run));
+    let goodput = |out: &Output, row: &str| -> String {
+        let text = String::from_utf8_lossy(&out.stdout);
+        let line = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(row));
+        let line = line.unwrap_or_else(|| panic!("no '{row}' row in\n{text}"));
+        line.split_whitespace()
+            .nth(1)
+            .expect("a goodput")
+            .to_string()
+    };
+    assert_eq!(goodput(&compare, "document"), goodput(&run, "total"));
+    assert_ne!(
+        goodput(&compare, "document"),
+        goodput(&compare, "topfull-mimd")
+    );
+}

@@ -34,22 +34,25 @@ OUT=target/goldens
 # fault schedule (train-ticket station failure), the retry storm under
 # DAGOR, unbounded and budgeted, and the burn-rate monitor's ok → page →
 # ticket ladder with no controller (SLO burn lead; verify.sh's explain
-# smokes read its run), and Fig. 8's TopFull arm (paper/fig08). The
+# smokes read its run), Fig. 8's TopFull arm (paper/fig08), and TopFull
+# beside the HPA and a VM pool on Train Ticket (paper/fig14, which is
+# Fig. 17's Transfer-TT arm too) and on Online Boutique (paper/fig15). The
 # matrix's 12 cells are rows too, so a cell more or fewer is a missing or
 # an orphan row, and so is its whole report.
 SCENARIOS=(sharded_surge read_flash_crowd priority_hybrid found/fuzz_2_10_breach
   boutique_surge_topfull gray_failure_chaos trainticket_station_failure
-  retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead paper/fig08)
+  retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead paper/fig08 paper/fig14
+  paper/fig15)
 # Every scenario whose `topfull compare` table is pinned. Fig. 8's runs
-# none, DAGOR, Breakwater, WISP and TopFull-MIMD, so WISP is bit-pinned
-# here and nowhere else. tests/paper.rs asserts Fig. 9's other 12 arms
-# (the document at four more populations) but pins none of their bits.
+# none, DAGOR, Breakwater, WISP, TopFull-MIMD and the document's own
+# TopFull, so WISP is bit-pinned here and nowhere else. tests/paper.rs
+# asserts the other arms of the paper's documents (Fig. 9's populations,
+# §6.3's controllers, models and VM startups) but pins none of their bits.
 COMPARE=(paper/fig08)
 MATRIX=overload_arms
 # The deterministic `figures` experiments; `training-cost` (a timing) is
 # left out.
-EXPERIMENTS=(table1 fig4 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18
-  fig19 refinements trace-analysis)
+EXPERIMENTS=(table1 fig4 fig10 fig11 fig12 fig13 fig16 fig18 refinements trace-analysis)
 
 hash() { sha256sum | cut -c1-16; } # of stdin
 failed=0
@@ -79,32 +82,42 @@ compute() {
   done
 
   # Each journal and compare table at 1 and at 4 workers: the two must
-  # agree.
+  # agree. A `run` is one thread, so the two passes run side by side,
+  # each into its own rows file; those are appended in pass order.
+  local pids=() pid
   for w in 1 4; do
-    for s in "${SCENARIOS[@]}"; do
-      f=$OUT/${s//\//_}.w$w.json
-      if TOPFULL_WORKERS=$w target/release/topfull run "scenarios/$s.json" --json > "$f" \
-        && fp=$(target/release/topfull explain "$f" --fingerprint); then
-        row "journal.$s" "${fp%% *}"
-      else
-        note "scenarios/$s.json did not run at $w workers"
-      fi
-    done
-    for s in "${COMPARE[@]}"; do
-      f=$OUT/${s//\//_}.compare.w$w.txt
-      if TOPFULL_WORKERS=$w target/release/topfull compare "scenarios/$s.json" > "$f"; then
-        row "compare.$s" "$(hash < "$f")"
-      else
-        note "scenarios/$s.json did not compare at $w workers"
-      fi
-    done
-    f=$OUT/$MATRIX.w$w.json
-    target/release/topfull matrix "scenarios/matrix/$MATRIX.json" --workers $w --json > "$f" \
-      || note "scenarios/matrix/$MATRIX.json did not run at $w workers"
-    awk -F'"' -v m="journal.matrix/$MATRIX" '/"id":/ { id = $4 }
-      /"journal_fingerprint":/ { print m "#" id, $4 }' "$f" >> "$rows"
-    row "matrix.$MATRIX" "$(hash < "$f")"
+    (
+      rows=$rows.w$w
+      : > "$rows"
+      for s in "${SCENARIOS[@]}"; do
+        f=$OUT/${s//\//_}.w$w.json
+        if TOPFULL_WORKERS=$w target/release/topfull run "scenarios/$s.json" --json > "$f" \
+          && fp=$(target/release/topfull explain "$f" --fingerprint); then
+          row "journal.$s" "${fp%% *}"
+        else
+          note "scenarios/$s.json did not run at $w workers"
+        fi
+      done
+      for s in "${COMPARE[@]}"; do
+        f=$OUT/${s//\//_}.compare.w$w.txt
+        if TOPFULL_WORKERS=$w target/release/topfull compare "scenarios/$s.json" > "$f"; then
+          row "compare.$s" "$(hash < "$f")"
+        else
+          note "scenarios/$s.json did not compare at $w workers"
+        fi
+      done
+      f=$OUT/$MATRIX.w$w.json
+      target/release/topfull matrix "scenarios/matrix/$MATRIX.json" --workers $w --json > "$f" \
+        || note "scenarios/matrix/$MATRIX.json did not run at $w workers"
+      awk -F'"' -v m="journal.matrix/$MATRIX" '/"id":/ { id = $4 }
+        /"journal_fingerprint":/ { print m "#" id, $4 }' "$f" >> "$rows"
+      row "matrix.$MATRIX" "$(hash < "$f")"
+      exit $failed
+    ) &
+    pids+=($!)
   done
+  for pid in "${pids[@]}"; do wait "$pid" || failed=1; done
+  cat "$rows.w1" "$rows.w4" >> "$rows"
 
   row benchmark/golden.json "$(hash < benchmark/golden.json)"
 

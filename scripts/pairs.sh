@@ -7,11 +7,14 @@
 #   scripts/pairs.sh ../parent sim.boutique            # 10 pairs, seeds 251-260
 #   RUN_SECONDS=8 scripts/pairs.sh ../parent control.alibaba 4 201
 #
-# Builds benchmark/ in the parent checkout (a `git clone` of the parent
-# commit) and in this one, the way BENCHMARK.json does, then puts each
-# tree's benchmark/Cargo.lock back as it found it (a build may rewrite
-# the tracked lock). Pair i uses seed first-seed + i and runs the parent
-# first when i is even, the change first when odd; each run lasts
+# Copies the parent checkout (a `git clone` of the parent commit) and
+# this one, less their build outputs, to two paths of equal length under
+# $TMPDIR (default /tmp) and builds benchmark/ in each the way
+# BENCHMARK.json does: the source paths a binary embeds then have one
+# length, which alone moved `setup_s` by +22 % between two builds of the
+# same code. Neither checkout is touched, its benchmark/Cargo.lock
+# included. Pair i uses seed first-seed + i and runs the parent first
+# when i is even, the change first when odd; each run lasts
 # BENCHMARK.json's run_seconds unless RUN_SECONDS says otherwise.
 #
 # Prints one row per end-to-end metric — each side's median [q1, q3],
@@ -38,24 +41,23 @@ seconds=${RUN_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$here/B
 directions=$(awk -F'"' '/"end_to_end"/ { e = 1 } /"per_layer"/ { e = 0 }
   e && $2 == "name" { n = $4 } e && $2 == "better" { print n, $4 }' "$here/BENCHMARK.json")
 
-tmp=$(mktemp -d /tmp/topfull_pairs.XXXXXX)
-cp "$parent/benchmark/Cargo.lock" "$tmp/parent.lock"
-cp "$here/benchmark/Cargo.lock" "$tmp/change.lock"
-trap 'cp "$tmp/parent.lock" "$parent/benchmark/Cargo.lock"
-  cp "$tmp/change.lock" "$here/benchmark/Cargo.lock"; rm -rf "$tmp"' EXIT
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/topfull_pairs.XXXXXX")
+trap 'rm -rf "$tmp"' EXIT
 for side in parent change; do
   tree=$parent
   [ $side = change ] && tree=$here
-  (cd "$tree" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
-  cp "$tree/benchmark/target/release/topfull-benchmark" "$tmp/$side"
+  mkdir -p "$tmp/src/$side"
+  tar -C "$tree" --exclude=./.git --exclude=./target --exclude=./benchmark/target -cf - . \
+    | tar -C "$tmp/src/$side" -xf -
+  (cd "$tmp/src/$side" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+  cp "$tmp/src/$side/benchmark/target/release/topfull-benchmark" "$tmp/$side"
 done
 
 # One line per run and metric: `side pair seed metric value`, plus a
 # `correct` / `failed` pseudo-metric per run.
 run() { # $1 = side, $2 = pair
-  local tree=$parent seed=$((seed0 + $2)) line
-  [ "$1" = change ] && tree=$here
-  line=$(cd "$tree" && "$tmp/$1" --workload "$workload" --seed "$seed" \
+  local seed=$((seed0 + $2)) line
+  line=$(cd "$tmp/src/$1" && "$tmp/$1" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 | tail -n 1) || true
   grep -o '"[a-z0-9_]*":{"value":[^,}]*' <<<"$line" \
     | sed 's/"\([a-z0-9_]*\)":{"value":\(.*\)/\1 \2/' \

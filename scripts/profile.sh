@@ -30,7 +30,7 @@
 # Builds benchmark/ the way BENCHMARK.json does and edits nothing: a
 # build may rewrite the tracked benchmark/Cargo.lock, so the lock is
 # copied aside first and put back on exit, in both modes, the way
-# pairs.sh and verify.sh do it. To profile another commit, run
+# verify.sh does it. To profile another commit, run
 # that checkout's copy of this script (or copy this one into it).
 # Not part of verify.sh.
 #

@@ -89,7 +89,7 @@ RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links -D rustdoc::private-intra-doc-l
 # checkout, so a change that breaks a public call the benchmark makes
 # fails here, not in the driver.
 # An unlocked build may rewrite the tracked benchmark/Cargo.lock; tier-1
-# puts it back on exit, as scripts/pairs.sh does, so a run leaves the
+# puts it back on exit, as scripts/profile.sh does, so a run leaves the
 # tree as it found it.
 section benchmark --quick
 bench_lock=$(mktemp)

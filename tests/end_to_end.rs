@@ -136,7 +136,7 @@ fn hpa_plus_topfull_survives_boutique_surge() {
     // The MIMD ablation reacts more slowly than the RL policy, so a few
     // crash-loops can slip through the initial spike; it must still be
     // far gentler than no control (which crash-cascades for the whole
-    // surge — see fig15) and keep serving.
+    // surge — see Fig. 15 in tests/paper.rs) and keep serving.
     assert!(
         h.engine.crash_events <= 10,
         "TopFull should mostly prevent crash-loops, got {}",
