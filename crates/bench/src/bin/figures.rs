@@ -16,11 +16,8 @@ type Run = fn() -> Report;
 /// Each experiment by name.
 const EXPERIMENTS: &[(&str, Run)] = &[
     ("table1", ex::table1::run),
-    ("fig4", ex::fig04::run),
-    ("fig10", ex::fig10::run),
     ("fig11", ex::fig11::run),
     ("fig12", ex::fig12::run),
-    ("fig13", ex::fig13::run),
     ("fig16", ex::fig16::run),
     ("fig18", ex::fig18::run),
     ("refinements", ex::refinements::run),

@@ -7,9 +7,9 @@
 //! arm in submission order, so a report's bytes do not depend on the
 //! worker count. [`Figure`] is the shape the paper's evaluation repeats:
 //! a roster over one recipe, mean goodput per API and in total over a
-//! window, ratios between named arms, optional timelines.
+//! window, optional timelines.
 
-use crate::report::{f1, ratio, Report};
+use crate::report::{f1, Report};
 use crate::scenarios::{Recipe, Roster};
 use cluster::runner::RunPlan;
 use cluster::{ApiId, Engine, RunResult};
@@ -57,7 +57,7 @@ pub(crate) fn run_arms_on<L: Into<String>>(
     plan.run()
 }
 
-/// Which goodput a column, a ratio or a timeline reads.
+/// Which goodput a column or a timeline reads.
 #[derive(Clone, Copy)]
 pub enum Of {
     Api(ApiId),
@@ -89,16 +89,6 @@ pub fn arm<'a>(runs: &'a [ArmOutcome], label: &str) -> &'a ArmOutcome {
     found.unwrap_or_else(|| panic!("no arm labelled '{label}'"))
 }
 
-/// A comparison row: mean `of` under arm `num` over that under `den`.
-pub struct Ratio {
-    pub label: &'static str,
-    /// What the paper reports for it.
-    pub paper: &'static str,
-    pub num: &'static str,
-    pub den: &'static str,
-    pub of: Of,
-}
-
 /// An experiment as values: a recipe, its arms and a window, and what
 /// to print of them.
 pub struct Figure {
@@ -111,13 +101,12 @@ pub struct Figure {
     /// The table: its name, the header of its arm column, and one
     /// mean-goodput column per `(header, of)`.
     pub table: (&'static str, &'static str, Vec<(&'static str, Of)>),
-    pub ratios: Vec<Ratio>,
     /// Timelines `(series name, arm, of)`.
     pub timelines: Vec<(&'static str, &'static str, Of)>,
 }
 
 impl Figure {
-    /// Run the arms and write table, ratios and timelines into `r`;
+    /// Run the arms and write table and timelines into `r`;
     /// the outcomes come back for whatever else the figure reports.
     pub fn run(self, r: &mut Report) -> Vec<ArmOutcome> {
         self.run_on(RunPlan::new(), r)
@@ -138,10 +127,6 @@ impl Figure {
             std::iter::once(o.label.clone()).chain(means).collect()
         };
         r.table(name, &headers, runs.iter().map(row).collect());
-        for q in self.ratios {
-            let mean = |l| q.of.mean(&arm(&runs, l).result, self.window);
-            r.compare(q.label, q.paper, ratio(mean(q.num), mean(q.den)), "");
-        }
         for (name, label, of) in self.timelines {
             r.series(name, of.series(&arm(&runs, label).result));
         }
@@ -152,7 +137,7 @@ impl Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::fig04;
+    use crate::experiments::fig12;
     use crate::scenarios::boutique_closed_loop;
     use cluster::RateSchedule;
 
@@ -192,7 +177,7 @@ mod tests {
         assert!(o.result.samples.iter().all(|s| s.offered.len() == 5));
     }
 
-    /// Fig. 4's DAGOR and TopFull arms through the shared figure body on
+    /// Fig. 12's DAGOR and TopFull arms through the shared figure body on
     /// a 10-second horizon: the report's bytes do not depend on the
     /// worker count.
     #[test]
@@ -202,14 +187,13 @@ mod tests {
             let figure = Figure {
                 secs: 10,
                 window: (3.0, 10.0),
-                ..fig04::figure(policy.clone())
+                ..fig12::figure(policy.clone())
             };
-            let mut r = Report::new("fig04", "worker-count invariance");
+            let mut r = Report::new("fig12", "worker-count invariance");
             let runs = figure.run_on(RunPlan::new().with_workers(workers), &mut r);
             assert_eq!(runs.len(), 2);
             assert_eq!(r.tables[0].rows.len(), 2);
             assert_eq!(r.tables[0].columns.len(), 3);
-            assert_eq!(r.comparisons.len(), 2);
             assert_eq!(r.series.len(), 4);
             serde_json::to_string_pretty(&r).expect("json")
         };

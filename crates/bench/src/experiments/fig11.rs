@@ -50,7 +50,6 @@ pub fn run() -> Report {
                 ("api4", api(3)),
             ],
         ),
-        ratios: vec![],
         timelines: vec![],
     }
     .run(&mut r);

@@ -9,37 +9,55 @@
 //! the rate-limit of API 2 to fully utilize the Product microservice."
 
 use crate::exec::{arm, Figure, Of};
-use crate::experiments::fig04;
 use crate::models;
 use crate::report::{f1, Report};
-use crate::scenarios::Roster;
+use crate::scenarios::{Recipe, Roster};
 use apps::OnlineBoutique;
+use cluster::RateSchedule;
+use rl::policy::PolicyValue;
+use simnet::SimTime;
 
-pub fn run() -> Report {
-    let mut r = Report::new(
-        "fig12",
-        "Goodput timeline of API 1 (Post Checkout) and API 2 (Get Product)",
-    );
-    let policy = models::policy_for("online-boutique");
+const RUN_SECS: u64 = 120;
+const SURGE_AT: u64 = 10;
+const MEASURE_FROM: f64 = 40.0;
+
+/// Fig. 4's overload (`scenarios/paper/fig04.json`): Get Product and
+/// Post Checkout step up together at `SURGE_AT`, overloading
+/// Recommendation and Checkout.
+pub fn recipe(ob: &OnlineBoutique, seed: u64) -> Recipe {
+    let step = |base, peak| {
+        RateSchedule::steps(vec![
+            (SimTime::ZERO, base),
+            (SimTime::from_secs(SURGE_AT), peak),
+        ])
+    };
+    let rates = vec![
+        (ob.getproduct, step(150.0, 1000.0)),
+        (ob.postcheckout, step(100.0, 1200.0)),
+    ];
+    Recipe::open_loop(&ob.topology, rates, seed)
+}
+
+/// Fig. 12 as values; `policy` drives the TopFull arm.
+pub fn figure(policy: PolicyValue) -> Figure {
     let ob = OnlineBoutique::build();
     let (gp, pc) = (Of::Api(ob.getproduct), Of::Api(ob.postcheckout));
-    let runs = Figure {
+    Figure {
         // The same overload scenario as Fig. 4 — both APIs share
         // Recommendation and ProductCatalog, Post Checkout additionally
         // owns Checkout — with API 1 ranked above API 2.
-        recipe: fig04::recipe(&ob, 12).priorities(&[ob.postcheckout, ob.getproduct]),
+        recipe: recipe(&ob, 12).priorities(&[ob.postcheckout, ob.getproduct]),
         arms: vec![
             ("dagor", Roster::Dagor { alpha: 0.05 }),
             ("topfull", Roster::TopFull(policy)),
         ],
-        secs: fig04::RUN_SECS,
-        window: (fig04::MEASURE_FROM, fig04::RUN_SECS as f64),
+        secs: RUN_SECS,
+        window: (MEASURE_FROM, RUN_SECS as f64),
         table: (
             "avg goodput (rps)",
             "controller",
             vec![("api1 postcheckout", pc), ("api2 getproduct", gp)],
         ),
-        ratios: vec![],
         timelines: vec![
             ("topfull api1 postcheckout", "topfull", pc),
             ("topfull api2 getproduct", "topfull", gp),
@@ -47,7 +65,16 @@ pub fn run() -> Report {
             ("dagor api2 getproduct", "dagor", gp),
         ],
     }
-    .run(&mut r);
+}
+
+pub fn run() -> Report {
+    let mut r = Report::new(
+        "fig12",
+        "Goodput timeline of API 1 (Post Checkout) and API 2 (Get Product)",
+    );
+    let ob = OnlineBoutique::build();
+    let (gp, pc) = (Of::Api(ob.getproduct), Of::Api(ob.postcheckout));
+    let runs = figure(models::policy_for("online-boutique")).run(&mut r);
     // The paper's qualitative claim: under TopFull, API 2 recovers while
     // API 1 is held by the Checkout bottleneck — both stay non-zero
     // late in the run (every sample after t = 60 s).

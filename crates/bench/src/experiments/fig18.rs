@@ -61,7 +61,6 @@ pub fn run() -> Report {
             "controller",
             vec![("goodput", Of::Total)],
         ),
-        ratios: vec![],
         timelines: vec![
             ("no topfull", "no-topfull", Of::Total),
             ("topfull", "topfull", Of::Total),

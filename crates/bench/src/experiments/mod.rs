@@ -2,11 +2,8 @@
 //! returns the finished [`crate::report::Report`]; the `figures` binary
 //! prints and persists it ([`crate::report::Report::finish`]).
 
-pub mod fig04;
-pub mod fig10;
 pub mod fig11;
 pub mod fig12;
-pub mod fig13;
 pub mod fig16;
 pub mod fig18;
 pub mod refinements;

@@ -17,16 +17,16 @@
 //!   roster, recipe)` go in, `ArmOutcome`s come out, always through
 //!   `cluster::runner`'s worker pool (`TOPFULL_WORKERS` overrides the
 //!   size, `=1` forces serial) with byte-identical artifacts at any
-//!   worker count; `Figure` is the table/ratios/timelines body most of
-//!   §6 shares.
+//!   worker count; `Figure` is the table/timelines body the remaining
+//!   figures share.
 //! * [`experiments`] — one module per figure/table, each returning its
 //!   `Report`; the `figures` binary dispatches to them and finishes it.
 //!
 //! Run everything with `cargo run --release -p topfull-bench --bin
-//! figures -- all`, or a single experiment with e.g. `-- fig10`. Figs. 8,
-//! 9, 14, 15, 17 and 19 are not `figures`: they are documents under
-//! `scenarios/paper/` and their variants, run and asserted by `cargo test
-//! --release --test paper -- --nocapture`.
+//! figures -- all`, or a single experiment with e.g. `-- fig12`. Figs. 4,
+//! 8, 9, 10, 13, 14, 15, 17 and 19 and Table 2 are not `figures`: they are
+//! documents under `scenarios/paper/` and their variants, run and asserted
+//! by `cargo test --release --test paper -- --nocapture`.
 
 pub mod exec;
 pub mod experiments;

@@ -28,8 +28,6 @@ pub enum Roster {
     TopFull(PolicyValue),
     /// TopFull ablation: MIMD steps instead of RL (§6.2).
     TopFullMimd,
-    /// TopFull ablation: clustering disabled (§6.2).
-    TopFullNoCluster(PolicyValue),
     /// TopFull exactly as configured (refinement ablations, step sweeps).
     Config(TopFullConfig),
 }
@@ -43,7 +41,6 @@ impl Roster {
             Roster::Breakwater => "breakwater",
             Roster::TopFull(_) => "topfull",
             Roster::TopFullMimd => "topfull-mimd",
-            Roster::TopFullNoCluster(_) => "topfull-no-cluster",
             Roster::Config(_) => "topfull-config",
         }
     }
@@ -57,7 +54,6 @@ impl Roster {
             Roster::None => return Box::new(NoControl),
             Roster::TopFull(policy) => base.with_rl(policy),
             Roster::TopFullMimd => base.with_mimd(),
-            Roster::TopFullNoCluster(policy) => base.with_rl(policy).without_clustering(),
             Roster::Config(cfg) => cfg,
             Roster::Dagor { .. } | Roster::Breakwater => {
                 panic!("'{}' is no entry controller: into_harness", self.label())
@@ -217,17 +213,11 @@ pub fn trainticket_constant(rps: f64, seed: u64) -> Recipe {
 }
 
 /// The Alibaba real-trace demo, every API offered `120 × surge` rps —
-/// enough at `surge ≥ 1.5` to overload its hot services.
-pub fn alibaba_open_loop(surge: f64, seed: u64) -> (AlibabaDemo, Recipe) {
-    let demo = AlibabaDemo::build(7);
-    let recipe = Recipe::open_loop(&demo.topology, constant(&demo.apis, 120.0 * surge), seed);
-    (demo, recipe)
-}
-
-/// [`alibaba_open_loop`], built.
+/// enough at `surge ≥ 1.5` to overload its hot services — built.
 pub fn alibaba_surged(surge: f64, seed: u64) -> (AlibabaDemo, Engine) {
-    let (demo, recipe) = alibaba_open_loop(surge, seed);
-    let engine = recipe.engine();
+    let demo = AlibabaDemo::build(7);
+    let rates = constant(&demo.apis, 120.0 * surge);
+    let engine = Recipe::open_loop(&demo.topology, rates, seed).engine();
     (demo, engine)
 }
 
@@ -251,7 +241,6 @@ mod tests {
             Roster::Breakwater,
             Roster::TopFull(policy(1)),
             Roster::TopFullMimd,
-            Roster::TopFullNoCluster(policy(1)),
             Roster::Config(
                 TopFullConfig::default()
                     .with_rate_controller(Arc::new(topfull::MimdController::with_steps(0.5, 0.2))),
@@ -285,12 +274,11 @@ mod tests {
             ("users", boutique_users(RateSchedule::constant(50.0), 1)),
             ("users surging", boutique_users(surge, 1)),
             ("tt constant", trainticket_constant(100.0, 1)),
-            ("alibaba", alibaba_open_loop(1.5, 1).1),
             (
                 "steps ranked",
                 Recipe::open_loop(&ob.topology, vec![(ob.getproduct, step)], 1).priorities(&ranked),
             ),
-            ("fig04", ex::fig04::recipe(&ob, 1)),
+            ("fig12", ex::fig12::recipe(&ob, 1)),
             ("fig16 tt", ex::fig16::tt_recipe(5)),
             ("fig16 ob", ex::fig16::ob_recipe(10)),
             ("fig18", ex::fig18::recipe(1)),

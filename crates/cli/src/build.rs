@@ -131,7 +131,14 @@ fn build_workload(
             for r in rates {
                 let api = api_id(topo, &r.api)?;
                 let key = format!("workload.rates[{}].steps", r.api);
-                schedules.push((api, schedule(&key, &r.steps)?));
+                let sched = schedule(&key, &r.steps)?;
+                // From 1e9 rps on, the mean gap is at most the clock's
+                // 1 ns, `SimDuration::from_secs_f64` rounds the shorter
+                // gaps to zero, and one 1 s tick holds a billion arrivals.
+                if let Some((t, v)) = r.steps.iter().find(|(_, v)| *v >= 1e9) {
+                    return Err(format!("{key} must be under 1e9 rps, got {v} at {t} s"));
+                }
+                schedules.push((api, sched));
             }
             Ok(Box::new(OpenLoopWorkload::new(schedules)))
         }
@@ -630,6 +637,9 @@ mod tests {
         for (workload, key) in [
             (open("1e999"), "workload.rates[getcart].steps"),
             (open("-5"), "workload.rates[getcart].steps"),
+            (open("1e308"), "workload.rates[getcart].steps"),
+            (open("4.29e9"), "workload.rates[getcart].steps"),
+            (open("1e9"), "workload.rates[getcart].steps"),
             (closed("1e999"), "workload.users_steps"),
             (closed("-5"), "workload.users_steps"),
         ] {
@@ -643,6 +653,13 @@ mod tests {
             let err = crate::validate_scenario(&sc).expect_err(&workload);
             assert!(err.contains(key), "{workload}: {err}");
         }
+        let json = format!(
+            r#"{{"app": {{"type": "builtin", "name": "online-boutique"}},
+                "workload": {}}}"#,
+            open("1e7")
+        );
+        let sc = crate::parse_scenario(&json).expect("parse");
+        crate::validate_scenario(&sc).expect("1e7 rps validates");
     }
 
     #[test]

@@ -14,26 +14,47 @@ use cluster::{ApiSpec, CallNode, NoControl, ServiceSpec, Topology};
 use liveserve::{LiveConfig, LiveServer};
 use simnet::SimDuration;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::FromRawFd;
 use std::time::{Duration, Instant};
 
 /// Pipelined requests the slow client sends without ever reading.
-/// Minimal replies (`OK 1 0\n`, 8 bytes) total ~6 MB — far beyond the
-/// clamped socket buffering below, so the per-connection cap must trip.
+/// Minimal replies (`OK 1 0\n`, 8 bytes) total over 6 MB. The clamp
+/// below holds the client's side to a few kilobytes, but the gateway's
+/// kernel send buffer autotunes up to `tcp_wmem`'s maximum (4 MB by
+/// default) before a write would block, so the per-connection cap trips
+/// only once that is full: the burst must outgrow it.
 const SLOW_BURST: usize = 800_000;
 /// Deliberately tiny output cap so the overflow path is exercised fast.
 const OUT_CAP: usize = 4096;
 
-/// Clamp the socket's kernel receive buffer. Without this, loopback TCP
-/// autotunes its window into the tens of megabytes and swallows the
-/// whole reply stream before the gateway's userspace cap can matter.
-/// Setting `SO_RCVBUF` explicitly also switches autotuning off. Same
-/// std-only FFI style as the crate's poller.
-fn shrink_rcvbuf(stream: &TcpStream) {
+/// Connect to `addr` with the socket's kernel receive buffer clamped.
+/// Without the clamp, loopback TCP autotunes its window into the tens
+/// of megabytes and swallows the whole reply stream before the
+/// gateway's userspace cap can matter; setting `SO_RCVBUF` explicitly
+/// also switches autotuning off. The clamp goes on before `connect`, so
+/// the window the handshake advertises already fits it. Clamped after,
+/// it shrinks the buffer under a window the gateway may still fill: the
+/// kernel then drops the gateway's segments, and with them the acks of
+/// the client's own requests, and both ends back off in exponential
+/// retransmission timeouts (`ss` showed cwnd 1, backoff 4 and 3.9 MB of
+/// requests unsent 6 s in), so the burst never reaches the gateway.
+/// Same std-only FFI style as the crate's poller.
+fn connect_with_small_rcvbuf(addr: SocketAddr) -> TcpStream {
+    const AF_INET: i32 = 2;
+    const SOCK_STREAM: i32 = 1;
+    const SOCK_CLOEXEC: i32 = 0o2_000_000;
     const SOL_SOCKET: i32 = 1;
     const SO_RCVBUF: i32 = 8;
+    #[repr(C)]
+    struct SockaddrIn {
+        family: u16,
+        port: [u8; 2],
+        addr: [u8; 4],
+        zero: [u8; 8],
+    }
     extern "C" {
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn setsockopt(
             fd: i32,
             level: i32,
@@ -41,11 +62,22 @@ fn shrink_rcvbuf(stream: &TcpStream) {
             optval: *const core::ffi::c_void,
             optlen: u32,
         ) -> i32;
+        fn connect(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
     }
+    let SocketAddr::V4(v4) = addr else {
+        panic!("the gateway listens on IPv4 loopback, not {addr}")
+    };
+    // SAFETY: `socket` takes no pointers.
+    let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
+    assert!(fd >= 0, "socket: {}", std::io::Error::last_os_error());
+    // SAFETY: `fd` is an open TCP socket that nothing else owns; the
+    // stream closes it, also when an assert below fails.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
     let val: i32 = 4096;
+    // SAFETY: `optval` points at a live `i32` and `optlen` is its size.
     let rc = unsafe {
         setsockopt(
-            stream.as_raw_fd(),
+            fd,
             SOL_SOCKET,
             SO_RCVBUF,
             std::ptr::from_ref(&val).cast(),
@@ -58,6 +90,17 @@ fn shrink_rcvbuf(stream: &TcpStream) {
         "setsockopt(SO_RCVBUF): {}",
         std::io::Error::last_os_error()
     );
+    let sin = SockaddrIn {
+        family: AF_INET as u16,
+        port: v4.port().to_be_bytes(),
+        addr: v4.ip().octets(),
+        zero: [0; 8],
+    };
+    // SAFETY: `sin` is a live `sockaddr_in` (the kernel's layout, `repr(C)`)
+    // and `len` is its size.
+    let rc = unsafe { connect(fd, &sin, std::mem::size_of::<SockaddrIn>() as u32) };
+    assert_eq!(rc, 0, "connect: {}", std::io::Error::last_os_error());
+    stream
 }
 
 fn topo() -> Topology {
@@ -83,8 +126,7 @@ fn slow_reader_is_bounded_and_dropped_while_others_proceed() {
     let addr = server.addr();
 
     // The misbehaving client: a big pipelined burst, no reads.
-    let slow = TcpStream::connect(addr).expect("connect slow");
-    shrink_rcvbuf(&slow);
+    let slow = connect_with_small_rcvbuf(addr);
     slow.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
     slow.set_write_timeout(Some(Duration::from_secs(10)))

@@ -34,25 +34,29 @@ OUT=target/goldens
 # fault schedule (train-ticket station failure), the retry storm under
 # DAGOR, unbounded and budgeted, and the burn-rate monitor's ok → page →
 # ticket ladder with no controller (SLO burn lead; verify.sh's explain
-# smokes read its run), Fig. 8's TopFull arm (paper/fig08), and TopFull
+# smokes read its run), the paper's documents under their own TopFull:
+# Fig. 4's two-API overload (paper/fig04), Fig. 8's users (paper/fig08),
+# Fig. 10's trace demo and Train Ticket rows (paper/fig10_trace,
+# paper/fig10_tt), Table 2's Post Checkout surge (paper/fig13), and TopFull
 # beside the HPA and a VM pool on Train Ticket (paper/fig14, which is
 # Fig. 17's Transfer-TT arm too) and on Online Boutique (paper/fig15). The
 # matrix's 12 cells are rows too, so a cell more or fewer is a missing or
 # an orphan row, and so is its whole report.
 SCENARIOS=(sharded_surge read_flash_crowd priority_hybrid found/fuzz_2_10_breach
   boutique_surge_topfull gray_failure_chaos trainticket_station_failure
-  retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead paper/fig08 paper/fig14
-  paper/fig15)
+  retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead paper/fig04 paper/fig08
+  paper/fig10_trace paper/fig10_tt paper/fig13 paper/fig14 paper/fig15)
 # Every scenario whose `topfull compare` table is pinned. Fig. 8's runs
 # none, DAGOR, Breakwater, WISP, TopFull-MIMD and the document's own
 # TopFull, so WISP is bit-pinned here and nowhere else. tests/paper.rs
-# asserts the other arms of the paper's documents (Fig. 9's populations,
-# §6.3's controllers, models and VM startups) but pins none of their bits.
+# asserts the other arms of the paper's documents (Fig. 4's DAGOR, Fig. 9's
+# populations, Fig. 10's components, Table 2's DAGOR steps, §6.3's
+# controllers, models and VM startups) but pins none of their bits.
 COMPARE=(paper/fig08)
 MATRIX=overload_arms
 # The deterministic `figures` experiments; `training-cost` (a timing) is
 # left out.
-EXPERIMENTS=(table1 fig4 fig10 fig11 fig12 fig13 fig16 fig18 refinements trace-analysis)
+EXPERIMENTS=(table1 fig11 fig12 fig16 fig18 refinements trace-analysis)
 
 hash() { sha256sum | cut -c1-16; } # of stdin
 failed=0

@@ -8,13 +8,17 @@
 #   RUN_SECONDS=8 scripts/pairs.sh ../parent control.alibaba 4 201
 #
 # Copies the parent checkout (a `git clone` of the parent commit) and
-# this one, less their build outputs, to two paths of equal length under
-# $TMPDIR (default /tmp) and builds benchmark/ in each the way
-# BENCHMARK.json does: the source paths a binary embeds then have one
-# length, which alone moved `setup_s` by +22 % between two builds of the
-# same code. Neither checkout is touched, its benchmark/Cargo.lock
-# included. Pair i uses seed first-seed + i and runs the parent first
-# when i is even, the change first when odd; each run lasts
+# this one, less their build outputs, to $TMPDIR/topfull_pairs/src/parent
+# and .../src/change ($TMPDIR defaults to /tmp) and builds benchmark/ in
+# each the way BENCHMARK.json does. The source paths a binary embeds then
+# have one length, which alone moved `setup_s` by +22 % between two builds
+# of the same code, and are the same at every invocation, so two runs on
+# one tree build the same binaries (a random directory name gave every
+# build its own symbol sizes). The directory is cleared at the start and
+# removed at the end; a second invocation while one runs refuses to start.
+# Neither checkout is touched, its benchmark/Cargo.lock included. Pair i
+# uses seed first-seed + i and runs the parent first when i is even, the
+# change first when odd; each run lasts
 # BENCHMARK.json's run_seconds unless RUN_SECONDS says otherwise.
 #
 # Prints one row per end-to-end metric — each side's median [q1, q3],
@@ -41,7 +45,11 @@ seconds=${RUN_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$here/B
 directions=$(awk -F'"' '/"end_to_end"/ { e = 1 } /"per_layer"/ { e = 0 }
   e && $2 == "name" { n = $4 } e && $2 == "better" { print n, $4 }' "$here/BENCHMARK.json")
 
-tmp=$(mktemp -d "${TMPDIR:-/tmp}/topfull_pairs.XXXXXX")
+tmp=${TMPDIR:-/tmp}/topfull_pairs
+exec 9> "$tmp.lock"
+flock -n 9 || { echo "$0: another run holds $tmp.lock" >&2; exit 1; }
+rm -rf "$tmp"
+mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
 for side in parent change; do
   tree=$parent

@@ -19,10 +19,16 @@
 //!   Fig. 14's surge) and Fig. 19 (VM startup time, `fig19.json`). Each
 //!   run ends where the paper's surge does, so a document's steady
 //!   window `[20 s, end]` is the figure's averaging window.
+//! - The case against per-service control: §2's Fig. 4 (DAGOR starves
+//!   Get Product, `fig04.json`), §6.2's Fig. 10 (RL and clustering each
+//!   add goodput, `fig10_trace.json`, `fig10_tt.json` and `fig08.json`)
+//!   and Fig. 13's Table 2 (the learned step adapts before DAGOR's fixed
+//!   ones, `fig13.json`).
 
 mod arms;
 
 use arms::{api_goodput, doc, run_arms, variant};
+use topfull_suite::simnet::stats;
 use topfull_suite::topfull_cli::schema::{ControllerSpec, Scenario, WorkloadSpec};
 use topfull_suite::topfull_cli::ScenarioOutcome;
 
@@ -335,4 +341,252 @@ fn topfull_with_the_autoscaler_beats_the_autoscaler_alone() {
         best, gains[2],
         "fig 19: the gain is not largest at 60 s VMs"
     );
+}
+
+/// §2's, §6.2's and Table 2's arms: `(document, controller)`, where the
+/// controller is `none`, DAGOR at the α `dagor <α>` names, TopFull's
+/// MIMD steps (`mimd`), the document's TopFull without clustering
+/// (`no-cluster`) or the document's own (`topfull`). Fig. 10's Online
+/// Boutique row is Fig. 8's document at `FIG10_SEED`.
+const CONTROLLED: [(&str, &str); 21] = [
+    ("paper/fig04", "dagor 0.05"),
+    ("paper/fig04", "topfull"),
+    ("paper/fig10_trace", "none"),
+    ("paper/fig10_trace", "dagor 0.05"),
+    ("paper/fig10_trace", "mimd"),
+    ("paper/fig10_trace", "no-cluster"),
+    ("paper/fig10_trace", "topfull"),
+    ("paper/fig10_tt", "none"),
+    ("paper/fig10_tt", "dagor 0.05"),
+    ("paper/fig10_tt", "mimd"),
+    ("paper/fig10_tt", "no-cluster"),
+    ("paper/fig10_tt", "topfull"),
+    ("paper/fig08", "none"),
+    ("paper/fig08", "dagor 0.05"),
+    ("paper/fig08", "mimd"),
+    ("paper/fig08", "no-cluster"),
+    ("paper/fig08", "topfull"),
+    ("paper/fig13", "dagor 0.05"),
+    ("paper/fig13", "dagor 0.1"),
+    ("paper/fig13", "dagor 0.5"),
+    ("paper/fig13", "topfull"),
+];
+const FIG10_SEED: u64 = 1010;
+/// Fig. 10's rows: `(app, document, paper's loss with MIMD, paper's loss
+/// without clustering)`.
+const FIG10: [(&str, &str, f64, f64); 3] = [
+    ("trace-demo", "paper/fig10_trace", 11.1, 18.7),
+    ("train-ticket", "paper/fig10_tt", 18.4, 22.5),
+    ("online-boutique", "paper/fig08", 34.4, 2.6),
+];
+const FIG10_ARMS: [&str; 5] = ["none", "dagor 0.05", "mimd", "no-cluster", "topfull"];
+/// Table 2's rows: `(label, controller, the paper's convergence)`.
+const TABLE2: [(&str, &str, &str); 4] = [
+    ("DAGOR (0.05)", "dagor 0.05", "27 s"),
+    ("DAGOR (0.1)", "dagor 0.1", "19 s"),
+    ("DAGOR (0.5)", "dagor 0.5", "inf"),
+    ("TopFull (RL)", "topfull", "5 s"),
+];
+
+/// `sc` under the controller `label` names.
+fn controlled(sc: &Scenario, label: &str) -> Scenario {
+    variant(sc, |v| {
+        v.controller = match (label, &sc.controller) {
+            ("none", _) => ControllerSpec::None,
+            ("topfull", own) => own.clone(),
+            ("mimd", _) => ControllerSpec::Topfull {
+                rate_controller: "mimd".into(),
+                clustering: true,
+                hardened: false,
+            },
+            (
+                "no-cluster",
+                ControllerSpec::Topfull {
+                    rate_controller, ..
+                },
+            ) => ControllerSpec::Topfull {
+                rate_controller: rate_controller.clone(),
+                clustering: false,
+                hardened: false,
+            },
+            (dagor, _) => match dagor.strip_prefix("dagor ").map(str::parse) {
+                Some(Ok(alpha)) => ControllerSpec::Dagor { alpha },
+                _ => panic!("no arm '{label}' on {}", sc.name),
+            },
+        };
+        if sc.name == "paper-fig08" {
+            v.seed = FIG10_SEED;
+        }
+    })
+}
+
+/// Table 2's convergence time: the seconds from `surge_at` to the first
+/// sample from which goodput reaches 85 % of its maximal sustained level
+/// (the p90 of the samples from the surge on, robust to single-sample
+/// spikes) and never again drops below 75 % of it, with at least 10
+/// samples left — the paper's "time to reach the maximal goodput". A
+/// sawtoothing controller never converges: `None`.
+fn convergence_secs(series: &[(f64, f64)], surge_at: f64) -> Option<f64> {
+    let pts: Vec<(f64, f64)> = series
+        .iter()
+        .copied()
+        .filter(|(t, _)| *t >= surge_at)
+        .collect();
+    let values: Vec<f64> = pts.iter().map(|(_, v)| *v).collect();
+    let maximal = stats::quantile(&values, 0.9).filter(|m| *m > 0.0)?;
+    let (reach, hold) = (0.85 * maximal, 0.75 * maximal);
+    let settled = (0..pts.len().saturating_sub(9))
+        .find(|&i| pts[i].1 >= reach && pts[i..].iter().all(|(_, v)| *v >= hold))?;
+    Some(pts[settled].0 - surge_at)
+}
+
+/// A surge at 10 s that settles at `settle`: 0 before the surge, 50
+/// until `settle`, then 400, one sample a second to `end`.
+fn step_series(settle: u32, end: u32) -> Vec<(f64, f64)> {
+    let at = |t: u32| match t {
+        t if t < 10 => 0.0,
+        t if t < settle => 50.0,
+        _ => 400.0,
+    };
+    (0..=end).map(|t| (f64::from(t), at(t))).collect()
+}
+
+#[test]
+fn convergence_is_the_second_a_step_settles() {
+    assert_eq!(convergence_secs(&step_series(25, 60), 10.0), Some(15.0));
+    // A dip after settling restarts the clock at the recovery.
+    let mut dipped = step_series(25, 60);
+    dipped[40].1 = 100.0;
+    assert_eq!(convergence_secs(&dipped, 10.0), Some(31.0));
+}
+
+#[test]
+fn a_sawtooth_never_converges() {
+    let saw: Vec<(f64, f64)> = (0..90)
+        .map(|t| (f64::from(t), if t % 4 < 2 { 400.0 } else { 0.0 }))
+        .collect();
+    assert_eq!(convergence_secs(&saw, 10.0), None);
+}
+
+#[test]
+fn a_tail_shorter_than_ten_samples_never_converges() {
+    // Settled for the last 9 samples only; 10 would do.
+    assert_eq!(convergence_secs(&step_series(32, 40), 10.0), None);
+    assert_eq!(convergence_secs(&step_series(31, 40), 10.0), Some(21.0));
+}
+
+/// §2: "TopFull serves 1.9x more Get Product requests while serving the
+/// same amount of Post Checkout requests compared to the DAGOR" when
+/// Get Product and Post Checkout overload Recommendation and Checkout
+/// together (Fig. 4). §6.2: the goodput drops without RL (MIMD steps
+/// instead) and without clustering, on each application (Fig. 10).
+/// Table 2: after a Post Checkout surge, TopFull reaches the maximal
+/// goodput in 5 s, DAGOR in 27 s at α 0.05 and 19 s at α 0.1, and never
+/// at α 0.5 (Fig. 13). Post Checkout's share in Fig. 4, Online
+/// Boutique's clustering delta and the convergence margins are printed,
+/// not asserted (EXPERIMENTS.md).
+#[test]
+fn whole_api_control_ends_starvation_needs_each_component_and_converges_first() {
+    let names = [
+        "paper/fig04",
+        "paper/fig10_trace",
+        "paper/fig10_tt",
+        "paper/fig08",
+        "paper/fig13",
+    ];
+    let docs = names.map(|name| (name, doc(name)));
+    let source = |name: &str| &docs.iter().find(|(n, _)| *n == name).expect("a document").1;
+    let outcomes = run_arms(CONTROLLED.map(|(name, c)| controlled(source(name), c)));
+    let of = |name: &str, controller: &str| -> &ScenarioOutcome {
+        let i = CONTROLLED.iter().position(|&a| a == (name, controller));
+        &outcomes[i.unwrap_or_else(|| panic!("no arm {controller} on {name}"))]
+    };
+
+    println!("fig 4: paper/fig04.json — mean goodput (rps) from t=40 s");
+    println!(
+        "  {:<10} {:>10} {:>12}",
+        "controller", "getproduct", "postcheckout"
+    );
+    for c in ["dagor 0.05", "topfull"] {
+        let [gp, pc] =
+            ["getproduct", "postcheckout"].map(|api| api_goodput(of("paper/fig04", c), api));
+        println!("  {c:<10} {gp:>10.1} {pc:>12.1}");
+    }
+    let fig4 = |api| {
+        api_goodput(of("paper/fig04", "topfull"), api)
+            / api_goodput(of("paper/fig04", "dagor 0.05"), api)
+    };
+    for (api, paper) in [("getproduct", "1.9x"), ("postcheckout", "≈1x")] {
+        println!(
+            "  topfull / dagor on {api:<12} {:.2}x  (paper {paper})",
+            fig4(api)
+        );
+    }
+
+    println!("fig 10: each document under each component — total goodput (rps) from t=30 s");
+    println!(
+        "  {:<15} {:>10} {:>8} {:>8} {:>11} {:>8}",
+        "app", "no-control", "dagor", "w/ MIMD", "w/o cluster", "topfull"
+    );
+    let total = |name: &str, c: &str| of(name, c).total_goodput;
+    for (app, name, _, _) in FIG10 {
+        let [n, d, m, c, t] = FIG10_ARMS.map(|c| total(name, c));
+        println!("  {app:<15} {n:>10.1} {d:>8.1} {m:>8.1} {c:>11.1} {t:>8.1}");
+    }
+    for (app, name, p_mimd, p_cluster) in FIG10 {
+        let loss = |c| (1.0 - total(name, c) / total(name, "topfull")) * 100.0;
+        println!(
+            "  {app}: loss with MIMD instead of RL {:.1}% (paper {p_mimd}%), without clustering {:.1}% (paper {p_cluster}%)",
+            loss("mimd"),
+            loss("no-cluster")
+        );
+    }
+
+    println!("table 2: paper/fig13.json — seconds from the surge to the maximal goodput");
+    let converged = TABLE2.map(|(label, c, paper)| {
+        let o = of("paper/fig13", c);
+        let secs = convergence_secs(&o.timeline, o.steady_from_secs);
+        let shown = secs.map_or("inf".to_string(), |s| format!("{s:.0} s"));
+        println!("  {label:<13} {shown:>5}  (paper {paper})");
+        secs
+    });
+    if let [Some(d005), _, _, Some(tf)] = converged {
+        println!(
+            "  TopFull converges {:.1}x faster than DAGOR(0.05)  (paper 5.4x)",
+            d005 / tf.max(1.0)
+        );
+    }
+
+    assert!(
+        fig4("getproduct") > 1.0,
+        "fig 4: TopFull does not serve more Get Product than DAGOR"
+    );
+    for (app, name, _, _) in FIG10 {
+        let topfull = total(name, "topfull");
+        for den in ["none", "dagor 0.05", "mimd"] {
+            assert!(
+                topfull > total(name, den),
+                "fig 10: TopFull does not beat {den} on {app}"
+            );
+        }
+    }
+    for (app, name, _, _) in &FIG10[..2] {
+        assert!(
+            total(name, "topfull") > total(name, "no-cluster"),
+            "fig 10: clustering adds no goodput on {app}"
+        );
+    }
+    let [d005, d01, d05, tf] = converged;
+    let (Some(d005), Some(d01), Some(tf)) = (d005, d01, tf) else {
+        panic!("table 2: TopFull, DAGOR(0.1) or DAGOR(0.05) never converges: {converged:?}");
+    };
+    assert!(
+        tf < d01,
+        "table 2: TopFull ({tf} s) is not faster than DAGOR(0.1) ({d01} s)"
+    );
+    assert!(
+        d01 < d005,
+        "table 2: DAGOR(0.1) ({d01} s) is not faster than DAGOR(0.05) ({d005} s)"
+    );
+    assert_eq!(d05, None, "table 2: DAGOR(0.5) converges");
 }
