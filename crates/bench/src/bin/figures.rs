@@ -1,4 +1,7 @@
-//! Experiment runner: regenerates every table and figure of the paper.
+//! Experiment runner: what the paper reports that is not a run — Table 1,
+//! the trace analyses and the training cost — and the model training.
+//! The paper's figures are scenario documents under `scenarios/paper/`,
+//! run and asserted by `tests/paper.rs`.
 //!
 //! ```text
 //! cargo run --release -p topfull-bench --bin figures -- <experiment>…
@@ -16,11 +19,6 @@ type Run = fn() -> Report;
 /// Each experiment by name.
 const EXPERIMENTS: &[(&str, Run)] = &[
     ("table1", ex::table1::run),
-    ("fig11", ex::fig11::run),
-    ("fig12", ex::fig12::run),
-    ("fig16", ex::fig16::run),
-    ("fig18", ex::fig18::run),
-    ("refinements", ex::refinements::run),
     ("trace-analysis", ex::trace_analysis::run),
     ("training-cost", ex::training_cost::run),
 ];

@@ -1,34 +1,21 @@
-//! # topfull-bench — experiment harness
+//! # topfull-bench — what the paper reports that is not a run
 //!
-//! Regenerates the tables and figures of the paper's evaluation (§6)
-//! that are not yet scenario documents.
-//! Shared infrastructure lives here:
+//! The paper's figures are scenario documents under `scenarios/paper/`,
+//! run and asserted by `cargo test --release --test paper --
+//! --nocapture`; this crate keeps the rest:
 //!
 //! * [`models`] — the Sim2Real training pipeline producing the base
 //!   (graph-simulator) policy and the Transfer-TT / Transfer-OB
 //!   specialized policies, cached as JSON under `artifacts/models/`.
-//! * [`scenarios`] — the only place an experiment engine or a controller
-//!   arm is built: a `Recipe` (an application under a load, plus the
-//!   modifiers the figures share) and the `Roster` (TopFull, its
-//!   ablations and explicit configs, DAGOR, Breakwater, none).
-//! * [`report`] — uniform "paper vs measured" result rows and JSON dumps
-//!   under `artifacts/results/`.
-//! * [`exec`] — what each experiment uses to run: arms of `(label,
-//!   roster, recipe)` go in, `ArmOutcome`s come out, always through
-//!   `cluster::runner`'s worker pool (`TOPFULL_WORKERS` overrides the
-//!   size, `=1` forces serial) with byte-identical artifacts at any
-//!   worker count; `Figure` is the table/timelines body the remaining
-//!   figures share.
-//! * [`experiments`] — one module per figure/table, each returning its
-//!   `Report`; the `figures` binary dispatches to them and finishes it.
-//!
-//! Run everything with `cargo run --release -p topfull-bench --bin
-//! figures -- all`, or a single experiment with e.g. `-- fig12`. Figs. 4,
-//! 8, 9, 10, 13, 14, 15, 17 and 19 and Table 2 are not `figures`: they are
-//! documents under `scenarios/paper/` and their variants, run and asserted
-//! by `cargo test --release --test paper -- --nocapture`.
+//! * [`experiments`] — Table 1, the §2 / §6.4 trace analyses and the
+//!   training cost, each returning its `Report`; the `figures` binary
+//!   dispatches to them (`figures -- table1`, `-- trace-analysis`,
+//!   `-- training-cost`, `-- all`) and finishes it.
+//! * [`report`] — uniform "paper vs measured" rows and JSON dumps under
+//!   `artifacts/results/`.
+//! * [`scenarios`] — the engines `benchmark/` and the tick-allocation
+//!   test drive.
 
-pub mod exec;
 pub mod experiments;
 pub mod models;
 pub mod report;

@@ -110,14 +110,3 @@ pub fn transfer_ob() -> PolicyValue {
     let topo = || OnlineBoutique::build().topology;
     transfer("transfer_ob", "Online Boutique", topo, 3000)
 }
-
-/// The default policy experiments use for "TopFull" rows: Transfer-OB
-/// for Online Boutique scenarios, Transfer-TT for Train Ticket, base for
-/// the real-trace demo. Picks by topology name.
-pub fn policy_for(topology_name: &str) -> PolicyValue {
-    match topology_name {
-        "online-boutique" => transfer_ob(),
-        "train-ticket" => transfer_tt(),
-        _ => base_model(),
-    }
-}

@@ -1,38 +1,17 @@
-//! Uniform experiment reporting: "paper vs measured" rows, simple tables,
-//! timelines, and JSON dumps under `artifacts/results/`.
+//! Uniform experiment reporting: "paper vs measured" rows and notes,
+//! printed and dumped as JSON under `artifacts/results/`.
 
 use crate::artifacts_dir;
 use serde::Serialize;
 
-/// A titled experiment report accumulating rows and series.
+/// A titled experiment report accumulating rows and notes.
 #[derive(Debug, Default, Serialize)]
 pub struct Report {
     pub id: String,
     pub title: String,
     /// `(label, paper_value, measured_value, unit)` comparison rows.
     pub comparisons: Vec<(String, String, String, String)>,
-    /// Named numeric tables: `(name, column headers, rows)`.
-    pub tables: Vec<NamedTable>,
-    /// Named `(t, value)` series (timelines).
-    pub series: Vec<NamedSeries>,
     pub notes: Vec<String>,
-    /// Controller decision journal from one representative arm, in
-    /// decision order; `topfull explain artifacts/results/<id>.json`
-    /// renders it. Empty when the experiment did not capture one.
-    pub journal: Vec<obs::JournalEntry>,
-}
-
-#[derive(Debug, Serialize)]
-pub struct NamedTable {
-    pub name: String,
-    pub columns: Vec<String>,
-    pub rows: Vec<Vec<String>>,
-}
-
-#[derive(Debug, Serialize)]
-pub struct NamedSeries {
-    pub name: String,
-    pub points: Vec<(f64, f64)>,
 }
 
 impl Report {
@@ -60,31 +39,9 @@ impl Report {
         ));
     }
 
-    /// Add a numeric table.
-    pub fn table(&mut self, name: &str, columns: &[&str], rows: Vec<Vec<String>>) {
-        self.tables.push(NamedTable {
-            name: name.to_string(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            rows,
-        });
-    }
-
-    /// Add a timeline series.
-    pub fn series(&mut self, name: &str, points: Vec<(f64, f64)>) {
-        self.series.push(NamedSeries {
-            name: name.to_string(),
-            points,
-        });
-    }
-
     /// Add a free-form note.
     pub fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
-    }
-
-    /// Attach a controller decision journal (one representative arm).
-    pub fn journal(&mut self, entries: Vec<obs::JournalEntry>) {
-        self.journal = entries;
     }
 
     /// Print to stdout and persist JSON under `artifacts/results/`.
@@ -95,26 +52,6 @@ impl Report {
             for (label, paper, measured, unit) in &self.comparisons {
                 println!("{label:<44} {paper:>16} {measured:>16}  {unit}");
             }
-        }
-        for t in &self.tables {
-            println!("\n-- {}", t.name);
-            println!("{}", t.columns.join("\t"));
-            for row in &t.rows {
-                println!("{}", row.join("\t"));
-            }
-        }
-        for s in &self.series {
-            let n = s.points.len();
-            println!("\n-- series {} ({n} points)", s.name);
-            // Print a decimated view; the full series goes to JSON.
-            let stride = (n / 20).max(1);
-            let line: Vec<String> = s
-                .points
-                .iter()
-                .step_by(stride)
-                .map(|(t, v)| format!("{t:.0}s:{v:.0}"))
-                .collect();
-            println!("{}", line.join(" "));
         }
         for note in &self.notes {
             println!("note: {note}");
@@ -128,47 +65,16 @@ impl Report {
     }
 }
 
-/// Format a ratio as e.g. "1.82x".
-pub fn ratio(a: f64, b: f64) -> String {
-    if b <= 0.0 {
-        "inf".to_string()
-    } else {
-        format!("{:.2}x", a / b)
-    }
-}
-
-/// Format a float with one decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn ratio_formats_and_guards_zero() {
-        assert_eq!(ratio(182.0, 100.0), "1.82x");
-        assert_eq!(ratio(1.0, 0.0), "inf");
-        assert_eq!(ratio(0.0, 10.0), "0.00x");
-    }
-
-    #[test]
-    fn f1_rounds_to_one_decimal() {
-        assert_eq!(f1(3.17), "3.2");
-        assert_eq!(f1(1000.0), "1000.0");
-    }
-
-    #[test]
     fn report_accumulates_and_serializes() {
         let mut r = Report::new("test_report", "unit test");
         r.compare("metric", "1x", "2x", "");
-        r.table("t", &["a", "b"], vec![vec!["1".into(), "2".into()]]);
-        r.series("s", vec![(0.0, 1.0), (1.0, 2.0)]);
         r.note("a note");
         assert_eq!(r.comparisons.len(), 1);
-        assert_eq!(r.tables.len(), 1);
-        assert_eq!(r.series.len(), 1);
         let json = serde_json::to_string(&r).expect("serializable");
         assert!(json.contains("test_report"));
         assert!(json.contains("a note"));

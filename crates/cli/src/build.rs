@@ -65,14 +65,36 @@ pub(crate) fn build_topology(app: &AppSpec) -> Result<Topology, String> {
         AppSpec::Builtin {
             name,
             topology_seed,
-        } => match name.as_str() {
-            "online-boutique" => Ok(OnlineBoutique::build().topology),
-            "train-ticket" => Ok(TrainTicket::build().topology),
-            "alibaba-demo" => Ok(AlibabaDemo::build(*topology_seed).topology),
-            other => Err(format!(
-                "unknown builtin app '{other}' (try online-boutique, train-ticket, alibaba-demo)"
-            )),
-        },
+            services,
+            apis,
+        } => {
+            let mut topo = match name.as_str() {
+                "online-boutique" => OnlineBoutique::build().topology,
+                "train-ticket" => TrainTicket::build().topology,
+                "alibaba-demo" => AlibabaDemo::build(*topology_seed).topology,
+                other => {
+                    let known = "online-boutique, train-ticket, alibaba-demo";
+                    return Err(format!("unknown builtin app '{other}' (try {known})"));
+                }
+            };
+            // The inline app's keys, clamped as `cluster::ServiceSpec::new`
+            // and `ServiceSpec::pod_speed` clamp them.
+            for s in services {
+                let id = service_id(&topo, &s.name).map_err(|e| format!("app.services: {e}"))?;
+                let svc = topo.service_mut(id);
+                if let Some(r) = s.replicas {
+                    svc.replicas = r.max(1);
+                }
+                if let Some(p) = s.pod_speed {
+                    *svc = svc.clone().pod_speed(p);
+                }
+            }
+            for a in apis {
+                let id = api_id(&topo, &a.name).map_err(|e| format!("app.apis: {e}"))?;
+                topo.api_mut(id).business = BusinessPriority(a.business_priority);
+            }
+            Ok(topo)
+        }
         AppSpec::Inline { services, apis } => {
             if services.is_empty() {
                 return Err("inline app needs at least one service".into());
@@ -231,11 +253,19 @@ pub(crate) fn entry_controller(
             rate_controller,
             clustering,
             hardened,
-        } => Some(Box::new(TopFull::new(topfull_config(
-            rate_controller,
-            *clustering,
-            *hardened,
-        )?))),
+            single_target_per_cluster,
+            restrict_cuts_to_contributing,
+            fair_group_steps,
+        } => {
+            let mut cfg = topfull_config(rate_controller, *clustering, *hardened)?;
+            let base = TopFullConfig::default();
+            cfg.single_target_per_cluster =
+                single_target_per_cluster.unwrap_or(base.single_target_per_cluster);
+            cfg.restrict_cuts_to_contributing =
+                restrict_cuts_to_contributing.unwrap_or(base.restrict_cuts_to_contributing);
+            cfg.fair_group_steps = fair_group_steps.unwrap_or(base.fair_group_steps);
+            Some(Box::new(TopFull::new(cfg)))
+        }
         _ => None,
     })
 }
@@ -286,18 +316,15 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
     let topo = build_topology(&sc.app)?;
     let api_names: Vec<String> = topo.apis().map(|(_, a)| a.name.clone()).collect();
     let workload = build_workload(&topo, &sc.workload, sc.resilience.as_ref())?;
-    let mut cfg = EngineConfig {
+    let base = EngineConfig::default();
+    let cfg = EngineConfig {
         seed: sc.seed,
         slo: SimDuration::from_millis(sc.slo_ms),
-        ..EngineConfig::default()
+        pod_startup: sc
+            .pod_startup_secs
+            .map_or(base.pod_startup, SimDuration::from_secs),
+        ..base
     };
-    if let Some(AutoscalerSpec {
-        pod_startup_secs: Some(p),
-        ..
-    }) = &sc.autoscaler
-    {
-        cfg.pod_startup = SimDuration::from_secs(*p);
-    }
     let mut engine = Engine::new(topo, cfg, workload);
     if let Some(res) = &sc.resilience {
         if res.deadlines.is_some() || res.breakers.is_some() {
@@ -596,6 +623,26 @@ mod tests {
             let built = build_scenario(&sc).expect(name);
             assert_eq!(built.engine.topology().num_services(), services);
         }
+    }
+
+    #[test]
+    fn builtin_overrides_and_pod_startup_reach_the_engine() {
+        let json = r#"{
+            "pod_startup_secs": 7,
+            "app": {"type": "builtin", "name": "online-boutique",
+                "services": [{"name": "cartservice", "replicas": 0, "pod_speed": 0.5}],
+                "apis": [{"name": "getcart", "business_priority": 3}]},
+            "workload": {"type": "open_loop", "rates": []}
+        }"#;
+        let built = build_scenario(&crate::parse_scenario(json).expect("parse")).expect("builds");
+        let topo = built.engine.topology();
+        let cart = topo.service(service_id(topo, "cartservice").expect("a service"));
+        // Zero replicas clamp to one, as an inline service's do.
+        assert_eq!((cart.replicas, cart.pod_speed), (1, 0.5));
+        let getcart = topo.api(api_id(topo, "getcart").expect("an API"));
+        assert_eq!(getcart.business, BusinessPriority(3));
+        let pod_startup = built.engine.config().pod_startup;
+        assert_eq!(pod_startup, SimDuration::from_secs(7));
     }
 
     #[test]

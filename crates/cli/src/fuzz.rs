@@ -142,11 +142,7 @@ pub fn base_workflow() -> WorkflowSpec {
                 },
             ],
         }],
-        controller: ControllerSpec::Topfull {
-            rate_controller: "mimd".into(),
-            clustering: true,
-            hardened: false,
-        },
+        controller: ControllerSpec::topfull("mimd"),
         faults: vec![],
         resilience: None,
         sharding: None,

@@ -268,11 +268,10 @@ mod tests {
     #[test]
     fn sharding_rejects_the_hardened_loop() {
         let mut sc = Scenario::example();
-        sc.controller = schema::ControllerSpec::Topfull {
-            rate_controller: "mimd".into(),
-            clustering: true,
-            hardened: true,
-        };
+        sc.controller = schema::ControllerSpec::topfull("mimd");
+        if let schema::ControllerSpec::Topfull { hardened, .. } = &mut sc.controller {
+            *hardened = true;
+        }
         sc.sharding = Some(schema::ShardingSpec {
             shards: 2,
             ..Default::default()

@@ -13,9 +13,10 @@
 //! refused loudly, by its key, before any socket binds — live mode
 //! controls **entry admission only**, so the per-service baselines
 //! (DAGOR, Breakwater, WISP), the retry-storm workload, the `faults`,
-//! `autoscaler` and `resilience` blocks, `sharding.weights` and the
-//! telemetry-dropout shard fault are simulator-only. A hardened
-//! controller runs under the same watchdog as on the simulator.
+//! `autoscaler` and `resilience` blocks, `pod_startup_secs`,
+//! `sharding.weights` and the telemetry-dropout shard fault are
+//! simulator-only. A hardened controller runs under the same watchdog
+//! as on the simulator.
 
 use crate::build::{api_id, build_topology, entry_controller, front_door_config, resolve_weights};
 use crate::report::{self, ScenarioOutcome};
@@ -140,6 +141,7 @@ fn refuse_simulator_only(sc: &Scenario) -> Result<(), String> {
     let blocks = [
         ("faults", !sc.faults.is_empty()),
         ("autoscaler", sc.autoscaler.is_some()),
+        ("pod_startup_secs", sc.pod_startup_secs.is_some()),
         ("resilience", sc.resilience.is_some()),
         ("sharding.weights", weighted),
     ];
@@ -336,7 +338,13 @@ mod tests {
         // Each simulator-only block is refused by its key, before the
         // gateway's port (taken here) is bound.
         let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        for key in ["faults", "autoscaler", "resilience", "sharding.weights"] {
+        for key in [
+            "faults",
+            "autoscaler",
+            "pod_startup_secs",
+            "resilience",
+            "sharding.weights",
+        ] {
             let mut sc = tiny_live_scenario(
                 r#"{"type": "open_loop", "rates": [{"api": "ping", "steps": [[0, 50.0]]}]}"#,
                 r#"{"type": "none"}"#,
@@ -348,6 +356,7 @@ mod tests {
                     sc.faults = serde_json::from_str(stall).expect("fault");
                 }
                 "autoscaler" => sc.autoscaler = Some(Default::default()),
+                "pod_startup_secs" => sc.pod_startup_secs = Some(5),
                 "resilience" => sc.resilience = Some(Default::default()),
                 _ => {
                     sc.sharding = Some(ShardingSpec {

@@ -349,11 +349,7 @@ mod tests {
                 },
                 ArmDef {
                     name: "topfull".into(),
-                    controller: ControllerSpec::Topfull {
-                        rate_controller: "mimd".into(),
-                        clustering: true,
-                        hardened: false,
-                    },
+                    controller: ControllerSpec::topfull("mimd"),
                 },
             ],
         }

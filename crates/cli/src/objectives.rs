@@ -256,6 +256,7 @@ mod tests {
             live: false,
             steady_from_secs: 30.0,
             goodput_per_api: vec![],
+            goodput_timeline_per_api: vec![],
             total_goodput: goodput,
             offered_per_api: vec![],
             crash_events: 0,

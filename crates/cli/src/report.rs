@@ -26,6 +26,8 @@ pub struct ScenarioOutcome {
     pub resilience: ResilienceStats,
     /// `(t, total goodput)` timeline.
     pub timeline: Vec<(f64, f64)>,
+    /// Each API's `(t, goodput)` timeline, in API order.
+    pub goodput_timeline_per_api: Vec<(String, Vec<(f64, f64)>)>,
     /// `(t, worst per-API p99 seconds)` timeline. The scenario fuzzer's
     /// sustained-breach objective reads this.
     pub p99_timeline: Vec<(f64, f64)>,
@@ -126,6 +128,9 @@ pub(crate) fn outcome(
         crash_events: 0,
         resilience: ResilienceStats::default(),
         timeline: r.total_goodput_series(),
+        goodput_timeline_per_api: (api_names.iter().enumerate())
+            .map(|(i, n)| (n.clone(), r.goodput_series(ApiId(i as u32))))
+            .collect(),
         p99_timeline: r.series(|s| s.p99.iter().copied().fold(0.0, f64::max)),
         journal: journal.snapshot(),
         shard_plane: None,
@@ -145,14 +150,7 @@ pub fn compare(sc: &Scenario) -> Result<String, String> {
         ("dagor", ControllerSpec::Dagor { alpha: 0.05 }),
         ("breakwater", ControllerSpec::Breakwater),
         ("wisp", ControllerSpec::Wisp),
-        (
-            "topfull-mimd",
-            ControllerSpec::Topfull {
-                rate_controller: "mimd".into(),
-                clustering: true,
-                hardened: false,
-            },
-        ),
+        ("topfull-mimd", ControllerSpec::topfull("mimd")),
         ("document", sc.controller.clone()),
     ];
     let mut out = String::new();

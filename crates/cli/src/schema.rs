@@ -32,6 +32,10 @@ pub struct Scenario {
     /// 1 s).
     #[serde(default = "default_slo_ms")]
     pub slo_ms: u64,
+    /// Seconds a new pod takes to become ready, after a pod kill or an
+    /// autoscaler scale-up (default: the engine's).
+    #[serde(default)]
+    pub pod_startup_secs: Option<u64>,
     /// The application: inline services+apis, or a named benchmark.
     pub app: AppSpec,
     pub workload: WorkloadSpec,
@@ -94,6 +98,12 @@ pub enum AppSpec {
         /// Seed for generated topologies (alibaba-demo).
         #[serde(default = "default_seed")]
         topology_seed: u64,
+        /// Overrides of named services, in the inline app's keys.
+        #[serde(default)]
+        services: Vec<ServiceOverride>,
+        /// Overrides of named APIs, in the inline app's keys.
+        #[serde(default)]
+        apis: Vec<ApiOverride>,
     },
     /// An inline topology.
     Inline {
@@ -114,6 +124,26 @@ pub struct ServiceSpec {
     pub pod_speed: Option<f64>,
     #[serde(default)]
     pub crash_on_overload: bool,
+}
+
+/// A builtin service's pod count or speed, set by name.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct ServiceOverride {
+    pub name: String,
+    #[serde(default)]
+    pub replicas: Option<u32>,
+    #[serde(default)]
+    pub pod_speed: Option<f64>,
+}
+
+/// A builtin API's business priority, set by name.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct ApiOverride {
+    pub name: String,
+    /// Lower = more important.
+    pub business_priority: u8,
 }
 
 /// One external API.
@@ -213,6 +243,15 @@ pub enum ControllerSpec {
         /// harness watchdog (freeze → decay when telemetry goes dark).
         #[serde(default)]
         hardened: bool,
+        /// Algorithm 1's refinements (DESIGN.md §5), each the
+        /// `topfull::TopFullConfig` field of its name; an omitted key
+        /// takes `TopFullConfig::default()`, every refinement on.
+        #[serde(default)]
+        single_target_per_cluster: Option<bool>,
+        #[serde(default)]
+        restrict_cuts_to_contributing: Option<bool>,
+        #[serde(default)]
+        fair_group_steps: Option<bool>,
     },
     /// DAGOR per-service admission control.
     Dagor {
@@ -223,6 +262,20 @@ pub enum ControllerSpec {
     Breakwater,
     /// WISP upward-propagated rate limits (extension comparator).
     Wisp,
+}
+
+impl ControllerSpec {
+    /// TopFull under `rate_controller`, every other key omitted.
+    pub fn topfull(rate_controller: &str) -> ControllerSpec {
+        ControllerSpec::Topfull {
+            rate_controller: rate_controller.into(),
+            clustering: true,
+            hardened: false,
+            single_target_per_cluster: None,
+            restrict_cuts_to_contributing: None,
+            fair_group_steps: None,
+        }
+    }
 }
 
 fn default_rate_controller() -> String {
@@ -236,14 +289,13 @@ fn default_alpha() -> f64 {
 }
 
 /// HPA + optional VM pool: JSON form of [`cluster::autoscaler::HpaConfig`];
-/// an omitted key takes `HpaConfig::default()` (`EngineConfig::default()`
-/// for `pod_startup_secs`).
+/// an omitted key takes `HpaConfig::default()`. How long a new pod takes
+/// is the top-level `pod_startup_secs`.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
 pub struct AutoscalerSpec {
     pub target_utilization: Option<f64>,
     pub sync_period_secs: Option<u64>,
-    pub pod_startup_secs: Option<u64>,
     pub vm_pool: Option<VmPoolSpec>,
 }
 
@@ -506,6 +558,7 @@ impl Scenario {
             seed: 7,
             duration_secs: 120,
             slo_ms: 1000,
+            pod_startup_secs: None,
             app: AppSpec::Inline {
                 services: vec![
                     ServiceSpec {
@@ -546,11 +599,7 @@ impl Scenario {
                     steps: vec![(0, 50.0), (20, 300.0)],
                 }],
             },
-            controller: ControllerSpec::Topfull {
-                rate_controller: "mimd".into(),
-                clustering: true,
-                hardened: false,
-            },
+            controller: ControllerSpec::topfull("mimd"),
             autoscaler: None,
             faults: vec![],
             resilience: Some(ResilienceSpec {

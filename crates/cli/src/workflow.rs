@@ -361,6 +361,7 @@ impl WorkflowSpec {
             seed: self.seed,
             duration_secs: self.duration_secs(),
             slo_ms: self.slo_ms,
+            pod_startup_secs: None,
             app: self.app.clone(),
             workload: WorkloadSpec::OpenLoop {
                 rates: self.tracks.iter().map(TrackSpec::to_rate_spec).collect(),

@@ -75,6 +75,43 @@ fn a_misspelt_key_fails_check_with_a_hint() {
     assert!(err.contains("did you mean"), "{err}");
 }
 
+/// A builtin app's overrides name what they set: one naming a service
+/// or an API the app lacks fails `check` by its key, and so does
+/// `pod_startup_secs` left in the `autoscaler` block it moved out of.
+#[test]
+fn a_missing_override_name_or_a_misplaced_pod_startup_is_refused_by_key() {
+    let dir = std::env::temp_dir().join(format!("topfull-cli-keys-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a temporary directory");
+    let workload = r#""workload": {"type": "open_loop", "rates": []}"#;
+    for (name, rest, refusal) in [
+        (
+            "service",
+            r#""app": {"type": "builtin", "name": "train-ticket",
+                "services": [{"name": "ts-nope", "replicas": 3}]}"#,
+            "app.services: unknown service 'ts-nope'",
+        ),
+        (
+            "api",
+            r#""app": {"type": "builtin", "name": "online-boutique",
+                "apis": [{"name": "nope", "business_priority": 1}]}"#,
+            "app.apis: unknown API 'nope'",
+        ),
+        (
+            "pod_startup_secs",
+            r#""app": {"type": "builtin", "name": "online-boutique"},
+                "autoscaler": {"pod_startup_secs": 30}"#,
+            "autoscaler: unknown key 'pod_startup_secs'",
+        ),
+    ] {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, format!("{{{rest}, {workload}}}")).expect("a document");
+        let out = topfull(&["check", path.to_str().expect("a UTF-8 path")]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {}", stderr(&out));
+        assert!(stderr(&out).contains(refusal), "{name}: {}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn the_example_scenario_checks_clean() {
     let out = topfull(&["example"]);

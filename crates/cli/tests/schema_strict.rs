@@ -247,6 +247,9 @@ fn topfull_arm() -> ControllerSpec {
         rate_controller: "mimd".into(),
         clustering: true,
         hardened: false,
+        single_target_per_cluster: Some(true),
+        restrict_cuts_to_contributing: Some(false),
+        fair_group_steps: Some(false),
     }
 }
 
@@ -258,6 +261,7 @@ fn full_scenario() -> Scenario {
         seed: 7,
         duration_secs: 60,
         slo_ms: 1000,
+        pod_startup_secs: Some(5),
         app: inline_app(),
         workload: WorkloadSpec::OpenLoop {
             rates: vec![RateSpec {
@@ -269,7 +273,6 @@ fn full_scenario() -> Scenario {
         autoscaler: Some(AutoscalerSpec {
             target_utilization: Some(0.6),
             sync_period_secs: Some(10),
-            pod_startup_secs: Some(5),
             vm_pool: Some(VmPoolSpec {
                 vcpus_per_vm: 4,
                 initial_vms: 2,
@@ -379,6 +382,15 @@ fn every_misspelt_scenario_key_is_rejected_at_every_depth() {
             sc.app = AppSpec::Builtin {
                 name: "alibaba-demo".into(),
                 topology_seed: 3,
+                services: vec![ServiceOverride {
+                    name: "s0".into(),
+                    replicas: Some(2),
+                    pod_speed: Some(0.5),
+                }],
+                apis: vec![ApiOverride {
+                    name: "api0".into(),
+                    business_priority: 1,
+                }],
             }
         }),
         with(&|sc| {

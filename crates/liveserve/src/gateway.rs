@@ -66,8 +66,11 @@
 //! first **paused** (its read interest is dropped at half the cap, so a
 //! pipelining client can no longer mint new work) and, if completions
 //! still push the buffer past the cap, **disconnected** — one slow
-//! consumer can neither stall other connections nor the control tick,
-//! and can only ever hold `max_conn_output` bytes. Tokens are
+//! consumer can neither stall other connections nor the control tick.
+//! The cap bounds the userspace buffer; the socket's kernel send buffer
+//! fills first, and Linux autotunes it up to `net.ipv4.tcp_wmem`'s
+//! maximum (4 MB by default), so a peer that stops reading holds at
+//! most that maximum plus `max_conn_output` bytes. Tokens are
 //! generation-tagged, so a completion addressed to a closed (and
 //! possibly reused) slot is dropped, never misdelivered.
 //!

@@ -18,15 +18,24 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::FromRawFd;
 use std::time::{Duration, Instant};
 
-/// Pipelined requests the slow client sends without ever reading.
-/// Minimal replies (`OK 1 0\n`, 8 bytes) total over 6 MB. The clamp
-/// below holds the client's side to a few kilobytes, but the gateway's
-/// kernel send buffer autotunes up to `tcp_wmem`'s maximum (4 MB by
-/// default) before a write would block, so the per-connection cap trips
-/// only once that is full: the burst must outgrow it.
-const SLOW_BURST: usize = 800_000;
 /// Deliberately tiny output cap so the overflow path is exercised fast.
 const OUT_CAP: usize = 4096;
+/// The smallest reply line (`OK 1 0\n` and up).
+const REPLY_BYTES: usize = 8;
+
+/// Pipelined requests the slow client sends without ever reading. The
+/// clamp below holds the client's side to a few kilobytes, but the
+/// gateway's kernel send buffer autotunes up to `tcp_wmem`'s maximum
+/// (4 MB by default) before a write would block, so the per-connection
+/// cap trips only once that is full: the burst's replies outgrow the
+/// host's maximum plus the cap by half again (≈ 790 000 requests at
+/// 4 MB).
+fn slow_burst() -> usize {
+    let wmem = std::fs::read_to_string("/proc/sys/net/ipv4/tcp_wmem").expect("tcp_wmem");
+    let max = wmem.split_whitespace().nth(2).and_then(|v| v.parse().ok());
+    let max: usize = max.unwrap_or_else(|| panic!("no maximum in tcp_wmem: {wmem:?}"));
+    (max + OUT_CAP) * 3 / 2 / REPLY_BYTES
+}
 
 /// Connect to `addr` with the socket's kernel receive buffer clamped.
 /// Without the clamp, loopback TCP autotunes its window into the tens
@@ -126,6 +135,7 @@ fn slow_reader_is_bounded_and_dropped_while_others_proceed() {
     let addr = server.addr();
 
     // The misbehaving client: a big pipelined burst, no reads.
+    let burst = slow_burst();
     let slow = connect_with_small_rcvbuf(addr);
     slow.set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
@@ -134,7 +144,7 @@ fn slow_reader_is_bounded_and_dropped_while_others_proceed() {
     let mut slow_writer = slow.try_clone().expect("clone slow");
     let writer = std::thread::spawn(move || {
         let mut sent = 0usize;
-        for id in 0..SLOW_BURST {
+        for id in 0..burst {
             // An error here is the expected endgame: the gateway dropped
             // us once our replies overflowed the cap.
             if slow_writer
@@ -205,13 +215,13 @@ fn slow_reader_is_bounded_and_dropped_while_others_proceed() {
         }
     };
     assert!(dropped, "slow connection must be disconnected");
-    // Minimal reply is 8 bytes; had the gateway buffered and delivered
-    // one reply per request, we would have read ~8 bytes per sent
-    // request. The clamped socket plus OUT_CAP sit far below that:
+    // Had the gateway buffered and delivered one reply per request, we
+    // would have read at least `REPLY_BYTES` per sent request. The
+    // kernel's send buffer plus OUT_CAP sit well below that:
     // per-connection buffering stayed bounded and the rest was dropped
     // with the connection.
     assert!(
-        delivered < SLOW_BURST * 8,
+        delivered < burst * REPLY_BYTES,
         "delivered {delivered} bytes for {sent} requests — output was not bounded"
     );
 

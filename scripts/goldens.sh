@@ -37,26 +37,34 @@ OUT=target/goldens
 # smokes read its run), the paper's documents under their own TopFull:
 # Fig. 4's two-API overload (paper/fig04), Fig. 8's users (paper/fig08),
 # Fig. 10's trace demo and Train Ticket rows (paper/fig10_trace,
-# paper/fig10_tt), Table 2's Post Checkout surge (paper/fig13), and TopFull
+# paper/fig10_tt), Fig. 11's and Fig. 12's ranked APIs (paper/fig11,
+# paper/fig12), Table 2's Post Checkout surge (paper/fig13), TopFull
 # beside the HPA and a VM pool on Train Ticket (paper/fig14, which is
-# Fig. 17's Transfer-TT arm too) and on Online Boutique (paper/fig15). The
-# matrix's 12 cells are rows too, so a cell more or fewer is a missing or
-# an orphan row, and so is its whole report.
+# Fig. 17's Transfer-TT arm too) and on Online Boutique (paper/fig15),
+# Fig. 16's spikes at each app's scarcest allocation (paper/fig16_tt,
+# paper/fig16_ob) and Fig. 18's ts-station pod kill (paper/fig18), and
+# the refinement ablation's four scenarios under every refinement
+# (refinement_*). The matrix's 12 cells are rows too, so a cell more or
+# fewer is a missing or an orphan row, and so is its whole report.
 SCENARIOS=(sharded_surge read_flash_crowd priority_hybrid found/fuzz_2_10_breach
   boutique_surge_topfull gray_failure_chaos trainticket_station_failure
   retry_storm_dagor retry_storm_dagor_budgeted slo_burn_lead paper/fig04 paper/fig08
-  paper/fig10_trace paper/fig10_tt paper/fig13 paper/fig14 paper/fig15)
+  paper/fig10_trace paper/fig10_tt paper/fig11 paper/fig12 paper/fig13 paper/fig14
+  paper/fig15 paper/fig16_tt paper/fig16_ob paper/fig18 refinement_tt refinement_ob
+  refinement_offender refinement_skew)
 # Every scenario whose `topfull compare` table is pinned. Fig. 8's runs
 # none, DAGOR, Breakwater, WISP, TopFull-MIMD and the document's own
 # TopFull, so WISP is bit-pinned here and nowhere else. tests/paper.rs
 # asserts the other arms of the paper's documents (Fig. 4's DAGOR, Fig. 9's
-# populations, Fig. 10's components, Table 2's DAGOR steps, §6.3's
-# controllers, models and VM startups) but pins none of their bits.
+# populations, Fig. 10's components, Figs. 11 and 12's DAGOR, Table 2's
+# DAGOR steps, §6.3's controllers, models, VM startups and allocations,
+# Fig. 18's no control) and tests/extensions.rs the refinements switched
+# off, but neither pins their bits.
 COMPARE=(paper/fig08)
 MATRIX=overload_arms
 # The deterministic `figures` experiments; `training-cost` (a timing) is
 # left out.
-EXPERIMENTS=(table1 fig11 fig12 fig16 fig18 refinements trace-analysis)
+EXPERIMENTS=(table1 trace-analysis)
 
 hash() { sha256sum | cut -c1-16; } # of stdin
 failed=0

@@ -4,6 +4,7 @@
 //! extension experiments (`tests/extensions.rs`).
 
 use topfull_suite::cluster::runner::RunPlan;
+use topfull_suite::simnet::stats;
 use topfull_suite::topfull_cli::schema::Scenario;
 use topfull_suite::topfull_cli::{parse_scenario, run_scenario, ScenarioOutcome};
 
@@ -35,4 +36,11 @@ pub fn run_arms<const N: usize>(arms: [Scenario; N]) -> [ScenarioOutcome; N] {
 pub fn api_goodput(o: &ScenarioOutcome, api: &str) -> f64 {
     let found = o.goodput_per_api.iter().find(|(n, _)| n == api);
     found.unwrap_or_else(|| panic!("no API '{api}'")).1
+}
+
+/// Mean total goodput over the inclusive window `[from, to]` seconds,
+/// as `RunResult::mean_total_goodput` takes it.
+pub fn window_mean(o: &ScenarioOutcome, from: f64, to: f64) -> f64 {
+    let inside = o.timeline.iter().filter(|(t, _)| (from..=to).contains(t));
+    stats::mean(&inside.map(|(_, g)| *g).collect::<Vec<f64>>())
 }

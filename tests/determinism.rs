@@ -17,10 +17,12 @@
 
 mod common;
 
+use baselines::Scheme;
 use cluster::runner::RunPlan;
-use cluster::{ResilienceStats, RunResult};
+use cluster::{Controller, Harness, NoControl, ResilienceStats, RunResult};
 use common::{assert_rows, fnv1a, FNV_OFFSET};
-use topfull_bench::scenarios::{boutique_closed_loop, Roster};
+use topfull::{TopFull, TopFullConfig};
+use topfull_bench::scenarios::boutique_closed_loop;
 
 const RUN_SECS: u64 = 30;
 
@@ -44,8 +46,25 @@ struct Outcome {
     resilience: ResilienceStats,
 }
 
-fn run_arm(label: &'static str, roster: Roster) -> Outcome {
-    let mut h = roster.into_harness(mk_engine());
+/// The arm `label` names: a per-service scheme installed in the engine,
+/// or an entry controller.
+fn run_arm(label: &'static str) -> Outcome {
+    let mut engine = mk_engine();
+    let scheme = match label {
+        "dagor" => Some(Scheme::Dagor { alpha: 0.05 }),
+        "breakwater" => Some(Scheme::Breakwater),
+        _ => None,
+    };
+    let controller: Box<dyn Controller> = match (label, scheme) {
+        (_, Some(scheme)) => {
+            scheme.install(&mut engine);
+            Box::new(NoControl)
+        }
+        ("topfull-mimd", None) => Box::new(TopFull::new(TopFullConfig::default().with_mimd())),
+        ("no-control", None) => Box::new(NoControl),
+        _ => panic!("no arm '{label}'"),
+    };
+    let mut h = Harness::new(engine, controller);
     h.run_for_secs(RUN_SECS);
     Outcome {
         label,
@@ -57,15 +76,9 @@ fn run_arm(label: &'static str, roster: Roster) -> Outcome {
 }
 
 fn plan_arms(workers: usize) -> Vec<Outcome> {
-    let arms = vec![
-        ("no-control", Roster::None),
-        ("dagor", Roster::Dagor { alpha: 0.05 }),
-        ("topfull-mimd", Roster::TopFullMimd),
-        ("breakwater", Roster::Breakwater),
-    ];
     let mut plan = RunPlan::new().with_workers(workers);
-    for (label, roster) in arms {
-        plan.submit(move || run_arm(label, roster));
+    for label in ["no-control", "dagor", "topfull-mimd", "breakwater"] {
+        plan.submit(move || run_arm(label));
     }
     plan.run()
 }

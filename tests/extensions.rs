@@ -1,9 +1,10 @@
 //! The repository's extension experiments as scenario documents plus
 //! claims: retry storm, metastable retry storm, front-door coalescing,
-//! TopFull+DAGOR hybrid admission, gray-failure chaos and the SLO
-//! burn-rate page as a leading indicator. None is a paper figure —
-//! TopFull's §6 has no retry-storm, gray-failure, front-door or
-//! error-budget experiment. Every arm is a committed document under
+//! TopFull+DAGOR hybrid admission, gray-failure chaos, the SLO
+//! burn-rate page as a leading indicator, and the ablation of the three
+//! refinements this reproduction adds to Algorithm 1. None is a paper
+//! figure — TopFull's §6 has no retry-storm, gray-failure, front-door,
+//! error-budget or refinement experiment. Every arm is a committed document under
 //! `scenarios/`, or that document with one field changed, run through
 //! `topfull_cli::run_scenario` exactly as `topfull run` runs it. Each
 //! test prints its arms' numbers, which EXPERIMENTS.md cites:
@@ -14,34 +15,17 @@
 
 mod arms;
 
-use arms::{api_goodput, doc, run_arms, variant};
+use arms::{api_goodput, doc, run_arms, variant, window_mean};
 use topfull_suite::cluster::RetryBudgetConfig;
 use topfull_suite::topfull_cli::schema::{ControllerSpec, DeadlineSpecJson, ResilienceSpec};
 use topfull_suite::topfull_cli::schema::{Scenario, WorkloadSpec};
 use topfull_suite::topfull_cli::ScenarioOutcome;
-
-fn topfull(rate_controller: &str) -> ControllerSpec {
-    ControllerSpec::Topfull {
-        rate_controller: rate_controller.into(),
-        clustering: true,
-        hardened: false,
-    }
-}
 
 fn set_max_retries(sc: &mut Scenario, retries: u32) {
     match &mut sc.workload {
         WorkloadSpec::RetryStorm { max_retries, .. } => *max_retries = retries,
         _ => panic!("{} is not a retry storm", sc.name),
     }
-}
-
-/// Mean total goodput over the inclusive window `[from, to]` seconds.
-fn window_mean(o: &ScenarioOutcome, from: f64, to: f64) -> f64 {
-    let xs: Vec<f64> = (o.timeline.iter())
-        .filter(|(t, _)| (from..=to).contains(t))
-        .map(|(_, g)| *g)
-        .collect();
-    xs.iter().sum::<f64>() / xs.len() as f64
 }
 
 /// 2600 closed-loop users whose failures retry up to 3 times after
@@ -54,7 +38,7 @@ fn retry_storm_topfull_beats_no_control() {
         variant(&storm, |sc| sc.controller = ControllerSpec::None),
         storm.clone(),
         variant(&storm, |sc| {
-            sc.controller = topfull("rl:artifacts/models/transfer_ob.json");
+            sc.controller = ControllerSpec::topfull("rl:artifacts/models/transfer_ob.json");
         }),
     ]);
     println!("retry storm: retry_storm_dagor.json, max_retries 3 — goodput (rps)");
@@ -87,7 +71,7 @@ fn budgeted_retries_with_deadlines_defuse_the_metastable_storm() {
         breakers: None,
     };
     for (stack, controller) in [
-        ("topfull-mimd", topfull("mimd")),
+        ("topfull-mimd", ControllerSpec::topfull("mimd")),
         ("dagor", storm.controller.clone()),
     ] {
         let unbounded = variant(&storm, |sc| sc.controller = controller);
@@ -249,9 +233,9 @@ fn the_burn_rate_page_leads_the_flash_crowd_collapse() {
     let [none, rl, mimd] = run_arms([
         crowd.clone(),
         variant(&crowd, |sc| {
-            sc.controller = topfull("rl:artifacts/models/transfer_ob.json");
+            sc.controller = ControllerSpec::topfull("rl:artifacts/models/transfer_ob.json");
         }),
-        variant(&crowd, |sc| sc.controller = topfull("mimd")),
+        variant(&crowd, |sc| sc.controller = ControllerSpec::topfull("mimd")),
     ]);
     println!("slo burn lead: slo_burn_lead.json — getproduct goodput from t=28 s");
     println!(
@@ -290,5 +274,161 @@ fn the_burn_rate_page_leads_the_flash_crowd_collapse() {
     assert!(
         mimd.crash_events > 0,
         "the paper-default MIMD step clamped the crowd in time"
+    );
+}
+
+/// The refinement ablation's arms: `(document, variant, the switch it
+/// flips)`. Each document's first arm is its own controller, TopFull
+/// with every refinement on.
+const REFINEMENTS: [(&str, &str, &str); 12] = [
+    ("refinement_tt", "all refinements (default)", ""),
+    (
+        "refinement_tt",
+        "single target per cluster",
+        "single_target_per_cluster",
+    ),
+    (
+        "refinement_tt",
+        "verbatim Algorithm 1 cuts",
+        "restrict_cuts_to_contributing",
+    ),
+    (
+        "refinement_tt",
+        "multiplicative group raises",
+        "fair_group_steps",
+    ),
+    ("refinement_ob", "all refinements (default)", ""),
+    (
+        "refinement_ob",
+        "single target per cluster",
+        "single_target_per_cluster",
+    ),
+    (
+        "refinement_ob",
+        "verbatim Algorithm 1 cuts",
+        "restrict_cuts_to_contributing",
+    ),
+    (
+        "refinement_ob",
+        "multiplicative group raises",
+        "fair_group_steps",
+    ),
+    (
+        "refinement_offender",
+        "contributing-only cuts (default)",
+        "",
+    ),
+    (
+        "refinement_offender",
+        "verbatim Algorithm 1",
+        "restrict_cuts_to_contributing",
+    ),
+    ("refinement_skew", "Chiu-Jain group steps (default)", ""),
+    (
+        "refinement_skew",
+        "multiplicative both ways",
+        "fair_group_steps",
+    ),
+];
+
+/// `sc` with the refinement `switch` names off (or its literal reading,
+/// one target per cluster, on); `""` leaves the document's own.
+fn ablated(sc: &Scenario, switch: &str) -> Scenario {
+    variant(sc, |v| {
+        let ControllerSpec::Topfull {
+            single_target_per_cluster,
+            restrict_cuts_to_contributing,
+            fair_group_steps,
+            ..
+        } = &mut v.controller
+        else {
+            panic!("{} does not run TopFull", sc.name);
+        };
+        match switch {
+            "" => {}
+            "single_target_per_cluster" => *single_target_per_cluster = Some(true),
+            "restrict_cuts_to_contributing" => *restrict_cuts_to_contributing = Some(false),
+            "fair_group_steps" => *fair_group_steps = Some(false),
+            _ => panic!("no refinement '{switch}'"),
+        }
+    })
+}
+
+/// The three refinements DESIGN.md §5 adds to Algorithm 1 (no paper
+/// counterpart), each switched off alone: on Fig. 10's Train Ticket and
+/// Online Boutique overloads (at another seed), acting on one target per
+/// cluster costs Train Ticket goodput; with idle low-priority APIs on
+/// its bottleneck, a lone surging API is starved by verbatim Algorithm 1
+/// cuts; and under a 3:1 skew between two equal-priority APIs on one
+/// bottleneck, multiplicative raises freeze the skew that Chiu-Jain
+/// steps even out. The other grid cells are printed, not asserted.
+#[test]
+fn each_refinement_beats_its_ablation_in_its_own_scenario() {
+    let names = [
+        "refinement_tt",
+        "refinement_ob",
+        "refinement_offender",
+        "refinement_skew",
+    ];
+    let docs = names.map(|name| (name, doc(name)));
+    let source = |name: &str| &docs.iter().find(|(n, _)| *n == name).expect("a document").1;
+    let outcomes = run_arms(REFINEMENTS.map(|(name, _, switch)| ablated(source(name), switch)));
+    let (grid, rest) = outcomes.split_at(8);
+    let labels = REFINEMENTS.map(|(_, label, _)| label);
+
+    println!(
+        "refinements: refinement_tt.json and refinement_ob.json — total goodput (rps) from t=30 s"
+    );
+    println!(
+        "  {:<15} {:<28} {:>8} {:>11}",
+        "app", "variant", "goodput", "vs default"
+    );
+    for (app, (runs, labels)) in ["train-ticket", "online-boutique"]
+        .iter()
+        .zip(grid.chunks(4).zip(labels.chunks(4)))
+    {
+        let baseline = runs[0].total_goodput;
+        for (o, label) in runs.iter().zip(labels) {
+            let goodput = o.total_goodput;
+            let delta = if baseline > 0.0 {
+                format!("{:+.1}%", (goodput / baseline - 1.0) * 100.0)
+            } else {
+                "n/a".into()
+            };
+            println!("  {app:<15} {label:<28} {goodput:>8.1} {delta:>11}");
+        }
+    }
+    let (offender, skew) = rest.split_at(2);
+    println!("refinement 2: refinement_offender.json — the surging getproduct's goodput (rps) from t=30 s");
+    let offended = offender.iter().zip(&labels[8..10]).map(|(o, label)| {
+        let goodput = api_goodput(o, "getproduct");
+        println!("  {label:<32} {goodput:>7.1}");
+        goodput
+    });
+    let offended: Vec<f64> = offended.collect();
+    println!("refinement 3: refinement_skew.json — the equal-priority split from t=200 s");
+    println!(
+        "  {:<32} {:>14} {:>18}",
+        "variant", "minority (rps)", "majority/minority"
+    );
+    let minority = skew.iter().zip(&labels[10..]).map(|(o, label)| {
+        let [gp, gc] = ["getproduct", "getcart"].map(|api| api_goodput(o, api));
+        let ratio = gp.max(gc) / gp.min(gc).max(1.0);
+        println!("  {label:<32} {:>14.1} {:>17.2}x", gc.min(gp), ratio);
+        gc.min(gp)
+    });
+    let minority: Vec<f64> = minority.collect();
+
+    assert!(
+        grid[0].total_goodput > grid[1].total_goodput,
+        "one target per cluster costs Train Ticket nothing"
+    );
+    assert!(
+        offended[0] > offended[1],
+        "verbatim Algorithm 1 cuts do not starve the surging API"
+    );
+    assert!(
+        minority[0] > minority[1],
+        "Chiu-Jain steps do not serve the minority API more"
     );
 }
