@@ -17,6 +17,7 @@
 //! groups, and API paths arranged so the analysis functions reproduce the
 //! paper's statistics. Background services/APIs fill out the population.
 
+use cluster::ServiceId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -189,6 +190,14 @@ impl SyntheticTrace {
             .filter(|(_, u)| **u > threshold)
             .map(|(i, _)| i as u32)
             .collect()
+    }
+
+    /// The API paths and the services above `threshold`, as the ids
+    /// `topfull::cluster_apis` takes.
+    pub fn clustering_input(&self, threshold: f64) -> (Vec<Vec<ServiceId>>, Vec<ServiceId>) {
+        let ids = |path: &[u32]| path.iter().map(|s| ServiceId(*s)).collect();
+        let paths = self.api_paths.iter().map(|p| ids(p)).collect();
+        (paths, ids(&self.overloaded(threshold)))
     }
 
     /// §2 starvation-vulnerability analysis.

@@ -1,5 +1,6 @@
 //! Experiment runner: what the paper reports that is not a run — Table 1,
-//! the trace analyses and the training cost — and the model training.
+//! the trace analyses, the training cost and the deployment overhead —
+//! and the model training.
 //! The paper's figures are scenario documents under `scenarios/paper/`,
 //! run and asserted by `tests/paper.rs`.
 //!
@@ -21,6 +22,7 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("table1", ex::table1::run),
     ("trace-analysis", ex::trace_analysis::run),
     ("training-cost", ex::training_cost::run),
+    ("overhead", ex::overhead::run),
 ];
 
 fn usage() -> ! {

@@ -2,6 +2,7 @@
 //! returns the finished [`crate::report::Report`]; the `figures` binary
 //! prints and persists it ([`crate::report::Report::finish`]).
 
+pub mod overhead;
 pub mod table1;
 pub mod trace_analysis;
 pub mod training_cost;

@@ -15,7 +15,6 @@ use crate::report::Report;
 use crate::scenarios::{constant, engine};
 use apps::trace::{SyntheticTrace, OVERLOAD_THRESHOLD};
 use apps::OnlineBoutique;
-use cluster::types::ServiceId;
 use cluster::OpenLoopWorkload;
 use simnet::SimTime;
 use topfull::cluster_apis;
@@ -58,12 +57,7 @@ pub fn run() -> Report {
     );
 
     // Clustering through TopFull's own production clustering code.
-    let paths: Vec<Vec<ServiceId>> = tr
-        .api_paths
-        .iter()
-        .map(|p| p.iter().map(|s| ServiceId(*s)).collect())
-        .collect();
-    let over_sids: Vec<ServiceId> = over.iter().map(|s| ServiceId(*s)).collect();
+    let (paths, over_sids) = tr.clustering_input(OVERLOAD_THRESHOLD);
     let clusters = cluster_apis(&paths, &over_sids);
     r.compare("independent clusters", 57, clusters.len(), "");
     let constraints: f64 = clusters.iter().map(|c| c.overloaded.len() as f64).sum();

@@ -14,7 +14,7 @@ use rl::cluster_env::{ClusterEnv, ClusterEnvConfig};
 use rl::graph_env::GraphEnv;
 use rl::policy::PolicyValue;
 use rl::ppo::PpoConfig;
-use rl::trainer::{Trainer, TrainerConfig};
+use rl::trainer::{TrainReport, Trainer, TrainerConfig};
 use std::path::PathBuf;
 
 /// Episodes for base pre-training (paper: 48 000; scaled for CPU).
@@ -50,14 +50,14 @@ fn trainer_config(episodes: usize, seed: u64) -> TrainerConfig {
 }
 
 /// Stage 1: pre-train the base policy on the graph simulator.
-pub fn train_base(episodes: usize, seed: u64) -> PolicyValue {
+pub fn train_base(episodes: usize, seed: u64) -> TrainReport {
     let mut trainer = Trainer::new(trainer_config(episodes, seed));
     let report = trainer.train(GraphEnv::new);
     eprintln!(
         "base model: {} episodes, best validation reward {:.3}",
         report.episodes_run, report.best_validation_reward
     );
-    report.best_model
+    report
 }
 
 /// Stage 2: specialize a pre-trained policy on a target application.
@@ -66,7 +66,7 @@ pub fn specialize(
     topo: cluster::Topology,
     episodes: usize,
     seed: u64,
-) -> PolicyValue {
+) -> TrainReport {
     let mut trainer = Trainer::from_model(trainer_config(episodes, seed), base);
     let cfg = ClusterEnvConfig::default();
     let report = trainer.train(move || ClusterEnv::new(topo.clone(), cfg.clone()));
@@ -74,7 +74,7 @@ pub fn specialize(
         "specialized model: {} episodes, best validation reward {:.3}",
         report.episodes_run, report.best_validation_reward
     );
-    report.best_model
+    report
 }
 
 /// The base (graph-simulator) policy, cached.
@@ -83,7 +83,7 @@ pub fn base_model() -> PolicyValue {
         return m;
     }
     eprintln!("training base model ({BASE_EPISODES} episodes on the graph simulator)…");
-    let m = train_base(BASE_EPISODES, 1000);
+    let m = train_base(BASE_EPISODES, 1000).best_model;
     store("base", &m);
     m
 }
@@ -94,7 +94,7 @@ fn transfer(name: &str, app: &str, topo: fn() -> cluster::Topology, seed: u64) -
         return m;
     }
     eprintln!("specializing on {app} ({SPECIALIZE_EPISODES} episodes)…");
-    let m = specialize(base_model(), topo(), SPECIALIZE_EPISODES, seed);
+    let m = specialize(base_model(), topo(), SPECIALIZE_EPISODES, seed).best_model;
     store(name, &m);
     m
 }

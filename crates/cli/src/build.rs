@@ -11,6 +11,7 @@ use crate::schema::{
 use apps::{AlibabaDemo, OnlineBoutique, TrainTicket};
 use baselines::Scheme;
 use cluster::autoscaler::{HpaConfig, VmPoolConfig};
+use cluster::engine::PENDING_ARRIVAL_BYTES;
 use cluster::front::{CoalesceConfig, PriorityConfig};
 use cluster::types::BusinessPriority;
 use cluster::{
@@ -134,6 +135,16 @@ pub(crate) fn build_topology(app: &AppSpec) -> Result<Topology, String> {
     }
 }
 
+/// The most open-loop arrivals a second, summed over APIs, that `run`
+/// can hold. A workload tick draws the next second's arrivals at once,
+/// and each holds [`PENDING_ARRIVAL_BYTES`] until it fires: a 40-byte
+/// `Arrival` in the tick buffer, then a 32-byte payload slot and a
+/// 24-byte link in the event queue, 96 bytes in all. Each of the three is
+/// a `Vec` that doubles, so it may hold twice its length: 192 bytes an
+/// arrival. Under a 4 GB address-space cap that is 4e9 / 192 ≈ 2.08e7
+/// rps. At 5e7 `run` aborted on a 1 GiB allocation in the event queue.
+const MAX_TOTAL_RATE: f64 = 4e9 / (2 * PENDING_ARRIVAL_BYTES) as f64;
+
 fn build_workload(
     topo: &Topology,
     spec: &WorkloadSpec,
@@ -161,6 +172,17 @@ fn build_workload(
                     return Err(format!("{key} must be under 1e9 rps, got {v} at {t} s"));
                 }
                 schedules.push((api, sched));
+            }
+            // Piecewise constant, so the summed rate peaks at a step.
+            for (t, _) in rates.iter().flat_map(|r| &r.steps) {
+                let at = SimTime::from_secs(*t);
+                let total: f64 = schedules.iter().map(|(_, s)| s.at(at)).sum();
+                if total >= MAX_TOTAL_RATE {
+                    let max = MAX_TOTAL_RATE.floor();
+                    return Err(format!(
+                        "workload.rates must sum to under {max} rps, got {total} at {t} s"
+                    ));
+                }
             }
             Ok(Box::new(OpenLoopWorkload::new(schedules)))
         }
@@ -675,6 +697,13 @@ mod tests {
                 r#"{{"type": "open_loop", "rates": [{{"api": "getcart", "steps": [[0, {v}]]}}]}}"#
             )
         };
+        let two_open = |v: &str| {
+            format!(
+                r#"{{"type": "open_loop", "rates": [
+                    {{"api": "getproduct", "steps": [[0, 1.0], [10, {v}]]}},
+                    {{"api": "postcheckout", "steps": [[0, 1.0], [10, {v}]]}}]}}"#
+            )
+        };
         let closed = |v: &str| {
             format!(
                 r#"{{"type": "closed_loop", "users_steps": [[0, {v}]],
@@ -687,6 +716,8 @@ mod tests {
             (open("1e308"), "workload.rates[getcart].steps"),
             (open("4.29e9"), "workload.rates[getcart].steps"),
             (open("1e9"), "workload.rates[getcart].steps"),
+            (open("5e7"), "workload.rates"),
+            (two_open("3e7"), "workload.rates"),
             (closed("1e999"), "workload.users_steps"),
             (closed("-5"), "workload.users_steps"),
         ] {
@@ -707,6 +738,8 @@ mod tests {
         );
         let sc = crate::parse_scenario(&json).expect("parse");
         crate::validate_scenario(&sc).expect("1e7 rps validates");
+        // `MAX_TOTAL_RATE`'s comment spells out these 96 bytes.
+        assert_eq!(PENDING_ARRIVAL_BYTES, 96);
     }
 
     #[test]

@@ -140,6 +140,12 @@ const HOP_LANE: usize = 0;
 const ARRIVAL_LANE: usize = 1;
 const TIMEOUT_LANE: usize = 2;
 
+/// Bytes one open-loop arrival holds from the workload tick that draws
+/// it until it fires: its [`Arrival`] in the tick buffer and its slot in
+/// the event queue.
+pub const PENDING_ARRIVAL_BYTES: usize =
+    std::mem::size_of::<Arrival>() + EventQueue::<Ev>::SLOT_BYTES;
+
 // Every lane entry carries an `Ev` inline: a wider variant widens them all.
 const _: () = assert!(std::mem::size_of::<Ev>() == 32);
 

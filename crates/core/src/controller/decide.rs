@@ -61,13 +61,10 @@ impl TopFull {
             .iter()
             .map(|a| obs.api(*a).tail_latency().as_secs_f64())
             .fold(0.0, f64::max);
+        let [goodput_ratio, latency_ratio] = rl::env::state(goodput, limit, lat, slo);
         RateState {
-            goodput_ratio: if limit > 0.0 {
-                (goodput / limit).clamp(0.0, 2.0)
-            } else {
-                0.0
-            },
-            latency_ratio: (lat / slo).clamp(0.0, 5.0),
+            goodput_ratio,
+            latency_ratio,
             total_limit: limit,
         }
     }

@@ -12,7 +12,7 @@
 //! actuation a per-cluster TopFull controller performs. Mid-episode
 //! replica scale-ups emulate autoscaler allocations.
 
-use crate::env::{RlEnv, StepResult};
+use crate::env::{self, RlEnv, StepResult};
 use cluster::{Engine, EngineConfig, OpenLoopWorkload, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -29,8 +29,6 @@ pub struct ClusterEnvConfig {
     pub scale_up_prob: f64,
     /// Warmup before the first observation (s).
     pub warmup_secs: u64,
-    /// ρ in Equation 3 (applied to normalized latency excess).
-    pub rho: f64,
 }
 
 impl Default for ClusterEnvConfig {
@@ -40,7 +38,6 @@ impl Default for ClusterEnvConfig {
             surge_range: (0.3, 3.0),
             scale_up_prob: 0.4,
             warmup_secs: 3,
-            rho: 1.0,
         }
     }
 }
@@ -58,7 +55,6 @@ pub struct ClusterEnv {
     scale_up_at: Option<usize>,
     step_count: usize,
     now: SimTime,
-    episode_seed: u64,
     /// The engine's SLO (s), which the state and the reward divide by.
     slo: f64,
 }
@@ -76,7 +72,6 @@ impl ClusterEnv {
             scale_up_at: None,
             step_count: 0,
             now: SimTime::ZERO,
-            episode_seed: 0,
             slo: 1.0,
         }
     }
@@ -100,21 +95,11 @@ impl ClusterEnv {
             (obs.total_goodput(), lat.fold(0.0, f64::max))
         })
     }
-
-    /// The §4.3 state at `goodput` and tail latency `lat`.
-    fn state(&self, goodput: f64, lat: f64) -> [f64; 2] {
-        let ratio = if self.limit > 0.0 {
-            (goodput / self.limit).clamp(0.0, 2.0)
-        } else {
-            0.0
-        };
-        [ratio, (lat / self.slo).clamp(0.0, 5.0)]
-    }
 }
 
 impl RlEnv for ClusterEnv {
     fn reset(&mut self, rng: &mut SmallRng) -> [f64; 2] {
-        self.episode_seed = rng.gen();
+        let seed = rng.gen();
         // Randomized overload workload: each API offers base × surge.
         let rates: Vec<(cluster::ApiId, f64)> = self
             .topo
@@ -129,7 +114,7 @@ impl RlEnv for ClusterEnv {
         let mut engine = Engine::new(
             self.topo.clone(),
             EngineConfig {
-                seed: self.episode_seed,
+                seed,
                 ..EngineConfig::default()
             },
             Box::new(workload),
@@ -137,11 +122,9 @@ impl RlEnv for ClusterEnv {
         // Start the collective limit anywhere from throttled to open.
         self.limit = total_offered * rng.gen_range(0.2..1.2);
         self.scale = total_offered.max(1.0);
-        self.scale_up_at = if rng.gen_bool(self.cfg.scale_up_prob) {
-            Some(rng.gen_range(15..40))
-        } else {
-            None
-        };
+        self.scale_up_at = rng
+            .gen_bool(self.cfg.scale_up_prob)
+            .then(|| rng.gen_range(15..40));
         self.step_count = 0;
         self.now = SimTime::from_secs(self.cfg.warmup_secs);
         engine.run_until(self.now);
@@ -150,17 +133,17 @@ impl RlEnv for ClusterEnv {
         self.apply_limit();
         let (goodput, lat) = self.measure();
         self.prev_goodput = goodput;
-        self.state(goodput, lat)
+        env::state(goodput, self.limit, lat, self.slo)
     }
 
     fn step(&mut self, action: f64, _rng: &mut SmallRng) -> StepResult {
         self.step_count += 1;
-        self.limit = (self.limit * (1.0 + action)).max(self.scale * 0.01);
+        self.limit = env::step_limit(self.limit, action, self.scale);
         self.apply_limit();
+        let engine = self.engine.as_mut().expect("reset first");
         // Mid-episode capacity allocation: scale every service up 2×,
         // mimicking an autoscaler landing new pods.
         if self.scale_up_at == Some(self.step_count) {
-            let engine = self.engine.as_mut().expect("reset first");
             let services: Vec<(cluster::ServiceId, u32)> = engine
                 .topology()
                 .services()
@@ -171,16 +154,12 @@ impl RlEnv for ClusterEnv {
             }
         }
         self.now += SimDuration::from_secs(1);
-        self.engine
-            .as_mut()
-            .expect("reset first")
-            .run_until(self.now);
+        engine.run_until(self.now);
         let (good, lat) = self.measure();
-        let reward = (good - self.prev_goodput) / self.scale
-            - self.cfg.rho * ((lat - self.slo).max(0.0) / self.slo).min(5.0);
+        let reward = env::reward(good - self.prev_goodput, self.scale, lat, self.slo);
         self.prev_goodput = good;
         StepResult {
-            state: self.state(good, lat),
+            state: env::state(good, self.limit, lat, self.slo),
             reward,
             done: self.step_count >= self.horizon(),
         }

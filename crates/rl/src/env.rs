@@ -26,3 +26,29 @@ pub trait RlEnv {
         50
     }
 }
+
+/// The §4.3 state: goodput over the rate limit, clamped to `[0, 2]` (0
+/// at a zero limit), and tail latency over the SLO, clamped to `[0, 5]`.
+/// Both environments and the controller (`topfull::TopFull`) observe
+/// through it.
+pub fn state(goodput: f64, limit: f64, latency: f64, slo: f64) -> [f64; 2] {
+    let ratio = if limit > 0.0 { goodput / limit } else { 0.0 };
+    [ratio.clamp(0.0, 2.0), (latency / slo).clamp(0.0, 5.0)]
+}
+
+/// ρ in Equation 3: the weight of the latency penalty against the
+/// normalised goodput gain.
+const RHO: f64 = 1.0;
+
+/// Equation 3, normalised: the goodput `gain` since the last step over
+/// the episode's `scale`, less `RHO` times the latency's excess over
+/// the SLO in SLOs, capped at 5.
+pub fn reward(gain: f64, scale: f64, latency: f64, slo: f64) -> f64 {
+    gain / scale - RHO * ((latency - slo).max(0.0) / slo).min(5.0)
+}
+
+/// The limit after one step's multiplicative `action`, floored at 1 % of
+/// the episode's `scale` so that recovery is always possible.
+pub fn step_limit(limit: f64, action: f64, scale: f64) -> f64 {
+    (limit * (1.0 + action)).max(scale * 0.01)
+}

@@ -16,7 +16,7 @@
 //! allocations so the pre-trained policy also learns rapid *recovery*
 //! (§6.3 depends on this).
 
-use crate::env::{RlEnv, StepResult};
+use crate::env::{self, RlEnv, StepResult};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -74,6 +74,8 @@ struct Dag {
 /// The pre-training environment. Each episode draws fresh DAGs, node
 /// characteristics and demand; the agent controls one aggregate rate
 /// limit, exactly the quantity a per-cluster TopFull controller moves.
+/// `reset` sets every field, so a new environment is all zeros.
+#[derive(Default)]
 pub struct GraphEnv {
     dags: Vec<Dag>,
     /// Total offered demand (rps).
@@ -87,28 +89,11 @@ pub struct GraphEnv {
     /// Step at which capacity jumps (autoscaler allocation), if any.
     scale_up_at: Option<usize>,
     step_count: usize,
-    /// Latency SLO violation penalty coefficient (ρ in Equation 3).
-    pub rho: f64,
-}
-
-impl Default for GraphEnv {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl GraphEnv {
     pub fn new() -> Self {
-        GraphEnv {
-            dags: Vec::new(),
-            demand: 0.0,
-            limit: 1.0,
-            prev_goodput: 0.0,
-            scale: 1.0,
-            scale_up_at: None,
-            step_count: 0,
-            rho: 1.0,
-        }
+        Self::default()
     }
 
     /// Run the DAGs for one interval at the current limit; returns
@@ -134,15 +119,6 @@ impl GraphEnv {
         (total_good, max_lat)
     }
 
-    fn observe(&self, goodput: f64, latency: f64) -> [f64; 2] {
-        let ratio = if self.limit > 0.0 {
-            (goodput / self.limit).clamp(0.0, 2.0)
-        } else {
-            0.0
-        };
-        [ratio, (latency / SLO).clamp(0.0, 5.0)]
-    }
-
     /// Bottleneck capacity across DAGs (for tests/diagnostics): the total
     /// load at which some node first saturates, approximated as the sum of
     /// per-DAG minimum capacities.
@@ -159,11 +135,6 @@ impl GraphEnv {
                 min_cap * wsum / d.weight
             })
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Current rate limit (for tests).
-    pub fn limit(&self) -> f64 {
-        self.limit
     }
 }
 
@@ -189,16 +160,12 @@ impl RlEnv for GraphEnv {
         // Initial limit anywhere from deep throttling to wide open.
         self.limit = cap * rng.gen_range(0.2..2.5);
         self.scale = cap.max(1.0);
-        self.scale_up_at = if rng.gen_bool(0.4) {
-            Some(rng.gen_range(15..40))
-        } else {
-            None
-        };
+        self.scale_up_at = rng.gen_bool(0.4).then(|| rng.gen_range(15..40));
         self.step_count = 0;
         // Pre-existing congestion when the limit is too high.
         let (g, l) = self.simulate(rng);
         self.prev_goodput = g;
-        self.observe(g, l)
+        env::state(g, self.limit, l, SLO)
     }
 
     fn step(&mut self, action: f64, rng: &mut SmallRng) -> StepResult {
@@ -212,15 +179,12 @@ impl RlEnv for GraphEnv {
                 }
             }
         }
-        // Multiplicative rate adjustment, floored so recovery is possible.
-        self.limit = (self.limit * (1.0 + action)).max(self.scale * 0.01);
+        self.limit = env::step_limit(self.limit, action, self.scale);
         let (good, lat) = self.simulate(rng);
-        // Equation 3: ΔGoodput − ρ·max(0, latency − SLO), normalized.
-        let reward = (good - self.prev_goodput) / self.scale
-            - self.rho * ((lat - SLO).max(0.0) / SLO).min(5.0);
+        let reward = env::reward(good - self.prev_goodput, self.scale, lat, SLO);
         self.prev_goodput = good;
         StepResult {
-            state: self.observe(good, lat),
+            state: env::state(good, self.limit, lat, SLO),
             reward,
             done: self.step_count >= self.horizon(),
         }

@@ -61,6 +61,8 @@ pub struct TrainReport {
     /// checkpoint.
     pub history: Vec<(usize, f64, f64)>,
     pub episodes_run: usize,
+    /// Wall time, in seconds, that the checkpoint validations took.
+    pub validation_secs: f64,
 }
 
 /// Episode runner shared by training and validation.
@@ -178,6 +180,7 @@ impl Trainer {
         let mut update_rng = SmallRng::seed_from_u64(derive_seed(self.config.seed, "sgd"));
         let rollout = derive_seed(self.config.seed, "rollout");
         let mut iter = 0u64;
+        let mut validation_secs = 0.0;
 
         while episodes_run < self.config.episodes {
             let n = eps_per_iter.min(self.config.episodes - episodes_run).max(1);
@@ -195,6 +198,7 @@ impl Trainer {
                 || episodes_run >= self.config.episodes
             {
                 since_checkpoint = 0;
+                let start = std::time::Instant::now();
                 let val = validate(
                     make_env,
                     &self.ppo.model,
@@ -202,6 +206,7 @@ impl Trainer {
                     self.config.seed,
                     workers,
                 );
+                validation_secs += start.elapsed().as_secs_f64();
                 history.push((episodes_run, stats.mean_reward_per_episode, val));
                 if val > best_val {
                     best_val = val;
@@ -216,6 +221,7 @@ impl Trainer {
             final_model: self.ppo.model.clone(),
             history,
             episodes_run,
+            validation_secs,
         }
     }
 }
@@ -283,6 +289,7 @@ mod tests {
         );
         assert!(!report.history.is_empty());
         assert_eq!(report.episodes_run, 600);
+        assert!(report.validation_secs > 0.0);
     }
 
     #[test]

@@ -153,6 +153,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event holds in the slab: its payload slot and
+    /// its link.
+    pub const SLOT_BYTES: usize =
+        std::mem::size_of::<Option<E>>() + std::mem::size_of::<(SimTime, u64, u32)>();
+
     /// An empty queue with the clock at the epoch.
     pub fn new() -> Self {
         EventQueue {

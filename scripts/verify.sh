@@ -317,6 +317,18 @@ rejects_typo() { # $1 = document, $2 = the subcommand that checks it, $3... = it
 rejects_typo scenarios/invalid/controller_typo.json check
 rejects_typo scenarios/invalid/sharding_typo.workflow.json workflow --check
 rejects_typo scenarios/invalid/arm_typo.matrix.json matrix --check
+# A numeric leaf `run` cannot hold is refused by key the same way: two
+# APIs whose open-loop rates are each under the per-API bound but whose
+# sum would need more than 4 GB of pending arrivals.
+rejects_key() { # $1 = document, $2 = the key its refusal must name
+  local err
+  if err=$(./target/release/topfull check "$1" 2>&1 > /dev/null); then
+    echo "corpus dry-run: $1 was accepted"; exit 1
+  fi
+  grep -qF "$2" <<<"$err" \
+    || { echo "corpus dry-run: $1 rejected without naming $2: $err"; exit 1; }
+}
+rejects_key scenarios/invalid/open_loop_total_rate.json workload.rates
 
 # Fuzz smoke: a fixed seed must be byte-for-byte reproducible, and the
 # shipped controller must survive it with no objective tripped (the
