@@ -10,7 +10,7 @@
 
 use crate::artifacts_dir;
 use apps::{OnlineBoutique, TrainTicket};
-use rl::cluster_env::{ClusterEnv, ClusterEnvConfig};
+use rl::cluster_env::ClusterEnv;
 use rl::graph_env::GraphEnv;
 use rl::policy::PolicyValue;
 use rl::ppo::PpoConfig;
@@ -68,8 +68,7 @@ pub fn specialize(
     seed: u64,
 ) -> TrainReport {
     let mut trainer = Trainer::from_model(trainer_config(episodes, seed), base);
-    let cfg = ClusterEnvConfig::default();
-    let report = trainer.train(move || ClusterEnv::new(topo.clone(), cfg.clone()));
+    let report = trainer.train(move || ClusterEnv::new(topo.clone()));
     eprintln!(
         "specialized model: {} episodes, best validation reward {:.3}",
         report.episodes_run, report.best_validation_reward

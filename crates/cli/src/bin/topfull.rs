@@ -34,7 +34,6 @@
 //! objectives and shrinks findings to minimal reproducers.
 
 use std::path::PathBuf;
-use topfull_cli::schema::{ShardFaultJson, ShardingSpec};
 use topfull_cli::workflow::parse_workflow;
 use topfull_cli::{explain, fuzz, matrix, render_report, Scenario};
 
@@ -45,16 +44,13 @@ fn usage() -> ! {
   topfull check <scenario.json>
   topfull compare <scenario.json>
   topfull example
-  topfull live <scenario.json> --duration <secs> [--json] [--shards <n>] [--kill-shard <i>@<secs>]
+  topfull live <scenario.json> --duration <secs> [--json]
   topfull explain <run.json|journal.jsonl> [--fingerprint]
   topfull trace <run.json|traces.jsonl|http://host:port> [--id <trace>]
   topfull workflow <workflow.json> [--check | --emit]
   topfull matrix <matrix.json> [--json | --check] [--workers <n>]
   topfull fuzz [--seed <n>] [--iters <k>] [--base <workflow.json>] [--out <dir>] [--json]
 
-  --shards n          run n gateway shards under one logical controller
-                      (overrides the scenario's sharding.shards)
-  --kill-shard i@secs SIGKILL-style shard death at scenario-time secs
   --fingerprint       print the journal's order-sensitive fingerprint
   --id t              render only trace id t's waterfall
   --check             validate without running
@@ -92,7 +88,7 @@ fn flags(cmd: &str) -> Option<(&[&str], &[&str])> {
     Some(match cmd {
         "run" => (&["--json"], &[]),
         "check" | "compare" | "example" => (&[], &[]),
-        "live" => (&["--json"], &["--duration", "--shards", "--kill-shard"]),
+        "live" => (&["--json"], &["--duration"]),
         "explain" => (&["--fingerprint"], &[]),
         "trace" => (&[], &["--id"]),
         "workflow" => (&["--check", "--emit"], &[]),
@@ -140,34 +136,6 @@ fn emit<T: serde::Serialize>(args: &[String], value: &T, render: impl FnOnce(&T)
     } else {
         print!("{}", render(value));
     }
-}
-
-fn cmd_live(args: &[String], path: &str) {
-    let duration = flag_value::<u64>(args, "--duration").unwrap_or_else(|| usage());
-    let shards = match flag_value::<usize>(args, "--shards") {
-        Some(0) => usage(),
-        shards => shards,
-    };
-    let kill = flag_value::<String>(args, "--kill-shard").map(|k| {
-        let (shard, at) = k.split_once('@').unwrap_or_else(|| usage());
-        match (shard.parse(), at.parse()) {
-            (Ok(shard), Ok(at_secs)) => ShardFaultJson::Kill { shard, at_secs },
-            _ => usage(),
-        }
-    });
-    let mut sc = load(path);
-    // The flags fold into the scenario's sharding spec, creating one
-    // (with defaults) if the file had none.
-    if shards.is_some() || kill.is_some() {
-        let spec = sc.sharding.get_or_insert_with(|| ShardingSpec {
-            shards: 1,
-            ..ShardingSpec::default()
-        });
-        spec.shards = shards.unwrap_or(spec.shards);
-        spec.faults.extend(kill);
-    }
-    let out = topfull_cli::run_live(&sc, duration).unwrap_or_else(|e| fail(e));
-    emit(args, &out, |out| render_report(&sc, out));
 }
 
 fn cmd_workflow(args: &[String], path: &str) {
@@ -259,7 +227,12 @@ fn main() {
             let table = topfull_cli::report::compare(&load(path)).unwrap_or_else(|e| fail(e));
             print!("{table}");
         }
-        "live" => cmd_live(&args, path),
+        "live" => {
+            let duration = flag_value(&args, "--duration").unwrap_or_else(|| usage());
+            let sc = load(path);
+            let out = topfull_cli::run_live(&sc, duration).unwrap_or_else(|e| fail(e));
+            emit(&args, &out, |out| render_report(&sc, out));
+        }
         "explain" => {
             let text = if has(&args, "--fingerprint") {
                 explain::fingerprint_file(path).map(|fp| format!("{fp}\n"))

@@ -38,14 +38,26 @@ fn a_bare_or_unknown_subcommand_prints_usage_naming_every_subcommand() {
     }
 }
 
+/// Sharding is the document's `sharding` block alone: `live` knows no
+/// `--shards` or `--kill-shard` flag, whatever its value.
 #[test]
-fn malformed_live_shard_flags_are_usage_errors() {
-    for flags in [["--shards", "0"], ["--kill-shard", "1"]] {
+fn live_shard_flags_are_unknown_flags() {
+    for flags in [
+        ["--shards", "0"],
+        ["--shards", "3"],
+        ["--kill-shard", "1"],
+        ["--kill-shard", "1@2"],
+    ] {
         let mut args = vec!["live", "scenarios/live_smoke.json", "--duration", "1"];
         args.extend(flags);
         let out = topfull(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
-        assert!(stderr(&out).starts_with("usage:"), "{args:?}");
+        let usage = stderr(&out);
+        assert!(usage.starts_with("usage:"), "{args:?}");
+        assert!(
+            !usage.contains("shard"),
+            "usage names a shard flag:\n{usage}"
+        );
     }
 }
 

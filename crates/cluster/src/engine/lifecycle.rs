@@ -2,13 +2,14 @@
 //! completion, and teardown.
 //!
 //! Every point where a cross-cutting concern can veto a call goes
-//! through [`Planes::check`](super::planes::Planes::check): the caller
-//! side before dispatch, the service side on arrival, and the pod side
-//! before CPU is spent. The handlers here apply the returned
-//! [`Verdict`] mechanically — which counters move and which requests
-//! fail is decided by the planes.
+//! through the planes: [`Planes::dispatch`](super::planes::Planes::dispatch)
+//! on the caller side before dispatch, and
+//! [`Planes::accept`](super::planes::Planes::accept) on the service side
+//! on arrival and on the pod side before CPU is spent. The handlers here
+//! apply the returned [`Verdict`] mechanically — which counters move and
+//! which requests fail is decided by the planes.
 
-use super::planes::{CallCtx, LifecyclePoint, Verdict};
+use super::planes::{CallCtx, Verdict};
 use super::pods::{shortest_queue, InFlight, QueuedCall};
 use super::requests::{Parked, ReqId, RequestRt};
 use super::{Engine, Ev, ARRIVAL_LANE, HOP_LANE, HOP_LATENCY, TIMEOUT_LANE};
@@ -219,7 +220,7 @@ impl Engine {
             caller: tmpl.caller(node),
             callee: svc,
         };
-        match self.planes.check(LifecyclePoint::Dispatch, &ctx, now) {
+        match self.planes.dispatch(&ctx, now) {
             Verdict::Proceed { extra } => {
                 // Born sorted while `extra` is zero. A fault-plane delay
                 // moves the lane's tail ahead; the hops scheduled behind
@@ -276,7 +277,7 @@ impl Engine {
             caller: r.and_then(|r| self.templates[r.tmpl as usize].caller(node)),
             callee: svc_id,
         };
-        match self.planes.check(LifecyclePoint::Arrival, &ctx, now) {
+        match self.planes.accept(&ctx, now) {
             Verdict::Proceed { .. } => {}
             Verdict::Cancel => return,
             Verdict::Fail {
@@ -336,7 +337,7 @@ impl Engine {
                 caller: None,
                 callee: svc_id,
             };
-            match self.planes.check(LifecyclePoint::Process, &ctx, now) {
+            match self.planes.accept(&ctx, now) {
                 Verdict::Proceed { .. } => break call,
                 Verdict::Cancel => {}
                 Verdict::Fail {

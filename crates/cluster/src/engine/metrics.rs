@@ -88,7 +88,9 @@ impl Engine {
     pub(super) fn on_metrics_tick(&mut self, now: SimTime) {
         let obs = self.finalize_window(now);
         // Admission controllers update their thresholds on fresh metrics.
-        self.planes.admission.on_interval(&obs);
+        if let Some(ctrl) = self.planes.admission.as_mut() {
+            ctrl.on_interval(&obs);
+        }
         // The front-door priority gate adapts on the same true window.
         self.front_tick(now, &obs);
         // Crash-loop probes.

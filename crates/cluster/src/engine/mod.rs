@@ -21,9 +21,9 @@
 //!   scaling, and the VM pool.
 //! * `metrics` — per-window accumulators, window close, and observation
 //!   building.
-//! * `planes` — the uniform request-lifecycle hook (`planes::Plane`, not
-//!   the control loop's [`crate::Plane`]) through which admission,
-//!   resilience, and fault injection observe and veto a request.
+//! * `planes` — the request-lifecycle hook through which admission,
+//!   resilience, and fault injection veto a call: `Planes::dispatch` on
+//!   the caller side, `Planes::accept` at the service and the pod.
 //!
 //! ## Determinism
 //!
@@ -359,7 +359,7 @@ impl Engine {
 
     /// Install a per-service admission controller (DAGOR, Breakwater).
     pub fn set_admission(&mut self, a: Box<dyn AdmissionControl>) {
-        self.planes.admission.ctrl = Some(a);
+        self.planes.admission = Some(a);
     }
 
     /// Enable the front-door admission plane ([`crate::front`]) in

@@ -4,35 +4,24 @@
 //! cluster: per-service **admission** control (DAGOR, Breakwater), the
 //! request-plane **resilience** layer (deadlines, doomed-work
 //! cancellation, circuit breakers), and the gray-failure **fault**
-//! plane (degraded network paths). Before this module they were each
-//! hand-threaded through the engine's lifecycle handlers; now they all
-//! implement one [`Plane`] trait consulted at the same three
-//! [`LifecyclePoint`]s, in a fixed order, and answer with a uniform
-//! [`Verdict`] the lifecycle code applies mechanically.
+//! plane (degraded network paths). [`Planes`] asks them at two points
+//! and answers with a uniform [`Verdict`] the lifecycle code applies
+//! mechanically: [`Planes::dispatch`] on the caller side, where all
+//! three judge in the fixed order resilience → admission → faults, and
+//! [`Planes::accept`] on the service side, as a call reaches the pod
+//! queues and again before a pod spends CPU on it, where only
+//! resilience judges.
 //!
-//! Keeping the consultation order fixed (resilience → admission →
-//! faults) and short-circuiting on the first veto preserves the exact
-//! event and RNG sequence of the monolithic engine — determinism is the
-//! refactor's regression oracle.
+//! The fixed order, short-circuiting on the first veto, preserves the
+//! exact event and RNG sequence of the monolithic engine — determinism
+//! is the refactor's regression oracle.
 
 use crate::admission::AdmissionControl;
 use crate::faults::FaultPlane;
-use crate::observe::ClusterObservation;
 use crate::resilience::{EdgeBreakers, ResilienceConfig, ResilienceCounters, ResilienceStats};
 use crate::types::{RequestMeta, RequestOutcome, ServiceId};
 use rand::rngs::SmallRng;
 use simnet::{SimDuration, SimTime};
-
-/// Where in the request lifecycle a plane is being consulted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum LifecyclePoint {
-    /// Caller side, before a sub-call is sent downstream.
-    Dispatch,
-    /// Service side, as the call reaches the pod queues.
-    Arrival,
-    /// Pod side, before CPU is spent on a queued call.
-    Process,
-}
 
 /// The call a plane is asked to judge.
 #[derive(Clone, Copy, Debug)]
@@ -47,8 +36,8 @@ pub(super) struct CallCtx {
     pub callee: ServiceId,
 }
 
-/// A plane's answer at a lifecycle point.
-#[derive(Clone, Copy, Debug)]
+/// The planes' answer at a lifecycle point.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(super) enum Verdict {
     /// Let the call continue; `extra` is added network latency
     /// (dispatch only).
@@ -64,21 +53,6 @@ pub(super) enum Verdict {
         drop_at_callee: bool,
         edge_failure: bool,
     },
-}
-
-impl Verdict {
-    pub(super) fn proceed() -> Self {
-        Verdict::Proceed {
-            extra: SimDuration::ZERO,
-        }
-    }
-}
-
-/// One cross-cutting concern hooked into the lifecycle. Implementations
-/// must be deterministic: any randomness comes from their own forked RNG
-/// stream so enabling a plane never perturbs the base simulation.
-pub(super) trait Plane {
-    fn check(&mut self, point: LifecyclePoint, ctx: &CallCtx, now: SimTime) -> Verdict;
 }
 
 /// Per-plane veto counters: calls cancelled or failed by each plane,
@@ -116,7 +90,9 @@ impl PlaneVetoCounters {
 /// The engine's plane stack, consulted in fixed order.
 pub(super) struct Planes {
     pub(super) resilience: ResiliencePlane,
-    pub(super) admission: AdmissionPlane,
+    /// Per-service admission control (DAGOR, Breakwater): the upstream
+    /// checks the downstream's advertised threshold before sending.
+    pub(super) admission: Option<Box<dyn AdmissionControl>>,
     pub(super) faults: FaultPlane,
     /// How often each plane vetoed a call (Cancel or Fail verdicts).
     pub(super) vetoes: PlaneVetoCounters,
@@ -126,7 +102,7 @@ impl Planes {
     pub(super) fn new(fault_rng: SmallRng) -> Self {
         Planes {
             resilience: ResiliencePlane::default(),
-            admission: AdmissionPlane { ctrl: None },
+            admission: None,
             faults: FaultPlane::new(fault_rng),
             vetoes: PlaneVetoCounters::default(),
         }
@@ -140,66 +116,52 @@ impl Planes {
         self.faults.counters().register_into(reg);
     }
 
-    /// Consult every plane at `point`, short-circuiting on the first
-    /// veto; `Proceed` latencies accumulate. The consultation order is
-    /// fixed (resilience → admission → faults) and veto accounting is
-    /// plain counter increments, so adding telemetry never perturbs the
+    /// Caller side, before a sub-call is sent downstream: resilience
+    /// (deadline, breaker), then admission (the callee's advertised
+    /// threshold), then faults (a degraded network path, whose delay is
+    /// the `Proceed` latency). The first veto wins and is the only one
+    /// counted, and the fault plane draws its RNG only for a call the
+    /// two before it let through, so the veto counts never perturb the
     /// event or RNG sequence.
-    pub(super) fn check(&mut self, point: LifecyclePoint, ctx: &CallCtx, now: SimTime) -> Verdict {
-        let mut total = SimDuration::ZERO;
-        for i in 0..3 {
-            let verdict = match i {
-                0 => self.resilience.check(point, ctx, now),
-                1 => self.admission.check(point, ctx, now),
-                _ => self.faults.check(point, ctx, now),
-            };
-            match verdict {
-                Verdict::Proceed { extra } => total += extra,
-                veto => {
-                    match i {
-                        0 => self.vetoes.resilience.inc(),
-                        1 => self.vetoes.admission.inc(),
-                        _ => self.vetoes.faults.inc(),
-                    }
-                    return veto;
-                }
+    pub(super) fn dispatch(&mut self, ctx: &CallCtx, now: SimTime) -> Verdict {
+        if let Some(veto) = self.resilience.veto_dispatch(ctx, now) {
+            self.vetoes.resilience.inc();
+            return veto;
+        }
+        if let (Some(ctrl), Some(meta)) = (self.admission.as_mut(), ctx.meta.as_ref()) {
+            if !ctrl.admit(ctx.callee, meta, now) {
+                self.vetoes.admission.inc();
+                return Verdict::Fail {
+                    outcome: RequestOutcome::RejectedAtService(ctx.callee),
+                    drop_at_callee: true,
+                    edge_failure: true,
+                };
             }
         }
-        Verdict::Proceed { extra: total }
-    }
-}
-
-/// Per-service admission control (DAGOR, Breakwater): the upstream
-/// checks the downstream's advertised threshold before sending.
-pub(super) struct AdmissionPlane {
-    pub(super) ctrl: Option<Box<dyn AdmissionControl>>,
-}
-
-impl AdmissionPlane {
-    /// Admission controllers update their thresholds on fresh metrics.
-    pub(super) fn on_interval(&mut self, obs: &ClusterObservation) {
-        if let Some(ctrl) = self.ctrl.as_mut() {
-            ctrl.on_interval(obs);
-        }
-    }
-}
-
-impl Plane for AdmissionPlane {
-    fn check(&mut self, point: LifecyclePoint, ctx: &CallCtx, now: SimTime) -> Verdict {
-        if point != LifecyclePoint::Dispatch {
-            return Verdict::proceed();
-        }
-        let (Some(ctrl), Some(meta)) = (self.ctrl.as_mut(), ctx.meta.as_ref()) else {
-            return Verdict::proceed();
-        };
-        if ctrl.admit(ctx.callee, meta, now) {
-            Verdict::proceed()
-        } else {
-            Verdict::Fail {
-                outcome: RequestOutcome::RejectedAtService(ctx.callee),
+        let net = self.faults.net_effect(now, ctx.callee);
+        if net.dropped {
+            self.vetoes.faults.inc();
+            return Verdict::Fail {
+                outcome: RequestOutcome::NetworkLost(ctx.callee),
                 drop_at_callee: true,
                 edge_failure: true,
+            };
+        }
+        Verdict::Proceed { extra: net.extra }
+    }
+
+    /// Service side, as a call reaches the pod queues and again before a
+    /// pod spends CPU on it. Admission and faults act at dispatch only,
+    /// so resilience alone judges here.
+    pub(super) fn accept(&mut self, ctx: &CallCtx, now: SimTime) -> Verdict {
+        match self.resilience.veto_accept(ctx, now) {
+            Some(veto) => {
+                self.vetoes.resilience.inc();
+                veto
             }
+            None => Verdict::Proceed {
+                extra: SimDuration::ZERO,
+            },
         }
     }
 }
@@ -310,78 +272,48 @@ impl ResiliencePlane {
     fn deadline_expired(&self, ctx: &CallCtx, now: SimTime) -> bool {
         matches!(ctx.meta.and_then(|m| m.deadline), Some(dl) if now >= dl)
     }
-}
 
-impl Plane for ResiliencePlane {
-    fn check(&mut self, point: LifecyclePoint, ctx: &CallCtx, now: SimTime) -> Verdict {
-        match point {
-            // A caller never dispatches work its deadline can no longer
-            // use, nor across an open breaker.
-            LifecyclePoint::Dispatch => {
-                if self.deadline_expired(ctx, now) {
-                    self.counters.deadline_rejected.inc();
-                    return Verdict::Fail {
-                        outcome: RequestOutcome::DeadlineExpired(ctx.callee),
-                        drop_at_callee: false,
-                        edge_failure: false,
-                    };
-                }
-                if let Some(b) = self.breakers.as_mut() {
-                    if !b.allow(ctx.caller, ctx.callee, now) {
-                        self.counters.breaker_rejected.inc();
-                        return Verdict::Fail {
-                            outcome: RequestOutcome::BreakerOpen(ctx.callee),
-                            drop_at_callee: false,
-                            edge_failure: false,
-                        };
-                    }
-                }
-                Verdict::proceed()
-            }
-            // The service recognizes dead requests at the door and
-            // checks the propagated deadline before accepting; a pod
-            // re-checks both before spending CPU on a queued call.
-            LifecyclePoint::Arrival | LifecyclePoint::Process => {
-                if ctx.meta.is_none() {
-                    if self.cancel_doomed {
-                        self.counters.doomed_cancelled.inc();
-                        return Verdict::Cancel;
-                    }
-                    return Verdict::proceed();
-                }
-                if self.deadline_expired(ctx, now) {
-                    self.counters.deadline_rejected.inc();
-                    return Verdict::Fail {
-                        outcome: RequestOutcome::DeadlineExpired(ctx.callee),
-                        drop_at_callee: true,
-                        edge_failure: false,
-                    };
-                }
-                Verdict::proceed()
-            }
-        }
-    }
-}
-
-/// The gray-failure fault plane's lifecycle hook: degraded network paths
-/// drop or delay forward calls at dispatch. (Its telemetry distortions
-/// and slow-pod factors are queried from the metrics and pod runtimes
-/// directly — they shape observations and service times, not call
-/// admission.)
-impl Plane for FaultPlane {
-    fn check(&mut self, point: LifecyclePoint, ctx: &CallCtx, now: SimTime) -> Verdict {
-        if point != LifecyclePoint::Dispatch {
-            return Verdict::proceed();
-        }
-        let net = self.net_effect(now, ctx.callee);
-        if net.dropped {
-            Verdict::Fail {
-                outcome: RequestOutcome::NetworkLost(ctx.callee),
-                drop_at_callee: true,
-                edge_failure: true,
-            }
+    /// A caller never dispatches work its deadline can no longer use,
+    /// nor across an open breaker.
+    fn veto_dispatch(&mut self, ctx: &CallCtx, now: SimTime) -> Option<Verdict> {
+        let outcome = if self.deadline_expired(ctx, now) {
+            self.counters.deadline_rejected.inc();
+            RequestOutcome::DeadlineExpired(ctx.callee)
+        } else if self
+            .breakers
+            .as_mut()
+            .is_some_and(|b| !b.allow(ctx.caller, ctx.callee, now))
+        {
+            self.counters.breaker_rejected.inc();
+            RequestOutcome::BreakerOpen(ctx.callee)
         } else {
-            Verdict::Proceed { extra: net.extra }
+            return None;
+        };
+        Some(Verdict::Fail {
+            outcome,
+            drop_at_callee: false,
+            edge_failure: false,
+        })
+    }
+
+    /// The service recognizes dead requests at the door and checks the
+    /// propagated deadline before accepting; a pod re-checks both before
+    /// spending CPU on a queued call.
+    fn veto_accept(&mut self, ctx: &CallCtx, now: SimTime) -> Option<Verdict> {
+        if ctx.meta.is_none() {
+            if !self.cancel_doomed {
+                return None;
+            }
+            self.counters.doomed_cancelled.inc();
+            return Some(Verdict::Cancel);
         }
+        self.deadline_expired(ctx, now).then(|| {
+            self.counters.deadline_rejected.inc();
+            Verdict::Fail {
+                outcome: RequestOutcome::DeadlineExpired(ctx.callee),
+                drop_at_callee: true,
+                edge_failure: false,
+            }
+        })
     }
 }

@@ -1269,3 +1269,147 @@ mod request_table {
         );
     }
 }
+
+mod planes {
+    use crate::admission::AdmissionControl;
+    use crate::engine::planes::{CallCtx, Planes, Verdict};
+    use crate::faults::FaultSpec;
+    use crate::observe::ClusterObservation;
+    use crate::resilience::{DeadlineConfig, ResilienceConfig};
+    use crate::types::{ApiId, BusinessPriority, RequestMeta, RequestOutcome, ServiceId};
+    use rand::SeedableRng;
+    use simnet::{SimDuration, SimTime};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+
+    /// Refuses every call to service 1 and counts how often it is asked.
+    struct RefuseOne(Arc<AtomicU32>);
+
+    impl AdmissionControl for RefuseOne {
+        fn admit(&mut self, service: ServiceId, _: &RequestMeta, _: SimTime) -> bool {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            service != ServiceId(1)
+        }
+
+        fn on_interval(&mut self, _: &ClusterObservation) {}
+    }
+
+    /// Deadlines on, admission refusing service 1, and every forward
+    /// call lost on the network: each plane would veto something.
+    fn vetoing_planes(admits: &Arc<AtomicU32>) -> Planes {
+        let mut p = Planes::new(rand::rngs::SmallRng::seed_from_u64(9));
+        p.resilience.configure(
+            ResilienceConfig {
+                deadlines: Some(DeadlineConfig::default()),
+                breakers: None,
+            },
+            SimDuration::from_secs(1),
+        );
+        p.admission = Some(Box::new(RefuseOne(Arc::clone(admits))));
+        p.faults.add(vec![FaultSpec::NetworkDegrade {
+            from: SimTime::ZERO,
+            until: SimTime::from_secs(100),
+            service: None,
+            extra_latency: SimDuration::from_millis(5),
+            loss: 1.0,
+        }]);
+        p
+    }
+
+    fn fail(outcome: RequestOutcome, drop_at_callee: bool, edge_failure: bool) -> Verdict {
+        Verdict::Fail {
+            outcome,
+            drop_at_callee,
+            edge_failure,
+        }
+    }
+
+    /// Who answers at each point, and whose veto is counted: the first
+    /// plane to veto a dispatch is the only one asked or counted, and a
+    /// service-side check never reaches admission or faults.
+    #[test]
+    fn the_first_veto_is_the_only_one_counted_and_accept_asks_resilience_alone() {
+        let (s0, s1) = (ServiceId(0), ServiceId(1));
+        let meta = |deadline_secs| {
+            Some(RequestMeta {
+                api: ApiId(0),
+                business: BusinessPriority::HIGHEST,
+                user: 0,
+                arrival: SimTime::ZERO,
+                deadline: Some(SimTime::from_secs(deadline_secs)),
+            })
+        };
+        let (expired, alive) = (meta(1), meta(10));
+        // (point, request, callee, verdict, vetoes (resilience,
+        // admission, faults), admission asked, network drops)
+        let rows = [
+            (
+                "dispatch",
+                expired,
+                s1,
+                fail(RequestOutcome::DeadlineExpired(s1), false, false),
+                (1, 0, 0),
+                0,
+                0,
+            ),
+            (
+                "dispatch",
+                alive,
+                s1,
+                fail(RequestOutcome::RejectedAtService(s1), true, true),
+                (0, 1, 0),
+                1,
+                0,
+            ),
+            (
+                "dispatch",
+                alive,
+                s0,
+                fail(RequestOutcome::NetworkLost(s0), true, true),
+                (0, 0, 1),
+                1,
+                1,
+            ),
+            (
+                "accept",
+                expired,
+                s1,
+                fail(RequestOutcome::DeadlineExpired(s1), true, false),
+                (1, 0, 0),
+                0,
+                0,
+            ),
+            ("accept", None, s1, Verdict::Cancel, (1, 0, 0), 0, 0),
+            (
+                "accept",
+                alive,
+                s1,
+                Verdict::Proceed {
+                    extra: SimDuration::ZERO,
+                },
+                (0, 0, 0),
+                0,
+                0,
+            ),
+        ];
+        for (point, meta, callee, want, vetoes, asked, drops) in rows {
+            let admits = Arc::new(AtomicU32::new(0));
+            let mut p = vetoing_planes(&admits);
+            let ctx = CallCtx {
+                meta,
+                caller: Some(s0),
+                callee,
+            };
+            let now = SimTime::from_secs(2);
+            let got = match point {
+                "dispatch" => p.dispatch(&ctx, now),
+                _ => p.accept(&ctx, now),
+            };
+            let case = format!("{point} {meta:?} → {callee:?}");
+            assert_eq!(got, want, "{case}");
+            assert_eq!(p.vetoes.snapshot(), vetoes, "{case}");
+            assert_eq!(admits.load(Ordering::Relaxed), asked, "{case}");
+            assert_eq!(p.faults.counters().net_drops.get(), drops, "{case}");
+        }
+    }
+}

@@ -133,32 +133,6 @@ impl RateSchedule {
     pub fn surge(base: f64, peak: f64, from: SimTime, until: SimTime) -> Self {
         RateSchedule::steps(vec![(SimTime::ZERO, base), (from, peak), (until, base)])
     }
-
-    /// A diurnal-style profile: a sinusoid between `low` and `high` with
-    /// the given period, discretized into per-`resolution` steps over
-    /// `duration`. Useful for long-horizon autoscaler studies where load
-    /// breathes instead of stepping.
-    pub fn diurnal(
-        low: f64,
-        high: f64,
-        period: SimDuration,
-        duration: SimDuration,
-        resolution: SimDuration,
-    ) -> Self {
-        assert!(!period.is_zero() && !resolution.is_zero());
-        let mid = (low + high) / 2.0;
-        let amp = (high - low) / 2.0;
-        let mut steps = Vec::new();
-        let mut t = SimDuration::ZERO;
-        while t <= duration {
-            let phase = 2.0 * std::f64::consts::PI * t.as_secs_f64() / period.as_secs_f64();
-            // Start at the trough so runs warm up gently.
-            let v = mid - amp * phase.cos();
-            steps.push((SimTime::ZERO + t, v.max(0.0)));
-            t += resolution;
-        }
-        RateSchedule::steps(steps)
-    }
 }
 
 /// Open-loop Poisson arrivals per API, with per-API rate schedules.
@@ -397,26 +371,6 @@ mod tests {
         assert_eq!(s.at(SimTime::from_secs(10)), 500.0);
         assert_eq!(s.at(SimTime::from_secs(19)), 500.0);
         assert_eq!(s.at(SimTime::from_secs(20)), 100.0);
-    }
-
-    #[test]
-    fn diurnal_profile_breathes_between_bounds() {
-        let s = RateSchedule::diurnal(
-            100.0,
-            500.0,
-            SimDuration::from_secs(100),
-            SimDuration::from_secs(200),
-            SimDuration::from_secs(1),
-        );
-        // Trough at t=0, peak at half period, trough again at the period.
-        assert!((s.at(SimTime::ZERO) - 100.0).abs() < 1.0);
-        assert!((s.at(SimTime::from_secs(50)) - 500.0).abs() < 1.0);
-        assert!((s.at(SimTime::from_secs(100)) - 100.0).abs() < 1.0);
-        // Never outside the bounds.
-        for t in 0..200u64 {
-            let v = s.at(SimTime::from_secs(t));
-            assert!((99.0..=501.0).contains(&v), "t={t} v={v}");
-        }
     }
 
     #[test]

@@ -81,10 +81,7 @@ impl RlRateController {
 
 impl RateController for RlRateController {
     fn decide(&self, s: RateState) -> f64 {
-        let state = [
-            s.goodput_ratio.clamp(0.0, 2.0),
-            s.latency_ratio.clamp(0.0, 5.0),
-        ];
+        let state = rl::env::clamp(s.goodput_ratio, s.latency_ratio);
         self.actor.act_deterministic(&state)
     }
 

@@ -669,9 +669,11 @@ impl ShardLocalGuard {
             } else {
                 ceiling / BLIND_CAP
             };
+            let [goodput_ratio, latency_ratio] =
+                rl::env::state(api.goodput, cur, api.tail_latency().as_secs_f64(), slo);
             let state = RateState {
-                goodput_ratio: (api.goodput / cur.max(1e-9)).clamp(0.0, 2.0),
-                latency_ratio: api.tail_latency().as_secs_f64() / slo,
+                goodput_ratio,
+                latency_ratio,
                 total_limit: cur,
             };
             let action = self.fallback.decide(state).clamp(-0.5, 0.5);

@@ -18,35 +18,20 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::{SimDuration, SimTime};
 
-/// Configuration of the specialization environment.
-#[derive(Clone, Debug)]
-pub struct ClusterEnvConfig {
-    /// Per-API offered-rate range, as a multiple of a nominal per-API
-    /// base rate (drawn per episode).
-    pub base_rate: f64,
-    pub surge_range: (f64, f64),
-    /// Probability an episode includes a mid-episode capacity scale-up.
-    pub scale_up_prob: f64,
-    /// Warmup before the first observation (s).
-    pub warmup_secs: u64,
-}
-
-impl Default for ClusterEnvConfig {
-    fn default() -> Self {
-        ClusterEnvConfig {
-            base_rate: 300.0,
-            surge_range: (0.3, 3.0),
-            scale_up_prob: 0.4,
-            warmup_secs: 3,
-        }
-    }
-}
+/// Nominal per-API offered rate (requests/s), before the surge.
+const BASE_RATE: f64 = 300.0;
+/// Range of the per-episode surge, a multiple of [`BASE_RATE`] drawn per
+/// API.
+const SURGE_RANGE: std::ops::Range<f64> = 0.3..3.0;
+/// Probability an episode includes a mid-episode capacity scale-up.
+const SCALE_UP_PROB: f64 = 0.4;
+/// Warmup before the first observation (s).
+const WARMUP_SECS: u64 = 3;
 
 /// The environment. `reset` rebuilds the engine; `step` advances one
 /// control interval (1 simulated second).
 pub struct ClusterEnv {
     topo: Topology,
-    cfg: ClusterEnvConfig,
     engine: Option<Engine>,
     /// Collective rate limit applied across all APIs (split evenly).
     limit: f64,
@@ -61,10 +46,9 @@ pub struct ClusterEnv {
 
 impl ClusterEnv {
     /// An environment over `topo` (cloned per episode).
-    pub fn new(topo: Topology, cfg: ClusterEnvConfig) -> Self {
+    pub fn new(topo: Topology) -> Self {
         ClusterEnv {
             topo,
-            cfg,
             engine: None,
             limit: 1.0,
             prev_goodput: 0.0,
@@ -104,10 +88,7 @@ impl RlEnv for ClusterEnv {
         let rates: Vec<(cluster::ApiId, f64)> = self
             .topo
             .apis()
-            .map(|(id, _)| {
-                let (lo, hi) = self.cfg.surge_range;
-                (id, self.cfg.base_rate * rng.gen_range(lo..hi))
-            })
+            .map(|(id, _)| (id, BASE_RATE * rng.gen_range(SURGE_RANGE)))
             .collect();
         let total_offered: f64 = rates.iter().map(|(_, r)| r).sum();
         let workload = OpenLoopWorkload::constant(rates);
@@ -122,11 +103,9 @@ impl RlEnv for ClusterEnv {
         // Start the collective limit anywhere from throttled to open.
         self.limit = total_offered * rng.gen_range(0.2..1.2);
         self.scale = total_offered.max(1.0);
-        self.scale_up_at = rng
-            .gen_bool(self.cfg.scale_up_prob)
-            .then(|| rng.gen_range(15..40));
+        self.scale_up_at = rng.gen_bool(SCALE_UP_PROB).then(|| rng.gen_range(15..40));
         self.step_count = 0;
-        self.now = SimTime::from_secs(self.cfg.warmup_secs);
+        self.now = SimTime::from_secs(WARMUP_SECS);
         engine.run_until(self.now);
         self.slo = engine.config().slo.as_secs_f64();
         self.engine = Some(engine);
@@ -185,7 +164,7 @@ mod tests {
 
     #[test]
     fn reset_and_full_episode_run() {
-        let mut env = ClusterEnv::new(topo(), ClusterEnvConfig::default());
+        let mut env = ClusterEnv::new(topo());
         let mut rng = SmallRng::seed_from_u64(1);
         let s0 = env.reset(&mut rng);
         assert!(s0.iter().all(|x| x.is_finite()));
@@ -201,20 +180,13 @@ mod tests {
     #[test]
     fn throttling_to_capacity_yields_high_ratio() {
         // 2 pods × 10 ms = 200 rps capacity.
-        let mut env = ClusterEnv::new(
-            topo(),
-            ClusterEnvConfig {
-                base_rate: 600.0,
-                surge_range: (1.0, 1.00001),
-                scale_up_prob: 0.0,
-                ..ClusterEnvConfig::default()
-            },
-        );
+        let mut env = ClusterEnv::new(topo());
         let mut rng = SmallRng::seed_from_u64(2);
         env.reset(&mut rng);
-        // Drive the limit to ~150 rps (below capacity) and let the
-        // warmup backlog drain before judging.
-        env.limit = 150.0;
+        // Hold the limit below both the capacity and the rate this
+        // episode offers (`scale`), and let the warmup backlog drain
+        // before judging.
+        env.limit = 150.0_f64.min(0.75 * env.scale);
         env.apply_limit();
         let mut last = [0.0, 0.0];
         for _ in 0..15 {
@@ -226,7 +198,7 @@ mod tests {
 
     #[test]
     fn episodes_are_randomized() {
-        let mut env = ClusterEnv::new(topo(), ClusterEnvConfig::default());
+        let mut env = ClusterEnv::new(topo());
         let mut rng = SmallRng::seed_from_u64(3);
         env.reset(&mut rng);
         let l1 = env.limit;

@@ -27,13 +27,21 @@ pub trait RlEnv {
     }
 }
 
-/// The §4.3 state: goodput over the rate limit, clamped to `[0, 2]` (0
-/// at a zero limit), and tail latency over the SLO, clamped to `[0, 5]`.
-/// Both environments and the controller (`topfull::TopFull`) observe
+/// The §4.3 state: goodput over the rate limit (0 at a zero limit) and
+/// tail latency over the SLO, through [`clamp`]. Both environments, the
+/// controller (`topfull::TopFull`) and a shard's local fallback observe
 /// through it.
 pub fn state(goodput: f64, limit: f64, latency: f64, slo: f64) -> [f64; 2] {
     let ratio = if limit > 0.0 { goodput / limit } else { 0.0 };
-    [ratio.clamp(0.0, 2.0), (latency / slo).clamp(0.0, 5.0)]
+    clamp(ratio, latency / slo)
+}
+
+/// The §4.3 state's range: the goodput ratio clamped to `[0, 2]`, the
+/// latency ratio to `[0, 5]` (a NaN stays NaN). The served policy
+/// (`topfull::RlRateController`) clamps whatever state it is handed
+/// here, since a `RateController` may be called with any ratios.
+pub fn clamp(goodput_ratio: f64, latency_ratio: f64) -> [f64; 2] {
+    [goodput_ratio.clamp(0.0, 2.0), latency_ratio.clamp(0.0, 5.0)]
 }
 
 /// ρ in Equation 3: the weight of the latency penalty against the

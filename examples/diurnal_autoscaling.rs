@@ -25,13 +25,16 @@ const RUN_S: u64 = 320;
 fn engine(seed: u64) -> Engine {
     let ob = OnlineBoutique::build();
     let weights = ob.apis().iter().map(|a| (*a, 1.0)).collect();
-    // 300 → 6000 users, two full cycles.
-    let users = RateSchedule::diurnal(
-        300.0,
-        6000.0,
-        SimDuration::from_secs(PERIOD_S),
-        SimDuration::from_secs(RUN_S),
-        SimDuration::from_secs(5),
+    // 300 → 6000 users, two full cycles in 5 s steps, starting at the
+    // trough so the run warms up gently.
+    let users = RateSchedule::steps(
+        (0..=RUN_S)
+            .step_by(5)
+            .map(|t| {
+                let phase = std::f64::consts::TAU * t as f64 / PERIOD_S as f64;
+                (SimTime::from_secs(t), 3150.0 - 2850.0 * phase.cos())
+            })
+            .collect(),
     );
     let w = ClosedLoopWorkload::new(weights, users, SimDuration::from_secs(1));
     let mut e = Engine::new(

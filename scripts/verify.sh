@@ -224,12 +224,13 @@ grep -q '^# TYPE topfull_loop_stage_seconds histogram' <<<"$m2" \
   || { echo "slo smoke: per-stage event-loop histograms missing"; exit 1; }
 
 # Sharded live smoke: 3 real gateway shards under one logical
-# controller, shard 1 SIGKILLed mid-run. The fleet must drain cleanly
-# (exit 0), journal the strike-out, and redistribute the dead shard's
-# quota to the survivors.
+# controller, shard 1 SIGKILLed two seconds in by the document's
+# `sharding.faults` (4 s of a 4 s document: no compression). The fleet
+# must drain cleanly (exit 0), journal the strike-out, and redistribute
+# the dead shard's quota to the survivors.
 section sharded live smoke
 ./target/release/topfull live scenarios/live_shards_smoke.json \
-  --duration 4 --kill-shard 1@2 --json > /tmp/topfull_live_shards.json &
+  --duration 4 --json > /tmp/topfull_live_shards.json &
 shards_pid=$!
 scrape_shard_metrics() {
   exec 3<>/dev/tcp/127.0.0.1/19185

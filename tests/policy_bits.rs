@@ -18,7 +18,7 @@ mod common;
 
 use common::{assert_rows, fnv1a, FNV_OFFSET};
 use rand::SeedableRng;
-use rl::cluster_env::{ClusterEnv, ClusterEnvConfig};
+use rl::cluster_env::ClusterEnv;
 use rl::graph_env::GraphEnv;
 use rl::{PolicyValue, PpoConfig, RlEnv, Trainer, TrainerConfig};
 use topfull::{RateController, RateState, RlRateController};
@@ -149,8 +149,7 @@ fn a_fixed_seed_training_run_serialises_to_the_recorded_bytes() {
 fn a_fixed_seed_specialization_serialises_to_the_recorded_bytes() {
     let trainer = Trainer::from_model(short_run(4, 4, 2), committed("base"));
     let topo = apps::OnlineBoutique::build().topology;
-    let cfg = ClusterEnvConfig::default();
-    let got = final_model_bits(trainer, || ClusterEnv::new(topo.clone(), cfg.clone()));
+    let got = final_model_bits(trainer, || ClusterEnv::new(topo.clone()));
     assert_rows(&[("policy.specialize_seed31", got)]);
 }
 
