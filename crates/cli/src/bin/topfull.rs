@@ -1,5 +1,5 @@
 //! `topfull` — run overload-control scenarios on the simulator or the
-//! live plane, and drive workflows, matrices and the fuzzer.
+//! live plane, and drive matrices and the fuzzer.
 //!
 //! ```text
 //! topfull run <scenario.json> [--json]       # execute a scenario
@@ -9,9 +9,8 @@
 //! topfull live <scenario.json> --duration <secs> [--json]
 //! topfull explain <run.json|journal.jsonl>
 //! topfull trace <run.json|traces.jsonl|http://host:port> [--id <trace>]
-//! topfull workflow <workflow.json> [--check | --emit]
 //! topfull matrix <matrix.json> [--json | --check] [--workers <n>]
-//! topfull fuzz [--seed <n>] [--iters <k>] [--base <workflow.json>]
+//! topfull fuzz [--seed <n>] [--iters <k>] [--base <scenario.json>]
 //!              [--out <dir>] [--json]
 //! ```
 //!
@@ -27,14 +26,12 @@
 //! `live` serves the scenario's topology as a real multi-threaded TCP
 //! gateway plus CPU-burning worker pool on 127.0.0.1 and drives the
 //! same TopFull controller the simulator uses on a real timer tick.
-//! `workflow` compiles a declarative phase workflow to the plain
-//! scenario schema; `matrix` expands workloads × fault plans ×
+//! `matrix` expands a base scenario × workloads × fault plans ×
 //! controller arms and runs every cell through the experiment worker
-//! pool; `fuzz` mutates workflow genomes against SLO-violation
+//! pool; `fuzz` mutates a `phases` scenario against SLO-violation
 //! objectives and shrinks findings to minimal reproducers.
 
 use std::path::PathBuf;
-use topfull_cli::workflow::parse_workflow;
 use topfull_cli::{explain, fuzz, matrix, render_report, Scenario};
 
 fn usage() -> ! {
@@ -47,14 +44,12 @@ fn usage() -> ! {
   topfull live <scenario.json> --duration <secs> [--json]
   topfull explain <run.json|journal.jsonl> [--fingerprint]
   topfull trace <run.json|traces.jsonl|http://host:port> [--id <trace>]
-  topfull workflow <workflow.json> [--check | --emit]
   topfull matrix <matrix.json> [--json | --check] [--workers <n>]
-  topfull fuzz [--seed <n>] [--iters <k>] [--base <workflow.json>] [--out <dir>] [--json]
+  topfull fuzz [--seed <n>] [--iters <k>] [--base <scenario.json>] [--out <dir>] [--json]
 
   --fingerprint       print the journal's order-sensitive fingerprint
   --id t              render only trace id t's waterfall
   --check             validate without running
-  --emit              print the compiled plain scenario JSON
   --workers n         worker pool size (default: TOPFULL_WORKERS or cores)
   --seed n            fuzz mutation seed (default 1)
   --iters k           genomes to evaluate (default 40)
@@ -91,7 +86,6 @@ fn flags(cmd: &str) -> Option<(&[&str], &[&str])> {
         "live" => (&["--json"], &["--duration"]),
         "explain" => (&["--fingerprint"], &[]),
         "trace" => (&[], &["--id"]),
-        "workflow" => (&["--check", "--emit"], &[]),
         "matrix" => (&["--json", "--check"], &["--workers"]),
         "fuzz" => (&["--json"], &["--seed", "--iters", "--base", "--out"]),
         _ => return None,
@@ -138,35 +132,11 @@ fn emit<T: serde::Serialize>(args: &[String], value: &T, render: impl FnOnce(&T)
     }
 }
 
-fn cmd_workflow(args: &[String], path: &str) {
-    let wf = parse_workflow(&read_file(path)).unwrap_or_else(|e| invalid(path, e));
-    let sc = wf.compile().unwrap_or_else(|e| invalid(path, e));
-    if let Err(e) = topfull_cli::validate_scenario(&sc) {
-        invalid(path, format!("compiled scenario fails validation: {e}"));
-    }
-    if has(args, "--emit") {
-        return println!("{}", pretty(&sc));
-    }
-    // --check and the bare form both land here: compile + validate,
-    // then summarize what the workflow unrolls to.
-    println!(
-        "ok: {} ({path}) — {} track(s), {}s, {} fault(s), quiesces at {}",
-        wf.name,
-        wf.tracks.len(),
-        wf.duration_secs(),
-        wf.faults.len(),
-        match wf.quiesce_secs() {
-            Some(q) => format!("{q:.0}s"),
-            None => "never (permanent fault)".into(),
-        }
-    );
-}
-
 fn cmd_matrix(args: &[String], path: &str) {
     let spec = matrix::parse_matrix(&read_file(path)).unwrap_or_else(|e| invalid(path, e));
     if has(args, "--check") {
         let cells = spec.check().unwrap_or_else(|e| invalid(path, e));
-        return println!("ok: {} ({path}) — {cells} cells validate", spec.name);
+        return println!("ok: {} ({path}) — {cells} cells validate", spec.base.name);
     }
     let workers = flag_value(args, "--workers");
     let report = matrix::run_matrix(&spec, workers).unwrap_or_else(|e| fail(e));
@@ -186,8 +156,7 @@ fn cmd_fuzz(args: &[String]) {
                 .and_then(|i| args.get(i + 1))
                 .map_or_else(|| PathBuf::from("scenarios/found"), PathBuf::from),
         ),
-        base: flag_value::<String>(args, "--base")
-            .map(|path| parse_workflow(&read_file(&path)).unwrap_or_else(|e| invalid(&path, e))),
+        base: flag_value::<String>(args, "--base").map(|path| load(&path)),
     };
     let report = fuzz::run_fuzz(&cfg).unwrap_or_else(|e| fail(e));
     emit(args, &report, fuzz::render_fuzz);
@@ -245,7 +214,6 @@ fn main() {
             let text = topfull_cli::trace_source(path, flag_value(&args, "--id"));
             print!("{}", text.unwrap_or_else(|e| fail(e)));
         }
-        "workflow" => cmd_workflow(&args, path),
         "matrix" => cmd_matrix(&args, path),
         _ => usage(),
     }

@@ -5,8 +5,8 @@
 //! states no default of its own.
 
 use crate::schema::{
-    AdmissionSpec, AppSpec, AutoscalerSpec, CallSpec, ControllerSpec, FaultSpecJson,
-    ResilienceSpec, Scenario, ShardFaultJson, ShardingSpec, WorkloadSpec,
+    AdmissionSpec, AppSpec, AutoscalerSpec, CallSpec, ControllerSpec, FaultSpecJson, PhaseSpec,
+    RateSpec, ResilienceSpec, Scenario, ShardFaultJson, ShardingSpec, TrackSpec, WorkloadSpec,
 };
 use apps::{AlibabaDemo, OnlineBoutique, TrainTicket};
 use baselines::Scheme;
@@ -145,47 +145,22 @@ pub(crate) fn build_topology(app: &AppSpec) -> Result<Topology, String> {
 /// rps. At 5e7 `run` aborted on a 1 GiB allocation in the event queue.
 const MAX_TOTAL_RATE: f64 = 4e9 / (2 * PENDING_ARRIVAL_BYTES) as f64;
 
-fn build_workload(
-    topo: &Topology,
-    spec: &WorkloadSpec,
-    resilience: Option<&ResilienceSpec>,
-) -> Result<Box<dyn Workload>, String> {
-    let retry_budget = resilience.and_then(|r| r.retry_budget.as_ref());
-    if retry_budget.is_some() && !matches!(spec, WorkloadSpec::RetryStorm { .. }) {
+fn build_workload(topo: &Topology, sc: &Scenario) -> Result<Box<dyn Workload>, String> {
+    let retry_budget = sc.resilience.as_ref().and_then(|r| r.retry_budget.as_ref());
+    if retry_budget.is_some() && !matches!(sc.workload, WorkloadSpec::RetryStorm { .. }) {
         return Err(
             "resilience.retry_budget requires the retry_storm workload (it bounds the \
              retrying client population)"
                 .into(),
         );
     }
-    match spec {
-        WorkloadSpec::OpenLoop { rates } => {
-            let mut schedules = Vec::with_capacity(rates.len());
-            for r in rates {
-                let api = api_id(topo, &r.api)?;
-                let key = format!("workload.rates[{}].steps", r.api);
-                let sched = schedule(&key, &r.steps)?;
-                // From 1e9 rps on, the mean gap is at most the clock's
-                // 1 ns, `SimDuration::from_secs_f64` rounds the shorter
-                // gaps to zero, and one 1 s tick holds a billion arrivals.
-                if let Some((t, v)) = r.steps.iter().find(|(_, v)| *v >= 1e9) {
-                    return Err(format!("{key} must be under 1e9 rps, got {v} at {t} s"));
-                }
-                schedules.push((api, sched));
-            }
-            // Piecewise constant, so the summed rate peaks at a step.
-            for (t, _) in rates.iter().flat_map(|r| &r.steps) {
-                let at = SimTime::from_secs(*t);
-                let total: f64 = schedules.iter().map(|(_, s)| s.at(at)).sum();
-                if total >= MAX_TOTAL_RATE {
-                    let max = MAX_TOTAL_RATE.floor();
-                    return Err(format!(
-                        "workload.rates must sum to under {max} rps, got {total} at {t} s"
-                    ));
-                }
-            }
-            Ok(Box::new(OpenLoopWorkload::new(schedules)))
-        }
+    match &sc.workload {
+        WorkloadSpec::OpenLoop { rates } => open_loop(topo, "workload.rates", rates),
+        WorkloadSpec::Phases { tracks } => open_loop(
+            topo,
+            "workload.tracks",
+            &phase_rates(tracks, sc.duration_secs)?,
+        ),
         WorkloadSpec::ClosedLoop {
             users_steps,
             think_ms,
@@ -221,6 +196,266 @@ fn build_workload(
     }
 }
 
+/// One API's open-loop rate bound. From 1e9 rps on, the mean gap is at
+/// most the clock's 1 ns, `SimDuration::from_secs_f64` rounds the
+/// shorter gaps to zero, and one 1 s tick holds a billion arrivals.
+const MAX_RATE: f64 = 1e9;
+
+/// Poisson arrivals at `rates`, each bound refused by `key`.
+fn open_loop(topo: &Topology, key: &str, rates: &[RateSpec]) -> Result<Box<dyn Workload>, String> {
+    let mut schedules = Vec::with_capacity(rates.len());
+    for r in rates {
+        let api = api_id(topo, &r.api)?;
+        let key = format!("{key}[{}].steps", r.api);
+        let sched = schedule(&key, &r.steps)?;
+        if let Some((t, v)) = r.steps.iter().find(|(_, v)| *v >= MAX_RATE) {
+            return Err(format!("{key} must be under 1e9 rps, got {v} at {t} s"));
+        }
+        schedules.push((api, sched));
+    }
+    // Piecewise constant, so the summed rate peaks at a step.
+    for (t, _) in rates.iter().flat_map(|r| &r.steps) {
+        let at = SimTime::from_secs(*t);
+        let total: f64 = schedules.iter().map(|(_, s)| s.at(at)).sum();
+        if total >= MAX_TOTAL_RATE {
+            let max = MAX_TOTAL_RATE.floor();
+            return Err(format!(
+                "{key} must sum to under {max} rps, got {total} at {t} s"
+            ));
+        }
+    }
+    Ok(Box::new(OpenLoopWorkload::new(schedules)))
+}
+
+/// Sampling resolution (seconds) for curved phases (ramp, diurnal).
+/// Piecewise-constant steps at this grid approximate the curve; 2 s is
+/// well below the controller's reaction time, so finer sampling only
+/// bloats the schedule.
+const SAMPLE_SECS: u64 = 2;
+
+/// The most rate steps a `phases` workload may lower to, summed over
+/// its tracks. A step is a 16-byte `(u64, f64)` pair, and lowering
+/// holds two copies of a track's steps: the sampled steps, deduplicated
+/// in place, and the schedule's `(SimTime, f64)` pairs. Each is a `Vec`
+/// that doubles, so it may hold twice its length: 64 bytes a step.
+/// Under the 4 GB address-space cap of [`MAX_TOTAL_RATE`] that is
+/// 4e9 / 64 = 6.25e7 steps, 1.25e8 s of ramp. A 1e12-second ramp
+/// (5e11 steps) aborted `check` on a 512 MiB allocation before anything
+/// refused it.
+const MAX_PHASE_STEPS: u64 = 4_000_000_000 / (2 * 2 * std::mem::size_of::<(u64, f64)>() as u64);
+
+/// A `phases` workload lowered to open-loop rates, one per track.
+pub(crate) fn phase_rates(
+    tracks: &[TrackSpec],
+    duration_secs: u64,
+) -> Result<Vec<RateSpec>, String> {
+    check_tracks(tracks, duration_secs)?;
+    Ok(tracks.iter().map(TrackSpec::to_rate_spec).collect())
+}
+
+/// Every refusal of a `phases` workload, by key. The step count and the
+/// track lengths are summed here, before lowering allocates anything.
+fn check_tracks(tracks: &[TrackSpec], duration_secs: u64) -> Result<(), String> {
+    if tracks.is_empty() {
+        return Err("workload.tracks is empty: nothing would offer load".into());
+    }
+    let mut steps = 0u64;
+    for (i, track) in tracks.iter().enumerate() {
+        if track.phases.is_empty() {
+            return Err(format!("workload.tracks[{i}].phases is empty"));
+        }
+        let mut end = 0u64;
+        for (j, p) in track.phases.iter().enumerate() {
+            let key = format!("workload.tracks[{i}].phases[{j}]");
+            p.validate(&key)?;
+            steps = steps.saturating_add(p.step_count());
+            if steps > MAX_PHASE_STEPS {
+                return Err(format!(
+                    "{key}.duration_secs: the tracks would lower to more than \
+                     {MAX_PHASE_STEPS} rate steps"
+                ));
+            }
+            end = end
+                .checked_add(p.duration_secs())
+                .ok_or_else(|| format!("{key}.duration_secs: the track's length overflows"))?;
+        }
+        if end > duration_secs {
+            return Err(format!(
+                "workload.tracks[{i}] lasts {end} s, longer than duration_secs ({duration_secs} s)"
+            ));
+        }
+    }
+    Ok(())
+}
+
+impl PhaseSpec {
+    pub(crate) fn duration_secs(&self) -> u64 {
+        match self {
+            PhaseSpec::Plateau { duration_secs, .. }
+            | PhaseSpec::Ramp { duration_secs, .. }
+            | PhaseSpec::FlashCrowd { duration_secs, .. }
+            | PhaseSpec::Diurnal { duration_secs, .. }
+            | PhaseSpec::Oscillate { duration_secs, .. } => *duration_secs,
+        }
+    }
+
+    /// Offered rate `t` seconds into the phase.
+    fn rate_at(&self, t: f64) -> f64 {
+        match self {
+            PhaseSpec::Plateau { rate, .. } => *rate,
+            PhaseSpec::Ramp {
+                duration_secs,
+                from,
+                to,
+            } => {
+                let d = (*duration_secs).max(1) as f64;
+                from + (to - from) * (t / d).clamp(0.0, 1.0)
+            }
+            PhaseSpec::FlashCrowd {
+                base,
+                peak,
+                burst_from_secs,
+                burst_until_secs,
+                ..
+            } => {
+                if t >= *burst_from_secs as f64 && t < *burst_until_secs as f64 {
+                    *peak
+                } else {
+                    *base
+                }
+            }
+            PhaseSpec::Diurnal {
+                base,
+                amplitude,
+                period_secs,
+                ..
+            } => {
+                let p = (*period_secs).max(1) as f64;
+                (base + amplitude * (std::f64::consts::TAU * t / p).sin()).max(0.0)
+            }
+            PhaseSpec::Oscillate {
+                low,
+                high,
+                period_secs,
+                ..
+            } => {
+                let half = ((*period_secs).max(2) / 2) as f64;
+                if ((t / half) as u64).is_multiple_of(2) {
+                    *low
+                } else {
+                    *high
+                }
+            }
+        }
+    }
+
+    fn validate(&self, key: &str) -> Result<(), String> {
+        if self.duration_secs() == 0 {
+            return Err(format!("{key}.duration_secs must be positive"));
+        }
+        let (rates, peak) = match self {
+            PhaseSpec::Plateau { rate, .. } => ([*rate, *rate], *rate),
+            PhaseSpec::Ramp { from, to, .. } => ([*from, *to], from.max(*to)),
+            PhaseSpec::FlashCrowd { base, peak, .. } => ([*base, *peak], base.max(*peak)),
+            PhaseSpec::Diurnal {
+                base, amplitude, ..
+            } => ([*base, *amplitude], base + amplitude),
+            PhaseSpec::Oscillate { low, high, .. } => ([*low, *high], low.max(*high)),
+        };
+        if rates.iter().any(|r| !(r.is_finite() && *r >= 0.0)) {
+            return Err(format!("{key}: rates must be finite and at least 0"));
+        }
+        // Checked here, not by `open_loop`, so the refusal names the phase.
+        if peak >= MAX_RATE {
+            return Err(format!("{key}: rates must be under 1e9 rps, got {peak}"));
+        }
+        match self {
+            PhaseSpec::FlashCrowd {
+                duration_secs,
+                burst_from_secs,
+                burst_until_secs,
+                ..
+            } if burst_from_secs >= burst_until_secs || burst_until_secs > duration_secs => {
+                Err(format!(
+                    "{key}: burst window [{burst_from_secs}, {burst_until_secs}) must be \
+                     non-empty and inside the {duration_secs} s phase"
+                ))
+            }
+            PhaseSpec::Diurnal { period_secs, .. } | PhaseSpec::Oscillate { period_secs, .. }
+                if *period_secs < 2 =>
+            {
+                Err(format!("{key}.period_secs must be at least 2"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Seconds between a sampled phase's steps.
+    fn grid(&self) -> u64 {
+        match self {
+            PhaseSpec::Oscillate { period_secs, .. } => (*period_secs).max(2) / 2,
+            _ => SAMPLE_SECS,
+        }
+    }
+
+    /// How many steps [`Self::steps`] emits at most: counted, not emitted.
+    fn step_count(&self) -> u64 {
+        match self {
+            PhaseSpec::Plateau { .. } => 1,
+            PhaseSpec::FlashCrowd { .. } => 3,
+            _ => self.duration_secs().div_ceil(self.grid()),
+        }
+    }
+
+    /// Emit the phase's `(offset_from_phase_start, rate)` steps.
+    fn steps(&self, out: &mut Vec<(u64, f64)>) {
+        let d = self.duration_secs();
+        match self {
+            PhaseSpec::Plateau { rate, .. } => out.push((0, *rate)),
+            PhaseSpec::FlashCrowd {
+                base,
+                peak,
+                burst_from_secs,
+                burst_until_secs,
+                ..
+            } => {
+                out.push((0, *base));
+                out.push((*burst_from_secs, *peak));
+                if *burst_until_secs < d {
+                    out.push((*burst_until_secs, *base));
+                }
+            }
+            _ => {
+                let grid = self.grid() as usize;
+                out.extend((0..d).step_by(grid).map(|t| (t, self.rate_at(t as f64))));
+            }
+        }
+    }
+}
+
+impl TrackSpec {
+    pub(crate) fn duration_secs(&self) -> u64 {
+        self.phases.iter().map(PhaseSpec::duration_secs).sum()
+    }
+
+    /// The track's step schedule, steps that repeat the previous rate
+    /// dropped.
+    fn to_rate_spec(&self) -> RateSpec {
+        let mut steps = Vec::new();
+        let mut start = 0u64;
+        for p in &self.phases {
+            let from = steps.len();
+            p.steps(&mut steps);
+            steps[from..].iter_mut().for_each(|(t, _)| *t += start);
+            start += p.duration_secs();
+        }
+        steps.dedup_by(|(_, rate), (_, kept)| rate == kept);
+        RateSpec {
+            api: self.api.clone(),
+            steps,
+        }
+    }
+}
 /// `(from_secs, value)` steps as a schedule. A rate or a user count
 /// must be a finite number ≥ 0: infinity panics the arrival sampler or
 /// allocates without bound, and a negative value silently offers
@@ -337,7 +572,7 @@ fn topfull_config(
 pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
     let topo = build_topology(&sc.app)?;
     let api_names: Vec<String> = topo.apis().map(|(_, a)| a.name.clone()).collect();
-    let workload = build_workload(&topo, &sc.workload, sc.resilience.as_ref())?;
+    let workload = build_workload(&topo, sc)?;
     let base = EngineConfig::default();
     let cfg = EngineConfig {
         seed: sc.seed,
@@ -710,6 +945,19 @@ mod tests {
                     "api_weights": [["getcart", 1.0]]}}"#
             )
         };
+        let phase = |fields: String| {
+            format!(
+                r#"{{"type": "phases", "tracks": [{{"api": "getcart", "phases": [
+                    {{{fields}, "duration_secs": 10}}]}}]}}"#
+            )
+        };
+        let plateau = |v: &str| phase(format!(r#""kind": "plateau", "rate": {v}"#));
+        // Each under the bound, the peak base + amplitude over it.
+        let diurnal = |v: &str| {
+            phase(format!(
+                r#""kind": "diurnal", "base": {v}, "amplitude": {v}, "period_secs": 10"#
+            ))
+        };
         for (workload, key) in [
             (open("1e999"), "workload.rates[getcart].steps"),
             (open("-5"), "workload.rates[getcart].steps"),
@@ -720,6 +968,14 @@ mod tests {
             (two_open("3e7"), "workload.rates"),
             (closed("1e999"), "workload.users_steps"),
             (closed("-5"), "workload.users_steps"),
+            (
+                plateau("1e9"),
+                "workload.tracks[0].phases[0]: rates must be under 1e9",
+            ),
+            (
+                diurnal("6e8"),
+                "workload.tracks[0].phases[0]: rates must be under 1e9",
+            ),
         ] {
             let json = format!(
                 r#"{{"app": {{"type": "builtin", "name": "online-boutique"}},
@@ -982,6 +1238,165 @@ mod tests {
         ] {
             assert_eq!(lowered, library, "{block}");
         }
+    }
+
+    fn one_track(phases: Vec<PhaseSpec>) -> Vec<TrackSpec> {
+        vec![TrackSpec {
+            api: "get".into(),
+            phases,
+        }]
+    }
+
+    fn steps(phases: Vec<PhaseSpec>) -> Vec<(u64, f64)> {
+        let mut rates = phase_rates(&one_track(phases), 120).expect("lowers");
+        rates.remove(0).steps
+    }
+
+    #[test]
+    fn plateau_and_flash_lower_to_exact_steps() {
+        let got = steps(vec![
+            PhaseSpec::Plateau {
+                duration_secs: 20,
+                rate: 50.0,
+            },
+            PhaseSpec::FlashCrowd {
+                duration_secs: 40,
+                base: 50.0,
+                peak: 300.0,
+                burst_from_secs: 10,
+                burst_until_secs: 25,
+            },
+        ]);
+        // (0,50) deduped through the flash base, then the burst edges.
+        assert_eq!(got, vec![(0, 50.0), (30, 300.0), (45, 50.0)]);
+    }
+
+    #[test]
+    fn ramp_samples_monotonically() {
+        let got = steps(vec![PhaseSpec::Ramp {
+            duration_secs: 10,
+            from: 0.0,
+            to: 100.0,
+        }]);
+        assert_eq!(got.first(), Some(&(0, 0.0)));
+        assert!(got.windows(2).all(|w| w[0].1 < w[1].1), "{got:?}");
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{got:?}");
+    }
+
+    #[test]
+    fn oscillate_emits_square_edges() {
+        let got = steps(vec![PhaseSpec::Oscillate {
+            duration_secs: 40,
+            low: 20.0,
+            high: 200.0,
+            period_secs: 20,
+        }]);
+        assert_eq!(got, vec![(0, 20.0), (10, 200.0), (20, 20.0), (30, 200.0)]);
+    }
+
+    #[test]
+    fn a_degenerate_or_too_long_phase_is_refused_by_key() {
+        let key = "workload.tracks[0].phases[0]";
+        for (phase, refusal) in [
+            (
+                PhaseSpec::Plateau {
+                    duration_secs: 0,
+                    rate: 10.0,
+                },
+                format!("{key}.duration_secs must be positive"),
+            ),
+            (
+                PhaseSpec::FlashCrowd {
+                    duration_secs: 30,
+                    base: 10.0,
+                    peak: 100.0,
+                    burst_from_secs: 20,
+                    burst_until_secs: 40,
+                },
+                format!("{key}: burst window"),
+            ),
+            (
+                PhaseSpec::Diurnal {
+                    duration_secs: 30,
+                    base: 10.0,
+                    amplitude: f64::NAN,
+                    period_secs: 10,
+                },
+                format!("{key}: rates must be finite"),
+            ),
+            // Counted, not sampled: 5e11 steps would need 8 TB.
+            (
+                PhaseSpec::Ramp {
+                    duration_secs: 1_000_000_000_000,
+                    from: 10.0,
+                    to: 100.0,
+                },
+                format!("{key}.duration_secs: the tracks would lower to more than"),
+            ),
+            (
+                PhaseSpec::Oscillate {
+                    duration_secs: 2 * MAX_PHASE_STEPS + 1,
+                    low: 1.0,
+                    high: 2.0,
+                    period_secs: 4,
+                },
+                format!("{key}.duration_secs: the tracks would lower to more than"),
+            ),
+        ] {
+            let err = phase_rates(&one_track(vec![phase]), u64::MAX).expect_err(&refusal);
+            assert!(err.starts_with(&refusal), "{err}");
+        }
+        let plateau = |duration_secs| PhaseSpec::Plateau {
+            duration_secs,
+            rate: 1.0,
+        };
+        let err = phase_rates(&one_track(vec![plateau(u64::MAX), plateau(1)]), u64::MAX)
+            .expect_err("the sum overflows");
+        assert!(
+            err.starts_with("workload.tracks[0].phases[1].duration_secs"),
+            "{err}"
+        );
+        let err = phase_rates(&one_track(vec![plateau(121)]), 120).expect_err("too long");
+        assert!(err.starts_with("workload.tracks[0] lasts 121 s"), "{err}");
+        let err = phase_rates(&[], 120).expect_err("no tracks");
+        assert!(err.starts_with("workload.tracks is empty"), "{err}");
+        let err = phase_rates(&one_track(vec![]), 120).expect_err("no phases");
+        assert!(
+            err.starts_with("workload.tracks[0].phases is empty"),
+            "{err}"
+        );
+        // Exactly the bound passes the count; one more step does not.
+        // Counted only: lowering the bound would take about 2 GB.
+        let ramp = |duration_secs| PhaseSpec::Ramp {
+            duration_secs,
+            from: 1.0,
+            to: 2.0,
+        };
+        let bound = SAMPLE_SECS * MAX_PHASE_STEPS;
+        assert!(check_tracks(&one_track(vec![ramp(bound)]), bound).is_ok());
+        assert!(check_tracks(&one_track(vec![ramp(bound + 1)]), bound + 1).is_err());
+    }
+
+    #[test]
+    fn a_track_shorter_than_the_run_holds_its_last_rate() {
+        let mut sc = Scenario::example();
+        sc.duration_secs = 40;
+        sc.report.measure_from_secs = 20;
+        sc.workload = WorkloadSpec::Phases {
+            tracks: one_track(vec![
+                PhaseSpec::Plateau {
+                    duration_secs: 5,
+                    rate: 200.0,
+                },
+                PhaseSpec::Plateau {
+                    duration_secs: 5,
+                    rate: 40.0,
+                },
+            ]),
+        };
+        let out = crate::run_scenario(&sc).expect("a 10 s track in a 40 s run");
+        let (_, offered) = out.offered_per_api[0];
+        assert!((offered - 40.0).abs() < 8.0, "offered {offered} rps");
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! Seeded property-based scenario fuzzer.
 //!
-//! Mutates workflow genomes (phase shapes, rates, durations, fault
-//! schedules) and evaluates each against the SLO-violation objectives
-//! in [`crate::objectives`], always comparing the controller arm to a
-//! no-controller oracle run of the same genome. Findings are shrunk to
-//! minimal reproducers and written out as both the workflow genome and
-//! the compiled plain scenario, so `topfull run` can replay them with
-//! no knowledge of the fuzzer.
+//! Mutates scenario genomes — a `phases` workload's shapes, rates and
+//! durations, and the fault schedule — and evaluates each against the
+//! SLO-violation objectives in [`crate::objectives`], always comparing
+//! the controller arm to a no-controller oracle run of the same genome.
+//! Findings are shrunk to minimal reproducers and written out as
+//! scenarios, so `topfull run` replays them with no knowledge of the
+//! fuzzer.
 //!
 //! Everything is deterministic per seed: the mutation stream comes
 //! from one seeded [`SmallRng`], the simulator runs are deterministic,
 //! and no wall-clock state leaks into the report.
 
 use crate::objectives::{self, Objective, Violation};
-use crate::schema::{AppSpec, ControllerSpec, FaultSpecJson, Scenario};
+use crate::schema::{
+    AppSpec, ControllerSpec, FaultSpecJson, PhaseSpec, ReportSpec, Scenario, TrackSpec,
+    WorkloadSpec,
+};
 use crate::shrink;
-use crate::workflow::{PhaseSpec, TrackSpec, WorkflowSpec};
 use crate::{run_scenario, ScenarioOutcome};
 use cluster::runner::RunPlan;
 use rand::rngs::SmallRng;
@@ -32,8 +34,9 @@ pub struct FuzzConfig {
     pub iters: u32,
     /// Where reproducers land; `None` = don't write files.
     pub out_dir: Option<PathBuf>,
-    /// Starting genome; `None` = the built-in two-tier base.
-    pub base: Option<WorkflowSpec>,
+    /// Starting genome, a scenario with a `phases` workload; `None` =
+    /// the built-in two-tier base.
+    pub base: Option<Scenario>,
 }
 
 impl Default for FuzzConfig {
@@ -68,11 +71,10 @@ pub struct Finding {
     /// Arm-journal fingerprint of the shrunk reproducer (determinism
     /// receipt: re-running the reproducer must print this).
     pub journal_fingerprint: String,
-    /// Files written (compiled scenario, then workflow genome); empty
-    /// when no `out_dir` was configured.
-    pub files: Vec<String>,
+    /// The reproducer written; `None` when no `out_dir` was configured.
+    pub file: Option<String>,
     /// The shrunk genome itself.
-    pub genome: WorkflowSpec,
+    pub genome: Scenario,
 }
 
 /// The full fuzz campaign result.
@@ -103,7 +105,7 @@ pub fn render_fuzz(r: &FuzzReport) -> String {
             "  [{}] iter {}: {} (shrunk in {} steps / {} evals, fp {})",
             f.objective, f.iter, f.detail, f.shrink_steps, f.shrink_evals, f.journal_fingerprint
         );
-        for file in &f.files {
+        if let Some(file) = &f.file {
             let _ = writeln!(s, "      wrote {file}");
         }
     }
@@ -116,38 +118,68 @@ pub fn render_fuzz(r: &FuzzReport) -> String {
 /// The built-in base genome: the repo's canonical two-tier app (backend
 /// caps near 100 rps) under a flash crowd — enough headroom below and
 /// pressure above that mutations can reach every objective.
-pub fn base_workflow() -> WorkflowSpec {
-    WorkflowSpec {
+pub fn base_scenario() -> Scenario {
+    Scenario {
         name: "fuzz-base".into(),
         seed: crate::schema::default_seed(),
+        duration_secs: 120,
         slo_ms: crate::schema::default_slo_ms(),
-        app: Scenario::example().app,
-        tracks: vec![TrackSpec {
-            api: "get".into(),
-            phases: vec![
-                PhaseSpec::Plateau {
-                    duration_secs: 30,
-                    rate: 60.0,
-                },
-                PhaseSpec::FlashCrowd {
-                    duration_secs: 60,
-                    base: 60.0,
-                    peak: 240.0,
-                    burst_from_secs: 10,
-                    burst_until_secs: 25,
-                },
-                PhaseSpec::Plateau {
-                    duration_secs: 30,
-                    rate: 60.0,
-                },
-            ],
-        }],
+        workload: WorkloadSpec::Phases {
+            tracks: vec![TrackSpec {
+                api: "get".into(),
+                phases: vec![
+                    PhaseSpec::Plateau {
+                        duration_secs: 30,
+                        rate: 60.0,
+                    },
+                    PhaseSpec::FlashCrowd {
+                        duration_secs: 60,
+                        base: 60.0,
+                        peak: 240.0,
+                        burst_from_secs: 10,
+                        burst_until_secs: 25,
+                    },
+                    PhaseSpec::Plateau {
+                        duration_secs: 30,
+                        rate: 60.0,
+                    },
+                ],
+            }],
+        },
         controller: ControllerSpec::topfull("mimd"),
         faults: vec![],
         resilience: None,
-        sharding: None,
-        measure_from_secs: 20,
+        report: ReportSpec {
+            measure_from_secs: 20,
+            timeline: true,
+        },
+        ..Scenario::example()
     }
+}
+
+/// A genome's phase tracks. Every genome's workload is `phases`:
+/// [`run_fuzz`] refuses any other base.
+pub(crate) fn tracks(sc: &Scenario) -> &[TrackSpec] {
+    match &sc.workload {
+        WorkloadSpec::Phases { tracks } => tracks,
+        _ => unreachable!("a genome's workload is phases"),
+    }
+}
+
+pub(crate) fn tracks_mut(sc: &mut Scenario) -> &mut Vec<TrackSpec> {
+    match &mut sc.workload {
+        WorkloadSpec::Phases { tracks } => tracks,
+        _ => unreachable!("a genome's workload is phases"),
+    }
+}
+
+/// The genome's longest track, which its duration is kept equal to.
+pub(crate) fn longest_track(sc: &Scenario) -> u64 {
+    tracks(sc)
+        .iter()
+        .map(TrackSpec::duration_secs)
+        .max()
+        .unwrap_or(0)
 }
 
 fn service_names(app: &AppSpec) -> Vec<String> {
@@ -275,22 +307,26 @@ fn scale_rates(p: &mut PhaseSpec, k: f64) {
 }
 
 /// One mutated child of `parent`. Applies 1–2 random edits and repairs
-/// invariants so the child always compiles.
-pub fn mutate(rng: &mut SmallRng, parent: &WorkflowSpec) -> WorkflowSpec {
-    let mut wf = parent.clone();
-    let services = service_names(&wf.app);
+/// invariants so the child always validates; its duration is its
+/// longest track.
+pub fn mutate(rng: &mut SmallRng, parent: &Scenario) -> Scenario {
+    let mut sc = parent.clone();
+    let services = service_names(&sc.app);
     let edits = 1 + rng.gen_range(0..2u32);
     for _ in 0..edits {
-        let ti = rng.gen_range(0..wf.tracks.len());
-        let n_phases = wf.tracks[ti].phases.len();
+        let ti = rng.gen_range(0..tracks(&sc).len());
+        let n_phases = tracks(&sc)[ti].phases.len();
         let pi = rng.gen_range(0..n_phases);
         match rng.gen_range(0..7u32) {
             // Push a phase's rates up or down.
-            0 => scale_rates(&mut wf.tracks[ti].phases[pi], rng.gen_range(0.5..2.0)),
+            0 => scale_rates(
+                &mut tracks_mut(&mut sc)[ti].phases[pi],
+                rng.gen_range(0.5..2.0),
+            ),
             // Stretch or compress a phase in time.
             1 => {
                 let k = rng.gen_range(0.5..2.0);
-                let p = &mut wf.tracks[ti].phases[pi];
+                let p = &mut tracks_mut(&mut sc)[ti].phases[pi];
                 let d = ((p.duration_secs() as f64 * k) as u64).clamp(8, 120);
                 *p = resize_phase(p, d);
             }
@@ -298,29 +334,32 @@ pub fn mutate(rng: &mut SmallRng, parent: &WorkflowSpec) -> WorkflowSpec {
             2 => {
                 let p = random_phase(rng);
                 let at = rng.gen_range(0..=n_phases);
-                wf.tracks[ti].phases.insert(at, p);
+                tracks_mut(&mut sc)[ti].phases.insert(at, p);
             }
             // Drop a phase (keep at least one).
             3 if n_phases > 1 => {
-                wf.tracks[ti].phases.remove(pi);
+                tracks_mut(&mut sc)[ti].phases.remove(pi);
             }
             // Schedule a new gray fault.
             4 => {
-                let f = random_fault(rng, wf.duration_secs(), &services);
-                wf.faults.push(f);
+                let f = random_fault(rng, longest_track(&sc), &services);
+                sc.faults.push(f);
             }
             // Remove a fault.
-            5 if !wf.faults.is_empty() => {
-                let fi = rng.gen_range(0..wf.faults.len());
-                wf.faults.remove(fi);
+            5 if !sc.faults.is_empty() => {
+                let fi = rng.gen_range(0..sc.faults.len());
+                sc.faults.remove(fi);
             }
             // Fall back to a rate tweak when the structural edit
             // doesn't apply (single phase / no faults).
-            _ => scale_rates(&mut wf.tracks[ti].phases[pi], rng.gen_range(0.75..1.5)),
+            _ => scale_rates(
+                &mut tracks_mut(&mut sc)[ti].phases[pi],
+                rng.gen_range(0.75..1.5),
+            ),
         }
     }
-    debug_assert!(wf.validate().is_ok(), "mutations must preserve validity");
-    wf
+    sc.duration_secs = longest_track(&sc);
+    sc
 }
 
 /// Set a phase's duration, rescaling its internal landmarks to fit.
@@ -353,12 +392,13 @@ fn resize_phase(p: &PhaseSpec, new_d: u64) -> PhaseSpec {
 /// The pair fans out over the experiment worker pool; results come
 /// back in submission order, so the pairing is deterministic at any
 /// worker count.
-pub fn run_pair(wf: &WorkflowSpec) -> Result<(ScenarioOutcome, ScenarioOutcome), String> {
-    let arm_sc = wf.compile()?;
-    let mut oracle_wf = wf.clone();
-    oracle_wf.controller = ControllerSpec::None;
-    oracle_wf.name = format!("{}-oracle", wf.name);
-    let oracle_sc = oracle_wf.compile()?;
+pub fn run_pair(sc: &Scenario) -> Result<(ScenarioOutcome, ScenarioOutcome), String> {
+    let arm_sc = sc.clone();
+    let oracle_sc = Scenario {
+        name: format!("{}-oracle", sc.name),
+        controller: ControllerSpec::None,
+        ..sc.clone()
+    };
     let mut plan = RunPlan::new();
     plan.submit(move || run_scenario(&arm_sc));
     plan.submit(move || run_scenario(&oracle_sc));
@@ -369,9 +409,9 @@ pub fn run_pair(wf: &WorkflowSpec) -> Result<(ScenarioOutcome, ScenarioOutcome),
 }
 
 /// Evaluate one genome against every objective.
-fn violations_for(wf: &WorkflowSpec) -> Result<(Vec<Violation>, ScenarioOutcome), String> {
-    let (arm, oracle) = run_pair(wf)?;
-    let v = objectives::evaluate(wf, &arm, &oracle);
+fn violations_for(sc: &Scenario) -> Result<(Vec<Violation>, ScenarioOutcome), String> {
+    let (arm, oracle) = run_pair(sc)?;
+    let v = objectives::evaluate(sc, &arm, &oracle);
     Ok((v, arm))
 }
 
@@ -380,10 +420,12 @@ fn violations_for(wf: &WorkflowSpec) -> Result<(Vec<Violation>, ScenarioOutcome)
 /// same fingerprints.
 pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let base = cfg.base.clone().unwrap_or_else(base_workflow);
-    base.compile()
-        .map_err(|e| format!("base workflow does not compile: {e}"))?;
-    let mut corpus: Vec<WorkflowSpec> = vec![base];
+    let base = cfg.base.clone().unwrap_or_else(base_scenario);
+    if !matches!(base.workload, WorkloadSpec::Phases { .. }) {
+        return Err("base genome: workload: the fuzzer mutates a phases workload".into());
+    }
+    crate::validate_scenario(&base).map_err(|e| format!("base genome: {e}"))?;
+    let mut corpus: Vec<Scenario> = vec![base];
     let mut findings: Vec<Finding> = Vec::new();
     let mut found: Vec<Objective> = Vec::new();
     let mut pair_evals = 0u32;
@@ -428,9 +470,15 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
                 .unwrap_or_else(|| v.detail.clone());
             let jsonl = obs::to_jsonl(&final_arm.journal);
             let fingerprint = format!("{:#018x}", obs::journal_fingerprint(&jsonl));
-            let files = match &cfg.out_dir {
-                Some(dir) => write_finding(dir, cfg.seed, iter, objective, &shrunk.genome)?,
-                None => vec![],
+            let file = match &cfg.out_dir {
+                Some(dir) => Some(write_finding(
+                    dir,
+                    cfg.seed,
+                    iter,
+                    objective,
+                    &shrunk.genome,
+                )?),
+                None => None,
             };
             findings.push(Finding {
                 iter,
@@ -439,7 +487,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
                 shrink_steps: shrunk.steps,
                 shrink_evals,
                 journal_fingerprint: fingerprint,
-                files,
+                file,
                 genome: shrunk.genome.clone(),
             });
         }
@@ -452,36 +500,21 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
     })
 }
 
-/// Write a reproducer pair: the compiled plain scenario (replayable by
-/// `topfull run`/`check` with no fuzzer involved) and the workflow
-/// genome (replayable by `topfull workflow` and the regression tests).
+/// Write the reproducer, a scenario that `topfull run`/`check` and the
+/// regression tests replay with no fuzzer involved; returns its path.
 fn write_finding(
     dir: &std::path::Path,
     seed: u64,
     iter: u32,
     objective: Objective,
-    genome: &WorkflowSpec,
-) -> Result<Vec<String>, String> {
+    genome: &Scenario,
+) -> Result<String, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let stem = format!("fuzz_{seed}_{iter}_{}", objective.slug());
-    let mut written = Vec::new();
-    let sc = genome.compile()?;
-    for (suffix, text) in [
-        (
-            ".json",
-            serde_json::to_string_pretty(&sc).expect("scenario serializes"),
-        ),
-        (
-            ".workflow.json",
-            serde_json::to_string_pretty(genome).expect("workflow serializes"),
-        ),
-    ] {
-        let path = dir.join(format!("{stem}{suffix}"));
-        std::fs::write(&path, text + "\n")
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        written.push(path.display().to_string());
-    }
-    Ok(written)
+    let path = dir.join(format!("fuzz_{seed}_{iter}_{}.json", objective.slug()));
+    let text = serde_json::to_string_pretty(genome).expect("scenario serializes");
+    std::fs::write(&path, text + "\n")
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path.display().to_string())
 }
 
 #[cfg(test)]
@@ -489,15 +522,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn base_workflow_compiles_and_validates() {
-        let sc = base_workflow().compile().expect("compiles");
+    fn base_scenario_validates() {
+        let sc = base_scenario();
         crate::validate_scenario(&sc).expect("validates");
-        assert_eq!(sc.duration_secs, 120);
+        assert_eq!(sc.duration_secs, longest_track(&sc));
     }
 
     #[test]
     fn mutation_stream_is_deterministic_per_seed() {
-        let base = base_workflow();
+        let base = base_scenario();
         let mut a = SmallRng::seed_from_u64(99);
         let mut b = SmallRng::seed_from_u64(99);
         for _ in 0..50 {
@@ -511,25 +544,41 @@ mod tests {
     }
 
     #[test]
-    fn mutants_always_compile() {
+    fn mutants_always_validate_and_last_their_longest_track() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut wf = base_workflow();
+        let mut sc = base_scenario();
         for _ in 0..200 {
-            wf = mutate(&mut rng, &wf);
-            wf.compile().expect("every mutant compiles");
+            sc = mutate(&mut rng, &sc);
+            crate::validate_scenario(&sc).expect("every mutant validates");
+            assert_eq!(sc.duration_secs, longest_track(&sc));
         }
     }
 
     #[test]
+    fn a_base_without_phases_is_refused_by_key() {
+        let cfg = FuzzConfig {
+            iters: 0,
+            base: Some(Scenario::example()),
+            ..FuzzConfig::default()
+        };
+        let err = run_fuzz(&cfg).expect_err("an open-loop base");
+        assert!(err.contains("workload"), "{err}");
+    }
+
+    #[test]
     fn run_pair_produces_arm_and_oracle() {
-        let mut wf = base_workflow();
+        let mut sc = base_scenario();
         // Shorten for test speed; keep the overload character.
-        wf.tracks[0].phases = vec![PhaseSpec::Plateau {
-            duration_secs: 30,
-            rate: 150.0,
+        *tracks_mut(&mut sc) = vec![TrackSpec {
+            api: "get".into(),
+            phases: vec![PhaseSpec::Plateau {
+                duration_secs: 30,
+                rate: 150.0,
+            }],
         }];
-        wf.measure_from_secs = 10;
-        let (arm, oracle) = run_pair(&wf).expect("pair runs");
+        sc.duration_secs = 30;
+        sc.report.measure_from_secs = 10;
+        let (arm, oracle) = run_pair(&sc).expect("pair runs");
         // 150 rps offered against a ~100 rps backend: uncontrolled, the
         // queues blow past the SLO and goodput collapses; the TopFull
         // arm sheds load and keeps serving. The pair existing to show

@@ -10,17 +10,17 @@
 //! See [`schema`] for the file format, [`build`] for the
 //! scenario → engine translation, and [`report`] for the output.
 //!
-//! Above one scenario at a time sits the adversarial scenario engine:
+//! Above one scenario at a time sits the adversarial scenario engine,
+//! built on the `phases` workload (plateau, ramp, flash crowd, diurnal
+//! and oscillating phases composed into per-API tracks, lowered to
+//! open-loop rates by [`build`], so every plane runs them unchanged):
 //!
-//! - [`workflow`] — reusable phases (plateau, ramp, flash crowd,
-//!   diurnal, oscillating) composed into per-API tracks and compiled to
-//!   the plain [`Scenario`] schema, so every plane runs them unchanged.
-//! - [`matrix`] — workloads × fault plans × controller arms, executed
-//!   through `cluster::runner`'s worker pool with a journal fingerprint
-//!   per cell.
+//! - [`matrix`] — a base scenario × workloads × fault plans × controller
+//!   arms, executed through `cluster::runner`'s worker pool with a
+//!   journal fingerprint per cell.
 //! - [`objectives`] — what counts as a controller weakness, always
-//!   against a no-controller oracle run of the same workflow.
-//! - [`fuzz`] — the seeded mutation loop over workflow genomes.
+//!   against a no-controller oracle run of the same scenario.
+//! - [`fuzz`] — the seeded mutation loop over `phases` scenarios.
 //! - [`shrink`] — greedy reduction of a tripping genome to a minimal
 //!   reproducer.
 
@@ -34,7 +34,6 @@ pub mod report;
 pub mod schema;
 pub mod shrink;
 pub mod trace;
-pub mod workflow;
 
 pub use build::build_scenario;
 pub use live::run_live;

@@ -18,9 +18,11 @@
 //! simulator-only. A hardened controller runs under the same watchdog
 //! as on the simulator.
 
-use crate::build::{api_id, build_topology, entry_controller, front_door_config, resolve_weights};
+use crate::build::{
+    api_id, build_topology, entry_controller, front_door_config, phase_rates, resolve_weights,
+};
 use crate::report::{self, ScenarioOutcome};
-use crate::schema::{ControllerSpec, LiveSpec, Scenario, ShardingSpec, WorkloadSpec};
+use crate::schema::{ControllerSpec, LiveSpec, RateSpec, Scenario, ShardingSpec, WorkloadSpec};
 use cluster::{ControlLoop, ShardFault, Topology};
 use liveserve::{
     ClosedLoopSpec, LiveConfig, LiveServer, LoadGen, OpenLoopArm, ShardedLive, ShardedLiveConfig,
@@ -35,21 +37,23 @@ fn scale_steps(steps: &[(u64, f64)], scale: f64) -> Vec<(f64, f64)> {
 /// Translate the scenario workload into live clients.
 fn build_load(
     topo: &Topology,
-    spec: &WorkloadSpec,
+    sc: &Scenario,
     scale: f64,
 ) -> Result<(Option<ClosedLoopSpec>, Vec<OpenLoopArm>), String> {
-    match spec {
-        WorkloadSpec::OpenLoop { rates } => {
-            let mut arms = Vec::with_capacity(rates.len());
-            for r in rates {
-                arms.push(OpenLoopArm {
-                    api: api_id(topo, &r.api)?.idx(),
-                    rate_steps: scale_steps(&r.steps, scale),
-                    key_space: 0,
-                });
-            }
-            Ok((None, arms))
+    let open_loop = |rates: &[RateSpec]| -> Result<_, String> {
+        let mut arms = Vec::with_capacity(rates.len());
+        for r in rates {
+            arms.push(OpenLoopArm {
+                api: api_id(topo, &r.api)?.idx(),
+                rate_steps: scale_steps(&r.steps, scale),
+                key_space: 0,
+            });
         }
+        Ok((None, arms))
+    };
+    match &sc.workload {
+        WorkloadSpec::OpenLoop { rates } => open_loop(rates),
+        WorkloadSpec::Phases { tracks } => open_loop(&phase_rates(tracks, sc.duration_secs)?),
         WorkloadSpec::ClosedLoop {
             users_steps,
             think_ms,
@@ -68,7 +72,7 @@ fn build_load(
         }
         WorkloadSpec::RetryStorm { .. } => Err(
             "the retry_storm workload has no live equivalent (its retrying \
-             clients live inside the simulator); use open_loop or closed_loop"
+             clients live inside the simulator); use open_loop, phases or closed_loop"
                 .into(),
         ),
     }
@@ -91,7 +95,7 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
     let topo = build_topology(&sc.app)?;
     let mut ctl = control_loop(sc)?;
     let scale = duration_secs as f64 / sc.duration_secs as f64;
-    let (mut closed, mut arms) = build_load(&topo, &sc.workload, scale)?;
+    let (mut closed, mut arms) = build_load(&topo, sc, scale)?;
     if let Some(adm) = &sc.admission {
         let (front, key_spaces) = front_door_config(&topo, adm)?;
         cfg.front = Some(front);

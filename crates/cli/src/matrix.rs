@@ -1,26 +1,23 @@
-//! Workflow matrices: workloads × fault plans × controller arms.
+//! Scenario matrices: workloads × fault plans × controller arms.
 //!
-//! A matrix spec names reusable pieces once — phase tracks, fault
-//! schedules, controller arms — and the expander takes the cross
-//! product, compiling every cell to a plain [`Scenario`] and executing
-//! the cells through the experiment worker pool. The report carries a
-//! journal fingerprint per cell, so two matrix runs (or the same run at
-//! different `TOPFULL_WORKERS`) can be diffed for determinism.
+//! A matrix names one base scenario and three axes. Each cell is the
+//! base with its `workload`, `faults` and `controller` replaced by one
+//! entry of each axis; the cells run through the experiment worker
+//! pool. The report carries a journal fingerprint per cell, so two
+//! matrix runs (or the same run at different `TOPFULL_WORKERS`) can be
+//! diffed for determinism.
 
 use crate::run_scenario;
-use crate::schema::{
-    AppSpec, ControllerSpec, FaultSpecJson, ResilienceSpec, Scenario, ShardingSpec,
-};
-use crate::workflow::{TrackSpec, WorkflowSpec};
+use crate::schema::{ControllerSpec, FaultSpecJson, Scenario, WorkloadSpec};
 use cluster::runner::RunPlan;
 use serde::{Deserialize, Serialize};
 
-/// A named workload: one set of per-API phase tracks.
+/// A named workload.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct WorkloadDef {
     pub name: String,
-    pub tracks: Vec<TrackSpec>,
+    pub workload: WorkloadSpec,
 }
 
 /// A named fault schedule.
@@ -41,23 +38,14 @@ pub struct ArmDef {
     pub controller: ControllerSpec,
 }
 
-/// The matrix: shared app/SLO/seed plus the three axes.
+/// The matrix: a base scenario and the three axes. Every cell replaces
+/// the base's `workload`, `faults` and `controller`, so a base that
+/// writes any of them is refused by key; its `workload` is the required
+/// placeholder `{"type": "open_loop", "rates": []}`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct MatrixSpec {
-    #[serde(default = "default_name")]
-    pub name: String,
-    #[serde(default = "crate::schema::default_seed")]
-    pub seed: u64,
-    #[serde(default = "crate::schema::default_slo_ms")]
-    pub slo_ms: u64,
-    pub app: AppSpec,
-    #[serde(default)]
-    pub resilience: Option<ResilienceSpec>,
-    #[serde(default)]
-    pub sharding: Option<ShardingSpec>,
-    #[serde(default = "crate::schema::default_measure_from")]
-    pub measure_from_secs: u64,
+    pub base: Scenario,
     pub workloads: Vec<WorkloadDef>,
     /// Defaults to a single fault-free plan named `clean`.
     #[serde(default)]
@@ -65,18 +53,14 @@ pub struct MatrixSpec {
     pub arms: Vec<ArmDef>,
 }
 
-fn default_name() -> String {
-    "matrix".into()
-}
-
-/// One expanded cell: its id (`workload/fault_plan/arm`) and workflow.
+/// One expanded cell: its id (`workload/fault_plan/arm`) and scenario.
 #[derive(Clone, Debug)]
 struct MatrixCell {
     id: String,
     workload: String,
     fault_plan: String,
     arm: String,
-    workflow: WorkflowSpec,
+    scenario: Scenario,
 }
 
 impl MatrixSpec {
@@ -91,12 +75,26 @@ impl MatrixSpec {
         }
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Cross product in axis order: workloads (outer) × fault plans ×
+    /// arms (inner). Deterministic — this is the execution order. Every
+    /// cell is validated, so a bad spec fails before any cell runs.
+    fn expand(&self) -> Result<Vec<MatrixCell>, String> {
         if self.workloads.is_empty() {
             return Err("matrix has no workloads".into());
         }
         if self.arms.is_empty() {
             return Err("matrix has no arms".into());
+        }
+        if !matches!(&self.base.workload, WorkloadSpec::OpenLoop { rates } if rates.is_empty()) {
+            return Err("base.workload: replaced by each workloads entry; write \
+                 {\"type\": \"open_loop\", \"rates\": []}"
+                .into());
+        }
+        if !self.base.faults.is_empty() {
+            return Err("base.faults: replaced by each fault_plans entry".into());
+        }
+        if !matches!(self.base.controller, ControllerSpec::None) {
+            return Err("base.controller: replaced by each arms entry".into());
         }
         for axis in [
             self.workloads.iter().map(|w| &w.name).collect::<Vec<_>>(),
@@ -109,39 +107,25 @@ impl MatrixSpec {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Cross product in axis order: workloads (outer) × fault plans ×
-    /// arms (inner). Deterministic — this is the execution order.
-    fn expand(&self) -> Result<Vec<MatrixCell>, String> {
-        self.validate()?;
         let mut cells = Vec::new();
         for w in &self.workloads {
             for fp in &self.fault_plans_or_clean() {
                 for arm in &self.arms {
                     let id = format!("{}/{}/{}", w.name, fp.name, arm.name);
-                    let wf = WorkflowSpec {
-                        name: format!("{}:{id}", self.name),
-                        seed: self.seed,
-                        slo_ms: self.slo_ms,
-                        app: self.app.clone(),
-                        tracks: w.tracks.clone(),
-                        controller: arm.controller.clone(),
+                    let scenario = Scenario {
+                        name: format!("{}:{id}", self.base.name),
+                        workload: w.workload.clone(),
                         faults: fp.faults.clone(),
-                        resilience: self.resilience.clone(),
-                        sharding: self.sharding.clone(),
-                        measure_from_secs: self.measure_from_secs,
+                        controller: arm.controller.clone(),
+                        ..self.base.clone()
                     };
-                    // Compile every cell up front so a bad spec fails
-                    // before any cell runs, not mid-matrix.
-                    wf.compile()?;
+                    crate::validate_scenario(&scenario).map_err(|e| format!("cell '{id}': {e}"))?;
                     cells.push(MatrixCell {
                         id,
                         workload: w.name.clone(),
                         fault_plan: fp.name.clone(),
                         arm: arm.name.clone(),
-                        workflow: wf,
+                        scenario,
                     });
                 }
             }
@@ -149,14 +133,9 @@ impl MatrixSpec {
         Ok(cells)
     }
 
-    /// Validate without running: expand + engine-level check per cell.
+    /// Validate every cell without running; returns the cell count.
     pub fn check(&self) -> Result<usize, String> {
-        let cells = self.expand()?;
-        for c in &cells {
-            let sc = c.workflow.compile()?;
-            crate::validate_scenario(&sc).map_err(|e| format!("cell '{}': {e}", c.id))?;
-        }
-        Ok(cells.len())
+        self.expand().map(|cells| cells.len())
     }
 }
 
@@ -213,7 +192,7 @@ pub fn run_matrix(spec: &MatrixSpec, workers: Option<usize>) -> Result<MatrixRep
         plan = plan.with_workers(w);
     }
     for cell in &cells {
-        let sc: Scenario = cell.workflow.compile()?;
+        let sc = cell.scenario.clone();
         plan.submit(move || run_scenario(&sc));
     }
     let outcomes = plan.run();
@@ -236,8 +215,8 @@ pub fn run_matrix(spec: &MatrixSpec, workers: Option<usize>) -> Result<MatrixRep
         });
     }
     Ok(MatrixReport {
-        matrix: spec.name.clone(),
-        seed: spec.seed,
+        matrix: spec.base.name.clone(),
+        seed: spec.base.seed,
         cells: rows.len(),
         rows,
     })
@@ -297,7 +276,7 @@ fn best_arms(report: &MatrixReport) -> Vec<(String, String, f64)> {
 }
 
 /// Parse a matrix spec from JSON text; unknown keys are errors at every
-/// depth, as for [`crate::workflow::parse_workflow`].
+/// depth, as for [`crate::parse_scenario`].
 pub fn parse_matrix(json: &str) -> Result<MatrixSpec, String> {
     serde_json::from_str(json).map_err(|e| format!("invalid matrix: {e}"))
 }
@@ -305,40 +284,48 @@ pub fn parse_matrix(json: &str) -> Result<MatrixSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::PhaseSpec;
+    use crate::schema::{PhaseSpec, ReportSpec, TrackSpec};
+
+    fn one_track(phase: PhaseSpec) -> WorkloadSpec {
+        WorkloadSpec::Phases {
+            tracks: vec![TrackSpec {
+                api: "get".into(),
+                phases: vec![phase],
+            }],
+        }
+    }
 
     fn spec_2x2() -> MatrixSpec {
         MatrixSpec {
-            name: "m".into(),
-            seed: 7,
-            slo_ms: 1000,
-            app: Scenario::example().app,
-            resilience: None,
-            sharding: None,
-            measure_from_secs: 10,
+            base: Scenario {
+                name: "m".into(),
+                duration_secs: 30,
+                workload: WorkloadSpec::OpenLoop { rates: vec![] },
+                controller: ControllerSpec::None,
+                resilience: None,
+                report: ReportSpec {
+                    measure_from_secs: 10,
+                    timeline: false,
+                },
+                ..Scenario::example()
+            },
             workloads: vec![
                 WorkloadDef {
                     name: "steady".into(),
-                    tracks: vec![TrackSpec {
-                        api: "get".into(),
-                        phases: vec![PhaseSpec::Plateau {
-                            duration_secs: 30,
-                            rate: 60.0,
-                        }],
-                    }],
+                    workload: one_track(PhaseSpec::Plateau {
+                        duration_secs: 30,
+                        rate: 60.0,
+                    }),
                 },
                 WorkloadDef {
                     name: "surge".into(),
-                    tracks: vec![TrackSpec {
-                        api: "get".into(),
-                        phases: vec![PhaseSpec::FlashCrowd {
-                            duration_secs: 30,
-                            base: 60.0,
-                            peak: 300.0,
-                            burst_from_secs: 10,
-                            burst_until_secs: 20,
-                        }],
-                    }],
+                    workload: one_track(PhaseSpec::FlashCrowd {
+                        duration_secs: 30,
+                        base: 60.0,
+                        peak: 300.0,
+                        burst_from_secs: 10,
+                        burst_until_secs: 20,
+                    }),
                 },
             ],
             fault_plans: vec![],
@@ -368,6 +355,7 @@ mod tests {
                 "surge/clean/topfull",
             ]
         );
+        assert_eq!(cells[3].scenario.name, "m:surge/clean/topfull");
     }
 
     #[test]
@@ -375,6 +363,35 @@ mod tests {
         let mut m = spec_2x2();
         m.arms[1].name = "none".into();
         assert!(m.expand().unwrap_err().contains("duplicate name 'none'"));
+    }
+
+    #[test]
+    fn a_base_key_every_cell_replaces_is_refused() {
+        let mut m = spec_2x2();
+        m.base.faults = vec![FaultSpecJson::PodKill {
+            at_secs: 5,
+            service: "frontend".into(),
+            pods: 1,
+        }];
+        let err = m.check().expect_err("base.faults");
+        assert!(err.starts_with("base.faults: "), "{err}");
+        let mut m = spec_2x2();
+        m.base.controller = ControllerSpec::topfull("mimd");
+        let err = m.check().expect_err("base.controller");
+        assert!(err.starts_with("base.controller: "), "{err}");
+        let mut m = spec_2x2();
+        m.base.workload = m.workloads[0].workload.clone();
+        let err = m.check().expect_err("base.workload");
+        assert!(err.starts_with("base.workload: "), "{err}");
+    }
+
+    #[test]
+    fn a_cell_that_does_not_validate_is_named() {
+        let mut m = spec_2x2();
+        m.base.duration_secs = 20;
+        let err = m.check().expect_err("30 s tracks in a 20 s run");
+        assert!(err.starts_with("cell 'steady/clean/none': "), "{err}");
+        assert!(err.contains("workload.tracks[0]"), "{err}");
     }
 
     #[test]
@@ -397,18 +414,6 @@ mod tests {
         let text = render_matrix(&r1);
         assert!(text.contains("surge/clean/topfull"), "{text}");
         assert!(text.contains("best[surge/clean]:"), "{text}");
-    }
-
-    #[test]
-    fn parse_rejects_axis_typos() {
-        let json = r#"{
-            "app": {"type": "builtin", "name": "online-boutique"},
-            "workloads": [{"name": "w", "tracks": []}],
-            "arms": [{"nmae": "none"}]
-        }"#;
-        let err = parse_matrix(json).expect_err("arm typo rejected");
-        assert!(err.contains(" arms[0]: unknown key 'nmae'"), "{err}");
-        assert!(err.contains("did you mean 'name'?"), "{err}");
     }
 
     #[test]

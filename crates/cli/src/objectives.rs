@@ -2,12 +2,13 @@
 //! weakness.
 //!
 //! Every objective compares the controller arm against an oracle run of
-//! the *same* workflow with the controller off (`ControllerSpec::None`).
+//! the *same* scenario with the controller off (`ControllerSpec::None`).
 //! That comparison is what separates "the controller broke this" from
 //! "nothing could have served this": a workload that saturates the
 //! uncontrolled cluster too is not a finding.
 
-use crate::workflow::WorkflowSpec;
+use crate::build::phase_rates;
+use crate::schema::{FaultSpecJson, Scenario, WorkloadSpec};
 use crate::ScenarioOutcome;
 use obs::JournalEntry;
 
@@ -91,18 +92,66 @@ fn in_fault_window(t: f64, windows: &[(f64, f64)]) -> bool {
         .any(|(from, until)| t >= *from && t < *until + BREACH_GRACE_SECS)
 }
 
+/// The time after which the input stops changing: the last rate step
+/// and the last fault window have both passed. `None` when the scenario
+/// holds a permanent disturbance (pod kills don't "clear", so there is
+/// nothing to re-converge to) or its workload is not `phases`.
+fn quiesce_secs(sc: &Scenario) -> Option<f64> {
+    let mut q = 0u64;
+    for f in &sc.faults {
+        match f {
+            FaultSpecJson::PodKill { .. } => return None,
+            FaultSpecJson::SlowPods { until_secs, .. }
+            | FaultSpecJson::NetworkDegrade { until_secs, .. }
+            | FaultSpecJson::TelemetryDropout { until_secs, .. }
+            | FaultSpecJson::TelemetryStaleness { until_secs, .. }
+            | FaultSpecJson::TelemetryNoise { until_secs, .. }
+            | FaultSpecJson::ControllerStall { until_secs, .. } => q = q.max(*until_secs),
+        }
+    }
+    let WorkloadSpec::Phases { tracks } = &sc.workload else {
+        return None;
+    };
+    let rates = phase_rates(tracks, sc.duration_secs).ok()?;
+    let last_step = rates.iter().flat_map(|r| &r.steps).map(|&(t, _)| t).max();
+    Some(q.max(last_step.unwrap_or(0)) as f64)
+}
+
+/// Windows where a fault injects latency the controller cannot shed
+/// (slow pods, network degrade). The sustained-p99 objective skips
+/// these spans — a breach the controller can't influence is not a
+/// controller weakness.
+fn latency_fault_windows(sc: &Scenario) -> Vec<(f64, f64)> {
+    sc.faults
+        .iter()
+        .filter_map(|f| match f {
+            FaultSpecJson::SlowPods {
+                from_secs,
+                until_secs,
+                ..
+            } => Some((*from_secs as f64, *until_secs as f64)),
+            FaultSpecJson::NetworkDegrade {
+                from_secs,
+                until_secs,
+                extra_latency_ms,
+                loss,
+                ..
+            } if *extra_latency_ms > 0 || *loss > 0.0 => {
+                Some((*from_secs as f64, *until_secs as f64))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Evaluate every objective for `arm` against the no-controller
-/// `oracle` run of the same compiled workflow. Returns all violations,
-/// strongest class first.
-pub fn evaluate(
-    wf: &WorkflowSpec,
-    arm: &ScenarioOutcome,
-    oracle: &ScenarioOutcome,
-) -> Vec<Violation> {
+/// `oracle` run of the same scenario. Returns all violations, strongest
+/// class first.
+pub fn evaluate(sc: &Scenario, arm: &ScenarioOutcome, oracle: &ScenarioOutcome) -> Vec<Violation> {
     let mut out = Vec::new();
 
     // 1. Steady-state goodput collapse. Both outcomes already hold the
-    // steady-state mean over the workflow's measurement window.
+    // steady-state mean over the scenario's measurement window.
     if oracle.total_goodput >= MIN_BASELINE_RPS
         && arm.total_goodput < COLLAPSE_RATIO * oracle.total_goodput
     {
@@ -118,10 +167,10 @@ pub fn evaluate(
     }
 
     // 2. Failure to re-converge after the input quiesces. Skipped when
-    // the workflow never quiesces (permanent faults) or leaves no tail.
-    if let Some(q) = wf.quiesce_secs() {
+    // the scenario never quiesces (permanent faults) or leaves no tail.
+    if let Some(q) = quiesce_secs(sc) {
         let tail_from = q + SETTLE_SECS;
-        let end = wf.duration_secs() as f64;
+        let end = sc.duration_secs as f64;
         if end - tail_from >= MIN_TAIL_SECS {
             if let (Some(a), Some(b)) = (
                 window_mean(&arm.timeline, tail_from, end),
@@ -142,9 +191,9 @@ pub fn evaluate(
 
     // 3. Sustained p99 breach, excluding spans where an exogenous
     // latency fault is active (the controller cannot shed those).
-    let slo_secs = wf.slo_ms as f64 / 1000.0;
+    let slo_secs = sc.slo_ms as f64 / 1000.0;
     let threshold = BREACH_FACTOR * slo_secs;
-    let windows = wf.latency_fault_windows();
+    let windows = latency_fault_windows(sc);
     let mut span_start: Option<f64> = None;
     let mut worst_span = 0.0f64;
     let mut worst_at = 0.0f64;
@@ -246,8 +295,7 @@ pub fn trips(violations: &[Violation], objective: Objective) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ControllerSpec, Scenario};
-    use crate::workflow::{PhaseSpec, TrackSpec};
+    use crate::schema::{PhaseSpec, TrackSpec};
 
     fn outcome(goodput: f64, timeline: Vec<(f64, f64)>, p99: Vec<(f64, f64)>) -> ScenarioOutcome {
         ScenarioOutcome {
@@ -271,25 +319,23 @@ mod tests {
         }
     }
 
-    fn wf() -> WorkflowSpec {
-        WorkflowSpec {
-            name: "t".into(),
-            seed: 1,
-            slo_ms: 1000,
-            app: Scenario::example().app,
-            tracks: vec![TrackSpec {
-                api: "get".into(),
-                phases: vec![PhaseSpec::Plateau {
-                    duration_secs: 120,
-                    rate: 80.0,
+    fn sc(phases: Vec<PhaseSpec>) -> Scenario {
+        Scenario {
+            workload: WorkloadSpec::Phases {
+                tracks: vec![TrackSpec {
+                    api: "get".into(),
+                    phases,
                 }],
-            }],
-            controller: ControllerSpec::default(),
-            faults: vec![],
-            resilience: None,
-            sharding: None,
-            measure_from_secs: 30,
+            },
+            ..Scenario::example()
         }
+    }
+
+    fn wf() -> Scenario {
+        sc(vec![PhaseSpec::Plateau {
+            duration_secs: 120,
+            rate: 80.0,
+        }])
     }
 
     #[test]
@@ -311,15 +357,13 @@ mod tests {
         assert!(trips(&v, Objective::SustainedBreach));
 
         let mut faulted = wf();
-        faulted
-            .faults
-            .push(crate::schema::FaultSpecJson::NetworkDegrade {
-                from_secs: 0,
-                until_secs: 120,
-                service: None,
-                extra_latency_ms: 1500,
-                loss: 0.0,
-            });
+        faulted.faults.push(FaultSpecJson::NetworkDegrade {
+            from_secs: 0,
+            until_secs: 120,
+            service: None,
+            extra_latency_ms: 1500,
+            loss: 0.0,
+        });
         let v = evaluate(&faulted, &arm, &oracle);
         assert!(
             !trips(&v, Objective::SustainedBreach),
@@ -392,14 +436,13 @@ mod tests {
 
     #[test]
     fn reconvergence_watches_the_post_quiesce_tail() {
-        let mut w = wf();
-        w.tracks[0].phases = vec![PhaseSpec::FlashCrowd {
+        let mut w = sc(vec![PhaseSpec::FlashCrowd {
             duration_secs: 120,
             base: 60.0,
             peak: 400.0,
             burst_from_secs: 20,
             burst_until_secs: 40,
-        }];
+        }]);
         // Quiesce at 40s, tail from 60s. Arm stuck at 5 rps; oracle 60.
         let arm_tl: Vec<(f64, f64)> = (0..120).map(|t| (t as f64, 5.0)).collect();
         let orc_tl: Vec<(f64, f64)> = (0..120).map(|t| (t as f64, 60.0)).collect();
@@ -409,12 +452,41 @@ mod tests {
         assert!(trips(&v, Objective::ReconvergenceFailure), "{v:?}");
 
         // A permanent pod kill removes the objective entirely.
-        w.faults.push(crate::schema::FaultSpecJson::PodKill {
+        w.faults.push(FaultSpecJson::PodKill {
             at_secs: 30,
             service: "backend".into(),
             pods: 1,
         });
         let v = evaluate(&w, &arm, &oracle);
         assert!(!trips(&v, Objective::ReconvergenceFailure), "{v:?}");
+    }
+
+    #[test]
+    fn quiesce_tracks_faults_and_steps() {
+        let mut w = sc(vec![PhaseSpec::FlashCrowd {
+            duration_secs: 60,
+            base: 40.0,
+            peak: 400.0,
+            burst_from_secs: 10,
+            burst_until_secs: 20,
+        }]);
+        assert_eq!(quiesce_secs(&w), Some(20.0));
+        w.faults.push(FaultSpecJson::NetworkDegrade {
+            from_secs: 25,
+            until_secs: 45,
+            service: None,
+            extra_latency_ms: 500,
+            loss: 0.0,
+        });
+        assert_eq!(quiesce_secs(&w), Some(45.0));
+        assert_eq!(latency_fault_windows(&w), vec![(25.0, 45.0)]);
+        w.faults.push(FaultSpecJson::PodKill {
+            at_secs: 30,
+            service: "backend".into(),
+            pods: 1,
+        });
+        assert_eq!(quiesce_secs(&w), None, "pod kills never clear");
+        let open_loop = Scenario::example();
+        assert_eq!(quiesce_secs(&open_loop), None, "only phases settle");
     }
 }

@@ -76,15 +76,11 @@ fn default_name() -> String {
 fn default_duration() -> u64 {
     120
 }
-// One default each for the scenario, workflow and matrix formats.
 pub(crate) fn default_seed() -> u64 {
     EngineConfig::default().seed
 }
 pub(crate) fn default_slo_ms() -> u64 {
     EngineConfig::default().slo.as_nanos() / 1_000_000
-}
-pub(crate) fn default_measure_from() -> u64 {
-    30
 }
 
 /// Application definition.
@@ -186,6 +182,10 @@ pub struct CallSpec {
 pub enum WorkloadSpec {
     /// Poisson arrivals with per-API stepwise rate schedules.
     OpenLoop { rates: Vec<RateSpec> },
+    /// Poisson arrivals whose per-API rates play phases back to back
+    /// (the fuzzer's genome). A track shorter than `duration_secs`
+    /// holds its last rate; a longer one is refused.
+    Phases { tracks: Vec<TrackSpec> },
     /// Locust-style user population.
     ClosedLoop {
         /// `(from_secs, users)` steps.
@@ -223,6 +223,53 @@ fn default_backoff_ms() -> u64 {
 pub struct RateSpec {
     pub api: String,
     pub steps: Vec<(u64, f64)>,
+}
+
+/// One API's phases, played back to back from t = 0.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct TrackSpec {
+    pub api: String,
+    pub phases: Vec<PhaseSpec>,
+}
+
+/// One workload phase: `duration_secs` long, rates in requests/second,
+/// times relative to the phase's start.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
+pub enum PhaseSpec {
+    /// Hold `rate` for the whole phase.
+    Plateau { duration_secs: u64, rate: f64 },
+    /// Linear ramp from `from` to `to`.
+    Ramp {
+        duration_secs: u64,
+        from: f64,
+        to: f64,
+    },
+    /// Plateau at `base` with a burst to `peak` over
+    /// `[burst_from_secs, burst_until_secs)`.
+    FlashCrowd {
+        duration_secs: u64,
+        base: f64,
+        peak: f64,
+        burst_from_secs: u64,
+        burst_until_secs: u64,
+    },
+    /// `base + amplitude · sin(2π t / period)` — a compressed day.
+    Diurnal {
+        duration_secs: u64,
+        base: f64,
+        amplitude: f64,
+        period_secs: u64,
+    },
+    /// Square wave between `low` and `high`, starting low, switching
+    /// every `period_secs / 2`.
+    Oscillate {
+        duration_secs: u64,
+        low: f64,
+        high: f64,
+        period_secs: u64,
+    },
 }
 
 /// Overload controller selection.
@@ -544,7 +591,7 @@ pub struct ReportSpec {
 impl Default for ReportSpec {
     fn default() -> Self {
         ReportSpec {
-            measure_from_secs: default_measure_from(),
+            measure_from_secs: 30,
             timeline: false,
         }
     }

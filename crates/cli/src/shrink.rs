@@ -1,4 +1,4 @@
-//! Greedy workflow shrinking: reduce a tripping genome to a minimal
+//! Greedy genome shrinking: reduce a tripping scenario to a minimal
 //! reproducer that still trips the same objective.
 //!
 //! Candidates are generated in a fixed order (drop a fault, drop a
@@ -8,7 +8,9 @@
 //! tripping predicate does; an eval budget bounds the worst case on
 //! top of that.
 
-use crate::workflow::{PhaseSpec, WorkflowSpec};
+use crate::build::phase_rates;
+use crate::fuzz::{longest_track, tracks, tracks_mut};
+use crate::schema::{PhaseSpec, Scenario};
 
 /// Below this, phase durations stop halving — the simulator needs a
 /// few control ticks for any behaviour to be observable at all.
@@ -16,10 +18,11 @@ const MIN_PHASE_SECS: u64 = 16;
 
 /// Structural size of a genome: what shrinking minimises. Strictly
 /// decreases on every accepted candidate (the termination argument).
-pub fn size(wf: &WorkflowSpec) -> u64 {
+pub fn size(sc: &Scenario) -> u64 {
+    let own = tracks(sc);
     let components =
-        wf.faults.len() + wf.tracks.len() + wf.tracks.iter().map(|t| t.phases.len()).sum::<usize>();
-    wf.duration_secs() + 50 * components as u64
+        sc.faults.len() + own.len() + own.iter().map(|t| t.phases.len()).sum::<usize>();
+    longest_track(sc) + 50 * components as u64
 }
 
 /// Halve a phase's duration, scaling its internal landmarks so the
@@ -58,42 +61,47 @@ fn halve_phase(p: &PhaseSpec) -> PhaseSpec {
 }
 
 /// All one-step-smaller candidates, in shrink-preference order:
-/// structure first (faults, tracks, phases), then time.
-fn candidates(wf: &WorkflowSpec) -> Vec<WorkflowSpec> {
+/// structure first (faults, tracks, phases), then time. Each lasts its
+/// longest track.
+fn candidates(sc: &Scenario) -> Vec<Scenario> {
     let mut out = Vec::new();
-    for i in 0..wf.faults.len() {
-        let mut c = wf.clone();
+    for i in 0..sc.faults.len() {
+        let mut c = sc.clone();
         c.faults.remove(i);
         out.push(c);
     }
-    if wf.tracks.len() > 1 {
-        for i in 0..wf.tracks.len() {
-            let mut c = wf.clone();
-            c.tracks.remove(i);
+    let own = tracks(sc);
+    if own.len() > 1 {
+        for i in 0..own.len() {
+            let mut c = sc.clone();
+            tracks_mut(&mut c).remove(i);
             out.push(c);
         }
     }
-    for ti in 0..wf.tracks.len() {
-        if wf.tracks[ti].phases.len() > 1 {
-            for pi in 0..wf.tracks[ti].phases.len() {
-                let mut c = wf.clone();
-                c.tracks[ti].phases.remove(pi);
+    for (ti, t) in own.iter().enumerate() {
+        if t.phases.len() > 1 {
+            for pi in 0..t.phases.len() {
+                let mut c = sc.clone();
+                tracks_mut(&mut c)[ti].phases.remove(pi);
                 out.push(c);
             }
         }
     }
-    for ti in 0..wf.tracks.len() {
-        for pi in 0..wf.tracks[ti].phases.len() {
-            if wf.tracks[ti].phases[pi].duration_secs() >= 2 * MIN_PHASE_SECS {
-                let mut c = wf.clone();
-                c.tracks[ti].phases[pi] = halve_phase(&wf.tracks[ti].phases[pi]);
+    for (ti, t) in own.iter().enumerate() {
+        for (pi, p) in t.phases.iter().enumerate() {
+            if p.duration_secs() >= 2 * MIN_PHASE_SECS {
+                let mut c = sc.clone();
+                tracks_mut(&mut c)[ti].phases[pi] = halve_phase(p);
                 out.push(c);
             }
         }
+    }
+    for c in &mut out {
+        c.duration_secs = longest_track(c);
     }
     // Only structurally valid, strictly smaller candidates survive —
     // the strict decrease is what guarantees termination.
-    out.retain(|c| c.validate().is_ok() && size(c) < size(wf));
+    out.retain(|c| phase_rates(tracks(c), c.duration_secs).is_ok() && size(c) < size(sc));
     out
 }
 
@@ -101,22 +109,22 @@ fn candidates(wf: &WorkflowSpec) -> Vec<WorkflowSpec> {
 pub struct Shrunk {
     /// The minimal genome that still trips (the input itself when no
     /// candidate survived).
-    pub genome: WorkflowSpec,
+    pub genome: Scenario,
     /// Predicate evaluations spent.
     pub evals: u32,
     /// Accepted shrink steps.
     pub steps: u32,
 }
 
-/// Greedily shrink `wf` under `still_trips` (true ⇒ the candidate still
+/// Greedily shrink `sc` under `still_trips` (true ⇒ the candidate still
 /// reproduces the finding). The caller's predicate typically re-runs
 /// the simulator pair, so `max_evals` caps total cost.
 pub fn shrink(
-    wf: &WorkflowSpec,
+    sc: &Scenario,
     max_evals: u32,
-    still_trips: &mut dyn FnMut(&WorkflowSpec) -> bool,
+    still_trips: &mut dyn FnMut(&Scenario) -> bool,
 ) -> Shrunk {
-    let mut current = wf.clone();
+    let mut current = sc.clone();
     let mut evals = 0u32;
     let mut steps = 0u32;
     'outer: loop {
@@ -143,38 +151,35 @@ pub fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ControllerSpec, FaultSpecJson, Scenario};
-    use crate::workflow::TrackSpec;
+    use crate::schema::{FaultSpecJson, TrackSpec, WorkloadSpec};
 
-    fn big_genome() -> WorkflowSpec {
-        WorkflowSpec {
-            name: "big".into(),
-            seed: 3,
-            slo_ms: 1000,
-            app: Scenario::example().app,
-            tracks: vec![TrackSpec {
-                api: "get".into(),
-                phases: vec![
-                    PhaseSpec::Plateau {
-                        duration_secs: 64,
-                        rate: 60.0,
-                    },
-                    PhaseSpec::FlashCrowd {
-                        duration_secs: 64,
-                        base: 60.0,
-                        peak: 300.0,
-                        burst_from_secs: 16,
-                        burst_until_secs: 40,
-                    },
-                    PhaseSpec::Oscillate {
-                        duration_secs: 64,
-                        low: 20.0,
-                        high: 200.0,
-                        period_secs: 16,
-                    },
-                ],
-            }],
-            controller: ControllerSpec::default(),
+    fn big_genome() -> Scenario {
+        Scenario {
+            duration_secs: 192,
+            workload: WorkloadSpec::Phases {
+                tracks: vec![TrackSpec {
+                    api: "get".into(),
+                    phases: vec![
+                        PhaseSpec::Plateau {
+                            duration_secs: 64,
+                            rate: 60.0,
+                        },
+                        PhaseSpec::FlashCrowd {
+                            duration_secs: 64,
+                            base: 60.0,
+                            peak: 300.0,
+                            burst_from_secs: 16,
+                            burst_until_secs: 40,
+                        },
+                        PhaseSpec::Oscillate {
+                            duration_secs: 64,
+                            low: 20.0,
+                            high: 200.0,
+                            period_secs: 16,
+                        },
+                    ],
+                }],
+            },
             faults: vec![
                 FaultSpecJson::ControllerStall {
                     from_secs: 10,
@@ -186,23 +191,22 @@ mod tests {
                     sigma: 0.8,
                 },
             ],
-            resilience: None,
-            sharding: None,
-            measure_from_secs: 10,
+            ..Scenario::example()
         }
     }
 
     #[test]
     fn shrinks_to_local_minimum_when_everything_trips() {
         // A predicate that always trips shrinks as far as the candidate
-        // generator can go; the result must still be a valid workflow.
-        let wf = big_genome();
-        let out = shrink(&wf, 10_000, &mut |_| true);
+        // generator can go; the result must still be a valid scenario.
+        let sc = big_genome();
+        let out = shrink(&sc, 10_000, &mut |_| true);
         assert!(out.steps > 0, "some shrinking must happen");
-        assert!(size(&out.genome) < size(&wf));
-        out.genome.validate().expect("shrunk genome stays valid");
+        assert!(size(&out.genome) < size(&sc));
+        crate::validate_scenario(&out.genome).expect("shrunk genome stays valid");
+        assert_eq!(out.genome.duration_secs, longest_track(&out.genome));
         assert!(out.genome.faults.is_empty(), "droppable faults dropped");
-        assert_eq!(out.genome.tracks[0].phases.len(), 1);
+        assert_eq!(tracks(&out.genome)[0].phases.len(), 1);
         // Fixed point: no further candidate shrinks it.
         assert!(candidates(&out.genome)
             .iter()
@@ -211,26 +215,26 @@ mod tests {
 
     #[test]
     fn returns_input_when_nothing_trips() {
-        let wf = big_genome();
-        let out = shrink(&wf, 10_000, &mut |_| false);
+        let sc = big_genome();
+        let out = shrink(&sc, 10_000, &mut |_| false);
         assert_eq!(out.steps, 0);
-        assert_eq!(size(&out.genome), size(&wf));
+        assert_eq!(size(&out.genome), size(&sc));
     }
 
     #[test]
     fn every_candidate_is_strictly_smaller() {
         // The termination invariant itself.
-        let wf = big_genome();
-        for c in candidates(&wf) {
-            assert!(size(&c) < size(&wf), "candidate must shrink");
+        let sc = big_genome();
+        for c in candidates(&sc) {
+            assert!(size(&c) < size(&sc), "candidate must shrink");
         }
     }
 
     #[test]
     fn respects_the_eval_budget() {
-        let wf = big_genome();
+        let sc = big_genome();
         let mut calls = 0u32;
-        let out = shrink(&wf, 5, &mut |_| {
+        let out = shrink(&sc, 5, &mut |_| {
             calls += 1;
             false
         });

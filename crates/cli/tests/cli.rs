@@ -5,8 +5,8 @@
 
 use std::process::{Command, Output};
 
-const SUBCOMMANDS: [&str; 10] = [
-    "run", "check", "compare", "example", "live", "explain", "trace", "workflow", "matrix", "fuzz",
+const SUBCOMMANDS: [&str; 9] = [
+    "run", "check", "compare", "example", "live", "explain", "trace", "matrix", "fuzz",
 ];
 
 fn topfull(args: &[&str]) -> Output {

@@ -1,6 +1,6 @@
 //! Regression pins for fuzzer-found controller weaknesses.
 //!
-//! Every genome under `scenarios/found/` was produced by `topfull fuzz`
+//! Every scenario under `scenarios/found/` was produced by `topfull fuzz`
 //! (seeded, deterministic) and shrunk to a minimal reproducer. Fixed
 //! findings are replayed here and must stay fixed; known-open findings
 //! are pinned as *still tripping* so the corpus stays honest — when a
@@ -12,20 +12,20 @@ use std::path::PathBuf;
 
 use topfull_cli::fuzz::run_pair;
 use topfull_cli::objectives::{evaluate, trips, Objective};
-use topfull_cli::workflow::{parse_workflow, WorkflowSpec};
+use topfull_cli::{parse_scenario, Scenario};
 
-fn found_genome(name: &str) -> WorkflowSpec {
+fn found_genome(name: &str) -> Scenario {
     let p = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../scenarios/found")
         .join(name);
     let text = fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()));
-    parse_workflow(&text).unwrap_or_else(|e| panic!("parse {}: {e}", p.display()))
+    parse_scenario(&text).unwrap_or_else(|e| panic!("parse {}: {e}", p.display()))
 }
 
 fn breach_trips(name: &str) -> bool {
-    let wf = found_genome(name);
-    let (arm, oracle) = run_pair(&wf).expect("reproducer pair runs");
-    let violations = evaluate(&wf, &arm, &oracle);
+    let sc = found_genome(name);
+    let (arm, oracle) = run_pair(&sc).expect("reproducer pair runs");
+    let violations = evaluate(&sc, &arm, &oracle);
     trips(&violations, Objective::SustainedBreach)
 }
 
@@ -36,7 +36,7 @@ fn breach_trips(name: &str) -> bool {
 #[test]
 fn flash_crowd_entry_inflation_stays_fixed() {
     assert!(
-        !breach_trips("fuzz_1_3_breach.workflow.json"),
+        !breach_trips("fuzz_1_3_breach.json"),
         "flash-crowd entry-inflation breach regressed"
     );
 }
@@ -49,7 +49,7 @@ fn flash_crowd_entry_inflation_stays_fixed() {
 #[test]
 fn ramp_first_throttle_inflation_stays_fixed() {
     assert!(
-        !breach_trips("fuzz_1_8_breach.workflow.json"),
+        !breach_trips("fuzz_1_8_breach.json"),
         "ramp first-throttle inflation breach regressed"
     );
 }
@@ -64,7 +64,7 @@ fn ramp_first_throttle_inflation_stays_fixed() {
 #[test]
 fn noise_blinded_descent_stays_fixed() {
     assert!(
-        !breach_trips("fuzz_2_10_breach.workflow.json"),
+        !breach_trips("fuzz_2_10_breach.json"),
         "noise-blinded recovery-path descent regressed"
     );
 }

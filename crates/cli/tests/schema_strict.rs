@@ -1,6 +1,6 @@
-//! The three document formats check themselves: no key table.
+//! The two document formats check themselves: no key table.
 //!
-//! For each of scenario, workflow and matrix, a fixture with every
+//! For each of scenario and matrix, a fixture with every
 //! optional block present is serialized, and *every* object key at
 //! *every* depth is replaced in turn by a one-edit misspelling. The
 //! parser must reject each one, naming the path of the object the key
@@ -15,7 +15,6 @@ use serde::Value;
 use topfull_cli::matrix::{parse_matrix, ArmDef, FaultPlanDef, MatrixSpec, WorkloadDef};
 use topfull_cli::parse_scenario;
 use topfull_cli::schema::*;
-use topfull_cli::workflow::{parse_workflow, PhaseSpec, TrackSpec, WorkflowSpec};
 
 #[derive(Clone)]
 enum Step {
@@ -400,6 +399,7 @@ fn every_misspelt_scenario_key_is_rejected_at_every_depth() {
                 api_weights: api_weights.clone(),
             }
         }),
+        with(&|sc| sc.workload = WorkloadSpec::Phases { tracks: tracks() }),
         with(&|sc| {
             sc.workload = WorkloadSpec::RetryStorm {
                 users: 10,
@@ -422,41 +422,16 @@ fn every_misspelt_scenario_key_is_rejected_at_every_depth() {
 }
 
 #[test]
-fn every_misspelt_workflow_key_is_rejected_at_every_depth() {
-    let wf = WorkflowSpec {
-        name: "full".into(),
-        seed: 7,
-        slo_ms: 1000,
-        app: inline_app(),
-        tracks: tracks(),
-        controller: topfull_arm(),
-        faults: every_fault(),
-        resilience: Some(full_resilience()),
-        sharding: Some(full_sharding()),
-        measure_from_secs: 20,
-    };
-    no_nulls(&wf);
-    let tried = every_misspelt_key_is_rejected(&wf, &|text| parse_workflow(text).map(|_| ()));
-    assert!(tried > 100, "walked only {tried} keys");
-}
-
-#[test]
 fn every_misspelt_matrix_key_is_rejected_at_every_depth() {
     let arm = |name: &str, controller| ArmDef {
         name: name.into(),
         controller,
     };
     let matrix = MatrixSpec {
-        name: "full".into(),
-        seed: 7,
-        slo_ms: 1000,
-        app: inline_app(),
-        resilience: Some(full_resilience()),
-        sharding: Some(full_sharding()),
-        measure_from_secs: 20,
+        base: full_scenario(),
         workloads: vec![WorkloadDef {
             name: "w".into(),
-            tracks: tracks(),
+            workload: WorkloadSpec::Phases { tracks: tracks() },
         }],
         fault_plans: vec![FaultPlanDef {
             name: "chaos".into(),
@@ -538,35 +513,37 @@ fn typos_the_key_tables_let_through_in_a_scenario() {
     }
 }
 
-/// `topfull workflow --check` and `topfull matrix --check` passed these:
-/// the workflow walker never looked inside `sharding` / `resilience`,
-/// the matrix walker never inside an arm's `controller`.
+/// `topfull workflow --check` and `topfull matrix --check` passed these
+/// when a phase workload was a document of its own: its walker never
+/// looked inside `sharding` / `resilience`, the matrix walker never
+/// inside an arm's `controller`.
 #[test]
-fn typos_the_key_tables_let_through_in_a_workflow_and_a_matrix() {
-    let workflow = |block: &str| {
+fn typos_the_key_tables_let_through_in_phases_and_a_matrix() {
+    let phases = |block: &str| {
         format!(
             r#"{{"app": {{"type": "builtin", "name": "online-boutique"}},
-                "tracks": [{{"api": "getproduct", "phases": [
-                    {{"kind": "plateau", "duration_secs": 30, "rate": 100.0}}]}}],
+                "workload": {{"type": "phases", "tracks": [{{"api": "getproduct", "phases": [
+                    {{"kind": "plateau", "duration_secs": 30, "rate": 100.0}}]}}]}},
                 {block}}}"#
         )
     };
     rejected(
-        parse_workflow,
-        &workflow(r#""sharding": {"shards": 2, "striek_out": 9}"#),
+        parse_scenario,
+        &phases(r#""sharding": {"shards": 2, "striek_out": 9}"#),
         "sharding: ",
         "strike_out",
     );
     rejected(
-        parse_workflow,
-        &workflow(r#""resilience": {"breakers": {"failure_treshold": 0.1}}"#),
+        parse_scenario,
+        &phases(r#""resilience": {"breakers": {"failure_treshold": 0.1}}"#),
         "resilience.breakers: ",
         "failure_threshold",
     );
     rejected(
         parse_matrix,
-        r#"{"app": {"type": "builtin", "name": "online-boutique"},
-            "workloads": [{"name": "w", "tracks": []}],
+        r#"{"base": {"app": {"type": "builtin", "name": "online-boutique"},
+                     "workload": {"type": "open_loop", "rates": []}},
+            "workloads": [{"name": "w", "workload": {"type": "phases", "tracks": []}}],
             "arms": [{"name": "a",
                       "controller": {"type": "topfull", "rate_controler": "bw"}}]}"#,
         "arms[0].controller (topfull): ",
@@ -574,5 +551,5 @@ fn typos_the_key_tables_let_through_in_a_workflow_and_a_matrix() {
     );
     // An absent block written as `null` (the fuzzer's reproducers do)
     // is still an absent block.
-    parse_workflow(&workflow(r#""resilience": null, "sharding": null"#)).expect("null is absent");
+    parse_scenario(&phases(r#""resilience": null, "sharding": null"#)).expect("null is absent");
 }

@@ -257,11 +257,6 @@ impl ControlLoop {
         self.watchdog.as_ref().map(|w| w.stats).unwrap_or_default()
     }
 
-    /// Name of the attached controller.
-    pub fn controller_name(&self) -> &str {
-        self.controller.name()
-    }
-
     /// One control tick over `plane`. Returns the window the plane
     /// closed, whether or not it reached the controller, for the
     /// caller's timeline.

@@ -232,11 +232,6 @@ impl<P: SimPlane> Harness<P> {
         self.result.journal = self.ctl.journal().snapshot();
         self.result
     }
-
-    /// Name of the attached controller.
-    pub fn controller_name(&self) -> &str {
-        self.ctl.controller_name()
-    }
 }
 
 #[cfg(test)]

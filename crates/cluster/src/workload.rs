@@ -119,14 +119,11 @@ impl RateSchedule {
         RateSchedule { steps }
     }
 
-    /// Value in force at time `t` (0 before the first step).
+    /// Value in force at time `t` (0 before the first step): the last
+    /// step from `t` or earlier, found by bisection.
     pub fn at(&self, t: SimTime) -> f64 {
-        self.steps
-            .iter()
-            .rev()
-            .find(|(from, _)| *from <= t)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
+        let after = self.steps.partition_point(|(from, _)| *from <= t);
+        after.checked_sub(1).map_or(0.0, |i| self.steps[i].1)
     }
 
     /// A surge: `base` rate, stepping to `peak` during `[from, until)`.

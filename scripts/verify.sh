@@ -285,26 +285,20 @@ section artifact smokes
   | grep -q 'page escalation' \
   || { echo "explain smoke: slo_burn_lead's journal summary missing page escalations"; exit 1; }
 
-# Scenario corpus dry-run: every committed scenario artifact must
-# validate without running — plain scenarios through the simulator's
-# check mode, workflow genomes through the workflow compiler, matrix
-# specs cell by cell.
+# Scenario corpus dry-run: every committed document must validate
+# without running — scenarios through the simulator's check mode,
+# matrix specs cell by cell.
 section scenario corpus
 for f in scenarios/*.json scenarios/paper/*.json scenarios/found/*.json; do
-  case "$f" in *.workflow.json) continue ;; esac
   ./target/release/topfull check "$f" > /dev/null \
     || { echo "scenario check failed: $f"; exit 1; }
-done
-for f in scenarios/workflows/*.workflow.json scenarios/found/*.workflow.json; do
-  ./target/release/topfull workflow "$f" --check > /dev/null \
-    || { echo "workflow check failed: $f"; exit 1; }
 done
 for f in scenarios/matrix/*.json; do
   ./target/release/topfull matrix "$f" --check > /dev/null \
     || { echo "matrix check failed: $f"; exit 1; }
 done
-# ...and the negative half: one committed copy per document type with a
-# single misspelt key, nested where the old hand-kept key tables never
+# ...and the negative half: committed scenarios and a matrix, each with
+# a single misspelt key, nested where the old hand-kept key tables never
 # looked. Each must exit 1 and say which key was meant.
 rejects_typo() { # $1 = document, $2 = the subcommand that checks it, $3... = its flags
   local doc=$1 cmd=$2 err
@@ -316,11 +310,12 @@ rejects_typo() { # $1 = document, $2 = the subcommand that checks it, $3... = it
     || { echo "corpus dry-run: $doc rejected without a hint: $err"; exit 1; }
 }
 rejects_typo scenarios/invalid/controller_typo.json check
-rejects_typo scenarios/invalid/sharding_typo.workflow.json workflow --check
+rejects_typo scenarios/invalid/phase_typo.json check
 rejects_typo scenarios/invalid/arm_typo.matrix.json matrix --check
 # A numeric leaf `run` cannot hold is refused by key the same way: two
 # APIs whose open-loop rates are each under the per-API bound but whose
-# sum would need more than 4 GB of pending arrivals.
+# sum would need more than 4 GB of pending arrivals, and a ramp whose
+# rate steps would.
 rejects_key() { # $1 = document, $2 = the key its refusal must name
   local err
   if err=$(./target/release/topfull check "$1" 2>&1 > /dev/null); then
@@ -330,6 +325,7 @@ rejects_key() { # $1 = document, $2 = the key its refusal must name
     || { echo "corpus dry-run: $1 rejected without naming $2: $err"; exit 1; }
 }
 rejects_key scenarios/invalid/open_loop_total_rate.json workload.rates
+rejects_key scenarios/invalid/phase_too_long.json 'workload.tracks[0].phases[0].duration_secs'
 
 # Fuzz smoke: a fixed seed must be byte-for-byte reproducible, and the
 # shipped controller must survive it with no objective tripped (the

@@ -13,7 +13,7 @@
 //!   control.
 //! * [`baselines`] — DAGOR, Breakwater and no-control comparators.
 //! * [`topfull_cli`] — the `topfull` binary's library: JSON scenarios,
-//!   workflows, matrices and the fuzzer, on the simulator or live.
+//!   matrices and the fuzzer, on the simulator or live.
 
 pub use apps;
 pub use baselines;
