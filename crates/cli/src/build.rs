@@ -33,23 +33,25 @@ pub struct BuiltScenario {
     pub hardened: bool,
 }
 
-/// Resolve an API name to its id (both planes name APIs this way).
-pub(crate) fn api_id(topo: &Topology, name: &str) -> Result<ApiId, String> {
+/// Resolve an API name, written at `key`, to its id (both planes name
+/// APIs this way).
+pub(crate) fn api_id(topo: &Topology, key: &str, name: &str) -> Result<ApiId, String> {
     topo.api_by_name(name)
-        .ok_or_else(|| format!("unknown API '{name}'"))
+        .ok_or_else(|| format!("{key}: unknown API '{name}'"))
 }
 
-/// Resolve a service name to its id.
-fn service_id(topo: &Topology, name: &str) -> Result<ServiceId, String> {
+/// Resolve a service name, written at `key`, to its id.
+fn service_id(topo: &Topology, key: &str, name: &str) -> Result<ServiceId, String> {
     topo.service_by_name(name)
-        .ok_or_else(|| format!("unknown service '{name}'"))
+        .ok_or_else(|| format!("{key}: unknown service '{name}'"))
 }
 
-fn build_call(topo: &Topology, spec: &CallSpec) -> Result<CallNode, String> {
-    let svc = service_id(topo, &spec.service)?;
+/// The call tree written at `key`.
+fn build_call(topo: &Topology, key: &str, spec: &CallSpec) -> Result<CallNode, String> {
+    let svc = service_id(topo, &format!("{key}.service"), &spec.service)?;
     let mut children = Vec::with_capacity(spec.children.len());
-    for c in &spec.children {
-        children.push(build_call(topo, c)?);
+    for (k, c) in spec.children.iter().enumerate() {
+        children.push(build_call(topo, &format!("{key}.children[{k}]"), c)?);
     }
     Ok(CallNode::with_children(
         svc,
@@ -80,8 +82,8 @@ pub(crate) fn build_topology(app: &AppSpec) -> Result<Topology, String> {
             };
             // The inline app's keys, clamped as `cluster::ServiceSpec::new`
             // and `ServiceSpec::pod_speed` clamp them.
-            for s in services {
-                let id = service_id(&topo, &s.name).map_err(|e| format!("app.services: {e}"))?;
+            for (i, s) in services.iter().enumerate() {
+                let id = service_id(&topo, &format!("app.services[{i}].name"), &s.name)?;
                 let svc = topo.service_mut(id);
                 if let Some(r) = s.replicas {
                     svc.replicas = r.max(1);
@@ -90,8 +92,8 @@ pub(crate) fn build_topology(app: &AppSpec) -> Result<Topology, String> {
                     *svc = svc.clone().pod_speed(p);
                 }
             }
-            for a in apis {
-                let id = api_id(&topo, &a.name).map_err(|e| format!("app.apis: {e}"))?;
+            for (i, a) in apis.iter().enumerate() {
+                let id = api_id(&topo, &format!("app.apis[{i}].name"), &a.name)?;
                 topo.api_mut(id).business = BusinessPriority(a.business_priority);
             }
             Ok(topo)
@@ -117,13 +119,14 @@ pub(crate) fn build_topology(app: &AppSpec) -> Result<Topology, String> {
                 }
                 topo.add_service(spec);
             }
-            for a in apis {
+            for (i, a) in apis.iter().enumerate() {
                 if a.paths.is_empty() {
                     return Err(format!("API '{}' has no paths", a.name));
                 }
                 let mut paths = Vec::with_capacity(a.paths.len());
-                for p in &a.paths {
-                    paths.push((p.weight, build_call(&topo, &p.root)?));
+                for (j, p) in a.paths.iter().enumerate() {
+                    let key = format!("app.apis[{i}].paths[{j}].root");
+                    paths.push((p.weight, build_call(&topo, &key, &p.root)?));
                 }
                 topo.add_api(
                     cluster::ApiSpec::branching(&a.name, paths)
@@ -204,8 +207,8 @@ const MAX_RATE: f64 = 1e9;
 /// Poisson arrivals at `rates`, each bound refused by `key`.
 fn open_loop(topo: &Topology, key: &str, rates: &[RateSpec]) -> Result<Box<dyn Workload>, String> {
     let mut schedules = Vec::with_capacity(rates.len());
-    for r in rates {
-        let api = api_id(topo, &r.api)?;
+    for (i, r) in rates.iter().enumerate() {
+        let api = api_id(topo, &format!("{key}[{i}].api"), &r.api)?;
         let key = format!("{key}[{}].steps", r.api);
         let sched = schedule(&key, &r.steps)?;
         if let Some((t, v)) = r.steps.iter().find(|(_, v)| *v >= MAX_RATE) {
@@ -480,7 +483,13 @@ pub(crate) fn resolve_weights(
     }
     weights
         .iter()
-        .map(|(name, w)| api_id(topo, name).map(|id| (id, *w)))
+        .enumerate()
+        .map(|(k, (name, w))| {
+            Ok((
+                api_id(topo, &format!("workload.api_weights[{k}]"), name)?,
+                *w,
+            ))
+        })
         .collect()
 }
 
@@ -601,8 +610,8 @@ pub fn build_scenario(sc: &Scenario) -> Result<BuiltScenario, String> {
     }
     if !sc.faults.is_empty() {
         let mut specs = Vec::with_capacity(sc.faults.len());
-        for f in &sc.faults {
-            specs.push(build_fault(engine.topology(), f)?);
+        for (i, f) in sc.faults.iter().enumerate() {
+            specs.push(build_fault(engine.topology(), i, f)?);
         }
         engine.inject_faults(specs);
     }
@@ -672,8 +681,8 @@ pub(crate) fn front_door_config(
         if co.key_space == 0 {
             return Err("admission.coalesce.key_space must be at least 1".into());
         }
-        for name in &co.apis {
-            let id = api_id(topo, name)?;
+        for (i, name) in co.apis.iter().enumerate() {
+            let id = api_id(topo, &format!("admission.coalesce.apis[{i}]"), name)?;
             key_space[id.0 as usize] = co.key_space;
         }
         let base = CoalesceConfig::default();
@@ -772,10 +781,11 @@ fn build_shard_fault(shards: usize, f: &ShardFaultJson) -> Result<cluster::Shard
     })
 }
 
-/// JSON fault → engine fault (service names resolved, seconds → SimTime).
-fn build_fault(topo: &Topology, f: &FaultSpecJson) -> Result<cluster::FaultSpec, String> {
+/// JSON fault `faults[i]` → engine fault (service names resolved,
+/// seconds → SimTime).
+fn build_fault(topo: &Topology, i: usize, f: &FaultSpecJson) -> Result<cluster::FaultSpec, String> {
     use cluster::FaultSpec as F;
-    let svc = |name: &str| service_id(topo, name);
+    let svc = |name: &str| service_id(topo, &format!("faults[{i}].service"), name);
     let opt_svc = |name: &Option<String>| -> Result<Option<ServiceId>, String> {
         name.as_deref().map(&svc).transpose()
     };
@@ -893,10 +903,10 @@ mod tests {
         }"#;
         let built = build_scenario(&crate::parse_scenario(json).expect("parse")).expect("builds");
         let topo = built.engine.topology();
-        let cart = topo.service(service_id(topo, "cartservice").expect("a service"));
+        let cart = topo.service(service_id(topo, "", "cartservice").expect("a service"));
         // Zero replicas clamp to one, as an inline service's do.
         assert_eq!((cart.replicas, cart.pod_speed), (1, 0.5));
-        let getcart = topo.api(api_id(topo, "getcart").expect("an API"));
+        let getcart = topo.api(api_id(topo, "", "getcart").expect("an API"));
         assert_eq!(getcart.business, BusinessPriority(3));
         let pod_startup = built.engine.config().pod_startup;
         assert_eq!(pod_startup, SimDuration::from_secs(7));
@@ -923,6 +933,90 @@ mod tests {
         }"#;
         let sc = crate::parse_scenario(json).expect("parse");
         assert!(build_scenario(&sc).is_err());
+    }
+
+    /// Every lookup of an API or a service by name refuses a missing
+    /// one at the key that wrote it, one row per caller.
+    #[test]
+    fn an_unknown_api_or_service_is_refused_at_its_key() {
+        let boutique = r#""app": {"type": "builtin", "name": "online-boutique"}"#;
+        let open = r#""workload": {"type": "open_loop", "rates": []}"#;
+        let weights = r#"[["getcart", 1.0], ["nope", 1.0]]"#;
+        let inline = r#""app": {"type": "inline",
+            "services": [{"name": "a", "replicas": 1}],
+            "apis": [{"name": "x", "paths": [{"root": {"service": "a", "cost_ms": 1,
+                "children": [{"service": "nope", "cost_ms": 1}]}}]}]}"#;
+        for (rest, refusal) in [
+            (
+                format!(
+                    r#""app": {{"type": "builtin", "name": "online-boutique",
+                        "services": [{{"name": "cartservice"}}, {{"name": "nope"}}]}}, {open}"#
+                ),
+                "app.services[1].name: unknown service 'nope'",
+            ),
+            (
+                format!(
+                    r#""app": {{"type": "builtin", "name": "online-boutique",
+                        "apis": [{{"name": "nope", "business_priority": 1}}]}}, {open}"#
+                ),
+                "app.apis[0].name: unknown API 'nope'",
+            ),
+            (
+                format!(r#"{inline}, {open}"#),
+                "app.apis[0].paths[0].root.children[0].service: unknown service 'nope'",
+            ),
+            (
+                format!(
+                    r#"{boutique}, "workload": {{"type": "open_loop", "rates": [
+                        {{"api": "getcart", "steps": [[0, 1.0]]}},
+                        {{"api": "nope", "steps": [[0, 1.0]]}}]}}"#
+                ),
+                "workload.rates[1].api: unknown API 'nope'",
+            ),
+            (
+                format!(
+                    r#"{boutique}, "workload": {{"type": "phases", "tracks": [{{"api": "nope",
+                        "phases": [{{"kind": "plateau", "rate": 1.0, "duration_secs": 10}}]}}]}}"#
+                ),
+                "workload.tracks[0].api: unknown API 'nope'",
+            ),
+            (
+                format!(
+                    r#"{boutique}, "workload": {{"type": "closed_loop",
+                        "users_steps": [[0, 1.0]], "api_weights": {weights}}}"#
+                ),
+                "workload.api_weights[1]: unknown API 'nope'",
+            ),
+            (
+                format!(
+                    r#"{boutique}, "workload": {{"type": "retry_storm", "users": 1,
+                        "api_weights": {weights}}}"#
+                ),
+                "workload.api_weights[1]: unknown API 'nope'",
+            ),
+            (
+                format!(
+                    r#"{boutique}, {open}, "admission": {{"coalesce":
+                        {{"apis": ["getcart", "nope"], "key_space": 8}}}}"#
+                ),
+                "admission.coalesce.apis[1]: unknown API 'nope'",
+            ),
+            (
+                format!(
+                    r#"{boutique}, {open}, "faults": [
+                        {{"kind": "pod_kill", "at_secs": 1, "service": "cartservice", "pods": 1}},
+                        {{"kind": "pod_kill", "at_secs": 1, "service": "nope", "pods": 1}}]"#
+                ),
+                "faults[1].service: unknown service 'nope'",
+            ),
+        ] {
+            let doc = format!(r#"{{"duration_secs": 60, {rest}}}"#);
+            let sc = crate::parse_scenario(&doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+            match build_scenario(&sc) {
+                Err(e) => assert_eq!(e, refusal),
+                Ok(_) => panic!("{refusal}: built"),
+            }
+        }
     }
 
     #[test]

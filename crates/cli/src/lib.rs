@@ -99,8 +99,8 @@ pub struct CheckSummary {
 /// and — when present — the shard-plane and live configs. This is
 /// everything [`run_scenario`] does short of executing, so a scenario
 /// that checks clean cannot fail at the *simulator's* startup.
-/// [`run_live`] shares `preflight` and the lowering, then refuses what
-/// has no live equivalent — that half is checked only by running it.
+/// [`run_live`] runs this first, then refuses what has no live
+/// equivalent — that half is checked only by running it.
 pub fn validate_scenario(sc: &Scenario) -> Result<CheckSummary, String> {
     preflight(sc)?;
     let built = build_scenario(sc)?;

@@ -40,11 +40,11 @@ fn build_load(
     sc: &Scenario,
     scale: f64,
 ) -> Result<(Option<ClosedLoopSpec>, Vec<OpenLoopArm>), String> {
-    let open_loop = |rates: &[RateSpec]| -> Result<_, String> {
+    let open_loop = |key: &str, rates: &[RateSpec]| -> Result<_, String> {
         let mut arms = Vec::with_capacity(rates.len());
-        for r in rates {
+        for (i, r) in rates.iter().enumerate() {
             arms.push(OpenLoopArm {
-                api: api_id(topo, &r.api)?.idx(),
+                api: api_id(topo, &format!("{key}[{i}].api"), &r.api)?.idx(),
                 rate_steps: scale_steps(&r.steps, scale),
                 key_space: 0,
             });
@@ -52,8 +52,10 @@ fn build_load(
         Ok((None, arms))
     };
     match &sc.workload {
-        WorkloadSpec::OpenLoop { rates } => open_loop(rates),
-        WorkloadSpec::Phases { tracks } => open_loop(&phase_rates(tracks, sc.duration_secs)?),
+        WorkloadSpec::OpenLoop { rates } => open_loop("workload.rates", rates),
+        WorkloadSpec::Phases { tracks } => {
+            open_loop("workload.tracks", &phase_rates(tracks, sc.duration_secs)?)
+        }
         WorkloadSpec::ClosedLoop {
             users_steps,
             think_ms,
@@ -89,7 +91,7 @@ pub fn run_live(sc: &Scenario, duration_secs: u64) -> Result<ScenarioOutcome, St
     if sc.duration_secs == 0 {
         return Err("scenario duration_secs must be positive".into());
     }
-    crate::preflight(sc)?;
+    crate::validate_scenario(sc)?;
     refuse_simulator_only(sc)?;
     let mut cfg = live_config(&sc.live.clone().unwrap_or_default(), sc.slo_ms)?;
     let topo = build_topology(&sc.app)?;
@@ -463,31 +465,72 @@ mod tests {
         assert!(err.contains("simulator-only"), "{err}");
     }
 
+    /// What `check` refuses, `live` refuses with the same error before
+    /// it binds or spawns anything: a live block's unusable value, and a
+    /// rate `check` bounds (a negative one, one at 1e9 rps, a sum over
+    /// what a run can hold).
     #[test]
     fn an_unusable_cpu_scale_or_burst_is_refused_before_binding() {
-        for (block, key) in [
-            (r#"{"cpu_scale": 0}"#, "live.cpu_scale"),
-            (r#"{"cpu_scale": -1}"#, "live.cpu_scale"),
-            (r#"{"cpu_scale": 1e999}"#, "live.cpu_scale"),
+        let rate = |v: &str| {
+            format!(r#"{{"type": "open_loop", "rates": [{{"api": "ping", "steps": [[0, {v}]]}}]}}"#)
+        };
+        for (workload, block, key) in [
+            (rate("50.0"), r#"{"cpu_scale": 0}"#, "live.cpu_scale"),
+            (rate("50.0"), r#"{"cpu_scale": -1}"#, "live.cpu_scale"),
+            (rate("50.0"), r#"{"cpu_scale": 1e999}"#, "live.cpu_scale"),
             (
+                rate("50.0"),
                 r#"{"gateway_burst_secs": 1e999}"#,
                 "live.gateway_burst_secs",
             ),
+            (rate("-5"), "{}", "workload.rates[ping].steps"),
+            (
+                rate("1e9"),
+                "{}",
+                "workload.rates[ping].steps must be under 1e9",
+            ),
+            (rate("3e7"), "{}", "workload.rates must sum to under"),
         ] {
-            let mut sc = tiny_live_scenario(
-                r#"{"type": "open_loop", "rates": [{"api": "ping", "steps": [[0, 50.0]]}]}"#,
-                r#"{"type": "none"}"#,
-            );
+            let mut sc = tiny_live_scenario(&workload, r#"{"type": "none"}"#);
             // The gateway's port is taken: an error naming the key, not
             // a bind failure, proves the check ran first.
             let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
             let mut live: LiveSpec = serde_json::from_str(block).expect("parse");
             live.port = Some(taken.local_addr().expect("addr").port());
             sc.live = Some(live);
-            let err = run_live(&sc, 1).expect_err(block);
-            assert!(err.starts_with(key), "{block}: {err}");
-            let err = crate::validate_scenario(&sc).expect_err(block);
-            assert!(err.starts_with(key), "{block}: {err}");
+            let err = run_live(&sc, 1).expect_err(key);
+            assert!(err.starts_with(key), "{workload} {block}: {err}");
+            let checked = crate::validate_scenario(&sc).expect_err(key);
+            assert_eq!(err, checked, "{workload} {block}");
+        }
+    }
+
+    /// The live lowering names an unknown API at its key, as the
+    /// simulator's does.
+    #[test]
+    fn an_unknown_api_is_refused_at_its_key_live() {
+        for (workload, refusal) in [
+            (
+                r#"{"type": "open_loop", "rates": [{"api": "nope", "steps": []}]}"#,
+                "workload.rates[0].api: unknown API 'nope'",
+            ),
+            (
+                r#"{"type": "phases", "tracks": [{"api": "nope",
+                    "phases": [{"kind": "plateau", "rate": 1.0, "duration_secs": 1}]}]}"#,
+                "workload.tracks[0].api: unknown API 'nope'",
+            ),
+            (
+                r#"{"type": "closed_loop", "users_steps": [[0, 1.0]],
+                    "api_weights": [["ping", 1.0], ["nope", 1.0]]}"#,
+                "workload.api_weights[1]: unknown API 'nope'",
+            ),
+        ] {
+            let sc = tiny_live_scenario(workload, r#"{"type": "none"}"#);
+            let topo = build_topology(&sc.app).expect("a topology");
+            match build_load(&topo, &sc, 1.0) {
+                Err(e) => assert_eq!(e, refusal),
+                Ok(_) => panic!("{refusal}: lowered"),
+            }
         }
     }
 

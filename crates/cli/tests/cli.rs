@@ -100,13 +100,13 @@ fn a_missing_override_name_or_a_misplaced_pod_startup_is_refused_by_key() {
             "service",
             r#""app": {"type": "builtin", "name": "train-ticket",
                 "services": [{"name": "ts-nope", "replicas": 3}]}"#,
-            "app.services: unknown service 'ts-nope'",
+            "app.services[0].name: unknown service 'ts-nope'",
         ),
         (
             "api",
             r#""app": {"type": "builtin", "name": "online-boutique",
                 "apis": [{"name": "nope", "business_priority": 1}]}"#,
-            "app.apis: unknown API 'nope'",
+            "app.apis[0].name: unknown API 'nope'",
         ),
         (
             "pod_startup_secs",

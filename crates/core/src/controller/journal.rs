@@ -1,17 +1,19 @@
-//! The only place controller state becomes [`obs::JournalEntry`]s.
+//! The only place controller state becomes journal records.
 //!
 //! The decision path hands over typed values — the overloaded set, the
-//! partition, a finished [`Decision`] — and every string is built here,
-//! and only when a journal is attached. All writes happen from the
-//! control thread in decision order, so journaling never perturbs the
-//! decisions or the determinism contract.
+//! partition, a finished [`Decision`] — and nothing is recorded unless a
+//! journal is attached. A decision is recorded typed, its names shared
+//! from a per-id cache ([`obs::RateDecision`]); the journal builds its
+//! text when read. All writes happen from the control thread in decision
+//! order, so journaling never perturbs the decisions or the determinism
+//! contract.
 
 use super::{Decision, Subject, TopFullConfig};
 use crate::clustering::Cluster;
 use cluster::observe::ClusterObservation;
 use cluster::types::{ApiId, ServiceId};
+use obs::journal::{jf, push_id_list};
 use obs::JournalEntry;
-use std::fmt::Write;
 use std::sync::Arc;
 
 /// The attached journal plus what the previous tick looked like, so
@@ -21,73 +23,40 @@ pub(super) struct Journaler {
     pub(super) sink: Option<Arc<obs::Journal>>,
     prev_overloaded: Vec<ServiceId>,
     prev_partition: Vec<Vec<ApiId>>,
+    names: Names,
+    /// A decision's blocks, kept between decisions for its capacity.
+    blocked: Vec<(u32, Arc<str>)>,
 }
 
-/// Journal-safe float: the JSONL schema keeps NaN/∞ out of the wire
-/// format (the reason string carries the degradation note instead).
-pub(crate) fn jf(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        -1.0
+/// The names the journal shares, by id; the controller's at 0.
+#[derive(Default)]
+struct Names {
+    services: Vec<Option<Arc<str>>>,
+    apis: Vec<Option<Arc<str>>>,
+    controller: Vec<Option<Arc<str>>>,
+}
+
+/// The copy of `name` shared from `table[i]`, made anew when the id's
+/// name changed.
+fn shared(table: &mut Vec<Option<Arc<str>>>, i: usize, name: &str) -> Arc<str> {
+    if table.len() <= i {
+        table.resize(i + 1, None);
+    }
+    match &table[i] {
+        Some(s) if **s == *name => Arc::clone(s),
+        _ => Arc::clone(table[i].insert(name.into())),
     }
 }
 
-/// Append comma-joined API indices (`"0,2"`).
-fn push_api_list(out: &mut String, apis: &[ApiId]) {
-    for (i, a) in apis.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_u64(out, a.0.into());
-    }
-}
-
-/// Append `n` in decimal.
-fn push_u64(out: &mut String, n: u64) {
-    out.extend(obs::fmt_u64(&mut [0; 20], n).iter().map(|&d| char::from(d)));
-}
-
-/// Append `v` exactly as `{v:+.3}` renders it. `core::fmt` rounds the
-/// exact binary value half to even, through a slow path for some values
-/// (±0.5 among them); scaled by 1000 below 2³¹, the product is within
-/// 2⁻²³ of exact, so away from a tie rounding it to the nearest integer
-/// picks the same digits. Near a tie `core::fmt` decides.
-fn push_action(out: &mut String, v: f64) {
-    let scaled = v.abs() * 1000.0;
-    if scaled < 2_147_483_648.0 && (scaled.fract() - 0.5).abs() > 1e-6 {
-        let n = scaled.round() as u64;
-        out.push(if v.is_sign_negative() { '-' } else { '+' });
-        push_u64(out, n / 1000);
-        out.push('.');
-        let frac = n % 1000;
-        if frac < 100 {
-            out.push('0');
-        }
-        if frac < 10 {
-            out.push('0');
-        }
-        push_u64(out, frac);
-    } else {
-        let _ = write!(out, "{v:+.3}");
-    }
-}
-
-/// Append a service's name, or `"svc <id>"` for one the observation
-/// does not carry.
-fn push_service_name(out: &mut String, obs: &ClusterObservation, s: ServiceId) {
-    match obs.services.get(s.idx()) {
-        Some(w) => out.push_str(&w.name),
-        None => {
-            let _ = write!(out, "svc {}", s.0);
+impl Names {
+    /// A service's name, or `"svc <id>"` for one the observation does
+    /// not carry.
+    fn service(&mut self, obs: &ClusterObservation, s: ServiceId) -> Arc<str> {
+        match obs.services.get(s.idx()) {
+            Some(w) => shared(&mut self.services, s.idx(), &w.name),
+            None => format!("svc {}", s.0).into(),
         }
     }
-}
-
-fn service_name(obs: &ClusterObservation, s: ServiceId) -> String {
-    let mut name = String::new();
-    push_service_name(&mut name, obs, s);
-    name
 }
 
 impl Journaler {
@@ -98,25 +67,20 @@ impl Journaler {
             return;
         }
         if let Some(j) = &self.sink {
-            let entry = |s: ServiceId, entered: bool| JournalEntry::Overload {
-                t: obs.now.as_secs_f64(),
-                service: s.0,
-                name: service_name(obs, s),
-                utilization: jf(obs.services.get(s.idx()).map_or(-1.0, |w| w.utilization)),
-                entered,
-            };
-            for s in overloaded
-                .iter()
-                .filter(|s| !self.prev_overloaded.contains(s))
-            {
-                j.record(entry(*s, true));
-            }
-            for s in self
-                .prev_overloaded
-                .iter()
-                .filter(|s| !overloaded.contains(s))
-            {
-                j.record(entry(*s, false));
+            let prev = &self.prev_overloaded;
+            let entered = overloaded.iter().filter(|s| !prev.contains(s));
+            let cleared = prev.iter().filter(|s| !overloaded.contains(s));
+            let marked = entered
+                .map(|s| (s, true))
+                .chain(cleared.map(|s| (s, false)));
+            for (&s, entered) in marked {
+                j.record(JournalEntry::Overload {
+                    t: obs.now.as_secs_f64(),
+                    service: s.0,
+                    name: self.names.service(obs, s).to_string(),
+                    utilization: jf(obs.services.get(s.idx()).map_or(-1.0, |w| w.utilization)),
+                    entered,
+                });
             }
         }
         self.prev_overloaded = overloaded.to_vec();
@@ -129,12 +93,14 @@ impl Journaler {
         }
         self.prev_partition = clusters.iter().map(|c| c.apis.clone()).collect();
         if let Some(j) = &self.sink {
-            let mut assignment = String::new();
+            // Up to three digits and a separator per API.
+            let apis: usize = self.prev_partition.iter().map(Vec::len).sum();
+            let mut assignment = String::with_capacity(4 * apis);
             for (i, group) in self.prev_partition.iter().enumerate() {
                 if i > 0 {
                     assignment.push('|');
                 }
-                push_api_list(&mut assignment, group);
+                push_id_list(&mut assignment, group.iter().map(|a| a.0));
             }
             j.record(JournalEntry::Recluster {
                 t: obs.now.as_secs_f64(),
@@ -147,69 +113,37 @@ impl Journaler {
     /// One applied decision: its §4.1 raise vetoes, then the step
     /// itself. A probe renders exactly like a target, under its API's
     /// id and name and a `"recovery probe: "` prefix.
-    pub(super) fn decision(&self, obs: &ClusterObservation, cfg: &TopFullConfig, d: &Decision) {
+    pub(super) fn decision(&mut self, obs: &ClusterObservation, cfg: &TopFullConfig, d: &Decision) {
         let Some(j) = &self.sink else { return };
-        let rc = &cfg.rate_controller;
-        let t = obs.now.as_secs_f64();
+        let names = &mut self.names;
+        self.blocked.clear();
         for (api, blocker) in &d.blocked {
-            const BLOCKED: &str = "rate-increase blocked: path contains overloaded ";
-            // Room for the usual service name without a second allocation.
-            let mut reason = String::with_capacity(BLOCKED.len() + 32);
-            reason.push_str(BLOCKED);
-            push_service_name(&mut reason, obs, *blocker);
-            j.record(JournalEntry::RateBlocked {
-                t,
-                api: api.0,
-                reason,
-            });
+            self.blocked.push((api.0, names.service(obs, *blocker)));
         }
-        let (prefix, target, target_name) = match d.subject {
-            Subject::Target(s) => ("", s.0, service_name(obs, s)),
-            Subject::Probe(a) => ("recovery probe: ", a.0, obs.api(a).name.clone()),
+        let (target, probe, target_name) = match d.subject {
+            Subject::Target(s) => (s.0, false, names.service(obs, s)),
+            Subject::Probe(a) => (
+                a.0,
+                true,
+                shared(&mut names.apis, a.idx(), &obs.api(a).name),
+            ),
         };
-        // Sized for the usual reason, `"<name> action +0.123"`; the
-        // clauses below are the exception and may grow it.
-        let (name, action) = (rc.name(), d.action);
-        let mut reason = String::with_capacity(prefix.len() + name.len() + 14);
-        reason.push_str(prefix);
-        reason.push_str(name);
-        if action.is_finite() {
-            reason.push_str(" action ");
-            push_action(&mut reason, action);
-        } else {
-            reason.push_str(" action non-finite; step dropped");
-        }
-        if d.escalated {
-            reason.push_str("; collapse backoff: admission collapsed, cut deepened");
-        }
-        if d.state.is_degraded() {
-            reason.push_str(if rc.fallback_state().is_some() {
-                "; degraded telemetry routed to mimd fallback"
-            } else {
-                "; degraded telemetry"
-            });
-        }
-        if d.applied_to.is_empty() && action.is_finite() {
-            reason.push_str(if action >= 0.0 {
-                "; no eligible API to raise"
-            } else {
-                "; no contributing API to cut"
-            });
-        }
-        // Up to three digits and a comma per API.
-        let mut apis = String::with_capacity(4 * d.applied_to.len());
-        push_api_list(&mut apis, &d.applied_to);
-        j.record(JournalEntry::RateAction {
-            t,
+        let rc = &cfg.rate_controller;
+        let decision = obs::RateDecision {
+            t: obs.now.as_secs_f64(),
             target,
+            probe,
             target_name,
-            apis,
-            action: jf(action),
-            goodput_ratio: jf(d.state.goodput_ratio),
-            latency_ratio: jf(d.state.latency_ratio),
-            total_limit: jf(d.state.total_limit),
-            reason,
-        });
+            controller: shared(&mut names.controller, 0, rc.name()),
+            action: d.action,
+            goodput_ratio: d.state.goodput_ratio,
+            latency_ratio: d.state.latency_ratio,
+            total_limit: d.state.total_limit,
+            escalated: d.escalated,
+            degraded: d.state.is_degraded(),
+            has_fallback: rc.fallback_state().is_some(),
+        };
+        j.record_decision(&self.blocked, decision, d.applied_to.iter().map(|a| a.0));
     }
 
     /// A long-standing headroom release.
@@ -251,61 +185,235 @@ mod tests {
     use cluster::Controller;
     use proptest::prelude::*;
 
-    fn rendered(v: f64) -> String {
-        let mut out = String::new();
-        push_action(&mut out, v);
-        out
+    fn service_name(obs: &ClusterObservation, s: ServiceId) -> String {
+        obs.services
+            .get(s.idx())
+            .map_or_else(|| format!("svc {}", s.0), |w| w.name.clone())
+    }
+
+    /// The renderer before decisions were kept typed, as the oracle:
+    /// every string built on the control thread and recorded through
+    /// [`obs::Journal::record`]. Its action digits are the `{v:+.3}` its
+    /// integer-digit writer was held to.
+    fn eager_decision(
+        j: &obs::Journal,
+        obs: &ClusterObservation,
+        cfg: &TopFullConfig,
+        d: &Decision,
+    ) {
+        let rc = &cfg.rate_controller;
+        let t = obs.now.as_secs_f64();
+        for (api, blocker) in &d.blocked {
+            j.record(JournalEntry::RateBlocked {
+                t,
+                api: api.0,
+                reason: format!(
+                    "rate-increase blocked: path contains overloaded {}",
+                    service_name(obs, *blocker)
+                ),
+            });
+        }
+        let (prefix, target, target_name) = match d.subject {
+            Subject::Target(s) => ("", s.0, service_name(obs, s)),
+            Subject::Probe(a) => ("recovery probe: ", a.0, obs.api(a).name.clone()),
+        };
+        let (name, action) = (rc.name(), d.action);
+        let mut reason = format!("{prefix}{name}");
+        if action.is_finite() {
+            reason.push_str(&format!(" action {action:+.3}"));
+        } else {
+            reason.push_str(" action non-finite; step dropped");
+        }
+        if d.escalated {
+            reason.push_str("; collapse backoff: admission collapsed, cut deepened");
+        }
+        if d.state.is_degraded() {
+            reason.push_str(if rc.fallback_state().is_some() {
+                "; degraded telemetry routed to mimd fallback"
+            } else {
+                "; degraded telemetry"
+            });
+        }
+        if d.applied_to.is_empty() && action.is_finite() {
+            reason.push_str(if action >= 0.0 {
+                "; no eligible API to raise"
+            } else {
+                "; no contributing API to cut"
+            });
+        }
+        let apis: Vec<String> = d.applied_to.iter().map(|a| a.0.to_string()).collect();
+        j.record(JournalEntry::RateAction {
+            t,
+            target,
+            target_name,
+            apis: apis.join(","),
+            action: jf(action),
+            goodput_ratio: jf(d.state.goodput_ratio),
+            latency_ratio: jf(d.state.latency_ratio),
+            total_limit: jf(d.state.total_limit),
+            reason,
+        });
+    }
+
+    /// Steps at and around the rendering's edges: ±0.5 ties, ±0, the
+    /// non-finite ones, exact thousandth ties and ordinary values.
+    const ACTIONS: [f64; 12] = [
+        0.5,
+        -0.5,
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0625,
+        -0.1875,
+        0.0005,
+        0.123_456,
+        -0.049_99,
+    ];
+    /// State values, the non-finite ones making a degraded state.
+    const STATES: [f64; 7] = [
+        0.42,
+        1.7,
+        0.0,
+        350.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// Four services and four APIs, every name renamed when `renamed`,
+    /// at `secs`.
+    fn observed(renamed: bool, secs: u64) -> ClusterObservation {
+        let api = (10.0, 10.0, 10.0, 10, 0, 10.0);
+        let mut o = obs(&[0.9; 4], &[api; 4], vec![sid(&[0]); 4]);
+        o.now = simnet::SimTime::from_secs(secs);
+        if renamed {
+            o.services
+                .iter_mut()
+                .for_each(|w| w.name.push_str("-renamed"));
+            o.apis.iter_mut().for_each(|w| w.name.push_str("-renamed"));
+        }
+        o
+    }
+
+    type Subjects = (u32, usize, bool);
+    type States = (usize, usize, usize);
+    type Apis = (Vec<u32>, Vec<(u32, u32)>);
+    type Context = (bool, bool, u64);
+
+    /// One decision as drawn: subject (0–5 a service, 4 and 5 missing
+    /// from the observation; 6–9 a probe of API 0–3), action, escalated;
+    /// the state; recipients and blocks; fallback controller, renamed
+    /// observation, time.
+    fn drawn(
+        (
+            (subject, action, escalated),
+            (g, l, limit),
+            (applied, blocked),
+            (fallback, renamed, secs),
+        ): (Subjects, States, Apis, Context),
+    ) -> (Decision, ClusterObservation, TopFullConfig) {
+        let mimd = Arc::new(MimdController::with_steps(0.05, 0.2));
+        let rate_controller: Arc<dyn RateController> = if fallback {
+            Arc::new(SafeRateController::new(mimd, 3))
+        } else {
+            mimd
+        };
+        let d = Decision {
+            subject: match subject {
+                0..=5 => Subject::Target(ServiceId(subject)),
+                _ => Subject::Probe(ApiId(subject - 6)),
+            },
+            candidates: Vec::new(),
+            state: RateState {
+                goodput_ratio: STATES[g],
+                latency_ratio: STATES[l],
+                total_limit: STATES[limit],
+            },
+            action: ACTIONS[action],
+            escalated,
+            anchor: None,
+            applied_to: applied.into_iter().map(ApiId).collect(),
+            blocked: blocked
+                .into_iter()
+                .map(|(a, s)| (ApiId(a), ServiceId(s)))
+                .collect(),
+        };
+        let cfg = TopFullConfig {
+            rate_controller,
+            ..TopFullConfig::default()
+        };
+        (d, observed(renamed, secs), cfg)
+    }
+
+    /// The journal's entries after `decisions`, recorded typed through
+    /// one [`Journaler`] and eagerly through the oracle, each at `cap`.
+    fn both(
+        cap: usize,
+        decisions: &[(Decision, ClusterObservation, TopFullConfig)],
+    ) -> [(Vec<JournalEntry>, usize, u64); 2] {
+        let (typed, eager) = (
+            Arc::new(obs::Journal::with_capacity(cap)),
+            obs::Journal::with_capacity(cap),
+        );
+        let mut journaler = Journaler {
+            sink: Some(Arc::clone(&typed)),
+            ..Journaler::default()
+        };
+        for (d, o, cfg) in decisions {
+            journaler.decision(o, cfg, d);
+            eager_decision(&eager, o, cfg, d);
+        }
+        [&*typed, &eager].map(|j| (j.snapshot(), j.len(), j.dropped()))
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #![proptest_config(ProptestConfig::with_cases(2048))]
 
-        /// [`push_action`] against `format!("{v:+.3}")`, byte for byte,
-        /// at either sign: magnitudes from 1e-10 to 1e10 (the integer
-        /// path ends near 2.1e6), exact ties (an odd multiple of 1/16 is
-        /// an odd number of half-thousandths: 0.0625, 0.1875, 0.3125, …)
-        /// and values a few ulps either side of one.
+        /// Decisions recorded typed and rendered on read equal the eager
+        /// rendering, entry for entry, with the same length and drops at
+        /// any cap — names cached across renamed observations and
+        /// controllers with and without a fallback included.
         #[test]
-        fn push_action_renders_like_format(
-            mantissa in 1.0f64..10.0,
-            exp in -10i32..10,
-            odd in 0u32..40_000,
-            ulps in -3i64..=3,
-            kind in 0u8..3,
-            negative in any::<bool>(),
+        fn the_typed_journal_renders_what_the_eager_one_recorded(
+            cap in 1usize..24,
+            decisions in prop::collection::vec(
+                (
+                    (0u32..10, 0usize..ACTIONS.len(), any::<bool>()),
+                    (0usize..STATES.len(), 0usize..STATES.len(), 0usize..STATES.len()),
+                    (
+                        prop::collection::vec(0u32..4, 0..4),
+                        prop::collection::vec((0u32..4, 0u32..6), 0..=3),
+                    ),
+                    (any::<bool>(), any::<bool>(), 0u64..100),
+                )
+                    .prop_map(drawn),
+                1..6,
+            ),
         ) {
-            let tie = f64::from(2 * odd + 1) / 16.0;
-            let v = match kind {
-                0 => mantissa * 10f64.powi(exp),
-                1 => tie,
-                _ => f64::from_bits(tie.to_bits().wrapping_add_signed(ulps)),
-            };
-            let v = if negative { -v } else { v };
-            prop_assert_eq!(rendered(v), format!("{v:+.3}"));
+            let [typed, eager] = both(cap, &decisions);
+            prop_assert_eq!(typed, eager);
         }
     }
 
     #[test]
-    fn push_action_renders_the_edges_like_format() {
-        let ties = [0.0625, 0.1875, 0.3125, 2_097_151.937_5];
-        let edges = [0.5, -0.5, 0.0, -0.0, -1e-9, 1e-9, 0.0005, 2_147_483.647];
-        let far = [
-            2_147_483.648,
-            1e300,
-            f64::INFINITY,
-            f64::NAN,
-            f64::MIN_POSITIVE,
-        ];
-        for v in ties.into_iter().chain(edges).chain(far) {
-            for v in [v, -v] {
-                assert_eq!(rendered(v), format!("{v:+.3}"), "{v:e}");
-            }
+    fn blocks_crossing_the_cap_count_like_the_eager_journal() {
+        let (mut d, o, cfg) = drawn((
+            (0, 0, false),
+            (0, 0, 0),
+            (vec![1], vec![(1, 1), (2, 2), (3, 5)]),
+            (false, false, 1),
+        ));
+        for cap in 1..=5 {
+            let [typed, eager] = both(cap, &[(d.clone(), o.clone(), cfg.clone())]);
+            assert_eq!(typed, eager, "cap {cap}");
+            assert_eq!((typed.1, typed.2), (cap.min(4), 4 - cap.min(4) as u64));
         }
-        assert_eq!(rendered(-1e-9), "-0.000");
-        assert_eq!(rendered(0.0625), "+0.062", "half to even");
-        let mut list = String::new();
-        push_api_list(&mut list, &[ApiId(0), ApiId(12), ApiId(u32::MAX)]);
-        assert_eq!(list, "0,12,4294967295");
+        d.blocked.clear();
+        let [typed, _] = both(1, &[(d, o, cfg)]);
+        assert_eq!(typed.0.len(), 1);
+        assert!(matches!(typed.0[0], JournalEntry::RateAction { .. }));
     }
 
     fn journaled(cfg: TopFullConfig) -> (TopFull, Arc<obs::Journal>) {

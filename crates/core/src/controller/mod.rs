@@ -36,7 +36,6 @@ mod select;
 
 pub use config::TopFullConfig;
 pub use decide::{Decision, Subject};
-pub(crate) use journal::jf;
 
 use crate::clustering::{cluster_apis, monolithic_cluster};
 use crate::detector::{OverloadDetector, OVERLOAD_ENTER};

@@ -37,10 +37,10 @@ mod sharded;
 
 pub use sharded::{ShardSet, ShardWindow, Sharded, ShardedConfig, SimShards};
 
-use crate::controller::jf;
 use crate::rate_controller::{MimdController, RateController, RateState, SafeRateController};
 use cluster::observe::ClusterObservation;
 use cluster::types::ApiId;
+use obs::journal::jf;
 use simnet::SimDuration;
 use std::sync::Arc;
 

@@ -8,8 +8,16 @@
 //! bounded (overflow is counted, never reallocated past the cap) and all
 //! writes happen on the control thread, so for a fixed (scenario, seed)
 //! the JSONL rendering is byte-identical at any worker count.
+//!
+//! [`JournalEntry`] is the one read model. A rate decision, the entry a
+//! tick records most, is kept typed — numbers, flags and shared names
+//! ([`RateDecision`]) — and its text (the API list, the reason, the
+//! blocks' reasons) is built by [`Journal::snapshot`], so the control
+//! thread builds no string for it.
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// One journal record. Internally tagged; `t` is sim/wall seconds since
@@ -176,13 +184,128 @@ impl JournalEntry {
     }
 }
 
+/// A rate decision as the control thread hands it over. The journal
+/// renders it as [`JournalEntry::RateAction`] when read.
+#[derive(Clone, Debug)]
+pub struct RateDecision {
+    pub t: f64,
+    /// The target service's id, or a recovery probe's API id.
+    pub target: u32,
+    /// A recovery probe: its reason opens with `"recovery probe: "`.
+    pub probe: bool,
+    pub target_name: Arc<str>,
+    /// The rate controller's name, which opens the reason.
+    pub controller: Arc<str>,
+    /// The step; a non-finite one was dropped, and the reason says so.
+    pub action: f64,
+    pub goodput_ratio: f64,
+    pub latency_ratio: f64,
+    pub total_limit: f64,
+    /// The collapse backoff deepened the cut.
+    pub escalated: bool,
+    /// The state carried a non-finite value.
+    pub degraded: bool,
+    /// The controller routes degraded telemetry to a MIMD fallback.
+    pub has_fallback: bool,
+}
+
+const BLOCKED: &str = "rate-increase blocked: path contains overloaded ";
+
+/// Journal-safe float: the JSONL schema keeps NaN/∞ out of the wire
+/// format (the reason string carries the degradation note instead).
+pub fn jf(v: f64) -> f64 {
+    if v.is_finite() {
+        v
+    } else {
+        -1.0
+    }
+}
+
+/// Append comma-joined ids (`"0,2"`).
+pub fn push_id_list(out: &mut String, ids: impl IntoIterator<Item = u32>) {
+    for (i, id) in ids.into_iter().enumerate() {
+        let _ = write!(out, "{}{id}", if i > 0 { "," } else { "" });
+    }
+}
+
+impl RateDecision {
+    /// The decision's entry; `recipients` are the APIs its step landed on.
+    fn render(&self, recipients: &[u32]) -> JournalEntry {
+        let prefix = if self.probe { "recovery probe: " } else { "" };
+        let action = self.action;
+        let mut reason = format!("{prefix}{}", self.controller);
+        if action.is_finite() {
+            let _ = write!(reason, " action {action:+.3}");
+        } else {
+            reason.push_str(" action non-finite; step dropped");
+        }
+        if self.escalated {
+            reason.push_str("; collapse backoff: admission collapsed, cut deepened");
+        }
+        if self.degraded {
+            reason.push_str(if self.has_fallback {
+                "; degraded telemetry routed to mimd fallback"
+            } else {
+                "; degraded telemetry"
+            });
+        }
+        if recipients.is_empty() && action.is_finite() {
+            reason.push_str(if action >= 0.0 {
+                "; no eligible API to raise"
+            } else {
+                "; no contributing API to cut"
+            });
+        }
+        // Up to three digits and a comma per API.
+        let mut apis = String::with_capacity(4 * recipients.len());
+        push_id_list(&mut apis, recipients.iter().copied());
+        JournalEntry::RateAction {
+            t: self.t,
+            target: self.target,
+            target_name: self.target_name.to_string(),
+            apis,
+            action: jf(action),
+            goodput_ratio: jf(self.goodput_ratio),
+            latency_ratio: jf(self.latency_ratio),
+            total_limit: jf(self.total_limit),
+            reason,
+        }
+    }
+}
+
+/// One retained entry, as recorded.
+enum Item {
+    Entry(JournalEntry),
+    /// Its recipients are this range of the journal's arena.
+    Decision(RateDecision, Range<usize>),
+    /// A §4.1 increase block: the API, and the hot service on its path.
+    Blocked {
+        t: f64,
+        api: u32,
+        blocker: Arc<str>,
+    },
+}
+
 /// Default bound on retained entries.
 const DEFAULT_CAP: usize = 8192;
 
 struct State {
-    entries: Vec<JournalEntry>,
+    items: Vec<Item>,
+    /// Every decision's recipient ids, back to back.
+    recipients: Vec<u32>,
     dropped: u64,
     cap: usize,
+}
+
+impl State {
+    /// Whether one more entry fits; one that does not is counted.
+    fn admit(&mut self) -> bool {
+        let room = self.items.len() < self.cap;
+        if !room {
+            self.dropped += 1;
+        }
+        room
+    }
 }
 
 /// Bounded, shareable decision journal. Cheap to clone behind an [`Arc`];
@@ -208,7 +331,8 @@ impl Journal {
     pub fn with_capacity(cap: usize) -> Self {
         Journal {
             state: Mutex::new(State {
-                entries: Vec::new(),
+                items: Vec::new(),
+                recipients: Vec::new(),
                 dropped: 0,
                 cap: cap.max(1),
             }),
@@ -222,15 +346,38 @@ impl Journal {
 
     pub fn record(&self, entry: JournalEntry) {
         let mut st = self.state.lock().expect("journal lock");
-        if st.entries.len() >= st.cap {
-            st.dropped += 1;
-        } else {
-            st.entries.push(entry);
+        if st.admit() {
+            st.items.push(Item::Entry(entry));
+        }
+    }
+
+    /// One applied rate decision: a [`JournalEntry::RateBlocked`] per
+    /// `(api, blocker)` it vetoed, then its [`JournalEntry::RateAction`]
+    /// over `recipients`, under one lock, each entry counted against the
+    /// cap in that order.
+    pub fn record_decision(
+        &self,
+        blocked: &[(u32, Arc<str>)],
+        d: RateDecision,
+        recipients: impl IntoIterator<Item = u32>,
+    ) {
+        let mut st = self.state.lock().expect("journal lock");
+        for (api, blocker) in blocked {
+            if st.admit() {
+                let (t, api, blocker) = (d.t, *api, Arc::clone(blocker));
+                st.items.push(Item::Blocked { t, api, blocker });
+            }
+        }
+        if st.admit() {
+            let start = st.recipients.len();
+            st.recipients.extend(recipients);
+            let range = start..st.recipients.len();
+            st.items.push(Item::Decision(d, range));
         }
     }
 
     pub fn len(&self) -> usize {
-        self.state.lock().expect("journal lock").entries.len()
+        self.state.lock().expect("journal lock").items.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -242,9 +389,21 @@ impl Journal {
         self.state.lock().expect("journal lock").dropped
     }
 
-    /// Copy of the recorded entries, in append order.
+    /// The recorded entries, in append order, rate decisions rendered.
     pub fn snapshot(&self) -> Vec<JournalEntry> {
-        self.state.lock().expect("journal lock").entries.clone()
+        let st = self.state.lock().expect("journal lock");
+        st.items
+            .iter()
+            .map(|item| match item {
+                Item::Entry(e) => e.clone(),
+                Item::Decision(d, range) => d.render(&st.recipients[range.clone()]),
+                Item::Blocked { t, api, blocker } => JournalEntry::RateBlocked {
+                    t: *t,
+                    api: *api,
+                    reason: [BLOCKED, blocker].concat(),
+                },
+            })
+            .collect()
     }
 }
 
@@ -273,6 +432,13 @@ pub fn journal_fingerprint(jsonl: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_lists_are_comma_joined() {
+        let mut list = String::new();
+        push_id_list(&mut list, [0, 12, u32::MAX]);
+        assert_eq!(list, "0,12,4294967295");
+    }
 
     fn entry(t: f64) -> JournalEntry {
         JournalEntry::Overload {

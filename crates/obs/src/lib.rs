@@ -32,7 +32,7 @@ pub mod slo;
 pub mod trace;
 
 pub use decimal::fmt_u64;
-pub use journal::{journal_fingerprint, to_jsonl, Journal, JournalEntry};
+pub use journal::{journal_fingerprint, to_jsonl, Journal, JournalEntry, RateDecision};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use slo::{ApiSloSample, SloBurnSignal, SloConfig, SloMonitor, SloSeverity, SloTick};
 pub use trace::{render_waterfall, TraceEvent, TraceLog};
