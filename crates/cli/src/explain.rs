@@ -126,7 +126,11 @@ fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
 /// entries, so the output is as deterministic as the journal itself.
 fn render_timeline(entries: &[JournalEntry]) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "controller decision journal — {} entries", entries.len());
+    let _ = write!(s, "controller decision journal — {} entries", entries.len());
+    if let Some(JournalEntry::Truncated { t, dropped }) = entries.last() {
+        let _ = write!(s, " (full at t={t:.2}s: {dropped} later entries dropped)");
+    }
+    s.push('\n');
     if entries.is_empty() {
         let _ = writeln!(
             s,
@@ -292,6 +296,10 @@ fn render_entry(e: &JournalEntry) -> String {
              budget {:.0}% left)",
             budget_remaining * 100.0
         ),
+        JournalEntry::Truncated { dropped, .. } => format!(
+            "t={t:>8.2}s  truncated  journal full: {dropped} later entries dropped, \
+             the timeline ends here"
+        ),
     }
 }
 
@@ -347,6 +355,7 @@ fn render_summary(entries: &[JournalEntry]) -> String {
             }
             JournalEntry::Watchdog { .. } => watchdog += 1,
             JournalEntry::PlaneVetoes { .. } | JournalEntry::FaultTelemetry { .. } => {}
+            JournalEntry::Truncated { .. } => {}
             JournalEntry::ShardMembership { .. } | JournalEntry::ShardAggregate { .. } => {
                 shard_events += 1
             }
@@ -525,6 +534,34 @@ mod tests {
         assert!(text.contains("recovered backend"), "{text}");
         assert!(text.contains("overload detections: 1 (first: backend at t=10.00s)"));
         assert!(text.contains("fallback strikes: 1 (primary tripped)"));
+    }
+
+    #[test]
+    fn a_full_journal_says_where_its_timeline_stops() {
+        let j = obs::Journal::with_capacity(4);
+        // The fifth entry, the first refused, is the strike at t=12.
+        for e in sample_entries().into_iter().cycle().take(10) {
+            j.record(e);
+        }
+        let snap = j.snapshot();
+        assert_eq!(snap.len(), 5);
+        let back = parse_journal(&obs::to_jsonl(&snap)).expect("jsonl parses");
+        assert_eq!(back, snap);
+        let text = render_timeline(&back);
+        assert!(
+            text.starts_with(
+                "controller decision journal — 5 entries \
+                 (full at t=12.00s: 6 later entries dropped)\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("t=   12.00s  truncated  journal full: 6 later entries dropped"),
+            "{text}"
+        );
+        // A journal under its cap has no such line.
+        let text = render_timeline(&sample_entries());
+        assert!(!text.contains("truncated"), "{text}");
     }
 
     #[test]

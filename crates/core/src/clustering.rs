@@ -20,12 +20,18 @@
 //! ascending scan emits clusters and members already in order. Nothing
 //! is hashed and nothing is sorted; one pass over the paths and two
 //! over small tables, under 2 µs for 25 APIs over 127 services.
+//!
+//! "From scratch" is about the answer, not the memory: the controller
+//! keeps one [`Clustering`], whose tables, cluster list and clusters'
+//! vectors are cleared and refilled each interval, so a tick allocates
+//! nothing here once they have grown to the topology.
+//! [`cluster_apis`] is the same over a fresh one.
 
 use cluster::types::{ApiId, ServiceId};
 
 /// One independent sub-problem: APIs tied together by shared overloaded
 /// microservices.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Cluster {
     /// Member APIs, ascending.
     pub apis: Vec<ApiId>,
@@ -54,65 +60,97 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 /// * `overloaded` — services currently past the overload threshold.
 ///
 /// Returns clusters ordered by their smallest member API; APIs whose
-/// paths contain no overloaded service appear in no cluster.
+/// paths contain no overloaded service appear in no cluster. Allocates
+/// its tables and clusters anew: the controller clusters through one
+/// [`Clustering`] it keeps.
 pub fn cluster_apis(api_paths: &[Vec<ServiceId>], overloaded: &[ServiceId]) -> Vec<Cluster> {
-    let Some(top) = overloaded.iter().map(|s| s.idx()).max() else {
-        return Vec::new();
-    };
-    // Per service: `CLEAR`, `UNCLAIMED`, or the first API found crossing
-    // it. A path's id past the table is a service that is not
-    // overloaded, like any other the set does not hold.
-    let mut first_user = vec![CLEAR; top + 1];
-    for s in overloaded {
-        first_user[s.idx()] = UNCLAIMED;
-    }
-    // Union APIs through each overloaded service they share; the
-    // smaller root wins, so a root is its cluster's smallest member.
-    let mut parent: Vec<u32> = (0..api_paths.len() as u32).collect();
-    let mut involved = vec![false; api_paths.len()];
-    for (api, path) in api_paths.iter().enumerate() {
-        for s in path {
-            let Some(slot) = first_user.get_mut(s.idx()) else {
-                continue;
-            };
-            match *slot {
-                CLEAR => continue,
-                UNCLAIMED => *slot = api as u32,
-                first => {
-                    let (a, b) = (find(&mut parent, first), find(&mut parent, api as u32));
-                    parent[a.max(b) as usize] = a.min(b);
+    // A fresh scratch holds no spare clusters past the ones it returns.
+    let mut scratch = Clustering::default();
+    scratch.cluster(api_paths, overloaded);
+    scratch.clusters
+}
+
+/// [`cluster_apis`]'s tables and clusters, kept between calls for their
+/// capacity, each cluster's two vectors included.
+#[derive(Clone, Debug, Default)]
+pub struct Clustering {
+    first_user: Vec<u32>,
+    parent: Vec<u32>,
+    involved: Vec<bool>,
+    slot_of: Vec<u32>,
+    /// The last call's clusters, then emptied ones kept for reuse.
+    clusters: Vec<Cluster>,
+    len: usize,
+}
+
+impl Clustering {
+    /// [`cluster_apis`], into this scratch's tables.
+    pub fn cluster(&mut self, paths: &[Vec<ServiceId>], overloaded: &[ServiceId]) -> &[Cluster] {
+        self.len = 0;
+        let Some(top) = overloaded.iter().map(|s| s.idx()).max() else {
+            return &[];
+        };
+        // Per service: `CLEAR`, `UNCLAIMED`, or the first API found
+        // crossing it. A path's id past the table is a service that is
+        // not overloaded, like any other the set does not hold.
+        let first_user = &mut self.first_user;
+        first_user.clear();
+        first_user.resize(top + 1, CLEAR);
+        for s in overloaded {
+            first_user[s.idx()] = UNCLAIMED;
+        }
+        // Union APIs through each overloaded service they share; the
+        // smaller root wins, so a root is its cluster's smallest member.
+        let parent = &mut self.parent;
+        parent.clear();
+        parent.extend(0..paths.len() as u32);
+        self.involved.clear();
+        self.involved.resize(paths.len(), false);
+        for (api, path) in paths.iter().enumerate() {
+            for s in path {
+                let Some(slot) = first_user.get_mut(s.idx()) else {
+                    continue;
+                };
+                match *slot {
+                    CLEAR => continue,
+                    UNCLAIMED => *slot = api as u32,
+                    first => {
+                        let (a, b) = (find(parent, first), find(parent, api as u32));
+                        parent[a.max(b) as usize] = a.min(b);
+                    }
                 }
+                self.involved[api] = true;
             }
-            involved[api] = true;
         }
-    }
-    // One ascending scan meets every cluster at its root first, so the
-    // clusters come out ordered by smallest member, each member list
-    // ascending, with nothing to sort.
-    let mut out: Vec<Cluster> = Vec::new();
-    let mut slot_of = vec![0u32; api_paths.len()];
-    for api in (0..api_paths.len()).filter(|a| involved[*a]) {
-        let root = find(&mut parent, api as u32) as usize;
-        if root == api {
-            slot_of[api] = out.len() as u32;
-            out.push(Cluster {
-                apis: Vec::new(),
-                overloaded: Vec::new(),
-            });
+        // One ascending scan meets every cluster at its root first, so
+        // the clusters come out ordered by smallest member, each member
+        // list ascending, with nothing to sort. A root's slot is written
+        // before any member reads it, so that table is never cleared;
+        // a cluster past the last call's is a new one.
+        let (slot_of, clusters, len) = (&mut self.slot_of, &mut self.clusters, &mut self.len);
+        slot_of.resize(paths.len(), 0);
+        for api in (0..paths.len()).filter(|a| self.involved[*a]) {
+            let root = find(parent, api as u32) as usize;
+            if root == api {
+                slot_of[api] = *len as u32;
+                clusters.resize_with(clusters.len().max(*len + 1), Cluster::default);
+                clusters[*len].apis.clear();
+                clusters[*len].overloaded.clear();
+                *len += 1;
+            }
+            let slot = slot_of[root] as usize;
+            clusters[slot].apis.push(ApiId(api as u32));
         }
-        out[slot_of[root] as usize].apis.push(ApiId(api as u32));
-    }
-    // Ascending over the table: each claimed service goes to its first
-    // user's cluster, already in order and once.
-    for (s, &first) in first_user.iter().enumerate() {
-        if first < UNCLAIMED {
-            let root = find(&mut parent, first) as usize;
-            out[slot_of[root] as usize]
-                .overloaded
-                .push(ServiceId(s as u32));
+        // Ascending over the table: each claimed service goes to its
+        // first user's cluster, already in order and once.
+        for (s, &first) in first_user.iter().enumerate() {
+            if first < UNCLAIMED {
+                let slot = slot_of[find(parent, first) as usize] as usize;
+                clusters[slot].overloaded.push(ServiceId(s as u32));
+            }
         }
+        &clusters[..*len]
     }
-    out
 }
 
 /// The §6.2 "w/o cluster" ablation: every involved API and every
@@ -137,9 +175,78 @@ pub(crate) fn monolithic_cluster(
 }
 
 #[cfg(test)]
+pub(crate) use tests::cluster_apis_fresh;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The id-indexed clustering before its tables were kept between
+    /// calls, fresh tables every call, as the oracle [`Clustering`] must
+    /// equal however its tables were left.
+    pub(crate) fn cluster_apis_fresh(
+        api_paths: &[Vec<ServiceId>],
+        overloaded: &[ServiceId],
+    ) -> Vec<Cluster> {
+        let Some(top) = overloaded.iter().map(|s| s.idx()).max() else {
+            return Vec::new();
+        };
+        // Per service: `CLEAR`, `UNCLAIMED`, or the first API found crossing
+        // it. A path's id past the table is a service that is not
+        // overloaded, like any other the set does not hold.
+        let mut first_user = vec![CLEAR; top + 1];
+        for s in overloaded {
+            first_user[s.idx()] = UNCLAIMED;
+        }
+        // Union APIs through each overloaded service they share; the
+        // smaller root wins, so a root is its cluster's smallest member.
+        let mut parent: Vec<u32> = (0..api_paths.len() as u32).collect();
+        let mut involved = vec![false; api_paths.len()];
+        for (api, path) in api_paths.iter().enumerate() {
+            for s in path {
+                let Some(slot) = first_user.get_mut(s.idx()) else {
+                    continue;
+                };
+                match *slot {
+                    CLEAR => continue,
+                    UNCLAIMED => *slot = api as u32,
+                    first => {
+                        let (a, b) = (find(&mut parent, first), find(&mut parent, api as u32));
+                        parent[a.max(b) as usize] = a.min(b);
+                    }
+                }
+                involved[api] = true;
+            }
+        }
+        // One ascending scan meets every cluster at its root first, so the
+        // clusters come out ordered by smallest member, each member list
+        // ascending, with nothing to sort.
+        let mut out: Vec<Cluster> = Vec::new();
+        let mut slot_of = vec![0u32; api_paths.len()];
+        for api in (0..api_paths.len()).filter(|a| involved[*a]) {
+            let root = find(&mut parent, api as u32) as usize;
+            if root == api {
+                slot_of[api] = out.len() as u32;
+                out.push(Cluster {
+                    apis: Vec::new(),
+                    overloaded: Vec::new(),
+                });
+            }
+            out[slot_of[root] as usize].apis.push(ApiId(api as u32));
+        }
+        // Ascending over the table: each claimed service goes to its first
+        // user's cluster, already in order and once.
+        for (s, &first) in first_user.iter().enumerate() {
+            if first < UNCLAIMED {
+                let root = find(&mut parent, first) as usize;
+                out[slot_of[root] as usize]
+                    .overloaded
+                    .push(ServiceId(s as u32));
+            }
+        }
+        out
+    }
 
     /// Union–find with path compression, as the oracle uses it.
     struct Dsu {

@@ -25,8 +25,9 @@ fn retain_priority_targets(obs: &ClusterObservation, pool: &mut Vec<ApiId>, incr
 }
 
 impl TopFull {
-    /// Pick the decision's recipients and move their limits. `hot` flags
-    /// the services currently above the detector's enter threshold.
+    /// Pick the decision's recipients into its empty `applied_to` and
+    /// move their limits. `hot` flags the services currently above the
+    /// detector's enter threshold.
     pub(super) fn apply(
         &mut self,
         obs: &ClusterObservation,
@@ -35,7 +36,8 @@ impl TopFull {
         updates: &mut Vec<RateLimitUpdate>,
     ) {
         // The recipients are the candidates, narrowed in place.
-        let mut pool = d.candidates.clone();
+        let pool = &mut d.applied_to;
+        pool.extend_from_slice(&d.candidates);
         match d.subject {
             Subject::Target(target) if d.action >= 0.0 => {
                 // §4.1 rate-increase rule: only candidates whose path
@@ -48,7 +50,7 @@ impl TopFull {
                     }
                     blocker.is_none()
                 });
-                retain_priority_targets(obs, &mut pool, true);
+                retain_priority_targets(obs, pool, true);
             }
             Subject::Target(_) => {
                 // Rate-limiting an API that carries no load — or one
@@ -62,13 +64,12 @@ impl TopFull {
                         carries_load && self.apis[a.idx()].limit > self.cfg.min_rate
                     });
                 }
-                retain_priority_targets(obs, &mut pool, false);
+                retain_priority_targets(obs, pool, false);
             }
             // A probe's path is free of hot services and its one API is
             // the whole pool, whichever way the step points.
             Subject::Probe(_) => {}
         }
-        d.applied_to = pool;
         self.apply_group_action(obs, &d.applied_to, d.action, updates);
     }
 
@@ -255,6 +256,36 @@ mod tests {
             })
             .collect();
         assert_eq!(blocked, vec![0], "the veto is journaled");
+    }
+
+    #[test]
+    fn recycled_decision_vectors_hold_only_their_own_tick() {
+        // A tick's decisions hand their vectors to the tick after next:
+        // every tick on one observation picks and vetoes like the first.
+        let mut tf = TopFull::new(
+            TopFullConfig::default()
+                .with_rate_controller(Arc::new(MimdController::with_steps(0.05, 0.2))),
+        );
+        tf.preset_limits(&[100.0, 100.0]);
+        let o = two_hot_services();
+        let picks = |tf: &TopFull| -> Vec<_> {
+            let d = tf.last_decisions.iter();
+            d.map(|d| {
+                (
+                    d.candidates.clone(),
+                    d.applied_to.clone(),
+                    d.blocked.clone(),
+                )
+            })
+            .collect()
+        };
+        tf.control(&o);
+        let first = picks(&tf);
+        assert!(first.iter().any(|(_, _, blocked)| !blocked.is_empty()));
+        for _ in 0..3 {
+            tf.control(&o);
+            assert_eq!(picks(&tf), first);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! is nothing more than a decision whose subject is an API and whose
 //! candidate set is that API alone.
 
-use super::{episode, TopFull};
+use super::{episode, reuse, Spare, TopFull};
 use crate::rate_controller::RateState;
 use cluster::observe::ClusterObservation;
 use cluster::types::{ApiId, ServiceId};
@@ -74,12 +74,14 @@ impl TopFull {
     /// remembered. A target's lives in the previous tick's decision for
     /// the same service, so it ends on the first tick the service is not
     /// a collapsing target; a probe's stays with its API until a visit
-    /// finds no collapse, however many ticks pass between visits.
+    /// finds no collapse, however many ticks pass between visits. The
+    /// decision's other two vectors come from `spare`, empty.
     pub(super) fn decide(
         &mut self,
         obs: &ClusterObservation,
         subject: Subject,
         candidates: Vec<ApiId>,
+        spare: &mut Spare,
     ) -> Decision {
         let state = self.state_for(obs, &candidates);
         let action = self.cfg.rate_controller.decide(state);
@@ -115,8 +117,8 @@ impl TopFull {
             action,
             escalated,
             anchor,
-            applied_to: Vec::new(),
-            blocked: Vec::new(),
+            applied_to: reuse(&mut spare.ids),
+            blocked: reuse(&mut spare.blocked),
         }
     }
 }

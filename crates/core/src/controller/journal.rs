@@ -21,6 +21,8 @@ use std::sync::Arc;
 #[derive(Default)]
 pub(super) struct Journaler {
     pub(super) sink: Option<Arc<obs::Journal>>,
+    /// The last tick's overloaded set and clusters, copied into the
+    /// same vectors each tick.
     prev_overloaded: Vec<ServiceId>,
     prev_partition: Vec<Vec<ApiId>>,
     names: Names,
@@ -83,7 +85,7 @@ impl Journaler {
                 });
             }
         }
-        self.prev_overloaded = overloaded.to_vec();
+        overloaded.clone_into(&mut self.prev_overloaded);
     }
 
     /// The cluster partition, when it differs from the last tick's.
@@ -91,16 +93,19 @@ impl Journaler {
         if clusters.iter().map(|c| &c.apis).eq(&self.prev_partition) {
             return;
         }
-        self.prev_partition = clusters.iter().map(|c| c.apis.clone()).collect();
+        self.prev_partition.resize_with(clusters.len(), Vec::new);
+        for (prev, c) in self.prev_partition.iter_mut().zip(clusters) {
+            prev.clone_from(&c.apis);
+        }
         if let Some(j) = &self.sink {
             // Up to three digits and a separator per API.
-            let apis: usize = self.prev_partition.iter().map(Vec::len).sum();
+            let apis: usize = clusters.iter().map(|c| c.apis.len()).sum();
             let mut assignment = String::with_capacity(4 * apis);
-            for (i, group) in self.prev_partition.iter().enumerate() {
+            for (i, c) in clusters.iter().enumerate() {
                 if i > 0 {
                     assignment.push('|');
                 }
-                push_id_list(&mut assignment, group.iter().map(|a| a.0));
+                push_id_list(&mut assignment, c.apis.iter().map(|a| a.0));
             }
             j.record(JournalEntry::Recluster {
                 t: obs.now.as_secs_f64(),

@@ -37,9 +37,10 @@ mod select;
 pub use config::TopFullConfig;
 pub use decide::{Decision, Subject};
 
-use crate::clustering::{cluster_apis, monolithic_cluster};
+use crate::clustering::{monolithic_cluster, Clustering};
 use crate::detector::{OverloadDetector, OVERLOAD_ENTER};
 use cluster::observe::ClusterObservation;
+use cluster::types::{ApiId, ServiceId};
 use cluster::{Controller, RateLimitUpdate};
 use std::sync::Arc;
 
@@ -79,10 +80,39 @@ pub struct TopFull {
     /// recovery probes by API. Also the targets' collapse-episode memory
     /// (`decide.rs`).
     last_decisions: Vec<Decision>,
-    /// Scratch of [`Controller::control`], kept between ticks for its
-    /// capacity: the services above the detector's enter threshold.
-    hot: Vec<bool>,
+    /// Scratch of [`Controller::control`], kept between ticks.
+    scratch: Scratch,
     journal: journal::Journaler,
+}
+
+/// Everything a tick builds but its updates and its decisions, kept
+/// between ticks for its capacity and taken out of the controller
+/// while a tick runs.
+#[derive(Default)]
+struct Scratch {
+    clustering: Clustering,
+    select: select::Selection,
+    /// The services above the detector's enter threshold.
+    hot: Vec<bool>,
+    /// The next tick's decision list, empty.
+    decisions: Vec<Decision>,
+    spare: Spare,
+}
+
+/// The vectors of decisions past: a tick's decisions take theirs from
+/// here and give them back the tick after, once `decide` no longer
+/// reads them.
+#[derive(Default)]
+struct Spare {
+    ids: Vec<Vec<ApiId>>,
+    blocked: Vec<Vec<(ApiId, ServiceId)>>,
+}
+
+/// An emptied vector from `pool`, or a new one.
+fn reuse<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
+    let mut v = pool.pop().unwrap_or_default();
+    v.clear();
+    v
 }
 
 /// Membership in a set of dense ids kept as a table of flags. An id
@@ -104,7 +134,7 @@ impl TopFull {
             apis: Vec::new(),
             ticks: 0,
             last_decisions: Vec::new(),
-            hot: Vec::new(),
+            scratch: Scratch::default(),
             journal: journal::Journaler::default(),
         }
     }
@@ -121,66 +151,75 @@ impl Controller for TopFull {
             self.apis.resize(obs.apis.len(), UNLIMITED);
         }
         self.ticks += 1;
+        let mut s = std::mem::take(&mut self.scratch);
 
         let overloaded = self.detector.detect(obs);
-        self.journal.overloads(obs, &overloaded);
+        self.journal.overloads(obs, overloaded);
+        let monolithic;
         let clusters = if self.cfg.clustering_enabled {
-            cluster_apis(&obs.api_paths, &overloaded)
+            s.clustering.cluster(&obs.api_paths, overloaded)
         } else {
-            monolithic_cluster(&obs.api_paths, &overloaded)
+            monolithic = monolithic_cluster(&obs.api_paths, overloaded);
+            &monolithic
         };
-        self.journal.partition(obs, &clusters);
+        self.journal.partition(obs, clusters);
 
         // Every target is decided before any step is applied, and every
         // probe after: a `SafeRateController` counts its strikes across
         // the `decide` calls in exactly this order.
         let strikes = self.cfg.rate_controller.fallback_state();
         let strikes_before = strikes.map_or(0, |(s, _, _)| s);
-        let mut decisions: Vec<Decision> = select::targets(&self.cfg, obs, &clusters)
-            .into_iter()
-            .map(|(target, candidates)| self.decide(obs, Subject::Target(target), candidates))
-            .collect();
+        let mut decisions = std::mem::take(&mut s.decisions);
+        let targets = select::targets(&self.cfg, obs, clusters, &mut s.select, &mut s.spare.ids);
+        for (target, candidates) in targets.drain(..) {
+            let d = self.decide(obs, Subject::Target(target), candidates, &mut s.spare);
+            decisions.push(d);
+        }
 
         // "Hot" is the *instantaneous* enter threshold, not the
         // hysteresis set: a service cooling through the 0.75–0.8 band
         // still anchors its cluster, but must not veto recovery of every
         // API crossing it — otherwise near-threshold services freeze the
         // whole application below capacity.
-        let mut hot = std::mem::take(&mut self.hot);
-        hot.clear();
-        hot.resize(obs.services.len(), false);
-        for s in &obs.services {
-            if s.utilization > OVERLOAD_ENTER {
-                let i = s.service.idx();
-                if i >= hot.len() {
-                    hot.resize(i + 1, false);
-                }
-                hot[i] = true;
-            }
+        let span = obs.services.iter().map(|w| w.service.idx() + 1).max();
+        s.hot.clear();
+        s.hot.resize(span.unwrap_or(0), false);
+        for w in obs
+            .services
+            .iter()
+            .filter(|w| w.utilization > OVERLOAD_ENTER)
+        {
+            s.hot[w.service.idx()] = true;
         }
         // A target's step lands on some of its candidates, once each.
         let mut updates = Vec::with_capacity(decisions.iter().map(|d| d.candidates.len()).sum());
         for d in &mut decisions {
-            self.apply(obs, &hot, d, &mut updates);
+            self.apply(obs, &s.hot, d, &mut updates);
             self.journal.decision(obs, &self.cfg, d);
         }
-        for api in select::probes(&self.apis, obs, &hot, &decisions) {
+        for &api in select::probes(&self.apis, obs, &s.hot, &decisions, &mut s.select) {
             if self.release_if_idle(obs, api) {
                 updates.push(RateLimitUpdate::unlimited(api));
                 self.journal.release(obs, api, &self.cfg);
                 continue;
             }
-            let mut d = self.decide(obs, Subject::Probe(api), vec![api]);
+            let mut candidates = reuse(&mut s.spare.ids);
+            candidates.push(api);
+            let mut d = self.decide(obs, Subject::Probe(api), candidates, &mut s.spare);
             // A probe's step must not restart its API's release count.
             let held = self.apis[api.idx()].headroom_ticks;
-            self.apply(obs, &hot, &mut d, &mut updates);
+            self.apply(obs, &s.hot, &mut d, &mut updates);
             self.apis[api.idx()].headroom_ticks = held;
             self.journal.decision(obs, &self.cfg, &d);
             decisions.push(d);
         }
         self.journal.strikes(obs, strikes_before, &self.cfg);
-        self.last_decisions = decisions;
-        self.hot = hot;
+        s.decisions = std::mem::replace(&mut self.last_decisions, decisions);
+        for d in s.decisions.drain(..) {
+            s.spare.ids.extend([d.candidates, d.applied_to]);
+            s.spare.blocked.push(d.blocked);
+        }
+        self.scratch = s;
         updates
     }
 

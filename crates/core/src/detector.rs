@@ -15,6 +15,9 @@
 //! was, so a blinded detector neither flags healthy services nor
 //! releases pressure on services that were overloaded when the lights
 //! went out.
+//!
+//! The overloaded set is written into a buffer the detector owns, so a
+//! tick builds no vector for it.
 
 use cluster::observe::ClusterObservation;
 use cluster::types::ServiceId;
@@ -34,6 +37,8 @@ pub struct OverloadDetector {
     /// Per-service state, indexed by `ServiceId`; grows to whatever the
     /// observations mention.
     services: Vec<ServiceState>,
+    /// The last update's overloaded set, kept for its capacity.
+    overloaded: Vec<ServiceId>,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -48,12 +53,13 @@ impl OverloadDetector {
     pub fn new(num_services: usize) -> Self {
         OverloadDetector {
             services: vec![ServiceState::default(); num_services],
+            overloaded: Vec::new(),
         }
     }
 
     /// Update from an observation; returns the overloaded set, ascending.
-    pub fn detect(&mut self, obs: &ClusterObservation) -> Vec<ServiceId> {
-        let mut out = Vec::new();
+    pub fn detect(&mut self, obs: &ClusterObservation) -> &[ServiceId] {
+        self.overloaded.clear();
         for w in &obs.services {
             let i = w.service.idx();
             if i >= self.services.len() {
@@ -82,10 +88,10 @@ impl OverloadDetector {
                 }
             }
             if state.overloaded {
-                out.push(w.service);
+                self.overloaded.push(w.service);
             }
         }
-        out
+        &self.overloaded
     }
 
     /// Whether a service is currently flagged.

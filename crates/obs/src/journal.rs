@@ -158,6 +158,9 @@ pub enum JournalEntry {
         /// Run-scope error budget remaining (1 = untouched, <0 = blown).
         budget_remaining: f64,
     },
+    /// The journal was full: the last entry of a snapshot whose journal
+    /// refused `dropped` entries, the first of them at `t`.
+    Truncated { t: f64, dropped: u64 },
 }
 
 impl JournalEntry {
@@ -179,7 +182,8 @@ impl JournalEntry {
             | JournalEntry::ShardFallback { t, .. }
             | JournalEntry::AdmissionWindow { t, .. }
             | JournalEntry::PriorityThreshold { t, .. }
-            | JournalEntry::SloBurn { t, .. } => *t,
+            | JournalEntry::SloBurn { t, .. }
+            | JournalEntry::Truncated { t, .. } => *t,
         }
     }
 }
@@ -294,14 +298,18 @@ struct State {
     /// Every decision's recipient ids, back to back.
     recipients: Vec<u32>,
     dropped: u64,
+    /// When the first refused entry was recorded.
+    full_at: Option<f64>,
     cap: usize,
 }
 
 impl State {
-    /// Whether one more entry fits; one that does not is counted.
-    fn admit(&mut self) -> bool {
+    /// Whether one more entry, recorded at `t`, fits; one that does not
+    /// is counted.
+    fn admit(&mut self, t: f64) -> bool {
         let room = self.items.len() < self.cap;
         if !room {
+            self.full_at.get_or_insert(t);
             self.dropped += 1;
         }
         room
@@ -334,6 +342,7 @@ impl Journal {
                 items: Vec::new(),
                 recipients: Vec::new(),
                 dropped: 0,
+                full_at: None,
                 cap: cap.max(1),
             }),
         }
@@ -346,7 +355,7 @@ impl Journal {
 
     pub fn record(&self, entry: JournalEntry) {
         let mut st = self.state.lock().expect("journal lock");
-        if st.admit() {
+        if st.admit(entry.at()) {
             st.items.push(Item::Entry(entry));
         }
     }
@@ -363,12 +372,12 @@ impl Journal {
     ) {
         let mut st = self.state.lock().expect("journal lock");
         for (api, blocker) in blocked {
-            if st.admit() {
+            if st.admit(d.t) {
                 let (t, api, blocker) = (d.t, *api, Arc::clone(blocker));
                 st.items.push(Item::Blocked { t, api, blocker });
             }
         }
-        if st.admit() {
+        if st.admit(d.t) {
             let start = st.recipients.len();
             st.recipients.extend(recipients);
             let range = start..st.recipients.len();
@@ -389,9 +398,12 @@ impl Journal {
         self.state.lock().expect("journal lock").dropped
     }
 
-    /// The recorded entries, in append order, rate decisions rendered.
+    /// The recorded entries, in append order, rate decisions rendered;
+    /// a full journal's ends with a [`JournalEntry::Truncated`].
     pub fn snapshot(&self) -> Vec<JournalEntry> {
         let st = self.state.lock().expect("journal lock");
+        let dropped = st.dropped;
+        let truncated = st.full_at.map(|t| JournalEntry::Truncated { t, dropped });
         st.items
             .iter()
             .map(|item| match item {
@@ -403,6 +415,7 @@ impl Journal {
                     reason: [BLOCKED, blocker].concat(),
                 },
             })
+            .chain(truncated)
             .collect()
     }
 }
@@ -526,10 +539,17 @@ mod tests {
         }
         assert_eq!(j.len(), 4);
         assert_eq!(j.dropped(), 6);
-        // The retained prefix is the oldest entries, in order.
+        // The retained prefix is the oldest entries, in order, and then
+        // the mark of what was refused, from the first refusal on.
         let snap = j.snapshot();
+        assert_eq!(snap.len(), 5);
         assert_eq!(snap[0].at(), 0.0);
         assert_eq!(snap[3].at(), 3.0);
+        assert_eq!(snap[4], JournalEntry::Truncated { t: 4.0, dropped: 6 });
+        // A journal under its cap snapshots what it holds, no mark.
+        let j = Journal::with_capacity(4);
+        j.record(entry(0.0));
+        assert_eq!(j.snapshot(), vec![entry(0.0)]);
     }
 
     #[test]

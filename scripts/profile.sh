@@ -10,6 +10,17 @@
 # stacks): a symbol's share is its *self* time plus whatever the
 # compiler inlined into it.
 #
+# A `libc.so.6:?` row is split by caller. The handler also keeps the
+# word at the interrupted stack pointer (the link register on aarch64):
+# inside a leaf routine that pushes no frame — libc's `memmove`,
+# `memcpy` and `memset` variants — that word is the return address, so
+# `libc.so.6:? ← push_reply` names the function the copy returns into,
+# and `← libc` one that returns into libc itself (the allocator's
+# internals). Exact for leaf routines, a guess elsewhere: inside a
+# routine that has pushed a frame the word is whatever it pushed last.
+# The sampler reads only the interrupted thread's own stack, in its own
+# signal handler. `--lines` keeps such samples as `libc.so.6:?`.
+#
 # The handler also records which thread it interrupted (its name, by
 # `prctl(PR_GET_NAME)`: a plain syscall), and the report is one table
 # per thread under a table of thread totals. On the live workloads
@@ -75,7 +86,7 @@ cat > "$tmp/sampler.c" <<'EOF'
 #include <ucontext.h>
 
 #define MAX_SAMPLES (1ul << 22)
-static unsigned long *pcs, taken;
+static unsigned long *pcs, *rets, taken;
 static char (*threads)[16]; /* PR_GET_NAME fills at most 16 bytes */
 
 static void on_tick(int sig, siginfo_t *info, void *ctx) {
@@ -86,8 +97,11 @@ static void on_tick(int sig, siginfo_t *info, void *ctx) {
   if (i >= MAX_SAMPLES) return;
 #if defined(__x86_64__)
   pcs[i] = uc->uc_mcontext.gregs[REG_RIP];
+  /* A leaf routine's return address; see the script's header. */
+  rets[i] = *(unsigned long *)uc->uc_mcontext.gregs[REG_RSP];
 #elif defined(__aarch64__)
   pcs[i] = uc->uc_mcontext.pc;
+  rets[i] = uc->uc_mcontext.regs[30];
 #else
 #error "teach the sampler where this architecture keeps the interrupted pc"
 #endif
@@ -107,6 +121,7 @@ __attribute__((constructor)) static void start(void) {
   struct sigaction sa = {0};
   struct itimerval tick = {{0, 1000}, {0, 1000}};
   pcs = calloc(MAX_SAMPLES, sizeof *pcs);
+  rets = calloc(MAX_SAMPLES, sizeof *rets);
   threads = calloc(MAX_SAMPLES, sizeof *threads);
   sa.sa_sigaction = on_tick;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
@@ -122,19 +137,22 @@ __attribute__((destructor)) static void stop(void) {
   if (!out) return;
   dl_iterate_phdr(exe_bias, &bias);
   /* One line per sample: the pc as `nm` would number it, the thread it
-   * interrupted (one word), then where the dynamic linker says the pc
-   * is, for the pcs `nm` cannot place. */
+   * interrupted (one word), where the dynamic linker says the pc is, for
+   * the pcs `nm` cannot place, then the same three for the word at the
+   * stack pointer (as `nm` would number it, then its library). */
   for (i = 0; i < n; i++) {
-    Dl_info at = {0};
-    const char *lib = "?", *slash;
+    Dl_info at = {0}, ret = {0};
+    const char *lib = "?", *ret_lib = "?", *slash;
     char *c;
     if (dladdr((void *)pcs[i], &at) && at.dli_fname)
       lib = (slash = strrchr(at.dli_fname, '/')) ? slash + 1 : at.dli_fname;
+    if (dladdr((void *)rets[i], &ret) && ret.dli_fname)
+      ret_lib = (slash = strrchr(ret.dli_fname, '/')) ? slash + 1 : ret.dli_fname;
     threads[i][15] = 0;
     for (c = threads[i]; *c; c++)
       if (*c == ' ') *c = '_';
-    fprintf(out, "%lx %s %s:%s\n", pcs[i] - bias, threads[i][0] ? threads[i] : "?", lib,
-            at.dli_sname ? at.dli_sname : "?");
+    fprintf(out, "%lx %s %s:%s %lx %s\n", pcs[i] - bias, threads[i][0] ? threads[i] : "?", lib,
+            at.dli_sname ? at.dli_sname : "?", rets[i] - bias, ret_lib);
   }
   fclose(out);
 }
@@ -198,7 +216,7 @@ fi
 # Text symbols in address order, the per-instantiation `::h<hash>` suffix
 # dropped so a generic function's copies add up; a pc outside the
 # binary's symbols (libc, libm, vdso) keeps the sampler's own
-# `library:symbol`.
+# `library:symbol`, and one libc does not name gains its caller.
 nm -n -C --defined-only "$bin" \
   | awk '$2 ~ /^[tTwW]$/ { addr = $1; $1 = $2 = ""; sub(/^ +/, ""); sub(/::h[0-9a-f]{16}$/, "")
                            print addr, $0 }' > "$tmp/symbols"
@@ -208,14 +226,25 @@ awk -v last="$last" '
   function hex(s,    i, v) { v = 0; s = tolower(s)
     for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
     return v }
-  FNR == NR { at[++n] = hex($1); $1 = ""; sub(/^ /, ""); name[n] = $0; next }
-  { pc = hex($1); thread = $2
-    if (n == 0 || pc < at[1] || pc >= hex(last)) { hits[thread "\t" $3]++; next }
+  # The binary symbol holding pc, or "" for a pc outside the binary.
+  function symbol(pc,    lo, hi, mid) {
+    if (n == 0 || pc < at[1] || pc >= hex(last)) return ""
     lo = 1; hi = n
     while (lo < hi) { mid = int((lo + hi + 1) / 2); if (at[mid] <= pc) lo = mid; else hi = mid - 1 }
-    hits[thread "\t" name[lo]]++ }
+    return name[lo] }
+  FNR == NR { at[++n] = hex($1); $1 = ""; sub(/^ /, ""); name[n] = $0; next }
+  { row = symbol(hex($1))
+    if (row == "") {
+      row = $3
+      if ($3 ~ /^libc[.]so[^:]*:[?]$/) {
+        caller = symbol(hex($4))
+        if (caller == "") caller = ($5 ~ /^libc[.]so/) ? "libc" : $5
+        row = row " ← " caller } }
+    hits[$2 "\t" row]++ }
   END { for (row in hits) { split(row, k, "\t"); printf "%s\t%d\t%s\n", k[1], hits[row], k[2] } }
 ' "$tmp/symbols" "$tmp/pcs" > "$tmp/rows"
+echo "libc.so.6:? ← caller: the word at the stack pointer — exact for a leaf routine" \
+  "(memmove, memcpy, memset), only a guess elsewhere; ← libc returns into libc itself"
 echo "threads (share of all $total samples):"
 awk -F'\t' '{ t[$1] += $2 } END { for (k in t) printf "%d\t%s\n", t[k], k }' "$tmp/rows" \
   | sort -rn | tee "$tmp/threads" | share
