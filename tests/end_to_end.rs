@@ -195,7 +195,7 @@ fn rl_policy_controls_an_online_boutique_overload() {
         validation_episodes: 6,
         // Training at this tiny budget is seed-sensitive: late goodput
         // for seeds 0–7 is 486 6 488 488 471 56 1 2 rps at any worker
-        // count, so 4 of 8 pass (ROADMAP item 5(b)).
+        // count, so 4 of 8 pass (ROADMAP item 20).
         seed: 0,
     });
     let report = trainer.train(GraphEnv::new);

@@ -7,19 +7,33 @@
 //! error-budget or refinement experiment. Every arm is a committed document under
 //! `scenarios/`, or that document with one field changed, run through
 //! `topfull_cli::run_scenario` exactly as `topfull run` runs it. Each
-//! test prints its arms' numbers, which EXPERIMENTS.md cites:
-//!
-//! ```text
-//! cargo test --release --test extensions -- --nocapture --test-threads 1
-//! ```
+//! test asserts its claims and prints its arms' numbers, the refinement
+//! ablation's held to EXPERIMENTS.md; the `#[ignore]`d `seeds` judges
+//! every claim at each document's seed + 0…7 (`tests/arms/mod.rs`).
 
 mod arms;
 
-use arms::{api_goodput, doc, run_arms, variant, window_mean};
+use arms::{api_goodput, doc, ratio, variant, window_mean, Arms, Figure, Printed, Verdict};
 use topfull_suite::cluster::RetryBudgetConfig;
 use topfull_suite::topfull_cli::schema::{ControllerSpec, DeadlineSpecJson, ResilienceSpec};
 use topfull_suite::topfull_cli::schema::{Scenario, WorkloadSpec};
 use topfull_suite::topfull_cli::ScenarioOutcome;
+
+/// The seed sweep: every claim below at each document's seed + k,
+/// k = 0…7.
+#[test]
+#[ignore = "the seed sweep: eight passes of the suite"]
+fn seeds() {
+    arms::sweep(&[
+        RETRY_STORM,
+        METASTABLE_STORM,
+        COALESCING,
+        PRIORITY_HYBRID,
+        GRAY_FAILURE,
+        SLO_BURN_LEAD,
+        REFINEMENT_ABLATION,
+    ]);
+}
 
 fn set_max_retries(sc: &mut Scenario, retries: u32) {
     match &mut sc.workload {
@@ -28,33 +42,136 @@ fn set_max_retries(sc: &mut Scenario, retries: u32) {
     }
 }
 
+const RETRY_STORM_ARMS: [&str; 3] = ["no-control", "dagor", "topfull"];
+
+const RETRY_STORM: Figure = Figure {
+    arms: || {
+        let storm = variant(&doc("retry_storm_dagor"), |sc| set_max_retries(sc, 3));
+        vec![
+            variant(&storm, |sc| sc.controller = ControllerSpec::None),
+            storm.clone(),
+            variant(&storm, |sc| {
+                sc.controller = ControllerSpec::topfull("rl:artifacts/models/transfer_ob.json");
+            }),
+        ]
+    },
+    judge: retry_storm,
+};
+
+fn retry_storm(outcomes: &[ScenarioOutcome], printed: &mut Printed) -> Vec<Verdict> {
+    let arms = Arms::new(&RETRY_STORM_ARMS, outcomes);
+    let p = printed.block(None);
+    writeln!(
+        p,
+        "retry storm: retry_storm_dagor.json, max_retries 3 — goodput (rps)"
+    );
+    for arm in RETRY_STORM_ARMS {
+        writeln!(p, "  {arm:<11} {:>7.1}", arms.of(arm).total_goodput);
+    }
+    let gain = arms.of("topfull").total_goodput / arms.of("no-control").total_goodput;
+    writeln!(p, "  topfull / no-control {gain:.2}x");
+    vec![Verdict::claim(
+        "retry storm: topfull > no control",
+        gain > 1.0,
+        format!("{gain:.2}x"),
+        "TopFull does not beat no control under the storm",
+    )]
+}
+
 /// 2600 closed-loop users whose failures retry up to 3 times after
 /// 50 ms (§1's "retry storm by misbehaving clients"): TopFull's entry
 /// rejection is amplification-neutral, so it beats no control.
 #[test]
 fn retry_storm_topfull_beats_no_control() {
-    let storm = variant(&doc("retry_storm_dagor"), |sc| set_max_retries(sc, 3));
-    let [none, dagor, topfull] = run_arms([
-        variant(&storm, |sc| sc.controller = ControllerSpec::None),
-        storm.clone(),
-        variant(&storm, |sc| {
-            sc.controller = ControllerSpec::topfull("rl:artifacts/models/transfer_ob.json");
-        }),
-    ]);
-    println!("retry storm: retry_storm_dagor.json, max_retries 3 — goodput (rps)");
-    for (arm, o) in [
-        ("no-control", &none),
-        ("dagor", &dagor),
-        ("topfull", &topfull),
-    ] {
-        println!("  {arm:<11} {:>7.1}", o.total_goodput);
+    RETRY_STORM.tier1();
+}
+
+/// The metastable storm's arms: `(stack, arm)`.
+const METASTABLE_ARMS: [(&str, &str); 6] = [
+    ("topfull-mimd", "no-retry"),
+    ("topfull-mimd", "unbounded"),
+    ("topfull-mimd", "budgeted+deadlines"),
+    ("dagor", "no-retry"),
+    ("dagor", "unbounded"),
+    ("dagor", "budgeted+deadlines"),
+];
+
+const METASTABLE_STORM: Figure = Figure {
+    arms: || {
+        let storm = doc("retry_storm_dagor");
+        let hardened = ResilienceSpec {
+            deadlines: Some(DeadlineSpecJson::default()),
+            retry_budget: Some(RetryBudgetConfig::default()),
+            breakers: None,
+        };
+        let arm = |(stack, arm)| {
+            variant(&storm, |sc| {
+                if stack == "topfull-mimd" {
+                    sc.controller = ControllerSpec::topfull("mimd");
+                }
+                match arm {
+                    "no-retry" => set_max_retries(sc, 0),
+                    "unbounded" => {}
+                    _ => sc.resilience = Some(hardened.clone()),
+                }
+            })
+        };
+        METASTABLE_ARMS.map(arm).into()
+    },
+    judge: metastable_storm,
+};
+
+fn metastable_storm(outcomes: &[ScenarioOutcome], printed: &mut Printed) -> Vec<Verdict> {
+    let arms = Arms::new(&METASTABLE_ARMS, outcomes);
+    let p = printed.block(None);
+    let mut verdicts = Vec::new();
+    for stack in ["topfull-mimd", "dagor"] {
+        let [baseline, unbounded, budgeted] =
+            ["no-retry", "unbounded", "budgeted+deadlines"].map(|arm| arms.of((stack, arm)));
+        let base = baseline.total_goodput;
+        writeln!(
+            p,
+            "metastable storm: retry_storm_dagor.json under {stack} — goodput (rps)"
+        );
+        writeln!(p, "  no-retry              {base:>7.1}");
+        for (arm, o) in [("unbounded", unbounded), ("budgeted+deadlines", budgeted)] {
+            let g = o.total_goodput;
+            writeln!(p, "  {arm:<21} {g:>7.1}  ({:.2}x no-retry)", g / base);
+        }
+        let r = &budgeted.resilience;
+        writeln!(
+            p,
+            "  budgeted+deadlines: {} retries suppressed, {} doomed calls cancelled",
+            r.retries_suppressed, r.doomed_cancelled
+        );
+        verdicts.extend([
+            Verdict::claim(
+                format!("metastable {stack}: unbounded < no-retry"),
+                unbounded.total_goodput < base,
+                ratio(unbounded.total_goodput, base),
+                format!("{stack}: unbounded retries did not collapse goodput"),
+            ),
+            Verdict::claim(
+                format!("metastable {stack}: budgeted >= 0.9 no-retry"),
+                budgeted.total_goodput >= 0.9 * base,
+                ratio(budgeted.total_goodput, base),
+                format!("{stack}: budgeted retries + deadlines held under 90 % of no-retry"),
+            ),
+            Verdict::claim(
+                format!("metastable {stack}: the budget engages"),
+                r.retries_suppressed > 0,
+                format!("suppressed: {}", r.retries_suppressed),
+                format!("{stack}: the budget never engaged"),
+            ),
+            Verdict::claim(
+                format!("metastable {stack}: doomed calls are cancelled"),
+                r.doomed_cancelled > 0,
+                format!("cancelled: {}", r.doomed_cancelled),
+                format!("{stack}: nothing doomed was cancelled"),
+            ),
+        ]);
     }
-    let ratio = topfull.total_goodput / none.total_goodput;
-    println!("  topfull / no-control {ratio:.2}x");
-    assert!(
-        ratio > 1.0,
-        "TopFull does not beat no control under the storm"
-    );
+    verdicts
 }
 
 /// The retry storm at its worst (up to 100 retries) under TopFull-MIMD
@@ -64,65 +181,89 @@ fn retry_storm_topfull_beats_no_control() {
 /// it, with both mechanisms visibly engaged.
 #[test]
 fn budgeted_retries_with_deadlines_defuse_the_metastable_storm() {
-    let storm = doc("retry_storm_dagor");
-    let hardened = ResilienceSpec {
-        deadlines: Some(DeadlineSpecJson::default()),
-        retry_budget: Some(RetryBudgetConfig::default()),
-        breakers: None,
-    };
-    for (stack, controller) in [
-        ("topfull-mimd", ControllerSpec::topfull("mimd")),
-        ("dagor", storm.controller.clone()),
-    ] {
-        let unbounded = variant(&storm, |sc| sc.controller = controller);
-        let [baseline, unbounded, budgeted] = run_arms([
-            variant(&unbounded, |sc| set_max_retries(sc, 0)),
-            unbounded.clone(),
-            variant(&unbounded, |sc| sc.resilience = Some(hardened.clone())),
-        ]);
-        let base = baseline.total_goodput;
-        println!("metastable storm: retry_storm_dagor.json under {stack} — goodput (rps)");
-        println!("  no-retry              {base:>7.1}");
-        for (arm, o) in [("unbounded", &unbounded), ("budgeted+deadlines", &budgeted)] {
-            let g = o.total_goodput;
-            println!("  {arm:<21} {g:>7.1}  ({:.2}x no-retry)", g / base);
-        }
-        let r = &budgeted.resilience;
-        println!(
-            "  budgeted+deadlines: {} retries suppressed, {} doomed calls cancelled",
-            r.retries_suppressed, r.doomed_cancelled
-        );
-        assert!(
-            unbounded.total_goodput < base,
-            "{stack}: unbounded retries did not collapse goodput"
-        );
-        assert!(
-            budgeted.total_goodput >= 0.9 * base,
-            "{stack}: budgeted retries + deadlines held under 90 % of no-retry"
-        );
-        assert!(
-            r.retries_suppressed > 0,
-            "{stack}: the budget never engaged"
-        );
-        assert!(
-            r.doomed_cancelled > 0,
-            "{stack}: nothing doomed was cancelled"
-        );
+    METASTABLE_STORM.tier1();
+}
+
+const COALESCING_ARMS: [&str; 2] = ["no coalescing", "coalescing"];
+
+const COALESCING: Figure = Figure {
+    arms: || {
+        let crowd = doc("read_flash_crowd");
+        vec![variant(&crowd, |sc| sc.admission = None), crowd.clone()]
+    },
+    judge: coalescing,
+};
+
+fn coalescing(outcomes: &[ScenarioOutcome], printed: &mut Printed) -> Vec<Verdict> {
+    let arms = Arms::new(&COALESCING_ARMS, outcomes);
+    let p = printed.block(None);
+    writeln!(p, "read flash crowd: read_flash_crowd.json — goodput (rps)");
+    for arm in COALESCING_ARMS {
+        writeln!(p, "  {arm:<14} {:>7.1}", arms.of(arm).total_goodput);
     }
+    let gain = arms.of("coalescing").total_goodput / arms.of("no coalescing").total_goodput;
+    writeln!(p, "  coalescing / no coalescing {gain:.1}x");
+    vec![Verdict::claim(
+        "coalescing: >= 2x no coalescing",
+        gain >= 2.0,
+        format!("{gain:.2}x"),
+        format!("coalescing gained only {gain:.2}x"),
+    )]
 }
 
 /// A read flash crowd over 16 hot keys: single-flight coalescing plus
 /// the TTL cache at least double the goodput TopFull gets without it.
 #[test]
 fn coalescing_at_least_doubles_flash_crowd_goodput() {
-    let crowd = doc("read_flash_crowd");
-    let [plain, coalescing] = run_arms([variant(&crowd, |sc| sc.admission = None), crowd.clone()]);
-    println!("read flash crowd: read_flash_crowd.json — goodput (rps)");
-    println!("  no coalescing  {:>7.1}", plain.total_goodput);
-    println!("  coalescing     {:>7.1}", coalescing.total_goodput);
-    let ratio = coalescing.total_goodput / plain.total_goodput;
-    println!("  coalescing / no coalescing {ratio:.1}x");
-    assert!(ratio >= 2.0, "coalescing gained only {ratio:.2}x");
+    COALESCING.tier1();
+}
+
+const PRIORITY_HYBRID_ARMS: [&str; 3] = ["topfull-only", "dagor-only", "topfull+dagor"];
+
+const PRIORITY_HYBRID: Figure = Figure {
+    arms: || {
+        let hybrid = doc("priority_hybrid");
+        vec![
+            variant(&hybrid, |sc| sc.admission = None),
+            variant(&hybrid, |sc| sc.controller = ControllerSpec::None),
+            hybrid.clone(),
+        ]
+    },
+    judge: priority_hybrid,
+};
+
+fn priority_hybrid(outcomes: &[ScenarioOutcome], printed: &mut Printed) -> Vec<Verdict> {
+    let arms = Arms::new(&PRIORITY_HYBRID_ARMS, outcomes);
+    let p = printed.block(None);
+    writeln!(p, "priority hybrid: priority_hybrid.json — goodput (rps)");
+    writeln!(p, "  {:<14} {:>8} {:>8}", "arm", "checkout", "browse");
+    for arm in PRIORITY_HYBRID_ARMS {
+        let [checkout, browse] = ["checkout", "browse"].map(|api| api_goodput(arms.of(arm), api));
+        writeln!(p, "  {arm:<14} {checkout:>8.1} {browse:>8.1}");
+    }
+    let both = arms.of("topfull+dagor");
+    let moves = (both.journal.iter())
+        .filter(|e| matches!(e, obs::JournalEntry::PriorityThreshold { .. }))
+        .count();
+    writeln!(
+        p,
+        "  topfull+dagor journaled {moves} priority-threshold moves"
+    );
+    let [hybrid, alone] = [both, arms.of("topfull-only")].map(|o| api_goodput(o, "checkout"));
+    vec![
+        Verdict::claim(
+            "hybrid: checkout >= topfull alone",
+            hybrid >= alone,
+            ratio(hybrid, alone),
+            "the hybrid held checkout worse than TopFull alone",
+        ),
+        Verdict::claim(
+            "hybrid: the gate moves its threshold",
+            moves >= 1,
+            format!("moves: {moves}"),
+            "the priority gate never moved its threshold",
+        ),
+    ]
 }
 
 /// A mixed-priority surge into one backend: the DAGOR-style priority
@@ -131,31 +272,67 @@ fn coalescing_at_least_doubles_flash_crowd_goodput() {
 /// threshold moves.
 #[test]
 fn priority_gate_and_topfull_together_hold_checkout() {
-    let hybrid = doc("priority_hybrid");
-    let [topfull_only, dagor_only, both] = run_arms([
-        variant(&hybrid, |sc| sc.admission = None),
-        variant(&hybrid, |sc| sc.controller = ControllerSpec::None),
-        hybrid.clone(),
-    ]);
-    println!("priority hybrid: priority_hybrid.json — goodput (rps)");
-    println!("  {:<14} {:>8} {:>8}", "arm", "checkout", "browse");
-    for (arm, o) in [
-        ("topfull-only", &topfull_only),
-        ("dagor-only", &dagor_only),
-        ("topfull+dagor", &both),
-    ] {
-        let (checkout, browse) = (api_goodput(o, "checkout"), api_goodput(o, "browse"));
-        println!("  {arm:<14} {checkout:>8.1} {browse:>8.1}");
-    }
-    let moves = (both.journal.iter())
-        .filter(|e| matches!(e, obs::JournalEntry::PriorityThreshold { .. }))
-        .count();
-    println!("  topfull+dagor journaled {moves} priority-threshold moves");
-    assert!(
-        api_goodput(&both, "checkout") >= api_goodput(&topfull_only, "checkout"),
-        "the hybrid held checkout worse than TopFull alone"
+    PRIORITY_HYBRID.tier1();
+}
+
+const GRAY_FAILURE_ARMS: [&str; 2] = ["unhardened", "hardened"];
+
+const GRAY_FAILURE: Figure = Figure {
+    arms: || {
+        let chaos = doc("gray_failure_chaos");
+        let plain = variant(&chaos, |sc| {
+            let ControllerSpec::Topfull { hardened, .. } = &mut sc.controller else {
+                panic!("gray_failure_chaos.json runs TopFull");
+            };
+            *hardened = false;
+        });
+        vec![plain, chaos]
+    },
+    judge: gray_failure,
+};
+
+fn gray_failure(outcomes: &[ScenarioOutcome], printed: &mut Printed) -> Vec<Verdict> {
+    let arms = Arms::new(&GRAY_FAILURE_ARMS, outcomes);
+    let p = printed.block(None);
+    writeln!(
+        p,
+        "gray-failure chaos: gray_failure_chaos.json — total goodput (rps)"
     );
-    assert!(moves >= 1, "the priority gate never moved its threshold");
+    writeln!(
+        p,
+        "  {:<11} {:>9} {:>8} {:>10} {:>9}",
+        "stack", "pre-fault", "during", "post-fault", "post/pre"
+    );
+    for arm in GRAY_FAILURE_ARMS {
+        let o = arms.of(arm);
+        let pre = window_mean(o, 20.0, 40.0);
+        let during = window_mean(o, 45.0, 130.0);
+        let post = window_mean(o, 200.0, 240.0);
+        let ratio = post / pre;
+        writeln!(
+            p,
+            "  {arm:<11} {pre:>9.1} {during:>8.1} {post:>10.1} {ratio:>9.2}"
+        );
+    }
+    let hardened = arms.of("hardened");
+    let recovery = window_mean(hardened, 200.0, 240.0) / window_mean(hardened, 20.0, 40.0);
+    let watchdog = (hardened.journal.iter())
+        .filter(|e| matches!(e, obs::JournalEntry::Watchdog { .. }))
+        .count();
+    vec![
+        Verdict::claim(
+            "gray failure: hardened recovers >= 0.9",
+            recovery >= 0.9,
+            format!("{recovery:.2}"),
+            format!("hardened run recovered only {recovery:.2}"),
+        ),
+        Verdict::claim(
+            "gray failure: the watchdog journals",
+            watchdog > 0,
+            format!("watchdog entries: {watchdog}"),
+            "the hardened document ran without its watchdog",
+        ),
+    ]
 }
 
 /// The gray-failure schedule (faults inside t = 40–130 s) with and
@@ -165,34 +342,7 @@ fn priority_gate_and_topfull_together_hold_checkout() {
 /// hardened run recovers and journals its watchdog.
 #[test]
 fn gray_failure_arms_around_the_fault_window() {
-    let chaos = doc("gray_failure_chaos");
-    let [plain, hardened] = run_arms([
-        variant(&chaos, |sc| {
-            let ControllerSpec::Topfull { hardened, .. } = &mut sc.controller else {
-                panic!("gray_failure_chaos.json runs TopFull");
-            };
-            *hardened = false;
-        }),
-        chaos.clone(),
-    ]);
-    println!("gray-failure chaos: gray_failure_chaos.json — total goodput (rps)");
-    println!(
-        "  {:<11} {:>9} {:>8} {:>10} {:>9}",
-        "stack", "pre-fault", "during", "post-fault", "post/pre"
-    );
-    for (arm, o) in [("unhardened", &plain), ("hardened", &hardened)] {
-        let pre = window_mean(o, 20.0, 40.0);
-        let during = window_mean(o, 45.0, 130.0);
-        let post = window_mean(o, 200.0, 240.0);
-        let ratio = post / pre;
-        println!("  {arm:<11} {pre:>9.1} {during:>8.1} {post:>10.1} {ratio:>9.2}");
-    }
-    let recovery = window_mean(&hardened, 200.0, 240.0) / window_mean(&hardened, 20.0, 40.0);
-    assert!(recovery >= 0.9, "hardened run recovered only {recovery:.2}");
-    assert!(
-        (hardened.journal.iter()).any(|e| matches!(e, obs::JournalEntry::Watchdog { .. })),
-        "the hardened document ran without its watchdog"
-    );
+    GRAY_FAILURE.tier1();
 }
 
 /// Times of the page-severity `SloBurn` journal entries, any API.
@@ -218,6 +368,121 @@ fn sustained_collapse(o: &ScenarioOutcome, threshold: f64) -> Option<f64> {
     collapse
 }
 
+/// The uncontrolled arm's first page leads its sustained collapse by at
+/// least 2 ticks; a page or a collapse that never comes fails it.
+fn page_leads_collapse(page: Option<f64>, collapse: Option<f64>) -> Verdict {
+    let relation = "slo burn lead: the page leads the collapse by 2 s";
+    let (Some(page), Some(collapse)) = (page, collapse) else {
+        let missing = if page.is_none() {
+            "no page"
+        } else {
+            "no collapse"
+        };
+        let failure = format!("uncontrolled: page {page:?}, collapse {collapse:?}");
+        return Verdict::claim(relation, false, missing, failure);
+    };
+    Verdict::claim(
+        relation,
+        collapse - page >= 2.0,
+        format!("{:.0} s lead", collapse - page),
+        format!("the page ({page} s) does not lead the collapse ({collapse} s) by 2 ticks"),
+    )
+}
+
+#[test]
+fn a_page_without_a_collapse_fails_its_relation_by_name() {
+    let verdict = page_leads_collapse(Some(12.0), None);
+    assert!(!verdict.holds);
+    assert_eq!(verdict.margin, "no collapse");
+    assert!(page_leads_collapse(Some(12.0), Some(27.0)).holds);
+}
+
+const SLO_BURN_ARMS: [&str; 3] = ["none", "rl", "mimd"];
+
+const SLO_BURN_LEAD: Figure = Figure {
+    arms: || {
+        let crowd = doc("slo_burn_lead");
+        vec![
+            crowd.clone(),
+            variant(&crowd, |sc| {
+                sc.controller = ControllerSpec::topfull("rl:artifacts/models/transfer_ob.json");
+            }),
+            variant(&crowd, |sc| sc.controller = ControllerSpec::topfull("mimd")),
+        ]
+    },
+    judge: slo_burn_lead,
+};
+
+fn slo_burn_lead(outcomes: &[ScenarioOutcome], printed: &mut Printed) -> Vec<Verdict> {
+    let arms = Arms::new(&SLO_BURN_ARMS, outcomes);
+    let [none, rl, mimd] = SLO_BURN_ARMS.map(|arm| arms.of(arm));
+    let p = printed.block(None);
+    writeln!(
+        p,
+        "slo burn lead: slo_burn_lead.json — getproduct goodput from t=28 s"
+    );
+    writeln!(
+        p,
+        "  {:<6} {:>10} {:>11} {:>6} {:>10}",
+        "arm", "goodput", "crash-loops", "pages", "first page"
+    );
+    for arm in SLO_BURN_ARMS {
+        let o = arms.of(arm);
+        let pages = page_times(o);
+        let first = pages
+            .first()
+            .map_or("never".into(), |t| format!("{t:.0} s"));
+        writeln!(
+            p,
+            "  {arm:<6} {:>10.1} {:>11} {:>6} {first:>10}",
+            api_goodput(o, "getproduct"),
+            o.crash_events,
+            pages.len()
+        );
+    }
+    let threshold = 0.6 * window_mean(none, 3.0, 10.0);
+    let page = page_times(none).first().copied();
+    let collapse = sustained_collapse(none, threshold);
+    if let Some(collapse) = collapse {
+        writeln!(
+            p,
+            "  none: total goodput below {threshold:.0} rps from {collapse} s on"
+        );
+    }
+    let (held, uncontrolled) = (
+        api_goodput(rl, "getproduct"),
+        api_goodput(none, "getproduct"),
+    );
+    let rl_pages = page_times(rl).len();
+    vec![
+        page_leads_collapse(page, collapse),
+        Verdict::claim(
+            "slo burn lead: rl > none on getproduct",
+            held > uncontrolled,
+            ratio(held, uncontrolled),
+            "the RL policy held less crowd-phase goodput than no control",
+        ),
+        Verdict::claim(
+            "slo burn lead: rl never crash-loops",
+            rl.crash_events == 0,
+            format!("crashes: {}", rl.crash_events),
+            "the RL arm crash-looped the bottleneck",
+        ),
+        Verdict::claim(
+            "slo burn lead: rl never pages",
+            rl_pages == 0,
+            format!("pages: {rl_pages}"),
+            "the RL arm paged",
+        ),
+        Verdict::claim(
+            "slo burn lead: mimd crash-loops",
+            mimd.crash_events > 0,
+            format!("crashes: {}", mimd.crash_events),
+            "the paper-default MIMD step clamped the crowd in time",
+        ),
+    ]
+}
+
 /// A two-wave flash crowd on Get Product: a 4 s precursor at 700 rps
 /// against the recommendation bottleneck's ≈500 rps, too brief to trip
 /// the 6-probe crash loop, then 2600 rps from t = 25 s. Uncontrolled,
@@ -229,52 +494,7 @@ fn sustained_collapse(o: &ScenarioOutcome, threshold: f64) -> Option<f64> {
 /// (0.05) cannot clamp a 5× overshoot before the crash loop fires.
 #[test]
 fn the_burn_rate_page_leads_the_flash_crowd_collapse() {
-    let crowd = doc("slo_burn_lead");
-    let [none, rl, mimd] = run_arms([
-        crowd.clone(),
-        variant(&crowd, |sc| {
-            sc.controller = ControllerSpec::topfull("rl:artifacts/models/transfer_ob.json");
-        }),
-        variant(&crowd, |sc| sc.controller = ControllerSpec::topfull("mimd")),
-    ]);
-    println!("slo burn lead: slo_burn_lead.json — getproduct goodput from t=28 s");
-    println!(
-        "  {:<6} {:>10} {:>11} {:>6} {:>10}",
-        "arm", "goodput", "crash-loops", "pages", "first page"
-    );
-    for (arm, o) in [("none", &none), ("rl", &rl), ("mimd", &mimd)] {
-        let pages = page_times(o);
-        let first = pages
-            .first()
-            .map_or("never".into(), |t| format!("{t:.0} s"));
-        println!(
-            "  {arm:<6} {:>10.1} {:>11} {:>6} {first:>10}",
-            api_goodput(o, "getproduct"),
-            o.crash_events,
-            pages.len()
-        );
-    }
-    let threshold = 0.6 * window_mean(&none, 3.0, 10.0);
-    let page = page_times(&none).first().copied();
-    let collapse = sustained_collapse(&none, threshold);
-    let (Some(page), Some(collapse)) = (page, collapse) else {
-        panic!("uncontrolled: page {page:?}, collapse {collapse:?}");
-    };
-    println!("  none: total goodput below {threshold:.0} rps from {collapse} s on");
-    assert!(
-        collapse - page >= 2.0,
-        "the page ({page} s) does not lead the collapse ({collapse} s) by 2 ticks"
-    );
-    assert!(
-        api_goodput(&rl, "getproduct") > api_goodput(&none, "getproduct"),
-        "the RL policy held less crowd-phase goodput than no control"
-    );
-    assert_eq!(rl.crash_events, 0, "the RL arm crash-looped the bottleneck");
-    assert!(page_times(&rl).is_empty(), "the RL arm paged");
-    assert!(
-        mimd.crash_events > 0,
-        "the paper-default MIMD step clamped the crowd in time"
-    );
+    SLO_BURN_LEAD.tier1();
 }
 
 /// The refinement ablation's arms: `(document, variant, the switch it
@@ -354,32 +574,24 @@ fn ablated(sc: &Scenario, switch: &str) -> Scenario {
     })
 }
 
-/// The three refinements DESIGN.md §5 adds to Algorithm 1 (no paper
-/// counterpart), each switched off alone: on Fig. 10's Train Ticket and
-/// Online Boutique overloads (at another seed), acting on one target per
-/// cluster costs Train Ticket goodput; with idle low-priority APIs on
-/// its bottleneck, a lone surging API is starved by verbatim Algorithm 1
-/// cuts; and under a 3:1 skew between two equal-priority APIs on one
-/// bottleneck, multiplicative raises freeze the skew that Chiu-Jain
-/// steps even out. The other grid cells are printed, not asserted.
-#[test]
-fn each_refinement_beats_its_ablation_in_its_own_scenario() {
-    let names = [
-        "refinement_tt",
-        "refinement_ob",
-        "refinement_offender",
-        "refinement_skew",
-    ];
-    let docs = names.map(|name| (name, doc(name)));
-    let source = |name: &str| &docs.iter().find(|(n, _)| *n == name).expect("a document").1;
-    let outcomes = run_arms(REFINEMENTS.map(|(name, _, switch)| ablated(source(name), switch)));
+const REFINEMENT_ABLATION: Figure = Figure {
+    arms: || (REFINEMENTS.map(|(name, _, switch)| ablated(&doc(name), switch))).into(),
+    judge: refinement_ablation,
+};
+
+fn refinement_ablation(outcomes: &[ScenarioOutcome], printed: &mut Printed) -> Vec<Verdict> {
+    let keys = REFINEMENTS.map(|(name, _, switch)| (name, switch));
+    let arms = Arms::new(&keys, outcomes);
     let (grid, rest) = outcomes.split_at(8);
     let labels = REFINEMENTS.map(|(_, label, _)| label);
 
-    println!(
+    let p = printed.block(Some("refinements"));
+    writeln!(
+        p,
         "refinements: refinement_tt.json and refinement_ob.json — total goodput (rps) from t=30 s"
     );
-    println!(
+    writeln!(
+        p,
         "  {:<15} {:<28} {:>8} {:>11}",
         "app", "variant", "goodput", "vs default"
     );
@@ -395,40 +607,69 @@ fn each_refinement_beats_its_ablation_in_its_own_scenario() {
             } else {
                 "n/a".into()
             };
-            println!("  {app:<15} {label:<28} {goodput:>8.1} {delta:>11}");
+            writeln!(p, "  {app:<15} {label:<28} {goodput:>8.1} {delta:>11}");
         }
     }
     let (offender, skew) = rest.split_at(2);
-    println!("refinement 2: refinement_offender.json — the surging getproduct's goodput (rps) from t=30 s");
-    let offended = offender.iter().zip(&labels[8..10]).map(|(o, label)| {
-        let goodput = api_goodput(o, "getproduct");
-        println!("  {label:<32} {goodput:>7.1}");
-        goodput
-    });
-    let offended: Vec<f64> = offended.collect();
-    println!("refinement 3: refinement_skew.json — the equal-priority split from t=200 s");
-    println!(
+    writeln!(p, "refinement 2: refinement_offender.json — the surging getproduct's goodput (rps) from t=30 s");
+    for (o, label) in offender.iter().zip(&labels[8..10]) {
+        writeln!(p, "  {label:<32} {:>7.1}", api_goodput(o, "getproduct"));
+    }
+    writeln!(
+        p,
+        "refinement 3: refinement_skew.json — the equal-priority split from t=200 s"
+    );
+    writeln!(
+        p,
         "  {:<32} {:>14} {:>18}",
         "variant", "minority (rps)", "majority/minority"
     );
-    let minority = skew.iter().zip(&labels[10..]).map(|(o, label)| {
+    let minority = |o: &ScenarioOutcome| {
         let [gp, gc] = ["getproduct", "getcart"].map(|api| api_goodput(o, api));
-        let ratio = gp.max(gc) / gp.min(gc).max(1.0);
-        println!("  {label:<32} {:>14.1} {:>17.2}x", gc.min(gp), ratio);
-        gc.min(gp)
-    });
-    let minority: Vec<f64> = minority.collect();
+        (gp.min(gc), gp.max(gc) / gp.min(gc).max(1.0))
+    };
+    for (o, label) in skew.iter().zip(&labels[10..]) {
+        let (least, ratio) = minority(o);
+        writeln!(p, "  {label:<32} {least:>14.1} {ratio:>17.2}x");
+    }
 
-    assert!(
-        grid[0].total_goodput > grid[1].total_goodput,
-        "one target per cluster costs Train Ticket nothing"
-    );
-    assert!(
-        offended[0] > offended[1],
-        "verbatim Algorithm 1 cuts do not starve the surging API"
-    );
-    assert!(
-        minority[0] > minority[1],
-        "Chiu-Jain steps do not serve the minority API more"
-    );
+    let tt = |switch| arms.of(("refinement_tt", switch)).total_goodput;
+    let (all_on, single) = (tt(""), tt("single_target_per_cluster"));
+    let surging = |switch| api_goodput(arms.of(("refinement_offender", switch)), "getproduct");
+    let (contributing, verbatim) = (surging(""), surging("restrict_cuts_to_contributing"));
+    let least = |switch| minority(arms.of(("refinement_skew", switch))).0;
+    let (chiu_jain, multiplicative) = (least(""), least("fair_group_steps"));
+    vec![
+        Verdict::claim(
+            "refinement 1: train-ticket > single target",
+            all_on > single,
+            ratio(all_on, single),
+            "one target per cluster costs Train Ticket nothing",
+        ),
+        Verdict::claim(
+            "refinement 2: getproduct > verbatim cuts",
+            contributing > verbatim,
+            ratio(contributing, verbatim),
+            "verbatim Algorithm 1 cuts do not starve the surging API",
+        ),
+        Verdict::claim(
+            "refinement 3: minority > multiplicative",
+            chiu_jain > multiplicative,
+            ratio(chiu_jain, multiplicative),
+            "Chiu-Jain steps do not serve the minority API more",
+        ),
+    ]
+}
+
+/// The three refinements DESIGN.md §5 adds to Algorithm 1 (no paper
+/// counterpart), each switched off alone: on Fig. 10's Train Ticket and
+/// Online Boutique overloads (at another seed), acting on one target per
+/// cluster costs Train Ticket goodput; with idle low-priority APIs on
+/// its bottleneck, a lone surging API is starved by verbatim Algorithm 1
+/// cuts; and under a 3:1 skew between two equal-priority APIs on one
+/// bottleneck, multiplicative raises freeze the skew that Chiu-Jain
+/// steps even out. The other grid cells are printed, not asserted.
+#[test]
+fn each_refinement_beats_its_ablation_in_its_own_scenario() {
+    REFINEMENT_ABLATION.tier1();
 }
